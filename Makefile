@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-fast test race check chaos chaos-smoke bench bench-smoke bench-json reprod-smoke wal-smoke experiments examples clean
+.PHONY: all build vet lint lint-fast test race check chaos chaos-smoke bench bench-smoke bench-check bench-json reprod-smoke wal-smoke experiments examples clean
 
 all: build vet test
 
@@ -49,14 +49,22 @@ chaos-smoke:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# bench-smoke validates the benchmark runners end-to-end in milliseconds
-# (tiny sizes, output discarded); part of `make check`.
+# bench-smoke validates the benchmark runners end-to-end (tiny sizes,
+# output discarded: milliseconds each for the suite runners, ~10 s for the
+# whole-stack benchmark); part of `make check`.
 bench-smoke:
 	$(GO) run ./cmd/benchkernels -smoke > /dev/null
 	$(GO) run ./cmd/benchstream -smoke > /dev/null
 	$(GO) run ./cmd/benchgroup -smoke > /dev/null
 	$(GO) run ./cmd/benchcapture -smoke > /dev/null
 	$(GO) run ./cmd/benchshard -smoke > /dev/null
+	$(GO) run ./bench -smoke > /dev/null
+
+# bench-check holds two `go run ./bench -o FILE` result files against the
+# regression bounds of BENCHMARK.json: make bench-check BASE=a.json NEW=b.json
+# (exit 1 when any end-to-end metric is worse beyond its bound).
+bench-check:
+	$(GO) run ./bench -check $(BASE) $(NEW)
 
 # reprod-smoke boots the comparison daemon on a loopback listener and
 # drives the full HTTP lifecycle: run registration, compare/group/shard

@@ -254,7 +254,7 @@ func collect(w Workload) (*Report, error) {
 func measure(v variant, backend aio.Backend, store *pfs.Store, fA, fB *pfs.File,
 	pairs []stream.ChunkPair, w Workload, dev device.Model) (Pipeline, error) {
 	cfg := stream.Config{Backend: backend, Device: dev, SliceBytes: w.SliceBytes, Depth: v.depth}
-	compute := func(p stream.ChunkPair, a, b []byte) (time.Duration, error) {
+	compute := func(_ int, p stream.ChunkPair, a, b []byte) (time.Duration, error) {
 		return dev.CompareRateTime(int64(len(a))), nil
 	}
 

@@ -23,7 +23,10 @@
 // Endpoints (see server.go):
 //
 //	GET  /healthz                     liveness
-//	GET  /v1/metrics                  per-tenant admission counters + journal gauges
+//	GET  /v1/metrics                  per-tenant admission counters, peakInFlight,
+//	                                  stage-2 arena gauges (stage2_arena_bytes,
+//	                                  stage2_arena_sets, stage2_arena_misses)
+//	                                  + journal gauges
 //	POST /v1/runs?tenant=T            register a run binding (409 on conflict)
 //	GET  /v1/runs?tenant=T            list the tenant's bindings
 //	POST /v1/jobs?tenant=T            submit a job (202; 429 + Retry-After
@@ -55,6 +58,17 @@ import (
 	"repro"
 )
 
+// metricsHelp names what GET /v1/metrics reports, for -h.
+const metricsHelp = `
+GET /v1/metrics reports (JSON):
+  tenants[]            per-tenant accepted / rejected / retryAfterMs
+  peakInFlight         most comparisons ever executing at once
+  stage2_arena_bytes   bytes the stage-2 buffer arena retains for reuse
+  stage2_arena_sets    buffer sets in the arena's free list
+  stage2_arena_misses  checkouts that found nothing to reuse and allocated
+  journal              name, seq, sizeBytes, wedged (with -journal)
+`
+
 func main() {
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -75,6 +89,11 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) int {
 		maxQueued     = fs.Int("max-queued", 0, "admission queue bound (0 = plane default)")
 		tenantPending = fs.Int("tenant-pending", 0, "per-tenant pending-job quota (0 = MaxInFlight)")
 	)
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "Usage of reprod:")
+		fs.PrintDefaults()
+		fmt.Fprint(stderr, metricsHelp)
+	}
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}

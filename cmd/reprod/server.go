@@ -193,11 +193,16 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // metricsBody is the GET /v1/metrics document: per-tenant admission
-// counters plus plane- and journal-level gauges.
+// counters plus plane-, arena- and journal-level gauges.
 type metricsBody struct {
 	Tenants      []repro.TenantAdmission `json:"tenants"`
 	PeakInFlight int                     `json:"peakInFlight"`
-	Journal      *journalMetrics         `json:"journal,omitempty"`
+	// The stage-2 buffer arena: bytes and buffer sets retained for reuse,
+	// and checkouts that found nothing to reuse and allocated.
+	ArenaBytes  int64           `json:"stage2_arena_bytes"`
+	ArenaSets   int             `json:"stage2_arena_sets"`
+	ArenaMisses uint64          `json:"stage2_arena_misses"`
+	Journal     *journalMetrics `json:"journal,omitempty"`
 }
 
 type journalMetrics struct {
@@ -208,9 +213,13 @@ type journalMetrics struct {
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	arena := s.plane.ArenaStats()
 	body := metricsBody{
 		Tenants:      s.plane.AdmissionMetrics(),
 		PeakInFlight: s.plane.PeakInFlight(),
+		ArenaBytes:   arena.Bytes,
+		ArenaSets:    arena.Sets,
+		ArenaMisses:  arena.Misses,
 	}
 	if jn := s.plane.Journal(); jn != nil {
 		jm := &journalMetrics{Name: jn.Name(), Seq: jn.Seq(), SizeBytes: jn.Size()}

@@ -81,12 +81,26 @@ type Uring struct {
 	// lazy ring start.
 	mu   sync.Mutex
 	ring *Ring
+
+	arenaOnce sync.Once
+	arena     *Arena
 }
 
 var (
 	_ Backend    = (*Uring)(nil)
 	_ PairReader = (*Uring)(nil)
 )
+
+// Arena returns the ring's stage-2 buffer arena (created on first use
+// with DefaultArenaLimit; the owner may SetLimit it). Everything that
+// reads through this ring — the stream pipeline's slice buffers, the
+// coalescer's plan scratch, group union buffers — recycles through it,
+// so buffers live as long as the ring rather than as long as one
+// comparison. Close leaves it alone; the ring's owner Releases it.
+func (u *Uring) Arena() *Arena {
+	u.arenaOnce.Do(func() { u.arena = NewArena(0) })
+	return u.arena
+}
 
 // NewUring returns a Uring backend with sensible defaults applied
 // (queue depth 64, workers 4). The ring itself starts on first use.

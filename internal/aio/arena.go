@@ -1,0 +1,234 @@
+package aio
+
+import (
+	"fmt"
+	"sync"
+)
+
+// BufSet is one recyclable stage-2 buffer set: the host buffers a
+// pipeline slice's two sides are read into (or, for a group comparison,
+// one member's union in A) and the request batches that address them.
+// A set belongs to whoever checked it out of an Arena until it is put
+// back; the arena never looks inside it.
+type BufSet struct {
+	A, B                 []byte
+	ReqsA, ReqsB, ReqsAB []ReadReq
+}
+
+// readReqBytes is the in-memory size of one ReadReq (offset, length,
+// slice header, tag), for the arena's byte accounting.
+const readReqBytes = 48
+
+// bytes is the memory the set pins while it sits in the free list.
+func (s *BufSet) bytes() int64 {
+	return int64(cap(s.A)) + int64(cap(s.B)) +
+		readReqBytes*int64(cap(s.ReqsA)+cap(s.ReqsB)+cap(s.ReqsAB))
+}
+
+// MaxSetBytes is the largest buffer set (or coalescer scratch) an arena
+// keeps: both sides of a default 8 MiB pipeline slice plus the one chunk
+// a slice may overshoot by (up to 1 MiB) and the request batches. Larger
+// sets — a caller-raised SliceBytes, a group union over most of a big
+// checkpoint — are allocated per use and dropped on return.
+const MaxSetBytes = 2 * (9 << 20)
+
+// DefaultArenaLimit bounds an arena nobody sized: eight default
+// comparisons' worth (pipeline depth 2) of buffer sets.
+const DefaultArenaLimit = 8 * 2 * MaxSetBytes
+
+// Arena is the stage-2 buffer arena: a bounded free list of buffer sets
+// and coalescer plan scratch that outlives the comparisons drawing on it,
+// so a steady stream of comparisons allocates no buffers at all. It lives
+// as long as the ring that owns it (Uring.Arena) — the service plane's,
+// or a package-private fallback ring's — the way io_uring registered
+// buffers live with their ring.
+//
+// Checkout never blocks: an empty free list allocates (counted as a miss).
+// Return is where the bound is enforced: a set larger than MaxSetBytes, or
+// one that would take the retained total past the limit, is dropped for
+// the collector instead of kept. Retained bytes therefore never exceed
+// the limit, whatever the concurrency. Safe for concurrent use; the lock
+// is held only for the list operation, never across I/O.
+type Arena struct {
+	mu       sync.Mutex
+	limit    int64
+	sets     []*BufSet
+	scratch  []*coalesceScratch
+	retained int64 // bytes pinned by the two free lists
+	out      int   // sets and scratches checked out and not yet returned
+	misses   uint64
+}
+
+// NewArena returns an empty arena that retains at most limit bytes
+// (limit <= 0 selects DefaultArenaLimit).
+func NewArena(limit int64) *Arena {
+	a := &Arena{}
+	a.SetLimit(limit)
+	return a
+}
+
+// SetLimit changes the retained-bytes bound (limit <= 0 selects
+// DefaultArenaLimit). Lowering it takes effect as sets are returned.
+func (a *Arena) SetLimit(limit int64) {
+	if limit <= 0 {
+		limit = DefaultArenaLimit
+	}
+	a.mu.Lock()
+	a.limit = limit
+	a.mu.Unlock()
+}
+
+// ArenaStats is a point-in-time view of an arena.
+type ArenaStats struct {
+	// Bytes is the memory pinned by free buffer sets and scratch.
+	Bytes int64
+	// Sets is the number of free buffer sets.
+	Sets int
+	// Outstanding counts sets and scratches checked out right now.
+	Outstanding int
+	// Misses counts checkouts that had to allocate: an empty free list,
+	// or no free set large enough.
+	Misses uint64
+	// Limit is the retained-bytes bound.
+	Limit int64
+}
+
+// Stats snapshots the arena's gauges.
+func (a *Arena) Stats() ArenaStats {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return ArenaStats{Bytes: a.retained, Sets: len(a.sets), Outstanding: a.out, Misses: a.misses, Limit: a.limit}
+}
+
+// Get checks out a buffer set whose A has capacity for nA bytes and B for
+// nB (lengths are the caller's to set; request batches come back empty
+// with their capacity kept). It picks the smallest free set that fits, so
+// mixed-size comparisons do not trade buffers; when none fits it
+// allocates, recycling the request batches of the largest free set.
+func (a *Arena) Get(nA, nB int) *BufSet {
+	size := func(s *BufSet) int { return cap(s.A) + cap(s.B) }
+	a.mu.Lock()
+	best := -1
+	for i, s := range a.sets {
+		if cap(s.A) >= nA && cap(s.B) >= nB && (best < 0 || size(s) < size(a.sets[best])) {
+			best = i
+		}
+	}
+	fits := best >= 0
+	if !fits {
+		for i, s := range a.sets {
+			if best < 0 || size(s) > size(a.sets[best]) {
+				best = i
+			}
+		}
+	}
+	var s *BufSet
+	if best >= 0 {
+		s = a.sets[best]
+		last := len(a.sets) - 1
+		a.sets[best] = a.sets[last]
+		a.sets[last] = nil
+		a.sets = a.sets[:last]
+		a.retained -= s.bytes()
+	}
+	if !fits {
+		a.misses++
+	}
+	a.out++
+	a.mu.Unlock()
+
+	if s == nil {
+		s = &BufSet{}
+	}
+	if cap(s.A) < nA {
+		s.A = make([]byte, nA)
+	}
+	if cap(s.B) < nB {
+		s.B = make([]byte, nB)
+	}
+	s.ReqsA, s.ReqsB, s.ReqsAB = s.ReqsA[:0], s.ReqsB[:0], s.ReqsAB[:0]
+	return s
+}
+
+// Put returns a set checked out with Get. The caller must not touch the
+// set (or any slice of its buffers) afterwards.
+func (a *Arena) Put(s *BufSet) {
+	if s == nil {
+		return
+	}
+	n := s.bytes()
+	a.mu.Lock()
+	if a.takeBack(n) {
+		a.sets = append(a.sets, s)
+	}
+	a.mu.Unlock()
+}
+
+// takeBack books the return of a checked-out item of n bytes and reports
+// whether the free list may keep it: not if it is oversize, not if it
+// would take the retained total past the limit. Caller holds a.mu.
+func (a *Arena) takeBack(n int64) bool {
+	a.out--
+	if n > MaxSetBytes || a.retained+n > a.limit {
+		return false
+	}
+	a.retained += n
+	return true
+}
+
+// getScratch checks out one coalescer plan scratch.
+func (a *Arena) getScratch() *coalesceScratch {
+	a.mu.Lock()
+	var sc *coalesceScratch
+	if last := len(a.scratch) - 1; last >= 0 {
+		sc = a.scratch[last]
+		a.scratch[last] = nil
+		a.scratch = a.scratch[:last]
+		a.retained -= sc.bytes()
+	} else {
+		a.misses++
+	}
+	a.out++
+	a.mu.Unlock()
+	if sc == nil {
+		sc = &coalesceScratch{}
+	}
+	return sc
+}
+
+// putScratch returns a scratch under the same bound as Put.
+func (a *Arena) putScratch(sc *coalesceScratch) {
+	n := sc.bytes()
+	a.mu.Lock()
+	if a.takeBack(n) {
+		a.scratch = append(a.scratch, sc)
+	}
+	a.mu.Unlock()
+}
+
+// Release drops both free lists, leaving the arena empty but usable, and
+// reports what was still checked out — a buffer set some comparison never
+// returned. The owner of the ring calls it at shutdown.
+func (a *Arena) Release() error {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.sets, a.scratch, a.retained = nil, nil, 0
+	if a.out != 0 {
+		return fmt.Errorf("aio: arena released with %d buffer sets still checked out", a.out)
+	}
+	return nil
+}
+
+// arenaOwner is implemented by backends that carry a stage-2 arena.
+type arenaOwner interface {
+	Arena() *Arena
+}
+
+// ArenaOf returns the arena a backend carries — a Uring's own, a
+// Coalescing's (its inner ring's) — or nil for backends without one.
+func ArenaOf(b Backend) *Arena {
+	if o, ok := b.(arenaOwner); ok {
+		return o.Arena()
+	}
+	return nil
+}

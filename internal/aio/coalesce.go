@@ -3,7 +3,6 @@ package aio
 import (
 	"context"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/pfs"
@@ -18,11 +17,19 @@ import (
 // scattered batches this is where most of the stage-2 speedup comes from,
 // which is why the compare layer enables it by default.
 //
-// Construct with NewCoalescing to attach the recycling scratch arena: the
-// merge plan (index order, runs, merged requests) and the merged read
-// buffer are then reused across batches, so steady-state coalescing does
-// no heap allocation. A zero-value Coalescing still works but plans each
-// batch in fresh memory.
+// Planning state (index order, runs, merged requests, and the buffer that
+// hole-bridging runs land in) is checked out of a stage-2 Arena per batch
+// group and returned after the scatter, so steady-state coalescing does no
+// heap allocation and concurrent batch groups never wait on one another's
+// reads. NewCoalescing attaches the inner ring's arena; a zero-value
+// Coalescing still works but plans each batch in fresh memory.
+//
+// A merged run whose members tile its file window without holes and whose
+// destination buffers are adjacent in memory in file order — the layout
+// stream.fill and the group planner produce for adjacent candidates — is
+// read straight into the destination and needs no scatter copy. Which
+// buffer a merged request lands in changes nothing the inner backend
+// prices: offsets, lengths and op counts are the planner's either way.
 //
 // Coalescing implements PairReader by planning each side independently and
 // handing both merged batches to the inner backend's pair path (falling
@@ -34,7 +41,7 @@ type Coalescing struct {
 	// (default 16 KiB). Gap bytes are read and discarded.
 	MaxGap int
 
-	scratch *coalesceScratch
+	arena *Arena
 }
 
 var (
@@ -42,14 +49,31 @@ var (
 	_ PairReader = Coalescing{}
 )
 
-// NewCoalescing wraps a backend with defaults applied and a private
-// scratch arena attached.
+// NewCoalescing wraps a backend with defaults applied, planning in the
+// backend's own stage-2 arena (a private one when the backend has none).
 func NewCoalescing(inner Backend, maxGap int) Coalescing {
+	if inner == nil {
+		inner = Default()
+	}
+	arena := ArenaOf(inner)
+	if arena == nil {
+		arena = NewArena(0)
+	}
+	return Coalescing{Inner: inner, arena: arena}.WithMaxGap(maxGap)
+}
+
+// WithMaxGap returns a copy bridging holes up to maxGap bytes (<= 0
+// selects the 16 KiB default) that shares this one's backend and arena.
+func (c Coalescing) WithMaxGap(maxGap int) Coalescing {
 	if maxGap <= 0 {
 		maxGap = 16 << 10
 	}
-	return Coalescing{Inner: inner, MaxGap: maxGap, scratch: &coalesceScratch{}}
+	c.MaxGap = maxGap
+	return c
 }
+
+// Arena returns the arena the coalescer plans in (nil for a zero value).
+func (c Coalescing) Arena() *Arena { return c.arena }
 
 func (c Coalescing) inner() Backend {
 	if c.Inner == nil {
@@ -61,14 +85,13 @@ func (c Coalescing) inner() Backend {
 // Name implements Backend.
 func (c Coalescing) Name() string { return c.inner().Name() + "+coalesce" }
 
-// acquire returns the scratch to plan in — the shared arena (locked) when
-// one was attached by NewCoalescing, a throwaway otherwise. Pair with
-// release. (No closures here: a per-batch method-value allocation would
-// defeat the arena.)
+// acquire checks a plan scratch out of the arena (a throwaway without
+// one). Pair with release. (No closures here: a per-batch method-value
+// allocation would defeat the arena.)
 func (c Coalescing) acquire() *coalesceScratch {
-	sc := c.scratch
-	if sc != nil {
-		sc.mu.Lock()
+	var sc *coalesceScratch
+	if c.arena != nil {
+		sc = c.arena.getScratch()
 	} else {
 		sc = &coalesceScratch{}
 	}
@@ -76,10 +99,10 @@ func (c Coalescing) acquire() *coalesceScratch {
 	return sc
 }
 
-// release unlocks the shared arena; throwaway scratches just drop.
+// release returns the scratch to the arena; throwaway scratches just drop.
 func (c Coalescing) release(sc *coalesceScratch) {
-	if sc == c.scratch {
-		sc.mu.Unlock()
+	if c.arena != nil {
+		c.arena.putScratch(sc)
 	}
 }
 
@@ -146,10 +169,15 @@ func (c Coalescing) ReadBatchPair(ctx context.Context, fA, fB *pfs.File, reqsA, 
 
 // crun is one merged run: the file window [off,end) covering the original
 // requests at order[lo:hi] (offset-sorted, so members are consecutive).
+// direct marks a run read straight into its members' buffers.
 type crun struct {
 	off, end int64
 	lo, hi   int
+	direct   bool
 }
+
+// crunBytes is the in-memory size of one crun, for arena accounting.
+const crunBytes = 40
 
 // coalescePlan addresses one planned batch inside the scratch arena:
 // runs[rlo:rhi] and merged[mlo:mhi]. Plans are index ranges rather than
@@ -160,13 +188,12 @@ type coalescePlan struct {
 	mlo, mhi int
 }
 
-// coalesceScratch holds the reusable planning state of one Coalescing
-// backend: the offset-sorted index order, the merged runs, the merged
-// request batch, and one grow-only byte buffer the merged reads land in.
-// All of it is reset (not freed) per batch group, so the arena reaches a
-// high-water size and then recycles. One batch group plans at a time (mu).
+// coalesceScratch holds the planning state of one batch group: the
+// offset-sorted index order, the merged runs, the merged request batch,
+// and one grow-only byte buffer the hole-bridging merged reads land in.
+// All of it is reset (not freed) per batch group, so a scratch reaches a
+// high-water size and then recycles through the arena.
 type coalesceScratch struct {
-	mu     sync.Mutex
 	sorter orderSorter
 	runs   []crun
 	merged []ReadReq
@@ -174,7 +201,13 @@ type coalesceScratch struct {
 	used   int
 }
 
-// begin resets the arena for a new batch group, keeping capacity.
+// bytes is the memory the scratch pins while it sits in the free list.
+func (sc *coalesceScratch) bytes() int64 {
+	return int64(cap(sc.buf)) + 8*int64(cap(sc.sorter.order)) +
+		crunBytes*int64(cap(sc.runs)) + readReqBytes*int64(cap(sc.merged))
+}
+
+// begin resets the scratch for a new batch group, keeping capacity.
 func (sc *coalesceScratch) begin() {
 	sc.sorter.order = sc.sorter.order[:0]
 	sc.runs = sc.runs[:0]
@@ -262,20 +295,51 @@ func (sc *coalesceScratch) plan(reqs []ReadReq, maxGap int) (coalescePlan, error
 	sc.runs = append(sc.runs, cur)
 
 	for ri := p.rlo; ri < len(sc.runs); ri++ {
-		r := sc.runs[ri]
+		r := &sc.runs[ri]
 		n := int(r.end - r.off)
-		sc.merged = append(sc.merged, ReadReq{Off: r.off, Len: n, Buf: sc.carve(n), Tag: ri - p.rlo})
+		buf := directLanding(reqs, order, r)
+		if r.direct = buf != nil; !r.direct {
+			buf = sc.carve(n)
+		}
+		sc.merged = append(sc.merged, ReadReq{Off: r.off, Len: n, Buf: buf, Tag: ri - p.rlo})
 	}
 	p.rhi = len(sc.runs)
 	p.mhi = len(sc.merged)
 	return p, nil
 }
 
+// directLanding returns the destination a run can be read straight into —
+// its first member's buffer extended over the whole window — or nil when
+// the run needs the scratch path. Direct landing requires the members to
+// tile the window exactly (no hole, overlap or duplicate, so every byte
+// read is wanted) and their buffers to be adjacent in memory in file
+// order; a single request always qualifies.
+func directLanding(reqs []ReadReq, order []int, r *crun) []byte {
+	n := int(r.end - r.off)
+	first := &reqs[order[r.lo]]
+	if cap(first.Buf) < n {
+		return nil
+	}
+	dst := first.Buf[:n]
+	next := r.off
+	for oi := r.lo; oi < r.hi; oi++ {
+		q := &reqs[order[oi]]
+		if q.Off != next || &dst[q.Off-r.off] != &q.Buf[0] {
+			return nil
+		}
+		next += int64(q.Len)
+	}
+	return dst
+}
+
 // scatter copies each original request's bytes out of its run's merged
-// buffer.
+// buffer; direct-landed runs already hold theirs.
 func (sc *coalesceScratch) scatter(p coalescePlan, reqs []ReadReq) {
 	for ri := p.rlo; ri < p.rhi; ri++ {
 		r := sc.runs[ri]
+		if r.direct {
+			continue
+		}
 		merged := sc.merged[p.mlo+(ri-p.rlo)]
 		for oi := r.lo; oi < r.hi; oi++ {
 			req := &reqs[sc.sorter.order[oi]]

@@ -62,8 +62,11 @@ func TestRingSubmitCloseRace(t *testing.T) {
 			wg.Add(1)
 			go func(seed int64) {
 				defer wg.Done()
-				reqs := scatteredReqs(data, 16, 4096, seed)
 				for {
+					// Fresh buffers per submission: nothing reaps here, so a
+					// re-submitted batch would have two workers reading into
+					// the same buffer at once.
+					reqs := scatteredReqs(data, 16, 4096, seed)
 					if _, err := r.Submit(context.Background(), f, reqs); err != nil {
 						return // ring closed: the only legal failure
 					}

@@ -200,7 +200,7 @@ func (st *pairState) stepCASPrune(ctx context.Context, x *engine.Exec) error {
 			if memo != nil {
 				if idx, ok := memo.lookup(fA.Digests[ci], fB.Digests[ci], fA.DType); ok {
 					st.res.CASPrunedChunks++
-					st.replayVerdict(fc.field, ci, int64(ci)*chunkElems, idx)
+					st.replayVerdict(fc.field, int64(ci)*chunkElems, idx)
 					continue
 				}
 			}
@@ -216,16 +216,11 @@ func (st *pairState) stepCASPrune(ctx context.Context, x *engine.Exec) error {
 
 // replayVerdict lands a memoized chunk verdict in the result exactly as a
 // stage-2 verification of the same pair would have.
-func (st *pairState) replayVerdict(field, chunk int, baseElem int64, idx []int64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
+func (st *pairState) replayVerdict(field int, baseElem int64, idx []int64) {
 	for _, e := range idx {
 		st.fieldDiffs[field] = append(st.fieldDiffs[field], baseElem+e)
 	}
 	if len(idx) > 0 {
-		if st.changed[field] == nil {
-			st.changed[field] = make(map[int]bool)
-		}
-		st.changed[field][chunk] = true
+		st.changedChunks++
 	}
 }

@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/aio"
@@ -153,21 +153,62 @@ func (g *GroupReport) UnverifiedChunks() int {
 	return total
 }
 
-// unionChunk is one (field, chunk) a member must be read at, with its
-// file-offset range.
-type unionChunk struct {
-	field, chunk int
-	off          int64 // chunk offset within the field
-	n            int
+// unionField is one field of a member's stage-2 read plan: the chunks the
+// member must be read at — the union of the candidate lists of every pair
+// the member is in, ascending — and where each lands in the union buffer.
+// Positions resolve by rank, never by lookup: every chunk but a field's
+// last is full-size, so chunk chunks[k] sits at base + k·stride; in
+// differential mode, where chunks land wherever their pack extent does,
+// pos lists the offsets explicitly.
+type unionField struct {
+	chunks       []int
+	base, stride int64
+	pos          []int64
+	// leaves caches the integrity rung's verdict per chunk under
+	// Options.Degrade, so a chunk shared by several pairs is checked (and
+	// at most re-read) once and every pair sees the recovered bytes.
+	leaves []leafState
+}
+
+// leafState is one cached integrity verdict: 0 unchecked, leafGood with
+// the bytes to compare, or leafBad.
+type leafState struct {
+	state int8
+	data  []byte
+}
+
+const (
+	leafGood = 1
+	leafBad  = 2
+)
+
+// at returns the union-buffer offset of the field's k-th chunk.
+func (uf *unionField) at(k int) int64 {
+	if uf.pos != nil {
+		return uf.pos[k]
+	}
+	return uf.base + int64(k)*uf.stride
 }
 
 // memberUnion is one member's deduplicated stage-2 read plan: the union of
 // candidate chunks over every pair the member participates in, read once.
+// The plan (fields, bytes) is made by the merge step; the buffer and the
+// request batch exist only while the verify step holds their arena set.
 type memberUnion struct {
-	entries []unionChunk
-	pos     map[[2]int]int64 // (field, chunk) -> offset into buf
-	buf     []byte
-	reqs    []aio.ReadReq
+	fields []unionField
+	bytes  int64
+	set    *aio.BufSet
+	buf    []byte
+	reqs   []aio.ReadReq
+}
+
+// groupJob is one candidate chunk of the pair being verified, resolved to
+// its rank in each member's union field.
+type groupJob struct {
+	field, chunk int
+	ra, rb       int
+	n            int   // chunk bytes
+	base         int64 // element index of the chunk's first element
 }
 
 // groupState carries one group comparison through its plan steps.
@@ -190,11 +231,14 @@ type groupState struct {
 	startOps, startBytes int64
 	totalElements        int64
 
-	// chunkOK caches per-member (field, chunk) integrity verdicts under
-	// Options.Degrade: 0 unchecked, 1 verified, 2 unverifiable.
-	chunkOK    []map[[2]int]int8
-	rereads    int
-	rereadCost pfs.Cost
+	// Stage-2 kernel state, reused across the pairs of the group: the
+	// per-field hashers, the pair's chunk jobs, their verdicts, and the
+	// range cut points and per-range errors of the current dispatch.
+	hashers   []*errbound.Hasher
+	jobs      []groupJob
+	kernel    verdicts
+	bounds    []int
+	rangeErrs []error
 
 	// Differential mode (GroupCompareDiff): members are manifests over a
 	// shared CAS pack, stage 2 is one loc-deduplicated pack read, and memo
@@ -204,6 +248,7 @@ type groupState struct {
 	mans      []*cas.Manifest
 	pack      *pfs.File
 	packUnion memberUnion
+	packLocs  []cas.Loc // the distinct extents of packUnion, by offset
 	// replays[pi][fi][ci] holds a pair's memo-replayed absolute diff
 	// indices (possibly empty: proven identical within ε).
 	replays []map[int]map[int][]int64
@@ -398,60 +443,115 @@ func (st *groupState) stepPairDiffs(ctx context.Context, x *engine.Exec) error {
 	return nil
 }
 
-// stepMergeUnions merges the candidate-chunk sets of every pair sharing a
+// stepMergeUnions merges the candidate-chunk lists of every pair sharing a
 // member into one deduplicated, offset-sorted read plan per member — the
 // second saving: a chunk two pairs both need from the same member is read
 // once, not twice.
 func (st *groupState) stepMergeUnions(ctx context.Context, x *engine.Exec) error {
-	need := make([]map[[2]int]bool, len(st.members))
-	for pi, pr := range st.pairIdx {
-		for fi, chunks := range st.pairCands[pi] {
-			for _, ci := range chunks {
-				key := [2]int{fi, ci}
-				for _, m := range []int{pr[0], pr[1]} {
-					if need[m] == nil {
-						need[m] = make(map[[2]int]bool)
-					}
-					need[m][key] = true
-				}
+	st.planUnionFields()
+	for m := range st.unions {
+		u := &st.unions[m]
+		for fi := range u.fields {
+			uf := &u.fields[fi]
+			tree := st.metas[m].Fields[fi].Tree
+			uf.base, uf.stride = u.bytes, int64(tree.ChunkSize())
+			for _, ci := range uf.chunks {
+				_, n := tree.ChunkRange(ci)
+				u.bytes += int64(n)
 			}
 		}
 	}
+	return nil
+}
+
+// planUnionFields k-way merges, per member and field, the candidate lists
+// of the pairs the member is in. merkle.Diff returns them ascending (and
+// CAS pruning keeps the order), so the union is one merge pass.
+func (st *groupState) planUnionFields() {
+	nFields := len(st.metas[0].Fields)
 	st.unions = make([]memberUnion, len(st.members))
-	for m := range st.members {
-		if len(need[m]) == 0 {
+	lists := make([][]int, 0, len(st.pairIdx))
+	for m := range st.unions {
+		u := &st.unions[m]
+		u.fields = make([]unionField, nFields)
+		for fi := range u.fields {
+			lists = lists[:0]
+			for pi, pr := range st.pairIdx {
+				if (pr[0] == m || pr[1] == m) && len(st.pairCands[pi][fi]) > 0 {
+					lists = append(lists, st.pairCands[pi][fi])
+				}
+			}
+			if len(lists) == 0 {
+				continue
+			}
+			uf := &u.fields[fi]
+			if uf.chunks = lists[0]; len(lists) > 1 {
+				uf.chunks = mergeSorted(nil, lists)
+			}
+			if st.opts.Degrade {
+				uf.leaves = make([]leafState, len(uf.chunks))
+			}
+		}
+	}
+}
+
+// checkoutUnions backs every member's read plan with a buffer set from
+// the stage-2 arena and builds its request batch. Requests go out in
+// (field, chunk) order into adjacent buffer windows, so runs of adjacent
+// candidates coalesce and land directly. Pair with returnUnions.
+func (st *groupState) checkoutUnions() {
+	arena := st.opts.arena()
+	for m := range st.unions {
+		u := &st.unions[m]
+		if u.bytes == 0 {
 			continue
 		}
-		u := &st.unions[m]
-		u.entries = make([]unionChunk, 0, len(need[m]))
-		for key := range need[m] {
-			fi, ci := key[0], key[1]
+		u.set = arena.Get(int(u.bytes), 0)
+		u.buf = u.set.A[:u.bytes]
+		reqs := u.set.ReqsA[:0]
+		for fi := range u.fields {
+			uf := &u.fields[fi]
 			tree := st.metas[m].Fields[fi].Tree
-			off, n := tree.ChunkRange(ci)
-			u.entries = append(u.entries, unionChunk{field: fi, chunk: ci, off: off, n: n})
-		}
-		sort.Slice(u.entries, func(i, j int) bool {
-			if u.entries[i].field != u.entries[j].field {
-				return u.entries[i].field < u.entries[j].field
+			base := st.readers[m].FieldFileOffset(fi)
+			for k, ci := range uf.chunks {
+				off, n := tree.ChunkRange(ci)
+				pos := uf.at(k)
+				reqs = append(reqs, aio.ReadReq{Off: base + off, Len: n, Buf: u.buf[pos : pos+int64(n)], Tag: len(reqs)})
 			}
-			return u.entries[i].chunk < u.entries[j].chunk
-		})
-		var total int64
-		for _, e := range u.entries {
-			total += int64(e.n)
 		}
-		u.buf = make([]byte, total)
-		u.pos = make(map[[2]int]int64, len(u.entries))
-		u.reqs = make([]aio.ReadReq, 0, len(u.entries))
-		var pos int64
-		for _, e := range u.entries {
-			base := st.readers[m].FieldFileOffset(e.field)
-			u.pos[[2]int{e.field, e.chunk}] = pos
-			u.reqs = append(u.reqs, aio.ReadReq{
-				Off: base + e.off, Len: e.n, Buf: u.buf[pos : pos+int64(e.n)], Tag: len(u.reqs),
-			})
-			pos += int64(e.n)
+		u.set.ReqsA, u.reqs = reqs, reqs
+	}
+}
+
+// returnUnions hands every union's buffer set back to the arena.
+func (st *groupState) returnUnions() {
+	arena := st.opts.arena()
+	for m := range st.unions {
+		u := &st.unions[m]
+		arena.Put(u.set)
+		u.set, u.buf, u.reqs = nil, nil, nil
+	}
+	arena.Put(st.packUnion.set)
+	st.packUnion.set, st.packUnion.buf, st.packUnion.reqs = nil, nil, nil
+}
+
+// fieldHashers builds the ε-hasher of every selected field, one per
+// dtype.
+func (st *groupState) fieldHashers() error {
+	byType := make(map[errbound.DType]*errbound.Hasher)
+	st.hashers = make([]*errbound.Hasher, len(st.metas[0].Fields))
+	for fi, fm := range st.metas[0].Fields {
+		if !st.selected(fm.Name) {
+			continue
 		}
+		if byType[fm.DType] == nil {
+			h, err := st.opts.hasherFor(fm.DType)
+			if err != nil {
+				return err
+			}
+			byType[fm.DType] = h
+		}
+		st.hashers[fi] = byType[fm.DType]
 	}
 	return nil
 }
@@ -498,6 +598,11 @@ func (st *groupState) readMember(ctx context.Context, m int) (time.Duration, err
 func (st *groupState) stepSharedVerify(ctx context.Context, x *engine.Exec) error {
 	sw := metrics.NewStopwatch()
 	pairRd, _ := st.opts.Backend.(aio.PairReader)
+	if err := st.fieldHashers(); err != nil {
+		return err
+	}
+	st.checkoutUnions()
+	defer st.returnUnions()
 
 	// Members that need reading, in index order.
 	var toRead []int
@@ -507,7 +612,6 @@ func (st *groupState) stepSharedVerify(ctx context.Context, x *engine.Exec) erro
 		}
 	}
 
-	hashers := make(map[errbound.DType]*errbound.Hasher)
 	loaded := make([]bool, len(st.members))
 	failed := make([]bool, len(st.members))
 	comparedPair := make([]bool, len(st.pairIdx))
@@ -526,7 +630,7 @@ func (st *groupState) stepSharedVerify(ctx context.Context, x *engine.Exec) erro
 				continue
 			}
 			comparedPair[pi] = true
-			c, err := st.verifyPair(ctx, pi, hashers)
+			c, err := st.verifyPair(ctx, pi)
 			if err != nil {
 				return comp, err
 			}
@@ -607,17 +711,17 @@ func (st *groupState) stepSharedVerify(ctx context.Context, x *engine.Exec) erro
 	return nil
 }
 
-// foldGroupRereads prices the integrity re-reads issued by verifyPair into
+// foldGroupRereads prices the integrity re-reads issued by the kernel into
 // the report and the plan clock.
 func (st *groupState) foldGroupRereads(x *engine.Exec) {
-	if st.rereadCost == (pfs.Cost{}) {
+	cost := st.kernel.takeRereadCost()
+	if cost == (pfs.Cost{}) {
 		return
 	}
-	st.rep.BytesRead += st.rereadCost.TotalBytes()
-	v := st.store.Model().SerialReadTime(st.rereadCost, st.store.Sharers())
+	st.rep.BytesRead += cost.TotalBytes()
+	v := st.store.Model().SerialReadTime(cost, st.store.Sharers())
 	st.rep.Breakdown.AddVirtual(metrics.PhaseRead, v)
 	x.AddVirtual(v)
-	st.rereadCost = pfs.Cost{}
 }
 
 // pairHasCands reports whether pair pi has any candidate chunks.
@@ -630,134 +734,156 @@ func (st *groupState) pairHasCands(pi int) bool {
 	return false
 }
 
-// verifyPair compares one pair's candidate chunks from the two members'
-// cached union buffers, filling the pair's Result, and returns the priced
-// compute time of its verification batch.
-func (st *groupState) verifyPair(ctx context.Context, pi int, hashers map[errbound.DType]*errbound.Hasher) (time.Duration, error) {
-	pr := st.pairIdx[pi]
-	a, b := pr[0], pr[1]
+// verifyPair verifies one pair's candidate chunks from the two members'
+// cached union buffers — the same kernel the pair planners run, dispatched
+// over the options' executor in byte-balanced ranges — fills the pair's
+// Result in chunk order, and returns the priced compute time of the batch.
+func (st *groupState) verifyPair(ctx context.Context, pi int) (time.Duration, error) {
+	a, b := st.pairIdx[pi][0], st.pairIdx[pi][1]
 	res := st.rep.Pairs[pi].Result
 	ua, ub := &st.unions[a], &st.unions[b]
-	var pairBytes int64
-	comp := st.opts.Device.KernelLaunch
+
+	// Resolve every candidate to its rank in both unions: the candidate
+	// list is a sublist of each, so one cursor per side walks forward.
+	st.jobs = st.jobs[:0]
 	for fi, chunks := range st.pairCands[pi] {
 		if len(chunks) == 0 {
 			continue
 		}
-		if err := ctx.Err(); err != nil {
-			return comp, err
-		}
 		fm := st.metas[a].Fields[fi]
-		hasher := hashers[fm.DType]
-		if hasher == nil {
-			h, err := st.opts.hasherFor(fm.DType)
-			if err != nil {
-				return comp, err
-			}
-			hashers[fm.DType] = h
-			hasher = h
-		}
 		tree := fm.Tree
-		eltSize := int64(fm.DType.Size())
-		chunkElems := int64(tree.ChunkSize()) / eltSize
-		var indices []int64
-		changed := 0
+		chunkElems := int64(tree.ChunkSize() / fm.DType.Size())
+		ca, cb := ua.fields[fi].chunks, ub.fields[fi].chunks
+		ra, rb := 0, 0
 		for _, ci := range chunks {
-			key := [2]int{fi, ci}
-			_, n := tree.ChunkRange(ci)
-			pa := ua.pos[key]
-			pb := ub.pos[key]
-			da := ua.buf[pa : pa+int64(n)]
-			db := ub.buf[pb : pb+int64(n)]
-			if st.opts.Degrade {
-				// Integrity rung: each side's union bytes must re-hash to
-				// that member's stored leaf. An unverifiable side excludes
-				// the chunk from diffing — untrusted bytes must produce
-				// neither a false divergence nor a false match.
-				if !st.chunkGood(a, fi, ci, hasher) || !st.chunkGood(b, fi, ci, hasher) {
-					res.Degraded = true
-					res.UnverifiedChunks++
-					pairBytes += int64(n)
-					continue
-				}
+			for ca[ra] != ci {
+				ra++
 			}
-			idx, _, err := hasher.CompareSlices(nil, da, db)
-			if err != nil {
-				return comp, err
+			for cb[rb] != ci {
+				rb++
+			}
+			_, n := tree.ChunkRange(ci)
+			st.jobs = append(st.jobs, groupJob{field: fi, chunk: ci, ra: ra, rb: rb, n: n, base: int64(ci) * chunkElems})
+		}
+	}
+
+	exec := device.Cancelable{Done: ctx.Done(), Inner: st.opts.Exec}
+	maxRanges := stream.MaxRanges(exec)
+	st.kernel.reset(len(st.jobs), maxRanges)
+	st.bounds = stream.Ranges(st.bounds, len(st.jobs), func(i int) int { return st.jobs[i].n }, maxRanges)
+	nr := len(st.bounds) - 1
+	st.rangeErrs = slices.Grow(st.rangeErrs[:0], nr)[:nr]
+	clear(st.rangeErrs)
+	var leaves LeafChecker
+	if st.opts.Degrade {
+		leaves = &groupLeaves{st: st, a: a, b: b}
+	}
+	verifyRange := func(r int) {
+		for i := st.bounds[r]; i < st.bounds[r+1]; i++ {
+			j := &st.jobs[i]
+			fa, fb := &ua.fields[j.field], &ub.fields[j.field]
+			pa, pb := fa.at(j.ra), fb.at(j.rb)
+			job := ChunkJob{
+				Hasher: st.hashers[j.field],
+				A:      ua.buf[pa : pa+int64(j.n)],
+				B:      ub.buf[pb : pb+int64(j.n)],
+				Base:   j.base,
+				Leaves: leaves, R: r, I: i,
 			}
 			if st.diffMode && st.opts.Memo != nil {
-				st.opts.Memo.insert(st.mans[a].Fields[fi].Digests[ci],
-					st.mans[b].Fields[fi].Digests[ci], fm.DType, idx)
+				job.Memo = st.opts.Memo
+				job.DigestA = st.mans[a].Fields[j.field].Digests[j.chunk]
+				job.DigestB = st.mans[b].Fields[j.field].Digests[j.chunk]
 			}
-			if len(idx) > 0 {
+			if err := st.kernel.verify(r, i, &job); err != nil {
+				st.rangeErrs[r] = err
+				return
+			}
+		}
+	}
+	device.ForCoarse(exec, nr, verifyRange)
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	// Ranges are contiguous and stop at their first failure: the first
+	// failed range holds the error of the lowest chunk.
+	for _, err := range st.rangeErrs {
+		if err != nil {
+			return 0, err
+		}
+	}
+
+	// Fold the verdicts into the pair's result, field by field in chunk
+	// order — the same order at any worker count.
+	var pairBytes int64
+	i := 0
+	for fi, chunks := range st.pairCands[pi] {
+		if len(chunks) == 0 {
+			continue
+		}
+		var indices []int64
+		changed := 0
+		for range chunks {
+			switch st.kernel.slots[i].verdict {
+			case ChunkUnverified:
+				res.Degraded = true
+				res.UnverifiedChunks++
+			case ChunkChanged:
 				changed++
-				base := int64(ci) * chunkElems
-				for _, e := range idx {
-					indices = append(indices, base+e)
-				}
+				indices = append(indices, st.kernel.indices(i)...)
 			}
-			pairBytes += int64(n)
+			pairBytes += int64(st.jobs[i].n)
+			i++
 		}
 		res.ChangedChunks += changed
 		if len(indices) > 0 {
-			sort.Slice(indices, func(i, j int) bool { return indices[i] < indices[j] })
-			res.Diffs = append(res.Diffs, FieldDiff{Field: fm.Name, Indices: indices})
+			sortIndices(indices)
+			res.Diffs = append(res.Diffs, FieldDiff{Field: st.metas[a].Fields[fi].Name, Indices: indices})
 			res.DiffCount += int64(len(indices))
 		}
 	}
-	comp += st.opts.Device.TransferTime(2*pairBytes) + st.opts.Device.CompareRateTime(pairBytes)
+	comp := st.opts.Device.KernelLaunch +
+		st.opts.Device.TransferTime(2*pairBytes) + st.opts.Device.CompareRateTime(pairBytes)
 	return comp, nil
 }
 
-// chunkGood verifies one member's cached union bytes for a (field, chunk)
-// against that member's leaf hash, re-reading the chunk once into the
-// union buffer on mismatch (an in-flight flip re-reads clean and every
-// pair sharing the chunk sees the recovered bytes; media corruption
-// repeats). Verdicts are cached so shared chunks are checked once.
-func (st *groupState) chunkGood(m, fi, ci int, hasher *errbound.Hasher) bool {
-	if st.chunkOK == nil {
-		st.chunkOK = make([]map[[2]int]int8, len(st.members))
+// groupLeaves is the integrity rung for the pair (a, b) being verified.
+type groupLeaves struct {
+	st   *groupState
+	a, b int
+}
+
+// CheckedSide implements LeafChecker: one member's cached union bytes
+// against that member's leaf hash, re-read once on mismatch from the
+// chunk's home — the member's container file, or its extent in the shared
+// pack in differential mode. Verdicts (and recovered bytes) are cached per
+// member chunk, so shared chunks are checked once; a pair lists each chunk
+// once, so no two ranges ever touch the same entry.
+func (l *groupLeaves) CheckedSide(r, i, side int, data []byte) []byte {
+	st, j := l.st, &l.st.jobs[i]
+	m, k := l.a, j.ra
+	if side == SideB {
+		m, k = l.b, j.rb
 	}
-	if st.chunkOK[m] == nil {
-		st.chunkOK[m] = make(map[[2]int]int8)
-	}
-	key := [2]int{fi, ci}
-	if v := st.chunkOK[m][key]; v != 0 {
-		return v == 1
-	}
-	tree := st.metas[m].Fields[fi].Tree
-	want := tree.Leaf(ci)
-	off, n := tree.ChunkRange(ci)
-	u := &st.unions[m]
-	pos := u.pos[key]
-	data := u.buf[pos : pos+int64(n)]
-	ok := false
-	if got, err := hasher.HashChunk(data); err == nil && got == want {
-		ok = true
-	} else {
-		// Re-read from the chunk's home: the member's container file, or
-		// its extent in the shared pack in differential mode.
-		file, base := (*pfs.File)(nil), int64(0)
+	leaf := &st.unions[m].fields[j.field].leaves[k]
+	if leaf.state == 0 {
+		tree := st.metas[m].Fields[j.field].Tree
+		var file *pfs.File
+		var off int64
 		if st.diffMode {
-			file, base = st.pack, st.mans[m].Fields[fi].Locs[ci].Off-off
+			file, off = st.pack, st.mans[m].Fields[j.field].Locs[j.chunk].Off
 		} else {
-			file, base = st.readers[m].File(), st.readers[m].FieldFileOffset(fi)
+			chunkOff, _ := tree.ChunkRange(j.chunk)
+			file, off = st.readers[m].File(), st.readers[m].FieldFileOffset(j.field)+chunkOff
 		}
-		nr, cost, rerr := file.ReadAt(data, base+off)
-		st.rereads++
-		st.rereadCost.Add(cost)
-		if rerr == nil && nr == n {
-			if got, herr := hasher.HashChunk(data); herr == nil && got == want {
-				ok = true
-			}
+		verified, _, cost := VerifyLeaf(st.hashers[j.field], data, tree.Leaf(j.chunk), file, off)
+		st.kernel.ranges[r].rereadCost.Add(cost)
+		leaf.state, leaf.data = leafBad, verified
+		if verified != nil {
+			leaf.state = leafGood
 		}
 	}
-	if ok {
-		st.chunkOK[m][key] = 1
-	} else {
-		st.chunkOK[m][key] = 2
-	}
-	return ok
+	return leaf.data
 }
 
 // stepGroupReport finalizes store-level I/O accounting.

@@ -1,16 +1,17 @@
 package compare
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"repro/internal/aio"
 	"repro/internal/cas"
 	"repro/internal/engine"
-	"repro/internal/errbound"
 	"repro/internal/metrics"
 	"repro/internal/pfs"
 	"repro/internal/simclock"
@@ -178,69 +179,75 @@ func (st *groupState) recordReplay(pi, fi, ci int, baseElem int64, idx []int64) 
 }
 
 // stepMergePackUnion builds the group's single read plan: the union of
-// every surviving (member, field, chunk) need, keyed by pack extent — a
-// chunk deduplicated across members (or needed by several pairs) is read
-// exactly once for the whole group. Each member's union view indexes the
-// shared buffer, so verifyPair works unchanged.
+// every surviving (member, field, chunk) need, as distinct pack extents —
+// a chunk deduplicated across members (or needed by several pairs) is read
+// exactly once for the whole group. Each member's union fields index the
+// shared buffer by extent, so verifyPair works unchanged.
 func (st *groupState) stepMergePackUnion(ctx context.Context, x *engine.Exec) error {
-	type memberNeed struct {
-		m, fi, ci int
-	}
-	needLoc := make(map[cas.Loc]bool)
-	var needs []memberNeed
-	seen := make(map[[3]int]bool)
-	for pi, pr := range st.pairIdx {
-		for fi, chunks := range st.pairCands[pi] {
-			for _, ci := range chunks {
-				for _, m := range []int{pr[0], pr[1]} {
-					key := [3]int{m, fi, ci}
-					if seen[key] {
-						continue
-					}
-					seen[key] = true
-					needs = append(needs, memberNeed{m: m, fi: fi, ci: ci})
-					needLoc[st.mans[m].Fields[fi].Locs[ci]] = true
-				}
+	st.planUnionFields()
+	var locs []cas.Loc
+	for m := range st.unions {
+		for fi := range st.unions[m].fields {
+			for _, ci := range st.unions[m].fields[fi].chunks {
+				locs = append(locs, st.mans[m].Fields[fi].Locs[ci])
 			}
 		}
 	}
-	if len(needLoc) == 0 {
-		return nil
-	}
-	locs := make([]cas.Loc, 0, len(needLoc))
-	for loc := range needLoc {
-		locs = append(locs, loc)
-	}
-	sort.Slice(locs, func(i, j int) bool { return locs[i].Off < locs[j].Off })
+	slices.SortFunc(locs, cmpLoc)
+	locs = slices.Compact(locs)
+	st.packLocs = locs
 
-	u := &st.packUnion
-	var total int64
-	for _, loc := range locs {
-		total += int64(loc.Len)
+	// starts[k] is where extent k lands in the shared buffer.
+	starts := make([]int64, len(locs))
+	for k, loc := range locs {
+		starts[k] = st.packUnion.bytes
+		st.packUnion.bytes += int64(loc.Len)
 	}
-	u.buf = make([]byte, total)
-	u.reqs = make([]aio.ReadReq, 0, len(locs))
-	locPos := make(map[cas.Loc]int64, len(locs))
-	var pos int64
-	for _, loc := range locs {
-		locPos[loc] = pos
-		u.reqs = append(u.reqs, aio.ReadReq{
-			Off: loc.Off, Len: int(loc.Len), Buf: u.buf[pos : pos+int64(loc.Len)], Tag: len(u.reqs),
-		})
-		pos += int64(loc.Len)
-	}
-
-	// Per-member views into the shared buffer.
-	st.unions = make([]memberUnion, len(st.members))
-	for _, nd := range needs {
-		mu := &st.unions[nd.m]
-		if mu.pos == nil {
-			mu.pos = make(map[[2]int]int64)
-			mu.buf = u.buf
+	for m := range st.unions {
+		for fi := range st.unions[m].fields {
+			uf := &st.unions[m].fields[fi]
+			if len(uf.chunks) == 0 {
+				continue
+			}
+			uf.pos = make([]int64, len(uf.chunks))
+			for k, ci := range uf.chunks {
+				at, _ := slices.BinarySearchFunc(locs, st.mans[m].Fields[fi].Locs[ci], cmpLoc)
+				uf.pos[k] = starts[at]
+			}
 		}
-		mu.pos[[2]int{nd.fi, nd.ci}] = locPos[st.mans[nd.m].Fields[nd.fi].Locs[nd.ci]]
 	}
 	return nil
+}
+
+// cmpLoc orders pack extents by offset (then length).
+func cmpLoc(a, b cas.Loc) int {
+	if c := cmp.Compare(a.Off, b.Off); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Len, b.Len)
+}
+
+// checkoutPackUnion backs the pack read plan with a buffer set from the
+// stage-2 arena, builds its request batch in extent order, and points
+// every member's view at the shared buffer. The verify step's deferred
+// returnUnions hands the set back.
+func (st *groupState) checkoutPackUnion() {
+	u := &st.packUnion
+	if u.bytes == 0 {
+		return
+	}
+	u.set = st.opts.arena().Get(int(u.bytes), 0)
+	u.buf = u.set.A[:u.bytes]
+	reqs := u.set.ReqsA[:0]
+	var pos int64
+	for _, loc := range st.packLocs {
+		reqs = append(reqs, aio.ReadReq{Off: loc.Off, Len: int(loc.Len), Buf: u.buf[pos : pos+int64(loc.Len)], Tag: len(reqs)})
+		pos += int64(loc.Len)
+	}
+	u.set.ReqsA, u.reqs = reqs, reqs
+	for m := range st.unions {
+		st.unions[m].buf = u.buf
+	}
 }
 
 // stepSharedVerifyDiff runs the differential stage 2: one batched read of
@@ -252,7 +259,11 @@ func (st *groupState) stepMergePackUnion(ctx context.Context, x *engine.Exec) er
 func (st *groupState) stepSharedVerifyDiff(ctx context.Context, x *engine.Exec) error {
 	sw := metrics.NewStopwatch()
 	vp := stream.NewVirtualPipeline(st.opts.Depth)
-	hashers := make(map[errbound.DType]*errbound.Hasher)
+	if err := st.fieldHashers(); err != nil {
+		return err
+	}
+	st.checkoutPackUnion()
+	defer st.returnUnions()
 	u := &st.packUnion
 
 	loaded := len(u.reqs) == 0
@@ -279,7 +290,7 @@ func (st *groupState) stepSharedVerifyDiff(ctx context.Context, x *engine.Exec) 
 		switch {
 		case err == nil:
 			loaded = true
-			st.rep.BytesRead += int64(len(u.buf))
+			st.rep.BytesRead += u.bytes
 		case st.opts.Degrade && ctx.Err() == nil:
 		default:
 			return fmt.Errorf("compare: group verification: %w", err)
@@ -299,7 +310,7 @@ func (st *groupState) stepSharedVerifyDiff(ctx context.Context, x *engine.Exec) 
 			}
 			continue
 		}
-		c, err := st.verifyPair(ctx, pi, hashers)
+		c, err := st.verifyPair(ctx, pi)
 		if err != nil {
 			return err
 		}

@@ -48,12 +48,10 @@ func CompareMerkle(ctx context.Context, store *pfs.Store, nameA, nameB string, o
 // stepReportMerkle assembles the Merkle result: changed-chunk counts,
 // per-field divergence lists, and element totals over selected fields.
 func (st *pairState) stepReportMerkle(ctx context.Context, x *engine.Exec) error {
-	// Sum over the changed map, not the surviving candidate list: in
-	// differential mode CAS pruning can replay a memoized divergence for a
-	// field whose every candidate chunk was pruned from stage 2.
-	for fi := range st.changed {
-		st.res.ChangedChunks += len(st.changed[fi])
-	}
+	// The count covers verified and replayed chunks alike: in differential
+	// mode CAS pruning can replay a memoized divergence for a field whose
+	// every candidate chunk was pruned from stage 2.
+	st.res.ChangedChunks += st.changedChunks
 	for _, fm := range st.ma.Fields {
 		if !st.selected(fm.Name) {
 			continue

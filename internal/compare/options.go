@@ -136,7 +136,7 @@ func (o Options) withDefaults() Options {
 		if o.CoalesceMaxGap < 0 {
 			o.Backend = fallbackBackend()
 		} else {
-			o.Backend = aio.NewCoalescing(fallbackBackend(), o.CoalesceMaxGap)
+			o.Backend = fallbackCoalescing().WithMaxGap(o.CoalesceMaxGap)
 		}
 	}
 	if o.SliceBytes <= 0 {
@@ -153,6 +153,16 @@ func (o Options) withDefaults() Options {
 	}
 	o.Retry = o.retryPolicy()
 	return o
+}
+
+// arena returns the stage-2 buffer arena the options' backend carries —
+// the service plane's, through its ring — or the package fallback ring's
+// for a caller-supplied backend without one.
+func (o Options) arena() *aio.Arena {
+	if a := aio.ArenaOf(o.Backend); a != nil {
+		return a
+	}
+	return fallbackBackend().Arena()
 }
 
 // retryPolicy resolves the Retry knob on its documented semantics — zero

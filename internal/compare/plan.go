@@ -2,8 +2,6 @@ package compare
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"context"
@@ -80,16 +78,16 @@ type pairState struct {
 	pairs      []stream.ChunkPair
 	refs       []chunkRef
 
-	mu         sync.Mutex
-	fieldDiffs map[int][]int64
-	changed    map[int]map[int]bool // field -> chunk -> really changed
+	// kernel holds stage 2's per-chunk verdicts until foldVerdicts drains
+	// them, in pair order, into the fields below.
+	kernel        verdicts
+	fieldDiffs    map[int][]int64
+	changedChunks int // Merkle chunks with a divergent element (verified or replayed)
 
 	// Degradation-ladder bookkeeping (Options.Degrade).
-	verified   int      // chunk pairs cleanly verified by stage 2
-	unverified int      // chunk pairs that failed integrity verification
-	rereads    int      // integrity re-reads issued
-	rereadCost pfs.Cost // cost of those re-reads
-	computeErr bool     // a compute-callback error: never degraded away
+	verified   int  // chunk pairs cleanly verified by stage 2
+	unverified int  // chunk pairs that failed integrity verification
+	computeErr bool // a compute-callback error: never degraded away
 }
 
 func newPairState(store *pfs.Store, nameA, nameB string, opts Options, method string) *pairState {
@@ -101,7 +99,6 @@ func newPairState(store *pfs.Store, nameA, nameB string, opts Options, method st
 		res:        &Result{Method: method},
 		verifyWrap: "verification",
 		fieldDiffs: make(map[int][]int64),
-		changed:    make(map[int]map[int]bool),
 	}
 }
 
@@ -331,103 +328,73 @@ func (st *pairState) stepAssemblePairs(ctx context.Context, x *engine.Exec) erro
 }
 
 // verifyCompute is the stage-2 consumer callback shared by the Merkle and
-// direct plans: element-wise ε comparison of one chunk pair, recording
-// divergent indices (and, for Merkle chunks, changed-chunk accounting).
-func (st *pairState) verifyCompute(p stream.ChunkPair, a, b []byte) (time.Duration, error) {
-	ref := st.refs[p.Index]
-	if st.opts.Degrade && ref.chunk >= 0 {
-		// Integrity rung of the degradation ladder: the streamed bytes
-		// must re-hash to the leaves their metadata was built from —
-		// corruption beyond ε quantization (bit rot, a torn transfer)
-		// cannot masquerade as a clean chunk.
-		va := st.integrityCheck(ref, a, sideA)
-		vb := st.integrityCheck(ref, b, sideB)
-		if va == nil || vb == nil {
-			st.mu.Lock()
-			st.unverified++
-			st.mu.Unlock()
-			// The chunk is excluded from diffing: untrusted bytes must
-			// produce neither a false divergence nor a false match.
-			return st.opts.Device.CompareRateTime(int64(len(a))), nil
+// direct plans: it hands one chunk pair to the kernel, which files the
+// verdict under the pair's index. It runs concurrently for distinct pairs
+// of a slice (stream.Compute), touching only slot p.Index and range r.
+func (st *pairState) verifyCompute(r int, p stream.ChunkPair, a, b []byte) (time.Duration, error) {
+	ref := &st.refs[p.Index]
+	job := ChunkJob{Hasher: ref.hasher, A: a, B: b, Base: ref.baseElem}
+	if ref.chunk >= 0 {
+		if st.opts.Degrade {
+			job.Leaves, job.R, job.I = st, r, p.Index
 		}
-		a, b = va, vb
+		if st.diffMode && st.opts.Memo != nil {
+			job.Memo = st.opts.Memo
+			job.DigestA = st.manA.Fields[ref.field].Digests[ref.chunk]
+			job.DigestB = st.manB.Fields[ref.field].Digests[ref.chunk]
+		}
 	}
-	idx, _, err := ref.hasher.CompareSlices(nil, a, b)
-	if err != nil {
-		st.mu.Lock()
-		st.computeErr = true
-		st.mu.Unlock()
+	if err := st.kernel.verify(r, p.Index, &job); err != nil {
 		return 0, err
 	}
-	if st.diffMode && st.opts.Memo != nil && ref.chunk >= 0 {
-		// Memoize the verdict under the digest pair. Sound only here, in
-		// differential mode: both byte strings are CAS representatives, so
-		// one digest names exactly one stored byte string and the verdict
-		// is a pure function of the (full) digest pair.
-		fA := &st.manA.Fields[ref.field]
-		fB := &st.manB.Fields[ref.field]
-		st.opts.Memo.insert(fA.Digests[ref.chunk], fB.Digests[ref.chunk], fA.DType, idx)
-	}
-	st.mu.Lock()
-	st.verified++
-	for _, e := range idx {
-		st.fieldDiffs[ref.field] = append(st.fieldDiffs[ref.field], ref.baseElem+e)
-	}
-	if len(idx) > 0 && ref.chunk >= 0 {
-		if st.changed[ref.field] == nil {
-			st.changed[ref.field] = make(map[int]bool)
-		}
-		st.changed[ref.field][ref.chunk] = true
-	}
-	st.mu.Unlock()
+	// An unverifiable chunk still costs its compare time.
 	return st.opts.Device.CompareRateTime(int64(len(a))), nil
 }
 
-// integrityCheck sides.
-const (
-	sideA = 0
-	sideB = 1
-)
-
-// integrityCheck verifies one side's streamed chunk against the leaf hash
-// its metadata was built from, re-reading the chunk once on mismatch (an
-// in-flight flip re-reads clean; media corruption repeats). It returns the
-// verified bytes — data itself or the re-read copy — or nil when the
-// chunk remains unverifiable. In differential mode the re-read gathers the
-// representative from its pack extent; the leaf-hash check is what turns a
-// torn or rotted CAS chunk into Corrupt instead of a silent dedup hit.
-func (st *pairState) integrityCheck(ref chunkRef, data []byte, side int) []byte {
+// CheckedSide implements LeafChecker: one side's streamed chunk against
+// the leaf hash its metadata was built from. In differential mode the
+// re-read gathers the representative from its pack extent; the leaf-hash
+// check is what turns a torn or rotted CAS chunk into Corrupt instead of
+// a silent dedup hit.
+func (st *pairState) CheckedSide(r, i, side int, data []byte) []byte {
+	ref := &st.refs[i]
 	m, off := st.ma, ref.offA
-	if side == sideB {
+	if side == SideB {
 		m, off = st.mb, ref.offB
-	}
-	tree := m.Fields[ref.field].Tree
-	want := tree.Leaf(ref.chunk)
-	if got, err := ref.hasher.HashChunk(data); err == nil && got == want {
-		return data
 	}
 	f := st.pack
 	if !st.diffMode {
-		if side == sideB {
+		if side == SideB {
 			f = st.rb.File()
 		} else {
 			f = st.ra.File()
 		}
 	}
-	_, n := tree.ChunkRange(ref.chunk)
-	buf := make([]byte, n)
-	nr, cost, err := f.ReadAt(buf, off)
-	st.mu.Lock()
-	st.rereads++
-	st.rereadCost.Add(cost)
-	st.mu.Unlock()
-	if err != nil || nr != n {
-		return nil
+	verified, _, cost := VerifyLeaf(ref.hasher, data, m.Fields[ref.field].Tree.Leaf(ref.chunk), f, off)
+	st.kernel.ranges[r].rereadCost.Add(cost)
+	return verified
+}
+
+// foldVerdicts drains the kernel's slots into the divergence lists and
+// the ladder's counters, in pair order. Pairs the stream never reached
+// stay pending and are left to the caller.
+func (st *pairState) foldVerdicts() {
+	for i := range st.kernel.slots {
+		ref := &st.refs[i]
+		switch st.kernel.slots[i].verdict {
+		case ChunkUnverified:
+			st.unverified++
+		case ChunkClean:
+			st.verified++
+		case ChunkChanged:
+			st.verified++
+			st.fieldDiffs[ref.field] = append(st.fieldDiffs[ref.field], st.kernel.indices(i)...)
+			if ref.chunk >= 0 {
+				st.changedChunks++
+			}
+		}
 	}
-	if got, herr := ref.hasher.HashChunk(buf); herr == nil && got == want {
-		return buf
-	}
-	return nil
+	st.computeErr = st.kernel.failed()
 }
 
 // stepStreamVerify runs stage 2: the overlapped read+compare pipeline over
@@ -443,13 +410,17 @@ func (st *pairState) stepStreamVerify(ctx context.Context, x *engine.Exec) error
 		if !st.diffMode {
 			fA, fB = st.ra.File(), st.rb.File()
 		}
+		exec := device.Cancelable{Done: ctx.Done(), Inner: st.opts.Exec}
+		st.kernel.reset(len(st.pairs), stream.MaxRanges(exec))
 		stats, err := stream.Run(ctx, fA, fB, st.pairs, stream.Config{
 			Backend:    st.opts.Backend,
+			Exec:       exec,
 			Device:     st.opts.Device,
 			SliceBytes: st.opts.SliceBytes,
 			Depth:      st.opts.Depth,
 			Retry:      st.opts.Retry,
 		}, st.verifyCompute)
+		st.foldVerdicts()
 		st.res.BytesRead += stats.BytesRead
 		st.res.ReadRetries += stats.ReadRetries
 		st.res.RingFallbacks += stats.RingFallbacks
@@ -478,13 +449,10 @@ func (st *pairState) stepStreamVerify(ctx context.Context, x *engine.Exec) error
 	return nil
 }
 
-// foldRereads prices the integrity re-reads issued by verifyCompute into
-// the result and the plan clock.
+// foldRereads prices the integrity re-reads issued by the kernel into the
+// result and the plan clock.
 func (st *pairState) foldRereads(x *engine.Exec) {
-	st.mu.Lock()
-	cost := st.rereadCost
-	st.rereadCost = pfs.Cost{}
-	st.mu.Unlock()
+	cost := st.kernel.takeRereadCost()
 	if cost == (pfs.Cost{}) {
 		return
 	}
@@ -499,7 +467,7 @@ func (st *pairState) foldRereads(x *engine.Exec) {
 func (st *pairState) sortedFieldDiffs(fieldName func(int) string, numFields int) {
 	for fi := 0; fi < numFields; fi++ {
 		if idx := st.fieldDiffs[fi]; len(idx) > 0 {
-			sort.Slice(idx, func(a, b int) bool { return idx[a] < idx[b] })
+			sortIndices(idx)
 			st.res.Diffs = append(st.res.Diffs, FieldDiff{Field: fieldName(fi), Indices: idx})
 			st.res.DiffCount += int64(len(idx))
 		}

@@ -24,7 +24,10 @@ type Cancelable struct {
 	Inner Executor
 }
 
-var _ Executor = Cancelable{}
+var (
+	_ Executor = Cancelable{}
+	_ Coarse   = Cancelable{}
+)
 
 // cancelPollMask makes the wrapper poll the Done channel every 64
 // iterations: frequent enough that kernels stop promptly, rare enough
@@ -69,6 +72,30 @@ func (c Cancelable) For(n int, fn func(i int)) {
 				return
 			default:
 			}
+		}
+		fn(i)
+	})
+}
+
+// ForCoarse implements Coarse: the heavy-item dispatch of the inner
+// executor with Done polled before every item — a few dozen items never
+// reach For's 64-iteration poll interval, and one select is free against
+// an item that runs for microseconds.
+func (c Cancelable) ForCoarse(n int, fn func(i int)) {
+	inner := c.Inner
+	if inner == nil {
+		inner = Default()
+	}
+	if c.Done == nil {
+		ForCoarse(inner, n, fn)
+		return
+	}
+	done := c.Done
+	ForCoarse(inner, n, func(i int) {
+		select {
+		case <-done:
+			return
+		default:
 		}
 		fn(i)
 	})

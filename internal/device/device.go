@@ -24,6 +24,32 @@ type Executor interface {
 	Workers() int
 }
 
+// Coarse is implemented by executors that can dispatch a loop of a few
+// heavy work items — one claim per item, no small-loop inlining. For is
+// tuned for many light iterations (Pool.For runs n <= 32 inline); a loop
+// of eight 1 MiB verify ranges needs the opposite trade.
+type Coarse interface {
+	ForCoarse(n int, fn func(i int))
+}
+
+// ForCoarse runs fn(0..n-1) as heavy work items over exec: through its
+// Coarse dispatch when it has one, through For otherwise (Serial runs
+// them in order, Parallel already spawns one goroutine per block). A
+// single item — or a nil exec — runs on the caller with no dispatch.
+func ForCoarse(exec Executor, n int, fn func(i int)) {
+	if n <= 1 || exec == nil {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	if c, ok := exec.(Coarse); ok {
+		c.ForCoarse(n, fn)
+		return
+	}
+	exec.For(n, fn)
+}
+
 // Serial is a single-threaded Executor, the "CPU" backend of Fig. 8.
 type Serial struct{}
 

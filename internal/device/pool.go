@@ -128,6 +128,25 @@ func (p *Pool) For(n int, fn func(i int)) {
 	if grain < 1 {
 		grain = 1
 	}
+	p.dispatch(n, grain, fn)
+}
+
+// ForCoarse implements Coarse: one claim per item and no small-loop
+// inlining, for loops of a few heavy items (the stage-2 verify ranges,
+// tens to hundreds of microseconds each) where waking a worker is cheap
+// against a single iteration.
+func (p *Pool) ForCoarse(n int, fn func(i int)) {
+	if p.workers == 1 || n <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	p.dispatch(n, 1, fn)
+}
+
+// dispatch runs one loop of n > 0 iterations in claims of grain.
+func (p *Pool) dispatch(n int, grain int64, fn func(i int)) {
 	t := &poolTask{fn: fn, n: int64(n), grain: grain, fin: make(chan struct{})}
 	// Offer the task to at most chunks-1 helpers (the submitter takes at
 	// least one chunk itself). Sends are non-blocking: if the queue is

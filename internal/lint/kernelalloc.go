@@ -14,13 +14,18 @@ import (
 // the buildFieldTree per-build []error was exactly this bug. Buffers
 // belong outside the kernel, sized once, or in per-worker scratch.
 //
-// The check is syntactic: any method call named For whose final argument
-// is a function literal is treated as a kernel dispatch (Serial, Parallel,
-// and Pool all share that shape through the Executor interface). An
-// append whose destination is declared inside the closure (a local or a
-// parameter) is not flagged; growing a captured slice is — it is both an
-// allocation and, under a parallel executor, a data race. Genuinely cold
-// For bodies can suppress with //lint:ignore kernelalloc <why>.
+// The check is syntactic: any call named For or ForCoarse (the heavy-item
+// range dispatch) whose final argument is a kernel closure is treated as a
+// kernel dispatch (Serial, Parallel, and Pool all share that shape through
+// the Executor interface). The closure is either a function literal in
+// place or — the range-dispatch shape — a local the enclosing function
+// binds to one (verifyRange := func(r int) {...}). An append whose
+// destination is
+// declared inside the closure (a local or a parameter) is not flagged;
+// growing a captured slice is — it is both an allocation and, under a
+// parallel executor, a data race; per-range scratch indexed by the range
+// number, sized outside the closure, is the fix. Genuinely cold For bodies
+// can suppress with //lint:ignore kernelalloc <why>.
 var KernelAlloc = &Analyzer{
 	Name:     "kernelalloc",
 	Doc:      "heap allocation (make/new/slice or map literal/append to captured slice) inside an Executor.For kernel closure",
@@ -31,12 +36,15 @@ var KernelAlloc = &Analyzer{
 func runKernelAlloc(p *Pass) {
 	for _, f := range p.Files {
 		forEachFunc(f, func(node ast.Node, body *ast.BlockStmt, sc *funcScope) {
+			bound := boundClosures(body)
+			checked := map[*ast.FuncLit]bool{}
 			ast.Inspect(body, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
 					return true
 				}
-				if lit := forKernel(call); lit != nil {
+				if lit := forKernel(call, bound); lit != nil && !checked[lit] {
+					checked[lit] = true
 					checkKernelBody(p, lit)
 				}
 				// Keep walking: a nested For dispatch inside this kernel is
@@ -47,18 +55,44 @@ func runKernelAlloc(p *Pass) {
 	}
 }
 
-// forKernel returns the kernel closure of an Executor.For dispatch: a
-// method call named For whose last argument is a function literal.
-func forKernel(call *ast.CallExpr) *ast.FuncLit {
+// boundClosures maps the locals a function body binds to function
+// literals (name := func..., name = func...) to those literals.
+func boundClosures(body *ast.BlockStmt) map[string]*ast.FuncLit {
+	bound := map[string]*ast.FuncLit{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != len(as.Rhs) {
+			return true
+		}
+		for i, lhs := range as.Lhs {
+			id, ok := lhs.(*ast.Ident)
+			if !ok {
+				continue
+			}
+			if lit, ok := as.Rhs[i].(*ast.FuncLit); ok {
+				bound[id.Name] = lit
+			}
+		}
+		return true
+	})
+	return bound
+}
+
+// forKernel returns the kernel closure of an executor dispatch: a call
+// named For or ForCoarse whose last argument is a function literal or a
+// local bound to one.
+func forKernel(call *ast.CallExpr, bound map[string]*ast.FuncLit) *ast.FuncLit {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "For" || len(call.Args) < 2 {
+	if !ok || (sel.Sel.Name != "For" && sel.Sel.Name != "ForCoarse") || len(call.Args) < 2 {
 		return nil
 	}
-	lit, ok := call.Args[len(call.Args)-1].(*ast.FuncLit)
-	if !ok {
-		return nil
+	switch arg := call.Args[len(call.Args)-1].(type) {
+	case *ast.FuncLit:
+		return arg
+	case *ast.Ident:
+		return bound[arg.Name]
 	}
-	return lit
+	return nil
 }
 
 // checkKernelBody reports allocations in one kernel closure. Nested For
@@ -68,7 +102,7 @@ func checkKernelBody(p *Pass, lit *ast.FuncLit) {
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if forKernel(n) != nil {
+			if forKernel(n, nil) != nil {
 				return false
 			}
 			fn, ok := n.Fun.(*ast.Ident)

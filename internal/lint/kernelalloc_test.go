@@ -110,3 +110,41 @@ func f(exec Executor, n int) {
 }`
 	expectDiags(t, runSource(t, KernelAlloc, "internal/x", src))
 }
+
+func TestKernelAllocRangeDispatchOK(t *testing.T) {
+	// The range-dispatch shape of stage 2: the kernel is a local closure
+	// handed to ForCoarse; per-range scratch is sized outside it and
+	// indexed by the range number, so the body appends only through a
+	// local.
+	src := `package x
+type scratch struct{ idx []int64 }
+func f(exec Executor, bounds []int, ranges []scratch, errs []error) {
+	verifyRange := func(r int) {
+		sc := &ranges[r]
+		idx := sc.idx
+		for i := bounds[r]; i < bounds[r+1]; i++ {
+			idx = append(idx, int64(i))
+		}
+		sc.idx = idx
+		errs[r] = nil
+	}
+	device.ForCoarse(exec, len(bounds)-1, verifyRange)
+}`
+	expectDiags(t, runSource(t, KernelAlloc, "internal/x", src))
+}
+
+func TestKernelAllocRangeDispatchCaptured(t *testing.T) {
+	// The same shape with the scratch grown inside the kernel: a named
+	// closure passed to ForCoarse is checked like a literal passed to For.
+	src := `package x
+func f(exec Executor, bounds []int) {
+	var all []int64
+	verifyRange := func(r int) {
+		scratch := make([]int64, 0, 8)
+		all = append(all, scratch...)
+	}
+	device.ForCoarse(exec, len(bounds)-1, verifyRange)
+	cancelable.ForCoarse(len(bounds)-1, verifyRange)
+}`
+	expectDiags(t, runSource(t, KernelAlloc, "internal/x", src), "5:kernelalloc", "6:kernelalloc")
+}

@@ -10,9 +10,10 @@
 //   - per-operation latency dominates scattered small reads;
 //   - bandwidth is shared, so concurrent processes contend.
 //
-// A page cache tracks residency at page granularity: reads and writes
-// populate it, Evict (the "vmtouch -e" of the paper's methodology, §3.3.4)
-// drops a file's pages so every experiment starts cold.
+// A page cache tracks residency at page granularity (one bit per page):
+// reads and writes populate it, Evict (the "vmtouch -e" of the paper's
+// methodology, §3.3.4) drops a file's pages so every experiment starts
+// cold.
 package pfs
 
 import (
@@ -20,11 +21,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/simclock"
@@ -216,7 +219,7 @@ type Store struct {
 	model CostModel
 
 	mu      sync.Mutex
-	cache   map[string]map[int64]struct{} // name -> resident page indices
+	cache   map[string]*pageSet // name -> resident pages
 	sharers int
 
 	// striping is the OST layout; targetSharers[t] overrides the
@@ -233,8 +236,55 @@ type Store struct {
 	statReadOps   int64
 	statReadBytes int64
 
-	// fault is the installed fault-injection hook (nil on the clean path).
-	fault FaultHook
+	// fault is the installed fault-injection hook (nil on the clean path),
+	// read lock-free once per operation.
+	fault atomic.Pointer[FaultHook]
+}
+
+// pageSet is one file's page residency: bit p of the grow-only word slice
+// is set while page p is cached. A read classifies and marks its whole
+// page range a word at a time, so the store-wide lock is held for a few
+// popcounts, not one map insert per 4 KiB page.
+type pageSet struct {
+	words    []uint64
+	resident int
+}
+
+// mark sets pages [first, last] resident and returns how many were not.
+func (ps *pageSet) mark(first, last int64) (cold int64) {
+	if need := int(last>>6) + 1; need > len(ps.words) {
+		ps.words = append(ps.words, make([]uint64, need-len(ps.words))...)
+	}
+	for w := first >> 6; w <= last>>6; w++ {
+		mask := ^uint64(0)
+		if w == first>>6 {
+			mask &= ^uint64(0) << (uint(first) & 63)
+		}
+		if w == last>>6 {
+			mask &= ^uint64(0) >> (63 - uint(last)&63)
+		}
+		cold += int64(bits.OnesCount64(mask &^ ps.words[w]))
+		ps.words[w] |= mask
+	}
+	ps.resident += int(cold)
+	return cold
+}
+
+// clear drops every page, keeping the words for the file's next reads.
+func (ps *pageSet) clear() {
+	clear(ps.words)
+	ps.resident = 0
+}
+
+// pages returns the file's residency set, creating it on first use.
+// Caller holds s.mu.
+func (s *Store) pages(name string) *pageSet {
+	ps := s.cache[name]
+	if ps == nil {
+		ps = &pageSet{}
+		s.cache[name] = ps
+	}
+	return ps
 }
 
 // FaultHook intercepts storage operations for deterministic fault
@@ -266,7 +316,7 @@ func NewStore(root string, model CostModel) (*Store, error) {
 	return &Store{
 		root:    root,
 		model:   model,
-		cache:   make(map[string]map[int64]struct{}),
+		cache:   make(map[string]*pageSet),
 		sharers: 1,
 	}, nil
 }
@@ -373,16 +423,19 @@ func (s *Store) path(name string) (string, error) {
 // hook. Exactly one hook is active at a time; internal/faults provides the
 // implementations and the schedule language.
 func (s *Store) SetFaultHook(h FaultHook) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.fault = h
+	if h == nil {
+		s.fault.Store(nil)
+		return
+	}
+	s.fault.Store(&h)
 }
 
 // hook snapshots the installed fault hook.
 func (s *Store) hook() FaultHook {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.fault
+	if h := s.fault.Load(); h != nil {
+		return *h
+	}
+	return nil
 }
 
 // Evict drops all of the file's pages from the simulated page cache — the
@@ -393,18 +446,25 @@ func (s *Store) Evict(name string) {
 	delete(s.cache, name)
 }
 
-// EvictAll drops every file's pages.
+// EvictAll drops every file's pages. The per-file sets are emptied in
+// place: a benchmark that evicts before every comparison re-marks the
+// same pages each time, and should not re-grow the set each time too.
 func (s *Store) EvictAll() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cache = make(map[string]map[int64]struct{})
+	for _, ps := range s.cache {
+		ps.clear()
+	}
 }
 
 // ResidentPages returns how many pages of the file are cached.
 func (s *Store) ResidentPages(name string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.cache[name])
+	if ps := s.cache[name]; ps != nil {
+		return ps.resident
+	}
+	return 0
 }
 
 // Remove deletes a file and its cache entries.
@@ -462,21 +522,10 @@ func (s *Store) touch(name string, off int64, n int) Cost {
 	if n <= 0 {
 		return Cost{}
 	}
+	first, last := s.model.pagesOf(off, n)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pages := s.cache[name]
-	if pages == nil {
-		pages = make(map[int64]struct{})
-		s.cache[name] = pages
-	}
-	first, last := s.model.pagesOf(off, n)
-	var cold int64
-	for p := first; p <= last; p++ {
-		if _, ok := pages[p]; !ok {
-			cold++
-			pages[p] = struct{}{}
-		}
-	}
+	cold := s.pages(name).mark(first, last)
 	total := int64(n)
 	coldBytes := cold * int64(s.model.PageSize)
 	if coldBytes > total {
@@ -499,17 +548,10 @@ func (s *Store) markWritten(name string, off int64, n int) Cost {
 	if n <= 0 {
 		return Cost{}
 	}
+	first, last := s.model.pagesOf(off, n)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pages := s.cache[name]
-	if pages == nil {
-		pages = make(map[int64]struct{})
-		s.cache[name] = pages
-	}
-	first, last := s.model.pagesOf(off, n)
-	for p := first; p <= last; p++ {
-		pages[p] = struct{}{}
-	}
+	s.pages(name).mark(first, last)
 	return Cost{Ops: 1, Bytes: int64(n)}
 }
 

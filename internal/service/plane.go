@@ -4,7 +4,9 @@
 // with a Plane that explicitly owns the shared resources:
 //
 //   - one persistent device.Pool running every comparison kernel,
-//   - one persistent aio.Uring serving every stage-2 scattered read,
+//   - one persistent aio.Uring serving every stage-2 scattered read, and
+//     with it the stage-2 buffer arena (slice buffer sets, union buffers,
+//     coalescer plan scratch) every comparison recycles through,
 //   - the content-addressed chunk stores (one cas.Store handle per
 //     pfs.Store, opened once and shared),
 //   - the stage-2 verdict memos (one CASMemo per ε),
@@ -102,11 +104,14 @@ func (c Config) withDefaults() Config {
 // Plane owns the shared resources every session draws on. Open sessions
 // with Open; shut the plane down with Close.
 type Plane struct {
-	cfg   Config
-	exec  *device.Pool
-	ring  *aio.Uring
-	owns  bool // Close tears down exec/ring (false only for Default())
-	sched *sched
+	cfg  Config
+	exec *device.Pool
+	ring *aio.Uring
+	// coalesce is the default stage-2 backend: the ring behind one
+	// persistent coalescer planning in the ring's arena.
+	coalesce aio.Coalescing
+	owns     bool // Close tears down exec/ring (false only for Default())
+	sched    *sched
 
 	// jobs joins every detached job goroutine (Session.Submit) so Close
 	// returns only after the last one has published its verdict.
@@ -126,16 +131,29 @@ type Plane struct {
 // Nothing starts until the first comparison; Close joins both.
 func New(cfg Config) *Plane {
 	cfg = cfg.withDefaults()
+	ring := aio.NewUring(cfg.QueueDepth, cfg.RingWorkers)
+	ring.Arena().SetLimit(arenaLimit(cfg))
 	return &Plane{
-		cfg:     cfg,
-		exec:    device.NewPool(cfg.Workers),
-		ring:    aio.NewUring(cfg.QueueDepth, cfg.RingWorkers),
-		owns:    true,
-		sched:   newSched(cfg),
-		tenants: make(map[string]*tenant),
-		memos:   make(map[uint64]*compare.CASMemo),
-		stores:  make(map[*pfs.Store]*cas.Store),
+		cfg:      cfg,
+		exec:     device.NewPool(cfg.Workers),
+		ring:     ring,
+		coalesce: aio.NewCoalescing(ring, 0),
+		owns:     true,
+		sched:    newSched(cfg),
+		tenants:  make(map[string]*tenant),
+		memos:    make(map[uint64]*compare.CASMemo),
+		stores:   make(map[*pfs.Store]*cas.Store),
 	}
+}
+
+// arenaLimit is the stage-2 arena's bound for a plane: what MaxInFlight
+// admitted comparisons hold at once at the default pipeline shape — Depth
+// (2) buffer sets each, a set being both sides of an 8 MiB slice
+// (aio.MaxSetBytes with its overshoot and request batches). The arena
+// never retains more, however many comparisons pass through; sets larger
+// than one default set are not retained at all.
+func arenaLimit(cfg Config) int64 {
+	return int64(cfg.MaxInFlight) * 2 * aio.MaxSetBytes
 }
 
 // defaultPlane is the process-wide plane behind Default.
@@ -153,13 +171,14 @@ func Default() *Plane {
 	defaultPlaneOnce.Do(func() {
 		cfg := Config{}.withDefaults()
 		defaultPlane = &Plane{
-			cfg:     cfg,
-			exec:    device.Default(),
-			ring:    aio.Default(),
-			sched:   newSched(cfg),
-			tenants: make(map[string]*tenant),
-			memos:   make(map[uint64]*compare.CASMemo),
-			stores:  make(map[*pfs.Store]*cas.Store),
+			cfg:      cfg,
+			exec:     device.Default(),
+			ring:     aio.Default(),
+			coalesce: aio.NewCoalescing(aio.Default(), 0),
+			sched:    newSched(cfg),
+			tenants:  make(map[string]*tenant),
+			memos:    make(map[uint64]*compare.CASMemo),
+			stores:   make(map[*pfs.Store]*cas.Store),
 		}
 	})
 	return defaultPlane
@@ -170,6 +189,10 @@ func (p *Plane) Executor() device.Executor { return p.exec }
 
 // Backend returns the plane's persistent ring engine.
 func (p *Plane) Backend() *aio.Uring { return p.ring }
+
+// ArenaStats snapshots the stage-2 buffer arena: bytes and sets retained
+// for reuse, sets checked out, and checkouts that had to allocate.
+func (p *Plane) ArenaStats() aio.ArenaStats { return p.ring.Arena().Stats() }
 
 // PeakInFlight reports the highest concurrent-execution count the
 // scheduler has reached — the saturation bound MaxInFlight enforces.
@@ -284,7 +307,7 @@ func (p *Plane) normalizeOptions(o compare.Options) (compare.Options, error) {
 		if o.CoalesceMaxGap < 0 {
 			o.Backend = p.ring
 		} else {
-			o.Backend = aio.NewCoalescing(p.ring, o.CoalesceMaxGap)
+			o.Backend = p.coalesce.WithMaxGap(o.CoalesceMaxGap)
 		}
 	}
 	raw := o.Retry
@@ -299,7 +322,8 @@ func (p *Plane) normalizeOptions(o compare.Options) (compare.Options, error) {
 // Close shuts the plane down deterministically: new admissions fail with
 // ErrPlaneClosed, queued submissions are rejected, in-flight comparisons
 // drain to completion, detached jobs publish their verdicts, and the
-// plane's own pool and ring are joined. Idempotent. The Default plane
+// plane's own pool and ring are joined and the stage-2 arena is released.
+// Idempotent. The Default plane
 // drains but leaves the process-wide singletons running (it does not own
 // them); planes built by New verify their leak accounting and report a
 // shutdown that left work behind as an error.
@@ -315,12 +339,19 @@ func (p *Plane) Close() error {
 	p.sched.close() // reject the queue, wait out in-flight work
 	p.jobs.Wait()   // detached jobs finish publishing after release
 
+	var arenaErr error
 	if p.owns {
 		p.ring.Close()
 		p.exec.Close()
+		// Every comparison has drained, so every buffer set is back:
+		// release the arena's memory, and report a set that is not.
+		arenaErr = p.ring.Arena().Release()
 	}
 	if n := p.sched.inFlight(); n != 0 {
 		return fmt.Errorf("service: plane closed with %d comparisons still accounted in flight", n)
+	}
+	if arenaErr != nil {
+		return fmt.Errorf("service: %w", arenaErr)
 	}
 	return nil
 }

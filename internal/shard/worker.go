@@ -7,6 +7,7 @@ import (
 
 	"context"
 
+	"repro/internal/compare"
 	"repro/internal/errbound"
 	"repro/internal/mpi"
 	"repro/internal/pfs"
@@ -177,7 +178,7 @@ func (r *run) executeUnit(ctx context.Context, ws *workerState, u *UnitMsg) (*Ve
 // are excluded from diffing and counted unverified instead of failing
 // the worker; without it any read error (after retries) aborts.
 func (r *run) runBatch(ctx context.Context, ws *workerState, hasher *errbound.Hasher, u *UnitMsg, i, j int, batchBytes int64, v *VerdictMsg) error {
-	pf := r.files[u.Pair]
+	pf := &r.files[u.Pair]
 	model := r.store.Model()
 	sharers := r.store.TargetSharers(int(u.Target))
 
@@ -190,6 +191,10 @@ func (r *run) runBatch(ctx context.Context, ws *workerState, hasher *errbound.Ha
 	var cost pfs.Cost
 	var backoff time.Duration
 	var comp time.Duration
+	var leaves compare.LeafChecker
+	if r.opts.Degrade {
+		leaves = &batchLeaves{hasher: hasher, pf: pf, u: u, cost: &cost, v: v}
+	}
 	off := int64(0)
 	for k := i; k < j; k++ {
 		cr := &u.Chunks[k]
@@ -209,30 +214,23 @@ func (r *run) runBatch(ctx context.Context, ws *workerState, hasher *errbound.Ha
 			v.Unverified++
 			continue
 		}
-		if r.opts.Degrade {
-			// Integrity rung: streamed bytes must re-hash to the leaves
-			// the unit was cut from; a failing side gets one re-read.
-			va := r.integrityCheck(hasher, pf.fA, a, cr.OffA, cr.DigestA, &cost, v)
-			vb := r.integrityCheck(hasher, pf.fB, b, cr.OffB, cr.DigestB, &cost, v)
-			if va == nil || vb == nil {
-				// Untrusted bytes must produce neither a false divergence
-				// nor a false match; the chunk still costs compare time.
-				v.Unverified++
-				comp += r.opts.Device.CompareRateTime(cr.Len)
-				continue
-			}
-			a, b = va, vb
-		}
-		idx, _, err := hasher.CompareSlices(nil, a, b)
+		// The kernel body shared with the single-node planners: integrity
+		// rung (a failing side gets one re-read), ε-compare, indices
+		// appended to the unit's verdict.
+		job := compare.ChunkJob{Hasher: hasher, A: a, B: b, Base: cr.Index * u.ChunkElems, Leaves: leaves, I: k}
+		diffs, verdict, err := job.Verify(v.Diffs)
 		if err != nil {
 			return fmt.Errorf("shard: unit %d chunk %d: %w", u.Seq, cr.Index, err)
 		}
-		if len(idx) > 0 {
+		v.Diffs = diffs
+		switch verdict {
+		case compare.ChunkUnverified:
+			// Untrusted bytes must produce neither a false divergence nor a
+			// false match; the chunk still costs compare time.
+			v.Unverified++
+			comp += r.opts.Device.CompareRateTime(cr.Len)
+		case compare.ChunkChanged:
 			v.Changed++
-			base := cr.Index * u.ChunkElems
-			for _, e := range idx {
-				v.Diffs = append(v.Diffs, base+e)
-			}
 		}
 	}
 
@@ -283,23 +281,29 @@ func (r *run) readChunk(ctx context.Context, f *pfs.File, p []byte, fileOff int6
 	return false, err
 }
 
-// integrityCheck verifies one side's bytes against the unit's leaf
-// digest, re-reading once on mismatch (an in-flight flip re-reads
-// clean; media corruption repeats). It returns the verified bytes or
-// nil when the chunk remains unverifiable.
-func (r *run) integrityCheck(hasher *errbound.Hasher, f *pfs.File, data []byte, fileOff int64, want [16]byte, cost *pfs.Cost, v *VerdictMsg) []byte {
-	if got, err := hasher.HashChunk(data); err == nil && got == want {
-		return data
+// batchLeaves is the integrity rung for one batch (compare.LeafChecker):
+// each side's bytes must re-hash to the leaf digest the unit was cut
+// from. Re-reads are charged to the batch's cost and counted on the
+// verdict.
+type batchLeaves struct {
+	hasher *errbound.Hasher
+	pf     *pairFiles
+	u      *UnitMsg
+	cost   *pfs.Cost
+	v      *VerdictMsg
+}
+
+// CheckedSide implements compare.LeafChecker for chunk i of the unit.
+func (l *batchLeaves) CheckedSide(_, i, side int, data []byte) []byte {
+	cr := &l.u.Chunks[i]
+	f, off, want := l.pf.fA, cr.OffA, cr.DigestA
+	if side == compare.SideB {
+		f, off, want = l.pf.fB, cr.OffB, cr.DigestB
 	}
-	buf := make([]byte, len(data))
-	n, c, err := f.ReadAt(buf, fileOff)
-	cost.Add(c)
-	v.Rereads++
-	if err != nil || n != len(buf) {
-		return nil
+	verified, reread, cost := compare.VerifyLeaf(l.hasher, data, want, f, off)
+	l.cost.Add(cost)
+	if reread {
+		l.v.Rereads++
 	}
-	if got, herr := hasher.HashChunk(buf); herr == nil && got == want {
-		return buf
-	}
-	return nil
+	return verified
 }

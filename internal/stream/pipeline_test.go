@@ -90,7 +90,7 @@ func TestRunErrorPathsSetWall(t *testing.T) {
 	cfg := Config{Backend: aio.NewUring(16, 2), Device: device.GPUModel(), SliceBytes: 32 << 10}
 
 	boom := errors.New("boom")
-	stats, err := Run(context.Background(), fa, fb, pairsEvery(32, 4096, 8192), cfg, func(p ChunkPair, a, b []byte) (time.Duration, error) {
+	stats, err := Run(context.Background(), fa, fb, pairsEvery(32, 4096, 8192), cfg, func(_ int, p ChunkPair, a, b []byte) (time.Duration, error) {
 		return 0, boom
 	})
 	if !errors.Is(err, boom) {
@@ -102,7 +102,7 @@ func TestRunErrorPathsSetWall(t *testing.T) {
 
 	// Read error: a negative offset is rejected by the backend.
 	bad := []ChunkPair{{Index: 0, OffA: -4096, OffB: 0, Len: 4096}}
-	stats, err = Run(context.Background(), fa, fb, bad, cfg, func(p ChunkPair, a, b []byte) (time.Duration, error) {
+	stats, err = Run(context.Background(), fa, fb, bad, cfg, func(_ int, p ChunkPair, a, b []byte) (time.Duration, error) {
 		return 0, nil
 	})
 	if err == nil {
@@ -120,7 +120,7 @@ func TestRunDepths(t *testing.T) {
 	for _, depth := range []int{1, 2, 4} {
 		u := aio.NewUring(16, 2)
 		cfg := Config{Backend: u, Device: device.GPUModel(), SliceBytes: 32 << 10, Depth: depth}
-		stats, err := Run(context.Background(), fa, fb, pairs, cfg, func(p ChunkPair, a, b []byte) (time.Duration, error) {
+		stats, err := Run(context.Background(), fa, fb, pairs, cfg, func(_ int, p ChunkPair, a, b []byte) (time.Duration, error) {
 			if int64(len(a)) != int64(p.Len) || a[0] != da[p.OffA] {
 				t.Errorf("depth %d: chunk %d misdelivered", depth, p.Index)
 			}
@@ -156,7 +156,7 @@ func TestSteadyStateSliceAllocs(t *testing.T) {
 	defer u.Close()
 	cfg := Config{Backend: u, Device: device.GPUModel(), SliceBytes: perSlice * chunk, Depth: 2}
 	runN := func(n int) {
-		_, err := Run(context.Background(), fa, fb, pairs[:n*perSlice], cfg, func(p ChunkPair, a, b []byte) (time.Duration, error) {
+		_, err := Run(context.Background(), fa, fb, pairs[:n*perSlice], cfg, func(_ int, p ChunkPair, a, b []byte) (time.Duration, error) {
 			return 0, nil
 		})
 		if err != nil {
@@ -188,7 +188,7 @@ func TestSteadyStateSliceAllocsCoalescing(t *testing.T) {
 	co := aio.NewCoalescing(u, 16<<10)
 	cfg := Config{Backend: co, Device: device.GPUModel(), SliceBytes: perSlice * chunk, Depth: 2}
 	runN := func(n int) {
-		_, err := Run(context.Background(), fa, fb, pairs[:n*perSlice], cfg, func(p ChunkPair, a, b []byte) (time.Duration, error) {
+		_, err := Run(context.Background(), fa, fb, pairs[:n*perSlice], cfg, func(_ int, p ChunkPair, a, b []byte) (time.Duration, error) {
 			return 0, nil
 		})
 		if err != nil {

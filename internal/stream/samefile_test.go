@@ -53,7 +53,7 @@ func TestRunSameFileMergesBatches(t *testing.T) {
 	cb := &countingBackend{inner: aio.Mmap{}}
 	cfg := Config{Backend: cb, Device: device.GPUModel(), SliceBytes: 32 << 10}
 	var visited int32
-	stats, err := Run(context.Background(), f, f, pairs, cfg, func(p ChunkPair, a, b []byte) (time.Duration, error) {
+	stats, err := Run(context.Background(), f, f, pairs, cfg, func(_ int, p ChunkPair, a, b []byte) (time.Duration, error) {
 		atomic.AddInt32(&visited, 1)
 		if !bytes.Equal(a, data[p.OffA:p.OffA+int64(p.Len)]) {
 			t.Errorf("chunk %d: side-A buffer mismatch", p.Index)
@@ -91,7 +91,7 @@ func TestRunSameFileCoalescesAcrossSides(t *testing.T) {
 	pairs := samePackPairs(n, chunk)
 	run := func(backend aio.Backend) int {
 		cfg := Config{Backend: backend, Device: device.GPUModel(), SliceBytes: 1 << 20}
-		stats, err := Run(context.Background(), f, f, pairs, cfg, func(ChunkPair, []byte, []byte) (time.Duration, error) {
+		stats, err := Run(context.Background(), f, f, pairs, cfg, func(int, ChunkPair, []byte, []byte) (time.Duration, error) {
 			return 0, nil
 		})
 		if err != nil {
@@ -114,7 +114,7 @@ func TestRunSameFileRingClosedFallsBack(t *testing.T) {
 	pairs := samePackPairs(8, 4096)
 	cfg := Config{Backend: closedBackend{}, Device: device.GPUModel(), SliceBytes: 32 << 10, Retry: retryPolicy()}
 	ok := true
-	stats, err := Run(context.Background(), f, f, pairs, cfg, func(p ChunkPair, a, b []byte) (time.Duration, error) {
+	stats, err := Run(context.Background(), f, f, pairs, cfg, func(_ int, p ChunkPair, a, b []byte) (time.Duration, error) {
 		if !bytes.Equal(a, data[p.OffA:p.OffA+int64(p.Len)]) || !bytes.Equal(b, data[p.OffB:p.OffB+int64(p.Len)]) {
 			ok = false
 		}

@@ -7,12 +7,18 @@
 // buffering), so steady-state cost is bounded by the slower of the I/O and
 // compute rates rather than their sum.
 //
-// Slice buffers come from a free list sized to the pipeline depth: each
-// buffer set (host buffers for both runs plus the two request batches) is
-// recycled as its slice completes, so steady-state slice processing does
-// no heap allocation. When the backend implements aio.PairReader, both
-// runs' requests for a slice are submitted as one overlapped batch;
-// otherwise the two reads serialize.
+// Slice buffer sets (host buffers for both runs plus the request batches)
+// are checked out of the backend's stage-2 arena — Depth of them per Run,
+// returned on every exit path — so neither a slice nor a whole comparison
+// allocates buffers once the arena is warm. When the backend implements
+// aio.PairReader, both runs' requests for a slice are submitted as one
+// overlapped batch; otherwise the two reads serialize.
+//
+// The consumer is data-parallel: each slice's pairs are split into
+// byte-balanced contiguous ranges dispatched over Config.Exec, joined
+// before the next slice. A slice's virtual compute is a sum of Durations
+// (launch + transfer + Σ per-pair terms), which no evaluation order can
+// change, so the virtual clock is the same at any worker count.
 //
 // The pipeline runs with real goroutine overlap (wall time) and accounts
 // virtual time with the depth-N recurrence (VirtualPipeline):
@@ -56,8 +62,15 @@ type Config struct {
 	// Backend performs the scattered reads. The compare layer always
 	// injects one (the service plane's ring, or compare's own fallback);
 	// direct calls that leave it nil get a package-private persistent
-	// ring of the same shape.
+	// ring of the same shape. Slice buffer sets come from the backend's
+	// stage-2 arena (aio.ArenaOf), or from the package-private ring's when
+	// the backend carries none.
 	Backend aio.Backend
+	// Exec runs the consumer's verification kernel, one work item per
+	// range of a slice (nil verifies every slice on the consumer
+	// goroutine). An executor that skips items on cancellation
+	// (device.Cancelable) must be tied to Run's context.
+	Exec device.Executor
 	// Device prices host-to-device transfers.
 	Device device.Model
 	// SliceBytes is the target bytes per pipeline slice per run
@@ -105,45 +118,43 @@ type Stats struct {
 
 // Compute is the consumer callback: it receives one chunk pair with both
 // buffers filled and returns the virtual duration of its kernel work.
-type Compute func(p ChunkPair, a, b []byte) (time.Duration, error)
+//
+// Compute may run concurrently for distinct pairs of one slice. r names
+// the range the pair belongs to, 0 <= r < MaxRanges(Config.Exec): calls
+// with the same r are sequential and in pair order, calls with different
+// r may overlap, so state indexed by r (an index scratch, a reread tally)
+// needs no lock. All calls for a slice return before the next slice's
+// first. When several pairs of a slice fail, Run reports the error of the
+// lowest pair; later ranges may still have run.
+type Compute func(r int, p ChunkPair, a, b []byte) (time.Duration, error)
 
-// slice is one pipeline buffer set. Buffers and request batches are
-// recycled through the free list: reset keeps capacity, so after the pool
-// warms up a fill performs no heap allocation.
+// slice is one pipeline stage in flight: a window of the pair list, the
+// buffer set its bytes land in, and the outcome of its read.
 type slice struct {
-	pairs    []ChunkPair
-	bufA     []byte
-	bufB     []byte
+	set      *aio.BufSet
+	lo, hi   int // pairs[lo:hi]
+	byteSize int64
 	io       time.Duration
 	cost     pfs.Cost
 	err      error
-	reqsA    []aio.ReadReq
-	reqsB    []aio.ReadReq
-	reqsAB   []aio.ReadReq // merged batch for the same-file (shared pack) path
-	byteSize int64
-	retries  int // batch reads re-issued under the retry policy
+	retries  int  // batch reads re-issued under the retry policy
 	fellBack bool // slice was read via the Legacy fallback
 }
 
-// reset clears the slice for reuse, keeping every backing array.
-func (s *slice) reset() {
-	s.pairs = s.pairs[:0]
-	s.reqsA = s.reqsA[:0]
-	s.reqsB = s.reqsB[:0]
-	s.reqsAB = s.reqsAB[:0]
-	s.byteSize = 0
-	s.io = 0
-	s.cost = pfs.Cost{}
-	s.err = nil
-	s.retries = 0
-	s.fellBack = false
+// rangeResult is one range's outcome, written by the range's worker and
+// read by the consumer after the join.
+type rangeResult struct {
+	comp time.Duration
+	err  error
+	ran  bool
 }
 
 // Run streams all chunk pairs through the pipeline. Cancellation is
 // observed at three points: the producer aborts between slices (and its
 // backend reads observe the context themselves), the consumer aborts
 // between slices, and a canceled run drains the producer before
-// returning, so no goroutine or pooled buffer leaks.
+// returning, so no goroutine leaks and every buffer set is back in the
+// arena.
 func Run(ctx context.Context, fA, fB *pfs.File, pairs []ChunkPair, cfg Config, compute Compute) (stats Stats, err error) {
 	if len(pairs) == 0 {
 		return stats, nil
@@ -160,19 +171,32 @@ func Run(ctx context.Context, fA, fB *pfs.File, pairs []ChunkPair, cfg Config, c
 	if cfg.Depth < 1 {
 		cfg.Depth = 2
 	}
+	var total int64
+	maxLen := 0
 	for _, p := range pairs {
 		if p.Len <= 0 {
 			return stats, fmt.Errorf("stream: chunk %d has non-positive length", p.Index)
 		}
+		total += int64(p.Len)
+		maxLen = max(maxLen, p.Len)
 	}
 	sw := metrics.NewStopwatch()
 	defer func() { stats.Wall = sw.Lap() }()
 
-	// Free list of slice buffer sets, sized to the pipeline depth: the
-	// producer cannot run more than Depth slices ahead of the consumer.
+	// A slice closes on the first pair that takes it to SliceBytes, so no
+	// slice outgrows this: every set is checked out at its final size.
+	setBytes := int(min(total, int64(cfg.SliceBytes)+int64(maxLen)))
+	arena := aio.ArenaOf(cfg.Backend)
+	if arena == nil {
+		arena = fallbackBackend().Arena()
+	}
+
+	// Free list of slices, sized to the pipeline depth: the producer
+	// cannot run more than Depth slices ahead of the consumer.
+	slices := make([]slice, cfg.Depth)
 	pool := make(chan *slice, cfg.Depth)
-	for i := 0; i < cfg.Depth; i++ {
-		pool <- &slice{}
+	for i := range slices {
+		pool <- &slices[i]
 	}
 	pair, _ := cfg.Backend.(aio.PairReader)
 
@@ -192,17 +216,20 @@ func Run(ctx context.Context, fA, fB *pfs.File, pairs []ChunkPair, cfg Config, c
 			case <-ctx.Done():
 				return
 			}
-			s.reset()
+			set := s.set
+			if set == nil {
+				set = arena.Get(setBytes, setBytes)
+			}
+			*s = slice{set: set, lo: next}
 			for next < len(pairs) {
-				p := pairs[next]
-				s.pairs = append(s.pairs, p)
-				s.byteSize += int64(p.Len)
+				s.byteSize += int64(pairs[next].Len)
 				next++
 				if s.byteSize >= int64(cfg.SliceBytes) {
 					break
 				}
 			}
-			s.fill(ctx, fA, fB, cfg, pair)
+			s.hi = next
+			s.fill(ctx, fA, fB, pairs[s.lo:s.hi], cfg, pair)
 			select {
 			case filled <- s:
 			case <-done:
@@ -214,10 +241,34 @@ func Run(ctx context.Context, fA, fB *pfs.File, pairs []ChunkPair, cfg Config, c
 		close(done)
 		for range filled { // drain so the producer can exit
 		}
+		for i := range slices {
+			arena.Put(slices[i].set)
+		}
 	}()
 
-	// Consumer: runs the compute stage and advances the virtual clock by
-	// the depth-N recurrence.
+	// Consumer: verifies each slice range-parallel over cfg.Exec and
+	// advances the virtual clock by the depth-N recurrence.
+	maxRanges := MaxRanges(cfg.Exec)
+	bounds := make([]int, 0, maxRanges+1)
+	offs := make([]int64, maxRanges)
+	results := make([]rangeResult, maxRanges)
+	var cur *slice
+	verifyRange := func(r int) {
+		res := rangeResult{ran: true}
+		pos := offs[r]
+		for _, p := range pairs[cur.lo+bounds[r] : cur.lo+bounds[r+1]] {
+			n := int64(p.Len)
+			kv, err := compute(r, p, cur.set.A[pos:pos+n], cur.set.B[pos:pos+n])
+			if err != nil {
+				res.err = err
+				break
+			}
+			res.comp += kv
+			pos += n
+		}
+		results[r] = res
+	}
+
 	vp := NewVirtualPipeline(cfg.Depth)
 	for s := range filled {
 		if cerr := ctx.Err(); cerr != nil {
@@ -235,60 +286,75 @@ func Run(ctx context.Context, fA, fB *pfs.File, pairs []ChunkPair, cfg Config, c
 			stats.RingFallbacks++
 		}
 
+		cur = s
+		window := pairs[s.lo:s.hi]
+		bounds = Ranges(bounds, len(window), func(i int) int { return window[i].Len }, maxRanges)
+		nr := len(bounds) - 1
+		var pos int64
+		for r := 0; r < nr; r++ {
+			offs[r] = pos
+			for _, p := range window[bounds[r]:bounds[r+1]] {
+				pos += int64(p.Len)
+			}
+			results[r] = rangeResult{}
+		}
+		device.ForCoarse(cfg.Exec, nr, verifyRange)
+
 		// One batched kernel per slice: launch charged here, the
-		// callbacks contribute only their bandwidth terms.
+		// callbacks contribute only their bandwidth terms. Ranges are
+		// contiguous and each stops at its first failure, so the first
+		// failed range holds the error of the lowest pair.
 		comp := cfg.Device.KernelLaunch + cfg.Device.TransferTime(2*s.byteSize)
-		var posA, posB int64
-		for _, p := range s.pairs {
-			a := s.bufA[posA : posA+int64(p.Len)]
-			b := s.bufB[posB : posB+int64(p.Len)]
-			posA += int64(p.Len)
-			posB += int64(p.Len)
-			kv, err := compute(p, a, b)
-			if err != nil {
+		for r := 0; r < nr; r++ {
+			if err := results[r].err; err != nil {
 				return stats, err
 			}
-			comp += kv
+			if !results[r].ran {
+				if cerr := ctx.Err(); cerr != nil {
+					return stats, cerr
+				}
+				return stats, fmt.Errorf("stream: executor skipped range %d of %d", r, nr)
+			}
+			comp += results[r].comp
 		}
 		stats.ComputeVirtual += comp
 		vp.Advance(s.io, comp)
 		stats.PipelineVirtual = vp.Total()
-		pool <- s // recycle the buffer set
+		pool <- s // recycle the slice and its buffer set
 	}
 	return stats, ctx.Err()
 }
 
-// fill reads the slice's chunks from both files through the backend,
-// reusing the slice's buffers and request batches. Reads are governed by
-// cfg.Retry (batch re-issue on Transient errors, backoff charged to the
-// slice's I/O time), and a closed shared ring degrades to a one-off
-// fresh-ring aio.Legacy read of the same requests.
-func (s *slice) fill(ctx context.Context, fA, fB *pfs.File, cfg Config, pair aio.PairReader) {
-	n := s.byteSize
-	if int64(cap(s.bufA)) < n {
-		s.bufA = make([]byte, n)
-		s.bufB = make([]byte, n)
-	}
-	s.bufA = s.bufA[:n]
-	s.bufB = s.bufB[:n]
+// fill reads the slice's chunks from both files through the backend into
+// the slice's buffer set. Reads are governed by cfg.Retry (batch re-issue
+// on Transient errors, backoff charged to the slice's I/O time), and a
+// closed shared ring degrades to a one-off fresh-ring aio.Legacy read of
+// the same requests.
+func (s *slice) fill(ctx context.Context, fA, fB *pfs.File, pairs []ChunkPair, cfg Config, pair aio.PairReader) {
+	set := s.set
+	bufA, bufB := set.A[:s.byteSize], set.B[:s.byteSize]
+	reqsA, reqsB := set.ReqsA[:0], set.ReqsB[:0]
 	var pos int64
-	for _, p := range s.pairs {
-		s.reqsA = append(s.reqsA, aio.ReadReq{Off: p.OffA, Len: p.Len, Buf: s.bufA[pos : pos+int64(p.Len)], Tag: p.Index})
-		s.reqsB = append(s.reqsB, aio.ReadReq{Off: p.OffB, Len: p.Len, Buf: s.bufB[pos : pos+int64(p.Len)], Tag: p.Index})
+	for _, p := range pairs {
+		reqsA = append(reqsA, aio.ReadReq{Off: p.OffA, Len: p.Len, Buf: bufA[pos : pos+int64(p.Len)], Tag: p.Index})
+		reqsB = append(reqsB, aio.ReadReq{Off: p.OffB, Len: p.Len, Buf: bufB[pos : pos+int64(p.Len)], Tag: p.Index})
 		pos += int64(p.Len)
 	}
+	set.ReqsA, set.ReqsB = reqsA, reqsB
 	sameFile := fA == fB
+	var reqsAB []aio.ReadReq
 	if sameFile {
 		// Both sides live in the same file (differential comparisons read
 		// every chunk from the shared CAS pack): merge the two batches into
 		// one so a coalescing backend can bridge gaps ACROSS sides — A and
 		// B representatives captured in the same iteration sit adjacent in
 		// the pack — and the whole slice costs a single batched submission.
-		s.reqsAB = append(append(s.reqsAB, s.reqsA...), s.reqsB...)
+		reqsAB = append(append(set.ReqsAB[:0], reqsA...), reqsB...)
+		set.ReqsAB = reqsAB
 	}
 	read := func() error {
 		if sameFile {
-			cost, t, err := cfg.Backend.ReadBatch(ctx, fA, s.reqsAB)
+			cost, t, err := cfg.Backend.ReadBatch(ctx, fA, reqsAB)
 			if err != nil {
 				return fmt.Errorf("stream: read shared pack: %w", err)
 			}
@@ -297,7 +363,7 @@ func (s *slice) fill(ctx context.Context, fA, fB *pfs.File, cfg Config, pair aio
 			return nil
 		}
 		if pair != nil {
-			cost, t, err := pair.ReadBatchPair(ctx, fA, fB, s.reqsA, s.reqsB)
+			cost, t, err := pair.ReadBatchPair(ctx, fA, fB, reqsA, reqsB)
 			if err != nil {
 				return fmt.Errorf("stream: read runs A+B: %w", err)
 			}
@@ -305,11 +371,11 @@ func (s *slice) fill(ctx context.Context, fA, fB *pfs.File, cfg Config, pair aio
 			s.io = t
 			return nil
 		}
-		costA, tA, err := cfg.Backend.ReadBatch(ctx, fA, s.reqsA)
+		costA, tA, err := cfg.Backend.ReadBatch(ctx, fA, reqsA)
 		if err != nil {
 			return fmt.Errorf("stream: read run A: %w", err)
 		}
-		costB, tB, err := cfg.Backend.ReadBatch(ctx, fB, s.reqsB)
+		costB, tB, err := cfg.Backend.ReadBatch(ctx, fB, reqsB)
 		if err != nil {
 			return fmt.Errorf("stream: read run B: %w", err)
 		}
@@ -332,7 +398,7 @@ func (s *slice) fill(ctx context.Context, fA, fB *pfs.File, cfg Config, pair aio
 		// merged batch when both sides read the same file).
 		leg := aio.Legacy{}
 		if sameFile {
-			cost, t, errL := leg.ReadBatch(ctx, fA, s.reqsAB)
+			cost, t, errL := leg.ReadBatch(ctx, fA, reqsAB)
 			if errL == nil {
 				s.cost = cost
 				s.io += t
@@ -340,11 +406,11 @@ func (s *slice) fill(ctx context.Context, fA, fB *pfs.File, cfg Config, pair aio
 				err = nil
 			}
 		} else {
-			costA, tA, errA := leg.ReadBatch(ctx, fA, s.reqsA)
+			costA, tA, errA := leg.ReadBatch(ctx, fA, reqsA)
 			if errA == nil {
 				var costB pfs.Cost
 				var tB time.Duration
-				costB, tB, errA = leg.ReadBatch(ctx, fB, s.reqsB)
+				costB, tB, errA = leg.ReadBatch(ctx, fB, reqsB)
 				if errA == nil {
 					s.cost = costA
 					s.cost.Add(costB)

@@ -53,7 +53,7 @@ func TestStreamRetriesTransientReads(t *testing.T) {
 	fb2 := &flakyBackend{inner: aio.Mmap{}, fails: 2}
 	cfg := Config{Backend: fb2, Device: device.GPUModel(), Retry: retryPolicy()}
 	ok := true
-	stats, err := Run(context.Background(), fa, fb, pairs, cfg, func(p ChunkPair, a, b []byte) (time.Duration, error) {
+	stats, err := Run(context.Background(), fa, fb, pairs, cfg, func(_ int, p ChunkPair, a, b []byte) (time.Duration, error) {
 		if !bytes.Equal(a, da[p.OffA:p.OffA+int64(p.Len)]) {
 			ok = false
 		}
@@ -78,7 +78,7 @@ func TestStreamExhaustedRetryIsPermanent(t *testing.T) {
 	pairs := pairsEvery(4, 4096, 8192)
 	fb2 := &flakyBackend{inner: aio.Mmap{}, fails: 100}
 	cfg := Config{Backend: fb2, Device: device.GPUModel(), Retry: retryPolicy()}
-	_, err := Run(context.Background(), fa, fb, pairs, cfg, func(ChunkPair, []byte, []byte) (time.Duration, error) {
+	_, err := Run(context.Background(), fa, fb, pairs, cfg, func(int, ChunkPair, []byte, []byte) (time.Duration, error) {
 		return 0, nil
 	})
 	if !errors.Is(err, errBlip) {
@@ -97,7 +97,7 @@ func TestStreamZeroPolicyDoesNotRetry(t *testing.T) {
 	pairs := pairsEvery(4, 4096, 8192)
 	fb2 := &flakyBackend{inner: aio.Mmap{}, fails: 1}
 	cfg := Config{Backend: fb2, Device: device.GPUModel()}
-	_, err := Run(context.Background(), fa, fb, pairs, cfg, func(ChunkPair, []byte, []byte) (time.Duration, error) {
+	_, err := Run(context.Background(), fa, fb, pairs, cfg, func(int, ChunkPair, []byte, []byte) (time.Duration, error) {
 		return 0, nil
 	})
 	if !errors.Is(err, errBlip) {
@@ -113,7 +113,7 @@ func TestStreamRingClosedFallsBackToLegacy(t *testing.T) {
 	pairs := pairsEvery(16, 4096, 16384)
 	cfg := Config{Backend: closedBackend{}, Device: device.GPUModel(), SliceBytes: 32 << 10, Retry: retryPolicy()}
 	ok := true
-	stats, err := Run(context.Background(), fa, fb, pairs, cfg, func(p ChunkPair, a, b []byte) (time.Duration, error) {
+	stats, err := Run(context.Background(), fa, fb, pairs, cfg, func(_ int, p ChunkPair, a, b []byte) (time.Duration, error) {
 		if !bytes.Equal(a, da[p.OffA:p.OffA+int64(p.Len)]) || !bytes.Equal(b, db[p.OffB:p.OffB+int64(p.Len)]) {
 			ok = false
 		}

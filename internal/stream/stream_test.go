@@ -61,7 +61,7 @@ func TestRunDeliversCorrectBuffers(t *testing.T) {
 	pairs := pairsEvery(64, 4096, 8192)
 	var visited int32
 	cfg := Config{Backend: aio.NewUring(16, 2), Device: device.GPUModel(), SliceBytes: 64 << 10}
-	stats, err := Run(context.Background(), fa, fb, pairs, cfg, func(p ChunkPair, a, b []byte) (time.Duration, error) {
+	stats, err := Run(context.Background(), fa, fb, pairs, cfg, func(_ int, p ChunkPair, a, b []byte) (time.Duration, error) {
 		atomic.AddInt32(&visited, 1)
 		if !bytes.Equal(a, da[p.OffA:p.OffA+int64(p.Len)]) {
 			t.Errorf("chunk %d: run A buffer mismatch", p.Index)
@@ -94,7 +94,7 @@ func TestPipelineOverlapBound(t *testing.T) {
 	pairs := pairsEvery(128, 4096, 8192)
 	cfg := Config{Backend: aio.NewUring(32, 2), Device: device.GPUModel(), SliceBytes: 128 << 10}
 	kernel := 500 * time.Microsecond
-	stats, err := Run(context.Background(), fa, fb, pairs, cfg, func(ChunkPair, []byte, []byte) (time.Duration, error) {
+	stats, err := Run(context.Background(), fa, fb, pairs, cfg, func(int, ChunkPair, []byte, []byte) (time.Duration, error) {
 		return kernel, nil
 	})
 	if err != nil {
@@ -115,7 +115,7 @@ func TestPipelineOverlapBound(t *testing.T) {
 
 func TestRunEmptyPairs(t *testing.T) {
 	fa, fb, _, _ := twoFiles(t, 4096)
-	stats, err := Run(context.Background(), fa, fb, nil, Config{Device: device.GPUModel()}, func(ChunkPair, []byte, []byte) (time.Duration, error) {
+	stats, err := Run(context.Background(), fa, fb, nil, Config{Device: device.GPUModel()}, func(int, ChunkPair, []byte, []byte) (time.Duration, error) {
 		t.Error("compute called for empty pairs")
 		return 0, nil
 	})
@@ -138,7 +138,7 @@ func TestRunComputeErrorStopsPipeline(t *testing.T) {
 	wantErr := errors.New("kernel failed")
 	cfg := Config{Backend: aio.NewUring(8, 2), Device: device.GPUModel(), SliceBytes: 32 << 10}
 	calls := 0
-	_, err := Run(context.Background(), fa, fb, pairs, cfg, func(ChunkPair, []byte, []byte) (time.Duration, error) {
+	_, err := Run(context.Background(), fa, fb, pairs, cfg, func(int, ChunkPair, []byte, []byte) (time.Duration, error) {
 		calls++
 		if calls == 3 {
 			return 0, wantErr
@@ -156,7 +156,7 @@ func TestRunReadErrorPropagates(t *testing.T) {
 	// backend tolerates but yields a backend error in uring only when the
 	// request itself is invalid; use a negative offset to force an error.
 	pairs := []ChunkPair{{Index: 0, OffA: -4, OffB: 0, Len: 16}}
-	if _, err := Run(context.Background(), fa, fb, pairs, Config{Backend: aio.NewUring(4, 1), Device: device.GPUModel()}, func(ChunkPair, []byte, []byte) (time.Duration, error) {
+	if _, err := Run(context.Background(), fa, fb, pairs, Config{Backend: aio.NewUring(4, 1), Device: device.GPUModel()}, func(int, ChunkPair, []byte, []byte) (time.Duration, error) {
 		return 0, nil
 	}); err == nil {
 		t.Error("negative offset read accepted")
@@ -168,7 +168,7 @@ func TestRunWithMmapBackend(t *testing.T) {
 	pairs := pairsEvery(16, 4096, 16384)
 	cfg := Config{Backend: aio.Mmap{}, Device: device.CPUModel(), SliceBytes: 32 << 10}
 	ok := true
-	_, err := Run(context.Background(), fa, fb, pairs, cfg, func(p ChunkPair, a, b []byte) (time.Duration, error) {
+	_, err := Run(context.Background(), fa, fb, pairs, cfg, func(_ int, p ChunkPair, a, b []byte) (time.Duration, error) {
 		if !bytes.Equal(a, da[p.OffA:p.OffA+int64(p.Len)]) {
 			ok = false
 		}
@@ -186,7 +186,7 @@ func TestDefaultsApplied(t *testing.T) {
 	fa, fb, _, _ := twoFiles(t, 64<<10)
 	pairs := pairsEvery(4, 4096, 8192)
 	// nil backend and zero SliceBytes must be defaulted.
-	stats, err := Run(context.Background(), fa, fb, pairs, Config{Device: device.GPUModel()}, func(ChunkPair, []byte, []byte) (time.Duration, error) {
+	stats, err := Run(context.Background(), fa, fb, pairs, Config{Device: device.GPUModel()}, func(int, ChunkPair, []byte, []byte) (time.Duration, error) {
 		return 0, nil
 	})
 	if err != nil {
