@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-fast test race check chaos chaos-smoke bench bench-smoke bench-check bench-json reprod-smoke wal-smoke experiments examples clean
+.PHONY: all build vet lint lint-fast test race check chaos chaos-smoke bench bench-smoke bench-check bench-json reprod-smoke wal-smoke experiments examples loc clean
 
 all: build vet test
 
@@ -93,6 +93,7 @@ bench-json:
 	$(GO) run ./cmd/benchkernels -o BENCH_kernels.json
 	$(GO) run ./cmd/benchstream -o BENCH_stream.json
 	$(GO) run ./cmd/benchgroup -o BENCH_group.json
+	$(GO) run ./cmd/benchcapture -o BENCH_capture.json
 	$(GO) run ./cmd/benchshard -o BENCH_shard.json
 
 # Regenerate every paper table and figure (see EXPERIMENTS.md).
@@ -105,6 +106,17 @@ examples:
 	$(GO) run ./examples/heatsolver
 	$(GO) run ./examples/haccrepro
 	$(GO) run ./examples/onlinecompare
+
+# loc prints the non-test Go lines of every package and the
+# internal/compare + internal/shard sum that ROADMAP's line-count
+# acceptance is stated in.
+loc:
+	@for d in $$(find . -name '*.go' ! -name '*_test.go' | xargs -n1 dirname | sort -u); do \
+		printf '%7d %s\n' $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l) $$d; \
+	done
+	@printf '%7d internal/compare + internal/shard\n' \
+		$$(ls internal/compare/*.go internal/shard/*.go | grep -v _test.go | xargs cat | wc -l)
+	@printf '%7d total\n' $$(find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 
 clean:
 	$(GO) clean ./...

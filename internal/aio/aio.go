@@ -220,11 +220,13 @@ func Default() *Uring {
 	return defaultUring
 }
 
-// Legacy is the pre-persistent-ring engine, retained as the benchmark
-// baseline (cmd/benchstream): every ReadBatch constructs a fresh Ring,
-// drives one batch through it, and tears it down — paying worker spawn and
-// join per batch — and it implements only Backend, so run-A and run-B
-// batches serialize. New code should use Uring.
+// Legacy is the pre-persistent-ring engine: every ReadBatch constructs a
+// fresh Ring, drives one batch through it, and tears it down — paying
+// worker spawn and join per batch — and it implements only Backend, so
+// run-A and run-B batches serialize. It stays in production code as the
+// fresh-ring rung of ReadLadder (its one production call site), which
+// needs exactly a ring that owes nothing to the shared one; cmd/benchstream
+// also measures it as the "before" baseline. New code should use Uring.
 type Legacy struct {
 	// QueueDepth is the ring size (default 64).
 	QueueDepth int

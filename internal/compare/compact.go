@@ -169,17 +169,13 @@ func MetadataHistory(store *pfs.Store, runID string) ([]string, error) {
 // -1 (unknown count) when candidate chunks exist. Its engine plan is
 // setup → load-metadata → tree-diff → report.
 func CompareTreesOnly(ctx context.Context, store *pfs.Store, nameA, nameB string, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
+	st, err := newPairState(store, nil, nameA, nameB, opts, "merkle-meta")
+	if err != nil {
 		return nil, err
 	}
-	st := newPairState(store, nameA, nameB, opts, "merkle-meta")
-	st.dataless = true
+	st.ms.dataless = true
 	var p engine.Plan
-	p.Retry = opts.Retry
-	setup := p.Add(engine.StepSetup, "setup", st.stepSetupVirtual)
-	load := p.Add(engine.StepLoadMetadata, "load-metadata", st.stepLoadMetadata, setup)
-	diff := p.Add(engine.StepTreeDiff, "tree-diff", st.stepTreeDiff, load)
+	diff := st.ms.Stage1(&p, "setup")
 	p.Add(engine.StepReport, "report", func(ctx context.Context, x *engine.Exec) error {
 		if st.res.CandidateChunks > 0 {
 			st.res.DiffCount = -1

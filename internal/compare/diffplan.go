@@ -8,10 +8,8 @@ import (
 	"repro/internal/cas"
 	"repro/internal/engine"
 	"repro/internal/errbound"
-	"repro/internal/metrics"
 	"repro/internal/murmur3"
 	"repro/internal/pfs"
-	"repro/internal/simclock"
 )
 
 // This file holds the differential (CAS-backed) comparison planner. A
@@ -87,7 +85,8 @@ func (m *CASMemo) insert(a, b murmur3.Digest, dtype errbound.DType, idx []int64)
 	m.mu.Unlock()
 }
 
-// checkMemo validates a memo against the comparison options.
+// checkMemo validates a memo against the comparison options; the
+// differential member set runs it when it opens.
 func checkMemo(memo *CASMemo, eps float64) error {
 	if memo == nil {
 		return nil
@@ -108,119 +107,10 @@ func checkMemo(memo *CASMemo, eps float64) error {
 // given store. The pruning composes with the degradation ladder: a pruned
 // chunk is proven, so it can never be counted Unverified.
 func CompareDiff(ctx context.Context, store *pfs.Store, cs *cas.Store, nameA, nameB string, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
+	st, err := newPairState(store, cs, nameA, nameB, opts, "merkle-cas")
+	if err != nil {
 		return nil, err
 	}
-	if err := checkMemo(opts.Memo, opts.Epsilon); err != nil {
-		return nil, err
-	}
-	st := newPairState(store, nameA, nameB, opts, "merkle-cas")
-	st.diffMode = true
-	st.cs = cs
 	var p engine.Plan
-	p.Retry = opts.Retry
-	open := p.Add(engine.StepSetup, "open-manifests", st.stepOpenDiff)
-	load := p.Add(engine.StepLoadMetadata, "load-metadata", st.stepLoadMetadata, open)
-	diff := p.Add(engine.StepTreeDiff, "tree-diff", st.stepTreeDiff, load)
-	prune := p.Add(engine.StepTreeDiff, "cas-prune", st.stepCASPrune, diff)
-	coal := p.Add(engine.StepCoalesce, "assemble-batches", st.stepAssemblePairs, prune)
-	verify := p.Add(engine.StepStreamVerify, "stream-verify", st.stepStreamVerify, coal)
-	p.Add(engine.StepReport, "report", st.stepReportMerkle, verify)
-	return st.runPlan(ctx, &p)
-}
-
-// stepOpenDiff loads and validates both leaf manifests and opens the
-// shared pack on the cleanup chain — the differential counterpart of
-// stepOpenPair.
-func (st *pairState) stepOpenDiff(ctx context.Context, x *engine.Exec) error {
-	sw := metrics.NewStopwatch()
-	manA, costA, err := cas.LoadManifest(ctx, st.store, st.nameA)
-	if err != nil {
-		return err
-	}
-	manB, costB, err := cas.LoadManifest(ctx, st.store, st.nameB)
-	if err != nil {
-		return err
-	}
-	if !cas.SameSchema(manA, manB) {
-		return fmt.Errorf("compare: manifests of %s and %s have different schemas", st.nameA, st.nameB)
-	}
-	//lint:ignore floatcmp,epsflow manifest digests are only comparable at the exact ε they were captured with
-	if manA.Epsilon != st.opts.Epsilon {
-		return fmt.Errorf("compare: manifest ε %g does not match requested ε %g", manA.Epsilon, st.opts.Epsilon)
-	}
-	pack, err := st.cs.Pack()
-	if err != nil {
-		return err
-	}
-	x.CloseOnExit(pack)
-	st.manA, st.manB, st.pack = manA, manB, pack
-	st.res.CheckpointBytes = manA.TotalBytes()
-
-	var c pfs.Cost
-	c.Add(costA)
-	c.Add(costB)
-	st.res.BytesRead += c.TotalBytes()
-	readV := st.store.Model().SerialReadTime(c, st.store.Sharers())
-	deserV := simclock.BandwidthTime(c.TotalBytes(), deserializeBytesPerSec)
-	st.res.Breakdown.AddVirtual(metrics.PhaseRead, readV)
-	st.res.Breakdown.AddVirtual(metrics.PhaseDeserialize, deserV)
-	st.res.Breakdown.AddVirtual(metrics.PhaseSetup, st.opts.SetupVirtual)
-	st.res.Breakdown.AddWall(metrics.PhaseSetup, sw.Lap())
-	x.AddVirtual(st.opts.SetupVirtual + readV + deserV)
-	return nil
-}
-
-// stepCASPrune removes candidate chunks whose verdict the store proves
-// without reading: extent equality (both sides deduplicated to the same
-// representative — identical by construction) and memoized digest-pair
-// verdicts (replayed into the divergence lists). Pruned chunks cost zero
-// stage-2 read ops and are excluded from the degradation ladder's
-// unverified accounting — their verdict is proven, not skipped.
-func (st *pairState) stepCASPrune(ctx context.Context, x *engine.Exec) error {
-	if !st.diffMode {
-		return nil
-	}
-	memo := st.opts.Memo
-	kept := st.candidates[:0]
-	for _, fc := range st.candidates {
-		fA := &st.manA.Fields[fc.field]
-		fB := &st.manB.Fields[fc.field]
-		chunkElems := int64(st.manA.ChunkSize) / int64(fA.DType.Size())
-		keptChunks := fc.chunks[:0]
-		for _, ci := range fc.chunks {
-			if fA.Locs[ci] == fB.Locs[ci] {
-				// Same representative extent: provably identical, and a
-				// pure stage-1 false positive (possible only when the
-				// metadata trees predate the shared capture).
-				st.res.CASPrunedChunks++
-				continue
-			}
-			if memo != nil {
-				if idx, ok := memo.lookup(fA.Digests[ci], fB.Digests[ci], fA.DType); ok {
-					st.res.CASPrunedChunks++
-					st.replayVerdict(fc.field, int64(ci)*chunkElems, idx)
-					continue
-				}
-			}
-			keptChunks = append(keptChunks, ci)
-		}
-		if len(keptChunks) > 0 {
-			kept = append(kept, fieldCandidates{field: fc.field, chunks: keptChunks})
-		}
-	}
-	st.candidates = kept
-	return nil
-}
-
-// replayVerdict lands a memoized chunk verdict in the result exactly as a
-// stage-2 verification of the same pair would have.
-func (st *pairState) replayVerdict(field int, baseElem int64, idx []int64) {
-	for _, e := range idx {
-		st.fieldDiffs[field] = append(st.fieldDiffs[field], baseElem+e)
-	}
-	if len(idx) > 0 {
-		st.changedChunks++
-	}
+	return st.runVerify(ctx, &p, st.ms.Stage1(&p, "open-manifests"))
 }

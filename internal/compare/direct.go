@@ -31,18 +31,16 @@ func hostCompareModel() device.Model {
 // engine plan is the Merkle plan minus stage 1:
 // open → plan-sweep → stream-verify → report.
 func CompareDirect(ctx context.Context, store *pfs.Store, nameA, nameB string, opts Options) (*Result, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
+	st, err := newPairState(store, nil, nameA, nameB, opts, "direct")
+	if err != nil {
 		return nil, err
 	}
-	st := newPairState(store, nameA, nameB, opts, "direct")
 	st.verifyWrap = "direct"
 	var p engine.Plan
-	p.Retry = opts.Retry
-	open := p.Add(engine.StepSetup, "open-checkpoints", st.stepOpenPair)
+	open := p.Add(engine.StepSetup, "open-checkpoints", st.ms.open)
 	plan := p.Add(engine.StepCoalesce, "plan-sweep", st.stepPlanSweep, open)
 	verify := p.Add(engine.StepStreamVerify, "stream-verify", st.stepStreamVerify, plan)
-	p.Add(engine.StepReport, "report", st.stepReportDirect, verify)
+	p.Add(engine.StepReport, "report", st.ms.Report, verify)
 	return st.runPlan(ctx, &p)
 }
 
@@ -50,19 +48,9 @@ func CompareDirect(ctx context.Context, store *pfs.Store, nameA, nameB string, o
 // slice-sized chunk pairs spanning every selected field, so the sequential
 // sweep pays the batch latency once.
 func (st *pairState) stepPlanSweep(ctx context.Context, x *engine.Exec) error {
-	ra, rb := st.ra, st.rb
-	names := make([]string, ra.NumFields())
-	for i := range names {
-		names[i] = ra.Field(i).Name
-	}
-	selected, err := st.opts.fieldFilter(names)
-	if err != nil {
-		return err
-	}
-	st.selected = selected
-	for fi := 0; fi < ra.NumFields(); fi++ {
-		f := ra.Field(fi)
-		if !selected(f.Name) {
+	ra, rb := st.ms.Readers[0], st.ms.Readers[1]
+	for fi, f := range st.ms.fields {
+		if !st.ms.selected[fi] {
 			continue
 		}
 		h, err := st.opts.hasherFor(f.DType)
@@ -94,12 +82,6 @@ func (st *pairState) stepPlanSweep(ctx context.Context, x *engine.Exec) error {
 	return nil
 }
 
-// stepReportDirect drains the divergence lists into the result.
-func (st *pairState) stepReportDirect(ctx context.Context, x *engine.Exec) error {
-	st.sortedFieldDiffs(func(fi int) string { return st.ra.Field(fi).Name }, st.ra.NumFields())
-	return nil
-}
-
 // CompareAllClose is the naive baseline of §3.2.1 (numpy.allclose with
 // atol=ε, rtol=0): both checkpoints are read in full with plain blocking
 // sequential I/O (no async overlap) and compared element-wise on the host.
@@ -107,15 +89,13 @@ func (st *pairState) stepReportDirect(ctx context.Context, x *engine.Exec) error
 // where — which is why Result.Diffs stays empty. Its plan is
 // open → read-compare → report, with the context checked between fields.
 func CompareAllClose(ctx context.Context, store *pfs.Store, nameA, nameB string, opts Options) (bool, *Result, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
+	st, err := newPairState(store, nil, nameA, nameB, opts, "allclose")
+	if err != nil {
 		return false, nil, err
 	}
-	st := newPairState(store, nameA, nameB, opts, "allclose")
 	allWithin := true
 	var p engine.Plan
-	p.Retry = opts.Retry
-	open := p.Add(engine.StepSetup, "open-checkpoints", st.stepOpenPair)
+	open := p.Add(engine.StepSetup, "open-checkpoints", st.ms.open)
 	p.Add(engine.StepReadFull, "read-compare", func(ctx context.Context, x *engine.Exec) error {
 		ok, err := st.allCloseFields(ctx, x)
 		if err != nil {
@@ -135,27 +115,17 @@ func CompareAllClose(ctx context.Context, store *pfs.Store, nameA, nameB string,
 // the AllClose baseline.
 func (st *pairState) allCloseFields(ctx context.Context, x *engine.Exec) (bool, error) {
 	sw := metrics.NewStopwatch()
-	ra, rb := st.ra, st.rb
-	model := st.store.Model()
-	sharers := st.store.Sharers()
+	ra, rb := st.ms.Readers[0], st.ms.Readers[1]
+	model := st.ms.store.Model()
+	sharers := st.ms.store.Sharers()
 	hostModel := hostCompareModel()
 
-	names := make([]string, ra.NumFields())
-	for i := range names {
-		names[i] = ra.Field(i).Name
-	}
-	selected, err := st.opts.fieldFilter(names)
-	if err != nil {
-		return false, err
-	}
-
 	allWithin := true
-	for fi := 0; fi < ra.NumFields(); fi++ {
+	for fi, f := range st.ms.fields {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		f := ra.Field(fi)
-		if !selected(f.Name) {
+		if !st.ms.selected[fi] {
 			continue
 		}
 		hasher, err := st.opts.hasherFor(f.DType)

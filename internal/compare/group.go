@@ -2,22 +2,18 @@ package compare
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"time"
 
 	"repro/internal/aio"
 	"repro/internal/cas"
-	"repro/internal/ckpt"
 	"repro/internal/device"
 	"repro/internal/engine"
 	"repro/internal/errbound"
-	"repro/internal/merkle"
 	"repro/internal/metrics"
 	"repro/internal/murmur3"
 	"repro/internal/pfs"
-	"repro/internal/simclock"
 	"repro/internal/stream"
 )
 
@@ -69,12 +65,6 @@ func (t Topology) pairList(n int) ([][2]int, error) {
 	}
 	return out, nil
 }
-
-// PairList enumerates the member-index pairs the topology covers over n
-// members (member 0 is the baseline) — exported so out-of-package
-// planners (internal/shard) cover exactly the same pairs in the same
-// order.
-func (t Topology) PairList(n int) ([][2]int, error) { return t.pairList(n) }
 
 // GroupPairReport is one pair's outcome within a group comparison.
 type GroupPairReport struct {
@@ -190,16 +180,31 @@ func (uf *unionField) at(k int) int64 {
 	return uf.base + int64(k)*uf.stride
 }
 
-// memberUnion is one member's deduplicated stage-2 read plan: the union of
-// candidate chunks over every pair the member participates in, read once.
-// The plan (fields, bytes) is made by the merge step; the buffer and the
-// request batch exist only while the verify step holds their arena set.
+// unionRead is one physical stage-2 read of a group: one batched read of
+// one file into one arena buffer. A container member has its own — the
+// union of candidate chunks over every pair it is in, read once; the
+// members of a differential group all view the single read of the shared
+// pack (groupdiff.go). The plan (bytes, locs) is made by the merge step;
+// the buffer and the request batch exist only while the verify step holds
+// the arena set.
+type unionRead struct {
+	file  *pfs.File
+	bytes int64
+	locs  []cas.Loc // the distinct pack extents, by offset (differential)
+	set   *aio.BufSet
+	buf   []byte
+	reqs  []aio.ReadReq
+	// loaded or failed once the read ladder is through with it.
+	loaded, failed bool
+}
+
+func (rd *unionRead) batch() aio.Batch { return aio.Batch{File: rd.file, Reqs: rd.reqs} }
+
+// memberUnion is one member's view of its stage-2 bytes: which chunks it
+// needs, per field, and the read whose buffer they land in.
 type memberUnion struct {
 	fields []unionField
-	bytes  int64
-	set    *aio.BufSet
-	buf    []byte
-	reqs   []aio.ReadReq
+	read   *unionRead
 }
 
 // groupJob is one candidate chunk of the pair being verified, resolved to
@@ -211,25 +216,13 @@ type groupJob struct {
 	base         int64 // element index of the chunk's first element
 }
 
-// groupState carries one group comparison through its plan steps.
+// groupState carries one group comparison through stage 2.
 type groupState struct {
-	store   *pfs.Store
-	members []string
-	topo    Topology
-	opts    Options
-	rep     *GroupReport
+	ms   *MemberSet
+	opts Options
 
-	readers  []*ckpt.Reader
-	metas    []*Metadata
-	selected func(string) bool
-	pairIdx  [][2]int
-	// pairCands[p][f] holds pair p's candidate chunks in field f
-	// (nil when the field's trees match).
-	pairCands [][][]int
-	unions    []memberUnion
-
-	startOps, startBytes int64
-	totalElements        int64
+	unions []memberUnion
+	reads  []unionRead
 
 	// Stage-2 kernel state, reused across the pairs of the group: the
 	// per-field hashers, the pair's chunk jobs, their verdicts, and the
@@ -239,19 +232,6 @@ type groupState struct {
 	kernel    verdicts
 	bounds    []int
 	rangeErrs []error
-
-	// Differential mode (GroupCompareDiff): members are manifests over a
-	// shared CAS pack, stage 2 is one loc-deduplicated pack read, and memo
-	// replays land per pair at report time.
-	diffMode  bool
-	cs        *cas.Store
-	mans      []*cas.Manifest
-	pack      *pfs.File
-	packUnion memberUnion
-	packLocs  []cas.Loc // the distinct extents of packUnion, by offset
-	// replays[pi][fi][ci] holds a pair's memo-replayed absolute diff
-	// indices (possibly empty: proven identical within ε).
-	replays []map[int]map[int][]int64
 }
 
 // GroupCompare compares N runs' checkpoints as one group: each member's
@@ -265,182 +245,35 @@ type groupState struct {
 // vs each run) or all-pairs coverage. Every member must have Merkle
 // metadata at the options' ε and chunk size.
 func GroupCompare(ctx context.Context, store *pfs.Store, baseline string, runs []string, topology Topology, opts Options) (*GroupReport, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	if len(runs) == 0 {
-		return nil, fmt.Errorf("compare: group needs at least one run besides the baseline")
-	}
-	members := append([]string{baseline}, runs...)
-	pairIdx, err := topology.pairList(len(members))
+	return groupCompare(ctx, store, nil, baseline, runs, topology, opts)
+}
+
+// groupCompare is the group planner, container-backed (cs nil) or
+// differential: stage 1 from the member set, then merge → shared
+// read+verify → report over the union buffers.
+func groupCompare(ctx context.Context, store *pfs.Store, cs *cas.Store, baseline string, runs []string, topology Topology, opts Options) (*GroupReport, error) {
+	opts, err := opts.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	st := &groupState{
-		store:   store,
-		members: members,
-		topo:    topology,
-		opts:    opts,
-		pairIdx: pairIdx,
-		rep:     &GroupReport{Members: members, Topology: topology},
+	st := &groupState{opts: opts}
+	method, open, mergeLabel, merge := "merkle-group", "open-members", "merge-unions", st.stepMergeUnions
+	if cs != nil {
+		method, open, mergeLabel, merge = "merkle-cas-group", "open-manifests", "merge-pack-union", st.stepMergePackUnion
+	}
+	st.ms, err = NewGroupSet(store, cs, baseline, runs, topology, opts, method)
+	if err != nil {
+		return nil, err
 	}
 	var p engine.Plan
-	p.Retry = opts.Retry
-	open := p.Add(engine.StepSetup, "open-members", st.stepOpenMembers)
-	load := p.Add(engine.StepLoadMetadata, "load-metadata", st.stepLoadMembers, open)
-	diff := p.Add(engine.StepTreeDiff, "tree-diff", st.stepPairDiffs, load)
-	merge := p.Add(engine.StepCoalesce, "merge-unions", st.stepMergeUnions, diff)
-	verify := p.Add(engine.StepStreamVerify, "shared-read-verify", st.stepSharedVerify, merge)
-	p.Add(engine.StepReport, "report", st.stepGroupReport, verify)
-	erep, err := engine.Execute(ctx, &p)
-	st.rep.Steps = erep.Steps
-	if err != nil {
+	stage1 := st.ms.Stage1(&p, open)
+	merged := p.Add(engine.StepCoalesce, mergeLabel, merge, stage1)
+	verify := p.Add(engine.StepStreamVerify, "shared-read-verify", st.stepSharedVerify, merged)
+	p.Add(engine.StepReport, "report", st.ms.Report, verify)
+	if err := st.ms.Execute(ctx, &p); err != nil {
 		return nil, err
 	}
-	return st.rep, nil
-}
-
-// stepOpenMembers opens every member once and validates schema parity.
-func (st *groupState) stepOpenMembers(ctx context.Context, x *engine.Exec) error {
-	sw := metrics.NewStopwatch()
-	st.startOps, st.startBytes = st.store.ReadStats()
-	st.readers = make([]*ckpt.Reader, len(st.members))
-	for i, name := range st.members {
-		r, _, err := ckpt.OpenReader(st.store, name)
-		if err != nil {
-			return err
-		}
-		x.CloseOnExit(r)
-		st.readers[i] = r
-		if i > 0 && !ckpt.SameSchema(st.readers[0].Meta(), r.Meta()) {
-			return fmt.Errorf("compare: %s and %s have different schemas", st.members[0], name)
-		}
-	}
-	st.rep.CheckpointBytes = st.readers[0].Meta().TotalBytes()
-	st.rep.Breakdown.AddVirtual(metrics.PhaseSetup, st.opts.SetupVirtual)
-	st.rep.Breakdown.AddWall(metrics.PhaseSetup, sw.Lap())
-	x.AddVirtual(st.opts.SetupVirtual)
-	return nil
-}
-
-// stepLoadMembers loads each member's metadata exactly once — the first
-// saving versus sequential pairwise comparison, which loads a shared
-// member's metadata once per pair.
-func (st *groupState) stepLoadMembers(ctx context.Context, x *engine.Exec) error {
-	sw := metrics.NewStopwatch()
-	model := st.store.Model()
-	sharers := st.store.Sharers()
-	st.metas = make([]*Metadata, len(st.members))
-	var metaCost pfs.Cost
-	var deserWall time.Duration
-	for i, name := range st.members {
-		m, cost, dwall, err := LoadMetadata(ctx, st.store, name)
-		if err != nil {
-			return err
-		}
-		metaCost.Add(cost)
-		deserWall += dwall
-		st.metas[i] = m
-		if i > 0 {
-			if err := checkMetaPair(st.metas[0], m, st.opts.Epsilon); err != nil {
-				return err
-			}
-		}
-	}
-	//lint:ignore epsflow ε settings are configuration, not computed values; they must match exactly
-	if st.metas[0].Epsilon != st.opts.Epsilon {
-		return fmt.Errorf("compare: metadata ε %g does not match requested ε %g",
-			st.metas[0].Epsilon, st.opts.Epsilon)
-	}
-	st.rep.MemberRoots = make([]murmur3.Digest, len(st.metas))
-	for i, m := range st.metas {
-		st.rep.MemberRoots[i] = m.CombinedRoot()
-	}
-	st.rep.MetadataBytes = st.metas[0].Bytes()
-	st.rep.BytesRead += metaCost.TotalBytes()
-	readV := model.SerialReadTime(metaCost, sharers)
-	deserV := simclock.BandwidthTime(metaCost.TotalBytes(), deserializeBytesPerSec)
-	st.rep.Breakdown.AddVirtual(metrics.PhaseRead, readV)
-	st.rep.Breakdown.AddWall(metrics.PhaseRead, sw.Lap())
-	st.rep.Breakdown.AddVirtual(metrics.PhaseDeserialize, deserV)
-	st.rep.Breakdown.AddWall(metrics.PhaseDeserialize, deserWall)
-	x.AddVirtual(readV + deserV)
-
-	fieldNames := make([]string, len(st.metas[0].Fields))
-	for i := range fieldNames {
-		fieldNames[i] = st.metas[0].Fields[i].Name
-	}
-	selected, err := st.opts.fieldFilter(fieldNames)
-	if err != nil {
-		return err
-	}
-	st.selected = selected
-	for _, fm := range st.metas[0].Fields {
-		if selected(fm.Name) {
-			st.totalElements += fm.Tree.DataLen() / int64(fm.DType.Size())
-		}
-	}
-	return nil
-}
-
-// stepPairDiffs runs stage 1 for every pair from the in-memory trees: no
-// additional I/O regardless of pair count.
-func (st *groupState) stepPairDiffs(ctx context.Context, x *engine.Exec) error {
-	sw := metrics.NewStopwatch()
-	exec := device.Cancelable{Done: ctx.Done(), Inner: st.opts.Exec}
-	nFields := len(st.metas[0].Fields)
-	st.pairCands = make([][][]int, len(st.pairIdx))
-	st.rep.Pairs = make([]GroupPairReport, len(st.pairIdx))
-	var treeVirtual time.Duration
-	method := "merkle-group"
-	if st.diffMode {
-		method = "merkle-cas-group"
-	}
-	for pi, pr := range st.pairIdx {
-		a, b := pr[0], pr[1]
-		res := &Result{
-			Method:          method,
-			CheckpointBytes: st.rep.CheckpointBytes,
-			MetadataBytes:   st.rep.MetadataBytes,
-			TotalElements:   st.totalElements,
-		}
-		st.rep.Pairs[pi] = GroupPairReport{
-			A: a, B: b, NameA: st.members[a], NameB: st.members[b], Result: res,
-		}
-		st.pairCands[pi] = make([][]int, nFields)
-		for fi := 0; fi < nFields; fi++ {
-			fm := st.metas[a].Fields[fi]
-			if !st.selected(fm.Name) {
-				continue
-			}
-			ta, tb := fm.Tree, st.metas[b].Fields[fi].Tree
-			start := st.opts.StartLevel
-			if start < 0 {
-				start = ta.DefaultStartLevel(exec.Workers())
-			}
-			chunks, nodes, err := merkle.Diff(ta, tb, start, exec)
-			if err != nil {
-				return fmt.Errorf("compare: pair %s vs %s field %q: %w",
-					st.members[a], st.members[b], fm.Name, err)
-			}
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			res.TotalChunks += ta.NumChunks()
-			res.CandidateChunks += len(chunks)
-			if len(chunks) > 0 {
-				st.pairCands[pi][fi] = chunks
-			}
-			levels := ta.Depth() - start + 1
-			treeVirtual += time.Duration(levels)*st.opts.Device.KernelLaunch +
-				simclock.BandwidthTime(nodes*16, float64(st.opts.Device.NodeHashesPerSec)*16)
-		}
-	}
-	st.rep.Breakdown.AddVirtual(metrics.PhaseCompareTree, treeVirtual)
-	st.rep.Breakdown.AddWall(metrics.PhaseCompareTree, sw.Lap())
-	x.AddVirtual(treeVirtual)
-	return nil
+	return st.ms.Rep, nil
 }
 
 // stepMergeUnions merges the candidate-chunk lists of every pair sharing a
@@ -449,15 +282,17 @@ func (st *groupState) stepPairDiffs(ctx context.Context, x *engine.Exec) error {
 // once, not twice.
 func (st *groupState) stepMergeUnions(ctx context.Context, x *engine.Exec) error {
 	st.planUnionFields()
+	st.reads = make([]unionRead, len(st.unions))
 	for m := range st.unions {
-		u := &st.unions[m]
+		u, rd := &st.unions[m], &st.reads[m]
+		u.read, rd.file = rd, st.ms.file(m)
 		for fi := range u.fields {
 			uf := &u.fields[fi]
-			tree := st.metas[m].Fields[fi].Tree
-			uf.base, uf.stride = u.bytes, int64(tree.ChunkSize())
+			tree := st.ms.Metas[m].Fields[fi].Tree
+			uf.base, uf.stride = rd.bytes, int64(tree.ChunkSize())
 			for _, ci := range uf.chunks {
 				_, n := tree.ChunkRange(ci)
-				u.bytes += int64(n)
+				rd.bytes += int64(n)
 			}
 		}
 	}
@@ -468,17 +303,18 @@ func (st *groupState) stepMergeUnions(ctx context.Context, x *engine.Exec) error
 // of the pairs the member is in. merkle.Diff returns them ascending (and
 // CAS pruning keeps the order), so the union is one merge pass.
 func (st *groupState) planUnionFields() {
-	nFields := len(st.metas[0].Fields)
-	st.unions = make([]memberUnion, len(st.members))
-	lists := make([][]int, 0, len(st.pairIdx))
+	ms := st.ms
+	nFields := len(ms.fields)
+	st.unions = make([]memberUnion, len(ms.names))
+	lists := make([][]int, 0, len(ms.Pairs))
 	for m := range st.unions {
 		u := &st.unions[m]
 		u.fields = make([]unionField, nFields)
 		for fi := range u.fields {
 			lists = lists[:0]
-			for pi, pr := range st.pairIdx {
-				if (pr[0] == m || pr[1] == m) && len(st.pairCands[pi][fi]) > 0 {
-					lists = append(lists, st.pairCands[pi][fi])
+			for pi, pr := range ms.Pairs {
+				if (pr[0] == m || pr[1] == m) && len(ms.Cands[pi][fi]) > 0 {
+					lists = append(lists, ms.Cands[pi][fi])
 				}
 			}
 			if len(lists) == 0 {
@@ -495,141 +331,118 @@ func (st *groupState) planUnionFields() {
 	}
 }
 
-// checkoutUnions backs every member's read plan with a buffer set from
-// the stage-2 arena and builds its request batch. Requests go out in
-// (field, chunk) order into adjacent buffer windows, so runs of adjacent
-// candidates coalesce and land directly. Pair with returnUnions.
-func (st *groupState) checkoutUnions() {
+// checkout backs every read plan with a buffer set from the stage-2 arena
+// and builds its request batch into adjacent buffer windows, so runs of
+// adjacent candidates coalesce and land directly: a member's requests go
+// out in (field, chunk) order, the pack's in extent order. Pair with
+// release.
+func (st *groupState) checkout() {
 	arena := st.opts.arena()
-	for m := range st.unions {
-		u := &st.unions[m]
-		if u.bytes == 0 {
+	for i := range st.reads {
+		rd := &st.reads[i]
+		if rd.bytes == 0 {
 			continue
 		}
-		u.set = arena.Get(int(u.bytes), 0)
-		u.buf = u.set.A[:u.bytes]
-		reqs := u.set.ReqsA[:0]
-		for fi := range u.fields {
-			uf := &u.fields[fi]
-			tree := st.metas[m].Fields[fi].Tree
-			base := st.readers[m].FieldFileOffset(fi)
-			for k, ci := range uf.chunks {
-				off, n := tree.ChunkRange(ci)
-				pos := uf.at(k)
-				reqs = append(reqs, aio.ReadReq{Off: base + off, Len: n, Buf: u.buf[pos : pos+int64(n)], Tag: len(reqs)})
+		rd.set = arena.Get(int(rd.bytes), 0)
+		rd.buf = rd.set.A[:rd.bytes]
+		reqs := rd.set.ReqsA[:0]
+		var pos int64
+		add := func(off int64, n int) {
+			reqs = append(reqs, aio.ReadReq{Off: off, Len: n, Buf: rd.buf[pos : pos+int64(n)], Tag: len(reqs)})
+			pos += int64(n)
+		}
+		if st.ms.cs != nil {
+			for _, loc := range rd.locs {
+				add(loc.Off, int(loc.Len))
+			}
+		} else {
+			// A container read is member i's own.
+			for fi, uf := range st.unions[i].fields {
+				tree := st.ms.Metas[i].Fields[fi].Tree
+				base := st.ms.Readers[i].FieldFileOffset(fi)
+				for _, ci := range uf.chunks {
+					off, n := tree.ChunkRange(ci)
+					add(base+off, n)
+				}
 			}
 		}
-		u.set.ReqsA, u.reqs = reqs, reqs
+		rd.set.ReqsA, rd.reqs = reqs, reqs
 	}
 }
 
-// returnUnions hands every union's buffer set back to the arena.
-func (st *groupState) returnUnions() {
+// release hands every read's buffer set back to the arena.
+func (st *groupState) release() {
 	arena := st.opts.arena()
-	for m := range st.unions {
-		u := &st.unions[m]
-		arena.Put(u.set)
-		u.set, u.buf, u.reqs = nil, nil, nil
+	for i := range st.reads {
+		rd := &st.reads[i]
+		arena.Put(rd.set)
+		rd.set, rd.buf, rd.reqs = nil, nil, nil
 	}
-	arena.Put(st.packUnion.set)
-	st.packUnion.set, st.packUnion.buf, st.packUnion.reqs = nil, nil, nil
 }
 
 // fieldHashers builds the ε-hasher of every selected field, one per
 // dtype.
 func (st *groupState) fieldHashers() error {
 	byType := make(map[errbound.DType]*errbound.Hasher)
-	st.hashers = make([]*errbound.Hasher, len(st.metas[0].Fields))
-	for fi, fm := range st.metas[0].Fields {
-		if !st.selected(fm.Name) {
+	st.hashers = make([]*errbound.Hasher, len(st.ms.fields))
+	for fi, f := range st.ms.fields {
+		if !st.ms.selected[fi] {
 			continue
 		}
-		if byType[fm.DType] == nil {
-			h, err := st.opts.hasherFor(fm.DType)
+		if byType[f.DType] == nil {
+			h, err := st.opts.hasherFor(f.DType)
 			if err != nil {
 				return err
 			}
-			byType[fm.DType] = h
+			byType[f.DType] = h
 		}
-		st.hashers[fi] = byType[fm.DType]
+		st.hashers[fi] = byType[f.DType]
 	}
 	return nil
 }
 
-// readMember fetches one member's union solo, retrying Transient errors
-// under the options' policy and falling back to a fresh ring when the
-// shared ring reports closed. It returns the I/O virtual time including
-// backoff.
-func (st *groupState) readMember(ctx context.Context, m int) (time.Duration, error) {
-	u := &st.unions[m]
-	file := st.readers[m].File()
-	var io time.Duration
-	attempts := 0
-	backoff, err := st.opts.Retry.Do(ctx, func(attempt int) error {
-		attempts = attempt + 1
-		var rerr error
-		_, io, rerr = st.opts.Backend.ReadBatch(ctx, file, u.reqs)
-		return rerr
-	})
-	st.rep.ReadRetries += attempts - 1
-	io += backoff
-	if err != nil && errors.Is(err, aio.ErrRingClosed) {
-		leg := aio.Legacy{}
-		var lio time.Duration
-		_, lio, err = leg.ReadBatch(ctx, file, u.reqs)
-		io += lio
-		if err == nil {
-			st.rep.RingFallbacks++
-		}
-	}
-	return io, err
-}
-
-// stepSharedVerify runs the shared stage 2: each member's union is fetched
-// with one batched read (consecutive members paired through the backend's
-// overlapped pair path), and each pair is verified element-wise from the
-// cached union buffers as soon as both of its members have landed.
+// stepSharedVerify runs the shared stage 2: each union is fetched with one
+// batched read (consecutive unions paired through the backend's overlapped
+// pair path), and each pair is verified element-wise from the cached union
+// buffers as soon as both of its members have landed. A differential group
+// has the one pack union, so that is one read and then every pair.
 //
-// Reads climb the degradation ladder: Transient errors retry with backoff
-// on the virtual clock, a failed paired read retries each member solo, a
-// closed shared ring falls back to a fresh ring, and — with Options.Degrade
-// set — a member whose union still cannot be read drops to a metadata-only
-// verdict for every pair it touches instead of failing the plan.
+// Reads climb the degradation ladder: a paired read is retried as a pair
+// (aio.ReadRetried) and, failing that, each union climbs aio.ReadLadder
+// solo — one bad member must not take down both — and, with
+// Options.Degrade set, a union that still cannot be read drops every pair
+// it touches to a metadata-only verdict for its SURVIVING candidates
+// instead of failing the plan; CAS-pruned chunks keep their proven verdict
+// and are never counted Unverified.
 func (st *groupState) stepSharedVerify(ctx context.Context, x *engine.Exec) error {
 	sw := metrics.NewStopwatch()
+	ms, rep := st.ms, st.ms.Rep
 	pairRd, _ := st.opts.Backend.(aio.PairReader)
 	if err := st.fieldHashers(); err != nil {
 		return err
 	}
-	st.checkoutUnions()
-	defer st.returnUnions()
+	st.checkout()
+	defer st.release()
 
-	// Members that need reading, in index order.
-	var toRead []int
-	for m := range st.unions {
-		if len(st.unions[m].reqs) > 0 {
-			toRead = append(toRead, m)
+	var toRead []*unionRead
+	for i := range st.reads {
+		if len(st.reads[i].reqs) > 0 {
+			toRead = append(toRead, &st.reads[i])
 		}
 	}
-
-	loaded := make([]bool, len(st.members))
-	failed := make([]bool, len(st.members))
-	comparedPair := make([]bool, len(st.pairIdx))
+	compared := make([]bool, len(ms.Pairs))
 	vp := stream.NewVirtualPipeline(st.opts.Depth)
 
 	// compareReady verifies every not-yet-compared pair whose members are
 	// both loaded, returning the compute virtual time of the batch.
 	compareReady := func() (time.Duration, error) {
 		var comp time.Duration
-		for pi, pr := range st.pairIdx {
-			if comparedPair[pi] || !st.pairHasCands(pi) {
+		for pi, pr := range ms.Pairs {
+			if compared[pi] || !st.pairHasCands(pi) ||
+				!st.unions[pr[0]].read.loaded || !st.unions[pr[1]].read.loaded {
 				continue
 			}
-			a, b := pr[0], pr[1]
-			if !loaded[a] || !loaded[b] {
-				continue
-			}
-			comparedPair[pi] = true
+			compared[pi] = true
 			c, err := st.verifyPair(ctx, pi)
 			if err != nil {
 				return comp, err
@@ -644,42 +457,32 @@ func (st *groupState) stepSharedVerify(ctx context.Context, x *engine.Exec) erro
 			return err
 		}
 		var io time.Duration
-		ma := toRead[bi]
-		mb := -1
-		if bi+1 < len(toRead) {
-			mb = toRead[bi+1]
-		}
-		if mb >= 0 && pairRd != nil {
-			ua, ub := &st.unions[ma], &st.unions[mb]
-			attempts := 0
-			backoff, err := st.opts.Retry.Do(ctx, func(attempt int) error {
-				attempts = attempt + 1
-				var rerr error
-				_, io, rerr = pairRd.ReadBatchPair(ctx,
-					st.readers[ma].File(), st.readers[mb].File(), ua.reqs, ub.reqs)
-				return rerr
-			})
-			st.rep.ReadRetries += attempts - 1
-			io += backoff
+		duo := toRead[bi:min(bi+2, len(toRead))]
+		if len(duo) == 2 && pairRd != nil {
+			rd, err := aio.ReadRetried(ctx, pairRd, st.opts.Retry, duo[0].batch(), duo[1].batch())
+			rep.ReadRetries += rd.Retries
+			io += rd.IO
 			if err == nil {
-				loaded[ma], loaded[mb] = true, true
-				st.rep.BytesRead += int64(len(ua.buf)) + int64(len(ub.buf))
+				duo[0].loaded, duo[1].loaded = true, true
+				rep.BytesRead += int64(len(duo[0].buf)) + int64(len(duo[1].buf))
 			}
-			// A failed paired read falls through to the solo rung below:
-			// one bad member must not take down both.
 		}
-		for _, m := range []int{ma, mb} {
-			if m < 0 || loaded[m] {
+		for _, u := range duo {
+			if u.loaded {
 				continue
 			}
-			mio, err := st.readMember(ctx, m)
-			io += mio
+			rd, err := aio.ReadLadder(ctx, st.opts.Backend, st.opts.Retry, u.batch())
+			rep.ReadRetries += rd.Retries
+			io += rd.IO
+			if rd.FellBack {
+				rep.RingFallbacks++
+			}
 			switch {
 			case err == nil:
-				loaded[m] = true
-				st.rep.BytesRead += int64(len(st.unions[m].buf))
+				u.loaded = true
+				rep.BytesRead += int64(len(u.buf))
 			case st.opts.Degrade && ctx.Err() == nil:
-				failed[m] = true
+				u.failed = true
 			default:
 				return fmt.Errorf("compare: group verification: %w", err)
 			}
@@ -690,43 +493,27 @@ func (st *groupState) stepSharedVerify(ctx context.Context, x *engine.Exec) erro
 		}
 		vp.Advance(io, comp)
 	}
-	// Pairs touching a member whose union never landed degrade to the
-	// metadata-only verdict: stage 1 proved which chunks could diverge;
-	// none of them were verified.
-	for pi, pr := range st.pairIdx {
-		if comparedPair[pi] || !st.pairHasCands(pi) {
-			continue
-		}
-		if failed[pr[0]] || failed[pr[1]] {
-			res := st.rep.Pairs[pi].Result
-			res.Degraded = true
-			res.UnverifiedChunks += res.CandidateChunks
+	// Pairs touching a union that never landed degrade to the metadata-only
+	// verdict: stage 1 proved which chunks could diverge; none of the
+	// survivors were verified.
+	for pi, pr := range ms.Pairs {
+		if !compared[pi] && (st.unions[pr[0]].read.failed || st.unions[pr[1]].read.failed) {
+			for _, chunks := range ms.Cands[pi] {
+				ms.Fold(pi).Unverified += len(chunks)
+			}
 		}
 	}
-	st.foldGroupRereads(x)
-	st.rep.PipelineVirtual = vp.Total()
-	st.rep.Breakdown.AddVirtual(metrics.PhaseCompareDirect, vp.Total())
-	st.rep.Breakdown.AddWall(metrics.PhaseCompareDirect, sw.Lap())
+	x.AddVirtual(st.kernel.chargeRereads(ms.store, ms.sink))
+	rep.PipelineVirtual = vp.Total()
+	rep.Breakdown.AddVirtual(metrics.PhaseCompareDirect, vp.Total())
+	rep.Breakdown.AddWall(metrics.PhaseCompareDirect, sw.Lap())
 	x.AddVirtual(vp.Total())
 	return nil
 }
 
-// foldGroupRereads prices the integrity re-reads issued by the kernel into
-// the report and the plan clock.
-func (st *groupState) foldGroupRereads(x *engine.Exec) {
-	cost := st.kernel.takeRereadCost()
-	if cost == (pfs.Cost{}) {
-		return
-	}
-	st.rep.BytesRead += cost.TotalBytes()
-	v := st.store.Model().SerialReadTime(cost, st.store.Sharers())
-	st.rep.Breakdown.AddVirtual(metrics.PhaseRead, v)
-	x.AddVirtual(v)
-}
-
 // pairHasCands reports whether pair pi has any candidate chunks.
 func (st *groupState) pairHasCands(pi int) bool {
-	for _, chunks := range st.pairCands[pi] {
+	for _, chunks := range st.ms.Cands[pi] {
 		if len(chunks) > 0 {
 			return true
 		}
@@ -736,21 +523,23 @@ func (st *groupState) pairHasCands(pi int) bool {
 
 // verifyPair verifies one pair's candidate chunks from the two members'
 // cached union buffers — the same kernel the pair planners run, dispatched
-// over the options' executor in byte-balanced ranges — fills the pair's
-// Result in chunk order, and returns the priced compute time of the batch.
+// over the options' executor in byte-balanced ranges — lands the verdicts
+// in the pair's fold in chunk order (the same at any worker count), and
+// returns the priced compute time of the batch.
 func (st *groupState) verifyPair(ctx context.Context, pi int) (time.Duration, error) {
-	a, b := st.pairIdx[pi][0], st.pairIdx[pi][1]
-	res := st.rep.Pairs[pi].Result
+	ms := st.ms
+	a, b := ms.Pairs[pi][0], ms.Pairs[pi][1]
 	ua, ub := &st.unions[a], &st.unions[b]
 
 	// Resolve every candidate to its rank in both unions: the candidate
 	// list is a sublist of each, so one cursor per side walks forward.
 	st.jobs = st.jobs[:0]
-	for fi, chunks := range st.pairCands[pi] {
+	var pairBytes int64
+	for fi, chunks := range ms.Cands[pi] {
 		if len(chunks) == 0 {
 			continue
 		}
-		fm := st.metas[a].Fields[fi]
+		fm := ms.Metas[a].Fields[fi]
 		tree := fm.Tree
 		chunkElems := int64(tree.ChunkSize() / fm.DType.Size())
 		ca, cb := ua.fields[fi].chunks, ub.fields[fi].chunks
@@ -764,6 +553,7 @@ func (st *groupState) verifyPair(ctx context.Context, pi int) (time.Duration, er
 			}
 			_, n := tree.ChunkRange(ci)
 			st.jobs = append(st.jobs, groupJob{field: fi, chunk: ci, ra: ra, rb: rb, n: n, base: int64(ci) * chunkElems})
+			pairBytes += int64(n)
 		}
 	}
 
@@ -781,19 +571,18 @@ func (st *groupState) verifyPair(ctx context.Context, pi int) (time.Duration, er
 	verifyRange := func(r int) {
 		for i := st.bounds[r]; i < st.bounds[r+1]; i++ {
 			j := &st.jobs[i]
-			fa, fb := &ua.fields[j.field], &ub.fields[j.field]
-			pa, pb := fa.at(j.ra), fb.at(j.rb)
+			pa, pb := ua.fields[j.field].at(j.ra), ub.fields[j.field].at(j.rb)
 			job := ChunkJob{
 				Hasher: st.hashers[j.field],
-				A:      ua.buf[pa : pa+int64(j.n)],
-				B:      ub.buf[pb : pb+int64(j.n)],
+				A:      ua.read.buf[pa : pa+int64(j.n)],
+				B:      ub.read.buf[pb : pb+int64(j.n)],
 				Base:   j.base,
 				Leaves: leaves, R: r, I: i,
 			}
-			if st.diffMode && st.opts.Memo != nil {
+			if ms.cs != nil && st.opts.Memo != nil {
 				job.Memo = st.opts.Memo
-				job.DigestA = st.mans[a].Fields[j.field].Digests[j.chunk]
-				job.DigestB = st.mans[b].Fields[j.field].Digests[j.chunk]
+				job.DigestA = ms.mans[a].Fields[j.field].Digests[j.chunk]
+				job.DigestB = ms.mans[b].Fields[j.field].Digests[j.chunk]
 			}
 			if err := st.kernel.verify(r, i, &job); err != nil {
 				st.rangeErrs[r] = err
@@ -813,33 +602,14 @@ func (st *groupState) verifyPair(ctx context.Context, pi int) (time.Duration, er
 		}
 	}
 
-	// Fold the verdicts into the pair's result, field by field in chunk
-	// order — the same order at any worker count.
-	var pairBytes int64
-	i := 0
-	for fi, chunks := range st.pairCands[pi] {
-		if len(chunks) == 0 {
-			continue
-		}
-		var indices []int64
-		changed := 0
-		for range chunks {
-			switch st.kernel.slots[i].verdict {
-			case ChunkUnverified:
-				res.Degraded = true
-				res.UnverifiedChunks++
-			case ChunkChanged:
-				changed++
-				indices = append(indices, st.kernel.indices(i)...)
-			}
-			pairBytes += int64(st.jobs[i].n)
-			i++
-		}
-		res.ChangedChunks += changed
-		if len(indices) > 0 {
-			sortIndices(indices)
-			res.Diffs = append(res.Diffs, FieldDiff{Field: st.metas[a].Fields[fi].Name, Indices: indices})
-			res.DiffCount += int64(len(indices))
+	fold := ms.Fold(pi)
+	for i := range st.jobs {
+		switch st.kernel.slots[i].verdict {
+		case ChunkUnverified:
+			fold.Unverified++
+		case ChunkChanged:
+			fold.Changed++
+			fold.Add(st.jobs[i].field, st.kernel.indices(i))
 		}
 	}
 	comp := st.opts.Device.KernelLaunch +
@@ -867,16 +637,8 @@ func (l *groupLeaves) CheckedSide(r, i, side int, data []byte) []byte {
 	}
 	leaf := &st.unions[m].fields[j.field].leaves[k]
 	if leaf.state == 0 {
-		tree := st.metas[m].Fields[j.field].Tree
-		var file *pfs.File
-		var off int64
-		if st.diffMode {
-			file, off = st.pack, st.mans[m].Fields[j.field].Locs[j.chunk].Off
-		} else {
-			chunkOff, _ := tree.ChunkRange(j.chunk)
-			file, off = st.readers[m].File(), st.readers[m].FieldFileOffset(j.field)+chunkOff
-		}
-		verified, _, cost := VerifyLeaf(st.hashers[j.field], data, tree.Leaf(j.chunk), file, off)
+		want := st.ms.Metas[m].Fields[j.field].Tree.Leaf(j.chunk)
+		verified, _, cost := VerifyLeaf(st.hashers[j.field], data, want, st.ms.file(m), st.ms.chunkOff(m, j.field, j.chunk))
 		st.kernel.ranges[r].rereadCost.Add(cost)
 		leaf.state, leaf.data = leafBad, verified
 		if verified != nil {
@@ -884,12 +646,4 @@ func (l *groupLeaves) CheckedSide(r, i, side int, data []byte) []byte {
 		}
 	}
 	return leaf.data
-}
-
-// stepGroupReport finalizes store-level I/O accounting.
-func (st *groupState) stepGroupReport(ctx context.Context, x *engine.Exec) error {
-	ops, bytes := st.store.ReadStats()
-	st.rep.ReadOps = ops - st.startOps
-	st.rep.ReadBytes = bytes - st.startBytes
-	return nil
 }

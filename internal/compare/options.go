@@ -95,26 +95,6 @@ type Options struct {
 	Degrade bool
 }
 
-// fieldFilter resolves the Fields option against the available field
-// names: it returns a predicate and an error naming any unknown field.
-func (o Options) fieldFilter(available []string) (func(string) bool, error) {
-	if len(o.Fields) == 0 {
-		return func(string) bool { return true }, nil
-	}
-	have := make(map[string]bool, len(available))
-	for _, n := range available {
-		have[n] = true
-	}
-	want := make(map[string]bool, len(o.Fields))
-	for _, n := range o.Fields {
-		if !have[n] {
-			return nil, fmt.Errorf("compare: field %q not in checkpoint (have %v)", n, available)
-		}
-		want[n] = true
-	}
-	return func(name string) bool { return want[name] }, nil
-}
-
 // withDefaults returns a copy with unset fields defaulted.
 func (o Options) withDefaults() Options {
 	if o.ChunkSize <= 0 {
@@ -212,11 +192,4 @@ func (o Options) Normalize() (Options, error) {
 // options' ε. Exported for out-of-package planners (internal/shard).
 func (o Options) HasherFor(dtype errbound.DType) (*errbound.Hasher, error) {
 	return o.hasherFor(dtype)
-}
-
-// FieldFilter resolves the Fields option against the available field
-// names: it returns a predicate and an error naming any unknown field.
-// Exported for out-of-package planners (internal/shard).
-func (o Options) FieldFilter(available []string) (func(string) bool, error) {
-	return o.fieldFilter(available)
 }

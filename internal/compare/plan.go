@@ -7,37 +7,29 @@ import (
 	"context"
 
 	"repro/internal/cas"
-	"repro/internal/ckpt"
 	"repro/internal/device"
 	"repro/internal/engine"
 	"repro/internal/errbound"
-	"repro/internal/merkle"
 	"repro/internal/metrics"
 	"repro/internal/pfs"
-	"repro/internal/simclock"
 	"repro/internal/stream"
 )
 
-// This file holds the shared plan-step vocabulary of the comparison entry
-// points. Every entry point (CompareMerkle, CompareDirect, CompareAllClose,
+// This file holds the pair planners' stage 2: the candidate chunks stage 1
+// (memberset.go) left for the pair (0, 1) of a two-member set become one
+// batched read plan, streamed through the overlapped slice pipeline and
+// verified by the kernel (verify.go). Every pair entry point
+// (CompareMerkle, CompareDiff, CompareDirect, CompareAllClose,
 // CompareTreesOnly, and through them the history/evolution/compaction
-// planners) is a thin planner: it assembles an engine.Plan from the step
-// builders below and hands it to engine.Execute, which supplies the
-// context checkpoints, the per-step timing table, and the LIFO cleanup
-// chain that keeps early-return errors leak-free.
-
-// fieldCandidates is one field's stage-1 output: the candidate chunks the
-// tree diff could not prune.
-type fieldCandidates struct {
-	field  int
-	chunks []int
-}
+// planners) is a thin planner: it assembles an engine.Plan from the member
+// set's steps and the steps below and hands it to engine.Execute, which
+// supplies the context checkpoints, the per-step timing table, and the
+// LIFO cleanup chain that keeps early-return errors leak-free.
 
 // chunkRef maps one streamed chunk pair back to its field and element
 // base. chunk is the Merkle chunk index for changed-chunk accounting, or
 // -1 for the direct sweep (which has no chunk notion). offA and offB are
-// the absolute file offsets the chunk streams from — field-relative in
-// the checkpoint container, or pack extents in differential mode.
+// the absolute file offsets the chunk streams from.
 type chunkRef struct {
 	field    int
 	chunk    int
@@ -47,225 +39,53 @@ type chunkRef struct {
 	offB     int64
 }
 
-// pairState carries one checkpoint pair's comparison through its plan
-// steps. Steps communicate exclusively through this state; the context
-// arrives per step through the engine (never stored — the ctxflow rule).
+// pairState carries one checkpoint pair's comparison through stage 2.
 type pairState struct {
-	store        *pfs.Store
-	nameA, nameB string
-	opts         Options
-	res          *Result
+	ms   *MemberSet
+	opts Options
+	res  *Result
 
 	// verifyWrap labels stage-2 errors ("verification", "direct").
 	verifyWrap string
-	// dataless marks metadata-only plans (CompareTreesOnly): no readers,
-	// all fields compared, element totals taken from the trees.
-	dataless bool
 
-	ra, rb   *ckpt.Reader
-	ma, mb   *Metadata
-	selected func(string) bool
-
-	// Differential (CAS) mode: leaf manifests replace the checkpoint
-	// readers and stage 2 streams representative bytes from the shared
-	// pack file instead of the two containers.
-	diffMode   bool
-	cs         *cas.Store
-	manA, manB *cas.Manifest
-	pack       *pfs.File
-
-	candidates []fieldCandidates
-	pairs      []stream.ChunkPair
-	refs       []chunkRef
-
+	pairs []stream.ChunkPair
+	refs  []chunkRef
 	// kernel holds stage 2's per-chunk verdicts until foldVerdicts drains
-	// them, in pair order, into the fields below.
-	kernel        verdicts
-	fieldDiffs    map[int][]int64
-	changedChunks int // Merkle chunks with a divergent element (verified or replayed)
-
-	// Degradation-ladder bookkeeping (Options.Degrade).
-	verified   int  // chunk pairs cleanly verified by stage 2
-	unverified int  // chunk pairs that failed integrity verification
-	computeErr bool // a compute-callback error: never degraded away
+	// them, in pair order, into the member set's fold.
+	kernel verdicts
 }
 
-func newPairState(store *pfs.Store, nameA, nameB string, opts Options, method string) *pairState {
-	return &pairState{
-		store:      store,
-		nameA:      nameA,
-		nameB:      nameB,
-		opts:       opts,
-		res:        &Result{Method: method},
-		verifyWrap: "verification",
-		fieldDiffs: make(map[int][]int64),
-	}
-}
-
-// runPlan executes the plan and attaches the per-step timing table to the
-// result. Step errors come back unwrapped; on failure the result is
-// dropped (the engine report recorded which step failed).
-func (st *pairState) runPlan(ctx context.Context, p *engine.Plan) (*Result, error) {
-	rep, err := engine.Execute(ctx, p)
-	st.res.Steps = rep.Steps
+// newPairState validates and defaults the options and returns the state
+// of a pair plan over the member set [A, B]; cs makes it differential.
+func newPairState(store *pfs.Store, cs *cas.Store, nameA, nameB string, opts Options, method string) (*pairState, error) {
+	opts, err := opts.Normalize()
 	if err != nil {
+		return nil, err
+	}
+	res := &Result{Method: method}
+	return &pairState{
+		ms:         newPairSet(store, cs, nameA, nameB, opts, res),
+		opts:       opts,
+		res:        res,
+		verifyWrap: "verification",
+	}, nil
+}
+
+// runPlan executes the plan; on failure the result is dropped.
+func (st *pairState) runPlan(ctx context.Context, p *engine.Plan) (*Result, error) {
+	if err := st.ms.Execute(ctx, p); err != nil {
 		return nil, err
 	}
 	return st.res, nil
 }
 
-// stepOpenPair opens both checkpoints, registers them on the cleanup
-// chain, and validates the schemas match.
-func (st *pairState) stepOpenPair(ctx context.Context, x *engine.Exec) error {
-	sw := metrics.NewStopwatch()
-	ra, _, err := ckpt.OpenReader(st.store, st.nameA)
-	if err != nil {
-		return err
-	}
-	x.CloseOnExit(ra)
-	rb, _, err := ckpt.OpenReader(st.store, st.nameB)
-	if err != nil {
-		return err
-	}
-	x.CloseOnExit(rb)
-	if !ckpt.SameSchema(ra.Meta(), rb.Meta()) {
-		return fmt.Errorf("compare: %s and %s have different schemas", st.nameA, st.nameB)
-	}
-	st.ra, st.rb = ra, rb
-	st.res.CheckpointBytes = ra.Meta().TotalBytes()
-	st.res.Breakdown.AddVirtual(metrics.PhaseSetup, st.opts.SetupVirtual)
-	st.res.Breakdown.AddWall(metrics.PhaseSetup, sw.Lap())
-	x.AddVirtual(st.opts.SetupVirtual)
-	return nil
-}
-
-// stepSetupVirtual charges the fixed setup cost for plans that open no
-// checkpoint data (metadata-only comparison).
-func (st *pairState) stepSetupVirtual(ctx context.Context, x *engine.Exec) error {
-	sw := metrics.NewStopwatch()
-	st.res.Breakdown.AddVirtual(metrics.PhaseSetup, st.opts.SetupVirtual)
-	st.res.Breakdown.AddWall(metrics.PhaseSetup, sw.Lap())
-	x.AddVirtual(st.opts.SetupVirtual)
-	return nil
-}
-
-// stepLoadMetadata loads both runs' Merkle metadata (Read phase), prices
-// deserialization, and validates ε and field parity.
-func (st *pairState) stepLoadMetadata(ctx context.Context, x *engine.Exec) error {
-	sw := metrics.NewStopwatch()
-	model := st.store.Model()
-	sharers := st.store.Sharers()
-	ma, costA, dwallA, err := LoadMetadata(ctx, st.store, st.nameA)
-	if err != nil {
-		return err
-	}
-	mb, costB, dwallB, err := LoadMetadata(ctx, st.store, st.nameB)
-	if err != nil {
-		return err
-	}
-	st.ma, st.mb = ma, mb
-	st.res.RootA, st.res.RootB = ma.CombinedRoot(), mb.CombinedRoot()
-	var metaCost pfs.Cost
-	metaCost.Add(costA)
-	metaCost.Add(costB)
-	st.res.MetadataBytes = ma.Bytes()
-	st.res.BytesRead += metaCost.TotalBytes()
-	readV := model.SerialReadTime(metaCost, sharers)
-	deserV := simclock.BandwidthTime(metaCost.TotalBytes(), deserializeBytesPerSec)
-	st.res.Breakdown.AddVirtual(metrics.PhaseRead, readV)
-	st.res.Breakdown.AddWall(metrics.PhaseRead, sw.Lap())
-	st.res.Breakdown.AddVirtual(metrics.PhaseDeserialize, deserV)
-	st.res.Breakdown.AddWall(metrics.PhaseDeserialize, dwallA+dwallB)
-	x.AddVirtual(readV + deserV)
-
-	if err := checkMetaPair(ma, mb, st.opts.Epsilon); err != nil {
-		return err
-	}
-	if st.dataless {
-		st.selected = func(string) bool { return true }
-		return nil
-	}
-	fieldNames := make([]string, len(ma.Fields))
-	for i := range ma.Fields {
-		fieldNames[i] = ma.Fields[i].Name
-	}
-	selected, err := st.opts.fieldFilter(fieldNames)
-	if err != nil {
-		return err
-	}
-	st.selected = selected
-	return nil
-}
-
-// checkMetaPair validates that two metadata files are comparable with each
-// other at the requested ε.
-func checkMetaPair(ma, mb *Metadata, eps float64) error {
-	//lint:ignore floatcmp metadata is only valid for the exact ε it was built with; bitwise equality is the contract
-	if ma.Epsilon != eps || mb.Epsilon != eps {
-		return fmt.Errorf("compare: metadata ε (%g, %g) does not match requested ε %g",
-			ma.Epsilon, mb.Epsilon, eps)
-	}
-	if len(ma.Fields) != len(mb.Fields) {
-		return fmt.Errorf("compare: metadata field counts differ: %d vs %d",
-			len(ma.Fields), len(mb.Fields))
-	}
-	return nil
-}
-
-// CheckMetaPair validates that two metadata files are comparable with
-// each other at the requested ε — the same gate every pairwise planner
-// runs. Exported for out-of-package planners (internal/shard).
-func CheckMetaPair(ma, mb *Metadata, eps float64) error {
-	return checkMetaPair(ma, mb, eps)
-}
-
-// stepTreeDiff runs stage 1: the pruned BFS tree diff per selected field
-// (CompareTree phase). The executor is wrapped so a canceled context
-// stops the diff kernels between poll intervals.
-func (st *pairState) stepTreeDiff(ctx context.Context, x *engine.Exec) error {
-	sw := metrics.NewStopwatch()
-	exec := device.Cancelable{Done: ctx.Done(), Inner: st.opts.Exec}
-	var treeVirtual time.Duration
-	for fi := range st.ma.Fields {
-		fm := st.ma.Fields[fi]
-		if !st.selected(fm.Name) {
-			continue
-		}
-		ta, tb := fm.Tree, st.mb.Fields[fi].Tree
-		start := st.opts.StartLevel
-		if start < 0 {
-			start = ta.DefaultStartLevel(exec.Workers())
-		}
-		chunks, nodes, err := merkle.Diff(ta, tb, start, exec)
-		if err != nil {
-			return fmt.Errorf("compare: field %q: %w", fm.Name, err)
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		st.res.TotalChunks += ta.NumChunks()
-		st.res.CandidateChunks += len(chunks)
-		if len(chunks) > 0 {
-			st.candidates = append(st.candidates, fieldCandidates{field: fi, chunks: chunks})
-		}
-		if st.dataless {
-			// Metadata-only comparison takes its totals from the trees and
-			// (as before the engine refactor) prices no diff kernels: the
-			// stage-1-only paths report chunk fractions, not device time.
-			st.res.TotalElements += ta.DataLen() / int64(fm.DType.Size())
-			st.res.CheckpointBytes += ta.DataLen()
-			continue
-		}
-		// One kernel per visited level (bounded by depth), nodes at the
-		// node-hash comparison rate.
-		levels := ta.Depth() - start + 1
-		treeVirtual += time.Duration(levels)*st.opts.Device.KernelLaunch +
-			simclock.BandwidthTime(nodes*16, float64(st.opts.Device.NodeHashesPerSec)*16)
-	}
-	st.res.Breakdown.AddVirtual(metrics.PhaseCompareTree, treeVirtual)
-	st.res.Breakdown.AddWall(metrics.PhaseCompareTree, sw.Lap())
-	x.AddVirtual(treeVirtual)
-	return nil
+// runVerify appends the pair stage 2 — assemble → stream-verify → report —
+// behind stage 1 and executes the plan.
+func (st *pairState) runVerify(ctx context.Context, p *engine.Plan, stage1 engine.StepID) (*Result, error) {
+	coal := p.Add(engine.StepCoalesce, "assemble-batches", st.stepAssemblePairs, stage1)
+	verify := p.Add(engine.StepStreamVerify, "stream-verify", st.stepStreamVerify, coal)
+	p.Add(engine.StepReport, "report", st.ms.Report, verify)
+	return st.runPlan(ctx, p)
 }
 
 // stepAssemblePairs turns the candidate chunks of every field into one
@@ -273,10 +93,13 @@ func (st *pairState) stepTreeDiff(ctx context.Context, x *engine.Exec) error {
 // once instead of once per field (byte-level coalescing then happens in
 // the aio backend).
 func (st *pairState) stepAssemblePairs(ctx context.Context, x *engine.Exec) error {
+	ms := st.ms
 	hashers := make(map[errbound.DType]*errbound.Hasher)
-	for _, fc := range st.candidates {
-		fi := fc.field
-		fm := st.ma.Fields[fi]
+	for fi, chunks := range ms.Cands[0] {
+		if len(chunks) == 0 {
+			continue
+		}
+		fm := ms.Metas[0].Fields[fi]
 		hasher := hashers[fm.DType]
 		if hasher == nil {
 			h, err := st.opts.hasherFor(fm.DType)
@@ -286,34 +109,19 @@ func (st *pairState) stepAssemblePairs(ctx context.Context, x *engine.Exec) erro
 			hashers[fm.DType] = h
 			hasher = h
 		}
-		tree := fm.Tree
-		var baseA, baseB int64
-		if !st.diffMode {
-			baseA = st.ra.FieldFileOffset(fi)
-			baseB = st.rb.FieldFileOffset(fi)
-		}
-		eltSize := int64(fm.DType.Size())
-		chunkElems := int64(tree.ChunkSize()) / eltSize
-		for _, ci := range fc.chunks {
-			off, n := tree.ChunkRange(ci)
-			offA, offB := baseA+off, baseB+off
-			if st.diffMode {
-				// Stream each side's representative bytes from its pack
-				// extent; the manifest pins extent length to chunk length.
-				locA := st.manA.Fields[fi].Locs[ci]
-				locB := st.manB.Fields[fi].Locs[ci]
+		chunkElems := int64(fm.Tree.ChunkSize() / fm.DType.Size())
+		for _, ci := range chunks {
+			_, n := fm.Tree.ChunkRange(ci)
+			if ms.cs != nil {
+				// The manifest pins extent length to chunk length.
+				locA, locB := ms.mans[0].Fields[fi].Locs[ci], ms.mans[1].Fields[fi].Locs[ci]
 				if int(locA.Len) != n || int(locB.Len) != n {
 					return fmt.Errorf("compare: field %q chunk %d: pack extents %d/%d bytes, tree says %d",
 						fm.Name, ci, locA.Len, locB.Len, n)
 				}
-				offA, offB = locA.Off, locB.Off
 			}
-			st.pairs = append(st.pairs, stream.ChunkPair{
-				Index: len(st.refs),
-				OffA:  offA,
-				OffB:  offB,
-				Len:   n,
-			})
+			offA, offB := ms.chunkOff(0, fi, ci), ms.chunkOff(1, fi, ci)
+			st.pairs = append(st.pairs, stream.ChunkPair{Index: len(st.refs), OffA: offA, OffB: offB, Len: n})
 			st.refs = append(st.refs, chunkRef{
 				field:    fi,
 				chunk:    ci,
@@ -338,10 +146,10 @@ func (st *pairState) verifyCompute(r int, p stream.ChunkPair, a, b []byte) (time
 		if st.opts.Degrade {
 			job.Leaves, job.R, job.I = st, r, p.Index
 		}
-		if st.diffMode && st.opts.Memo != nil {
+		if st.ms.cs != nil && st.opts.Memo != nil {
 			job.Memo = st.opts.Memo
-			job.DigestA = st.manA.Fields[ref.field].Digests[ref.chunk]
-			job.DigestB = st.manB.Fields[ref.field].Digests[ref.chunk]
+			job.DigestA = st.ms.mans[0].Fields[ref.field].Digests[ref.chunk]
+			job.DigestB = st.ms.mans[1].Fields[ref.field].Digests[ref.chunk]
 		}
 	}
 	if err := st.kernel.verify(r, p.Index, &job); err != nil {
@@ -352,49 +160,44 @@ func (st *pairState) verifyCompute(r int, p stream.ChunkPair, a, b []byte) (time
 }
 
 // CheckedSide implements LeafChecker: one side's streamed chunk against
-// the leaf hash its metadata was built from. In differential mode the
-// re-read gathers the representative from its pack extent; the leaf-hash
-// check is what turns a torn or rotted CAS chunk into Corrupt instead of
-// a silent dedup hit.
+// the leaf hash its metadata was built from, re-read on mismatch from
+// where it streamed — the member's container, or its pack extent in
+// differential mode, where the leaf-hash check is what turns a torn or
+// rotted CAS chunk into Corrupt instead of a silent dedup hit.
 func (st *pairState) CheckedSide(r, i, side int, data []byte) []byte {
 	ref := &st.refs[i]
-	m, off := st.ma, ref.offA
+	off := ref.offA
 	if side == SideB {
-		m, off = st.mb, ref.offB
+		off = ref.offB
 	}
-	f := st.pack
-	if !st.diffMode {
-		if side == SideB {
-			f = st.rb.File()
-		} else {
-			f = st.ra.File()
-		}
-	}
-	verified, _, cost := VerifyLeaf(ref.hasher, data, m.Fields[ref.field].Tree.Leaf(ref.chunk), f, off)
+	leaf := st.ms.Metas[side].Fields[ref.field].Tree.Leaf(ref.chunk)
+	verified, _, cost := VerifyLeaf(ref.hasher, data, leaf, st.ms.file(side), off)
 	st.kernel.ranges[r].rereadCost.Add(cost)
 	return verified
 }
 
-// foldVerdicts drains the kernel's slots into the divergence lists and
-// the ladder's counters, in pair order. Pairs the stream never reached
-// stay pending and are left to the caller.
-func (st *pairState) foldVerdicts() {
+// foldVerdicts drains the kernel's slots into the pair's fold, in pair
+// order, and returns how many pairs the kernel reached (verified or not).
+// Pairs the stream never reached stay pending and are left to the caller.
+func (st *pairState) foldVerdicts() (reached int) {
+	fold := st.ms.Fold(0)
 	for i := range st.kernel.slots {
 		ref := &st.refs[i]
 		switch st.kernel.slots[i].verdict {
 		case ChunkUnverified:
-			st.unverified++
+			fold.Unverified++
+			reached++
 		case ChunkClean:
-			st.verified++
+			reached++
 		case ChunkChanged:
-			st.verified++
-			st.fieldDiffs[ref.field] = append(st.fieldDiffs[ref.field], st.kernel.indices(i)...)
+			reached++
+			fold.Add(ref.field, st.kernel.indices(i))
 			if ref.chunk >= 0 {
-				st.changedChunks++
+				fold.Changed++
 			}
 		}
 	}
-	st.computeErr = st.kernel.failed()
+	return reached
 }
 
 // stepStreamVerify runs stage 2: the overlapped read+compare pipeline over
@@ -406,13 +209,9 @@ func (st *pairState) foldVerdicts() {
 func (st *pairState) stepStreamVerify(ctx context.Context, x *engine.Exec) error {
 	sw := metrics.NewStopwatch()
 	if len(st.pairs) > 0 {
-		fA, fB := st.pack, st.pack
-		if !st.diffMode {
-			fA, fB = st.ra.File(), st.rb.File()
-		}
 		exec := device.Cancelable{Done: ctx.Done(), Inner: st.opts.Exec}
 		st.kernel.reset(len(st.pairs), stream.MaxRanges(exec))
-		stats, err := stream.Run(ctx, fA, fB, st.pairs, stream.Config{
+		stats, err := stream.Run(ctx, st.ms.file(0), st.ms.file(1), st.pairs, stream.Config{
 			Backend:    st.opts.Backend,
 			Exec:       exec,
 			Device:     st.opts.Device,
@@ -420,56 +219,30 @@ func (st *pairState) stepStreamVerify(ctx context.Context, x *engine.Exec) error
 			Depth:      st.opts.Depth,
 			Retry:      st.opts.Retry,
 		}, st.verifyCompute)
-		st.foldVerdicts()
+		reached := st.foldVerdicts()
 		st.res.BytesRead += stats.BytesRead
 		st.res.ReadRetries += stats.ReadRetries
 		st.res.RingFallbacks += stats.RingFallbacks
-		addPipeline(&st.res.Breakdown, stats)
+		// Following the paper's timer structure (Fig. 6: "for small error
+		// bounds, we need to load more data which is why the verification
+		// time is dominant"), the verification phase owns its overlapped
+		// data loading: the whole pipeline time is charged to CompareDirect,
+		// while PhaseRead holds only the metadata reads.
+		st.res.Breakdown.AddVirtual(metrics.PhaseCompareDirect, stats.PipelineVirtual)
 		x.AddVirtual(stats.PipelineVirtual)
-		st.foldRereads(x)
+		x.AddVirtual(st.kernel.chargeRereads(st.ms.store, st.ms.sink))
 		if err != nil {
 			// Degradation applies only to the Merkle path: stage 1 already
 			// bounded what the missing chunks could hide. The direct sweep
 			// has no such net, and compute or cancellation errors are never
 			// degraded away.
 			if !st.opts.Degrade || st.verifyWrap != "verification" ||
-				st.computeErr || ctx.Err() != nil {
+				st.kernel.failed() || ctx.Err() != nil {
 				return fmt.Errorf("compare: %s: %w", st.verifyWrap, err)
 			}
-			if missing := len(st.pairs) - st.verified - st.unverified; missing > 0 {
-				st.unverified += missing
-			}
-		}
-		if st.unverified > 0 {
-			st.res.Degraded = true
-			st.res.UnverifiedChunks += st.unverified
+			st.ms.Fold(0).Unverified += len(st.pairs) - reached
 		}
 	}
 	st.res.Breakdown.AddWall(metrics.PhaseCompareDirect, sw.Lap())
 	return nil
-}
-
-// foldRereads prices the integrity re-reads issued by the kernel into the
-// result and the plan clock.
-func (st *pairState) foldRereads(x *engine.Exec) {
-	cost := st.kernel.takeRereadCost()
-	if cost == (pfs.Cost{}) {
-		return
-	}
-	st.res.BytesRead += cost.TotalBytes()
-	v := st.store.Model().SerialReadTime(cost, st.store.Sharers())
-	st.res.Breakdown.AddVirtual(metrics.PhaseRead, v)
-	x.AddVirtual(v)
-}
-
-// sortedFieldDiffs drains the accumulated per-field divergence indices
-// into the result, ascending, in field order.
-func (st *pairState) sortedFieldDiffs(fieldName func(int) string, numFields int) {
-	for fi := 0; fi < numFields; fi++ {
-		if idx := st.fieldDiffs[fi]; len(idx) > 0 {
-			sortIndices(idx)
-			st.res.Diffs = append(st.res.Diffs, FieldDiff{Field: fieldName(fi), Indices: idx})
-			st.res.DiffCount += int64(len(idx))
-		}
-	}
 }

@@ -2,8 +2,10 @@ package compare
 
 import (
 	"slices"
+	"time"
 
 	"repro/internal/errbound"
+	"repro/internal/metrics"
 	"repro/internal/murmur3"
 	"repro/internal/pfs"
 )
@@ -192,14 +194,21 @@ func (v *verdicts) failed() bool {
 	return false
 }
 
-// takeRereadCost drains the ranges' re-read tallies.
-func (v *verdicts) takeRereadCost() pfs.Cost {
+// chargeRereads drains the ranges' integrity re-read tallies, prices them
+// into the plan's sink, and returns their virtual time for the plan clock.
+func (v *verdicts) chargeRereads(store *pfs.Store, to sink) time.Duration {
 	var cost pfs.Cost
 	for r := range v.ranges {
 		cost.Add(v.ranges[r].rereadCost)
 		v.ranges[r].rereadCost = pfs.Cost{}
 	}
-	return cost
+	if cost == (pfs.Cost{}) {
+		return 0
+	}
+	*to.bytesRead += cost.TotalBytes()
+	d := store.Model().SerialReadTime(cost, store.Sharers())
+	to.breakdown.AddVirtual(metrics.PhaseRead, d)
+	return d
 }
 
 // sortIndices restores ascending order. Verified chunks arrive in chunk

@@ -1,0 +1,181 @@
+// Package dettest holds the inputs of the stage-2 parity table — the
+// shapes, the adversarial float32 runs and the element-wise oracle —
+// shared by the tests of every package with a stage-2 path
+// (internal/compare: pair, direct, group, CAS-diff; internal/shard: shard
+// pair and shard group). It depends on neither, so both can import it.
+package dettest
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math"
+	"slices"
+
+	"repro/internal/ckpt"
+	"repro/internal/device"
+	"repro/internal/errbound"
+	"repro/internal/metrics"
+	"repro/internal/synth"
+)
+
+// Eps is the table's error bound.
+const Eps = 1e-5
+
+// Shape is one row of the table: three runs of three float32 fields.
+type Shape struct {
+	Name       string
+	Elems      int // float32 elements per field
+	Chunk      int
+	SliceBytes int
+	Fields     []string // Options.Fields; nil compares everything
+	Degrade    bool     // run under Options.Degrade with in-flight corruption
+	// Stride spaces the ε-straddling elements: 61 puts some in every
+	// chunk, thousands leave most chunks to the perturbation alone, so
+	// candidates come in runs with holes between them.
+	Stride int
+}
+
+// Shapes returns the table's rows.
+func Shapes() []Shape {
+	return []Shape{
+		{Name: "single-chunk", Elems: 1000, Chunk: 64 << 10, Stride: 61},
+		{Name: "ragged-final-chunk", Elems: 10_037, Chunk: 4 << 10, Stride: 61},
+		{Name: "few-pairs-per-slice", Elems: 64 << 10, Chunk: 4 << 10, SliceBytes: 64 << 10, Stride: 5003},
+		{Name: "many-slices", Elems: 256 << 10, Chunk: 16 << 10, SliceBytes: 128 << 10, Stride: 61},
+		{Name: "fields-filter", Elems: 32 << 10, Chunk: 4 << 10, Fields: []string{"vx"}, Stride: 2503},
+		{Name: "degrade-bit-flip", Elems: 48 << 10, Chunk: 4 << 10, SliceBytes: 96 << 10, Degrade: true, Stride: 3001},
+	}
+}
+
+// Exec names one executor of the table's columns.
+type Exec struct {
+	Name string
+	// Make returns the executor and its release.
+	Make func() (device.Executor, func())
+}
+
+// Execs returns the table's columns: serial first (the reference), then
+// pools of 1, 2, 4 and 8 workers.
+func Execs() []Exec {
+	execs := []Exec{{"serial", func() (device.Executor, func()) { return device.Serial{}, func() {} }}}
+	for _, w := range []int{1, 2, 4, 8} {
+		execs = append(execs, Exec{fmt.Sprintf("pool-%d", w), func() (device.Executor, func()) {
+			p := device.NewPool(w)
+			return p, p.Close
+		}})
+	}
+	return execs
+}
+
+// Runs generates a shape's three runs (fields x, vx, phi): a baseline and
+// two runs perturbed from it, every one planted with ε-straddling and IEEE
+// special values. data[run][field] is the raw little-endian float32 bytes.
+func Runs(sh Shape) (fields []ckpt.FieldSpec, data [][][]byte) {
+	base := make([][]byte, 3)
+	for fi, name := range []string{"x", "vx", "phi"} {
+		fields = append(fields, ckpt.FieldSpec{Name: name, DType: errbound.Float32, Count: int64(sh.Elems)})
+		base[fi] = synth.FieldF32(sh.Elems, int64(100+fi))
+	}
+	data = append(data, base)
+	for ri := 1; ri <= 2; ri++ {
+		run := make([][]byte, len(base))
+		for fi := range base {
+			run[fi] = synth.PerturbF32(base[fi], synth.DefaultPerturb(int64(10*ri+fi)))
+			Straddle(base[fi], run[fi], Eps, 7*ri+fi, sh.Stride)
+		}
+		data = append(data, run)
+	}
+	// Straddle planted specials in the baseline too; later runs were
+	// perturbed from earlier baselines, which the oracle does not care
+	// about — it compares what is on disk.
+	return fields, data
+}
+
+// Straddle rewrites elements of b (every stride-th, from first) so that
+// a[i] and b[i] sit one float32 ULP either side of exactly eps apart, and
+// plants the IEEE special cases in both runs.
+func Straddle(a, b []byte, eps float64, first, stride int) {
+	n := len(a) / 4
+	get := func(p []byte, i int) float32 { return math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:])) }
+	put := func(p []byte, i int, v float32) { binary.LittleEndian.PutUint32(p[4*i:], math.Float32bits(v)) }
+	for k, i := 0, first; i < n; k, i = k+1, i+stride {
+		x := get(a, i)
+		y := float32(float64(x) + eps)
+		switch k % 4 {
+		case 1:
+			y = math.Nextafter32(y, float32(math.Inf(1))) // one ULP beyond
+		case 2:
+			y = math.Nextafter32(y, float32(math.Inf(-1))) // one ULP within
+		case 3:
+			y = float32(float64(x) - eps)
+		}
+		put(b, i, y)
+	}
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	negZero := math.Float32frombits(1 << 31)
+	specials := [][2]float32{
+		{nan, nan}, {nan, 1}, {1, nan}, {inf, inf}, {inf, -inf}, {-inf, 1e30},
+		{0, negZero}, {negZero, float32(eps / 2)}, {inf, nan},
+	}
+	for k, sp := range specials {
+		if i := first + 1 + k*stride; i < n {
+			put(a, i, sp[0])
+			put(b, i, sp[1])
+		}
+	}
+}
+
+// OracleDiffs is the element-wise oracle: the indices at which two raw
+// float32 fields differ by more than eps, written without reference to
+// errbound. Two NaNs agree, infinities agree only with themselves, and
+// -0 equals +0.
+func OracleDiffs(a, b []byte, eps float64) []int64 {
+	var out []int64
+	for i := 0; i+4 <= len(a); i += 4 {
+		x := float64(math.Float32frombits(binary.LittleEndian.Uint32(a[i:])))
+		y := float64(math.Float32frombits(binary.LittleEndian.Uint32(b[i:])))
+		var same bool
+		switch {
+		case math.IsNaN(x) || math.IsNaN(y):
+			same = math.IsNaN(x) && math.IsNaN(y)
+		case math.IsInf(x, 0) || math.IsInf(y, 0):
+			same = (math.IsInf(x, 1) && math.IsInf(y, 1)) || (math.IsInf(x, -1) && math.IsInf(y, -1))
+		default:
+			// |x-y| <= eps, exactly: a difference of unequal floats never
+			// rounds to zero.
+			same = math.Abs(x-y)-eps <= 0
+		}
+		if !same {
+			out = append(out, int64(i/4))
+		}
+	}
+	return out
+}
+
+// Want returns the oracle's divergent indices between runs a and b of a
+// shape, by field name, over the fields the shape compares.
+func Want(sh Shape, fields []ckpt.FieldSpec, data [][][]byte, a, b int) map[string][]int64 {
+	m := make(map[string][]int64)
+	for fi, f := range fields {
+		if len(sh.Fields) > 0 && !slices.Contains(sh.Fields, f.Name) {
+			continue
+		}
+		if idx := OracleDiffs(data[a][fi], data[b][fi], Eps); len(idx) > 0 {
+			m[f.Name] = idx
+		}
+	}
+	return m
+}
+
+// VirtualOnly strips the wall-clock half of a result's timing tables, so
+// what is left is deterministic.
+func VirtualOnly(b *metrics.Breakdown, steps metrics.StepSpans) {
+	var out metrics.Breakdown
+	for _, p := range metrics.Phases() {
+		out.AddVirtual(p, b.Get(p).Virtual)
+	}
+	*b = out
+	for i := range steps {
+		steps[i].Span.Wall = 0
+	}
+}

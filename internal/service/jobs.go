@@ -291,9 +291,16 @@ func (s *Session) runJob(j *Job, t *ticket, store *pfs.Store, spec JobSpec) {
 		return
 	}
 	defer s.plane.sched.release(t)
+	// The slot goes back (idempotently) before the outcome is visible:
+	// whoever waits on Done may submit again at once, and must not be
+	// rejected for the slot this job still held.
+	publish := func(res *compare.Result, rep *compare.GroupReport, stats *shard.Stats, err error) {
+		s.plane.sched.release(t)
+		j.publish(res, rep, stats, err)
+	}
 	if err := s.journalAppend(startedRecord(j.id, j.tenant, spec)); err != nil {
 		s.finish(false, false, err)
-		j.publish(nil, nil, nil, err)
+		publish(nil, nil, nil, err)
 		return
 	}
 	j.mu.Lock()
@@ -326,10 +333,10 @@ func (s *Session) runJob(j *Job, t *ticket, store *pfs.Store, spec JobSpec) {
 		v = ResultVerdict(res, err)
 	}
 	if jerr := s.journalAppend(verdictRecord(j.id, j.tenant, spec, v, res, rep, err)); jerr != nil {
-		j.publish(nil, nil, nil, fmt.Errorf("service: journal verdict record: %w", jerr))
+		publish(nil, nil, nil, fmt.Errorf("service: journal verdict record: %w", jerr))
 		return
 	}
-	j.publish(res, rep, stats, err)
+	publish(res, rep, stats, err)
 }
 
 // publish records the outcome and closes Done.

@@ -1,259 +1,29 @@
 package shard
 
 import (
-	"fmt"
-	"time"
-
 	"context"
 
-	"repro/internal/ckpt"
 	"repro/internal/compare"
-	"repro/internal/device"
-	"repro/internal/engine"
-	"repro/internal/merkle"
-	"repro/internal/metrics"
 	"repro/internal/pfs"
-	"repro/internal/simclock"
 )
 
-// deserializeBytesPerSec prices metadata parsing (a memory-bandwidth-bound
-// scan) on the virtual clock — the same constant the single-node planners
-// use, so stage-1 pricing stays comparable across paths.
-const deserializeBytesPerSec = 5e9
-
-// pairPlan carries one sharded pair comparison through its plan steps.
-// The stage-1 steps mirror the single-node Merkle planner exactly — same
-// metadata gates, same pruned BFS, same pricing — so the sharded path
-// diverges only at partition/execute, and the report it folds back is
-// bit-identical to CompareMerkle's.
-type pairPlan struct {
-	r            *run
-	nameA, nameB string
-	res          *compare.Result
-
-	ra, rb   *ckpt.Reader
-	ma, mb   *compare.Metadata
-	selected func(string) bool
-
-	candidates []fieldCandidates
-}
-
-// fieldCandidates is one field's stage-1 output: the candidate chunks the
-// tree diff could not prune.
-type fieldCandidates struct {
-	field  int
-	chunks []int
-}
-
 // Compare runs the two-stage Merkle comparison of one checkpoint pair
-// sharded across cfg.Workers simulated workers: stage 1 (metadata load +
-// pruned tree diff) runs on the coordinator only, divergent subtrees
-// become self-describing work units, and stage 2 executes on the workers
-// under the budget/stealing regime. The Result is bit-identical — diffs,
+// sharded across cfg.Workers simulated workers. A sharded pair is the
+// sharded group of two — baseline A, one run B, the single pair (0, 1):
+// the same stage 1 on the coordinator, the same unit pool, partition,
+// execution and fold — reported as a pair Result (method "merkle-shard")
+// carrying the group's totals. The Result is bit-identical — diffs,
 // verdicts, chunk accounting — to CompareMerkle over the same inputs;
 // Stats reports the scale-out execution itself.
 func Compare(ctx context.Context, store *pfs.Store, nameA, nameB string, cfg Config, opts compare.Options) (*compare.Result, *Stats, error) {
-	opts, err := opts.Normalize()
+	rep, stats, err := groupCompare(ctx, store, nameA, []string{nameB}, compare.TopologyStar, cfg, opts,
+		"merkle-shard", "open-checkpoints")
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg, err = cfg.normalized(opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	st := &pairPlan{
-		r:     newRun(store, cfg, opts),
-		nameA: nameA,
-		nameB: nameB,
-		res:   &compare.Result{Method: "merkle-shard"},
-	}
-	var p engine.Plan
-	p.Retry = opts.Retry
-	open := p.Add(engine.StepSetup, "open-checkpoints", st.stepOpen)
-	load := p.Add(engine.StepLoadMetadata, "load-metadata", st.stepLoadMetadata, open)
-	diff := p.Add(engine.StepTreeDiff, "tree-diff", st.stepTreeDiff, load)
-	part := p.Add(engine.StepPartition, "partition", st.stepPartition, diff)
-	exec := p.Add(engine.StepShardExecute, "shard-execute", st.stepExecute, part)
-	p.Add(engine.StepReport, "report", st.stepReport, exec)
-	rep, err := engine.Execute(ctx, &p)
-	st.res.Steps = rep.Steps
-	if err != nil {
-		return nil, nil, err
-	}
-	return st.res, &st.r.stats, nil
-}
-
-// stepOpen opens both checkpoints on the cleanup chain and validates the
-// schemas match.
-func (st *pairPlan) stepOpen(ctx context.Context, x *engine.Exec) error {
-	sw := metrics.NewStopwatch()
-	ra, _, err := ckpt.OpenReader(st.r.store, st.nameA)
-	if err != nil {
-		return err
-	}
-	x.CloseOnExit(ra)
-	rb, _, err := ckpt.OpenReader(st.r.store, st.nameB)
-	if err != nil {
-		return err
-	}
-	x.CloseOnExit(rb)
-	if !ckpt.SameSchema(ra.Meta(), rb.Meta()) {
-		return fmt.Errorf("shard: %s and %s have different schemas", st.nameA, st.nameB)
-	}
-	st.ra, st.rb = ra, rb
-	st.res.CheckpointBytes = ra.Meta().TotalBytes()
-	st.res.Breakdown.AddVirtual(metrics.PhaseSetup, st.r.opts.SetupVirtual)
-	st.res.Breakdown.AddWall(metrics.PhaseSetup, sw.Lap())
-	x.AddVirtual(st.r.opts.SetupVirtual)
-	return nil
-}
-
-// stepLoadMetadata loads both runs' Merkle metadata on the coordinator,
-// prices deserialization, and validates ε and field parity — stage 1
-// never leaves the coordinator.
-func (st *pairPlan) stepLoadMetadata(ctx context.Context, x *engine.Exec) error {
-	sw := metrics.NewStopwatch()
-	model := st.r.store.Model()
-	sharers := st.r.store.Sharers()
-	ma, costA, dwallA, err := compare.LoadMetadata(ctx, st.r.store, st.nameA)
-	if err != nil {
-		return err
-	}
-	mb, costB, dwallB, err := compare.LoadMetadata(ctx, st.r.store, st.nameB)
-	if err != nil {
-		return err
-	}
-	st.ma, st.mb = ma, mb
-	st.res.RootA, st.res.RootB = ma.CombinedRoot(), mb.CombinedRoot()
-	var metaCost pfs.Cost
-	metaCost.Add(costA)
-	metaCost.Add(costB)
-	st.res.MetadataBytes = ma.Bytes()
-	st.res.BytesRead += metaCost.TotalBytes()
-	readV := model.SerialReadTime(metaCost, sharers)
-	deserV := simclock.BandwidthTime(metaCost.TotalBytes(), deserializeBytesPerSec)
-	st.res.Breakdown.AddVirtual(metrics.PhaseRead, readV)
-	st.res.Breakdown.AddWall(metrics.PhaseRead, sw.Lap())
-	st.res.Breakdown.AddVirtual(metrics.PhaseDeserialize, deserV)
-	st.res.Breakdown.AddWall(metrics.PhaseDeserialize, dwallA+dwallB)
-	x.AddVirtual(readV + deserV)
-
-	if err := compare.CheckMetaPair(ma, mb, st.r.opts.Epsilon); err != nil {
-		return err
-	}
-	fieldNames := make([]string, len(ma.Fields))
-	for i := range ma.Fields {
-		fieldNames[i] = ma.Fields[i].Name
-	}
-	selected, err := st.r.opts.FieldFilter(fieldNames)
-	if err != nil {
-		return err
-	}
-	st.selected = selected
-	return nil
-}
-
-// stepTreeDiff runs stage 1: the pruned BFS tree diff per selected field,
-// identical in traversal and pricing to the single-node path.
-func (st *pairPlan) stepTreeDiff(ctx context.Context, x *engine.Exec) error {
-	sw := metrics.NewStopwatch()
-	exec := device.Cancelable{Done: ctx.Done(), Inner: st.r.opts.Exec}
-	var treeVirtual time.Duration
-	for fi := range st.ma.Fields {
-		fm := st.ma.Fields[fi]
-		if !st.selected(fm.Name) {
-			continue
-		}
-		ta, tb := fm.Tree, st.mb.Fields[fi].Tree
-		start := st.r.opts.StartLevel
-		if start < 0 {
-			start = ta.DefaultStartLevel(exec.Workers())
-		}
-		chunks, nodes, err := merkle.Diff(ta, tb, start, exec)
-		if err != nil {
-			return fmt.Errorf("shard: field %q: %w", fm.Name, err)
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		st.res.TotalChunks += ta.NumChunks()
-		st.res.CandidateChunks += len(chunks)
-		if len(chunks) > 0 {
-			st.candidates = append(st.candidates, fieldCandidates{field: fi, chunks: chunks})
-		}
-		levels := ta.Depth() - start + 1
-		treeVirtual += time.Duration(levels)*st.r.opts.Device.KernelLaunch +
-			simclock.BandwidthTime(nodes*16, float64(st.r.opts.Device.NodeHashesPerSec)*16)
-	}
-	st.res.Breakdown.AddVirtual(metrics.PhaseCompareTree, treeVirtual)
-	st.res.Breakdown.AddWall(metrics.PhaseCompareTree, sw.Lap())
-	x.AddVirtual(treeVirtual)
-	return nil
-}
-
-// stepPartition cuts the candidate chunks into subtree work units, keyed
-// into the global chunk key space (every selected field contributes its
-// full chunk count, divergent or not — that is what makes AssignBlock a
-// faithful owner-computes baseline), and runs the initial assignment.
-func (st *pairPlan) stepPartition(ctx context.Context, x *engine.Exec) error {
-	st.r.files = []pairFiles{{fA: st.ra.File(), fB: st.rb.File()}}
-	ci := 0
-	for fi := range st.ma.Fields {
-		fm := st.ma.Fields[fi]
-		if !st.selected(fm.Name) {
-			continue
-		}
-		if ci < len(st.candidates) && st.candidates[ci].field == fi {
-			st.r.addUnits(0, fi, fm, st.mb.Fields[fi].Tree, st.candidates[ci].chunks,
-				st.ra.FieldFileOffset(fi), st.rb.FieldFileOffset(fi))
-			ci++
-		}
-		st.r.totalChunks += int64(fm.Tree.NumChunks())
-	}
-	st.r.assign()
-	return nil
-}
-
-// stepExecute fans the units out over the workers and charges the
-// resulting makespan — the sharded analogue of the overlapped stage-2
-// pipeline time.
-func (st *pairPlan) stepExecute(ctx context.Context, x *engine.Exec) error {
-	sw := metrics.NewStopwatch()
-	if err := st.r.execute(ctx); err != nil {
-		return err
-	}
-	st.res.BytesRead += st.r.bytesRead
-	st.res.ReadRetries += int(st.r.retries)
-	st.res.Breakdown.AddVirtual(metrics.PhaseCompareDirect, st.r.stats.MakespanVirtual)
-	st.res.Breakdown.AddWall(metrics.PhaseCompareDirect, sw.Lap())
-	x.AddVirtual(st.r.stats.MakespanVirtual)
-	return nil
-}
-
-// stepReport folds the hierarchical reduction into the Result: per-field
-// diff lists ascending in field order, changed/unverified chunk counts,
-// element totals over selected fields — the same shape, in the same
-// order, as the single-node report.
-func (st *pairPlan) stepReport(ctx context.Context, x *engine.Exec) error {
-	for fi := range st.ma.Fields {
-		fm := st.ma.Fields[fi]
-		if !st.selected(fm.Name) {
-			continue
-		}
-		st.res.TotalElements += fm.Tree.DataLen() / int64(fm.DType.Size())
-		f := st.r.fold(0, fi)
-		if f == nil {
-			continue
-		}
-		st.res.ChangedChunks += int(f.changed)
-		if f.unverified > 0 {
-			st.res.Degraded = true
-			st.res.UnverifiedChunks += int(f.unverified)
-		}
-		if idx := f.sortedDiffs(); len(idx) > 0 {
-			st.res.Diffs = append(st.res.Diffs, compare.FieldDiff{Field: fm.Name, Indices: idx})
-			st.res.DiffCount += int64(len(idx))
-		}
-	}
-	return nil
+	res := rep.Pairs[0].Result
+	res.RootA, res.RootB = rep.MemberRoots[0], rep.MemberRoots[1]
+	res.BytesRead, res.ReadRetries = rep.BytesRead, rep.ReadRetries
+	res.Breakdown, res.Steps = rep.Breakdown, rep.Steps
+	return res, stats, nil
 }

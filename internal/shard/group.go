@@ -1,44 +1,13 @@
 package shard
 
 import (
-	"fmt"
-	"time"
-
 	"context"
 
-	"repro/internal/ckpt"
 	"repro/internal/compare"
-	"repro/internal/device"
 	"repro/internal/engine"
-	"repro/internal/merkle"
 	"repro/internal/metrics"
-	"repro/internal/murmur3"
 	"repro/internal/pfs"
-	"repro/internal/simclock"
 )
-
-// groupPlan carries one sharded N-run group comparison through its plan
-// steps. Stage 1 (metadata once per member, tree diffs per topology pair)
-// runs on the coordinator exactly as in the single-node group path; every
-// pair's divergent subtrees then join ONE shared unit pool, so the
-// worker fleet load-balances across pairs as well as within them.
-type groupPlan struct {
-	r       *run
-	members []string
-	topo    compare.Topology
-	rep     *compare.GroupReport
-
-	readers  []*ckpt.Reader
-	metas    []*compare.Metadata
-	selected func(string) bool
-	pairIdx  [][2]int
-	// pairCands[p][f] holds pair p's candidate chunks in field f
-	// (nil when the field's trees match).
-	pairCands [][][]int
-
-	startOps, startBytes int64
-	totalElements        int64
-}
 
 // GroupCompare compares N runs' checkpoints as one sharded group: member
 // metadata loads once, every topology pair's tree diff runs from the
@@ -48,6 +17,16 @@ type groupPlan struct {
 // diffs, verdicts, chunk accounting — to compare.GroupCompare over the
 // same inputs; Stats reports the scale-out execution itself.
 func GroupCompare(ctx context.Context, store *pfs.Store, baseline string, runs []string, topology compare.Topology, cfg Config, opts compare.Options) (*compare.GroupReport, *Stats, error) {
+	return groupCompare(ctx, store, baseline, runs, topology, cfg, opts, "merkle-shard-group", "open-members")
+}
+
+// groupCompare is the one sharded planner. Stage 1 is the single-node
+// planners' (compare.MemberSet: metadata once per member, gates, tree
+// diffs per topology pair) and never leaves the coordinator; the sharded
+// path diverges only at partition/execute, where every pair's divergent
+// subtrees join ONE shared unit pool, so the worker fleet load-balances
+// across pairs as well as within them.
+func groupCompare(ctx context.Context, store *pfs.Store, baseline string, runs []string, topology compare.Topology, cfg Config, opts compare.Options, method, openLabel string) (*compare.GroupReport, *Stats, error) {
 	opts, err := opts.Normalize()
 	if err != nil {
 		return nil, nil, err
@@ -56,245 +35,62 @@ func GroupCompare(ctx context.Context, store *pfs.Store, baseline string, runs [
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(runs) == 0 {
-		return nil, nil, fmt.Errorf("shard: group needs at least one run besides the baseline")
-	}
-	members := append([]string{baseline}, runs...)
-	pairIdx, err := topology.PairList(len(members))
+	ms, err := compare.NewGroupSet(store, nil, baseline, runs, topology, opts, method)
 	if err != nil {
 		return nil, nil, err
 	}
-	st := &groupPlan{
-		r:       newRun(store, cfg, opts),
-		members: members,
-		topo:    topology,
-		pairIdx: pairIdx,
-		rep:     &compare.GroupReport{Members: members, Topology: topology},
-	}
+	r := &run{store: store, cfg: cfg, opts: opts, ms: ms}
 	var p engine.Plan
-	p.Retry = opts.Retry
-	open := p.Add(engine.StepSetup, "open-members", st.stepOpenMembers)
-	load := p.Add(engine.StepLoadMetadata, "load-metadata", st.stepLoadMembers, open)
-	diff := p.Add(engine.StepTreeDiff, "tree-diff", st.stepPairDiffs, load)
-	part := p.Add(engine.StepPartition, "partition", st.stepPartition, diff)
-	exec := p.Add(engine.StepShardExecute, "shard-execute", st.stepExecute, part)
-	p.Add(engine.StepReport, "report", st.stepReport, exec)
-	erep, err := engine.Execute(ctx, &p)
-	st.rep.Steps = erep.Steps
-	if err != nil {
+	stage1 := ms.Stage1(&p, openLabel)
+	part := p.Add(engine.StepPartition, "partition", r.stepPartition, stage1)
+	exec := p.Add(engine.StepShardExecute, "shard-execute", r.stepExecute, part)
+	p.Add(engine.StepReport, "report", ms.Report, exec)
+	if err := ms.Execute(ctx, &p); err != nil {
 		return nil, nil, err
 	}
-	return st.rep, &st.r.stats, nil
-}
-
-// stepOpenMembers opens every member once and validates schema parity.
-func (st *groupPlan) stepOpenMembers(ctx context.Context, x *engine.Exec) error {
-	sw := metrics.NewStopwatch()
-	st.startOps, st.startBytes = st.r.store.ReadStats()
-	st.readers = make([]*ckpt.Reader, len(st.members))
-	for i, name := range st.members {
-		r, _, err := ckpt.OpenReader(st.r.store, name)
-		if err != nil {
-			return err
-		}
-		x.CloseOnExit(r)
-		st.readers[i] = r
-		if i > 0 && !ckpt.SameSchema(st.readers[0].Meta(), r.Meta()) {
-			return fmt.Errorf("shard: %s and %s have different schemas", st.members[0], name)
-		}
-	}
-	st.rep.CheckpointBytes = st.readers[0].Meta().TotalBytes()
-	st.rep.Breakdown.AddVirtual(metrics.PhaseSetup, st.r.opts.SetupVirtual)
-	st.rep.Breakdown.AddWall(metrics.PhaseSetup, sw.Lap())
-	x.AddVirtual(st.r.opts.SetupVirtual)
-	return nil
-}
-
-// stepLoadMembers loads each member's metadata exactly once and validates
-// every member against the baseline's ε and field layout.
-func (st *groupPlan) stepLoadMembers(ctx context.Context, x *engine.Exec) error {
-	sw := metrics.NewStopwatch()
-	model := st.r.store.Model()
-	sharers := st.r.store.Sharers()
-	st.metas = make([]*compare.Metadata, len(st.members))
-	var metaCost pfs.Cost
-	var deserWall time.Duration
-	for i, name := range st.members {
-		m, cost, dwall, err := compare.LoadMetadata(ctx, st.r.store, name)
-		if err != nil {
-			return err
-		}
-		metaCost.Add(cost)
-		deserWall += dwall
-		st.metas[i] = m
-		if i > 0 {
-			if err := compare.CheckMetaPair(st.metas[0], m, st.r.opts.Epsilon); err != nil {
-				return err
-			}
-		}
-	}
-	st.rep.MemberRoots = make([]murmur3.Digest, len(st.metas))
-	for i, m := range st.metas {
-		st.rep.MemberRoots[i] = m.CombinedRoot()
-	}
-	st.rep.MetadataBytes = st.metas[0].Bytes()
-	st.rep.BytesRead += metaCost.TotalBytes()
-	readV := model.SerialReadTime(metaCost, sharers)
-	deserV := simclock.BandwidthTime(metaCost.TotalBytes(), deserializeBytesPerSec)
-	st.rep.Breakdown.AddVirtual(metrics.PhaseRead, readV)
-	st.rep.Breakdown.AddWall(metrics.PhaseRead, sw.Lap())
-	st.rep.Breakdown.AddVirtual(metrics.PhaseDeserialize, deserV)
-	st.rep.Breakdown.AddWall(metrics.PhaseDeserialize, deserWall)
-	x.AddVirtual(readV + deserV)
-
-	fieldNames := make([]string, len(st.metas[0].Fields))
-	for i := range fieldNames {
-		fieldNames[i] = st.metas[0].Fields[i].Name
-	}
-	selected, err := st.r.opts.FieldFilter(fieldNames)
-	if err != nil {
-		return err
-	}
-	st.selected = selected
-	for _, fm := range st.metas[0].Fields {
-		if selected(fm.Name) {
-			st.totalElements += fm.Tree.DataLen() / int64(fm.DType.Size())
-		}
-	}
-	return nil
-}
-
-// stepPairDiffs runs stage 1 for every pair from the in-memory trees —
-// no additional I/O regardless of pair count — with the single-node
-// group path's traversal and pricing.
-func (st *groupPlan) stepPairDiffs(ctx context.Context, x *engine.Exec) error {
-	sw := metrics.NewStopwatch()
-	exec := device.Cancelable{Done: ctx.Done(), Inner: st.r.opts.Exec}
-	nFields := len(st.metas[0].Fields)
-	st.pairCands = make([][][]int, len(st.pairIdx))
-	st.rep.Pairs = make([]compare.GroupPairReport, len(st.pairIdx))
-	var treeVirtual time.Duration
-	for pi, pr := range st.pairIdx {
-		a, b := pr[0], pr[1]
-		res := &compare.Result{
-			Method:          "merkle-shard-group",
-			CheckpointBytes: st.rep.CheckpointBytes,
-			MetadataBytes:   st.rep.MetadataBytes,
-			TotalElements:   st.totalElements,
-		}
-		st.rep.Pairs[pi] = compare.GroupPairReport{
-			A: a, B: b, NameA: st.members[a], NameB: st.members[b], Result: res,
-		}
-		st.pairCands[pi] = make([][]int, nFields)
-		for fi := 0; fi < nFields; fi++ {
-			fm := st.metas[a].Fields[fi]
-			if !st.selected(fm.Name) {
-				continue
-			}
-			ta, tb := fm.Tree, st.metas[b].Fields[fi].Tree
-			start := st.r.opts.StartLevel
-			if start < 0 {
-				start = ta.DefaultStartLevel(exec.Workers())
-			}
-			chunks, nodes, err := merkle.Diff(ta, tb, start, exec)
-			if err != nil {
-				return fmt.Errorf("shard: pair %s vs %s field %q: %w",
-					st.members[a], st.members[b], fm.Name, err)
-			}
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
-			}
-			res.TotalChunks += ta.NumChunks()
-			res.CandidateChunks += len(chunks)
-			if len(chunks) > 0 {
-				st.pairCands[pi][fi] = chunks
-			}
-			levels := ta.Depth() - start + 1
-			treeVirtual += time.Duration(levels)*st.r.opts.Device.KernelLaunch +
-				simclock.BandwidthTime(nodes*16, float64(st.r.opts.Device.NodeHashesPerSec)*16)
-		}
-	}
-	st.rep.Breakdown.AddVirtual(metrics.PhaseCompareTree, treeVirtual)
-	st.rep.Breakdown.AddWall(metrics.PhaseCompareTree, sw.Lap())
-	x.AddVirtual(treeVirtual)
-	return nil
+	return ms.Rep, &r.stats, nil
 }
 
 // stepPartition pools every pair's divergent subtrees into one unit list
 // — the global chunk key space concatenates (pair, field) extents in
-// topology order — and runs the initial assignment over it. Offsets come
-// from each pair's own member files, so a unit is self-describing no
-// matter which worker ends up streaming it.
-func (st *groupPlan) stepPartition(ctx context.Context, x *engine.Exec) error {
-	st.r.files = make([]pairFiles, len(st.pairIdx))
-	for pi, pr := range st.pairIdx {
-		st.r.files[pi] = pairFiles{
-			fA: st.readers[pr[0]].File(),
-			fB: st.readers[pr[1]].File(),
-		}
-	}
-	for pi, pr := range st.pairIdx {
-		a, b := pr[0], pr[1]
-		for fi := range st.metas[a].Fields {
-			fm := st.metas[a].Fields[fi]
-			if !st.selected(fm.Name) {
+// topology order, every selected field contributing its full chunk count,
+// divergent or not (that is what makes AssignBlock a faithful
+// owner-computes baseline) — and runs the initial assignment over it.
+// Offsets come from each pair's own member files, so a unit is
+// self-describing no matter which worker ends up streaming it.
+func (r *run) stepPartition(ctx context.Context, x *engine.Exec) error {
+	ms := r.ms
+	r.files = make([]pairFiles, len(ms.Pairs))
+	for pi, pr := range ms.Pairs {
+		ra, rb := ms.Readers[pr[0]], ms.Readers[pr[1]]
+		r.files[pi] = pairFiles{fA: ra.File(), fB: rb.File()}
+		for fi, fm := range ms.Metas[pr[0]].Fields {
+			if !ms.Selected(fi) {
 				continue
 			}
-			if chunks := st.pairCands[pi][fi]; len(chunks) > 0 {
-				st.r.addUnits(pi, fi, fm, st.metas[b].Fields[fi].Tree, chunks,
-					st.readers[a].FieldFileOffset(fi), st.readers[b].FieldFileOffset(fi))
-			}
-			st.r.totalChunks += int64(fm.Tree.NumChunks())
+			r.addUnits(pi, fi, fm, ms.Metas[pr[1]].Fields[fi].Tree, ms.Cands[pi][fi],
+				ra.FieldFileOffset(fi), rb.FieldFileOffset(fi))
+			r.totalChunks += int64(fm.Tree.NumChunks())
 		}
 	}
-	st.r.assign()
+	r.assign()
 	return nil
 }
 
 // stepExecute fans the pooled units out over the workers and charges the
-// resulting makespan as the group's overlapped stage-2 time.
-func (st *groupPlan) stepExecute(ctx context.Context, x *engine.Exec) error {
+// resulting makespan as the overlapped stage-2 time — the sharded analogue
+// of the single-node pipeline time.
+func (r *run) stepExecute(ctx context.Context, x *engine.Exec) error {
 	sw := metrics.NewStopwatch()
-	if err := st.r.execute(ctx); err != nil {
+	if err := r.execute(ctx); err != nil {
 		return err
 	}
-	st.rep.BytesRead += st.r.bytesRead
-	st.rep.ReadRetries += int(st.r.retries)
-	st.rep.PipelineVirtual = st.r.stats.MakespanVirtual
-	st.rep.Breakdown.AddVirtual(metrics.PhaseCompareDirect, st.r.stats.MakespanVirtual)
-	st.rep.Breakdown.AddWall(metrics.PhaseCompareDirect, sw.Lap())
-	x.AddVirtual(st.r.stats.MakespanVirtual)
-	return nil
-}
-
-// stepReport folds each pair's hierarchical reduction into its Result —
-// per-field diff lists ascending in field order, changed/unverified
-// chunk counts — and finalizes the store-level I/O accounting.
-func (st *groupPlan) stepReport(ctx context.Context, x *engine.Exec) error {
-	for pi, pr := range st.pairIdx {
-		res := st.rep.Pairs[pi].Result
-		for fi := range st.metas[pr[0]].Fields {
-			fm := st.metas[pr[0]].Fields[fi]
-			if !st.selected(fm.Name) {
-				continue
-			}
-			f := st.r.fold(pi, fi)
-			if f == nil {
-				continue
-			}
-			res.ChangedChunks += int(f.changed)
-			if f.unverified > 0 {
-				res.Degraded = true
-				res.UnverifiedChunks += int(f.unverified)
-			}
-			if idx := f.sortedDiffs(); len(idx) > 0 {
-				res.Diffs = append(res.Diffs, compare.FieldDiff{Field: fm.Name, Indices: idx})
-				res.DiffCount += int64(len(idx))
-			}
-		}
-	}
-	ops, bytes := st.r.store.ReadStats()
-	st.rep.ReadOps = ops - st.startOps
-	st.rep.ReadBytes = bytes - st.startBytes
+	rep := r.ms.Rep
+	rep.BytesRead += r.bytesRead
+	rep.ReadRetries += int(r.retries)
+	rep.PipelineVirtual = r.stats.MakespanVirtual
+	rep.Breakdown.AddVirtual(metrics.PhaseCompareDirect, r.stats.MakespanVirtual)
+	rep.Breakdown.AddWall(metrics.PhaseCompareDirect, sw.Lap())
+	x.AddVirtual(r.stats.MakespanVirtual)
 	return nil
 }

@@ -164,21 +164,16 @@ type pairFiles struct {
 	fA, fB *pfs.File
 }
 
-// foldState accumulates one (pair, field)'s verdicts.
-type foldState struct {
-	diffs      []int64
-	changed    int64
-	unverified int64
-}
-
-// run is the shared coordinator/worker executor behind Compare and
-// GroupCompare: the planners fill units and files, execute fans them out
-// over M worker goroutines connected by an mpi communicator, and the
-// fold accessors hand the merged verdicts back to the report steps.
+// run is the coordinator/worker executor behind Compare and GroupCompare:
+// the partition step fills units and files from the member set's stage-1
+// output, execute fans them out over M worker goroutines connected by an
+// mpi communicator, and the merged verdicts land in the member set's
+// per-pair folds for its report step.
 type run struct {
 	store *pfs.Store
 	cfg   Config
 	opts  compare.Options
+	ms    *compare.MemberSet
 
 	files []pairFiles
 
@@ -196,25 +191,13 @@ type run struct {
 
 	workers []workerState
 
-	// folded state, written by the coordinator's receiver goroutines
-	// (one per worker, disjoint slices) and read after the join.
-	mu        sync.Mutex
-	folds     map[[2]int64]*foldState // (pair, field) -> fold
+	// run-level accounting folded from the verdict stream after the join.
 	readCost  pfs.Cost
 	bytesRead int64
 	retries   int64
 	rereads   int64
 
 	stats Stats
-}
-
-func newRun(store *pfs.Store, cfg Config, opts compare.Options) *run {
-	return &run{
-		store: store,
-		cfg:   cfg,
-		opts:  opts,
-		folds: make(map[[2]int64]*foldState),
-	}
 }
 
 // addUnits partitions one (pair, field)'s candidate chunks into subtree
@@ -505,32 +488,15 @@ func (r *run) execute(ctx context.Context) error {
 	return nil
 }
 
-// foldVerdict merges one unit's verdict into the per-(pair, field)
-// accumulator and the run-level accounting.
+// foldVerdict merges one unit's verdict into its pair's fold and the
+// run-level accounting.
 func (r *run) foldVerdict(v *VerdictMsg) {
-	key := [2]int64{v.Pair, v.Field}
-	f := r.folds[key]
-	if f == nil {
-		f = &foldState{}
-		r.folds[key] = f
-	}
-	f.diffs = append(f.diffs, v.Diffs...)
-	f.changed += v.Changed
-	f.unverified += v.Unverified
+	f := r.ms.Fold(int(v.Pair))
+	f.Add(int(v.Field), v.Diffs)
+	f.Changed += int(v.Changed)
+	f.Unverified += int(v.Unverified)
 	r.readCost.Add(pfs.Cost{Ops: int(v.Ops), CachedOps: int(v.CachedOps), Bytes: v.Bytes, CachedBytes: v.CachedBytes})
 	r.bytesRead += v.BytesRead
 	r.retries += v.Retries
 	r.rereads += v.Rereads
-}
-
-// fold returns the accumulated state for one (pair, field), or nil.
-func (r *run) fold(pair, field int) *foldState {
-	return r.folds[[2]int64{int64(pair), int64(field)}]
-}
-
-// sortedDiffs returns one (pair, field)'s merged divergence indices,
-// ascending — the hierarchical reduction's leaf-to-root contract.
-func (f *foldState) sortedDiffs() []int64 {
-	sort.Slice(f.diffs, func(i, j int) bool { return f.diffs[i] < f.diffs[j] })
-	return f.diffs
 }

@@ -35,7 +35,6 @@ package stream
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -198,7 +197,6 @@ func Run(ctx context.Context, fA, fB *pfs.File, pairs []ChunkPair, cfg Config, c
 	for i := range slices {
 		pool <- &slices[i]
 	}
-	pair, _ := cfg.Backend.(aio.PairReader)
 
 	// Producer: partitions pairs into ~SliceBytes slices lazily, filling
 	// each into a pooled buffer set.
@@ -229,7 +227,7 @@ func Run(ctx context.Context, fA, fB *pfs.File, pairs []ChunkPair, cfg Config, c
 				}
 			}
 			s.hi = next
-			s.fill(ctx, fA, fB, pairs[s.lo:s.hi], cfg, pair)
+			s.fill(ctx, fA, fB, pairs[s.lo:s.hi], cfg)
 			select {
 			case filled <- s:
 			case <-done:
@@ -325,12 +323,11 @@ func Run(ctx context.Context, fA, fB *pfs.File, pairs []ChunkPair, cfg Config, c
 	return stats, ctx.Err()
 }
 
-// fill reads the slice's chunks from both files through the backend into
-// the slice's buffer set. Reads are governed by cfg.Retry (batch re-issue
-// on Transient errors, backoff charged to the slice's I/O time), and a
-// closed shared ring degrades to a one-off fresh-ring aio.Legacy read of
-// the same requests.
-func (s *slice) fill(ctx context.Context, fA, fB *pfs.File, pairs []ChunkPair, cfg Config, pair aio.PairReader) {
+// fill reads the slice's chunks from both files into the slice's buffer
+// set, up the read ladder (aio.ReadLadder: retries under cfg.Retry with
+// backoff charged to the slice's I/O time, then one fresh-ring read when
+// the shared ring reports closed).
+func (s *slice) fill(ctx context.Context, fA, fB *pfs.File, pairs []ChunkPair, cfg Config) {
 	set := s.set
 	bufA, bufB := set.A[:s.byteSize], set.B[:s.byteSize]
 	reqsA, reqsB := set.ReqsA[:0], set.ReqsB[:0]
@@ -341,87 +338,20 @@ func (s *slice) fill(ctx context.Context, fA, fB *pfs.File, pairs []ChunkPair, c
 		pos += int64(p.Len)
 	}
 	set.ReqsA, set.ReqsB = reqsA, reqsB
-	sameFile := fA == fB
-	var reqsAB []aio.ReadReq
-	if sameFile {
+	var rd aio.LadderRead
+	if fA == fB {
 		// Both sides live in the same file (differential comparisons read
 		// every chunk from the shared CAS pack): merge the two batches into
 		// one so a coalescing backend can bridge gaps ACROSS sides — A and
 		// B representatives captured in the same iteration sit adjacent in
 		// the pack — and the whole slice costs a single batched submission.
-		reqsAB = append(append(set.ReqsAB[:0], reqsA...), reqsB...)
-		set.ReqsAB = reqsAB
+		set.ReqsAB = append(append(set.ReqsAB[:0], reqsA...), reqsB...)
+		rd, s.err = aio.ReadLadder(ctx, cfg.Backend, cfg.Retry, aio.Batch{File: fA, Reqs: set.ReqsAB})
+	} else {
+		rd, s.err = aio.ReadLadder(ctx, cfg.Backend, cfg.Retry,
+			aio.Batch{File: fA, Reqs: reqsA}, aio.Batch{File: fB, Reqs: reqsB})
 	}
-	read := func() error {
-		if sameFile {
-			cost, t, err := cfg.Backend.ReadBatch(ctx, fA, reqsAB)
-			if err != nil {
-				return fmt.Errorf("stream: read shared pack: %w", err)
-			}
-			s.cost = cost
-			s.io = t
-			return nil
-		}
-		if pair != nil {
-			cost, t, err := pair.ReadBatchPair(ctx, fA, fB, reqsA, reqsB)
-			if err != nil {
-				return fmt.Errorf("stream: read runs A+B: %w", err)
-			}
-			s.cost = cost
-			s.io = t
-			return nil
-		}
-		costA, tA, err := cfg.Backend.ReadBatch(ctx, fA, reqsA)
-		if err != nil {
-			return fmt.Errorf("stream: read run A: %w", err)
-		}
-		costB, tB, err := cfg.Backend.ReadBatch(ctx, fB, reqsB)
-		if err != nil {
-			return fmt.Errorf("stream: read run B: %w", err)
-		}
-		s.cost = costA
-		s.cost.Add(costB)
-		s.io = tA + tB
-		return nil
-	}
-	var attempts int
-	backoff, err := cfg.Retry.Do(ctx, func(attempt int) error {
-		attempts = attempt + 1
-		return read()
-	})
-	s.retries = attempts - 1
-	s.io += backoff
-	if err != nil && errors.Is(err, aio.ErrRingClosed) {
-		// First rung of the degradation ladder: the shared ring is gone,
-		// so pay the fresh-ring price for this slice instead of failing
-		// the comparison. Run-A and run-B batches serialize here (one
-		// merged batch when both sides read the same file).
-		leg := aio.Legacy{}
-		if sameFile {
-			cost, t, errL := leg.ReadBatch(ctx, fA, reqsAB)
-			if errL == nil {
-				s.cost = cost
-				s.io += t
-				s.fellBack = true
-				err = nil
-			}
-		} else {
-			costA, tA, errA := leg.ReadBatch(ctx, fA, reqsA)
-			if errA == nil {
-				var costB pfs.Cost
-				var tB time.Duration
-				costB, tB, errA = leg.ReadBatch(ctx, fB, reqsB)
-				if errA == nil {
-					s.cost = costA
-					s.cost.Add(costB)
-					s.io += tA + tB
-					s.fellBack = true
-					err = nil
-				}
-			}
-		}
-	}
-	s.err = err
+	s.cost, s.io, s.retries, s.fellBack = rd.Cost, rd.IO, rd.Retries, rd.FellBack
 }
 
 // VirtualPipeline accumulates the virtual-clock completion time of a

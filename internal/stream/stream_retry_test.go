@@ -47,6 +47,9 @@ func retryPolicy() retry.Policy {
 	return retry.Policy{MaxAttempts: 3, BaseDelay: time.Millisecond, Multiplier: 2}
 }
 
+// TestStreamRetriesTransientReads pins what the pipeline adds on top of the
+// read ladder (aio.ReadLadder, tested rung by rung in internal/aio): a
+// slice's retries and backoff reach Stats.
 func TestStreamRetriesTransientReads(t *testing.T) {
 	fa, fb, da, _ := twoFiles(t, 64<<10)
 	pairs := pairsEvery(4, 4096, 8192)
@@ -70,62 +73,5 @@ func TestStreamRetriesTransientReads(t *testing.T) {
 	}
 	if stats.IOVirtual <= 0 {
 		t.Error("backoff should be priced into IOVirtual")
-	}
-}
-
-func TestStreamExhaustedRetryIsPermanent(t *testing.T) {
-	fa, fb, _, _ := twoFiles(t, 64<<10)
-	pairs := pairsEvery(4, 4096, 8192)
-	fb2 := &flakyBackend{inner: aio.Mmap{}, fails: 100}
-	cfg := Config{Backend: fb2, Device: device.GPUModel(), Retry: retryPolicy()}
-	_, err := Run(context.Background(), fa, fb, pairs, cfg, func(int, ChunkPair, []byte, []byte) (time.Duration, error) {
-		return 0, nil
-	})
-	if !errors.Is(err, errBlip) {
-		t.Fatalf("err = %v, want the underlying blip", err)
-	}
-	if retry.Classify(err) != retry.Permanent {
-		t.Errorf("exhausted stream error must classify Permanent, got %v", retry.Classify(err))
-	}
-	if calls := atomic.LoadInt32(&fb2.calls); calls != 3 {
-		t.Errorf("backend called %d times, want 3 (MaxAttempts)", calls)
-	}
-}
-
-func TestStreamZeroPolicyDoesNotRetry(t *testing.T) {
-	fa, fb, _, _ := twoFiles(t, 64<<10)
-	pairs := pairsEvery(4, 4096, 8192)
-	fb2 := &flakyBackend{inner: aio.Mmap{}, fails: 1}
-	cfg := Config{Backend: fb2, Device: device.GPUModel()}
-	_, err := Run(context.Background(), fa, fb, pairs, cfg, func(int, ChunkPair, []byte, []byte) (time.Duration, error) {
-		return 0, nil
-	})
-	if !errors.Is(err, errBlip) {
-		t.Fatalf("zero policy must surface the first transient error, got %v", err)
-	}
-	if calls := atomic.LoadInt32(&fb2.calls); calls != 1 {
-		t.Errorf("backend called %d times, want 1", calls)
-	}
-}
-
-func TestStreamRingClosedFallsBackToLegacy(t *testing.T) {
-	fa, fb, da, db := twoFiles(t, 256<<10)
-	pairs := pairsEvery(16, 4096, 16384)
-	cfg := Config{Backend: closedBackend{}, Device: device.GPUModel(), SliceBytes: 32 << 10, Retry: retryPolicy()}
-	ok := true
-	stats, err := Run(context.Background(), fa, fb, pairs, cfg, func(_ int, p ChunkPair, a, b []byte) (time.Duration, error) {
-		if !bytes.Equal(a, da[p.OffA:p.OffA+int64(p.Len)]) || !bytes.Equal(b, db[p.OffB:p.OffB+int64(p.Len)]) {
-			ok = false
-		}
-		return 0, nil
-	})
-	if err != nil {
-		t.Fatalf("ring-closed should degrade to Legacy, not fail: %v", err)
-	}
-	if !ok {
-		t.Error("fallback pipeline delivered wrong bytes")
-	}
-	if stats.RingFallbacks != stats.Slices || stats.Slices == 0 {
-		t.Errorf("RingFallbacks = %d over %d slices, want all", stats.RingFallbacks, stats.Slices)
 	}
 }
