@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-fast test race check chaos chaos-smoke bench bench-smoke bench-check bench-json reprod-smoke wal-smoke experiments examples loc clean
+.PHONY: all build vet lint lint-fast test race check chaos chaos-smoke fuzz-smoke bench bench-smoke bench-check bench-json reprod-smoke wal-smoke experiments examples loc clean
 
 all: build vet test
 
@@ -8,7 +8,7 @@ all: build vet test
 # lint runs at tier 2 (type-aware dataflow) and audits the tree's
 # suppression directives; the tier-2 smoke budget (<10s on the whole
 # tree) is asserted by TestTierTwoBudget in internal/lint.
-check: build vet lint test race chaos-smoke bench-smoke reprod-smoke wal-smoke
+check: build vet lint test race chaos-smoke fuzz-smoke bench-smoke reprod-smoke wal-smoke
 
 build:
 	$(GO) build ./...
@@ -45,6 +45,12 @@ chaos:
 # chaos-smoke is the small-scale soak that gates `make check`.
 chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/chaos/
+
+# fuzz-smoke runs each native fuzz target for a few seconds on top of its
+# checked-in corpus (testdata/fuzz/); part of `make check`. The ε-compare
+# kernel against its per-element reference is the first target.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzCompareSlices$$' -fuzztime 5s ./internal/errbound
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -88,7 +94,10 @@ wal-smoke:
 # (BENCH_capture.json), and the subtree-sharded scale-out engine
 # (BENCH_shard.json). Diff them in review to catch regressions
 # (same-machine deltas are signal, cross-machine noise; the virtual and
-# read-op columns are deterministic and comparable anywhere).
+# read-op columns are deterministic and comparable anywhere — at one
+# worker count, which is why the recipe pins the one the files have
+# always been recorded at).
+bench-json: export GOMAXPROCS = 1
 bench-json:
 	$(GO) run ./cmd/benchkernels -o BENCH_kernels.json
 	$(GO) run ./cmd/benchstream -o BENCH_stream.json

@@ -139,6 +139,13 @@ func collect(chunkSize, fieldBytes int, window time.Duration) (*Report, error) {
 	for i := 0; i < chunkSize/8; i++ {
 		f64Chunk = binary.LittleEndian.AppendUint64(f64Chunk, math.Float64bits(math.Sin(float64(i)*0.001)))
 	}
+	// The same sweep in f32 for the ε-compare regimes: at the synth
+	// field's magnitudes (up to 100) one float32 ULP already exceeds ε,
+	// so no pair of distinct values there is within the bound.
+	f32Sine := make([]byte, 0, chunkSize)
+	for i := 0; i < chunkSize/4; i++ {
+		f32Sine = binary.LittleEndian.AppendUint32(f32Sine, math.Float32bits(float32(math.Sin(float64(i)*0.001))))
+	}
 	f32Pair := synth.PerturbF32(f32Chunk, synth.DefaultPerturb(2))
 
 	h32, err := errbound.NewHasher(errbound.Float32, eps)
@@ -188,15 +195,64 @@ func collect(chunkSize, fieldBytes int, window time.Duration) (*Report, error) {
 		return err
 	}))
 
-	// Element compare: the stage-2 exact verification kernel.
+	// Element compare: the stage-2 exact verification kernel, one row per
+	// data regime so that no tier of the kernel hides another (the
+	// unsuffixed rows are the sparse divergence stage 2 sees: the synth
+	// twin for f32, 1/64 of the elements for f64).
 	var dst []int64
-	report.add(measure("element_compare_f32", 2*int64(len(f32Chunk)), window, func() error {
-		var err error
-		dst, _, err = h32.CompareSlices(dst[:0], f32Chunk, f32Pair)
-		return err
-	}))
+	for _, row := range []struct {
+		name string
+		h    *errbound.Hasher
+		a, b []byte
+	}{
+		{"element_compare_f32", h32, f32Chunk, f32Pair},
+		{"element_compare_f32_identical", h32, f32Sine, f32Sine},
+		{"element_compare_f32_jitter", h32, f32Sine, twin(f32Sine, 4, "jitter")},
+		{"element_compare_f32_dense", h32, f32Sine, twin(f32Sine, 4, "dense")},
+		{"element_compare_f64", h64, f64Chunk, twin(f64Chunk, 8, "sparse")},
+		{"element_compare_f64_identical", h64, f64Chunk, f64Chunk},
+		{"element_compare_f64_jitter", h64, f64Chunk, twin(f64Chunk, 8, "jitter")},
+		{"element_compare_f64_dense", h64, f64Chunk, twin(f64Chunk, 8, "dense")},
+	} {
+		report.add(measure(row.name, 2*int64(len(row.a)), window, func() error {
+			var err error
+			dst, _, err = row.h.CompareSlices(dst[:0], row.a, row.b)
+			return err
+		}))
+	}
 
 	return report, nil
+}
+
+// twin returns a copy of a chunk of esz-byte floats under one regime of
+// the ε-compare matrix (internal/errbound's BenchmarkCompareSlices has the
+// same rows): "sparse" moves 1/64 of the elements beyond ε, "jitter" moves
+// every element by 1–3 float32 ULPs — within ε = 1e-6 for the sine sweep's
+// magnitudes below 1 — and "dense" moves every element beyond ε.
+func twin(x []byte, esz int, regime string) []byte {
+	y := append([]byte(nil), x...)
+	for i := 0; i < len(x)/esz; i++ {
+		var ulps uint64
+		var delta float64
+		switch regime {
+		case "sparse":
+			if i%64 == 17 {
+				delta = 1e-3
+			}
+		case "jitter":
+			ulps = uint64(1 + i%3)
+		case "dense":
+			delta = 1e-3
+		}
+		if esz == 4 {
+			v := math.Float32frombits(binary.LittleEndian.Uint32(x[i*4:]) + uint32(ulps))
+			binary.LittleEndian.PutUint32(y[i*4:], math.Float32bits(v+float32(delta)))
+		} else {
+			v := math.Float64frombits(binary.LittleEndian.Uint64(x[i*8:]) + ulps<<29)
+			binary.LittleEndian.PutUint64(y[i*8:], math.Float64bits(v+delta))
+		}
+	}
+	return y
 }
 
 // add appends a measurement, panicking on measurement errors (a kernel

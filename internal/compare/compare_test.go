@@ -389,6 +389,19 @@ func TestMetadataRoundTrip(t *testing.T) {
 			t.Errorf("field %d tree root lost", i)
 		}
 	}
+
+	// Decoded in place: per field one tree header and one name, plus the
+	// container and its field slice — never a copy of the node bytes — and
+	// no prefix of the container decodes.
+	raw := buf.Bytes()
+	if allocs := testing.AllocsPerRun(10, func() { _, _ = DecodeMetadata(raw) }); allocs > float64(2+2*len(m.Fields)) {
+		t.Errorf("DecodeMetadata: %v allocations for %d fields", allocs, len(m.Fields))
+	}
+	for cut := 0; cut < len(raw); cut += 7 {
+		if _, err := DecodeMetadata(raw[:cut]); err == nil {
+			t.Fatalf("prefix of %d bytes accepted", cut)
+		}
+	}
 }
 
 func TestReadMetadataRejectsGarbage(t *testing.T) {

@@ -2,7 +2,6 @@ package compare
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -288,51 +287,61 @@ func (m *Metadata) WriteTo(w io.Writer) (int64, error) {
 	return written, nil
 }
 
-// ReadMetadata deserializes a metadata container.
-func ReadMetadata(r io.Reader) (*Metadata, error) {
-	br := bufio.NewReader(r)
-	hdr := make([]byte, 16)
-	if _, err := io.ReadFull(br, hdr); err != nil {
-		return nil, fmt.Errorf("compare: read metadata header: %w", err)
+// DecodeMetadata deserializes a metadata container held in memory. The
+// trees are decoded in place (merkle.Decode): they keep data as their node
+// arrays, so the caller must not write to it afterwards.
+func DecodeMetadata(data []byte) (*Metadata, error) {
+	if len(data) < 16 {
+		return nil, fmt.Errorf("compare: read metadata header: %w", io.ErrUnexpectedEOF)
 	}
-	if string(hdr[0:4]) != metaMagic {
-		return nil, fmt.Errorf("%w: bad metadata magic %q", merkle.ErrCorrupt, hdr[0:4])
+	if string(data[0:4]) != metaMagic {
+		return nil, fmt.Errorf("%w: bad metadata magic %q", merkle.ErrCorrupt, data[0:4])
 	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != metaVer {
+	if v := binary.LittleEndian.Uint16(data[4:6]); v != metaVer {
 		return nil, fmt.Errorf("%w: unsupported metadata version %d", merkle.ErrCorrupt, v)
 	}
-	nf := int(binary.LittleEndian.Uint16(hdr[6:8]))
+	nf := int(binary.LittleEndian.Uint16(data[6:8]))
 	if nf == 0 {
 		return nil, fmt.Errorf("%w: zero fields", merkle.ErrCorrupt)
 	}
 	m := &Metadata{
-		Epsilon: math.Float64frombits(binary.LittleEndian.Uint64(hdr[8:16])),
+		Epsilon: math.Float64frombits(binary.LittleEndian.Uint64(data[8:16])),
 		Fields:  make([]FieldMeta, 0, nf),
 	}
+	data = data[16:]
 	for i := 0; i < nf; i++ {
-		var lb [2]byte
-		if _, err := io.ReadFull(br, lb[:]); err != nil {
-			return nil, fmt.Errorf("compare: read field %d header: %w", i, err)
+		if len(data) < 2 {
+			return nil, fmt.Errorf("compare: read field %d header: %w", i, io.ErrUnexpectedEOF)
 		}
-		nameLen := int(binary.LittleEndian.Uint16(lb[:]))
+		nameLen := int(binary.LittleEndian.Uint16(data))
 		if nameLen == 0 || nameLen > 4096 {
 			return nil, fmt.Errorf("%w: field %d name length %d", merkle.ErrCorrupt, i, nameLen)
 		}
-		nb := make([]byte, nameLen+1)
-		if _, err := io.ReadFull(br, nb); err != nil {
-			return nil, fmt.Errorf("compare: read field %d name: %w", i, err)
+		hdrLen := 2 + nameLen + 1 // length, name, dtype
+		if len(data) < hdrLen {
+			return nil, fmt.Errorf("compare: read field %d name: %w", i, io.ErrUnexpectedEOF)
 		}
-		dtype := errbound.DType(nb[nameLen])
+		dtype := errbound.DType(data[hdrLen-1])
 		if dtype.Size() == 0 {
 			return nil, fmt.Errorf("%w: field %d bad dtype %d", merkle.ErrCorrupt, i, dtype)
 		}
-		tree, _, err := merkle.ReadFrom(br)
+		tree, n, err := merkle.Decode(data[hdrLen:])
 		if err != nil {
 			return nil, err
 		}
-		m.Fields = append(m.Fields, FieldMeta{Name: string(nb[:nameLen]), DType: dtype, Tree: tree})
+		m.Fields = append(m.Fields, FieldMeta{Name: string(data[2 : 2+nameLen]), DType: dtype, Tree: tree})
+		data = data[hdrLen+n:]
 	}
 	return m, nil
+}
+
+// ReadMetadata is DecodeMetadata for callers that hold a stream.
+func ReadMetadata(r io.Reader) (*Metadata, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("compare: read metadata: %w", err)
+	}
+	return DecodeMetadata(data)
 }
 
 // Bytes returns the serialized size of the metadata.
@@ -370,7 +379,7 @@ func LoadMetadata(ctx context.Context, store *pfs.Store, checkpointName string) 
 		return nil, cost, 0, err
 	}
 	sw := metrics.NewStopwatch()
-	m, err := ReadMetadata(bytes.NewReader(data))
+	m, err := DecodeMetadata(data)
 	if err != nil {
 		return nil, cost, sw.Lap(), err
 	}

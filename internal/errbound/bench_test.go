@@ -69,41 +69,120 @@ func BenchmarkHashChunkReference(b *testing.B) {
 	}
 }
 
-// BenchmarkCompareSlices measures the dtype-specialized element-wise
-// ε-compare kernel over two equal buffers (stage-2 verification rate).
-func BenchmarkCompareSlices(b *testing.B) {
-	for _, dtype := range []DType{Float32, Float64} {
-		b.Run(dtype.String(), func(b *testing.B) {
-			chunk := benchChunk(b, dtype)
-			h, err := NewHasher(dtype, 1e-6)
-			if err != nil {
-				b.Fatal(err)
+// benchRegimes are the data regimes the ε-compare kernels are measured on:
+// the extremes of each tier of the kernel, plus the mix stage 2 actually
+// sees. A kernel that is fast on one and slow on another shows it here, and
+// so would a shortcut for bit-equal words that a later change adds.
+var benchRegimes = []string{
+	"identical", // every word bit-equal: tier 1 accepts on d = 0
+	"sparse",    // 1/64 of the elements beyond ε, the rest bit-equal
+	"jitter",    // every element 1–3 ULP apart, all within ε: tier 1 only
+	"dense",     // every element beyond ε: tier 2 and an append each
+}
+
+// benchEps is within a few float32 ULPs of the jitter regime's largest
+// difference (3 ULP of a value below 1 is 1.8e-7), so no tier can decide
+// on magnitude alone.
+const benchEps = 2e-7
+
+// benchPair returns a benchChunk and its twin under the regime.
+func benchPair(b *testing.B, dtype DType, regime string) (x, y []byte) {
+	b.Helper()
+	x = benchChunk(b, dtype)
+	y = append([]byte(nil), x...)
+	esz := dtype.Size()
+	for i := 0; i < len(x)/esz; i++ {
+		var ulps uint64
+		var delta float64
+		switch regime {
+		case "sparse":
+			if i%64 == 17 {
+				delta = 1e-3
 			}
-			b.SetBytes(2 * int64(len(chunk)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := h.CompareSlices(nil, chunk, chunk); err != nil {
+		case "jitter":
+			ulps = uint64(1 + i%3)
+		case "dense":
+			delta = 1e-3
+		}
+		if dtype == Float32 {
+			v := math.Float32frombits(binary.LittleEndian.Uint32(x[i*4:]) + uint32(ulps))
+			binary.LittleEndian.PutUint32(y[i*4:], math.Float32bits(v+float32(delta)))
+		} else {
+			// 1–3 float32 ULPs, so both dtypes jitter by the same distance.
+			v := math.Float64frombits(binary.LittleEndian.Uint64(x[i*8:]) + ulps<<29)
+			binary.LittleEndian.PutUint64(y[i*8:], math.Float64bits(v+delta))
+		}
+	}
+	return x, y
+}
+
+// benchMatrix runs fn over dtype × regime with the bytes of both sides as
+// the throughput base.
+func benchMatrix(b *testing.B, fn func(b *testing.B, h *Hasher, x, y []byte)) {
+	for _, dtype := range []DType{Float32, Float64} {
+		for _, regime := range benchRegimes {
+			b.Run(dtype.String()+"/"+regime, func(b *testing.B) {
+				x, y := benchPair(b, dtype, regime)
+				h, err := NewHasher(dtype, benchEps)
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				b.SetBytes(2 * int64(len(x)))
+				b.ResetTimer()
+				fn(b, h, x, y)
+			})
+		}
 	}
 }
 
-// BenchmarkAllClose measures the boolean baseline kernel.
-func BenchmarkAllClose(b *testing.B) {
-	chunk := benchChunk(b, Float32)
-	h, err := NewHasher(Float32, 1e-6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(2 * int64(len(chunk)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := h.AllClose(chunk, chunk); err != nil {
-			b.Fatal(err)
+var (
+	sinkIdx []int64
+	sinkOK  bool
+)
+
+// BenchmarkCompareSlices measures the stage-2 verification kernel on every
+// regime; BenchmarkCompareSlicesReference is the per-element loop it
+// replaced, on the same inputs (the kernel must not lose a row).
+func BenchmarkCompareSlices(b *testing.B) {
+	benchMatrix(b, func(b *testing.B, h *Hasher, x, y []byte) {
+		dst := make([]int64, 0, len(x)/h.dtype.Size())
+		for i := 0; i < b.N; i++ {
+			var err error
+			if sinkIdx, _, err = h.CompareSlices(dst[:0], x, y); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+}
+
+func BenchmarkCompareSlicesReference(b *testing.B) {
+	benchMatrix(b, func(b *testing.B, h *Hasher, x, y []byte) {
+		dst := make([]int64, 0, len(x)/h.dtype.Size())
+		for i := 0; i < b.N; i++ {
+			sinkIdx, _ = referenceCompareSlices(h, dst[:0], x, y)
+		}
+	})
+}
+
+// BenchmarkAllClose measures the boolean baseline kernel; on the sparse
+// and dense regimes it exits at the first element beyond ε.
+func BenchmarkAllClose(b *testing.B) {
+	benchMatrix(b, func(b *testing.B, h *Hasher, x, y []byte) {
+		for i := 0; i < b.N; i++ {
+			var err error
+			if sinkOK, err = h.AllClose(x, y); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+func BenchmarkAllCloseReference(b *testing.B) {
+	benchMatrix(b, func(b *testing.B, h *Hasher, x, y []byte) {
+		for i := 0; i < b.N; i++ {
+			sinkOK = referenceAllClose(h, x, y)
+		}
+	})
 }
 
 // BenchmarkChainBlock isolates the streaming hasher's per-block cost from

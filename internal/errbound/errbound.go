@@ -317,82 +317,6 @@ func cellF64(bits uint64, eps float64) uint64 {
 	return uint64(quantizeSpecial(math.Float64frombits(bits)))
 }
 
-// CompareSlices compares two equal-length raw byte slices element-wise and
-// appends to dst the indices (element offsets relative to the start of the
-// slices) whose absolute difference exceeds ε. It returns the extended
-// slice and the number of elements compared.
-func (h *Hasher) CompareSlices(dst []int64, a, b []byte) ([]int64, int, error) {
-	esz := h.dtype.Size()
-	if len(a) != len(b) {
-		return dst, 0, fmt.Errorf("errbound: slice length mismatch %d != %d", len(a), len(b))
-	}
-	if len(a)%esz != 0 {
-		return dst, 0, fmt.Errorf("errbound: slice length %d not a multiple of element size %d", len(a), esz)
-	}
-	n := len(a) / esz
-	if h.dtype == Float32 {
-		for i := 0; i < n; i++ {
-			if !equalF32(binary.LittleEndian.Uint32(a[i*4:]), binary.LittleEndian.Uint32(b[i*4:]), h.eps) {
-				dst = append(dst, int64(i))
-			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			if !equalF64(binary.LittleEndian.Uint64(a[i*8:]), binary.LittleEndian.Uint64(b[i*8:]), h.eps) {
-				dst = append(dst, int64(i))
-			}
-		}
-	}
-	return dst, n, nil
-}
-
-// equalF64 is Equal on raw little-endian float64 bits with the finite fast
-// path hoisted: when both values are finite the NaN/Inf cascade reduces to
-// a single |a-b| <= ε test.
-func equalF64(ba, bb uint64, eps float64) bool {
-	if isFinite64(ba) && isFinite64(bb) {
-		return math.Abs(math.Float64frombits(ba)-math.Float64frombits(bb)) <= eps
-	}
-	return Equal(math.Float64frombits(ba), math.Float64frombits(bb), eps)
-}
-
-// equalF32 is equalF64 for raw float32 bits (compared in float64, exactly
-// like the generic path).
-func equalF32(ba, bb uint32, eps float64) bool {
-	if isFinite32(ba) && isFinite32(bb) {
-		return math.Abs(float64(math.Float32frombits(ba))-float64(math.Float32frombits(bb))) <= eps
-	}
-	return Equal(float64(math.Float32frombits(ba)), float64(math.Float32frombits(bb)), eps)
-}
-
-// AllClose reports whether every pair of elements in the two raw byte
-// slices is within ε, the numpy.allclose(atol=ε, rtol=0) baseline of the
-// paper. It stops at the first out-of-bound pair.
-func (h *Hasher) AllClose(a, b []byte) (bool, error) {
-	esz := h.dtype.Size()
-	if len(a) != len(b) {
-		return false, fmt.Errorf("errbound: slice length mismatch %d != %d", len(a), len(b))
-	}
-	if len(a)%esz != 0 {
-		return false, fmt.Errorf("errbound: slice length %d not a multiple of element size %d", len(a), esz)
-	}
-	n := len(a) / esz
-	if h.dtype == Float32 {
-		for i := 0; i < n; i++ {
-			if !equalF32(binary.LittleEndian.Uint32(a[i*4:]), binary.LittleEndian.Uint32(b[i*4:]), h.eps) {
-				return false, nil
-			}
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			if !equalF64(binary.LittleEndian.Uint64(a[i*8:]), binary.LittleEndian.Uint64(b[i*8:]), h.eps) {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
-}
-
 // EqualRel reports whether a and b are close under numpy.allclose
 // semantics: |a-b| <= atol + rtol·|b|. The paper evaluates with rtol=0
 // (absolute bounds only); this generalization exists for baseline parity.
@@ -404,36 +328,6 @@ func EqualRel(a, b, atol, rtol float64) bool {
 		return a == b
 	}
 	return math.Abs(a-b) <= atol+rtol*math.Abs(b)
-}
-
-// AllCloseRel is the full numpy.allclose baseline over raw buffers: true
-// when every element pair satisfies |a-b| <= atol + rtol·|b|.
-func AllCloseRel(a, b []byte, dtype DType, atol, rtol float64) (bool, error) {
-	esz := dtype.Size()
-	if esz == 0 {
-		return false, fmt.Errorf("errbound: unsupported dtype %v", dtype)
-	}
-	if len(a) != len(b) {
-		return false, fmt.Errorf("errbound: slice length mismatch %d != %d", len(a), len(b))
-	}
-	if len(a)%esz != 0 {
-		return false, fmt.Errorf("errbound: slice length %d not a multiple of element size %d", len(a), esz)
-	}
-	n := len(a) / esz
-	for i := 0; i < n; i++ {
-		var va, vb float64
-		if dtype == Float32 {
-			va = float64(math.Float32frombits(binary.LittleEndian.Uint32(a[i*4:])))
-			vb = float64(math.Float32frombits(binary.LittleEndian.Uint32(b[i*4:])))
-		} else {
-			va = math.Float64frombits(binary.LittleEndian.Uint64(a[i*8:]))
-			vb = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-		}
-		if !EqualRel(va, vb, atol, rtol) {
-			return false, nil
-		}
-	}
-	return true, nil
 }
 
 // TruncationHasher is the ablation alternative to the ε-grid scheme: it

@@ -1,0 +1,271 @@
+package errbound
+
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+	"testing/quick"
+)
+
+// checkKernels holds every entry point of the block kernel against
+// the per-element reference on one buffer pair: the index list (values and
+// order), the compared count, and both booleans.
+func checkKernels(t testing.TB, dtype DType, eps, rtol float64, a, b []byte) {
+	t.Helper()
+	h := &Hasher{eps: eps, dtype: dtype}
+	// A non-empty dst proves the kernel appends and keeps what was there.
+	prefix := []int64{-7, -9}
+	got, n, err := h.CompareSlices(slices.Clone(prefix), a, b)
+	if err != nil {
+		t.Fatalf("CompareSlices: %v", err)
+	}
+	want, wantN := referenceCompareSlices(h, slices.Clone(prefix), a, b)
+	if n != wantN || !slices.Equal(got, want) {
+		t.Fatalf("%v eps=%g a=%x b=%x:\nCompareSlices = %v, %d\nreference     = %v, %d", dtype, eps, a, b, got, n, want, wantN)
+	}
+	ok, err := h.AllClose(a, b)
+	if err != nil {
+		t.Fatalf("AllClose: %v", err)
+	}
+	if wantOK := referenceAllClose(h, a, b); ok != wantOK {
+		t.Fatalf("%v eps=%g a=%x b=%x: AllClose = %v, reference %v", dtype, eps, a, b, ok, wantOK)
+	}
+	ok, err = AllCloseRel(a, b, dtype, eps, rtol)
+	if err != nil {
+		t.Fatalf("AllCloseRel: %v", err)
+	}
+	if wantOK := referenceAllCloseRel(a, b, dtype, eps, rtol); ok != wantOK {
+		t.Fatalf("%v atol=%g rtol=%g a=%x b=%x: AllCloseRel = %v, reference %v", dtype, eps, rtol, a, b, ok, wantOK)
+	}
+}
+
+// edgePairs returns element pairs (as float64 values exactly representable
+// in dtype) around everything the tiers special-case, for a bound eps.
+func edgePairs(dtype DType, eps float64) [][2]float64 {
+	nan := func(payload uint64) float64 {
+		if dtype == Float32 {
+			return float64(math.Float32frombits(0x7fc00000 | uint32(payload)))
+		}
+		return math.Float64frombits(0x7ff8000000000000 | payload)
+	}
+	// next is the neighbour of v in dtype, toward +Inf or −Inf.
+	next := func(v float64, up bool) float64 {
+		dir := math.Inf(-1)
+		if up {
+			dir = math.Inf(1)
+		}
+		if dtype == Float32 {
+			return float64(math.Nextafter32(float32(v), float32(dir)))
+		}
+		return math.Nextafter(v, dir)
+	}
+	tiny, huge := math.SmallestNonzeroFloat64, math.MaxFloat64
+	if dtype == Float32 {
+		tiny, huge = math.SmallestNonzeroFloat32, math.MaxFloat32
+	}
+	inf, negZero := math.Inf(1), math.Copysign(0, -1)
+	pairs := [][2]float64{
+		{1.5, 1.5}, {0, 0}, {0, negZero}, {negZero, 0}, {negZero, negZero},
+		{nan(1), nan(1)}, {nan(1), nan(2)}, {nan(1), -nan(1)}, {nan(1), 1}, {1, nan(2)}, {nan(1), inf},
+		{inf, inf}, {-inf, -inf}, {inf, -inf}, {-inf, inf}, {inf, 1}, {1, -inf}, {inf, huge},
+		{huge, huge}, {huge, -huge}, {-huge, huge}, {huge, next(huge, false)},
+		{tiny, 0}, {tiny, -tiny}, {tiny, 2 * tiny}, {3 * tiny, 3 * tiny}, {-tiny, negZero},
+	}
+	// |a−b| at ε exactly (as far as dtype can say it) and one ULP of b to
+	// either side, at a magnitude where the ULP is below ε and at one
+	// where it is above.
+	for _, base := range []float64{0, 1, -1, 1000, 1e-30} {
+		a := base
+		if dtype == Float32 {
+			a = float64(float32(base))
+		}
+		for _, sign := range []float64{1, -1} {
+			b := a + sign*eps
+			if dtype == Float32 {
+				b = float64(float32(b))
+			}
+			pairs = append(pairs, [2]float64{a, b}, [2]float64{a, next(b, true)}, [2]float64{a, next(b, false)},
+				[2]float64{b, a}, [2]float64{next(a, true), a}, [2]float64{a, next(a, false)})
+		}
+	}
+	return pairs
+}
+
+func encodePairs(dtype DType, pairs [][2]float64) (a, b []byte) {
+	va := make([]float64, len(pairs))
+	vb := make([]float64, len(pairs))
+	for i, p := range pairs {
+		va[i], vb[i] = p[0], p[1]
+	}
+	return encodeValues(dtype, va), encodeValues(dtype, vb)
+}
+
+// oracleEpsilons includes bounds below float32 precision at magnitude 1
+// (6e-8) and below the smallest float32 denormal.
+var oracleEpsilons = []float64{1e-3, 1e-7, 1e-9, 1e-50, 0.5, 1e300, math.SmallestNonzeroFloat64}
+
+// TestKernelOracleEdges drives every edge pair through every position of
+// the unrolled loop: windows of 0–9 elements and a few longer ones (each
+// pair lands in a full block, next to identical neighbours, and in every
+// tail length), on buffers starting at every byte offset 0–7.
+func TestKernelOracleEdges(t *testing.T) {
+	for _, dtype := range []DType{Float32, Float64} {
+		esz := dtype.Size()
+		for _, eps := range oracleEpsilons {
+			a, b := encodePairs(dtype, edgePairs(dtype, eps))
+			n := len(a) / esz
+			lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 33, n}
+			for _, w := range lengths {
+				for start := 0; start+w <= n; start++ {
+					checkKernels(t, dtype, eps, 0, a[start*esz:(start+w)*esz], b[start*esz:(start+w)*esz])
+				}
+			}
+			// The same data behind 0–7 bytes of misalignment, and with one
+			// edge pair at a time in a sea of bit-identical elements.
+			for off := 0; off < 8; off++ {
+				pa := append(make([]byte, off), a...)
+				pb := append(make([]byte, off), b...)
+				checkKernels(t, dtype, eps, 0, pa[off:], pb[off:])
+				checkKernels(t, dtype, eps, 1e-3, pa[off:], pb[off:])
+			}
+			for k := 0; k < n; k++ {
+				for pos := 0; pos < 9; pos++ {
+					sa := append(make([]byte, 0, 20*esz), a[:20*esz]...)
+					sb := slices.Clone(sa)
+					copy(sa[pos*esz:], a[k*esz:(k+1)*esz])
+					copy(sb[pos*esz:], b[k*esz:(k+1)*esz])
+					checkKernels(t, dtype, eps, 0, sa, sb)
+				}
+			}
+		}
+	}
+}
+
+// TestKernelOracleTolerances covers AllCloseRel's tolerances, including
+// the ones under which bit-equal values are NOT close (negative, NaN, and
+// rtol = +Inf, whose product with b = 0 is NaN): the accepting tier must
+// be off there.
+func TestKernelOracleTolerances(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	tols := [][2]float64{
+		{0, 0}, {0, 1e-3}, {1e-6, 1e-3}, {1e-6, 1}, {inf, 0}, {inf, 1}, {1e-6, math.MaxFloat64}, {math.Copysign(0, -1), 0},
+		{-1e-6, 0}, {-1e-6, 1e-3}, {1e-6, -1e-3}, {nan, 0}, {1e-6, nan}, {1e-6, inf}, {-inf, 0}, {1e-6, -inf},
+	}
+	for _, dtype := range []DType{Float32, Float64} {
+		a, b := encodePairs(dtype, edgePairs(dtype, 1e-6))
+		esz := dtype.Size()
+		same := encodeValues(dtype, make([]float64, 16)) // bit-identical whole blocks, no tail
+		for _, tl := range tols {
+			want := referenceAllCloseRel(same, same, dtype, tl[0], tl[1])
+			if got, err := AllCloseRel(same, same, dtype, tl[0], tl[1]); err != nil || got != want {
+				t.Fatalf("%v atol=%g rtol=%g on identical zeros: AllCloseRel = %v, %v; reference %v", dtype, tl[0], tl[1], got, err, want)
+			}
+			for i := 0; i+esz <= len(a); i += esz {
+				for _, w := range []int{1, 9} {
+					end := min(i+w*esz, len(a))
+					want := referenceAllCloseRel(a[i:end], b[i:end], dtype, tl[0], tl[1])
+					got, err := AllCloseRel(a[i:end], b[i:end], dtype, tl[0], tl[1])
+					if err != nil || got != want {
+						t.Fatalf("%v atol=%g rtol=%g a=%x b=%x: AllCloseRel = %v, %v; reference %v",
+							dtype, tl[0], tl[1], a[i:end], b[i:end], got, err, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestKernelOracleQuick compares random bit patterns: b is a, with each
+// element kept, nudged by a few ULPs, moved by about ε, or replaced.
+func TestKernelOracleQuick(t *testing.T) {
+	for _, dtype := range []DType{Float32, Float64} {
+		esz := dtype.Size()
+		f := func(seed int64, n uint8, epsExp int8) bool {
+			rng := rand.New(rand.NewSource(seed))
+			eps := math.Pow(10, float64(epsExp%12)-6)
+			a := make([]byte, int(n)*esz)
+			rng.Read(a)
+			b := slices.Clone(a)
+			for i := 0; i < int(n); i++ {
+				p := b[i*esz : (i+1)*esz]
+				switch rng.Intn(8) {
+				case 0:
+					p[0] += byte(1 + rng.Intn(3))
+				case 1:
+					var v float64
+					if dtype == Float32 {
+						v = f32At(p)
+					} else {
+						v = f64At(p)
+					}
+					copy(p, encodeValues(dtype, []float64{v + eps*(rng.Float64()*2-1)*1.5}))
+				case 2:
+					rng.Read(p)
+				}
+			}
+			checkKernels(t, dtype, eps, float64(seed&1)*1e-3, a, b)
+			return !t.Failed()
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestKernelAllocFree pins the stage-2 contract: with capacity in dst the
+// kernel allocates nothing, whichever tier the data takes.
+func TestKernelAllocFree(t *testing.T) {
+	for _, dtype := range []DType{Float32, Float64} {
+		a, b := encodePairs(dtype, edgePairs(dtype, 1e-6))
+		h, err := NewHasher(dtype, 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst := make([]int64, 0, len(a)/dtype.Size())
+		allocs := testing.AllocsPerRun(100, func() {
+			dst, _, _ = h.CompareSlices(dst[:0], a, b)
+			sinkOK, _ = h.AllClose(a, a)
+		})
+		if allocs != 0 {
+			t.Errorf("%v: %v allocations per run, want 0", dtype, allocs)
+		}
+		if len(dst) == 0 {
+			t.Errorf("%v: edge pairs produced no difference; the test exercises nothing", dtype)
+		}
+	}
+}
+
+// FuzzCompareSlices asserts kernel == reference on arbitrary bytes. The
+// second input is XOR-ed onto the first to make side B, so the zero bytes
+// the fuzzer favours become bit-identical words and both tiers are reached.
+func FuzzCompareSlices(f *testing.F) {
+	for _, dtype := range []DType{Float32, Float64} {
+		a, b := encodePairs(dtype, edgePairs(dtype, 1e-6))
+		delta := make([]byte, len(a))
+		for i := range a {
+			delta[i] = a[i] ^ b[i]
+		}
+		f.Add(a, delta, math.Float64bits(1e-6), math.Float64bits(0), dtype == Float64)
+		f.Add(a[:36], delta[:36], math.Float64bits(1e-3), math.Float64bits(1e-2), dtype == Float64)
+	}
+	f.Add([]byte{}, []byte{}, math.Float64bits(1e-7), math.Float64bits(0), false)
+	f.Fuzz(func(t *testing.T, a, delta []byte, epsBits, rtolBits uint64, f64 bool) {
+		dtype := Float32
+		if f64 {
+			dtype = Float64
+		}
+		eps := math.Abs(math.Float64frombits(epsBits))
+		if !(eps > 0) || math.IsInf(eps, 0) {
+			eps = 1e-6 // NewHasher admits nothing else
+		}
+		a = a[:len(a)/dtype.Size()*dtype.Size()]
+		b := slices.Clone(a)
+		for i := range b {
+			if i < len(delta) {
+				b[i] ^= delta[i]
+			}
+		}
+		checkKernels(t, dtype, eps, math.Float64frombits(rtolBits), a, b)
+	})
+}

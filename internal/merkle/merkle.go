@@ -17,6 +17,7 @@
 package merkle
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -42,10 +43,18 @@ var (
 type Tree struct {
 	chunkSize int
 	dataLen   int64
-	numLeaves int              // real (unpadded) leaf count
-	leafBase  int              // flat index of the first leaf
-	depth     int              // leaf level; root is level 0
-	nodes     []murmur3.Digest // 2*paddedLeaves - 1 entries
+	numLeaves int // real (unpadded) leaf count
+	leafBase  int // flat index of the first leaf
+	depth     int // leaf level; root is level 0
+	// nodes holds the 2*paddedLeaves − 1 digests back to back, as the
+	// serialized form does: Decode adopts a file buffer as it is and
+	// WriteTo writes this slice as it is.
+	nodes []byte
+}
+
+// node returns node i's digest in place.
+func (t *Tree) node(i int) *murmur3.Digest {
+	return (*murmur3.Digest)(t.nodes[i*murmur3.DigestSize:])
 }
 
 // New creates a tree over data of dataLen bytes split into chunkSize-byte
@@ -63,26 +72,41 @@ func New(dataLen int64, chunkSize int, leaves []murmur3.Digest) (*Tree, error) {
 		return nil, fmt.Errorf("merkle: %d leaves for dataLen=%d chunkSize=%d, want %d",
 			len(leaves), dataLen, chunkSize, want)
 	}
-	t := newShell(dataLen, chunkSize, want)
-	copy(t.nodes[t.leafBase:], leaves)
+	t := newShell(dataLen, chunkSize, want, make([]byte, shellBytes(want)))
+	for i := range leaves {
+		*t.node(t.leafBase + i) = leaves[i]
+	}
 	return t, nil
 }
 
-// newShell allocates the flattened node array for the given geometry.
-func newShell(dataLen int64, chunkSize, numLeaves int) *Tree {
-	padded := 1
-	depth := 0
+// paddedLeaves returns numLeaves rounded up to a power of two and that
+// power, the leaf level.
+func paddedLeaves(numLeaves int) (padded, depth int) {
+	padded = 1
 	for padded < numLeaves {
 		padded <<= 1
 		depth++
 	}
+	return padded, depth
+}
+
+// shellBytes is the size of the node array of a tree with numLeaves leaves.
+func shellBytes(numLeaves int) int {
+	padded, _ := paddedLeaves(numLeaves)
+	return (2*padded - 1) * murmur3.DigestSize
+}
+
+// newShell returns a tree of the given geometry over nodes, which must be
+// shellBytes(numLeaves) long.
+func newShell(dataLen int64, chunkSize, numLeaves int, nodes []byte) *Tree {
+	padded, depth := paddedLeaves(numLeaves)
 	return &Tree{
 		chunkSize: chunkSize,
 		dataLen:   dataLen,
 		numLeaves: numLeaves,
 		leafBase:  padded - 1,
 		depth:     depth,
-		nodes:     make([]murmur3.Digest, 2*padded-1),
+		nodes:     nodes,
 	}
 }
 
@@ -106,27 +130,26 @@ func (t *Tree) Build(exec device.Executor) {
 		if width <= buildSerialCutoff {
 			for j := 0; j < width; j++ {
 				node := base + j
-				t.nodes[node] = murmur3.HashPair(t.nodes[2*node+1], t.nodes[2*node+2])
+				*t.node(node) = murmur3.HashPair(*t.node(2*node + 1), *t.node(2*node + 2))
 			}
 			continue
 		}
 		exec.For(width, func(j int) {
 			node := base + j
-			t.nodes[node] = murmur3.HashPair(t.nodes[2*node+1], t.nodes[2*node+2])
+			*t.node(node) = murmur3.HashPair(*t.node(2*node + 1), *t.node(2*node + 2))
 		})
 	}
 }
 
 // Root returns the root digest (valid after Build).
-func (t *Tree) Root() murmur3.Digest { return t.nodes[0] }
+func (t *Tree) Root() murmur3.Digest { return *t.node(0) }
 
 // Clone returns a deep copy of the tree. Incremental capture clones the
 // previous iteration's tree and applies Update to the changed leaves,
 // leaving the original usable for concurrent comparisons.
 func (t *Tree) Clone() *Tree {
 	c := *t
-	c.nodes = make([]murmur3.Digest, len(t.nodes))
-	copy(c.nodes, t.nodes)
+	c.nodes = bytes.Clone(t.nodes)
 	return &c
 }
 
@@ -143,7 +166,7 @@ func (t *Tree) DataLen() int64 { return t.dataLen }
 func (t *Tree) Depth() int { return t.depth }
 
 // Leaf returns the digest of chunk i.
-func (t *Tree) Leaf(i int) murmur3.Digest { return t.nodes[t.leafBase+i] }
+func (t *Tree) Leaf(i int) murmur3.Digest { return *t.node(t.leafBase + i) }
 
 // ChunkRange returns the byte range [off, off+n) of chunk i within the
 // original data; the final chunk may be short.
@@ -159,7 +182,7 @@ func (t *Tree) ChunkRange(i int) (off int64, n int) {
 // MetadataBytes returns the serialized size of the tree, the analogue of
 // the paper's 2·D·(N/C − 1) metadata-size formula.
 func (t *Tree) MetadataBytes() int64 {
-	return int64(headerSize) + int64(len(t.nodes))*murmur3.DigestSize + 4 // + CRC
+	return int64(headerSize) + int64(len(t.nodes)) + 4 // + CRC
 }
 
 // DefaultStartLevel returns the BFS start level for the given parallelism:
@@ -220,7 +243,7 @@ func Diff(a, b *Tree, startLevel int, exec device.Executor) (chunks []int, nodes
 			marks := make([]int32, len(frontier))
 			exec.For(len(frontier), func(i int) {
 				n := frontier[i]
-				if a.nodes[n] != b.nodes[n] {
+				if *a.node(int(n)) != *b.node(int(n)) {
 					marks[i] = n - int32(a.leafBase) + 1 // +1: 0 means match
 				}
 			})
@@ -236,7 +259,7 @@ func Diff(a, b *Tree, startLevel int, exec device.Executor) (chunks []int, nodes
 		next := make([]int32, 2*len(frontier))
 		exec.For(len(frontier), func(i int) {
 			n := frontier[i]
-			if a.nodes[n] != b.nodes[n] {
+			if *a.node(int(n)) != *b.node(int(n)) {
 				next[2*i] = 2*n + 1
 				next[2*i+1] = 2*n + 2
 			} else {
@@ -290,108 +313,88 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 	binary.LittleEndian.PutUint32(hdr[8:12], uint32(t.chunkSize))
 	binary.LittleEndian.PutUint32(hdr[12:16], uint32(t.numLeaves))
 	binary.LittleEndian.PutUint64(hdr[16:24], uint64(t.dataLen))
-
-	crc := crc32.NewIEEE()
+	crc := crc32.Update(crc32.ChecksumIEEE(hdr), crc32.IEEETable, t.nodes)
 	var written int64
-	n, err := w.Write(hdr)
-	written += int64(n)
-	if err != nil {
-		return written, fmt.Errorf("merkle: write header: %w", err)
-	}
-	crc.Write(hdr)
-
-	// Write node digests in bulk slabs to keep syscall counts low.
-	const slabNodes = 4096
-	slab := make([]byte, 0, slabNodes*murmur3.DigestSize)
-	flush := func() error {
-		if len(slab) == 0 {
-			return nil
-		}
-		crc.Write(slab)
-		n, err := w.Write(slab)
+	for _, part := range [][]byte{hdr, t.nodes, binary.LittleEndian.AppendUint32(nil, crc)} {
+		n, err := w.Write(part)
 		written += int64(n)
-		slab = slab[:0]
 		if err != nil {
-			return fmt.Errorf("merkle: write nodes: %w", err)
+			return written, fmt.Errorf("merkle: write tree: %w", err)
 		}
-		return nil
-	}
-	for i := range t.nodes {
-		slab = append(slab, t.nodes[i][:]...)
-		if len(slab) == cap(slab) {
-			if err := flush(); err != nil {
-				return written, err
-			}
-		}
-	}
-	if err := flush(); err != nil {
-		return written, err
-	}
-
-	var tail [4]byte
-	binary.LittleEndian.PutUint32(tail[:], crc.Sum32())
-	n, err = w.Write(tail[:])
-	written += int64(n)
-	if err != nil {
-		return written, fmt.Errorf("merkle: write crc: %w", err)
 	}
 	return written, nil
 }
 
-// ReadFrom deserializes a tree previously written with WriteTo and returns
-// it with the number of bytes consumed.
-func ReadFrom(r io.Reader) (*Tree, int64, error) {
-	hdr := make([]byte, headerSize)
-	var read int64
-	n, err := io.ReadFull(r, hdr)
-	read += int64(n)
-	if err != nil {
-		return nil, read, fmt.Errorf("merkle: read header: %w", err)
-	}
+// parseHeader validates a serialized header and returns the tree's
+// geometry and the size of its whole serialized form.
+func parseHeader(hdr []byte) (dataLen int64, chunkSize, numLeaves, size int, err error) {
 	if string(hdr[0:4]) != formatMagic {
-		return nil, read, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[0:4])
+		return 0, 0, 0, 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[0:4])
 	}
 	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != formatVer {
-		return nil, read, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
+		return 0, 0, 0, 0, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
 	}
 	if d := binary.LittleEndian.Uint16(hdr[6:8]); d != murmur3.DigestSize {
-		return nil, read, fmt.Errorf("%w: digest size %d, want %d", ErrCorrupt, d, murmur3.DigestSize)
+		return 0, 0, 0, 0, fmt.Errorf("%w: digest size %d, want %d", ErrCorrupt, d, murmur3.DigestSize)
 	}
-	chunkSize := int(binary.LittleEndian.Uint32(hdr[8:12]))
-	numLeaves := int(binary.LittleEndian.Uint32(hdr[12:16]))
-	dataLen := int64(binary.LittleEndian.Uint64(hdr[16:24]))
+	chunkSize = int(binary.LittleEndian.Uint32(hdr[8:12]))
+	numLeaves = int(binary.LittleEndian.Uint32(hdr[12:16]))
+	dataLen = int64(binary.LittleEndian.Uint64(hdr[16:24]))
 	if chunkSize <= 0 || numLeaves <= 0 || numLeaves > maxLeafCount || dataLen <= 0 {
-		return nil, read, fmt.Errorf("%w: implausible geometry chunk=%d leaves=%d dataLen=%d",
+		return 0, 0, 0, 0, fmt.Errorf("%w: implausible geometry chunk=%d leaves=%d dataLen=%d",
 			ErrCorrupt, chunkSize, numLeaves, dataLen)
 	}
 	want := int((dataLen + int64(chunkSize) - 1) / int64(chunkSize))
 	if want != numLeaves {
-		return nil, read, fmt.Errorf("%w: leaf count %d inconsistent with dataLen/chunk (%d)",
+		return 0, 0, 0, 0, fmt.Errorf("%w: leaf count %d inconsistent with dataLen/chunk (%d)",
 			ErrCorrupt, numLeaves, want)
 	}
+	return dataLen, chunkSize, numLeaves, headerSize + shellBytes(numLeaves) + 4, nil
+}
 
-	t := newShell(dataLen, chunkSize, numLeaves)
-	crc := crc32.NewIEEE()
-	crc.Write(hdr)
-	buf := make([]byte, len(t.nodes)*murmur3.DigestSize)
-	n, err = io.ReadFull(r, buf)
-	read += int64(n)
+// Decode deserializes the tree at the front of data (the form WriteTo
+// produces) and returns it with the number of bytes it occupies. The tree
+// is decoded in place: it keeps data's node bytes as its node array, so
+// the caller must not write to data afterwards. Nothing is allocated
+// before the length and the checksum have been verified.
+func Decode(data []byte) (*Tree, int, error) {
+	if len(data) < headerSize {
+		return nil, 0, fmt.Errorf("merkle: read header: %w", io.ErrUnexpectedEOF)
+	}
+	dataLen, chunkSize, numLeaves, size, err := parseHeader(data[:headerSize])
 	if err != nil {
+		return nil, 0, err
+	}
+	if len(data) < size {
+		return nil, 0, fmt.Errorf("merkle: read nodes: %w", io.ErrUnexpectedEOF)
+	}
+	if got := binary.LittleEndian.Uint32(data[size-4:]); got != crc32.ChecksumIEEE(data[:size-4]) {
+		return nil, 0, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
+	}
+	return newShell(dataLen, chunkSize, numLeaves, data[headerSize:size-4:size-4]), size, nil
+}
+
+// ReadFrom deserializes a tree previously written with WriteTo and returns
+// it with the number of bytes consumed: Decode for callers that hold a
+// stream, not the bytes.
+func ReadFrom(r io.Reader) (*Tree, int64, error) {
+	hdr := make([]byte, headerSize)
+	n, err := io.ReadFull(r, hdr)
+	if err != nil {
+		return nil, int64(n), fmt.Errorf("merkle: read header: %w", err)
+	}
+	_, _, _, size, err := parseHeader(hdr)
+	if err != nil {
+		return nil, int64(n), err
+	}
+	// The buffer grows with what the stream delivers (a forged leaf count
+	// must not size an allocation); Decode reports a short one.
+	buf := bytes.NewBuffer(hdr)
+	m, err := io.CopyN(buf, r, int64(size-headerSize))
+	read := int64(n) + m
+	if err != nil && err != io.EOF {
 		return nil, read, fmt.Errorf("merkle: read nodes: %w", err)
 	}
-	crc.Write(buf)
-	for i := range t.nodes {
-		copy(t.nodes[i][:], buf[i*murmur3.DigestSize:])
-	}
-
-	var tail [4]byte
-	n, err = io.ReadFull(r, tail[:])
-	read += int64(n)
-	if err != nil {
-		return nil, read, fmt.Errorf("merkle: read crc: %w", err)
-	}
-	if got := binary.LittleEndian.Uint32(tail[:]); got != crc.Sum32() {
-		return nil, read, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
-	}
-	return t, read, nil
+	t, _, err := Decode(buf.Bytes())
+	return t, read, err
 }

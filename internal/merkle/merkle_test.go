@@ -2,6 +2,7 @@ package merkle
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"sort"
@@ -321,6 +322,55 @@ func TestReadFromRejectsCorruption(t *testing.T) {
 	}
 	if _, _, err := ReadFrom(bytes.NewReader(good[:10])); err == nil {
 		t.Error("truncated header accepted")
+	}
+}
+
+// TestDecodeInPlace pins the decode-from-bytes contract: the tree adopts
+// the buffer's node bytes (one allocation, the tree header), every prefix
+// of a valid encoding is rejected without a panic, and a forged leaf count
+// is refused before it can size anything.
+func TestDecodeInPlace(t *testing.T) {
+	tr := buildTree(t, 12345, 128, map[int]bool{5: true})
+	var buf bytes.Buffer
+	if _, err := tr.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := append(buf.Bytes(), "trailing bytes of the container"...)
+	got, n, err := Decode(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(n) != tr.MetadataBytes() {
+		t.Errorf("Decode consumed %d, want %d", n, tr.MetadataBytes())
+	}
+	if i, ok := nodesEqual(tr, got); !ok {
+		t.Errorf("decoded tree differs at node %d", i)
+	}
+	if &got.nodes[0] != &good[headerSize] {
+		t.Error("decoded tree copied its nodes out of the buffer")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _, _, _ = Decode(good) }); allocs > 1 {
+		t.Errorf("Decode: %v allocations, want at most 1", allocs)
+	}
+
+	for cut := 0; cut < n; cut++ {
+		if _, _, err := Decode(good[:cut]); err == nil {
+			t.Fatalf("prefix of %d bytes accepted", cut)
+		}
+	}
+	forged := bytes.Clone(good[:headerSize])
+	binary.LittleEndian.PutUint32(forged[8:12], 1)             // chunk size 1
+	binary.LittleEndian.PutUint32(forged[12:16], maxLeafCount) // 2^30 leaves: a 32 GiB node array
+	binary.LittleEndian.PutUint64(forged[16:24], maxLeafCount)
+	if allocs := testing.AllocsPerRun(1, func() {
+		if _, _, err := Decode(forged); err == nil {
+			t.Error("forged leaf count accepted")
+		}
+	}); allocs > 4 {
+		t.Errorf("forged leaf count: %v allocations", allocs)
+	}
+	if _, _, err := ReadFrom(bytes.NewReader(forged)); err == nil {
+		t.Error("forged leaf count accepted from a stream")
 	}
 }
 

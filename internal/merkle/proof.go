@@ -30,7 +30,7 @@ func (t *Tree) Prove(chunk int) (Proof, error) {
 	}
 	p := Proof{
 		Chunk:    chunk,
-		Leaf:     t.nodes[t.leafBase+chunk],
+		Leaf:     *t.node(t.leafBase + chunk),
 		Siblings: make([]murmur3.Digest, 0, t.depth),
 	}
 	node := t.leafBase + chunk
@@ -41,7 +41,7 @@ func (t *Tree) Prove(chunk int) (Proof, error) {
 		} else {
 			sibling = node - 1
 		}
-		p.Siblings = append(p.Siblings, t.nodes[sibling])
+		p.Siblings = append(p.Siblings, *t.node(sibling))
 		node = (node - 1) / 2
 	}
 	return p, nil

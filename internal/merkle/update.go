@@ -39,7 +39,7 @@ func (t *Tree) Update(updates []LeafUpdate, exec device.Executor) (int, error) {
 			return 0, fmt.Errorf("merkle: leaf update chunk %d out of range [0,%d)", u.Chunk, t.numLeaves)
 		}
 		node := int32(t.leafBase + u.Chunk)
-		t.nodes[node] = u.Digest
+		*t.node(int(node)) = u.Digest
 		if node == 0 {
 			continue // single-leaf tree: the leaf is the root
 		}
@@ -56,8 +56,8 @@ func (t *Tree) Update(updates []LeafUpdate, exec device.Executor) (int, error) {
 		sort.Slice(dirty, func(a, b int) bool { return dirty[a] < dirty[b] })
 		batch := dirty
 		exec.For(len(batch), func(i int) {
-			n := batch[i]
-			t.nodes[n] = murmur3.HashPair(t.nodes[2*n+1], t.nodes[2*n+2])
+			n := int(batch[i])
+			*t.node(n) = murmur3.HashPair(*t.node(2*n + 1), *t.node(2*n + 2))
 		})
 		rehashed += len(batch)
 		// Parents of this level's dirty nodes.

@@ -9,15 +9,17 @@ import (
 	"repro/internal/murmur3"
 )
 
+func (t *Tree) numNodes() int { return len(t.nodes) / murmur3.DigestSize }
+
 // nodesEqual compares every node of two trees — root equality alone could
 // mask a stale interior node whose parent was coincidentally recomputed
 // from fresh siblings.
 func nodesEqual(a, b *Tree) (int, bool) {
-	if len(a.nodes) != len(b.nodes) {
+	if a.numNodes() != b.numNodes() {
 		return -1, false
 	}
-	for i := range a.nodes {
-		if a.nodes[i] != b.nodes[i] {
+	for i := 0; i < a.numNodes(); i++ {
+		if *a.node(i) != *b.node(i) {
 			return i, false
 		}
 	}
@@ -106,12 +108,12 @@ func TestUpdateAllDirtyCostsFullInterior(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		interior := len(tr.nodes) - (len(tr.nodes) + 1) / 2
+		interior := tr.numNodes() - (tr.numNodes() + 1) / 2
 		if n == 1 {
 			interior = 0
 		}
-		if rehashed > len(tr.nodes) {
-			t.Errorf("n=%d: rehashed %d > total nodes %d", n, rehashed, len(tr.nodes))
+		if rehashed > tr.numNodes() {
+			t.Errorf("n=%d: rehashed %d > total nodes %d", n, rehashed, tr.numNodes())
 		}
 		if n > 1 && rehashed < interior {
 			// All-dirty must touch every interior node above a real leaf —
