@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-fast test race check chaos chaos-smoke fuzz-smoke bench bench-smoke bench-check bench-json reprod-smoke wal-smoke experiments examples loc clean
+.PHONY: all build vet lint lint-fast test race check chaos chaos-smoke fuzz-smoke bench bench-smoke bench-check bench-json bench-det reprod-smoke wal-smoke experiments examples loc clean
 
 all: build vet test
 
@@ -8,7 +8,7 @@ all: build vet test
 # lint runs at tier 2 (type-aware dataflow) and audits the tree's
 # suppression directives; the tier-2 smoke budget (<10s on the whole
 # tree) is asserted by TestTierTwoBudget in internal/lint.
-check: build vet lint test race chaos-smoke fuzz-smoke bench-smoke reprod-smoke wal-smoke
+check: build vet lint test race chaos-smoke fuzz-smoke bench-smoke bench-det reprod-smoke wal-smoke
 
 build:
 	$(GO) build ./...
@@ -105,6 +105,25 @@ bench-json:
 	$(GO) run ./cmd/benchcapture -o BENCH_capture.json
 	$(GO) run ./cmd/benchshard -o BENCH_shard.json
 
+# bench-det is the deterministic-column gate: the five runners are re-run
+# at the recorded worker count into a temp dir, and every line of their
+# output that is not a timestamp, a wall-clock measurement or a
+# wall-derived rate must equal the tracked BENCH_*.json (~10 s). A diff
+# means a virtual-time, read-op, byte or verdict column moved: either a
+# regression, or a model decision to re-record with `make bench-json`
+# and explain in the PR.
+BENCH_WALL_KEYS = generated_at|go_version|wall_ms|ns_per_op|mb_per_s|iters|incremental_ms_per_capture|full_rebuild_ms
+bench-det: export GOMAXPROCS = 1
+bench-det:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && status=0 && \
+	for s in kernels stream group capture shard; do \
+		$(GO) run ./cmd/bench$$s -o $$tmp/BENCH_$$s.json || exit 1; \
+		grep -vE '"($(BENCH_WALL_KEYS))":' BENCH_$$s.json > $$tmp/want; \
+		grep -vE '"($(BENCH_WALL_KEYS))":' $$tmp/BENCH_$$s.json > $$tmp/got; \
+		diff -u --label BENCH_$$s.json $$tmp/want --label rerun $$tmp/got || status=1; \
+	done; \
+	[ $$status -eq 0 ] && echo "bench-det: deterministic columns match the tracked baselines"
+
 # Regenerate every paper table and figure (see EXPERIMENTS.md).
 experiments:
 	$(GO) run ./cmd/experiments -all
@@ -116,15 +135,18 @@ examples:
 	$(GO) run ./examples/haccrepro
 	$(GO) run ./examples/onlinecompare
 
-# loc prints the non-test Go lines of every package and the
-# internal/compare + internal/shard sum that ROADMAP's line-count
-# acceptance is stated in.
+# loc prints the non-test Go lines of every package and the two sums
+# ROADMAP's line-count acceptances are stated in: internal/compare +
+# internal/shard (the planners) and internal/compare + internal/stream
+# (stage 2).
 loc:
 	@for d in $$(find . -name '*.go' ! -name '*_test.go' | xargs -n1 dirname | sort -u); do \
 		printf '%7d %s\n' $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l) $$d; \
 	done
 	@printf '%7d internal/compare + internal/shard\n' \
 		$$(ls internal/compare/*.go internal/shard/*.go | grep -v _test.go | xargs cat | wc -l)
+	@printf '%7d internal/compare + internal/stream\n' \
+		$$(ls internal/compare/*.go internal/stream/*.go | grep -v _test.go | xargs cat | wc -l)
 	@printf '%7d total\n' $$(find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 
 clean:

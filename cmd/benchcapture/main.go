@@ -22,7 +22,9 @@
 //     to the rebuilt root;
 //   - stage 2: read ops/bytes for classic CompareMerkle, CompareDiff
 //     without a memo, and CompareDiff with a warmed CASMemo (full
-//     pruning) — the with/without-CAS-pruning read-op comparison.
+//     pruning) — the with/without-CAS-pruning read-op comparison — and
+//     CompareDiff again with windows of four chunks per side, the
+//     multi-window row of the one-source plan.
 //
 // The run self-checks its own acceptance floors (≥40% capture bytes
 // saved at low divergence, memoized reads strictly below unmemoized and
@@ -102,8 +104,8 @@ type Capture struct {
 	PackBytes      int64   `json:"pack_bytes_written"`
 	// ColdBytes is one differential capture into an empty CAS;
 	// FullIterBytes is one classic container of the same checkpoint.
-	ColdBytes     int64   `json:"cold_capture_bytes"`
-	FullIterBytes int64   `json:"full_capture_bytes_per_iter"`
+	ColdBytes     int64 `json:"cold_capture_bytes"`
+	FullIterBytes int64 `json:"full_capture_bytes_per_iter"`
 	// ColdOverheadFrac = ColdBytes/FullIterBytes - 1: the index +
 	// manifest + metadata premium the no-dedup-yet path pays.
 	ColdOverheadFrac float64 `json:"cold_overhead_frac"`
@@ -126,7 +128,13 @@ type Stage2 struct {
 	Classic    S2Side `json:"classic"`
 	DiffNoMemo S2Side `json:"diff_no_memo"`
 	DiffMemo   S2Side `json:"diff_memo"`
+	// DiffWindowed is DiffNoMemo at SliceBytes = windowChunks chunks, so
+	// the pack's candidates span several windows.
+	DiffWindowed S2Side `json:"diff_no_memo_windowed"`
 }
+
+// windowChunks is the chunks per side of DiffWindowed's windows.
+const windowChunks = 4
 
 // S2Side is one comparison strategy's cold-cache read profile.
 type S2Side struct {
@@ -464,6 +472,14 @@ func measureLevel(ctx context.Context, dir, name string, div, churn float64, ele
 	if err != nil {
 		return lv, err
 	}
+	windowed := opts
+	windowed.SliceBytes = windowChunks * opts.ChunkSize
+	lv.Stage2.DiffWindowed, err = measure(storeDiff, func() (*compare.Result, error) {
+		return compare.CompareDiff(ctx, storeDiff, cs, nameA, nameB, windowed)
+	})
+	if err != nil {
+		return lv, err
+	}
 	return lv, nil
 }
 
@@ -485,6 +501,12 @@ func selfCheck(rep *Report) error {
 			fail("%s: comparison paths disagree: classic %d/%d, diff %d/%d, memo %d/%d diffs/changed",
 				lv.Name, s.Classic.Diffs, s.Classic.Changed,
 				s.DiffNoMemo.Diffs, s.DiffNoMemo.Changed, s.DiffMemo.Diffs, s.DiffMemo.Changed)
+		}
+		if s.DiffWindowed.Diffs != s.Classic.Diffs || s.DiffWindowed.Changed != s.Classic.Changed ||
+			s.DiffWindowed.ReadBytes < s.DiffNoMemo.ReadBytes {
+			fail("%s: windowed differential comparison: %d diffs, %d changed, %d bytes; one window: %d, %d, %d",
+				lv.Name, s.DiffWindowed.Diffs, s.DiffWindowed.Changed, s.DiffWindowed.ReadBytes,
+				s.DiffNoMemo.Diffs, s.DiffNoMemo.Changed, s.DiffNoMemo.ReadBytes)
 		}
 		if s.DiffMemo.CASPruned != s.DiffMemo.Candidates {
 			fail("%s: warmed memo pruned %d of %d candidates", lv.Name, s.DiffMemo.CASPruned, s.DiffMemo.Candidates)

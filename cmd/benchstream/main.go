@@ -206,7 +206,8 @@ func collect(w Workload) (*Report, error) {
 	}
 	defer fA.Close()
 	defer fB.Close()
-	pairs := clusteredPairs(w)
+	chunks := w.Chunks / w.Clusters * w.Clusters
+	half, full := clusteredPlan(fA, fB, w, chunks/2), clusteredPlan(fA, fB, w, chunks)
 	dev := device.GPUModel()
 
 	const queueDepth, workers = 64, 4
@@ -234,7 +235,7 @@ func collect(w Workload) (*Report, error) {
 
 	for _, v := range variants {
 		backend, close := v.backend()
-		p, err := measure(v, backend, store, fA, fB, pairs, w, dev)
+		p, err := measure(v, backend, store, half, full, w, dev)
 		close()
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
@@ -251,35 +252,35 @@ func collect(w Workload) (*Report, error) {
 
 // measure runs one variant: a cold run for the virtual numbers, then a
 // warm run bracketed by MemStats for the steady-state allocation rate.
-func measure(v variant, backend aio.Backend, store *pfs.Store, fA, fB *pfs.File,
-	pairs []stream.ChunkPair, w Workload, dev device.Model) (Pipeline, error) {
-	cfg := stream.Config{Backend: backend, Device: dev, SliceBytes: w.SliceBytes, Depth: v.depth}
-	compute := func(_ int, p stream.ChunkPair, a, b []byte) (time.Duration, error) {
+func measure(v variant, backend aio.Backend, store *pfs.Store, half, full *stream.Plan, w Workload, dev device.Model) (Pipeline, error) {
+	// Window buffers recycle through an arena that lives as long as the
+	// variant.
+	cfg := stream.Config{Backend: backend, Arena: aio.NewArena(0), Device: dev, SliceBytes: w.SliceBytes, Depth: v.depth}
+	compute := func(_ int, _ stream.Job, a, b []byte) (time.Duration, error) {
 		return dev.CompareRateTime(int64(len(a))), nil
 	}
 
 	store.EvictAll()
-	stats, err := stream.Run(context.Background(), fA, fB, pairs, cfg, compute)
+	stats, err := stream.Run(context.Background(), full, cfg, compute)
 	if err != nil {
 		return Pipeline{}, err
 	}
 
 	// Warm allocation pass: page cache, ring, buffer pools, and scratch
 	// arenas are all at their high-water marks after one more run.
-	warm, err := stream.Run(context.Background(), fA, fB, pairs, cfg, compute)
+	warm, err := stream.Run(context.Background(), full, cfg, compute)
 	if err != nil {
 		return Pipeline{}, err
 	}
-	runN := func(n int) error {
-		_, err := stream.Run(context.Background(), fA, fB, pairs[:n], cfg, compute)
+	run := func(plan *stream.Plan) error {
+		_, err := stream.Run(context.Background(), plan, cfg, compute)
 		return err
 	}
-	half, full := len(pairs)/2, len(pairs)
-	allocsHalf, err := countAllocs(func() error { return runN(half) })
+	allocsHalf, err := countAllocs(func() error { return run(half) })
 	if err != nil {
 		return Pipeline{}, err
 	}
-	allocsFull, err := countAllocs(func() error { return runN(full) })
+	allocsFull, err := countAllocs(func() error { return run(full) })
 	if err != nil {
 		return Pipeline{}, err
 	}
@@ -360,26 +361,18 @@ func writeRuns(store *pfs.Store, size int64) (*pfs.File, *pfs.File, error) {
 	return fA, fB, nil
 }
 
-// clusteredPairs lays the candidate chunks out in bursts of adjacent
+// clusteredPlan lays the first n candidate chunks out in bursts of adjacent
 // chunks separated by clean regions — the spatially correlated divergence
 // pattern coalescing exploits. Run B's bursts sit at a fixed offset from
 // run A's so the two request sets differ.
-func clusteredPairs(w Workload) []stream.ChunkPair {
+func clusteredPlan(fA, fB *pfs.File, w Workload, n int) *stream.Plan {
 	perCluster := w.Chunks / w.Clusters
 	stride := w.FileBytes / int64(w.Clusters)
-	pairs := make([]stream.ChunkPair, 0, w.Chunks)
+	plan := stream.NewPlan(fA, fB)
 	shift := int64(perCluster * w.ChunkBytes) // B's bursts trail A's by one burst length
-	for c := 0; c < w.Clusters; c++ {
-		base := int64(c) * stride
-		for j := 0; j < perCluster; j++ {
-			off := base + int64(j*w.ChunkBytes)
-			pairs = append(pairs, stream.ChunkPair{
-				Index: len(pairs),
-				OffA:  off,
-				OffB:  off + shift,
-				Len:   w.ChunkBytes,
-			})
-		}
+	for i := 0; i < n; i++ {
+		off := int64(i/perCluster)*stride + int64(i%perCluster*w.ChunkBytes)
+		plan.Add(i, 0, off, 1, off+shift, w.ChunkBytes)
 	}
-	return pairs
+	return plan
 }

@@ -93,8 +93,8 @@ var (
 
 // Arena returns the ring's stage-2 buffer arena (created on first use
 // with DefaultArenaLimit; the owner may SetLimit it). Everything that
-// reads through this ring — the stream pipeline's slice buffers, the
-// coalescer's plan scratch, group union buffers — recycles through it,
+// reads through this ring — the stream pipeline's window buffers, the
+// coalescer's plan scratch — recycles through it,
 // so buffers live as long as the ring rather than as long as one
 // comparison. Close leaves it alone; the ring's owner Releases it.
 func (u *Uring) Arena() *Arena {

@@ -5,14 +5,13 @@ import (
 	"sync"
 )
 
-// BufSet is one recyclable stage-2 buffer set: the host buffers a
-// pipeline slice's two sides are read into (or, for a group comparison,
-// one member's union in A) and the request batches that address them.
-// A set belongs to whoever checked it out of an Arena until it is put
-// back; the arena never looks inside it.
+// BufSet is one recyclable stage-2 buffer set: the host buffer one source's
+// extents of one pipeline window are read into, and the request batch that
+// addresses it. A set belongs to whoever checked it out of an Arena until
+// it is put back; the arena never looks inside it.
 type BufSet struct {
-	A, B                 []byte
-	ReqsA, ReqsB, ReqsAB []ReadReq
+	Buf  []byte
+	Reqs []ReadReq
 }
 
 // readReqBytes is the in-memory size of one ReadReq (offset, length,
@@ -21,19 +20,19 @@ const readReqBytes = 48
 
 // bytes is the memory the set pins while it sits in the free list.
 func (s *BufSet) bytes() int64 {
-	return int64(cap(s.A)) + int64(cap(s.B)) +
-		readReqBytes*int64(cap(s.ReqsA)+cap(s.ReqsB)+cap(s.ReqsAB))
+	return int64(cap(s.Buf)) + readReqBytes*int64(cap(s.Reqs))
 }
 
 // MaxSetBytes is the largest buffer set (or coalescer scratch) an arena
-// keeps: both sides of a default 8 MiB pipeline slice plus the one chunk
-// a slice may overshoot by (up to 1 MiB) and the request batches. Larger
-// sets — a caller-raised SliceBytes, a group union over most of a big
-// checkpoint — are allocated per use and dropped on return.
+// keeps: two sources' share of a default 8 MiB pipeline window — what one
+// paired read's hole-bridging scratch can hold — each with the one job a
+// window may overshoot by (up to 1 MiB) and its request batch. Larger sets
+// — a caller-raised SliceBytes — are allocated per use and dropped on
+// return.
 const MaxSetBytes = 2 * (9 << 20)
 
-// DefaultArenaLimit bounds an arena nobody sized: eight default
-// comparisons' worth (pipeline depth 2) of buffer sets.
+// DefaultArenaLimit bounds an arena nobody sized: eight default pair
+// comparisons' worth (pipeline depth 2, two sources) of buffer sets.
 const DefaultArenaLimit = 8 * 2 * MaxSetBytes
 
 // Arena is the stage-2 buffer arena: a bounded free list of buffer sets
@@ -100,24 +99,23 @@ func (a *Arena) Stats() ArenaStats {
 	return ArenaStats{Bytes: a.retained, Sets: len(a.sets), Outstanding: a.out, Misses: a.misses, Limit: a.limit}
 }
 
-// Get checks out a buffer set whose A has capacity for nA bytes and B for
-// nB (lengths are the caller's to set; request batches come back empty
-// with their capacity kept). It picks the smallest free set that fits, so
+// Get checks out a buffer set whose Buf has capacity for n bytes (its
+// length is the caller's to set; the request batch comes back empty with
+// its capacity kept). It picks the smallest free set that fits, so
 // mixed-size comparisons do not trade buffers; when none fits it
-// allocates, recycling the request batches of the largest free set.
-func (a *Arena) Get(nA, nB int) *BufSet {
-	size := func(s *BufSet) int { return cap(s.A) + cap(s.B) }
+// allocates, recycling the request batch of the largest free set.
+func (a *Arena) Get(n int) *BufSet {
 	a.mu.Lock()
 	best := -1
 	for i, s := range a.sets {
-		if cap(s.A) >= nA && cap(s.B) >= nB && (best < 0 || size(s) < size(a.sets[best])) {
+		if cap(s.Buf) >= n && (best < 0 || cap(s.Buf) < cap(a.sets[best].Buf)) {
 			best = i
 		}
 	}
 	fits := best >= 0
 	if !fits {
 		for i, s := range a.sets {
-			if best < 0 || size(s) > size(a.sets[best]) {
+			if best < 0 || cap(s.Buf) > cap(a.sets[best].Buf) {
 				best = i
 			}
 		}
@@ -140,13 +138,10 @@ func (a *Arena) Get(nA, nB int) *BufSet {
 	if s == nil {
 		s = &BufSet{}
 	}
-	if cap(s.A) < nA {
-		s.A = make([]byte, nA)
+	if cap(s.Buf) < n {
+		s.Buf = make([]byte, n)
 	}
-	if cap(s.B) < nB {
-		s.B = make([]byte, nB)
-	}
-	s.ReqsA, s.ReqsB, s.ReqsAB = s.ReqsA[:0], s.ReqsB[:0], s.ReqsAB[:0]
+	s.Buf, s.Reqs = s.Buf[:cap(s.Buf)], s.Reqs[:0]
 	return s
 }
 

@@ -26,7 +26,7 @@ import (
 //
 // A merged run whose members tile its file window without holes and whose
 // destination buffers are adjacent in memory in file order — the layout
-// stream.fill and the group planner produce for adjacent candidates — is
+// the stream reader produces for adjacent extents of a source — is
 // read straight into the destination and needs no scatter copy. Which
 // buffer a merged request lands in changes nothing the inner backend
 // prices: offsets, lengths and op counts are the planner's either way.

@@ -49,9 +49,8 @@ func ReadRetried(ctx context.Context, be Backend, pol retry.Policy, batches ...B
 	return out, err
 }
 
-// ReadLadder is every read rung of the degradation ladder, for every
-// stage-2 reader (the stream pipeline's slices, the group planners'
-// unions): ReadRetried, then — only when the shared ring reports
+// ReadLadder is every read rung of the degradation ladder, for the one
+// stage-2 reader (the stream pipeline's windows): ReadRetried, then — only when the shared ring reports
 // ErrRingClosed — exactly one fresh-ring Legacy read of the same batches,
 // so a torn-down engine costs the spawn-per-batch price instead of the
 // comparison. Anything else, a canceled context included, is never

@@ -3,14 +3,18 @@ package compare
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/aio"
 	"repro/internal/ckpt"
+	"repro/internal/dettest"
+	"repro/internal/device"
 	"repro/internal/pfs"
 	"repro/internal/retry"
 	"repro/internal/synth"
@@ -301,5 +305,49 @@ func TestGroupDegradeOnDiskCorruptionUnverified(t *testing.T) {
 	}
 	if rep.Reproducible() {
 		t.Error("unverified group must never be reproducible")
+	}
+}
+
+// TestGroupDegradeSharedExtentCheckedOnce: in an all-pairs group the
+// baseline's chunk is one extent two pairs' jobs name, from ranges that run
+// concurrently. The integrity rung must settle it once — one verdict, one
+// re-read, the recovered bytes seen by both jobs — before any job runs;
+// `go test -race` is the other half of this test.
+func TestGroupDegradeSharedExtentCheckedOnce(t *testing.T) {
+	// Every chunk of every pair is a candidate, in three windows per field.
+	sh := dettest.Shape{Name: "shared-extent", Elems: 48 << 10, Chunk: 4 << 10, SliceBytes: 64 << 10, Stride: 61}
+	env := newDetEnv(t, sh)
+	pool := device.NewPool(4)
+	defer pool.Close()
+	opts := env.optsOn(pool)
+	opts.Degrade = true
+	run := func(backend aio.Backend) *GroupReport {
+		t.Helper()
+		opts.Backend = backend
+		env.store.EvictAll()
+		rep, err := GroupCompare(context.Background(), env.store, env.names[0], env.names[1:], TopologyAllPairs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	clean := run(fallbackCoalescing())
+	// Every read of the baseline lands with a flipped bit.
+	flipped := run(corruptBackend{inner: fallbackCoalescing(), match: "runA"})
+	if flipped.Degraded() || flipped.UnverifiedChunks() != 0 {
+		t.Fatalf("in-flight corruption of the shared baseline degraded the group: %d unverified", flipped.UnverifiedChunks())
+	}
+	for pi, p := range flipped.Pairs {
+		assertSameDiffs(t, dettest.Want(sh, env.fields, env.data, p.A, p.B), diffsToMap(p.Result.Diffs),
+			fmt.Sprintf("pair %d-%d", p.A, p.B))
+		if !reflect.DeepEqual(p.Result.Diffs, clean.Pairs[pi].Result.Diffs) {
+			t.Errorf("pair %d-%d: diffs differ from the clean run's", p.A, p.B)
+		}
+	}
+	// The baseline was re-read exactly once, whole: each of its chunks is
+	// one extent however many pairs name it.
+	baseline := int64(len(env.fields)) * int64(sh.Elems) * 4
+	if got := flipped.BytesRead - clean.BytesRead; got != baseline {
+		t.Errorf("integrity re-reads fetched %d bytes, want the baseline's %d once", got, baseline)
 	}
 }

@@ -24,8 +24,10 @@ import (
 //     same pack extent are identical by construction, and a digest pair
 //     whose element-wise verdict was established by an earlier
 //     differential comparison replays from the memo — zero read ops.
-//   - stage 2 streams the surviving chunks from the pack (one file, both
-//     sides), so the coalescer merges extents across sides.
+//   - stage 2 streams the surviving chunks from the pack — the plan's one
+//     source, both sides' extents in one offset-ordered batch — so the
+//     coalescer merges extents across sides and an extent two jobs name is
+//     read once.
 //
 // Soundness hinges on full-digest keying: inside one CAS a digest names
 // exactly one stored byte string, so any function of the chunk contents —
@@ -112,5 +114,6 @@ func CompareDiff(ctx context.Context, store *pfs.Store, cs *cas.Store, nameA, na
 		return nil, err
 	}
 	var p engine.Plan
-	return st.runVerify(ctx, &p, st.ms.Stage1(&p, "open-manifests"))
+	st.appendTo(&p, "plan-candidates", st.stepPlanCandidates, st.ms.Stage1(&p, "open-manifests"))
+	return st.runPlan(ctx, &p)
 }

@@ -35,51 +35,38 @@ func CompareDirect(ctx context.Context, store *pfs.Store, nameA, nameB string, o
 	if err != nil {
 		return nil, err
 	}
-	st.verifyWrap = "direct"
+	// The sweep has no stage 1 to bound what a missing chunk could hide:
+	// it is never degraded.
+	st.wrap, st.degrade = "direct", false
 	var p engine.Plan
-	open := p.Add(engine.StepSetup, "open-checkpoints", st.ms.open)
-	plan := p.Add(engine.StepCoalesce, "plan-sweep", st.stepPlanSweep, open)
-	verify := p.Add(engine.StepStreamVerify, "stream-verify", st.stepStreamVerify, plan)
-	p.Add(engine.StepReport, "report", st.ms.Report, verify)
+	st.appendTo(&p, "plan-sweep", st.stepPlanSweep, p.Add(engine.StepSetup, "open-checkpoints", st.ms.open))
 	return st.runPlan(ctx, &p)
 }
 
-// stepPlanSweep builds one whole-checkpoint stream of contiguous
-// slice-sized chunk pairs spanning every selected field, so the sequential
-// sweep pays the batch latency once.
+// stepPlanSweep builds one whole-checkpoint plan of contiguous slice-sized
+// jobs spanning every selected field, so the sequential sweep pays the
+// batch latency once.
 func (st *pairState) stepPlanSweep(ctx context.Context, x *engine.Exec) error {
 	ra, rb := st.ms.Readers[0], st.ms.Readers[1]
+	st.plan = stream.NewPlan(ra.File(), rb.File())
 	for fi, f := range st.ms.fields {
 		if !st.ms.selected[fi] {
 			continue
 		}
-		h, err := st.opts.hasherFor(f.DType)
-		if err != nil {
-			return err
-		}
 		eltSize := int64(f.DType.Size())
 		fb := f.Bytes()
-		chunkSize := int64(st.opts.SliceBytes)
+		chunkSize := int64(st.ms.opts.SliceBytes)
 		baseA := ra.FieldFileOffset(fi)
 		baseB := rb.FieldFileOffset(fi)
 		for off := int64(0); off < fb; off += chunkSize {
-			n := chunkSize
-			if off+n > fb {
-				n = fb - off
-			}
-			st.pairs = append(st.pairs, stream.ChunkPair{
-				Index: len(st.refs), OffA: baseA + off, OffB: baseB + off, Len: int(n),
-			})
-			st.refs = append(st.refs, chunkRef{
-				field:    fi,
-				chunk:    -1, // the sweep has no Merkle chunk notion
-				baseElem: off / eltSize,
-				hasher:   h,
-			})
+			n := min(chunkSize, fb-off)
+			st.plan.Add(len(st.refs), 0, baseA+off, 1, baseB+off, int(n))
+			// The sweep has no Merkle chunk notion.
+			st.refs = append(st.refs, jobRef{field: fi, chunk: -1, base: off / eltSize})
 		}
 		st.res.TotalElements += f.Count
 	}
-	return nil
+	return st.fieldHashers()
 }
 
 // CompareAllClose is the naive baseline of §3.2.1 (numpy.allclose with
@@ -128,7 +115,7 @@ func (st *pairState) allCloseFields(ctx context.Context, x *engine.Exec) (bool, 
 		if !st.ms.selected[fi] {
 			continue
 		}
-		hasher, err := st.opts.hasherFor(f.DType)
+		hasher, err := st.ms.opts.hasherFor(f.DType)
 		if err != nil {
 			return false, err
 		}
@@ -153,8 +140,8 @@ func (st *pairState) allCloseFields(ctx context.Context, x *engine.Exec) (bool, 
 		// Vectorized full-array comparison on the host (numpy computes
 		// the whole boolean array; there is no early exit).
 		var ok bool
-		if st.opts.RelEpsilon > 0 {
-			ok, err = errbound.AllCloseRel(da, db, f.DType, st.opts.Epsilon, st.opts.RelEpsilon)
+		if st.ms.opts.RelEpsilon > 0 {
+			ok, err = errbound.AllCloseRel(da, db, f.DType, st.ms.opts.Epsilon, st.ms.opts.RelEpsilon)
 		} else {
 			ok, err = hasher.AllClose(da, db)
 		}

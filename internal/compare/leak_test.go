@@ -8,7 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/aio"
+	"repro/internal/device"
 	"repro/internal/faults"
+	"repro/internal/pfs"
 	"repro/internal/synth"
 )
 
@@ -171,4 +174,119 @@ func TestGroupCancelNoLeaks(t *testing.T) {
 		}
 	}
 	waitGoroutines(t, base)
+}
+
+// cancelOnReread is a store fault hook that, once armed, counts every read
+// the store sees and cancels the comparison at the first one.
+type cancelOnReread struct {
+	armed  atomic.Bool
+	reads  atomic.Int32
+	cancel context.CancelFunc
+}
+
+func (h *cancelOnReread) BeforeRead(string, int64, int) error {
+	if h.armed.Load() && h.reads.Add(1) == 1 {
+		h.cancel()
+	}
+	return nil
+}
+
+func (h *cancelOnReread) AfterRead(string, int64, []byte) pfs.Cost { return pfs.Cost{} }
+
+func (h *cancelOnReread) BeforeWrite(string, int64, int) (int, error) { return 0, nil }
+
+// armingBackend corrupts every batch it lands (so the integrity rung must
+// re-read) and arms the hook once both members' batches of the one window
+// have landed: every read the store sees from then on is an integrity
+// re-read.
+type armingBackend struct {
+	inner   aio.Backend
+	hook    *cancelOnReread
+	batches *atomic.Int32
+}
+
+func (b armingBackend) Name() string { return "arming" }
+
+func (b armingBackend) ReadBatch(ctx context.Context, f *pfs.File, reqs []aio.ReadReq) (pfs.Cost, time.Duration, error) {
+	cost, io, err := b.inner.ReadBatch(ctx, f, reqs)
+	for _, r := range reqs {
+		r.Buf[3] ^= 0x40
+	}
+	if b.batches.Add(1) == 2 {
+		b.hook.armed.Store(true)
+	}
+	return cost, io, err
+}
+
+// TestCancelDuringIntegrityRereadStopsReads: a comparison canceled while
+// the integrity rung is re-reading issues no further PFS reads — the
+// re-read observes the context — and leaks nothing.
+func TestCancelDuringIntegrityRereadStopsReads(t *testing.T) {
+	env, opts := leakEnv(t)
+	opts.Degrade = true
+	opts.Exec = device.Serial{}
+	for _, group := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		hook := &cancelOnReread{cancel: cancel}
+		opts.Backend = armingBackend{inner: aio.Mmap{}, hook: hook, batches: new(atomic.Int32)}
+		env.store.EvictAll()
+		env.store.SetFaultHook(hook)
+		var err error
+		if group {
+			_, err = GroupCompare(ctx, env.store, env.nameA, []string{env.nameB}, TopologyStar, opts)
+		} else {
+			_, err = CompareMerkle(ctx, env.store, env.nameA, env.nameB, opts)
+		}
+		env.store.SetFaultHook(nil)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("group=%v: err = %v, want context.Canceled", group, err)
+		}
+		// The re-read that pulled the trigger was already past its
+		// cancellation point; every later one must stop there.
+		if n := hook.reads.Load(); n != 1 {
+			t.Errorf("group=%v: %d integrity re-reads reached the store after cancellation, want the 1 in flight", group, n)
+		}
+		if n := env.store.OpenHandles(); n != 0 {
+			t.Fatalf("group=%v: %d reader handles leaked", group, n)
+		}
+	}
+}
+
+// TestGroupStage2RecyclesWindowBuffers: a group whose per-member candidate
+// union is larger than any buffer set the arena keeps still recycles —
+// stage 2 holds windows, not unions — so a warm, repeated group comparison
+// allocates no buffers and returns every set.
+func TestGroupStage2RecyclesWindowBuffers(t *testing.T) {
+	if testing.Short() {
+		t.Skip("writes two 24 MiB checkpoints")
+	}
+	opts := baseOpts(1e-7, 64<<10)
+	pert := synth.DefaultPerturb(11)
+	pert.MagLo, pert.MagHi, pert.UntouchedFrac = 1e-3, 1e-2, 0
+	env := newEnv(t, 2<<20, opts, pert)
+	ring := aio.NewUring(256, 4)
+	defer ring.Close()
+	opts.Backend = aio.NewCoalescing(ring, 0)
+	run := func() {
+		t.Helper()
+		rep, err := GroupCompare(context.Background(), env.store, env.nameA, []string{env.nameB}, TopologyStar, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if union := int64(rep.Pairs[0].Result.CandidateChunks) * int64(opts.ChunkSize); union <= aio.MaxSetBytes {
+			t.Fatalf("member union is %d bytes, want more than the arena's largest set (%d)", union, int64(aio.MaxSetBytes))
+		}
+	}
+	run() // warm the arena
+	warm := ring.Arena().Stats()
+	run()
+	run()
+	after := ring.Arena().Stats()
+	if after.Misses != warm.Misses {
+		t.Errorf("%d arena misses over two warm group comparisons, want none", after.Misses-warm.Misses)
+	}
+	if after.Outstanding != 0 {
+		t.Errorf("%d buffer sets never returned to the arena", after.Outstanding)
+	}
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/murmur3"
 	"repro/internal/pfs"
 	"repro/internal/simclock"
+	"repro/internal/stream"
 )
 
 // This file is stage 1 of the paper's one comparison algorithm, once: open
@@ -23,8 +24,9 @@ import (
 // [A, B] with the single pair (0, 1), a group is N members with its
 // topology's pair list, a sharded comparison (internal/shard) is either
 // with a different stage 2, and the differential (CAS) planners are the
-// same set opened from manifests plus one pruning pass. What the planners
-// keep to themselves is how stage 2 reads the surviving candidates.
+// same set opened from manifests plus one pruning pass. The set also turns
+// what survives into the stage-2 read plan (planCandidates) every
+// single-node planner streams (plan.go).
 
 // deserializeBytesPerSec prices metadata parsing (a memory-bandwidth-bound
 // scan) on the virtual clock.
@@ -36,6 +38,7 @@ type sink struct {
 	breakdown                                 *metrics.Breakdown
 	steps                                     *metrics.StepSpans
 	bytesRead, checkpointBytes, metadataBytes *int64
+	readRetries, ringFallbacks                *int
 }
 
 // MemberSet carries N checkpoints and the pairs compared among them
@@ -84,7 +87,8 @@ func newPairSet(store *pfs.Store, cs *cas.Store, nameA, nameB string, opts Optio
 	return &MemberSet{
 		store: store, opts: opts, cs: cs,
 		sink: sink{breakdown: &res.Breakdown, steps: &res.Steps,
-			bytesRead: &res.BytesRead, checkpointBytes: &res.CheckpointBytes, metadataBytes: &res.MetadataBytes},
+			bytesRead: &res.BytesRead, checkpointBytes: &res.CheckpointBytes, metadataBytes: &res.MetadataBytes,
+			readRetries: &res.ReadRetries, ringFallbacks: &res.RingFallbacks},
 		names:   []string{nameA, nameB},
 		Pairs:   [][2]int{{0, 1}},
 		results: []*Result{res},
@@ -109,7 +113,8 @@ func NewGroupSet(store *pfs.Store, cs *cas.Store, baseline string, runs []string
 	ms := &MemberSet{
 		store: store, opts: opts, cs: cs, Rep: rep,
 		sink: sink{breakdown: &rep.Breakdown, steps: &rep.Steps,
-			bytesRead: &rep.BytesRead, checkpointBytes: &rep.CheckpointBytes, metadataBytes: &rep.MetadataBytes},
+			bytesRead: &rep.BytesRead, checkpointBytes: &rep.CheckpointBytes, metadataBytes: &rep.MetadataBytes,
+			readRetries: &rep.ReadRetries, ringFallbacks: &rep.RingFallbacks},
 		names:   members,
 		Pairs:   pairs,
 		results: make([]*Result, len(pairs)),
@@ -152,15 +157,7 @@ func (ms *MemberSet) Selected(fi int) bool { return ms.selected[fi] }
 // Fold returns pair pi's stage-2 accumulator.
 func (ms *MemberSet) Fold(pi int) *PairFold { return &ms.folds[pi] }
 
-// file returns the file member m's chunks are read from.
-func (ms *MemberSet) file(m int) *pfs.File {
-	if ms.cs != nil {
-		return ms.pack
-	}
-	return ms.Readers[m].File()
-}
-
-// chunkOff returns the absolute offset, in file(m), of chunk ci of member
+// chunkOff returns the absolute offset, in member m's stage-2 source, of chunk ci of member
 // m's field fi: field-relative in the member's container, or the chunk's
 // pack extent in differential mode.
 func (ms *MemberSet) chunkOff(m, fi, ci int) int64 {
@@ -475,6 +472,66 @@ func (ms *MemberSet) prune(ctx context.Context, x *engine.Exec) error {
 		}
 	}
 	return nil
+}
+
+// planCandidates turns the surviving candidates of every pair into the
+// stage-2 read plan: the members' files as its sources — the one shared
+// pack in differential mode, where every member views the same extents —
+// and one job per candidate, ordered (field, chunk, pair) so the pairs that
+// need a chunk from a shared member sit in one window and the chunk is one
+// extent, read once. refs maps each job back to its pair, field and chunk.
+func (ms *MemberSet) planCandidates() (*stream.Plan, []jobRef, error) {
+	files := []*pfs.File{ms.pack}
+	if ms.cs == nil {
+		files = make([]*pfs.File, len(ms.names))
+		for m := range files {
+			files[m] = ms.Readers[m].File()
+		}
+	}
+	plan := stream.NewPlan(files...)
+	source := func(m int) int {
+		if ms.cs != nil {
+			return 0
+		}
+		return m
+	}
+	var refs []jobRef
+	heads := make([]int, len(ms.Pairs))
+	for fi, fm := range ms.Metas[0].Fields {
+		chunkElems := int64(fm.Tree.ChunkSize() / fm.DType.Size())
+		clear(heads)
+		for {
+			// The candidate lists ascend (merkle.Diff returns them so, CAS
+			// pruning keeps the order): the least head is the next chunk.
+			ci := -1
+			for pi := range ms.Pairs {
+				if c := ms.Cands[pi][fi]; heads[pi] < len(c) && (ci < 0 || c[heads[pi]] < ci) {
+					ci = c[heads[pi]]
+				}
+			}
+			if ci < 0 {
+				break
+			}
+			_, n := fm.Tree.ChunkRange(ci)
+			for pi, pr := range ms.Pairs {
+				if c := ms.Cands[pi][fi]; heads[pi] == len(c) || c[heads[pi]] != ci {
+					continue
+				}
+				heads[pi]++
+				if ms.cs != nil {
+					// The manifest pins extent length to chunk length.
+					locA, locB := ms.mans[pr[0]].Fields[fi].Locs[ci], ms.mans[pr[1]].Fields[fi].Locs[ci]
+					if int(locA.Len) != n || int(locB.Len) != n {
+						return nil, nil, fmt.Errorf("compare: field %q chunk %d: pack extents %d/%d bytes, tree says %d",
+							fm.Name, ci, locA.Len, locB.Len, n)
+					}
+				}
+				plan.Add(len(refs), source(pr[0]), ms.chunkOff(pr[0], fi, ci), source(pr[1]), ms.chunkOff(pr[1], fi, ci), n)
+				refs = append(refs, jobRef{pair: pi, field: fi, chunk: ci, base: int64(ci) * chunkElems})
+			}
+		}
+	}
+	return plan, refs, nil
 }
 
 // Report is the planners' report step: every pair's fold lands in its

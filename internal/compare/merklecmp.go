@@ -28,7 +28,8 @@ func CompareMerkle(ctx context.Context, store *pfs.Store, nameA, nameB string, o
 		return nil, err
 	}
 	var p engine.Plan
-	return st.runVerify(ctx, &p, st.ms.Stage1(&p, "open-checkpoints"))
+	st.appendTo(&p, "plan-candidates", st.stepPlanCandidates, st.ms.Stage1(&p, "open-checkpoints"))
+	return st.runPlan(ctx, &p)
 }
 
 // BuildAndSave builds metadata for a checkpoint already on the store and

@@ -46,11 +46,17 @@ type Options struct {
 	// reused across every batch), identically wrapped. An explicitly
 	// set Backend is used as-is, never wrapped.
 	Backend aio.Backend
-	// SliceBytes is the streaming pipeline slice size (default 8 MiB).
+	// SliceBytes is the stage-2 window size: the bytes of any one
+	// compared file a pipeline window holds (default 8 MiB; of either
+	// side, where a differential comparison reads both from the one
+	// pack). Pair and group comparisons alike stream through windows of
+	// this size.
 	SliceBytes int
-	// Depth is the verification pipeline depth: buffer sets in flight
+	// Depth is the verification pipeline depth: windows in flight
 	// between the I/O producer and the compute consumer (default 2,
-	// classic double buffering; 1 serializes I/O against compute).
+	// classic double buffering; 1 serializes I/O against compute). A
+	// comparison of N files holds at most Depth × N × (SliceBytes + one
+	// chunk) bytes of stage-2 buffers.
 	Depth int
 	// CoalesceMaxGap controls read coalescing on the default backend: the
 	// largest hole in bytes bridged between two candidate chunks (0

@@ -12,6 +12,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/dettest"
 	"repro/internal/device"
+	"repro/internal/metrics"
 	"repro/internal/pfs"
 )
 
@@ -60,8 +61,8 @@ func normGroup(g *GroupReport) *GroupReport {
 
 // detOutputs is everything one executor produced for one shape.
 type detOutputs struct {
-	Merkle, Direct, DiffCold, DiffWarm *Result
-	Star, AllPairs                     *GroupReport
+	Merkle, Direct, DiffCold, DiffWarm     *Result
+	Star, AllPairs, DiffStar, DiffAllPairs *GroupReport
 }
 
 func TestStage2DeterministicAcrossExecutors(t *testing.T) {
@@ -77,6 +78,7 @@ func TestStage2DeterministicAcrossExecutors(t *testing.T) {
 					ref = out
 					env.checkOracle(t, out)
 					env.checkPairIsGroupOfTwo(t, exec)
+					env.checkWindowsDoNotMatter(t, exec, out)
 					continue
 				}
 				if !reflect.DeepEqual(ref, out) {
@@ -137,19 +139,51 @@ func newDetEnv(t *testing.T, sh dettest.Shape) *detEnv {
 	return env
 }
 
+// optsOn returns the shape's options on exec: under Degrade every read of
+// run B's container lands with a flipped bit the integrity rung must
+// re-read away.
+func (e *detEnv) optsOn(exec device.Executor) Options {
+	opts := e.opts
+	opts.Exec = exec
+	opts.Fields = e.shape.Fields
+	if e.shape.Degrade {
+		opts.Degrade = true
+		opts.Backend = flipBackend{inner: fallbackCoalescing(), match: "runB"}
+	}
+	return opts
+}
+
+// groups runs the four group entry points, each from a cold page cache.
+func (e *detEnv) groups(t *testing.T, opts Options) (star, allPairs, diffStar, diffAllPairs *GroupReport) {
+	t.Helper()
+	ctx := context.Background()
+	run := func(topology Topology, differential bool) *GroupReport {
+		t.Helper()
+		var rep *GroupReport
+		var err error
+		if differential {
+			e.diff.store.EvictAll()
+			rep, err = GroupCompareDiff(ctx, e.diff.store, e.diff.cs, e.dnames[0], e.dnames[1:], topology, opts)
+		} else {
+			e.store.EvictAll()
+			rep, err = GroupCompare(ctx, e.store, e.names[0], e.names[1:], topology, opts)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return normGroup(rep)
+	}
+	return run(TopologyStar, false), run(TopologyAllPairs, false), run(TopologyStar, true), run(TopologyAllPairs, true)
+}
+
 // run drives every stage-2 entry point once on exec, each from a cold
 // page cache, and returns the wall-stripped outputs.
 func (e *detEnv) run(t *testing.T, exec device.Executor) *detOutputs {
 	t.Helper()
 	ctx := context.Background()
-	opts := e.opts
-	opts.Exec = exec
-	opts.Fields = e.shape.Fields
+	opts := e.optsOn(exec)
 	sweep := opts
-	if e.shape.Degrade {
-		opts.Degrade = true
-		opts.Backend = flipBackend{inner: fallbackCoalescing(), match: "runB"}
-	}
+	sweep.Degrade, sweep.Backend = false, nil
 	out := &detOutputs{}
 	must := func(err error) {
 		t.Helper()
@@ -165,12 +199,7 @@ func (e *detEnv) run(t *testing.T, exec device.Executor) *detOutputs {
 	// The direct sweep has no integrity rung: it runs on the clean backend.
 	out.Direct, err = CompareDirect(ctx, e.store, e.names[0], e.names[1], sweep)
 	must(err)
-	e.store.EvictAll()
-	out.Star, err = GroupCompare(ctx, e.store, e.names[0], e.names[1:], TopologyStar, opts)
-	must(err)
-	e.store.EvictAll()
-	out.AllPairs, err = GroupCompare(ctx, e.store, e.names[0], e.names[1:], TopologyAllPairs, opts)
-	must(err)
+	out.Star, out.AllPairs, out.DiffStar, out.DiffAllPairs = e.groups(t, opts)
 
 	dopts := opts
 	dopts.Memo = NewCASMemo(dettest.Eps)
@@ -184,8 +213,6 @@ func (e *detEnv) run(t *testing.T, exec device.Executor) *detOutputs {
 	for _, r := range []*Result{out.Merkle, out.Direct, out.DiffCold, out.DiffWarm} {
 		normResult(r)
 	}
-	normGroup(out.Star)
-	normGroup(out.AllPairs)
 	return out
 }
 
@@ -211,52 +238,128 @@ func (e *detEnv) checkOracle(t *testing.T, out *detOutputs) {
 	if out.DiffWarm.CASPrunedChunks == 0 && out.DiffCold.CandidateChunks > 0 {
 		t.Error("warm memo pruned nothing: the cold run's kernel did not memoize")
 	}
-	for _, g := range []*GroupReport{out.Star, out.AllPairs} {
+	for _, g := range []*GroupReport{out.Star, out.AllPairs, out.DiffStar, out.DiffAllPairs} {
 		for _, p := range g.Pairs {
-			check(fmt.Sprintf("group %s %d-%d", g.Topology, p.A, p.B), p.Result, p.A, p.B)
+			check(fmt.Sprintf("%s %s %d-%d", p.Result.Method, g.Topology, p.A, p.B), p.Result, p.A, p.B)
 		}
 	}
 }
 
-// checkPairIsGroupOfTwo pins the identity the shared stage 1 rests on: a
-// pair comparison is the group of two. CompareMerkle(A, B) and the star
-// group over the same two members load the same metadata and diff the
-// same trees, so every stage-1 output — roots, chunk counts, metadata
-// bytes, and the load and tree-diff steps' virtual time — is equal; only
-// stage 2 (slice pipeline vs union buffers) prices differently.
+// checkPairIsGroupOfTwo pins the identity the shared stages rest on: a pair
+// comparison is the group of two. CompareMerkle(A, B) and the star group
+// over the same two members (and CompareDiff and GroupCompareDiff likewise)
+// load the same metadata, diff the same trees and stream the same plan
+// through the same reader, so every output — roots, chunk counts, diffs,
+// unverified counts, bytes read, the virtual time of every step, and the
+// PFS operations and bytes the store saw — is equal.
 func (e *detEnv) checkPairIsGroupOfTwo(t *testing.T, exec device.Executor) {
 	t.Helper()
-	opts := e.opts
-	opts.Exec = exec
-	opts.Fields = e.shape.Fields
-	e.store.EvictAll()
-	pair, err := CompareMerkle(context.Background(), e.store, e.names[0], e.names[1], opts)
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	opts := e.optsOn(exec)
+	measured := func(store *pfs.Store, run func() error) (ops, bytes int64) {
+		t.Helper()
+		store.EvictAll()
+		ops0, bytes0 := store.ReadStats()
+		if err := run(); err != nil {
+			t.Fatal(err)
+		}
+		ops, bytes = store.ReadStats()
+		return ops - ops0, bytes - bytes0
 	}
-	e.store.EvictAll()
-	group, err := GroupCompare(context.Background(), e.store, e.names[0], e.names[1:2], TopologyStar, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gp := group.Pairs[0].Result
-	if pair.RootA != group.MemberRoots[0] || pair.RootB != group.MemberRoots[1] {
-		t.Error("pair roots differ from the group of two's member roots")
-	}
-	if pair.TotalChunks != gp.TotalChunks || pair.CandidateChunks != gp.CandidateChunks ||
-		pair.MetadataBytes != group.MetadataBytes || pair.TotalElements != gp.TotalElements {
-		t.Errorf("pair stage 1 (%d chunks, %d candidates, %d metadata bytes, %d elements) differs from the group of two's (%d, %d, %d, %d)",
-			pair.TotalChunks, pair.CandidateChunks, pair.MetadataBytes, pair.TotalElements,
-			gp.TotalChunks, gp.CandidateChunks, group.MetadataBytes, gp.TotalElements)
-	}
-	for _, label := range []string{"load-metadata", "tree-diff"} {
-		ps, _ := pair.Steps.Get(label)
-		gs, ok := group.Steps.Get(label)
-		if !ok || ps.Virtual != gs.Virtual {
-			t.Errorf("step %s: pair %v virtual, group of two %v", label, ps.Virtual, gs.Virtual)
+	check := func(label string, pair *Result, pairOps, pairBytes int64, group *GroupReport, groupOps, groupBytes int64) {
+		t.Helper()
+		gp := group.Pairs[0].Result
+		if pair.RootA != group.MemberRoots[0] || pair.RootB != group.MemberRoots[1] {
+			t.Errorf("%s: pair roots differ from the group of two's member roots", label)
+		}
+		type counts struct {
+			total, candidate, pruned, changed, unverified int
+			elements, diffs, metadata, bytesRead          int64
+			degraded                                      bool
+		}
+		pc := counts{pair.TotalChunks, pair.CandidateChunks, pair.CASPrunedChunks, pair.ChangedChunks, pair.UnverifiedChunks,
+			pair.TotalElements, pair.DiffCount, pair.MetadataBytes, pair.BytesRead, pair.Degraded}
+		gc := counts{gp.TotalChunks, gp.CandidateChunks, gp.CASPrunedChunks, gp.ChangedChunks, gp.UnverifiedChunks,
+			gp.TotalElements, gp.DiffCount, group.MetadataBytes, group.BytesRead, gp.Degraded}
+		if pc != gc {
+			t.Errorf("%s: pair %+v, group of two %+v", label, pc, gc)
+		}
+		if !reflect.DeepEqual(pair.Diffs, gp.Diffs) {
+			t.Errorf("%s: pair diffs differ from the group of two's", label)
+		}
+		if pv := pair.Breakdown.Get(metrics.PhaseCompareDirect).Virtual; pv != group.PipelineVirtual {
+			t.Errorf("%s: pair pipeline %v virtual, group of two %v", label, pv, group.PipelineVirtual)
+		}
+		if len(pair.Steps) != len(group.Steps) {
+			t.Fatalf("%s: pair plan has %d steps, group of two %d", label, len(pair.Steps), len(group.Steps))
+		}
+		for i, ps := range pair.Steps {
+			if gs := group.Steps[i]; ps.Kind != gs.Kind || ps.Span.Virtual != gs.Span.Virtual {
+				t.Errorf("%s: step %d: pair %s %v virtual, group of two %s %v", label, i, ps.Kind, ps.Span.Virtual, gs.Kind, gs.Span.Virtual)
+			}
+		}
+		if pairOps != groupOps || pairBytes != groupBytes || groupOps != group.ReadOps || groupBytes != group.ReadBytes {
+			t.Errorf("%s: pair issued %d ops / %d bytes, group of two %d / %d (reported %d / %d)",
+				label, pairOps, pairBytes, groupOps, groupBytes, group.ReadOps, group.ReadBytes)
 		}
 	}
-	assertSameDiffs(t, diffsToMap(pair.Diffs), diffsToMap(gp.Diffs), "pair vs group of two")
+
+	var pair *Result
+	var group *GroupReport
+	var err error
+	pairOps, pairBytes := measured(e.store, func() error {
+		pair, err = CompareMerkle(ctx, e.store, e.names[0], e.names[1], opts)
+		return err
+	})
+	groupOps, groupBytes := measured(e.store, func() error {
+		group, err = GroupCompare(ctx, e.store, e.names[0], e.names[1:2], TopologyStar, opts)
+		return err
+	})
+	check("container", pair, pairOps, pairBytes, group, groupOps, groupBytes)
+
+	pairOps, pairBytes = measured(e.diff.store, func() error {
+		pair, err = CompareDiff(ctx, e.diff.store, e.diff.cs, e.dnames[0], e.dnames[1], opts)
+		return err
+	})
+	groupOps, groupBytes = measured(e.diff.store, func() error {
+		group, err = GroupCompareDiff(ctx, e.diff.store, e.diff.cs, e.dnames[0], e.dnames[1:2], TopologyStar, opts)
+		return err
+	})
+	check("differential", pair, pairOps, pairBytes, group, groupOps, groupBytes)
+}
+
+// checkWindowsDoNotMatter pins the group planners on the windowed reader:
+// where the shape's SliceBytes cuts a member's candidates into three
+// windows or more, every pair's verdict equals the one-window run's.
+func (e *detEnv) checkWindowsDoNotMatter(t *testing.T, exec device.Executor, out *detOutputs) {
+	t.Helper()
+	if e.shape.SliceBytes == 0 {
+		return
+	}
+	windowed := []*GroupReport{out.Star, out.AllPairs, out.DiffStar, out.DiffAllPairs}
+	opts := e.optsOn(exec)
+	opts.SliceBytes = 1 << 30
+	star, allPairs, diffStar, diffAllPairs := e.groups(t, opts)
+	for gi, one := range []*GroupReport{star, allPairs, diffStar, diffAllPairs} {
+		got, multi := windowed[gi], false
+		for pi, p := range one.Pairs {
+			want, have := p.Result, got.Pairs[pi].Result
+			label := fmt.Sprintf("%s %s %d-%d", want.Method, one.Topology, p.A, p.B)
+			if !reflect.DeepEqual(want.Diffs, have.Diffs) {
+				t.Errorf("%s: diffs at %d-byte windows differ from the one-window run's", label, e.shape.SliceBytes)
+			}
+			if want.ChangedChunks != have.ChangedChunks || want.CandidateChunks != have.CandidateChunks ||
+				want.UnverifiedChunks != have.UnverifiedChunks || want.Degraded != have.Degraded {
+				t.Errorf("%s: counts at %d-byte windows differ from the one-window run's", label, e.shape.SliceBytes)
+			}
+			// One member of this pair alone spans three windows.
+			streamed := want.CandidateChunks - want.CASPrunedChunks
+			multi = multi || streamed*e.shape.Chunk >= 3*e.shape.SliceBytes
+		}
+		if e.shape.Name == "many-slices" && !multi {
+			t.Errorf("%s %s: the shape no longer cuts a member into three windows", one.Pairs[0].Result.Method, one.Topology)
+		}
+	}
 }
 
 // firstDifference names the first top-level output that differs.
@@ -269,4 +372,52 @@ func firstDifference(a, b *detOutputs) string {
 		}
 	}
 	return "(no field differs)"
+}
+
+// TestCASPairWindowsCutPerSide pins where a differential pair's windows
+// close. SliceBytes bounds one side of a window, and the pack holds both
+// sides of every job, so CompareDiff closes a window at SliceBytes per side
+// — where the two-file slice pipeline it replaced did — not at SliceBytes
+// of pack bytes, which would double the windows, the batched reads and the
+// kernel launches. The store's read operations and bytes and the pipeline's
+// virtual time are the values recorded before the readers were unified
+// (PR 14); they move only if the storage or device model does.
+func TestCASPairWindowsCutPerSide(t *testing.T) {
+	want := map[string]struct {
+		candidates int
+		ops, bytes int64
+		pipeline   time.Duration
+	}{
+		"few-pairs-per-slice": {88, 16, 1133348, 1422164},
+		"many-slices":         {192, 52, 6314788, 6008002},
+	}
+	for _, sh := range dettest.Shapes() {
+		w, ok := want[sh.Name]
+		if !ok {
+			continue
+		}
+		t.Run(sh.Name, func(t *testing.T) {
+			opts := Options{Epsilon: dettest.Eps, ChunkSize: sh.Chunk, SliceBytes: sh.SliceBytes, StartLevel: 1}
+			fields, data := dettest.Runs(sh)
+			env := newDiffEnv(t, opts)
+			a, _ := env.capture(t, "runA", 10, fields, data[0])
+			b, _ := env.capture(t, "runB", 10, fields, data[1])
+			env.store.EvictAll()
+			ops0, bytes0 := env.store.ReadStats()
+			r, err := CompareDiff(context.Background(), env.store, env.cs, a, b, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops, bytes := env.store.ReadStats()
+			if streamed := r.CandidateChunks * sh.Chunk; r.CandidateChunks != w.candidates || streamed < 3*sh.SliceBytes {
+				t.Fatalf("%d candidates, want %d and at least three windows of them", r.CandidateChunks, w.candidates)
+			}
+			if ops-ops0 != w.ops || bytes-bytes0 != w.bytes {
+				t.Errorf("store saw %d ops / %d bytes, want %d / %d", ops-ops0, bytes-bytes0, w.ops, w.bytes)
+			}
+			if got := r.Breakdown.Get(metrics.PhaseCompareDirect).Virtual; got != w.pipeline {
+				t.Errorf("pipeline %d ns virtual, want %d", got, w.pipeline)
+			}
+		})
+	}
 }

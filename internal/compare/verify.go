@@ -1,6 +1,7 @@
 package compare
 
 import (
+	"context"
 	"slices"
 	"time"
 
@@ -11,11 +12,11 @@ import (
 )
 
 // This file is the stage-2 verification kernel: the one place a chunk
-// pair is verified, shared by the pair planners (through the stream
-// pipeline's consumer), the group planners (dispatched over the union
-// buffers) and the shard workers (serially, per batch). The planners
-// differ in where bytes come from and where verdicts go; what happens to
-// one chunk pair — integrity rung, ε-compare, memo insert — is here.
+// pair is verified, shared by every single-node planner (through the
+// stream pipeline's consumer, plan.go) and the shard workers (serially,
+// per batch). They differ in where bytes come from and where verdicts go;
+// what happens to one chunk — the integrity rung on a side, the ε-compare
+// and memo insert on a pair — is here.
 
 // Sides of a chunk pair.
 const (
@@ -40,51 +41,34 @@ const (
 	ChunkUnverified
 )
 
-// LeafChecker is the integrity rung of the degradation ladder as the
-// kernel sees it. The planner knows which leaf a chunk's bytes must
-// re-hash to and where to re-read them from; VerifyLeaf does the work.
-type LeafChecker interface {
-	// CheckedSide returns the bytes to compare for one side of chunk job i
-	// — data itself, or a re-read copy — or nil when the side remains
-	// unverifiable. r is the kernel range the job runs in: the planner
-	// tallies re-read costs per range, so ranges share no counter.
-	CheckedSide(r, i, side int, data []byte) []byte
-}
-
 // VerifyLeaf is the integrity rung for one chunk side: the streamed bytes
 // must re-hash to the leaf their metadata was built from — corruption
 // beyond ε quantization (bit rot, a torn transfer) cannot masquerade as a
-// clean chunk. On mismatch the chunk is re-read once from f at off into a
-// fresh buffer (an in-flight flip re-reads clean; media corruption
-// repeats). It returns the verified bytes — data itself or the re-read
-// copy — or nil; reread reports whether the re-read was issued, cost what
-// it cost.
-func VerifyLeaf(h *errbound.Hasher, data []byte, want murmur3.Digest, f *pfs.File, off int64) (verified []byte, reread bool, cost pfs.Cost) {
+// clean chunk. On mismatch the chunk is re-read once from f at off, in
+// place and under the comparison's context (an in-flight flip re-reads
+// clean; media corruption repeats). ok reports whether data now holds
+// verified bytes; reread whether the re-read was issued, cost what it cost.
+func VerifyLeaf(ctx context.Context, h *errbound.Hasher, data []byte, want murmur3.Digest, f *pfs.File, off int64) (ok, reread bool, cost pfs.Cost) {
 	if got, err := h.HashChunk(data); err == nil && got == want {
-		return data, false, pfs.Cost{}
+		return true, false, pfs.Cost{}
 	}
-	buf := make([]byte, len(data))
-	n, cost, err := f.ReadAt(buf, off)
-	if err != nil || n != len(buf) {
-		return nil, true, cost
+	n, cost, err := f.ReadAtCtx(ctx, data, off)
+	if err != nil || n != len(data) {
+		return false, true, cost
 	}
-	if got, herr := h.HashChunk(buf); herr == nil && got == want {
-		return buf, true, cost
-	}
-	return nil, true, cost
+	got, err := h.HashChunk(data)
+	return err == nil && got == want, true, cost
 }
 
 // ChunkJob is one chunk pair handed to the kernel.
 type ChunkJob struct {
 	Hasher *errbound.Hasher
-	A, B   []byte
+	// A and B are the two sides' bytes. A nil side is one the integrity
+	// rung could not verify: the pair is excluded from diffing.
+	A, B []byte
 	// Base is the element index, within the field, of the chunk's first
 	// element: reported indices are field-absolute.
 	Base int64
-	// Leaves, when set, runs the integrity rung on both sides first
-	// (Options.Degrade); R and I are passed through to it.
-	Leaves LeafChecker
-	R, I   int
 	// Memo, when set, records the verdict under the digest pair. Sound
 	// only in differential mode: both byte strings are CAS
 	// representatives, so one digest names exactly one stored byte string
@@ -98,12 +82,8 @@ type ChunkJob struct {
 // comes back unextended.
 func (j *ChunkJob) Verify(dst []int64) ([]int64, ChunkVerdict, error) {
 	a, b := j.A, j.B
-	if j.Leaves != nil {
-		a = j.Leaves.CheckedSide(j.R, j.I, SideA, a)
-		b = j.Leaves.CheckedSide(j.R, j.I, SideB, b)
-		if a == nil || b == nil {
-			return dst, ChunkUnverified, nil
-		}
+	if a == nil || b == nil {
+		return dst, ChunkUnverified, nil
 	}
 	n0 := len(dst)
 	dst, _, err := j.Hasher.CompareSlices(dst, a, b)
@@ -131,13 +111,11 @@ type verdictSlot struct {
 	lo, hi  int
 }
 
-// rangeScratch is what one kernel range owns: its index scratch, its
-// re-read tally, and whether a job in it failed. Jobs of one range run
-// sequentially, so none of it is locked.
+// rangeScratch is what one kernel range owns: its index scratch and its
+// re-read tally. Jobs of one range run sequentially, so neither is locked.
 type rangeScratch struct {
 	idx        []int64
 	rereadCost pfs.Cost
-	failed     bool
 }
 
 // verdicts is the kernel's result store for one batch of chunk jobs: a
@@ -160,7 +138,6 @@ func (v *verdicts) reset(jobs, maxRanges int) {
 	}
 	for r := range v.ranges {
 		v.ranges[r].idx = v.ranges[r].idx[:0]
-		v.ranges[r].failed = false
 	}
 }
 
@@ -171,7 +148,6 @@ func (v *verdicts) verify(r, i int, job *ChunkJob) error {
 	idx, verdict, err := job.Verify(sc.idx)
 	sc.idx = idx
 	if err != nil {
-		sc.failed = true
 		return err
 	}
 	v.slots[i] = verdictSlot{verdict: verdict, r: int32(r), lo: lo, hi: len(idx)}
@@ -182,16 +158,6 @@ func (v *verdicts) verify(r, i int, job *ChunkJob) error {
 func (v *verdicts) indices(i int) []int64 {
 	s := v.slots[i]
 	return v.ranges[s.r].idx[s.lo:s.hi]
-}
-
-// failed reports whether any job returned an error.
-func (v *verdicts) failed() bool {
-	for r := range v.ranges {
-		if v.ranges[r].failed {
-			return true
-		}
-	}
-	return false
 }
 
 // chargeRereads drains the ranges' integrity re-read tallies, prices them
@@ -217,31 +183,5 @@ func (v *verdicts) chargeRereads(store *pfs.Store, to sink) time.Duration {
 func sortIndices(idx []int64) {
 	if !slices.IsSorted(idx) {
 		slices.Sort(idx)
-	}
-}
-
-// mergeSorted appends to dst the union of ascending integer lists,
-// ascending and without duplicates. It consumes the lists slice (the
-// element slices are re-sliced, their arrays untouched).
-func mergeSorted(dst []int, lists [][]int) []int {
-	if len(lists) == 1 {
-		return append(dst, lists[0]...)
-	}
-	for {
-		least, found := 0, false
-		for _, l := range lists {
-			if len(l) > 0 && (!found || l[0] < least) {
-				least, found = l[0], true
-			}
-		}
-		if !found {
-			return dst
-		}
-		dst = append(dst, least)
-		for k, l := range lists {
-			if len(l) > 0 && l[0] == least {
-				lists[k] = l[1:]
-			}
-		}
 	}
 }

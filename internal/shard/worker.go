@@ -191,10 +191,7 @@ func (r *run) runBatch(ctx context.Context, ws *workerState, hasher *errbound.Ha
 	var cost pfs.Cost
 	var backoff time.Duration
 	var comp time.Duration
-	var leaves compare.LeafChecker
-	if r.opts.Degrade {
-		leaves = &batchLeaves{hasher: hasher, pf: pf, u: u, cost: &cost, v: v}
-	}
+	leaves := batchLeaves{hasher: hasher, pf: pf, u: u, cost: &cost, v: v}
 	off := int64(0)
 	for k := i; k < j; k++ {
 		cr := &u.Chunks[k]
@@ -215,9 +212,13 @@ func (r *run) runBatch(ctx context.Context, ws *workerState, hasher *errbound.Ha
 			continue
 		}
 		// The kernel body shared with the single-node planners: integrity
-		// rung (a failing side gets one re-read), ε-compare, indices
-		// appended to the unit's verdict.
-		job := compare.ChunkJob{Hasher: hasher, A: a, B: b, Base: cr.Index * u.ChunkElems, Leaves: leaves, I: k}
+		// rung (a failing side gets one re-read and, still failing, reaches
+		// the kernel nil), ε-compare, indices appended to the unit's
+		// verdict.
+		if r.opts.Degrade {
+			a, b = leaves.checked(ctx, k, compare.SideA, a), leaves.checked(ctx, k, compare.SideB, b)
+		}
+		job := compare.ChunkJob{Hasher: hasher, A: a, B: b, Base: cr.Index * u.ChunkElems}
 		diffs, verdict, err := job.Verify(v.Diffs)
 		if err != nil {
 			return fmt.Errorf("shard: unit %d chunk %d: %w", u.Seq, cr.Index, err)
@@ -281,10 +282,9 @@ func (r *run) readChunk(ctx context.Context, f *pfs.File, p []byte, fileOff int6
 	return false, err
 }
 
-// batchLeaves is the integrity rung for one batch (compare.LeafChecker):
-// each side's bytes must re-hash to the leaf digest the unit was cut
-// from. Re-reads are charged to the batch's cost and counted on the
-// verdict.
+// batchLeaves is the integrity rung for one batch: each side's bytes must
+// re-hash to the leaf digest the unit was cut from. Re-reads are charged to
+// the batch's cost and counted on the verdict.
 type batchLeaves struct {
 	hasher *errbound.Hasher
 	pf     *pairFiles
@@ -293,17 +293,21 @@ type batchLeaves struct {
 	v      *VerdictMsg
 }
 
-// CheckedSide implements compare.LeafChecker for chunk i of the unit.
-func (l *batchLeaves) CheckedSide(_, i, side int, data []byte) []byte {
+// checked returns one side of chunk i of the unit once it verifies —
+// re-read in place if it must be — or nil.
+func (l *batchLeaves) checked(ctx context.Context, i, side int, data []byte) []byte {
 	cr := &l.u.Chunks[i]
 	f, off, want := l.pf.fA, cr.OffA, cr.DigestA
 	if side == compare.SideB {
 		f, off, want = l.pf.fB, cr.OffB, cr.DigestB
 	}
-	verified, reread, cost := compare.VerifyLeaf(l.hasher, data, want, f, off)
+	ok, reread, cost := compare.VerifyLeaf(ctx, l.hasher, data, want, f, off)
 	l.cost.Add(cost)
 	if reread {
 		l.v.Rereads++
 	}
-	return verified
+	if !ok {
+		return nil
+	}
+	return data
 }

@@ -89,8 +89,9 @@ func TestRunParallelDeliversEveryPairOnce(t *testing.T) {
 		fa.Store().EvictAll() // every run prices a cold cache
 		seen := make([]int32, len(pairs))
 		busy := make([]atomic.Int32, MaxRanges(exec))
-		cfg := Config{Backend: aio.NewCoalescing(u, 0), Exec: exec, Device: dev, SliceBytes: 256 << 10}
-		stats, err := Run(context.Background(), fa, fb, pairs, cfg, func(r int, p ChunkPair, a, b []byte) (time.Duration, error) {
+		cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewCoalescing(u, 0), Exec: exec, Device: dev, SliceBytes: 256 << 10}
+		stats, err := Run(context.Background(), pairPlan(fa, fb, pairs), cfg, func(r int, j Job, a, b []byte) (time.Duration, error) {
+			p := pairs[j.Index]
 			if busy[r].Add(1) != 1 {
 				t.Errorf("range %d entered concurrently", r)
 			}
@@ -134,8 +135,8 @@ func TestRunErrorAndCancelMidSlice(t *testing.T) {
 	u := aio.NewUring(64, 2)
 	defer u.Close()
 	arena := u.Arena()
-	warm := Config{Backend: aio.NewCoalescing(u, 0), Exec: pool, Device: device.GPUModel(), SliceBytes: 256 << 10}
-	if _, err := Run(context.Background(), fa, fb, pairs, warm, func(int, ChunkPair, []byte, []byte) (time.Duration, error) {
+	warm := Config{Arena: arena, Backend: aio.NewCoalescing(u, 0), Exec: pool, Device: device.GPUModel(), SliceBytes: 256 << 10}
+	if _, err := Run(context.Background(), pairPlan(fa, fb, pairs), warm, func(int, Job, []byte, []byte) (time.Duration, error) {
 		return 0, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -147,7 +148,8 @@ func TestRunErrorAndCancelMidSlice(t *testing.T) {
 		// Every pair from 70 on fails (slice 2, several ranges): the
 		// reported error must be pair 70's, whichever range ran first.
 		for trial := 0; trial < 20; trial++ {
-			_, err := Run(context.Background(), fa, fb, pairs, warm, func(_ int, p ChunkPair, _, _ []byte) (time.Duration, error) {
+			_, err := Run(context.Background(), pairPlan(fa, fb, pairs), warm, func(_ int, j Job, _, _ []byte) (time.Duration, error) {
+				p := pairs[j.Index]
 				if p.Index >= 70 {
 					return 0, fmt.Errorf("pair %d: %w", p.Index, errBoom)
 				}
@@ -164,7 +166,8 @@ func TestRunErrorAndCancelMidSlice(t *testing.T) {
 			cfg := warm
 			cfg.Exec = device.Cancelable{Done: ctx.Done(), Inner: pool}
 			var once sync.Once
-			_, err := Run(ctx, fa, fb, pairs, cfg, func(_ int, p ChunkPair, _, _ []byte) (time.Duration, error) {
+			_, err := Run(ctx, pairPlan(fa, fb, pairs), cfg, func(_ int, j Job, _, _ []byte) (time.Duration, error) {
+				p := pairs[j.Index]
 				if p.Index >= 100 {
 					once.Do(cancel)
 				}
@@ -215,10 +218,12 @@ func TestSteadyStateComparisonAllocs(t *testing.T) {
 	defer pool.Close()
 	u := aio.NewUring(64, 2)
 	defer u.Close()
-	cfg := Config{Backend: aio.NewCoalescing(u, 0), Exec: pool, Device: device.GPUModel(), SliceBytes: perSlice * chunk, Depth: 2}
+	cfg := Config{Arena: u.Arena(), Backend: aio.NewCoalescing(u, 0), Exec: pool, Device: device.GPUModel(), SliceBytes: perSlice * chunk, Depth: 2}
 	dispatches := 0
+	// Plans are inputs: built once, outside the measured runs.
+	plans := map[int]*Plan{extra: pairPlan(fa, fb, pairs[:extra*perSlice]), 2 * extra: pairPlan(fa, fb, pairs)}
 	runN := func(slices int) {
-		_, err := Run(context.Background(), fa, fb, pairs[:slices*perSlice], cfg, func(r int, p ChunkPair, a, b []byte) (time.Duration, error) {
+		_, err := Run(context.Background(), plans[slices], cfg, func(r int, p Job, a, b []byte) (time.Duration, error) {
 			if r > 0 && p.Index%perSlice == perSlice-1 {
 				dispatches++ // the last pair of a slice, seen from a helper range
 			}

@@ -87,10 +87,10 @@ func TestVirtualPipelineClosedForms(t *testing.T) {
 // stats fix: Stats.Wall used to be set only on success.
 func TestRunErrorPathsSetWall(t *testing.T) {
 	fa, fb, _, _ := twoFiles(t, 1<<20)
-	cfg := Config{Backend: aio.NewUring(16, 2), Device: device.GPUModel(), SliceBytes: 32 << 10}
+	cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewUring(16, 2), Device: device.GPUModel(), SliceBytes: 32 << 10}
 
 	boom := errors.New("boom")
-	stats, err := Run(context.Background(), fa, fb, pairsEvery(32, 4096, 8192), cfg, func(_ int, p ChunkPair, a, b []byte) (time.Duration, error) {
+	stats, err := Run(context.Background(), pairPlan(fa, fb, pairsEvery(32, 4096, 8192)), cfg, func(int, Job, []byte, []byte) (time.Duration, error) {
 		return 0, boom
 	})
 	if !errors.Is(err, boom) {
@@ -101,8 +101,8 @@ func TestRunErrorPathsSetWall(t *testing.T) {
 	}
 
 	// Read error: a negative offset is rejected by the backend.
-	bad := []ChunkPair{{Index: 0, OffA: -4096, OffB: 0, Len: 4096}}
-	stats, err = Run(context.Background(), fa, fb, bad, cfg, func(_ int, p ChunkPair, a, b []byte) (time.Duration, error) {
+	bad := []chunkPair{{Index: 0, OffA: -4096, OffB: 0, Len: 4096}}
+	stats, err = Run(context.Background(), pairPlan(fa, fb, bad), cfg, func(int, Job, []byte, []byte) (time.Duration, error) {
 		return 0, nil
 	})
 	if err == nil {
@@ -119,8 +119,9 @@ func TestRunDepths(t *testing.T) {
 	var prev time.Duration
 	for _, depth := range []int{1, 2, 4} {
 		u := aio.NewUring(16, 2)
-		cfg := Config{Backend: u, Device: device.GPUModel(), SliceBytes: 32 << 10, Depth: depth}
-		stats, err := Run(context.Background(), fa, fb, pairs, cfg, func(_ int, p ChunkPair, a, b []byte) (time.Duration, error) {
+		cfg := Config{Arena: aio.NewArena(0), Backend: u, Device: device.GPUModel(), SliceBytes: 32 << 10, Depth: depth}
+		stats, err := Run(context.Background(), pairPlan(fa, fb, pairs), cfg, func(_ int, j Job, a, b []byte) (time.Duration, error) {
+			p := pairs[j.Index]
 			if int64(len(a)) != int64(p.Len) || a[0] != da[p.OffA] {
 				t.Errorf("depth %d: chunk %d misdelivered", depth, p.Index)
 			}
@@ -154,9 +155,11 @@ func TestSteadyStateSliceAllocs(t *testing.T) {
 
 	u := aio.NewUring(64, 2)
 	defer u.Close()
-	cfg := Config{Backend: u, Device: device.GPUModel(), SliceBytes: perSlice * chunk, Depth: 2}
+	cfg := Config{Arena: aio.NewArena(0), Backend: u, Device: device.GPUModel(), SliceBytes: perSlice * chunk, Depth: 2}
+	// Plans are inputs: built once, outside the measured runs.
+	plans := map[int]*Plan{extra: pairPlan(fa, fb, pairs[:extra*perSlice]), 2 * extra: pairPlan(fa, fb, pairs)}
 	runN := func(n int) {
-		_, err := Run(context.Background(), fa, fb, pairs[:n*perSlice], cfg, func(_ int, p ChunkPair, a, b []byte) (time.Duration, error) {
+		_, err := Run(context.Background(), plans[n], cfg, func(int, Job, []byte, []byte) (time.Duration, error) {
 			return 0, nil
 		})
 		if err != nil {
@@ -186,9 +189,11 @@ func TestSteadyStateSliceAllocsCoalescing(t *testing.T) {
 	u := aio.NewUring(64, 2)
 	defer u.Close()
 	co := aio.NewCoalescing(u, 16<<10)
-	cfg := Config{Backend: co, Device: device.GPUModel(), SliceBytes: perSlice * chunk, Depth: 2}
+	cfg := Config{Arena: aio.NewArena(0), Backend: co, Device: device.GPUModel(), SliceBytes: perSlice * chunk, Depth: 2}
+	// Plans are inputs: built once, outside the measured runs.
+	plans := map[int]*Plan{extra: pairPlan(fa, fb, pairs[:extra*perSlice]), 2 * extra: pairPlan(fa, fb, pairs)}
 	runN := func(n int) {
-		_, err := Run(context.Background(), fa, fb, pairs[:n*perSlice], cfg, func(_ int, p ChunkPair, a, b []byte) (time.Duration, error) {
+		_, err := Run(context.Background(), plans[n], cfg, func(int, Job, []byte, []byte) (time.Duration, error) {
 			return 0, nil
 		})
 		if err != nil {

@@ -37,11 +37,11 @@ func oneFile(t *testing.T, size int) (*pfs.File, []byte) {
 
 // samePackPairs interleaves A and B extents in one file the way
 // differential captures lay them out: A's chunk then B's representative.
-func samePackPairs(n, chunk int) []ChunkPair {
-	pairs := make([]ChunkPair, n)
+func samePackPairs(n, chunk int) []chunkPair {
+	pairs := make([]chunkPair, n)
 	for i := range pairs {
 		base := int64(2 * i * chunk)
-		pairs[i] = ChunkPair{Index: i, OffA: base, OffB: base + int64(chunk), Len: chunk}
+		pairs[i] = chunkPair{Index: i, OffA: base, OffB: base + int64(chunk), Len: chunk}
 	}
 	return pairs
 }
@@ -51,9 +51,10 @@ func TestRunSameFileMergesBatches(t *testing.T) {
 	const n, chunk = 32, 4096
 	pairs := samePackPairs(n, chunk)
 	cb := &countingBackend{inner: aio.Mmap{}}
-	cfg := Config{Backend: cb, Device: device.GPUModel(), SliceBytes: 32 << 10}
+	cfg := Config{Arena: aio.NewArena(0), Backend: cb, Device: device.GPUModel(), SliceBytes: 32 << 10}
 	var visited int32
-	stats, err := Run(context.Background(), f, f, pairs, cfg, func(_ int, p ChunkPair, a, b []byte) (time.Duration, error) {
+	stats, err := Run(context.Background(), pairPlan(f, f, pairs), cfg, func(_ int, j Job, a, b []byte) (time.Duration, error) {
+		p := pairs[j.Index]
 		atomic.AddInt32(&visited, 1)
 		if !bytes.Equal(a, data[p.OffA:p.OffA+int64(p.Len)]) {
 			t.Errorf("chunk %d: side-A buffer mismatch", p.Index)
@@ -68,6 +69,11 @@ func TestRunSameFileMergesBatches(t *testing.T) {
 	}
 	if visited != n {
 		t.Errorf("visited %d chunks, want %d", visited, n)
+	}
+	// SliceBytes bounds one side: the pack holds both sides of every job, so
+	// its windows close where the two-file plan's do.
+	if want := n * chunk / cfg.SliceBytes; stats.Slices != want {
+		t.Errorf("%d slices, want %d: a one-source pair must cut at SliceBytes per side", stats.Slices, want)
 	}
 	// One merged batch per slice (the two-file path issues two), carrying
 	// both sides' requests.
@@ -90,8 +96,8 @@ func TestRunSameFileCoalescesAcrossSides(t *testing.T) {
 	const n, chunk = 16, 4096
 	pairs := samePackPairs(n, chunk)
 	run := func(backend aio.Backend) int {
-		cfg := Config{Backend: backend, Device: device.GPUModel(), SliceBytes: 1 << 20}
-		stats, err := Run(context.Background(), f, f, pairs, cfg, func(int, ChunkPair, []byte, []byte) (time.Duration, error) {
+		cfg := Config{Arena: aio.NewArena(0), Backend: backend, Device: device.GPUModel(), SliceBytes: 1 << 20}
+		stats, err := Run(context.Background(), pairPlan(f, f, pairs), cfg, func(int, Job, []byte, []byte) (time.Duration, error) {
 			return 0, nil
 		})
 		if err != nil {
@@ -112,9 +118,10 @@ func TestRunSameFileCoalescesAcrossSides(t *testing.T) {
 func TestRunSameFileRingClosedFallsBack(t *testing.T) {
 	f, data := oneFile(t, 256<<10)
 	pairs := samePackPairs(8, 4096)
-	cfg := Config{Backend: closedBackend{}, Device: device.GPUModel(), SliceBytes: 32 << 10, Retry: retryPolicy()}
+	cfg := Config{Arena: aio.NewArena(0), Backend: closedBackend{}, Device: device.GPUModel(), SliceBytes: 32 << 10, Retry: retryPolicy()}
 	ok := true
-	stats, err := Run(context.Background(), f, f, pairs, cfg, func(_ int, p ChunkPair, a, b []byte) (time.Duration, error) {
+	stats, err := Run(context.Background(), pairPlan(f, f, pairs), cfg, func(_ int, j Job, a, b []byte) (time.Duration, error) {
+		p := pairs[j.Index]
 		if !bytes.Equal(a, data[p.OffA:p.OffA+int64(p.Len)]) || !bytes.Equal(b, data[p.OffB:p.OffB+int64(p.Len)]) {
 			ok = false
 		}

@@ -1,24 +1,32 @@
 // Package stream implements the multi-level overlapping I/O pipeline of
-// the comparator's verification stage (paper §2.1, Fig. 3): an I/O
-// producer reads slices of scattered chunk pairs from the PFS into host
-// buffers through an aio backend while the consumer transfers the previous
-// slice to the device and runs the comparison kernel. Buffering is
-// configurable depth-N (Config.Depth, default 2 — classic double
-// buffering), so steady-state cost is bounded by the slower of the I/O and
-// compute rates rather than their sum.
+// the comparator's verification stage (paper §2.1, Fig. 3), once, for every
+// planner: a Plan names N sources — a file and the extents needed from it —
+// and an ordered list of jobs, each comparing one extent of one source with
+// one extent of another. A pair comparison is the plan of two sources, a
+// group of N runs is N sources whose shared extents are listed once, and a
+// differential (CAS) comparison is the single pack every member views.
 //
-// Slice buffer sets (host buffers for both runs plus the request batches)
-// are checked out of the backend's stage-2 arena — Depth of them per Run,
-// returned on every exit path — so neither a slice nor a whole comparison
-// allocates buffers once the arena is warm. When the backend implements
-// aio.PairReader, both runs' requests for a slice are submitted as one
-// overlapped batch; otherwise the two reads serialize.
+// The job list is cut into windows: a window closes at the first job that
+// takes any source's bytes in it to Config.SliceBytes — twice that for a
+// source holding both sides of a job, so SliceBytes bounds one side whether
+// a pair sits in two files or one pack — and the jobs right behind it that
+// share an extent with it and still fit. One window pins at most SliceBytes
+// plus one job's bytes per source and side. An I/O producer reads
+// each window's sources once into buffers from the stage-2 arena —
+// consecutive sources two at a time up the read ladder (aio.ReadLadder), so
+// a PairReader backend overlaps them — while the consumer transfers the
+// previous window to the device and runs the comparison kernel. Buffering
+// is depth-N (Config.Depth, default 2 — classic double buffering), so
+// steady-state cost is bounded by the slower of the I/O and compute rates
+// rather than their sum, and a run holds Depth × N window buffers, returned
+// on every exit path, however much data the plan covers.
 //
-// The consumer is data-parallel: each slice's pairs are split into
-// byte-balanced contiguous ranges dispatched over Config.Exec, joined
-// before the next slice. A slice's virtual compute is a sum of Durations
-// (launch + transfer + Σ per-pair terms), which no evaluation order can
-// change, so the virtual clock is the same at any worker count.
+// The consumer is data-parallel: a window's jobs are split into
+// byte-balanced contiguous ranges dispatched over Config.Exec in one
+// dispatch, joined before the next window. A window's virtual compute is a
+// sum of Durations (launch + transfer + Σ per-job terms), which no
+// evaluation order can change, so the virtual clock is the same at any
+// worker count.
 //
 // The pipeline runs with real goroutine overlap (wall time) and accounts
 // virtual time with the depth-N recurrence (VirtualPipeline):
@@ -34,8 +42,11 @@
 package stream
 
 import (
+	"cmp"
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/aio"
@@ -45,44 +56,140 @@ import (
 	"repro/internal/retry"
 )
 
-// ChunkPair is one unit of verification work: the same logical chunk in
-// the two runs' checkpoint files.
-type ChunkPair struct {
-	// Index is the caller-defined chunk identifier.
-	Index int
-	// OffA and OffB are absolute file offsets in run A's and run B's files.
-	OffA, OffB int64
-	// Len is the chunk length in bytes.
+// Extent is one contiguous byte range of a source.
+type Extent struct {
+	Off int64
 	Len int
+}
+
+// Source is one file of a plan and the extents needed from it. Once the
+// plan is sealed they ascend by offset without duplicates, so an extent two
+// jobs share is read once per window and adjacent extents coalesce.
+type Source struct {
+	File    *pfs.File
+	Extents []Extent
+}
+
+// Ref names one extent of one source of a plan.
+type Ref struct {
+	Src, Ext int
+}
+
+// Job is one unit of verification work: Len bytes at extent A against Len
+// bytes at extent B.
+type Job struct {
+	// Index is the caller-defined job identifier.
+	Index int
+	A, B  Ref
+	Len   int
+}
+
+// Plan is a stage-2 read plan: N sources and the jobs over them, verified
+// in job order. Build one with NewPlan and Add.
+type Plan struct {
+	Sources []Source
+	Jobs    []Job
+	// Degrade runs the plan down the degradation ladder instead of failing
+	// it: a source no read rung can serve is dropped for the rest of the
+	// run, and the jobs naming it are never delivered — the caller falls
+	// back to what it knew without the bytes.
+	Degrade bool
+	// Check, when set, is the ladder's integrity rung: it is called once
+	// per source extent of every window, before any job sees the bytes,
+	// and may repair data in place. An extent it rejects is delivered to
+	// its jobs as a nil side. r is the range the call runs in, as for
+	// Compute.
+	Check func(ctx context.Context, r, src, ext int, data []byte) bool
+}
+
+// NewPlan returns an empty plan over the given files, one source each.
+func NewPlan(files ...*pfs.File) *Plan {
+	p := &Plan{Sources: make([]Source, len(files))}
+	for i, f := range files {
+		p.Sources[i].File = f
+	}
+	return p
+}
+
+// Add appends a job comparing n bytes at offA of source a with n bytes at
+// offB of source b. Extents may repeat and arrive in any order; Seal sorts
+// them out.
+func (p *Plan) Add(index, a int, offA int64, b int, offB int64, n int) {
+	ref := func(src int, off int64) Ref {
+		s := &p.Sources[src]
+		s.Extents = append(s.Extents, Extent{Off: off, Len: n})
+		return Ref{Src: src, Ext: len(s.Extents) - 1}
+	}
+	p.Jobs = append(p.Jobs, Job{Index: index, A: ref(a, offA), B: ref(b, offB), Len: n})
+}
+
+func cmpExtent(a, b Extent) int {
+	if c := cmp.Compare(a.Off, b.Off); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Len, b.Len)
+}
+
+// Seal puts every source's extents in ascending order without duplicates
+// and re-points the jobs at them. Run seals the plan it is given; a caller
+// that keeps state per extent seals first and indexes by the final
+// numbering. Sealing a sealed plan changes nothing.
+func (p *Plan) Seal() {
+	// unsealed[s] holds source s's extents as the jobs still number them,
+	// for the sources that needed sorting.
+	unsealed := make([][]Extent, len(p.Sources))
+	dirty := false
+	for s := range p.Sources {
+		old := p.Sources[s].Extents
+		sealed := true
+		for i := 1; i < len(old) && sealed; i++ {
+			sealed = cmpExtent(old[i-1], old[i]) < 0
+		}
+		if sealed {
+			continue
+		}
+		sorted := slices.Clone(old)
+		slices.SortFunc(sorted, cmpExtent)
+		p.Sources[s].Extents, unsealed[s], dirty = slices.Compact(sorted), old, true
+	}
+	if !dirty {
+		return
+	}
+	at := func(r *Ref) {
+		if old := unsealed[r.Src]; old != nil {
+			r.Ext, _ = slices.BinarySearchFunc(p.Sources[r.Src].Extents, old[r.Ext], cmpExtent)
+		}
+	}
+	for i := range p.Jobs {
+		at(&p.Jobs[i].A)
+		at(&p.Jobs[i].B)
+	}
 }
 
 // Config parameterizes the pipeline.
 type Config struct {
-	// Backend performs the scattered reads. The compare layer always
-	// injects one (the service plane's ring, or compare's own fallback);
-	// direct calls that leave it nil get a package-private persistent
-	// ring of the same shape. Slice buffer sets come from the backend's
-	// stage-2 arena (aio.ArenaOf), or from the package-private ring's when
-	// the backend carries none.
+	// Backend performs the scattered reads. Required.
 	Backend aio.Backend
+	// Arena supplies the window buffers. Required.
+	Arena *aio.Arena
 	// Exec runs the consumer's verification kernel, one work item per
-	// range of a slice (nil verifies every slice on the consumer
+	// range of a window (nil verifies every window on the consumer
 	// goroutine). An executor that skips items on cancellation
 	// (device.Cancelable) must be tied to Run's context.
 	Exec device.Executor
 	// Device prices host-to-device transfers.
 	Device device.Model
-	// SliceBytes is the target bytes per pipeline slice per run
-	// (default 8 MiB).
+	// SliceBytes is the target bytes per window per source, and per side
+	// of a source that holds both sides of a job (default 8 MiB).
 	SliceBytes int
-	// Depth is the pipeline depth: how many slice buffer sets may be in
-	// flight at once (default 2, classic double buffering; 1 serializes
-	// I/O against compute). The producer blocks acquiring a buffer set
-	// from the free list, so the wall-clock pipeline and the virtual-time
-	// recurrence share the same bound.
+	// Depth is the pipeline depth: how many windows may be in flight at
+	// once (default 2, classic double buffering; 1 serializes I/O against
+	// compute). The producer blocks acquiring a window from the free list,
+	// so the wall-clock pipeline and the virtual-time recurrence share the
+	// same bound.
 	Depth int
-	// Retry governs re-issue of a slice's batch reads on Transient
-	// errors. Backoff is charged to the slice's I/O virtual time; an
+	// Retry governs re-issue of a window's batch reads on Transient
+	// errors. Backoff is charged to the window's I/O virtual time; an
 	// exhausted budget surfaces the error wrapped Permanent. The zero
 	// policy disables retries.
 	Retry retry.Policy
@@ -90,12 +197,12 @@ type Config struct {
 
 // Stats reports the pipeline's resource consumption. On error the
 // cumulative fields (Slices, BytesRead, ReadCost, IOVirtual,
-// ComputeVirtual, PipelineVirtual) cover only the slices consumed before
+// ComputeVirtual, PipelineVirtual) cover only the windows consumed before
 // the failure — partial but truthful; Wall always covers the whole call.
 type Stats struct {
-	// Slices is the number of pipeline slices consumed.
+	// Slices is the number of windows consumed.
 	Slices int
-	// BytesRead counts bytes read from both files.
+	// BytesRead counts the bytes read from every source.
 	BytesRead int64
 	// ReadCost aggregates the storage cost of all reads.
 	ReadCost pfs.Cost
@@ -110,34 +217,223 @@ type Stats struct {
 	Wall time.Duration
 	// ReadRetries counts batch reads re-issued under Config.Retry.
 	ReadRetries int
-	// RingFallbacks counts slices that fell back to a fresh-ring
-	// aio.Legacy read after the shared ring reported ErrRingClosed.
+	// RingFallbacks counts reads served by a fresh-ring aio.Legacy read
+	// after the shared ring reported ErrRingClosed.
 	RingFallbacks int
 }
 
-// Compute is the consumer callback: it receives one chunk pair with both
-// buffers filled and returns the virtual duration of its kernel work.
+// Compute is the consumer callback: it receives one job with both extents'
+// bytes (a nil side is one Plan.Check rejected) and returns the virtual
+// duration of its kernel work.
 //
-// Compute may run concurrently for distinct pairs of one slice. r names
-// the range the pair belongs to, 0 <= r < MaxRanges(Config.Exec): calls
-// with the same r are sequential and in pair order, calls with different
+// Compute may run concurrently for distinct jobs of one window. r names
+// the range the job belongs to, 0 <= r < MaxRanges(Config.Exec): calls
+// with the same r are sequential and in job order, calls with different
 // r may overlap, so state indexed by r (an index scratch, a reread tally)
-// needs no lock. All calls for a slice return before the next slice's
-// first. When several pairs of a slice fail, Run reports the error of the
-// lowest pair; later ranges may still have run.
-type Compute func(r int, p ChunkPair, a, b []byte) (time.Duration, error)
+// needs no lock. All calls for a window return before the next window's
+// first. When several jobs of a window fail, Run reports the error of the
+// lowest job; later ranges may still have run.
+type Compute func(r int, j Job, a, b []byte) (time.Duration, error)
 
-// slice is one pipeline stage in flight: a window of the pair list, the
-// buffer set its bytes land in, and the outcome of its read.
-type slice struct {
-	set      *aio.BufSet
-	lo, hi   int // pairs[lo:hi]
-	byteSize int64
-	io       time.Duration
-	cost     pfs.Cost
-	err      error
-	retries  int  // batch reads re-issued under the retry policy
-	fellBack bool // slice was read via the Legacy fallback
+// window is one pipeline stage in flight: a run of the job list, the
+// buffer set each source's extents land in, and the outcome of its reads.
+type window struct {
+	lo, hi int           // plan.Jobs[lo:hi]
+	sets   []*aio.BufSet // by source; nil until the source is first needed
+	// at[i] is where job lo+i's sides landed: the index of each side's
+	// request in its source's set, or -1 for a job whose source is dead.
+	at      [][2]int32
+	loaded  []int // the sources read this window, ascending
+	bytes   int64 // bytes read
+	skipped int
+	io      time.Duration
+	cost    pfs.Cost
+	err     error
+	retries int // batch reads re-issued under the retry policy
+	fell    int // reads served by the Legacy fallback
+}
+
+// reader is the producer side of a run: it cuts the job list into windows
+// and reads them. Only the producer goroutine touches it.
+type reader struct {
+	plan  *Plan
+	cfg   Config
+	caps  []int     // by source: the most bytes one window can need
+	limit []int64   // by source: the bytes that close a window
+	mark  [][]int32 // by source and extent: 1 + its request index in the window being cut
+	used  []int64   // by source: bytes in the window being cut
+	dead  []bool    // by source: no read rung could serve it
+	next  int       // the first job not yet in a window
+}
+
+// newReader validates the plan and sizes the per-source window buffers.
+// SliceBytes bounds one side of a window: a source closes the window at
+// SliceBytes, and a source that holds both sides of a job (the CAS pack) at
+// twice that, so the one-source pair cuts where the two-source pair does.
+// No source outgrows its limit plus the most one job can add to it, and
+// every set is checked out at its final size.
+func newReader(plan *Plan, cfg Config) (*reader, error) {
+	n := len(plan.Sources)
+	r := &reader{plan: plan, cfg: cfg, caps: make([]int, n), limit: make([]int64, n),
+		mark: make([][]int32, n), used: make([]int64, n), dead: make([]bool, n)}
+	for s := range r.limit {
+		r.limit[s] = int64(cfg.SliceBytes)
+	}
+	for _, j := range plan.Jobs {
+		if j.Len <= 0 {
+			return nil, fmt.Errorf("stream: chunk %d has non-positive length", j.Index)
+		}
+		if j.A.Src == j.B.Src {
+			r.caps[j.A.Src] = max(r.caps[j.A.Src], 2*j.Len)
+			r.limit[j.A.Src] = 2 * int64(cfg.SliceBytes)
+		} else {
+			r.caps[j.A.Src] = max(r.caps[j.A.Src], j.Len)
+			r.caps[j.B.Src] = max(r.caps[j.B.Src], j.Len)
+		}
+	}
+	for s, src := range plan.Sources {
+		var total int64
+		for _, e := range src.Extents {
+			total += int64(e.Len)
+		}
+		r.caps[s] = int(min(total, r.limit[s]+int64(r.caps[s])))
+		r.mark[s] = make([]int32, len(src.Extents))
+	}
+	return r, nil
+}
+
+// fill cuts the next window off the job list and reads it: the one place
+// stage 2 decides what is read together and climbs the read ladder. Each
+// source's extents go out in extent order into adjacent buffer windows, so
+// runs of adjacent extents coalesce and land directly. Consecutive sources
+// are read two at a time (aio.ReadLadder: retries under the policy with
+// backoff charged to the window's I/O time, then one fresh-ring read when
+// the shared ring reports closed; a PairReader overlaps the two). Under
+// Plan.Degrade a failed duo climbs again one source at a time — one bad
+// source must not take down both — and a source that still cannot be read
+// is dead: its jobs, here and in every later window, are skipped.
+func (r *reader) fill(ctx context.Context, w *window) {
+	jobs := r.plan.Jobs
+	*w = window{sets: w.sets, at: w.at[:0], loaded: w.loaded[:0], lo: r.next}
+	clear(r.used)
+	for _, set := range w.sets {
+		if set != nil {
+			set.Reqs = set.Reqs[:0]
+		}
+	}
+	for full := false; r.next < len(jobs); r.next++ {
+		j := &jobs[r.next]
+		if r.dead[j.A.Src] || r.dead[j.B.Src] {
+			continue
+		}
+		if full && !r.rides(j) {
+			break
+		}
+		for _, ref := range [2]Ref{j.A, j.B} {
+			if r.mark[ref.Src][ref.Ext] != 0 {
+				continue
+			}
+			r.mark[ref.Src][ref.Ext] = 1
+			set := w.sets[ref.Src]
+			if set == nil {
+				set = r.cfg.Arena.Get(r.caps[ref.Src])
+				w.sets[ref.Src] = set
+			}
+			e := r.plan.Sources[ref.Src].Extents[ref.Ext]
+			set.Reqs = append(set.Reqs, aio.ReadReq{Off: e.Off, Len: e.Len, Tag: ref.Ext})
+			r.used[ref.Src] += int64(e.Len)
+			full = full || r.used[ref.Src] >= r.limit[ref.Src]
+		}
+	}
+	w.hi = r.next
+
+	byExtent := func(a, b aio.ReadReq) int { return cmp.Compare(a.Tag, b.Tag) }
+	for s, set := range w.sets {
+		if set == nil || len(set.Reqs) == 0 {
+			continue
+		}
+		if !slices.IsSortedFunc(set.Reqs, byExtent) {
+			slices.SortFunc(set.Reqs, byExtent)
+		}
+		pos := 0
+		for k := range set.Reqs {
+			q := &set.Reqs[k]
+			q.Buf = set.Buf[pos : pos+q.Len]
+			pos += q.Len
+			r.mark[s][q.Tag] = int32(k + 1)
+		}
+		w.loaded = append(w.loaded, s)
+	}
+	for i := 0; i < len(w.loaded) && w.err == nil; i += 2 {
+		w.err = r.read(ctx, w, w.loaded[i:min(i+2, len(w.loaded))])
+	}
+	w.loaded = slices.DeleteFunc(w.loaded, func(s int) bool { return r.dead[s] })
+
+	for _, j := range jobs[w.lo:w.hi] {
+		if r.dead[j.A.Src] || r.dead[j.B.Src] {
+			w.at = append(w.at, [2]int32{-1, -1})
+			w.skipped++
+			continue
+		}
+		w.at = append(w.at, [2]int32{r.mark[j.A.Src][j.A.Ext] - 1, r.mark[j.B.Src][j.B.Ext] - 1})
+	}
+	for s, set := range w.sets {
+		if set != nil {
+			for _, q := range set.Reqs {
+				r.mark[s][q.Tag] = 0
+			}
+		}
+	}
+}
+
+// rides reports whether a job may still join the window being cut after a
+// source filled up: it must re-use an extent the window already holds — so
+// an extent consecutive jobs share is not read again by the next window —
+// and what it adds must fit the buffers.
+func (r *reader) rides(j *Job) bool {
+	fresh := 0
+	for _, ref := range [2]Ref{j.A, j.B} {
+		if r.mark[ref.Src][ref.Ext] == 0 {
+			fresh++
+			if r.used[ref.Src]+int64(j.Len) > int64(r.caps[ref.Src]) {
+				return false
+			}
+		}
+	}
+	return fresh < 2
+}
+
+// read reads one or two of the window's sources up the ladder.
+func (r *reader) read(ctx context.Context, w *window, srcs []int) error {
+	var batches [2]aio.Batch
+	var n int64
+	for i, s := range srcs {
+		batches[i] = aio.Batch{File: r.plan.Sources[s].File, Reqs: w.sets[s].Reqs}
+		n += r.used[s]
+	}
+	rd, err := aio.ReadLadder(ctx, r.cfg.Backend, r.cfg.Retry, batches[:len(srcs)]...)
+	w.io += rd.IO
+	w.retries += rd.Retries
+	if rd.FellBack {
+		w.fell++
+	}
+	switch {
+	case err == nil:
+		w.cost.Add(rd.Cost)
+		w.bytes += n
+	case !r.plan.Degrade || ctx.Err() != nil:
+		// Strict mode fails on any storage error; cancellation is never
+		// degraded away.
+		return err
+	case len(srcs) == 2:
+		if err := r.read(ctx, w, srcs[:1]); err != nil {
+			return err
+		}
+		return r.read(ctx, w, srcs[1:])
+	default:
+		r.dead[srcs[0]] = true
+	}
+	return nil
 }
 
 // rangeResult is one range's outcome, written by the range's worker and
@@ -148,21 +444,20 @@ type rangeResult struct {
 	ran  bool
 }
 
-// Run streams all chunk pairs through the pipeline. Cancellation is
-// observed at three points: the producer aborts between slices (and its
-// backend reads observe the context themselves), the consumer aborts
-// between slices, and a canceled run drains the producer before
-// returning, so no goroutine leaks and every buffer set is back in the
-// arena.
-func Run(ctx context.Context, fA, fB *pfs.File, pairs []ChunkPair, cfg Config, compute Compute) (stats Stats, err error) {
-	if len(pairs) == 0 {
+// Run streams the plan through the pipeline. Cancellation is observed at
+// three points: the producer aborts between windows (and its backend reads
+// observe the context themselves), the consumer aborts between windows,
+// and a canceled run drains the producer before returning, so no goroutine
+// leaks and every buffer set is back in the arena.
+func Run(ctx context.Context, plan *Plan, cfg Config, compute Compute) (stats Stats, err error) {
+	if len(plan.Jobs) == 0 {
 		return stats, nil
 	}
 	if err := ctx.Err(); err != nil {
 		return stats, err
 	}
-	if cfg.Backend == nil {
-		cfg.Backend = fallbackBackend()
+	if cfg.Backend == nil || cfg.Arena == nil {
+		return stats, errors.New("stream: no backend or no arena")
 	}
 	if cfg.SliceBytes <= 0 {
 		cfg.SliceBytes = 8 << 20
@@ -170,66 +465,39 @@ func Run(ctx context.Context, fA, fB *pfs.File, pairs []ChunkPair, cfg Config, c
 	if cfg.Depth < 1 {
 		cfg.Depth = 2
 	}
-	var total int64
-	maxLen := 0
-	for _, p := range pairs {
-		if p.Len <= 0 {
-			return stats, fmt.Errorf("stream: chunk %d has non-positive length", p.Index)
-		}
-		total += int64(p.Len)
-		maxLen = max(maxLen, p.Len)
+	plan.Seal()
+	rd, err := newReader(plan, cfg)
+	if err != nil {
+		return stats, err
 	}
 	sw := metrics.NewStopwatch()
 	defer func() { stats.Wall = sw.Lap() }()
 
-	// A slice closes on the first pair that takes it to SliceBytes, so no
-	// slice outgrows this: every set is checked out at its final size.
-	setBytes := int(min(total, int64(cfg.SliceBytes)+int64(maxLen)))
-	arena := aio.ArenaOf(cfg.Backend)
-	if arena == nil {
-		arena = fallbackBackend().Arena()
+	// Free list of windows, sized to the pipeline depth: the producer
+	// cannot run more than Depth windows ahead of the consumer.
+	windows := make([]window, cfg.Depth)
+	pool := make(chan *window, cfg.Depth)
+	for i := range windows {
+		windows[i].sets = make([]*aio.BufSet, len(plan.Sources))
+		pool <- &windows[i]
 	}
 
-	// Free list of slices, sized to the pipeline depth: the producer
-	// cannot run more than Depth slices ahead of the consumer.
-	slices := make([]slice, cfg.Depth)
-	pool := make(chan *slice, cfg.Depth)
-	for i := range slices {
-		pool <- &slices[i]
-	}
-
-	// Producer: partitions pairs into ~SliceBytes slices lazily, filling
-	// each into a pooled buffer set.
-	filled := make(chan *slice, cfg.Depth)
+	filled := make(chan *window, cfg.Depth)
 	done := make(chan struct{})
 	go func() {
 		defer close(filled)
-		next := 0
-		for next < len(pairs) {
-			var s *slice
+		for rd.next < len(plan.Jobs) {
+			var w *window
 			select {
-			case s = <-pool:
+			case w = <-pool:
 			case <-done:
 				return
 			case <-ctx.Done():
 				return
 			}
-			set := s.set
-			if set == nil {
-				set = arena.Get(setBytes, setBytes)
-			}
-			*s = slice{set: set, lo: next}
-			for next < len(pairs) {
-				s.byteSize += int64(pairs[next].Len)
-				next++
-				if s.byteSize >= int64(cfg.SliceBytes) {
-					break
-				}
-			}
-			s.hi = next
-			s.fill(ctx, fA, fB, pairs[s.lo:s.hi], cfg)
+			rd.fill(ctx, w)
 			select {
-			case filled <- s:
+			case filled <- w:
 			case <-done:
 				return
 			}
@@ -239,125 +507,118 @@ func Run(ctx context.Context, fA, fB *pfs.File, pairs []ChunkPair, cfg Config, c
 		close(done)
 		for range filled { // drain so the producer can exit
 		}
-		for i := range slices {
-			arena.Put(slices[i].set)
+		for i := range windows {
+			for _, set := range windows[i].sets {
+				cfg.Arena.Put(set)
+			}
 		}
 	}()
 
-	// Consumer: verifies each slice range-parallel over cfg.Exec and
+	// Consumer: verifies each window range-parallel over cfg.Exec and
 	// advances the virtual clock by the depth-N recurrence.
 	maxRanges := MaxRanges(cfg.Exec)
 	bounds := make([]int, 0, maxRanges+1)
-	offs := make([]int64, maxRanges)
 	results := make([]rangeResult, maxRanges)
-	var cur *slice
+	var cur *window
+	var curSrc int
 	verifyRange := func(r int) {
 		res := rangeResult{ran: true}
-		pos := offs[r]
-		for _, p := range pairs[cur.lo+bounds[r] : cur.lo+bounds[r+1]] {
-			n := int64(p.Len)
-			kv, err := compute(r, p, cur.set.A[pos:pos+n], cur.set.B[pos:pos+n])
+		for i := bounds[r]; i < bounds[r+1]; i++ {
+			at := cur.at[i]
+			if at[0] < 0 {
+				continue
+			}
+			j := plan.Jobs[cur.lo+i]
+			kv, err := compute(r, j, cur.sets[j.A.Src].Reqs[at[0]].Buf, cur.sets[j.B.Src].Reqs[at[1]].Buf)
 			if err != nil {
 				res.err = err
 				break
 			}
 			res.comp += kv
-			pos += n
 		}
 		results[r] = res
 	}
-
-	vp := NewVirtualPipeline(cfg.Depth)
-	for s := range filled {
-		if cerr := ctx.Err(); cerr != nil {
-			return stats, cerr
-		}
-		if s.err != nil {
-			return stats, s.err
-		}
-		stats.Slices++
-		stats.ReadCost.Add(s.cost)
-		stats.BytesRead += 2 * s.byteSize
-		stats.IOVirtual += s.io
-		stats.ReadRetries += s.retries
-		if s.fellBack {
-			stats.RingFallbacks++
-		}
-
-		cur = s
-		window := pairs[s.lo:s.hi]
-		bounds = Ranges(bounds, len(window), func(i int) int { return window[i].Len }, maxRanges)
-		nr := len(bounds) - 1
-		var pos int64
-		for r := 0; r < nr; r++ {
-			offs[r] = pos
-			for _, p := range window[bounds[r]:bounds[r+1]] {
-				pos += int64(p.Len)
+	checkRange := func(r int) {
+		reqs := cur.sets[curSrc].Reqs
+		for k := bounds[r]; k < bounds[r+1]; k++ {
+			if q := &reqs[k]; !plan.Check(ctx, r, curSrc, q.Tag, q.Buf) {
+				q.Buf = nil
 			}
-			results[r] = rangeResult{}
 		}
-		device.ForCoarse(cfg.Exec, nr, verifyRange)
-
-		// One batched kernel per slice: launch charged here, the
-		// callbacks contribute only their bandwidth terms. Ranges are
-		// contiguous and each stops at its first failure, so the first
-		// failed range holds the error of the lowest pair.
-		comp := cfg.Device.KernelLaunch + cfg.Device.TransferTime(2*s.byteSize)
+		results[r] = rangeResult{ran: true}
+	}
+	// join runs the ranges cut in bounds over the executor and sums their
+	// compute. Ranges are contiguous and each stops at its first failure,
+	// so the first failed range holds the error of the lowest item.
+	join := func(run func(r int)) (time.Duration, error) {
+		nr := len(bounds) - 1
+		clear(results[:nr])
+		device.ForCoarse(cfg.Exec, nr, run)
+		var comp time.Duration
 		for r := 0; r < nr; r++ {
 			if err := results[r].err; err != nil {
-				return stats, err
+				return 0, err
 			}
 			if !results[r].ran {
 				if cerr := ctx.Err(); cerr != nil {
-					return stats, cerr
+					return 0, cerr
 				}
-				return stats, fmt.Errorf("stream: executor skipped range %d of %d", r, nr)
+				return 0, fmt.Errorf("stream: executor skipped range %d of %d", r, nr)
 			}
 			comp += results[r].comp
 		}
+		return comp, nil
+	}
+
+	vp := NewVirtualPipeline(cfg.Depth)
+	for w := range filled {
+		if cerr := ctx.Err(); cerr != nil {
+			return stats, cerr
+		}
+		if w.err != nil {
+			return stats, w.err
+		}
+		stats.Slices++
+		stats.ReadCost.Add(w.cost)
+		stats.BytesRead += w.bytes
+		stats.IOVirtual += w.io
+		stats.ReadRetries += w.retries
+		stats.RingFallbacks += w.fell
+
+		cur = w
+		if plan.Check != nil {
+			for _, curSrc = range w.loaded {
+				reqs := w.sets[curSrc].Reqs
+				bounds = Ranges(bounds, len(reqs), func(i int) int { return reqs[i].Len }, maxRanges)
+				if _, err := join(checkRange); err != nil {
+					return stats, err
+				}
+			}
+		}
+		// One batched kernel per window: launch and transfer charged here,
+		// the callbacks contribute only their bandwidth terms. A window
+		// with nothing left to verify launches nothing.
+		var comp time.Duration
+		if jobs := plan.Jobs[w.lo:w.hi]; w.skipped < len(jobs) {
+			bounds = Ranges(bounds, len(jobs), func(i int) int { return jobs[i].Len }, maxRanges)
+			kernel, err := join(verifyRange)
+			if err != nil {
+				return stats, err
+			}
+			comp = cfg.Device.KernelLaunch + cfg.Device.TransferTime(w.bytes) + kernel
+		}
 		stats.ComputeVirtual += comp
-		vp.Advance(s.io, comp)
+		vp.Advance(w.io, comp)
 		stats.PipelineVirtual = vp.Total()
-		pool <- s // recycle the slice and its buffer set
+		pool <- w // recycle the window and its buffer sets
 	}
 	return stats, ctx.Err()
 }
 
-// fill reads the slice's chunks from both files into the slice's buffer
-// set, up the read ladder (aio.ReadLadder: retries under cfg.Retry with
-// backoff charged to the slice's I/O time, then one fresh-ring read when
-// the shared ring reports closed).
-func (s *slice) fill(ctx context.Context, fA, fB *pfs.File, pairs []ChunkPair, cfg Config) {
-	set := s.set
-	bufA, bufB := set.A[:s.byteSize], set.B[:s.byteSize]
-	reqsA, reqsB := set.ReqsA[:0], set.ReqsB[:0]
-	var pos int64
-	for _, p := range pairs {
-		reqsA = append(reqsA, aio.ReadReq{Off: p.OffA, Len: p.Len, Buf: bufA[pos : pos+int64(p.Len)], Tag: p.Index})
-		reqsB = append(reqsB, aio.ReadReq{Off: p.OffB, Len: p.Len, Buf: bufB[pos : pos+int64(p.Len)], Tag: p.Index})
-		pos += int64(p.Len)
-	}
-	set.ReqsA, set.ReqsB = reqsA, reqsB
-	var rd aio.LadderRead
-	if fA == fB {
-		// Both sides live in the same file (differential comparisons read
-		// every chunk from the shared CAS pack): merge the two batches into
-		// one so a coalescing backend can bridge gaps ACROSS sides — A and
-		// B representatives captured in the same iteration sit adjacent in
-		// the pack — and the whole slice costs a single batched submission.
-		set.ReqsAB = append(append(set.ReqsAB[:0], reqsA...), reqsB...)
-		rd, s.err = aio.ReadLadder(ctx, cfg.Backend, cfg.Retry, aio.Batch{File: fA, Reqs: set.ReqsAB})
-	} else {
-		rd, s.err = aio.ReadLadder(ctx, cfg.Backend, cfg.Retry,
-			aio.Batch{File: fA, Reqs: reqsA}, aio.Batch{File: fB, Reqs: reqsB})
-	}
-	s.cost, s.io, s.retries, s.fellBack = rd.Cost, rd.IO, rd.Retries, rd.FellBack
-}
-
 // VirtualPipeline accumulates the virtual-clock completion time of a
-// depth-N two-stage (I/O → compute) pipeline. Slice i's read can start
-// only when the previous read finished (one I/O channel) AND a buffer set
-// is free, i.e. slice i-depth's compute finished; its compute starts when
+// depth-N two-stage (I/O → compute) pipeline. Window i's read can start
+// only when the previous read finished (one I/O channel) AND a window is
+// free, i.e. window i-depth's compute finished; its compute starts when
 // the previous compute finished (one device) and its own read is done:
 //
 //	ioStart_i   = max(ioEnd_{i-1}, compEnd_{i-depth})
@@ -368,7 +629,7 @@ func (s *slice) fill(ctx context.Context, fA, fB *pfs.File, pairs []ChunkPair, c
 type VirtualPipeline struct {
 	ioEnd   time.Duration
 	compEnd time.Duration
-	ends    []time.Duration // compEnd of the last `depth` slices, ring-indexed
+	ends    []time.Duration // compEnd of the last `depth` windows, ring-indexed
 	n       int
 }
 
@@ -381,12 +642,12 @@ func NewVirtualPipeline(depth int) *VirtualPipeline {
 	return &VirtualPipeline{ends: make([]time.Duration, depth)}
 }
 
-// Advance feeds the next slice's I/O and compute virtual durations.
+// Advance feeds the next window's I/O and compute virtual durations.
 func (v *VirtualPipeline) Advance(io, comp time.Duration) {
 	depth := len(v.ends)
 	ioStart := v.ioEnd
 	if v.n >= depth {
-		// The buffer set is recycled from slice n-depth; wait for its
+		// The window is recycled from window n-depth; wait for its
 		// compute to release it.
 		if free := v.ends[v.n%depth]; free > ioStart {
 			ioStart = free
@@ -402,5 +663,5 @@ func (v *VirtualPipeline) Advance(io, comp time.Duration) {
 	v.n++
 }
 
-// Total returns the pipeline completion time of the slices fed so far.
+// Total returns the pipeline completion time of the windows fed so far.
 func (v *VirtualPipeline) Total() time.Duration { return v.compEnd }

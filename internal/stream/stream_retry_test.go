@@ -54,9 +54,10 @@ func TestStreamRetriesTransientReads(t *testing.T) {
 	fa, fb, da, _ := twoFiles(t, 64<<10)
 	pairs := pairsEvery(4, 4096, 8192)
 	fb2 := &flakyBackend{inner: aio.Mmap{}, fails: 2}
-	cfg := Config{Backend: fb2, Device: device.GPUModel(), Retry: retryPolicy()}
+	cfg := Config{Arena: aio.NewArena(0), Backend: fb2, Device: device.GPUModel(), Retry: retryPolicy()}
 	ok := true
-	stats, err := Run(context.Background(), fa, fb, pairs, cfg, func(_ int, p ChunkPair, a, b []byte) (time.Duration, error) {
+	stats, err := Run(context.Background(), pairPlan(fa, fb, pairs), cfg, func(_ int, j Job, a, b []byte) (time.Duration, error) {
+		p := pairs[j.Index]
 		if !bytes.Equal(a, da[p.OffA:p.OffA+int64(p.Len)]) {
 			ok = false
 		}

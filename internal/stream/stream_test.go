@@ -1,8 +1,8 @@
 package stream
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"errors"
 	"math/rand"
 	"sync/atomic"
@@ -47,21 +47,44 @@ func twoFiles(t *testing.T, size int) (*pfs.File, *pfs.File, []byte, []byte) {
 	return fa, fb, da, db
 }
 
-func pairsEvery(n, chunk, stride int) []ChunkPair {
-	pairs := make([]ChunkPair, n)
+// chunkPair is one job of a test plan: the same-length chunk at an offset
+// in each of two files (or at two offsets of one).
+type chunkPair struct {
+	Index      int
+	OffA, OffB int64
+	Len        int
+}
+
+func pairsEvery(n, chunk, stride int) []chunkPair {
+	pairs := make([]chunkPair, n)
 	for i := range pairs {
 		off := int64(i * stride)
-		pairs[i] = ChunkPair{Index: i, OffA: off, OffB: off, Len: chunk}
+		pairs[i] = chunkPair{Index: i, OffA: off, OffB: off, Len: chunk}
 	}
 	return pairs
+}
+
+// pairPlan is the two-source plan of a pair comparison: every job reads
+// side A from fa and side B from fb. The same file twice is the one-source
+// plan of a differential comparison.
+func pairPlan(fa, fb *pfs.File, pairs []chunkPair) *Plan {
+	plan, b := NewPlan(fa, fb), 1
+	if fa == fb {
+		plan, b = NewPlan(fa), 0
+	}
+	for _, p := range pairs {
+		plan.Add(p.Index, 0, p.OffA, b, p.OffB, p.Len)
+	}
+	return plan
 }
 
 func TestRunDeliversCorrectBuffers(t *testing.T) {
 	fa, fb, da, db := twoFiles(t, 1<<20)
 	pairs := pairsEvery(64, 4096, 8192)
 	var visited int32
-	cfg := Config{Backend: aio.NewUring(16, 2), Device: device.GPUModel(), SliceBytes: 64 << 10}
-	stats, err := Run(context.Background(), fa, fb, pairs, cfg, func(_ int, p ChunkPair, a, b []byte) (time.Duration, error) {
+	cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewUring(16, 2), Device: device.GPUModel(), SliceBytes: 64 << 10}
+	stats, err := Run(context.Background(), pairPlan(fa, fb, pairs), cfg, func(_ int, j Job, a, b []byte) (time.Duration, error) {
+		p := pairs[j.Index]
 		atomic.AddInt32(&visited, 1)
 		if !bytes.Equal(a, da[p.OffA:p.OffA+int64(p.Len)]) {
 			t.Errorf("chunk %d: run A buffer mismatch", p.Index)
@@ -92,9 +115,9 @@ func TestPipelineOverlapBound(t *testing.T) {
 	// The overlapped total must be between max(io, compute) and io+compute.
 	fa, fb, _, _ := twoFiles(t, 1<<20)
 	pairs := pairsEvery(128, 4096, 8192)
-	cfg := Config{Backend: aio.NewUring(32, 2), Device: device.GPUModel(), SliceBytes: 128 << 10}
+	cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewUring(32, 2), Device: device.GPUModel(), SliceBytes: 128 << 10}
 	kernel := 500 * time.Microsecond
-	stats, err := Run(context.Background(), fa, fb, pairs, cfg, func(int, ChunkPair, []byte, []byte) (time.Duration, error) {
+	stats, err := Run(context.Background(), pairPlan(fa, fb, pairs), cfg, func(int, Job, []byte, []byte) (time.Duration, error) {
 		return kernel, nil
 	})
 	if err != nil {
@@ -115,7 +138,7 @@ func TestPipelineOverlapBound(t *testing.T) {
 
 func TestRunEmptyPairs(t *testing.T) {
 	fa, fb, _, _ := twoFiles(t, 4096)
-	stats, err := Run(context.Background(), fa, fb, nil, Config{Device: device.GPUModel()}, func(int, ChunkPair, []byte, []byte) (time.Duration, error) {
+	stats, err := Run(context.Background(), pairPlan(fa, fb, nil), Config{Arena: aio.NewArena(0), Backend: aio.Mmap{}, Device: device.GPUModel()}, func(int, Job, []byte, []byte) (time.Duration, error) {
 		t.Error("compute called for empty pairs")
 		return 0, nil
 	})
@@ -126,8 +149,8 @@ func TestRunEmptyPairs(t *testing.T) {
 
 func TestRunBadPair(t *testing.T) {
 	fa, fb, _, _ := twoFiles(t, 4096)
-	pairs := []ChunkPair{{Index: 0, OffA: 0, OffB: 0, Len: 0}}
-	if _, err := Run(context.Background(), fa, fb, pairs, Config{Device: device.GPUModel()}, nil); err == nil {
+	pairs := []chunkPair{{Index: 0, OffA: 0, OffB: 0, Len: 0}}
+	if _, err := Run(context.Background(), pairPlan(fa, fb, pairs), Config{Arena: aio.NewArena(0), Backend: aio.Mmap{}, Device: device.GPUModel()}, nil); err == nil {
 		t.Error("zero-length chunk accepted")
 	}
 }
@@ -136,9 +159,9 @@ func TestRunComputeErrorStopsPipeline(t *testing.T) {
 	fa, fb, _, _ := twoFiles(t, 1<<20)
 	pairs := pairsEvery(64, 4096, 8192)
 	wantErr := errors.New("kernel failed")
-	cfg := Config{Backend: aio.NewUring(8, 2), Device: device.GPUModel(), SliceBytes: 32 << 10}
+	cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewUring(8, 2), Device: device.GPUModel(), SliceBytes: 32 << 10}
 	calls := 0
-	_, err := Run(context.Background(), fa, fb, pairs, cfg, func(int, ChunkPair, []byte, []byte) (time.Duration, error) {
+	_, err := Run(context.Background(), pairPlan(fa, fb, pairs), cfg, func(int, Job, []byte, []byte) (time.Duration, error) {
 		calls++
 		if calls == 3 {
 			return 0, wantErr
@@ -155,8 +178,8 @@ func TestRunReadErrorPropagates(t *testing.T) {
 	// Request far past EOF: the read comes back short, which the mmap
 	// backend tolerates but yields a backend error in uring only when the
 	// request itself is invalid; use a negative offset to force an error.
-	pairs := []ChunkPair{{Index: 0, OffA: -4, OffB: 0, Len: 16}}
-	if _, err := Run(context.Background(), fa, fb, pairs, Config{Backend: aio.NewUring(4, 1), Device: device.GPUModel()}, func(int, ChunkPair, []byte, []byte) (time.Duration, error) {
+	pairs := []chunkPair{{Index: 0, OffA: -4, OffB: 0, Len: 16}}
+	if _, err := Run(context.Background(), pairPlan(fa, fb, pairs), Config{Arena: aio.NewArena(0), Backend: aio.NewUring(4, 1), Device: device.GPUModel()}, func(int, Job, []byte, []byte) (time.Duration, error) {
 		return 0, nil
 	}); err == nil {
 		t.Error("negative offset read accepted")
@@ -166,9 +189,10 @@ func TestRunReadErrorPropagates(t *testing.T) {
 func TestRunWithMmapBackend(t *testing.T) {
 	fa, fb, da, _ := twoFiles(t, 256<<10)
 	pairs := pairsEvery(16, 4096, 16384)
-	cfg := Config{Backend: aio.Mmap{}, Device: device.CPUModel(), SliceBytes: 32 << 10}
+	cfg := Config{Arena: aio.NewArena(0), Backend: aio.Mmap{}, Device: device.CPUModel(), SliceBytes: 32 << 10}
 	ok := true
-	_, err := Run(context.Background(), fa, fb, pairs, cfg, func(_ int, p ChunkPair, a, b []byte) (time.Duration, error) {
+	_, err := Run(context.Background(), pairPlan(fa, fb, pairs), cfg, func(_ int, j Job, a, b []byte) (time.Duration, error) {
+		p := pairs[j.Index]
 		if !bytes.Equal(a, da[p.OffA:p.OffA+int64(p.Len)]) {
 			ok = false
 		}
@@ -185,8 +209,8 @@ func TestRunWithMmapBackend(t *testing.T) {
 func TestDefaultsApplied(t *testing.T) {
 	fa, fb, _, _ := twoFiles(t, 64<<10)
 	pairs := pairsEvery(4, 4096, 8192)
-	// nil backend and zero SliceBytes must be defaulted.
-	stats, err := Run(context.Background(), fa, fb, pairs, Config{Device: device.GPUModel()}, func(int, ChunkPair, []byte, []byte) (time.Duration, error) {
+	// Zero SliceBytes and Depth must be defaulted.
+	stats, err := Run(context.Background(), pairPlan(fa, fb, pairs), Config{Arena: aio.NewArena(0), Backend: aio.Mmap{}, Device: device.GPUModel()}, func(int, Job, []byte, []byte) (time.Duration, error) {
 		return 0, nil
 	})
 	if err != nil {
