@@ -8,7 +8,7 @@ all: build vet test
 # lint runs at tier 2 (type-aware dataflow) and audits the tree's
 # suppression directives; the tier-2 smoke budget (<10s on the whole
 # tree) is asserted by TestTierTwoBudget in internal/lint.
-check: build vet lint test race chaos-smoke fuzz-smoke bench-smoke bench-det reprod-smoke wal-smoke
+check: build vet lint loc test race chaos-smoke fuzz-smoke bench-smoke bench-det reprod-smoke wal-smoke
 
 build:
 	$(GO) build ./...
@@ -48,9 +48,11 @@ chaos-smoke:
 
 # fuzz-smoke runs each native fuzz target for a few seconds on top of its
 # checked-in corpus (testdata/fuzz/); part of `make check`. The ε-compare
-# kernel against its per-element reference is the first target.
+# kernel against its per-element reference is the first target, the shard
+# wire's receive path (kind sniff → verdict / done decoder) the second.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompareSlices$$' -fuzztime 5s ./internal/errbound
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s ./internal/shard
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -138,7 +140,11 @@ examples:
 # loc prints the non-test Go lines of every package and the two sums
 # ROADMAP's line-count acceptances are stated in: internal/compare +
 # internal/shard (the planners) and internal/compare + internal/stream
-# (stage 2).
+# (stage 2). Part of `make check`: it fails when the total exceeds
+# LOC_CEILING, the total of the last PR that lowered it — a PR that removes
+# code lowers the ceiling to its own result, one that must add code raises
+# it in the same diff, where a reviewer sees it.
+LOC_CEILING = 31166
 loc:
 	@for d in $$(find . -name '*.go' ! -name '*_test.go' | xargs -n1 dirname | sort -u); do \
 		printf '%7d %s\n' $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l) $$d; \
@@ -147,7 +153,9 @@ loc:
 		$$(ls internal/compare/*.go internal/shard/*.go | grep -v _test.go | xargs cat | wc -l)
 	@printf '%7d internal/compare + internal/stream\n' \
 		$$(ls internal/compare/*.go internal/stream/*.go | grep -v _test.go | xargs cat | wc -l)
-	@printf '%7d total\n' $$(find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
+	@total=$$(find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+	printf '%7d total (ceiling $(LOC_CEILING))\n' $$total; \
+	[ $$total -le $(LOC_CEILING) ] || { echo "loc: non-test Go lines exceed the ceiling"; exit 1; }
 
 clean:
 	$(GO) clean ./...

@@ -168,7 +168,7 @@ func (u *Uring) ReadBatch(ctx context.Context, f *pfs.File, reqs []ReadReq) (pfs
 	if cerr := ctx.Err(); cerr != nil {
 		return cost, 0, cerr
 	}
-	elapsed := priceOverlapped(f, cost, u.queueDepth(), batchIsScattered(len(reqs), batchBytes(reqs)))
+	elapsed := priceOverlapped(f, reqs[0].Off, cost, u.queueDepth(), batchIsScattered(len(reqs), batchBytes(reqs)))
 	return cost, elapsed, err
 }
 
@@ -201,7 +201,11 @@ func (u *Uring) ReadBatchPair(ctx context.Context, fA, fB *pfs.File, reqsA, reqs
 	}
 	ops := len(reqsA) + len(reqsB)
 	scattered := batchIsScattered(ops, batchBytes(reqsA)+batchBytes(reqsB))
-	elapsed := priceOverlapped(fA, cost, u.queueDepth(), scattered)
+	first := reqsA
+	if len(first) == 0 {
+		first = reqsB
+	}
+	elapsed := priceOverlapped(fA, first[0].Off, cost, u.queueDepth(), scattered)
 	return cost, elapsed, err
 }
 
@@ -264,7 +268,7 @@ func (l Legacy) ReadBatch(ctx context.Context, f *pfs.File, reqs []ReadReq) (pfs
 	if cerr := ctx.Err(); cerr != nil {
 		return cost, 0, cerr
 	}
-	elapsed := priceOverlapped(f, cost, queueDepth, batchIsScattered(len(reqs), batchBytes(reqs)))
+	elapsed := priceOverlapped(f, reqs[0].Off, cost, queueDepth, batchIsScattered(len(reqs), batchBytes(reqs)))
 	return cost, elapsed, err
 }
 
@@ -301,10 +305,15 @@ func batchIsScattered(ops int, bytes int64) bool {
 // (per-RPC server work, per-OST seeks), so the penalty persists even when
 // the pipe is otherwise bandwidth-bound — the effect behind the paper's
 // chunk-size trade-off (Fig. 5, §3.4.1).
-func priceOverlapped(f *pfs.File, cost pfs.Cost, queueDepth int, scattered bool) time.Duration {
+//
+// Contention is the batch's home target's: the storage target serving off,
+// the batch's first offset, under the store's striping. Without a per-target
+// table (only a sharded comparison installs one, for its run) that is the
+// store-wide factor.
+func priceOverlapped(f *pfs.File, off int64, cost pfs.Cost, queueDepth int, scattered bool) time.Duration {
 	store := fileStore(f)
 	m := store.Model()
-	sharers := store.Sharers()
+	sharers := store.TargetSharers(store.Striping().TargetOf(off))
 	if queueDepth < 1 {
 		queueDepth = 1
 	}

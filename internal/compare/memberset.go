@@ -23,10 +23,10 @@ import (
 // Every Merkle planner is a caller — a pair comparison is the member set
 // [A, B] with the single pair (0, 1), a group is N members with its
 // topology's pair list, a sharded comparison (internal/shard) is either
-// with a different stage 2, and the differential (CAS) planners are the
-// same set opened from manifests plus one pruning pass. The set also turns
-// what survives into the stage-2 read plan (planCandidates) every
-// single-node planner streams (plan.go).
+// with its stage 2 scheduled a work unit at a time (Stage2, plan.go), and
+// the differential (CAS) planners are the same set opened from manifests
+// plus one pruning pass. The set also turns what survives into the stage-2
+// read plan (planCandidates) every planner streams (plan.go).
 
 // deserializeBytesPerSec prices metadata parsing (a memory-bandwidth-bound
 // scan) on the virtual clock.
@@ -39,6 +39,13 @@ type sink struct {
 	steps                                     *metrics.StepSpans
 	bytesRead, checkpointBytes, metadataBytes *int64
 	readRetries, ringFallbacks                *int
+}
+
+// resultSink charges a pair's Result.
+func resultSink(res *Result) sink {
+	return sink{breakdown: &res.Breakdown, steps: &res.Steps,
+		bytesRead: &res.BytesRead, checkpointBytes: &res.CheckpointBytes, metadataBytes: &res.MetadataBytes,
+		readRetries: &res.ReadRetries, ringFallbacks: &res.RingFallbacks}
 }
 
 // MemberSet carries N checkpoints and the pairs compared among them
@@ -86,9 +93,7 @@ type MemberSet struct {
 func newPairSet(store *pfs.Store, cs *cas.Store, nameA, nameB string, opts Options, res *Result) *MemberSet {
 	return &MemberSet{
 		store: store, opts: opts, cs: cs,
-		sink: sink{breakdown: &res.Breakdown, steps: &res.Steps,
-			bytesRead: &res.BytesRead, checkpointBytes: &res.CheckpointBytes, metadataBytes: &res.MetadataBytes,
-			readRetries: &res.ReadRetries, ringFallbacks: &res.RingFallbacks},
+		sink:    resultSink(res),
 		names:   []string{nameA, nameB},
 		Pairs:   [][2]int{{0, 1}},
 		results: []*Result{res},
@@ -247,10 +252,7 @@ func (ms *MemberSet) open(ctx context.Context, x *engine.Exec) error {
 func (ms *MemberSet) bindFields(fields []ckpt.FieldSpec) error {
 	ms.fields = fields
 	ms.selected = make([]bool, len(fields))
-	ms.folds = make([]PairFold, len(ms.Pairs))
-	for pi := range ms.folds {
-		ms.folds[pi].idx = make([][]int64, len(fields))
-	}
+	ms.folds = newFolds(len(ms.Pairs), len(fields))
 	if len(ms.opts.Fields) == 0 || ms.dataless {
 		// A metadata-only plan compares every field.
 		for fi := range ms.selected {
@@ -557,6 +559,15 @@ type PairFold struct {
 	// Changed counts chunks with a divergent element (verified or
 	// replayed); Unverified counts chunks that were never cleanly verified.
 	Changed, Unverified int
+}
+
+// newFolds returns empty folds for pairs pairs of fields fields.
+func newFolds(pairs, fields int) []PairFold {
+	folds := make([]PairFold, pairs)
+	for pi := range folds {
+		folds[pi].idx = make([][]int64, fields)
+	}
+	return folds
 }
 
 // Add lands divergent element indices (field-absolute; copied) in a field.

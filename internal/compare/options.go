@@ -193,9 +193,3 @@ func (o Options) Normalize() (Options, error) {
 	}
 	return o, nil
 }
-
-// HasherFor builds the error-bounded hasher for a field dtype using the
-// options' ε. Exported for out-of-package planners (internal/shard).
-func (o Options) HasherFor(dtype errbound.DType) (*errbound.Hasher, error) {
-	return o.hasherFor(dtype)
-}

@@ -27,7 +27,8 @@ import (
 // supplies the context checkpoints, the per-step timing table, and the
 // LIFO cleanup chain that keeps early-return errors leak-free. What a
 // planner keeps to itself is which sources it names and in what order its
-// jobs run.
+// jobs run. The sharded planner (internal/shard) schedules the same stage 2
+// itself, a work unit at a time, through Stage2 at the end of this file.
 
 // jobRef maps one stage-2 job back to the pair, field and chunk it
 // verifies. chunk is the Merkle chunk index for changed-chunk accounting,
@@ -103,12 +104,17 @@ func (st *stage2) appendTo(p *engine.Plan, label string, plan engine.StepFunc, a
 	p.Add(engine.StepReport, "report", st.ms.Report, verify)
 }
 
-// stepPlanCandidates turns the candidate chunks of every pair and field
+// stepPlanCandidates is planCandidates as a plan step.
+func (st *stage2) stepPlanCandidates(ctx context.Context, x *engine.Exec) error {
+	return st.planCandidates()
+}
+
+// planCandidates turns the candidate chunks of every pair and field
 // into one batched read plan, so scattered reads amortize the queue
 // latency once instead of once per field or pair, and a chunk several
 // pairs need from one member is one extent, read once (byte-level
 // coalescing then happens in the aio backend).
-func (st *stage2) stepPlanCandidates(ctx context.Context, x *engine.Exec) error {
+func (st *stage2) planCandidates() error {
 	var err error
 	if st.plan, st.refs, err = st.ms.planCandidates(); err != nil {
 		return err
@@ -140,8 +146,11 @@ func (st *stage2) stepPlanCandidates(ctx context.Context, x *engine.Exec) error 
 }
 
 // fieldHashers builds the ε-hasher of every selected field, one per
-// dtype.
+// dtype, once.
 func (st *stage2) fieldHashers() error {
+	if st.hashers != nil {
+		return nil
+	}
 	byType := make(map[errbound.DType]*errbound.Hasher)
 	st.hashers = make([]*errbound.Hasher, len(st.ms.fields))
 	for fi, f := range st.ms.fields {
@@ -170,7 +179,7 @@ func (st *stage2) fieldHashers() error {
 // bytes).
 func (st *stage2) checkExtent(ctx context.Context, r, src, ext int, data []byte) bool {
 	leaf, from := &st.leaves[src][ext], &st.plan.Sources[src]
-	ok, _, cost := VerifyLeaf(ctx, st.hashers[leaf.field], data, leaf.want, from.File, from.Extents[ext].Off)
+	ok, cost := verifyLeaf(ctx, st.hashers[leaf.field], data, leaf.want, from.File, from.Extents[ext].Off)
 	st.kernel.ranges[r].rereadCost.Add(cost)
 	return ok
 }
@@ -181,12 +190,12 @@ func (st *stage2) checkExtent(ctx context.Context, r, src, ext int, data []byte)
 // only slot j.Index and range r.
 func (st *stage2) verifyJob(r int, j stream.Job, a, b []byte) (time.Duration, error) {
 	ms, ref := st.ms, &st.refs[j.Index]
-	job := ChunkJob{Hasher: st.hashers[ref.field], A: a, B: b, Base: ref.base}
+	job := chunkJob{hasher: st.hashers[ref.field], a: a, b: b, base: ref.base}
 	if ms.cs != nil && ms.opts.Memo != nil {
 		pr := ms.Pairs[ref.pair]
-		job.Memo = ms.opts.Memo
-		job.DigestA = ms.mans[pr[0]].Fields[ref.field].Digests[ref.chunk]
-		job.DigestB = ms.mans[pr[1]].Fields[ref.field].Digests[ref.chunk]
+		job.memo = ms.opts.Memo
+		job.digestA = ms.mans[pr[0]].Fields[ref.field].Digests[ref.chunk]
+		job.digestB = ms.mans[pr[1]].Fields[ref.field].Digests[ref.chunk]
 	}
 	if err := st.kernel.verify(r, j.Index, &job); err != nil {
 		return 0, err
@@ -195,49 +204,62 @@ func (st *stage2) verifyJob(r int, j stream.Job, a, b []byte) (time.Duration, er
 	return ms.opts.Device.CompareRateTime(int64(j.Len)), nil
 }
 
-// stepStreamVerify runs stage 2: the overlapped read+compare pipeline over
-// the plan's windows. Under degrade the pipeline absorbs what the ladder
-// allows — a source no read rung can serve drops the jobs naming it to the
-// metadata-only verdict, a chunk failing its leaf hash twice is excluded
-// from diffing — and the result is marked Degraded rather than failing the
-// plan; compute errors and cancellation are never degraded away, and
-// CAS-pruned chunks keep their proven verdict.
+// stepStreamVerify runs stage 2 as a plan step: the pipeline's overlapped
+// time and the integrity re-reads beside it go on the step's clock.
 func (st *stage2) stepStreamVerify(ctx context.Context, x *engine.Exec) error {
 	sw := metrics.NewStopwatch()
-	ms, opts := st.ms, st.ms.opts
-	if len(st.plan.Jobs) > 0 {
-		exec := device.Cancelable{Done: ctx.Done(), Inner: opts.Exec}
-		st.kernel.reset(len(st.plan.Jobs), stream.MaxRanges(exec))
-		stats, err := stream.Run(ctx, st.plan, stream.Config{
-			Backend:    opts.Backend,
-			Arena:      opts.arena(),
-			Exec:       exec,
-			Device:     opts.Device,
-			SliceBytes: opts.SliceBytes,
-			Depth:      opts.Depth,
-			Retry:      opts.Retry,
-		}, st.verifyJob)
-		if err != nil {
-			return fmt.Errorf("compare: %s: %w", st.wrap, err)
-		}
-		st.drain()
-		*ms.sink.bytesRead += stats.BytesRead
-		*ms.sink.readRetries += stats.ReadRetries
-		*ms.sink.ringFallbacks += stats.RingFallbacks
-		if ms.Rep != nil {
-			ms.Rep.PipelineVirtual = stats.PipelineVirtual
-		}
-		// Following the paper's timer structure (Fig. 6: "for small error
-		// bounds, we need to load more data which is why the verification
-		// time is dominant"), the verification phase owns its overlapped
-		// data loading: the whole pipeline time is charged to CompareDirect,
-		// while PhaseRead holds only the metadata reads.
-		ms.sink.breakdown.AddVirtual(metrics.PhaseCompareDirect, stats.PipelineVirtual)
-		x.AddVirtual(stats.PipelineVirtual)
-		x.AddVirtual(st.kernel.chargeRereads(ms.store, ms.sink))
+	stats, rereads, err := st.run(ctx)
+	if err != nil {
+		return err
 	}
-	ms.sink.breakdown.AddWall(metrics.PhaseCompareDirect, sw.Lap())
+	if st.ms.Rep != nil {
+		st.ms.Rep.PipelineVirtual = stats.PipelineVirtual
+	}
+	x.AddVirtual(stats.PipelineVirtual + rereads)
+	st.ms.sink.breakdown.AddWall(metrics.PhaseCompareDirect, sw.Lap())
 	return nil
+}
+
+// run is stage 2: the overlapped read+compare pipeline over the plan's
+// windows, the verdicts landed in the pairs' folds, the cost charged to the
+// set's sink. It returns the pipeline's account and the virtual time of the
+// integrity re-reads, which sit outside the pipeline's clock. Under degrade
+// the pipeline absorbs what the ladder allows — a source no read rung can
+// serve drops the jobs naming it to the metadata-only verdict, a chunk
+// failing its leaf hash twice is excluded from diffing — and the result is
+// marked Degraded rather than failing the plan; compute errors and
+// cancellation are never degraded away, and CAS-pruned chunks keep their
+// proven verdict.
+func (st *stage2) run(ctx context.Context) (stream.Stats, time.Duration, error) {
+	ms, opts := st.ms, st.ms.opts
+	if len(st.plan.Jobs) == 0 {
+		return stream.Stats{}, 0, nil
+	}
+	exec := device.Cancelable{Done: ctx.Done(), Inner: opts.Exec}
+	st.kernel.reset(len(st.plan.Jobs), stream.MaxRanges(exec))
+	stats, err := stream.Run(ctx, st.plan, stream.Config{
+		Backend:    opts.Backend,
+		Arena:      opts.arena(),
+		Exec:       exec,
+		Device:     opts.Device,
+		SliceBytes: opts.SliceBytes,
+		Depth:      opts.Depth,
+		Retry:      opts.Retry,
+	}, st.verifyJob)
+	if err != nil {
+		return stats, 0, fmt.Errorf("compare: %s: %w", st.wrap, err)
+	}
+	st.drain()
+	*ms.sink.bytesRead += stats.BytesRead
+	*ms.sink.readRetries += stats.ReadRetries
+	*ms.sink.ringFallbacks += stats.RingFallbacks
+	// Following the paper's timer structure (Fig. 6: "for small error
+	// bounds, we need to load more data which is why the verification
+	// time is dominant"), the verification phase owns its overlapped
+	// data loading: the whole pipeline time is charged to CompareDirect,
+	// while PhaseRead holds only the metadata reads.
+	ms.sink.breakdown.AddVirtual(metrics.PhaseCompareDirect, stats.PipelineVirtual)
+	return stats, st.kernel.chargeRereads(ms.store, ms.sink), nil
 }
 
 // drain lands the kernel's slots in the pairs' folds, in job order — the
@@ -249,13 +271,85 @@ func (st *stage2) drain() {
 		ref := &st.refs[i]
 		fold := st.ms.Fold(ref.pair)
 		switch st.kernel.slots[i].verdict {
-		case ChunkPending, ChunkUnverified:
+		case chunkPending, chunkUnverified:
 			fold.Unverified++
-		case ChunkChanged:
+		case chunkChanged:
 			fold.Add(ref.field, st.kernel.indices(i))
 			if ref.chunk >= 0 {
 				fold.Changed++
 			}
 		}
 	}
+}
+
+// Stage2 is a member set's stage 2 run piecewise, for a planner that
+// schedules it itself (internal/shard: one work unit at a time, on whichever
+// worker holds it). Each Verify call plans one pair's candidate chunks in
+// one field and runs them through the same pipeline, ladder and kernel as
+// every other planner, in windows of the size and depth the caller fixed.
+// It works on a view of the set — the same members, metadata and open
+// files; its own candidates, folds and cost sink — so the Stage2s of one
+// set share nothing they write.
+type Stage2 struct {
+	stage2
+	cost Result // what the view's sink charges
+}
+
+// NewStage2 returns a piecewise stage 2 over the set, whose stage 1 must
+// have run, streaming windows of sliceBytes per source, depth in flight.
+func (ms *MemberSet) NewStage2(sliceBytes, depth int) *Stage2 {
+	s := &Stage2{}
+	view := *ms
+	view.opts.SliceBytes, view.opts.Depth = sliceBytes, depth
+	view.Rep, view.sink = nil, resultSink(&s.cost)
+	view.Cands = make([][][]int, len(ms.Pairs))
+	for pi := range view.Cands {
+		view.Cands[pi] = make([][]int, len(ms.fields))
+	}
+	view.folds = newFolds(len(ms.Pairs), len(ms.fields))
+	s.stage2 = stage2{ms: &view, wrap: "unit verification", degrade: ms.opts.Degrade}
+	return s
+}
+
+// UnitVerdict is what one Stage2.Verify call found and what it cost.
+type UnitVerdict struct {
+	// Diffs are the field-absolute indices of the elements beyond ε,
+	// ascending (the caller's to keep); Changed and Unverified count the
+	// unit's chunks as PairFold does.
+	Diffs               []int64
+	Changed, Unverified int
+	// IOVirtual is the un-overlapped read time, the integrity rung's
+	// re-reads included; ComputeVirtual the transfer and kernel time.
+	IOVirtual, ComputeVirtual time.Duration
+	// BytesRead counts the bytes delivered, re-reads included.
+	BytesRead                  int64
+	ReadRetries, RingFallbacks int
+	// PeakWindowBytes is the most bytes, all sources summed, one window
+	// held (stream.Stats.PeakWindowBytes).
+	PeakWindowBytes int64
+}
+
+// Verify runs stage 2 over candidate chunks (ascending) of one field of
+// one pair of the set.
+func (s *Stage2) Verify(ctx context.Context, pair, field int, chunks []int) (UnitVerdict, error) {
+	s.ms.Cands[pair][field] = chunks
+	err := s.planCandidates()
+	s.ms.Cands[pair][field] = nil
+	if err != nil {
+		return UnitVerdict{}, err
+	}
+	s.cost = Result{}
+	stats, rereads, err := s.run(ctx)
+	if err != nil {
+		return UnitVerdict{}, err
+	}
+	f := &s.ms.folds[pair]
+	v := UnitVerdict{
+		Diffs: f.idx[field], Changed: f.Changed, Unverified: f.Unverified,
+		IOVirtual: stats.IOVirtual + rereads, ComputeVirtual: stats.ComputeVirtual,
+		BytesRead: s.cost.BytesRead, ReadRetries: s.cost.ReadRetries, RingFallbacks: s.cost.RingFallbacks,
+		PeakWindowBytes: stats.PeakWindowBytes,
+	}
+	f.idx[field], f.Changed, f.Unverified = nil, 0, 0
+	return v, nil
 }

@@ -12,101 +12,93 @@ import (
 )
 
 // This file is the stage-2 verification kernel: the one place a chunk
-// pair is verified, shared by every single-node planner (through the
-// stream pipeline's consumer, plan.go) and the shard workers (serially,
-// per batch). They differ in where bytes come from and where verdicts go;
-// what happens to one chunk — the integrity rung on a side, the ε-compare
-// and memo insert on a pair — is here.
+// pair is verified, reached by every planner — single-node or sharded —
+// through the stream pipeline's consumer (plan.go). What happens to one
+// chunk — the integrity rung on a side, the ε-compare and memo insert on a
+// pair — is here.
 
-// Sides of a chunk pair.
-const (
-	SideA = 0
-	SideB = 1
-)
-
-// ChunkVerdict is the kernel's verdict on one chunk pair.
-type ChunkVerdict uint8
+// chunkVerdict is the kernel's verdict on one chunk pair.
+type chunkVerdict uint8
 
 // Chunk verdicts. The zero value marks a pair the kernel never reached
 // (a failed or canceled stream).
 const (
-	ChunkPending ChunkVerdict = iota
-	// ChunkClean: verified, every element within ε.
-	ChunkClean
-	// ChunkChanged: verified, at least one element beyond ε.
-	ChunkChanged
-	// ChunkUnverified: a side failed leaf-hash integrity verification, so
+	chunkPending chunkVerdict = iota
+	// chunkClean: verified, every element within ε.
+	chunkClean
+	// chunkChanged: verified, at least one element beyond ε.
+	chunkChanged
+	// chunkUnverified: a side failed leaf-hash integrity verification, so
 	// the pair was excluded from diffing — untrusted bytes must produce
 	// neither a false divergence nor a false match.
-	ChunkUnverified
+	chunkUnverified
 )
 
-// VerifyLeaf is the integrity rung for one chunk side: the streamed bytes
+// verifyLeaf is the integrity rung for one chunk side: the streamed bytes
 // must re-hash to the leaf their metadata was built from — corruption
 // beyond ε quantization (bit rot, a torn transfer) cannot masquerade as a
 // clean chunk. On mismatch the chunk is re-read once from f at off, in
 // place and under the comparison's context (an in-flight flip re-reads
 // clean; media corruption repeats). ok reports whether data now holds
-// verified bytes; reread whether the re-read was issued, cost what it cost.
-func VerifyLeaf(ctx context.Context, h *errbound.Hasher, data []byte, want murmur3.Digest, f *pfs.File, off int64) (ok, reread bool, cost pfs.Cost) {
+// verified bytes, cost what the re-read, if any, cost.
+func verifyLeaf(ctx context.Context, h *errbound.Hasher, data []byte, want murmur3.Digest, f *pfs.File, off int64) (ok bool, cost pfs.Cost) {
 	if got, err := h.HashChunk(data); err == nil && got == want {
-		return true, false, pfs.Cost{}
+		return true, pfs.Cost{}
 	}
 	n, cost, err := f.ReadAtCtx(ctx, data, off)
 	if err != nil || n != len(data) {
-		return false, true, cost
+		return false, cost
 	}
 	got, err := h.HashChunk(data)
-	return err == nil && got == want, true, cost
+	return err == nil && got == want, cost
 }
 
-// ChunkJob is one chunk pair handed to the kernel.
-type ChunkJob struct {
-	Hasher *errbound.Hasher
-	// A and B are the two sides' bytes. A nil side is one the integrity
+// chunkJob is one chunk pair handed to the kernel.
+type chunkJob struct {
+	hasher *errbound.Hasher
+	// a and b are the two sides' bytes. A nil side is one the integrity
 	// rung could not verify: the pair is excluded from diffing.
-	A, B []byte
-	// Base is the element index, within the field, of the chunk's first
+	a, b []byte
+	// base is the element index, within the field, of the chunk's first
 	// element: reported indices are field-absolute.
-	Base int64
-	// Memo, when set, records the verdict under the digest pair. Sound
+	base int64
+	// memo, when set, records the verdict under the digest pair. Sound
 	// only in differential mode: both byte strings are CAS
 	// representatives, so one digest names exactly one stored byte string
 	// and the verdict is a pure function of the (full) digest pair.
-	Memo             *CASMemo
-	DigestA, DigestB murmur3.Digest
+	memo             *CASMemo
+	digestA, digestB murmur3.Digest
 }
 
-// Verify runs the kernel body on one chunk pair, appending the absolute
+// verify runs the kernel body on one chunk pair, appending the absolute
 // indices of the elements that differ by more than ε to dst. On error dst
 // comes back unextended.
-func (j *ChunkJob) Verify(dst []int64) ([]int64, ChunkVerdict, error) {
-	a, b := j.A, j.B
-	if a == nil || b == nil {
-		return dst, ChunkUnverified, nil
+func (j *chunkJob) verify(dst []int64) ([]int64, chunkVerdict, error) {
+	if j.a == nil || j.b == nil {
+		return dst, chunkUnverified, nil
 	}
 	n0 := len(dst)
-	dst, _, err := j.Hasher.CompareSlices(dst, a, b)
+	dst, _, err := j.hasher.CompareSlices(dst, j.a, j.b)
 	if err != nil {
-		return dst[:n0], ChunkPending, err
+		return dst[:n0], chunkPending, err
 	}
 	found := dst[n0:]
-	if j.Memo != nil {
-		j.Memo.insert(j.DigestA, j.DigestB, j.Hasher.DType(), found)
+	if j.memo != nil {
+		j.memo.insert(j.digestA, j.digestB, j.hasher.DType(), found)
 	}
 	if len(found) == 0 {
-		return dst, ChunkClean, nil
+		return dst, chunkClean, nil
 	}
 	for k := range found {
-		found[k] += j.Base
+		found[k] += j.base
 	}
-	return dst, ChunkChanged, nil
+	return dst, chunkChanged, nil
 }
 
 // verdictSlot is one chunk job's outcome: its verdict and where its
 // indices sit in its range's scratch.
 type verdictSlot struct {
-	verdict ChunkVerdict
+	verdict chunkVerdict
 	r       int32
 	lo, hi  int
 }
@@ -142,10 +134,10 @@ func (v *verdicts) reset(jobs, maxRanges int) {
 }
 
 // verify runs job i in range r and files its outcome.
-func (v *verdicts) verify(r, i int, job *ChunkJob) error {
+func (v *verdicts) verify(r, i int, job *chunkJob) error {
 	sc := &v.ranges[r]
 	lo := len(sc.idx)
-	idx, verdict, err := job.Verify(sc.idx)
+	idx, verdict, err := job.verify(sc.idx)
 	sc.idx = idx
 	if err != nil {
 		return err

@@ -5,10 +5,10 @@ import (
 	"strings"
 )
 
-// Shardmsg keeps the shard wire messages codec-safe. The coordinator and
-// workers exchange `*Msg` structs through the hand-rolled frame codec in
-// internal/shard/wire.go, which serializes exactly what the struct
-// declares — fixed-width scalars, digests, and slices of those. A map,
+// Shardmsg keeps the shard wire messages codec-safe. Workers send the
+// coordinator `*Msg` structs (VerdictMsg, DoneMsg) through the hand-rolled
+// frame codec in internal/shard/wire.go, which serializes exactly what the
+// struct declares — fixed-width scalars and slices of those. A map,
 // pointer, channel, function, or interface field in such a struct cannot
 // cross that wire: the codec would either skip it silently (a message
 // that decodes to less than what was sent) or someone "fixes" the codec
@@ -19,9 +19,8 @@ import (
 //
 // The rule is syntactic: every struct type declared in internal/shard
 // whose name ends in "Msg" is checked field by field, recursing through
-// slice and array element types. Embedded flat structs (ChunkRefMsg
-// inside UnitMsg) are fine — the offending type constructors are flagged
-// wherever they appear in the field's type expression.
+// slice and array element types: the offending type constructors are
+// flagged wherever they appear in the field's type expression.
 var Shardmsg = &Analyzer{
 	Name:     "shardmsg",
 	Doc:      "mpi-encoded shard message structs must stay flat: no maps, pointers, chans, funcs, or interfaces",

@@ -13,15 +13,13 @@ func TestShardmsg(t *testing.T) {
 			name: "flat message allowed",
 			pkg:  "internal/shard",
 			src: `package shard
-type UnitMsg struct {
-	Seq    int64
-	DType  uint8
-	Digest [16]byte
-	Chunks []ChunkRefMsg
-	Diffs  []int64
+type VerdictMsg struct {
+	Seq   int64
+	Diffs []int64
 }
-type ChunkRefMsg struct {
-	Index int64
+type DoneMsg struct {
+	Worker int64
+	Died   uint8
 }
 `,
 			want: nil,
@@ -41,8 +39,8 @@ type VerdictMsg struct {
 			name: "pointer field flagged",
 			pkg:  "internal/shard",
 			src: `package shard
-type UnitMsg struct {
-	Next *UnitMsg
+type VerdictMsg struct {
+	Next *VerdictMsg
 }
 `,
 			want: []string{"3:shardmsg"},

@@ -47,13 +47,19 @@ func EncodeParts(parts [][]byte) []byte {
 	return out
 }
 
-// DecodeParts inverts EncodeParts, rejecting truncated payloads.
+// DecodeParts inverts EncodeParts, rejecting truncated payloads and
+// payloads with bytes left over. The part count is held against the bytes
+// that are there (a part costs at least its length prefix) before it sizes
+// anything.
 func DecodeParts(data []byte) ([][]byte, error) {
 	if len(data) < 4 {
 		return nil, errors.New("mpi: truncated parts payload")
 	}
 	n := int(binary.LittleEndian.Uint32(data))
 	data = data[4:]
+	if n > len(data)/4 {
+		return nil, errors.New("mpi: truncated parts payload")
+	}
 	parts := make([][]byte, 0, n)
 	for i := 0; i < n; i++ {
 		if len(data) < 4 {
@@ -68,6 +74,9 @@ func DecodeParts(data []byte) ([][]byte, error) {
 		copy(p, data[:l])
 		data = data[l:]
 		parts = append(parts, p)
+	}
+	if len(data) != 0 {
+		return nil, fmt.Errorf("mpi: %d bytes after the last part", len(data))
 	}
 	return parts, nil
 }

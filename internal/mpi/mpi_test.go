@@ -341,6 +341,14 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 	if _, err := DecodeParts([]byte{2, 0, 0, 0, 10, 0, 0, 0, 1}); err == nil {
 		t.Error("truncated parts payload accepted")
 	}
+	// A forged part count must be refused before it sizes the part list
+	// (0xffffffff parts would be a 96 GiB allocation).
+	if _, err := DecodeParts([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}); err == nil {
+		t.Error("parts payload claiming 2^32-1 parts in 4 bytes accepted")
+	}
+	if _, err := DecodeParts(append(EncodeParts([][]byte{{1}}), 0xff)); err == nil {
+		t.Error("parts payload with a trailing byte accepted")
+	}
 }
 
 func TestManyRanksStress(t *testing.T) {

@@ -23,7 +23,7 @@ func Compare(ctx context.Context, store *pfs.Store, nameA, nameB string, cfg Con
 	}
 	res := rep.Pairs[0].Result
 	res.RootA, res.RootB = rep.MemberRoots[0], rep.MemberRoots[1]
-	res.BytesRead, res.ReadRetries = rep.BytesRead, rep.ReadRetries
+	res.BytesRead, res.ReadRetries, res.RingFallbacks = rep.BytesRead, rep.ReadRetries, rep.RingFallbacks
 	res.Breakdown, res.Steps = rep.Breakdown, rep.Steps
 	return res, stats, nil
 }

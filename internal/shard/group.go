@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/compare"
 	"repro/internal/engine"
@@ -31,7 +32,7 @@ func groupCompare(ctx context.Context, store *pfs.Store, baseline string, runs [
 	if err != nil {
 		return nil, nil, err
 	}
-	cfg, err = cfg.normalized(opts)
+	cfg, err = cfg.normalized()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -39,7 +40,7 @@ func groupCompare(ctx context.Context, store *pfs.Store, baseline string, runs [
 	if err != nil {
 		return nil, nil, err
 	}
-	r := &run{store: store, cfg: cfg, opts: opts, ms: ms}
+	r := &run{store: store, cfg: cfg, ms: ms}
 	var p engine.Plan
 	stage1 := ms.Stage1(&p, openLabel)
 	part := p.Add(engine.StepPartition, "partition", r.stepPartition, stage1)
@@ -55,22 +56,29 @@ func groupCompare(ctx context.Context, store *pfs.Store, baseline string, runs [
 // — the global chunk key space concatenates (pair, field) extents in
 // topology order, every selected field contributing its full chunk count,
 // divergent or not (that is what makes AssignBlock a faithful
-// owner-computes baseline) — and runs the initial assignment over it.
-// Offsets come from each pair's own member files, so a unit is
-// self-describing no matter which worker ends up streaming it.
+// owner-computes baseline) — and runs the initial assignment over it. It is
+// also where the budget meets the data: stage 2 reads chunks of the size
+// the metadata was built at, whatever the options say, so the largest
+// selected field's tree chunk is what one chunk pair must fit the budget
+// with and what the workers' window is a whole multiple of.
 func (r *run) stepPartition(ctx context.Context, x *engine.Exec) error {
 	ms := r.ms
-	r.files = make([]pairFiles, len(ms.Pairs))
+	chunk := 0
 	for pi, pr := range ms.Pairs {
-		ra, rb := ms.Readers[pr[0]], ms.Readers[pr[1]]
-		r.files[pi] = pairFiles{fA: ra.File(), fB: rb.File()}
+		ra := ms.Readers[pr[0]]
 		for fi, fm := range ms.Metas[pr[0]].Fields {
 			if !ms.Selected(fi) {
 				continue
 			}
-			r.addUnits(pi, fi, fm, ms.Metas[pr[1]].Fields[fi].Tree, ms.Cands[pi][fi],
-				ra.FieldFileOffset(fi), rb.FieldFileOffset(fi))
+			chunk = max(chunk, fm.Tree.ChunkSize())
+			r.addUnits(pi, fi, fm.Tree, ms.Cands[pi][fi], ra.FieldFileOffset(fi))
 			r.totalChunks += int64(fm.Tree.NumChunks())
+		}
+	}
+	if chunk > 0 {
+		r.window = int(r.cfg.Budget/int64(2*chunk)) * chunk
+		if r.window == 0 {
+			return fmt.Errorf("shard: budget %d below one chunk pair (%d bytes)", r.cfg.Budget, 2*chunk)
 		}
 	}
 	r.assign()
@@ -86,8 +94,12 @@ func (r *run) stepExecute(ctx context.Context, x *engine.Exec) error {
 		return err
 	}
 	rep := r.ms.Rep
-	rep.BytesRead += r.bytesRead
-	rep.ReadRetries += int(r.retries)
+	for w := range r.workers {
+		ws := &r.workers[w]
+		rep.BytesRead += ws.bytesRead
+		rep.ReadRetries += ws.retries
+		rep.RingFallbacks += ws.ringFallbacks
+	}
 	rep.PipelineVirtual = r.stats.MakespanVirtual
 	rep.Breakdown.AddVirtual(metrics.PhaseCompareDirect, r.stats.MakespanVirtual)
 	rep.Breakdown.AddWall(metrics.PhaseCompareDirect, sw.Lap())

@@ -67,7 +67,8 @@ type Config struct {
 	Workers int
 	// Budget bounds the stage-2 chunk bytes (both sides summed) a worker
 	// may hold in flight at once — the out-of-core invariant. Default
-	// 16 MiB; must be at least twice the options' chunk size.
+	// 16 MiB; must be at least twice the chunk size the compared metadata
+	// was built at.
 	Budget int64
 	// SubtreeChunks is the work-unit grain: candidate chunks of one
 	// (pair, field) are grouped into subtrees of this many leaves
@@ -84,9 +85,9 @@ type Config struct {
 	Chaos Chaos
 }
 
-// normalized validates the configuration against the (already
-// normalized) comparison options and fills defaults.
-func (c Config) normalized(opts compare.Options) (Config, error) {
+// normalized validates the configuration and fills defaults. The budget's
+// lower bound depends on the metadata and is checked at partition time.
+func (c Config) normalized() (Config, error) {
 	if c.Workers <= 0 {
 		c.Workers = 4
 	}
@@ -95,9 +96,6 @@ func (c Config) normalized(opts compare.Options) (Config, error) {
 	}
 	if c.Budget <= 0 {
 		c.Budget = 16 << 20
-	}
-	if min := 2 * int64(opts.ChunkSize); c.Budget < min {
-		return c, fmt.Errorf("shard: budget %d below one chunk pair (%d bytes)", c.Budget, min)
 	}
 	if c.Chaos.Enabled && (c.Chaos.Worker < 0 || c.Chaos.Worker >= c.Workers) {
 		return c, fmt.Errorf("shard: chaos worker %d out of range [0,%d)", c.Chaos.Worker, c.Workers)
@@ -159,108 +157,91 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// pairFiles is one compared pair's open file handles.
-type pairFiles struct {
-	fA, fB *pfs.File
+// unit is one work unit: the candidate chunks of one divergent Merkle
+// subtree of one (pair, field). Its sequence number is its index in
+// run.units; any worker can execute it from the member set alone.
+type unit struct {
+	pair, field int
+	// target is the home OST of the unit's first byte (placement).
+	target int
+	// chunks are the candidate chunk indices, ascending.
+	chunks []int
+	// bytes is one side's candidate payload, the deques' steal weight.
+	bytes int64
+	// key is the unit's ordinal in the global chunk key space: the chunks
+	// of prior pairs and fields plus its first chunk index.
+	key int64
 }
 
 // run is the coordinator/worker executor behind Compare and GroupCompare:
-// the partition step fills units and files from the member set's stage-1
-// output, execute fans them out over M worker goroutines connected by an
-// mpi communicator, and the merged verdicts land in the member set's
-// per-pair folds for its report step.
+// the partition step cuts units from the member set's stage-1 output,
+// execute fans them out over M worker goroutines connected by an mpi
+// communicator, and the merged verdicts land in the member set's per-pair
+// folds for its report step.
 type run struct {
 	store *pfs.Store
 	cfg   Config
-	opts  compare.Options
 	ms    *compare.MemberSet
 
-	files []pairFiles
-
-	units  []*UnitMsg
-	frames [][]byte
-	// unitKeys[seq] is the unit's ordinal in the global chunk key space
-	// (chunks of prior pairs/fields plus its first chunk index);
-	// totalChunks is that space's size. AssignBlock decomposes this key
-	// space — not the candidate list — so skewed divergence really does
-	// land on few workers, as it would under owner-computes.
-	unitKeys    []int64
+	units []unit
+	// totalChunks is the size of the global chunk key space the units'
+	// keys index. AssignBlock decomposes this key space — not the
+	// candidate list — so skewed divergence really does land on few
+	// workers, as it would under owner-computes.
 	totalChunks int64
-	dq          *Deques[int64]
-	gate        *vgate
+	// window is the stage-2 window per source: the most whole chunks of
+	// both sides that fit the budget.
+	window int
+	// sharers is the per-target contention table assign froze; execute
+	// installs it on the store for the run.
+	sharers []int
+	dq      *Deques[int64]
+	gate    *vgate
 
+	// workers holds the M workers' states and, last, the coordinator's
+	// (it executes only what a drain leaves it).
 	workers []workerState
-
-	// run-level accounting folded from the verdict stream after the join.
-	readCost  pfs.Cost
-	bytesRead int64
-	retries   int64
-	rereads   int64
 
 	stats Stats
 }
 
 // addUnits partitions one (pair, field)'s candidate chunks into subtree
-// work units. chunks must be ascending (merkle.Diff order). baseA/baseB
-// are the field's absolute file offsets in the two containers. The
-// caller then grows r.totalChunks by the field's full chunk count, so
-// unit key ordinals stay aligned with the global key space.
-func (r *run) addUnits(pair, field int, fm compare.FieldMeta, treeB *merkle.Tree, chunks []int, baseA, baseB int64) {
-	keyBase := r.totalChunks
-	if len(chunks) == 0 {
-		return
-	}
+// work units. chunks must be ascending (merkle.Diff order); base is the
+// field's absolute file offset in the pair's A container. The caller then
+// grows r.totalChunks by the field's full chunk count, so unit key
+// ordinals stay aligned with the global key space.
+func (r *run) addUnits(pair, field int, tree *merkle.Tree, chunks []int, base int64) {
 	striping := r.store.Striping()
-	eltSize := int64(fm.DType.Size())
-	chunkElems := int64(fm.Tree.ChunkSize()) / eltSize
 	grain := r.cfg.SubtreeChunks
-	i := 0
-	for i < len(chunks) {
+	for i := 0; i < len(chunks); {
 		// One unit per grain-level subtree: all candidates whose chunk
 		// index falls in [sub*grain, (sub+1)*grain).
 		sub := chunks[i] / grain
 		j := i
+		var bytes int64
 		for j < len(chunks) && chunks[j]/grain == sub {
+			_, n := tree.ChunkRange(chunks[j])
+			bytes += int64(n)
 			j++
 		}
-		u := &UnitMsg{
-			Seq:        int64(len(r.units)),
-			Pair:       int64(pair),
-			Field:      int64(field),
-			Subtree:    int64(sub),
-			ChunkElems: chunkElems,
-			DType:      uint8(fm.DType),
-			Epsilon:    r.opts.Epsilon,
-			Chunks:     make([]ChunkRefMsg, 0, j-i),
-		}
-		for _, ci := range chunks[i:j] {
-			off, n := fm.Tree.ChunkRange(ci)
-			u.Chunks = append(u.Chunks, ChunkRefMsg{
-				Index:   int64(ci),
-				OffA:    baseA + off,
-				OffB:    baseB + off,
-				Len:     int64(n),
-				DigestA: fm.Tree.Leaf(ci),
-				DigestB: treeB.Leaf(ci),
-			})
-		}
-		u.Target = int64(striping.TargetOf(u.Chunks[0].OffA))
-		r.units = append(r.units, u)
-		r.unitKeys = append(r.unitKeys, keyBase+int64(chunks[i]))
+		off, _ := tree.ChunkRange(chunks[i])
+		r.units = append(r.units, unit{
+			pair: pair, field: field, target: striping.TargetOf(base + off),
+			chunks: chunks[i:j], bytes: bytes, key: r.totalChunks + int64(chunks[i]),
+		})
 		i = j
 	}
 }
 
-// assign encodes every unit, maps it to its initial worker under the
-// configured policy, and freezes the per-target contention table: each
-// OST's sharers count is the number of distinct workers whose assigned
-// units live there. The table is frozen at assignment time — stealing
-// moves work but keeps the assignment-time pricing, a deliberate (and
-// documented) simplification that keeps unit read costs deterministic.
+// assign maps every unit to its initial worker under the configured
+// policy and freezes the per-target contention table: each OST's sharers
+// count is the number of distinct workers whose assigned units live there.
+// The table is frozen at assignment time — stealing moves work but keeps
+// the assignment-time pricing, a deliberate (and documented)
+// simplification that keeps unit read costs deterministic.
 func (r *run) assign() {
 	m := r.cfg.Workers
-	r.frames = make([][]byte, len(r.units))
-	r.dq = NewDeques[int64](m, func(seq int64) int64 { return r.units[seq].Bytes() })
+	r.dq = NewDeques[int64](m, func(seq int64) int64 { return r.units[seq].bytes })
 	striping := r.store.Striping()
 	targets := striping.Targets
 	if targets < 1 {
@@ -268,39 +249,24 @@ func (r *run) assign() {
 	}
 	touched := make([]map[int]bool, targets)
 	for seq, u := range r.units {
-		r.frames[seq] = EncodeUnit(u)
-		var w int
-		switch r.cfg.Assignment {
-		case AssignPlacement:
-			if striping.Enabled() {
-				w = int(u.Target) % m
-			} else {
-				w = int(r.unitKeys[seq] * int64(m) / max64(r.totalChunks, 1))
-			}
-		case AssignRandom:
+		// AssignBlock, and AssignPlacement on an unstriped store.
+		w := min(int(u.key*int64(m)/max(r.totalChunks, 1)), m-1)
+		switch {
+		case r.cfg.Assignment == AssignPlacement && striping.Enabled():
+			w = u.target % m
+		case r.cfg.Assignment == AssignRandom:
 			w = int(splitmix64(r.cfg.Seed^uint64(seq)*0x9e3779b97f4a7c15) % uint64(m))
-		default: // AssignBlock
-			w = int(r.unitKeys[seq] * int64(m) / max64(r.totalChunks, 1))
-		}
-		if w >= m {
-			w = m - 1
 		}
 		r.dq.Push(w, int64(seq))
-		t := int(u.Target)
-		if touched[t] == nil {
-			touched[t] = make(map[int]bool)
+		if touched[u.target] == nil {
+			touched[u.target] = make(map[int]bool)
 		}
-		touched[t][w] = true
+		touched[u.target][w] = true
 	}
-	table := make([]int, targets)
-	for t := range table {
-		if n := len(touched[t]); n > 0 {
-			table[t] = n
-		} else {
-			table[t] = 1
-		}
+	r.sharers = make([]int, targets)
+	for t := range r.sharers {
+		r.sharers[t] = max(len(touched[t]), 1)
 	}
-	r.store.SetTargetSharers(table)
 	r.stats.Workers = m
 	r.stats.Units = len(r.units)
 	r.stats.Targets = targets
@@ -309,31 +275,27 @@ func (r *run) assign() {
 	r.stats.BudgetBytes = r.cfg.Budget
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // shardTag is the single mpi tag of the worker→coordinator verdict
 // stream; using one tag preserves per-link FIFO order, so a worker's
 // done frame is always the last thing its receiver sees.
 const shardTag = 1
 
 // execute fans the assigned units out over the workers, folds the
-// verdict stream, and fills Stats. The per-target contention table
-// installed by assign is cleared on every exit path.
+// verdict stream, and fills Stats. The per-target contention table is on
+// the store — where the one read-pricing site (internal/aio) looks it up
+// per batch — only while the units run, and off it on every exit path.
 func (r *run) execute(ctx context.Context) error {
-	defer r.store.SetTargetSharers(nil)
 	m := r.cfg.Workers
-	r.workers = make([]workerState, m)
-	for w := range r.workers {
-		r.workers[w].init(r, w)
-	}
+	r.stats.PerWorker = make([]WorkerStats, m)
 	if len(r.units) == 0 {
-		r.stats.PerWorker = make([]WorkerStats, m)
 		return nil
+	}
+	r.store.SetTargetSharers(r.sharers)
+	defer r.store.SetTargetSharers(nil)
+	r.workers = make([]workerState, m+1)
+	for w := range r.workers {
+		// Depth 1: a worker holds one window, so the budget bounds it.
+		r.workers[w].stage2 = r.ms.NewStage2(r.window, 1)
 	}
 	comm, err := mpi.NewComm(m + 1)
 	if err != nil {
@@ -420,83 +382,59 @@ func (r *run) execute(ctx context.Context) error {
 	// usually re-steal it, but if every other worker already saw a
 	// globally-empty scheduler and exited, the coordinator executes the
 	// leftovers itself — degraded throughput, never a dropped verdict.
-	var coordVirtual time.Duration
-	var coordVerdicts []*VerdictMsg
-	if leftovers := r.dq.Drain(); len(leftovers) > 0 {
-		cs := workerState{}
-		cs.init(r, m)
-		for _, seq := range leftovers {
-			v, err := r.executeUnit(ctx, &cs, r.units[seq])
-			if err != nil {
-				return fmt.Errorf("shard: coordinator drain unit %d: %w", seq, err)
-			}
-			coordVerdicts = append(coordVerdicts, v)
-			r.stats.CoordinatorUnits++
+	cs := &r.workers[m]
+	all := make([]*VerdictMsg, 0, len(r.units))
+	for _, seq := range r.dq.Drain() {
+		v, _, err := r.executeUnit(ctx, cs, seq)
+		if err != nil {
+			return fmt.Errorf("shard: coordinator drain: %w", err)
 		}
-		coordVirtual = cs.ioVirtual + cs.compVirtual
-		r.stats.ReadVirtual += cs.ioVirtual
+		all = append(all, v)
 	}
+	r.stats.CoordinatorUnits = cs.units
 
 	// Hierarchical fold: verdicts arrive per worker in FIFO order, but
 	// which worker ran a unit is schedule-dependent; sorting by unit
 	// sequence makes the fold order — and through it every accumulated
 	// slice — deterministic before the report steps sort per-field
 	// indices ascending.
-	all := coordVerdicts
 	for w := range verdicts {
 		all = append(all, verdicts[w]...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
 	for _, v := range all {
-		r.foldVerdict(v)
+		f := r.ms.Fold(int(v.Pair))
+		f.Add(int(v.Field), v.Diffs)
+		f.Changed += int(v.Changed)
+		f.Unverified += int(v.Unverified)
 	}
 
-	r.stats.PerWorker = make([]WorkerStats, m)
 	var makespan time.Duration
 	for w := 0; w < m; w++ {
 		ws := &r.workers[w]
-		stealOps, stealItems := r.dq.StealStatsOf(w)
 		pw := WorkerStats{
 			Units:        ws.units,
-			Steals:       stealOps,
-			StolenUnits:  stealItems,
 			IOVirtual:    ws.ioVirtual,
 			CompVirtual:  ws.compVirtual,
 			BytesRead:    ws.bytesRead,
-			PeakInFlight: ws.gauge.Peak(),
-			Died:         ws.died,
+			PeakInFlight: ws.peakInFlight,
+			Died:         dones[w].Died != 0,
 		}
-		if dones[w] != nil && dones[w].Died != 0 {
-			pw.Died = true
-		}
+		pw.Steals, pw.StolenUnits = r.dq.StealStatsOf(w)
 		if pw.Died {
 			r.stats.WorkerFailures++
 		}
 		r.stats.PerWorker[w] = pw
-		r.stats.ReadVirtual += pw.IOVirtual
-		r.stats.TotalVirtual += pw.Virtual()
-		if pw.Virtual() > makespan {
-			makespan = pw.Virtual()
-		}
-		if pw.PeakInFlight > r.stats.PeakInFlight {
-			r.stats.PeakInFlight = pw.PeakInFlight
-		}
+		makespan = max(makespan, pw.Virtual())
 	}
+	coordVirtual := cs.ioVirtual + cs.compVirtual
 	r.stats.MakespanVirtual = makespan + coordVirtual
-	r.stats.TotalVirtual += coordVirtual
+	for w := range r.workers {
+		ws := &r.workers[w]
+		r.stats.ReadVirtual += ws.ioVirtual
+		r.stats.TotalVirtual += ws.ioVirtual + ws.compVirtual
+		r.stats.PeakInFlight = max(r.stats.PeakInFlight, ws.peakInFlight)
+	}
 	r.stats.Steals, r.stats.StolenUnits = r.dq.StealStats()
 	return nil
-}
-
-// foldVerdict merges one unit's verdict into its pair's fold and the
-// run-level accounting.
-func (r *run) foldVerdict(v *VerdictMsg) {
-	f := r.ms.Fold(int(v.Pair))
-	f.Add(int(v.Field), v.Diffs)
-	f.Changed += int(v.Changed)
-	f.Unverified += int(v.Unverified)
-	r.readCost.Add(pfs.Cost{Ops: int(v.Ops), CachedOps: int(v.CachedOps), Bytes: v.Bytes, CachedBytes: v.CachedBytes})
-	r.bytesRead += v.BytesRead
-	r.retries += v.Retries
-	r.rereads += v.Rereads
 }

@@ -244,36 +244,60 @@ func TestCompareIdenticalRuns(t *testing.T) {
 	}
 }
 
-// TestBudgetInvariant forces multi-batch units with a minimal budget and
-// asserts the gauge never saw more than Budget bytes in flight on any
-// worker. Run under -race this also exercises the atomic gauge across
-// worker goroutines.
+// TestBudgetInvariant forces multi-window units with small budgets and
+// asserts no worker ever held more than Budget bytes in flight. The window
+// is cut from the chunk size the METADATA was built at — the options'
+// ChunkSize need not agree with it — and holds whole chunks only: a budget
+// of 5 chunks is a window of 2 per side, 4 in flight.
 func TestBudgetInvariant(t *testing.T) {
-	opts := testOpts()
-	e := newEnv(t, 64<<10, opts, perturbUniform)
-	cfg := Config{Workers: 4, Stealing: true, Budget: 2 * testChunk, SubtreeChunks: 8}
-	_, stats, err := Compare(context.Background(), e.store, e.nameA, e.nameB, cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.PeakInFlight <= 0 || stats.PeakInFlight > cfg.Budget {
-		t.Errorf("peak in-flight %d outside (0, %d]", stats.PeakInFlight, cfg.Budget)
-	}
-	for w, pw := range stats.PerWorker {
-		if pw.PeakInFlight > cfg.Budget {
-			t.Errorf("worker %d peak in-flight %d exceeds budget %d", w, pw.PeakInFlight, cfg.Budget)
+	unset := testOpts()
+	unset.ChunkSize = 0 // defaults to 64 KiB; the metadata says 4 KiB
+	for name, tc := range map[string]struct {
+		opts     compare.Options
+		budget   int64
+		wantPeak int64 // 0: anything in (0, budget]
+	}{
+		"one-chunk-pair":       {testOpts(), 2 * testChunk, 2 * testChunk},
+		"five-chunks":          {testOpts(), 5 * testChunk, 4 * testChunk},
+		"options-chunk-larger": {unset, 16 << 10, 16 << 10},
+	} {
+		e := newEnv(t, 64<<10, testOpts(), perturbUniform)
+		cfg := Config{Workers: 4, Stealing: true, Budget: tc.budget, SubtreeChunks: 8}
+		_, stats, err := Compare(context.Background(), e.store, e.nameA, e.nameB, cfg, tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if stats.PeakInFlight <= 0 || stats.PeakInFlight > cfg.Budget {
+			t.Errorf("%s: peak in-flight %d outside (0, %d]", name, stats.PeakInFlight, cfg.Budget)
+		}
+		if tc.wantPeak != 0 && stats.PeakInFlight != tc.wantPeak {
+			t.Errorf("%s: peak in-flight %d, want %d", name, stats.PeakInFlight, tc.wantPeak)
+		}
+		for w, pw := range stats.PerWorker {
+			if pw.PeakInFlight > cfg.Budget {
+				t.Errorf("%s: worker %d peak in-flight %d exceeds budget %d", name, w, pw.PeakInFlight, cfg.Budget)
+			}
 		}
 	}
 }
 
 // TestBudgetRejectsSubChunk: a budget below one chunk pair can never make
-// progress and must be rejected up front.
+// progress and must be rejected up front — one pair of the chunks stage 2
+// will actually read, the metadata's, not the options'.
 func TestBudgetRejectsSubChunk(t *testing.T) {
 	opts := testOpts()
 	e := newEnv(t, 4<<10, opts, nil)
 	_, _, err := Compare(context.Background(), e.store, e.nameA, e.nameB, Config{Budget: testChunk}, opts)
 	if err == nil {
 		t.Fatal("budget below 2×chunk accepted")
+	}
+
+	big := testOpts()
+	big.ChunkSize = 1 << 20
+	e = newEnv(t, 256<<10, big, perturbUniform)
+	big.ChunkSize = 0 // the default, 64 KiB: 128 KiB would be two of those
+	if _, stats, err := Compare(context.Background(), e.store, e.nameA, e.nameB, Config{Budget: 128 << 10}, big); err == nil {
+		t.Fatalf("budget of 128 KiB accepted over 1 MiB chunks (held %d bytes in flight)", stats.PeakInFlight)
 	}
 }
 

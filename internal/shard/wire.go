@@ -1,136 +1,67 @@
 // Package shard implements the scale-out tier of the comparison engine:
 // one checkpoint-pair (or N-run group) comparison is split across M
 // simulated workers by Merkle subtree. The coordinator runs stage 1 on
-// metadata only, prunes equal subtrees, and publishes the divergent ones
-// as self-describing work units; workers execute stage 2 out-of-core
-// under a bounded buffer budget, steal subtree batches from loaded peers
-// when idle, and return per-subtree verdict summaries the coordinator
-// folds hierarchically into the same Result/GroupReport the single-node
-// path produces — bit-identical diffs, proven against CompareMerkle as
-// the oracle.
+// metadata only, prunes equal subtrees, and cuts the divergent ones into
+// work units; workers execute stage 2 — the planners' one pipeline, in
+// windows sized to a bounded buffer budget — steal subtree batches from
+// loaded peers when idle, and return per-subtree verdict summaries the
+// coordinator folds hierarchically into the same Result/GroupReport the
+// single-node path produces — bit-identical diffs, proven against
+// CompareMerkle as the oracle.
 //
-// This file is the wire layer. Work units and verdicts travel as binary
-// frames composed on the internal/mpi parts codec (little-endian,
-// length-prefixed, truncation-rejecting): a unit carries everything a
-// worker needs — offsets, lengths, ε, dtype, and both sides' leaf
-// digests — so a worker holds no metadata and any peer can execute any
-// stolen unit. Message structs are deliberately flat (no maps, no
-// pointer graphs); the shardmsg lint rule enforces this, because
-// iteration-order nondeterminism in a wire message would break the
-// bit-identity oracle.
+// This file is the wire layer. Verdicts and done markers travel from the
+// workers to the coordinator as binary frames composed on the internal/mpi
+// parts codec (little-endian, length-prefixed, truncation-rejecting). Work
+// units do not travel: a worker executes a unit from the member set the
+// coordinator's stage 1 filled, so any peer can execute any stolen unit.
+// Message structs are deliberately flat (no maps, no pointer graphs); the
+// shardmsg lint rule enforces this, because iteration-order nondeterminism
+// in a wire message would break the bit-identity oracle.
 package shard
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 
-	"repro/internal/errbound"
 	"repro/internal/mpi"
-	"repro/internal/murmur3"
 )
 
 // Frame kinds. Every frame is one mpi parts payload whose first part is
 // the header: magic "SHRD", version u16, kind u8.
 const (
-	frameMagic   = "SHRD"
-	wireVersion  = 1
-	kindUnit     = 1
-	kindVerdict  = 2
-	kindDone     = 3
-	headerLen    = len(frameMagic) + 3
-	chunkRefSize = 4*8 + 2*murmur3.DigestSize
+	frameMagic  = "SHRD"
+	wireVersion = 2
+	kindVerdict = 2
+	kindDone    = 3
+	headerLen   = len(frameMagic) + 3
 )
 
 // ErrTruncated is returned when a frame or one of its parts is shorter
 // than its declared layout.
 var ErrTruncated = errors.New("shard: truncated frame")
 
-// ChunkRefMsg locates one candidate chunk inside a work unit: the Merkle
-// chunk index within its field, both sides' absolute file offsets and
-// the chunk length, plus both sides' leaf digests so a worker can run
-// the integrity rung of the degradation ladder without any metadata.
-type ChunkRefMsg struct {
-	Index      int64
-	OffA, OffB int64
-	Len        int64
-	DigestA    [murmur3.DigestSize]byte
-	DigestB    [murmur3.DigestSize]byte
-}
-
-// UnitMsg is one self-describing work unit: the candidate chunks of one
-// divergent Merkle subtree of one (pair, field). Any worker can execute
-// it with nothing but the unit and the two file handles.
-type UnitMsg struct {
-	// Seq is the coordinator-assigned unit sequence number, unique per
-	// comparison; verdicts echo it.
-	Seq int64
-	// Pair indexes the group's pair list (0 for a pairwise comparison).
-	Pair int64
-	// Field indexes the checkpoint schema.
-	Field int64
-	// Subtree is the Merkle node index of the subtree this unit covers.
-	Subtree int64
-	// Target is the home OST of the unit's byte range (placement).
-	Target int64
-	// ChunkElems is the element count of a full chunk — the absolute
-	// element index of chunk c's element e is c*ChunkElems + e.
-	ChunkElems int64
-	// DType is the field element type (errbound.DType).
-	DType uint8
-	// Epsilon is the comparison bound the verdict must be computed at.
-	Epsilon float64
-	// Chunks are the unit's candidate chunks, ascending by Index.
-	Chunks []ChunkRefMsg
-}
-
-// Bytes returns the total candidate payload of the unit (one side).
-func (u *UnitMsg) Bytes() int64 {
-	var n int64
-	for i := range u.Chunks {
-		n += u.Chunks[i].Len
-	}
-	return n
-}
-
-// VerdictMsg is one executed unit's summary, folded hierarchically by
-// the coordinator: per-subtree diff indices and verification accounting.
+// VerdictMsg is one executed unit's verdict, folded hierarchically by the
+// coordinator.
 type VerdictMsg struct {
-	Seq    int64
-	Pair   int64
-	Field  int64
-	Worker int64
+	// Seq is the unit's sequence number; Pair indexes the group's pair
+	// list (0 for a pairwise comparison), Field the checkpoint schema.
+	Seq   int64
+	Pair  int64
+	Field int64
 	// Changed counts chunks that really contained an out-of-bound
-	// difference; Unverified counts chunks excluded by the integrity
-	// rung; Rereads and Retries count integrity re-reads and transient
-	// read retries.
+	// difference; Unverified counts chunks no read rung or integrity
+	// check could vouch for.
 	Changed    int64
 	Unverified int64
-	Rereads    int64
-	Retries    int64
-	// Read cost components (pfs.Cost) plus total delivered bytes.
-	Ops, CachedOps     int64
-	Bytes, CachedBytes int64
-	BytesRead          int64
-	// IONanos and CompNanos are the unit's virtual read and compute
-	// times on this worker's clock.
-	IONanos, CompNanos int64
 	// Diffs are the absolute element indices that exceeded ε, ascending.
 	Diffs []int64
 }
 
-// DoneMsg closes a worker's verdict stream and carries its final stats.
+// DoneMsg closes a worker's verdict stream. Died marks a chaos death.
 type DoneMsg struct {
-	Worker       int64
-	Units        int64
-	Steals       int64
-	StolenUnits  int64
-	Died         uint8
-	IONanos      int64
-	CompNanos    int64
-	BytesRead    int64
-	PeakInFlight int64
+	Worker int64
+	Died   uint8
 }
 
 // header builds the frame header part.
@@ -195,20 +126,6 @@ func (c *cursor) i64() int64 {
 	return v
 }
 
-func (c *cursor) f64() float64 {
-	return math.Float64frombits(uint64(c.i64()))
-}
-
-func (c *cursor) digest() (d [murmur3.DigestSize]byte) {
-	if c.err != nil || len(c.b) < murmur3.DigestSize {
-		c.err = ErrTruncated
-		return
-	}
-	copy(d[:], c.b)
-	c.b = c.b[murmur3.DigestSize:]
-	return d
-}
-
 // done reports a fully-consumed part; leftover bytes are a framing error
 // too (a frame that decodes but carries trailing garbage is corrupt).
 func (c *cursor) done() error {
@@ -225,80 +142,10 @@ func appendI64(b []byte, v int64) []byte {
 	return binary.LittleEndian.AppendUint64(b, uint64(v))
 }
 
-// EncodeUnit serializes a work unit as one frame.
-func EncodeUnit(u *UnitMsg) []byte {
-	fixed := make([]byte, 0, 7*8+1)
-	for _, v := range []int64{u.Seq, u.Pair, u.Field, u.Subtree, u.Target, u.ChunkElems} {
-		fixed = appendI64(fixed, v)
-	}
-	fixed = append(fixed, u.DType)
-	fixed = appendI64(fixed, int64(math.Float64bits(u.Epsilon)))
-	chunks := make([]byte, 0, len(u.Chunks)*chunkRefSize)
-	for i := range u.Chunks {
-		cr := &u.Chunks[i]
-		chunks = appendI64(chunks, cr.Index)
-		chunks = appendI64(chunks, cr.OffA)
-		chunks = appendI64(chunks, cr.OffB)
-		chunks = appendI64(chunks, cr.Len)
-		chunks = append(chunks, cr.DigestA[:]...)
-		chunks = append(chunks, cr.DigestB[:]...)
-	}
-	return mpi.EncodeParts([][]byte{header(kindUnit), fixed, chunks})
-}
-
-// DecodeUnit inverts EncodeUnit, rejecting truncated or trailing bytes.
-func DecodeUnit(frame []byte) (*UnitMsg, error) {
-	parts, err := mpi.DecodeParts(frame)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrTruncated, err)
-	}
-	if len(parts) != 3 {
-		return nil, fmt.Errorf("shard: unit frame has %d parts, want 3", len(parts))
-	}
-	kind, err := checkHeader(parts[0])
-	if err != nil {
-		return nil, err
-	}
-	if kind != kindUnit {
-		return nil, fmt.Errorf("shard: frame kind %d is not a unit", kind)
-	}
-	u := &UnitMsg{}
-	c := &cursor{b: parts[1]}
-	u.Seq, u.Pair, u.Field = c.i64(), c.i64(), c.i64()
-	u.Subtree, u.Target, u.ChunkElems = c.i64(), c.i64(), c.i64()
-	u.DType = c.u8()
-	u.Epsilon = c.f64()
-	if err := c.done(); err != nil {
-		return nil, err
-	}
-	if len(parts[2])%chunkRefSize != 0 {
-		return nil, ErrTruncated
-	}
-	u.Chunks = make([]ChunkRefMsg, len(parts[2])/chunkRefSize)
-	cc := &cursor{b: parts[2]}
-	for i := range u.Chunks {
-		cr := &u.Chunks[i]
-		cr.Index, cr.OffA, cr.OffB, cr.Len = cc.i64(), cc.i64(), cc.i64(), cc.i64()
-		cr.DigestA, cr.DigestB = cc.digest(), cc.digest()
-	}
-	if err := cc.done(); err != nil {
-		return nil, err
-	}
-	if errbound.DType(u.DType).Size() == 0 {
-		return nil, fmt.Errorf("shard: unit %d has unknown dtype %d", u.Seq, u.DType)
-	}
-	return u, nil
-}
-
 // EncodeVerdict serializes a verdict as one frame.
 func EncodeVerdict(v *VerdictMsg) []byte {
-	fixed := make([]byte, 0, 15*8)
-	for _, x := range []int64{
-		v.Seq, v.Pair, v.Field, v.Worker,
-		v.Changed, v.Unverified, v.Rereads, v.Retries,
-		v.Ops, v.CachedOps, v.Bytes, v.CachedBytes,
-		v.BytesRead, v.IONanos, v.CompNanos,
-	} {
+	fixed := make([]byte, 0, 5*8)
+	for _, x := range []int64{v.Seq, v.Pair, v.Field, v.Changed, v.Unverified} {
 		fixed = appendI64(fixed, x)
 	}
 	diffs := make([]byte, 0, len(v.Diffs)*8)
@@ -326,10 +173,8 @@ func DecodeVerdict(frame []byte) (*VerdictMsg, error) {
 	}
 	v := &VerdictMsg{}
 	c := &cursor{b: parts[1]}
-	v.Seq, v.Pair, v.Field, v.Worker = c.i64(), c.i64(), c.i64(), c.i64()
-	v.Changed, v.Unverified, v.Rereads, v.Retries = c.i64(), c.i64(), c.i64(), c.i64()
-	v.Ops, v.CachedOps, v.Bytes, v.CachedBytes = c.i64(), c.i64(), c.i64(), c.i64()
-	v.BytesRead, v.IONanos, v.CompNanos = c.i64(), c.i64(), c.i64()
+	v.Seq, v.Pair, v.Field = c.i64(), c.i64(), c.i64()
+	v.Changed, v.Unverified = c.i64(), c.i64()
 	if err := c.done(); err != nil {
 		return nil, err
 	}
@@ -344,16 +189,9 @@ func DecodeVerdict(frame []byte) (*VerdictMsg, error) {
 	return v, cc.done()
 }
 
-// EncodeDone serializes a worker's closing stats frame.
+// EncodeDone serializes a worker's closing frame.
 func EncodeDone(d *DoneMsg) []byte {
-	fixed := make([]byte, 0, 8*8+1)
-	for _, x := range []int64{d.Worker, d.Units, d.Steals, d.StolenUnits} {
-		fixed = appendI64(fixed, x)
-	}
-	fixed = append(fixed, d.Died)
-	for _, x := range []int64{d.IONanos, d.CompNanos, d.BytesRead, d.PeakInFlight} {
-		fixed = appendI64(fixed, x)
-	}
+	fixed := append(appendI64(make([]byte, 0, 8+1), d.Worker), d.Died)
 	return mpi.EncodeParts([][]byte{header(kindDone), fixed})
 }
 
@@ -375,8 +213,6 @@ func DecodeDone(frame []byte) (*DoneMsg, error) {
 	}
 	d := &DoneMsg{}
 	c := &cursor{b: parts[1]}
-	d.Worker, d.Units, d.Steals, d.StolenUnits = c.i64(), c.i64(), c.i64(), c.i64()
-	d.Died = c.u8()
-	d.IONanos, d.CompNanos, d.BytesRead, d.PeakInFlight = c.i64(), c.i64(), c.i64(), c.i64()
+	d.Worker, d.Died = c.i64(), c.u8()
 	return d, c.done()
 }

@@ -204,6 +204,10 @@ type Stats struct {
 	Slices int
 	// BytesRead counts the bytes read from every source.
 	BytesRead int64
+	// PeakWindowBytes is the most bytes one window asked of its sources,
+	// all of them summed, as cut — whether or not every read then succeeded.
+	// A run holds at most Depth windows at once.
+	PeakWindowBytes int64
 	// ReadCost aggregates the storage cost of all reads.
 	ReadCost pfs.Cost
 	// IOVirtual is the summed un-overlapped I/O virtual time.
@@ -244,6 +248,7 @@ type window struct {
 	// request in its source's set, or -1 for a job whose source is dead.
 	at      [][2]int32
 	loaded  []int // the sources read this window, ascending
+	held    int64 // bytes asked of the sources, read or not
 	bytes   int64 // bytes read
 	skipped int
 	io      time.Duration
@@ -363,6 +368,7 @@ func (r *reader) fill(ctx context.Context, w *window) {
 			r.mark[s][q.Tag] = int32(k + 1)
 		}
 		w.loaded = append(w.loaded, s)
+		w.held += r.used[s]
 	}
 	for i := 0; i < len(w.loaded) && w.err == nil; i += 2 {
 		w.err = r.read(ctx, w, w.loaded[i:min(i+2, len(w.loaded))])
@@ -581,6 +587,7 @@ func Run(ctx context.Context, plan *Plan, cfg Config, compute Compute) (stats St
 		stats.Slices++
 		stats.ReadCost.Add(w.cost)
 		stats.BytesRead += w.bytes
+		stats.PeakWindowBytes = max(stats.PeakWindowBytes, w.held)
 		stats.IOVirtual += w.io
 		stats.ReadRetries += w.retries
 		stats.RingFallbacks += w.fell
