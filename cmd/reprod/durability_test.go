@@ -6,6 +6,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -148,6 +149,79 @@ func TestErrorResponseContract(t *testing.T) {
 		release()
 		<-held.Done()
 	})
+}
+
+// TestPostBodiesRefused is the edge's table: malformed, truncated,
+// wrong-type and oversized bodies on both POST endpoints each earn the
+// uniform JSON error — 413 for a body over maxBodyBytes, 400 otherwise —
+// and leave nothing behind: no binding registered, no record journaled.
+func TestPostBodiesRefused(t *testing.T) {
+	dir := seedStore(t)
+	store, err := repro.NewStore(dir, repro.LustreModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plane := repro.NewPlane(repro.PlaneConfig{})
+	defer func() {
+		if err := plane.Close(); err != nil {
+			t.Errorf("plane close: %v", err)
+		}
+	}()
+	if _, err := plane.Recover(context.Background(), store, repro.DefaultJournalName); err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(plane, store)
+
+	// Valid JSON, of the right shape, one byte over the bound: only the
+	// size can be what refuses it.
+	padded := func(prefix string) string {
+		return prefix + strings.Repeat("n", maxBodyBytes+1-len(prefix)-len(`"}`)) + `"}`
+	}
+	bodies := []struct {
+		name string
+		runs string // body for POST /v1/runs
+		jobs string // body for POST /v1/jobs
+		want int
+	}{
+		{"empty", "", "", http.StatusBadRequest},
+		{"not JSON", "runId=run9", "kind=compare", http.StatusBadRequest},
+		{"truncated", `{"runId":"run9","epsil`, `{"kind":"compare","a":"x/iter0010.rank0`, http.StatusBadRequest},
+		{"wrong top-level type", `["run9"]`, `"compare"`, http.StatusBadRequest},
+		{"wrong field type", `{"runId":9,"epsilon":1e-5}`, `{"kind":"compare","a":1,"b":2,"epsilon":1e-5}`, http.StatusBadRequest},
+		{"number out of range", `{"runId":"run9","epsilon":1e999}`, `{"kind":"compare","a":"a","b":"b","chunkSize":1e99}`, http.StatusBadRequest},
+		{"oversized", padded(`{"runId":"`), padded(`{"kind":"compare","epsilon":1e-5,"b":"b","a":"`), http.StatusRequestEntityTooLarge},
+		// Refused for its content as soon as that is seen, well before the bound.
+		{"oversized and malformed", strings.Repeat("{", maxBodyBytes+1), strings.Repeat("[", 2*maxBodyBytes), http.StatusBadRequest},
+	}
+	for _, tc := range bodies {
+		for path, body := range map[string]string{"/v1/runs": tc.runs, "/v1/jobs": tc.jobs} {
+			t.Run(tc.name+" "+path, func(t *testing.T) {
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest("POST", path, strings.NewReader(body)))
+				if rec.Code != tc.want {
+					t.Fatalf("status %d, want %d (body %.200s)", rec.Code, tc.want, rec.Body.String())
+				}
+				assertJSONError(t, tc.name, rec.Code, rec.Header(), rec.Body.Bytes())
+			})
+		}
+	}
+	if jn := plane.Journal(); jn.Seq() != 0 || jn.Size() != 0 {
+		t.Fatalf("refused bodies reached the journal: seq %d, %d bytes", jn.Seq(), jn.Size())
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/runs", nil))
+	var bound []repro.RunBinding
+	if err := json.Unmarshal(rec.Body.Bytes(), &bound); err != nil || len(bound) != 0 {
+		t.Fatalf("refused bodies registered bindings: %s (%v)", rec.Body.String(), err)
+	}
+	// A body exactly at the bound is read whole and judged on its content.
+	atBound := padded(`{"runId":"`)
+	atBound = atBound[:len(atBound)-3] + `"}`
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/runs", strings.NewReader(atBound)))
+	if len(atBound) != maxBodyBytes || rec.Code == http.StatusRequestEntityTooLarge {
+		t.Fatalf("a %d-byte body was refused for its size: status %d", len(atBound), rec.Code)
+	}
 }
 
 // TestDrainLongPollRace pins the shutdown contract for in-flight waits:

@@ -31,7 +31,8 @@
 //	GET  /v1/runs?tenant=T            list the tenant's bindings
 //	POST /v1/jobs?tenant=T            submit a job (202; 429 + Retry-After
 //	                                  under backpressure; 422 on binding
-//	                                  violation)
+//	                                  violation; 413 on a body over 1 MiB,
+//	                                  as on /v1/runs)
 //	GET  /v1/jobs/{id}                job status snapshot
 //	GET  /v1/jobs/{id}/wait?timeoutMs long-poll the verdict
 //
@@ -140,7 +141,9 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "reprod: serving %s on %s\n", *dir, ln.Addr())
 
-	httpSrv := &http.Server{Handler: srv}
+	// A client that never finishes its request headers must not hold a
+	// connection open for ever.
+	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
 	served := make(chan error, 1)
 	go func() { served <- httpSrv.Serve(ln) }()
 

@@ -231,13 +231,32 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, body)
 }
 
+// maxBodyBytes bounds a POST body. A binding or a job names a handful of
+// checkpoints; what a body carries ends up in memory and, for a job, in a
+// journal record whose size replay bounds (framelog.MaxPayload).
+const maxBodyBytes = 1 << 20
+
+// readBody decodes one JSON request body of at most maxBodyBytes into v.
+// It answers the request itself when it cannot: 413 for a body over the
+// bound, 400 for one that does not decode.
+func readBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err != nil {
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, errorBody{Error: "bad " + what + " JSON: " + err.Error()})
+	}
+	return err == nil
+}
+
 // handleRegister installs an immutable run binding for the tenant.
 // Registering the identical binding again is a no-op 200; a conflicting
 // one is a 409 and changes nothing.
 func (s *server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var b repro.RunBinding
-	if err := json.NewDecoder(r.Body).Decode(&b); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad binding JSON: " + err.Error()})
+	if !readBody(w, r, "binding", &b) {
 		return
 	}
 	if err := s.session(r).Register(b); err != nil {
@@ -298,11 +317,10 @@ func (jr jobRequest) spec() (repro.JobSpec, error) {
 
 // handleSubmit accepts a job: 202 with the job snapshot when admitted,
 // 429 + Retry-After under backpressure, 422 when the submission
-// contradicts a run binding.
+// contradicts a run binding, 413 when the body is over maxBodyBytes.
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var jr jobRequest
-	if err := json.NewDecoder(r.Body).Decode(&jr); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad job JSON: " + err.Error()})
+	if !readBody(w, r, "job", &jr) {
 		return
 	}
 	spec, err := jr.spec()

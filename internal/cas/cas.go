@@ -10,13 +10,15 @@
 // On-disk layout under the pfs store, at the fixed "cas/" prefix:
 //
 //	cas/pack.dat   — append-only chunk bytes (the representatives)
-//	cas/index.log  — append-only 32-byte records mapping digest → extent
+//	cas/index.log  — append-only framed log (internal/framelog) mapping
+//	                 digest → extent, one frame per put
 //
 // Both files only ever grow, which gives simple crash consistency: a pack
-// record is made durable *before* its index record, so a torn pack write
+// record is made durable *before* its index entries, so a torn pack write
 // leaves an unreferenced hole that later appends simply skip past, and a
-// torn index tail is detected by its CRC and ignored on replay. The index
-// can never reference bytes that were not fully written.
+// torn index frame is a hole replay resynchronizes across — the chunks it
+// named are stored again by whoever offers them next. The index can never
+// reference bytes that were not fully written.
 //
 // The digest is ε-lossy by construction: two chunks whose elements fall in
 // the same quantization cells share a digest even when their bytes differ.
@@ -30,11 +32,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io/fs"
 	"sort"
 	"sync"
 
+	"repro/internal/framelog"
 	"repro/internal/murmur3"
 	"repro/internal/pfs"
 )
@@ -45,9 +47,15 @@ const (
 	// IndexName is the pfs path of the append-only digest index log.
 	IndexName = "cas/index.log"
 
-	// indexRecSize is the on-disk size of one index record:
-	// digest (16) + pack offset (8) + length (4) + CRC32 (4).
-	indexRecSize = murmur3.DigestSize + 8 + 4 + 4
+	// indexMagic is the index log's frame magic, "CIDX" little-endian.
+	indexMagic uint32 = 0x58444943
+	// entrySize is one stored (digest, extent) entry — digest (16) + pack
+	// offset (8) + length (4) — the unit of an index frame's payload and of
+	// a manifest's field sections.
+	entrySize = murmur3.DigestSize + 8 + 4
+	// indexFrameBytes is the most entry bytes one frame carries: whole
+	// entries under the frame's payload bound.
+	indexFrameBytes = framelog.MaxPayload / entrySize * entrySize
 
 	// slabFlush caps the coalescing arena used to batch consecutive new
 	// chunks into single pack writes (the PR-3 arena idiom applied to the
@@ -56,14 +64,27 @@ const (
 )
 
 // ErrCorrupt reports CAS on-disk state that fails its integrity checks:
-// an index record with a bad CRC, an extent past the end of the pack, or
-// a scrubbed chunk whose bytes no longer hash to their digest.
+// a complete index frame with a bad CRC, an index entry whose extent runs
+// past the end of the pack, or a scrubbed chunk whose bytes no longer
+// hash to their digest.
 var ErrCorrupt = errors.New("cas: corrupt store")
 
 // Loc is the extent of one stored chunk inside the pack file.
 type Loc struct {
 	Off int64
 	Len int32
+}
+
+// appendEntry serializes one entry.
+func appendEntry(b []byte, d murmur3.Digest, loc Loc) []byte {
+	b = append(b, d[:]...)
+	b = binary.LittleEndian.AppendUint64(b, uint64(loc.Off))
+	return binary.LittleEndian.AppendUint32(b, uint32(loc.Len))
+}
+
+// readEntry inverts appendEntry.
+func readEntry(c *framelog.Cursor) (murmur3.Digest, Loc) {
+	return c.Digest(), Loc{Off: int64(c.U64()), Len: int32(c.U32())}
 }
 
 // CaptureStats summarizes one differential put.
@@ -98,53 +119,64 @@ type Store struct {
 	mu       sync.Mutex
 	index    map[murmur3.Digest]Loc
 	packSize int64
-	slab     []byte // grow-only coalescing arena, reused across puts
-	recs     []byte // grow-only index-record buffer, reused across puts
+	idx      framelog.Log // the index log's append side
+	slab     []byte       // grow-only coalescing arena, reused across puts
+	recs     []byte       // grow-only index-entry buffer, reused across puts
 }
 
 // Open replays the index log against the current pack size and returns the
 // store. A missing pack/index (fresh store) is not an error. The returned
 // cost covers the replay read.
+//
+// A torn index append is crash damage: replay skips it, as a hole when
+// later appends followed and as the torn tail otherwise. What a crash
+// cannot produce is fatal: a complete frame whose CRC fails, a frame that
+// is not whole entries, an entry pointing outside the pack.
 func Open(ctx context.Context, fsys *pfs.Store) (*Store, pfs.Cost, error) {
-	s := &Store{fs: fsys, index: make(map[murmur3.Digest]Loc)}
-	var cost pfs.Cost
-
+	s := &Store{
+		fs:    fsys,
+		index: make(map[murmur3.Digest]Loc),
+		idx:   framelog.Log{Store: fsys, Name: IndexName, Magic: indexMagic},
+	}
 	if f, err := fsys.Open(PackName); err == nil {
 		s.packSize = f.Size()
 		if cerr := f.Close(); cerr != nil {
-			return nil, cost, cerr
+			return nil, pfs.Cost{}, cerr
 		}
 	} else if !errors.Is(err, fs.ErrNotExist) {
-		return nil, cost, err
+		return nil, pfs.Cost{}, err
 	}
 
-	raw, c, err := fsys.ReadFileFull(ctx, IndexName, 4<<20)
-	cost.Add(c)
-	if errors.Is(err, fs.ErrNotExist) {
-		return s, cost, nil
-	}
+	raw, cost, err := s.idx.Read(ctx)
 	if err != nil {
 		return nil, cost, err
 	}
-	// A torn tail record (crash mid-append) is expected and ignored; a CRC
-	// failure in a complete record means bit rot and is fatal.
-	for off := 0; off+indexRecSize <= len(raw); off += indexRecSize {
-		rec := raw[off : off+indexRecSize]
-		want := binary.LittleEndian.Uint32(rec[28:])
-		if crc32.ChecksumIEEE(rec[:28]) != want {
-			return nil, cost, fmt.Errorf("%w: index record at %d fails CRC", ErrCorrupt, off)
+	damage, err := framelog.Replay(raw, indexMagic, func(off int64, payload []byte) error {
+		if len(payload) == 0 || len(payload)%entrySize != 0 {
+			return fmt.Errorf("%w: index frame at %d holds %d bytes, not whole entries", ErrCorrupt, off, len(payload))
 		}
-		var d murmur3.Digest
-		copy(d[:], rec[:murmur3.DigestSize])
-		loc := Loc{
-			Off: int64(binary.LittleEndian.Uint64(rec[16:])),
-			Len: int32(binary.LittleEndian.Uint32(rec[24:])),
+		for c := framelog.NewCursor(payload); c.Off() < len(payload); {
+			d, loc := readEntry(c)
+			if loc.Len <= 0 || loc.Off < 0 || loc.Off+int64(loc.Len) > s.packSize {
+				return fmt.Errorf("%w: index frame at %d references [%d,+%d) beyond pack size %d",
+					ErrCorrupt, off, loc.Off, loc.Len, s.packSize)
+			}
+			s.index[d] = loc
 		}
-		if loc.Len <= 0 || loc.Off < 0 || loc.Off+int64(loc.Len) > s.packSize {
-			return nil, cost, fmt.Errorf("%w: index record at %d references [%d,+%d) beyond pack size %d",
-				ErrCorrupt, off, loc.Off, loc.Len, s.packSize)
-		}
-		s.index[d] = loc
+		return nil
+	})
+	if err != nil {
+		return nil, cost, err
+	}
+	if len(damage.BadCRC) > 0 {
+		return nil, cost, fmt.Errorf("%w: index frame at %d fails CRC", ErrCorrupt, damage.BadCRC[0])
+	}
+	// Not one frame, in a log at least one PR-7 record long that does not
+	// even start with the magic: the bare 32-byte record grid, which has no
+	// anchor to replay from. Refuse it by name rather than open it empty.
+	if len(s.index) == 0 && len(raw) >= 32 && framelog.NewCursor(raw).U32() != indexMagic {
+		return nil, cost, fmt.Errorf("cas: %s is not a framed index: the unframed PR-7 layout "+
+			"(32-byte records, no frame magic) is not readable by this build", IndexName)
 	}
 	return s, cost, nil
 }
@@ -284,30 +316,23 @@ func (s *Store) PutChunks(data []byte, chunkSize int, digests []murmur3.Digest) 
 		s.index[digests[p.chunk]] = p.loc
 		stats.ChunksWritten++
 		stats.BytesWritten += int64(p.loc.Len)
-		var rec [indexRecSize]byte
-		copy(rec[:], digests[p.chunk][:])
-		binary.LittleEndian.PutUint64(rec[16:], uint64(p.loc.Off))
-		binary.LittleEndian.PutUint32(rec[24:], uint32(p.loc.Len))
-		binary.LittleEndian.PutUint32(rec[28:], crc32.ChecksumIEEE(rec[:28]))
-		recs = append(recs, rec[:]...)
+		recs = appendEntry(recs, digests[p.chunk], p.loc)
 	}
 	s.recs = recs[:0]
-	if len(recs) > 0 {
-		iw, err := s.fs.Append(IndexName)
+	// One frame per put; a put too large for one frame is split at the
+	// bound. A failed append leaves its chunks usable in memory and the
+	// log ready for the next put — it skips the torn bytes.
+	for len(recs) > 0 {
+		n := min(len(recs), indexFrameBytes)
+		c, err := s.idx.Append(recs[:n])
+		cost.Add(c)
 		if err != nil {
 			if werr == nil {
 				werr = err
 			}
-		} else {
-			_, err = iw.Write(recs)
-			cost.Add(iw.Cost())
-			if cerr := iw.Close(); err == nil {
-				err = cerr
-			}
-			if werr == nil {
-				werr = err
-			}
+			break
 		}
+		recs = recs[n:]
 	}
 	return locs, stats, cost, werr
 }

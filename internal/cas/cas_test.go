@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/errbound"
 	"repro/internal/faults"
+	"repro/internal/framelog"
 	"repro/internal/murmur3"
 	"repro/internal/pfs"
 	"repro/internal/synth"
@@ -186,6 +190,11 @@ func TestTornPackWriteNeverIndexed(t *testing.T) {
 	}
 }
 
+// indexPath is the index log's real filesystem path, for direct damage.
+func indexPath(fsys *pfs.Store) string {
+	return filepath.Join(fsys.Root(), filepath.FromSlash(IndexName))
+}
+
 func TestCorruptIndexDetected(t *testing.T) {
 	fsys, s := newStore(t)
 	h, _ := errbound.NewHasher(errbound.Float32, 1e-5)
@@ -194,16 +203,175 @@ func TestCorruptIndexDetected(t *testing.T) {
 	if _, _, _, err := s.PutChunks(data, chunk, hashChunks(t, h, data, chunk)); err != nil {
 		t.Fatal(err)
 	}
+	good, err := os.ReadFile(indexPath(fsys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopen := func(raw []byte) error {
+		t.Helper()
+		if err := os.WriteFile(indexPath(fsys), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		fsys.EvictAll()
+		_, _, err := Open(context.Background(), fsys)
+		return err
+	}
 
-	// Flip a bit in a committed index record on the next read: replay must
-	// refuse the store rather than trust a rotted extent.
-	inj := faults.New(2, faults.Rule{Kind: faults.BitFlip, Name: "cas/index", Count: 1})
-	fsys.SetFaultHook(inj)
+	// Rot in a payload byte of a committed, complete frame — here a byte of
+	// the second entry's pack offset: replay must refuse the store rather
+	// than skip the frame as if a crash had torn it.
+	rotted := bytes.Clone(good)
+	rotted[framelog.HeaderSize+entrySize+murmur3.DigestSize] ^= 0x04
+	if err := reopen(rotted); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("payload rot in a complete frame: err=%v, want ErrCorrupt", err)
+	}
+	// A well-framed entry that points past the pack is as fatal.
+	if err := reopen(good); err != nil {
+		t.Fatal(err)
+	}
+	idx := framelog.Log{Store: fsys, Name: IndexName, Magic: indexMagic, Size: int64(len(good))}
+	if _, err := idx.Append(appendEntry(nil, murmur3.Digest{9}, Loc{Off: s.PackSize() - 1, Len: 2})); err != nil {
+		t.Fatal(err)
+	}
 	fsys.EvictAll()
-	_, _, err := Open(context.Background(), fsys)
-	fsys.SetFaultHook(nil)
-	if !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("corrupt index replay: err=%v, want ErrCorrupt", err)
+	if _, _, err := Open(context.Background(), fsys); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("extent past the pack: err=%v, want ErrCorrupt", err)
+	}
+	// So is a frame that is not whole entries.
+	if err := reopen(good); err != nil {
+		t.Fatal(err)
+	}
+	idx.Size = int64(len(good))
+	if _, err := idx.Append(make([]byte, entrySize+1)); err != nil {
+		t.Fatal(err)
+	}
+	fsys.EvictAll()
+	if _, _, err := Open(context.Background(), fsys); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("ragged frame: err=%v, want ErrCorrupt", err)
+	}
+}
+
+// TestTornIndexAppendThenCapture tears an index append mid-entry and keeps
+// capturing, in the next life and in the same one: the store opens clean,
+// everything indexed before and after the tear resolves, Scrub is clean,
+// and the torn bytes are one hole. (On the bare 32-byte record grid the
+// first capture after the tear put every later record off-grid and Open
+// failed for good: "index record at 32 fails CRC".)
+func TestTornIndexAppendThenCapture(t *testing.T) {
+	h, _ := errbound.NewHasher(errbound.Float32, 1e-5)
+	const chunk = 4 << 10
+	for _, sameProcess := range []bool{false, true} {
+		fsys, s := newStore(t)
+		put := func(s *Store, seed int64) ([]murmur3.Digest, error) {
+			data := synth.FieldF32(4096, seed) // four chunks
+			digests := hashChunks(t, h, data, chunk)
+			_, _, _, err := s.PutChunks(data, chunk, digests)
+			return digests, err
+		}
+		before, err := put(s, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 49 bytes: the frame header, one whole entry and 5 bytes of the next.
+		fsys.SetFaultHook(faults.New(1, faults.Rule{Kind: faults.TornWrite, Name: "cas/index", Keep: 49}))
+		torn, err := put(s, 2)
+		fsys.SetFaultHook(nil)
+		if err == nil {
+			t.Fatal("torn index append did not surface as an error")
+		}
+		if !sameProcess {
+			fsys.EvictAll()
+			if s, _, err = Open(context.Background(), fsys); err != nil {
+				t.Fatalf("reopen after the tear: %v", err)
+			}
+			if _, ok := s.Lookup(torn[0]); ok {
+				t.Fatal("an entry of the torn frame was replayed")
+			}
+		}
+		after, err := put(s, 3)
+		if err != nil {
+			t.Fatalf("sameProcess=%v: capture after a torn index append: %v", sameProcess, err)
+		}
+
+		fsys.EvictAll()
+		s2, _, err := Open(context.Background(), fsys)
+		if err != nil {
+			t.Fatalf("sameProcess=%v: reopen after tear + capture: %v", sameProcess, err)
+		}
+		for _, d := range append(before, after...) {
+			if _, ok := s2.Lookup(d); !ok {
+				t.Fatalf("sameProcess=%v: a chunk indexed around the tear no longer resolves", sameProcess)
+			}
+		}
+		if _, ok := s2.Lookup(torn[0]); ok {
+			t.Fatalf("sameProcess=%v: an entry of the torn frame was replayed", sameProcess)
+		}
+		if n, err := s2.Scrub(context.Background(), h.HashChunk); err != nil || n != len(before)+len(after) {
+			t.Fatalf("sameProcess=%v: scrub: n=%d err=%v", sameProcess, n, err)
+		}
+		raw, err := os.ReadFile(indexPath(fsys))
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames := 0
+		damage, _ := framelog.Replay(raw, indexMagic, func(int64, []byte) error { frames++; return nil })
+		if frames != 2 || damage.Holes != 1 || damage.TornTailBytes != 0 || len(damage.BadCRC) != 0 {
+			t.Fatalf("sameProcess=%v: index holds %d frames, damage %+v; want 2 frames around one hole",
+				sameProcess, frames, damage)
+		}
+	}
+}
+
+// TestUnframedIndexRefusedByName: an index.log in the PR-7 layout (written
+// by the parent commit: bare 32-byte records, no magic) is refused with an
+// error that says what it is, never replayed as one silent hole into an
+// empty store.
+func TestUnframedIndexRefusedByName(t *testing.T) {
+	raw, err := os.ReadFile("testdata/pr7_index.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsys, _ := newStore(t)
+	if err := os.MkdirAll(filepath.Dir(indexPath(fsys)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(indexPath(fsys), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := Open(context.Background(), fsys)
+	if err == nil || !strings.Contains(err.Error(), "unframed PR-7 layout") {
+		t.Fatalf("open of a PR-7 index: store %v, err %v; want a refusal naming the format", s, err)
+	}
+}
+
+// TestFirstAppendTornIsNotMistakenForUnframed: a framed index whose very
+// first append tore — however much of it landed — is a fresh store with a
+// hole, not a foreign format.
+func TestFirstAppendTornIsNotMistakenForUnframed(t *testing.T) {
+	h, _ := errbound.NewHasher(errbound.Float32, 1e-5)
+	const chunk = 4 << 10
+	data := synth.FieldF32(4096, 1)
+	digests := hashChunks(t, h, data, chunk)
+	for _, keep := range []int{1, 3, 4, 15, 16, 40, 100} {
+		fsys, s := newStore(t)
+		fsys.SetFaultHook(faults.New(1, faults.Rule{Kind: faults.TornWrite, Name: "cas/index", Keep: keep}))
+		_, _, _, err := s.PutChunks(data, chunk, digests)
+		fsys.SetFaultHook(nil)
+		if err == nil {
+			t.Fatal("torn index append did not surface as an error")
+		}
+		fsys.EvictAll()
+		s2, _, err := Open(context.Background(), fsys)
+		if err != nil {
+			t.Fatalf("keep %d: %v", keep, err)
+		}
+		if _, _, _, err := s2.PutChunks(data, chunk, digests); err != nil {
+			t.Fatalf("keep %d: %v", keep, err)
+		}
+		fsys.EvictAll()
+		if s3, _, err := Open(context.Background(), fsys); err != nil || s3.Len() != len(digests) {
+			t.Fatalf("keep %d: reopen: %v", keep, err)
+		}
 	}
 }
 

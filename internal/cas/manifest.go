@@ -14,6 +14,7 @@ import (
 	"math"
 
 	"repro/internal/errbound"
+	"repro/internal/framelog"
 	"repro/internal/murmur3"
 	"repro/internal/pfs"
 )
@@ -26,7 +27,7 @@ const (
 	manifestVersion = 1
 	maxManFields    = 1 << 16
 	maxManChunks    = 1 << 30
-	manEntrySize    = murmur3.DigestSize + 8 + 4 // digest + off + len
+	minManField     = 2 + 1 + 8 + 4 // empty name, dtype, count, chunk count
 )
 
 // FieldManifest describes one field of a differentially captured
@@ -107,7 +108,7 @@ func (m *Manifest) encode() ([]byte, error) {
 		if len(f.Digests) > maxManChunks {
 			return nil, fmt.Errorf("cas: field %q has %d chunks (max %d)", f.Name, len(f.Digests), maxManChunks)
 		}
-		size += 2 + len(f.Name) + 1 + 8 + 4 + len(f.Digests)*manEntrySize
+		size += 2 + len(f.Name) + 1 + 8 + 4 + len(f.Digests)*entrySize
 	}
 	size += 4 // CRC
 	buf := make([]byte, 0, size)
@@ -125,72 +126,63 @@ func (m *Manifest) encode() ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Count))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(f.Digests)))
 		for j := range f.Digests {
-			buf = append(buf, f.Digests[j][:]...)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(f.Locs[j].Off))
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(f.Locs[j].Len))
+			buf = appendEntry(buf, f.Digests[j], f.Locs[j])
 		}
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	return buf, nil
 }
 
-// decode parses a serialized manifest, verifying magic and CRC.
+// decode parses a serialized manifest, verifying magic and CRC. Every
+// failure is ErrCorrupt: a manifest is read whole, so a short one is a
+// damaged one. Counts are held against the bytes that are there before
+// they size anything.
 func decode(raw []byte) (*Manifest, error) {
-	if len(raw) < 4+2+2+8+4+4+4 || string(raw[:4]) != manifestMagic {
+	if len(raw) < 4+4 || string(raw[:4]) != manifestMagic {
 		return nil, fmt.Errorf("%w: not a CAS manifest", ErrCorrupt)
 	}
-	body, tail := raw[:len(raw)-4], raw[len(raw)-4:]
-	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(tail) {
+	body := raw[:len(raw)-4]
+	if crc32.ChecksumIEEE(body) != framelog.NewCursor(raw[len(body):]).U32() {
 		return nil, fmt.Errorf("%w: manifest CRC mismatch", ErrCorrupt)
 	}
-	off := 4
-	ver := binary.LittleEndian.Uint16(body[off:])
+	c := framelog.NewCursor(body[4:])
+	ver := c.U16()
+	c.U16() // reserved
+	m := &Manifest{
+		Epsilon:   math.Float64frombits(c.U64()),
+		ChunkSize: int(c.U32()),
+	}
+	nFields := int(c.U32())
+	if c.Err() != nil {
+		return nil, fmt.Errorf("%w: truncated manifest header", ErrCorrupt)
+	}
 	if ver != manifestVersion {
 		return nil, fmt.Errorf("cas: unsupported manifest version %d", ver)
 	}
-	off += 4 // version + reserved
-	m := &Manifest{
-		Epsilon:   math.Float64frombits(binary.LittleEndian.Uint64(body[off:])),
-		ChunkSize: int(binary.LittleEndian.Uint32(body[off+8:])),
-	}
-	nFields := int(binary.LittleEndian.Uint32(body[off+12:]))
-	off += 16
-	if nFields <= 0 || nFields > maxManFields {
+	if nFields <= 0 || nFields > maxManFields || nFields > len(c.Rest())/minManField {
 		return nil, fmt.Errorf("%w: manifest declares %d fields", ErrCorrupt, nFields)
 	}
 	m.Fields = make([]FieldManifest, nFields)
-	for i := 0; i < nFields; i++ {
-		if off+2 > len(body) {
-			return nil, fmt.Errorf("%w: truncated manifest field header", ErrCorrupt)
-		}
-		nameLen := int(binary.LittleEndian.Uint16(body[off:]))
-		off += 2
-		if off+nameLen+1+8+4 > len(body) {
-			return nil, fmt.Errorf("%w: truncated manifest field header", ErrCorrupt)
-		}
+	for i := range m.Fields {
 		f := &m.Fields[i]
-		f.Name = string(body[off : off+nameLen])
-		off += nameLen
-		f.DType = errbound.DType(body[off])
-		f.Count = int64(binary.LittleEndian.Uint64(body[off+1:]))
-		nChunks := int(binary.LittleEndian.Uint32(body[off+9:]))
-		off += 13
-		if nChunks < 0 || nChunks > maxManChunks || off+nChunks*manEntrySize > len(body) {
+		f.Name = string(c.Bytes(int(c.U16())))
+		f.DType = errbound.DType(c.U8())
+		f.Count = int64(c.U64())
+		nChunks := int(c.U32())
+		if c.Err() != nil {
+			return nil, fmt.Errorf("%w: truncated manifest field header", ErrCorrupt)
+		}
+		if nChunks < 0 || nChunks > maxManChunks || nChunks > len(c.Rest())/entrySize {
 			return nil, fmt.Errorf("%w: manifest field %q declares %d chunks", ErrCorrupt, f.Name, nChunks)
 		}
 		f.Digests = make([]murmur3.Digest, nChunks)
 		f.Locs = make([]Loc, nChunks)
-		for j := 0; j < nChunks; j++ {
-			copy(f.Digests[j][:], body[off:])
-			f.Locs[j] = Loc{
-				Off: int64(binary.LittleEndian.Uint64(body[off+16:])),
-				Len: int32(binary.LittleEndian.Uint32(body[off+24:])),
-			}
-			off += manEntrySize
+		for j := range f.Digests {
+			f.Digests[j], f.Locs[j] = readEntry(c)
 		}
 	}
-	if off != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing manifest bytes", ErrCorrupt, len(body)-off)
+	if err := c.Done(); err != nil {
+		return nil, fmt.Errorf("%w: manifest: %v", ErrCorrupt, err)
 	}
 	return m, nil
 }

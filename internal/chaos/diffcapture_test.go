@@ -8,7 +8,10 @@
 //  2. No poisoned store: after any failed capture, the reopened CAS
 //     replays consistently and a full Scrub re-hashes every referenced
 //     extent clean — torn bytes are unreferenced holes, never a future
-//     dedup hit.
+//     dedup hit. And it stays that way: the next life captures new
+//     content past whatever the faults left in the pack and the index,
+//     and the life after that opens and scrubs clean again (a torn index
+//     append must cost its own entries, not every later one).
 //  3. No false matches downstream: whenever both runs' captures land,
 //     the differential comparison of the genuinely divergent pair never
 //     reports Identical.
@@ -16,6 +19,8 @@ package chaos
 
 import (
 	"context"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/cas"
@@ -24,6 +29,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/errbound"
 	"repro/internal/faults"
+	"repro/internal/framelog"
 	"repro/internal/murmur3"
 	"repro/internal/pfs"
 	"repro/internal/synth"
@@ -31,7 +37,9 @@ import (
 
 // diffSchedule derives a capture-targeted fault mix: torn pack writes on
 // every seed, permanent CAS write failures on odd seeds, torn manifest
-// writes on every third seed, plus background latency spikes.
+// writes on every third seed, a torn index append (mid-header, mid-entry
+// or on an entry boundary, by seed) on half the seeds, plus background
+// latency spikes.
 func diffSchedule(seed uint64) []faults.Rule {
 	rules := []faults.Rule{
 		{Kind: faults.TornWrite, Name: "cas/pack", After: int(seed % 9), Count: 1, Keep: 64 + int(seed%4096)},
@@ -44,8 +52,16 @@ func diffSchedule(seed uint64) []faults.Rule {
 	if seed%3 == 2 {
 		rules = append(rules, faults.Rule{Kind: faults.TornWrite, Name: ".cman", Count: 1, Keep: 32})
 	}
+	if seed%4 >= 2 {
+		rules = append(rules, faults.Rule{Kind: faults.TornWrite, Name: "cas/index", After: int(seed % 3), Count: 1,
+			Keep: []int{7, 16, 44, 49}[(seed/2+seed)%4]})
+	}
 	return rules
 }
+
+// casIndexMagic is the CAS index log's frame magic ("CIDX"), duplicated
+// here so the soak can count what the schedules did to the file itself.
+const casIndexMagic = 0x58444943
 
 func TestChaosDiffCapture(t *testing.T) {
 	sc := soakScale()
@@ -69,7 +85,7 @@ func TestChaosDiffCapture(t *testing.T) {
 		fields[i] = ckpt.FieldSpec{Name: n, DType: errbound.Float32, Count: int64(sc.elems)}
 	}
 
-	var trials, captureErrs int
+	var trials, captureErrs, indexHoles int
 	var injectedWrites int64
 	for seed := uint64(0); seed < uint64(sc.seeds); seed++ {
 		trials++
@@ -139,6 +155,42 @@ func TestChaosDiffCapture(t *testing.T) {
 		if _, err := cs2.Scrub(context.Background(), scrubHash); err != nil {
 			t.Fatalf("seed %d: scrub found referenced corruption: %v (errA=%v errB=%v)", seed, err, errA, errB)
 		}
+		// ...and the life after the faults captures on, and the one after
+		// that still opens: nothing the schedule left behind costs later
+		// appends.
+		replayed := cs2.Len()
+		capNext, err := compare.NewDiffCapturer(store, cs2, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := make([][]byte, nFields)
+		for i := range fresh {
+			fresh[i] = synth.PerturbF32(evolved[i], synth.PerturbConfig{
+				Seed: int64(31*(seed+1)) + int64(i), BlockElems: 1024,
+				MagLo: 1e-3, MagHi: 1e-2, ChangedFrac: 0.5,
+			})
+		}
+		if err := capture(capNext, "runA", 3, fresh); err != nil {
+			t.Fatalf("seed %d: fault-free capture into the reopened CAS failed: %v (errA=%v errB=%v)", seed, err, errA, errB)
+		}
+		store.EvictAll()
+		cs3, _, err := cas.Open(context.Background(), store)
+		if err != nil {
+			t.Fatalf("seed %d: CAS does not reopen after faulted capture + capture: %v (errA=%v errB=%v)", seed, err, errA, errB)
+		}
+		if _, err := cs3.Scrub(context.Background(), scrubHash); err != nil {
+			t.Fatalf("seed %d: scrub after faulted capture + capture: %v", seed, err)
+		}
+		if cs3.Len() != cs2.Len() || cs3.Len() <= replayed {
+			t.Fatalf("seed %d: the capture after the faults did not replay whole (%d digests replayed, %d after the capture, %d in the next life)",
+				seed, replayed, cs2.Len(), cs3.Len())
+		}
+		rawIndex, err := os.ReadFile(filepath.Join(store.Root(), filepath.FromSlash(cas.IndexName)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		damage, _ := framelog.Replay(rawIndex, casIndexMagic, func(int64, []byte) error { return nil })
+		indexHoles += damage.Holes
 
 		if errA != nil || errB != nil {
 			captureErrs++
@@ -162,8 +214,8 @@ func TestChaosDiffCapture(t *testing.T) {
 			t.Fatalf("seed %d: %d pfs handles leaked after comparison", seed, h)
 		}
 	}
-	t.Logf("chaos diff capture: %d trials, %d capture errors, %d write errors injected",
-		trials, captureErrs, injectedWrites)
+	t.Logf("chaos diff capture: %d trials, %d capture errors, %d write errors injected, %d index holes written past",
+		trials, captureErrs, injectedWrites, indexHoles)
 	// Coverage floor: the schedules must actually tear writes, and at
 	// least one capture must surface an error (never silently absorb one).
 	if injectedWrites == 0 {
@@ -171,5 +223,8 @@ func TestChaosDiffCapture(t *testing.T) {
 	}
 	if captureErrs == 0 {
 		t.Fatal("every faulted capture completed clean — the write path was never exercised")
+	}
+	if indexHoles == 0 {
+		t.Fatal("no index append was torn and written past — the index schedule is inert")
 	}
 }

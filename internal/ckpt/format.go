@@ -20,6 +20,7 @@ import (
 	"strconv"
 
 	"repro/internal/errbound"
+	"repro/internal/framelog"
 	"repro/internal/pfs"
 )
 
@@ -31,6 +32,10 @@ const (
 	maxFields = 1 << 16
 	// maxNameLen bounds name parsing against corrupt files.
 	maxNameLen = 1 << 12
+	// minFieldEntry is the smallest header entry of one field (a one-byte
+	// name): what a declared field count is held against before it sizes
+	// anything.
+	minFieldEntry = 2 + 1 + 1 + 1 + 8 + 8 + 4
 )
 
 // ErrCorrupt is returned when a checkpoint file fails an integrity check.
@@ -204,129 +209,62 @@ type header struct {
 // the number of header bytes consumed; needMore is set when buf is too
 // short (callers re-read with a larger prefix).
 func parseHeader(buf []byte) (h header, consumed int64, needMore bool, err error) {
-	r := &byteReader{buf: buf}
-	magic := r.bytes(4)
-	if r.short {
-		return h, 0, true, nil
+	r := framelog.NewCursor(buf)
+	// A short read leaves zeros, and every value judged here is invalid at
+	// zero: a verdict on a value that was never read is a request for more
+	// header, not a corrupt file.
+	corrupt := func(format string, args ...any) (header, int64, bool, error) {
+		if r.Err() != nil {
+			return h, 0, true, nil
+		}
+		return h, 0, false, fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
 	}
-	if string(magic) != formatMagic {
-		return h, 0, false, fmt.Errorf("%w: bad magic %q", ErrCorrupt, magic)
+	if magic := r.Bytes(4); string(magic) != formatMagic {
+		return corrupt("bad magic %q", magic)
 	}
-	ver := r.u16()
-	r.u16() // reserved
-	if r.short {
-		return h, 0, true, nil
-	}
+	ver := r.U16()
+	r.U16() // reserved
 	if ver != formatVer {
-		return h, 0, false, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, ver)
+		return corrupt("unsupported version %d", ver)
 	}
-	idLen := int(r.u16())
-	if r.short {
-		return h, 0, true, nil
-	}
+	idLen := int(r.U16())
 	if idLen == 0 || idLen > maxNameLen {
-		return h, 0, false, fmt.Errorf("%w: run ID length %d", ErrCorrupt, idLen)
+		return corrupt("run ID length %d", idLen)
 	}
-	id := r.bytes(idLen)
-	iter := r.u32()
-	rank := r.u32()
-	nf := int(r.u32())
-	if r.short {
+	h.meta.RunID = string(r.Bytes(idLen))
+	h.meta.Iteration = int(r.U32())
+	h.meta.Rank = int(r.U32())
+	nf := int(r.U32())
+	if nf == 0 || nf > maxFields {
+		return corrupt("field count %d", nf)
+	}
+	if nf > len(r.Rest())/minFieldEntry {
 		return h, 0, true, nil
 	}
-	if nf == 0 || nf > maxFields {
-		return h, 0, false, fmt.Errorf("%w: field count %d", ErrCorrupt, nf)
-	}
-	h.meta = Meta{
-		RunID:     string(id),
-		Iteration: int(iter),
-		Rank:      int(rank),
-		Fields:    make([]FieldSpec, 0, nf),
-	}
+	h.meta.Fields = make([]FieldSpec, 0, nf)
 	h.offsets = make([]int64, 0, nf)
 	h.crcs = make([]uint32, 0, nf)
 	for i := 0; i < nf; i++ {
-		nameLen := int(r.u16())
-		if r.short {
-			return h, 0, true, nil
-		}
+		nameLen := int(r.U16())
 		if nameLen == 0 || nameLen > maxNameLen {
-			return h, 0, false, fmt.Errorf("%w: field %d name length %d", ErrCorrupt, i, nameLen)
+			return corrupt("field %d name length %d", i, nameLen)
 		}
-		name := r.bytes(nameLen)
-		dtype := errbound.DType(r.u8())
-		r.u8() // pad
-		count := int64(r.u64())
-		off := int64(r.u64())
-		crc := r.u32()
-		if r.short {
-			return h, 0, true, nil
-		}
+		name := string(r.Bytes(nameLen))
+		dtype := errbound.DType(r.U8())
+		r.U8() // pad
+		count := int64(r.U64())
+		off := int64(r.U64())
 		if dtype.Size() == 0 || count <= 0 || off < 0 {
-			return h, 0, false, fmt.Errorf("%w: field %q implausible (dtype=%d count=%d off=%d)",
-				ErrCorrupt, name, dtype, count, off)
+			return corrupt("field %q implausible (dtype=%d count=%d off=%d)", name, dtype, count, off)
 		}
-		h.meta.Fields = append(h.meta.Fields, FieldSpec{Name: string(name), DType: dtype, Count: count})
+		h.meta.Fields = append(h.meta.Fields, FieldSpec{Name: name, DType: dtype, Count: count})
 		h.offsets = append(h.offsets, off)
-		h.crcs = append(h.crcs, crc)
+		h.crcs = append(h.crcs, r.U32())
 	}
-	bodyLen := r.off
-	gotCRC := r.u32()
-	if r.short {
-		return h, 0, true, nil
+	bodyLen := r.Off()
+	if gotCRC := r.U32(); r.Err() != nil || crc32.ChecksumIEEE(buf[:bodyLen]) != gotCRC {
+		return corrupt("header crc mismatch")
 	}
-	if crc32.ChecksumIEEE(buf[:bodyLen]) != gotCRC {
-		return h, 0, false, fmt.Errorf("%w: header crc mismatch", ErrCorrupt)
-	}
-	h.dataStart = r.off
-	return h, r.off, false, nil
-}
-
-// byteReader is a bounds-checked little-endian cursor.
-type byteReader struct {
-	buf   []byte
-	off   int64
-	short bool
-}
-
-func (r *byteReader) bytes(n int) []byte {
-	if r.short || int64(len(r.buf))-r.off < int64(n) {
-		r.short = true
-		return nil
-	}
-	b := r.buf[r.off : r.off+int64(n)]
-	r.off += int64(n)
-	return b
-}
-
-func (r *byteReader) u8() uint8 {
-	b := r.bytes(1)
-	if r.short {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *byteReader) u16() uint16 {
-	b := r.bytes(2)
-	if r.short {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-func (r *byteReader) u32() uint32 {
-	b := r.bytes(4)
-	if r.short {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (r *byteReader) u64() uint64 {
-	b := r.bytes(8)
-	if r.short {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
+	h.dataStart = int64(r.Off())
+	return h, h.dataStart, false, nil
 }

@@ -2,9 +2,14 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math/rand"
+	"os"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/errbound"
 )
 
 // TestQuickParserNeverPanics feeds arbitrary bytes to the header parser:
@@ -73,4 +78,99 @@ func TestEncodeDeterministic(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("encoding is not deterministic")
 	}
+}
+
+// TestParentCheckpointOpensAndReencodes: a .ckpt the parent commit wrote
+// (before the header parser moved onto framelog.Cursor) opens to the same
+// metadata, verifies field by field, and encodes back to the same bytes.
+func TestParentCheckpointOpensAndReencodes(t *testing.T) {
+	raw, err := os.ReadFile("testdata/parent.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := newStore(t)
+	name := Name("golden", 7, 3)
+	w, err := store.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(raw); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, _, err := OpenReader(store, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	want := Meta{RunID: "golden", Iteration: 7, Rank: 3, Fields: []FieldSpec{
+		{Name: "x", DType: errbound.Float32, Count: 256},
+		{Name: "phi", DType: errbound.Float32, Count: 256},
+	}}
+	if got := r.Meta(); got.RunID != want.RunID || got.Iteration != 7 || got.Rank != 3 || !SameSchema(got, want) {
+		t.Fatalf("meta %+v, want %+v", got, want)
+	}
+	data := make([][]byte, r.NumFields())
+	for i := range data {
+		if _, err := r.VerifyField(i); err != nil {
+			t.Fatal(err)
+		}
+		if data[i], _, err = r.ReadField(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var again bytes.Buffer
+	if _, err := Encode(&again, r.Meta(), data); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), raw) {
+		t.Fatal("re-encoded checkpoint differs from the parent's bytes")
+	}
+}
+
+// FuzzParseHeader: no panic; no slice sized by a field count the buffer
+// cannot back; a header is accepted only with its CRC intact; and short is
+// a class of its own — every strict prefix of an accepted header asks for
+// more, none is called corrupt. Each input is tried as it is and sealed
+// with a fresh CRC, so mutations reach the parser behind the CRC.
+func FuzzParseHeader(f *testing.F) {
+	meta := testMeta("fz", 3, 1, 8)
+	var buf bytes.Buffer
+	if _, err := Encode(&buf, meta, testData(meta, 1)); err != nil {
+		f.Fatal(err)
+	}
+	_, hdrLen, _, err := parseHeader(buf.Bytes())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes()[:hdrLen])
+	f.Add(buf.Bytes()[:hdrLen-4])
+	f.Add([]byte(formatMagic))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		sealed := binary.LittleEndian.AppendUint32(bytes.Clone(raw), crc32.ChecksumIEEE(raw))
+		for _, b := range [][]byte{raw, sealed} {
+			h, consumed, needMore, err := parseHeader(b)
+			if cap(h.meta.Fields)*minFieldEntry > len(b) {
+				t.Fatalf("%d field slots sized from %d bytes", cap(h.meta.Fields), len(b))
+			}
+			if err != nil || needMore {
+				if err != nil && needMore {
+					t.Fatal("both corrupt and short")
+				}
+				continue
+			}
+			n := int(consumed)
+			if n < 4 || n > len(b) || len(h.meta.Fields) == 0 || h.dataStart != consumed ||
+				crc32.ChecksumIEEE(b[:n-4]) != binary.LittleEndian.Uint32(b[n-4:]) {
+				t.Fatalf("accepted a header whose CRC does not hold (consumed %d of %d)", n, len(b))
+			}
+			for cut := 0; cut < n; cut++ {
+				if _, _, needMore, err := parseHeader(b[:cut]); err != nil || !needMore {
+					t.Fatalf("prefix %d of a %d-byte header: needMore=%v err=%v", cut, n, needMore, err)
+				}
+			}
+		}
+	})
 }

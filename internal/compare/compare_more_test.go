@@ -348,7 +348,7 @@ func TestMetadataCompatVersioning(t *testing.T) {
 	for _, flip := range []int{0, 4} { // magic, version
 		c := append([]byte(nil), raw...)
 		c[flip] ^= 0xff
-		if _, err := ReadMetadata(bytes.NewReader(c)); err == nil {
+		if _, err := DecodeMetadata(c); err == nil {
 			t.Errorf("corruption at byte %d accepted", flip)
 		}
 	}

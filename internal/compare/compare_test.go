@@ -374,7 +374,7 @@ func TestMetadataRoundTrip(t *testing.T) {
 	if n != int64(buf.Len()) || n != m.Bytes() {
 		t.Errorf("WriteTo reported %d, buffer %d, Bytes() %d", n, buf.Len(), m.Bytes())
 	}
-	got, err := ReadMetadata(bytes.NewReader(buf.Bytes()))
+	got, err := DecodeMetadata(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,11 +405,11 @@ func TestMetadataRoundTrip(t *testing.T) {
 }
 
 func TestReadMetadataRejectsGarbage(t *testing.T) {
-	if _, err := ReadMetadata(bytes.NewReader([]byte("not metadata at all..."))); err == nil {
+	if _, err := DecodeMetadata([]byte("not metadata at all...")); err == nil {
 		t.Error("garbage accepted")
 	}
-	if _, err := ReadMetadata(bytes.NewReader(nil)); err == nil {
-		t.Error("empty stream accepted")
+	if _, err := DecodeMetadata(nil); err == nil {
+		t.Error("empty buffer accepted")
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/errbound"
+	"repro/internal/framelog"
 	"repro/internal/merkle"
 	"repro/internal/metrics"
 	"repro/internal/murmur3"
@@ -287,61 +288,59 @@ func (m *Metadata) WriteTo(w io.Writer) (int64, error) {
 	return written, nil
 }
 
+// minFieldBytes is the smallest serialized field (a one-byte name over a
+// one-leaf tree): what the header's field count is held against before it
+// sizes anything.
+const minFieldBytes = 2 + 1 + 1 + merkle.MinEncoded
+
 // DecodeMetadata deserializes a metadata container held in memory. The
 // trees are decoded in place (merkle.Decode): they keep data as their node
 // arrays, so the caller must not write to it afterwards.
 func DecodeMetadata(data []byte) (*Metadata, error) {
-	if len(data) < 16 {
+	c := framelog.NewCursor(data)
+	magic := c.Bytes(4)
+	version, nf := c.U16(), int(c.U16())
+	epsilon := math.Float64frombits(c.U64())
+	if c.Err() != nil {
 		return nil, fmt.Errorf("compare: read metadata header: %w", io.ErrUnexpectedEOF)
 	}
-	if string(data[0:4]) != metaMagic {
-		return nil, fmt.Errorf("%w: bad metadata magic %q", merkle.ErrCorrupt, data[0:4])
+	if string(magic) != metaMagic {
+		return nil, fmt.Errorf("%w: bad metadata magic %q", merkle.ErrCorrupt, magic)
 	}
-	if v := binary.LittleEndian.Uint16(data[4:6]); v != metaVer {
-		return nil, fmt.Errorf("%w: unsupported metadata version %d", merkle.ErrCorrupt, v)
+	if version != metaVer {
+		return nil, fmt.Errorf("%w: unsupported metadata version %d", merkle.ErrCorrupt, version)
 	}
-	nf := int(binary.LittleEndian.Uint16(data[6:8]))
 	if nf == 0 {
 		return nil, fmt.Errorf("%w: zero fields", merkle.ErrCorrupt)
 	}
-	m := &Metadata{
-		Epsilon: math.Float64frombits(binary.LittleEndian.Uint64(data[8:16])),
-		Fields:  make([]FieldMeta, 0, nf),
+	if nf > len(c.Rest())/minFieldBytes {
+		return nil, fmt.Errorf("compare: read %d fields: %w", nf, io.ErrUnexpectedEOF)
 	}
-	data = data[16:]
+	m := &Metadata{Epsilon: epsilon, Fields: make([]FieldMeta, 0, nf)}
 	for i := 0; i < nf; i++ {
-		if len(data) < 2 {
+		nameLen := int(c.U16())
+		if c.Err() != nil {
 			return nil, fmt.Errorf("compare: read field %d header: %w", i, io.ErrUnexpectedEOF)
 		}
-		nameLen := int(binary.LittleEndian.Uint16(data))
 		if nameLen == 0 || nameLen > 4096 {
 			return nil, fmt.Errorf("%w: field %d name length %d", merkle.ErrCorrupt, i, nameLen)
 		}
-		hdrLen := 2 + nameLen + 1 // length, name, dtype
-		if len(data) < hdrLen {
+		name := c.Bytes(nameLen)
+		dtype := errbound.DType(c.U8())
+		if c.Err() != nil {
 			return nil, fmt.Errorf("compare: read field %d name: %w", i, io.ErrUnexpectedEOF)
 		}
-		dtype := errbound.DType(data[hdrLen-1])
 		if dtype.Size() == 0 {
 			return nil, fmt.Errorf("%w: field %d bad dtype %d", merkle.ErrCorrupt, i, dtype)
 		}
-		tree, n, err := merkle.Decode(data[hdrLen:])
+		tree, n, err := merkle.Decode(c.Rest())
 		if err != nil {
 			return nil, err
 		}
-		m.Fields = append(m.Fields, FieldMeta{Name: string(data[2 : 2+nameLen]), DType: dtype, Tree: tree})
-		data = data[hdrLen+n:]
+		c.Bytes(n)
+		m.Fields = append(m.Fields, FieldMeta{Name: string(name), DType: dtype, Tree: tree})
 	}
 	return m, nil
-}
-
-// ReadMetadata is DecodeMetadata for callers that hold a stream.
-func ReadMetadata(r io.Reader) (*Metadata, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("compare: read metadata: %w", err)
-	}
-	return DecodeMetadata(data)
 }
 
 // Bytes returns the serialized size of the metadata.

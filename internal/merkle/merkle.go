@@ -26,6 +26,7 @@ import (
 	"math/bits"
 
 	"repro/internal/device"
+	"repro/internal/framelog"
 	"repro/internal/murmur3"
 )
 
@@ -302,6 +303,8 @@ const (
 	formatMagic  = "MRKL"
 	formatVer    = 1
 	maxLeafCount = 1 << 30 // sanity bound against corrupt headers
+	// MinEncoded is the serialized size of the smallest tree, one leaf.
+	MinEncoded = headerSize + murmur3.DigestSize + 4
 )
 
 // WriteTo serializes the tree. It implements io.WriterTo.
@@ -325,76 +328,45 @@ func (t *Tree) WriteTo(w io.Writer) (int64, error) {
 	return written, nil
 }
 
-// parseHeader validates a serialized header and returns the tree's
-// geometry and the size of its whole serialized form.
-func parseHeader(hdr []byte) (dataLen int64, chunkSize, numLeaves, size int, err error) {
-	if string(hdr[0:4]) != formatMagic {
-		return 0, 0, 0, 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, hdr[0:4])
-	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != formatVer {
-		return 0, 0, 0, 0, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
-	}
-	if d := binary.LittleEndian.Uint16(hdr[6:8]); d != murmur3.DigestSize {
-		return 0, 0, 0, 0, fmt.Errorf("%w: digest size %d, want %d", ErrCorrupt, d, murmur3.DigestSize)
-	}
-	chunkSize = int(binary.LittleEndian.Uint32(hdr[8:12]))
-	numLeaves = int(binary.LittleEndian.Uint32(hdr[12:16]))
-	dataLen = int64(binary.LittleEndian.Uint64(hdr[16:24]))
-	if chunkSize <= 0 || numLeaves <= 0 || numLeaves > maxLeafCount || dataLen <= 0 {
-		return 0, 0, 0, 0, fmt.Errorf("%w: implausible geometry chunk=%d leaves=%d dataLen=%d",
-			ErrCorrupt, chunkSize, numLeaves, dataLen)
-	}
-	want := int((dataLen + int64(chunkSize) - 1) / int64(chunkSize))
-	if want != numLeaves {
-		return 0, 0, 0, 0, fmt.Errorf("%w: leaf count %d inconsistent with dataLen/chunk (%d)",
-			ErrCorrupt, numLeaves, want)
-	}
-	return dataLen, chunkSize, numLeaves, headerSize + shellBytes(numLeaves) + 4, nil
-}
-
 // Decode deserializes the tree at the front of data (the form WriteTo
 // produces) and returns it with the number of bytes it occupies. The tree
 // is decoded in place: it keeps data's node bytes as its node array, so
 // the caller must not write to data afterwards. Nothing is allocated
 // before the length and the checksum have been verified.
 func Decode(data []byte) (*Tree, int, error) {
-	if len(data) < headerSize {
+	c := framelog.NewCursor(data)
+	magic := c.Bytes(4)
+	version, digestSize := c.U16(), c.U16()
+	chunkSize, numLeaves := int(c.U32()), int(c.U32())
+	dataLen := int64(c.U64())
+	if c.Err() != nil {
 		return nil, 0, fmt.Errorf("merkle: read header: %w", io.ErrUnexpectedEOF)
 	}
-	dataLen, chunkSize, numLeaves, size, err := parseHeader(data[:headerSize])
-	if err != nil {
-		return nil, 0, err
+	if string(magic) != formatMagic {
+		return nil, 0, fmt.Errorf("%w: bad magic %q", ErrCorrupt, magic)
 	}
-	if len(data) < size {
+	if version != formatVer {
+		return nil, 0, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, version)
+	}
+	if digestSize != murmur3.DigestSize {
+		return nil, 0, fmt.Errorf("%w: digest size %d, want %d", ErrCorrupt, digestSize, murmur3.DigestSize)
+	}
+	if chunkSize <= 0 || numLeaves <= 0 || numLeaves > maxLeafCount || dataLen <= 0 {
+		return nil, 0, fmt.Errorf("%w: implausible geometry chunk=%d leaves=%d dataLen=%d",
+			ErrCorrupt, chunkSize, numLeaves, dataLen)
+	}
+	if want := int((dataLen + int64(chunkSize) - 1) / int64(chunkSize)); want != numLeaves {
+		return nil, 0, fmt.Errorf("%w: leaf count %d inconsistent with dataLen/chunk (%d)",
+			ErrCorrupt, numLeaves, want)
+	}
+	nodes := c.Bytes(shellBytes(numLeaves))
+	body := c.Off()
+	crc := c.U32()
+	if c.Err() != nil {
 		return nil, 0, fmt.Errorf("merkle: read nodes: %w", io.ErrUnexpectedEOF)
 	}
-	if got := binary.LittleEndian.Uint32(data[size-4:]); got != crc32.ChecksumIEEE(data[:size-4]) {
+	if crc != crc32.ChecksumIEEE(data[:body]) {
 		return nil, 0, fmt.Errorf("%w: crc mismatch", ErrCorrupt)
 	}
-	return newShell(dataLen, chunkSize, numLeaves, data[headerSize:size-4:size-4]), size, nil
-}
-
-// ReadFrom deserializes a tree previously written with WriteTo and returns
-// it with the number of bytes consumed: Decode for callers that hold a
-// stream, not the bytes.
-func ReadFrom(r io.Reader) (*Tree, int64, error) {
-	hdr := make([]byte, headerSize)
-	n, err := io.ReadFull(r, hdr)
-	if err != nil {
-		return nil, int64(n), fmt.Errorf("merkle: read header: %w", err)
-	}
-	_, _, _, size, err := parseHeader(hdr)
-	if err != nil {
-		return nil, int64(n), err
-	}
-	// The buffer grows with what the stream delivers (a forged leaf count
-	// must not size an allocation); Decode reports a short one.
-	buf := bytes.NewBuffer(hdr)
-	m, err := io.CopyN(buf, r, int64(size-headerSize))
-	read := int64(n) + m
-	if err != nil && err != io.EOF {
-		return nil, read, fmt.Errorf("merkle: read nodes: %w", err)
-	}
-	t, _, err := Decode(buf.Bytes())
-	return t, read, err
+	return newShell(dataLen, chunkSize, numLeaves, nodes), c.Off(), nil
 }

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -271,12 +273,12 @@ func TestSerializeRoundTrip(t *testing.T) {
 	if nw != tr.MetadataBytes() {
 		t.Errorf("MetadataBytes = %d, actual %d", tr.MetadataBytes(), nw)
 	}
-	got, nr, err := ReadFrom(bytes.NewReader(buf.Bytes()))
+	got, nr, err := Decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nr != nw {
-		t.Errorf("ReadFrom consumed %d, want %d", nr, nw)
+	if int64(nr) != nw {
+		t.Errorf("Decode consumed %d, want %d", nr, nw)
 	}
 	if got.Root() != tr.Root() || got.NumChunks() != tr.NumChunks() ||
 		got.ChunkSize() != tr.ChunkSize() || got.DataLen() != tr.DataLen() {
@@ -306,22 +308,22 @@ func TestReadFromRejectsCorruption(t *testing.T) {
 		return c
 	}
 
-	if _, _, err := ReadFrom(bytes.NewReader(flip(0))); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := Decode(flip(0)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("bad magic error = %v", err)
 	}
-	if _, _, err := ReadFrom(bytes.NewReader(flip(4))); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := Decode(flip(4)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("bad version error = %v", err)
 	}
 	// Flip a node byte: CRC must catch it.
-	if _, _, err := ReadFrom(bytes.NewReader(flip(headerSize + 3))); !errors.Is(err, ErrCorrupt) {
+	if _, _, err := Decode(flip(headerSize + 3)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("corrupted node error = %v", err)
 	}
-	// Truncated stream.
-	if _, _, err := ReadFrom(bytes.NewReader(good[:len(good)-8])); err == nil {
-		t.Error("truncated stream accepted")
+	// Truncated bytes.
+	if _, _, err := Decode(good[:len(good)-8]); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("truncated nodes error = %v", err)
 	}
-	if _, _, err := ReadFrom(bytes.NewReader(good[:10])); err == nil {
-		t.Error("truncated header accepted")
+	if _, _, err := Decode(good[:10]); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("truncated header error = %v", err)
 	}
 }
 
@@ -362,15 +364,17 @@ func TestDecodeInPlace(t *testing.T) {
 	binary.LittleEndian.PutUint32(forged[8:12], 1)             // chunk size 1
 	binary.LittleEndian.PutUint32(forged[12:16], maxLeafCount) // 2^30 leaves: a 32 GiB node array
 	binary.LittleEndian.PutUint64(forged[16:24], maxLeafCount)
-	if allocs := testing.AllocsPerRun(1, func() {
-		if _, _, err := Decode(forged); err == nil {
-			t.Error("forged leaf count accepted")
-		}
-	}); allocs > 4 {
-		t.Errorf("forged leaf count: %v allocations", allocs)
+	// Bytes, not allocation count: the count picks up the race detector's
+	// own allocations, and the size is the property.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err = Decode(forged)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("forged leaf count accepted")
 	}
-	if _, _, err := ReadFrom(bytes.NewReader(forged)); err == nil {
-		t.Error("forged leaf count accepted from a stream")
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+		t.Errorf("forged leaf count: %d bytes allocated refusing a %d-byte header", grew, len(forged))
 	}
 }
 

@@ -1,10 +1,13 @@
 package mpi
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+
+	"repro/internal/framelog"
 )
 
 // encodeF64 serializes a float64 vector little-endian.
@@ -52,31 +55,21 @@ func EncodeParts(parts [][]byte) []byte {
 // that are there (a part costs at least its length prefix) before it sizes
 // anything.
 func DecodeParts(data []byte) ([][]byte, error) {
-	if len(data) < 4 {
-		return nil, errors.New("mpi: truncated parts payload")
-	}
-	n := int(binary.LittleEndian.Uint32(data))
-	data = data[4:]
-	if n > len(data)/4 {
+	c := framelog.NewCursor(data)
+	n := c.U32()
+	if c.Err() != nil || int64(n) > int64(len(c.Rest())/4) {
 		return nil, errors.New("mpi: truncated parts payload")
 	}
 	parts := make([][]byte, 0, n)
-	for i := 0; i < n; i++ {
-		if len(data) < 4 {
+	for i := uint32(0); i < n; i++ {
+		p := c.Bytes(int(c.U32()))
+		if c.Err() != nil {
 			return nil, errors.New("mpi: truncated parts payload")
 		}
-		l := int(binary.LittleEndian.Uint32(data))
-		data = data[4:]
-		if len(data) < l {
-			return nil, errors.New("mpi: truncated parts payload")
-		}
-		p := make([]byte, l)
-		copy(p, data[:l])
-		data = data[l:]
-		parts = append(parts, p)
+		parts = append(parts, bytes.Clone(p))
 	}
-	if len(data) != 0 {
-		return nil, fmt.Errorf("mpi: %d bytes after the last part", len(data))
+	if err := c.Done(); err != nil {
+		return nil, fmt.Errorf("mpi: after the last part: %w", err)
 	}
 	return parts, nil
 }

@@ -1,8 +1,10 @@
 package mpi
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -329,6 +331,25 @@ func TestQuickCodecRoundTrip(t *testing.T) {
 	if err := quick.Check(g, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// FuzzDecodeF64 is the byte-side of the round trip above: any payload
+// either is refused for its length or decodes to exactly len/8 values that
+// encode back to the same bytes (NaN payloads included) — nothing is sized
+// by anything but the bytes that are there.
+func FuzzDecodeF64(f *testing.F) {
+	f.Add(encodeF64([]float64{0, -0.0, 1.5, math.Inf(-1), math.NaN()}))
+	f.Add([]byte{})
+	f.Add(make([]byte, 7))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		vals, err := decodeF64(data)
+		if (err != nil) != (len(data)%8 != 0) {
+			t.Fatalf("%d bytes: err %v", len(data), err)
+		}
+		if err == nil && (len(vals) != len(data)/8 || !bytes.Equal(encodeF64(vals), data)) {
+			t.Fatalf("%d bytes decoded to %d values that do not encode back", len(data), len(vals))
+		}
+	})
 }
 
 func TestCodecRejectsCorrupt(t *testing.T) {

@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/framelog"
 	"repro/internal/mpi"
 )
 
@@ -75,16 +76,18 @@ func header(kind uint8) []byte {
 
 // checkHeader validates a frame header part and returns its kind.
 func checkHeader(part []byte) (uint8, error) {
-	if len(part) != headerLen {
+	c := framelog.NewCursor(part)
+	magic, version, kind := c.Bytes(len(frameMagic)), c.U16(), c.U8()
+	if c.Done() != nil {
 		return 0, ErrTruncated
 	}
-	if string(part[:len(frameMagic)]) != frameMagic {
-		return 0, fmt.Errorf("shard: bad frame magic %q", part[:len(frameMagic)])
+	if string(magic) != frameMagic {
+		return 0, fmt.Errorf("shard: bad frame magic %q", magic)
 	}
-	if v := binary.LittleEndian.Uint16(part[len(frameMagic):]); v != wireVersion {
-		return 0, fmt.Errorf("shard: unsupported wire version %d", v)
+	if version != wireVersion {
+		return 0, fmt.Errorf("shard: unsupported wire version %d", version)
 	}
-	return part[headerLen-1], nil
+	return kind, nil
 }
 
 // FrameKind sniffs a frame's kind without decoding the body.
@@ -99,41 +102,16 @@ func FrameKind(frame []byte) (uint8, error) {
 	return checkHeader(parts[0])
 }
 
-// cursor is a little-endian reader over one frame part that remembers
-// truncation instead of panicking.
-type cursor struct {
-	b   []byte
-	err error
-}
-
-func (c *cursor) u8() uint8 {
-	if c.err != nil || len(c.b) < 1 {
-		c.err = ErrTruncated
-		return 0
+// partDone closes the decode of one frame part: a short part is
+// ErrTruncated, and leftover bytes are a framing error too (a frame that
+// decodes but carries trailing garbage is corrupt).
+func partDone(c *framelog.Cursor) error {
+	err := c.Done()
+	if errors.Is(err, framelog.ErrShort) {
+		return ErrTruncated
 	}
-	v := c.b[0]
-	c.b = c.b[1:]
-	return v
-}
-
-func (c *cursor) i64() int64 {
-	if c.err != nil || len(c.b) < 8 {
-		c.err = ErrTruncated
-		return 0
-	}
-	v := int64(binary.LittleEndian.Uint64(c.b))
-	c.b = c.b[8:]
-	return v
-}
-
-// done reports a fully-consumed part; leftover bytes are a framing error
-// too (a frame that decodes but carries trailing garbage is corrupt).
-func (c *cursor) done() error {
-	if c.err != nil {
-		return c.err
-	}
-	if len(c.b) != 0 {
-		return fmt.Errorf("shard: %d trailing bytes in frame part", len(c.b))
+	if err != nil {
+		return fmt.Errorf("shard: frame part: %w", err)
 	}
 	return nil
 }
@@ -171,22 +149,23 @@ func DecodeVerdict(frame []byte) (*VerdictMsg, error) {
 	if kind != kindVerdict {
 		return nil, fmt.Errorf("shard: frame kind %d is not a verdict", kind)
 	}
-	v := &VerdictMsg{}
-	c := &cursor{b: parts[1]}
-	v.Seq, v.Pair, v.Field = c.i64(), c.i64(), c.i64()
-	v.Changed, v.Unverified = c.i64(), c.i64()
-	if err := c.done(); err != nil {
+	c := framelog.NewCursor(parts[1])
+	v := &VerdictMsg{
+		Seq: int64(c.U64()), Pair: int64(c.U64()), Field: int64(c.U64()),
+		Changed: int64(c.U64()), Unverified: int64(c.U64()),
+	}
+	if err := partDone(c); err != nil {
 		return nil, err
 	}
 	if len(parts[2])%8 != 0 {
 		return nil, ErrTruncated
 	}
 	v.Diffs = make([]int64, len(parts[2])/8)
-	cc := &cursor{b: parts[2]}
+	c = framelog.NewCursor(parts[2])
 	for i := range v.Diffs {
-		v.Diffs[i] = cc.i64()
+		v.Diffs[i] = int64(c.U64())
 	}
-	return v, cc.done()
+	return v, partDone(c)
 }
 
 // EncodeDone serializes a worker's closing frame.
@@ -211,8 +190,7 @@ func DecodeDone(frame []byte) (*DoneMsg, error) {
 	if kind != kindDone {
 		return nil, fmt.Errorf("shard: frame kind %d is not a done marker", kind)
 	}
-	d := &DoneMsg{}
-	c := &cursor{b: parts[1]}
-	d.Worker, d.Died = c.i64(), c.u8()
-	return d, c.done()
+	c := framelog.NewCursor(parts[1])
+	d := &DoneMsg{Worker: int64(c.U64()), Died: c.U8()}
+	return d, partDone(c)
 }

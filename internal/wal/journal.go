@@ -2,22 +2,21 @@ package wal
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io/fs"
 	"sync"
 
+	"repro/internal/framelog"
 	"repro/internal/murmur3"
 	"repro/internal/pfs"
 )
 
 // ErrTampered reports a journal whose hash chain is broken: a record
-// that frames and checksums correctly but does not chain from its
-// predecessor. A crash cannot produce this — crash damage fails the CRC
-// and is skipped as a hole, and the next valid record still chains from
-// the last one before the hole — so a broken chain means a record was
-// altered or removed after it was written.
+// that frames and checksums correctly but does not decode, or does not
+// chain from its predecessor. A crash cannot produce this — crash damage
+// fails the CRC and is skipped as a hole, and the next valid record still
+// chains from the last one before the hole — so a broken chain means a
+// record was altered or removed after it was written.
 var ErrTampered = errors.New("wal: hash chain broken")
 
 // ErrWedged reports an append on a journal that has already failed an
@@ -30,13 +29,9 @@ var ErrWedged = errors.New("wal: journal wedged after append failure")
 type Replay struct {
 	// Records is the valid chain, in order.
 	Records []Record
-	// Holes counts damaged regions that were skipped mid-log (torn
-	// frames from crashed appends that later appends wrote past).
-	Holes int
-	// TornTailBytes counts trailing bytes after the last valid record —
-	// a frame torn by a crash (or, indistinguishably, a damaged final
-	// record; the dropped record is visible here either way).
-	TornTailBytes int64
+	// Damage is what the walk skipped: Holes mid-log, TornTailBytes after
+	// the last valid record (a dropped final record is visible there).
+	framelog.Damage
 	// Cost is the replay's storage read cost.
 	Cost pfs.Cost
 }
@@ -46,13 +41,10 @@ type Replay struct {
 // the virtual clock and visible to fault injection like every other
 // storage operation. Safe for concurrent use.
 type Journal struct {
-	fs   *pfs.Store
-	name string
-
 	mu     sync.Mutex
+	log    framelog.Log
 	seq    uint64
 	head   murmur3.Digest
-	size   int64
 	cost   pfs.Cost
 	wedged error
 }
@@ -63,94 +55,52 @@ type Journal struct {
 // skipped as holes or a torn tail, but a record that breaks the hash
 // chain fails with ErrTampered — a tampered journal refuses to open.
 func Open(ctx context.Context, fsys *pfs.Store, name string) (*Journal, *Replay, error) {
-	if name == "" {
-		name = DefaultName
-	}
-	j := &Journal{fs: fsys, name: name}
-	rep := &Replay{}
-	raw, cost, err := fsys.ReadFileFull(ctx, name, 0)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return j, rep, nil
-		}
-		return nil, nil, fmt.Errorf("wal: open %s: %w", name, err)
-	}
-	rep.Cost = cost
-	recs, holes, torn, err := parseChain(raw)
+	log, rep, err := replay(ctx, fsys, name, "open")
 	if err != nil {
 		return nil, nil, err
 	}
-	rep.Records = recs
-	rep.Holes = holes
-	rep.TornTailBytes = torn
-	j.size = int64(len(raw))
-	if n := len(recs); n > 0 {
-		j.seq = recs[n-1].Seq
-		j.head = recs[n-1].Digest
+	j := &Journal{log: log}
+	if n := len(rep.Records); n > 0 {
+		j.seq = rep.Records[n-1].Seq
+		j.head = rep.Records[n-1].Digest
 	}
 	return j, rep, nil
 }
 
-// parseChain walks raw bytes into the valid record chain. Damaged
-// regions are skipped by scanning for the next frame whose stored
-// offset matches its position; the skipped bytes count as a hole (or
-// the torn tail when nothing follows). Every accepted record must chain
-// — consecutive Seq and Prev equal to the predecessor's Digest — and a
-// framed record that does not chain is ErrTampered.
-func parseChain(raw []byte) (recs []Record, holes int, tornTail int64, err error) {
+// replay reads the named journal (absent is empty) and walks it into the
+// valid record chain, returning the log positioned for the next append.
+// Damage is framelog's to skip and count; what is checked here is the
+// chain: every framed record must decode, carry the next Seq and a Prev
+// equal to its predecessor's Digest, and one that does not is ErrTampered.
+func replay(ctx context.Context, fsys *pfs.Store, name, op string) (framelog.Log, *Replay, error) {
+	if name == "" {
+		name = DefaultName
+	}
+	log := framelog.Log{Store: fsys, Name: name, Magic: frameMagic}
+	raw, cost, err := log.Read(ctx)
+	if err != nil {
+		return log, nil, fmt.Errorf("wal: %s %s: %w", op, name, err)
+	}
+	rep := &Replay{Cost: cost}
 	var head murmur3.Digest
 	var seq uint64
-	off := 0
-	damagedSince := -1 // start of the damaged region being scanned, -1 if none
-	for off < len(raw) {
-		payload, frameLen, ok := frameAt(raw, off)
-		if !ok {
-			if damagedSince < 0 {
-				damagedSince = off
-			}
-			off = nextCandidate(raw, off+1)
-			continue
-		}
-		rec, derr := decodePayload(payload)
-		if derr != nil {
-			// Framed bytes that fail structural decode: treat like any
-			// other damage and let the next record's linkage judge.
-			if damagedSince < 0 {
-				damagedSince = off
-			}
-			off = nextCandidate(raw, off+1)
-			continue
+	rep.Damage, err = framelog.Replay(raw, frameMagic, func(off int64, payload []byte) error {
+		rec, err := decodePayload(payload)
+		if err != nil {
+			return fmt.Errorf("%w: record at offset %d does not decode: %v", ErrTampered, off, err)
 		}
 		if rec.Seq != seq+1 || rec.Prev != head {
-			return nil, 0, 0, fmt.Errorf(
-				"%w: record at offset %d has seq %d prev %x, want seq %d prev %x",
+			return fmt.Errorf("%w: record at offset %d has seq %d prev %x, want seq %d prev %x",
 				ErrTampered, off, rec.Seq, rec.Prev, seq+1, head)
 		}
-		if damagedSince >= 0 {
-			holes++
-			damagedSince = -1
-		}
-		recs = append(recs, rec)
-		seq = rec.Seq
-		head = rec.Digest
-		off += frameLen
+		rep.Records = append(rep.Records, rec)
+		seq, head = rec.Seq, rec.Digest
+		return nil
+	})
+	if err != nil {
+		return log, nil, err
 	}
-	if damagedSince >= 0 {
-		tornTail = int64(len(raw) - damagedSince)
-	}
-	return recs, holes, tornTail, nil
-}
-
-// nextCandidate returns the next offset at or after from where a frame
-// could start (magic bytes with a matching stored offset), or len(raw).
-func nextCandidate(raw []byte, from int) int {
-	for i := from; i+frameHeader <= len(raw); i++ {
-		if binary.LittleEndian.Uint32(raw[i:]) == frameMagic &&
-			binary.LittleEndian.Uint64(raw[i+4:]) == uint64(i) {
-			return i
-		}
-	}
-	return len(raw)
+	return log, rep, nil
 }
 
 // Append assigns the record its chain coordinates (Seq, Prev, Digest),
@@ -158,7 +108,9 @@ func nextCandidate(raw []byte, from int) int {
 // The caller must leave Seq, Prev, and Digest zero — hand-rolled chain
 // fields are rejected here and by the walchain lint rule. On any write
 // error the journal wedges: the record is not part of the chain, and
-// every later Append fails until the journal is reopened.
+// every later Append fails until the journal is reopened. A record over
+// the size replay accepts (framelog.ErrTooLarge) is refused before
+// anything is written, so it fails alone and does not wedge.
 func (j *Journal) Append(rec Record) (Record, error) {
 	if rec.Seq != 0 || rec.Prev != (murmur3.Digest{}) || rec.Digest != (murmur3.Digest{}) {
 		return Record{}, errors.New("wal: Seq/Prev/Digest are assigned by the journal, not the caller")
@@ -175,26 +127,12 @@ func (j *Journal) Append(rec Record) (Record, error) {
 	rec.Prev = j.head
 	payload := encodePayload(&rec)
 	rec.Digest = payloadDigest(payload)
-	frame := encodeFrame(payload, j.size)
-
-	w, err := j.fs.Append(j.name)
+	cost, err := j.log.Append(payload)
+	j.cost.Add(cost)
 	if err != nil {
-		j.wedged = err
-		return Record{}, fmt.Errorf("wal: append: %w", err)
-	}
-	n, werr := w.Write(frame)
-	j.cost.Add(w.Cost())
-	cerr := w.Close()
-	j.size += int64(n) // torn writes persist a prefix; track it
-	if werr != nil || cerr != nil || n != len(frame) {
-		err := werr
-		if err == nil {
-			err = cerr
+		if !errors.Is(err, framelog.ErrTooLarge) {
+			j.wedged = err
 		}
-		if err == nil {
-			err = fmt.Errorf("wal: short append: %d of %d bytes", n, len(frame))
-		}
-		j.wedged = err
 		return Record{}, fmt.Errorf("wal: append: %w", err)
 	}
 	j.seq = rec.Seq
@@ -203,7 +141,7 @@ func (j *Journal) Append(rec Record) (Record, error) {
 }
 
 // Name returns the store-relative journal path.
-func (j *Journal) Name() string { return j.name }
+func (j *Journal) Name() string { return j.log.Name }
 
 // Seq returns the chain head's sequence number (0 for an empty chain).
 func (j *Journal) Seq() uint64 {
@@ -223,7 +161,7 @@ func (j *Journal) Head() murmur3.Digest {
 func (j *Journal) Size() int64 {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.size
+	return j.log.Size
 }
 
 // Cost returns the accumulated append cost of this journal handle.
@@ -271,21 +209,12 @@ type VerifyReport struct {
 // duplicated or orphaned verdicts. Pending jobs and crash holes are
 // reported, not errors — they are what recovery is for.
 func Verify(ctx context.Context, fsys *pfs.Store, name string) (*VerifyReport, error) {
-	if name == "" {
-		name = DefaultName
-	}
-	raw, _, err := fsys.ReadFileFull(ctx, name, 0)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return &VerifyReport{}, nil
-		}
-		return nil, fmt.Errorf("wal: verify %s: %w", name, err)
-	}
-	recs, holes, torn, err := parseChain(raw)
+	_, chain, err := replay(ctx, fsys, name, "verify")
 	if err != nil {
 		return nil, err
 	}
-	rep := &VerifyReport{Records: len(recs), Holes: holes, TornTailBytes: torn}
+	recs := chain.Records
+	rep := &VerifyReport{Records: len(recs), Holes: chain.Holes, TornTailBytes: chain.TornTailBytes}
 	if len(recs) > 0 {
 		rep.Seq = recs[len(recs)-1].Seq
 		rep.Head = recs[len(recs)-1].Digest

@@ -6,15 +6,15 @@
 //
 // Three disciplines compose:
 //
-//   - Torn-tail safety (the internal/cas index.log discipline): every
-//     record is framed with a magic, its own file offset, a length, and
-//     a CRC32 of the payload. A crash mid-append leaves a torn frame
-//     that replay skips — recovery never trusts partial bytes. Because
-//     pfs has no truncate, a torn region is left in place as a hole and
-//     the next append continues after it; the stored-offset field is
-//     what lets replay resynchronize on the next genuine frame (a
-//     frame-shaped byte pattern at the wrong offset is damage, not
-//     data).
+//   - Torn-tail safety (internal/framelog, the frame the CAS index
+//     shares): every record is framed with a magic, its own file offset,
+//     a length, and a CRC32. A crash mid-append leaves a torn frame that
+//     replay skips — recovery never trusts partial bytes. Because pfs has
+//     no truncate, a torn region is left in place as a hole and the next
+//     append continues after it; the stored-offset field is what lets
+//     replay resynchronize on the next genuine frame. This package keeps
+//     what is the journal's own: the payload codec, the hash chain and
+//     wedge-on-error.
 //
 //   - Hash chaining ("Self-Verifying Measurement Records"): each
 //     record's payload embeds the Murmur3 digest of the previous
@@ -43,11 +43,10 @@ package wal
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 
+	"repro/internal/framelog"
 	"repro/internal/murmur3"
 )
 
@@ -152,26 +151,12 @@ type Record struct {
 	Roots []murmur3.Digest `json:"roots,omitempty"`
 }
 
-// Frame layout: magic u32 | offset u64 | payloadLen u32 | payload |
-// crc32 u32. The CRC covers offset, payloadLen, and payload; the offset
-// field must equal the frame's own position in the file, which is how
-// replay resynchronizes after a damaged region.
-const (
-	frameMagic    uint32 = 0x4c41574a // "JWAL" little-endian
-	frameHeader          = 4 + 8 + 4
-	frameOverhead        = frameHeader + 4
-	// maxPayload bounds a decoded payload so a corrupt length field
-	// cannot drive a huge allocation; real records are a few hundred
-	// bytes.
-	maxPayload = 1 << 20
-)
+// frameMagic is the journal's frame magic, "JWAL" little-endian. The
+// frame itself — layout, append bound, resync — is internal/framelog's.
+const frameMagic uint32 = 0x4c41574a
 
 // recVersion is the payload encoding version.
 const recVersion = 1
-
-// errDecode marks a payload that does not decode; replay treats it like
-// any other damage (skip and resync, then let chain linkage judge).
-var errDecode = errors.New("wal: payload does not decode")
 
 // appendString writes a u32 length-prefixed string.
 func appendString(b []byte, s string) []byte {
@@ -220,111 +205,42 @@ func boolByte(v bool) byte {
 	return 0
 }
 
-// payloadReader is a bounds-checked cursor over one payload.
-type payloadReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (p *payloadReader) bytes(n int) []byte {
-	if p.err != nil {
-		return nil
-	}
-	if n < 0 || p.off+n > len(p.b) {
-		p.err = errDecode
-		return nil
-	}
-	out := p.b[p.off : p.off+n]
-	p.off += n
-	return out
-}
-
-func (p *payloadReader) u8() byte {
-	b := p.bytes(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (p *payloadReader) u32() uint32 {
-	b := p.bytes(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-func (p *payloadReader) u64() uint64 {
-	b := p.bytes(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (p *payloadReader) str() string {
-	n := p.u32()
-	if p.err != nil || n > maxPayload {
-		p.err = errDecode
-		return ""
-	}
-	return string(p.bytes(int(n)))
-}
-
-func (p *payloadReader) digest() murmur3.Digest {
-	var d murmur3.Digest
-	copy(d[:], p.bytes(murmur3.DigestSize))
-	return d
-}
-
 // decodePayload parses one payload and derives its Digest.
 func decodePayload(payload []byte) (Record, error) {
-	p := &payloadReader{b: payload}
-	if v := p.u8(); v != recVersion {
-		return Record{}, fmt.Errorf("%w: version %d", errDecode, v)
+	p := framelog.NewCursor(payload)
+	if v := p.U8(); v != recVersion {
+		return Record{}, fmt.Errorf("record version %d", v)
 	}
 	var r Record
-	r.Type = Type(p.u8())
-	r.Seq = p.u64()
-	r.Prev = p.digest()
-	r.Job = p.u64()
-	r.Tenant = p.str()
-	r.Kind = p.str()
-	nNames := p.u32()
-	if p.err == nil && nNames > maxPayload/4 {
-		return Record{}, errDecode
+	r.Type = Type(p.U8())
+	r.Seq = p.U64()
+	r.Prev = p.Digest()
+	r.Job = p.U64()
+	r.Tenant = p.Str32()
+	r.Kind = p.Str32()
+	// A count sizes nothing: the loops stop at the first short read.
+	for i, n := uint32(0), p.U32(); i < n && p.Err() == nil; i++ {
+		r.Names = append(r.Names, p.Str32())
 	}
-	for i := uint32(0); i < nNames && p.err == nil; i++ {
-		r.Names = append(r.Names, p.str())
+	r.Topology = p.Str32()
+	r.Workers = int(int32(p.U32()))
+	r.Degrade = p.U8() != 0
+	r.Epsilon = math.Float64frombits(p.U64())
+	r.ChunkSize = int(int32(p.U32()))
+	r.ToolVersion = p.Str32()
+	r.Exit = int(int32(p.U32()))
+	r.DiffCount = int64(p.U64())
+	r.Degraded = p.U8() != 0
+	r.UnverifiedChunks = int(int32(p.U32()))
+	r.ReadRetries = int(int32(p.U32()))
+	r.RingFallbacks = int(int32(p.U32()))
+	r.CASPruned = int(int32(p.U32()))
+	r.ErrMsg = p.Str32()
+	for i, n := uint32(0), p.U32(); i < n && p.Err() == nil; i++ {
+		r.Roots = append(r.Roots, p.Digest())
 	}
-	r.Topology = p.str()
-	r.Workers = int(int32(p.u32()))
-	r.Degrade = p.u8() != 0
-	r.Epsilon = math.Float64frombits(p.u64())
-	r.ChunkSize = int(int32(p.u32()))
-	r.ToolVersion = p.str()
-	r.Exit = int(int32(p.u32()))
-	r.DiffCount = int64(p.u64())
-	r.Degraded = p.u8() != 0
-	r.UnverifiedChunks = int(int32(p.u32()))
-	r.ReadRetries = int(int32(p.u32()))
-	r.RingFallbacks = int(int32(p.u32()))
-	r.CASPruned = int(int32(p.u32()))
-	r.ErrMsg = p.str()
-	nRoots := p.u32()
-	if p.err == nil && nRoots > maxPayload/murmur3.DigestSize {
-		return Record{}, errDecode
-	}
-	for i := uint32(0); i < nRoots && p.err == nil; i++ {
-		r.Roots = append(r.Roots, p.digest())
-	}
-	if p.err != nil {
-		return Record{}, p.err
-	}
-	if p.off != len(payload) {
-		return Record{}, fmt.Errorf("%w: %d trailing bytes", errDecode, len(payload)-p.off)
+	if err := p.Done(); err != nil {
+		return Record{}, err
 	}
 	r.Digest = payloadDigest(payload)
 	return r, nil
@@ -333,45 +249,4 @@ func decodePayload(payload []byte) (Record, error) {
 // payloadDigest is the chain digest of one payload.
 func payloadDigest(payload []byte) murmur3.Digest {
 	return murmur3.SumDigest(payload, murmur3.Digest{})
-}
-
-// encodeFrame wraps a payload destined for file offset off.
-func encodeFrame(payload []byte, off int64) []byte {
-	b := make([]byte, 0, frameOverhead+len(payload))
-	b = binary.LittleEndian.AppendUint32(b, frameMagic)
-	b = binary.LittleEndian.AppendUint64(b, uint64(off))
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
-	b = append(b, payload...)
-	crc := crc32.ChecksumIEEE(b[4:])
-	return binary.LittleEndian.AppendUint32(b, crc)
-}
-
-// frameAt checks whether a syntactically valid frame starts at off:
-// magic present, stored offset equals off, length in bounds, CRC good.
-// It returns the payload and total frame length. ok=false means damage
-// (or a torn tail when the frame would extend past EOF).
-func frameAt(raw []byte, off int) (payload []byte, frameLen int, ok bool) {
-	if off+frameHeader > len(raw) {
-		return nil, 0, false
-	}
-	if binary.LittleEndian.Uint32(raw[off:]) != frameMagic {
-		return nil, 0, false
-	}
-	if binary.LittleEndian.Uint64(raw[off+4:]) != uint64(off) {
-		return nil, 0, false
-	}
-	n := binary.LittleEndian.Uint32(raw[off+12:])
-	if n > maxPayload {
-		return nil, 0, false
-	}
-	frameLen = frameOverhead + int(n)
-	if off+frameLen > len(raw) {
-		return nil, 0, false
-	}
-	body := raw[off+4 : off+frameHeader+int(n)]
-	crc := binary.LittleEndian.Uint32(raw[off+frameHeader+int(n):])
-	if crc32.ChecksumIEEE(body) != crc {
-		return nil, 0, false
-	}
-	return raw[off+frameHeader : off+frameHeader+int(n)], frameLen, true
 }
