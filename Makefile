@@ -47,16 +47,18 @@ chaos-smoke:
 	$(GO) test -race -count=1 -run 'TestChaos' ./internal/chaos/
 
 # fuzz-smoke runs each native fuzz target for a few seconds on top of its
-# checked-in corpus (testdata/fuzz/); part of `make check`. The ε-compare
-# kernel against its per-element reference is the first target; the rest
-# are the decoders, which read through framelog.Cursor: the shard wire's
-# receive path (kind sniff → verdict / done decoder, over mpi.DecodeParts),
-# the framed log's scanner (the journal and the CAS index replay through
-# it), the CAS manifest, the checkpoint header, the metadata container (and
-# through it merkle.Decode); last, the mpi f64 vector codec, a length check
-# and a loop held to the same contract.
+# checked-in corpus (testdata/fuzz/); part of `make check`. The two kernels
+# against their seed oracles come first — the ε-compare against its
+# per-element reference, the leaf hash against the scratch-buffer SumDigest
+# chaining; the rest are the decoders, which read through framelog.Cursor:
+# the shard wire's receive path (kind sniff → verdict / done decoder, over
+# mpi.DecodeParts), the framed log's scanner (the journal and the CAS index
+# replay through it), the CAS manifest, the checkpoint header, the metadata
+# container (and through it merkle.Decode); last, the mpi f64 vector codec,
+# a length check and a loop held to the same contract.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompareSlices$$' -fuzztime 5s ./internal/errbound
+	$(GO) test -run '^$$' -fuzz '^FuzzHashChunk$$' -fuzztime 5s ./internal/errbound
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s ./internal/shard
 	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 5s ./internal/framelog
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime 5s ./internal/cas
@@ -154,7 +156,7 @@ examples:
 # LOC_CEILING, the total of the last PR that lowered it — a PR that removes
 # code lowers the ceiling to its own result, one that must add code raises
 # it in the same diff, where a reviewer sees it.
-LOC_CEILING = 31161
+LOC_CEILING = 31154
 loc:
 	@for d in $$(find . -name '*.go' ! -name '*_test.go' | xargs -n1 dirname | sort -u); do \
 		printf '%7d %s\n' $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l) $$d; \

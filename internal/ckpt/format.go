@@ -16,8 +16,11 @@ import (
 	"hash/crc32"
 	"io"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/errbound"
 	"repro/internal/framelog"
@@ -147,17 +150,6 @@ func Encode(w io.Writer, meta Meta, data [][]byte) (int64, error) {
 		return 0, fmt.Errorf("ckpt: run ID length %d out of range", len(meta.RunID))
 	}
 
-	var hdr []byte
-	hdr = append(hdr, formatMagic...)
-	hdr = binary.LittleEndian.AppendUint16(hdr, formatVer)
-	hdr = binary.LittleEndian.AppendUint16(hdr, 0)
-	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(meta.RunID)))
-	hdr = append(hdr, meta.RunID...)
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(meta.Iteration))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(meta.Rank))
-	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(meta.Fields)))
-
-	var off int64
 	for i, f := range meta.Fields {
 		if f.DType.Size() == 0 {
 			return 0, fmt.Errorf("ckpt: field %q has unsupported dtype", f.Name)
@@ -171,12 +163,27 @@ func Encode(w io.Writer, meta Meta, data [][]byte) (int64, error) {
 		if int64(len(data[i])) != f.Bytes() {
 			return 0, fmt.Errorf("ckpt: field %q has %d bytes, want %d", f.Name, len(data[i]), f.Bytes())
 		}
+	}
+	crcs := fieldCRCs(data)
+
+	var hdr []byte
+	hdr = append(hdr, formatMagic...)
+	hdr = binary.LittleEndian.AppendUint16(hdr, formatVer)
+	hdr = binary.LittleEndian.AppendUint16(hdr, 0)
+	hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(meta.RunID)))
+	hdr = append(hdr, meta.RunID...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(meta.Iteration))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(meta.Rank))
+	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(meta.Fields)))
+
+	var off int64
+	for i, f := range meta.Fields {
 		hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(f.Name)))
 		hdr = append(hdr, f.Name...)
 		hdr = append(hdr, byte(f.DType), 0)
 		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(f.Count))
 		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(off))
-		hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(data[i]))
+		hdr = binary.LittleEndian.AppendUint32(hdr, crcs[i])
 		off += f.Bytes()
 	}
 	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
@@ -195,6 +202,31 @@ func Encode(w io.Writer, meta Meta, data [][]byte) (int64, error) {
 		}
 	}
 	return written, nil
+}
+
+// fieldCRCs checksums every field. The header carries the CRCs and is
+// written first, so nothing reaches storage until the last one is known:
+// the fields are independent, and min(fields, GOMAXPROCS) goroutines (the
+// caller is one of them) pull indices from a counter until none is left.
+func fieldCRCs(data [][]byte) []uint32 {
+	crcs := make([]uint32, len(data))
+	var next atomic.Int64
+	work := func() {
+		for i := next.Add(1) - 1; i < int64(len(data)); i = next.Add(1) - 1 {
+			crcs[i] = crc32.ChecksumIEEE(data[i])
+		}
+	}
+	var wg sync.WaitGroup
+	for g := min(len(data), runtime.GOMAXPROCS(0)); g > 1; g-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	return crcs
 }
 
 // header is the parsed prefix of a checkpoint file.

@@ -53,6 +53,15 @@ func NewReader(f *pfs.File) (*Reader, pfs.Cost, error) {
 			return nil, total, fmt.Errorf("parse %s: %w", f.Name(), perr)
 		}
 		if !needMore {
+			// A header is a promise of data: a file that ends before a
+			// field's extent is a torn capture, refused here so no reader
+			// — stage 2's scattered reads included — starts on it.
+			for i, fs := range h.meta.Fields {
+				if fb := fs.Bytes(); fb < 0 || h.offsets[i] > f.Size()-h.dataStart-fb {
+					return nil, total, fmt.Errorf("%w: %s truncated: %d bytes cannot hold field %q",
+						ErrCorrupt, f.Name(), f.Size(), fs.Name)
+				}
+			}
 			return &Reader{f: f, hdr: h}, total, nil
 		}
 		if size == f.Size() {
@@ -92,7 +101,9 @@ func (r *Reader) FieldFileOffset(i int) int64 {
 func (r *Reader) File() *pfs.File { return r.f }
 
 // ReadFieldAt reads len(p) bytes of field i starting at byte offset off
-// within the field.
+// within the field (fewer where the field ends first). The header promised
+// the whole extent, so a read the file ends under is a torn capture: it is
+// ErrCorrupt, never a short count the caller could mistake for data.
 func (r *Reader) ReadFieldAt(i int, p []byte, off int64) (int, pfs.Cost, error) {
 	fb := r.hdr.meta.Fields[i].Bytes()
 	if off < 0 || off >= fb {
@@ -106,6 +117,10 @@ func (r *Reader) ReadFieldAt(i int, p []byte, off int64) (int, pfs.Cost, error) 
 	n, cost, err := r.f.ReadAt(p[:want], r.FieldFileOffset(i)+off)
 	if err != nil && !errors.Is(err, io.EOF) {
 		return n, cost, err
+	}
+	if int64(n) < want {
+		return n, cost, fmt.Errorf("%w: %s truncated: field %q has %d of %d bytes at offset %d",
+			ErrCorrupt, r.f.Name(), r.hdr.meta.Fields[i].Name, n, want, off)
 	}
 	return n, cost, nil
 }

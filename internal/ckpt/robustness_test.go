@@ -3,9 +3,12 @@ package ckpt
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math/rand"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -127,6 +130,56 @@ func TestParentCheckpointOpensAndReencodes(t *testing.T) {
 	}
 	if !bytes.Equal(again.Bytes(), raw) {
 		t.Fatal("re-encoded checkpoint differs from the parent's bytes")
+	}
+}
+
+// TestTruncatedContainerIsCorrupt: a container shorter than its header
+// promises — what a torn capture leaves behind — is ErrCorrupt wherever it
+// is met, never zeros handed out as field data. A file already short when
+// it is opened is refused there; one cut under an open reader is caught by
+// the read that runs off its end (ReadFieldAt, and through it ReadField
+// and VerifyField).
+func TestTruncatedContainerIsCorrupt(t *testing.T) {
+	store := newStore(t)
+	meta := Meta{RunID: "torn", Fields: []FieldSpec{
+		{Name: "x", DType: errbound.Float32, Count: 64 << 10},
+		{Name: "phi", DType: errbound.Float32, Count: 64 << 10},
+	}}
+	if _, err := WriteCheckpoint(store, meta, testData(meta, 5)); err != nil {
+		t.Fatal(err)
+	}
+	name := Name(meta.RunID, 0, 0)
+	path := filepath.Join(store.Root(), name)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _, err := OpenReader(store, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := os.Truncate(path, st.Size()-100_000); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.VerifyField(0); err != nil {
+		t.Errorf("field 0 lies wholly before the cut: %v", err)
+	}
+	if _, _, err := r.ReadField(1); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("ReadField over the cut: %v, want ErrCorrupt", err)
+	}
+	if _, err := r.VerifyField(1); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "truncated") {
+		t.Errorf("VerifyField over the cut: %v, want ErrCorrupt (truncated)", err)
+	}
+	buf := make([]byte, 4096)
+	if n, _, err := r.ReadFieldAt(1, buf, meta.Fields[1].Bytes()-4096); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("ReadFieldAt past the cut: n=%d err=%v, want ErrCorrupt", n, err)
+	}
+	if _, _, err := OpenReader(store, name); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "truncated") {
+		t.Errorf("opening the cut file: %v, want ErrCorrupt (truncated)", err)
+	}
+	if store.OpenHandles() != 1 {
+		t.Errorf("%d handles open, want the first reader's one", store.OpenHandles())
 	}
 }
 

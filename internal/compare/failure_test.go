@@ -3,10 +3,15 @@ package compare
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/aio"
+	"repro/internal/ckpt"
+	"repro/internal/errbound"
 	"repro/internal/faults"
+	"repro/internal/pfs"
 	"repro/internal/synth"
 )
 
@@ -77,5 +82,55 @@ func TestBuildAndSaveWriteFault(t *testing.T) {
 	// Disarmed retry succeeds (the failed write is replaced).
 	if _, _, err := BuildAndSave(context.Background(), env.store, env.nameA, opts); err != nil {
 		t.Errorf("retry after write fault failed: %v", err)
+	}
+}
+
+// TestBuildAndSaveRefusesTruncatedContainer: a torn capture — the file ends
+// 100 000 bytes before its header says it does — must not become a
+// valid-looking history entry. At the parent commit this returned nil and
+// saved a .mrkl whose last leaves were hashes of zeros.
+func TestBuildAndSaveRefusesTruncatedContainer(t *testing.T) {
+	store, err := pfs.NewStore(t.TempDir(), pfs.LustreModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := ckpt.Meta{RunID: "torn", Fields: []ckpt.FieldSpec{
+		{Name: "x", DType: errbound.Float32, Count: 64 << 10},
+		{Name: "phi", DType: errbound.Float32, Count: 64 << 10},
+	}}
+	data := [][]byte{synth.FieldF32(64<<10, 1), synth.FieldF32(64<<10, 2)}
+	if _, err := ckpt.WriteCheckpoint(store, meta, data); err != nil {
+		t.Fatal(err)
+	}
+	name := ckpt.Name(meta.RunID, 0, 0)
+	path := filepath.Join(store.Root(), name)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := baseOpts(1e-5, 4<<10)
+
+	// Cut under an open reader: the build's own read runs off the end.
+	r, _, err := ckpt.OpenReader(store, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := os.Truncate(path, st.Size()-100_000); err != nil {
+		t.Fatal(err)
+	}
+	if m, _, _, err := BuildFromReader(context.Background(), r, opts); m != nil || !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Errorf("BuildFromReader over the cut: metadata %v, error %v; want ckpt.ErrCorrupt", m, err)
+	}
+
+	// Already cut when the tool comes to it.
+	if m, _, err := BuildAndSave(context.Background(), store, name, opts); m != nil || !errors.Is(err, ckpt.ErrCorrupt) {
+		t.Errorf("BuildAndSave of the cut file: metadata %v, error %v; want ckpt.ErrCorrupt", m, err)
+	}
+	if _, err := os.Stat(filepath.Join(store.Root(), MetadataName(name))); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("metadata was saved for a truncated container (stat: %v)", err)
+	}
+	if st := opts.withDefaults().arena().Stats(); st.Outstanding != 0 {
+		t.Errorf("%d arena buffers still checked out", st.Outstanding)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -12,7 +11,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/aio"
 	"repro/internal/ckpt"
+	"repro/internal/device"
 	"repro/internal/errbound"
 	"repro/internal/framelog"
 	"repro/internal/merkle"
@@ -71,60 +72,154 @@ func (s BuildStats) TotalVirtual() time.Duration { return s.HashVirtual + s.Tree
 // paper's checkpoint-time path, where the data is already resident on the
 // device). data[i] must match fields[i].Bytes().
 func Build(fields []ckpt.FieldSpec, data [][]byte, opts Options) (*Metadata, BuildStats, error) {
+	if len(fields) != len(data) {
+		return nil, BuildStats{}, fmt.Errorf("compare: %d buffers for %d fields", len(data), len(fields))
+	}
+	for i, f := range fields {
+		if int64(len(data[i])) != f.Bytes() {
+			return nil, BuildStats{}, fmt.Errorf("compare: field %q has %d bytes, want %d", f.Name, len(data[i]), f.Bytes())
+		}
+	}
+	m, stats, _, err := build(nil, fields, nil, data, opts)
+	return m, stats, err
+}
+
+// BuildFromReader builds the metadata of a checkpoint on a store, reading
+// each block as it is hashed, and returns the storage cost of the reads
+// (the offline-tool path). Cancellation is observed before every block; on
+// an error the cost covers the reads that completed.
+func BuildFromReader(ctx context.Context, r *ckpt.Reader, opts Options) (*Metadata, BuildStats, pfs.Cost, error) {
+	m, stats, cost, err := build(ctx.Done(), r.Meta().Fields, r, nil, opts)
+	if cerr := ctx.Err(); cerr != nil {
+		return nil, stats, cost, cerr
+	}
+	return m, stats, cost, err
+}
+
+// Block sizes of the leaf loop. A reader block is what one ReadFieldAt
+// fetches: the largest whole number of chunks within 1 MiB, which for every
+// power-of-two chunk size is the 1 MiB grid ckpt.ReadField reads on, so the
+// loop issues the reads a whole-field read-back would (a chunk over 1 MiB
+// is one block, read in 1 MiB pieces on that grid). A memory block costs
+// nothing to fetch and is kept small so one 1 MiB field still spreads over
+// the pool.
+const (
+	readBlockBytes = 1 << 20
+	memBlockBytes  = 64 << 10
+)
+
+// leafBlock is one work item of the leaf loop: n bytes of a field at off,
+// a whole number of chunks (the field's last block may end in a short one).
+type leafBlock struct {
+	field int
+	off   int64
+	n     int
+}
+
+// build is the one leaf loop behind Build and BuildFromReader. Work items
+// are (field, block) over all fields in one coarse dispatch, so small
+// fields do not underfill the pool and no field waits for another; each
+// item fetches its block — a sub-slice of data, or with r set a read into
+// an arena buffer that goes back once its chunks are hashed — and writes
+// the block's leaf digests. Memory held is Workers × one block, whatever
+// the checkpoint size, and a block is hashed while it is still in cache.
+// The lowest failing item's error is the one reported, as a serial scan
+// would; items above a failed one are skipped, as are all once done closes.
+func build(done <-chan struct{}, fields []ckpt.FieldSpec, r *ckpt.Reader, data [][]byte, opts Options) (*Metadata, BuildStats, pfs.Cost, error) {
 	opts = opts.withDefaults()
 	var stats BuildStats
 	if err := opts.validate(); err != nil {
-		return nil, stats, err
-	}
-	if len(fields) != len(data) {
-		return nil, stats, fmt.Errorf("compare: %d buffers for %d fields", len(data), len(fields))
+		return nil, stats, pfs.Cost{}, err
 	}
 	sw := metrics.NewStopwatch()
 
-	// Validate buffers and construct hashers serially, so size and ε
-	// errors surface deterministically in field order.
+	// Construct hashers and cut the blocks serially, so size and ε errors
+	// surface deterministically in field order.
+	unit := memBlockBytes
+	if r != nil {
+		unit = readBlockBytes
+	}
+	unit = max(unit/opts.ChunkSize, 1) * opts.ChunkSize
 	hashers := make([]*errbound.Hasher, len(fields))
+	leaves := make([][]murmur3.Digest, len(fields))
+	var blocks []leafBlock
 	for i, f := range fields {
-		if int64(len(data[i])) != f.Bytes() {
-			return nil, stats, fmt.Errorf("compare: field %q has %d bytes, want %d", f.Name, len(data[i]), f.Bytes())
-		}
 		h, err := opts.hasherFor(f.DType)
 		if err != nil {
-			return nil, stats, err
+			return nil, stats, pfs.Cost{}, err
+		}
+		if f.Bytes() <= 0 {
+			return nil, stats, pfs.Cost{}, fmt.Errorf("compare: field %q: empty field", f.Name)
 		}
 		hashers[i] = h
-	}
-
-	// Build the field trees, in parallel across fields when the executor
-	// has idle capacity (each tree's chunk hashing is itself parallel, but
-	// small fields underfill the pool; cross-field fan-out keeps it busy).
-	trees := make([]*merkle.Tree, len(fields))
-	fieldErrs := make([]error, len(fields))
-	if opts.Exec.Workers() > 1 && len(fields) > 1 {
-		var wg sync.WaitGroup
-		for i := range fields {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				trees[i], fieldErrs[i] = buildFieldTree(hashers[i], data[i], opts)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range fields {
-			trees[i], fieldErrs[i] = buildFieldTree(hashers[i], data[i], opts)
+		leaves[i] = make([]murmur3.Digest, (f.Bytes()+int64(opts.ChunkSize)-1)/int64(opts.ChunkSize))
+		for off := int64(0); off < f.Bytes(); off += int64(unit) {
+			blocks = append(blocks, leafBlock{field: i, off: off, n: int(min(int64(unit), f.Bytes()-off))})
 		}
 	}
 
-	// Assemble results and virtual pricing in field order, deterministic
-	// regardless of build interleaving: one leaf-hash kernel over each
+	var (
+		firstErr kernelError
+		arena    *aio.Arena
+		mu       sync.Mutex // guards total
+		total    pfs.Cost
+	)
+	if r != nil {
+		arena = opts.arena()
+	}
+	device.Cancelable{Done: done, Inner: opts.Exec}.ForCoarse(len(blocks), func(i int) {
+		if firstErr.below(i) {
+			return
+		}
+		b := blocks[i]
+		var block []byte
+		if r == nil {
+			block = data[b.field][b.off : b.off+int64(b.n)]
+		} else {
+			set := arena.Get(b.n)
+			defer arena.Put(set)
+			block = set.Buf[:b.n]
+			for o := 0; o < b.n; o += readBlockBytes {
+				_, cost, err := r.ReadFieldAt(b.field, block[o:min(o+readBlockBytes, b.n)], b.off+int64(o))
+				mu.Lock()
+				total.Add(cost)
+				mu.Unlock()
+				if err != nil {
+					firstErr.store(i, err)
+					return
+				}
+			}
+		}
+		out := leaves[b.field][b.off/int64(opts.ChunkSize):]
+		for c := 0; len(block) > 0; c++ {
+			n := min(opts.ChunkSize, len(block))
+			d, err := hashers[b.field].HashChunk(block[:n])
+			if err != nil {
+				firstErr.store(i, err)
+				return
+			}
+			out[c], block = d, block[n:]
+		}
+	})
+	if e := firstErr.p.Load(); e != nil {
+		return nil, stats, total, fmt.Errorf("compare: field %q: %w", fields[blocks[e.index].field].Name, e.err)
+	}
+	select {
+	case <-done:
+		return nil, stats, total, context.Canceled // the caller reports its own context's error
+	default:
+	}
+
+	// Build the trees and price in field order, deterministic regardless
+	// of how the blocks interleaved: one leaf-hash kernel over each
 	// field's bytes, one node kernel per interior level.
 	m := &Metadata{Epsilon: opts.Epsilon, Fields: make([]FieldMeta, 0, len(fields))}
 	for i, f := range fields {
-		if fieldErrs[i] != nil {
-			return nil, stats, fmt.Errorf("compare: field %q: %w", f.Name, fieldErrs[i])
+		tree, err := merkle.New(f.Bytes(), opts.ChunkSize, leaves[i])
+		if err != nil {
+			return nil, stats, total, fmt.Errorf("compare: field %q: %w", f.Name, err)
 		}
-		tree := trees[i]
+		tree.Build(opts.Exec)
 		m.Fields = append(m.Fields, FieldMeta{Name: f.Name, DType: f.DType, Tree: tree})
 		stats.HashVirtual += opts.Device.HashTime(f.Bytes())
 		for level := tree.Depth() - 1; level >= 0; level-- {
@@ -133,48 +228,13 @@ func Build(fields []ckpt.FieldSpec, data [][]byte, opts Options) (*Metadata, Bui
 		stats.Bytes += f.Bytes()
 	}
 	stats.Wall = sw.Lap()
-	return m, stats, nil
-}
-
-// buildFieldTree chunks one field, hashes the chunks in parallel, and
-// builds the tree's interior levels.
-func buildFieldTree(hasher *errbound.Hasher, data []byte, opts Options) (*merkle.Tree, error) {
-	dataLen := int64(len(data))
-	if dataLen == 0 {
-		return nil, errors.New("empty field")
-	}
-	chunkSize := opts.ChunkSize
-	numChunks := int((dataLen + int64(chunkSize) - 1) / int64(chunkSize))
-	leaves := make([]murmur3.Digest, numChunks)
-	var firstErr kernelError
-	opts.Exec.For(numChunks, func(i int) {
-		off := int64(i) * int64(chunkSize)
-		end := off + int64(chunkSize)
-		if end > dataLen {
-			end = dataLen
-		}
-		d, err := hasher.HashChunk(data[off:end])
-		if err != nil {
-			firstErr.store(i, err)
-			return
-		}
-		leaves[i] = d
-	})
-	if err := firstErr.err(); err != nil {
-		return nil, err
-	}
-	tree, err := merkle.New(dataLen, chunkSize, leaves)
-	if err != nil {
-		return nil, err
-	}
-	tree.Build(opts.Exec)
-	return tree, nil
+	return m, stats, total, nil
 }
 
 // kernelError captures the lowest-index error produced by a parallel
 // kernel without allocating an O(iterations) error slice per build: a CAS
 // loop keeps the entry with the smallest index, so the reported error is
-// the same one the old serial scan found, regardless of worker
+// the same one a serial scan would find, regardless of worker
 // interleaving.
 type kernelError struct {
 	p atomic.Pointer[indexedError]
@@ -200,34 +260,11 @@ func (k *kernelError) store(index int, err error) {
 	}
 }
 
-// err returns the captured error, nil if every iteration succeeded.
-func (k *kernelError) err() error {
-	if e := k.p.Load(); e != nil {
-		return e.err
-	}
-	return nil
-}
-
-// BuildFromReader reads every field of a checkpoint and builds its
-// metadata, returning the storage cost of the reads (the offline-tool
-// path). Cancellation is observed between field reads.
-func BuildFromReader(ctx context.Context, r *ckpt.Reader, opts Options) (*Metadata, BuildStats, pfs.Cost, error) {
-	meta := r.Meta()
-	data := make([][]byte, len(meta.Fields))
-	var total pfs.Cost
-	for i := range meta.Fields {
-		if err := ctx.Err(); err != nil {
-			return nil, BuildStats{}, total, err
-		}
-		d, cost, err := r.ReadField(i)
-		total.Add(cost)
-		if err != nil {
-			return nil, BuildStats{}, total, err
-		}
-		data[i] = d
-	}
-	m, stats, err := Build(meta.Fields, data, opts)
-	return m, stats, total, err
+// below reports whether an iteration before index has failed: what lets
+// later iterations stop without ever hiding a lower-index error.
+func (k *kernelError) below(index int) bool {
+	e := k.p.Load()
+	return e != nil && e.index < index
 }
 
 // MetadataName returns the canonical metadata file name for a checkpoint

@@ -139,13 +139,20 @@ func Equal(a, b, eps float64) bool {
 	return math.Abs(a-b) <= eps
 }
 
-// Hasher hashes chunks of raw checkpoint bytes under an error bound.
-// A Hasher is safe for concurrent use by multiple goroutines as long as
-// each goroutine passes its own scratch buffer; the convenience HashChunk
-// method allocates per call.
+// Hasher hashes chunks of raw checkpoint bytes under an error bound. A
+// Hasher is immutable after construction and safe for concurrent use.
 type Hasher struct {
 	eps   float64
 	dtype DType
+	// safe32/safe64 are the guard of the leaf-hash kernel: the largest
+	// magnitude bit pattern (sign cleared) of the dtype with |x| ≤ 2^61·ε,
+	// capped at the largest finite value. IEEE magnitudes order like their
+	// bit patterns, so bits&^sign ≤ safe means |x| ≤ 2^61·ε; then x is
+	// finite and |x/ε| ≤ 2^61·(1+2^-53) < 2^62, so neither clamp of
+	// quantizeFinite can fire and its result is int64(Floor(x/ε)) — the
+	// expression the kernel computes without the tests.
+	safe32 uint32
+	safe64 uint64
 }
 
 // NewHasher returns a Hasher for the given element type and absolute error
@@ -157,7 +164,15 @@ func NewHasher(dtype DType, eps float64) (*Hasher, error) {
 	if dtype.Size() == 0 {
 		return nil, fmt.Errorf("errbound: unsupported dtype %v", dtype)
 	}
-	return &Hasher{eps: eps, dtype: dtype}, nil
+	// Ldexp is exact short of overflow (→ +Inf, capped below); the float32
+	// conversion rounds to nearest, so step down when it rounded up.
+	limit := math.Min(math.Ldexp(eps, 61), math.MaxFloat64)
+	f := float32(math.Min(limit, math.MaxFloat32))
+	if float64(f) > limit {
+		f = math.Nextafter32(f, 0)
+	}
+	return &Hasher{eps: eps, dtype: dtype,
+		safe32: math.Float32bits(f), safe64: math.Float64bits(limit)}, nil
 }
 
 // Epsilon returns the hasher's absolute error bound.
@@ -174,7 +189,7 @@ const blockElems = 2
 // HashChunk hashes one chunk of raw bytes. The chunk length must be a
 // multiple of the element size (the final chunk of a checkpoint field is
 // padded by the caller's chunking layer). It is allocation-free: quantized
-// cells feed a streaming murmur3.Chain directly as uint64 pairs, with no
+// cells feed the chained Murmur3F state directly as uint64 pairs, with no
 // scratch serialization. The digest is bit-identical to the original
 // scratch-buffer SumDigest chaining (golden-vector tested).
 func (h *Hasher) HashChunk(chunk []byte) (murmur3.Digest, error) {
@@ -184,68 +199,64 @@ func (h *Hasher) HashChunk(chunk []byte) (murmur3.Digest, error) {
 	}
 	var c murmur3.Chain
 	if h.dtype == Float32 {
-		hashChunkF32(&c, chunk, h.eps)
+		h.hashChunkF32(&c, chunk)
 	} else {
-		hashChunkF64(&c, chunk, h.eps)
+		h.hashChunkF64(&c, chunk)
 	}
 	return c.Sum(), nil
 }
 
-// HashChunkScratch is HashChunk with a caller-provided scratch buffer of
-// at least 16 bytes. The fused kernel no longer writes to the scratch, but
-// the capacity contract is kept so hot-path callers written against the
-// old two-phase implementation keep their buffers sized for a potential
-// fallback.
-func (h *Hasher) HashChunkScratch(chunk, scratch []byte) (murmur3.Digest, error) {
-	if len(scratch) < blockElems*8 {
-		return murmur3.Digest{}, fmt.Errorf("errbound: scratch buffer too small: %d < %d", len(scratch), blockElems*8)
-	}
+// HashChunkScratch is HashChunk; the scratch buffer is ignored. It is kept
+// only because bench/probes.go — which a PR claiming a gain may not edit —
+// still calls it; the next change to bench/ moves that call to HashChunk
+// and deletes this.
+func (h *Hasher) HashChunkScratch(chunk, _ []byte) (murmur3.Digest, error) {
 	return h.HashChunk(chunk)
 }
 
-// hashChunkF32 is the float32 quantize+hash loop: two elements per
-// 128-bit block, finite fast path hoisted, no scratch buffer. Three
-// structural choices keep the loop near the chain's ALU floor:
-//
-//   - advancing the slice instead of indexing drops per-load bounds checks;
-//   - the finite quantize path is written out in the main loop body because
-//     cellF32 is over the compiler's inline budget, and a call per element
-//     costs more than the quantization itself;
-//   - the loop is unrolled two blocks deep with all four quantizations
-//     issued before the two Block calls, so the divider works under the
-//     ~30-cycle serial finalize chains instead of after them (measured
-//     ~35% over the one-block form).
-func hashChunkF32(c *murmur3.Chain, chunk []byte, eps float64) {
+// Lane masks of the guard. A float64 is tested on its own magnitude; two
+// float32s are tested at once as the lanes of one 64-bit load.
+const (
+	mag64  = ^uint64(0) >> 1            // a float64 without its sign
+	mag32  = uint64(0x7fffffff7fffffff) // two float32 lanes without their signs
+	high32 = uint64(0x8000000080000000) // the top bit of each lane
+)
+
+// hashChunkF32 is the float32 quantize+hash loop: two elements per 128-bit
+// block, two blocks per iteration, no call per block. The chain state lives
+// in locals across the loop (murmur3.Mix and Fin inline), and one guard per
+// iteration replaces the finite test and two clamps per element. With s =
+// 2^31 + safe32 in both lanes and m the two magnitudes, each lane of s − m
+// lies in [safe32+1, 2^31+safe32], so no borrow crosses the lanes and a
+// lane's top bit is set exactly when its magnitude ≤ safe32; the AND of the
+// differences keeps both top bits exactly when all four elements pass. An
+// iteration that fails — a NaN, an Inf, a cell near a clamp — takes the full
+// cellF32 path for its four elements, as do the tail blocks. Advancing the
+// slice instead of indexing drops the per-load bounds checks.
+func (h *Hasher) hashChunkF32(c *murmur3.Chain, chunk []byte) {
+	eps := h.eps
+	s := (uint64(h.safe32) | 1<<31) * (1<<32 + 1)
+	h1, h2 := c.H1, c.H2
 	for len(chunk) >= 16 {
-		b1 := binary.LittleEndian.Uint32(chunk)
-		b2 := binary.LittleEndian.Uint32(chunk[4:])
-		b3 := binary.LittleEndian.Uint32(chunk[8:])
-		b4 := binary.LittleEndian.Uint32(chunk[12:])
+		w1 := binary.LittleEndian.Uint64(chunk)
+		w2 := binary.LittleEndian.Uint64(chunk[8:])
 		var k1, k2, k3, k4 uint64
-		if isFinite32(b1) {
-			k1 = uint64(quantizeFinite(float64(math.Float32frombits(b1)), eps))
+		if (s-w1&mag32)&(s-w2&mag32)&high32 == high32 {
+			k1 = uint64(int64(math.Floor(float64(math.Float32frombits(uint32(w1))) / eps)))
+			k2 = uint64(int64(math.Floor(float64(math.Float32frombits(uint32(w1>>32))) / eps)))
+			k3 = uint64(int64(math.Floor(float64(math.Float32frombits(uint32(w2))) / eps)))
+			k4 = uint64(int64(math.Floor(float64(math.Float32frombits(uint32(w2>>32))) / eps)))
 		} else {
-			k1 = uint64(quantizeSpecial(float64(math.Float32frombits(b1))))
+			k1, k2 = cellF32(uint32(w1), eps), cellF32(uint32(w1>>32), eps)
+			k3, k4 = cellF32(uint32(w2), eps), cellF32(uint32(w2>>32), eps)
 		}
-		if isFinite32(b2) {
-			k2 = uint64(quantizeFinite(float64(math.Float32frombits(b2)), eps))
-		} else {
-			k2 = uint64(quantizeSpecial(float64(math.Float32frombits(b2))))
-		}
-		if isFinite32(b3) {
-			k3 = uint64(quantizeFinite(float64(math.Float32frombits(b3)), eps))
-		} else {
-			k3 = uint64(quantizeSpecial(float64(math.Float32frombits(b3))))
-		}
-		if isFinite32(b4) {
-			k4 = uint64(quantizeFinite(float64(math.Float32frombits(b4)), eps))
-		} else {
-			k4 = uint64(quantizeSpecial(float64(math.Float32frombits(b4))))
-		}
-		c.Block(k1, k2)
-		c.Block(k3, k4)
+		h1, h2 = murmur3.Mix(h1, h2, k1, k2)
+		h1, h2 = murmur3.Fin(h1, h2, 16)
+		h1, h2 = murmur3.Mix(h1, h2, k3, k4)
+		h1, h2 = murmur3.Fin(h1, h2, 16)
 		chunk = chunk[16:]
 	}
+	c.H1, c.H2 = h1, h2
 	if len(chunk) >= 8 {
 		c.Block(cellF32(binary.LittleEndian.Uint32(chunk), eps),
 			cellF32(binary.LittleEndian.Uint32(chunk[4:]), eps))
@@ -257,39 +268,34 @@ func hashChunkF32(c *murmur3.Chain, chunk []byte, eps float64) {
 }
 
 // hashChunkF64 is the float64 quantize+hash loop, structured exactly like
-// hashChunkF32 (bounds-check-free loads, inlined finite path, two-block
-// unroll with quantization hoisted ahead of the hash chains).
-func hashChunkF64(c *murmur3.Chain, chunk []byte, eps float64) {
+// hashChunkF32; its guard is the OR of the four differences safe64 −
+// magnitude, which is non-negative exactly when none is negative (operands
+// below 2^63 cannot wrap).
+func (h *Hasher) hashChunkF64(c *murmur3.Chain, chunk []byte) {
+	eps, safe := h.eps, int64(h.safe64)
+	h1, h2 := c.H1, c.H2
 	for len(chunk) >= 32 {
 		b1 := binary.LittleEndian.Uint64(chunk)
 		b2 := binary.LittleEndian.Uint64(chunk[8:])
 		b3 := binary.LittleEndian.Uint64(chunk[16:])
 		b4 := binary.LittleEndian.Uint64(chunk[24:])
 		var k1, k2, k3, k4 uint64
-		if isFinite64(b1) {
-			k1 = uint64(quantizeFinite(math.Float64frombits(b1), eps))
+		if (safe-int64(b1&mag64))|(safe-int64(b2&mag64))|(safe-int64(b3&mag64))|(safe-int64(b4&mag64)) >= 0 {
+			k1 = uint64(int64(math.Floor(math.Float64frombits(b1) / eps)))
+			k2 = uint64(int64(math.Floor(math.Float64frombits(b2) / eps)))
+			k3 = uint64(int64(math.Floor(math.Float64frombits(b3) / eps)))
+			k4 = uint64(int64(math.Floor(math.Float64frombits(b4) / eps)))
 		} else {
-			k1 = uint64(quantizeSpecial(math.Float64frombits(b1)))
+			k1, k2 = cellF64(b1, eps), cellF64(b2, eps)
+			k3, k4 = cellF64(b3, eps), cellF64(b4, eps)
 		}
-		if isFinite64(b2) {
-			k2 = uint64(quantizeFinite(math.Float64frombits(b2), eps))
-		} else {
-			k2 = uint64(quantizeSpecial(math.Float64frombits(b2)))
-		}
-		if isFinite64(b3) {
-			k3 = uint64(quantizeFinite(math.Float64frombits(b3), eps))
-		} else {
-			k3 = uint64(quantizeSpecial(math.Float64frombits(b3)))
-		}
-		if isFinite64(b4) {
-			k4 = uint64(quantizeFinite(math.Float64frombits(b4), eps))
-		} else {
-			k4 = uint64(quantizeSpecial(math.Float64frombits(b4)))
-		}
-		c.Block(k1, k2)
-		c.Block(k3, k4)
+		h1, h2 = murmur3.Mix(h1, h2, k1, k2)
+		h1, h2 = murmur3.Fin(h1, h2, 16)
+		h1, h2 = murmur3.Mix(h1, h2, k3, k4)
+		h1, h2 = murmur3.Fin(h1, h2, 16)
 		chunk = chunk[32:]
 	}
+	c.H1, c.H2 = h1, h2
 	if len(chunk) >= 16 {
 		c.Block(cellF64(binary.LittleEndian.Uint64(chunk), eps),
 			cellF64(binary.LittleEndian.Uint64(chunk[8:]), eps))

@@ -184,9 +184,6 @@ func TestHashChunkBadLength(t *testing.T) {
 	if _, err := h.HashChunk(make([]byte, 6)); err == nil {
 		t.Error("misaligned chunk accepted")
 	}
-	if _, err := h.HashChunkScratch(make([]byte, 8), make([]byte, 4)); err == nil {
-		t.Error("tiny scratch accepted")
-	}
 }
 
 func TestHashChunkOrderSensitive(t *testing.T) {
@@ -334,11 +331,10 @@ func BenchmarkHashChunk4KBF32(b *testing.B) {
 	for i := 0; i < len(chunk)/4; i++ {
 		binary.LittleEndian.PutUint32(chunk[i*4:], math.Float32bits(rng.Float32()*100))
 	}
-	var scratch [16]byte
 	b.SetBytes(int64(len(chunk)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := h.HashChunkScratch(chunk, scratch[:]); err != nil {
+		if _, err := h.HashChunk(chunk); err != nil {
 			b.Fatal(err)
 		}
 	}

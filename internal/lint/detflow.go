@@ -86,6 +86,7 @@ var detFlowSinkTable = map[string][]sinkArg{
 	// Chained Murmur3F digests: order-sensitive by construction.
 	"(*internal/murmur3.Chain).Block":     {{arg: 0, desc: "chained digest block"}, {arg: 1, desc: "chained digest block"}},
 	"(*internal/murmur3.Chain).BlockTail": {{arg: 0, desc: "chained digest block"}},
+	"internal/murmur3.Mix":                {{arg: 2, desc: "chained digest block"}, {arg: 3, desc: "chained digest block"}},
 	"internal/murmur3.SumDigest":          {{arg: 0, desc: "digest input"}},
 	"internal/murmur3.Sum128":             {{arg: 0, desc: "digest input"}},
 	"internal/murmur3.Sum128Seeded":       {{arg: 0, desc: "digest input"}},

@@ -8,7 +8,10 @@
 // comparator uses (the digest of block i seeds the hash of block i+1).
 package murmur3
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 const (
 	c1 = 0x87c37b91114253d5
@@ -39,26 +42,8 @@ func Sum128Seeded(data []byte, seed1, seed2 uint64) (uint64, uint64) {
 	nblocks := n / 16
 
 	for i := 0; i < nblocks; i++ {
-		k1 := binary.LittleEndian.Uint64(data[i*16:])
-		k2 := binary.LittleEndian.Uint64(data[i*16+8:])
-
-		k1 *= c1
-		k1 = rotl64(k1, 31)
-		k1 *= c2
-		h1 ^= k1
-
-		h1 = rotl64(h1, 27)
-		h1 += h2
-		h1 = h1*5 + 0x52dce729
-
-		k2 *= c2
-		k2 = rotl64(k2, 33)
-		k2 *= c1
-		h2 ^= k2
-
-		h2 = rotl64(h2, 31)
-		h2 += h1
-		h2 = h2*5 + 0x38495ab5
+		h1, h2 = Mix(h1, h2,
+			binary.LittleEndian.Uint64(data[i*16:]), binary.LittleEndian.Uint64(data[i*16+8:]))
 	}
 
 	tail := data[nblocks*16:]
@@ -84,10 +69,7 @@ func Sum128Seeded(data []byte, seed1, seed2 uint64) (uint64, uint64) {
 		fallthrough
 	case 9:
 		k2 ^= uint64(tail[8])
-		k2 *= c2
-		k2 = rotl64(k2, 33)
-		k2 *= c1
-		h2 ^= k2
+		h2 ^= bits.RotateLeft64(k2*c2, 33) * c1
 		fallthrough
 	case 8:
 		k1 ^= uint64(tail[7]) << 56
@@ -112,87 +94,59 @@ func Sum128Seeded(data []byte, seed1, seed2 uint64) (uint64, uint64) {
 		fallthrough
 	case 1:
 		k1 ^= uint64(tail[0])
-		k1 *= c1
-		k1 = rotl64(k1, 31)
-		k1 *= c2
-		h1 ^= k1
+		h1 ^= bits.RotateLeft64(k1*c1, 31) * c2
 	}
-
-	h1 ^= uint64(n)
-	h2 ^= uint64(n)
-
-	h1 += h2
-	h2 += h1
-
-	h1 = fmix64(h1)
-	h2 = fmix64(h2)
-
-	h1 += h2
-	h2 += h1
-
-	return h1, h2
+	return Fin(h1, h2, uint64(n))
 }
 
 // SumDigest computes the Murmur3F digest of data using a previous digest as
 // the 128-bit seed. A zero Digest is a valid initial seed.
 func SumDigest(data []byte, seed Digest) Digest {
-	s1 := binary.LittleEndian.Uint64(seed[0:8])
-	s2 := binary.LittleEndian.Uint64(seed[8:16])
-	h1, h2 := Sum128Seeded(data, s1, s2)
-	var d Digest
-	binary.LittleEndian.PutUint64(d[0:8], h1)
-	binary.LittleEndian.PutUint64(d[8:16], h2)
-	return d
+	c := NewChain(seed)
+	c.H1, c.H2 = Sum128Seeded(data, c.H1, c.H2)
+	return c.Sum()
 }
 
 // HashPair hashes the concatenation of two digests, the interior-node
-// operation of the Merkle tree. The loop over the two 16-byte blocks and
-// the tail switch of Sum128Seeded are fully unrolled (the input length is
-// statically 32, so the tail is empty); the output is bit-identical to
-// SumDigest(left||right, Digest{}).
+// operation of the Merkle tree. The input length is statically 32, so the
+// block loop is two rounds and the tail is empty; the output is
+// bit-identical to SumDigest(left||right, Digest{}).
 func HashPair(left, right Digest) Digest {
-	var h1, h2 uint64
-	h1, h2 = pairBlock(h1, h2,
+	var c Chain
+	c.H1, c.H2 = Mix(0, 0,
 		binary.LittleEndian.Uint64(left[0:8]), binary.LittleEndian.Uint64(left[8:16]))
-	h1, h2 = pairBlock(h1, h2,
+	c.H1, c.H2 = Mix(c.H1, c.H2,
 		binary.LittleEndian.Uint64(right[0:8]), binary.LittleEndian.Uint64(right[8:16]))
+	c.H1, c.H2 = Fin(c.H1, c.H2, 2*DigestSize)
+	return c.Sum()
+}
 
-	h1 ^= 2 * DigestSize
-	h2 ^= 2 * DigestSize
+// Mix is the body round of the x64 128-bit algorithm: it absorbs one
+// 16-byte block, given as two little-endian words, into the state words.
+// Mix and Fin are the whole hash on explicit state, each under the
+// compiler's inline budget (costs 47 and 77 of 80; go build -gcflags=-m
+// says so), so a kernel that keeps (h1, h2) in locals across its loop pays
+// no call and no state load/store per block.
+func Mix(h1, h2, k1, k2 uint64) (uint64, uint64) {
+	h1 ^= bits.RotateLeft64(k1*c1, 31) * c2
+	h1 = (bits.RotateLeft64(h1, 27)+h2)*5 + 0x52dce729
+	h2 ^= bits.RotateLeft64(k2*c2, 33) * c1
+	h2 = (bits.RotateLeft64(h2, 31)+h1)*5 + 0x38495ab5
+	return h1, h2
+}
 
+// Fin is the finalization of an n-byte input: length xor and the fmix64
+// avalanche. In the chained-block scheme it runs after every block (n =
+// 16), because the digest of block i is the seed of block i+1.
+func Fin(h1, h2, n uint64) (uint64, uint64) {
+	h1 ^= n
+	h2 ^= n
 	h1 += h2
 	h2 += h1
 	h1 = fmix64(h1)
 	h2 = fmix64(h2)
 	h1 += h2
 	h2 += h1
-
-	var d Digest
-	binary.LittleEndian.PutUint64(d[0:8], h1)
-	binary.LittleEndian.PutUint64(d[8:16], h2)
-	return d
-}
-
-// pairBlock is one body round of the x64 128-bit algorithm (no
-// finalization), shared by HashPair's unrolled blocks.
-func pairBlock(h1, h2, k1, k2 uint64) (uint64, uint64) {
-	k1 *= c1
-	k1 = rotl64(k1, 31)
-	k1 *= c2
-	h1 ^= k1
-
-	h1 = rotl64(h1, 27)
-	h1 += h2
-	h1 = h1*5 + 0x52dce729
-
-	k2 *= c2
-	k2 = rotl64(k2, 33)
-	k2 *= c1
-	h2 ^= k2
-
-	h2 = rotl64(h2, 31)
-	h2 += h1
-	h2 = h2*5 + 0x38495ab5
 	return h1, h2
 }
 
@@ -204,106 +158,54 @@ func pairBlock(h1, h2, k1, k2 uint64) (uint64, uint64) {
 // with the two state words kept live as uint64 across blocks instead of
 // being serialized to a Digest and re-parsed as the next seed. Digest
 // serialization is little-endian h1 then h2 and Sum128Seeded seeds
-// (s1, s2) from exactly those words, so carrying (h1, h2) forward is
+// (s1, s2) from exactly those words, so carrying (H1, H2) forward is
 // bit-identical to the round-trip — Sum() after any sequence of
 // Block/BlockTail calls equals the digest the SumDigest chain would have
 // produced. The zero Chain is ready to use and corresponds to the zero
 // Digest seed.
 //
-// Each Block call still runs the full finalization (length xor, fmix64
+// Each block still runs the full finalization (length xor, fmix64
 // avalanche): chaining semantics pin the block boundary, so finalization
 // per block is part of the hash definition, not overhead that can be
 // deferred. What the Chain eliminates is the per-block seed/serialize
-// round-trip, the slice framing, and the dead 0..15 tail switch.
+// round-trip, the slice framing, and the dead 0..15 tail switch. The state
+// words are exported for the leaf-hash kernel, which runs Mix and Fin on
+// them as locals and hands the chain back for the tail and the Sum.
 type Chain struct {
-	h1, h2 uint64
+	H1, H2 uint64
 }
 
 // NewChain returns a Chain seeded from a previous digest (use the zero
 // Chain for a zero seed).
 func NewChain(seed Digest) Chain {
 	return Chain{
-		h1: binary.LittleEndian.Uint64(seed[0:8]),
-		h2: binary.LittleEndian.Uint64(seed[8:16]),
+		H1: binary.LittleEndian.Uint64(seed[0:8]),
+		H2: binary.LittleEndian.Uint64(seed[8:16]),
 	}
 }
 
 // Block absorbs one full 16-byte block given as two little-endian uint64
 // words, exactly as if SumDigest had hashed those 16 bytes seeded by the
-// current state. The body round is written out inline rather than calling
-// pairBlock: Block is the per-block unit of the leaf-hash kernel, and one
-// call frame per block (instead of two) is worth the duplication.
+// current state.
 func (c *Chain) Block(k1, k2 uint64) {
-	h1, h2 := c.h1, c.h2
-
-	k1 *= c1
-	k1 = rotl64(k1, 31)
-	k1 *= c2
-	h1 ^= k1
-
-	h1 = rotl64(h1, 27)
-	h1 += h2
-	h1 = h1*5 + 0x52dce729
-
-	k2 *= c2
-	k2 = rotl64(k2, 33)
-	k2 *= c1
-	h2 ^= k2
-
-	h2 = rotl64(h2, 31)
-	h2 += h1
-	h2 = h2*5 + 0x38495ab5
-
-	// Finalization of a 16-byte input.
-	h1 ^= 16
-	h2 ^= 16
-
-	h1 += h2
-	h2 += h1
-	h1 = fmix64(h1)
-	h2 = fmix64(h2)
-	h1 += h2
-	h2 += h1
-
-	c.h1, c.h2 = h1, h2
+	h1, h2 := Mix(c.H1, c.H2, k1, k2)
+	c.H1, c.H2 = Fin(h1, h2, 16)
 }
 
 // BlockTail absorbs a final half block: one 8-byte little-endian word,
 // exactly as if SumDigest had hashed those 8 bytes seeded by the current
-// state (the odd-cell tail of an odd-element chunk).
+// state (the odd-cell tail of an odd-element chunk) — the k1 tail path of
+// Sum128Seeded, no body round for h2.
 func (c *Chain) BlockTail(k1 uint64) {
-	h1, h2 := c.h1, c.h2
-
-	// Tail path of Sum128Seeded for an 8-byte input: k1 only, no body
-	// round for h2.
-	k1 *= c1
-	k1 = rotl64(k1, 31)
-	k1 *= c2
-	h1 ^= k1
-
-	h1 ^= 8
-	h2 ^= 8
-
-	h1 += h2
-	h2 += h1
-	h1 = fmix64(h1)
-	h2 = fmix64(h2)
-	h1 += h2
-	h2 += h1
-
-	c.h1, c.h2 = h1, h2
+	c.H1, c.H2 = Fin(c.H1^bits.RotateLeft64(k1*c1, 31)*c2, c.H2, 8)
 }
 
 // Sum returns the current chain state as a Digest.
 func (c *Chain) Sum() Digest {
 	var d Digest
-	binary.LittleEndian.PutUint64(d[0:8], c.h1)
-	binary.LittleEndian.PutUint64(d[8:16], c.h2)
+	binary.LittleEndian.PutUint64(d[0:8], c.H1)
+	binary.LittleEndian.PutUint64(d[8:16], c.H2)
 	return d
-}
-
-func rotl64(x uint64, r uint) uint64 {
-	return (x << r) | (x >> (64 - r))
 }
 
 func fmix64(k uint64) uint64 {
