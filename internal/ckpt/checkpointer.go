@@ -116,30 +116,18 @@ func (c *Checkpointer) Capture(meta Meta, data [][]byte) error {
 	c.inFlight.Add(1)
 	c.mu.Unlock()
 
-	name := Name(meta.RunID, meta.Iteration, meta.Rank)
-	w, err := c.local.Create(name)
+	// The local write cost counts on every path, a failed encode or close
+	// included: WriteCheckpoint's is partial but truthful.
+	cost, err := WriteCheckpoint(c.local, meta, data)
+	c.mu.Lock()
+	c.localCost.Add(cost)
+	c.mu.Unlock()
 	if err != nil {
 		c.inFlight.Done()
 		return err
 	}
-	// Accumulate the local write cost on every path, including encode and
-	// close failures — partial but truthful, mirroring WriteCheckpoint.
-	defer func() {
-		c.mu.Lock()
-		c.localCost.Add(w.Cost())
-		c.mu.Unlock()
-	}()
-	if _, err := Encode(w, meta, data); err != nil {
-		_ = w.Close() // the encode error takes precedence
-		c.inFlight.Done()
-		return err
-	}
-	if err := w.Close(); err != nil {
-		c.inFlight.Done()
-		return err
-	}
 
-	c.jobs <- flushJob{name: name}
+	c.jobs <- flushJob{name: Name(meta.RunID, meta.Iteration, meta.Rank)}
 	return nil
 }
 

@@ -123,6 +123,35 @@ func History(store *pfs.Store, runID string) ([]string, error) {
 	return out, nil
 }
 
+// CheckFields is the one shape check of the write side: what a container
+// cannot hold — no fields, a buffer count or length that disagrees with the
+// specs, an unknown dtype, a non-positive count, a name the header cannot
+// carry — is refused here by every capture path (Encode, compare.Build, the
+// differential capturer) before a byte is hashed or written.
+func CheckFields(fields []FieldSpec, data [][]byte) error {
+	if len(data) != len(fields) {
+		return fmt.Errorf("ckpt: %d data buffers for %d fields", len(data), len(fields))
+	}
+	if len(fields) == 0 {
+		return errors.New("ckpt: checkpoint must have at least one field")
+	}
+	for i, f := range fields {
+		if f.DType.Size() == 0 {
+			return fmt.Errorf("ckpt: field %q has unsupported dtype", f.Name)
+		}
+		if f.Count <= 0 {
+			return fmt.Errorf("ckpt: field %q has non-positive count %d", f.Name, f.Count)
+		}
+		if len(f.Name) == 0 || len(f.Name) > maxNameLen {
+			return fmt.Errorf("ckpt: field %d name length %d out of range", i, len(f.Name))
+		}
+		if int64(len(data[i])) != f.Bytes() {
+			return fmt.Errorf("ckpt: field %q has %d bytes, want %d", f.Name, len(data[i]), f.Bytes())
+		}
+	}
+	return nil
+}
+
 // Encode serializes a checkpoint to w. data[i] must hold exactly
 // meta.Fields[i].Bytes() raw little-endian bytes.
 //
@@ -140,29 +169,11 @@ func History(store *pfs.Store, runID string) ([]string, error) {
 //	headerCRC u32 (over everything above)
 //	data      concatenated field bytes
 func Encode(w io.Writer, meta Meta, data [][]byte) (int64, error) {
-	if len(data) != len(meta.Fields) {
-		return 0, fmt.Errorf("ckpt: %d data buffers for %d fields", len(data), len(meta.Fields))
-	}
-	if len(meta.Fields) == 0 {
-		return 0, errors.New("ckpt: checkpoint must have at least one field")
+	if err := CheckFields(meta.Fields, data); err != nil {
+		return 0, err
 	}
 	if len(meta.RunID) == 0 || len(meta.RunID) > maxNameLen {
 		return 0, fmt.Errorf("ckpt: run ID length %d out of range", len(meta.RunID))
-	}
-
-	for i, f := range meta.Fields {
-		if f.DType.Size() == 0 {
-			return 0, fmt.Errorf("ckpt: field %q has unsupported dtype", f.Name)
-		}
-		if f.Count <= 0 {
-			return 0, fmt.Errorf("ckpt: field %q has non-positive count %d", f.Name, f.Count)
-		}
-		if len(f.Name) == 0 || len(f.Name) > maxNameLen {
-			return 0, fmt.Errorf("ckpt: field %d name length %d out of range", i, len(f.Name))
-		}
-		if int64(len(data[i])) != f.Bytes() {
-			return 0, fmt.Errorf("ckpt: field %q has %d bytes, want %d", f.Name, len(data[i]), f.Bytes())
-		}
 	}
 	crcs := fieldCRCs(data)
 

@@ -124,12 +124,17 @@ func sameMetadata(t *testing.T, got, want *Metadata) {
 
 // TestBuildSourcesAgree is the parity table of the one leaf loop: on every
 // shape and executor, the read-back build of a written checkpoint equals the
-// in-memory build in every leaf, root and virtual column, and both equal a
-// leaf-by-leaf oracle that calls the hasher directly.
+// in-memory build in every leaf, root and virtual column, both equal a
+// leaf-by-leaf oracle that calls the hasher directly, and what a differential
+// capture saves — manifest digests and metadata — equals it too: cold, and
+// again after one warm step against a from-scratch build of the evolved data.
 func TestBuildSourcesAgree(t *testing.T) {
 	for _, c := range buildCases() {
 		store, name := c.written(t)
-		var oracle *Metadata
+		// evolve perturbs 4-byte words: on a float64 field that is a change
+		// to the value through its high word, which is all a step has to be.
+		next := evolve(c.data, 7)
+		var oracle, oracleNext *Metadata
 		for _, ex := range dettest.Execs() {
 			t.Run(c.name+"/"+ex.Name, func(t *testing.T) {
 				exec, release := ex.Make()
@@ -174,6 +179,25 @@ func TestBuildSourcesAgree(t *testing.T) {
 				if st := opts.withDefaults().arena().Stats(); st.Outstanding != 0 {
 					t.Errorf("%d arena buffers still checked out", st.Outstanding)
 				}
+
+				if oracleNext == nil {
+					if oracleNext, _, err = Build(c.fields, next, opts); err != nil {
+						t.Fatal(err)
+					}
+				}
+				dstore, _, capt := diffFixture(t, opts)
+				meta := ckpt.Meta{RunID: "build", Iteration: 3, Fields: c.fields}
+				rep, err := capt.Capture(context.Background(), meta, c.data)
+				if err != nil || !rep.Cold {
+					t.Fatalf("cold capture: error %v, report %+v", err, rep)
+				}
+				savedCaptureAgrees(t, dstore, meta, oracle)
+				meta.Iteration++
+				rep, err = capt.Capture(context.Background(), meta, next)
+				if err != nil || rep.Cold || rep.UpdatedLeaves != changedLeaves(oracle, oracleNext) {
+					t.Fatalf("warm capture: error %v, report %+v, want %d leaves updated", err, rep, changedLeaves(oracle, oracleNext))
+				}
+				savedCaptureAgrees(t, dstore, meta, oracleNext)
 			})
 		}
 	}

@@ -72,14 +72,6 @@ func (s BuildStats) TotalVirtual() time.Duration { return s.HashVirtual + s.Tree
 // paper's checkpoint-time path, where the data is already resident on the
 // device). data[i] must match fields[i].Bytes().
 func Build(fields []ckpt.FieldSpec, data [][]byte, opts Options) (*Metadata, BuildStats, error) {
-	if len(fields) != len(data) {
-		return nil, BuildStats{}, fmt.Errorf("compare: %d buffers for %d fields", len(data), len(fields))
-	}
-	for i, f := range fields {
-		if int64(len(data[i])) != f.Bytes() {
-			return nil, BuildStats{}, fmt.Errorf("compare: field %q has %d bytes, want %d", f.Name, len(data[i]), f.Bytes())
-		}
-	}
 	m, stats, _, err := build(nil, fields, nil, data, opts)
 	return m, stats, err
 }
@@ -116,28 +108,46 @@ type leafBlock struct {
 	n     int
 }
 
-// build is the one leaf loop behind Build and BuildFromReader. Work items
-// are (field, block) over all fields in one coarse dispatch, so small
-// fields do not underfill the pool and no field waits for another; each
-// item fetches its block — a sub-slice of data, or with r set a read into
-// an arena buffer that goes back once its chunks are hashed — and writes
-// the block's leaf digests. Memory held is Workers × one block, whatever
-// the checkpoint size, and a block is hashed while it is still in cache.
-// The lowest failing item's error is the one reported, as a serial scan
-// would; items above a failed one are skipped, as are all once done closes.
+// build is the capture pipeline behind Build and BuildFromReader: the leaf
+// loop, then the trees. The differential capturer runs the same two halves
+// around its store (DiffCapturer.Capture).
 func build(done <-chan struct{}, fields []ckpt.FieldSpec, r *ckpt.Reader, data [][]byte, opts Options) (*Metadata, BuildStats, pfs.Cost, error) {
 	opts = opts.withDefaults()
-	var stats BuildStats
 	if err := opts.validate(); err != nil {
-		return nil, stats, pfs.Cost{}, err
+		return nil, BuildStats{}, pfs.Cost{}, err
 	}
 	sw := metrics.NewStopwatch()
+	leaves, cost, err := hashLeaves(done, fields, r, data, opts)
+	if err != nil {
+		return nil, BuildStats{}, cost, err
+	}
+	m, stats, err := buildTrees(fields, leaves, opts)
+	if err != nil {
+		return nil, stats, cost, err
+	}
+	stats.Wall = sw.Lap()
+	return m, stats, cost, nil
+}
 
-	// Construct hashers and cut the blocks serially, so size and ε errors
-	// surface deterministically in field order.
-	unit := memBlockBytes
-	if r != nil {
-		unit = readBlockBytes
+// hashLeaves is the one leaf loop of every capture path. Work items are
+// (field, block) over all fields in one coarse dispatch, so small fields do
+// not underfill the pool and no field waits for another; each item fetches
+// its block — a sub-slice of data, or with r set a read into an arena
+// buffer that goes back once its chunks are hashed — and writes the block's
+// leaf digests. Memory held is Workers × one block, whatever the checkpoint
+// size, and a block is hashed while it is still in cache. In-memory buffers
+// are held to their specs first (a reader's header already was); the lowest
+// failing item's error is the one reported, as a serial scan would; items
+// above a failed one are skipped, as are all once done closes.
+func hashLeaves(done <-chan struct{}, fields []ckpt.FieldSpec, r *ckpt.Reader, data [][]byte, opts Options) ([][]murmur3.Digest, pfs.Cost, error) {
+	// Check shapes, construct hashers and cut the blocks serially, so size
+	// and ε errors surface deterministically in field order.
+	unit := readBlockBytes
+	if r == nil {
+		unit = memBlockBytes
+		if err := ckpt.CheckFields(fields, data); err != nil {
+			return nil, pfs.Cost{}, err
+		}
 	}
 	unit = max(unit/opts.ChunkSize, 1) * opts.ChunkSize
 	hashers := make([]*errbound.Hasher, len(fields))
@@ -146,10 +156,7 @@ func build(done <-chan struct{}, fields []ckpt.FieldSpec, r *ckpt.Reader, data [
 	for i, f := range fields {
 		h, err := opts.hasherFor(f.DType)
 		if err != nil {
-			return nil, stats, pfs.Cost{}, err
-		}
-		if f.Bytes() <= 0 {
-			return nil, stats, pfs.Cost{}, fmt.Errorf("compare: field %q: empty field", f.Name)
+			return nil, pfs.Cost{}, err
 		}
 		hashers[i] = h
 		leaves[i] = make([]murmur3.Digest, (f.Bytes()+int64(opts.ChunkSize)-1)/int64(opts.ChunkSize))
@@ -202,22 +209,27 @@ func build(done <-chan struct{}, fields []ckpt.FieldSpec, r *ckpt.Reader, data [
 		}
 	})
 	if e := firstErr.p.Load(); e != nil {
-		return nil, stats, total, fmt.Errorf("compare: field %q: %w", fields[blocks[e.index].field].Name, e.err)
+		return nil, total, fmt.Errorf("compare: field %q: %w", fields[blocks[e.index].field].Name, e.err)
 	}
 	select {
 	case <-done:
-		return nil, stats, total, context.Canceled // the caller reports its own context's error
+		return nil, total, context.Canceled // the caller reports its own context's error
 	default:
 	}
+	return leaves, total, nil
+}
 
-	// Build the trees and price in field order, deterministic regardless
-	// of how the blocks interleaved: one leaf-hash kernel over each
-	// field's bytes, one node kernel per interior level.
+// buildTrees is the tree half of a full build: one tree per field over its
+// leaves, built and priced in field order, deterministic regardless of how
+// the blocks interleaved — one leaf-hash kernel over each field's bytes, one
+// node kernel per interior level.
+func buildTrees(fields []ckpt.FieldSpec, leaves [][]murmur3.Digest, opts Options) (*Metadata, BuildStats, error) {
+	var stats BuildStats
 	m := &Metadata{Epsilon: opts.Epsilon, Fields: make([]FieldMeta, 0, len(fields))}
 	for i, f := range fields {
 		tree, err := merkle.New(f.Bytes(), opts.ChunkSize, leaves[i])
 		if err != nil {
-			return nil, stats, total, fmt.Errorf("compare: field %q: %w", f.Name, err)
+			return nil, stats, fmt.Errorf("compare: field %q: %w", f.Name, err)
 		}
 		tree.Build(opts.Exec)
 		m.Fields = append(m.Fields, FieldMeta{Name: f.Name, DType: f.DType, Tree: tree})
@@ -227,8 +239,7 @@ func build(done <-chan struct{}, fields []ckpt.FieldSpec, r *ckpt.Reader, data [
 		}
 		stats.Bytes += f.Bytes()
 	}
-	stats.Wall = sw.Lap()
-	return m, stats, total, nil
+	return m, stats, nil
 }
 
 // kernelError captures the lowest-index error produced by a parallel

@@ -40,7 +40,6 @@ var casprunePkgs = []string{
 	"internal/compare",
 	"internal/merkle",
 	"internal/stream",
-	"internal/ckpt",
 }
 
 func runCasprune(p *Pass) {

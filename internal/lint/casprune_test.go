@@ -41,8 +41,8 @@ func changed(leafHex, oldHex string) bool {
 		},
 		{
 			name: "bytes.Equal on truncated digest flagged",
-			pkg:  "internal/ckpt",
-			src: `package ckpt
+			pkg:  "internal/compare",
+			src: `package compare
 import "bytes"
 func dedup(digest, stored []byte) bool {
 	return bytes.Equal(digest[:4], stored[:4])
@@ -116,8 +116,8 @@ func bucket(dig string) bool {
 		},
 		{
 			name: "out-of-scope package ignored",
-			pkg:  "internal/catalog",
-			src: `package catalog
+			pkg:  "internal/ckpt", // containers only: no digest is held or consumed there
+			src: `package ckpt
 import "strings"
 func rev(hash string) bool {
 	return strings.HasPrefix(hash, "v1-") && hash[:4] == "v1-0"
