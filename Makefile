@@ -53,14 +53,19 @@ chaos-smoke:
 # chaining; the rest are the decoders, which read through framelog.Cursor:
 # the shard wire's receive path (kind sniff → verdict / done decoder, over
 # mpi.DecodeParts), the framed log's scanner (the journal and the CAS index
-# replay through it), the CAS manifest, the checkpoint header, the metadata
-# container (and through it merkle.Decode); last, the mpi f64 vector codec,
-# a length check and a loop held to the same contract.
+# replay through it), the journal's record payload behind that scanner, the
+# CAS manifest, the checkpoint header, the metadata container (and through
+# it merkle.Decode); last, the mpi f64 vector codec, a length check and a
+# loop held to the same contract. FuzzCompareSlices caps the minimizer: its
+# corpus holds kilobyte seeds, and left alone the fuzzer spends the five
+# seconds (up to a minute per input) shrinking the first mutant that finds
+# new coverage instead of executing — ~1 000 executions against ~140 000.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz '^FuzzCompareSlices$$' -fuzztime 5s ./internal/errbound
+	$(GO) test -run '^$$' -fuzz '^FuzzCompareSlices$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/errbound
 	$(GO) test -run '^$$' -fuzz '^FuzzHashChunk$$' -fuzztime 5s ./internal/errbound
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime 5s ./internal/shard
 	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 5s ./internal/framelog
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 5s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime 5s ./internal/cas
 	$(GO) test -run '^$$' -fuzz '^FuzzParseHeader$$' -fuzztime 5s ./internal/ckpt
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMetadata$$' -fuzztime 5s ./internal/compare
@@ -156,7 +161,7 @@ examples:
 # LOC_CEILING, the total of the last PR that lowered it — a PR that removes
 # code lowers the ceiling to its own result, one that must add code raises
 # it in the same diff, where a reviewer sees it.
-LOC_CEILING = 31047
+LOC_CEILING = 31278
 loc:
 	@for d in $$(find . -name '*.go' ! -name '*_test.go' | xargs -n1 dirname | sort -u); do \
 		printf '%7d %s\n' $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l) $$d; \

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"os"
 	"runtime"
 	"time"
@@ -209,10 +210,14 @@ func collect(chunkSize, fieldBytes int, window time.Duration) (*Report, error) {
 		{"element_compare_f32_identical", h32, f32Sine, f32Sine},
 		{"element_compare_f32_jitter", h32, f32Sine, twin(f32Sine, 4, "jitter")},
 		{"element_compare_f32_dense", h32, f32Sine, twin(f32Sine, 4, "dense")},
+		{"element_compare_f32_streaks", h32, f32Sine, twin(f32Sine, 4, "streaks")},
+		{"element_compare_f32_mixed", h32, f32Sine, twin(f32Sine, 4, "mixed")},
 		{"element_compare_f64", h64, f64Chunk, twin(f64Chunk, 8, "sparse")},
 		{"element_compare_f64_identical", h64, f64Chunk, f64Chunk},
 		{"element_compare_f64_jitter", h64, f64Chunk, twin(f64Chunk, 8, "jitter")},
 		{"element_compare_f64_dense", h64, f64Chunk, twin(f64Chunk, 8, "dense")},
+		{"element_compare_f64_streaks", h64, f64Chunk, twin(f64Chunk, 8, "streaks")},
+		{"element_compare_f64_mixed", h64, f64Chunk, twin(f64Chunk, 8, "mixed")},
 	} {
 		report.add(measure(row.name, 2*int64(len(row.a)), window, func() error {
 			var err error
@@ -228,9 +233,13 @@ func collect(chunkSize, fieldBytes int, window time.Duration) (*Report, error) {
 // the ε-compare matrix (internal/errbound's BenchmarkCompareSlices has the
 // same rows): "sparse" moves 1/64 of the elements beyond ε, "jitter" moves
 // every element by 1–3 float32 ULPs — within ε = 1e-6 for the sine sweep's
-// magnitudes below 1 — and "dense" moves every element beyond ε.
+// magnitudes below 1 — "dense" moves every element beyond ε, "streaks" does
+// so in runs of 16 32-byte blocks between runs of 16 identical ones, and
+// "mixed" is jitter with a random tenth of the elements beyond ε (what two
+// runs of HACC look like at ε = 1e-5).
 func twin(x []byte, esz int, regime string) []byte {
 	y := append([]byte(nil), x...)
+	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < len(x)/esz; i++ {
 		var ulps uint64
 		var delta float64
@@ -243,6 +252,15 @@ func twin(x []byte, esz int, regime string) []byte {
 			ulps = uint64(1 + i%3)
 		case "dense":
 			delta = 1e-3
+		case "streaks":
+			if i*esz/32/16%2 == 1 {
+				delta = 1e-3
+			}
+		case "mixed":
+			ulps = uint64(1 + i%3)
+			if rng.Intn(10) == 0 {
+				delta = 1e-3
+			}
 		}
 		if esz == 4 {
 			v := math.Float32frombits(binary.LittleEndian.Uint32(x[i*4:]) + uint32(ulps))

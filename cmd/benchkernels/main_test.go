@@ -27,7 +27,9 @@ func TestSmokeRunWritesReport(t *testing.T) {
 	}
 	want := []string{"leaf_hash_f32", "leaf_hash_f64", "tree_build", "tree_diff",
 		"element_compare_f32", "element_compare_f32_identical", "element_compare_f32_jitter", "element_compare_f32_dense",
-		"element_compare_f64", "element_compare_f64_identical", "element_compare_f64_jitter", "element_compare_f64_dense"}
+		"element_compare_f32_streaks", "element_compare_f32_mixed",
+		"element_compare_f64", "element_compare_f64_identical", "element_compare_f64_jitter", "element_compare_f64_dense",
+		"element_compare_f64_streaks", "element_compare_f64_mixed"}
 	if len(report.Kernels) != len(want) {
 		t.Fatalf("got %d kernels, want %d", len(report.Kernels), len(want))
 	}

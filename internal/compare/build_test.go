@@ -212,7 +212,8 @@ type readSet struct {
 
 // parentReadSets are the read sets of the power-of-two-chunk rows at the
 // parent commit (1ae74df), where BuildFromReader was ckpt.ReadField per
-// field followed by Build — recorded by running measureReadSet there. The
+// field followed by Build — recorded by running measureReadSet there (the
+// ulp-jitter row, a shape added later, at 41084e4 the same way). The
 // one loop must issue the same reads: only the goroutine that issues them
 // changed. (The op and byte counts include the header read of OpenReader.)
 var parentReadSets = map[string]readSet{
@@ -222,6 +223,7 @@ var parentReadSets = map[string]readSet{
 	"many-slices":           {warm: pfs.Cost{CachedOps: 3, CachedBytes: 3145728}, cold: pfs.Cost{Ops: 3, Bytes: 3145728}, ops: 4, bytes: 3149824, pages: 769},
 	"fields-filter":         {warm: pfs.Cost{CachedOps: 3, CachedBytes: 393216}, cold: pfs.Cost{Ops: 3, Bytes: 393216}, ops: 4, bytes: 397312, pages: 97},
 	"degrade-bit-flip":      {warm: pfs.Cost{CachedOps: 3, CachedBytes: 589824}, cold: pfs.Cost{Ops: 3, Bytes: 589824}, ops: 4, bytes: 593920, pages: 145},
+	"ulp-jitter":            {warm: pfs.Cost{CachedOps: 3, CachedBytes: 480036}, cold: pfs.Cost{Ops: 3, Bytes: 479232, CachedBytes: 804}, ops: 4, bytes: 484132, pages: 118},
 	"ragged-across-blocks":  {warm: pfs.Cost{CachedOps: 4, CachedBytes: 2400008}, cold: pfs.Cost{Ops: 4, Bytes: 2396036, CachedBytes: 3972}, ops: 5, bytes: 2404104, pages: 586},
 	"chunk-over-1MiB":       {warm: pfs.Cost{CachedOps: 8, CachedBytes: 7497152}, cold: pfs.Cost{Ops: 8, Bytes: 7495680, CachedBytes: 1472}, ops: 9, bytes: 7501248, pages: 1831},
 	"single-chunk-fields":   {warm: pfs.Cost{CachedOps: 3, CachedBytes: 69540}, cold: pfs.Cost{Ops: 2, CachedOps: 1, Bytes: 69536, CachedBytes: 4}, ops: 4, bytes: 73636, pages: 18},

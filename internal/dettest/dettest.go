@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 
 	"repro/internal/ckpt"
@@ -33,6 +34,12 @@ type Shape struct {
 	// chunk, thousands leave most chunks to the perturbation alone, so
 	// candidates come in runs with holes between them.
 	Stride int
+	// ULPJitter makes the runs two executions of one nondeterministic
+	// code instead of one state perturbed here and there: magnitudes from
+	// 1e-3 to 1e3, and every element of runs 1–2 a few float32 ULPs from
+	// the baseline, so hardly a word is bit-equal and the differences sit
+	// on both sides of Eps.
+	ULPJitter bool
 }
 
 // Shapes returns the table's rows.
@@ -44,6 +51,7 @@ func Shapes() []Shape {
 		{Name: "many-slices", Elems: 256 << 10, Chunk: 16 << 10, SliceBytes: 128 << 10, Stride: 61},
 		{Name: "fields-filter", Elems: 32 << 10, Chunk: 4 << 10, Fields: []string{"vx"}, Stride: 2503},
 		{Name: "degrade-bit-flip", Elems: 48 << 10, Chunk: 4 << 10, SliceBytes: 96 << 10, Degrade: true, Stride: 3001},
+		{Name: "ulp-jitter", Elems: 40_003, Chunk: 4 << 10, SliceBytes: 64 << 10, Stride: 4099, ULPJitter: true},
 	}
 }
 
@@ -74,13 +82,21 @@ func Runs(sh Shape) (fields []ckpt.FieldSpec, data [][][]byte) {
 	base := make([][]byte, 3)
 	for fi, name := range []string{"x", "vx", "phi"} {
 		fields = append(fields, ckpt.FieldSpec{Name: name, DType: errbound.Float32, Count: int64(sh.Elems)})
-		base[fi] = synth.FieldF32(sh.Elems, int64(100+fi))
+		if sh.ULPJitter {
+			base[fi] = logUniformF32(sh.Elems, int64(100+fi))
+		} else {
+			base[fi] = synth.FieldF32(sh.Elems, int64(100+fi))
+		}
 	}
 	data = append(data, base)
 	for ri := 1; ri <= 2; ri++ {
 		run := make([][]byte, len(base))
 		for fi := range base {
-			run[fi] = synth.PerturbF32(base[fi], synth.DefaultPerturb(int64(10*ri+fi)))
+			if sh.ULPJitter {
+				run[fi] = ulpJitter(base[fi], int64(10*ri+fi))
+			} else {
+				run[fi] = synth.PerturbF32(base[fi], synth.DefaultPerturb(int64(10*ri+fi)))
+			}
 			Straddle(base[fi], run[fi], Eps, 7*ri+fi, sh.Stride)
 		}
 		data = append(data, run)
@@ -89,6 +105,40 @@ func Runs(sh Shape) (fields []ckpt.FieldSpec, data [][][]byte) {
 	// perturbed from earlier baselines, which the oracle does not care
 	// about — it compares what is on disk.
 	return fields, data
+}
+
+// logUniformF32 generates n float32 elements of either sign whose
+// magnitudes are log-uniform over 1e-3 … 1e3: a float32 ULP runs from 1e-10
+// to 6e-5 across them, past Eps on the way.
+func logUniformF32(n int, seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]byte, 0, 4*n)
+	for i := 0; i < n; i++ {
+		v := math.Pow(10, 6*rng.Float64()-3)
+		if rng.Intn(2) == 0 {
+			v = -v
+		}
+		out = binary.LittleEndian.AppendUint32(out, math.Float32bits(float32(v)))
+	}
+	return out
+}
+
+// ulpJitter returns a copy of a float32 field with every element moved 1–3
+// ULPs, toward zero or away from it. No element is near enough to zero to
+// cross it.
+func ulpJitter(field []byte, seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]byte, 0, len(field))
+	for i := 0; i+4 <= len(field); i += 4 {
+		bits := binary.LittleEndian.Uint32(field[i:])
+		if k := uint32(1 + rng.Intn(3)); rng.Intn(2) == 0 {
+			bits += k
+		} else {
+			bits -= k
+		}
+		out = binary.LittleEndian.AppendUint32(out, bits)
+	}
+	return out
 }
 
 // Straddle rewrites elements of b (every stride-th, from first) so that
@@ -121,6 +171,21 @@ func Straddle(a, b []byte, eps float64, first, stride int) {
 		if i := first + 1 + k*stride; i < n {
 			put(a, i, sp[0])
 			put(b, i, sp[1])
+		}
+	}
+	// Straddling zero as well: a ≈ +ε/2 against b ≈ −ε/2 and its two
+	// neighbours, where the float32 difference of two floats of one exponent
+	// is a sum that need not fit 24 bits. They go right after specials that
+	// mark their chunk whatever else is in it (a NaN or an Inf against a
+	// number), so they change no shape's candidate set.
+	half := float32(eps / 2)
+	for _, z := range []struct {
+		after int // the special it follows
+		b     float32
+	}{{1, -half}, {2, math.Nextafter32(-half, -1)}, {4, math.Nextafter32(-half, 0)}} {
+		if i := first + 2 + z.after*stride; i < n {
+			put(a, i, half)
+			put(b, i, z.b)
 		}
 	}
 }

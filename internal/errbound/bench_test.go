@@ -3,13 +3,14 @@ package errbound
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/murmur3"
 )
 
 // benchChunk builds a deterministic 64 KiB chunk of the given dtype.
-func benchChunk(b *testing.B, dtype DType) []byte {
+func benchChunk(b testing.TB, dtype DType) []byte {
 	b.Helper()
 	const n = 64 << 10 / 8
 	out := make([]byte, 0, n*dtype.Size())
@@ -70,14 +71,19 @@ func BenchmarkHashChunkReference(b *testing.B) {
 }
 
 // benchRegimes are the data regimes the ε-compare kernels are measured on:
-// the extremes of each tier of the kernel, plus the mix stage 2 actually
-// sees. A kernel that is fast on one and slow on another shows it here, and
-// so would a shortcut for bit-equal words that a later change adds.
+// the extremes of each tier and of the routing between them, plus the mixes
+// stage 2 actually sees. A kernel that is fast on one and slow on another
+// shows it here, and so would a shortcut for bit-equal words that a later
+// change adds. (TestKernelAB measures the same rows with kernel and
+// reference alternating in one process, the only comparison this box's
+// moving speed allows.)
 var benchRegimes = []string{
-	"identical", // every word bit-equal: tier 1 accepts on d = 0
+	"identical", // every word bit-equal: accepted on d = 0
 	"sparse",    // 1/64 of the elements beyond ε, the rest bit-equal
-	"jitter",    // every element 1–3 ULP apart, all within ε: tier 1 only
+	"jitter",    // every element 1–3 ULP apart, (nearly) all within ε: accepting tiers only
 	"dense",     // every element beyond ε: tier 2 and an append each
+	"streaks",   // runs of 16 dense blocks between runs of 16 identical ones
+	"mixed",     // jitter, with 1/10 of the elements at random beyond ε
 }
 
 // benchEps is within a few float32 ULPs of the jitter regime's largest
@@ -86,11 +92,12 @@ var benchRegimes = []string{
 const benchEps = 2e-7
 
 // benchPair returns a benchChunk and its twin under the regime.
-func benchPair(b *testing.B, dtype DType, regime string) (x, y []byte) {
+func benchPair(b testing.TB, dtype DType, regime string) (x, y []byte) {
 	b.Helper()
 	x = benchChunk(b, dtype)
 	y = append([]byte(nil), x...)
 	esz := dtype.Size()
+	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < len(x)/esz; i++ {
 		var ulps uint64
 		var delta float64
@@ -103,6 +110,15 @@ func benchPair(b *testing.B, dtype DType, regime string) (x, y []byte) {
 			ulps = uint64(1 + i%3)
 		case "dense":
 			delta = 1e-3
+		case "streaks":
+			if i*esz/32/16%2 == 1 {
+				delta = 1e-3
+			}
+		case "mixed":
+			ulps = uint64(1 + i%3)
+			if rng.Intn(10) == 0 {
+				delta = 1e-3
+			}
 		}
 		if dtype == Float32 {
 			v := math.Float32frombits(binary.LittleEndian.Uint32(x[i*4:]) + uint32(ulps))
@@ -164,8 +180,9 @@ func BenchmarkCompareSlicesReference(b *testing.B) {
 	})
 }
 
-// BenchmarkAllClose measures the boolean baseline kernel; on the sparse
-// and dense regimes it exits at the first element beyond ε.
+// BenchmarkAllClose measures the boolean baseline kernel; on the sparse,
+// dense, streaks and mixed regimes it exits at the first element beyond ε
+// (elements 17, 0, 128 and 7 of a float32 chunk).
 func BenchmarkAllClose(b *testing.B) {
 	benchMatrix(b, func(b *testing.B, h *Hasher, x, y []byte) {
 		for i := 0; i < b.N; i++ {

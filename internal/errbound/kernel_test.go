@@ -1,9 +1,12 @@
 package errbound
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -89,6 +92,48 @@ func edgePairs(dtype DType, eps float64) [][2]float64 {
 				[2]float64{b, a}, [2]float64{next(a, true), a}, [2]float64{a, next(a, false)})
 		}
 	}
+	return append(pairs, roundingPairs(eps)...)
+}
+
+// floorF32 is the largest float32 not above v ≥ 0: tier 0's T for v = ε.
+func floorF32(v float64) float32 {
+	f := float32(math.Min(v, math.MaxFloat32))
+	if float64(f) > v {
+		f = math.Nextafter32(f, 0)
+	}
+	return f
+}
+
+// roundingPairs returns float32 pairs whose float32 difference is not their
+// real difference — the one thing tier 0 decides on that the exact tiers do
+// not — with |a−b| around T = floorF32(eps): at T, pred32(T) and succ32(T),
+// and, when eps is a float32, at eps ± one float64 ULP (gaps 52 and 53). A
+// tier 0 that accepted at T instead of below it, or that took a rounded
+// difference at its word, returns a different index list here.
+func roundingPairs(eps float64) [][2]float64 {
+	T := floorF32(eps)
+	up := float32(math.Inf(1))
+	var pairs [][2]float64
+	for _, D := range []float32{T, math.Nextafter32(T, 0), math.Nextafter32(T, up)} {
+		// Opposite signs with |a| ≈ |b| ≈ D/2: the sum of two floats of one
+		// exponent needs a 25th bit whenever their last bits differ.
+		h := D / 2
+		halves := []float32{h, math.Nextafter32(h, 0), math.Nextafter32(h, up)}
+		for _, a := range halves {
+			for _, b := range halves {
+				pairs = append(pairs, [2]float64{float64(a), -float64(b)}, [2]float64{-float64(a), float64(b)})
+			}
+		}
+		// Exponent gaps: D ∓ D·2^-gap rounds back to D (or its neighbour) in
+		// float32 from gap 24 on, is exact in float64 up to gap 29, and
+		// rounds in both beyond 53.
+		for _, gap := range []int{23, 24, 25, 26, 29, 30, 52, 53, 54, 60} {
+			for _, sign := range []float64{1, -1} {
+				small := sign * math.Ldexp(float64(D), -gap)
+				pairs = append(pairs, [2]float64{float64(D), small}, [2]float64{small, float64(D)}, [2]float64{-float64(D), small})
+			}
+		}
+	}
 	return pairs
 }
 
@@ -102,8 +147,18 @@ func encodePairs(dtype DType, pairs [][2]float64) (a, b []byte) {
 }
 
 // oracleEpsilons includes bounds below float32 precision at magnitude 1
-// (6e-8) and below the smallest float32 denormal.
-var oracleEpsilons = []float64{1e-3, 1e-7, 1e-9, 1e-50, 0.5, 1e300, math.SmallestNonzeroFloat64}
+// (6e-8) and below the smallest float32 denormal; then the bounds tier 0
+// turns on: one that is a float32 (T = ε), its float64 neighbours (T = ε's
+// float32 predecessor, and T just below ε), the top of the float32 range and
+// beyond it, and the smallest normal float32, below which tier 0 is off.
+var oracleEpsilons = []float64{1e-3, 1e-7, 1e-9, 1e-50, 0.5, 1e300, math.SmallestNonzeroFloat64,
+	eps32, math.Nextafter(eps32, 0), math.Nextafter(eps32, 1),
+	math.MaxFloat32, math.Nextafter(math.MaxFloat32, math.Inf(1)), math.Inf(1),
+	0x1p-126, 0x1p-127, math.SmallestNonzeroFloat32, math.SmallestNonzeroFloat32 / 2,
+}
+
+// eps32 is a bound that is exactly a float32.
+const eps32 = 0x1.4f8b58p-17 // float32(1e-5)
 
 // TestKernelOracleEdges drives every edge pair through every position of
 // the unrolled loop: windows of 0–9 elements and a few longer ones (each
@@ -140,6 +195,80 @@ func TestKernelOracleEdges(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestKernelOracleBlockSequences drives the scan loops' routing — accepting
+// run, exact run, back again — through every order of three kinds of
+// 32-byte block, with every tail length behind it:
+//
+//	p  accepted whole by the dtype's accepting test (bit-equal, or a few ULP apart)
+//	q  not accepted, and nothing to report: a NaN pair; a float32 pair whose
+//	   float32 difference rounds up to T from just below it; a pair that only
+//	   the relative tolerance lets through (under rtol = 0, one more f)
+//	f  one element beyond ε, at a position that moves with the block
+//
+// The route a block takes depends on the blocks before it (a reporting block
+// sends the next one straight to the exact tiers, a quiet one sends the loop
+// back, and the way back lengthens while the accepting test keeps failing),
+// the answer must not: CompareSlices must list exactly the f elements and
+// AllClose stop at the first, whatever came before.
+func TestKernelOracleBlockSequences(t *testing.T) {
+	const eps, rtol = eps32, 1e-3
+	var seqs []string
+	for n, level := 0, []string{""}; n < 6; n++ {
+		var next []string
+		for _, s := range level {
+			next = append(next, s+"p", s+"q", s+"f")
+		}
+		seqs, level = append(seqs, next...), next
+	}
+	// Long enough for the way back to reach its longest (16 quiet blocks)
+	// and to come down again.
+	for j := 0; j <= 34; j++ {
+		seqs = append(seqs, "f"+strings.Repeat("q", j)+"pf", "q"+strings.Repeat("f", j)+"qp")
+	}
+	seqs = append(seqs, strings.Repeat("q", 40), strings.Repeat("qf", 20), strings.Repeat("qpf", 14), strings.Repeat("f", 40)+"p")
+	for _, dtype := range []DType{Float32, Float64} {
+		for _, seq := range seqs {
+			for tail := 0; tail < 32/dtype.Size(); tail++ {
+				a, b := encodePairs(dtype, blockSeqPairs(dtype, eps, seq, tail))
+				checkKernels(t, dtype, eps, 0, a, b)
+				checkKernels(t, dtype, eps, rtol, a, b)
+			}
+		}
+	}
+}
+
+// blockSeqPairs returns the element pairs of one 32-byte block of dtype per
+// letter of seq (p, q or f, as above), then tail more elements cut from a
+// block of the kind the sequence ends in.
+func blockSeqPairs(dtype DType, eps float64, seq string, tail int) [][2]float64 {
+	per := 32 / dtype.Size()
+	T := float64(floorF32(eps))
+	quiet := [][2]float64{
+		{math.NaN(), math.NaN()},
+		{T, math.Ldexp(T, -26)}, // float32: T − T·2^-26 rounds to T; tier 1 accepts it
+		{1000, 1000 + 100*eps},  // within atol + rtol·|b| only
+	}
+	block := func(kind byte, k int) [][2]float64 {
+		pairs := make([][2]float64, per)
+		for j := range pairs {
+			v := 1 + 0.25*float64(j)
+			pairs[j] = [2]float64{v, v + float64(j%2)*eps/4}
+		}
+		switch kind {
+		case 'q':
+			pairs[k%per] = quiet[k%len(quiet)]
+		case 'f':
+			pairs[k%per][1] += 3 * eps
+		}
+		return pairs
+	}
+	var pairs [][2]float64
+	for k := range seq {
+		pairs = append(pairs, block(seq[k], k)...)
+	}
+	return append(pairs, block(seq[len(seq)-1], len(seq))[:tail]...)
 }
 
 // TestKernelOracleTolerances covers AllCloseRel's tolerances, including
@@ -232,6 +361,40 @@ func TestKernelAllocFree(t *testing.T) {
 		}
 		if len(dst) == 0 {
 			t.Errorf("%v: edge pairs produced no difference; the test exercises nothing", dtype)
+		}
+	}
+}
+
+// kernelCorpus is what the checked-in seeds of FuzzCompareSlices hold beside
+// the older hand-made ones: the rounding pairs of every bound tier 0 treats
+// differently, and one block sequence with a tail, per dtype, in the go test
+// fuzz v1 format, keyed by file name.
+func kernelCorpus() map[string]string {
+	entry := func(dtype DType, eps, rtol float64, pairs [][2]float64) string {
+		a, b := encodePairs(dtype, pairs)
+		for i := range b {
+			b[i] ^= a[i]
+		}
+		return fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n[]byte(%q)\nuint64(%d)\nuint64(%d)\nbool(%v)\n",
+			a, b, math.Float64bits(eps), math.Float64bits(rtol), dtype == Float64)
+	}
+	files := make(map[string]string)
+	for _, dtype := range []DType{Float32, Float64} {
+		for _, eps := range []float64{eps32, math.Nextafter(eps32, 0), math.Nextafter(eps32, 1), math.MaxFloat32, 0x1p-126} {
+			files[fmt.Sprintf("%v_rounding_eps_%016x", dtype, math.Float64bits(eps))] = entry(dtype, eps, 0, roundingPairs(eps))
+		}
+		files[fmt.Sprintf("%v_block_sequence", dtype)] = entry(dtype, eps32, 1e-3, blockSeqPairs(dtype, eps32, "pfpffpqfqqpqqqf", 3))
+	}
+	return files
+}
+
+// TestKernelCorpus keeps those seeds current: a change to roundingPairs or
+// blockSeqPairs rewrites the files from the text this test prints.
+func TestKernelCorpus(t *testing.T) {
+	for name, want := range kernelCorpus() {
+		path := "testdata/fuzz/FuzzCompareSlices/" + name
+		if got, err := os.ReadFile(path); err != nil || string(got) != want {
+			t.Errorf("%s is not the generated entry (read error %v); it should hold:\n%s", path, err, want)
 		}
 	}
 }

@@ -224,13 +224,13 @@ func decodePayload(payload []byte) (Record, error) {
 	}
 	r.Topology = p.Str32()
 	r.Workers = int(int32(p.U32()))
-	r.Degrade = p.U8() != 0
+	degrade := p.U8()
 	r.Epsilon = math.Float64frombits(p.U64())
 	r.ChunkSize = int(int32(p.U32()))
 	r.ToolVersion = p.Str32()
 	r.Exit = int(int32(p.U32()))
 	r.DiffCount = int64(p.U64())
-	r.Degraded = p.U8() != 0
+	degraded := p.U8()
 	r.UnverifiedChunks = int(int32(p.U32()))
 	r.ReadRetries = int(int32(p.U32()))
 	r.RingFallbacks = int(int32(p.U32()))
@@ -242,6 +242,12 @@ func decodePayload(payload []byte) (Record, error) {
 	if err := p.Done(); err != nil {
 		return Record{}, err
 	}
+	// The writer's flag bytes are 0 and 1. Anything else would decode to a
+	// record that encodes to other bytes, and so to another chain digest.
+	if degrade > 1 || degraded > 1 {
+		return Record{}, fmt.Errorf("record flag bytes %d, %d", degrade, degraded)
+	}
+	r.Degrade, r.Degraded = degrade == 1, degraded == 1
 	r.Digest = payloadDigest(payload)
 	return r, nil
 }
