@@ -400,7 +400,7 @@ func measureLevel(ctx context.Context, dir, name string, div, churn float64, ele
 	// rebuild of the manifest's leaf digests, bit for bit.
 	nameA := ckpt.Name("runA", iters, 0)
 	nameB := ckpt.Name("runB", iters, 0)
-	manA, _, err := cas.LoadManifest(ctx, storeDiff, nameA)
+	manA, _, _, err := cas.LoadManifest(ctx, storeDiff, nameA, nil)
 	if err != nil {
 		return lv, err
 	}

@@ -3,12 +3,15 @@ package aio
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
-// BufSet is one recyclable stage-2 buffer set: the host buffer one source's
-// extents of one pipeline window are read into, and the request batch that
-// addresses it. A set belongs to whoever checked it out of an Arena until
-// it is put back; the arena never looks inside it.
+// BufSet is one recyclable buffer set: the host buffer one source's extents
+// of one pipeline window are read into, and the request batch that
+// addresses it — or, with the batch unused, the buffer one member's
+// metadata file is read into and its trees decoded over. A set belongs to
+// whoever checked it out of an Arena until it is put back; the arena never
+// looks inside it.
 type BufSet struct {
 	Buf  []byte
 	Reqs []ReadReq
@@ -32,12 +35,14 @@ func (s *BufSet) bytes() int64 {
 const MaxSetBytes = 2 * (9 << 20)
 
 // DefaultArenaLimit bounds an arena nobody sized: eight default pair
-// comparisons' worth (pipeline depth 2, two sources) of buffer sets.
+// comparisons' worth (pipeline depth 2, two sources) of window sets, which
+// the far smaller metadata sets of their members share.
 const DefaultArenaLimit = 8 * 2 * MaxSetBytes
 
-// Arena is the stage-2 buffer arena: a bounded free list of buffer sets
-// and coalescer plan scratch that outlives the comparisons drawing on it,
-// so a steady stream of comparisons allocates no buffers at all. It lives
+// Arena is the comparison buffer arena: a bounded free list of buffer sets
+// (stage 2's windows, stage 1's metadata files) and coalescer plan scratch
+// that outlives the comparisons drawing on it, so a steady stream of
+// comparisons allocates no buffers at all. It lives
 // as long as the ring that owns it (Uring.Arena) — the service plane's,
 // or a package-private fallback ring's — the way io_uring registered
 // buffers live with their ring.
@@ -145,11 +150,23 @@ func (a *Arena) Get(n int) *BufSet {
 	return s
 }
 
+// poisonPut makes Put overwrite what it takes back, so a use after return
+// reads garbage at once instead of whenever the set is next reused. Only
+// tests set it (export_test.go).
+var poisonPut atomic.Bool
+
 // Put returns a set checked out with Get. The caller must not touch the
 // set (or any slice of its buffers) afterwards.
 func (a *Arena) Put(s *BufSet) {
 	if s == nil {
 		return
+	}
+	if poisonPut.Load() {
+		buf := s.Buf[:cap(s.Buf)]
+		for i := range buf {
+			buf[i] = 0xDB
+		}
+		clear(s.Reqs[:cap(s.Reqs)])
 	}
 	n := s.bytes()
 	a.mu.Lock()

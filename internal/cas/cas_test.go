@@ -414,7 +414,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if _, err := SaveManifest(fsys, "run/iter0000.rank000.ckpt", m); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := LoadManifest(context.Background(), fsys, "run/iter0000.rank000.ckpt")
+	got, _, _, err := LoadManifest(context.Background(), fsys, "run/iter0000.rank000.ckpt", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	inj := faults.New(4, faults.Rule{Kind: faults.BitFlip, Name: ".cman", Count: 1})
 	fsys.SetFaultHook(inj)
 	fsys.EvictAll()
-	_, _, err = LoadManifest(context.Background(), fsys, "run/iter0000.rank000.ckpt")
+	_, _, _, err = LoadManifest(context.Background(), fsys, "run/iter0000.rank000.ckpt", nil)
 	fsys.SetFaultHook(nil)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt manifest load: err=%v, want ErrCorrupt", err)

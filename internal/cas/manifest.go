@@ -206,12 +206,16 @@ func SaveManifest(fsys *pfs.Store, checkpointName string, m *Manifest) (cost pfs
 	return cost, w.Close()
 }
 
-// LoadManifest reads and verifies the manifest for a checkpoint name.
-func LoadManifest(ctx context.Context, fsys *pfs.Store, checkpointName string) (*Manifest, pfs.Cost, error) {
-	raw, cost, err := fsys.ReadFileFull(ctx, ManifestName(checkpointName), 4<<20)
+// LoadManifest reads and verifies the manifest for a checkpoint name. The
+// file is read into buf when buf holds it (pfs.Store.ReadFileFull) and the
+// buffer it was read into — buf, or the larger one allocated in its place —
+// comes back for the caller to reuse: decoding copies, so the manifest
+// does not alias it.
+func LoadManifest(ctx context.Context, fsys *pfs.Store, checkpointName string, buf []byte) (*Manifest, []byte, pfs.Cost, error) {
+	raw, cost, err := fsys.ReadFileFull(ctx, ManifestName(checkpointName), 4<<20, buf)
 	if err != nil {
-		return nil, cost, err
+		return nil, buf, cost, err
 	}
 	m, err := decode(raw)
-	return m, cost, err
+	return m, raw, cost, err
 }

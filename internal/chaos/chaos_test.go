@@ -31,6 +31,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/aio"
 	"repro/internal/ckpt"
 	"repro/internal/compare"
 	"repro/internal/device"
@@ -152,6 +153,9 @@ func trial(t *testing.T, g group, topo compare.Topology, seed uint64, opts compa
 	if h := g.store.OpenHandles(); h != 0 {
 		t.Fatalf("seed %d: %d pfs handles leaked (err=%v)", seed, h, err)
 	}
+	if st := aio.ArenaOf(opts.Backend).Stats(); st.Outstanding != 0 {
+		t.Fatalf("seed %d: %d arena buffer sets never returned (err=%v)", seed, st.Outstanding, err)
+	}
 	if st := inj.Stats(); st.ReadOps == 0 {
 		t.Fatalf("seed %d: fault hook never saw a read — the harness is vacuous", seed)
 	}
@@ -215,10 +219,15 @@ func waitGoroutines(t *testing.T, base int) {
 // TestChaosSoak is the main harness: seeds × topologies, degrade on.
 func TestChaosSoak(t *testing.T) {
 	sc := soakScale()
+	// The soak's own ring, so every trial can hold its arena to account:
+	// metadata sets and window sets alike are back however the trial ended.
+	ring := aio.NewUring(256, 4)
+	defer ring.Close()
 	opts := compare.Options{
 		Epsilon:   1e-5,
 		ChunkSize: sc.chunk,
 		Exec:      device.NewParallel(2),
+		Backend:   aio.NewCoalescing(ring, 0),
 		Degrade:   true,
 	}
 	g := seedGroup(t, sc, opts)

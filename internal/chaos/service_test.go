@@ -209,6 +209,9 @@ func TestServicePlaneFaultIsolation(t *testing.T) {
 	if h := envB.store.OpenHandles(); h != 0 {
 		t.Errorf("bystander store leaked %d handles", h)
 	}
+	if st := p.ArenaStats(); st.Outstanding != 0 {
+		t.Errorf("%d arena buffer sets still checked out with both sessions idle", st.Outstanding)
+	}
 	if err := p.Close(); err != nil {
 		t.Fatalf("plane close after chaos: %v", err)
 	}

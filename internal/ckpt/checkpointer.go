@@ -74,7 +74,7 @@ func (c *Checkpointer) flusher() {
 // cancellation point is the jobs channel closing in Close, not a context.
 func (c *Checkpointer) flushOne(name string) error {
 	//lint:ignore ctxflow the flusher outlives any caller; Close is its cancellation
-	data, cost, err := c.local.ReadFileFull(context.Background(), name, 4<<20)
+	data, cost, err := c.local.ReadFileFull(context.Background(), name, 4<<20, nil)
 	if err != nil {
 		return fmt.Errorf("flush %s: read local: %w", name, err)
 	}

@@ -213,22 +213,25 @@ type readSet struct {
 // parentReadSets are the read sets of the power-of-two-chunk rows at the
 // parent commit (1ae74df), where BuildFromReader was ckpt.ReadField per
 // field followed by Build — recorded by running measureReadSet there (the
-// ulp-jitter row, a shape added later, at 41084e4 the same way). The
+// ulp-jitter row, a shape added later, at 41084e4 the same way, and the
+// field-of-one-chunk and leaves-beside-start-level rows at a58ba29). The
 // one loop must issue the same reads: only the goroutine that issues them
 // changed. (The op and byte counts include the header read of OpenReader.)
 var parentReadSets = map[string]readSet{
-	"single-chunk":          {warm: pfs.Cost{CachedOps: 3, CachedBytes: 12000}, cold: pfs.Cost{Ops: 2, CachedOps: 1, Bytes: 8000, CachedBytes: 4000}, ops: 4, bytes: 16096, pages: 3},
-	"ragged-final-chunk":    {warm: pfs.Cost{CachedOps: 3, CachedBytes: 120444}, cold: pfs.Cost{Ops: 3, Bytes: 117160, CachedBytes: 3284}, ops: 4, bytes: 124540, pages: 30},
-	"few-pairs-per-slice":   {warm: pfs.Cost{CachedOps: 3, CachedBytes: 786432}, cold: pfs.Cost{Ops: 3, Bytes: 786432}, ops: 4, bytes: 790528, pages: 193},
-	"many-slices":           {warm: pfs.Cost{CachedOps: 3, CachedBytes: 3145728}, cold: pfs.Cost{Ops: 3, Bytes: 3145728}, ops: 4, bytes: 3149824, pages: 769},
-	"fields-filter":         {warm: pfs.Cost{CachedOps: 3, CachedBytes: 393216}, cold: pfs.Cost{Ops: 3, Bytes: 393216}, ops: 4, bytes: 397312, pages: 97},
-	"degrade-bit-flip":      {warm: pfs.Cost{CachedOps: 3, CachedBytes: 589824}, cold: pfs.Cost{Ops: 3, Bytes: 589824}, ops: 4, bytes: 593920, pages: 145},
-	"ulp-jitter":            {warm: pfs.Cost{CachedOps: 3, CachedBytes: 480036}, cold: pfs.Cost{Ops: 3, Bytes: 479232, CachedBytes: 804}, ops: 4, bytes: 484132, pages: 118},
-	"ragged-across-blocks":  {warm: pfs.Cost{CachedOps: 4, CachedBytes: 2400008}, cold: pfs.Cost{Ops: 4, Bytes: 2396036, CachedBytes: 3972}, ops: 5, bytes: 2404104, pages: 586},
-	"chunk-over-1MiB":       {warm: pfs.Cost{CachedOps: 8, CachedBytes: 7497152}, cold: pfs.Cost{Ops: 8, Bytes: 7495680, CachedBytes: 1472}, ops: 9, bytes: 7501248, pages: 1831},
-	"single-chunk-fields":   {warm: pfs.Cost{CachedOps: 3, CachedBytes: 69540}, cold: pfs.Cost{Ops: 2, CachedOps: 1, Bytes: 69536, CachedBytes: 4}, ops: 4, bytes: 73636, pages: 18},
-	"field-under-one-block": {warm: pfs.Cost{CachedOps: 2, CachedBytes: 100016}, cold: pfs.Cost{Ops: 1, CachedOps: 1, Bytes: 98304, CachedBytes: 1712}, ops: 3, bytes: 104112, pages: 25},
-	"mixed-dtypes":          {warm: pfs.Cost{CachedOps: 5, CachedBytes: 1481236}, cold: pfs.Cost{Ops: 3, CachedOps: 2, Bytes: 1478552, CachedBytes: 2684}, ops: 6, bytes: 1485332, pages: 362},
+	"single-chunk":              {warm: pfs.Cost{CachedOps: 3, CachedBytes: 12000}, cold: pfs.Cost{Ops: 2, CachedOps: 1, Bytes: 8000, CachedBytes: 4000}, ops: 4, bytes: 16096, pages: 3},
+	"ragged-final-chunk":        {warm: pfs.Cost{CachedOps: 3, CachedBytes: 120444}, cold: pfs.Cost{Ops: 3, Bytes: 117160, CachedBytes: 3284}, ops: 4, bytes: 124540, pages: 30},
+	"few-pairs-per-slice":       {warm: pfs.Cost{CachedOps: 3, CachedBytes: 786432}, cold: pfs.Cost{Ops: 3, Bytes: 786432}, ops: 4, bytes: 790528, pages: 193},
+	"many-slices":               {warm: pfs.Cost{CachedOps: 3, CachedBytes: 3145728}, cold: pfs.Cost{Ops: 3, Bytes: 3145728}, ops: 4, bytes: 3149824, pages: 769},
+	"fields-filter":             {warm: pfs.Cost{CachedOps: 3, CachedBytes: 393216}, cold: pfs.Cost{Ops: 3, Bytes: 393216}, ops: 4, bytes: 397312, pages: 97},
+	"degrade-bit-flip":          {warm: pfs.Cost{CachedOps: 3, CachedBytes: 589824}, cold: pfs.Cost{Ops: 3, Bytes: 589824}, ops: 4, bytes: 593920, pages: 145},
+	"ulp-jitter":                {warm: pfs.Cost{CachedOps: 3, CachedBytes: 480036}, cold: pfs.Cost{Ops: 3, Bytes: 479232, CachedBytes: 804}, ops: 4, bytes: 484132, pages: 118},
+	"field-of-one-chunk":        {warm: pfs.Cost{CachedOps: 3, CachedBytes: 48244}, cold: pfs.Cost{Ops: 3, Bytes: 44960, CachedBytes: 3284}, ops: 4, bytes: 52340, pages: 12},
+	"leaves-beside-start-level": {warm: pfs.Cost{CachedOps: 3, CachedBytes: 32920}, cold: pfs.Cost{Ops: 3, Bytes: 32768, CachedBytes: 152}, ops: 4, bytes: 37016, pages: 9},
+	"ragged-across-blocks":      {warm: pfs.Cost{CachedOps: 4, CachedBytes: 2400008}, cold: pfs.Cost{Ops: 4, Bytes: 2396036, CachedBytes: 3972}, ops: 5, bytes: 2404104, pages: 586},
+	"chunk-over-1MiB":           {warm: pfs.Cost{CachedOps: 8, CachedBytes: 7497152}, cold: pfs.Cost{Ops: 8, Bytes: 7495680, CachedBytes: 1472}, ops: 9, bytes: 7501248, pages: 1831},
+	"single-chunk-fields":       {warm: pfs.Cost{CachedOps: 3, CachedBytes: 69540}, cold: pfs.Cost{Ops: 2, CachedOps: 1, Bytes: 69536, CachedBytes: 4}, ops: 4, bytes: 73636, pages: 18},
+	"field-under-one-block":     {warm: pfs.Cost{CachedOps: 2, CachedBytes: 100016}, cold: pfs.Cost{Ops: 1, CachedOps: 1, Bytes: 98304, CachedBytes: 1712}, ops: 3, bytes: 104112, pages: 25},
+	"mixed-dtypes":              {warm: pfs.Cost{CachedOps: 5, CachedBytes: 1481236}, cold: pfs.Cost{Ops: 3, CachedOps: 2, Bytes: 1478552, CachedBytes: 2684}, ops: 6, bytes: 1485332, pages: 362},
 }
 
 // measureReadSet builds from the reader twice — on the store as written,

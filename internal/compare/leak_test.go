@@ -3,6 +3,7 @@ package compare
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -75,6 +76,82 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
+// assertArenaIdle fails when the arena the options draw on has a buffer set
+// checked out: whatever way the comparison before it ended, its metadata
+// and window sets are back.
+func assertArenaIdle(t *testing.T, opts Options, when string) {
+	t.Helper()
+	if n := opts.withDefaults().arena().Stats().Outstanding; n != 0 {
+		t.Fatalf("%s: %d arena buffer sets still checked out", when, n)
+	}
+}
+
+// TestArenaSetsReturnOnEveryExit: a member's metadata set is on the cleanup
+// chain from the moment it is checked out, so every way a plan can end puts
+// it back — and the window sets with it.
+func TestArenaSetsReturnOnEveryExit(t *testing.T) {
+	env, base := leakEnv(t)
+	metaB := MetadataName(env.nameB)
+	blip := faults.New(1, faults.Rule{Kind: faults.TransientRead, Name: metaB})
+	rows := []struct {
+		name string
+		opts func() Options
+		hook pfs.FaultHook
+		// want checks how the comparison ended.
+		want func(t *testing.T, res *Result, err error)
+	}{
+		{name: "success", want: func(t *testing.T, res *Result, err error) {
+			if err != nil || res.DiffCount == 0 {
+				t.Fatalf("err = %v, result %+v", err, res)
+			}
+		}},
+		{name: "error mid-load", // member A's set is out when member B's read fails
+			hook: faults.New(1, faults.Rule{Kind: faults.PermanentRead, Name: metaB, Count: -1}),
+			want: func(t *testing.T, _ *Result, err error) {
+				if err == nil {
+					t.Fatal("a metadata file that cannot be read compared clean")
+				}
+			}},
+		{name: "retried step", // load runs twice: two sets for A, one for B
+			hook: blip,
+			want: func(t *testing.T, res *Result, err error) {
+				if err != nil || res.DiffCount == 0 || blip.Stats().ReadErrs != 1 {
+					t.Fatalf("err = %v after %d injected faults, want one transient fault retried away", err, blip.Stats().ReadErrs)
+				}
+			}},
+		{name: "degraded, dead source",
+			opts: func() Options {
+				o := base
+				o.Degrade, o.Backend = true, nameFailBackend{inner: aio.Mmap{}, match: "runB", err: errStorage}
+				return o
+			},
+			want: func(t *testing.T, res *Result, err error) {
+				if err != nil || !res.Degraded || res.UnverifiedChunks == 0 {
+					t.Fatalf("err = %v, want a degraded result", err)
+				}
+			}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			opts := base
+			if row.opts != nil {
+				opts = row.opts()
+			}
+			env.store.EvictAll()
+			if row.hook != nil {
+				env.store.SetFaultHook(row.hook)
+				defer env.store.SetFaultHook(nil)
+			}
+			res, err := CompareMerkle(context.Background(), env.store, env.nameA, env.nameB, opts)
+			row.want(t, res, err)
+			assertArenaIdle(t, opts, row.name)
+			if n := env.store.OpenHandles(); n != 0 {
+				t.Fatalf("%d reader handles leaked", n)
+			}
+		})
+	}
+}
+
 // TestStage2FailureClosesReaders injects a read fault into the streaming
 // phase and asserts the engine's cleanup chain closed every checkpoint
 // reader: no handle survives the early-return error path.
@@ -103,6 +180,7 @@ func TestStage2FailureClosesReaders(t *testing.T) {
 	if n := env.store.OpenHandles(); n != 0 {
 		t.Fatalf("%d reader handles leaked after stage-2 failure", n)
 	}
+	assertArenaIdle(t, opts, "stage-2 failure")
 }
 
 // TestDirectFailureClosesReaders exercises the same invariant on the
@@ -117,6 +195,7 @@ func TestDirectFailureClosesReaders(t *testing.T) {
 	if n := env.store.OpenHandles(); n != 0 {
 		t.Fatalf("%d reader handles leaked after direct failure", n)
 	}
+	assertArenaIdle(t, opts, "direct failure")
 }
 
 // TestCancelMidComparisonNoLeaks cancels a comparison partway through its
@@ -145,6 +224,7 @@ func TestCancelMidComparisonNoLeaks(t *testing.T) {
 		if n := env.store.OpenHandles(); n != 0 {
 			t.Fatalf("budget %d: %d reader handles leaked", budget, n)
 		}
+		assertArenaIdle(t, opts, fmt.Sprintf("canceled at budget %d", budget))
 	}
 	waitGoroutines(t, base)
 }
@@ -172,6 +252,7 @@ func TestGroupCancelNoLeaks(t *testing.T) {
 		if n := env.store.OpenHandles(); n != 0 {
 			t.Fatalf("budget %d: %d reader handles leaked", budget, n)
 		}
+		assertArenaIdle(t, opts, fmt.Sprintf("canceled at budget %d", budget))
 	}
 	waitGoroutines(t, base)
 }
@@ -250,6 +331,7 @@ func TestCancelDuringIntegrityRereadStopsReads(t *testing.T) {
 		if n := env.store.OpenHandles(); n != 0 {
 			t.Fatalf("group=%v: %d reader handles leaked", group, n)
 		}
+		assertArenaIdle(t, opts, fmt.Sprintf("group=%v canceled mid-re-read", group))
 	}
 }
 

@@ -74,7 +74,12 @@ type MemberSet struct {
 	Readers []*ckpt.Reader
 	mans    []*cas.Manifest
 	pack    *pfs.File
-	// Metas holds each member's metadata, loaded once.
+	// Metas holds each member's metadata, loaded once. Its trees are decoded
+	// in place over buffer sets checked out of the options' arena, which the
+	// plan's cleanup chain puts back: no *Metadata or *merkle.Tree a member
+	// set loaded may be used after Execute returns. What outlives the plan
+	// — roots, leaf digests, indices — is copied out by value before then
+	// (TestResultsOutliveRecycledBuffers poisons every returned set).
 	Metas []*Metadata
 	// Cands[p][f] holds pair p's candidate chunks in field f, ascending:
 	// what the tree diff could not prune and the CAS could not prove.
@@ -189,8 +194,14 @@ func (ms *MemberSet) open(ctx context.Context, x *engine.Exec) error {
 			return err
 		}
 		ms.mans = make([]*cas.Manifest, len(ms.names))
+		// One recycled buffer serves every member in turn: decoding a
+		// manifest copies, so the set goes back when open returns.
+		arena := ms.opts.arena()
+		raw := arena.Get(0)
+		defer arena.Put(raw)
 		for i, name := range ms.names {
-			m, cost, err := cas.LoadManifest(ctx, ms.store, name)
+			m, buf, cost, err := cas.LoadManifest(ctx, ms.store, name, raw.Buf)
+			raw.Buf = buf
 			if err != nil {
 				return err
 			}
@@ -280,18 +291,28 @@ func (ms *MemberSet) bindFields(fields []ckpt.FieldSpec) error {
 // load loads each member's metadata exactly once — a group's first saving
 // over sequential pairwise comparison, which loads a shared member once
 // per pair — binds it to what it describes (checkMember), prices the reads
-// and the deserialization, and fills in the per-pair totals.
+// and the deserialization, and fills in the per-pair totals. Each member's
+// bytes land in a buffer set of the options' arena whose return is on the
+// cleanup chain from the moment it is checked out, so every way the plan
+// can end — an error mid-load, a re-run of this step, cancellation,
+// success — puts it back. A set is asked for at the size of the member
+// before it (members of one schema have metadata of one size; member 0
+// takes the smallest free set) and grows to fit when that was too small.
 func (ms *MemberSet) load(ctx context.Context, x *engine.Exec) error {
 	sw := metrics.NewStopwatch()
 	ms.Metas = make([]*Metadata, len(ms.names))
 	roots := make([]murmur3.Digest, len(ms.names))
 	var metaCost pfs.Cost
 	var deserWall time.Duration
+	arena, size := ms.opts.arena(), 0
 	for i, name := range ms.names {
-		m, cost, dwall, err := LoadMetadata(ctx, ms.store, name)
+		set := arena.Get(size)
+		x.Defer(func() { arena.Put(set) })
+		m, cost, dwall, err := loadMetadata(ctx, ms.store, name, set)
 		if err != nil {
 			return err
 		}
+		size = len(set.Buf)
 		metaCost.Add(cost)
 		deserWall += dwall
 		ms.Metas[i] = m
@@ -570,9 +591,27 @@ func newFolds(pairs, fields int) []PairFold {
 	return folds
 }
 
-// Add lands divergent element indices (field-absolute; copied) in a field.
-func (f *PairFold) Add(field int, idx []int64) {
-	f.idx[field] = append(f.idx[field], idx...)
+// grow makes room for n more indices in a field with one allocation of
+// exactly the capacity wanted, so a list whose size is known before it is
+// filled is allocated once.
+func (f *PairFold) grow(field, n int) {
+	if old := f.idx[field]; cap(old)-len(old) < n {
+		f.idx[field] = append(make([]int64, 0, len(old)+n), old...)
+	}
+}
+
+// Add lands the divergent element indices of parts (field-absolute;
+// copied), in order, in a field. The list grows once, by exactly what the
+// parts hold: hand over everything a (pair, field) has in one call.
+func (f *PairFold) Add(field int, parts ...[]int64) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	f.grow(field, n)
+	for _, p := range parts {
+		f.idx[field] = append(f.idx[field], p...)
+	}
 }
 
 // replay lands one memoized chunk verdict: chunk-relative indices, offset

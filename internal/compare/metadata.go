@@ -419,12 +419,24 @@ func SaveMetadata(store *pfs.Store, checkpointName string, m *Metadata) (pfs.Cos
 
 // LoadMetadata reads the metadata for a checkpoint from a store, returning
 // the read cost and the wall time spent deserializing. The read observes
-// the context block by block.
+// the context block by block. The metadata owns the bytes it was decoded
+// from, so it lives as long as the caller keeps it.
 func LoadMetadata(ctx context.Context, store *pfs.Store, checkpointName string) (*Metadata, pfs.Cost, time.Duration, error) {
-	data, cost, err := store.ReadFileFull(ctx, MetadataName(checkpointName), 4<<20)
+	return loadMetadata(ctx, store, checkpointName, new(aio.BufSet))
+}
+
+// loadMetadata is LoadMetadata over a recycled buffer: the file is read
+// into the set's buffer when that holds it, and the set adopts what was
+// allocated in its place when it does not, so a set that was too small goes
+// back to its arena large enough. The trees are decoded in place
+// (DecodeMetadata): the metadata is valid until the set is put back — for
+// good when, as in LoadMetadata, the set is nobody's to put back.
+func loadMetadata(ctx context.Context, store *pfs.Store, checkpointName string, into *aio.BufSet) (*Metadata, pfs.Cost, time.Duration, error) {
+	data, cost, err := store.ReadFileFull(ctx, MetadataName(checkpointName), 4<<20, into.Buf)
 	if err != nil {
 		return nil, cost, 0, err
 	}
+	into.Buf = data
 	sw := metrics.NewStopwatch()
 	m, err := DecodeMetadata(data)
 	if err != nil {

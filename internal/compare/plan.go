@@ -60,9 +60,10 @@ type stage2 struct {
 	refs    []jobRef           // by job
 	hashers []*errbound.Hasher // by field
 	leaves  [][]leafRef        // by source and extent, under degrade
-	// kernel holds the per-job verdicts until drain lands them, in job
-	// order, in the pairs' folds.
-	kernel verdicts
+	// kernel holds the per-job verdicts of one run until drain lands
+	// them, in job order, in the pairs' folds: scratch, checked out of the
+	// free list for the run.
+	kernel *verdicts
 }
 
 // pairState is a pair plan: the member set [A, B], the result it charges,
@@ -236,7 +237,11 @@ func (st *stage2) run(ctx context.Context) (stream.Stats, time.Duration, error) 
 		return stream.Stats{}, 0, nil
 	}
 	exec := device.Cancelable{Done: ctx.Done(), Inner: opts.Exec}
-	st.kernel.reset(len(st.plan.Jobs), stream.MaxRanges(exec))
+	st.kernel = getVerdicts(len(st.plan.Jobs), stream.MaxRanges(exec))
+	defer func() {
+		putVerdicts(st.kernel)
+		st.kernel = nil
+	}()
 	stats, err := stream.Run(ctx, st.plan, stream.Config{
 		Backend:    opts.Backend,
 		Arena:      opts.arena(),
@@ -263,18 +268,33 @@ func (st *stage2) run(ctx context.Context) (stream.Stats, time.Duration, error) 
 }
 
 // drain lands the kernel's slots in the pairs' folds, in job order — the
-// same at any worker count. A job the pipeline never delivered named a
-// dead source: stage 1 proved its chunk could diverge and nothing verified
-// it.
+// same at any worker count. Each (pair, field)'s indices are counted from
+// the slots before any is copied, so the list a Result carries away is one
+// allocation of exactly its size, and a copy: the slots and the ranges'
+// scratch go back to the free list. A job the pipeline never delivered
+// named a dead source: stage 1 proved its chunk could diverge and nothing
+// verified it.
 func (st *stage2) drain() {
-	for i := range st.kernel.slots {
+	k, folds, fields := st.kernel, st.ms.folds, len(st.ms.fields)
+	need := k.counts(len(folds) * fields)
+	for i, s := range k.slots {
+		if s.verdict == chunkChanged {
+			need[st.refs[i].pair*fields+st.refs[i].field] += s.hi - s.lo
+		}
+	}
+	for at, n := range need {
+		if n > 0 {
+			folds[at/fields].grow(at%fields, n)
+		}
+	}
+	for i := range k.slots {
 		ref := &st.refs[i]
-		fold := st.ms.Fold(ref.pair)
-		switch st.kernel.slots[i].verdict {
+		fold := &folds[ref.pair]
+		switch k.slots[i].verdict {
 		case chunkPending, chunkUnverified:
 			fold.Unverified++
 		case chunkChanged:
-			fold.Add(ref.field, st.kernel.indices(i))
+			fold.idx[ref.field] = append(fold.idx[ref.field], k.indices(i)...)
 			if ref.chunk >= 0 {
 				fold.Changed++
 			}

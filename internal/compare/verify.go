@@ -3,6 +3,7 @@ package compare
 import (
 	"context"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/errbound"
@@ -114,14 +115,72 @@ type rangeScratch struct {
 // slot per job and a scratch per range, written concurrently by the
 // ranges (distinct jobs, distinct ranges) and read back serially in job
 // order after the join — so diffs, counts and their order are the same at
-// any worker count.
+// any worker count. A store is scratch: it is checked out of kernelFree
+// for one stage-2 run and goes back once drain has copied what it found
+// into the folds, so nothing that leaves the comparison may alias it.
 type verdicts struct {
 	slots  []verdictSlot
 	ranges []rangeScratch
+	need   []int // drain's index count per (pair, field)
+}
+
+// verdictSlotBytes is the in-memory size of one verdictSlot, for the free
+// list's byte bound.
+const verdictSlotBytes = 24
+
+// The kernel-scratch free list keeps at most kernelFreeStores stores, none
+// larger than kernelStoreMax bytes (a larger one — a comparison reporting
+// more than a quarter of a million divergent elements — is dropped for the
+// collector and regrown by the next comparison that needs it): at most
+// 64 MiB for the process, in practice the comparisons in flight at once
+// times what a typical one reports.
+const (
+	kernelFreeStores = 32
+	kernelStoreMax   = 2 << 20
+)
+
+// kernelFree recycles verdict stores across comparisons and across the
+// work units of a sharded one. It lives for the process, like the
+// fallback ring's arena (fallback.go), and takes back only what its bound
+// allows, like an arena's Put.
+var kernelFree struct {
+	sync.Mutex
+	stores []*verdicts
+}
+
+// getVerdicts checks a store out of the free list (a new one when it is
+// empty), sized by reset.
+func getVerdicts(jobs, maxRanges int) *verdicts {
+	kernelFree.Lock()
+	var v *verdicts
+	if last := len(kernelFree.stores) - 1; last >= 0 {
+		v, kernelFree.stores[last] = kernelFree.stores[last], nil
+		kernelFree.stores = kernelFree.stores[:last]
+	}
+	kernelFree.Unlock()
+	if v == nil {
+		v = &verdicts{}
+	}
+	v.reset(jobs, maxRanges)
+	return v
+}
+
+// putVerdicts returns a store to the free list, or drops it when the list
+// is full or the store is over the size the list keeps.
+func putVerdicts(v *verdicts) {
+	bytes := verdictSlotBytes*cap(v.slots) + 8*cap(v.need)
+	for r := range v.ranges {
+		bytes += 8 * cap(v.ranges[r].idx)
+	}
+	kernelFree.Lock()
+	if bytes <= kernelStoreMax && len(kernelFree.stores) < kernelFreeStores {
+		kernelFree.stores = append(kernelFree.stores, v)
+	}
+	kernelFree.Unlock()
 }
 
 // reset sizes the store for a batch of jobs over at most maxRanges
-// ranges, keeping every backing array.
+// ranges, keeping every backing array and nothing a previous batch wrote.
 func (v *verdicts) reset(jobs, maxRanges int) {
 	v.slots = slices.Grow(v.slots[:0], jobs)[:jobs]
 	clear(v.slots)
@@ -129,8 +188,15 @@ func (v *verdicts) reset(jobs, maxRanges int) {
 		v.ranges = append(v.ranges, make([]rangeScratch, maxRanges-len(v.ranges))...)
 	}
 	for r := range v.ranges {
-		v.ranges[r].idx = v.ranges[r].idx[:0]
+		v.ranges[r] = rangeScratch{idx: v.ranges[r].idx[:0]}
 	}
+}
+
+// counts returns n zeroed counters from the store's scratch.
+func (v *verdicts) counts(n int) []int {
+	v.need = slices.Grow(v.need[:0], n)[:n]
+	clear(v.need)
+	return v.need
 }
 
 // verify runs job i in range r and files its outcome.

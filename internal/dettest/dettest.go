@@ -10,8 +10,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"testing"
 
+	"repro/internal/aio"
 	"repro/internal/ckpt"
 	"repro/internal/device"
 	"repro/internal/errbound"
@@ -24,16 +27,23 @@ const Eps = 1e-5
 
 // Shape is one row of the table: three runs of three float32 fields.
 type Shape struct {
-	Name       string
-	Elems      int // float32 elements per field
+	Name  string
+	Elems int // float32 elements per field
+	// FieldElems, where non-zero, overrides Elems for that field, so one
+	// checkpoint can hold trees of different depths.
+	FieldElems [3]int
 	Chunk      int
 	SliceBytes int
 	Fields     []string // Options.Fields; nil compares everything
 	Degrade    bool     // run under Options.Degrade with in-flight corruption
 	// Stride spaces the ε-straddling elements: 61 puts some in every
 	// chunk, thousands leave most chunks to the perturbation alone, so
-	// candidates come in runs with holes between them.
+	// candidates come in runs with holes between them; past Elems only
+	// the first element of each field straddles, and 0 plants nothing.
 	Stride int
+	// Quiet leaves out the perturbation: runs 1–2 are the baseline plus
+	// what Stride plants, so Quiet with Stride 0 is three identical runs.
+	Quiet bool
 	// ULPJitter makes the runs two executions of one nondeterministic
 	// code instead of one state perturbed here and there: magnitudes from
 	// 1e-3 to 1e3, and every element of runs 1–2 a few float32 ULPs from
@@ -52,8 +62,37 @@ func Shapes() []Shape {
 		{Name: "fields-filter", Elems: 32 << 10, Chunk: 4 << 10, Fields: []string{"vx"}, Stride: 2503},
 		{Name: "degrade-bit-flip", Elems: 48 << 10, Chunk: 4 << 10, SliceBytes: 96 << 10, Degrade: true, Stride: 3001},
 		{Name: "ulp-jitter", Elems: 40_003, Chunk: 4 << 10, SliceBytes: 64 << 10, Stride: 4099, ULPJitter: true},
+		// One field of ten chunks beside a field that is one short chunk
+		// and a field that is exactly one chunk: a tree of depth 0 in a
+		// plan whose other trees have levels to prune.
+		{Name: "field-of-one-chunk", Elems: 10_037, FieldElems: [3]int{0, 1000, 1024}, Chunk: 4 << 10, Stride: 997},
+		// Leaf counts that are not powers of two around the tables' pinned
+		// StartLevel 1: five leaves (the second level-1 node covers one
+		// real leaf and three of padding), three, and two — where level 1
+		// is the leaf level itself.
+		{Name: "leaves-beside-start-level", Elems: 4*1024 + 37, FieldElems: [3]int{0, 2*1024 + 1, 2 * 1024}, Chunk: 4 << 10, Stride: 997},
 	}
 }
+
+// Sequence returns the stale-scratch sequence: three shapes of one schema
+// to be compared back to back, in this order, on one plane — dense (every
+// chunk a candidate, long index lists), clean (three identical runs: no
+// job at all), one chunk (a single straddling element per field). A
+// recycled buffer or kernel scratch that keeps anything of the comparison
+// before — a verdict slot beyond the job list, the tail of an index list —
+// shows as a count that differs from the oracle's.
+func Sequence() []Shape {
+	const elems, chunk = 24 << 10, 4 << 10
+	return []Shape{
+		{Name: "sequence-dense", Elems: elems, Chunk: chunk, Stride: 61},
+		{Name: "sequence-clean", Elems: elems, Chunk: chunk, Quiet: true},
+		{Name: "sequence-one-chunk", Elems: elems, Chunk: chunk, Quiet: true, Stride: elems + 1},
+	}
+}
+
+// Clean reports whether the shape's three runs are identical, so that no
+// comparison of them reaches stage 2.
+func (sh Shape) Clean() bool { return sh.Quiet && sh.Stride == 0 }
 
 // Exec names one executor of the table's columns.
 type Exec struct {
@@ -81,23 +120,32 @@ func Execs() []Exec {
 func Runs(sh Shape) (fields []ckpt.FieldSpec, data [][][]byte) {
 	base := make([][]byte, 3)
 	for fi, name := range []string{"x", "vx", "phi"} {
-		fields = append(fields, ckpt.FieldSpec{Name: name, DType: errbound.Float32, Count: int64(sh.Elems)})
+		elems := sh.Elems
+		if sh.FieldElems[fi] > 0 {
+			elems = sh.FieldElems[fi]
+		}
+		fields = append(fields, ckpt.FieldSpec{Name: name, DType: errbound.Float32, Count: int64(elems)})
 		if sh.ULPJitter {
-			base[fi] = logUniformF32(sh.Elems, int64(100+fi))
+			base[fi] = logUniformF32(elems, int64(100+fi))
 		} else {
-			base[fi] = synth.FieldF32(sh.Elems, int64(100+fi))
+			base[fi] = synth.FieldF32(elems, int64(100+fi))
 		}
 	}
 	data = append(data, base)
 	for ri := 1; ri <= 2; ri++ {
 		run := make([][]byte, len(base))
 		for fi := range base {
-			if sh.ULPJitter {
+			switch {
+			case sh.Quiet:
+				run[fi] = slices.Clone(base[fi])
+			case sh.ULPJitter:
 				run[fi] = ulpJitter(base[fi], int64(10*ri+fi))
-			} else {
+			default:
 				run[fi] = synth.PerturbF32(base[fi], synth.DefaultPerturb(int64(10*ri+fi)))
 			}
-			Straddle(base[fi], run[fi], Eps, 7*ri+fi, sh.Stride)
+			if sh.Stride > 0 {
+				Straddle(base[fi], run[fi], Eps, 7*ri+fi, sh.Stride)
+			}
 		}
 		data = append(data, run)
 	}
@@ -230,6 +278,51 @@ func Want(sh Shape, fields []ckpt.FieldSpec, data [][][]byte, a, b int) map[stri
 		}
 	}
 	return m
+}
+
+// AllocBudget is what a warm comparison may allocate besides its answer:
+// its plan, its candidate lists, its result and timing tables — not its
+// metadata, not its kernel scratch, not its index lists twice.
+const AllocBudget = 96 << 10
+
+// PinWarmAllocs holds one door to "a comparison allocates its answer and
+// nothing else". run is one comparison on a plane whose buffers come from
+// arena, returning the bytes of the index lists it reported. After eight
+// warm-up runs (page cache, ring, arena, kernel-scratch free list), twenty
+// more may allocate answer + AllocBudget bytes each and miss the arena
+// never; after every run nothing may be checked out of it.
+func PinWarmAllocs(t *testing.T, arena *aio.Arena, run func() (answer uint64)) {
+	t.Helper()
+	var answer uint64
+	checked := func() {
+		t.Helper()
+		if answer = run(); answer == 0 {
+			t.Fatal("the comparison found nothing: there is no answer to allocate")
+		}
+		if st := arena.Stats(); st.Outstanding != 0 {
+			t.Fatalf("%d arena sets still checked out", st.Outstanding)
+		}
+	}
+	for i := 0; i < 8; i++ {
+		checked()
+	}
+	misses := arena.Stats().Misses
+	var before, after runtime.MemStats
+	const runs = 20
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		checked()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%d bytes a run: %d of answer, %d besides", perRun, answer, int64(perRun)-int64(answer))
+	if perRun > answer+AllocBudget {
+		t.Errorf("a warm comparison allocates %d bytes for an answer of %d: %d besides, budget %d",
+			perRun, answer, perRun-answer, AllocBudget)
+	}
+	if got := arena.Stats().Misses; got != misses {
+		t.Errorf("%d arena misses over %d warm comparisons", got-misses, runs)
+	}
 }
 
 // VirtualOnly strips the wall-clock half of a result's timing tables, so

@@ -168,7 +168,7 @@ func TestTornWritePersistsPrefix(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data, _, err := s.ReadFileFull(context.Background(), "torn.dat", 0)
+	data, _, err := s.ReadFileFull(context.Background(), "torn.dat", 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

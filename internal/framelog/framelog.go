@@ -60,7 +60,7 @@ type Log struct {
 // Read returns the log's bytes for Replay (an absent log is empty) and
 // positions Size at their end.
 func (l *Log) Read(ctx context.Context) ([]byte, pfs.Cost, error) {
-	raw, cost, err := l.Store.ReadFileFull(ctx, l.Name, 4<<20)
+	raw, cost, err := l.Store.ReadFileFull(ctx, l.Name, 4<<20, nil)
 	if err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return nil, cost, err
 	}

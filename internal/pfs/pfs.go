@@ -745,8 +745,13 @@ func (w *Writer) Close() error {
 
 // ReadFileFull reads an entire file sequentially in large blocks and
 // returns its content with the aggregate cost — the access pattern of the
-// AllClose baseline. Each block read is a cancellation point.
-func (s *Store) ReadFileFull(ctx context.Context, name string, blockSize int) ([]byte, Cost, error) {
+// AllClose baseline. The content lands in dst when dst's capacity holds
+// the file, so a caller that recycles its buffer allocates nothing; a nil
+// or too-small dst allocates. Each block read is a cancellation point. A
+// block that comes back short — the file shrank after it was opened — is
+// an error wrapping io.ErrUnexpectedEOF: the tail of a recycled dst holds
+// whatever was read into it last, not zeros.
+func (s *Store) ReadFileFull(ctx context.Context, name string, blockSize int, dst []byte) ([]byte, Cost, error) {
 	if blockSize <= 0 {
 		blockSize = 1 << 20
 	}
@@ -756,17 +761,22 @@ func (s *Store) ReadFileFull(ctx context.Context, name string, blockSize int) ([
 	}
 	//lint:ignore errclose read-only handle; every ReadAt error is already checked below
 	defer f.Close()
-	data := make([]byte, f.Size())
+	var data []byte
+	if int64(cap(dst)) >= f.Size() {
+		data = dst[:f.Size()]
+	} else {
+		data = make([]byte, f.Size())
+	}
 	var total Cost
 	for off := int64(0); off < f.Size(); off += int64(blockSize) {
-		end := off + int64(blockSize)
-		if end > f.Size() {
-			end = f.Size()
-		}
-		_, c, err := f.ReadAtCtx(ctx, data[off:end], off)
+		end := min(off+int64(blockSize), f.Size())
+		n, c, err := f.ReadAtCtx(ctx, data[off:end], off)
 		total.Add(c)
 		if err != nil && !errors.Is(err, io.EOF) {
 			return nil, total, err
+		}
+		if int64(n) < end-off {
+			return nil, total, fmt.Errorf("pfs: read %s@%d: %d of %d bytes: %w", name, off, n, end-off, io.ErrUnexpectedEOF)
 		}
 	}
 	return data, total, nil

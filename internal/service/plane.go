@@ -149,11 +149,14 @@ func New(cfg Config) *Plane {
 // arenaLimit is the stage-2 arena's bound for a plane: what MaxInFlight
 // admitted comparisons hold at once at the default pipeline shape — Depth
 // (2) buffer sets each, a set being both sides of an 8 MiB slice
-// (aio.MaxSetBytes with its overshoot and request batches). The arena
-// never retains more, however many comparisons pass through; sets larger
-// than one default set are not retained at all.
+// (aio.MaxSetBytes with its overshoot and request batches), and one more
+// set's worth for the metadata of their members, which is read into the
+// same arena (a pair of 9 MiB metadata files: two 18 GiB checkpoints at the
+// default 64 KiB chunk). The arena never retains more, however many
+// comparisons pass through; sets larger than one default set are not
+// retained at all.
 func arenaLimit(cfg Config) int64 {
-	return int64(cfg.MaxInFlight) * 2 * aio.MaxSetBytes
+	return int64(cfg.MaxInFlight) * (2 + 1) * aio.MaxSetBytes
 }
 
 // defaultPlane is the process-wide plane behind Default.

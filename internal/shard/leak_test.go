@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/aio"
 	"repro/internal/ckpt"
@@ -38,12 +39,25 @@ func TestShardLeavesNothingBehind(t *testing.T) {
 	if _, _, err := run(context.Background(), steal, base); err != nil { // start the ring's workers
 		t.Fatal(err)
 	}
-	goroutines := runtime.NumGoroutine()
+	metaB := compare.MetadataName(e.nameB)
+	blip := faults.New(1, faults.Rule{Kind: faults.TransientRead, Name: metaB})
 
 	rows := map[string]func(t *testing.T){
 		"success": func(t *testing.T) {
 			if _, _, err := run(context.Background(), steal, base); err != nil {
 				t.Fatal(err)
+			}
+		},
+		"error-mid-load": func(t *testing.T) { // member A's metadata set is out when B's read fails
+			e.store.SetFaultHook(faults.New(1, faults.Rule{Kind: faults.PermanentRead, Name: metaB, Count: -1}))
+			if _, _, err := run(context.Background(), steal, base); err == nil {
+				t.Fatal("a metadata file that cannot be read compared clean")
+			}
+		},
+		"retried-load": func(t *testing.T) { // the load step runs twice
+			e.store.SetFaultHook(blip)
+			if _, _, err := run(context.Background(), steal, base); err != nil || blip.Stats().ReadErrs != 1 {
+				t.Fatalf("err = %v after %d injected faults, want one transient fault retried away", err, blip.Stats().ReadErrs)
 			}
 		},
 		"canceled-mid-unit": func(t *testing.T) {
@@ -80,6 +94,11 @@ func TestShardLeavesNothingBehind(t *testing.T) {
 	for name, row := range rows {
 		t.Run(name, func(t *testing.T) {
 			defer e.store.SetFaultHook(nil)
+			// The baseline is this row's own: taken inside it (so the
+			// subtest's goroutine is in it) once the goroutines of the
+			// comparison before — still exiting when Compare returns — are
+			// gone.
+			goroutines := settledGoroutines()
 			row(t)
 			if st := ring.Arena().Stats(); st.Outstanding != 0 {
 				t.Errorf("%d arena buffer sets never returned", st.Outstanding)
@@ -93,6 +112,19 @@ func TestShardLeavesNothingBehind(t *testing.T) {
 			waitGoroutines(t, goroutines)
 		})
 	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still for
+// 25 ms.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for still := 0; still < 5; still++ {
+		time.Sleep(5 * time.Millisecond)
+		if m := runtime.NumGoroutine(); m != n {
+			n, still = m, 0
+		}
+	}
+	return n
 }
 
 // dataReads counts the reads a store sees on the named files.

@@ -99,6 +99,32 @@ func (e *parityEnv) run(t *testing.T, exec device.Executor) *shardOutputs {
 	return out
 }
 
+// checkOracle holds both sharded entry points' diffs against the
+// element-wise oracle.
+func (e *parityEnv) checkOracle(t *testing.T, out *shardOutputs) {
+	t.Helper()
+	check := func(label string, r *compare.Result, a, b int) {
+		t.Helper()
+		if r.Degraded || r.UnverifiedChunks != 0 {
+			t.Errorf("%s: degraded (%d unverified) on a recoverable fault", label, r.UnverifiedChunks)
+		}
+		got := make(map[string][]int64)
+		for _, d := range r.Diffs {
+			got[d.Field] = d.Indices
+		}
+		if want := dettest.Want(e.shape, e.fields, e.data, a, b); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: diffs differ from the element-wise oracle", label)
+		}
+	}
+	if !e.shape.Clean() && (out.Pair.CandidateChunks == 0 || out.Pair.DiffCount == 0) {
+		t.Fatalf("shape exercises no stage 2: %d candidates, %d diffs", out.Pair.CandidateChunks, out.Pair.DiffCount)
+	}
+	check("shard pair", out.Pair, 0, 1)
+	for _, p := range out.Star.Pairs {
+		check("shard group", p.Result, p.A, p.B)
+	}
+}
+
 func TestShardParityAcrossExecutors(t *testing.T) {
 	for _, sh := range dettest.Shapes() {
 		t.Run(sh.Name, func(t *testing.T) {
@@ -115,29 +141,25 @@ func TestShardParityAcrossExecutors(t *testing.T) {
 					continue
 				}
 				ref = out
-				check := func(label string, r *compare.Result, a, b int) {
-					t.Helper()
-					if r.Degraded || r.UnverifiedChunks != 0 {
-						t.Errorf("%s: degraded (%d unverified) on a recoverable fault", label, r.UnverifiedChunks)
-					}
-					got := make(map[string][]int64)
-					for _, d := range r.Diffs {
-						got[d.Field] = d.Indices
-					}
-					if want := dettest.Want(sh, e.fields, e.data, a, b); !reflect.DeepEqual(got, want) {
-						t.Errorf("%s: diffs differ from the element-wise oracle", label)
-					}
-				}
-				if out.Pair.CandidateChunks == 0 || out.Pair.DiffCount == 0 {
-					t.Fatalf("shape exercises no stage 2: %d candidates, %d diffs", out.Pair.CandidateChunks, out.Pair.DiffCount)
-				}
-				check("shard pair", out.Pair, 0, 1)
-				for _, p := range out.Star.Pairs {
-					check("shard group", p.Result, p.A, p.B)
-				}
+				e.checkOracle(t, out)
 			}
 		})
 	}
+	// The stale-scratch sequence through the sharded doors: dense, then
+	// clean, then one chunk, back to back on one arena and free list.
+	t.Run("sequence", func(t *testing.T) {
+		var envs []*parityEnv
+		for _, sh := range dettest.Sequence() {
+			envs = append(envs, newParityEnv(t, sh))
+		}
+		for _, ex := range dettest.Execs() {
+			exec, closeExec := ex.Make()
+			for _, e := range envs {
+				e.checkOracle(t, e.run(t, exec))
+			}
+			closeExec()
+		}
+	})
 }
 
 // TestShardPairIsShardGroupOfTwo: Compare(A, B) is GroupCompare(A, [B],

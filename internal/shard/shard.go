@@ -402,11 +402,20 @@ func (r *run) execute(ctx context.Context) error {
 		all = append(all, verdicts[w]...)
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
-	for _, v := range all {
-		f := r.ms.Fold(int(v.Pair))
-		f.Add(int(v.Field), v.Diffs)
-		f.Changed += int(v.Changed)
-		f.Unverified += int(v.Unverified)
+	// The units of one (pair, field) were cut in one go (stepPartition),
+	// so they are consecutive in sequence order: each fold list is handed
+	// everything it gets in one call and is allocated once.
+	var parts [][]int64
+	for i := 0; i < len(all); {
+		pair, field := all[i].Pair, all[i].Field
+		f := r.ms.Fold(int(pair))
+		parts = parts[:0]
+		for ; i < len(all) && all[i].Pair == pair && all[i].Field == field; i++ {
+			parts = append(parts, all[i].Diffs)
+			f.Changed += int(all[i].Changed)
+			f.Unverified += int(all[i].Unverified)
+		}
+		f.Add(int(field), parts...)
 	}
 
 	var makespan time.Duration
