@@ -13,7 +13,6 @@ import (
 	"repro"
 	"repro/internal/aio"
 	"repro/internal/ckpt"
-	"repro/internal/cluster"
 	"repro/internal/compare"
 	"repro/internal/device"
 	"repro/internal/errbound"
@@ -222,30 +221,6 @@ func BenchmarkFig9Backends(b *testing.B) {
 			bp := newBenchPair(b, 1<<18, 1e-7, 4<<10)
 			bp.opts.Backend = backend
 			benchCompare(b, bp, compare.MethodMerkle)
-		})
-	}
-}
-
-// BenchmarkFig10Scaling measures the strong-scaling harness at a few
-// process counts.
-func BenchmarkFig10Scaling(b *testing.B) {
-	bp := newBenchPair(b, 1<<17, 1e-3, 64<<10)
-	pairs := []cluster.Pair{{NameA: bp.nameA, NameB: bp.nameB}}
-	for _, procs := range []int{1, 4} {
-		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
-			var res *cluster.Result
-			for i := 0; i < b.N; i++ {
-				var err error
-				res, err = cluster.Run(context.Background(), bp.store, pairs, cluster.Config{
-					Processes: procs, PerNode: 4, Method: compare.MethodMerkle, Opts: bp.opts,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			if res != nil {
-				b.ReportMetric(res.AggregateThroughputGBps(), "modelGB/s")
-			}
 		})
 	}
 }

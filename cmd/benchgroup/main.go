@@ -140,7 +140,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	//lint:ignore detflow benchmark reports record measured wall-clock durations by design
 	if err := enc.Encode(rep); err != nil {
 		fmt.Fprintln(stderr, "benchgroup:", err)
 		return 1

@@ -105,7 +105,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	report.Smoke = *smoke
 
-	//lint:ignore detflow benchmark reports record measured wall-clock durations by design
 	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		fmt.Fprintf(stderr, "benchkernels: %v\n", err)

@@ -11,24 +11,20 @@
 // Flags:
 //
 //	-json           emit findings as a JSON array instead of text
-//	-sarif          emit findings as SARIF 2.1.0 instead of text
 //	-tier N         analysis depth: 1 = syntactic rules only,
-//	                2 = also type-check and run the dataflow rules
+//	                2 = also type-check and run the type-aware rules
 //	                (default 2; packages that fail to type-check
 //	                silently degrade to tier 1)
 //	-tests          include _test.go files
 //	-rules          comma-separated rule subset (default: all)
 //	-list           print the rule set and exit
-//	-fix            rewrite fixable findings in place (errclose
-//	                dropped-Close → safeclose.Do, walltime time.Now
-//	                → simclock.Epoch) and report what changed
 //	-audit-ignores  report //lint:ignore directives that suppress
 //	                nothing (runs the full suite at tier 2)
 //	-C dir          run as if invoked from dir
 //
 // Exit status: 0 when no error-severity finding survives suppression
-// (for -audit-ignores: no stale directive; for -fix: nothing left
-// unfixable), 1 otherwise, 2 on usage or parse errors.
+// (for -audit-ignores: no stale directive), 1 otherwise, 2 on usage or
+// parse errors.
 package main
 
 import (
@@ -53,15 +49,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("reprovet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		jsonOut  = fs.Bool("json", false, "emit findings as JSON")
-		sarifOut = fs.Bool("sarif", false, "emit findings as SARIF 2.1.0")
-		tier     = fs.Int("tier", 2, "analysis depth: 1 syntactic, 2 adds type-aware dataflow rules")
-		tests    = fs.Bool("tests", false, "include _test.go files")
-		rules    = fs.String("rules", "", "comma-separated subset of rules to run")
-		list     = fs.Bool("list", false, "list available rules and exit")
-		fix      = fs.Bool("fix", false, "rewrite fixable findings in place")
-		audit    = fs.Bool("audit-ignores", false, "report lint:ignore directives that suppress nothing")
-		chdir    = fs.String("C", ".", "run as if invoked from this directory")
+		jsonOut = fs.Bool("json", false, "emit findings as JSON")
+		tier    = fs.Int("tier", 2, "analysis depth: 1 syntactic, 2 adds the type-aware rules")
+		tests   = fs.Bool("tests", false, "include _test.go files")
+		rules   = fs.String("rules", "", "comma-separated subset of rules to run")
+		list    = fs.Bool("list", false, "list available rules and exit")
+		audit   = fs.Bool("audit-ignores", false, "report lint:ignore directives that suppress nothing")
+		chdir   = fs.String("C", ".", "run as if invoked from this directory")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -75,10 +69,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *tier != 1 && *tier != 2 {
 		fmt.Fprintf(stderr, "reprovet: -tier must be 1 or 2, got %d\n", *tier)
-		return 2
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(stderr, "reprovet: -json and -sarif are mutually exclusive")
 		return 2
 	}
 
@@ -126,9 +116,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Tier:         *tier,
 	}
 
-	if *fix {
-		return runFix(cfg, patterns, stdout, stderr)
-	}
 	if *audit {
 		// Auditing against a rule subset or the shallow tier would call
 		// directives for the excluded rules stale; always use the full
@@ -144,8 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	switch {
-	case *jsonOut:
+	if *jsonOut {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if diags == nil {
@@ -155,18 +141,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "reprovet: %v\n", err)
 			return 2
 		}
-	case *sarifOut:
-		out, err := lint.ToSARIF(diags, root)
-		if err != nil {
-			fmt.Fprintf(stderr, "reprovet: %v\n", err)
-			return 2
-		}
-		fmt.Fprintf(stdout, "%s\n", out)
-	default:
+	} else {
 		for _, d := range diags {
 			fmt.Fprintln(stdout, d.String())
-			// Tier-2 findings carry their source→sink trail; print it
-			// indented so the finding reads as a story, not a position.
+			// A finding reported away from its cause carries the trail;
+			// print it indented under the finding.
 			for _, step := range d.Path {
 				fmt.Fprintf(stdout, "\t%s\n", step.String())
 			}
@@ -177,27 +156,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if lint.HasErrors(diags) {
-		return 1
-	}
-	return 0
-}
-
-// runFix applies the mechanical fixes and reports per-file counts. Exit
-// 1 when flagged sites remain that the fixer could not rewrite.
-func runFix(cfg lint.Config, patterns []string, stdout, stderr io.Writer) int {
-	results, err := lint.Fix(cfg, patterns...)
-	if err != nil {
-		fmt.Fprintf(stderr, "reprovet: %v\n", err)
-		return 2
-	}
-	applied, skipped := 0, 0
-	for _, r := range results {
-		fmt.Fprintf(stdout, "%s: %d fixed, %d skipped\n", r.File, r.Applied, r.Skipped)
-		applied += r.Applied
-		skipped += r.Skipped
-	}
-	fmt.Fprintf(stdout, "reprovet: fixed %d site(s), %d unfixable\n", applied, skipped)
-	if skipped > 0 {
 		return 1
 	}
 	return 0

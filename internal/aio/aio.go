@@ -217,8 +217,8 @@ var (
 
 // Default returns the process-wide shared io_uring-style engine (queue
 // depth 256, 4 workers; ring started on first use, never closed). It is
-// the backend the compare layer selects when Options.Backend is nil,
-// mirroring device.Default().
+// the backend the compare layer selects when Options.Backend is nil and
+// the ring service.Default() serves from, mirroring device.Default().
 func Default() *Uring {
 	defaultUringOnce.Do(func() { defaultUring = NewUring(256, 4) })
 	return defaultUring
@@ -257,7 +257,6 @@ func (l Legacy) ReadBatch(ctx context.Context, f *pfs.File, reqs []ReadReq) (pfs
 	if workers < 1 {
 		workers = 4
 	}
-	//lint:ignore ringlife the per-batch ring spawn IS the baseline this backend preserves for benchmarks
 	ring := NewRing(queueDepth, workers)
 	defer ring.Close()
 	submitted, serr := ring.Submit(ctx, f, reqs)
@@ -428,7 +427,7 @@ type sqe struct {
 	// cancel, when non-nil and closed, makes the worker complete the
 	// operation immediately with errCanceled instead of reading. It is the
 	// submitting context's Done channel (a channel, not the context itself,
-	// so no context is stored in a struct — see the ctxflow lint rule).
+	// so no context is stored in a struct).
 	cancel <-chan struct{}
 }
 
@@ -466,7 +465,7 @@ func NewRing(queueDepth, workers int) *Ring {
 	r.cond = sync.NewCond(&r.mu)
 	r.wg.Add(workers)
 	for i := 0; i < workers; i++ {
-		//lint:ignore gocheck worker pool joined by Ring.Close via r.wg.Wait
+		// The worker pool is joined by Ring.Close via r.wg.Wait.
 		go r.worker()
 	}
 	return r

@@ -43,9 +43,9 @@ const DefaultArenaLimit = 8 * 2 * MaxSetBytes
 // (stage 2's windows, stage 1's metadata files) and coalescer plan scratch
 // that outlives the comparisons drawing on it, so a steady stream of
 // comparisons allocates no buffers at all. It lives
-// as long as the ring that owns it (Uring.Arena) — the service plane's,
-// or a package-private fallback ring's — the way io_uring registered
-// buffers live with their ring.
+// as long as the ring that owns it (Uring.Arena) — a service plane's, or
+// the process-wide Default ring's — the way io_uring registered buffers
+// live with their ring.
 //
 // Checkout never blocks: an empty free list allocates (counted as a miss).
 // Return is where the bound is enforced: a set larger than MaxSetBytes, or

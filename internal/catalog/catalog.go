@@ -61,7 +61,9 @@ func ManifestName(runID string) string { return runID + "/manifest.json" }
 // Cancellation is observed between checkpoints.
 func Scan(ctx context.Context, store *pfs.Store, runID string, now func() time.Time) (*Manifest, error) {
 	if now == nil {
-		//lint:ignore walltime manifest creation timestamps are run metadata, not priced measurements; callers inject a fixed clock for reproducible manifests
+		// Manifest creation timestamps are run metadata, not priced
+		// measurements; callers inject a fixed clock for reproducible
+		// manifests.
 		now = time.Now
 	}
 	live, err := ckpt.History(store, runID)

@@ -95,8 +95,8 @@ func TestServicePlaneFaultIsolation(t *testing.T) {
 	ctx := context.Background()
 
 	// Serial oracles on the direct path; the second, warm-cache pass is
-	// the reference, and the runs also warm the compare fallback pool and
-	// ring before the goroutine baseline.
+	// the reference, and the runs also warm the process-wide default pool
+	// and ring before the goroutine baseline.
 	var wantV, wantB *compare.Result
 	for i := 0; i < 2; i++ {
 		var err error

@@ -48,7 +48,7 @@ func NewCheckpointer(local, remote *pfs.Store, flushWorkers int) *Checkpointer {
 	}
 	c.wg.Add(flushWorkers)
 	for i := 0; i < flushWorkers; i++ {
-		//lint:ignore gocheck flusher pool joined by Checkpointer.Close via c.wg.Wait
+		// The flusher pool is joined by Checkpointer.Close via c.wg.Wait.
 		go c.flusher()
 	}
 	return c
@@ -73,7 +73,6 @@ func (c *Checkpointer) flusher() {
 // The background flusher has no caller-scoped lifetime to inherit — its
 // cancellation point is the jobs channel closing in Close, not a context.
 func (c *Checkpointer) flushOne(name string) error {
-	//lint:ignore ctxflow the flusher outlives any caller; Close is its cancellation
 	data, cost, err := c.local.ReadFileFull(context.Background(), name, 4<<20, nil)
 	if err != nil {
 		return fmt.Errorf("flush %s: read local: %w", name, err)

@@ -374,7 +374,7 @@ func TestBuildCancelMidway(t *testing.T) {
 	fields, data, opts := captureShapeData()
 	store, name := buildCase{fields: fields, data: data}.written(t)
 	// Canceled before it starts: nothing is read. (This also starts the
-	// process-wide fallback ring, whose workers are not this build's.)
+	// process-wide default ring, whose workers are not this build's.)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, _, cost, err := readBack(ctx, t, store, name, opts); !errors.Is(err, context.Canceled) || cost != (pfs.Cost{}) {

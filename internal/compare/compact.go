@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"sort"
 	"strings"
 
@@ -34,18 +35,29 @@ type CompactReport struct {
 	MetadataBuilt []string
 }
 
-// IsCompacted reports whether a checkpoint exists only as metadata.
-func IsCompacted(store *pfs.Store, name string) bool {
-	if f, err := store.Open(name); err == nil {
-		f.Close()
-		return false
+// IsCompacted reports whether a checkpoint exists only as metadata: its
+// data file is gone and its metadata file is there. A file that cannot be
+// opened for any other reason (descriptor exhaustion, permissions, a symlink
+// loop) is an error, never "compacted".
+func IsCompacted(store *pfs.Store, name string) (bool, error) {
+	if present, err := exists(store, name); present || err != nil {
+		return false, err
 	}
-	f, err := store.Open(MetadataName(name))
+	return exists(store, MetadataName(name))
+}
+
+// exists reports whether the named file opens. Only fs.ErrNotExist means it
+// does not.
+func exists(store *pfs.Store, name string) (bool, error) {
+	f, err := store.Open(name)
+	if errors.Is(err, fs.ErrNotExist) {
+		return false, nil
+	}
 	if err != nil {
-		return false
+		return false, err
 	}
 	f.Close()
-	return true
+	return true, nil
 }
 
 // CompactCheckpoint replaces one checkpoint with its metadata: metadata is

@@ -59,11 +59,11 @@ func TestCompactHistoryKeepsLatest(t *testing.T) {
 	}
 	// Old iterations are metadata-only; the latest keeps its data.
 	for _, it := range iters[:2] {
-		if !IsCompacted(store, ckpt.Name("cA", it, 0)) {
+		if !compacted(t, store, ckpt.Name("cA", it, 0)) {
 			t.Errorf("iteration %d not compacted", it)
 		}
 	}
-	if IsCompacted(store, ckpt.Name("cA", 30, 0)) {
+	if compacted(t, store, ckpt.Name("cA", 30, 0)) {
 		t.Error("latest iteration compacted")
 	}
 	// Data-level history shrinks; metadata history is intact.
@@ -173,7 +173,7 @@ func TestCompactCheckpointBuildsMissingMetadata(t *testing.T) {
 	if freed <= 0 {
 		t.Error("nothing freed")
 	}
-	if !IsCompacted(store, name) {
+	if !compacted(t, store, name) {
 		t.Error("not compacted")
 	}
 	// Compacting again fails (no data file).
@@ -210,12 +210,22 @@ func TestCompactHistoryValidation(t *testing.T) {
 	}
 }
 
+// compacted is IsCompacted for a store every file of which opens.
+func compacted(t *testing.T, store *pfs.Store, name string) bool {
+	t.Helper()
+	ok, err := IsCompacted(store, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ok
+}
+
 func TestIsCompactedStates(t *testing.T) {
 	store, err := pfs.NewStore(t.TempDir(), pfs.LustreModel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if IsCompacted(store, "never/existed.ckpt") {
+	if compacted(t, store, "never/existed.ckpt") {
 		t.Error("missing checkpoint reported compacted")
 	}
 }

@@ -322,6 +322,20 @@ func TestAllCloseViaMethodRun(t *testing.T) {
 	}
 }
 
+// TestMethodString pins the report names and that an unknown method
+// neither prints empty nor runs.
+func TestMethodString(t *testing.T) {
+	if MethodMerkle.String() != "merkle" || MethodDirect.String() != "direct" || MethodAllClose.String() != "allclose" {
+		t.Error("method names wrong")
+	}
+	if Method(42).String() == "" {
+		t.Error("unknown method has empty name")
+	}
+	if _, err := Method(42).Run(context.Background(), nil, "", "", Options{Epsilon: 1}); err == nil {
+		t.Error("unknown method ran")
+	}
+}
+
 // TestResultZeroChunks guards the rate helpers against division by zero.
 func TestResultZeroChunks(t *testing.T) {
 	var r Result

@@ -331,9 +331,9 @@ func TestGroupDegradeSharedExtentCheckedOnce(t *testing.T) {
 		}
 		return rep
 	}
-	clean := run(fallbackCoalescing())
+	clean := run(aio.NewCoalescing(aio.Default(), 0))
 	// Every read of the baseline lands with a flipped bit.
-	flipped := run(corruptBackend{inner: fallbackCoalescing(), match: "runA"})
+	flipped := run(corruptBackend{inner: aio.NewCoalescing(aio.Default(), 0), match: "runA"})
 	if flipped.Degraded() || flipped.UnverifiedChunks() != 0 {
 		t.Fatalf("in-flight corruption of the shared baseline degraded the group: %d unverified", flipped.UnverifiedChunks())
 	}

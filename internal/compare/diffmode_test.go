@@ -2,6 +2,7 @@ package compare
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/aio"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/errbound"
 	"repro/internal/merkle"
+	"repro/internal/murmur3"
 	"repro/internal/pfs"
 	"repro/internal/synth"
 )
@@ -283,6 +285,77 @@ func TestCompareDiffPrunedNeverUnverified(t *testing.T) {
 
 // TestCompareDiffMemoEpsilonMismatch: a memo carries verdicts only at its
 // pinned ε; any other comparison must refuse it.
+// TestPruneKeysOnFullDigests holds the CAS prune pass to full-digest keying
+// (DESIGN §13): a candidate chunk is proven without reading only by extent
+// equality or by a memoized verdict for exactly its digest pair. The
+// neighbours here differ from a provable pair in one byte of a digest — the
+// last, the first, on either side — so a prune decision or a memo key that
+// looks at any prefix, suffix or half of a digest removes a chunk this table
+// says must reach stage 2.
+func TestPruneKeysOnFullDigests(t *testing.T) {
+	dA := murmur3.Digest{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+	dB := murmur3.Digest{21, 22, 23, 24, 25, 26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36}
+	flip := func(d murmur3.Digest, i int) murmur3.Digest { d[i] ^= 0x80; return d }
+	memo := NewCASMemo(1e-5)
+	memo.insert(dA, dB, errbound.Float32, []int64{7})
+
+	rows := []struct {
+		name       string
+		a, b       murmur3.Digest
+		locA, locB cas.Loc
+		pruned     bool
+	}{
+		{"same extent", dA, dA, cas.Loc{Off: 0, Len: 64}, cas.Loc{Off: 0, Len: 64}, true},
+		{"memoized pair", dA, dB, cas.Loc{Off: 64, Len: 64}, cas.Loc{Off: 128, Len: 64}, true},
+		{"A differs in its last byte", flip(dA, 15), dB, cas.Loc{Off: 192, Len: 64}, cas.Loc{Off: 128, Len: 64}, false},
+		{"A differs in its first byte", flip(dA, 0), dB, cas.Loc{Off: 256, Len: 64}, cas.Loc{Off: 128, Len: 64}, false},
+		{"B differs in its last byte", dA, flip(dB, 15), cas.Loc{Off: 64, Len: 64}, cas.Loc{Off: 320, Len: 64}, false},
+		{"B differs in its first byte", dA, flip(dB, 0), cas.Loc{Off: 64, Len: 64}, cas.Loc{Off: 384, Len: 64}, false},
+		{"sides share all but the last byte", dA, flip(dA, 15), cas.Loc{Off: 64, Len: 64}, cas.Loc{Off: 448, Len: 64}, false},
+		{"sides share all but the first byte", dA, flip(dA, 0), cas.Loc{Off: 64, Len: 64}, cas.Loc{Off: 512, Len: 64}, false},
+		{"memoized pair, sides swapped", dB, dA, cas.Loc{Off: 128, Len: 64}, cas.Loc{Off: 64, Len: 64}, false},
+	}
+	manA := &cas.Manifest{Epsilon: 1e-5, ChunkSize: 64, Fields: []cas.FieldManifest{{Name: "x", DType: errbound.Float32}}}
+	manB := &cas.Manifest{Epsilon: 1e-5, ChunkSize: 64, Fields: []cas.FieldManifest{{Name: "x", DType: errbound.Float32}}}
+	var cands, want []int
+	for ci, r := range rows {
+		manA.Fields[0].Digests, manA.Fields[0].Locs = append(manA.Fields[0].Digests, r.a), append(manA.Fields[0].Locs, r.locA)
+		manB.Fields[0].Digests, manB.Fields[0].Locs = append(manB.Fields[0].Digests, r.b), append(manB.Fields[0].Locs, r.locB)
+		cands = append(cands, ci)
+		if !r.pruned {
+			want = append(want, ci)
+		}
+	}
+	res := &Result{}
+	ms := &MemberSet{
+		opts:    Options{Memo: memo},
+		Pairs:   [][2]int{{0, 1}},
+		mans:    []*cas.Manifest{manA, manB},
+		Cands:   [][][]int{{cands}},
+		results: []*Result{res},
+		folds:   newFolds(1, 1),
+	}
+	if err := ms.prune(context.Background(), nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := ms.Cands[0][0]; !slices.Equal(got, want) {
+		for _, ci := range want {
+			if !slices.Contains(got, ci) {
+				t.Errorf("chunk %d (%s) was pruned", ci, rows[ci].name)
+			}
+		}
+		t.Fatalf("chunks left for stage 2 = %v, want %v", got, want)
+	}
+	if res.CASPrunedChunks != 2 {
+		t.Errorf("CASPrunedChunks = %d, want 2", res.CASPrunedChunks)
+	}
+	// Only the memoized pair replays: element 7 of chunk 1, 16 float32s a
+	// chunk.
+	if got := ms.folds[0].idx[0]; !slices.Equal(got, []int64{1*16 + 7}) || ms.folds[0].Changed != 1 {
+		t.Errorf("replayed indices = %v (Changed %d), want [23] (1)", got, ms.folds[0].Changed)
+	}
+}
+
 func TestCompareDiffMemoEpsilonMismatch(t *testing.T) {
 	opts := baseOpts(1e-5, 4<<10)
 	env := newDiffEnv(t, opts)

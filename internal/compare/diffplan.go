@@ -32,7 +32,7 @@ import (
 // Soundness hinges on full-digest keying: inside one CAS a digest names
 // exactly one stored byte string, so any function of the chunk contents —
 // including CompareSlices' divergent-index list — is a function of the
-// digest pair. The casprune lint rule guards the "full" part.
+// digest pair. TestPruneKeysOnFullDigests guards the "full" part.
 
 // memoKey identifies a memoized stage-2 verdict: the (ordered) digest
 // pair and the element type the comparison ran under. ε is pinned by the

@@ -182,9 +182,14 @@ func CompareHistories(ctx context.Context, store *pfs.Store, runA, runB string, 
 		it, rk := itA, rkA
 		p.Add(engine.StepStreamVerify, fmt.Sprintf("pair:iter=%d:rank=%d", it, rk),
 			func(ctx context.Context, x *engine.Exec) error {
-				metaOnly := IsCompacted(store, nameA) || IsCompacted(store, nameB)
+				metaOnly, err := IsCompacted(store, nameA)
+				if err == nil && !metaOnly {
+					metaOnly, err = IsCompacted(store, nameB)
+				}
+				if err != nil {
+					return fmt.Errorf("compare: pair iter=%d rank=%d: %w", it, rk, err)
+				}
 				var res *Result
-				var err error
 				if metaOnly {
 					res, err = CompareTreesOnly(ctx, store, nameA, nameB, opts)
 				} else {

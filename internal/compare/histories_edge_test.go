@@ -3,6 +3,10 @@ package compare
 import (
 	"context"
 	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -82,7 +86,7 @@ func TestHistoriesCompactedCheckpointMidHistory(t *testing.T) {
 	if _, _, err := CompactCheckpoint(context.Background(), store, midName, opts); err != nil {
 		t.Fatal(err)
 	}
-	if !IsCompacted(store, midName) {
+	if !compacted(t, store, midName) {
 		t.Fatal("checkpoint not compacted")
 	}
 
@@ -111,6 +115,42 @@ func TestHistoriesCompactedCheckpointMidHistory(t *testing.T) {
 	if mid.BytesRead >= mid.CheckpointBytes {
 		t.Errorf("metadata-only pair read %d bytes, not less than %d checkpoint bytes",
 			mid.BytesRead, mid.CheckpointBytes)
+	}
+}
+
+// TestHistoriesUnopenableDataIsNotCompacted replaces one checkpoint's data
+// file with a symlink to itself — it is there, and no open can succeed
+// (ELOOP; unlike a chmod this holds for root too). Its metadata is intact,
+// so reading "cannot open" as "compacted" would answer the pair from trees
+// alone. The error must come out of the pair step, and no pair may be
+// reported metadata-only.
+func TestHistoriesUnopenableDataIsNotCompacted(t *testing.T) {
+	opts := baseOpts(1e-6, 4<<10)
+	store := historyEnv(t, []int{10, 20, 30}, opts, synth.PerturbConfig{})
+
+	midName := ckpt.Name("runA", 20, 0)
+	path := filepath.Join(store.Root(), filepath.FromSlash(midName))
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink(filepath.Base(path), path); err != nil {
+		t.Skipf("symlinks unavailable: %v", err)
+	}
+	if ok, err := IsCompacted(store, midName); err == nil || ok || errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("IsCompacted = %v, %v; want false and the open error", ok, err)
+	}
+
+	rep, err := CompareHistories(context.Background(), store, "runA", "runB", MethodMerkle, opts)
+	if err == nil {
+		t.Fatal("history with an unopenable data file compared without error")
+	}
+	if !strings.Contains(err.Error(), "iter=20") {
+		t.Errorf("err = %v, want it to name the pair", err)
+	}
+	for _, p := range rep.Pairs {
+		if p.MetadataOnly {
+			t.Errorf("pair iter=%d answered from metadata alone", p.Iteration)
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ import (
 // explicit Err checks observe the cancellation — exactly the paths the
 // engine contract guarantees.
 type countingCtx struct {
-	//lint:ignore ctxflow test-only context implementation; the embedded parent IS the context
+	// The embedded parent is the context.
 	context.Context
 	budget int64
 }

@@ -51,7 +51,7 @@ func resultSink(res *Result) sink {
 // MemberSet carries N checkpoints and the pairs compared among them
 // through stage 1, and collects every pair's stage-2 outcome for the
 // report. Steps communicate exclusively through it; the context arrives
-// per step through the engine (never stored — the ctxflow rule).
+// per step through the engine (never stored).
 type MemberSet struct {
 	store *pfs.Store
 	opts  Options

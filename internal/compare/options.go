@@ -26,25 +26,24 @@ type Options struct {
 	// ChunkSize is the hashing/verification granularity in bytes
 	// (default 64 KiB; the paper sweeps 4 KiB–512 KiB).
 	ChunkSize int
-	// Exec runs the data-parallel kernels. Production callers get the
-	// service plane's persistent pool injected here (internal/service
-	// normalizes options before they reach this package); direct calls
-	// that leave it nil fall back to a package-private persistent pool
-	// with the same shape (GOMAXPROCS workers, started once, reused
-	// across every tree level and compare batch). Pass device.Serial{}
-	// for the single-threaded "CPU" backend, or a private
-	// device.NewPool/device.NewParallel to bound parallelism per
-	// comparison.
+	// Exec runs the data-parallel kernels. A session on a plane built by
+	// service.New gets that plane's pool injected here; left nil it is
+	// device.Default(), the process-wide pool (GOMAXPROCS workers, started
+	// once, reused across every tree level and compare batch) that
+	// service.Default() serves from too. Pass device.Serial{} for the
+	// single-threaded "CPU" backend, or a private executor
+	// (device.NewParallel, or a pool of your own) to bound parallelism
+	// per comparison.
 	Exec device.Executor
 	// Device prices kernels and transfers (default: GPU model).
 	Device device.Model
-	// Backend performs scattered reads. Production callers get the
-	// service plane's persistent io_uring-style engine injected here
-	// (wrapped in aio.Coalescing — see CoalesceMaxGap); direct calls
-	// that leave it nil fall back to a package-private persistent ring
-	// of the same shape (deep queue, ring workers started once and
-	// reused across every batch), identically wrapped. An explicitly
-	// set Backend is used as-is, never wrapped.
+	// Backend performs scattered reads. A session on a plane built by
+	// service.New gets that plane's io_uring-style engine injected here
+	// (wrapped in aio.Coalescing — see CoalesceMaxGap); left nil it is
+	// aio.Default(), the process-wide ring (deep queue, ring workers
+	// started once and reused across every batch) that service.Default()
+	// serves from too, identically wrapped. An explicitly set Backend is
+	// used as-is, never wrapped.
 	Backend aio.Backend
 	// SliceBytes is the stage-2 window size: the bytes of any one
 	// compared file a pipeline window holds (default 8 MiB; of either
@@ -107,7 +106,7 @@ func (o Options) withDefaults() Options {
 		o.ChunkSize = 64 << 10
 	}
 	if o.Exec == nil {
-		o.Exec = fallbackExec()
+		o.Exec = device.Default()
 	}
 	//lint:ignore epsflow zero is the unset sentinel here, never a computed value
 	if o.Device.HashBytesPerSec == 0 {
@@ -120,9 +119,9 @@ func (o Options) withDefaults() Options {
 		// clustered candidate chunks are coalesced into fewer PFS ops
 		// unless the caller opts out with a negative CoalesceMaxGap.
 		if o.CoalesceMaxGap < 0 {
-			o.Backend = fallbackBackend()
+			o.Backend = aio.Default()
 		} else {
-			o.Backend = fallbackCoalescing().WithMaxGap(o.CoalesceMaxGap)
+			o.Backend = aio.NewCoalescing(aio.Default(), o.CoalesceMaxGap)
 		}
 	}
 	if o.SliceBytes <= 0 {
@@ -142,13 +141,13 @@ func (o Options) withDefaults() Options {
 }
 
 // arena returns the stage-2 buffer arena the options' backend carries —
-// the service plane's, through its ring — or the package fallback ring's
-// for a caller-supplied backend without one.
+// its plane's, through its ring — or the process-wide ring's for a
+// caller-supplied backend without one.
 func (o Options) arena() *aio.Arena {
 	if a := aio.ArenaOf(o.Backend); a != nil {
 		return a
 	}
-	return fallbackBackend().Arena()
+	return aio.Default().Arena()
 }
 
 // retryPolicy resolves the Retry knob on its documented semantics — zero

@@ -164,7 +164,7 @@ func (e *detEnv) optsOn(exec device.Executor) Options {
 	opts.Fields = e.shape.Fields
 	if e.shape.Degrade {
 		opts.Degrade = true
-		opts.Backend = flipBackend{inner: fallbackCoalescing(), match: "runB"}
+		opts.Backend = flipBackend{inner: aio.NewCoalescing(aio.Default(), 0), match: "runB"}
 	}
 	return opts
 }

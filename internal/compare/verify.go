@@ -141,8 +141,8 @@ const (
 
 // kernelFree recycles verdict stores across comparisons and across the
 // work units of a sharded one. It lives for the process, like the
-// fallback ring's arena (fallback.go), and takes back only what its bound
-// allows, like an arena's Put.
+// default ring's arena, and takes back only what its bound allows, like an
+// arena's Put.
 var kernelFree struct {
 	sync.Mutex
 	stores []*verdicts

@@ -10,8 +10,8 @@ import (
 // (each claimed iteration still counts toward completion, so every join —
 // the Pool's fin channel, Parallel's WaitGroup — closes normally and no
 // goroutine leaks). The signal is a bare channel rather than a
-// context.Context so no context ends up stored in a struct (the ctxflow
-// lint rule); it is typically a context's Done() channel.
+// context.Context so no context ends up stored in a struct; it is
+// typically a context's Done() channel.
 //
 // Cancellation is best-effort and cheap: the wrapper polls Done once every
 // cancelPollMask+1 iterations, so a canceled loop stops within a bounded

@@ -54,7 +54,7 @@ func NewPool(workers int) *Pool {
 	// give N-way parallelism.
 	p.wg.Add(workers - 1)
 	for i := 0; i < workers-1; i++ {
-		//lint:ignore gocheck joined by Pool.Close via p.wg
+		// Joined by Pool.Close via p.wg.
 		go p.worker()
 	}
 	return p
@@ -175,7 +175,8 @@ var (
 
 // Default returns the process-wide shared Pool (GOMAXPROCS workers,
 // started on first use, never closed). It is the executor the compare
-// layer selects when Options.Exec is nil.
+// layer selects when Options.Exec is nil and the pool service.Default()
+// serves from.
 func Default() *Pool {
 	defaultPoolOnce.Do(func() { defaultPool = NewPool(0) })
 	return defaultPool

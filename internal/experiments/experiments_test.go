@@ -3,6 +3,8 @@ package experiments
 import (
 	"context"
 	"bytes"
+	"errors"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -234,11 +236,13 @@ func TestFig9UringBeatsMmap(t *testing.T) {
 
 func TestFig10ScalingShape(t *testing.T) {
 	env := testEnv(t)
-	tab, err := env.Fig10(context.Background(), 1e-3, 8, []int{2, 4, 8})
+	// The last count has more processes than pairs: the idle ones add no
+	// time and must not turn the per-process mean into NaN.
+	tab, err := env.Fig10(context.Background(), 1e-3, 8, []int{2, 4, 8, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 3 {
+	if len(tab.Rows) != 4 {
 		t.Fatalf("fig10 has %d rows", len(tab.Rows))
 	}
 	var prevOurs float64
@@ -248,9 +252,25 @@ func TestFig10ScalingShape(t *testing.T) {
 		if ours >= direct {
 			t.Errorf("procs=%s: our makespan %.3f not below direct %.3f", row[0], ours, direct)
 		}
-		if i > 0 && ours >= prevOurs {
+		if i > 0 && i < 3 && ours >= prevOurs {
 			t.Errorf("procs=%s: makespan did not shrink (%.3f -> %.3f)", row[0], prevOurs, ours)
 		}
+		if i == 3 && ours != prevOurs {
+			t.Errorf("procs=16 on 8 pairs: makespan %.3f, want the one-pair-a-process %.3f", ours, prevOurs)
+		}
+		for _, cell := range row[1:5] {
+			if v := parseCell(t, cell); math.IsNaN(v) || math.IsInf(v, 0) || v <= 0 {
+				t.Errorf("procs=%s: cell %q is not a positive finite number", row[0], cell)
+			}
+		}
 		prevOurs = ours
+	}
+	if got := env.Store.Sharers(); got != 1 {
+		t.Errorf("sharers left at %d after the study", got)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := env.Fig10(ctx, 1e-3, 8, []int{2}); !errors.Is(err, context.Canceled) {
+		t.Errorf("canceled study: err = %v, want context.Canceled", err)
 	}
 }

@@ -47,7 +47,7 @@ func (e *Env) Table2() (*Table, error) {
 			{"Chunk sizes", "4KB-512KB"},
 		},
 		Notes: []string{
-			"nodes are simulated processes sharing a cost-modelled PFS (internal/cluster)",
+			"nodes are simulated processes sharing a cost-modelled PFS (internal/experiments, fig10.go)",
 		},
 	}, nil
 }

@@ -56,7 +56,7 @@ func feq(a, b sample) bool {
 		t.Fatalf("reason: %q", stale[0].Reason)
 	}
 
-	// The same audit restricted to tier 1 cannot see detflow fire, so it
+	// The same audit restricted to tier 1 cannot see epsflow fire, so it
 	// wrongly reports the tier-2 directive as stale too.
 	_, tier1Stale, err := RunAudit(Config{Root: root, Tier: 1, Analyzers: tier1Only()}, "./...")
 	if err != nil {

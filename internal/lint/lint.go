@@ -1,24 +1,24 @@
 // Package lint is a project-specific static-analysis framework for the
-// repro codebase. It enforces, at the source level, the invariants the
-// paper's no-false-negative guarantee rests on:
+// repro codebase. It holds the rules whose bug nothing else in `make
+// check` catches — seeded in the real tree, the bug left the tests, go vet,
+// the race detector, the fuzz targets and bench-det green:
 //
-//   - determinism of every hashed or recorded path (chained Murmur3F
-//     digests are order-sensitive, so map-iteration order must never
-//     reach a digest or a run artifact),
 //   - ε-safety of float comparisons (raw ==/!=/< on floats bypasses the
-//     error-bound machinery in internal/errbound),
-//   - leak-free concurrency (an unjoined goroutine in the aio/stream/
-//     cluster pipelines can outlive its run and corrupt shared cost
-//     accounting),
+//     error-bound machinery in internal/errbound; a hand-rolled compare
+//     that calls a NaN pair close, or rounds the difference in float32,
+//     passes every oracle table, because they hold errbound's kernels and
+//     the doors that call them),
 //   - no silently dropped I/O errors on checkpoint and PFS write paths
 //     (a dropped Close error means a checkpoint that hashes clean but
-//     never became durable),
-//   - virtual-clock discipline (packages priced by internal/simclock
-//     must not consult the wall clock).
+//     never became durable; no test fails a Close).
 //
-// The framework is stdlib-only (go/ast, go/parser, go/token); analyzers
-// are purely syntactic, tuned to this codebase's idioms rather than
-// general Go. Findings can be suppressed with a
+// Determinism, goroutine joins, cancellation, retry scheduling, kernel
+// allocation, ring lifetime and the journal chain are held by executable
+// checks instead (DESIGN.md §8 names them).
+//
+// The framework is stdlib-only (go/ast, go/parser, go/token, go/types).
+// Tier-1 analyzers are purely syntactic; tier-2 analyzers see go/types
+// facts. Findings can be suppressed with a
 //
 //	//lint:ignore <rule>[,<rule>...] <reason>
 //
@@ -63,8 +63,9 @@ func (s Severity) String() string {
 }
 
 // Diagnostic is one finding: a position, the rule that produced it, its
-// severity, and a human-readable message. Tier-2 dataflow rules also
-// attach the source→sink path that justifies the finding.
+// severity, and a human-readable message. A tier-2 finding reported away
+// from its cause (a generic helper flagged at its instantiation) also
+// attaches the path that justifies it.
 type Diagnostic struct {
 	Pos      token.Position `json:"-"`
 	File     string         `json:"file"`
@@ -73,14 +74,14 @@ type Diagnostic struct {
 	Rule     string         `json:"rule"`
 	Severity string         `json:"severity"`
 	Message  string         `json:"message"`
-	// Path, when present, is the dataflow trail from the nondeterminism
-	// source (first step) to the sink the diagnostic is anchored at.
+	// Path, when present, is the trail from the cause (first step) to the
+	// site the diagnostic is anchored at.
 	Path []PathStep `json:"path,omitempty"`
 }
 
-// PathStep is one hop of a dataflow path: a position and what happened
-// there ("map iteration order", "returned from keys", "reaches digest
-// write").
+// PathStep is one hop of a path: a position and what happened there
+// ("comparison on type parameter inside eq()", "instantiated with
+// float64").
 type PathStep struct {
 	File string `json:"file"`
 	Line int    `json:"line"`
@@ -154,10 +155,10 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.ReportPath(pos, nil, format, args...)
 }
 
-// ReportPath records a diagnostic carrying a dataflow path. The path's
-// first step is the source; suppression directives on the source line
-// silence the finding just like directives on the sink line, so a
-// reviewed nondeterminism source does not need one annotation per sink.
+// ReportPath records a diagnostic carrying a path. The path's first step
+// is the cause; suppression directives on that line silence the finding
+// just like directives on the reported line, so a reviewed generic helper
+// does not need one annotation per instantiation.
 func (p *Pass) ReportPath(pos token.Pos, path []PathStep, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	p.diags = append(p.diags, Diagnostic{
@@ -269,20 +270,8 @@ func HasErrors(diags []Diagnostic) bool {
 func All() []*Analyzer {
 	return []*Analyzer{
 		FloatCmp,
-		MapHash,
-		GoCheck,
 		ErrClose,
-		WallTime,
-		KernelAlloc,
-		RingLife,
-		Ctxflow,
-		Retryloop,
-		Casprune,
-		Shardmsg,
-		SvcOwn,
-		DetFlow,
 		EpsFlow,
-		WalChain,
 	}
 }
 

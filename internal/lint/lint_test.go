@@ -27,6 +27,26 @@ func runSource(t *testing.T, a *Analyzer, pkg, src string) []string {
 	return out
 }
 
+// runTier2 builds a temp module from files (path → content) and runs the
+// given analyzers at tier 2, returning findings as "file:line:rule".
+func runTier2(t *testing.T, analyzers []*Analyzer, files map[string]string) []string {
+	t.Helper()
+	root := t.TempDir()
+	mustWrite(t, root, "go.mod", "module fixture\n\ngo 1.22\n")
+	for rel, content := range files {
+		mustWrite(t, root, rel, content)
+	}
+	diags, err := Run(Config{Root: root, Analyzers: analyzers, Tier: 2}, "./...")
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var out []string
+	for _, d := range diags {
+		out = append(out, fmt.Sprintf("%s:%d:%s", filepath.Base(d.File), d.Line, d.Rule))
+	}
+	return out
+}
+
 // expectDiags asserts the exact diagnostic set.
 func expectDiags(t *testing.T, got []string, want ...string) {
 	t.Helper()
@@ -99,7 +119,7 @@ func f(a, b float64) bool {
 
 	const wrongRule = `package p
 func f(a, b float64) bool {
-	//lint:ignore maphash not the right rule
+	//lint:ignore errclose not the right rule
 	return a == b
 }
 `
@@ -115,7 +135,7 @@ func f(a, b float64) bool {
 
 	const multiRule = `package p
 func f(a, b float64) bool {
-	//lint:ignore gocheck,floatcmp two rules
+	//lint:ignore errclose,floatcmp two rules
 	return a == b
 }
 `

@@ -18,16 +18,12 @@ import (
 type funcScope struct {
 	floats     map[string]bool // float32 / float64 idents
 	floatElems map[string]bool // slices/arrays of float idents
-	maps       map[string]bool // map-typed idents
-	chans      map[string]bool // channel-typed idents
 }
 
 func newFuncScope() *funcScope {
 	return &funcScope{
 		floats:     map[string]bool{},
 		floatElems: map[string]bool{},
-		maps:       map[string]bool{},
-		chans:      map[string]bool{},
 	}
 }
 
@@ -54,13 +50,6 @@ func (s *funcScope) classify(name string, t ast.Expr) {
 		s.floats[name] = true
 	case isFloatSliceType(t):
 		s.floatElems[name] = true
-	default:
-		switch t.(type) {
-		case *ast.MapType:
-			s.maps[name] = true
-		case *ast.ChanType:
-			s.chans[name] = true
-		}
 	}
 }
 
@@ -162,10 +151,6 @@ func (s *funcScope) classifyFromValue(name string, v ast.Expr) {
 	switch {
 	case s.isFloatExpr(v):
 		s.floats[name] = true
-	case isMakeOf(v, func(t ast.Expr) bool { _, ok := t.(*ast.MapType); return ok }) || isCompositeOf(v, func(t ast.Expr) bool { _, ok := t.(*ast.MapType); return ok }):
-		s.maps[name] = true
-	case isMakeOf(v, func(t ast.Expr) bool { _, ok := t.(*ast.ChanType); return ok }):
-		s.chans[name] = true
 	case isMakeOf(v, isFloatSliceType) || isCompositeOf(v, isFloatSliceType):
 		s.floatElems[name] = true
 	}

@@ -67,13 +67,10 @@ type Loaded struct {
 // tier 2 (~1s cold), so it is shared across Loaders and guarded by a
 // mutex; std positions land in a private FileSet nobody reports against.
 var (
-	stdOnce     sync.Once
-	stdImp      types.ImporterFrom
-	stdInitErr  error
-	stdMu       sync.Mutex
-	stdIfaceMu  sync.Mutex
-	stdIfaces   = map[string]*types.Interface{}
-	stdIfaceErr = map[string]bool{}
+	stdOnce    sync.Once
+	stdImp     types.ImporterFrom
+	stdInitErr error
+	stdMu      sync.Mutex
 )
 
 func stdImporter() (types.ImporterFrom, error) {
@@ -103,39 +100,6 @@ func importStd(path string) (*types.Package, error) {
 	stdMu.Lock()
 	defer stdMu.Unlock()
 	return imp.ImportFrom(path, "", 0)
-}
-
-// stdInterface returns the named interface type from a standard-library
-// package (e.g. stdInterface("hash", "Hash")), or nil when it cannot be
-// resolved — callers treat nil as "skip this check", keeping tier 2
-// false-positive-free when the std source tree is unavailable.
-func stdInterface(pkgPath, name string) *types.Interface {
-	key := pkgPath + "." + name
-	stdIfaceMu.Lock()
-	defer stdIfaceMu.Unlock()
-	if iface, ok := stdIfaces[key]; ok {
-		return iface
-	}
-	if stdIfaceErr[key] {
-		return nil
-	}
-	pkg, err := importStd(pkgPath)
-	if err != nil {
-		stdIfaceErr[key] = true
-		return nil
-	}
-	obj := pkg.Scope().Lookup(name)
-	if obj == nil {
-		stdIfaceErr[key] = true
-		return nil
-	}
-	iface, ok := obj.Type().Underlying().(*types.Interface)
-	if !ok {
-		stdIfaceErr[key] = true
-		return nil
-	}
-	stdIfaces[key] = iface
-	return iface
 }
 
 // NewLoader builds a Loader for the module rooted at root. It fails only

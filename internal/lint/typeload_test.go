@@ -65,7 +65,7 @@ var x undefinedType
 	}
 	// AnalyzeTypedFiles on a failed package must run tier-2 analyzers as
 	// a silent skip, not report garbage.
-	if diags := AnalyzeTypedFiles(lp, l.Module(), []*Analyzer{DetFlow, EpsFlow}); len(diags) != 0 {
+	if diags := AnalyzeTypedFiles(lp, l.Module(), []*Analyzer{EpsFlow}); len(diags) != 0 {
 		t.Fatalf("failed package must produce no tier-2 findings, got %v", diags)
 	}
 }

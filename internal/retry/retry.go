@@ -1,6 +1,6 @@
 // Package retry is the single home for error classification and
-// retry/backoff policy in this repository (the retryloop lint rule forbids
-// ad-hoc retry loops anywhere else).
+// retry/backoff policy in this repository: the two retry loops (the
+// engine's steps, aio's read ladder) both consult a Policy.
 //
 // Two properties distinguish it from a generic retry helper:
 //
@@ -12,7 +12,7 @@
 //   - Backoff is virtual. Policy never sleeps on the wall clock; it returns
 //     the deterministic backoff duration it *would* have waited, and the
 //     caller accounts it in simclock virtual time. Runs are bit-identical
-//     across machines and the walltime lint rule stays clean.
+//     across machines.
 package retry
 
 import (

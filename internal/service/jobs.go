@@ -198,11 +198,11 @@ func (j *Job) Status() JobStatus {
 // goroutine is joined by Plane.Close, which also fails queued jobs with
 // ErrPlaneClosed instead of abandoning them.
 func (s *Session) Submit(store *pfs.Store, spec JobSpec) (*Job, error) {
+	s.submitted()
 	if err := spec.validate(); err != nil {
 		s.reject()
 		return nil, err
 	}
-	s.submitted()
 	opts, err := s.prepare(spec.Options, spec.names()...)
 	if err != nil {
 		return nil, err
@@ -225,7 +225,7 @@ func (s *Session) Submit(store *pfs.Store, spec JobSpec) (*Job, error) {
 		return nil, fmt.Errorf("service: journal accepted record: %w", err)
 	}
 	s.plane.jobs.Add(1)
-	//lint:ignore gocheck joined by Plane.Close via plane.jobs.Wait
+	// Joined by Plane.Close via plane.jobs.Wait.
 	go s.runJob(j, t, store, spec)
 	return j, nil
 }
@@ -257,7 +257,7 @@ func (s *Session) resume(store *pfs.Store, rec wal.Record) (*Job, error) {
 		done:   make(chan struct{}),
 	}
 	s.plane.jobs.Add(1)
-	//lint:ignore gocheck joined by Plane.Close via plane.jobs.Wait
+	// Joined by Plane.Close via plane.jobs.Wait.
 	go s.runJob(j, t, store, spec)
 	return j, nil
 }
@@ -280,7 +280,6 @@ func (s *Session) runJob(j *Job, t *ticket, store *pfs.Store, spec JobSpec) {
 	// Detached execution is governed by the plane lifecycle, not the
 	// submitting request: a canceled HTTP request must not kill the
 	// admitted comparison, and Plane.Close fails the ticket instead.
-	//lint:ignore ctxflow detached job outlives the submitting request; Plane.Close is its cancellation
 	ctx := context.Background()
 	if err := s.plane.sched.wait(ctx, t); err != nil {
 		s.reject()
@@ -299,8 +298,7 @@ func (s *Session) runJob(j *Job, t *ticket, store *pfs.Store, spec JobSpec) {
 		j.publish(res, rep, stats, err)
 	}
 	if err := s.journalAppend(startedRecord(j.id, j.tenant, spec)); err != nil {
-		s.finish(false, false, err)
-		publish(nil, nil, nil, err)
+		publish(nil, nil, nil, s.settle(outcome{err: err}))
 		return
 	}
 	j.mu.Lock()
@@ -312,16 +310,20 @@ func (s *Session) runJob(j *Job, t *ticket, store *pfs.Store, spec JobSpec) {
 		rep   *compare.GroupReport
 		stats *shard.Stats
 		err   error
+		o     outcome
 	)
 	switch spec.Kind {
 	case JobCompare:
-		res, err = s.execCompare(ctx, store, spec.A, spec.B, spec.Options)
+		res, err = compare.CompareMerkle(ctx, store, spec.A, spec.B, spec.Options)
+		o = resultOutcome(res, err)
 	case JobGroup:
-		rep, err = s.execGroup(ctx, store, spec.Baseline, spec.Runs, spec.Topology, spec.Options)
+		rep, err = compare.GroupCompare(ctx, store, spec.Baseline, spec.Runs, spec.Topology, spec.Options)
+		o = groupOutcome(rep, err)
 	case JobShard:
 		res, stats, err = shard.Compare(ctx, store, spec.A, spec.B, spec.Shard, spec.Options)
-		s.finishResult(res, err)
+		o = resultOutcome(res, err)
 	}
+	s.settle(o)
 	// Durable-then-visible: the verdict record reaches the ledger before
 	// the verdict is published. If durability fails, the job fails for
 	// THIS life only — the ledger still lists it pending, and the next

@@ -22,10 +22,11 @@
 // admissions, and joins every resource it owns, so a closed plane leaks
 // neither goroutines nor handles.
 //
-// The svcown lint rule keeps resource acquisition here: outside this
-// package (and test files), calls to aio.Default() / device.Default()
-// are forbidden — options reach internal/compare with the plane's pool
-// and ring already injected.
+// The process has one set of default resources — device.Default() and
+// aio.Default(), ring, arena and all: the Default plane wraps them, and a
+// direct internal/compare call that leaves Options.Exec/Backend nil lands
+// on the same two, so a facade call and a planner call share one pool and
+// one ring. Planes built by New own private ones and join them in Close.
 package service
 
 import (
@@ -167,9 +168,10 @@ var (
 
 // Default returns the process-wide plane used by the repro facade's
 // one-shot entry points. It wraps the never-closed process singletons
-// (device.Default(), aio.Default()) — the only place they are acquired —
-// so facade calls share resources with pre-plane code bit-identically.
-// Its Close drains admissions but leaves the singletons running.
+// (device.Default(), aio.Default()) — the same two a direct
+// internal/compare call defaults to — so facade calls and planner calls
+// share one pool, one ring and one arena. Its Close drains admissions but
+// leaves the singletons running.
 func Default() *Plane {
 	defaultPlaneOnce.Do(func() {
 		cfg := Config{}.withDefaults()

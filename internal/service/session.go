@@ -98,8 +98,57 @@ func (s *Session) admit(ctx context.Context) (release func(), err error) {
 	return func() { s.plane.sched.release(t) }, nil
 }
 
-// Accounting: every public submission counts Submitted once, then
-// exactly one of Rejected / Failed / Completed.
+// outcome is what one executed submission reports to the counters.
+type outcome struct {
+	diverged, degraded bool
+	err                error
+}
+
+func resultOutcome(res *compare.Result, err error) outcome {
+	if err != nil || res == nil {
+		return outcome{err: err}
+	}
+	return outcome{diverged: res.DiffCount != 0, degraded: res.Degraded || res.UnverifiedChunks > 0}
+}
+
+func groupOutcome(rep *compare.GroupReport, err error) outcome {
+	if err != nil || rep == nil {
+		return outcome{err: err}
+	}
+	o := outcome{degraded: rep.Degraded()}
+	for i := range rep.Pairs {
+		if rep.Pairs[i].Result.DiffCount != 0 {
+			o.diverged = true
+			break
+		}
+	}
+	return o
+}
+
+// submit is the one submission lifecycle, and where its accounting
+// invariant holds: every public submission counts Submitted once, then
+// exactly one of Rejected (prepare or admit refused it: nothing ran),
+// Failed or Completed (settle). The options are normalized in place, so
+// exec — the comparison itself, returning its outcome — sees the plane's
+// resources; nil opts skips normalization and binding checks (Analyze: no ε
+// is involved). The detached jobs (jobs.go) reserve at Submit and wait in
+// their own goroutine, so they count Submitted and settle themselves.
+func (s *Session) submit(ctx context.Context, opts *compare.Options, names []string, exec func() outcome) error {
+	s.submitted()
+	if opts != nil {
+		n, err := s.prepare(*opts, names...)
+		if err != nil {
+			return err
+		}
+		*opts = n
+	}
+	release, err := s.admit(ctx)
+	if err != nil {
+		return err
+	}
+	defer release()
+	return s.settle(exec())
+}
 
 func (s *Session) submitted() {
 	s.mu.Lock()
@@ -113,281 +162,147 @@ func (s *Session) reject() {
 	s.mu.Unlock()
 }
 
-// finish classifies one executed comparison into the counters.
-func (s *Session) finish(diverged, degraded bool, err error) {
+// settle classifies one executed submission into the counters and returns
+// its error.
+func (s *Session) settle(o outcome) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err != nil {
+	if o.err != nil {
 		s.stats.Failed++
-		return
+		return o.err
 	}
 	s.stats.Completed++
-	if diverged {
+	if o.diverged {
 		s.stats.Divergent++
 	}
-	if degraded {
+	if o.degraded {
 		s.stats.Degraded++
 	}
-}
-
-func (s *Session) finishResult(res *compare.Result, err error) {
-	if err != nil || res == nil {
-		s.finish(false, false, err)
-		return
-	}
-	s.finish(res.DiffCount != 0, res.Degraded || res.UnverifiedChunks > 0, nil)
-}
-
-func (s *Session) finishGroup(rep *compare.GroupReport, err error) {
-	if err != nil || rep == nil {
-		s.finish(false, false, err)
-		return
-	}
-	diverged := false
-	for i := range rep.Pairs {
-		if rep.Pairs[i].Result.DiffCount != 0 {
-			diverged = true
-			break
-		}
-	}
-	s.finish(diverged, rep.Degraded(), nil)
-}
-
-func (s *Session) finishHistory(rep *compare.HistoryReport, err error) {
-	if err != nil || rep == nil {
-		s.finish(false, false, err)
-		return
-	}
-	s.finish(!rep.Reproducible(), rep.Degraded(), nil)
+	return nil
 }
 
 // Compare runs the two-stage Merkle comparison of one checkpoint pair.
-func (s *Session) Compare(ctx context.Context, store *pfs.Store, nameA, nameB string, opts compare.Options) (*compare.Result, error) {
-	s.submitted()
-	opts, err := s.prepare(opts, nameA, nameB)
-	if err != nil {
-		return nil, err
-	}
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return s.execCompare(ctx, store, nameA, nameB, opts)
-}
-
-func (s *Session) execCompare(ctx context.Context, store *pfs.Store, nameA, nameB string, opts compare.Options) (*compare.Result, error) {
-	res, err := compare.CompareMerkle(ctx, store, nameA, nameB, opts)
-	s.finishResult(res, err)
+func (s *Session) Compare(ctx context.Context, store *pfs.Store, nameA, nameB string, opts compare.Options) (res *compare.Result, err error) {
+	err = s.submit(ctx, &opts, []string{nameA, nameB}, func() outcome {
+		res, err = compare.CompareMerkle(ctx, store, nameA, nameB, opts)
+		return resultOutcome(res, err)
+	})
 	return res, err
 }
 
 // CompareDirect runs the optimized element-wise baseline.
-func (s *Session) CompareDirect(ctx context.Context, store *pfs.Store, nameA, nameB string, opts compare.Options) (*compare.Result, error) {
-	s.submitted()
-	opts, err := s.prepare(opts, nameA, nameB)
-	if err != nil {
-		return nil, err
-	}
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	res, err := compare.CompareDirect(ctx, store, nameA, nameB, opts)
-	s.finishResult(res, err)
+func (s *Session) CompareDirect(ctx context.Context, store *pfs.Store, nameA, nameB string, opts compare.Options) (res *compare.Result, err error) {
+	err = s.submit(ctx, &opts, []string{nameA, nameB}, func() outcome {
+		res, err = compare.CompareDirect(ctx, store, nameA, nameB, opts)
+		return resultOutcome(res, err)
+	})
 	return res, err
 }
 
 // AllClose runs the naive boolean baseline.
-func (s *Session) AllClose(ctx context.Context, store *pfs.Store, nameA, nameB string, opts compare.Options) (bool, error) {
-	s.submitted()
-	opts, err := s.prepare(opts, nameA, nameB)
-	if err != nil {
-		return false, err
-	}
-	release, err := s.admit(ctx)
-	if err != nil {
-		return false, err
-	}
-	defer release()
-	ok, _, err := compare.CompareAllClose(ctx, store, nameA, nameB, opts)
-	s.finish(err == nil && !ok, false, err)
+func (s *Session) AllClose(ctx context.Context, store *pfs.Store, nameA, nameB string, opts compare.Options) (ok bool, err error) {
+	err = s.submit(ctx, &opts, []string{nameA, nameB}, func() outcome {
+		ok, _, err = compare.CompareAllClose(ctx, store, nameA, nameB, opts)
+		return outcome{diverged: err == nil && !ok, err: err}
+	})
 	return ok, err
 }
 
 // CompareTreesOnly answers from metadata alone (works on compacted
 // history).
-func (s *Session) CompareTreesOnly(ctx context.Context, store *pfs.Store, nameA, nameB string, opts compare.Options) (*compare.Result, error) {
-	s.submitted()
-	opts, err := s.prepare(opts, nameA, nameB)
-	if err != nil {
-		return nil, err
-	}
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	res, err := compare.CompareTreesOnly(ctx, store, nameA, nameB, opts)
-	s.finishResult(res, err)
+func (s *Session) CompareTreesOnly(ctx context.Context, store *pfs.Store, nameA, nameB string, opts compare.Options) (res *compare.Result, err error) {
+	err = s.submit(ctx, &opts, []string{nameA, nameB}, func() outcome {
+		res, err = compare.CompareTreesOnly(ctx, store, nameA, nameB, opts)
+		return resultOutcome(res, err)
+	})
 	return res, err
 }
 
 // CompareHistories aligns and compares two runs' checkpoint histories.
-func (s *Session) CompareHistories(ctx context.Context, store *pfs.Store, runA, runB string, method compare.Method, opts compare.Options) (*compare.HistoryReport, error) {
-	s.submitted()
-	opts, err := s.prepare(opts, runA, runB)
-	if err != nil {
-		return nil, err
-	}
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	rep, err := compare.CompareHistories(ctx, store, runA, runB, method, opts)
-	s.finishHistory(rep, err)
+func (s *Session) CompareHistories(ctx context.Context, store *pfs.Store, runA, runB string, method compare.Method, opts compare.Options) (rep *compare.HistoryReport, err error) {
+	err = s.submit(ctx, &opts, []string{runA, runB}, func() outcome {
+		rep, err = compare.CompareHistories(ctx, store, runA, runB, method, opts)
+		if err != nil || rep == nil {
+			return outcome{err: err}
+		}
+		return outcome{diverged: !rep.Reproducible(), degraded: rep.Degraded()}
+	})
 	return rep, err
 }
 
 // GroupCompare compares N runs' checkpoints as one group plan.
-func (s *Session) GroupCompare(ctx context.Context, store *pfs.Store, baseline string, runs []string, topology compare.Topology, opts compare.Options) (*compare.GroupReport, error) {
-	s.submitted()
-	opts, err := s.prepare(opts, append([]string{baseline}, runs...)...)
-	if err != nil {
-		return nil, err
-	}
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return s.execGroup(ctx, store, baseline, runs, topology, opts)
-}
-
-func (s *Session) execGroup(ctx context.Context, store *pfs.Store, baseline string, runs []string, topology compare.Topology, opts compare.Options) (*compare.GroupReport, error) {
-	rep, err := compare.GroupCompare(ctx, store, baseline, runs, topology, opts)
-	s.finishGroup(rep, err)
+func (s *Session) GroupCompare(ctx context.Context, store *pfs.Store, baseline string, runs []string, topology compare.Topology, opts compare.Options) (rep *compare.GroupReport, err error) {
+	err = s.submit(ctx, &opts, append([]string{baseline}, runs...), func() outcome {
+		rep, err = compare.GroupCompare(ctx, store, baseline, runs, topology, opts)
+		return groupOutcome(rep, err)
+	})
 	return rep, err
 }
 
 // CompareDiff compares two differentially captured checkpoints through
 // the plane's shared CAS handle for the store.
-func (s *Session) CompareDiff(ctx context.Context, store *pfs.Store, cs *cas.Store, nameA, nameB string, opts compare.Options) (*compare.Result, error) {
-	s.submitted()
-	opts, err := s.prepare(opts, nameA, nameB)
-	if err != nil {
-		return nil, err
-	}
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	res, err := compare.CompareDiff(ctx, store, cs, nameA, nameB, opts)
-	s.finishResult(res, err)
+func (s *Session) CompareDiff(ctx context.Context, store *pfs.Store, cs *cas.Store, nameA, nameB string, opts compare.Options) (res *compare.Result, err error) {
+	err = s.submit(ctx, &opts, []string{nameA, nameB}, func() outcome {
+		res, err = compare.CompareDiff(ctx, store, cs, nameA, nameB, opts)
+		return resultOutcome(res, err)
+	})
 	return res, err
 }
 
 // GroupCompareDiff compares N differentially captured runs as one plan.
-func (s *Session) GroupCompareDiff(ctx context.Context, store *pfs.Store, cs *cas.Store, baseline string, runs []string, topology compare.Topology, opts compare.Options) (*compare.GroupReport, error) {
-	s.submitted()
-	opts, err := s.prepare(opts, append([]string{baseline}, runs...)...)
-	if err != nil {
-		return nil, err
-	}
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	rep, err := compare.GroupCompareDiff(ctx, store, cs, baseline, runs, topology, opts)
-	s.finishGroup(rep, err)
+func (s *Session) GroupCompareDiff(ctx context.Context, store *pfs.Store, cs *cas.Store, baseline string, runs []string, topology compare.Topology, opts compare.Options) (rep *compare.GroupReport, err error) {
+	err = s.submit(ctx, &opts, append([]string{baseline}, runs...), func() outcome {
+		rep, err = compare.GroupCompareDiff(ctx, store, cs, baseline, runs, topology, opts)
+		return groupOutcome(rep, err)
+	})
 	return rep, err
 }
 
 // ShardCompare runs one comparison sharded across simulated workers.
-func (s *Session) ShardCompare(ctx context.Context, store *pfs.Store, nameA, nameB string, cfg shard.Config, opts compare.Options) (*compare.Result, *shard.Stats, error) {
-	s.submitted()
-	opts, err := s.prepare(opts, nameA, nameB)
-	if err != nil {
-		return nil, nil, err
-	}
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer release()
-	res, stats, err := shard.Compare(ctx, store, nameA, nameB, cfg, opts)
-	s.finishResult(res, err)
+func (s *Session) ShardCompare(ctx context.Context, store *pfs.Store, nameA, nameB string, cfg shard.Config, opts compare.Options) (res *compare.Result, stats *shard.Stats, err error) {
+	err = s.submit(ctx, &opts, []string{nameA, nameB}, func() outcome {
+		res, stats, err = shard.Compare(ctx, store, nameA, nameB, cfg, opts)
+		return resultOutcome(res, err)
+	})
 	return res, stats, err
 }
 
 // ShardGroupCompare pools a group comparison's stage 2 into one fleet.
-func (s *Session) ShardGroupCompare(ctx context.Context, store *pfs.Store, baseline string, runs []string, topology compare.Topology, cfg shard.Config, opts compare.Options) (*compare.GroupReport, *shard.Stats, error) {
-	s.submitted()
-	opts, err := s.prepare(opts, append([]string{baseline}, runs...)...)
-	if err != nil {
-		return nil, nil, err
-	}
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer release()
-	rep, stats, err := shard.GroupCompare(ctx, store, baseline, runs, topology, cfg, opts)
-	s.finishGroup(rep, err)
+func (s *Session) ShardGroupCompare(ctx context.Context, store *pfs.Store, baseline string, runs []string, topology compare.Topology, cfg shard.Config, opts compare.Options) (rep *compare.GroupReport, stats *shard.Stats, err error) {
+	err = s.submit(ctx, &opts, append([]string{baseline}, runs...), func() outcome {
+		rep, stats, err = shard.GroupCompare(ctx, store, baseline, runs, topology, cfg, opts)
+		return groupOutcome(rep, err)
+	})
 	return rep, stats, err
 }
 
 // Analyze profiles two checkpoints' divergence magnitudes (the ε-picking
 // tool). No ε is involved, so bindings are not consulted, but the full
 // data read passes admission like any comparison.
-func (s *Session) Analyze(ctx context.Context, store *pfs.Store, nameA, nameB string) (*compare.Analysis, error) {
-	s.submitted()
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	a, err := compare.Analyze(ctx, store, nameA, nameB)
-	s.finish(false, false, err)
+func (s *Session) Analyze(ctx context.Context, store *pfs.Store, nameA, nameB string) (a *compare.Analysis, err error) {
+	err = s.submit(ctx, nil, nil, func() outcome {
+		a, err = compare.Analyze(ctx, store, nameA, nameB)
+		return outcome{err: err}
+	})
 	return a, err
 }
 
 // Evolution builds a run's state-evolution profile from metadata.
-func (s *Session) Evolution(ctx context.Context, store *pfs.Store, runID string, opts compare.Options) (*compare.EvolutionReport, error) {
-	s.submitted()
-	opts, err := s.prepare(opts, runID)
-	if err != nil {
-		return nil, err
-	}
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	rep, err := compare.Evolution(ctx, store, runID, opts)
-	s.finish(false, false, err)
+func (s *Session) Evolution(ctx context.Context, store *pfs.Store, runID string, opts compare.Options) (rep *compare.EvolutionReport, err error) {
+	err = s.submit(ctx, &opts, []string{runID}, func() outcome {
+		rep, err = compare.Evolution(ctx, store, runID, opts)
+		return outcome{err: err}
+	})
 	return rep, err
 }
 
 // CompactHistory compacts a run's older checkpoints to metadata-only
 // form through the plane.
-func (s *Session) CompactHistory(ctx context.Context, store *pfs.Store, runID string, keepLatest int, opts compare.Options) (*compare.CompactReport, error) {
-	s.submitted()
-	opts, err := s.prepare(opts, runID)
-	if err != nil {
-		return nil, err
-	}
-	release, err := s.admit(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	rep, err := compare.CompactHistory(ctx, store, runID, keepLatest, opts)
-	s.finish(false, false, err)
+func (s *Session) CompactHistory(ctx context.Context, store *pfs.Store, runID string, keepLatest int, opts compare.Options) (rep *compare.CompactReport, err error) {
+	err = s.submit(ctx, &opts, []string{runID}, func() outcome {
+		rep, err = compare.CompactHistory(ctx, store, runID, keepLatest, opts)
+		return outcome{err: err}
+	})
 	return rep, err
 }
 

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -107,8 +108,8 @@ func scrubGroup(rep *compare.GroupReport) *compare.GroupReport {
 }
 
 // TestSessionOracleBitIdentical proves the plane path changes no
-// verdicts: a session comparison and a direct planner call (package
-// fallback resources, identical shape) agree on every deterministic
+// verdicts: a session comparison and a direct planner call (the
+// process-wide default resources, identical shape) agree on every deterministic
 // Result field, including the virtual-cost accounting.
 func TestSessionOracleBitIdentical(t *testing.T) {
 	e := newSvcEnv(t, 32<<10, 42)
@@ -177,8 +178,8 @@ func TestConcurrentSessions(t *testing.T) {
 	// and keeps the second, warm-cache result: virtual read costs (e.g.
 	// GroupReport.PipelineVirtual) depend on PFS cache temperature, and
 	// the concurrent rounds below all run against the warmed cache. The
-	// pass also warms the compare package's persistent fallback pool and
-	// ring, so the goroutine baseline below includes them.
+	// pass also warms the process-wide default pool and ring, so the
+	// goroutine baseline below includes them.
 	var wantC, wantT *compare.Result
 	var wantG *compare.GroupReport
 	for i := 0; i < 2; i++ {
@@ -333,7 +334,7 @@ func TestPlaneSaturation(t *testing.T) {
 // goroutine.
 func TestSubmitAsyncJobs(t *testing.T) {
 	e := newSvcEnv(t, 16<<10, 33)
-	p := New(Config{})
+	p := New(Config{TenantPending: 1})
 	s := p.Open("async")
 
 	job, err := s.Submit(e.store, JobSpec{Kind: JobCompare, A: e.nameA, B: e.nameB, Options: svcOpts()})
@@ -367,12 +368,45 @@ func TestSubmitAsyncJobs(t *testing.T) {
 		t.Error("unknown kind accepted")
 	}
 
+	// A tenant at its quota is refused admission, with a price.
+	hold, err := p.sched.reserve(s.tenant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var adm *AdmissionError
+	if _, err := s.Submit(e.store, JobSpec{Kind: JobCompare, A: e.nameA, B: e.nameB, Options: svcOpts()}); !errors.As(err, &adm) {
+		t.Errorf("submission over quota: got %v, want *AdmissionError", err)
+	}
+	p.sched.abort(hold)
+
+	// An admitted job whose comparison fails is a failed job, not a
+	// rejected one.
+	missing, err := s.Submit(e.store, JobSpec{Kind: JobCompare, A: e.nameA, B: "gone/iter0001.rank000.ckpt", Options: svcOpts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-missing.Done()
+	if st := missing.Status(); st.Verdict != "error" || st.Error == "" {
+		t.Fatalf("failed job status: %+v", st)
+	}
+
 	if err := p.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
 	// A closed plane rejects new jobs.
 	if _, err := s.Submit(e.store, JobSpec{Kind: JobCompare, A: e.nameA, B: e.nameB, Options: svcOpts()}); err == nil {
 		t.Error("submission on closed plane accepted")
+	}
+
+	// Every submission above counted Submitted once and then exactly one
+	// outcome: two completed, one failed, and four that never ran (two bad
+	// specs, the quota, the closed plane).
+	got := s.Stats()
+	if got.Submitted != got.Rejected+got.Failed+got.Completed {
+		t.Errorf("Submitted %d != Rejected %d + Failed %d + Completed %d", got.Submitted, got.Rejected, got.Failed, got.Completed)
+	}
+	if got.Submitted != 7 || got.Rejected != 4 || got.Failed != 1 || got.Completed != 2 {
+		t.Errorf("stats: %+v", got)
 	}
 }
 

@@ -14,9 +14,9 @@
 // parts codec (little-endian, length-prefixed, truncation-rejecting). Work
 // units do not travel: a worker executes a unit from the member set the
 // coordinator's stage 1 filled, so any peer can execute any stolen unit.
-// Message structs are deliberately flat (no maps, no pointer graphs); the
-// shardmsg lint rule enforces this, because iteration-order nondeterminism
-// in a wire message would break the bit-identity oracle.
+// Message structs are deliberately flat (no maps, no pointer graphs): the
+// codec carries exactly the fields it names, and iteration-order
+// nondeterminism in a wire message would break the bit-identity oracle.
 package shard
 
 import (

@@ -84,15 +84,3 @@ func Contended(latencyPart, bandwidthPart time.Duration, sharers int) time.Durat
 	}
 	return latencyPart + time.Duration(int64(bandwidthPart)*int64(sharers))
 }
-
-// Epoch returns the fixed instant (Unix epoch, UTC) that stands in for
-// "now" wherever a wall-clock read leaked onto a deterministic path.
-// `reprovet -fix` rewrites time.Now() to this accessor: two runs of the
-// same inputs must stamp identical values, and a constant is the only
-// timestamp with that property under the virtual clock. Code that needs
-// a real provenance timestamp (catalog metadata, log lines) should keep
-// time.Now() and carry a reviewed //lint:ignore walltime annotation
-// instead.
-func Epoch() time.Time {
-	return time.Unix(0, 0).UTC()
-}

@@ -128,16 +128,3 @@ func TestContended(t *testing.T) {
 		t.Errorf("0 sharers should clamp to 1, got %v", got)
 	}
 }
-
-func TestEpochIsFixed(t *testing.T) {
-	a, b := Epoch(), Epoch()
-	if !a.Equal(b) {
-		t.Fatalf("Epoch must be constant: %v vs %v", a, b)
-	}
-	if a.Unix() != 0 || a.Nanosecond() != 0 {
-		t.Fatalf("Epoch must be the Unix epoch, got %v", a)
-	}
-	if a.Location() != time.UTC {
-		t.Fatalf("Epoch must be UTC, got %v", a.Location())
-	}
-}

@@ -55,6 +55,40 @@ func TestJournalRefusesOversizedRecord(t *testing.T) {
 	}
 }
 
+// TestJournalRefusesEachPresetChainField: Append is the chain's one writer,
+// and this run-time check is all that stands between a caller-set Seq, Prev
+// or Digest and the ledger. Each field alone is refused, so is the
+// natural mistake — re-appending the completed record a previous Append
+// returned — and a refusal writes nothing and does not wedge.
+func TestJournalRefusesEachPresetChainField(t *testing.T) {
+	ctx := context.Background()
+	store := newTestStore(t)
+	j, _, err := Open(ctx, store, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := appendAll(t, j, jobRecords(1, 0))[0]
+	size, seq := j.Size(), j.Seq()
+	restarted := done
+	restarted.Type = TypeStarted
+	for name, rec := range map[string]Record{
+		"Seq":                {Type: TypeAccepted, Job: 2, Seq: seq + 1},
+		"Prev":               {Type: TypeAccepted, Job: 2, Prev: done.Digest},
+		"Digest":             {Type: TypeAccepted, Job: 2, Digest: murmur3.Digest{9}},
+		"a completed record": restarted,
+	} {
+		if _, err := j.Append(rec); err == nil {
+			t.Errorf("append accepted a caller-set %s", name)
+		}
+	}
+	if j.Wedged() != nil || j.Size() != size || j.Seq() != seq {
+		t.Fatalf("refused appends left a mark: wedged %v, size %d → %d, seq %d → %d", j.Wedged(), size, j.Size(), seq, j.Seq())
+	}
+	if _, err := Verify(ctx, store, ""); err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+}
+
 // TestUndecodableFramedRecordIsTampering: a frame with a good CRC at its
 // own offset is not crash damage, so a payload in it that is not a record
 // cannot be skipped as a hole.

@@ -106,7 +106,7 @@ func replay(ctx context.Context, fsys *pfs.Store, name, op string) (framelog.Log
 // Append assigns the record its chain coordinates (Seq, Prev, Digest),
 // frames it, and writes it durably, returning the completed record.
 // The caller must leave Seq, Prev, and Digest zero — hand-rolled chain
-// fields are rejected here and by the walchain lint rule. On any write
+// fields are rejected here. On any write
 // error the journal wedges: the record is not part of the chain, and
 // every later Append fails until the journal is reopened. A record over
 // the size replay accepts (framelog.ErrTooLarge) is refused before

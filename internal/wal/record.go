@@ -37,8 +37,8 @@
 //     within one process life.
 //
 // Records are only constructed through Journal.Append, which assigns
-// Seq, Prev, and Digest; the walchain lint rule enforces this outside
-// the package.
+// Seq, Prev, and Digest and refuses a record that arrives with any of
+// them set.
 package wal
 
 import (

@@ -153,8 +153,8 @@ func TestFullLifecycle(t *testing.T) {
 	}
 	oldA := repro.CheckpointName("lc1", every, 0)
 	oldB := repro.CheckpointName("lc2", every, 0)
-	if !repro.IsCompacted(pfsTier, oldA) {
-		t.Error("old checkpoint not compacted")
+	if ok, err := repro.IsCompacted(pfsTier, oldA); err != nil || !ok {
+		t.Errorf("old checkpoint not compacted (err %v)", err)
 	}
 	treeRes, err := repro.CompareTreesOnly(context.Background(), pfsTier, oldA, oldB, opts)
 	if err != nil {

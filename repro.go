@@ -97,11 +97,6 @@ type (
 	RetryPolicy = retry.Policy
 )
 
-// DefaultRetryPolicy returns the storage retry policy used when
-// Options.Retry is the zero value: three attempts with capped exponential
-// backoff, priced on the virtual clock.
-func DefaultRetryPolicy() RetryPolicy { return retry.Default() }
-
 // Service plane API: lifecycle-owned resources and admission-controlled
 // sessions (internal/service). Every one-shot entry point below is a
 // thin wrapper over a session on the process-wide default plane, so the
@@ -220,10 +215,6 @@ func VerifyJournal(ctx context.Context, store *Store, name string) (*JournalVeri
 // Close it to join them. The zero Config selects production defaults.
 func NewPlane(cfg PlaneConfig) *Plane { return service.New(cfg) }
 
-// DefaultPlane returns the process-wide plane the one-shot entry points
-// below run on.
-func DefaultPlane() *Plane { return service.Default() }
-
 // localSession lazily opens the default plane's "local" tenant session,
 // shared by every one-shot facade call in the process.
 var (
@@ -312,19 +303,9 @@ func GPUModel() DeviceModel { return device.GPUModel() }
 func CPUModel() DeviceModel { return device.CPUModel() }
 
 // NewParallelExecutor returns a spawn-per-loop executor (workers <= 0
-// selects GOMAXPROCS). Prefer DefaultExecutor or NewPoolExecutor, which
-// reuse persistent workers across kernels.
+// selects GOMAXPROCS). Leaving Options.Exec nil selects the process-wide
+// pool, which reuses persistent workers across kernels.
 func NewParallelExecutor(workers int) Executor { return device.NewParallel(workers) }
-
-// NewPoolExecutor returns a persistent worker-pool executor (workers <= 0
-// selects GOMAXPROCS). Workers are started once and reused by every
-// kernel dispatched through the executor; call its Close method when the
-// pool is no longer needed.
-func NewPoolExecutor(workers int) *device.Pool { return device.NewPool(workers) }
-
-// DefaultExecutor returns the default plane's persistent pool, the
-// executor injected when Options.Exec is nil.
-func DefaultExecutor() Executor { return DefaultPlane().Executor() }
 
 // SerialExecutor returns the single-threaded executor.
 func SerialExecutor() Executor { return device.Serial{} }
@@ -341,17 +322,10 @@ func NewUringBackend(queueDepth, workers int) *aio.Uring {
 // DefaultBackend returns the default plane's persistent io_uring-style
 // engine, the backend the comparison layer builds on when Options.Backend
 // is nil (wrapped in read coalescing; see Options.CoalesceMaxGap).
-func DefaultBackend() *aio.Uring { return DefaultPlane().Backend() }
+func DefaultBackend() *aio.Uring { return service.Default().Backend() }
 
 // MmapBackend returns the synchronous page-fault read backend.
 func MmapBackend() aio.Mmap { return aio.Mmap{} }
-
-// CoalescingBackend wraps a backend so nearby scattered reads merge into
-// fewer, larger operations (gaps up to maxGap bytes are bridged). A nil
-// inner backend selects the shared persistent io_uring engine.
-func CoalescingBackend(inner aio.Backend, maxGap int) aio.Coalescing {
-	return aio.NewCoalescing(inner, maxGap)
-}
 
 // CheckpointName returns the canonical history file name for a checkpoint.
 func CheckpointName(runID string, iteration, rank int) string {
@@ -387,7 +361,7 @@ func History(store *Store, runID string) ([]string, error) {
 // BuildMetadata constructs Merkle metadata from in-memory field buffers
 // (the checkpoint-time path).
 func BuildMetadata(fields []FieldSpec, data [][]byte, opts Options) (*Metadata, BuildStats, error) {
-	opts, err := DefaultPlane().NormalizeOptions(opts)
+	opts, err := service.Default().NormalizeOptions(opts)
 	if err != nil {
 		return nil, BuildStats{}, err
 	}
@@ -496,14 +470,6 @@ func ShardCompare(ctx context.Context, store *Store, nameA, nameB string, cfg Sh
 	return localSession().ShardCompare(ctx, store, nameA, nameB, cfg, opts)
 }
 
-// ShardGroupCompare is GroupCompare with every pair's stage 2 pooled into
-// one worker fleet: the group's divergent subtrees across all pairs form
-// a single work-unit key space, so a straggler pair is absorbed by the
-// whole fleet instead of serializing its own pair comparison.
-func ShardGroupCompare(ctx context.Context, store *Store, baseline string, runs []string, topology Topology, cfg ShardConfig, opts Options) (*GroupReport, *ShardStats, error) {
-	return localSession().ShardGroupCompare(ctx, store, baseline, runs, topology, cfg, opts)
-}
-
 // CAS is a content-addressed chunk store shared by every run capturing
 // differentially onto the same Store: chunks are keyed by their
 // ε-quantized leaf digest, so a chunk equal (within ε) to one already
@@ -601,15 +567,10 @@ func CompareTreesOnly(ctx context.Context, store *Store, nameA, nameB string, op
 	return localSession().CompareTreesOnly(ctx, store, nameA, nameB, opts)
 }
 
-// IsCompacted reports whether a checkpoint survives only as metadata.
-func IsCompacted(store *Store, name string) bool {
+// IsCompacted reports whether a checkpoint survives only as metadata. A
+// file that exists but cannot be opened is an error, not "compacted".
+func IsCompacted(store *Store, name string) (bool, error) {
 	return compare.IsCompacted(store, name)
-}
-
-// MetadataHistory lists a run's checkpoints that still have metadata,
-// compacted or not.
-func MetadataHistory(store *Store, runID string) ([]string, error) {
-	return compare.MetadataHistory(store, runID)
 }
 
 // DiffTrees runs the pruned breadth-first tree comparison directly on two
@@ -620,7 +581,7 @@ func MetadataHistory(store *Store, runID string) ([]string, error) {
 // executor selects the default parallel one.
 func DiffTrees(a, b *Tree, exec Executor) ([]int, error) {
 	if exec == nil {
-		exec = DefaultPlane().Executor()
+		exec = service.Default().Executor()
 	}
 	chunks, _, err := merkle.Diff(a, b, a.DefaultStartLevel(exec.Workers()), exec)
 	return chunks, err

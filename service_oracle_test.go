@@ -3,10 +3,13 @@ package repro_test
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro"
+	"repro/internal/aio"
 	"repro/internal/compare"
+	"repro/internal/service"
 	"repro/internal/synth"
 )
 
@@ -90,5 +93,33 @@ func TestFacadeOracleBitIdentical(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fg, dg) {
 		t.Errorf("repro.GroupCompare diverges from compare.GroupCompare:\nfacade: %+v\ndirect: %+v", fg, dg)
+	}
+
+	// The process has one set of default resources: what a direct planner
+	// call defaults to is what the facade's plane serves from. So the calls
+	// above started one pool and one ring — running both doors again starts
+	// no goroutine — and every buffer set is back in the one arena.
+	norm, err := compare.Options(opts).Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if norm.Exec != service.Default().Executor() {
+		t.Error("a direct call's default executor is not the default plane's pool")
+	}
+	if aio.ArenaOf(norm.Backend) != repro.DefaultBackend().Arena() {
+		t.Error("a direct call's default backend does not read through the default plane's ring")
+	}
+	before := runtime.NumGoroutine()
+	if _, err := compare.CompareMerkle(ctx, store, nameA, nameB, compare.Options(opts)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repro.Compare(ctx, store, nameA, nameB, opts); err != nil {
+		t.Fatal(err)
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("goroutines grew %d → %d across a direct and a facade call on warm defaults", before, after)
+	}
+	if out := aio.Default().Arena().Stats().Outstanding; out != 0 {
+		t.Errorf("%d buffer sets of the default arena still checked out", out)
 	}
 }
