@@ -114,6 +114,7 @@ func TestErrorResponseContract(t *testing.T) {
 		{"unknown topology", "POST", "/v1/jobs", jobBody(jobRequest{Kind: "group", Baseline: ckptName("run1"), Runs: []string{ckptName("run2")}, Topology: "ring", Epsilon: testEps}), http.StatusBadRequest},
 		{"unknown job kind", "POST", "/v1/jobs", jobBody(jobRequest{Kind: "fuzz", Epsilon: testEps}), http.StatusBadRequest},
 		{"binding contradiction", "POST", "/v1/jobs", jobBody(jobRequest{Kind: "compare", A: ckptName("run1"), B: ckptName("run2"), Epsilon: 0.5, ChunkSize: testChunk}), http.StatusUnprocessableEntity},
+		{"shard fleet over the maximum", "POST", "/v1/jobs", jobBody(jobRequest{Kind: "shard", A: ckptName("run1"), B: ckptName("run2"), Epsilon: testEps, ChunkSize: testChunk, ShardWorkers: 1 << 20}), http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -317,7 +317,8 @@ func (jr jobRequest) spec() (repro.JobSpec, error) {
 
 // handleSubmit accepts a job: 202 with the job snapshot when admitted,
 // 429 + Retry-After under backpressure, 422 when the submission
-// contradicts a run binding, 413 when the body is over maxBodyBytes.
+// contradicts a run binding or asks for a fleet the engine refuses, 413
+// when the body is over maxBodyBytes.
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var jr jobRequest
 	if !readBody(w, r, "job", &jr) {
@@ -326,6 +327,10 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	spec, err := jr.spec()
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		return
+	}
+	if err := spec.Shard.Validate(); err != nil {
+		writeJSON(w, http.StatusUnprocessableEntity, errorBody{Error: err.Error()})
 		return
 	}
 	job, err := s.session(r).Submit(s.store, spec)

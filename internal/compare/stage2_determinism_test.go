@@ -63,6 +63,11 @@ func normGroup(g *GroupReport) *GroupReport {
 type detOutputs struct {
 	Merkle, Direct, DiffCold, DiffWarm     *Result
 	Star, AllPairs, DiffStar, DiffAllPairs *GroupReport
+	// AllClose is the verdict of CompareAllClose, the one door that
+	// answers without saying where, one field at a time: on runs A and B,
+	// then on A and B healed (every difference left is one the oracle
+	// accepts).
+	AllClose [2][3]bool
 }
 
 func TestStage2DeterministicAcrossExecutors(t *testing.T) {
@@ -116,6 +121,10 @@ type detEnv struct {
 	fields []ckpt.FieldSpec
 	diff   *diffEnv
 	dnames []string
+	// healed is run B with A's value wherever the oracle tells them apart:
+	// what still differs is within ε, a NaN against a NaN, or −0 against +0.
+	healed     [][]byte
+	healedName string
 }
 
 func newDetEnv(t *testing.T, sh dettest.Shape) *detEnv {
@@ -152,6 +161,17 @@ func newDetEnv(t *testing.T, sh dettest.Shape) *detEnv {
 		dname, _ := env.diff.capture(t, runID, 10, env.fields, env.data[ri])
 		env.dnames = append(env.dnames, dname)
 	}
+	for fi := range env.fields {
+		h := append([]byte(nil), env.data[1][fi]...)
+		for _, i := range dettest.OracleDiffs(env.data[0][fi], h, dettest.Eps) {
+			copy(h[4*i:4*i+4], env.data[0][fi][4*i:])
+		}
+		env.healed = append(env.healed, h)
+	}
+	if _, err := ckpt.WriteCheckpoint(store, ckpt.Meta{RunID: "runBhealed", Iteration: 10, Rank: 0, Fields: env.fields}, env.healed); err != nil {
+		t.Fatal(err)
+	}
+	env.healedName = ckpt.Name("runBhealed", 10, 0)
 	return env
 }
 
@@ -216,6 +236,15 @@ func (e *detEnv) run(t *testing.T, exec device.Executor) *detOutputs {
 	out.Direct, err = CompareDirect(ctx, e.store, e.names[0], e.names[1], sweep)
 	must(err)
 	out.Star, out.AllPairs, out.DiffStar, out.DiffAllPairs = e.groups(t, opts)
+	for bi, b := range []string{e.names[1], e.healedName} {
+		for fi, f := range e.fields {
+			one := sweep
+			one.Fields = []string{f.Name}
+			e.store.EvictAll()
+			out.AllClose[bi][fi], _, err = CompareAllClose(ctx, e.store, e.names[0], b, one)
+			must(err)
+		}
+	}
 
 	dopts := opts
 	dopts.Memo = NewCASMemo(dettest.Eps)
@@ -246,11 +275,18 @@ func (e *detEnv) checkOracle(t *testing.T, out *detOutputs) {
 	if !e.shape.Clean() && (out.Merkle.CandidateChunks == 0 || out.Merkle.DiffCount == 0) {
 		t.Fatalf("shape exercises no stage 2: %d candidates, %d diffs", out.Merkle.CandidateChunks, out.Merkle.DiffCount)
 	}
-	t.Logf("merkle: %d/%d chunks candidates, %d diffs", out.Merkle.CandidateChunks, out.Merkle.TotalChunks, out.Merkle.DiffCount)
+	t.Logf("merkle: %d/%d chunks candidates, %d diffs; allclose by field %v, healed %v", out.Merkle.CandidateChunks, out.Merkle.TotalChunks, out.Merkle.DiffCount, out.AllClose[0], out.AllClose[1])
 	check("merkle", out.Merkle, 0, 1)
 	check("direct", out.Direct, 0, 1)
 	check("cas-diff cold", out.DiffCold, 0, 1)
 	check("cas-diff warm", out.DiffWarm, 0, 1)
+	for bi, b := range [][][]byte{e.data[1], e.healed} {
+		for fi, f := range e.fields {
+			if want := len(dettest.OracleDiffs(e.data[0][fi], b[fi], dettest.Eps)) == 0; out.AllClose[bi][fi] != want {
+				t.Errorf("allclose %s (B healed: %v): %v, the element-wise oracle says %v", f.Name, bi == 1, out.AllClose[bi][fi], want)
+			}
+		}
+	}
 	if out.DiffWarm.CASPrunedChunks == 0 && out.DiffCold.CandidateChunks > 0 {
 		t.Error("warm memo pruned nothing: the cold run's kernel did not memoize")
 	}
@@ -382,9 +418,12 @@ func (e *detEnv) checkWindowsDoNotMatter(t *testing.T, exec device.Executor, out
 func firstDifference(a, b *detOutputs) string {
 	va, vb := reflect.ValueOf(*a), reflect.ValueOf(*b)
 	for i := 0; i < va.NumField(); i++ {
-		if !reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
-			return fmt.Sprintf("%s:\n  serial %+v\n  got    %+v", va.Type().Field(i).Name,
-				va.Field(i).Elem().Interface(), vb.Field(i).Elem().Interface())
+		fa, fb := va.Field(i), vb.Field(i)
+		if !reflect.DeepEqual(fa.Interface(), fb.Interface()) {
+			if fa.Kind() == reflect.Pointer {
+				fa, fb = fa.Elem(), fb.Elem()
+			}
+			return fmt.Sprintf("%s:\n  serial %+v\n  got    %+v", va.Type().Field(i).Name, fa.Interface(), fb.Interface())
 		}
 	}
 	return "(no field differs)"

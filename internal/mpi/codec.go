@@ -31,12 +31,10 @@ func decodeF64(data []byte) ([]float64, error) {
 	return out, nil
 }
 
-// EncodeParts serializes a list of byte slices with length prefixes
-// (u32 part count, then u32 length + bytes per part, little-endian).
-// Exported so higher layers — the shard wire format in internal/shard —
-// can compose self-describing messages on the same framing the
-// collectives use.
-func EncodeParts(parts [][]byte) []byte {
+// encodeParts serializes a list of byte slices with length prefixes
+// (u32 part count, then u32 length + bytes per part, little-endian): the
+// framing AllGather broadcasts the gathered parts in.
+func encodeParts(parts [][]byte) []byte {
 	total := 4
 	for _, p := range parts {
 		total += 4 + len(p)
@@ -50,11 +48,11 @@ func EncodeParts(parts [][]byte) []byte {
 	return out
 }
 
-// DecodeParts inverts EncodeParts, rejecting truncated payloads and
+// decodeParts inverts encodeParts, rejecting truncated payloads and
 // payloads with bytes left over. The part count is held against the bytes
 // that are there (a part costs at least its length prefix) before it sizes
 // anything.
-func DecodeParts(data []byte) ([][]byte, error) {
+func decodeParts(data []byte) ([][]byte, error) {
 	c := framelog.NewCursor(data)
 	n := c.U32()
 	if c.Err() != nil || int64(n) > int64(len(c.Rest())/4) {

@@ -223,7 +223,7 @@ func (r *Rank) AllGather(data []byte) ([][]byte, error) {
 			}
 			parts[src] = d
 		}
-		enc := EncodeParts(parts)
+		enc := encodeParts(parts)
 		for dst := 1; dst < r.comm.size; dst++ {
 			if err := r.Send(dst, tagBcast, enc); err != nil {
 				return nil, err
@@ -238,7 +238,7 @@ func (r *Rank) AllGather(data []byte) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return DecodeParts(enc)
+	return decodeParts(enc)
 }
 
 // Run spawns fn on every rank of a fresh communicator and waits for all

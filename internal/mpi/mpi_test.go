@@ -317,7 +317,7 @@ func TestQuickCodecRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 	g := func(parts [][]byte) bool {
-		dec, err := DecodeParts(EncodeParts(parts))
+		dec, err := decodeParts(encodeParts(parts))
 		if err != nil || len(dec) != len(parts) {
 			return false
 		}
@@ -356,18 +356,18 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 	if _, err := decodeF64(make([]byte, 7)); err == nil {
 		t.Error("misaligned f64 payload accepted")
 	}
-	if _, err := DecodeParts(nil); err == nil {
+	if _, err := decodeParts(nil); err == nil {
 		t.Error("nil parts payload accepted")
 	}
-	if _, err := DecodeParts([]byte{2, 0, 0, 0, 10, 0, 0, 0, 1}); err == nil {
+	if _, err := decodeParts([]byte{2, 0, 0, 0, 10, 0, 0, 0, 1}); err == nil {
 		t.Error("truncated parts payload accepted")
 	}
 	// A forged part count must be refused before it sizes the part list
 	// (0xffffffff parts would be a 96 GiB allocation).
-	if _, err := DecodeParts([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}); err == nil {
+	if _, err := decodeParts([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}); err == nil {
 		t.Error("parts payload claiming 2^32-1 parts in 4 bytes accepted")
 	}
-	if _, err := DecodeParts(append(EncodeParts([][]byte{{1}}), 0xff)); err == nil {
+	if _, err := decodeParts(append(encodeParts([][]byte{{1}}), 0xff)); err == nil {
 		t.Error("parts payload with a trailing byte accepted")
 	}
 }

@@ -1,42 +1,25 @@
 package shard
 
-import "sync"
-
-// Deques is a set of per-worker double-ended work queues with batch tail
-// stealing — the one scheduler shared by the subtree sharder and the
-// pair-level cluster harness. The owner of a deque pops work from its
+// deques is a set of per-worker double-ended queues of unit sequence
+// numbers with batch tail stealing. The owner of a deque pops work from its
 // head; an idle worker steals a batch from the TAIL of the most-loaded
-// peer's deque, which preserves the victim's locality (the head items it
+// peer's deque, which preserves the victim's locality (the head units it
 // is about to run stay put) and moves the coldest work.
-//
-// The implementation is a single mutex over all deques. Work units here
-// are coarse (a subtree's worth of stage-2 I/O, or a whole checkpoint
-// pair), so scheduler contention is noise next to unit execution; the
-// simplicity buys an obviously-correct re-steal path for worker-failure
-// recovery, which lock-free deques make subtle.
-type Deques[T any] struct {
-	mu     sync.Mutex
-	qs     [][]T
+type deques struct {
+	qs     [][]int
 	weight []int64
-	weigh  func(T) int64
+	weigh  func(seq int) int64
 
-	steals      int64 // successful steal operations
-	stolenItems int64 // items moved by those steals
-	stealsBy    []int64
-	stolenBy    []int64
+	// Per thief: successful steal operations, and the units they moved.
+	stealsBy []int64
+	stolenBy []int64
 }
 
-// NewDeques creates n empty deques. weigh prices one item for victim
-// selection; nil weighs every item 1.
-func NewDeques[T any](n int, weigh func(T) int64) *Deques[T] {
-	if n < 1 {
-		n = 1
-	}
-	if weigh == nil {
-		weigh = func(T) int64 { return 1 }
-	}
-	return &Deques[T]{
-		qs:       make([][]T, n),
+// newDeques creates n empty deques. weigh prices one unit for victim
+// selection.
+func newDeques(n int, weigh func(seq int) int64) *deques {
+	return &deques{
+		qs:       make([][]int, n),
 		weight:   make([]int64, n),
 		weigh:    weigh,
 		stealsBy: make([]int64, n),
@@ -44,49 +27,33 @@ func NewDeques[T any](n int, weigh func(T) int64) *Deques[T] {
 	}
 }
 
-// N returns the number of deques.
-func (d *Deques[T]) N() int { return len(d.qs) }
-
-// Push appends items to the tail of owner's deque. A dying worker uses
+// push appends units to the tail of owner's deque. A dying worker uses
 // this to return its in-flight unit, which makes the unit stealable
 // again — never silently dropped.
-func (d *Deques[T]) Push(owner int, items ...T) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.qs[owner] = append(d.qs[owner], items...)
-	for _, it := range items {
-		d.weight[owner] += d.weigh(it)
+func (d *deques) push(owner int, seqs ...int) {
+	d.qs[owner] = append(d.qs[owner], seqs...)
+	for _, seq := range seqs {
+		d.weight[owner] += d.weigh(seq)
 	}
 }
 
-// Pop removes and returns the head of owner's own deque.
-func (d *Deques[T]) Pop(owner int) (T, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.popLocked(owner)
-}
-
-func (d *Deques[T]) popLocked(owner int) (T, bool) {
-	var zero T
+// pop removes and returns the head of owner's own deque.
+func (d *deques) pop(owner int) (int, bool) {
 	q := d.qs[owner]
 	if len(q) == 0 {
-		return zero, false
+		return 0, false
 	}
-	it := q[0]
-	q[0] = zero // release the reference for GC
 	d.qs[owner] = q[1:]
-	d.weight[owner] -= d.weigh(it)
-	return it, true
+	d.weight[owner] -= d.weigh(q[0])
+	return q[0], true
 }
 
-// Steal picks the heaviest non-empty peer deque and moves up to half of
-// it (by item count, at least one) from its tail onto owner's deque,
+// steal picks the heaviest non-empty peer deque and moves up to half of
+// it (by unit count, at least one) from its tail onto owner's deque,
 // then pops owner's head. It returns false only when every other deque
 // is empty — the global out-of-work condition for a worker whose own
 // deque is drained.
-func (d *Deques[T]) Steal(owner int) (T, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+func (d *deques) steal(owner int) (int, bool) {
 	victim, best := -1, int64(0)
 	for w := range d.qs {
 		if w == owner || len(d.qs[w]) == 0 {
@@ -97,65 +64,35 @@ func (d *Deques[T]) Steal(owner int) (T, bool) {
 		}
 	}
 	if victim == -1 {
-		// Nothing to steal; the owner's own deque may still have been
-		// refilled (a dying worker returning its unit) since the caller's
-		// last Pop.
-		return d.popLocked(owner)
+		// Nothing to steal: what the owner's own deque holds is all the
+		// work there is.
+		return d.pop(owner)
 	}
 	q := d.qs[victim]
 	k := (len(q) + 1) / 2
 	batch := q[len(q)-k:]
 	var moved int64
-	for _, it := range batch {
-		moved += d.weigh(it)
+	for _, seq := range batch {
+		moved += d.weigh(seq)
 	}
 	d.qs[owner] = append(d.qs[owner], batch...)
-	for i := range batch {
-		var zero T
-		q[len(q)-k+i] = zero
-	}
 	d.qs[victim] = q[:len(q)-k]
 	d.weight[victim] -= moved
 	d.weight[owner] += moved
-	d.steals++
-	d.stolenItems += int64(k)
 	d.stealsBy[owner]++
 	d.stolenBy[owner] += int64(k)
-	return d.popLocked(owner)
+	return d.pop(owner)
 }
 
-// Drain removes and returns every remaining item across all deques, in
+// drain removes and returns every remaining unit across all deques, in
 // deque order — the coordinator's fallback for work returned by a dying
-// worker after its peers already exited.
-func (d *Deques[T]) Drain() []T {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	var out []T
+// worker after its peers already left.
+func (d *deques) drain() []int {
+	var out []int
 	for w := range d.qs {
 		out = append(out, d.qs[w]...)
 		d.qs[w] = nil
 		d.weight[w] = 0
 	}
 	return out
-}
-
-// Len returns the current length of one deque.
-func (d *Deques[T]) Len(owner int) int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.qs[owner])
-}
-
-// StealStats returns the cumulative (steal operations, items moved).
-func (d *Deques[T]) StealStats() (ops, items int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.steals, d.stolenItems
-}
-
-// StealStatsOf returns one thief's (steal operations, items moved).
-func (d *Deques[T]) StealStatsOf(owner int) (ops, items int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stealsBy[owner], d.stolenBy[owner]
 }

@@ -96,8 +96,9 @@ func TestShardLeavesNothingBehind(t *testing.T) {
 			defer e.store.SetFaultHook(nil)
 			// The baseline is this row's own: taken inside it (so the
 			// subtest's goroutine is in it) once the goroutines of the
-			// comparison before — still exiting when Compare returns — are
-			// gone.
+			// comparison before — the executor's, past their last Done but
+			// still exiting when Compare returns; the engine starts none —
+			// are gone.
 			goroutines := settledGoroutines()
 			row(t)
 			if st := ring.Arena().Stats(); st.Outstanding != 0 {

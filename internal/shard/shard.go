@@ -1,16 +1,27 @@
+// Package shard implements the scale-out tier of the comparison engine:
+// one checkpoint-pair (or N-run group) comparison is split across M
+// simulated workers by Merkle subtree. The coordinator runs stage 1 on
+// metadata only, prunes equal subtrees, and cuts the divergent ones into
+// work units; workers execute stage 2 — the planners' one pipeline, in
+// windows sized to a bounded buffer budget — steal subtree batches from
+// loaded peers when idle, and return per-subtree verdicts the coordinator
+// folds into the same Result/GroupReport the single-node path produces —
+// bit-identical diffs, proven against CompareMerkle as the oracle.
+//
+// The fleet is simulated: a worker is a virtual clock, a deque and a
+// stage-2 view of the member set, and the engine is a discrete-event loop
+// on the caller's goroutine (run.execute). Work units do not travel: any
+// worker executes any unit from the member set the coordinator's stage 1
+// filled, which is what makes every unit stealable.
 package shard
 
 import (
-	"fmt"
-	"sort"
-	"sync"
-	"time"
-
 	"context"
+	"fmt"
+	"time"
 
 	"repro/internal/compare"
 	"repro/internal/merkle"
-	"repro/internal/mpi"
 	"repro/internal/pfs"
 )
 
@@ -53,7 +64,7 @@ func (a Assignment) String() string {
 // Chaos schedules a deterministic worker failure mid-comparison: worker
 // Worker dies after completing AfterUnits units. The dying worker
 // returns its in-flight unit to its deque (stealable, never dropped)
-// and exits cleanly; peers — or the coordinator's drain fallback —
+// and leaves the schedule; peers — or the coordinator's drain fallback —
 // finish its share.
 type Chaos struct {
 	Enabled    bool
@@ -63,7 +74,8 @@ type Chaos struct {
 
 // Config parameterizes the sharded comparison engine.
 type Config struct {
-	// Workers is the simulated worker count M (default 4).
+	// Workers is the simulated worker count M (default 4, at most
+	// MaxWorkers).
 	Workers int
 	// Budget bounds the stage-2 chunk bytes (both sides summed) a worker
 	// may hold in flight at once — the out-of-core invariant. Default
@@ -85,11 +97,29 @@ type Config struct {
 	Chaos Chaos
 }
 
+// MaxWorkers bounds Config.Workers. A worker costs a clock and a deque
+// whether or not a unit ever reaches it, and every turn of the schedule
+// looks at all of them, so a fleet size a client picks needs a ceiling:
+// this one is far past any unit count the simulation is run at and keeps
+// an idle fleet under a megabyte and a few milliseconds.
+const MaxWorkers = 4096
+
+// Validate reports what Compare and GroupCompare would refuse the
+// configuration for before reading anything, so a service can answer for
+// it at submission.
+func (c Config) Validate() error {
+	_, err := c.normalized()
+	return err
+}
+
 // normalized validates the configuration and fills defaults. The budget's
 // lower bound depends on the metadata and is checked at partition time.
 func (c Config) normalized() (Config, error) {
 	if c.Workers <= 0 {
 		c.Workers = 4
+	}
+	if c.Workers > MaxWorkers {
+		return c, fmt.Errorf("shard: %d workers exceed the maximum of %d", c.Workers, MaxWorkers)
 	}
 	if c.SubtreeChunks <= 0 {
 		c.SubtreeChunks = 16
@@ -159,7 +189,8 @@ func splitmix64(x uint64) uint64 {
 
 // unit is one work unit: the candidate chunks of one divergent Merkle
 // subtree of one (pair, field). Its sequence number is its index in
-// run.units; any worker can execute it from the member set alone.
+// run.units — what the deques hold; any worker can execute it from the
+// member set alone.
 type unit struct {
 	pair, field int
 	// target is the home OST of the unit's first byte (placement).
@@ -175,9 +206,8 @@ type unit struct {
 
 // run is the coordinator/worker executor behind Compare and GroupCompare:
 // the partition step cuts units from the member set's stage-1 output,
-// execute fans them out over M worker goroutines connected by an mpi
-// communicator, and the merged verdicts land in the member set's per-pair
-// folds for its report step.
+// execute schedules them over the M simulated workers, and the verdicts
+// land in the member set's per-pair folds for its report step.
 type run struct {
 	store *pfs.Store
 	cfg   Config
@@ -195,8 +225,7 @@ type run struct {
 	// sharers is the per-target contention table assign froze; execute
 	// installs it on the store for the run.
 	sharers []int
-	dq      *Deques[int64]
-	gate    *vgate
+	dq      *deques
 
 	// workers holds the M workers' states and, last, the coordinator's
 	// (it executes only what a drain leaves it).
@@ -241,7 +270,7 @@ func (r *run) addUnits(pair, field int, tree *merkle.Tree, chunks []int, base in
 // simplification that keeps unit read costs deterministic.
 func (r *run) assign() {
 	m := r.cfg.Workers
-	r.dq = NewDeques[int64](m, func(seq int64) int64 { return r.units[seq].bytes })
+	r.dq = newDeques(m, func(seq int) int64 { return r.units[seq].bytes })
 	striping := r.store.Striping()
 	targets := striping.Targets
 	if targets < 1 {
@@ -257,7 +286,7 @@ func (r *run) assign() {
 		case r.cfg.Assignment == AssignRandom:
 			w = int(splitmix64(r.cfg.Seed^uint64(seq)*0x9e3779b97f4a7c15) % uint64(m))
 		}
-		r.dq.Push(w, int64(seq))
+		r.dq.push(w, seq)
 		if touched[u.target] == nil {
 			touched[u.target] = make(map[int]bool)
 		}
@@ -275,14 +304,17 @@ func (r *run) assign() {
 	r.stats.BudgetBytes = r.cfg.Budget
 }
 
-// shardTag is the single mpi tag of the worker→coordinator verdict
-// stream; using one tag preserves per-link FIFO order, so a worker's
-// done frame is always the last thing its receiver sees.
-const shardTag = 1
-
-// execute fans the assigned units out over the workers, folds the
-// verdict stream, and fills Stats. The per-target contention table is on
-// the store — where the one read-pricing site (internal/aio) looks it up
+// execute schedules the assigned units over the workers, folds their
+// verdicts, and fills Stats. It is a discrete-event loop on the caller's
+// goroutine: every turn belongs to the live worker with the lowest virtual
+// clock (ties to the lowest id), which takes its next unit — its own
+// deque's head, else a batch stolen from the most-loaded peer's tail — runs
+// it, and moves its clock on by the unit's virtual cost. Execution order IS
+// virtual order, and has to be: a unit's price is known only after it ran,
+// and depends on the page-cache state the units before it left. That one
+// total order fixes which worker runs which unit, every steal, every chaos
+// death and through them the makespan. The per-target contention table is
+// on the store — where the one read-pricing site (internal/aio) looks it up
 // per batch — only while the units run, and off it on every exit path.
 func (r *run) execute(ctx context.Context) error {
 	m := r.cfg.Workers
@@ -293,129 +325,68 @@ func (r *run) execute(ctx context.Context) error {
 	r.store.SetTargetSharers(r.sharers)
 	defer r.store.SetTargetSharers(nil)
 	r.workers = make([]workerState, m+1)
-	for w := range r.workers {
-		// Depth 1: a worker holds one window, so the budget bounds it.
-		r.workers[w].stage2 = r.ms.NewStage2(r.window, 1)
-	}
-	comm, err := mpi.NewComm(m + 1)
-	if err != nil {
-		return err
-	}
-	coord, err := comm.Rank(0)
-	if err != nil {
-		return err
-	}
-	r.gate = newVgate(m)
-	// Wake gate waiters when the context dies so cancellation reaches
-	// workers blocked on the baton, not just workers mid-read.
-	wake := make(chan struct{})
-	defer close(wake)
-	go func() {
-		select {
-		case <-ctx.Done():
-			r.gate.wake()
-		case <-wake:
-		}
-	}()
-
-	var wg sync.WaitGroup
-	workerErrs := make([]error, m)
-	recvErrs := make([]error, m)
-	dones := make([]*DoneMsg, m)
-	verdicts := make([][]*VerdictMsg, m)
-	for w := 0; w < m; w++ {
-		rank, err := comm.Rank(w + 1)
-		if err != nil {
+	verdicts := make([]compare.UnitVerdict, len(r.units))
+	for {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
-		wg.Add(2)
-		go func(w int, rank *mpi.Rank) {
-			defer wg.Done()
-			workerErrs[w] = r.workerLoop(ctx, w, rank)
-		}(w, rank)
-		// One receiver per worker: concurrent Recv on the coordinator
-		// rank is safe across distinct sources (disjoint links), and the
-		// single tag makes the done frame a FIFO-ordered terminator.
-		go func(w int) {
-			defer wg.Done()
-			for {
-				frame, err := coord.Recv(w+1, shardTag)
-				if err != nil {
-					recvErrs[w] = err
-					return
-				}
-				kind, err := FrameKind(frame)
-				if err != nil {
-					recvErrs[w] = err
-					return
-				}
-				if kind == kindDone {
-					dones[w], recvErrs[w] = DecodeDone(frame)
-					return
-				}
-				v, err := DecodeVerdict(frame)
-				if err != nil {
-					recvErrs[w] = err
-					return
-				}
-				verdicts[w] = append(verdicts[w], v)
-			}
-		}(w)
-	}
-	wg.Wait()
-
-	for w := 0; w < m; w++ {
-		if recvErrs[w] != nil {
-			return fmt.Errorf("shard: coordinator recv from worker %d: %w", w, recvErrs[w])
+		w := r.nextWorker()
+		if w < 0 {
+			break
 		}
-	}
-	for w := 0; w < m; w++ {
-		if workerErrs[w] != nil {
-			return fmt.Errorf("shard: worker %d: %w", w, workerErrs[w])
+		ws := &r.workers[w]
+		seq, ok := r.dq.pop(w)
+		if !ok && r.cfg.Stealing {
+			seq, ok = r.dq.steal(w)
 		}
-	}
-	if err := ctx.Err(); err != nil {
-		return err
+		if !ok {
+			ws.done = true
+			continue
+		}
+		if r.cfg.Chaos.Enabled && w == r.cfg.Chaos.Worker && ws.units >= r.cfg.Chaos.AfterUnits {
+			// Chaos death: the in-flight unit goes back on the deque —
+			// stealable by peers, drained by the coordinator as a last
+			// resort — and the worker leaves without a verdict for it, so
+			// the unit's eventual verdict is recorded exactly once.
+			r.dq.push(w, seq)
+			ws.died, ws.done = true, true
+			continue
+		}
+		var err error
+		if verdicts[seq], err = r.executeUnit(ctx, ws, seq); err != nil {
+			return fmt.Errorf("shard: worker %d: %w", w, err)
+		}
 	}
 
 	// A dying worker returns its in-flight unit to its deque. Peers
 	// usually re-steal it, but if every other worker already saw a
-	// globally-empty scheduler and exited, the coordinator executes the
+	// globally-empty scheduler and left, the coordinator executes the
 	// leftovers itself — degraded throughput, never a dropped verdict.
 	cs := &r.workers[m]
-	all := make([]*VerdictMsg, 0, len(r.units))
-	for _, seq := range r.dq.Drain() {
-		v, _, err := r.executeUnit(ctx, cs, seq)
-		if err != nil {
+	for _, seq := range r.dq.drain() {
+		var err error
+		if verdicts[seq], err = r.executeUnit(ctx, cs, seq); err != nil {
 			return fmt.Errorf("shard: coordinator drain: %w", err)
 		}
-		all = append(all, v)
 	}
 	r.stats.CoordinatorUnits = cs.units
 
-	// Hierarchical fold: verdicts arrive per worker in FIFO order, but
-	// which worker ran a unit is schedule-dependent; sorting by unit
-	// sequence makes the fold order — and through it every accumulated
-	// slice — deterministic before the report steps sort per-field
-	// indices ascending.
-	for w := range verdicts {
-		all = append(all, verdicts[w]...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].Seq < all[j].Seq })
-	// The units of one (pair, field) were cut in one go (stepPartition),
-	// so they are consecutive in sequence order: each fold list is handed
+	// Which worker ran a unit is the schedule's business; the fold runs in
+	// unit sequence order, so every accumulated slice is the same whatever
+	// the schedule was. The units of one (pair, field) were cut in one go
+	// (stepPartition), so they are consecutive: each fold list is handed
 	// everything it gets in one call and is allocated once.
 	var parts [][]int64
-	for i := 0; i < len(all); {
-		pair, field := all[i].Pair, all[i].Field
-		f := r.ms.Fold(int(pair))
+	for i := 0; i < len(r.units); {
+		pair, field := r.units[i].pair, r.units[i].field
+		f := r.ms.Fold(pair)
 		parts = parts[:0]
-		for ; i < len(all) && all[i].Pair == pair && all[i].Field == field; i++ {
-			parts = append(parts, all[i].Diffs)
-			f.Changed += int(all[i].Changed)
-			f.Unverified += int(all[i].Unverified)
+		for ; i < len(r.units) && r.units[i].pair == pair && r.units[i].field == field; i++ {
+			parts = append(parts, verdicts[i].Diffs)
+			f.Changed += verdicts[i].Changed
+			f.Unverified += verdicts[i].Unverified
 		}
-		f.Add(int(field), parts...)
+		f.Add(field, parts...)
 	}
 
 	var makespan time.Duration
@@ -423,27 +394,40 @@ func (r *run) execute(ctx context.Context) error {
 		ws := &r.workers[w]
 		pw := WorkerStats{
 			Units:        ws.units,
+			Steals:       r.dq.stealsBy[w],
+			StolenUnits:  r.dq.stolenBy[w],
 			IOVirtual:    ws.ioVirtual,
 			CompVirtual:  ws.compVirtual,
 			BytesRead:    ws.bytesRead,
 			PeakInFlight: ws.peakInFlight,
-			Died:         dones[w].Died != 0,
+			Died:         ws.died,
 		}
-		pw.Steals, pw.StolenUnits = r.dq.StealStatsOf(w)
 		if pw.Died {
 			r.stats.WorkerFailures++
 		}
+		r.stats.Steals += pw.Steals
+		r.stats.StolenUnits += pw.StolenUnits
 		r.stats.PerWorker[w] = pw
 		makespan = max(makespan, pw.Virtual())
 	}
-	coordVirtual := cs.ioVirtual + cs.compVirtual
-	r.stats.MakespanVirtual = makespan + coordVirtual
+	r.stats.MakespanVirtual = makespan + cs.clock()
 	for w := range r.workers {
 		ws := &r.workers[w]
 		r.stats.ReadVirtual += ws.ioVirtual
-		r.stats.TotalVirtual += ws.ioVirtual + ws.compVirtual
+		r.stats.TotalVirtual += ws.clock()
 		r.stats.PeakInFlight = max(r.stats.PeakInFlight, ws.peakInFlight)
 	}
-	r.stats.Steals, r.stats.StolenUnits = r.dq.StealStats()
 	return nil
+}
+
+// nextWorker returns the live worker with the lowest (clock, id), or -1
+// once every worker has left the schedule.
+func (r *run) nextWorker() int {
+	best := -1
+	for w := 0; w < r.cfg.Workers; w++ {
+		if ws := &r.workers[w]; !ws.done && (best == -1 || ws.clock() < r.workers[best].clock()) {
+			best = w
+		}
+	}
+	return best
 }

@@ -6,13 +6,13 @@ import (
 	"time"
 
 	"repro/internal/compare"
-	"repro/internal/mpi"
 )
 
-// workerState is one worker's run-local state: its stage 2 — compare's,
-// cut to the budget's window — and the account of what it ran. The
-// coordinator reads the account after the join; it is the one source of
-// per-worker statistics.
+// workerState is one simulated worker: its stage 2 — compare's, cut to the
+// budget's window, made when its first unit arrives (a fleet larger than
+// the unit list is mostly workers that never run one) — and the account of
+// what it ran, the one source of per-worker statistics and of its virtual
+// clock.
 type workerState struct {
 	stage2 *compare.Stage2
 
@@ -23,70 +23,27 @@ type workerState struct {
 	retries       int
 	ringFallbacks int
 	peakInFlight  int64
-	died          bool
+	// done marks a worker that left the schedule: out of work, or died.
+	died, done bool
 }
 
-// workerLoop is one worker goroutine: drain the own deque head-first,
-// steal batches from the most-loaded peer's tail when idle (if stealing
-// is on), execute each unit under the buffer budget, and stream verdicts
-// to the coordinator. Unit take-and-execute turns are serialized by the
-// run's virtual-time gate, so the schedule is a deterministic function
-// of the model costs. The closing done frame is sent on every exit path
-// — success, cancellation, error, or chaos death — so the coordinator's
-// receiver always terminates.
-func (r *run) workerLoop(ctx context.Context, w int, rank *mpi.Rank) (err error) {
-	ws := &r.workers[w]
-	defer func() {
-		done := &DoneMsg{Worker: int64(w)}
-		if ws.died {
-			done.Died = 1
-		}
-		if serr := rank.Send(0, shardTag, EncodeDone(done)); serr != nil && err == nil {
-			err = serr
-		}
-	}()
-	defer r.gate.exit(w)
-	for {
-		if gerr := r.gate.enter(ctx, w); gerr != nil {
-			return gerr
-		}
-		seq, ok := r.dq.Pop(w)
-		if !ok && r.cfg.Stealing {
-			seq, ok = r.dq.Steal(w)
-		}
-		if !ok {
-			return nil
-		}
-		if r.cfg.Chaos.Enabled && w == r.cfg.Chaos.Worker && ws.units >= r.cfg.Chaos.AfterUnits {
-			// Chaos death: the in-flight unit goes back on the deque —
-			// stealable by peers, drained by the coordinator as a last
-			// resort — and the worker exits without a verdict for it, so
-			// the unit's eventual verdict is recorded exactly once.
-			r.dq.Push(w, seq)
-			ws.died = true
-			return nil
-		}
-		v, cost, uerr := r.executeUnit(ctx, ws, seq)
-		r.gate.leave(w, cost)
-		if uerr != nil {
-			return uerr
-		}
-		if serr := rank.Send(0, shardTag, EncodeVerdict(v)); serr != nil {
-			return serr
-		}
-	}
-}
+// clock is the worker's virtual time: the cost of every unit it ran.
+func (ws *workerState) clock() time.Duration { return ws.ioVirtual + ws.compVirtual }
 
 // executeUnit runs stage 2 for one work unit — one call into the
-// planners' shared pipeline, in windows the budget sized — and returns its
-// verdict and its virtual cost. All pricing is virtual-clock model time —
-// reads at their home target's contention factor, compute on the device
-// model — never wall time.
-func (r *run) executeUnit(ctx context.Context, ws *workerState, seq int64) (*VerdictMsg, time.Duration, error) {
+// planners' shared pipeline, in windows the budget sized — charges its
+// virtual cost to the worker and returns its verdict. All pricing is
+// virtual-clock model time — reads at their home target's contention
+// factor, compute on the device model — never wall time.
+func (r *run) executeUnit(ctx context.Context, ws *workerState, seq int) (compare.UnitVerdict, error) {
+	if ws.stage2 == nil {
+		// Depth 1: a worker holds one window, so the budget bounds it.
+		ws.stage2 = r.ms.NewStage2(r.window, 1)
+	}
 	u := &r.units[seq]
 	uv, err := ws.stage2.Verify(ctx, u.pair, u.field, u.chunks)
 	if err != nil {
-		return nil, 0, fmt.Errorf("shard: unit %d: %w", seq, err)
+		return uv, fmt.Errorf("shard: unit %d: %w", seq, err)
 	}
 	ws.units++
 	ws.ioVirtual += uv.IOVirtual
@@ -94,10 +51,6 @@ func (r *run) executeUnit(ctx context.Context, ws *workerState, seq int64) (*Ver
 	ws.bytesRead += uv.BytesRead
 	ws.retries += uv.ReadRetries
 	ws.ringFallbacks += uv.RingFallbacks
-	// Depth 1: one window is all a worker ever holds.
 	ws.peakInFlight = max(ws.peakInFlight, uv.PeakWindowBytes)
-	return &VerdictMsg{
-		Seq: seq, Pair: int64(u.pair), Field: int64(u.field),
-		Changed: int64(uv.Changed), Unverified: int64(uv.Unverified), Diffs: uv.Diffs,
-	}, uv.IOVirtual + uv.ComputeVirtual, nil
+	return uv, nil
 }

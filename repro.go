@@ -460,12 +460,11 @@ const (
 
 // ShardCompare runs the two-stage Merkle comparison of Compare with
 // stage 2 sharded by Merkle subtree across cfg.Workers simulated workers:
-// the coordinator prunes equal subtrees on metadata alone, ships the
-// divergent ones as self-describing work units over the in-process MPI
-// fabric, and folds the returned verdicts hierarchically into the same
-// Result the single-node path produces — bit-identical diffs, roots, and
-// verdicts. The returned stats expose the schedule's shape (steals,
-// per-worker clocks, virtual makespan).
+// the coordinator prunes equal subtrees on metadata alone, schedules the
+// divergent ones as work units over the fleet in virtual-time order, and
+// folds their verdicts into the same Result the single-node path produces
+// — bit-identical diffs, roots, and verdicts. The returned stats expose
+// the schedule's shape (steals, per-worker clocks, virtual makespan).
 func ShardCompare(ctx context.Context, store *Store, nameA, nameB string, cfg ShardConfig, opts Options) (*Result, *ShardStats, error) {
 	return localSession().ShardCompare(ctx, store, nameA, nameB, cfg, opts)
 }
