@@ -53,7 +53,10 @@ chaos-smoke:
 # checked-in corpus (testdata/fuzz/); part of `make check`. The two kernels
 # against their seed oracles come first — the ε-compare against its
 # per-element reference, the leaf hash against the scratch-buffer SumDigest
-# chaining; the rest are the decoders, which read through framelog.Cursor:
+# chaining; then stage 2's copy planner, whose ranges must land every
+# extent a window priced once, in copies of adjacent extents, with the
+# bytes a ReadAt per extent reads; the rest are the decoders, which read
+# through framelog.Cursor:
 # the framed log's scanner (the journal and the CAS index replay through
 # it), the journal's record payload behind that scanner, the CAS manifest,
 # the checkpoint header, the metadata container (and through it
@@ -62,9 +65,11 @@ chaos-smoke:
 # corpus holds kilobyte seeds, and left alone the fuzzer spends the five
 # seconds (up to a minute per input) shrinking the first mutant that finds
 # new coverage instead of executing — ~1 000 executions against ~140 000.
+# FuzzRangeCopies caps it too: each input is a whole stage-2 run.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompareSlices$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/errbound
 	$(GO) test -run '^$$' -fuzz '^FuzzHashChunk$$' -fuzztime 5s ./internal/errbound
+	$(GO) test -run '^$$' -fuzz '^FuzzRangeCopies$$' -fuzztime 5s -fuzzminimizetime 100x ./internal/stream
 	$(GO) test -run '^$$' -fuzz '^FuzzReplay$$' -fuzztime 5s ./internal/framelog
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 5s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime 5s ./internal/cas
@@ -163,7 +168,7 @@ examples:
 # LOC_CEILING, the total of the last PR that lowered it — a PR that removes
 # code lowers the ceiling to its own result, one that must add code raises
 # it in the same diff, where a reviewer sees it.
-LOC_CEILING = 27379
+LOC_CEILING = 27266
 loc:
 	@for d in $$(find . -name '*.go' ! -name '*_test.go' | xargs -n1 dirname | sort -u); do \
 		printf '%7d %s\n' $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l) $$d; \

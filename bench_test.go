@@ -216,7 +216,7 @@ func BenchmarkFig8TreeBuild(b *testing.B) {
 // BenchmarkFig9Backends measures the scattered verification reads with
 // the mmap vs io_uring backends.
 func BenchmarkFig9Backends(b *testing.B) {
-	for _, backend := range []aio.Backend{aio.Mmap{}, aio.NewUring(256, 4)} {
+	for _, backend := range []aio.Backend{aio.Mmap{}, aio.NewUring(256)} {
 		b.Run(backend.Name(), func(b *testing.B) {
 			bp := newBenchPair(b, 1<<18, 1e-7, 4<<10)
 			bp.opts.Backend = backend
@@ -315,8 +315,8 @@ func BenchmarkAblationCoalescing(b *testing.B) {
 		name    string
 		backend aio.Backend
 	}{
-		{"plain", aio.NewUring(256, 4)},
-		{"coalesced", aio.NewCoalescing(aio.NewUring(256, 4), 16<<10)},
+		{"plain", aio.NewUring(256)},
+		{"coalesced", aio.NewCoalescing(aio.NewUring(256), 16<<10)},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			bp := newBenchPair(b, 1<<18, 1e-5, 4<<10)

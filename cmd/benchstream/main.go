@@ -11,12 +11,10 @@
 // Every variant streams the identical chunk set; they differ only in the
 // I/O engine and pipeline depth:
 //
-//	plain_fresh_serial_depth1   the pre-persistent-ring pipeline: a fresh
-//	                            ring per batch, run A and run B read
-//	                            serially, one buffer set (the speedup
-//	                            baseline)
-//	ring_pair_depth{1,2,4}      persistent ring, A+B submitted as one
-//	                            overlapped batch, depth-N buffering
+//	plain_fresh_serial_depth{1,2}  run A and run B priced serially
+//	                            (aio.Legacy), depth 1 the speedup baseline
+//	ring_pair_depth{1,2,4}      A+B priced as one overlapped batch,
+//	                            depth-N pipeline virtual time
 //	ring_pair_coalesce_depth{2,4}  the default compare path: + coalescing
 //
 // Usage:
@@ -32,7 +30,7 @@
 // The headline column is pipeline_virtual_ms (deterministic, from the
 // cost models); wall_ms comes from the host clock and varies with
 // hardware. allocs_per_slice is measured on a warmed run and should be 0
-// for the persistent-ring variants.
+// for every variant.
 package main
 
 import (
@@ -112,8 +110,8 @@ type Pipeline struct {
 	// AllocsPerSlice is the steady-state heap allocation rate: the
 	// marginal allocations per additional slice, measured on warmed runs
 	// by differencing a full run against a half run (which cancels the
-	// per-run fixed costs: the producer goroutine, channels, and the
-	// buffer pool itself).
+	// per-run fixed costs: the reader, the verifier and the buffer pool
+	// itself).
 	AllocsPerSlice float64 `json:"allocs_per_slice"`
 	// SpeedupVsBaseline is baseline virtual time / this virtual time.
 	SpeedupVsBaseline float64 `json:"speedup_vs_baseline"`
@@ -174,12 +172,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// variant pairs a pipeline configuration with its backend factory; close
-// releases persistent ring workers after the variant is measured.
+// variant pairs a pipeline configuration with its backend factory.
 type variant struct {
 	name    string
 	depth   int
-	backend func() (aio.Backend, func())
+	backend func() aio.Backend
 }
 
 func collect(w Workload) (*Report, error) {
@@ -209,22 +206,13 @@ func collect(w Workload) (*Report, error) {
 	half, full := clusteredPlan(fA, fB, w, chunks/2), clusteredPlan(fA, fB, w, chunks)
 	dev := device.GPUModel()
 
-	const queueDepth, workers = 64, 4
-	uring := func() (aio.Backend, func()) {
-		u := aio.NewUring(queueDepth, workers)
-		return u, u.Close
-	}
-	coalescing := func() (aio.Backend, func()) {
-		u := aio.NewUring(queueDepth, workers)
-		return aio.NewCoalescing(u, 16<<10), u.Close
-	}
+	const queueDepth = 64
+	uring := func() aio.Backend { return aio.NewUring(queueDepth) }
+	coalescing := func() aio.Backend { return aio.NewCoalescing(aio.NewUring(queueDepth), 16<<10) }
+	legacy := func() aio.Backend { return aio.Legacy{QueueDepth: queueDepth} }
 	variants := []variant{
-		{"plain_fresh_serial_depth1", 1, func() (aio.Backend, func()) {
-			return aio.Legacy{QueueDepth: queueDepth, Workers: workers}, func() {}
-		}},
-		{"plain_fresh_serial_depth2", 2, func() (aio.Backend, func()) {
-			return aio.Legacy{QueueDepth: queueDepth, Workers: workers}, func() {}
-		}},
+		{"plain_fresh_serial_depth1", 1, legacy},
+		{"plain_fresh_serial_depth2", 2, legacy},
 		{"ring_pair_depth1", 1, uring},
 		{"ring_pair_depth2", 2, uring},
 		{"ring_pair_depth4", 4, uring},
@@ -233,9 +221,8 @@ func collect(w Workload) (*Report, error) {
 	}
 
 	for _, v := range variants {
-		backend, close := v.backend()
+		backend := v.backend()
 		p, err := measure(v, backend, store, half, full, w, dev)
-		close()
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", v.name, err)
 		}

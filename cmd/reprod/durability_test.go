@@ -108,6 +108,8 @@ func TestErrorResponseContract(t *testing.T) {
 		{"malformed job id on wait", "GET", "/v1/jobs/xyz/wait", "", http.StatusBadRequest},
 		{"unknown job on wait", "GET", "/v1/jobs/999999999/wait", "", http.StatusNotFound},
 		{"bad wait timeout", "GET", fmt.Sprintf("/v1/jobs/%d/wait?timeoutMs=soon", done.ID()), "", http.StatusBadRequest},
+		{"wait timeout over the cap", "GET", fmt.Sprintf("/v1/jobs/%d/wait?timeoutMs=%d", done.ID(), maxWait.Milliseconds()+1), "", http.StatusBadRequest},
+		{"wait timeout of 24 days", "GET", fmt.Sprintf("/v1/jobs/%d/wait?timeoutMs=2147483647", done.ID()), "", http.StatusBadRequest},
 		{"bad binding JSON", "POST", "/v1/runs", "{", http.StatusBadRequest},
 		{"conflicting binding", "POST", "/v1/runs", `{"runId":"run1","epsilon":0.5}`, http.StatusConflict},
 		{"bad job JSON", "POST", "/v1/jobs", "{", http.StatusBadRequest},
@@ -150,6 +152,19 @@ func TestErrorResponseContract(t *testing.T) {
 		release()
 		<-held.Done()
 	})
+}
+
+// TestHTTPServerBoundsConnections: the daemon's server bounds every phase
+// of a connection, and its write deadline outlasts the longest wait a
+// handler may park for.
+func TestHTTPServerBoundsConnections(t *testing.T) {
+	s := newHTTPServer(http.NotFoundHandler())
+	if s.ReadHeaderTimeout <= 0 || s.ReadTimeout <= 0 || s.IdleTimeout <= 0 {
+		t.Errorf("unbounded phase: header %v, read %v, idle %v", s.ReadHeaderTimeout, s.ReadTimeout, s.IdleTimeout)
+	}
+	if s.WriteTimeout <= maxWait {
+		t.Errorf("write timeout %v does not outlast the longest wait, %v", s.WriteTimeout, maxWait)
+	}
 }
 
 // TestPostBodiesRefused is the edge's table: malformed, truncated,

@@ -34,7 +34,8 @@
 //	                                  violation; 413 on a body over 1 MiB,
 //	                                  as on /v1/runs)
 //	GET  /v1/jobs/{id}                job status snapshot
-//	GET  /v1/jobs/{id}/wait?timeoutMs long-poll the verdict
+//	GET  /v1/jobs/{id}/wait?timeoutMs long-poll the verdict (timeoutMs at
+//	                                  most 60000; 400 above)
 //
 // -portfile writes the bound address after listen succeeds, so scripts
 // (and the make-check smoke test) can use -addr 127.0.0.1:0 and discover
@@ -74,6 +75,21 @@ func main() {
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	os.Exit(run(os.Args[1:], stop, os.Stdout, os.Stderr))
+}
+
+// newHTTPServer is the daemon's HTTP server: no client holds a connection
+// without bound. Headers must arrive in 10 s and a whole request (bodies
+// are at most 1 MiB) in 30 s; a response — a long-poll's included, which
+// parks at most maxWait — must be written within maxWait and 15 s of the
+// request; an idle keep-alive connection is closed after 2 minutes.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: 10 * time.Second,
+		ReadTimeout:       30 * time.Second,
+		WriteTimeout:      maxWait + 15*time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 }
 
 // run is the testable daemon body: it returns the process exit code and
@@ -141,9 +157,7 @@ func run(args []string, stop <-chan os.Signal, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "reprod: serving %s on %s\n", *dir, ln.Addr())
 
-	// A client that never finishes its request headers must not hold a
-	// connection open for ever.
-	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
+	httpSrv := newHTTPServer(srv)
 	served := make(chan error, 1)
 	go func() { served <- httpSrv.Serve(ln) }()
 

@@ -235,7 +235,7 @@ func TestReprodSmoke(t *testing.T) {
 	}
 }
 
-// gateBackend delegates reads to the real engine only after the gate
+// gateBackend delegates pricing to the real engine only after the gate
 // opens, letting the test hold a comparison in flight deterministically.
 type gateBackend struct {
 	gate  <-chan struct{}
@@ -244,13 +244,13 @@ type gateBackend struct {
 
 func (g *gateBackend) Name() string { return "gate:" + g.inner.Name() }
 
-func (g *gateBackend) ReadBatch(ctx context.Context, f *pfs.File, reqs []aio.ReadReq) (pfs.Cost, time.Duration, error) {
+func (g *gateBackend) Price(ctx context.Context, f *pfs.File, reqs []aio.ReadReq) (pfs.Cost, time.Duration, error) {
 	select {
 	case <-g.gate:
 	case <-ctx.Done():
 		return pfs.Cost{}, 0, ctx.Err()
 	}
-	return g.inner.ReadBatch(ctx, f, reqs)
+	return g.inner.Price(ctx, f, reqs)
 }
 
 // TestServerBackpressure saturates a one-slot plane through a gated

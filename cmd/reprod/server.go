@@ -399,12 +399,16 @@ func (s *server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxWait is the longest a long-poll may park its handler: a timeoutMs
+// above it is refused, so no client holds a connection for longer.
+const maxWait = 60 * time.Second
+
 // handleJobWait long-polls the verdict: it responds as soon as the job
-// publishes, or after timeoutMs (default 30s) with the current snapshot
-// and status 200 either way — the "state" field says which. A
-// ledger-recovered verdict answers immediately. When graceful shutdown
-// begins mid-wait, the wait wakes up: the final verdict if the job
-// already published, a clean 503 otherwise — never a hung connection.
+// publishes, or after timeoutMs (default 30s, at most maxWait) with the
+// current snapshot and status 200 either way — the "state" field says
+// which. A ledger-recovered verdict answers immediately. When graceful
+// shutdown begins mid-wait, the wait wakes up: the final verdict if the
+// job already published, a clean 503 otherwise — never a hung connection.
 func (s *server) handleJobWait(w http.ResponseWriter, r *http.Request) {
 	id, ok := s.jobID(w, r)
 	if !ok {
@@ -422,8 +426,8 @@ func (s *server) handleJobWait(w http.ResponseWriter, r *http.Request) {
 	timeout := 30 * time.Second
 	if ms := r.URL.Query().Get("timeoutMs"); ms != "" {
 		n, err := strconv.Atoi(ms)
-		if err != nil || n < 0 {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad timeoutMs"})
+		if err != nil || n < 0 || n > int(maxWait.Milliseconds()) {
+			writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad timeoutMs: want 0 to %d", maxWait.Milliseconds())})
 			return
 		}
 		timeout = time.Duration(n) * time.Millisecond

@@ -1,29 +1,29 @@
-// Package aio provides the asynchronous scattered-read engine of the
-// comparator (paper §2.5.2). Two backends implement the same interface:
+// Package aio prices the comparator's scattered reads (paper §2.5.2). A
+// Backend charges a batch of reads — the fault hook's decisions, the page
+// cache, the store's read counters, the virtual time the batch takes — and
+// moves no byte: the bytes land through pfs.File.Copy, which stage 2
+// (internal/stream) issues from the ranges that verify them, and ReadBatch
+// does both in sequence for every other caller. Two backends price the
+// same requests two ways:
 //
-//   - Uring: an io_uring-style engine with a submission queue and a
-//     completion queue shared with a pool of "kernel" workers. The ring is
-//     persistent: it starts lazily on first use and is reused across every
-//     ReadBatch call, so steady-state batches pay no goroutine spawn or
-//     teardown. Many reads are enqueued with a single submit, latencies
-//     overlap up to the queue depth, and completions are reaped
-//     asynchronously. Uring also implements PairReader: the comparator's
-//     run-A and run-B batches are submitted into the one ring together so
-//     their latencies overlap instead of summing tA + tB.
+//   - Uring: io_uring's model — many reads in flight, their latencies
+//     overlapping up to the queue depth, one final completion latency. The
+//     SQ/CQ latency hiding Fig. 9 measures is priced (priceOverlapped), not
+//     emulated with goroutines: a batch is touched in request order on the
+//     caller's goroutine. Uring is a PairPricer too: the comparator's
+//     run-A and run-B batches price as one deep queue, their latencies
+//     overlapping instead of summing tA + tB.
 //   - Mmap: a memory-map-style backend in which every first touch of a
 //     page triggers a synchronous page fault: faults serialize and each
 //     pays the full device latency. This is the slower baseline of Fig. 9.
 //
-// Both backends perform real reads through the pfs store (so data paths
-// are exercised end to end) and price the batch on the virtual clock using
-// the store's cost model.
+// Coalescing wraps either and merges nearby requests into fewer, larger
+// priced reads.
 package aio
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -39,48 +39,79 @@ type ReadReq struct {
 	Tag int
 }
 
-// Backend reads a batch of scattered requests from a file. It returns the
-// aggregate storage cost and the virtual elapsed time of the whole batch.
-// Implementations must fill every request's buffer before returning.
-// Cancelling the context aborts the batch: in-flight operations complete
-// (or are skipped) promptly and the call returns ctx.Err().
+// Backend prices a batch of scattered requests against a file: it returns
+// the aggregate storage cost and the virtual elapsed time of the whole
+// batch, and leaves every buffer alone. A request that fails its read
+// (a fault hook's error) fails the batch; cancelling the context stops it
+// and the call returns ctx.Err().
 type Backend interface {
 	// Name identifies the backend in reports ("io_uring", "mmap").
 	Name() string
-	// ReadBatch executes all requests against f.
-	ReadBatch(ctx context.Context, f *pfs.File, reqs []ReadReq) (pfs.Cost, time.Duration, error)
+	// Price charges reading every request from f.
+	Price(ctx context.Context, f *pfs.File, reqs []ReadReq) (pfs.Cost, time.Duration, error)
 }
 
-// PairReader is implemented by backends that can execute the run-A and
-// run-B halves of a verification slice as one overlapped batch. Both
-// files must live in the same store: the combined batch is priced once,
-// against fA's cost model, as a single deep queue of in-flight operations.
-// Backends without this fast path are driven through two serial ReadBatch
-// calls by the stream pipeline.
-type PairReader interface {
+// PairPricer is implemented by backends that can price the run-A and run-B
+// halves of a verification window as one overlapped batch. Both files must
+// live in the same store: the combined batch is priced once, against fA's
+// cost model, as a single deep queue of in-flight operations. Backends
+// without this fast path are priced one batch after the other.
+type PairPricer interface {
 	Backend
-	// ReadBatchPair executes reqsA against fA and reqsB against fB as one
-	// overlapped batch, returning the combined cost and the virtual
-	// elapsed time of the whole pair.
-	ReadBatchPair(ctx context.Context, fA, fB *pfs.File, reqsA, reqsB []ReadReq) (pfs.Cost, time.Duration, error)
+	// PricePair charges reqsA against fA and reqsB against fB as one
+	// overlapped batch.
+	PricePair(ctx context.Context, fA, fB *pfs.File, reqsA, reqsB []ReadReq) (pfs.Cost, time.Duration, error)
 }
 
-// Uring is the io_uring-style backend. The zero value is usable: the
-// persistent ring starts lazily on the first batch with defaulted
-// parameters. A Uring serializes batch groups internally, so it is safe
-// for concurrent use; Close stops the ring's workers (the next batch
-// restarts them), and the process-wide Default engine is never closed.
-type Uring struct {
-	// QueueDepth is the maximum number of in-flight operations (ring size).
-	QueueDepth int
-	// Workers is the number of kernel-side worker goroutines.
-	Workers int
+// pricePair prices two batches as one overlapped pair on a PairPricer, one
+// after the other on any other backend.
+func pricePair(ctx context.Context, be Backend, fA, fB *pfs.File, reqsA, reqsB []ReadReq) (pfs.Cost, time.Duration, error) {
+	if pp, ok := be.(PairPricer); ok {
+		return pp.PricePair(ctx, fA, fB, reqsA, reqsB)
+	}
+	cost, elapsed, err := be.Price(ctx, fA, reqsA)
+	if err == nil {
+		var costB pfs.Cost
+		var tB time.Duration
+		costB, tB, err = be.Price(ctx, fB, reqsB)
+		cost.Add(costB)
+		elapsed += tB
+	}
+	return cost, elapsed, err
+}
 
-	// mu serializes batch groups on the ring (one ReadBatch or
-	// ReadBatchPair reaps exactly its own completions) and guards the
-	// lazy ring start.
-	mu   sync.Mutex
-	ring *Ring
+// ReadBatch prices reqs through be and lands every request's bytes in its
+// buffer: the whole read, for a caller that wants the bytes with the
+// price.
+func ReadBatch(ctx context.Context, be Backend, f *pfs.File, reqs []ReadReq) (pfs.Cost, time.Duration, error) {
+	cost, elapsed, err := be.Price(ctx, f, reqs)
+	if err == nil {
+		err = land(f, reqs)
+	}
+	return cost, elapsed, err
+}
+
+// land copies every request's bytes into its buffer.
+func land(f *pfs.File, reqs []ReadReq) error {
+	for i := range reqs {
+		q := &reqs[i]
+		if len(q.Buf) < q.Len {
+			return fmt.Errorf("aio: request tag %d buffer too small: %d < %d", q.Tag, len(q.Buf), q.Len)
+		}
+		if err := f.Copy(q.Buf[:q.Len], q.Off); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Uring is the io_uring-style backend. The zero value is usable (queue
+// depth 64); it holds nothing but its queue depth and its arena, so it is
+// safe for concurrent use and never needs closing.
+type Uring struct {
+	// QueueDepth is the maximum number of in-flight operations (ring size):
+	// the overlap priceOverlapped grants.
+	QueueDepth int
 
 	arenaOnce sync.Once
 	arena     *Arena
@@ -88,7 +119,7 @@ type Uring struct {
 
 var (
 	_ Backend    = (*Uring)(nil)
-	_ PairReader = (*Uring)(nil)
+	_ PairPricer = (*Uring)(nil)
 )
 
 // Arena returns the ring's stage-2 buffer arena (created on first use
@@ -96,106 +127,53 @@ var (
 // reads through this ring — the stream pipeline's window buffers, the
 // coalescer's plan scratch — recycles through it,
 // so buffers live as long as the ring rather than as long as one
-// comparison. Close leaves it alone; the ring's owner Releases it.
+// comparison; the ring's owner Releases it.
 func (u *Uring) Arena() *Arena {
 	u.arenaOnce.Do(func() { u.arena = NewArena(0) })
 	return u.arena
 }
 
-// NewUring returns a Uring backend with sensible defaults applied
-// (queue depth 64, workers 4). The ring itself starts on first use.
-func NewUring(queueDepth, workers int) *Uring {
+// NewUring returns a Uring backend (queue depth < 1 selects 64).
+func NewUring(queueDepth int) *Uring {
 	if queueDepth < 1 {
 		queueDepth = 64
 	}
-	if workers < 1 {
-		workers = 4
-	}
-	return &Uring{QueueDepth: queueDepth, Workers: workers}
+	return &Uring{QueueDepth: queueDepth}
 }
 
 // Name implements Backend.
 func (u *Uring) Name() string { return "io_uring" }
 
-func (u *Uring) queueDepth() int {
-	if u.QueueDepth < 1 {
+func (u *Uring) queueDepth() int { return depthOr64(u.QueueDepth) }
+
+func depthOr64(d int) int {
+	if d < 1 {
 		return 64
 	}
-	return u.QueueDepth
+	return d
 }
 
-// ensureRing lazily starts the persistent ring. Caller holds u.mu.
-func (u *Uring) ensureRing() *Ring {
-	if u.ring == nil {
-		workers := u.Workers
-		if workers < 1 {
-			workers = 4
-		}
-		u.ring = NewRing(u.queueDepth(), workers)
-	}
-	return u.ring
+// Price implements Backend: every request priced in order, the batch at
+// the ring's queue depth.
+func (u *Uring) Price(ctx context.Context, f *pfs.File, reqs []ReadReq) (pfs.Cost, time.Duration, error) {
+	return priceQueue(ctx, f, reqs, u.queueDepth())
 }
 
-// Close stops the persistent ring's workers. The ring restarts lazily on
-// the next batch, so a closed Uring remains usable; Close exists so
-// bounded-lifetime backends (benchmarks, per-experiment engines) do not
-// leak workers.
-func (u *Uring) Close() {
-	u.mu.Lock()
-	ring := u.ring
-	u.ring = nil
-	u.mu.Unlock()
-	if ring != nil {
-		ring.Close()
-	}
-}
-
-// ReadBatch submits all requests through the persistent ring and reaps
-// their completions. On cancellation every submitted operation is still
-// reaped (so the ring stays reusable) and ctx.Err() is returned.
-func (u *Uring) ReadBatch(ctx context.Context, f *pfs.File, reqs []ReadReq) (pfs.Cost, time.Duration, error) {
-	if len(reqs) == 0 {
-		return pfs.Cost{}, 0, nil
-	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	ring := u.ensureRing()
-	submitted, serr := ring.Submit(ctx, f, reqs)
-	cost, err := ring.reapCost(submitted)
-	if serr != nil {
-		return cost, 0, serr
-	}
-	if cerr := ctx.Err(); cerr != nil {
-		return cost, 0, cerr
-	}
-	elapsed := priceOverlapped(f, reqs[0].Off, cost, u.queueDepth(), batchIsScattered(len(reqs), batchBytes(reqs)))
-	return cost, elapsed, err
-}
-
-// ReadBatchPair implements PairReader: both runs' requests enter the one
-// ring back to back and complete as a single deep queue, so the pair is
-// priced once — the A and B latencies overlap instead of summing, and the
-// final-completion latency is paid once instead of twice. Both files must
-// live in the same store; the combined batch is priced against fA's model.
-func (u *Uring) ReadBatchPair(ctx context.Context, fA, fB *pfs.File, reqsA, reqsB []ReadReq) (pfs.Cost, time.Duration, error) {
+// PricePair implements PairPricer: both runs' requests enter the one queue
+// back to back and complete as a single deep queue, so the pair is priced
+// once — the A and B latencies overlap instead of summing, and the final
+// completion latency is paid once instead of twice. Both files must live
+// in the same store; the combined batch is priced against fA's model.
+func (u *Uring) PricePair(ctx context.Context, fA, fB *pfs.File, reqsA, reqsB []ReadReq) (pfs.Cost, time.Duration, error) {
 	if len(reqsA)+len(reqsB) == 0 {
 		return pfs.Cost{}, 0, nil
 	}
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	ring := u.ensureRing()
-	subA, errA := ring.Submit(ctx, fA, reqsA)
-	if errA != nil {
-		// Part of the A half may already be in flight: drain its
-		// completions so the ring stays reusable for the next group.
-		cost, _ := ring.reapCost(subA)
-		return cost, 0, errA
+	cost, errA := priceEach(ctx, fA, reqsA)
+	if cerr := ctx.Err(); cerr != nil {
+		return cost, 0, cerr
 	}
-	subB, errB := ring.Submit(ctx, fB, reqsB)
-	cost, err := ring.reapCost(subA + subB)
-	if errB != nil {
-		return cost, 0, errB
-	}
+	costB, errB := priceEach(ctx, fB, reqsB)
+	cost.Add(costB)
 	if cerr := ctx.Err(); cerr != nil {
 		return cost, 0, cerr
 	}
@@ -206,6 +184,31 @@ func (u *Uring) ReadBatchPair(ctx context.Context, fA, fB *pfs.File, reqsA, reqs
 		first = reqsB
 	}
 	elapsed := priceOverlapped(fA, first[0].Off, cost, u.queueDepth(), scattered)
+	if errA == nil {
+		errA = errB
+	}
+	return cost, elapsed, errA
+}
+
+// ReadBatch prices reqs through the ring and lands them.
+func (u *Uring) ReadBatch(ctx context.Context, f *pfs.File, reqs []ReadReq) (pfs.Cost, time.Duration, error) {
+	return ReadBatch(ctx, u, f, reqs)
+}
+
+// ReadBatchPair prices both runs as one overlapped pair and lands them.
+func (u *Uring) ReadBatchPair(ctx context.Context, fA, fB *pfs.File, reqsA, reqsB []ReadReq) (pfs.Cost, time.Duration, error) {
+	return readBatchPair(ctx, u, fA, fB, reqsA, reqsB)
+}
+
+// readBatchPair prices two batches as one overlapped pair and lands both.
+func readBatchPair(ctx context.Context, pp PairPricer, fA, fB *pfs.File, reqsA, reqsB []ReadReq) (pfs.Cost, time.Duration, error) {
+	cost, elapsed, err := pp.PricePair(ctx, fA, fB, reqsA, reqsB)
+	if err == nil {
+		err = land(fA, reqsA)
+	}
+	if err == nil {
+		err = land(fB, reqsB)
+	}
 	return cost, elapsed, err
 }
 
@@ -216,26 +219,20 @@ var (
 )
 
 // Default returns the process-wide shared io_uring-style engine (queue
-// depth 256, 4 workers; ring started on first use, never closed). It is
-// the backend the compare layer selects when Options.Backend is nil and
-// the ring service.Default() serves from, mirroring device.Default().
+// depth 256). It is the backend the compare layer selects when
+// Options.Backend is nil and the ring service.Default() serves from,
+// mirroring device.Default().
 func Default() *Uring {
-	defaultUringOnce.Do(func() { defaultUring = NewUring(256, 4) })
+	defaultUringOnce.Do(func() { defaultUring = NewUring(256) })
 	return defaultUring
 }
 
-// Legacy is the pre-persistent-ring engine: every ReadBatch constructs a
-// fresh Ring, drives one batch through it, and tears it down — paying
-// worker spawn and join per batch — and it implements only Backend, so
-// run-A and run-B batches serialize. It stays in production code as the
-// fresh-ring rung of ReadLadder (its one production call site), which
-// needs exactly a ring that owes nothing to the shared one; cmd/benchstream
-// also measures it as the "before" baseline. New code should use Uring.
+// Legacy is a Uring without the pair path: run A's and run B's batches
+// price one after the other, each paying its own final completion
+// latency. cmd/benchstream measures it as the serial-pricing baseline.
 type Legacy struct {
 	// QueueDepth is the ring size (default 64).
 	QueueDepth int
-	// Workers is the worker count per ring (default 4).
-	Workers int
 }
 
 var _ Backend = Legacy{}
@@ -243,32 +240,47 @@ var _ Backend = Legacy{}
 // Name implements Backend.
 func (Legacy) Name() string { return "io_uring_fresh" }
 
-// ReadBatch spawns a ring, submits all requests, reaps, and tears the
-// ring down.
-func (l Legacy) ReadBatch(ctx context.Context, f *pfs.File, reqs []ReadReq) (pfs.Cost, time.Duration, error) {
+// Price implements Backend.
+func (l Legacy) Price(ctx context.Context, f *pfs.File, reqs []ReadReq) (pfs.Cost, time.Duration, error) {
+	return priceQueue(ctx, f, reqs, depthOr64(l.QueueDepth))
+}
+
+// priceQueue prices one batch as a queue of depth queueDepth.
+func priceQueue(ctx context.Context, f *pfs.File, reqs []ReadReq, queueDepth int) (pfs.Cost, time.Duration, error) {
 	if len(reqs) == 0 {
 		return pfs.Cost{}, 0, nil
 	}
-	queueDepth := l.QueueDepth
-	if queueDepth < 1 {
-		queueDepth = 64
-	}
-	workers := l.Workers
-	if workers < 1 {
-		workers = 4
-	}
-	ring := NewRing(queueDepth, workers)
-	defer ring.Close()
-	submitted, serr := ring.Submit(ctx, f, reqs)
-	cost, err := ring.reapCost(submitted)
-	if serr != nil {
-		return cost, 0, serr
-	}
+	cost, err := priceEach(ctx, f, reqs)
 	if cerr := ctx.Err(); cerr != nil {
 		return cost, 0, cerr
 	}
 	elapsed := priceOverlapped(f, reqs[0].Off, cost, queueDepth, batchIsScattered(len(reqs), batchBytes(reqs)))
 	return cost, elapsed, err
+}
+
+// priceEach prices every request of a queued batch in order and returns
+// their summed cost and the first request's error. Like a ring's
+// completions, the requests after a failed one are still priced (a
+// canceled context stops the batch).
+func priceEach(ctx context.Context, f *pfs.File, reqs []ReadReq) (pfs.Cost, error) {
+	var cost pfs.Cost
+	var first error
+	for i := range reqs {
+		if ctx.Err() != nil {
+			break
+		}
+		q := &reqs[i]
+		err := checkReq(q)
+		if err == nil {
+			var c pfs.Cost
+			c, err = f.Price(q.Off, q.Len)
+			cost.Add(c)
+		}
+		if first == nil {
+			first = err
+		}
+	}
+	return cost, first
 }
 
 // scatteredMaxReq is the request size up to which a deep queue of reads
@@ -310,7 +322,7 @@ func batchIsScattered(ops int, bytes int64) bool {
 // table (only a sharded comparison installs one, for its run) that is the
 // store-wide factor.
 func priceOverlapped(f *pfs.File, off int64, cost pfs.Cost, queueDepth int, scattered bool) time.Duration {
-	store := fileStore(f)
+	store := f.Store()
 	m := store.Model()
 	sharers := store.TargetSharers(store.Striping().TargetOf(off))
 	if queueDepth < 1 {
@@ -351,44 +363,33 @@ var _ Backend = Mmap{}
 // Name implements Backend.
 func (Mmap) Name() string { return "mmap" }
 
-// ReadBatch touches every request's pages in order, faulting cold clusters
-// synchronously. Every fault is a cancellation point.
-func (mm Mmap) ReadBatch(ctx context.Context, f *pfs.File, reqs []ReadReq) (pfs.Cost, time.Duration, error) {
-	store := fileStore(f)
+// Price implements Backend: every request's clusters are faulted in order,
+// each of which lands only the request's share. Every fault is a
+// cancellation point, and the first failure ends the batch.
+func (mm Mmap) Price(ctx context.Context, f *pfs.File, reqs []ReadReq) (pfs.Cost, time.Duration, error) {
+	store := f.Store()
 	m := store.Model()
 	around := mm.FaultAroundPages
 	if around < 1 {
 		around = 32
 	}
 	clusterSize := int64(m.PageSize) * int64(around)
-	cluster := make([]byte, clusterSize)
 	var cost pfs.Cost
 	for i := range reqs {
 		r := &reqs[i]
 		if err := checkReq(r); err != nil {
 			return cost, 0, err
 		}
-		first := r.Off / clusterSize
-		last := (r.Off + int64(r.Len) - 1) / clusterSize
-		for c := first; c <= last; c++ {
-			clusterOff := c * clusterSize
-			n, cc, err := f.ReadAtCtx(ctx, cluster, clusterOff)
-			cost.Add(cc)
-			if err != nil && !errors.Is(err, io.EOF) {
+		end := r.Off + int64(r.Len)
+		for c := r.Off / clusterSize; c <= (end-1)/clusterSize; c++ {
+			if err := ctx.Err(); err != nil {
 				return cost, 0, fmt.Errorf("aio: mmap fault at cluster %d: %w", c, err)
 			}
-			// Copy the overlap of this cluster with the request window.
-			lo := r.Off - clusterOff
-			if lo < 0 {
-				lo = 0
-			}
-			hi := r.Off + int64(r.Len) - clusterOff
-			if hi > int64(n) {
-				hi = int64(n)
-			}
-			if hi > lo {
-				dst := clusterOff + lo - r.Off
-				copy(r.Buf[dst:dst+(hi-lo)], cluster[lo:hi])
+			clusterOff := c * clusterSize
+			cc, err := f.PriceLanding(clusterOff, int(clusterSize), max(r.Off, clusterOff), min(end, clusterOff+clusterSize))
+			cost.Add(cc)
+			if err != nil {
+				return cost, 0, fmt.Errorf("aio: mmap fault at cluster %d: %w", c, err)
 			}
 		}
 	}
@@ -399,228 +400,6 @@ func (mm Mmap) ReadBatch(ctx context.Context, f *pfs.File, reqs []ReadReq) (pfs.
 	return cost, elapsed, nil
 }
 
-// Ring is the submission/completion queue pair of the Uring backend.
-// Submission blocks only when the submission queue is at the queue depth,
-// and workers complete operations concurrently — the programming model of
-// io_uring, with the kernel replaced by goroutines. The completion side
-// never blocks the workers (io_uring's CQ-overflow behaviour), so a ring
-// can always be closed safely even with unreaped completions.
-type Ring struct {
-	sq chan sqe
-	wg sync.WaitGroup
-
-	// submits tracks Submit calls in flight so Close can wait for them
-	// before closing sq: a Submit that passed the closed check is
-	// guaranteed to finish sending before the channel closes.
-	submits sync.WaitGroup
-
-	mu     sync.Mutex
-	cond   *sync.Cond
-	comps  []Completion // pending completions are comps[head:]
-	head   int
-	closed bool
-}
-
-type sqe struct {
-	f   *pfs.File
-	req ReadReq
-	// cancel, when non-nil and closed, makes the worker complete the
-	// operation immediately with errCanceled instead of reading. It is the
-	// submitting context's Done channel (a channel, not the context itself,
-	// so no context is stored in a struct).
-	cancel <-chan struct{}
-}
-
-// ErrRingClosed is returned by Submit on a closed ring. Callers holding a
-// batch when the shared ring shuts down (a torn-down engine, an exiting
-// process) can fall back to a fresh-ring Legacy read of the same requests
-// — the first rung of the degradation ladder — instead of failing the
-// comparison.
-var ErrRingClosed = errors.New("aio: ring closed")
-
-// errCanceled is the completion error of operations skipped because their
-// batch's context was canceled. Callers surface ctx.Err() instead.
-var errCanceled = errors.New("aio: batch canceled")
-
-// Completion is one completed operation.
-type Completion struct {
-	Tag  int
-	N    int
-	Cost pfs.Cost
-	Err  error
-}
-
-// NewRing creates a ring with the given queue depth and worker count and
-// starts the workers. Close must be called to stop them.
-func NewRing(queueDepth, workers int) *Ring {
-	if queueDepth < 1 {
-		queueDepth = 1
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	r := &Ring{
-		sq: make(chan sqe, queueDepth),
-	}
-	r.cond = sync.NewCond(&r.mu)
-	r.wg.Add(workers)
-	for i := 0; i < workers; i++ {
-		// The worker pool is joined by Ring.Close via r.wg.Wait.
-		go r.worker()
-	}
-	return r
-}
-
-func (r *Ring) worker() {
-	defer r.wg.Done()
-	for e := range r.sq {
-		var comp Completion
-		comp.Tag = e.req.Tag
-		canceled := false
-		if e.cancel != nil {
-			select {
-			case <-e.cancel:
-				canceled = true
-			default:
-			}
-		}
-		if canceled {
-			// Complete without reading so a canceled batch drains the
-			// ring at channel speed rather than device speed.
-			comp.Err = errCanceled
-		} else if err := checkReq(&e.req); err != nil {
-			comp.Err = err
-		} else {
-			n, cost, err := e.f.ReadAt(e.req.Buf[:e.req.Len], e.req.Off)
-			comp.N = n
-			comp.Cost = cost
-			if err != nil && !errors.Is(err, io.EOF) {
-				comp.Err = err
-			}
-		}
-		r.mu.Lock()
-		r.comps = append(r.comps, comp)
-		r.cond.Signal()
-		r.mu.Unlock()
-	}
-}
-
-// Submit enqueues all requests for the file, returning how many entered
-// the ring — the count the caller must reap even on error. It blocks only
-// when the submission queue is full (in-flight operations at the queue
-// depth); a canceled context unblocks it, and the requests submitted
-// before cancellation complete fast via their cancel channel. Submit is
-// safe against a concurrent Close: it either completes the whole send
-// before the queue closes or returns the closed error without sending.
-// (Registering in r.submits under r.mu is what closes the old TOCTOU
-// window — Close waits on the group before closing sq.)
-func (r *Ring) Submit(ctx context.Context, f *pfs.File, reqs []ReadReq) (int, error) {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return 0, ErrRingClosed
-	}
-	r.submits.Add(1)
-	r.mu.Unlock()
-	defer r.submits.Done()
-	done := ctx.Done()
-	for i := range reqs {
-		select {
-		case r.sq <- sqe{f: f, req: reqs[i], cancel: done}:
-		case <-done:
-			return i, ctx.Err()
-		}
-	}
-	return len(reqs), nil
-}
-
-// takeLocked removes up to n pending completions and returns how many it
-// removed and the slice window holding them (valid until r.mu is
-// released). When the queue drains completely it is rewound to the front
-// of its backing array, so a serialized submit/reap cadence reuses one
-// allocation forever.
-func (r *Ring) takeLocked(n int) (int, []Completion) {
-	avail := len(r.comps) - r.head
-	if avail > n {
-		avail = n
-	}
-	window := r.comps[r.head : r.head+avail]
-	r.head += avail
-	if r.head == len(r.comps) {
-		r.comps = r.comps[:0]
-		r.head = 0
-	}
-	return avail, window
-}
-
-// Reap waits for n completions and returns them (order is completion
-// order, not submission order). The first error encountered is returned
-// after all n completions are collected.
-func (r *Ring) Reap(n int) ([]Completion, error) {
-	out := make([]Completion, 0, n)
-	r.mu.Lock()
-	for len(out) < n {
-		got, window := r.takeLocked(n - len(out))
-		if got == 0 {
-			r.cond.Wait()
-			continue
-		}
-		out = append(out, window...)
-	}
-	r.mu.Unlock()
-	var firstErr error
-	for i := range out {
-		if out[i].Err != nil {
-			firstErr = out[i].Err
-			break
-		}
-	}
-	return out, firstErr
-}
-
-// reapCost waits for n completions and folds them directly into an
-// aggregate cost without materializing a []Completion — the zero-alloc
-// reap the persistent backends use on every batch.
-func (r *Ring) reapCost(n int) (pfs.Cost, error) {
-	var cost pfs.Cost
-	var firstErr error
-	got := 0
-	r.mu.Lock()
-	for got < n {
-		k, window := r.takeLocked(n - got)
-		if k == 0 {
-			r.cond.Wait()
-			continue
-		}
-		for i := range window {
-			cost.Add(window[i].Cost)
-			if window[i].Err != nil && firstErr == nil {
-				firstErr = window[i].Err
-			}
-		}
-		got += k
-	}
-	r.mu.Unlock()
-	return cost, firstErr
-}
-
-// Close stops accepting submissions, waits for in-flight operations to
-// complete, and stops the workers. Unreaped completions are discarded.
-func (r *Ring) Close() {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	r.closed = true
-	r.mu.Unlock()
-	// Wait for Submits that passed the closed check before closing the
-	// channel they send on.
-	r.submits.Wait()
-	close(r.sq)
-	r.wg.Wait()
-}
-
 func checkReq(r *ReadReq) error {
 	if r.Len <= 0 {
 		return fmt.Errorf("aio: request tag %d has non-positive length %d", r.Tag, r.Len)
@@ -628,11 +407,5 @@ func checkReq(r *ReadReq) error {
 	if r.Off < 0 {
 		return fmt.Errorf("aio: request tag %d has negative offset %d", r.Tag, r.Off)
 	}
-	if len(r.Buf) < r.Len {
-		return fmt.Errorf("aio: request tag %d buffer too small: %d < %d", r.Tag, len(r.Buf), r.Len)
-	}
 	return nil
 }
-
-// fileStore exposes the store behind a file for pricing.
-func fileStore(f *pfs.File) *pfs.Store { return f.Store() }

@@ -1,8 +1,8 @@
 package aio
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"math/rand"
 	"testing"
 
@@ -69,7 +69,7 @@ func verifyFilled(t *testing.T, data []byte, reqs []ReadReq) {
 func TestUringFillsBuffers(t *testing.T) {
 	_, f, data := newFile(t, 1<<20)
 	reqs := scatteredReqs(data, 100, 4096, 1)
-	u := NewUring(16, 4)
+	u := NewUring(16)
 	cost, elapsed, err := u.ReadBatch(context.Background(), f, reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestUringFillsBuffers(t *testing.T) {
 func TestMmapFillsBuffers(t *testing.T) {
 	_, f, data := newFile(t, 1<<20)
 	reqs := scatteredReqs(data, 100, 4096, 2)
-	cost, elapsed, err := Mmap{}.ReadBatch(context.Background(), f, reqs)
+	cost, elapsed, err := ReadBatch(context.Background(), Mmap{}, f, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestMmapUnalignedRequests(t *testing.T) {
 		{Off: 4095, Len: 2, Buf: make([]byte, 2), Tag: 1},
 		{Off: 65536 - 1, Len: 8192, Buf: make([]byte, 8192), Tag: 2},
 	}
-	if _, _, err := (Mmap{}).ReadBatch(context.Background(), f, reqs); err != nil {
+	if _, _, err := ReadBatch(context.Background(), Mmap{}, f, reqs); err != nil {
 		t.Fatal(err)
 	}
 	verifyFilled(t, data, reqs)
@@ -120,14 +120,14 @@ func TestUringFasterThanMmapForScatteredReads(t *testing.T) {
 	// Fig. 9's structural claim: >3x on cold scattered smalls.
 	_, f1, data := newFile(t, 4<<20)
 	reqs1 := scatteredReqs(data, 500, 4096, 3)
-	_, mmapElapsed, err := Mmap{}.ReadBatch(context.Background(), f1, reqs1)
+	_, mmapElapsed, err := ReadBatch(context.Background(), Mmap{}, f1, reqs1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	_, f2, data2 := newFile(t, 4<<20)
 	reqs2 := scatteredReqs(data2, 500, 4096, 3)
-	_, uringElapsed, err := NewUring(64, 4).ReadBatch(context.Background(), f2, reqs2)
+	_, uringElapsed, err := NewUring(64).ReadBatch(context.Background(), f2, reqs2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestUringFasterThanMmapForScatteredReads(t *testing.T) {
 func TestWarmBatchCheaper(t *testing.T) {
 	_, f, data := newFile(t, 1<<20)
 	reqs := scatteredReqs(data, 200, 4096, 4)
-	u := NewUring(32, 2)
+	u := NewUring(32)
 	_, cold, err := u.ReadBatch(context.Background(), f, reqs)
 	if err != nil {
 		t.Fatal(err)
@@ -156,7 +156,7 @@ func TestWarmBatchCheaper(t *testing.T) {
 
 func TestEmptyBatch(t *testing.T) {
 	_, f, _ := newFile(t, 4096)
-	cost, elapsed, err := NewUring(8, 2).ReadBatch(context.Background(), f, nil)
+	cost, elapsed, err := NewUring(8).ReadBatch(context.Background(), f, nil)
 	if err != nil || cost.TotalBytes() != 0 || elapsed != 0 {
 		t.Errorf("empty batch: cost=%+v elapsed=%v err=%v", cost, elapsed, err)
 	}
@@ -170,78 +170,42 @@ func TestBadRequests(t *testing.T) {
 		{{Off: 0, Len: 10, Buf: make([]byte, 4)}},
 	}
 	for i, reqs := range bads {
-		if _, _, err := NewUring(4, 1).ReadBatch(context.Background(), f, reqs); err == nil {
+		if _, _, err := NewUring(4).ReadBatch(context.Background(), f, reqs); err == nil {
 			t.Errorf("uring bad request %d accepted", i)
 		}
-		if _, _, err := (Mmap{}).ReadBatch(context.Background(), f, reqs); err == nil {
+		if _, _, err := ReadBatch(context.Background(), Mmap{}, f, reqs); err == nil {
 			t.Errorf("mmap bad request %d accepted", i)
 		}
 	}
 }
 
 func TestNewUringDefaults(t *testing.T) {
-	u := NewUring(0, 0)
-	if u.QueueDepth < 1 || u.Workers < 1 {
+	if u := NewUring(0); u.QueueDepth < 1 {
 		t.Errorf("defaults not applied: %+v", u)
 	}
 }
 
-func TestRingSubmitReapDirect(t *testing.T) {
-	_, f, data := newFile(t, 64<<10)
-	r := NewRing(8, 2)
-	defer r.Close()
-	reqs := scatteredReqs(data, 20, 1024, 5)
-	if _, err := r.Submit(context.Background(), f, reqs); err != nil {
-		t.Fatal(err)
-	}
-	comps, err := r.Reap(len(reqs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(comps) != len(reqs) {
-		t.Fatalf("reaped %d, want %d", len(comps), len(reqs))
-	}
-	seen := make(map[int]bool)
-	for _, c := range comps {
-		if c.N != 1024 {
-			t.Errorf("tag %d read %d bytes", c.Tag, c.N)
-		}
-		seen[c.Tag] = true
-	}
-	if len(seen) != len(reqs) {
-		t.Error("duplicate or missing completion tags")
-	}
-	verifyFilled(t, data, reqs)
-}
-
-func TestRingCloseDrainsUnreaped(t *testing.T) {
-	_, f, data := newFile(t, 64<<10)
-	r := NewRing(4, 2)
-	reqs := scatteredReqs(data, 10, 512, 6)
-	if _, err := r.Submit(context.Background(), f, reqs); err != nil {
-		t.Fatal(err)
-	}
-	// Close without reaping: must not deadlock or leak workers.
-	r.Close()
-	r.Close() // double close is a no-op
-	if _, err := r.Submit(context.Background(), f, reqs); err == nil {
-		t.Error("submit after close accepted")
-	}
-}
-
+// TestRingClampsParams: a ring or a serial engine left at a zero queue
+// depth prices at the default depth and still lands every request.
 func TestRingClampsParams(t *testing.T) {
-	r := NewRing(0, 0)
-	defer r.Close()
-	// Must still function with clamped depth/workers.
 	_, f, data := newFile(t, 8<<10)
-	reqs := scatteredReqs(data, 4, 256, 7)
-	if _, err := r.Submit(context.Background(), f, reqs); err != nil {
-		t.Fatal(err)
+	for _, be := range []Backend{&Uring{}, Legacy{}} {
+		reqs := scatteredReqs(data, 4, 256, 7)
+		_, got, err := ReadBatch(context.Background(), be, f, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		verifyFilled(t, data, reqs)
+		f.Store().EvictAll()
+		_, want, err := NewUring(64).ReadBatch(context.Background(), f, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("%s at depth 0 prices %v, at the default depth %v", be.Name(), got, want)
+		}
+		f.Store().EvictAll()
 	}
-	if _, err := r.Reap(len(reqs)); err != nil {
-		t.Fatal(err)
-	}
-	verifyFilled(t, data, reqs)
 }
 
 func BenchmarkUring500Scattered4K(b *testing.B) {
@@ -259,7 +223,7 @@ func BenchmarkUring500Scattered4K(b *testing.B) {
 	for i := range reqs {
 		reqs[i] = ReadReq{Off: int64(i * 8192), Len: 4096, Buf: make([]byte, 4096), Tag: i}
 	}
-	u := NewUring(64, 4)
+	u := NewUring(64)
 	b.SetBytes(500 * 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -27,25 +27,24 @@ func (s *BufSet) bytes() int64 {
 }
 
 // MaxSetBytes is the largest buffer set (or coalescer scratch) an arena
-// keeps: two sources' share of a default 8 MiB pipeline window — what one
-// paired read's hole-bridging scratch can hold — each with the one job a
-// window may overshoot by (up to 1 MiB) and its request batch. Larger sets
-// — a caller-raised SliceBytes — are allocated per use and dropped on
-// return.
+// keeps: two sources' share of a default 8 MiB pipeline window, each with
+// the one job a window may overshoot by (up to 1 MiB) and its request
+// batch. Larger sets — a caller-raised SliceBytes — are allocated per use
+// and dropped on return.
 const MaxSetBytes = 2 * (9 << 20)
 
-// DefaultArenaLimit bounds an arena nobody sized: eight default pair
-// comparisons' worth (pipeline depth 2, two sources) of window sets, which
-// the far smaller metadata sets of their members share.
+// DefaultArenaLimit bounds an arena nobody sized: sixteen default pair
+// comparisons' worth (one window of two sources each) of window sets,
+// which the far smaller metadata sets of their members share.
 const DefaultArenaLimit = 8 * 2 * MaxSetBytes
 
 // Arena is the comparison buffer arena: a bounded free list of buffer sets
 // (stage 2's windows, stage 1's metadata files) and coalescer plan scratch
 // that outlives the comparisons drawing on it, so a steady stream of
-// comparisons allocates no buffers at all. It lives
-// as long as the ring that owns it (Uring.Arena) — a service plane's, or
-// the process-wide Default ring's — the way io_uring registered buffers
-// live with their ring.
+// comparisons allocates no buffers at all. It lives as long as the ring
+// that owns it (Uring.Arena) — a service plane's, or the process-wide
+// Default ring's — the way io_uring registered buffers live with their
+// ring.
 //
 // Checkout never blocks: an empty free list allocates (counted as a miss).
 // Return is where the bound is enforced: a set larger than MaxSetBytes, or

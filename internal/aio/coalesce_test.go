@@ -1,8 +1,8 @@
 package aio
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"testing"
 	"testing/quick"
 )
@@ -10,8 +10,8 @@ import (
 func TestCoalescingFillsBuffersCorrectly(t *testing.T) {
 	_, f, data := newFile(t, 1<<20)
 	reqs := scatteredReqs(data, 200, 4096, 21)
-	c := NewCoalescing(NewUring(64, 2), 8<<10)
-	cost, elapsed, err := c.ReadBatch(context.Background(), f, reqs)
+	c := NewCoalescing(NewUring(64), 8<<10)
+	cost, elapsed, err := ReadBatch(context.Background(), c, f, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,8 +35,8 @@ func TestCoalescingReducesOps(t *testing.T) {
 		return reqs
 	}
 	reqs := mk()
-	c := NewCoalescing(NewUring(64, 2), 4096)
-	cost, _, err := c.ReadBatch(context.Background(), f, reqs)
+	c := NewCoalescing(NewUring(64), 4096)
+	cost, _, err := ReadBatch(context.Background(), c, f, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestCoalescingReducesOps(t *testing.T) {
 	// The same batch uncoalesced pays one op per chunk.
 	_, f2, data2 := newFile(t, 512<<10)
 	reqs2 := mk()
-	cost2, _, err := NewUring(64, 2).ReadBatch(context.Background(), f2, reqs2)
+	cost2, _, err := NewUring(64).ReadBatch(context.Background(), f2, reqs2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +66,8 @@ func TestCoalescingRespectsGapLimit(t *testing.T) {
 		{Off: 4096, Len: 4096, Buf: make([]byte, 4096), Tag: 1},
 		{Off: 512 << 10, Len: 4096, Buf: make([]byte, 4096), Tag: 2},
 	}
-	c := NewCoalescing(NewUring(8, 1), 4096)
-	cost, _, err := c.ReadBatch(context.Background(), f, reqs)
+	c := NewCoalescing(NewUring(8), 4096)
+	cost, _, err := ReadBatch(context.Background(), c, f, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,8 +84,8 @@ func TestCoalescingBridgesSmallGaps(t *testing.T) {
 	for i := range reqs {
 		reqs[i] = ReadReq{Off: int64(i * 8192), Len: 4096, Buf: make([]byte, 4096), Tag: i}
 	}
-	c := NewCoalescing(NewUring(8, 1), 8192)
-	cost, _, err := c.ReadBatch(context.Background(), f, reqs)
+	c := NewCoalescing(NewUring(8), 8192)
+	cost, _, err := ReadBatch(context.Background(), c, f, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestCoalescingOverlappingRequests(t *testing.T) {
 		{Off: 100, Len: 50, Buf: make([]byte, 50), Tag: 2},      // inside 0
 	}
 	c := NewCoalescing(Mmap{}, 0)
-	if _, _, err := c.ReadBatch(context.Background(), f, reqs); err != nil {
+	if _, _, err := ReadBatch(context.Background(), c, f, reqs); err != nil {
 		t.Fatal(err)
 	}
 	verifyFilled(t, data, reqs)
@@ -118,11 +118,11 @@ func TestCoalescingSmallBatchPassThrough(t *testing.T) {
 	_, f, data := newFile(t, 16<<10)
 	reqs := []ReadReq{{Off: 0, Len: 1024, Buf: make([]byte, 1024), Tag: 0}}
 	c := NewCoalescing(nil, 0) // defaults
-	if _, _, err := c.ReadBatch(context.Background(), f, reqs); err != nil {
+	if _, _, err := ReadBatch(context.Background(), c, f, reqs); err != nil {
 		t.Fatal(err)
 	}
 	verifyFilled(t, data, reqs)
-	if _, _, err := c.ReadBatch(context.Background(), f, nil); err != nil {
+	if _, _, err := ReadBatch(context.Background(), c, f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -133,15 +133,15 @@ func TestCoalescingRejectsBadRequests(t *testing.T) {
 		{Off: 0, Len: 16, Buf: make([]byte, 16)},
 		{Off: -5, Len: 16, Buf: make([]byte, 16)},
 	}
-	if _, _, err := (NewCoalescing(nil, 0)).ReadBatch(context.Background(), f, bad); err == nil {
+	if _, _, err := ReadBatch(context.Background(), NewCoalescing(nil, 0), f, bad); err == nil {
 		t.Error("bad request accepted")
 	}
 }
 
 func TestQuickCoalescingEquivalence(t *testing.T) {
 	_, f, data := newFile(t, 256<<10)
-	c := NewCoalescing(NewUring(32, 2), 4096)
-	u := NewUring(32, 2)
+	c := NewCoalescing(NewUring(32), 4096)
+	u := NewUring(32)
 	iter := 0
 	prop := func(seed int64, n uint8) bool {
 		iter++
@@ -152,7 +152,7 @@ func TestQuickCoalescingEquivalence(t *testing.T) {
 			b[i] = a[i]
 			b[i].Buf = make([]byte, a[i].Len)
 		}
-		if _, _, err := c.ReadBatch(context.Background(), f, a); err != nil {
+		if _, _, err := ReadBatch(context.Background(), c, f, a); err != nil {
 			return false
 		}
 		if _, _, err := u.ReadBatch(context.Background(), f, b); err != nil {

@@ -62,7 +62,7 @@ func newPoisonEnv(t *testing.T, sh dettest.Shape, ring *aio.Uring) *poisonEnv {
 		return store
 	}
 	e := &poisonEnv{shape: sh, ring: ring, store: newStore(), dstore: newStore(), opts: compare.Options{
-		Epsilon: dettest.Eps, ChunkSize: sh.Chunk, SliceBytes: sh.SliceBytes, Fields: sh.Fields, Degrade: sh.Degrade,
+		Epsilon: sh.Epsilon(), ChunkSize: sh.Chunk, SliceBytes: sh.SliceBytes, Fields: sh.Fields, Degrade: sh.Degrade,
 		StartLevel: 1, Backend: aio.NewCoalescing(ring, 0),
 	}}
 	e.fields, e.data = dettest.Runs(sh)
@@ -152,7 +152,7 @@ func (e *poisonEnv) doors(t *testing.T, exec device.Executor) {
 		return compare.CompareDirect(ctx, e.store, e.names[0], e.names[1], sweep)
 	})
 	dopts := opts
-	dopts.Memo = compare.NewCASMemo(dettest.Eps)
+	dopts.Memo = compare.NewCASMemo(e.shape.Epsilon())
 	for _, label := range []string{"cas-diff cold", "cas-diff warm"} {
 		pair(label, 0, 1, func() (*compare.Result, error) {
 			return compare.CompareDiff(ctx, e.dstore, e.cs, e.dnames[0], e.dnames[1], dopts)
@@ -184,9 +184,8 @@ func (e *poisonEnv) doors(t *testing.T, exec device.Executor) {
 func TestParityUnderPoison(t *testing.T) {
 	aio.PoisonOnPut(true)
 	defer aio.PoisonOnPut(false)
-	ring := aio.NewUring(256, 4)
-	defer ring.Close()
-	for _, sh := range slices.Concat(dettest.Shapes(), dettest.Sequence()) {
+	ring := aio.NewUring(256)
+	for _, sh := range slices.Concat(dettest.Shapes(), dettest.CopyShapes(), dettest.Sequence()) {
 		e := newPoisonEnv(t, sh, ring)
 		for _, ex := range dettest.Execs() {
 			t.Run(sh.Name+"/"+ex.Name, func(t *testing.T) {
@@ -206,8 +205,7 @@ func TestParityUnderPoison(t *testing.T) {
 func TestResultsOutliveRecycledBuffers(t *testing.T) {
 	aio.PoisonOnPut(true)
 	defer aio.PoisonOnPut(false)
-	ring := aio.NewUring(256, 4)
-	defer ring.Close()
+	ring := aio.NewUring(256)
 	var sh dettest.Shape
 	for _, s := range dettest.Shapes() {
 		if s.Name == "many-slices" {

@@ -221,8 +221,7 @@ func TestChaosSoak(t *testing.T) {
 	sc := soakScale()
 	// The soak's own ring, so every trial can hold its arena to account:
 	// metadata sets and window sets alike are back however the trial ended.
-	ring := aio.NewUring(256, 4)
-	defer ring.Close()
+	ring := aio.NewUring(256)
 	opts := compare.Options{
 		Epsilon:   1e-5,
 		ChunkSize: sc.chunk,

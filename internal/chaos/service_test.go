@@ -5,9 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
-	"repro/internal/aio"
 	"repro/internal/ckpt"
 	"repro/internal/compare"
 	"repro/internal/errbound"
@@ -59,16 +57,6 @@ func seedPair(t *testing.T, elems int, seed int64, opts compare.Options) pairEnv
 	return env
 }
 
-// svcRingClosed reports the shared ring closed on every batch, forcing
-// the fresh-ring fallback rung for the whole comparison.
-type svcRingClosed struct{}
-
-func (svcRingClosed) Name() string { return "closed" }
-
-func (svcRingClosed) ReadBatch(context.Context, *pfs.File, []aio.ReadReq) (pfs.Cost, time.Duration, error) {
-	return pfs.Cost{}, 0, aio.ErrRingClosed
-}
-
 // scrubSvc zeroes the wall-clock-bearing fields for oracle equality.
 func scrubSvc(r *compare.Result) *compare.Result {
 	if r == nil {
@@ -82,8 +70,8 @@ func scrubSvc(r *compare.Result) *compare.Result {
 }
 
 // TestServicePlaneFaultIsolation runs a chaos schedule against one
-// session of a shared plane — a ring-closed backend, a permanent-read
-// fault schedule, and a worker death mid-shard-comparison — while a
+// session of a shared plane — a permanent-read fault schedule and a
+// worker death mid-shard-comparison — while a
 // bystander session on the same plane keeps comparing fault-free. The
 // faults must stay confined: the victim's verdicts degrade (visibly,
 // never silently), the bystander stays bit-identical to its serial
@@ -123,31 +111,15 @@ func TestServicePlaneFaultIsolation(t *testing.T) {
 	var victimErr, bystanderErr error
 
 	wg.Add(1)
-	go func() { // victim: three faulted submissions
+	go func() { // victim: two faulted submissions
 		defer wg.Done()
-		// 1. Ring-closed mid-session: the comparison survives on the
-		// fresh-ring fallback, visibly accounted, verdict intact.
-		o := opts
-		o.Backend = svcRingClosed{}
-		res, err := victim.Compare(ctx, envV.store, envV.nameA, envV.nameB, o)
-		if err != nil {
-			victimErr = err
-			return
-		}
-		if res.RingFallbacks == 0 {
-			t.Error("victim ring-closed compare: fallback not accounted")
-		}
-		if res.DiffCount != wantV.DiffCount {
-			t.Errorf("victim ring-closed compare: DiffCount %d, want %d", res.DiffCount, wantV.DiffCount)
-		}
-
-		// 2. Permanent read faults under the degradation ladder: the
+		// 1. Permanent read faults under the degradation ladder: the
 		// verdict is degraded or an error — never silently clean.
 		inj := faults.New(91, faults.Rule{Kind: faults.PermanentRead, Name: "/iter", After: 10})
 		envV.store.SetFaultHook(inj)
-		o = opts
+		o := opts
 		o.Degrade = true
-		res, err = victim.Compare(ctx, envV.store, envV.nameA, envV.nameB, o)
+		res, err := victim.Compare(ctx, envV.store, envV.nameA, envV.nameB, o)
 		envV.store.SetFaultHook(nil)
 		if st := inj.Stats(); st.ReadOps == 0 {
 			t.Error("victim fault schedule never saw a read — the trial is vacuous")
@@ -159,7 +131,7 @@ func TestServicePlaneFaultIsolation(t *testing.T) {
 			t.Errorf("victim store leaked %d handles after faulted compare", h)
 		}
 
-		// 3. Worker death mid-shard-comparison: stealing absorbs it and
+		// 2. Worker death mid-shard-comparison: stealing absorbs it and
 		// the verdict still matches the oracle.
 		cfg := shard.Config{Workers: 4, Stealing: true, Chaos: shard.Chaos{Enabled: true, Worker: 1, AfterUnits: 1}}
 		sres, _, err := victim.ShardCompare(ctx, envV.store, envV.nameA, envV.nameB, cfg, opts)
@@ -197,7 +169,7 @@ func TestServicePlaneFaultIsolation(t *testing.T) {
 
 	// The victim's degradation shows in its own counters only.
 	vs := victim.Stats()
-	if vs.Submitted != 3 || vs.Completed+vs.Failed != 3 {
+	if vs.Submitted != 2 || vs.Completed+vs.Failed != 2 {
 		t.Errorf("victim stats: %+v", vs)
 	}
 	bs := bystander.Stats()

@@ -37,7 +37,7 @@ func (h *shrinkHook) BeforeRead(name string, _ int64, _ int) error {
 	return os.Truncate(path, st.Size()/2)
 }
 
-func (h *shrinkHook) AfterRead(string, int64, []byte) pfs.Cost { return pfs.Cost{} }
+func (h *shrinkHook) AfterRead(string, int64, int) ([]pfs.Flip, pfs.Cost) { return nil, pfs.Cost{} }
 
 func (h *shrinkHook) BeforeWrite(string, int64, int) (int, error) { return 0, nil }
 

@@ -41,8 +41,7 @@ func TestWarmComparisonAllocatesItsAnswer(t *testing.T) {
 	ctx := context.Background()
 	pool := device.NewPool(2)
 	defer pool.Close()
-	ring := aio.NewUring(256, 4)
-	defer ring.Close()
+	ring := aio.NewUring(256)
 	envs := make(map[string]*detEnv)
 	for name, sh := range allocShapes {
 		envs[name] = newDetEnv(t, sh)

@@ -301,9 +301,9 @@ type blockFaults struct {
 }
 
 func (b *blockFaults) BeforeRead(_ string, off int64, _ int) error { return b.fail[off] }
-func (b *blockFaults) AfterRead(_ string, _ int64, p []byte) pfs.Cost {
-	b.completed.Add(int64(len(p)))
-	return pfs.Cost{}
+func (b *blockFaults) AfterRead(_ string, _ int64, n int) ([]pfs.Flip, pfs.Cost) {
+	b.completed.Add(int64(n))
+	return nil, pfs.Cost{}
 }
 func (b *blockFaults) BeforeWrite(string, int64, int) (int, error) { return 0, nil }
 

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -20,9 +22,9 @@ import (
 	"repro/internal/synth"
 )
 
-// nameFailBackend fails every batch read against files whose name contains
-// match, scoping injected stage-2 failures to one run's data file (metadata
-// loads bypass the backend, so they stay healthy).
+// nameFailBackend fails every batch priced against files whose name
+// contains match, scoping injected stage-2 failures to one run's data file
+// (metadata loads bypass the backend, so they stay healthy).
 type nameFailBackend struct {
 	inner aio.Backend
 	match string
@@ -31,37 +33,58 @@ type nameFailBackend struct {
 
 func (b nameFailBackend) Name() string { return "namefail" }
 
-func (b nameFailBackend) ReadBatch(ctx context.Context, f *pfs.File, reqs []aio.ReadReq) (pfs.Cost, time.Duration, error) {
+func (b nameFailBackend) Price(ctx context.Context, f *pfs.File, reqs []aio.ReadReq) (pfs.Cost, time.Duration, error) {
 	if strings.Contains(f.Name(), b.match) {
 		return pfs.Cost{}, 0, b.err
 	}
-	return b.inner.ReadBatch(ctx, f, reqs)
+	return b.inner.Price(ctx, f, reqs)
 }
 
-// corruptBackend simulates in-flight corruption: every batch read against
-// the matching file lands, then gets one high exponent bit flipped per
-// request buffer. Direct pfs re-reads bypass it, so the integrity re-read
-// sees the clean on-disk bytes.
-type corruptBackend struct {
+// flipBackend is in-flight corruption: every extent priced through it from
+// a file whose name contains match lands with byte 3 — a float32's
+// sign/exponent byte — XORed with 0x40. The flips are fault-hook bit flips,
+// chosen by a hook the backend installs on the store only while it prices,
+// so integrity re-reads, which go straight to the file, see the disk's
+// bytes.
+type flipBackend struct {
 	inner aio.Backend
 	match string
 }
 
-func (b corruptBackend) Name() string { return "corrupt" }
+func (b flipBackend) Name() string { return "flip" }
 
-func (b corruptBackend) ReadBatch(ctx context.Context, f *pfs.File, reqs []aio.ReadReq) (pfs.Cost, time.Duration, error) {
-	cost, io, err := b.inner.ReadBatch(ctx, f, reqs)
-	if err == nil && strings.Contains(f.Name(), b.match) {
-		for _, r := range reqs {
-			if len(r.Buf) >= 4 {
-				r.Buf[3] ^= 0x40
-			}
-		}
+func (b flipBackend) Price(ctx context.Context, f *pfs.File, reqs []aio.ReadReq) (pfs.Cost, time.Duration, error) {
+	if !strings.Contains(f.Name(), b.match) {
+		return b.inner.Price(ctx, f, reqs)
 	}
-	return cost, io, err
+	h := &byteFlips{}
+	for _, q := range reqs {
+		h.at = append(h.at, q.Off+3)
+	}
+	f.Store().SetFaultHook(h)
+	defer f.Store().SetFaultHook(nil)
+	return b.inner.Price(ctx, f, reqs)
 }
 
-// flakyCountBackend fails its first `fails` batch reads with a Transient
+// byteFlips is the fault hook of flipBackend: every read flips bit 6 of the
+// target bytes it covers.
+type byteFlips struct{ at []int64 }
+
+func (h *byteFlips) BeforeRead(string, int64, int) error { return nil }
+
+func (h *byteFlips) AfterRead(_ string, off int64, n int) ([]pfs.Flip, pfs.Cost) {
+	var flips []pfs.Flip
+	for _, t := range h.at {
+		if t >= off && t < off+int64(n) {
+			flips = append(flips, pfs.Flip{Off: t, Mask: 0x40})
+		}
+	}
+	return flips, pfs.Cost{}
+}
+
+func (h *byteFlips) BeforeWrite(string, int64, int) (int, error) { return 0, nil }
+
+// flakyCountBackend fails its first `fails` batch pricings with a Transient
 // error, then delegates.
 type flakyCountBackend struct {
 	inner aio.Backend
@@ -71,12 +94,12 @@ type flakyCountBackend struct {
 
 func (b *flakyCountBackend) Name() string { return "flakycount" }
 
-func (b *flakyCountBackend) ReadBatch(ctx context.Context, f *pfs.File, reqs []aio.ReadReq) (pfs.Cost, time.Duration, error) {
+func (b *flakyCountBackend) Price(ctx context.Context, f *pfs.File, reqs []aio.ReadReq) (pfs.Cost, time.Duration, error) {
 	b.calls++
 	if b.calls <= b.fails {
 		return pfs.Cost{}, 0, retry.Mark(errors.New("transient blip"), retry.Transient)
 	}
-	return b.inner.ReadBatch(ctx, f, reqs)
+	return b.inner.Price(ctx, f, reqs)
 }
 
 // corruptOnDisk flips one high exponent bit every stride bytes of the
@@ -145,8 +168,14 @@ func TestDegradeStreamFailureMetadataOnlyVerdict(t *testing.T) {
 func TestDegradeInFlightCorruptionRecovers(t *testing.T) {
 	opts := baseOpts(1e-5, 4<<10)
 	env := newEnv(t, 64<<10, opts, synth.DefaultPerturb(71))
-	opts.Backend = corruptBackend{inner: aio.Mmap{}, match: "runB"}
+	opts.Backend = aio.Mmap{}
 	opts.Degrade = true
+	clean, err := CompareMerkle(context.Background(), env.store, env.nameA, env.nameB, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.store.EvictAll()
+	opts.Backend = flipBackend{inner: aio.Mmap{}, match: "runB"}
 	res, err := CompareMerkle(context.Background(), env.store, env.nameA, env.nameB, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -154,6 +183,10 @@ func TestDegradeInFlightCorruptionRecovers(t *testing.T) {
 	if res.Degraded || res.UnverifiedChunks != 0 {
 		t.Errorf("recovered comparison marked degraded: Degraded=%v Unverified=%d",
 			res.Degraded, res.UnverifiedChunks)
+	}
+	// Every chunk of run B landed corrupt and was re-read once.
+	if got, want := res.BytesRead-clean.BytesRead, int64(res.CandidateChunks)*int64(opts.ChunkSize); got != want {
+		t.Errorf("integrity re-reads fetched %d bytes, want run B's %d candidate bytes", got, want)
 	}
 	assertSameDiffs(t, groundTruth(t, env, 1e-5), diffsToMap(res.Diffs), "recovered")
 }
@@ -203,54 +236,65 @@ func TestDegradeRetriesTransientAtCompareLevel(t *testing.T) {
 	assertSameDiffs(t, groundTruth(t, env, 1e-5), diffsToMap(res.Diffs), "retried")
 }
 
-// ringClosedBackend always reports the shared ring as closed, the way a
-// raw Ring does after Close (the Uring wrapper self-heals, so the error
-// must be forced to exercise the fallback rung).
-type ringClosedBackend struct{}
-
-func (ringClosedBackend) Name() string { return "closed" }
-
-func (ringClosedBackend) ReadBatch(context.Context, *pfs.File, []aio.ReadReq) (pfs.Cost, time.Duration, error) {
-	return pfs.Cost{}, 0, aio.ErrRingClosed
+// shrinkOnPrice halves a container the first time a read of its data
+// region is priced: stage 2's window is priced, then its bytes are gone.
+type shrinkOnPrice struct {
+	path string
+	data int64 // where the container's first field starts
+	once sync.Once
+	err  error
 }
 
-// TestDegradeRingClosedFallsBack: a closed shared ring falls back to a
-// fresh ring per slice — the first ladder rung — without degrading.
-func TestDegradeRingClosedFallsBack(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
-	env := newEnv(t, 64<<10, opts, synth.DefaultPerturb(74))
-	opts.Backend = ringClosedBackend{}
-	res, err := CompareMerkle(context.Background(), env.store, env.nameA, env.nameB, opts)
-	if err != nil {
-		t.Fatalf("closed ring should fall back, not fail: %v", err)
+func (h *shrinkOnPrice) BeforeRead(_ string, off int64, _ int) error {
+	if off >= h.data {
+		h.once.Do(func() {
+			var st os.FileInfo
+			if st, h.err = os.Stat(h.path); h.err == nil {
+				h.err = os.Truncate(h.path, st.Size()/2)
+			}
+		})
 	}
-	if res.RingFallbacks == 0 {
-		t.Error("fallback not accounted in RingFallbacks")
-	}
-	if res.Degraded {
-		t.Error("ring fallback must not degrade the result")
-	}
-	assertSameDiffs(t, groundTruth(t, env, 1e-5), diffsToMap(res.Diffs), "fallback")
+	return h.err
 }
 
-// TestGroupRingClosedFallsBack: group member unions served by the
-// fresh-ring fallback complete undegraded and are accounted.
-func TestGroupRingClosedFallsBack(t *testing.T) {
-	opts := baseOpts(1e-5, 4<<10)
-	env := newEnv(t, 64<<10, opts, synth.DefaultPerturb(77))
-	opts.Backend = ringClosedBackend{}
-	rep, err := GroupCompare(context.Background(), env.store, env.nameA, []string{env.nameB}, TopologyStar, opts)
-	if err != nil {
-		t.Fatalf("closed ring should fall back, not fail: %v", err)
-	}
-	if rep.RingFallbacks == 0 {
-		t.Error("fallback not accounted in GroupReport.RingFallbacks")
-	}
-	if rep.Degraded() {
-		t.Error("ring fallback must not degrade the group")
-	}
-	if rep.Pairs[0].Result.DiffCount == 0 {
-		t.Error("divergent pair lost its diffs through the fallback")
+func (h *shrinkOnPrice) AfterRead(string, int64, int) ([]pfs.Flip, pfs.Cost) { return nil, pfs.Cost{} }
+
+func (h *shrinkOnPrice) BeforeWrite(string, int64, int) (int, error) { return 0, nil }
+
+// TestTruncatedBetweenPriceAndCopy: a container that shrinks between the
+// pricing of its window and the landing of its bytes fails a strict
+// comparison with no result, and under Degrade leaves every candidate of
+// the pair unverified — a Degraded result, never a verdict from bytes that
+// did not land.
+func TestTruncatedBetweenPriceAndCopy(t *testing.T) {
+	for _, degrade := range []bool{false, true} {
+		opts := baseOpts(1e-5, 4<<10)
+		env := newEnv(t, 64<<10, opts, synth.DefaultPerturb(78))
+		r, _, err := ckpt.OpenReader(env.store, env.nameB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hook := &shrinkOnPrice{path: filepath.Join(env.store.Root(), filepath.FromSlash(env.nameB)), data: r.FieldFileOffset(0)}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		env.store.SetFaultHook(hook)
+		opts.Degrade = degrade
+		res, err := CompareMerkle(context.Background(), env.store, env.nameA, env.nameB, opts)
+		env.store.SetFaultHook(nil)
+		if !degrade {
+			if res != nil || !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("strict: result %v, error %v; want no result and a short read", res, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("degrade mode must absorb the short read: %v", err)
+		}
+		if !res.Degraded || res.UnverifiedChunks != res.CandidateChunks || res.CandidateChunks == 0 {
+			t.Errorf("Degraded=%v Unverified=%d Candidates=%d, want every candidate unverified",
+				res.Degraded, res.UnverifiedChunks, res.CandidateChunks)
+		}
 	}
 }
 
@@ -333,7 +377,7 @@ func TestGroupDegradeSharedExtentCheckedOnce(t *testing.T) {
 	}
 	clean := run(aio.NewCoalescing(aio.Default(), 0))
 	// Every read of the baseline lands with a flipped bit.
-	flipped := run(corruptBackend{inner: aio.NewCoalescing(aio.Default(), 0), match: "runA"})
+	flipped := run(flipBackend{inner: aio.NewCoalescing(aio.Default(), 0), match: "runA"})
 	if flipped.Degraded() || flipped.UnverifiedChunks() != 0 {
 		t.Fatalf("in-flight corruption of the shared baseline degraded the group: %d unverified", flipped.UnverifiedChunks())
 	}

@@ -97,9 +97,9 @@ type GroupReport struct {
 	Breakdown metrics.Breakdown
 	// Steps is the engine's per-step timing table.
 	Steps metrics.StepSpans
-	// ReadRetries counts stage-2 batch reads re-issued under the retry
-	// policy; RingFallbacks counts reads served by the fresh-ring fallback
-	// after the shared ring reported closed.
+	// ReadRetries counts stage-2 window pricings re-issued under the
+	// retry policy. RingFallbacks is always 0 (there is no ring to fall
+	// back from); the journal and reports still carry it.
 	ReadRetries   int
 	RingFallbacks int
 	// MemberRoots holds each member's combined Merkle root

@@ -272,27 +272,23 @@ func (h *cancelOnReread) BeforeRead(string, int64, int) error {
 	return nil
 }
 
-func (h *cancelOnReread) AfterRead(string, int64, []byte) pfs.Cost { return pfs.Cost{} }
+func (h *cancelOnReread) AfterRead(string, int64, int) ([]pfs.Flip, pfs.Cost) { return nil, pfs.Cost{} }
 
 func (h *cancelOnReread) BeforeWrite(string, int64, int) (int, error) { return 0, nil }
 
-// armingBackend corrupts every batch it lands (so the integrity rung must
-// re-read) and arms the hook once both members' batches of the one window
-// have landed: every read the store sees from then on is an integrity
-// re-read.
+// armingBackend corrupts every batch it prices (flipBackend, so the
+// integrity rung must re-read), puts the cancelling hook back on the store
+// after each, and arms it once both members' batches of the one window are
+// priced: every read the store sees from then on is an integrity re-read.
 type armingBackend struct {
-	inner   aio.Backend
+	flipBackend
 	hook    *cancelOnReread
 	batches *atomic.Int32
 }
 
-func (b armingBackend) Name() string { return "arming" }
-
-func (b armingBackend) ReadBatch(ctx context.Context, f *pfs.File, reqs []aio.ReadReq) (pfs.Cost, time.Duration, error) {
-	cost, io, err := b.inner.ReadBatch(ctx, f, reqs)
-	for _, r := range reqs {
-		r.Buf[3] ^= 0x40
-	}
+func (b armingBackend) Price(ctx context.Context, f *pfs.File, reqs []aio.ReadReq) (pfs.Cost, time.Duration, error) {
+	cost, io, err := b.flipBackend.Price(ctx, f, reqs)
+	f.Store().SetFaultHook(b.hook)
 	if b.batches.Add(1) == 2 {
 		b.hook.armed.Store(true)
 	}
@@ -309,7 +305,7 @@ func TestCancelDuringIntegrityRereadStopsReads(t *testing.T) {
 	for _, group := range []bool{false, true} {
 		ctx, cancel := context.WithCancel(context.Background())
 		hook := &cancelOnReread{cancel: cancel}
-		opts.Backend = armingBackend{inner: aio.Mmap{}, hook: hook, batches: new(atomic.Int32)}
+		opts.Backend = armingBackend{flipBackend: flipBackend{inner: aio.Mmap{}}, hook: hook, batches: new(atomic.Int32)}
 		env.store.EvictAll()
 		env.store.SetFaultHook(hook)
 		var err error
@@ -347,8 +343,7 @@ func TestGroupStage2RecyclesWindowBuffers(t *testing.T) {
 	pert := synth.DefaultPerturb(11)
 	pert.MagLo, pert.MagHi, pert.UntouchedFrac = 1e-3, 1e-2, 0
 	env := newEnv(t, 2<<20, opts, pert)
-	ring := aio.NewUring(256, 4)
-	defer ring.Close()
+	ring := aio.NewUring(256)
 	opts.Backend = aio.NewCoalescing(ring, 0)
 	run := func() {
 		t.Helper()

@@ -37,13 +37,13 @@ type Options struct {
 	Exec device.Executor
 	// Device prices kernels and transfers (default: GPU model).
 	Device device.Model
-	// Backend performs scattered reads. A session on a plane built by
+	// Backend prices the scattered reads. A session on a plane built by
 	// service.New gets that plane's io_uring-style engine injected here
 	// (wrapped in aio.Coalescing — see CoalesceMaxGap); left nil it is
-	// aio.Default(), the process-wide ring (deep queue, ring workers
-	// started once and reused across every batch) that service.Default()
-	// serves from too, identically wrapped. An explicitly set Backend is
-	// used as-is, never wrapped.
+	// aio.Default(), the process-wide ring (queue depth 256, and the
+	// arena every default comparison's buffers come from) that
+	// service.Default() serves from too, identically wrapped. An
+	// explicitly set Backend is used as-is, never wrapped.
 	Backend aio.Backend
 	// SliceBytes is the stage-2 window size: the bytes of any one
 	// compared file a pipeline window holds (default 8 MiB; of either
@@ -51,11 +51,11 @@ type Options struct {
 	// pack). Pair and group comparisons alike stream through windows of
 	// this size.
 	SliceBytes int
-	// Depth is the verification pipeline depth: windows in flight
-	// between the I/O producer and the compute consumer (default 2,
-	// classic double buffering; 1 serializes I/O against compute). A
-	// comparison of N files holds at most Depth × N × (SliceBytes + one
-	// chunk) bytes of stage-2 buffers.
+	// Depth is the depth of the verification pipeline the virtual clock
+	// prices: windows in flight between I/O and compute (default 2,
+	// classic double buffering; 1 serializes I/O against compute). It
+	// holds no buffers: a comparison of N files holds at most
+	// N × (SliceBytes + one chunk) bytes of stage-2 buffers.
 	Depth int
 	// CoalesceMaxGap controls read coalescing on the default backend: the
 	// largest hole in bytes bridged between two candidate chunks (0

@@ -70,9 +70,9 @@ type Result struct {
 	// failed leaf-hash integrity verification even after one re-read.
 	// Always 0 unless Options.Degrade is set (strict mode fails instead).
 	UnverifiedChunks int
-	// ReadRetries counts stage-2 batch reads re-issued under the retry
-	// policy; RingFallbacks counts slices served by the fresh-ring
-	// fallback after the shared ring reported closed.
+	// ReadRetries counts stage-2 window pricings re-issued under the
+	// retry policy. RingFallbacks is always 0 (there is no ring to fall
+	// back from); the journal and reports still carry it.
 	ReadRetries   int
 	RingFallbacks int
 

@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"strings"
+	"slices"
 	"testing"
 	"time"
 
@@ -24,27 +24,6 @@ import (
 // shapes, executors and oracle live in internal/dettest; its shard-pair
 // and shard-group rows run them from internal/shard/parity_test.go (this
 // package cannot import its own importer).
-
-// flipBackend simulates in-flight corruption deterministically: every
-// request buffer read from a file whose name contains match gets one high
-// exponent bit flipped after the inner read lands. Integrity re-reads go
-// straight to the file and see clean bytes.
-type flipBackend struct {
-	inner aio.Backend
-	match string
-}
-
-func (b flipBackend) Name() string { return "flip" }
-
-func (b flipBackend) ReadBatch(ctx context.Context, f *pfs.File, reqs []aio.ReadReq) (pfs.Cost, time.Duration, error) {
-	cost, io, err := b.inner.ReadBatch(ctx, f, reqs)
-	if err == nil && strings.Contains(f.Name(), b.match) {
-		for _, r := range reqs {
-			r.Buf[3] ^= 0x40
-		}
-	}
-	return cost, io, err
-}
 
 func normResult(r *Result) *Result {
 	dettest.VirtualOnly(&r.Breakdown, r.Steps)
@@ -71,7 +50,7 @@ type detOutputs struct {
 }
 
 func TestStage2DeterministicAcrossExecutors(t *testing.T) {
-	for _, sh := range dettest.Shapes() {
+	for _, sh := range slices.Concat(dettest.Shapes(), dettest.CopyShapes()) {
 		t.Run(sh.Name, func(t *testing.T) {
 			env := newDetEnv(t, sh)
 			var ref *detOutputs
@@ -136,7 +115,7 @@ func newDetEnv(t *testing.T, sh dettest.Shape) *detEnv {
 	env := &detEnv{
 		shape: sh, store: store,
 		opts: Options{
-			Epsilon: dettest.Eps, ChunkSize: sh.Chunk, SliceBytes: sh.SliceBytes,
+			Epsilon: sh.Epsilon(), ChunkSize: sh.Chunk, SliceBytes: sh.SliceBytes,
 			// The default start level follows the executor's width; pin it
 			// so stage 1 prices the same at every worker count.
 			StartLevel: 1,
@@ -163,7 +142,7 @@ func newDetEnv(t *testing.T, sh dettest.Shape) *detEnv {
 	}
 	for fi := range env.fields {
 		h := append([]byte(nil), env.data[1][fi]...)
-		for _, i := range dettest.OracleDiffs(env.data[0][fi], h, dettest.Eps) {
+		for _, i := range dettest.OracleDiffs(env.data[0][fi], h, sh.Epsilon()) {
 			copy(h[4*i:4*i+4], env.data[0][fi][4*i:])
 		}
 		env.healed = append(env.healed, h)
@@ -247,7 +226,7 @@ func (e *detEnv) run(t *testing.T, exec device.Executor) *detOutputs {
 	}
 
 	dopts := opts
-	dopts.Memo = NewCASMemo(dettest.Eps)
+	dopts.Memo = NewCASMemo(e.shape.Epsilon())
 	e.diff.store.EvictAll()
 	out.DiffCold, err = CompareDiff(ctx, e.diff.store, e.diff.cs, e.dnames[0], e.dnames[1], dopts)
 	must(err)
@@ -282,7 +261,7 @@ func (e *detEnv) checkOracle(t *testing.T, out *detOutputs) {
 	check("cas-diff warm", out.DiffWarm, 0, 1)
 	for bi, b := range [][][]byte{e.data[1], e.healed} {
 		for fi, f := range e.fields {
-			if want := len(dettest.OracleDiffs(e.data[0][fi], b[fi], dettest.Eps)) == 0; out.AllClose[bi][fi] != want {
+			if want := len(dettest.OracleDiffs(e.data[0][fi], b[fi], e.shape.Epsilon())) == 0; out.AllClose[bi][fi] != want {
 				t.Errorf("allclose %s (B healed: %v): %v, the element-wise oracle says %v", f.Name, bi == 1, out.AllClose[bi][fi], want)
 			}
 		}

@@ -50,6 +50,22 @@ type Shape struct {
 	// the baseline, so hardly a word is bit-equal and the differences sit
 	// on both sides of Eps.
 	ULPJitter bool
+	// Subnormal is ULPJitter a float32 subnormal at a time: every value of
+	// every run is a subnormal, runs 1–2 are up to 720 of its ULPs from the
+	// baseline, and Eps should be a subnormal too.
+	Subnormal bool
+	// Eps, where positive, is the shape's error bound in place of the
+	// package's (see Epsilon).
+	Eps float64
+}
+
+// Epsilon returns the error bound the shape's runs are planted and compared
+// at.
+func (sh Shape) Epsilon() float64 {
+	if sh.Eps > 0 {
+		return sh.Eps
+	}
+	return Eps
 }
 
 // Shapes returns the table's rows.
@@ -71,6 +87,25 @@ func Shapes() []Shape {
 		// real leaf and three of padding), three, and two — where level 1
 		// is the leaf level itself.
 		{Name: "leaves-beside-start-level", Elems: 4*1024 + 37, FieldElems: [3]int{0, 2*1024 + 1, 2 * 1024}, Chunk: 4 << 10, Stride: 997},
+	}
+}
+
+// CopyShapes are the rows a stage-2 reader that prices a window's merged
+// runs and lands its extents range by range can get wrong. They run
+// through every door of the parity table beside Shapes, and stay out of
+// Shapes itself: the tables pinned to numbers a parent commit recorded
+// iterate that one.
+func CopyShapes() []Shape {
+	return []Shape{
+		// Candidates every other chunk: every priced run bridges holes, whose
+		// bytes no verify range copies.
+		{Name: "gap-bridged", Elems: 64 << 10, Chunk: 4 << 10, Quiet: true, Stride: 2048},
+		// Every chunk a candidate, windows of six chunks and a bit: each
+		// window closes inside a merged run the next one continues.
+		{Name: "window-splits-run", Elems: 48 << 10, Chunk: 4 << 10, SliceBytes: 6<<12 + 1000, Stride: 61},
+		// Values and ε both subnormal: differences of a few hundred ULPs
+		// either side of a bound of about 714 of them.
+		{Name: "subnormal", Elems: 40_003, Chunk: 4 << 10, SliceBytes: 64 << 10, Stride: 4099, Subnormal: true, Eps: 1e-42},
 	}
 }
 
@@ -125,9 +160,12 @@ func Runs(sh Shape) (fields []ckpt.FieldSpec, data [][][]byte) {
 			elems = sh.FieldElems[fi]
 		}
 		fields = append(fields, ckpt.FieldSpec{Name: name, DType: errbound.Float32, Count: int64(elems)})
-		if sh.ULPJitter {
+		switch {
+		case sh.Subnormal:
+			base[fi] = subnormalF32(elems, int64(100+fi))
+		case sh.ULPJitter:
 			base[fi] = logUniformF32(elems, int64(100+fi))
-		} else {
+		default:
 			base[fi] = synth.FieldF32(elems, int64(100+fi))
 		}
 	}
@@ -138,13 +176,15 @@ func Runs(sh Shape) (fields []ckpt.FieldSpec, data [][][]byte) {
 			switch {
 			case sh.Quiet:
 				run[fi] = slices.Clone(base[fi])
+			case sh.Subnormal:
+				run[fi] = jitterBits(base[fi], int64(10*ri+fi), 720)
 			case sh.ULPJitter:
-				run[fi] = ulpJitter(base[fi], int64(10*ri+fi))
+				run[fi] = jitterBits(base[fi], int64(10*ri+fi), 3)
 			default:
 				run[fi] = synth.PerturbF32(base[fi], synth.DefaultPerturb(int64(10*ri+fi)))
 			}
 			if sh.Stride > 0 {
-				Straddle(base[fi], run[fi], Eps, 7*ri+fi, sh.Stride)
+				Straddle(base[fi], run[fi], sh.Epsilon(), 7*ri+fi, sh.Stride)
 			}
 		}
 		data = append(data, run)
@@ -171,15 +211,32 @@ func logUniformF32(n int, seed int64) []byte {
 	return out
 }
 
-// ulpJitter returns a copy of a float32 field with every element moved 1–3
-// ULPs, toward zero or away from it. No element is near enough to zero to
-// cross it.
-func ulpJitter(field []byte, seed int64) []byte {
+// subnormalF32 generates n float32 subnormals of either sign, their
+// magnitudes uniform over the subnormal range but for 1024 ULPs at either
+// end, so a jitter of up to 1023 ULPs keeps every value a subnormal of its
+// sign.
+func subnormalF32(n int, seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]byte, 0, 4*n)
+	for i := 0; i < n; i++ {
+		bits := uint32(1024 + rng.Intn(1<<23-2048))
+		if rng.Intn(2) == 0 {
+			bits |= 1 << 31
+		}
+		out = binary.LittleEndian.AppendUint32(out, bits)
+	}
+	return out
+}
+
+// jitterBits returns a copy of a float32 field with every element moved 1
+// to most ULPs, toward zero or away from it. No element is near enough to
+// zero, or to the top of its binade's range of ULPs, to cross it.
+func jitterBits(field []byte, seed int64, most int) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]byte, 0, len(field))
 	for i := 0; i+4 <= len(field); i += 4 {
 		bits := binary.LittleEndian.Uint32(field[i:])
-		if k := uint32(1 + rng.Intn(3)); rng.Intn(2) == 0 {
+		if k := uint32(1 + rng.Intn(most)); rng.Intn(2) == 0 {
 			bits += k
 		} else {
 			bits -= k
@@ -273,7 +330,7 @@ func Want(sh Shape, fields []ckpt.FieldSpec, data [][][]byte, a, b int) map[stri
 		if len(sh.Fields) > 0 && !slices.Contains(sh.Fields, f.Name) {
 			continue
 		}
-		if idx := OracleDiffs(data[a][fi], data[b][fi], Eps); len(idx) > 0 {
+		if idx := OracleDiffs(data[a][fi], data[b][fi], sh.Epsilon()); len(idx) > 0 {
 			m[f.Name] = idx
 		}
 	}

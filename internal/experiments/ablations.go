@@ -54,7 +54,7 @@ func (e *Env) Ablations(ctx context.Context) (*Table, error) {
 		return nil
 	}
 
-	if err := run("baseline", "mid-tree BFS, persistent io_uring + coalescing, depth-2 pipeline", nil); err != nil {
+	if err := run("baseline", "mid-tree BFS, io_uring pricing + coalescing, depth-2 pipeline", nil); err != nil {
 		return nil, err
 	}
 	if err := run("BFS from root", "no mid-tree start (§2.5.1)", func(o *compare.Options) {
@@ -77,12 +77,12 @@ func (e *Env) Ablations(ctx context.Context) (*Table, error) {
 	}); err != nil {
 		return nil, err
 	}
-	if err := run("depth-1 pipeline", "one buffer set: stage-2 I/O and compare serialize", func(o *compare.Options) {
+	if err := run("depth-1 pipeline", "one window in flight: stage-2 I/O and compare serialize", func(o *compare.Options) {
 		o.Depth = 1
 	}); err != nil {
 		return nil, err
 	}
-	if err := run("depth-4 pipeline", "four buffer sets in flight", func(o *compare.Options) {
+	if err := run("depth-4 pipeline", "four windows in flight", func(o *compare.Options) {
 		o.Depth = 4
 	}); err != nil {
 		return nil, err

@@ -23,10 +23,8 @@ func (e *Env) Fig9(ctx context.Context) (*Table, error) {
 		},
 	}
 	const reps = 3
-	// One persistent engine for every cell; its ring workers are released
-	// when the figure completes.
-	uring := aio.NewUring(256, 4)
-	defer uring.Close()
+	// One engine for every cell.
+	uring := aio.NewUring(256)
 	for _, chunk := range []int{4 << 10, 8 << 10, 16 << 10} {
 		stats := map[string][]float64{}
 		for rep := 0; rep < reps; rep++ {

@@ -1,15 +1,19 @@
 // Package faults is the deterministic fault-injection layer for pfs
 // stores. It implements pfs.FaultHook with a scriptable schedule of rules
 // — transient/permanent read and write errors, torn writes, bit flips in
-// returned buffers, and virtual-clock latency spikes — replacing the old
+// landed bytes, and virtual-clock latency spikes — replacing the old
 // one-shot Store.FailReads/FailWrites hooks (kept here as helpers).
 //
 // Determinism: every probabilistic decision is drawn from a splitmix64
 // stream keyed by the injector's seed, and deterministic rules fire on
-// exact operation counts. Under a concurrent workload the *assignment* of
-// faults to specific operations follows arrival order, but the fault
-// stream itself is a pure function of the seed, so a chaos schedule is
-// reproducible in aggregate: same seed, same rule mix, same counts.
+// exact operation counts. Read decisions are made when a read is priced
+// (pfs.File.Price); stage 2 prices a window's reads on one goroutine, in
+// extent order, so its faults land on the same operations every run.
+// Under a concurrent workload (comparisons in parallel, integrity re-reads
+// from several ranges) the *assignment* of faults to specific operations
+// follows arrival order, but the fault stream itself is a pure function of
+// the seed, so a chaos schedule is reproducible in aggregate: same seed,
+// same rule mix, same counts.
 //
 // Classification: transient rules wrap their error with
 // retry.Mark(err, retry.Transient) so the retry layer backs off and
@@ -126,8 +130,8 @@ func (r *Rule) err(isRead bool) error {
 
 // Stats counts what the injector actually did, for chaos-harness asserts.
 type Stats struct {
-	ReadOps, WriteOps                  int64 // operations observed
-	ReadErrs, WriteErrs                int64 // errors injected
+	ReadOps, WriteOps                   int64 // operations observed
+	ReadErrs, WriteErrs                 int64 // errors injected
 	TornWrites, BitFlips, LatencySpikes int64
 }
 
@@ -229,11 +233,13 @@ func (in *Injector) BeforeRead(name string, off int64, n int) error {
 	return nil
 }
 
-// AfterRead implements pfs.FaultHook: bit flips corrupt p in place, latency
-// spikes return extra cost. Multiple firing rules compose.
-func (in *Injector) AfterRead(name string, off int64, p []byte) pfs.Cost {
+// AfterRead implements pfs.FaultHook: a bit flip picks one bit of the n
+// bytes read, a latency spike returns extra cost. Multiple firing rules
+// compose.
+func (in *Injector) AfterRead(name string, off int64, n int) ([]pfs.Flip, pfs.Cost) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
+	var flips []pfs.Flip
 	var extra pfs.Cost
 	for _, r := range in.rules {
 		if r.Kind != BitFlip && r.Kind != LatencySpike {
@@ -247,9 +253,9 @@ func (in *Injector) AfterRead(name string, off int64, p []byte) pfs.Cost {
 		}
 		switch r.Kind {
 		case BitFlip:
-			if len(p) > 0 {
+			if n > 0 {
 				d := in.next()
-				p[d%uint64(len(p))] ^= 1 << ((d >> 32) % 8)
+				flips = append(flips, pfs.Flip{Off: off + int64(d%uint64(n)), Mask: 1 << ((d >> 32) % 8)})
 				in.stats.BitFlips++
 			}
 		case LatencySpike:
@@ -257,7 +263,7 @@ func (in *Injector) AfterRead(name string, off int64, p []byte) pfs.Cost {
 			in.stats.LatencySpikes++
 		}
 	}
-	return extra
+	return flips, extra
 }
 
 // BeforeWrite implements pfs.FaultHook.

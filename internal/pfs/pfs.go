@@ -24,6 +24,7 @@ import (
 	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -290,19 +291,28 @@ func (s *Store) pages(name string) *pageSet {
 // FaultHook intercepts storage operations for deterministic fault
 // injection; implementations live in internal/faults. A hook must be safe
 // for concurrent use — the store calls it without holding its own lock.
+// Both read decisions are made when a read is priced (File.Price), before
+// any of its bytes land.
 type FaultHook interface {
 	// BeforeRead may fail a read before it touches storage. A returned
 	// error is wrapped with the usual "pfs: read name@off" context, so
 	// retry classification survives via errors.As.
 	BeforeRead(name string, off int64, n int) error
-	// AfterRead observes a successful read and may corrupt p in place
-	// (bit flips). The returned extra Cost is added to the read's cost —
-	// a latency spike priced on the virtual clock.
-	AfterRead(name string, off int64, p []byte) Cost
+	// AfterRead decides what a successful read of n bytes at off suffers:
+	// the bits to flip in them when they land, and an extra Cost added to
+	// the read's — a latency spike priced on the virtual clock.
+	AfterRead(name string, off int64, n int) ([]Flip, Cost)
 	// BeforeWrite may fail a write. When it returns err != nil, the
 	// first keep bytes (clamped to [0, n]) are still persisted — a torn
 	// write. keep is ignored when err is nil.
 	BeforeWrite(name string, off int64, n int) (keep int, err error)
+}
+
+// Flip is one bit flip a fault hook chose for a read: the byte at file
+// offset Off is XORed with Mask where the read lands.
+type Flip struct {
+	Off  int64
+	Mask byte
 }
 
 // NewStore creates (if needed) the root directory and returns a store.
@@ -555,12 +565,22 @@ func (s *Store) markWritten(name string, off int64, n int) Cost {
 	return Cost{Ops: 1, Bytes: int64(n)}
 }
 
-// File is an open read handle.
+// File is an open read handle. A read is two halves: Price charges it —
+// fault decisions, page cache, read counters — and Copy lands its bytes.
+// ReadAt is the two in sequence; stage 2 prices a window's reads at once
+// and lands them from the ranges that verify them.
 type File struct {
 	store *Store
 	name  string
 	f     *os.File
 	size  int64
+
+	// flips are the bit flips priced reads chose and Copy applies, by file
+	// offset; mu guards them, and pending counts them so a Copy with none
+	// to apply takes no lock.
+	mu      sync.Mutex
+	flips   []Flip
+	pending atomic.Int32
 }
 
 // Open opens a file for reading.
@@ -594,26 +614,108 @@ func (f *File) Store() *Store { return f.store }
 func (f *File) Size() int64 { return f.size }
 
 // ReadAt reads len(p) bytes at offset off, returning the bytes read and the
-// cost of the operation. Short reads at EOF return io.EOF like os.File.
+// cost of the operation: the read priced, then landed in p with the flips
+// its pricing chose. Short reads at EOF return io.EOF like os.File.
 func (f *File) ReadAt(p []byte, off int64) (int, Cost, error) {
-	if f.f == nil {
-		return 0, Cost{}, ErrClosed
-	}
-	h := f.store.hook()
-	if h != nil {
-		if err := h.BeforeRead(f.name, off, len(p)); err != nil {
-			return 0, Cost{}, fmt.Errorf("pfs: read %s@%d: %w", f.name, off, err)
-		}
+	cost, flips, err := f.price(off, len(p))
+	if err != nil {
+		return 0, Cost{}, err
 	}
 	n, err := f.f.ReadAt(p, off)
-	cost := f.store.touch(f.name, off, n)
+	applyFlips(p[:n], off, flips)
 	if err != nil && !errors.Is(err, io.EOF) {
 		return n, cost, fmt.Errorf("pfs: read %s@%d: %w", f.name, off, err)
 	}
-	if h != nil && n > 0 {
-		cost.Add(h.AfterRead(f.name, off, p[:n]))
-	}
 	return n, cost, err
+}
+
+// Price charges a read of n bytes at off without moving them: the fault
+// hook's decisions, the page cache's classification of the range, the
+// store's read counters. The range is priced up to the end of the file as
+// it was opened. The bit flips the hook chose wait for the Copy that lands
+// their bytes, in place of any an earlier Price of those bytes left.
+func (f *File) Price(off int64, n int) (Cost, error) {
+	return f.PriceLanding(off, n, off, off+int64(n))
+}
+
+// PriceLanding is Price for a read of which only the bytes at [lo, hi)
+// land — a page-fault cluster around the bytes a caller wants: the flips
+// the hook chose elsewhere are dropped, and only pending flips in [lo, hi)
+// are replaced.
+func (f *File) PriceLanding(off int64, n int, lo, hi int64) (Cost, error) {
+	cost, flips, err := f.price(off, n)
+	if err != nil {
+		return cost, err
+	}
+	flips = slices.DeleteFunc(flips, func(fl Flip) bool { return fl.Off < lo || fl.Off >= hi })
+	if len(flips) == 0 && f.pending.Load() == 0 {
+		return cost, nil
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.flips = slices.DeleteFunc(f.flips, func(fl Flip) bool { return fl.Off >= lo && fl.Off < hi })
+	f.flips = append(f.flips, flips...)
+	f.pending.Store(int32(len(f.flips)))
+	return cost, nil
+}
+
+// price is the pricing half of a read: what it costs and the flips the
+// fault hook chose for it.
+func (f *File) price(off int64, n int) (Cost, []Flip, error) {
+	if f.f == nil {
+		return Cost{}, nil, ErrClosed
+	}
+	if off < 0 {
+		return Cost{}, nil, fmt.Errorf("pfs: read %s@%d: negative offset", f.name, off)
+	}
+	h := f.store.hook()
+	if h != nil {
+		if err := h.BeforeRead(f.name, off, n); err != nil {
+			return Cost{}, nil, fmt.Errorf("pfs: read %s@%d: %w", f.name, off, err)
+		}
+	}
+	n = int(max(0, min(int64(n), f.size-off)))
+	cost := f.store.touch(f.name, off, n)
+	var flips []Flip
+	if h != nil && n > 0 {
+		var extra Cost
+		flips, extra = h.AfterRead(f.name, off, n)
+		cost.Add(extra)
+	}
+	return cost, flips, nil
+}
+
+// Copy lands len(p) bytes at off in p — the copying half of a read its
+// Price charged — with the flips pending on them. A read that comes back
+// short (the file shrank since it was priced) is an error wrapping
+// io.ErrUnexpectedEOF.
+func (f *File) Copy(p []byte, off int64) error {
+	if f.f == nil {
+		return ErrClosed
+	}
+	n, err := f.f.ReadAt(p, off)
+	if n < len(p) {
+		if err == nil || errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
+		}
+		return fmt.Errorf("pfs: read %s@%d: %d of %d bytes: %w", f.name, off, n, len(p), err)
+	}
+	if f.pending.Load() != 0 {
+		f.mu.Lock()
+		applyFlips(p, off, f.flips)
+		f.mu.Unlock()
+	}
+	return nil
+}
+
+// applyFlips applies the flips that fall in p, which holds the bytes at
+// off.
+func applyFlips(p []byte, off int64, flips []Flip) {
+	for _, fl := range flips {
+		if d := fl.Off - off; d >= 0 && d < int64(len(p)) {
+			p[d] ^= fl.Mask
+		}
+	}
 }
 
 // ReadAtCtx is ReadAt with a cancellation point: a read against an

@@ -20,7 +20,7 @@ func TestArenaBoundedAcrossSessions(t *testing.T) {
 	p := New(cfg)
 	bound := arenaLimit(cfg.withDefaults())
 	if got := p.ArenaStats().Limit; got != bound {
-		t.Fatalf("arena limit %d, want MaxInFlight × (depth + metadata) × set = %d", got, bound)
+		t.Fatalf("arena limit %d, want MaxInFlight × (window + metadata) × set = %d", got, bound)
 	}
 
 	ctx := context.Background()

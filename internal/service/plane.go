@@ -4,8 +4,8 @@
 // with a Plane that explicitly owns the shared resources:
 //
 //   - one persistent device.Pool running every comparison kernel,
-//   - one persistent aio.Uring serving every stage-2 scattered read, and
-//     with it the stage-2 buffer arena (slice buffer sets, union buffers,
+//   - one aio.Uring pricing every stage-2 scattered read, and with it the
+//     stage-2 buffer arena (window buffer sets, metadata buffers,
 //     coalescer plan scratch) every comparison recycles through,
 //   - the content-addressed chunk stores (one cas.Store handle per
 //     pfs.Store, opened once and shared),
@@ -26,7 +26,8 @@
 // aio.Default(), ring, arena and all: the Default plane wraps them, and a
 // direct internal/compare call that leaves Options.Exec/Backend nil lands
 // on the same two, so a facade call and a planner call share one pool and
-// one ring. Planes built by New own private ones and join them in Close.
+// one ring. Planes built by New own private ones; Close joins the pool and
+// releases the ring's arena.
 package service
 
 import (
@@ -52,11 +53,9 @@ type Config struct {
 	// Workers is the device pool's worker count (<= 0 selects
 	// GOMAXPROCS, matching device.Default()).
 	Workers int
-	// QueueDepth is the ring's submission queue depth (default 256,
-	// matching aio.Default(); the overlap pricing model depends on it).
+	// QueueDepth is the ring's queue depth (default 256, matching
+	// aio.Default(); the overlap pricing model depends on it).
 	QueueDepth int
-	// RingWorkers is the ring's worker count (default 4).
-	RingWorkers int
 	// MaxInFlight bounds the comparisons executing concurrently across
 	// all tenants (default 64). Admitted work beyond it queues.
 	MaxInFlight int
@@ -80,9 +79,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
-	}
-	if c.RingWorkers <= 0 {
-		c.RingWorkers = 4
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 64
@@ -111,7 +107,7 @@ type Plane struct {
 	// coalesce is the default stage-2 backend: the ring behind one
 	// persistent coalescer planning in the ring's arena.
 	coalesce aio.Coalescing
-	owns     bool // Close tears down exec/ring (false only for Default())
+	owns     bool // Close joins exec and releases the arena (false only for Default())
 	sched    *sched
 
 	// jobs joins every detached job goroutine (Session.Submit) so Close
@@ -129,10 +125,10 @@ type Plane struct {
 }
 
 // New creates a plane that owns a fresh pool and ring sized by cfg.
-// Nothing starts until the first comparison; Close joins both.
+// Nothing starts until the first comparison; Close joins the pool.
 func New(cfg Config) *Plane {
 	cfg = cfg.withDefaults()
-	ring := aio.NewUring(cfg.QueueDepth, cfg.RingWorkers)
+	ring := aio.NewUring(cfg.QueueDepth)
 	ring.Arena().SetLimit(arenaLimit(cfg))
 	return &Plane{
 		cfg:      cfg,
@@ -148,16 +144,15 @@ func New(cfg Config) *Plane {
 }
 
 // arenaLimit is the stage-2 arena's bound for a plane: what MaxInFlight
-// admitted comparisons hold at once at the default pipeline shape — Depth
-// (2) buffer sets each, a set being both sides of an 8 MiB slice
-// (aio.MaxSetBytes with its overshoot and request batches), and one more
-// set's worth for the metadata of their members, which is read into the
-// same arena (a pair of 9 MiB metadata files: two 18 GiB checkpoints at the
-// default 64 KiB chunk). The arena never retains more, however many
-// comparisons pass through; sets larger than one default set are not
-// retained at all.
+// admitted comparisons hold at once at the default pipeline shape — one
+// window's buffer sets each, both sides of an 8 MiB slice (aio.MaxSetBytes
+// with its overshoot and request batches), and one more set's worth for
+// the metadata of their members, which is read into the same arena (a pair
+// of 9 MiB metadata files: two 18 GiB checkpoints at the default 64 KiB
+// chunk). The arena never retains more, however many comparisons pass
+// through; sets larger than one default set are not retained at all.
 func arenaLimit(cfg Config) int64 {
-	return int64(cfg.MaxInFlight) * (2 + 1) * aio.MaxSetBytes
+	return int64(cfg.MaxInFlight) * (1 + 1) * aio.MaxSetBytes
 }
 
 // defaultPlane is the process-wide plane behind Default.
@@ -192,7 +187,7 @@ func Default() *Plane {
 // Executor returns the plane's persistent kernel executor.
 func (p *Plane) Executor() device.Executor { return p.exec }
 
-// Backend returns the plane's persistent ring engine.
+// Backend returns the plane's ring engine.
 func (p *Plane) Backend() *aio.Uring { return p.ring }
 
 // ArenaStats snapshots the stage-2 buffer arena: bytes and sets retained
@@ -327,7 +322,7 @@ func (p *Plane) normalizeOptions(o compare.Options) (compare.Options, error) {
 // Close shuts the plane down deterministically: new admissions fail with
 // ErrPlaneClosed, queued submissions are rejected, in-flight comparisons
 // drain to completion, detached jobs publish their verdicts, and the
-// plane's own pool and ring are joined and the stage-2 arena is released.
+// plane's own pool is joined and the stage-2 arena is released.
 // Idempotent. The Default plane
 // drains but leaves the process-wide singletons running (it does not own
 // them); planes built by New verify their leak accounting and report a
@@ -346,7 +341,6 @@ func (p *Plane) Close() error {
 
 	var arenaErr error
 	if p.owns {
-		p.ring.Close()
 		p.exec.Close()
 		// Every comparison has drained, so every buffer set is back:
 		// release the arena's memory, and report a set that is not.

@@ -24,8 +24,7 @@ func TestWarmShardedComparisonAllocatesItsAnswer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("writes two 12 MiB checkpoints")
 	}
-	ring := aio.NewUring(256, 4)
-	defer ring.Close()
+	ring := aio.NewUring(256)
 	opts := testOpts()
 	opts.Backend = aio.NewCoalescing(ring, 0)
 	e := newEnv(t, 1<<20, opts, func(_ int, data []byte) {

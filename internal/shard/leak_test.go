@@ -23,8 +23,7 @@ import (
 // buffer set is back in the arena, every container is closed, the
 // contention table is off the store and the goroutines are gone.
 func TestShardLeavesNothingBehind(t *testing.T) {
-	ring := aio.NewUring(256, 4)
-	defer ring.Close()
+	ring := aio.NewUring(256)
 	base := testOpts()
 	base.Backend = aio.NewCoalescing(ring, 0)
 	e := newEnv(t, 64<<10, base, perturbUniform)
@@ -36,7 +35,7 @@ func TestShardLeavesNothingBehind(t *testing.T) {
 		return Compare(ctx, e.store, e.nameA, e.nameB, cfg, opts)
 	}
 	steal := Config{Workers: 4, Stealing: true, Budget: 4 * testChunk}
-	if _, _, err := run(context.Background(), steal, base); err != nil { // start the ring's workers
+	if _, _, err := run(context.Background(), steal, base); err != nil { // warm the pool and the arena
 		t.Fatal(err)
 	}
 	metaB := compare.MetadataName(e.nameB)
@@ -141,7 +140,7 @@ func (h *dataReads) BeforeRead(name string, off int64, n int) error {
 	return nil
 }
 
-func (h *dataReads) AfterRead(string, int64, []byte) pfs.Cost { return pfs.Cost{} }
+func (h *dataReads) AfterRead(string, int64, int) ([]pfs.Flip, pfs.Cost) { return nil, pfs.Cost{} }
 
 func (h *dataReads) BeforeWrite(string, int64, int) (int, error) { return 0, nil }
 

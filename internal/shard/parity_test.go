@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/ckpt"
@@ -36,7 +37,7 @@ func newParityEnv(t *testing.T, sh dettest.Shape) *parityEnv {
 		t.Fatal(err)
 	}
 	e := &parityEnv{shape: sh, store: store, opts: compare.Options{
-		Epsilon: dettest.Eps, ChunkSize: sh.Chunk, Fields: sh.Fields, Degrade: sh.Degrade,
+		Epsilon: sh.Epsilon(), ChunkSize: sh.Chunk, Fields: sh.Fields, Degrade: sh.Degrade,
 		// Pinned so stage 1 prices the same at every executor width.
 		StartLevel: 1,
 	}}
@@ -126,7 +127,7 @@ func (e *parityEnv) checkOracle(t *testing.T, out *shardOutputs) {
 }
 
 func TestShardParityAcrossExecutors(t *testing.T) {
-	for _, sh := range dettest.Shapes() {
+	for _, sh := range slices.Concat(dettest.Shapes(), dettest.CopyShapes()) {
 		t.Run(sh.Name, func(t *testing.T) {
 			e := newParityEnv(t, sh)
 			var ref *shardOutputs

@@ -449,7 +449,7 @@ func (h *cancelHook) BeforeRead(name string, off int64, n int) error {
 	return nil
 }
 
-func (h *cancelHook) AfterRead(name string, off int64, p []byte) pfs.Cost { return pfs.Cost{} }
+func (h *cancelHook) AfterRead(string, int64, int) ([]pfs.Flip, pfs.Cost) { return nil, pfs.Cost{} }
 
 func (h *cancelHook) BeforeWrite(name string, off int64, n int) (int, error) { return 0, nil }
 

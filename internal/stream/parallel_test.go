@@ -84,8 +84,7 @@ func TestRunParallelDeliversEveryPairOnce(t *testing.T) {
 	pairs := pairsEvery(400, 8192, 10240) // 3.2 MiB per side, 256 KiB slices
 	dev := device.GPUModel()
 	run := func(exec device.Executor) (Stats, []int32) {
-		u := aio.NewUring(64, 2)
-		defer u.Close()
+		u := aio.NewUring(64)
 		fa.Store().EvictAll() // every run prices a cold cache
 		seen := make([]int32, len(pairs))
 		busy := make([]atomic.Int32, MaxRanges(exec))
@@ -132,8 +131,7 @@ func TestRunErrorAndCancelMidSlice(t *testing.T) {
 	pairs := pairsEvery(384, 8192, 10240) // 12 slices of 32 pairs
 	pool := device.NewPool(4)
 	defer pool.Close()
-	u := aio.NewUring(64, 2)
-	defer u.Close()
+	u := aio.NewUring(64)
 	arena := u.Arena()
 	warm := Config{Arena: arena, Backend: aio.NewCoalescing(u, 0), Exec: pool, Device: device.GPUModel(), SliceBytes: 256 << 10}
 	if _, err := Run(context.Background(), pairPlan(fa, fb, pairs), warm, func(int, Job, []byte, []byte) (time.Duration, error) {
@@ -216,8 +214,7 @@ func TestSteadyStateComparisonAllocs(t *testing.T) {
 	pairs := pairsEvery(2*extra*perSlice, chunk, 10240)
 	pool := device.NewPool(4)
 	defer pool.Close()
-	u := aio.NewUring(64, 2)
-	defer u.Close()
+	u := aio.NewUring(64)
 	cfg := Config{Arena: u.Arena(), Backend: aio.NewCoalescing(u, 0), Exec: pool, Device: device.GPUModel(), SliceBytes: perSlice * chunk, Depth: 2}
 	dispatches := 0
 	// Plans are inputs: built once, outside the measured runs.
@@ -233,7 +230,7 @@ func TestSteadyStateComparisonAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	runN(2 * extra) // warm the page cache, the ring and the arena
+	runN(2 * extra) // warm the page cache and the arena
 	if dispatches == 0 {
 		t.Fatal("slices were not split into ranges: the dispatch cost is not being measured")
 	}

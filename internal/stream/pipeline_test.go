@@ -87,7 +87,7 @@ func TestVirtualPipelineClosedForms(t *testing.T) {
 // stats fix: Stats.Wall used to be set only on success.
 func TestRunErrorPathsSetWall(t *testing.T) {
 	fa, fb, _, _ := twoFiles(t, 1<<20)
-	cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewUring(16, 2), Device: device.GPUModel(), SliceBytes: 32 << 10}
+	cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewUring(16), Device: device.GPUModel(), SliceBytes: 32 << 10}
 
 	boom := errors.New("boom")
 	stats, err := Run(context.Background(), pairPlan(fa, fb, pairsEvery(32, 4096, 8192)), cfg, func(int, Job, []byte, []byte) (time.Duration, error) {
@@ -118,7 +118,7 @@ func TestRunDepths(t *testing.T) {
 	pairs := pairsEvery(64, 4096, 8192)
 	var prev time.Duration
 	for _, depth := range []int{1, 2, 4} {
-		u := aio.NewUring(16, 2)
+		u := aio.NewUring(16)
 		cfg := Config{Arena: aio.NewArena(0), Backend: u, Device: device.GPUModel(), SliceBytes: 32 << 10, Depth: depth}
 		stats, err := Run(context.Background(), pairPlan(fa, fb, pairs), cfg, func(_ int, j Job, a, b []byte) (time.Duration, error) {
 			p := pairs[j.Index]
@@ -127,7 +127,6 @@ func TestRunDepths(t *testing.T) {
 			}
 			return 50 * time.Microsecond, nil
 		})
-		u.Close()
 		if err != nil {
 			t.Fatalf("depth %d: %v", depth, err)
 		}
@@ -144,7 +143,7 @@ func TestRunDepths(t *testing.T) {
 // TestSteadyStateSliceAllocs verifies the recycling buffer pool: once the
 // page cache and the pool are warm, each additional slice through the
 // pipeline performs no heap allocations. Per-Run fixed costs (channels,
-// the producer goroutine, the pool itself) are cancelled by differencing
+// the reader, the verifier, the pool itself) are cancelled by differencing
 // an N-slice run against a 2N-slice run.
 func TestSteadyStateSliceAllocs(t *testing.T) {
 	fa, fb, _, _ := twoFiles(t, 1<<20)
@@ -153,8 +152,7 @@ func TestSteadyStateSliceAllocs(t *testing.T) {
 	const extra = 8    // slices added by the longer run
 	pairs := pairsEvery(2*extra*perSlice, chunk, 8192)
 
-	u := aio.NewUring(64, 2)
-	defer u.Close()
+	u := aio.NewUring(64)
 	cfg := Config{Arena: aio.NewArena(0), Backend: u, Device: device.GPUModel(), SliceBytes: perSlice * chunk, Depth: 2}
 	// Plans are inputs: built once, outside the measured runs.
 	plans := map[int]*Plan{extra: pairPlan(fa, fb, pairs[:extra*perSlice]), 2 * extra: pairPlan(fa, fb, pairs)}
@@ -166,7 +164,7 @@ func TestSteadyStateSliceAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	runN(2 * extra) // warm the page cache and the ring's completion queue
+	runN(2 * extra) // warm the page cache and the arena
 
 	short := testing.AllocsPerRun(5, func() { runN(extra) })
 	long := testing.AllocsPerRun(5, func() { runN(2 * extra) })
@@ -186,8 +184,7 @@ func TestSteadyStateSliceAllocsCoalescing(t *testing.T) {
 	const extra = 8
 	pairs := pairsEvery(2*extra*perSlice, chunk, 8192)
 
-	u := aio.NewUring(64, 2)
-	defer u.Close()
+	u := aio.NewUring(64)
 	co := aio.NewCoalescing(u, 16<<10)
 	cfg := Config{Arena: aio.NewArena(0), Backend: co, Device: device.GPUModel(), SliceBytes: perSlice * chunk, Depth: 2}
 	// Plans are inputs: built once, outside the measured runs.

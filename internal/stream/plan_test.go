@@ -148,7 +148,8 @@ func TestRunSharedExtentReadOnce(t *testing.T) {
 	}
 }
 
-// failNamed fails every batch against files whose name contains match.
+// failNamed fails every batch priced against files whose name contains
+// match.
 type failNamed struct {
 	inner aio.Backend
 	match string
@@ -156,11 +157,11 @@ type failNamed struct {
 
 func (b failNamed) Name() string { return "failnamed" }
 
-func (b failNamed) ReadBatch(ctx context.Context, f *pfs.File, reqs []aio.ReadReq) (pfs.Cost, time.Duration, error) {
+func (b failNamed) Price(ctx context.Context, f *pfs.File, reqs []aio.ReadReq) (pfs.Cost, time.Duration, error) {
 	if strings.Contains(f.Name(), b.match) {
 		return pfs.Cost{}, 0, errBoom
 	}
-	return b.inner.ReadBatch(ctx, f, reqs)
+	return b.inner.Price(ctx, f, reqs)
 }
 
 // TestRunDeadSourceSkipsItsJobs: under Plan.Degrade a source no rung can

@@ -12,7 +12,7 @@ import (
 	"repro/internal/pfs"
 )
 
-// countingBackend counts ReadBatch calls and the requests they carry,
+// countingBackend counts Price calls and the requests they carry,
 // delegating to the inner backend.
 type countingBackend struct {
 	inner   aio.Backend
@@ -22,10 +22,10 @@ type countingBackend struct {
 
 func (c *countingBackend) Name() string { return "counting" }
 
-func (c *countingBackend) ReadBatch(ctx context.Context, f *pfs.File, reqs []aio.ReadReq) (pfs.Cost, time.Duration, error) {
+func (c *countingBackend) Price(ctx context.Context, f *pfs.File, reqs []aio.ReadReq) (pfs.Cost, time.Duration, error) {
 	atomic.AddInt32(&c.batches, 1)
 	atomic.AddInt32(&c.reqs, int32(len(reqs)))
-	return c.inner.ReadBatch(ctx, f, reqs)
+	return c.inner.Price(ctx, f, reqs)
 }
 
 // oneFile creates a single file standing in for the shared CAS pack.
@@ -78,7 +78,7 @@ func TestRunSameFileMergesBatches(t *testing.T) {
 	// One merged batch per slice (the two-file path issues two), carrying
 	// both sides' requests.
 	if got := atomic.LoadInt32(&cb.batches); int(got) != stats.Slices {
-		t.Errorf("ReadBatch called %d times over %d slices, want one merged batch per slice", got, stats.Slices)
+		t.Errorf("Price called %d times over %d slices, want one merged batch per slice", got, stats.Slices)
 	}
 	if got := atomic.LoadInt32(&cb.reqs); got != 2*n {
 		t.Errorf("backend saw %d requests, want %d (both sides)", got, 2*n)
@@ -112,28 +112,5 @@ func TestRunSameFileCoalescesAcrossSides(t *testing.T) {
 	}
 	if merged != 1 {
 		t.Errorf("fully adjacent extents should collapse to 1 op, got %d", merged)
-	}
-}
-
-func TestRunSameFileRingClosedFallsBack(t *testing.T) {
-	f, data := oneFile(t, 256<<10)
-	pairs := samePackPairs(8, 4096)
-	cfg := Config{Arena: aio.NewArena(0), Backend: closedBackend{}, Device: device.GPUModel(), SliceBytes: 32 << 10, Retry: retryPolicy()}
-	ok := true
-	stats, err := Run(context.Background(), pairPlan(f, f, pairs), cfg, func(_ int, j Job, a, b []byte) (time.Duration, error) {
-		p := pairs[j.Index]
-		if !bytes.Equal(a, data[p.OffA:p.OffA+int64(p.Len)]) || !bytes.Equal(b, data[p.OffB:p.OffB+int64(p.Len)]) {
-			ok = false
-		}
-		return 0, nil
-	})
-	if err != nil {
-		t.Fatalf("ring-closed same-file read should degrade to Legacy, not fail: %v", err)
-	}
-	if !ok {
-		t.Error("fallback delivered wrong bytes")
-	}
-	if stats.RingFallbacks != stats.Slices || stats.Slices == 0 {
-		t.Errorf("RingFallbacks = %d over %d slices, want all", stats.RingFallbacks, stats.Slices)
 	}
 }

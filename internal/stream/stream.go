@@ -1,35 +1,34 @@
-// Package stream implements the multi-level overlapping I/O pipeline of
-// the comparator's verification stage (paper §2.1, Fig. 3), once, for every
-// planner: a Plan names N sources — a file and the extents needed from it —
-// and an ordered list of jobs, each comparing one extent of one source with
-// one extent of another. A pair comparison is the plan of two sources, a
-// group of N runs is N sources whose shared extents are listed once, and a
-// differential (CAS) comparison is the single pack every member views.
+// Package stream implements the verification stage of the comparator
+// (paper §2.1, Fig. 3), once, for every planner: a Plan names N sources — a
+// file and the extents needed from it — and an ordered list of jobs, each
+// comparing one extent of one source with one extent of another. A pair
+// comparison is the plan of two sources, a group of N runs is N sources
+// whose shared extents are listed once, and a differential (CAS) comparison
+// is the single pack every member views.
 //
 // The job list is cut into windows: a window closes at the first job that
 // takes any source's bytes in it to Config.SliceBytes — twice that for a
 // source holding both sides of a job, so SliceBytes bounds one side whether
 // a pair sits in two files or one pack — and the jobs right behind it that
 // share an extent with it and still fit. One window pins at most SliceBytes
-// plus one job's bytes per source and side. An I/O producer reads
-// each window's sources once into buffers from the stage-2 arena —
-// consecutive sources two at a time up the read ladder (aio.ReadLadder), so
-// a PairReader backend overlaps them — while the consumer transfers the
-// previous window to the device and runs the comparison kernel. Buffering
-// is depth-N (Config.Depth, default 2 — classic double buffering), so
-// steady-state cost is bounded by the slower of the I/O and compute rates
-// rather than their sum, and a run holds Depth × N window buffers, returned
-// on every exit path, however much data the plan covers.
+// plus one job's bytes per source and side, in one buffer set per source
+// from the stage-2 arena, held from the first window to Run's return.
 //
-// The consumer is data-parallel: a window's jobs are split into
-// byte-balanced contiguous ranges dispatched over Config.Exec in one
-// dispatch, joined before the next window. A window's virtual compute is a
-// sum of Durations (launch + transfer + Σ per-job terms), which no
-// evaluation order can change, so the virtual clock is the same at any
-// worker count.
+// Run takes the windows one at a time on the calling goroutine. It prices a
+// window — every source's extents once, consecutive sources two at a time
+// up the read ladder (aio.ReadLadder), so a PairPricer backend overlaps
+// them — and verifies it in one dispatch over Config.Exec: the window's jobs
+// split into byte-balanced contiguous ranges, each of which lands the
+// extents its jobs name (pfs.File.Copy, one per run of them adjacent in the
+// file) and verifies them while they are in cache, so the reads overlap the
+// comparison kernel on every worker. An extent jobs of several ranges name
+// lands once, before the dispatch. A window's virtual compute is a sum of
+// Durations (launch + transfer + Σ per-job terms), which no evaluation order
+// can change, so the virtual clock is the same at any worker count.
 //
-// The pipeline runs with real goroutine overlap (wall time) and accounts
-// virtual time with the depth-N recurrence (VirtualPipeline):
+// Virtual time is a depth-N two-stage pipeline's (Config.Depth, default 2 —
+// classic double buffering), accounted with the recurrence
+// (VirtualPipeline):
 //
 //	ioStart_i   = max(ioEnd_{i-1}, compEnd_{i-depth})
 //	compStart_i = max(compEnd_{i-1}, ioEnd_i)
@@ -95,8 +94,8 @@ type Plan struct {
 	// back to what it knew without the bytes.
 	Degrade bool
 	// Check, when set, is the ladder's integrity rung: it is called once
-	// per source extent of every window, before any job sees the bytes,
-	// and may repair data in place. An extent it rejects is delivered to
+	// per source extent of every window, after the extent lands and before
+	// any job sees it, and may repair data in place. An extent it rejects is delivered to
 	// its jobs as a nil side. r is the range the call runs in, as for
 	// Compute.
 	Check func(ctx context.Context, r, src, ext int, data []byte) bool
@@ -168,45 +167,43 @@ func (p *Plan) Seal() {
 
 // Config parameterizes the pipeline.
 type Config struct {
-	// Backend performs the scattered reads. Required.
+	// Backend prices the scattered reads. Required.
 	Backend aio.Backend
 	// Arena supplies the window buffers. Required.
 	Arena *aio.Arena
-	// Exec runs the consumer's verification kernel, one work item per
-	// range of a window (nil verifies every window on the consumer
-	// goroutine). An executor that skips items on cancellation
-	// (device.Cancelable) must be tied to Run's context.
+	// Exec runs each window's ranges — landing their extents, verifying
+	// their jobs — one work item per range (nil runs them on the caller).
+	// An executor that skips items on cancellation (device.Cancelable) must
+	// be tied to Run's context.
 	Exec device.Executor
 	// Device prices host-to-device transfers.
 	Device device.Model
 	// SliceBytes is the target bytes per window per source, and per side
 	// of a source that holds both sides of a job (default 8 MiB).
 	SliceBytes int
-	// Depth is the pipeline depth: how many windows may be in flight at
-	// once (default 2, classic double buffering; 1 serializes I/O against
-	// compute). The producer blocks acquiring a window from the free list,
-	// so the wall-clock pipeline and the virtual-time recurrence share the
-	// same bound.
+	// Depth is the depth of the pipeline virtual time is accounted for:
+	// how many windows may be in flight at once (default 2, classic double
+	// buffering; 1 serializes I/O against compute). Windows run one at a
+	// time; Depth shapes the virtual clock alone (VirtualPipeline).
 	Depth int
-	// Retry governs re-issue of a window's batch reads on Transient
-	// errors. Backoff is charged to the window's I/O virtual time; an
-	// exhausted budget surfaces the error wrapped Permanent. The zero
-	// policy disables retries.
+	// Retry governs re-issue of a window's pricing on Transient errors.
+	// Backoff is charged to the window's I/O virtual time; an exhausted
+	// budget surfaces the error wrapped Permanent. The zero policy disables
+	// retries.
 	Retry retry.Policy
 }
 
 // Stats reports the pipeline's resource consumption. On error the
 // cumulative fields (Slices, BytesRead, ReadCost, IOVirtual,
-// ComputeVirtual, PipelineVirtual) cover only the windows consumed before
+// ComputeVirtual, PipelineVirtual) cover only the windows priced before
 // the failure — partial but truthful; Wall always covers the whole call.
 type Stats struct {
-	// Slices is the number of windows consumed.
+	// Slices is the number of windows priced.
 	Slices int
 	// BytesRead counts the bytes read from every source.
 	BytesRead int64
 	// PeakWindowBytes is the most bytes one window asked of its sources,
 	// all of them summed, as cut — whether or not every read then succeeded.
-	// A run holds at most Depth windows at once.
 	PeakWindowBytes int64
 	// ReadCost aggregates the storage cost of all reads.
 	ReadCost pfs.Cost
@@ -219,10 +216,10 @@ type Stats struct {
 	// Wall is the measured wall-clock time of the pipeline, set on both
 	// success and error returns.
 	Wall time.Duration
-	// ReadRetries counts batch reads re-issued under Config.Retry.
+	// ReadRetries counts window pricings re-issued under Config.Retry.
 	ReadRetries int
-	// RingFallbacks counts reads served by a fresh-ring aio.Legacy read
-	// after the shared ring reported ErrRingClosed.
+	// RingFallbacks is always 0: no read falls back to a fresh ring. It
+	// stays for the results and journal records that carry it.
 	RingFallbacks int
 }
 
@@ -239,27 +236,25 @@ type Stats struct {
 // lowest job; later ranges may still have run.
 type Compute func(r int, j Job, a, b []byte) (time.Duration, error)
 
-// window is one pipeline stage in flight: a run of the job list, the
-// buffer set each source's extents land in, and the outcome of its reads.
+// window is the stretch of the job list being priced and verified: its
+// jobs, the buffer set each source's extents land in, and what pricing them
+// cost.
 type window struct {
 	lo, hi int           // plan.Jobs[lo:hi]
 	sets   []*aio.BufSet // by source; nil until the source is first needed
-	// at[i] is where job lo+i's sides landed: the index of each side's
+	// at[i] is where job lo+i's sides land: the index of each side's
 	// request in its source's set, or -1 for a job whose source is dead.
 	at      [][2]int32
-	loaded  []int // the sources read this window, ascending
-	held    int64 // bytes asked of the sources, read or not
-	bytes   int64 // bytes read
+	loaded  []int // the live sources priced this window, ascending
+	held    int64 // bytes asked of the sources, priced or not
+	bytes   int64 // bytes priced
 	skipped int
 	io      time.Duration
 	cost    pfs.Cost
-	err     error
-	retries int // batch reads re-issued under the retry policy
-	fell    int // reads served by the Legacy fallback
+	retries int // pricings re-issued under the retry policy
 }
 
-// reader is the producer side of a run: it cuts the job list into windows
-// and reads them. Only the producer goroutine touches it.
+// reader cuts the job list into windows and prices them.
 type reader struct {
 	plan  *Plan
 	cfg   Config
@@ -307,17 +302,17 @@ func newReader(plan *Plan, cfg Config) (*reader, error) {
 	return r, nil
 }
 
-// fill cuts the next window off the job list and reads it: the one place
+// fill cuts the next window off the job list and prices it: the one place
 // stage 2 decides what is read together and climbs the read ladder. Each
-// source's extents go out in extent order into adjacent buffer windows, so
-// runs of adjacent extents coalesce and land directly. Consecutive sources
-// are read two at a time (aio.ReadLadder: retries under the policy with
-// backoff charged to the window's I/O time, then one fresh-ring read when
-// the shared ring reports closed; a PairReader overlaps the two). Under
-// Plan.Degrade a failed duo climbs again one source at a time — one bad
-// source must not take down both — and a source that still cannot be read
-// is dead: its jobs, here and in every later window, are skipped.
-func (r *reader) fill(ctx context.Context, w *window) {
+// source's extents are laid out in extent order in adjacent buffer windows,
+// so runs of adjacent extents coalesce, price as one read and land as one
+// copy. Consecutive sources are priced two at a time (aio.ReadLadder:
+// retries under the policy with backoff charged to the window's I/O time; a
+// PairPricer overlaps the two). Under Plan.Degrade a failed duo climbs again
+// one source at a time — one bad source must not take down both — and a
+// source that still cannot be read is dead: its jobs, here and in every
+// later window, are skipped.
+func (r *reader) fill(ctx context.Context, w *window) error {
 	jobs := r.plan.Jobs
 	*w = window{sets: w.sets, at: w.at[:0], loaded: w.loaded[:0], lo: r.next}
 	clear(r.used)
@@ -370,8 +365,10 @@ func (r *reader) fill(ctx context.Context, w *window) {
 		w.loaded = append(w.loaded, s)
 		w.held += r.used[s]
 	}
-	for i := 0; i < len(w.loaded) && w.err == nil; i += 2 {
-		w.err = r.read(ctx, w, w.loaded[i:min(i+2, len(w.loaded))])
+	for i := 0; i < len(w.loaded); i += 2 {
+		if err := r.price(ctx, w, w.loaded[i:min(i+2, len(w.loaded))]); err != nil {
+			return err
+		}
 	}
 	w.loaded = slices.DeleteFunc(w.loaded, func(s int) bool { return r.dead[s] })
 
@@ -390,6 +387,7 @@ func (r *reader) fill(ctx context.Context, w *window) {
 			}
 		}
 	}
+	return nil
 }
 
 // rides reports whether a job may still join the window being cut after a
@@ -409,8 +407,8 @@ func (r *reader) rides(j *Job) bool {
 	return fresh < 2
 }
 
-// read reads one or two of the window's sources up the ladder.
-func (r *reader) read(ctx context.Context, w *window, srcs []int) error {
+// price prices one or two of the window's sources up the ladder.
+func (r *reader) price(ctx context.Context, w *window, srcs []int) error {
 	var batches [2]aio.Batch
 	var n int64
 	for i, s := range srcs {
@@ -420,9 +418,6 @@ func (r *reader) read(ctx context.Context, w *window, srcs []int) error {
 	rd, err := aio.ReadLadder(ctx, r.cfg.Backend, r.cfg.Retry, batches[:len(srcs)]...)
 	w.io += rd.IO
 	w.retries += rd.Retries
-	if rd.FellBack {
-		w.fell++
-	}
 	switch {
 	case err == nil:
 		w.cost.Add(rd.Cost)
@@ -432,29 +427,266 @@ func (r *reader) read(ctx context.Context, w *window, srcs []int) error {
 		// degraded away.
 		return err
 	case len(srcs) == 2:
-		if err := r.read(ctx, w, srcs[:1]); err != nil {
+		if err := r.price(ctx, w, srcs[:1]); err != nil {
 			return err
 		}
-		return r.read(ctx, w, srcs[1:])
+		return r.price(ctx, w, srcs[1:])
 	default:
 		r.dead[srcs[0]] = true
 	}
 	return nil
 }
 
+// drop takes the sources that died since the window was priced — their
+// bytes would not land — out of it: their jobs here are skipped, as in
+// every later window.
+func (r *reader) drop(w *window) {
+	w.loaded = slices.DeleteFunc(w.loaded, func(s int) bool { return r.dead[s] })
+	for i, j := range r.plan.Jobs[w.lo:w.hi] {
+		if w.at[i][0] >= 0 && (r.dead[j.A.Src] || r.dead[j.B.Src]) {
+			w.at[i] = [2]int32{-1, -1}
+			w.skipped++
+		}
+	}
+}
+
+// copyAt lands one run of adjacent extents: pfs.File.Copy, a variable so
+// tests can count the copies.
+var copyAt = (*pfs.File).Copy
+
+// landReqs lands a source's requests — ascending, laid back to back in its
+// buffer set — with one copy per run of them adjacent in the file.
+func landReqs(f *pfs.File, reqs []aio.ReadReq) error {
+	for k := 0; k < len(reqs); {
+		n, e := reqs[k].Len, k+1
+		for ; e < len(reqs) && reqs[e-1].Off+int64(reqs[e-1].Len) == reqs[e].Off; e++ {
+			n += reqs[e].Len
+		}
+		if err := copyAt(f, reqs[k].Buf[:n], reqs[k].Off); err != nil {
+			return err
+		}
+		k = e
+	}
+	return nil
+}
+
+// landRun is requests [lo, hi) of source src's set, landed by range owner.
+type landRun struct {
+	src, lo, hi, owner int
+}
+
 // rangeResult is one range's outcome, written by the range's worker and
-// read by the consumer after the join.
+// read after the join.
 type rangeResult struct {
 	comp time.Duration
 	err  error
+	lost bool // err is a failure to land the range's bytes
 	ran  bool
 }
 
-// Run streams the plan through the pipeline. Cancellation is observed at
-// three points: the producer aborts between windows (and its backend reads
-// observe the context themselves), the consumer aborts between windows,
-// and a canceled run drains the producer before returning, so no goroutine
-// leaks and every buffer set is back in the arena.
+// verifier lands and verifies one window at a time, range-parallel over
+// the executor.
+type verifier struct {
+	plan      *Plan
+	cfg       Config
+	compute   Compute
+	maxRanges int
+	w         *window
+	bounds    []int         // range r is items [bounds[r], bounds[r+1])
+	results   []rangeResult // by range
+	// owner[s][k] is the range that lands request k of source s: -1 while
+	// no job names it, nr — the prelude — once jobs of two ranges do.
+	owner [][]int32
+	lands []landRun // the window's runs of requests, each with its owner
+	src   int       // the source the land-and-check pass is on
+	// verifyRange and checkRange are the two dispatches' work items.
+	verifyRange, checkRange func(r int)
+}
+
+func newVerifier(ctx context.Context, plan *Plan, cfg Config, compute Compute) *verifier {
+	maxRanges := MaxRanges(cfg.Exec)
+	v := &verifier{plan: plan, cfg: cfg, compute: compute, maxRanges: maxRanges,
+		bounds: make([]int, 0, maxRanges+1), results: make([]rangeResult, maxRanges),
+		owner: make([][]int32, len(plan.Sources))}
+	v.verifyRange = v.verifyIn
+	v.checkRange = func(r int) { v.checkIn(ctx, r) }
+	return v
+}
+
+// run lands and verifies a window and returns its virtual compute. Under
+// Plan.Degrade or with Plan.Check every extent lands, a source at a time,
+// and is judged before any job sees it; a source whose bytes fail to land
+// is dead under Degrade and fails the run otherwise. Then each range
+// verifies its jobs — landing their extents first when nothing has yet.
+func (v *verifier) run(ctx context.Context, rd *reader, w *window) (time.Duration, error) {
+	v.w = w
+	checked := v.plan.Degrade || v.plan.Check != nil
+	if checked {
+		for _, s := range w.loaded {
+			reqs := w.sets[s].Reqs
+			v.bounds = Ranges(v.bounds, len(reqs), func(i int) int { return reqs[i].Len }, v.maxRanges)
+			v.src = s
+			if _, lost, err := v.join(ctx, v.checkRange); err != nil {
+				if !lost || !v.plan.Degrade {
+					return 0, err
+				}
+				rd.dead[s] = true
+			}
+		}
+		rd.drop(w)
+	}
+	// One batched kernel per window: launch and transfer charged here, the
+	// callbacks contribute only their bandwidth terms. A window with
+	// nothing left to verify launches nothing.
+	jobs := v.plan.Jobs[w.lo:w.hi]
+	if w.skipped == len(jobs) {
+		return 0, nil
+	}
+	v.bounds = Ranges(v.bounds, len(jobs), func(i int) int { return jobs[i].Len }, v.maxRanges)
+	v.lands = v.lands[:0]
+	if !checked {
+		nr := len(v.bounds) - 1
+		v.planLands(jobs, nr)
+		if err := v.landOwned(nr); err != nil {
+			return 0, err
+		}
+	}
+	kernel, _, err := v.join(ctx, v.verifyRange)
+	if err != nil {
+		return 0, err
+	}
+	return v.cfg.Device.KernelLaunch + v.cfg.Device.TransferTime(w.bytes) + kernel, nil
+}
+
+// planLands gives every request of the window to the range whose jobs name
+// it — to the prelude when jobs of several ranges do — and lists the runs
+// of consecutive requests one owner lands.
+func (v *verifier) planLands(jobs []Job, nr int) {
+	w := v.w
+	for _, s := range w.loaded {
+		own := slices.Grow(v.owner[s][:0], len(w.sets[s].Reqs))[:len(w.sets[s].Reqs)]
+		for k := range own {
+			own[k] = -1
+		}
+		v.owner[s] = own
+	}
+	for r := 0; r < nr; r++ {
+		for i := v.bounds[r]; i < v.bounds[r+1]; i++ {
+			at := w.at[i]
+			if at[0] < 0 {
+				continue
+			}
+			for side, src := range [2]int{jobs[i].A.Src, jobs[i].B.Src} {
+				switch o := &v.owner[src][at[side]]; *o {
+				case -1:
+					*o = int32(r)
+				case int32(r):
+				default:
+					*o = int32(nr)
+				}
+			}
+		}
+	}
+	for _, s := range w.loaded {
+		own := v.owner[s]
+		for k := 0; k < len(own); {
+			e := k + 1
+			for e < len(own) && own[e] == own[k] {
+				e++
+			}
+			if own[k] >= 0 {
+				v.lands = append(v.lands, landRun{src: s, lo: k, hi: e, owner: int(own[k])})
+			}
+			k = e
+		}
+	}
+}
+
+// landOwned lands the runs owner lands, in order.
+func (v *verifier) landOwned(owner int) error {
+	for _, run := range v.lands {
+		if run.owner != owner {
+			continue
+		}
+		if err := landReqs(v.plan.Sources[run.src].File, v.w.sets[run.src].Reqs[run.lo:run.hi]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// verifyIn is range r of the verify dispatch: it lands the range's runs,
+// then runs its jobs in order.
+func (v *verifier) verifyIn(r int) {
+	if err := v.landOwned(r); err != nil {
+		v.results[r] = rangeResult{err: err, lost: true, ran: true}
+		return
+	}
+	res := rangeResult{ran: true}
+	w := v.w
+	for i := v.bounds[r]; i < v.bounds[r+1]; i++ {
+		at := w.at[i]
+		if at[0] < 0 {
+			continue
+		}
+		j := v.plan.Jobs[w.lo+i]
+		kv, err := v.compute(r, j, w.sets[j.A.Src].Reqs[at[0]].Buf, w.sets[j.B.Src].Reqs[at[1]].Buf)
+		if err != nil {
+			res.err = err
+			break
+		}
+		res.comp += kv
+	}
+	v.results[r] = res
+}
+
+// checkIn is range r of a source's land-and-check pass: the range's
+// extents land, then Plan.Check judges each; a rejected one is delivered
+// as a nil side.
+func (v *verifier) checkIn(ctx context.Context, r int) {
+	reqs := v.w.sets[v.src].Reqs[v.bounds[r]:v.bounds[r+1]]
+	if err := landReqs(v.plan.Sources[v.src].File, reqs); err != nil {
+		v.results[r] = rangeResult{err: err, lost: true, ran: true}
+		return
+	}
+	if check := v.plan.Check; check != nil {
+		for k := range reqs {
+			if q := &reqs[k]; !check(ctx, r, v.src, q.Tag, q.Buf) {
+				q.Buf = nil
+			}
+		}
+	}
+	v.results[r] = rangeResult{ran: true}
+}
+
+// join runs the ranges cut in bounds over the executor and sums their
+// compute. Ranges are contiguous and each stops at its first failure, so
+// the first failed range holds the error of the lowest item; lost reports
+// that the error is a failure to land its bytes.
+func (v *verifier) join(ctx context.Context, run func(r int)) (comp time.Duration, lost bool, err error) {
+	nr := len(v.bounds) - 1
+	clear(v.results[:nr])
+	device.ForCoarse(v.cfg.Exec, nr, run)
+	for r := 0; r < nr; r++ {
+		res := &v.results[r]
+		if res.err != nil {
+			return 0, res.lost, res.err
+		}
+		if !res.ran {
+			if cerr := ctx.Err(); cerr != nil {
+				return 0, false, cerr
+			}
+			return 0, false, fmt.Errorf("stream: executor skipped range %d of %d", r, nr)
+		}
+		comp += res.comp
+	}
+	return comp, false, nil
+}
+
+// Run streams the plan through the pipeline, a window at a time on the
+// calling goroutine. Cancellation is observed between windows, by the
+// backend's pricing, and by an executor tied to ctx; every buffer set is
+// back in the arena when Run returns.
 func Run(ctx context.Context, plan *Plan, cfg Config, compute Compute) (stats Stats, err error) {
 	if len(plan.Jobs) == 0 {
 		return stats, nil
@@ -479,110 +711,20 @@ func Run(ctx context.Context, plan *Plan, cfg Config, compute Compute) (stats St
 	sw := metrics.NewStopwatch()
 	defer func() { stats.Wall = sw.Lap() }()
 
-	// Free list of windows, sized to the pipeline depth: the producer
-	// cannot run more than Depth windows ahead of the consumer.
-	windows := make([]window, cfg.Depth)
-	pool := make(chan *window, cfg.Depth)
-	for i := range windows {
-		windows[i].sets = make([]*aio.BufSet, len(plan.Sources))
-		pool <- &windows[i]
-	}
-
-	filled := make(chan *window, cfg.Depth)
-	done := make(chan struct{})
-	go func() {
-		defer close(filled)
-		for rd.next < len(plan.Jobs) {
-			var w *window
-			select {
-			case w = <-pool:
-			case <-done:
-				return
-			case <-ctx.Done():
-				return
-			}
-			rd.fill(ctx, w)
-			select {
-			case filled <- w:
-			case <-done:
-				return
-			}
-		}
-	}()
+	w := &window{sets: make([]*aio.BufSet, len(plan.Sources))}
 	defer func() {
-		close(done)
-		for range filled { // drain so the producer can exit
-		}
-		for i := range windows {
-			for _, set := range windows[i].sets {
-				cfg.Arena.Put(set)
-			}
+		for _, set := range w.sets {
+			cfg.Arena.Put(set)
 		}
 	}()
-
-	// Consumer: verifies each window range-parallel over cfg.Exec and
-	// advances the virtual clock by the depth-N recurrence.
-	maxRanges := MaxRanges(cfg.Exec)
-	bounds := make([]int, 0, maxRanges+1)
-	results := make([]rangeResult, maxRanges)
-	var cur *window
-	var curSrc int
-	verifyRange := func(r int) {
-		res := rangeResult{ran: true}
-		for i := bounds[r]; i < bounds[r+1]; i++ {
-			at := cur.at[i]
-			if at[0] < 0 {
-				continue
-			}
-			j := plan.Jobs[cur.lo+i]
-			kv, err := compute(r, j, cur.sets[j.A.Src].Reqs[at[0]].Buf, cur.sets[j.B.Src].Reqs[at[1]].Buf)
-			if err != nil {
-				res.err = err
-				break
-			}
-			res.comp += kv
-		}
-		results[r] = res
-	}
-	checkRange := func(r int) {
-		reqs := cur.sets[curSrc].Reqs
-		for k := bounds[r]; k < bounds[r+1]; k++ {
-			if q := &reqs[k]; !plan.Check(ctx, r, curSrc, q.Tag, q.Buf) {
-				q.Buf = nil
-			}
-		}
-		results[r] = rangeResult{ran: true}
-	}
-	// join runs the ranges cut in bounds over the executor and sums their
-	// compute. Ranges are contiguous and each stops at its first failure,
-	// so the first failed range holds the error of the lowest item.
-	join := func(run func(r int)) (time.Duration, error) {
-		nr := len(bounds) - 1
-		clear(results[:nr])
-		device.ForCoarse(cfg.Exec, nr, run)
-		var comp time.Duration
-		for r := 0; r < nr; r++ {
-			if err := results[r].err; err != nil {
-				return 0, err
-			}
-			if !results[r].ran {
-				if cerr := ctx.Err(); cerr != nil {
-					return 0, cerr
-				}
-				return 0, fmt.Errorf("stream: executor skipped range %d of %d", r, nr)
-			}
-			comp += results[r].comp
-		}
-		return comp, nil
-	}
-
+	v := newVerifier(ctx, plan, cfg, compute)
 	vp := NewVirtualPipeline(cfg.Depth)
-	for w := range filled {
-		if cerr := ctx.Err(); cerr != nil {
-			return stats, cerr
+	for rd.next < len(plan.Jobs) {
+		if err := ctx.Err(); err != nil {
+			return stats, err
 		}
-		if w.err != nil {
-			return stats, w.err
+		if err := rd.fill(ctx, w); err != nil {
+			return stats, err
 		}
 		stats.Slices++
 		stats.ReadCost.Add(w.cost)
@@ -590,34 +732,14 @@ func Run(ctx context.Context, plan *Plan, cfg Config, compute Compute) (stats St
 		stats.PeakWindowBytes = max(stats.PeakWindowBytes, w.held)
 		stats.IOVirtual += w.io
 		stats.ReadRetries += w.retries
-		stats.RingFallbacks += w.fell
 
-		cur = w
-		if plan.Check != nil {
-			for _, curSrc = range w.loaded {
-				reqs := w.sets[curSrc].Reqs
-				bounds = Ranges(bounds, len(reqs), func(i int) int { return reqs[i].Len }, maxRanges)
-				if _, err := join(checkRange); err != nil {
-					return stats, err
-				}
-			}
-		}
-		// One batched kernel per window: launch and transfer charged here,
-		// the callbacks contribute only their bandwidth terms. A window
-		// with nothing left to verify launches nothing.
-		var comp time.Duration
-		if jobs := plan.Jobs[w.lo:w.hi]; w.skipped < len(jobs) {
-			bounds = Ranges(bounds, len(jobs), func(i int) int { return jobs[i].Len }, maxRanges)
-			kernel, err := join(verifyRange)
-			if err != nil {
-				return stats, err
-			}
-			comp = cfg.Device.KernelLaunch + cfg.Device.TransferTime(w.bytes) + kernel
+		comp, err := v.run(ctx, rd, w)
+		if err != nil {
+			return stats, err
 		}
 		stats.ComputeVirtual += comp
 		vp.Advance(w.io, comp)
 		stats.PipelineVirtual = vp.Total()
-		pool <- w // recycle the window and its buffer sets
 	}
 	return stats, ctx.Err()
 }

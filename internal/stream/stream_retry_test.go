@@ -16,7 +16,7 @@ import (
 
 var errBlip = errors.New("storage blip")
 
-// flakyBackend fails its first `fails` ReadBatch calls with a
+// flakyBackend fails its first `fails` Price calls with a
 // Transient-classified error, then delegates to the inner backend.
 type flakyBackend struct {
 	inner aio.Backend
@@ -26,21 +26,12 @@ type flakyBackend struct {
 
 func (f *flakyBackend) Name() string { return "flaky" }
 
-func (f *flakyBackend) ReadBatch(ctx context.Context, file *pfs.File, reqs []aio.ReadReq) (pfs.Cost, time.Duration, error) {
+func (f *flakyBackend) Price(ctx context.Context, file *pfs.File, reqs []aio.ReadReq) (pfs.Cost, time.Duration, error) {
 	atomic.AddInt32(&f.calls, 1)
 	if atomic.AddInt32(&f.fails, -1) >= 0 {
 		return pfs.Cost{}, 0, retry.Mark(errBlip, retry.Transient)
 	}
-	return f.inner.ReadBatch(ctx, file, reqs)
-}
-
-// closedBackend always reports the shared ring as closed.
-type closedBackend struct{}
-
-func (closedBackend) Name() string { return "closed" }
-
-func (closedBackend) ReadBatch(context.Context, *pfs.File, []aio.ReadReq) (pfs.Cost, time.Duration, error) {
-	return pfs.Cost{}, 0, aio.ErrRingClosed
+	return f.inner.Price(ctx, file, reqs)
 }
 
 func retryPolicy() retry.Policy {

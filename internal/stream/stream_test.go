@@ -82,7 +82,7 @@ func TestRunDeliversCorrectBuffers(t *testing.T) {
 	fa, fb, da, db := twoFiles(t, 1<<20)
 	pairs := pairsEvery(64, 4096, 8192)
 	var visited int32
-	cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewUring(16, 2), Device: device.GPUModel(), SliceBytes: 64 << 10}
+	cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewUring(16), Device: device.GPUModel(), SliceBytes: 64 << 10}
 	stats, err := Run(context.Background(), pairPlan(fa, fb, pairs), cfg, func(_ int, j Job, a, b []byte) (time.Duration, error) {
 		p := pairs[j.Index]
 		atomic.AddInt32(&visited, 1)
@@ -115,7 +115,7 @@ func TestPipelineOverlapBound(t *testing.T) {
 	// The overlapped total must be between max(io, compute) and io+compute.
 	fa, fb, _, _ := twoFiles(t, 1<<20)
 	pairs := pairsEvery(128, 4096, 8192)
-	cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewUring(32, 2), Device: device.GPUModel(), SliceBytes: 128 << 10}
+	cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewUring(32), Device: device.GPUModel(), SliceBytes: 128 << 10}
 	kernel := 500 * time.Microsecond
 	stats, err := Run(context.Background(), pairPlan(fa, fb, pairs), cfg, func(int, Job, []byte, []byte) (time.Duration, error) {
 		return kernel, nil
@@ -159,7 +159,7 @@ func TestRunComputeErrorStopsPipeline(t *testing.T) {
 	fa, fb, _, _ := twoFiles(t, 1<<20)
 	pairs := pairsEvery(64, 4096, 8192)
 	wantErr := errors.New("kernel failed")
-	cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewUring(8, 2), Device: device.GPUModel(), SliceBytes: 32 << 10}
+	cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewUring(8), Device: device.GPUModel(), SliceBytes: 32 << 10}
 	calls := 0
 	_, err := Run(context.Background(), pairPlan(fa, fb, pairs), cfg, func(int, Job, []byte, []byte) (time.Duration, error) {
 		calls++
@@ -179,7 +179,7 @@ func TestRunReadErrorPropagates(t *testing.T) {
 	// backend tolerates but yields a backend error in uring only when the
 	// request itself is invalid; use a negative offset to force an error.
 	pairs := []chunkPair{{Index: 0, OffA: -4, OffB: 0, Len: 16}}
-	if _, err := Run(context.Background(), pairPlan(fa, fb, pairs), Config{Arena: aio.NewArena(0), Backend: aio.NewUring(4, 1), Device: device.GPUModel()}, func(int, Job, []byte, []byte) (time.Duration, error) {
+	if _, err := Run(context.Background(), pairPlan(fa, fb, pairs), Config{Arena: aio.NewArena(0), Backend: aio.NewUring(4), Device: device.GPUModel()}, func(int, Job, []byte, []byte) (time.Duration, error) {
 		return 0, nil
 	}); err == nil {
 		t.Error("negative offset read accepted")

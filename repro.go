@@ -310,16 +310,14 @@ func NewParallelExecutor(workers int) Executor { return device.NewParallel(worke
 // SerialExecutor returns the single-threaded executor.
 func SerialExecutor() Executor { return device.Serial{} }
 
-// NewUringBackend returns an io_uring-style asynchronous read backend.
-// Its submission/completion ring is persistent — started on first use and
-// reused across every batch — and run-A/run-B request batches submitted
-// through it overlap in one ring. Call its Close method when the backend
-// is no longer needed (DefaultBackend never needs closing).
-func NewUringBackend(queueDepth, workers int) *aio.Uring {
-	return aio.NewUring(queueDepth, workers)
+// NewUringBackend returns an io_uring-style read backend: reads in flight
+// up to queueDepth overlap their latencies on the virtual clock, and
+// run-A/run-B request batches price as one deep queue.
+func NewUringBackend(queueDepth int) *aio.Uring {
+	return aio.NewUring(queueDepth)
 }
 
-// DefaultBackend returns the default plane's persistent io_uring-style
+// DefaultBackend returns the default plane's io_uring-style
 // engine, the backend the comparison layer builds on when Options.Backend
 // is nil (wrapped in read coalescing; see Options.CoalesceMaxGap).
 func DefaultBackend() *aio.Uring { return service.Default().Backend() }

@@ -152,7 +152,7 @@ func TestFacadeConstructors(t *testing.T) {
 	if repro.SerialExecutor().Workers() != 1 {
 		t.Error("serial executor workers wrong")
 	}
-	if repro.NewUringBackend(8, 2).Name() != "io_uring" {
+	if repro.NewUringBackend(8).Name() != "io_uring" {
 		t.Error("uring backend name wrong")
 	}
 	if repro.MmapBackend().Name() != "mmap" {
