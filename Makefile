@@ -168,7 +168,7 @@ examples:
 # LOC_CEILING, the total of the last PR that lowered it — a PR that removes
 # code lowers the ceiling to its own result, one that must add code raises
 # it in the same diff, where a reviewer sees it.
-LOC_CEILING = 27266
+LOC_CEILING = 27189
 loc:
 	@for d in $$(find . -name '*.go' ! -name '*_test.go' | xargs -n1 dirname | sort -u); do \
 		printf '%7d %s\n' $$(ls $$d/*.go | grep -v _test.go | xargs cat | wc -l) $$d; \

@@ -8,27 +8,18 @@ import (
 )
 
 // jsonResult is the machine-readable form of a comparison, for CI
-// integration (the paper's §5 use case).
+// integration (the paper's §5 use case): its account as it is, and what
+// the account cannot say.
 type jsonResult struct {
-	Method          string          `json:"method"`
-	Identical       bool            `json:"identical"`
-	DiffCount       int64           `json:"diffCount"`
-	TotalElements   int64           `json:"totalElements"`
-	CandidateChunks int             `json:"candidateChunks"`
-	ChangedChunks   int             `json:"changedChunks"`
-	TotalChunks     int             `json:"totalChunks"`
-	FalsePositives  int             `json:"falsePositiveChunks"`
-	CheckpointBytes int64           `json:"checkpointBytes"`
-	BytesRead       int64           `json:"bytesRead"`
-	MetadataBytes   int64           `json:"metadataBytes"`
-	WallMicros      int64           `json:"wallMicros"`
-	VirtualMicros   int64           `json:"virtualMicros"`
-	ModelGBps       float64         `json:"modelGBps"`
-	Degraded        bool            `json:"degraded,omitempty"`
-	Unverified      int             `json:"unverifiedChunks,omitempty"`
-	ReadRetries     int             `json:"readRetries,omitempty"`
-	RingFallbacks   int             `json:"ringFallbacks,omitempty"`
-	Fields          []jsonFieldDiff `json:"fields,omitempty"`
+	Method         string          `json:"method"`
+	Identical      bool            `json:"identical"`
+	TotalElements  int64           `json:"totalElements"`
+	FalsePositives int             `json:"falsePositiveChunks"`
+	WallMicros     int64           `json:"wallMicros"`
+	VirtualMicros  int64           `json:"virtualMicros"`
+	ModelGBps      float64         `json:"modelGBps"`
+	Fields         []jsonFieldDiff `json:"fields,omitempty"`
+	*repro.Account
 }
 
 type jsonFieldDiff struct {
@@ -51,33 +42,23 @@ type jsonHistory struct {
 	Pairs           []jsonPair `json:"pairs"`
 }
 
+// jsonPair is one aligned pair of a history: where it is, and its account.
 type jsonPair struct {
-	Iteration int   `json:"iteration"`
-	Rank      int   `json:"rank"`
-	DiffCount int64 `json:"diffCount"`
-	Degraded  bool  `json:"degraded,omitempty"`
+	Iteration int `json:"iteration"`
+	Rank      int `json:"rank"`
+	*repro.Account
 }
 
 func toJSONResult(res *repro.Result, verbose bool) jsonResult {
 	out := jsonResult{
-		Method:          res.Method,
-		Identical:       res.Identical(),
-		DiffCount:       res.DiffCount,
-		TotalElements:   res.TotalElements,
-		CandidateChunks: res.CandidateChunks,
-		ChangedChunks:   res.ChangedChunks,
-		TotalChunks:     res.TotalChunks,
-		FalsePositives:  res.FalsePositiveChunks(),
-		CheckpointBytes: res.CheckpointBytes,
-		BytesRead:       res.BytesRead,
-		MetadataBytes:   res.MetadataBytes,
-		WallMicros:      res.WallElapsed().Microseconds(),
-		VirtualMicros:   res.VirtualElapsed().Microseconds(),
-		ModelGBps:       res.ThroughputGBps(),
-		Degraded:        res.Degraded,
-		Unverified:      res.UnverifiedChunks,
-		ReadRetries:     res.ReadRetries,
-		RingFallbacks:   res.RingFallbacks,
+		Method:         res.Method,
+		Identical:      res.Identical(),
+		TotalElements:  res.TotalElements,
+		FalsePositives: res.FalsePositiveChunks(),
+		WallMicros:     res.WallElapsed().Microseconds(),
+		VirtualMicros:  res.VirtualElapsed().Microseconds(),
+		ModelGBps:      res.ThroughputGBps(),
+		Account:        &res.Account,
 	}
 	for _, d := range res.Diffs {
 		fd := jsonFieldDiff{
@@ -103,20 +84,15 @@ func toJSONHistory(report *repro.HistoryReport, method repro.Method, eps float64
 		Reproducible: report.Reproducible(),
 		Degraded:     report.Degraded(),
 	}
-	for _, p := range report.Pairs {
-		out.Pairs = append(out.Pairs, jsonPair{
-			Iteration: p.Iteration,
-			Rank:      p.Rank,
-			DiffCount: p.Result.DiffCount,
-			Degraded:  p.Result.Degraded,
-		})
+	pair := func(p *repro.PairReport) jsonPair {
+		return jsonPair{Iteration: p.Iteration, Rank: p.Rank, Account: &p.Result.Account}
+	}
+	for i := range report.Pairs {
+		out.Pairs = append(out.Pairs, pair(&report.Pairs[i]))
 	}
 	if fd := report.FirstDivergence; fd != nil {
-		out.FirstDivergence = &jsonPair{
-			Iteration: fd.Iteration,
-			Rank:      fd.Rank,
-			DiffCount: fd.Result.DiffCount,
-		}
+		first := pair(fd)
+		out.FirstDivergence = &first
 	}
 	return out
 }

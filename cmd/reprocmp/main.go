@@ -40,6 +40,7 @@ import (
 
 	"repro"
 	"repro/internal/catalog"
+	"repro/internal/compare"
 )
 
 // errDivergent signals a successful comparison that found out-of-bound
@@ -364,14 +365,14 @@ func cmdCompare(ctx context.Context, args []string, out io.Writer) error {
 	} else {
 		printResult(out, res, *verbose)
 	}
-	return verdict(res.DiffCount != 0, res.Degraded || res.UnverifiedChunks > 0)
+	return verdict(res.DiffCount != 0, res.Inconclusive())
 }
 
 func printResult(out io.Writer, res *repro.Result, verbose bool) {
 	fmt.Fprintf(out, "method=%s diffs=%d elements=%d\n", res.Method, res.DiffCount, res.TotalElements)
-	if res.Degraded || res.UnverifiedChunks > 0 {
-		fmt.Fprintf(out, "DEGRADED: %d candidate chunks unverified (retries=%d, ring fallbacks=%d); absence of diffs is inconclusive\n",
-			res.UnverifiedChunks, res.ReadRetries, res.RingFallbacks)
+	if res.Inconclusive() {
+		fmt.Fprintf(out, "DEGRADED: %d candidate chunks unverified (retries=%d); absence of diffs is inconclusive\n",
+			res.UnverifiedChunks, res.ReadRetries)
 	}
 	if res.Method == "merkle" {
 		fmt.Fprintf(out, "chunks: %d candidates of %d total, %d really changed (%d false positives)\n",
@@ -473,7 +474,7 @@ func cmdShard(ctx context.Context, args []string, out io.Writer) error {
 				stats.WorkerFailures, stats.CoordinatorUnits)
 		}
 	}
-	return verdict(res.DiffCount != 0, res.Degraded || res.UnverifiedChunks > 0)
+	return verdict(res.DiffCount != 0, res.Inconclusive())
 }
 
 // cmdGroup compares N runs' checkpoints against a baseline in one engine
@@ -498,31 +499,20 @@ func cmdGroup(ctx context.Context, args []string, out io.Writer) error {
 	if *baseline == "" || *runs == "" {
 		return errors.New("-baseline and -runs are required")
 	}
-	var topo repro.Topology
-	switch *topoName {
-	case "star", "":
-		topo = repro.TopologyStar
-	case "all-pairs":
-		topo = repro.TopologyAllPairs
-	default:
-		return fmt.Errorf("unknown topology %q", *topoName)
+	topo, err := compare.ParseTopology(*topoName)
+	if err != nil {
+		return err
 	}
 	names := strings.Split(*runs, ",")
 	rep, err := repro.GroupCompare(ctx, store, *baseline, names, topo, repro.Options{Epsilon: *eps, ChunkSize: *chunk, Degrade: *degrade})
 	if err != nil {
 		return err
 	}
-	diverged := false
-	for _, p := range rep.Pairs {
-		if p.Result.DiffCount != 0 {
-			diverged = true
-		}
-	}
 	if *asJSON {
 		if err := emitJSON(out, rep); err != nil {
 			return err
 		}
-		return verdict(diverged, rep.Degraded())
+		return verdict(rep.DiffCount != 0, rep.Inconclusive())
 	}
 	fmt.Fprintf(out, "group comparison of %d members (%s): %d pairs, %d read ops, %d bytes read\n",
 		len(rep.Members), topo, len(rep.Pairs), rep.ReadOps, rep.ReadBytes)
@@ -539,7 +529,7 @@ func cmdGroup(ctx context.Context, args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "  %s vs %s: %s\n", p.NameA, p.NameB, status)
 	}
-	return verdict(diverged, rep.Degraded())
+	return verdict(rep.DiffCount != 0, rep.Inconclusive())
 }
 
 func cmdHistory(ctx context.Context, args []string, out io.Writer) error {

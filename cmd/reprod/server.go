@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/compare"
 )
 
 // server is the HTTP surface over one plane and one store. Sessions are
@@ -137,13 +138,13 @@ func (s *server) session(r *http.Request) *repro.Session {
 	return sess
 }
 
-// writeJSON emits one JSON document with the given status.
+// writeJSON emits one compact JSON document with the given status: a done
+// job's status carries its account and steps, and indenting them costs
+// the served path more than the encoding itself.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // errorBody is the uniform error response shape.
@@ -303,16 +304,10 @@ func (jr jobRequest) spec() (repro.JobSpec, error) {
 			Degrade:   jr.Degrade,
 		},
 	}
-	switch jr.Topology {
-	case "", "star":
-		spec.Topology = repro.TopologyStar
-	case "all-pairs":
-		spec.Topology = repro.TopologyAllPairs
-	default:
-		return spec, fmt.Errorf("unknown topology %q", jr.Topology)
-	}
 	spec.Shard.Workers = jr.ShardWorkers
-	return spec, nil
+	var err error
+	spec.Topology, err = compare.ParseTopology(jr.Topology)
+	return spec, err
 }
 
 // handleSubmit accepts a job: 202 with the job snapshot when admitted,
@@ -342,22 +337,6 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.jobs[job.ID()] = job
 	s.mu.Unlock()
 	writeJSON(w, http.StatusAccepted, job.Status())
-}
-
-// ledgerStatus synthesizes a done-job snapshot from a durable verdict
-// record.
-func ledgerStatus(rec repro.WALRecord) repro.JobStatus {
-	return repro.JobStatus{
-		ID:        rec.Job,
-		Kind:      rec.Kind,
-		Tenant:    rec.Tenant,
-		State:     "done",
-		Verdict:   repro.JobVerdict(rec.Exit).String(),
-		ExitCode:  rec.Exit,
-		Error:     rec.ErrMsg,
-		DiffCount: rec.DiffCount,
-		Degraded:  rec.Degraded,
-	}
 }
 
 // jobID parses the {id} path value.
@@ -393,7 +372,7 @@ func (s *server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
 	case job != nil:
 		writeJSON(w, http.StatusOK, job.Status())
 	case fromLedger:
-		writeJSON(w, http.StatusOK, ledgerStatus(rec))
+		writeJSON(w, http.StatusOK, repro.LedgerStatus(rec))
 	default:
 		writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("no job %d", id)})
 	}
@@ -416,7 +395,7 @@ func (s *server) handleJobWait(w http.ResponseWriter, r *http.Request) {
 	}
 	job, rec, fromLedger := s.lookupJob(id)
 	if fromLedger {
-		writeJSON(w, http.StatusOK, ledgerStatus(rec))
+		writeJSON(w, http.StatusOK, repro.LedgerStatus(rec))
 		return
 	}
 	if job == nil {

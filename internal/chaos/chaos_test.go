@@ -167,16 +167,16 @@ func trial(t *testing.T, g group, topo compare.Topology, seed uint64, opts compa
 		out.aborted = true
 		return out
 	}
-	out.degraded = rep.Degraded()
+	out.degraded = rep.Degraded
 	// Zero false matches: the last member provably diverges, so a clean
 	// reproducibility claim is a lie under every schedule.
 	if rep.Reproducible() {
 		t.Fatalf("seed %d topo %v: divergent group reported reproducible (degraded=%v unverified=%d)",
-			seed, topo, rep.Degraded(), rep.UnverifiedChunks())
+			seed, topo, rep.Degraded, rep.UnverifiedChunks)
 	}
 	// No silent degradation: an undegraded report must have found the
 	// divergence outright.
-	if !rep.Degraded() {
+	if !rep.Degraded {
 		var diffs int64
 		for i := range rep.Pairs {
 			diffs += rep.Pairs[i].Result.DiffCount
@@ -288,7 +288,7 @@ func TestChaosStrictAborts(t *testing.T) {
 		if h := g.store.OpenHandles(); h != 0 {
 			t.Fatalf("seed %d: %d pfs handles leaked", seed, h)
 		}
-		if err == nil && rep.Degraded() {
+		if err == nil && rep.Degraded {
 			t.Fatalf("seed %d: strict mode produced a degraded report instead of an error", seed)
 		}
 		g.store.EvictAll()

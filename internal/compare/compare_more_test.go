@@ -4,8 +4,10 @@ import (
 	"context"
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -365,5 +367,25 @@ func TestMetadataCompatVersioning(t *testing.T) {
 		if _, err := DecodeMetadata(c); err == nil {
 			t.Errorf("corruption at byte %d accepted", flip)
 		}
+	}
+}
+
+// TestParseTopology: ParseTopology inverts Topology.String, which is also
+// the topology's JSON, "" is the star, and an unknown name is an error that
+// names it.
+func TestParseTopology(t *testing.T) {
+	for _, want := range []Topology{TopologyStar, TopologyAllPairs} {
+		if got, err := ParseTopology(want.String()); got != want || err != nil {
+			t.Errorf("ParseTopology(%q) = %v, %v", want.String(), got, err)
+		}
+		if raw, err := json.Marshal(want); string(raw) != `"`+want.String()+`"` || err != nil {
+			t.Errorf("%v marshals to %s, %v", want, raw, err)
+		}
+	}
+	if got, err := ParseTopology(""); got != TopologyStar || err != nil {
+		t.Errorf(`ParseTopology("") = %v, %v; want the star`, got, err)
+	}
+	if _, err := ParseTopology("ring"); err == nil || !strings.Contains(err.Error(), `"ring"`) {
+		t.Errorf(`ParseTopology("ring") error %v, want one naming it`, err)
 	}
 }

@@ -314,7 +314,7 @@ func TestGroupDegradeMemberReadFailure(t *testing.T) {
 	if !pr.Degraded || pr.UnverifiedChunks != pr.CandidateChunks || pr.CandidateChunks == 0 {
 		t.Errorf("pair Degraded=%v Unverified=%d Candidates=%d", pr.Degraded, pr.UnverifiedChunks, pr.CandidateChunks)
 	}
-	if !rep.Degraded() || rep.UnverifiedChunks() == 0 {
+	if !rep.Degraded || rep.UnverifiedChunks == 0 {
 		t.Error("group report must surface the degradation")
 	}
 	if rep.Reproducible() {
@@ -378,8 +378,8 @@ func TestGroupDegradeSharedExtentCheckedOnce(t *testing.T) {
 	clean := run(aio.NewCoalescing(aio.Default(), 0))
 	// Every read of the baseline lands with a flipped bit.
 	flipped := run(flipBackend{inner: aio.NewCoalescing(aio.Default(), 0), match: "runA"})
-	if flipped.Degraded() || flipped.UnverifiedChunks() != 0 {
-		t.Fatalf("in-flight corruption of the shared baseline degraded the group: %d unverified", flipped.UnverifiedChunks())
+	if flipped.Degraded || flipped.UnverifiedChunks != 0 {
+		t.Fatalf("in-flight corruption of the shared baseline degraded the group: %d unverified", flipped.UnverifiedChunks)
 	}
 	for pi, p := range flipped.Pairs {
 		assertSameDiffs(t, dettest.Want(sh, env.fields, env.data, p.A, p.B), diffsToMap(p.Result.Diffs),

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cas"
 	"repro/internal/engine"
-	"repro/internal/metrics"
 	"repro/internal/murmur3"
 	"repro/internal/pfs"
 )
@@ -61,50 +60,59 @@ func (t Topology) pairList(n int) ([][2]int, error) {
 	return out, nil
 }
 
+// ParseTopology returns the topology a report names (Topology.String);
+// "" is the star.
+func ParseTopology(name string) (Topology, error) {
+	for _, t := range []Topology{TopologyStar, TopologyAllPairs} {
+		if name == t.String() {
+			return t, nil
+		}
+	}
+	if name == "" {
+		return TopologyStar, nil
+	}
+	return 0, fmt.Errorf("compare: unknown topology %q", name)
+}
+
+// MarshalText names the topology in JSON reports.
+func (t Topology) MarshalText() ([]byte, error) { return []byte(t.String()), nil }
+
 // GroupPairReport is one pair's outcome within a group comparison.
 type GroupPairReport struct {
 	// A and B index GroupReport.Members.
-	A, B int
+	A int `json:"a"`
+	B int `json:"b"`
 	// NameA and NameB are the compared checkpoint names.
-	NameA, NameB string
+	NameA string `json:"nameA"`
+	NameB string `json:"nameB"`
 	// Result is the pair's comparison outcome (method "merkle-group").
-	Result *Result
+	Result *Result `json:"result"`
 }
 
-// GroupReport is the outcome of one N-run group comparison.
+// GroupReport is the outcome of one N-run group comparison. Its Account's
+// verdict and chunk counts are the sums over its pairs (Degraded: any
+// pair's); its byte counts, retries and times are the group plan's own.
 type GroupReport struct {
 	// Members lists the compared checkpoints; index 0 is the baseline.
-	Members []string
+	Members []string `json:"members"`
 	// Topology is the pair coverage.
-	Topology Topology
+	Topology Topology `json:"topology"`
 	// Pairs holds one report per compared pair, in topology order.
-	Pairs []GroupPairReport
+	Pairs []GroupPairReport `json:"pairs"`
 	// ReadOps and ReadBytes are the store-level PFS read operations and
 	// bytes the whole group comparison issued (metadata + shared candidate
 	// reads, after coalescing) — the quantity GroupCompare minimizes
 	// versus sequential pairwise comparison.
-	ReadOps, ReadBytes int64
-	// BytesRead counts data + metadata bytes delivered to the comparator.
-	BytesRead int64
-	// MetadataBytes is the serialized metadata size per member.
-	MetadataBytes int64
-	// CheckpointBytes is the raw data size of ONE member's checkpoint.
-	CheckpointBytes int64
+	ReadOps   int64 `json:"readOps"`
+	ReadBytes int64 `json:"readBytes"`
 	// PipelineVirtual is the overlapped virtual time of the shared
 	// stage-2 read+verify pipeline.
-	PipelineVirtual time.Duration
-	// Breakdown is the group-level per-phase cost split.
-	Breakdown metrics.Breakdown
-	// Steps is the engine's per-step timing table.
-	Steps metrics.StepSpans
-	// ReadRetries counts stage-2 window pricings re-issued under the
-	// retry policy. RingFallbacks is always 0 (there is no ring to fall
-	// back from); the journal and reports still carry it.
-	ReadRetries   int
-	RingFallbacks int
+	PipelineVirtual time.Duration `json:"pipelineVirtual"`
 	// MemberRoots holds each member's combined Merkle root
 	// (Metadata.CombinedRoot), in Members order, for the verdict ledger.
-	MemberRoots []murmur3.Digest
+	MemberRoots []murmur3.Digest `json:"memberRoots"`
+
+	Account
 }
 
 // Reproducible reports whether every compared pair cleanly matched within
@@ -117,25 +125,6 @@ func (g *GroupReport) Reproducible() bool {
 		}
 	}
 	return true
-}
-
-// Degraded reports whether any pair completed on a degraded path.
-func (g *GroupReport) Degraded() bool {
-	for i := range g.Pairs {
-		if g.Pairs[i].Result.Degraded {
-			return true
-		}
-	}
-	return false
-}
-
-// UnverifiedChunks totals the unverified candidate chunks across pairs.
-func (g *GroupReport) UnverifiedChunks() int {
-	total := 0
-	for i := range g.Pairs {
-		total += g.Pairs[i].Result.UnverifiedChunks
-	}
-	return total
 }
 
 // GroupCompare compares N runs' checkpoints as one group: each member's

@@ -132,7 +132,7 @@ func TestGroupCompareDiffMemoPrunesAndSurvivesPackFailure(t *testing.T) {
 				pi, pr.Result.DiffCount, pr.Result.ChangedChunks, r1.DiffCount, r1.ChangedChunks)
 		}
 	}
-	if rep2.Degraded() {
+	if rep2.Degraded {
 		t.Error("fully memoized group marked degraded")
 	}
 
@@ -143,7 +143,7 @@ func TestGroupCompareDiffMemoPrunesAndSurvivesPackFailure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("degrade mode must absorb the pack failure: %v", err)
 	}
-	if !rep3.Degraded() {
+	if !rep3.Degraded {
 		t.Fatal("unmemoized control not degraded")
 	}
 	for pi, pr := range rep3.Pairs {

@@ -101,8 +101,7 @@ func (h *HistoryReport) Reproducible() bool { return h.FirstDivergence == nil }
 // then inconclusive even when Reproducible returns true.
 func (h *HistoryReport) Degraded() bool {
 	for i := range h.Pairs {
-		r := h.Pairs[i].Result
-		if r.Degraded || r.UnverifiedChunks > 0 {
+		if h.Pairs[i].Result.Inconclusive() {
 			return true
 		}
 	}

@@ -32,22 +32,6 @@ import (
 // scan) on the virtual clock.
 const deserializeBytesPerSec = 5e9
 
-// sink is where stage 1 charges its cost: the totals a pair plan's Result
-// and a group plan's GroupReport have in common.
-type sink struct {
-	breakdown                                 *metrics.Breakdown
-	steps                                     *metrics.StepSpans
-	bytesRead, checkpointBytes, metadataBytes *int64
-	readRetries, ringFallbacks                *int
-}
-
-// resultSink charges a pair's Result.
-func resultSink(res *Result) sink {
-	return sink{breakdown: &res.Breakdown, steps: &res.Steps,
-		bytesRead: &res.BytesRead, checkpointBytes: &res.CheckpointBytes, metadataBytes: &res.MetadataBytes,
-		readRetries: &res.ReadRetries, ringFallbacks: &res.RingFallbacks}
-}
-
 // MemberSet carries N checkpoints and the pairs compared among them
 // through stage 1, and collects every pair's stage-2 outcome for the
 // report. Steps communicate exclusively through it; the context arrives
@@ -55,9 +39,10 @@ func resultSink(res *Result) sink {
 type MemberSet struct {
 	store *pfs.Store
 	opts  Options
-	sink  sink
-	// Rep is the group report the set charges, nil for a pair plan (which
-	// charges its pair's Result).
+	// acct is the account the set charges its cost to: its pair's Result's,
+	// or its group's.
+	acct *Account
+	// Rep is the group report whose account acct is, nil for a pair plan.
 	Rep *GroupReport
 	// cs makes the set differential: members are leaf manifests over the
 	// store's shared pack instead of container files.
@@ -98,7 +83,7 @@ type MemberSet struct {
 func newPairSet(store *pfs.Store, cs *cas.Store, nameA, nameB string, opts Options, res *Result) *MemberSet {
 	return &MemberSet{
 		store: store, opts: opts, cs: cs,
-		sink:    resultSink(res),
+		acct:    &res.Account,
 		names:   []string{nameA, nameB},
 		Pairs:   [][2]int{{0, 1}},
 		results: []*Result{res},
@@ -121,10 +106,7 @@ func NewGroupSet(store *pfs.Store, cs *cas.Store, baseline string, runs []string
 	}
 	rep := &GroupReport{Members: members, Topology: topology, Pairs: make([]GroupPairReport, len(pairs))}
 	ms := &MemberSet{
-		store: store, opts: opts, cs: cs, Rep: rep,
-		sink: sink{breakdown: &rep.Breakdown, steps: &rep.Steps,
-			bytesRead: &rep.BytesRead, checkpointBytes: &rep.CheckpointBytes, metadataBytes: &rep.MetadataBytes,
-			readRetries: &rep.ReadRetries, ringFallbacks: &rep.RingFallbacks},
+		store: store, opts: opts, cs: cs, Rep: rep, acct: &rep.Account,
 		names:   members,
 		Pairs:   pairs,
 		results: make([]*Result, len(pairs)),
@@ -157,7 +139,7 @@ func (ms *MemberSet) Stage1(p *engine.Plan, openLabel string) engine.StepID {
 func (ms *MemberSet) Execute(ctx context.Context, p *engine.Plan) error {
 	p.Retry = ms.opts.Retry
 	rep, err := engine.Execute(ctx, p)
-	*ms.sink.steps = rep.Steps
+	ms.acct.Steps = rep.Steps
 	return err
 }
 
@@ -221,7 +203,7 @@ func (ms *MemberSet) open(ctx context.Context, x *engine.Exec) error {
 		}
 		x.CloseOnExit(pack)
 		ms.pack = pack
-		*ms.sink.checkpointBytes = ms.mans[0].TotalBytes()
+		ms.acct.CheckpointBytes = ms.mans[0].TotalBytes()
 		for _, f := range ms.mans[0].Fields {
 			fields = append(fields, ckpt.FieldSpec{Name: f.Name, DType: f.DType, Count: f.Count})
 		}
@@ -238,7 +220,7 @@ func (ms *MemberSet) open(ctx context.Context, x *engine.Exec) error {
 				return fmt.Errorf("compare: %s and %s have different schemas", ms.names[0], name)
 			}
 		}
-		*ms.sink.checkpointBytes = ms.Readers[0].Meta().TotalBytes()
+		ms.acct.CheckpointBytes = ms.Readers[0].Meta().TotalBytes()
 		fields = ms.Readers[0].Meta().Fields
 	}
 	if !ms.dataless {
@@ -246,10 +228,10 @@ func (ms *MemberSet) open(ctx context.Context, x *engine.Exec) error {
 			return err
 		}
 	}
-	*ms.sink.bytesRead += manCost.TotalBytes()
+	ms.acct.BytesRead += manCost.TotalBytes()
 	readV := ms.store.Model().SerialReadTime(manCost, ms.store.Sharers())
 	deserV := simclock.BandwidthTime(manCost.TotalBytes(), deserializeBytesPerSec)
-	b := ms.sink.breakdown
+	b := &ms.acct.Breakdown
 	b.AddVirtual(metrics.PhaseRead, readV)
 	b.AddVirtual(metrics.PhaseDeserialize, deserV)
 	b.AddVirtual(metrics.PhaseSetup, ms.opts.SetupVirtual)
@@ -325,7 +307,7 @@ func (ms *MemberSet) load(ctx context.Context, x *engine.Exec) error {
 				fields[fi] = ckpt.FieldSpec{Name: fm.Name, DType: fm.DType, Count: fm.Tree.DataLen() / int64(fm.DType.Size())}
 				dataBytes += fm.Tree.DataLen()
 			}
-			*ms.sink.checkpointBytes = dataBytes
+			ms.acct.CheckpointBytes = dataBytes
 			if err := ms.bindFields(fields); err != nil {
 				return err
 			}
@@ -340,11 +322,11 @@ func (ms *MemberSet) load(ctx context.Context, x *engine.Exec) error {
 	} else {
 		ms.results[0].RootA, ms.results[0].RootB = roots[0], roots[1]
 	}
-	*ms.sink.metadataBytes = ms.Metas[0].Bytes()
-	*ms.sink.bytesRead += metaCost.TotalBytes()
+	ms.acct.MetadataBytes = ms.Metas[0].Bytes()
+	ms.acct.BytesRead += metaCost.TotalBytes()
 	readV := ms.store.Model().SerialReadTime(metaCost, ms.store.Sharers())
 	deserV := simclock.BandwidthTime(metaCost.TotalBytes(), deserializeBytesPerSec)
-	b := ms.sink.breakdown
+	b := &ms.acct.Breakdown
 	b.AddVirtual(metrics.PhaseRead, readV)
 	b.AddWall(metrics.PhaseRead, sw.Lap())
 	b.AddVirtual(metrics.PhaseDeserialize, deserV)
@@ -358,7 +340,7 @@ func (ms *MemberSet) load(ctx context.Context, x *engine.Exec) error {
 		}
 	}
 	for _, res := range ms.results {
-		res.CheckpointBytes, res.MetadataBytes = *ms.sink.checkpointBytes, *ms.sink.metadataBytes
+		res.CheckpointBytes, res.MetadataBytes = ms.acct.CheckpointBytes, ms.acct.MetadataBytes
 		res.TotalElements = totalElements
 	}
 	return nil
@@ -449,8 +431,8 @@ func (ms *MemberSet) diff(ctx context.Context, x *engine.Exec) error {
 				simclock.BandwidthTime(nodes*16, float64(ms.opts.Device.NodeHashesPerSec)*16)
 		}
 	}
-	ms.sink.breakdown.AddVirtual(metrics.PhaseCompareTree, treeVirtual)
-	ms.sink.breakdown.AddWall(metrics.PhaseCompareTree, sw.Lap())
+	ms.acct.Breakdown.AddVirtual(metrics.PhaseCompareTree, treeVirtual)
+	ms.acct.Breakdown.AddWall(metrics.PhaseCompareTree, sw.Lap())
 	x.AddVirtual(treeVirtual)
 	return nil
 }
@@ -558,12 +540,16 @@ func (ms *MemberSet) planCandidates() (*stream.Plan, []jobRef, error) {
 }
 
 // Report is the planners' report step: every pair's fold lands in its
-// Result, and a group's store-level I/O accounting is closed.
+// Result, and a group's account takes the sum of its pairs' verdicts and
+// chunk counts and closes its store-level I/O accounting.
 func (ms *MemberSet) Report(ctx context.Context, x *engine.Exec) error {
 	for pi := range ms.folds {
 		ms.folds[pi].emit(ms.results[pi], ms.fields)
 	}
 	if ms.Rep != nil {
+		for _, res := range ms.results {
+			ms.Rep.addPair(&res.Account)
+		}
 		ops, bytes := ms.store.ReadStats()
 		ms.Rep.ReadOps, ms.Rep.ReadBytes = ops-ms.startOps, bytes-ms.startBytes
 	}

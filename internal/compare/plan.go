@@ -217,13 +217,13 @@ func (st *stage2) stepStreamVerify(ctx context.Context, x *engine.Exec) error {
 		st.ms.Rep.PipelineVirtual = stats.PipelineVirtual
 	}
 	x.AddVirtual(stats.PipelineVirtual + rereads)
-	st.ms.sink.breakdown.AddWall(metrics.PhaseCompareDirect, sw.Lap())
+	st.ms.acct.Breakdown.AddWall(metrics.PhaseCompareDirect, sw.Lap())
 	return nil
 }
 
 // run is stage 2: the overlapped read+compare pipeline over the plan's
 // windows, the verdicts landed in the pairs' folds, the cost charged to the
-// set's sink. It returns the pipeline's account and the virtual time of the
+// set's account. It returns the pipeline's stats and the virtual time of the
 // integrity re-reads, which sit outside the pipeline's clock. Under degrade
 // the pipeline absorbs what the ladder allows — a source no read rung can
 // serve drops the jobs naming it to the metadata-only verdict, a chunk
@@ -255,16 +255,15 @@ func (st *stage2) run(ctx context.Context) (stream.Stats, time.Duration, error) 
 		return stats, 0, fmt.Errorf("compare: %s: %w", st.wrap, err)
 	}
 	st.drain()
-	*ms.sink.bytesRead += stats.BytesRead
-	*ms.sink.readRetries += stats.ReadRetries
-	*ms.sink.ringFallbacks += stats.RingFallbacks
+	ms.acct.BytesRead += stats.BytesRead
+	ms.acct.ReadRetries += stats.ReadRetries
 	// Following the paper's timer structure (Fig. 6: "for small error
 	// bounds, we need to load more data which is why the verification
 	// time is dominant"), the verification phase owns its overlapped
 	// data loading: the whole pipeline time is charged to CompareDirect,
 	// while PhaseRead holds only the metadata reads.
-	ms.sink.breakdown.AddVirtual(metrics.PhaseCompareDirect, stats.PipelineVirtual)
-	return stats, st.kernel.chargeRereads(ms.store, ms.sink), nil
+	ms.acct.Breakdown.AddVirtual(metrics.PhaseCompareDirect, stats.PipelineVirtual)
+	return stats, st.kernel.chargeRereads(ms.store, ms.acct), nil
 }
 
 // drain lands the kernel's slots in the pairs' folds, in job order — the
@@ -308,12 +307,16 @@ func (st *stage2) drain() {
 // one field and runs them through the same pipeline, ladder and kernel as
 // every other planner, in windows of the size and depth the caller fixed.
 // It works on a view of the set — the same members, metadata and open
-// files; its own candidates, folds and cost sink — so the Stage2s of one
+// files; its own candidates, folds and account — so the Stage2s of one
 // set share nothing they write.
 type Stage2 struct {
 	stage2
-	cost Result // what the view's sink charges
+	cost Account // what the view charges: every Verify call's reads
 }
+
+// Cost is what the Verify calls so far read: the bytes delivered,
+// integrity re-reads included, and the window pricings retried.
+func (s *Stage2) Cost() *Account { return &s.cost }
 
 // NewStage2 returns a piecewise stage 2 over the set, whose stage 1 must
 // have run, streaming windows of sliceBytes per source, depth in flight.
@@ -321,7 +324,7 @@ func (ms *MemberSet) NewStage2(sliceBytes, depth int) *Stage2 {
 	s := &Stage2{}
 	view := *ms
 	view.opts.SliceBytes, view.opts.Depth = sliceBytes, depth
-	view.Rep, view.sink = nil, resultSink(&s.cost)
+	view.Rep, view.acct = nil, &s.cost
 	view.Cands = make([][][]int, len(ms.Pairs))
 	for pi := range view.Cands {
 		view.Cands[pi] = make([][]int, len(ms.fields))
@@ -341,9 +344,6 @@ type UnitVerdict struct {
 	// IOVirtual is the un-overlapped read time, the integrity rung's
 	// re-reads included; ComputeVirtual the transfer and kernel time.
 	IOVirtual, ComputeVirtual time.Duration
-	// BytesRead counts the bytes delivered, re-reads included.
-	BytesRead                  int64
-	ReadRetries, RingFallbacks int
 	// PeakWindowBytes is the most bytes, all sources summed, one window
 	// held (stream.Stats.PeakWindowBytes).
 	PeakWindowBytes int64
@@ -358,7 +358,6 @@ func (s *Stage2) Verify(ctx context.Context, pair, field int, chunks []int) (Uni
 	if err != nil {
 		return UnitVerdict{}, err
 	}
-	s.cost = Result{}
 	stats, rereads, err := s.run(ctx)
 	if err != nil {
 		return UnitVerdict{}, err
@@ -367,7 +366,6 @@ func (s *Stage2) Verify(ctx context.Context, pair, field int, chunks []int) (Uni
 	v := UnitVerdict{
 		Diffs: f.idx[field], Changed: f.Changed, Unverified: f.Unverified,
 		IOVirtual: stats.IOVirtual + rereads, ComputeVirtual: stats.ComputeVirtual,
-		BytesRead: s.cost.BytesRead, ReadRetries: s.cost.ReadRetries, RingFallbacks: s.cost.RingFallbacks,
 		PeakWindowBytes: stats.PeakWindowBytes,
 	}
 	f.idx[field], f.Changed, f.Unverified = nil, 0, 0

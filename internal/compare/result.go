@@ -10,32 +10,39 @@ import (
 // FieldDiff lists the divergent elements of one checkpoint field.
 type FieldDiff struct {
 	// Field is the field name.
-	Field string
+	Field string `json:"field"`
 	// Indices are the element indices whose difference exceeds ε,
 	// ascending.
-	Indices []int64
+	Indices []int64 `json:"indices"`
 }
 
-// Result reports one checkpoint-pair comparison.
-type Result struct {
-	// Method names the approach ("merkle", "direct", "allclose").
-	Method string
-	// Diffs lists the divergent elements per field (empty for AllClose,
-	// which only answers the boolean question).
-	Diffs []FieldDiff
-	// DiffCount is the total number of divergent elements.
-	DiffCount int64
-	// TotalElements is the total element count across fields.
-	TotalElements int64
+// Account is what one comparison found and what it cost — the verdict's
+// evidence, declared once. A pair's Result and a group's GroupReport
+// embed it, the job API and the CLI reports marshal it as it is, and the
+// journal's verdict record keeps its verdict and ladder counts.
+type Account struct {
+	// DiffCount is the total number of divergent elements (-1: diverged,
+	// count unknown).
+	DiffCount int64 `json:"diffCount"`
+	// Degraded reports that the comparison completed on a degraded path:
+	// some candidate chunks could not be read (metadata-only verdict) or
+	// could not be integrity-verified. Any diffs recorded are real, but
+	// absence of diffs is inconclusive.
+	Degraded bool `json:"degraded,omitempty"`
+	// UnverifiedChunks counts candidate chunks whose content was never
+	// cleanly verified: reads that exhausted their retries, or bytes that
+	// failed leaf-hash integrity verification even after one re-read.
+	// Always 0 unless Options.Degrade is set (strict mode fails instead).
+	UnverifiedChunks int `json:"unverifiedChunks,omitempty"`
 
+	// TotalChunks counts all data chunks across fields.
+	TotalChunks int `json:"totalChunks"`
 	// CandidateChunks counts chunks the hash stage marked as potentially
 	// changed (always 0 for the baselines).
-	CandidateChunks int
+	CandidateChunks int `json:"candidateChunks"`
 	// ChangedChunks counts candidate chunks that really contained an
 	// out-of-bound difference.
-	ChangedChunks int
-	// TotalChunks counts all data chunks across fields.
-	TotalChunks int
+	ChangedChunks int `json:"changedChunks"`
 	// CASPrunedChunks counts candidate chunks excluded from stage-2
 	// scheduling because the content-addressed store proved their verdict
 	// without a read: both sides resolved to the same pack extent, or the
@@ -43,45 +50,63 @@ type Result struct {
 	// comparison. Pruned chunks stay counted in CandidateChunks (and in
 	// ChangedChunks when the replayed verdict contained divergence); they
 	// are never Unverified. Always 0 outside differential mode.
-	CASPrunedChunks int
+	CASPrunedChunks int `json:"casPrunedChunks,omitempty"`
 
-	// CheckpointBytes is the raw data size of ONE run's checkpoint.
-	CheckpointBytes int64
-	// BytesRead counts data + metadata bytes read from storage
-	// (both runs).
-	BytesRead int64
-	// MetadataBytes is the serialized Merkle metadata size per run
-	// (0 for baselines).
-	MetadataBytes int64
+	// BytesRead counts data + metadata bytes delivered to the comparator
+	// (every member).
+	BytesRead int64 `json:"bytesRead"`
+	// CheckpointBytes is the raw data size of ONE member's checkpoint.
+	CheckpointBytes int64 `json:"checkpointBytes"`
+	// MetadataBytes is the serialized Merkle metadata size per member (0
+	// for the baselines).
+	MetadataBytes int64 `json:"metadataBytes"`
+	// ReadRetries counts stage-2 window pricings re-issued under the retry
+	// policy.
+	ReadRetries int `json:"readRetries,omitempty"`
+	// Deprecated: RingFallbacks is always 0 — there is no ring to fall back
+	// from, and nothing writes it. It stays until the benchmark stops
+	// reporting stream.ring_fallbacks.
+	RingFallbacks int `json:"-"`
 
 	// Breakdown is the per-phase cost split of Fig. 6.
-	Breakdown metrics.Breakdown
+	Breakdown metrics.Breakdown `json:"-"`
 	// Steps is the engine's per-step timing table for this comparison's
 	// plan, in execution order.
-	Steps metrics.StepSpans
+	Steps metrics.StepSpans `json:"steps,omitempty"`
+}
 
-	// Degraded reports that the comparison completed on a degraded path:
-	// some candidate chunks could not be read (metadata-only verdict) or
-	// could not be integrity-verified. Any diffs recorded are real, but
-	// absence of diffs is inconclusive — Identical() returns false.
-	Degraded bool
-	// UnverifiedChunks counts candidate chunks whose content was never
-	// cleanly verified: reads that exhausted their retries, or bytes that
-	// failed leaf-hash integrity verification even after one re-read.
-	// Always 0 unless Options.Degrade is set (strict mode fails instead).
-	UnverifiedChunks int
-	// ReadRetries counts stage-2 window pricings re-issued under the
-	// retry policy. RingFallbacks is always 0 (there is no ring to fall
-	// back from); the journal and reports still carry it.
-	ReadRetries   int
-	RingFallbacks int
+// Inconclusive reports whether the comparison degraded: absence of
+// divergence then proves nothing.
+func (a *Account) Inconclusive() bool { return a.Degraded || a.UnverifiedChunks > 0 }
 
+// addPair folds one pair's verdict and chunk counts into a group's.
+func (a *Account) addPair(p *Account) {
+	a.DiffCount += p.DiffCount
+	a.Degraded = a.Degraded || p.Degraded
+	a.UnverifiedChunks += p.UnverifiedChunks
+	a.TotalChunks += p.TotalChunks
+	a.CandidateChunks += p.CandidateChunks
+	a.ChangedChunks += p.ChangedChunks
+	a.CASPrunedChunks += p.CASPrunedChunks
+}
+
+// Result reports one checkpoint-pair comparison.
+type Result struct {
+	// Method names the approach ("merkle", "direct", "allclose").
+	Method string `json:"method"`
+	// Diffs lists the divergent elements per field (empty for AllClose,
+	// which only answers the boolean question).
+	Diffs []FieldDiff `json:"diffs,omitempty"`
+	// TotalElements is the total element count across fields.
+	TotalElements int64 `json:"totalElements"`
 	// RootA and RootB are the combined Merkle roots of the two compared
 	// snapshots (Metadata.CombinedRoot), zero for plans that never load
 	// metadata (the direct/allclose baselines). The verdict ledger binds
 	// them so a historical verdict's inputs can be re-derived.
-	RootA murmur3.Digest
-	RootB murmur3.Digest
+	RootA murmur3.Digest `json:"rootA"`
+	RootB murmur3.Digest `json:"rootB"`
+
+	Account
 }
 
 // FalsePositiveChunks returns candidates that contained no real

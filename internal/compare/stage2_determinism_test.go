@@ -270,10 +270,30 @@ func (e *detEnv) checkOracle(t *testing.T, out *detOutputs) {
 		t.Error("warm memo pruned nothing: the cold run's kernel did not memoize")
 	}
 	for _, g := range []*GroupReport{out.Star, out.AllPairs, out.DiffStar, out.DiffAllPairs} {
+		var sum Account
 		for _, p := range g.Pairs {
 			check(fmt.Sprintf("%s %s %d-%d", p.Result.Method, g.Topology, p.A, p.B), p.Result, p.A, p.B)
+			a := &p.Result.Account
+			sum.DiffCount += a.DiffCount
+			sum.Degraded = sum.Degraded || a.Degraded
+			sum.UnverifiedChunks += a.UnverifiedChunks
+			sum.TotalChunks += a.TotalChunks
+			sum.CandidateChunks += a.CandidateChunks
+			sum.ChangedChunks += a.ChangedChunks
+			sum.CASPrunedChunks += a.CASPrunedChunks
+		}
+		if got := verdictAndChunks(g.Account); !reflect.DeepEqual(got, sum) {
+			t.Errorf("%s %s account %+v, its pairs' sum %+v", g.Pairs[0].Result.Method, g.Topology, got, sum)
 		}
 	}
+}
+
+// verdictAndChunks is an account's verdict and chunk counts alone: what a
+// group's account sums over its pairs.
+func verdictAndChunks(a Account) Account {
+	return Account{DiffCount: a.DiffCount, Degraded: a.Degraded, UnverifiedChunks: a.UnverifiedChunks,
+		TotalChunks: a.TotalChunks, CandidateChunks: a.CandidateChunks, ChangedChunks: a.ChangedChunks,
+		CASPrunedChunks: a.CASPrunedChunks}
 }
 
 // checkPairIsGroupOfTwo pins the identity the shared stages rest on: a pair

@@ -219,8 +219,8 @@ func (v *verdicts) indices(i int) []int64 {
 }
 
 // chargeRereads drains the ranges' integrity re-read tallies, prices them
-// into the plan's sink, and returns their virtual time for the plan clock.
-func (v *verdicts) chargeRereads(store *pfs.Store, to sink) time.Duration {
+// into the plan's account, and returns their virtual time for the plan clock.
+func (v *verdicts) chargeRereads(store *pfs.Store, to *Account) time.Duration {
 	var cost pfs.Cost
 	for r := range v.ranges {
 		cost.Add(v.ranges[r].rereadCost)
@@ -229,9 +229,9 @@ func (v *verdicts) chargeRereads(store *pfs.Store, to sink) time.Duration {
 	if cost == (pfs.Cost{}) {
 		return 0
 	}
-	*to.bytesRead += cost.TotalBytes()
+	to.BytesRead += cost.TotalBytes()
 	d := store.Model().SerialReadTime(cost, store.Sharers())
-	to.breakdown.AddVirtual(metrics.PhaseRead, d)
+	to.Breakdown.AddVirtual(metrics.PhaseRead, d)
 	return d
 }
 

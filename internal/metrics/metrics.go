@@ -12,10 +12,10 @@ import (
 	"time"
 )
 
-// Span is a dual wall/virtual duration.
+// Span is a dual wall/virtual duration, in integer nanoseconds on the wire.
 type Span struct {
-	Wall    time.Duration
-	Virtual time.Duration
+	Wall    time.Duration `json:"wallNs"`
+	Virtual time.Duration `json:"virtualNs"`
 }
 
 // Add accumulates another span.

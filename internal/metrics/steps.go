@@ -11,11 +11,11 @@ import (
 // unique within one plan, so they key lookups.
 type StepSpan struct {
 	// Kind is the step-type name ("load-metadata", "stream-verify", ...).
-	Kind string
+	Kind string `json:"kind"`
 	// Label is the plan node's unique label within its plan.
-	Label string
+	Label string `json:"label"`
 	// Span is the step's measured wall time and accumulated virtual time.
-	Span Span
+	Span Span `json:"span"`
 }
 
 // StepSpans is the per-step timing table of one executed plan, ordered by

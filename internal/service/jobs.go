@@ -151,11 +151,11 @@ type JobStatus struct {
 	Verdict  string `json:"verdict,omitempty"`
 	ExitCode int    `json:"exitCode"`
 	Error    string `json:"error,omitempty"`
-	// DiffCount and Degraded summarize the verdict's evidence once
-	// done: total out-of-bound elements (pair jobs; -1 is "diverged,
-	// count unknown") and whether any path degraded.
-	DiffCount int64 `json:"diffCount,omitempty"`
-	Degraded  bool  `json:"degraded,omitempty"`
+	// Account is the evidence behind a done job's verdict — what the
+	// comparison found and what it cost, a group's summed over its pairs —
+	// and nil before that and for a job that failed. Its keys (diffCount,
+	// degraded, unverifiedChunks, ...) sit beside the ones above.
+	*compare.Account
 }
 
 // Status snapshots the job.
@@ -174,16 +174,28 @@ func (j *Job) Status() JobStatus {
 		if j.err != nil {
 			st.Error = j.err.Error()
 		}
-		switch {
-		case j.result != nil:
-			st.DiffCount = j.result.DiffCount
-			st.Degraded = j.result.Degraded || j.result.UnverifiedChunks > 0
-		case j.group != nil:
-			for i := range j.group.Pairs {
-				st.DiffCount += j.group.Pairs[i].Result.DiffCount
-			}
-			st.Degraded = j.group.Degraded()
-		}
+		st.Account = accountOf(j.result, j.group)
+	}
+	return st
+}
+
+// LedgerStatus is the status of the job whose durable verdict record rec
+// is: what Job.Status said when the verdict was published, on every key
+// the record keeps. The account's other counts are not journaled and read
+// 0.
+func LedgerStatus(rec wal.Record) JobStatus {
+	st := JobStatus{
+		ID:       rec.Job,
+		Kind:     rec.Kind,
+		Tenant:   rec.Tenant,
+		State:    JobDone.String(),
+		Verdict:  Verdict(rec.Exit).String(),
+		ExitCode: rec.Exit,
+		Error:    rec.ErrMsg,
+	}
+	if Verdict(rec.Exit) != VerdictError {
+		st.Account = &compare.Account{DiffCount: rec.DiffCount, Degraded: rec.Degraded,
+			UnverifiedChunks: rec.UnverifiedChunks, ReadRetries: rec.ReadRetries, CASPrunedChunks: rec.CASPruned}
 	}
 	return st
 }
@@ -286,19 +298,21 @@ func (s *Session) runJob(j *Job, t *ticket, store *pfs.Store, spec JobSpec) {
 		// A plane-closed rejection is deliberately NOT journaled as a
 		// verdict: the job stays pending in the ledger, and the next
 		// life re-admits and re-runs it to its one durable verdict.
-		j.publish(nil, nil, nil, err)
+		j.publish(outcome{err: err}, nil, nil, nil)
 		return
 	}
 	defer s.plane.sched.release(t)
 	// The slot goes back (idempotently) before the outcome is visible:
 	// whoever waits on Done may submit again at once, and must not be
 	// rejected for the slot this job still held.
-	publish := func(res *compare.Result, rep *compare.GroupReport, stats *shard.Stats, err error) {
+	publish := func(o outcome, res *compare.Result, rep *compare.GroupReport, stats *shard.Stats) {
 		s.plane.sched.release(t)
-		j.publish(res, rep, stats, err)
+		j.publish(o, res, rep, stats)
 	}
 	if err := s.journalAppend(startedRecord(j.id, j.tenant, spec)); err != nil {
-		publish(nil, nil, nil, s.settle(outcome{err: err}))
+		o := outcome{err: err}
+		s.settle(o)
+		publish(o, nil, nil, nil)
 		return
 	}
 	j.mu.Lock()
@@ -310,50 +324,37 @@ func (s *Session) runJob(j *Job, t *ticket, store *pfs.Store, spec JobSpec) {
 		rep   *compare.GroupReport
 		stats *shard.Stats
 		err   error
-		o     outcome
 	)
 	switch spec.Kind {
 	case JobCompare:
 		res, err = compare.CompareMerkle(ctx, store, spec.A, spec.B, spec.Options)
-		o = resultOutcome(res, err)
 	case JobGroup:
 		rep, err = compare.GroupCompare(ctx, store, spec.Baseline, spec.Runs, spec.Topology, spec.Options)
-		o = groupOutcome(rep, err)
 	case JobShard:
 		res, stats, err = shard.Compare(ctx, store, spec.A, spec.B, spec.Shard, spec.Options)
-		o = resultOutcome(res, err)
 	}
+	o := judge(accountOf(res, rep), err)
 	s.settle(o)
 	// Durable-then-visible: the verdict record reaches the ledger before
 	// the verdict is published. If durability fails, the job fails for
 	// THIS life only — the ledger still lists it pending, and the next
 	// life re-runs it to its one durable verdict.
-	var v Verdict
-	if rep != nil || spec.Kind == JobGroup {
-		v = GroupVerdict(rep, err)
-	} else {
-		v = ResultVerdict(res, err)
-	}
-	if jerr := s.journalAppend(verdictRecord(j.id, j.tenant, spec, v, res, rep, err)); jerr != nil {
-		publish(nil, nil, nil, fmt.Errorf("service: journal verdict record: %w", jerr))
+	if jerr := s.journalAppend(verdictRecord(j.id, j.tenant, spec, o, res, rep)); jerr != nil {
+		publish(outcome{err: fmt.Errorf("service: journal verdict record: %w", jerr)}, nil, nil, nil)
 		return
 	}
-	publish(res, rep, stats, err)
+	publish(o, res, rep, stats)
 }
 
 // publish records the outcome and closes Done.
-func (j *Job) publish(res *compare.Result, rep *compare.GroupReport, stats *shard.Stats, err error) {
+func (j *Job) publish(o outcome, res *compare.Result, rep *compare.GroupReport, stats *shard.Stats) {
 	j.mu.Lock()
 	j.state = JobDone
-	j.err = err
+	j.err = o.err
+	j.verdict = o.verdict()
 	j.result = res
 	j.group = rep
 	j.shardst = stats
-	if rep != nil || j.kind == JobGroup {
-		j.verdict = GroupVerdict(rep, err)
-	} else {
-		j.verdict = ResultVerdict(res, err)
-	}
 	j.mu.Unlock()
 	close(j.done)
 }

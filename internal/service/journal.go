@@ -57,35 +57,27 @@ func startedRecord(id uint64, tenantID string, spec JobSpec) wal.Record {
 	return rec
 }
 
-// verdictRecord journals a job's outcome: the exit code, the divergence
-// and degradation evidence, and the compared snapshots' combined Merkle
-// roots — everything verify-log needs to recompute the verdict's inputs.
-func verdictRecord(id uint64, tenantID string, spec JobSpec, v Verdict,
-	res *compare.Result, rep *compare.GroupReport, err error) wal.Record {
+// verdictRecord journals a job's outcome: the exit code, the verdict and
+// degradation-ladder counts of its account (LedgerStatus is the inverse),
+// and the compared snapshots' combined Merkle roots — everything
+// verify-log needs to recompute the verdict's inputs. The record's
+// RingFallbacks slot stays 0.
+func verdictRecord(id uint64, tenantID string, spec JobSpec, o outcome,
+	res *compare.Result, rep *compare.GroupReport) wal.Record {
 	rec := acceptedRecord(id, tenantID, spec)
 	rec.Type = wal.TypeVerdict
-	rec.Exit = v.ExitCode()
-	if err != nil {
-		rec.ErrMsg = err.Error()
+	rec.Exit = o.verdict().ExitCode()
+	if o.err != nil {
+		rec.ErrMsg = o.err.Error()
+	}
+	if a := accountOf(res, rep); a != nil {
+		rec.DiffCount, rec.Degraded = a.DiffCount, a.Inconclusive()
+		rec.UnverifiedChunks, rec.ReadRetries, rec.CASPruned = a.UnverifiedChunks, a.ReadRetries, a.CASPrunedChunks
 	}
 	switch {
-	case res != nil:
-		rec.DiffCount = res.DiffCount
-		rec.Degraded = res.Degraded || res.UnverifiedChunks > 0
-		rec.UnverifiedChunks = res.UnverifiedChunks
-		rec.ReadRetries = res.ReadRetries
-		rec.RingFallbacks = res.RingFallbacks
-		rec.CASPruned = res.CASPrunedChunks
-		if res.RootA != (murmur3.Digest{}) || res.RootB != (murmur3.Digest{}) {
-			rec.Roots = []murmur3.Digest{res.RootA, res.RootB}
-		}
+	case res != nil && (res.RootA != (murmur3.Digest{}) || res.RootB != (murmur3.Digest{})):
+		rec.Roots = []murmur3.Digest{res.RootA, res.RootB}
 	case rep != nil:
-		for i := range rep.Pairs {
-			rec.DiffCount += rep.Pairs[i].Result.DiffCount
-		}
-		rec.Degraded = rep.Degraded()
-		rec.ReadRetries = rep.ReadRetries
-		rec.RingFallbacks = rep.RingFallbacks
 		rec.Roots = append([]murmur3.Digest(nil), rep.MemberRoots...)
 	}
 	return rec
@@ -121,14 +113,11 @@ func specFromRecord(rec wal.Record) (JobSpec, error) {
 		}
 		spec.Baseline = rec.Names[0]
 		spec.Runs = append([]string(nil), rec.Names[1:]...)
-		switch rec.Topology {
-		case "", compare.TopologyStar.String():
-			spec.Topology = compare.TopologyStar
-		case compare.TopologyAllPairs.String():
-			spec.Topology = compare.TopologyAllPairs
-		default:
-			return JobSpec{}, fmt.Errorf("service: journal job %d: unknown topology %q", rec.Job, rec.Topology)
+		topology, err := compare.ParseTopology(rec.Topology)
+		if err != nil {
+			return JobSpec{}, fmt.Errorf("service: journal job %d: %w", rec.Job, err)
 		}
+		spec.Topology = topology
 	default:
 		return JobSpec{}, fmt.Errorf("service: journal job %d: unknown kind %q", rec.Job, rec.Kind)
 	}

@@ -98,33 +98,6 @@ func (s *Session) admit(ctx context.Context) (release func(), err error) {
 	return func() { s.plane.sched.release(t) }, nil
 }
 
-// outcome is what one executed submission reports to the counters.
-type outcome struct {
-	diverged, degraded bool
-	err                error
-}
-
-func resultOutcome(res *compare.Result, err error) outcome {
-	if err != nil || res == nil {
-		return outcome{err: err}
-	}
-	return outcome{diverged: res.DiffCount != 0, degraded: res.Degraded || res.UnverifiedChunks > 0}
-}
-
-func groupOutcome(rep *compare.GroupReport, err error) outcome {
-	if err != nil || rep == nil {
-		return outcome{err: err}
-	}
-	o := outcome{degraded: rep.Degraded()}
-	for i := range rep.Pairs {
-		if rep.Pairs[i].Result.DiffCount != 0 {
-			o.diverged = true
-			break
-		}
-	}
-	return o
-}
-
 // submit is the one submission lifecycle, and where its accounting
 // invariant holds: every public submission counts Submitted once, then
 // exactly one of Rejected (prepare or admit refused it: nothing ran),
@@ -185,7 +158,7 @@ func (s *Session) settle(o outcome) error {
 func (s *Session) Compare(ctx context.Context, store *pfs.Store, nameA, nameB string, opts compare.Options) (res *compare.Result, err error) {
 	err = s.submit(ctx, &opts, []string{nameA, nameB}, func() outcome {
 		res, err = compare.CompareMerkle(ctx, store, nameA, nameB, opts)
-		return resultOutcome(res, err)
+		return judge(accountOf(res, nil), err)
 	})
 	return res, err
 }
@@ -194,7 +167,7 @@ func (s *Session) Compare(ctx context.Context, store *pfs.Store, nameA, nameB st
 func (s *Session) CompareDirect(ctx context.Context, store *pfs.Store, nameA, nameB string, opts compare.Options) (res *compare.Result, err error) {
 	err = s.submit(ctx, &opts, []string{nameA, nameB}, func() outcome {
 		res, err = compare.CompareDirect(ctx, store, nameA, nameB, opts)
-		return resultOutcome(res, err)
+		return judge(accountOf(res, nil), err)
 	})
 	return res, err
 }
@@ -213,7 +186,7 @@ func (s *Session) AllClose(ctx context.Context, store *pfs.Store, nameA, nameB s
 func (s *Session) CompareTreesOnly(ctx context.Context, store *pfs.Store, nameA, nameB string, opts compare.Options) (res *compare.Result, err error) {
 	err = s.submit(ctx, &opts, []string{nameA, nameB}, func() outcome {
 		res, err = compare.CompareTreesOnly(ctx, store, nameA, nameB, opts)
-		return resultOutcome(res, err)
+		return judge(accountOf(res, nil), err)
 	})
 	return res, err
 }
@@ -234,7 +207,7 @@ func (s *Session) CompareHistories(ctx context.Context, store *pfs.Store, runA, 
 func (s *Session) GroupCompare(ctx context.Context, store *pfs.Store, baseline string, runs []string, topology compare.Topology, opts compare.Options) (rep *compare.GroupReport, err error) {
 	err = s.submit(ctx, &opts, append([]string{baseline}, runs...), func() outcome {
 		rep, err = compare.GroupCompare(ctx, store, baseline, runs, topology, opts)
-		return groupOutcome(rep, err)
+		return judge(accountOf(nil, rep), err)
 	})
 	return rep, err
 }
@@ -244,7 +217,7 @@ func (s *Session) GroupCompare(ctx context.Context, store *pfs.Store, baseline s
 func (s *Session) CompareDiff(ctx context.Context, store *pfs.Store, cs *cas.Store, nameA, nameB string, opts compare.Options) (res *compare.Result, err error) {
 	err = s.submit(ctx, &opts, []string{nameA, nameB}, func() outcome {
 		res, err = compare.CompareDiff(ctx, store, cs, nameA, nameB, opts)
-		return resultOutcome(res, err)
+		return judge(accountOf(res, nil), err)
 	})
 	return res, err
 }
@@ -253,7 +226,7 @@ func (s *Session) CompareDiff(ctx context.Context, store *pfs.Store, cs *cas.Sto
 func (s *Session) GroupCompareDiff(ctx context.Context, store *pfs.Store, cs *cas.Store, baseline string, runs []string, topology compare.Topology, opts compare.Options) (rep *compare.GroupReport, err error) {
 	err = s.submit(ctx, &opts, append([]string{baseline}, runs...), func() outcome {
 		rep, err = compare.GroupCompareDiff(ctx, store, cs, baseline, runs, topology, opts)
-		return groupOutcome(rep, err)
+		return judge(accountOf(nil, rep), err)
 	})
 	return rep, err
 }
@@ -262,7 +235,7 @@ func (s *Session) GroupCompareDiff(ctx context.Context, store *pfs.Store, cs *ca
 func (s *Session) ShardCompare(ctx context.Context, store *pfs.Store, nameA, nameB string, cfg shard.Config, opts compare.Options) (res *compare.Result, stats *shard.Stats, err error) {
 	err = s.submit(ctx, &opts, []string{nameA, nameB}, func() outcome {
 		res, stats, err = shard.Compare(ctx, store, nameA, nameB, cfg, opts)
-		return resultOutcome(res, err)
+		return judge(accountOf(res, nil), err)
 	})
 	return res, stats, err
 }
@@ -271,7 +244,7 @@ func (s *Session) ShardCompare(ctx context.Context, store *pfs.Store, nameA, nam
 func (s *Session) ShardGroupCompare(ctx context.Context, store *pfs.Store, baseline string, runs []string, topology compare.Topology, cfg shard.Config, opts compare.Options) (rep *compare.GroupReport, stats *shard.Stats, err error) {
 	err = s.submit(ctx, &opts, append([]string{baseline}, runs...), func() outcome {
 		rep, stats, err = shard.GroupCompare(ctx, store, baseline, runs, topology, cfg, opts)
-		return groupOutcome(rep, err)
+		return judge(accountOf(nil, rep), err)
 	})
 	return rep, stats, err
 }

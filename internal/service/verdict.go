@@ -41,39 +41,49 @@ func (v Verdict) String() string {
 // ExitCode returns the reprocmp-contract exit code.
 func (v Verdict) ExitCode() int { return int(v) }
 
-// verdictOf folds the two verdict bits on the contract's precedence.
-func verdictOf(diverged, degraded bool) Verdict {
+// outcome is what one executed submission found — whether it diverged,
+// whether it degraded — or its error.
+type outcome struct {
+	diverged, degraded bool
+	err                error
+}
+
+// judge maps a comparison's account, or the error it failed with, onto
+// the outcome, mirroring reprocmp's compare and group subcommands exactly.
+func judge(a *compare.Account, err error) outcome {
+	if err != nil || a == nil {
+		return outcome{err: err}
+	}
+	return outcome{diverged: a.DiffCount != 0, degraded: a.Inconclusive()}
+}
+
+// verdict folds the outcome on the contract's precedence.
+func (o outcome) verdict() Verdict {
 	switch {
-	case diverged:
+	case o.err != nil:
+		return VerdictError
+	case o.diverged:
 		return VerdictDivergent
-	case degraded:
+	case o.degraded:
 		return VerdictDegraded
 	default:
 		return VerdictClean
 	}
 }
 
-// ResultVerdict maps one pair comparison onto the contract, mirroring
-// reprocmp's compare subcommand exactly.
-func ResultVerdict(res *compare.Result, err error) Verdict {
-	if err != nil || res == nil {
-		return VerdictError
+// accountOf returns the account of whichever report a comparison
+// produced, nil for none.
+func accountOf(res *compare.Result, rep *compare.GroupReport) *compare.Account {
+	switch {
+	case res != nil:
+		return &res.Account
+	case rep != nil:
+		return &rep.Account
 	}
-	return verdictOf(res.DiffCount != 0, res.Degraded || res.UnverifiedChunks > 0)
+	return nil
 }
 
-// GroupVerdict maps a group report onto the contract, mirroring
-// reprocmp's group subcommand exactly.
-func GroupVerdict(rep *compare.GroupReport, err error) Verdict {
-	if err != nil || rep == nil {
-		return VerdictError
-	}
-	diverged := false
-	for i := range rep.Pairs {
-		if rep.Pairs[i].Result.DiffCount != 0 {
-			diverged = true
-			break
-		}
-	}
-	return verdictOf(diverged, rep.Degraded())
+// ResultVerdict maps one pair comparison onto the contract.
+func ResultVerdict(res *compare.Result, err error) Verdict {
+	return judge(accountOf(res, nil), err).verdict()
 }

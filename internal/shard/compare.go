@@ -12,7 +12,7 @@ import (
 // sharded group of two — baseline A, one run B, the single pair (0, 1):
 // the same stage 1 on the coordinator, the same unit pool, partition,
 // execution and fold — reported as a pair Result (method "merkle-shard")
-// carrying the group's totals. The Result is bit-identical — diffs,
+// carrying the group's account. The Result is bit-identical — diffs,
 // verdicts, chunk accounting — to CompareMerkle over the same inputs;
 // Stats reports the scale-out execution itself.
 func Compare(ctx context.Context, store *pfs.Store, nameA, nameB string, cfg Config, opts compare.Options) (*compare.Result, *Stats, error) {
@@ -23,7 +23,6 @@ func Compare(ctx context.Context, store *pfs.Store, nameA, nameB string, cfg Con
 	}
 	res := rep.Pairs[0].Result
 	res.RootA, res.RootB = rep.MemberRoots[0], rep.MemberRoots[1]
-	res.BytesRead, res.ReadRetries, res.RingFallbacks = rep.BytesRead, rep.ReadRetries, rep.RingFallbacks
-	res.Breakdown, res.Steps = rep.Breakdown, rep.Steps
+	res.Account = rep.Account
 	return res, stats, nil
 }

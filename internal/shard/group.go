@@ -95,10 +95,9 @@ func (r *run) stepExecute(ctx context.Context, x *engine.Exec) error {
 	}
 	rep := r.ms.Rep
 	for w := range r.workers {
-		ws := &r.workers[w]
-		rep.BytesRead += ws.bytesRead
-		rep.ReadRetries += ws.retries
-		rep.RingFallbacks += ws.ringFallbacks
+		read := r.workers[w].read()
+		rep.BytesRead += read.BytesRead
+		rep.ReadRetries += read.ReadRetries
 	}
 	rep.PipelineVirtual = r.stats.MakespanVirtual
 	rep.Breakdown.AddVirtual(metrics.PhaseCompareDirect, r.stats.MakespanVirtual)

@@ -59,12 +59,14 @@ func newParityEnv(t *testing.T, sh dettest.Shape) *parityEnv {
 	return e
 }
 
-// shardOutputs is what one executor produced for one shape.
+// shardOutputs is what one executor produced for one shape, and what
+// compare.CompareMerkle did with the same pair.
 type shardOutputs struct {
 	Pair      *compare.Result
 	PairStats *Stats
 	Star      *compare.GroupReport
 	StarStats *Stats
+	Merkle    *compare.Result
 }
 
 // run drives both sharded entry points from a cold cache. The degrade
@@ -95,8 +97,13 @@ func (e *parityEnv) run(t *testing.T, exec device.Executor) *shardOutputs {
 	if out.Star, out.StarStats, err = GroupCompare(ctx, e.store, e.names[0], e.names[1:], compare.TopologyStar, cfg, opts); err != nil {
 		t.Fatal(err)
 	}
+	arm()
+	if out.Merkle, err = compare.CompareMerkle(ctx, e.store, e.names[0], e.names[1], opts); err != nil {
+		t.Fatal(err)
+	}
 	dettest.VirtualOnly(&out.Pair.Breakdown, out.Pair.Steps)
 	dettest.VirtualOnly(&out.Star.Breakdown, out.Star.Steps)
+	dettest.VirtualOnly(&out.Merkle.Breakdown, out.Merkle.Steps)
 	return out
 }
 
@@ -123,6 +130,18 @@ func (e *parityEnv) checkOracle(t *testing.T, out *shardOutputs) {
 	check("shard pair", out.Pair, 0, 1)
 	for _, p := range out.Star.Pairs {
 		check("shard group", p.Result, p.A, p.B)
+	}
+	// The sharded pair's account is CompareMerkle's but for its times — the
+	// fleet's makespan is not the pipeline's — and, under a fault schedule,
+	// the integrity re-reads: which read a flip lands on follows the order
+	// of reads, and the two paths issue different ones.
+	pair, merkle := out.Pair.Account, out.Merkle.Account
+	pair.Breakdown, pair.Steps = merkle.Breakdown, merkle.Steps
+	if e.shape.Degrade {
+		pair.BytesRead = merkle.BytesRead
+	}
+	if !reflect.DeepEqual(pair, merkle) {
+		t.Errorf("shard pair account %+v, CompareMerkle's %+v", pair, merkle)
 	}
 }
 

@@ -398,7 +398,7 @@ func (r *run) execute(ctx context.Context) error {
 			StolenUnits:  r.dq.stolenBy[w],
 			IOVirtual:    ws.ioVirtual,
 			CompVirtual:  ws.compVirtual,
-			BytesRead:    ws.bytesRead,
+			BytesRead:    ws.read().BytesRead,
 			PeakInFlight: ws.peakInFlight,
 			Died:         ws.died,
 		}

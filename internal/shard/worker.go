@@ -16,19 +16,25 @@ import (
 type workerState struct {
 	stage2 *compare.Stage2
 
-	units         int
-	ioVirtual     time.Duration
-	compVirtual   time.Duration
-	bytesRead     int64
-	retries       int
-	ringFallbacks int
-	peakInFlight  int64
+	units        int
+	ioVirtual    time.Duration
+	compVirtual  time.Duration
+	peakInFlight int64
 	// done marks a worker that left the schedule: out of work, or died.
 	died, done bool
 }
 
 // clock is the worker's virtual time: the cost of every unit it ran.
 func (ws *workerState) clock() time.Duration { return ws.ioVirtual + ws.compVirtual }
+
+// read is what the worker's units read (nothing, for a worker that ran
+// none).
+func (ws *workerState) read() compare.Account {
+	if ws.stage2 == nil {
+		return compare.Account{}
+	}
+	return *ws.stage2.Cost()
+}
 
 // executeUnit runs stage 2 for one work unit — one call into the
 // planners' shared pipeline, in windows the budget sized — charges its
@@ -48,9 +54,6 @@ func (r *run) executeUnit(ctx context.Context, ws *workerState, seq int) (compar
 	ws.units++
 	ws.ioVirtual += uv.IOVirtual
 	ws.compVirtual += uv.ComputeVirtual
-	ws.bytesRead += uv.BytesRead
-	ws.retries += uv.ReadRetries
-	ws.ringFallbacks += uv.RingFallbacks
 	ws.peakInFlight = max(ws.peakInFlight, uv.PeakWindowBytes)
 	return uv, nil
 }

@@ -71,6 +71,9 @@ type (
 	Options = compare.Options
 	// Result reports one checkpoint-pair comparison.
 	Result = compare.Result
+	// Account is what a comparison found and what it cost: the verdict's
+	// evidence that Result, GroupReport, JobStatus and the reports carry.
+	Account = compare.Account
 	// FieldDiff lists the divergent elements of one field.
 	FieldDiff = compare.FieldDiff
 	// Metadata is the compact Merkle representation of a checkpoint.
@@ -143,6 +146,10 @@ type (
 
 // ErrPlaneClosed is returned by every submission path of a closed plane.
 var ErrPlaneClosed = service.ErrPlaneClosed
+
+// LedgerStatus is the status of a job served from the journal's ledger,
+// rebuilt from its durable verdict record.
+func LedgerStatus(rec WALRecord) JobStatus { return service.LedgerStatus(rec) }
 
 // Asynchronous job kinds (JobSpec.Kind).
 const (
