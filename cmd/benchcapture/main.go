@@ -513,12 +513,10 @@ func selfCheck(rep *Report) error {
 		if s.DiffMemo.ReadOps >= s.DiffNoMemo.ReadOps {
 			fail("%s: CAS pruning did not reduce read ops: %d memoized vs %d", lv.Name, s.DiffMemo.ReadOps, s.DiffNoMemo.ReadOps)
 		}
-		//lint:ignore floatcmp acceptance thresholds are exact gates, not ε comparisons
 		if c.ColdOverheadFrac > 0.25 || c.ColdOverheadFrac < -0.05 {
 			fail("%s: cold capture overhead %.1f%% outside [-5%%, 25%%]", lv.Name, 100*c.ColdOverheadFrac)
 		}
 		if lv.Name == "low" {
-			//lint:ignore floatcmp acceptance threshold is an exact gate, not an ε comparison
 			if c.BytesSavedFrac < 0.40 {
 				fail("low: capture bytes saved %.1f%% below the 40%% floor", 100*c.BytesSavedFrac)
 			}

@@ -243,12 +243,10 @@ func measureAll(smoke bool) (*Report, error) {
 		return nil, fmt.Errorf("uniform: %w", err)
 	}
 	if !smoke {
-		//lint:ignore floatcmp,epsflow acceptance threshold is an exact gate, not an ε comparison
 		if rep.Floors.StealSpeedup < 1.5 {
 			return nil, fmt.Errorf("floor violated: stealing speedup %.2f < 1.5 on the skewed workload",
 				rep.Floors.StealSpeedup)
 		}
-		//lint:ignore floatcmp,epsflow acceptance threshold is an exact gate, not an ε comparison
 		if rep.Floors.PlacementReadVirtualMs >= rep.Floors.RandomReadVirtualMs {
 			return nil, fmt.Errorf("floor violated: placement read virtual %.3fms not below random %.3fms",
 				rep.Floors.PlacementReadVirtualMs, rep.Floors.RandomReadVirtualMs)

@@ -80,7 +80,6 @@ func run() error {
 					return err
 				}
 			}
-			//lint:ignore epsflow convergence test against an explicit tolerance
 			if sim.Residual() < tol {
 				break
 			}

@@ -301,16 +301,23 @@ func (s *Store) PutChunks(data []byte, chunkSize int, digests []murmur3.Digest) 
 	flush()
 	s.slab = slab[:0]
 	cost := w.Cost()
-	if cerr := w.Close(); werr == nil {
+	cerr := w.Close()
+	if werr == nil {
 		werr = cerr
 	}
 	s.packSize = base + written
 
 	// Index only chunks that fully landed; a chunk torn at the boundary is
-	// abandoned (its bytes become an unreferenced hole in the pack).
+	// abandoned (its bytes become an unreferenced hole in the pack). A pack
+	// whose close failed is not known to hold any of this put's bytes, so
+	// the whole put is such a hole.
+	landed := s.packSize
+	if cerr != nil {
+		landed = base
+	}
 	recs := s.recs[:0]
 	for _, p := range news {
-		if p.loc.Off+int64(p.loc.Len) > s.packSize {
+		if p.loc.Off+int64(p.loc.Len) > landed {
 			break
 		}
 		s.index[digests[p.chunk]] = p.loc

@@ -140,53 +140,61 @@ func TestPutIntraCallDedup(t *testing.T) {
 	}
 }
 
+// TestTornPackWriteNeverIndexed: a put whose pack write tears, or whose
+// pack close fails after every byte was written, indexes none of the chunks
+// it did not prove durable. Their bytes are an unreferenced hole: no digest
+// resolves to them, and a retry appends past them and scrubs clean.
 func TestTornPackWriteNeverIndexed(t *testing.T) {
-	fsys, s := newStore(t)
 	h, _ := errbound.NewHasher(errbound.Float32, 1e-5)
 	const chunk = 4 << 10
 	data := synth.FieldF32(8192, 3)
 	digests := hashChunks(t, h, data, chunk)
-
-	// Tear the very first pack write mid-chunk: half a chunk persists.
-	inj := faults.New(1, faults.Rule{
-		Kind: faults.TornWrite, Name: "cas/pack", Count: 1, Keep: chunk / 2,
-	})
-	fsys.SetFaultHook(inj)
-	_, stats, cost, err := s.PutChunks(data, chunk, digests)
-	fsys.SetFaultHook(nil)
-	if err == nil {
-		t.Fatal("torn pack write did not surface as an error")
-	}
-	if stats.ChunksWritten != 0 {
-		t.Fatalf("torn write indexed %d chunks", stats.ChunksWritten)
-	}
-	if cost.Bytes != int64(chunk/2) {
-		t.Fatalf("partial cost %d bytes, want %d (truthful accounting)", cost.Bytes, chunk/2)
-	}
-
-	// The torn bytes are an unreferenced hole: no digest resolves to them,
-	// and a retry appends past them and scrubs clean.
-	for _, d := range digests {
-		if _, ok := s.Lookup(d); ok {
-			t.Fatal("torn chunk became a dedup hit")
-		}
-	}
-	locs, _, _, err := s.PutChunks(data, chunk, digests)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if locs[0].Off != int64(chunk/2) {
-		t.Fatalf("retry did not append past the hole: off %d", locs[0].Off)
-	}
-	if _, err := s.Scrub(context.Background(), h.HashChunk); err != nil {
-		t.Fatalf("scrub after torn write: %v", err)
-	}
-	s2, _, err := Open(context.Background(), fsys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := s2.Scrub(context.Background(), h.HashChunk); err != nil || n != len(digests) {
-		t.Fatalf("replayed scrub: n=%d err=%v", n, err)
+	for _, row := range []struct {
+		name string
+		rule faults.Rule
+		hole int64 // the pack bytes the failed put leaves behind
+	}{
+		// Tear the very first pack write mid-chunk: half a chunk persists.
+		{"torn-write", faults.Rule{Kind: faults.TornWrite, Name: "cas/pack", Count: 1, Keep: chunk / 2}, chunk / 2},
+		{"failed-close", faults.Rule{Kind: faults.FailClose, Name: "cas/pack"}, int64(len(data))},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			fsys, s := newStore(t)
+			fsys.SetFaultHook(faults.New(1, row.rule))
+			_, stats, cost, err := s.PutChunks(data, chunk, digests)
+			fsys.SetFaultHook(nil)
+			if err == nil {
+				t.Fatal("the failed pack write did not surface as an error")
+			}
+			if stats.ChunksWritten != 0 || s.Len() != 0 {
+				t.Fatalf("the failed put indexed %d chunks (%d in the index)", stats.ChunksWritten, s.Len())
+			}
+			if cost.Bytes != row.hole || s.PackSize() != row.hole {
+				t.Fatalf("partial cost %d bytes, pack %d; want %d (truthful accounting)", cost.Bytes, s.PackSize(), row.hole)
+			}
+			for _, d := range digests {
+				if _, ok := s.Lookup(d); ok {
+					t.Fatal("a chunk of the failed put became a dedup hit")
+				}
+			}
+			locs, _, _, err := s.PutChunks(data, chunk, digests)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if locs[0].Off != row.hole {
+				t.Fatalf("retry did not append past the hole: off %d", locs[0].Off)
+			}
+			if _, err := s.Scrub(context.Background(), h.HashChunk); err != nil {
+				t.Fatalf("scrub after the failed put: %v", err)
+			}
+			s2, _, err := Open(context.Background(), fsys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, err := s2.Scrub(context.Background(), h.HashChunk); err != nil || n != len(digests) {
+				t.Fatalf("replayed scrub: n=%d err=%v", n, err)
+			}
+		})
 	}
 }
 
@@ -345,32 +353,36 @@ func TestUnframedIndexRefusedByName(t *testing.T) {
 }
 
 // TestFirstAppendTornIsNotMistakenForUnframed: a framed index whose very
-// first append tore — however much of it landed — is a fresh store with a
-// hole, not a foreign format.
+// first append tore — however much of it landed — or failed its close is a
+// fresh store with at most a hole, not a foreign format.
 func TestFirstAppendTornIsNotMistakenForUnframed(t *testing.T) {
 	h, _ := errbound.NewHasher(errbound.Float32, 1e-5)
 	const chunk = 4 << 10
 	data := synth.FieldF32(4096, 1)
 	digests := hashChunks(t, h, data, chunk)
+	rules := []faults.Rule{{Kind: faults.FailClose, Name: "cas/index"}}
 	for _, keep := range []int{1, 3, 4, 15, 16, 40, 100} {
+		rules = append(rules, faults.Rule{Kind: faults.TornWrite, Name: "cas/index", Keep: keep})
+	}
+	for _, rule := range rules {
 		fsys, s := newStore(t)
-		fsys.SetFaultHook(faults.New(1, faults.Rule{Kind: faults.TornWrite, Name: "cas/index", Keep: keep}))
+		fsys.SetFaultHook(faults.New(1, rule))
 		_, _, _, err := s.PutChunks(data, chunk, digests)
 		fsys.SetFaultHook(nil)
 		if err == nil {
-			t.Fatal("torn index append did not surface as an error")
+			t.Fatalf("%s: the failed index append did not surface as an error", rule.Kind)
 		}
 		fsys.EvictAll()
 		s2, _, err := Open(context.Background(), fsys)
 		if err != nil {
-			t.Fatalf("keep %d: %v", keep, err)
+			t.Fatalf("%s keep %d: %v", rule.Kind, rule.Keep, err)
 		}
 		if _, _, _, err := s2.PutChunks(data, chunk, digests); err != nil {
-			t.Fatalf("keep %d: %v", keep, err)
+			t.Fatalf("%s keep %d: %v", rule.Kind, rule.Keep, err)
 		}
 		fsys.EvictAll()
 		if s3, _, err := Open(context.Background(), fsys); err != nil || s3.Len() != len(digests) {
-			t.Fatalf("keep %d: reopen: %v", keep, err)
+			t.Fatalf("%s keep %d: reopen: %v", rule.Kind, rule.Keep, err)
 		}
 	}
 }

@@ -81,7 +81,7 @@ func (m *Manifest) FieldIndex(name string) int {
 // and digest parameters (name, dtype, count, ε, chunk size) — the
 // precondition for comparing or differencing their digests.
 func SameSchema(a, b *Manifest) bool {
-	//lint:ignore floatcmp,epsflow digest parameters must match bitwise, not approximately
+	// Digest parameters must match bitwise, not approximately.
 	if a.Epsilon != b.Epsilon || a.ChunkSize != b.ChunkSize || len(a.Fields) != len(b.Fields) {
 		return false
 	}

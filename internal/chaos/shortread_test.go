@@ -13,6 +13,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/compare"
 	"repro/internal/errbound"
+	"repro/internal/faults"
 	"repro/internal/framelog"
 	"repro/internal/pfs"
 	"repro/internal/synth"
@@ -21,6 +22,7 @@ import (
 // shrinkHook halves a file between the moment a whole-file read opened it
 // (and took its size) and the moment its first block is read.
 type shrinkHook struct {
+	faults.Nop
 	store *pfs.Store
 	name  string
 }
@@ -36,10 +38,6 @@ func (h *shrinkHook) BeforeRead(name string, _ int64, _ int) error {
 	}
 	return os.Truncate(path, st.Size()/2)
 }
-
-func (h *shrinkHook) AfterRead(string, int64, int) ([]pfs.Flip, pfs.Cost) { return nil, pfs.Cost{} }
-
-func (h *shrinkHook) BeforeWrite(string, int64, int) (int, error) { return 0, nil }
 
 // TestShortWholeFileReadIsAnError: a file that shrank after
 // pfs.Store.ReadFileFull sized its buffer comes back as an error wrapping

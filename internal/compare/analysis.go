@@ -50,7 +50,6 @@ func (h *FieldHistogram) CountAbove(eps float64) int64 {
 	// The cut decade itself is partially above eps; this histogram is a
 	// decade-granular summary, so attribute the boundary decade fully
 	// when eps sits at its lower edge.
-	//lint:ignore floatcmp exact decade-edge attribution is the histogram's documented convention
 	if c, ok := h.Decades[cut]; ok && math.Pow(10, float64(cut)) >= eps {
 		n += c
 	}
@@ -135,7 +134,6 @@ func histogramField(f ckpt.FieldSpec, a, b []byte) (FieldHistogram, error) {
 		}
 		d := math.Abs(va - vb)
 		switch {
-		//lint:ignore floatcmp the zero bucket counts bit-identical pairs by definition
 		case d == 0 || (math.IsNaN(va) && math.IsNaN(vb)):
 			h.Zero++
 		case math.IsNaN(d) || math.IsInf(d, 0):
@@ -143,7 +141,7 @@ func histogramField(f ckpt.FieldSpec, a, b []byte) (FieldHistogram, error) {
 			h.Max = math.Inf(1)
 		default:
 			h.Decades[int(math.Floor(math.Log10(d)))]++
-			if d > h.Max { //lint:ignore floatcmp running max; exact ordering intended
+			if d > h.Max {
 				h.Max = d
 			}
 		}

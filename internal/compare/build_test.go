@@ -14,6 +14,7 @@ import (
 	"repro/internal/dettest"
 	"repro/internal/device"
 	"repro/internal/errbound"
+	"repro/internal/faults"
 	"repro/internal/pfs"
 	"repro/internal/synth"
 )
@@ -296,6 +297,7 @@ func orderFree(c pfs.Cost) pfs.Cost {
 // blockFaults fails the reads that start at chosen file offsets and adds up
 // the bytes of the reads that completed.
 type blockFaults struct {
+	faults.Nop
 	fail      map[int64]error
 	completed atomic.Int64
 }
@@ -305,7 +307,6 @@ func (b *blockFaults) AfterRead(_ string, _ int64, n int) ([]pfs.Flip, pfs.Cost)
 	b.completed.Add(int64(n))
 	return nil, pfs.Cost{}
 }
-func (b *blockFaults) BeforeWrite(string, int64, int) (int, error) { return 0, nil }
 
 // TestBuildReadFaultLowestBlockWins fails the reads of two blocks — (field
 // 1, block 1) and (field 2, block 0) — and wants the first one's error,

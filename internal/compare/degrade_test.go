@@ -17,6 +17,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/dettest"
 	"repro/internal/device"
+	"repro/internal/faults"
 	"repro/internal/pfs"
 	"repro/internal/retry"
 	"repro/internal/synth"
@@ -68,9 +69,10 @@ func (b flipBackend) Price(ctx context.Context, f *pfs.File, reqs []aio.ReadReq)
 
 // byteFlips is the fault hook of flipBackend: every read flips bit 6 of the
 // target bytes it covers.
-type byteFlips struct{ at []int64 }
-
-func (h *byteFlips) BeforeRead(string, int64, int) error { return nil }
+type byteFlips struct {
+	faults.Nop
+	at []int64
+}
 
 func (h *byteFlips) AfterRead(_ string, off int64, n int) ([]pfs.Flip, pfs.Cost) {
 	var flips []pfs.Flip
@@ -81,8 +83,6 @@ func (h *byteFlips) AfterRead(_ string, off int64, n int) ([]pfs.Flip, pfs.Cost)
 	}
 	return flips, pfs.Cost{}
 }
-
-func (h *byteFlips) BeforeWrite(string, int64, int) (int, error) { return 0, nil }
 
 // flakyCountBackend fails its first `fails` batch pricings with a Transient
 // error, then delegates.
@@ -239,6 +239,7 @@ func TestDegradeRetriesTransientAtCompareLevel(t *testing.T) {
 // shrinkOnPrice halves a container the first time a read of its data
 // region is priced: stage 2's window is priced, then its bytes are gone.
 type shrinkOnPrice struct {
+	faults.Nop
 	path string
 	data int64 // where the container's first field starts
 	once sync.Once
@@ -256,10 +257,6 @@ func (h *shrinkOnPrice) BeforeRead(_ string, off int64, _ int) error {
 	}
 	return h.err
 }
-
-func (h *shrinkOnPrice) AfterRead(string, int64, int) ([]pfs.Flip, pfs.Cost) { return nil, pfs.Cost{} }
-
-func (h *shrinkOnPrice) BeforeWrite(string, int64, int) (int, error) { return 0, nil }
 
 // TestTruncatedBetweenPriceAndCopy: a container that shrinks between the
 // pricing of its window and the landing of its bytes fails a strict

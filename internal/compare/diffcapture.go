@@ -170,7 +170,7 @@ func (c *DiffCapturer) Capture(ctx context.Context, meta ckpt.Meta, data [][]byt
 // checkpoint's instead of rebuilt: the same ε and, field for field, the same
 // name, dtype, length and chunking — anything else changes what a leaf is.
 func (c *DiffCapturer) updatable(prev *Metadata, fields []ckpt.FieldSpec) bool {
-	//lint:ignore floatcmp,epsflow digest parameters must match bitwise, not approximately
+	// Digest parameters must match bitwise, not approximately.
 	if prev == nil || prev.Epsilon != c.opts.Epsilon || len(prev.Fields) != len(fields) {
 		return false
 	}

@@ -203,26 +203,34 @@ func TestDiffCaptureSchemaChangeGoesCold(t *testing.T) {
 }
 
 // TestDiffCapturePartialCostOnError: a capture that dies in its second
-// field's put still reports the writes of the first.
+// field's put, or in the close of its manifest, still reports the writes
+// that completed, and nothing takes it for done: it reports no manifest, and
+// the next capture of the rank has no previous state to update from.
 func TestDiffCapturePartialCostOnError(t *testing.T) {
-	store, _, capt := diffFixture(t, Options{Epsilon: 1e-5, ChunkSize: 4 << 10})
 	data := [][]byte{synth.FieldF32(16384, 1), synth.FieldF32(16384, 2)}
-
-	// Fail pack writes after the first: field 0 lands, field 1 tears.
-	store.SetFaultHook(faults.New(5, faults.Rule{Kind: faults.PermanentWrite, Name: "cas/pack", After: 1, Count: -1}))
-	rep, err := capt.Capture(context.Background(), diffMeta(0), data)
-	store.SetFaultHook(nil)
-	if err == nil {
-		t.Fatal("injected write fault did not surface")
-	}
-	if rep.Cost.Bytes == 0 {
-		t.Fatal("error path dropped the partial capture cost")
-	}
-	if rep.Stats.ChunksWritten == 0 {
-		t.Fatal("error path dropped the partial capture stats")
-	}
-	if rep.Manifest != nil {
-		t.Fatal("a failed capture reports a manifest it did not save")
+	for _, rule := range []faults.Rule{
+		// Fail pack writes after the first: field 0 lands, field 1 tears.
+		{Kind: faults.PermanentWrite, Name: "cas/pack", After: 1, Count: -1},
+		// Every chunk lands; the manifest's close fails.
+		{Kind: faults.FailClose, Name: ".cman"},
+	} {
+		store, _, capt := diffFixture(t, Options{Epsilon: 1e-5, ChunkSize: 4 << 10})
+		store.SetFaultHook(faults.New(5, rule))
+		rep, err := capt.Capture(context.Background(), diffMeta(0), data)
+		store.SetFaultHook(nil)
+		if err == nil {
+			t.Fatalf("%s: injected fault did not surface", rule.Kind)
+		}
+		if rep.Cost.Bytes == 0 || rep.Stats.ChunksWritten == 0 {
+			t.Fatalf("%s: error path dropped the partial capture cost or stats: %+v", rule.Kind, rep)
+		}
+		if rep.Manifest != nil {
+			t.Fatalf("%s: a failed capture reports a manifest it did not save", rule.Kind)
+		}
+		next, err := capt.Capture(context.Background(), diffMeta(1), data)
+		if err != nil || !next.Cold {
+			t.Fatalf("%s: the capture after a failed one: cold %v, err %v; want a cold capture", rule.Kind, next.Cold, err)
+		}
 	}
 }
 

@@ -93,7 +93,8 @@ func checkMemo(memo *CASMemo, eps float64) error {
 	if memo == nil {
 		return nil
 	}
-	//lint:ignore floatcmp memoized verdicts are valid only at the exact ε they were established under
+	// Memoized verdicts are valid only at the exact ε they were
+	// established under.
 	if memo.eps != eps {
 		return fmt.Errorf("compare: memo built for ε=%g, comparison at ε=%g", memo.eps, eps)
 	}

@@ -72,16 +72,25 @@ func TestMerkleFaultWithMmapBackend(t *testing.T) {
 	}
 }
 
+// TestBuildAndSaveWriteFault: a metadata save that fails — in a write, or
+// in the close after every byte was written — is the build's error and
+// hands back no metadata; a retry without the fault replaces the file.
 func TestBuildAndSaveWriteFault(t *testing.T) {
 	opts := baseOpts(1e-5, 4<<10)
 	env := newEnv(t, 16<<10, opts, synth.DefaultPerturb(59))
-	faults.FailWrites(env.store, 0, errStorage)
-	if _, _, err := BuildAndSave(context.Background(), env.store, env.nameA, opts); !errors.Is(err, errStorage) {
-		t.Errorf("metadata write fault error = %v", err)
-	}
-	// Disarmed retry succeeds (the failed write is replaced).
-	if _, _, err := BuildAndSave(context.Background(), env.store, env.nameA, opts); err != nil {
-		t.Errorf("retry after write fault failed: %v", err)
+	for _, rule := range []faults.Rule{
+		{Kind: faults.PermanentWrite, Err: errStorage},
+		{Kind: faults.FailClose, Name: ".mrkl", Err: errStorage},
+	} {
+		env.store.SetFaultHook(faults.New(0, rule))
+		m, _, err := BuildAndSave(context.Background(), env.store, env.nameA, opts)
+		env.store.SetFaultHook(nil)
+		if m != nil || !errors.Is(err, errStorage) {
+			t.Errorf("%s: metadata %v, error %v; want none and the injected fault", rule.Kind, m, err)
+		}
+		if _, _, err := BuildAndSave(context.Background(), env.store, env.nameA, opts); err != nil {
+			t.Errorf("%s: retry after the fault failed: %v", rule.Kind, err)
+		}
 	}
 }
 

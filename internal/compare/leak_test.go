@@ -260,6 +260,7 @@ func TestGroupCancelNoLeaks(t *testing.T) {
 // cancelOnReread is a store fault hook that, once armed, counts every read
 // the store sees and cancels the comparison at the first one.
 type cancelOnReread struct {
+	faults.Nop
 	armed  atomic.Bool
 	reads  atomic.Int32
 	cancel context.CancelFunc
@@ -271,10 +272,6 @@ func (h *cancelOnReread) BeforeRead(string, int64, int) error {
 	}
 	return nil
 }
-
-func (h *cancelOnReread) AfterRead(string, int64, int) ([]pfs.Flip, pfs.Cost) { return nil, pfs.Cost{} }
-
-func (h *cancelOnReread) BeforeWrite(string, int64, int) (int, error) { return 0, nil }
 
 // armingBackend corrupts every batch it prices (flipBackend, so the
 // integrity rung must re-read), puts the cancelling hook back on the store

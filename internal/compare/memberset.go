@@ -193,7 +193,8 @@ func (ms *MemberSet) open(ctx context.Context, x *engine.Exec) error {
 				return fmt.Errorf("compare: manifests of %s and %s have different schemas", ms.names[0], name)
 			}
 		}
-		//lint:ignore floatcmp,epsflow manifest digests are only comparable at the exact ε they were captured with
+		// Manifest digests are only comparable at the exact ε they were
+		// captured with.
 		if ms.mans[0].Epsilon != ms.opts.Epsilon {
 			return fmt.Errorf("compare: manifest ε %g does not match requested ε %g", ms.mans[0].Epsilon, ms.opts.Epsilon)
 		}
@@ -363,7 +364,8 @@ var ErrMetadataMismatch = errors.New("metadata does not match")
 // metadata, which leaves the member-vs-member half.
 func (ms *MemberSet) checkMember(i int) error {
 	m, name := ms.Metas[i], ms.names[i]
-	//lint:ignore floatcmp,epsflow metadata is only valid for the exact ε it was built with; bitwise equality is the contract
+	// Metadata is only valid for the exact ε it was built with: bitwise
+	// equality is the contract.
 	if m.Epsilon != ms.opts.Epsilon {
 		return fmt.Errorf("compare: %s: metadata ε %g does not match requested ε %g", name, m.Epsilon, ms.opts.Epsilon)
 	}

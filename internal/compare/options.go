@@ -108,7 +108,6 @@ func (o Options) withDefaults() Options {
 	if o.Exec == nil {
 		o.Exec = device.Default()
 	}
-	//lint:ignore epsflow zero is the unset sentinel here, never a computed value
 	if o.Device.HashBytesPerSec == 0 {
 		o.Device = device.GPUModel()
 	}

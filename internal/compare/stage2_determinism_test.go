@@ -2,7 +2,9 @@ package compare
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -44,9 +46,10 @@ type detOutputs struct {
 	Star, AllPairs, DiffStar, DiffAllPairs *GroupReport
 	// AllClose is the verdict of CompareAllClose, the one door that
 	// answers without saying where, one field at a time: on runs A and B,
-	// then on A and B healed (every difference left is one the oracle
-	// accepts).
-	AllClose [2][3]bool
+	// on A and B healed (every difference left is one the oracle accepts),
+	// and on A and B healed but for one divergence, so that the verdict
+	// turns on that element alone.
+	AllClose [3][3]bool
 }
 
 func TestStage2DeterministicAcrossExecutors(t *testing.T) {
@@ -104,6 +107,10 @@ type detEnv struct {
 	// what still differs is within ε, a NaN against a NaN, or −0 against +0.
 	healed     [][]byte
 	healedName string
+	// oneLeft is healed with B's value back at the hardest divergence the
+	// oracle names in each field (see hardest).
+	oneLeft     [][]byte
+	oneLeftName string
 }
 
 func newDetEnv(t *testing.T, sh dettest.Shape) *detEnv {
@@ -141,17 +148,49 @@ func newDetEnv(t *testing.T, sh dettest.Shape) *detEnv {
 		env.dnames = append(env.dnames, dname)
 	}
 	for fi := range env.fields {
-		h := append([]byte(nil), env.data[1][fi]...)
-		for _, i := range dettest.OracleDiffs(env.data[0][fi], h, sh.Epsilon()) {
-			copy(h[4*i:4*i+4], env.data[0][fi][4*i:])
+		a, b := env.data[0][fi], env.data[1][fi]
+		h := append([]byte(nil), b...)
+		diffs := dettest.OracleDiffs(a, b, sh.Epsilon())
+		for _, i := range diffs {
+			copy(h[4*i:4*i+4], a[4*i:])
+		}
+		one := append([]byte(nil), h...)
+		if len(diffs) > 0 {
+			i := hardest(a, b, diffs)
+			copy(one[4*i:4*i+4], b[4*i:])
 		}
 		env.healed = append(env.healed, h)
+		env.oneLeft = append(env.oneLeft, one)
 	}
-	if _, err := ckpt.WriteCheckpoint(store, ckpt.Meta{RunID: "runBhealed", Iteration: 10, Rank: 0, Fields: env.fields}, env.healed); err != nil {
-		t.Fatal(err)
+	write := func(run string, data [][]byte) string {
+		if _, err := ckpt.WriteCheckpoint(store, ckpt.Meta{RunID: run, Iteration: 10, Rank: 0, Fields: env.fields}, data); err != nil {
+			t.Fatal(err)
+		}
+		return ckpt.Name(run, 10, 0)
 	}
-	env.healedName = ckpt.Name("runBhealed", 10, 0)
+	env.healedName = write("runBhealed", env.healed)
+	env.oneLeftName = write("runBoneLeft", env.oneLeft)
 	return env
+}
+
+// hardest returns the divergence of b from a (one of diffs) that an ε
+// comparison is likeliest to let through: a NaN against a finite value if
+// there is one, else the smallest difference past ε.
+func hardest(a, b []byte, diffs []int64) int64 {
+	at := func(p []byte, i int64) float64 {
+		return float64(math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:])))
+	}
+	best, gap := diffs[0], math.Inf(1)
+	for _, i := range diffs {
+		x, y := at(a, i), at(b, i)
+		if math.IsNaN(x) != math.IsNaN(y) && !math.IsInf(x, 0) && !math.IsInf(y, 0) {
+			return i
+		}
+		if d := math.Abs(x - y); d < gap {
+			best, gap = i, d
+		}
+	}
+	return best
 }
 
 // optsOn returns the shape's options on exec: under Degrade every read of
@@ -215,7 +254,7 @@ func (e *detEnv) run(t *testing.T, exec device.Executor) *detOutputs {
 	out.Direct, err = CompareDirect(ctx, e.store, e.names[0], e.names[1], sweep)
 	must(err)
 	out.Star, out.AllPairs, out.DiffStar, out.DiffAllPairs = e.groups(t, opts)
-	for bi, b := range []string{e.names[1], e.healedName} {
+	for bi, b := range []string{e.names[1], e.healedName, e.oneLeftName} {
 		for fi, f := range e.fields {
 			one := sweep
 			one.Fields = []string{f.Name}
@@ -254,15 +293,17 @@ func (e *detEnv) checkOracle(t *testing.T, out *detOutputs) {
 	if !e.shape.Clean() && (out.Merkle.CandidateChunks == 0 || out.Merkle.DiffCount == 0) {
 		t.Fatalf("shape exercises no stage 2: %d candidates, %d diffs", out.Merkle.CandidateChunks, out.Merkle.DiffCount)
 	}
-	t.Logf("merkle: %d/%d chunks candidates, %d diffs; allclose by field %v, healed %v", out.Merkle.CandidateChunks, out.Merkle.TotalChunks, out.Merkle.DiffCount, out.AllClose[0], out.AllClose[1])
+	t.Logf("merkle: %d/%d chunks candidates, %d diffs; allclose by field %v, healed %v, healed but one %v",
+		out.Merkle.CandidateChunks, out.Merkle.TotalChunks, out.Merkle.DiffCount, out.AllClose[0], out.AllClose[1], out.AllClose[2])
 	check("merkle", out.Merkle, 0, 1)
 	check("direct", out.Direct, 0, 1)
 	check("cas-diff cold", out.DiffCold, 0, 1)
 	check("cas-diff warm", out.DiffWarm, 0, 1)
-	for bi, b := range [][][]byte{e.data[1], e.healed} {
+	for bi, b := range [][][]byte{e.data[1], e.healed, e.oneLeft} {
 		for fi, f := range e.fields {
 			if want := len(dettest.OracleDiffs(e.data[0][fi], b[fi], e.shape.Epsilon())) == 0; out.AllClose[bi][fi] != want {
-				t.Errorf("allclose %s (B healed: %v): %v, the element-wise oracle says %v", f.Name, bi == 1, out.AllClose[bi][fi], want)
+				t.Errorf("allclose %s against %s: %v, the element-wise oracle says %v",
+					f.Name, []string{"B", "B healed", "B healed but one"}[bi], out.AllClose[bi][fi], want)
 			}
 		}
 	}

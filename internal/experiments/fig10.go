@@ -55,7 +55,6 @@ func (e *Env) Fig10(ctx context.Context, eps float64, pairsCount int, processCou
 		processCounts = []int{16, 32, 64, 128}
 	}
 	sub := "a"
-	//lint:ignore floatcmp figure sublabel selection by ε decade, not a repro decision
 	if eps >= 1e-4 {
 		sub = "b"
 	}

@@ -17,7 +17,6 @@ func (e *Env) Fig6(ctx context.Context, eps float64) (*Table, error) {
 		return nil, err
 	}
 	sub := "a"
-	//lint:ignore floatcmp figure sublabel selection by ε decade, not a repro decision
 	if eps >= 1e-4 {
 		sub = "b"
 	}

@@ -67,10 +67,10 @@ func summarize(xs []float64) (mean, min, max float64) {
 	min, max = xs[0], xs[0]
 	for _, x := range xs {
 		mean += x
-		if x < min { //lint:ignore floatcmp running min; exact ordering intended
+		if x < min {
 			min = x
 		}
-		if x > max { //lint:ignore floatcmp running max; exact ordering intended
+		if x > max {
 			max = x
 		}
 	}

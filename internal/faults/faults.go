@@ -1,8 +1,9 @@
 // Package faults is the deterministic fault-injection layer for pfs
 // stores. It implements pfs.FaultHook with a scriptable schedule of rules
-// — transient/permanent read and write errors, torn writes, bit flips in
-// landed bytes, and virtual-clock latency spikes — replacing the old
-// one-shot Store.FailReads/FailWrites hooks (kept here as helpers).
+// — transient/permanent read and write errors, torn writes, failed
+// closes, bit flips in landed bytes, and virtual-clock latency spikes —
+// replacing the old one-shot Store.FailReads/FailWrites hooks (kept here
+// as helpers).
 //
 // Determinism: every probabilistic decision is drawn from a splitmix64
 // stream keyed by the injector's seed, and deterministic rules fire on
@@ -56,6 +57,9 @@ const (
 	// LatencySpike adds Spike to a successful read's cost, pricing a
 	// storage stall on the virtual clock without touching wall time.
 	LatencySpike
+	// FailClose fails a writer's Close after every byte it wrote landed:
+	// the file is closed, but its content is not known to be durable.
+	FailClose
 )
 
 func (k Kind) String() string {
@@ -74,6 +78,8 @@ func (k Kind) String() string {
 		return "bit-flip"
 	case LatencySpike:
 		return "latency-spike"
+	case FailClose:
+		return "fail-close"
 	default:
 		return "unknown"
 	}
@@ -133,6 +139,9 @@ type Stats struct {
 	ReadOps, WriteOps                   int64 // operations observed
 	ReadErrs, WriteErrs                 int64 // errors injected
 	TornWrites, BitFlips, LatencySpikes int64
+	// FailedCloses is omitted from JSON when zero, so tables recorded
+	// before a close could fail still match.
+	FailedCloses int64 `json:",omitempty"`
 }
 
 // rule tracks a Rule's live countdown state.
@@ -196,7 +205,6 @@ func (in *Injector) fires(r *rule) bool {
 	if r.Prob > 0 {
 		// 53-bit uniform in [0,1).
 		u := float64(in.next()>>11) / (1 << 53)
-		//lint:ignore floatcmp probability threshold on a deterministic uniform draw; any consistent cut is correct
 		if u >= r.Prob {
 			return false
 		}
@@ -272,7 +280,7 @@ func (in *Injector) BeforeWrite(name string, off int64, n int) (int, error) {
 	defer in.mu.Unlock()
 	in.stats.WriteOps++
 	for _, r := range in.rules {
-		if !r.match(false, name) {
+		if r.Kind == FailClose || !r.match(false, name) {
 			continue
 		}
 		if !in.fires(r) {
@@ -295,6 +303,28 @@ func (in *Injector) BeforeWrite(name string, off int64, n int) (int, error) {
 	}
 	return 0, nil
 }
+
+// BeforeClose implements pfs.FaultHook: a FailClose rule fails the close.
+func (in *Injector) BeforeClose(name string) error {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	for _, r := range in.rules {
+		if r.Kind == FailClose && r.match(false, name) && in.fires(r) {
+			in.stats.FailedCloses++
+			return r.err(false)
+		}
+	}
+	return nil
+}
+
+// Nop is a fault hook that injects nothing. A test's own hook embeds it
+// and overrides only the decisions it makes.
+type Nop struct{}
+
+func (Nop) BeforeRead(string, int64, int) error                 { return nil }
+func (Nop) AfterRead(string, int64, int) ([]pfs.Flip, pfs.Cost) { return nil, pfs.Cost{} }
+func (Nop) BeforeWrite(string, int64, int) (int, error)         { return 0, nil }
+func (Nop) BeforeClose(string) error                            { return nil }
 
 // FailReads arms a one-shot read fault on the store with the semantics of
 // the old pfs.Store.FailReads: the (after+1)-th subsequent read operation

@@ -151,9 +151,13 @@ func TestNameScopedRule(t *testing.T) {
 	}
 }
 
+// TestTornWritePersistsPrefix: a torn write keeps its prefix, and a failed
+// close (a rule the writes do not fire) still closes the file and leaves
+// what was written.
 func TestTornWritePersistsPrefix(t *testing.T) {
 	s := newStore(t)
-	s.SetFaultHook(New(0, Rule{Kind: TornWrite, Keep: 3, Err: errInjected}))
+	in := New(0, Rule{Kind: FailClose, Err: errInjected}, Rule{Kind: TornWrite, Keep: 3, Err: errInjected})
+	s.SetFaultHook(in)
 	w, err := s.Create("torn.dat")
 	if err != nil {
 		t.Fatal(err)
@@ -165,8 +169,14 @@ func TestTornWritePersistsPrefix(t *testing.T) {
 	if _, err := w.Write([]byte("!")); err != nil {
 		t.Fatalf("write after torn fault failed: %v", err)
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
+	if err := w.Close(); !errors.Is(err, errInjected) {
+		t.Fatalf("close: %v, want the injected error", err)
+	}
+	if _, err := w.Write([]byte("?")); !errors.Is(err, pfs.ErrClosed) {
+		t.Fatalf("write after a failed close: %v, want pfs.ErrClosed", err)
+	}
+	if st := in.Stats(); st.TornWrites != 1 || st.FailedCloses != 1 || st.WriteErrs != 0 {
+		t.Fatalf("stats %+v, want one torn write and one failed close", st)
 	}
 	data, _, err := s.ReadFileFull(context.Background(), "torn.dat", 0, nil)
 	if err != nil {

@@ -130,7 +130,7 @@ func cicWeights(x, h float64, g int) (int, int, float64, float64) {
 // polynomial cutoff: returns the force factor (multiplying the separation
 // vector) and the potential contribution, or ok=false beyond the cutoff.
 func pairForce(r2, rc, rc2, eps2 float64) (f, pot float64, ok bool) {
-	//lint:ignore floatcmp exact cutoff test is part of the deterministic force law
+	// The exact cutoff test is part of the deterministic force law.
 	if r2 >= rc2 {
 		return 0, 0, false
 	}
@@ -240,11 +240,10 @@ func (s *Sim) shortRangeForces() {
 
 // minImage maps a separation onto the minimum periodic image.
 func minImage(d, box float64) float64 {
-	//lint:ignore floatcmp exact periodic wrap is part of the deterministic force law
+	// The exact periodic wrap is part of the deterministic force law.
 	if d > box/2 {
 		return d - box
 	}
-	//lint:ignore floatcmp exact periodic wrap is part of the deterministic force law
 	if d < -box/2 {
 		return d + box
 	}

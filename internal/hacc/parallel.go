@@ -74,7 +74,6 @@ func NewRankSim(cfg Config, r *mpi.Rank) (*RankSim, error) {
 	}
 	slabW := cfg.Box / float64(r.Size())
 	h := cfg.Box / float64(cfg.Grid)
-	//lint:ignore floatcmp configuration validation; any consistent tie-break is acceptable
 	if cfg.Cutoff*h > slabW {
 		return nil, fmt.Errorf("hacc: cutoff %.3g exceeds slab width %.3g; use fewer ranks", cfg.Cutoff*h, slabW)
 	}
@@ -111,7 +110,8 @@ func NewRankSim(cfg Config, r *mpi.Rank) (*RankSim, error) {
 func (s *RankSim) initialConditions() {
 	tmp, ids := globalInitialConditions(s.cfg)
 	for i, id := range ids {
-		//lint:ignore epsflow slab ownership must partition exactly; an ε band would hand boundary particles to two ranks
+		// Slab ownership must partition exactly: an ε band would hand
+		// boundary particles to two ranks.
 		if tmp.pz[i] >= s.slabLo && tmp.pz[i] < s.slabHi {
 			s.ids = append(s.ids, id)
 			s.px = append(s.px, tmp.px[i])
@@ -394,13 +394,13 @@ func (s *RankSim) exchangeHalo() error {
 
 	var toLeft, toRight []byte
 	for i := range s.ids {
-		//lint:ignore floatcmp exact slab-boundary test is part of the deterministic ghost exchange
+		// The exact slab-boundary tests are part of the deterministic ghost
+		// exchange.
 		if s.pz[i] < s.slabLo+rc {
 			var rec [particleRecBytes]byte
 			packParticle(rec[:], s.ids[i], s.px[i], s.py[i], s.pz[i], 0, 0, 0)
 			toLeft = append(toLeft, rec[:]...)
 		}
-		//lint:ignore floatcmp exact slab-boundary test is part of the deterministic ghost exchange
 		if s.pz[i] > s.slabHi-rc {
 			var rec [particleRecBytes]byte
 			packParticle(rec[:], s.ids[i], s.px[i], s.py[i], s.pz[i], 0, 0, 0)
@@ -490,7 +490,7 @@ func (s *RankSim) shortRange() {
 				continue
 			}
 			dz := cpz[j] - s.pz[i]
-			//lint:ignore floatcmp exact cutoff prefilter is part of the deterministic force law
+			// The exact cutoff prefilter is part of the deterministic force law.
 			if dz > rc || dz < -rc {
 				continue
 			}

@@ -48,7 +48,6 @@ func (c Config) Validate() error {
 	if c.N < 4 {
 		return fmt.Errorf("jacobi: grid %d too small", c.N)
 	}
-	//lint:ignore floatcmp configuration validation against the CFL stability bound
 	if c.Alpha <= 0 || c.Alpha > 0.25 {
 		return fmt.Errorf("jacobi: alpha %v outside (0, 0.25]", c.Alpha)
 	}
@@ -168,7 +167,6 @@ func (s *Sim) RunUntil(tol float64, maxSteps int) int {
 	start := s.step
 	for s.step-start < maxSteps {
 		s.Step()
-		//lint:ignore floatcmp the convergence threshold is the simulated application's own semantics
 		if s.res < tol {
 			break
 		}

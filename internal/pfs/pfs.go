@@ -306,6 +306,10 @@ type FaultHook interface {
 	// first keep bytes (clamped to [0, n]) are still persisted — a torn
 	// write. keep is ignored when err is nil.
 	BeforeWrite(name string, off int64, n int) (keep int, err error)
+	// BeforeClose may fail a writer's Close. The file is closed all the
+	// same, so no handle leaks, and its bytes stay where they landed: the
+	// error says they are not known to be durable.
+	BeforeClose(name string) error
 }
 
 // Flip is one bit flip a fault hook chose for a read: the byte at file
@@ -832,13 +836,21 @@ func (w *Writer) Write(p []byte) (int, error) {
 // Cost returns the accumulated write cost so far.
 func (w *Writer) Cost() Cost { return w.cost }
 
-// Close flushes and closes the file.
+// Close flushes and closes the file. The file is closed even when the
+// fault hook fails the close; the hook's error then takes precedence.
 func (w *Writer) Close() error {
 	if w.f == nil {
 		return nil
 	}
+	var ferr error
+	if h := w.store.hook(); h != nil {
+		ferr = h.BeforeClose(w.name)
+	}
 	err := w.f.Close()
 	w.f = nil
+	if ferr != nil {
+		err = ferr
+	}
 	if err != nil {
 		return fmt.Errorf("pfs: close %s: %w", w.name, err)
 	}
@@ -861,7 +873,6 @@ func (s *Store) ReadFileFull(ctx context.Context, name string, blockSize int, ds
 	if err != nil {
 		return nil, Cost{}, err
 	}
-	//lint:ignore errclose read-only handle; every ReadAt error is already checked below
 	defer f.Close()
 	var data []byte
 	if int64(cap(dst)) >= f.Size() {

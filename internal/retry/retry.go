@@ -165,19 +165,16 @@ func (p Policy) Next(retry int) (time.Duration, bool) {
 	}
 	d := float64(p.BaseDelay)
 	mult := p.Multiplier
-	//lint:ignore epsflow sanity floor on a config multiplier, not an ε-sensitive comparison
 	if mult < 1 {
 		mult = 2
 	}
 	for i := 1; i < retry; i++ {
 		d *= mult
-		//lint:ignore floatcmp delay-cap saturation, not an ε-sensitive equality
 		if p.MaxDelay > 0 && d > float64(p.MaxDelay) {
 			d = float64(p.MaxDelay)
 			break
 		}
 	}
-	//lint:ignore floatcmp delay-cap saturation, not an ε-sensitive equality
 	if p.MaxDelay > 0 && d > float64(p.MaxDelay) {
 		d = float64(p.MaxDelay)
 	}

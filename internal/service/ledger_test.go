@@ -10,7 +10,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/compare"
-	"repro/internal/pfs"
+	"repro/internal/faults"
 	"repro/internal/retry"
 	"repro/internal/wal"
 )
@@ -19,6 +19,7 @@ import (
 // first transiently, so the retry policy re-prices once, the rest for
 // good — and leaves its header and metadata readable.
 type unreadableData struct {
+	faults.Nop
 	name string
 	data int64
 	mu   sync.Mutex
@@ -38,10 +39,6 @@ func (h *unreadableData) BeforeRead(name string, off int64, _ int) error {
 	}
 	return errUnreadable
 }
-
-func (h *unreadableData) AfterRead(string, int64, int) ([]pfs.Flip, pfs.Cost) { return nil, pfs.Cost{} }
-
-func (h *unreadableData) BeforeWrite(string, int64, int) (int, error) { return 0, nil }
 
 // journalDegradedGroup runs one star group job under Degrade — A against
 // B, whose data is unreadable, and against A itself, which stays clean —

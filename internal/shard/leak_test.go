@@ -129,6 +129,7 @@ func settledGoroutines() int {
 
 // dataReads counts the reads a store sees on the named files.
 type dataReads struct {
+	faults.Nop
 	names [2]string
 	n     atomic.Int64
 }
@@ -139,10 +140,6 @@ func (h *dataReads) BeforeRead(name string, off int64, n int) error {
 	}
 	return nil
 }
-
-func (h *dataReads) AfterRead(string, int64, int) ([]pfs.Flip, pfs.Cost) { return nil, pfs.Cost{} }
-
-func (h *dataReads) BeforeWrite(string, int64, int) (int, error) { return 0, nil }
 
 // TestShardWorkerReadsCoalescedWindows proves the worker is on the
 // coalescing reader: on the dense parity shape (every chunk a candidate,

@@ -428,6 +428,7 @@ func TestDegradeUnreadable(t *testing.T) {
 // cancelHook cancels a context after N reads of one file — a
 // deterministic mid-stage-2 cancellation.
 type cancelHook struct {
+	faults.Nop
 	name   string
 	after  int
 	cancel context.CancelFunc
@@ -448,10 +449,6 @@ func (h *cancelHook) BeforeRead(name string, off int64, n int) error {
 	}
 	return nil
 }
-
-func (h *cancelHook) AfterRead(string, int64, int) ([]pfs.Flip, pfs.Cost) { return nil, pfs.Cost{} }
-
-func (h *cancelHook) BeforeWrite(name string, off int64, n int) (int, error) { return 0, nil }
 
 // TestCancellation cancels the context from inside a stage-2 read:
 // workers stop, the error propagates, and nothing leaks.

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/aio"
 	"repro/internal/device"
+	"repro/internal/faults"
 	"repro/internal/pfs"
 )
 
@@ -216,6 +217,7 @@ func TestEachExtentLandsOncePerWindow(t *testing.T) {
 // truncateOnPrice shrinks a file to half its size the first time a read of
 // it at or past from is priced: its bytes are gone by the time they land.
 type truncateOnPrice struct {
+	faults.Nop
 	store *pfs.Store
 	name  string
 	from  int64
@@ -235,12 +237,6 @@ func (h *truncateOnPrice) BeforeRead(name string, off int64, _ int) error {
 	}
 	return err
 }
-
-func (h *truncateOnPrice) AfterRead(string, int64, int) ([]pfs.Flip, pfs.Cost) {
-	return nil, pfs.Cost{}
-}
-
-func (h *truncateOnPrice) BeforeWrite(string, int64, int) (int, error) { return 0, nil }
 
 // TestTruncatedBetweenPriceAndCopy: a file that shrinks after its window was
 // priced fails a strict run with the same error — the lowest failing

@@ -80,11 +80,9 @@ func PerturbF32(data []byte, cfg PerturbConfig) []byte {
 	if cfg.BlockElems <= 0 {
 		cfg.BlockElems = 1024
 	}
-	//lint:ignore epsflow config validation; exact ordering of the user's bounds is intended
 	if cfg.MagLo <= 0 || cfg.MagHi < cfg.MagLo {
 		return out
 	}
-	//lint:ignore epsflow config validation; exact ordering of the user's bounds is intended
 	if cfg.ChangedFrac <= 0 || cfg.ChangedFrac > 1 {
 		cfg.ChangedFrac = 1.0 / 1024
 	}
@@ -95,13 +93,11 @@ func PerturbF32(data []byte, cfg PerturbConfig) []byte {
 		if end > n {
 			end = n
 		}
-		//lint:ignore epsflow Monte Carlo threshold draw; exact comparison intended
 		if rng.Float64() < cfg.UntouchedFrac {
 			continue
 		}
 		mag := math.Exp(logLo + rng.Float64()*(logHi-logLo))
 		for i := start; i < end; i++ {
-			//lint:ignore epsflow Monte Carlo threshold draw; exact comparison intended
 			if rng.Float64() >= cfg.ChangedFrac {
 				continue
 			}
