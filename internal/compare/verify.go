@@ -2,6 +2,7 @@ package compare
 
 import (
 	"context"
+	"math/bits"
 	"slices"
 	"sync"
 	"time"
@@ -125,8 +126,8 @@ type verdicts struct {
 }
 
 // verdictSlotBytes is the in-memory size of one verdictSlot, for the free
-// list's byte bound.
-const verdictSlotBytes = 24
+// list's byte bound: verdict and r in one 8-byte word, lo and hi a word each.
+const verdictSlotBytes = 8 + 2*bits.UintSize/8
 
 // The kernel-scratch free list keeps at most kernelFreeStores stores, none
 // larger than kernelStoreMax bytes (a larger one — a comparison reporting

@@ -19,7 +19,8 @@ import (
 //     difference x rounded, rounding is monotone and T is a float32, so
 //     |x| ≥ T would give |a −₃₂ b| ≥ T; hence an accepted element has
 //     |x| < T, and then the float64 difference is at most T ≤ atol, which
-//     is tier 1's test. A whole block is accepted or handed on (acceptF32).
+//     is tier 1's test. A whole block is accepted or handed on (acceptF32:
+//     SSE2 on amd64, the Go loop acceptF32Go elsewhere).
 //  1. d = float64(a) − float64(b), and an element is accepted on the one
 //     test |d| ≤ atol. The test is false whenever either side is not
 //     finite (NaN − x and Inf − Inf are NaN, Inf − finite is ±Inf), so it
@@ -36,10 +37,6 @@ import (
 // the elements of a block share one OR and one branch. blockF32 and
 // blockF64 (tiers 1 and 2) are the only places an element is called
 // different.
-//
-// A tier before these that skips bit-identical words without any float
-// arithmetic was built and measured and is left to a later change: see
-// DESIGN §9 for why.
 
 // tol is one comparison's tolerance in the forms the tiers read. It stays at
 // four fields — tier 0's bound is derived, not stored (accept32): with a
@@ -147,7 +144,9 @@ func (t *tol) scanF32(dst []int64, a, b []byte, collect bool) ([]int64, bool) {
 				quiet = 0
 			}
 		}
-		if n := acceptF32(acc, a, b, off); n > off {
+		// Sliced here, a short b panics in Go: acceptF32 trusts its lengths.
+		lim := min(end, off+acceptSpan)
+		if n := acceptF32(acc, a[:lim], b[:lim], off); n > off {
 			off, need = n, 1
 		} else if need < backoffCap {
 			need *= 2
@@ -163,11 +162,19 @@ func (t *tol) scanF32(dst []int64, a, b []byte, collect bool) ([]int64, bool) {
 	return t.blockF32(dst, ta[:], tb[:], int64(end/4), n, collect)
 }
 
-// acceptF32 is tier 0 over whole blocks from off on: it returns the offset
+// acceptSpan bounds the bytes one acceptF32 call scans. The assembly loop
+// cannot be preempted, so a whole-field sweep is cut into pieces short
+// enough not to hold off a stop-the-world; a piece accepted whole costs the
+// next one a block through blockF32, which gives it the same answer.
+const acceptSpan = 1 << 20
+
+// acceptF32Go is tier 0 over whole blocks from off on: it returns the offset
 // of the first one it does not accept, or of the tail. A leaf of its own so
 // that the passing path is a straight line with acc and the cursors in
-// registers, which the compiler does not manage around blockF32's call.
-func acceptF32(acc int32, a, b []byte, off int) int {
+// registers, which the compiler does not manage around blockF32's call. It
+// is acceptF32 where there is no assembly, and the reference the assembly is
+// held to.
+func acceptF32Go(acc int32, a, b []byte, off int) int {
 	b = b[:len(a)]
 	for ; off+32 <= len(a); off += 32 {
 		p, q := a[off:off+32:off+32], b[off:off+32:off+32]

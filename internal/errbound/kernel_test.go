@@ -1,6 +1,7 @@
 package errbound
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -40,6 +41,84 @@ func checkKernels(t testing.TB, dtype DType, eps, rtol float64, a, b []byte) {
 	}
 	if wantOK := referenceAllCloseRel(a, b, dtype, eps, rtol); ok != wantOK {
 		t.Fatalf("%v atol=%g rtol=%g a=%x b=%x: AllCloseRel = %v, reference %v", dtype, eps, rtol, a, b, ok, wantOK)
+	}
+	// Tier 0 against the Go loop, from every block offset, at both bounds.
+	abs, rel := newTol(eps, 0), newTol(eps, rtol)
+	for _, acc := range []int32{abs.accept32(), rel.accept32()} {
+		for off := 0; off <= len(a); off += 32 {
+			checkAccept(t, acc, a, b, off)
+		}
+	}
+}
+
+// checkAccept holds acceptF32 to acceptF32Go on one input. Where there is
+// no assembly the two are one loop and this checks nothing.
+func checkAccept(t testing.TB, acc int32, a, b []byte, off int) {
+	t.Helper()
+	if got, want := acceptF32(acc, a, b, off), acceptF32Go(acc, a, b, off); got != want {
+		t.Fatalf("acc=%#x off=%d a=%x b=%x: acceptF32 = %d, acceptF32Go %d", acc, off, a, b, got, want)
+	}
+}
+
+// TestAcceptF32MatchesGo holds tier 0's assembly to the Go loop: a
+// not-accepted element in each of a block's eight lanes (both 16-byte
+// halves), before and after the cursor; every tail of 0–31 bytes behind
+// accepted blocks, with accepted bytes past the end that an overreading loop
+// would accept; both sides misaligned by 0–15 bytes; bounds from "accept
+// nothing" to the top of the float32 range; and element pairs of NaN
+// payloads (quiet and signalling), ±Inf, ±0, subnormals and differences that
+// round to T.
+func TestAcceptF32MatchesGo(t *testing.T) {
+	accs := []int32{-1, 0, minNormal32 - 1}
+	for _, eps := range []float64{1e-7, 1e-5, 1e-4, 0x1p-126, math.MaxFloat32} {
+		tl := newTol(eps, 0)
+		accs = append(accs, tl.accept32())
+	}
+	specials := []uint32{
+		0x7fc00000, 0x7fc00001, 0xffc00001, 0x7fffffff, // quiet NaN payloads
+		0x7f800001, 0x7fbfffff, 0xff800001, // signalling NaN payloads
+		0x7f800000, 0xff800000, 0, 0x80000000, // ±Inf, ±0
+		1, 0x80000001, 0x007fffff, 0x807fffff, minNormal32, // subnormals, the smallest normal
+		0x3f800000, 0x7f7fffff, // 1, MaxFloat32
+	}
+	const one = 0x3f800000 // every element that is not under test, on both sides
+	// fill returns n bytes of ones behind mis bytes of misalignment.
+	fill := func(mis, n int) []byte {
+		p := make([]byte, mis+n+3)[mis:]
+		for i := 0; i+4 <= len(p); i += 4 {
+			binary.LittleEndian.PutUint32(p[i:], one)
+		}
+		return p[:n]
+	}
+	for _, acc := range accs {
+		var pairs [][2]uint32
+		for _, x := range specials {
+			for _, y := range specials {
+				pairs = append(pairs, [2]uint32{x, y})
+			}
+		}
+		for _, p := range roundingPairs(float64(math.Float32frombits(uint32(acc + 1)))) {
+			pairs = append(pairs, [2]uint32{math.Float32bits(float32(p[0])), math.Float32bits(float32(p[1]))})
+		}
+		for _, p := range pairs {
+			for lane := 0; lane < 8; lane++ {
+				a, b := fill(0, 3*32+5), fill(0, 3*32+5)
+				binary.LittleEndian.PutUint32(a[32+4*lane:], p[0])
+				binary.LittleEndian.PutUint32(b[32+4*lane:], p[1])
+				for off := 0; off <= 96; off += 32 {
+					checkAccept(t, acc, a, b, off)
+				}
+			}
+		}
+		for tail := 0; tail < 32; tail++ {
+			for mis := 0; mis < 16; mis++ {
+				n := 3*32 + tail
+				a, b := fill(mis, n+32), fill(15-mis, n+32)
+				checkAccept(t, acc, a[:n], b[:n], 0)
+				binary.LittleEndian.PutUint32(a[64+4*(mis%8):], 0x7fc00000)
+				checkAccept(t, acc, a[:n], b[:n], 0)
+			}
+		}
 	}
 }
 
