@@ -144,19 +144,25 @@ func NewUring(queueDepth int) *Uring {
 // Name implements Backend.
 func (u *Uring) Name() string { return "io_uring" }
 
-func (u *Uring) queueDepth() int { return depthOr64(u.QueueDepth) }
-
-func depthOr64(d int) int {
-	if d < 1 {
+func (u *Uring) queueDepth() int {
+	if u.QueueDepth < 1 {
 		return 64
 	}
-	return d
+	return u.QueueDepth
 }
 
 // Price implements Backend: every request priced in order, the batch at
 // the ring's queue depth.
 func (u *Uring) Price(ctx context.Context, f *pfs.File, reqs []ReadReq) (pfs.Cost, time.Duration, error) {
-	return priceQueue(ctx, f, reqs, u.queueDepth())
+	if len(reqs) == 0 {
+		return pfs.Cost{}, 0, nil
+	}
+	cost, err := priceEach(ctx, f, reqs)
+	if cerr := ctx.Err(); cerr != nil {
+		return cost, 0, cerr
+	}
+	elapsed := priceOverlapped(f, reqs[0].Off, cost, u.queueDepth(), batchIsScattered(len(reqs), batchBytes(reqs)))
+	return cost, elapsed, err
 }
 
 // PricePair implements PairPricer: both runs' requests enter the one queue
@@ -225,37 +231,6 @@ var (
 func Default() *Uring {
 	defaultUringOnce.Do(func() { defaultUring = NewUring(256) })
 	return defaultUring
-}
-
-// Legacy is a Uring without the pair path: run A's and run B's batches
-// price one after the other, each paying its own final completion
-// latency. cmd/benchstream measures it as the serial-pricing baseline.
-type Legacy struct {
-	// QueueDepth is the ring size (default 64).
-	QueueDepth int
-}
-
-var _ Backend = Legacy{}
-
-// Name implements Backend.
-func (Legacy) Name() string { return "io_uring_fresh" }
-
-// Price implements Backend.
-func (l Legacy) Price(ctx context.Context, f *pfs.File, reqs []ReadReq) (pfs.Cost, time.Duration, error) {
-	return priceQueue(ctx, f, reqs, depthOr64(l.QueueDepth))
-}
-
-// priceQueue prices one batch as a queue of depth queueDepth.
-func priceQueue(ctx context.Context, f *pfs.File, reqs []ReadReq, queueDepth int) (pfs.Cost, time.Duration, error) {
-	if len(reqs) == 0 {
-		return pfs.Cost{}, 0, nil
-	}
-	cost, err := priceEach(ctx, f, reqs)
-	if cerr := ctx.Err(); cerr != nil {
-		return cost, 0, cerr
-	}
-	elapsed := priceOverlapped(f, reqs[0].Off, cost, queueDepth, batchIsScattered(len(reqs), batchBytes(reqs)))
-	return cost, elapsed, err
 }
 
 // priceEach prices every request of a queued batch in order and returns

@@ -185,26 +185,23 @@ func TestNewUringDefaults(t *testing.T) {
 	}
 }
 
-// TestRingClampsParams: a ring or a serial engine left at a zero queue
-// depth prices at the default depth and still lands every request.
+// TestRingClampsParams: a ring left at a zero queue depth prices at the
+// default depth and still lands every request.
 func TestRingClampsParams(t *testing.T) {
 	_, f, data := newFile(t, 8<<10)
-	for _, be := range []Backend{&Uring{}, Legacy{}} {
-		reqs := scatteredReqs(data, 4, 256, 7)
-		_, got, err := ReadBatch(context.Background(), be, f, reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		verifyFilled(t, data, reqs)
-		f.Store().EvictAll()
-		_, want, err := NewUring(64).ReadBatch(context.Background(), f, reqs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Errorf("%s at depth 0 prices %v, at the default depth %v", be.Name(), got, want)
-		}
-		f.Store().EvictAll()
+	reqs := scatteredReqs(data, 4, 256, 7)
+	_, got, err := ReadBatch(context.Background(), &Uring{}, f, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifyFilled(t, data, reqs)
+	f.Store().EvictAll()
+	_, want, err := NewUring(64).ReadBatch(context.Background(), f, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Errorf("a ring at depth 0 prices %v, at the default depth %v", got, want)
 	}
 }
 

@@ -69,9 +69,9 @@ func TestReadBatchPairFillsBothRuns(t *testing.T) {
 
 // TestPairCheaperThanSerialBatches checks the pair pricing claim: one
 // overlapped A+B batch is strictly cheaper on the virtual clock than the
-// Legacy engine's two serial batches, because the pair forms one deep
-// queue (fewer latency rounds at equal queue depth) and pays the
-// final-completion latency once.
+// same ring's two batches priced one after the other, because the pair
+// forms one deep queue (fewer latency rounds at equal queue depth) and
+// pays the final-completion latency once.
 func TestPairCheaperThanSerialBatches(t *testing.T) {
 	store, fA, fB, dataA, dataB := newPairFiles(t, 1<<20)
 	mkReqs := func() ([]ReadReq, []ReadReq) {
@@ -79,12 +79,12 @@ func TestPairCheaperThanSerialBatches(t *testing.T) {
 	}
 
 	reqsA, reqsB := mkReqs()
-	legacy := Legacy{QueueDepth: 64}
-	costA, tA, err := ReadBatch(context.Background(), legacy, fA, reqsA)
+	u := NewUring(64)
+	costA, tA, err := u.ReadBatch(context.Background(), fA, reqsA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	costB, tB, err := ReadBatch(context.Background(), legacy, fB, reqsB)
+	costB, tB, err := u.ReadBatch(context.Background(), fB, reqsB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,6 @@ func TestPairCheaperThanSerialBatches(t *testing.T) {
 
 	store.EvictAll()
 	reqsA, reqsB = mkReqs()
-	u := NewUring(64)
 	pairCost, pair, err := u.ReadBatchPair(context.Background(), fA, fB, reqsA, reqsB)
 	if err != nil {
 		t.Fatal(err)
@@ -126,34 +125,6 @@ func distinctReqs(n int) []ReadReq {
 		reqs[i] = ReadReq{Off: int64(i) * 8192, Len: 4096, Buf: make([]byte, 4096), Tag: i}
 	}
 	return reqs
-}
-
-func TestLegacyMatchesUringResults(t *testing.T) {
-	store, f, data := newFile(t, 1<<20)
-	reqsL := distinctReqs(40)
-	legacy := Legacy{}
-	costL, _, err := ReadBatch(context.Background(), legacy, f, reqsL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verifyFilled(t, data, reqsL)
-
-	store.EvictAll()
-	u := NewUring(64)
-	reqsU := distinctReqs(40)
-	costU, _, err := u.ReadBatch(context.Background(), f, reqsU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	verifyFilled(t, data, reqsU)
-	for i := range reqsL {
-		if !bytes.Equal(reqsL[i].Buf, reqsU[i].Buf) {
-			t.Fatalf("request %d: legacy and uring bytes differ", i)
-		}
-	}
-	if costL != costU {
-		t.Errorf("cold costs differ: legacy %+v, uring %+v", costL, costU)
-	}
 }
 
 // TestCoalescingPairEquivalence checks the pair path of the coalescing

@@ -74,8 +74,8 @@ func NewDiffCapturer(store *pfs.Store, cs *cas.Store, opts Options) (*DiffCaptur
 // come from the previous iteration's by updating the leaves that moved — or
 // from the tree half of a full build when there is no previous iteration
 // with this schema. The golden property — asserted by
-// TestDiffCaptureGoldenIncrementalRoot and re-checked by cmd/benchcapture on
-// every benched workload — is that the incrementally updated tree is
+// TestDiffCaptureGoldenIncrementalRoot and re-checked by
+// TestCaptureMatchesBaseline at every divergence level — is that the incrementally updated tree is
 // bit-identical to a full rebuild.
 //
 // A checkpoint whose buffers do not fit their specs is refused before

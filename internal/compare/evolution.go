@@ -3,6 +3,7 @@ package compare
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/ckpt"
 	"repro/internal/engine"
@@ -67,11 +68,11 @@ func Evolution(ctx context.Context, store *pfs.Store, runID string, opts Options
 		}
 		byRank[rank] = append(byRank[rank], n)
 	}
+	slices.Sort(ranks)
 	report := &EvolutionReport{RunID: runID}
 	var p engine.Plan
 	p.Retry = opts.retryPolicy()
 	for _, rank := range ranks {
-		rank := rank
 		seq := byRank[rank]
 		for i := 1; i < len(seq); i++ {
 			from, to := seq[i-1], seq[i]

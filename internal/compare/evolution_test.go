@@ -105,7 +105,10 @@ func TestEvolutionValidation(t *testing.T) {
 	}
 }
 
-func TestEvolutionMultiRank(t *testing.T) {
+// evolutionRanks writes run "mr" with metadata at each (iteration, rank)
+// and returns its evolution report.
+func evolutionRanks(t *testing.T, at ...[2]int) *EvolutionReport {
+	t.Helper()
 	opts := baseOpts(1e-5, 4<<10)
 	store, err := pfs.NewStore(t.TempDir(), pfs.LustreModel())
 	if err != nil {
@@ -113,22 +116,41 @@ func TestEvolutionMultiRank(t *testing.T) {
 	}
 	const elems = 8 << 10
 	fields := []ckpt.FieldSpec{{Name: "x", DType: errbound.Float32, Count: elems}}
-	for rank := 0; rank < 2; rank++ {
-		for _, iter := range []int{10, 20} {
-			data := synth.FieldF32(elems, int64(rank*100+iter))
-			meta := ckpt.Meta{RunID: "mr", Iteration: iter, Rank: rank, Fields: fields}
-			if _, err := ckpt.WriteCheckpoint(store, meta, [][]byte{data}); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := BuildAndSave(context.Background(), store, ckpt.Name("mr", iter, rank), opts); err != nil {
-				t.Fatal(err)
-			}
+	for _, ir := range at {
+		iter, rank := ir[0], ir[1]
+		data := synth.FieldF32(elems, int64(rank*100+iter))
+		meta := ckpt.Meta{RunID: "mr", Iteration: iter, Rank: rank, Fields: fields}
+		if _, err := ckpt.WriteCheckpoint(store, meta, [][]byte{data}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := BuildAndSave(context.Background(), store, ckpt.Name("mr", iter, rank), opts); err != nil {
+			t.Fatal(err)
 		}
 	}
 	report, err := Evolution(context.Background(), store, "mr", opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return report
+}
+
+// TestEvolutionOrdersByRank: points come ordered by rank then iteration,
+// even when a higher rank checkpoints first.
+func TestEvolutionOrdersByRank(t *testing.T) {
+	report := evolutionRanks(t, [2]int{10, 1}, [2]int{20, 0}, [2]int{20, 1}, [2]int{30, 0})
+	want := []EvolutionPoint{{FromIter: 20, ToIter: 30, Rank: 0}, {FromIter: 10, ToIter: 20, Rank: 1}}
+	if len(report.Points) != len(want) {
+		t.Fatalf("points = %+v", report.Points)
+	}
+	for i, p := range report.Points {
+		if p.FromIter != want[i].FromIter || p.ToIter != want[i].ToIter || p.Rank != want[i].Rank {
+			t.Errorf("point %d = %+v, want rank %d %d->%d", i, p, want[i].Rank, want[i].FromIter, want[i].ToIter)
+		}
+	}
+}
+
+func TestEvolutionMultiRank(t *testing.T) {
+	report := evolutionRanks(t, [2]int{10, 0}, [2]int{20, 0}, [2]int{10, 1}, [2]int{20, 1})
 	if len(report.Points) != 2 { // one transition per rank
 		t.Fatalf("points = %+v", report.Points)
 	}

@@ -6,10 +6,13 @@
 package dettest
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"runtime"
 	"slices"
 	"testing"
@@ -392,5 +395,34 @@ func VirtualOnly(b *metrics.Breakdown, steps metrics.StepSpans) {
 	*b = out
 	for i := range steps {
 		steps[i].Span.Wall = 0
+	}
+}
+
+// Row appends a golden table's row to out: its label, a space, v as JSON.
+func Row(t testing.TB, out *bytes.Buffer, label string, v any) {
+	t.Helper()
+	js, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(out, "%s %s\n", label, js)
+}
+
+// Golden holds a table to the golden file at path, byte for byte, and
+// fails the test at the first line that differs.
+func Golden(t testing.TB, path string, got []byte) {
+	t.Helper()
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := range min(len(gl), len(wl)) {
+		if !bytes.Equal(gl[i], wl[i]) {
+			t.Fatalf("%s line %d differs:\n got %s\nwant %s", path, i+1, gl[i], wl[i])
+		}
+	}
+	if len(gl) != len(wl) {
+		t.Fatalf("%s: %d lines, the golden holds %d", path, len(gl), len(wl))
 	}
 }

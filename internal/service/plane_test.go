@@ -18,7 +18,7 @@ import (
 func TestNormalizeOptions(t *testing.T) {
 	p := testPlane(t, Config{})
 	customExec := device.Serial{}
-	customBackend := aio.Legacy{}
+	customBackend := aio.Mmap{}
 
 	cases := []struct {
 		name  string

@@ -277,10 +277,3 @@ func (s *sched) peakInFlight() int {
 	defer s.mu.Unlock()
 	return s.peak
 }
-
-// queued reports the current admission-queue length.
-func (s *sched) queuedLen() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queue)
-}

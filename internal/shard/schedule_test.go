@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 	"testing"
 
@@ -125,27 +124,11 @@ func TestScheduleMatchesParent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 792 sharded comparisons twice")
 	}
-	want, err := os.ReadFile("testdata/schedule.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
 	ins := scheduleInputs(t)
 	for _, procs := range []int{1, 4} {
 		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			got := scheduleTable(t, ins)
-			if bytes.Equal(got, want) {
-				return
-			}
-			gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
-			if len(gl) != len(wl) {
-				t.Fatalf("%d rows, the parent wrote %d", len(gl), len(wl))
-			}
-			for i := range gl {
-				if !bytes.Equal(gl[i], wl[i]) {
-					t.Fatalf("row %d differs from the parent's:\n got %s\nwant %s", i, gl[i], wl[i])
-				}
-			}
+			dettest.Golden(t, "testdata/schedule.golden", scheduleTable(t, ins))
 		})
 	}
 }

@@ -470,7 +470,8 @@ func TestCancellation(t *testing.T) {
 // TestStealingBeatsStatic is the scale-out claim on the skewed workload:
 // with 8 workers and every divergent subtree in the front of the key
 // space, work stealing must cut the virtual makespan at least 1.5× vs
-// the static block assignment. This mirrors BENCH_shard's tracked floor.
+// the static block assignment. TestScaleOutMatchesBaseline holds the
+// numbers of the full-size skewed table (8.0× at 8 workers).
 func TestStealingBeatsStatic(t *testing.T) {
 	opts := testOpts()
 	e := newEnv(t, 128<<10, opts, perturbSkewed)

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
@@ -158,7 +157,7 @@ func accountBackends() []accountBackend {
 		{"uring+coalesce", func() aio.Backend { return aio.NewCoalescing(aio.NewUring(64), 0) }},
 		{"uring", func() aio.Backend { return aio.NewUring(64) }},
 		{"mmap", func() aio.Backend { return aio.Mmap{} }},
-		{"legacy", func() aio.Backend { return aio.Legacy{} }},
+		{"legacy", func() aio.Backend { return serial{aio.NewUring(64)} }},
 	}
 }
 
@@ -294,21 +293,5 @@ func TestWindowAccountMatchesParent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 10 800 plans")
 	}
-	want, err := os.ReadFile("testdata/account.golden")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := accountTable(t, accountInputs(t))
-	if bytes.Equal(got, want) {
-		return
-	}
-	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
-	if len(gl) != len(wl) {
-		t.Fatalf("%d rows, the parent wrote %d", len(gl), len(wl))
-	}
-	for i := range gl {
-		if !bytes.Equal(gl[i], wl[i]) {
-			t.Fatalf("row %d differs from the parent's:\n got %s\nwant %s", i, gl[i], wl[i])
-		}
-	}
+	dettest.Golden(t, "testdata/account.golden", accountTable(t, accountInputs(t)))
 }

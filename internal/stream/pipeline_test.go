@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -142,68 +143,47 @@ func TestRunDepths(t *testing.T) {
 
 // TestSteadyStateSliceAllocs verifies the recycling buffer pool: once the
 // page cache and the pool are warm, each additional slice through the
-// pipeline performs no heap allocations. Per-Run fixed costs (channels,
-// the reader, the verifier, the pool itself) are cancelled by differencing
-// an N-slice run against a 2N-slice run.
+// pipeline performs no heap allocations, through every read engine of the
+// clustered table (the ring, the ring with coalescing and its scratch
+// arena, the serial pair) at every depth. Per-Run fixed costs (the reader,
+// the verifier, the pool itself) are cancelled by differencing an N-slice
+// run against a 2N-slice run.
 func TestSteadyStateSliceAllocs(t *testing.T) {
 	fa, fb, _, _ := twoFiles(t, 1<<20)
 	const chunk = 4096
 	const perSlice = 8 // 8 chunks × 4 KiB = one 32 KiB slice
 	const extra = 8    // slices added by the longer run
 	pairs := pairsEvery(2*extra*perSlice, chunk, 8192)
-
-	u := aio.NewUring(64)
-	cfg := Config{Arena: aio.NewArena(0), Backend: u, Device: device.GPUModel(), SliceBytes: perSlice * chunk, Depth: 2}
 	// Plans are inputs: built once, outside the measured runs.
 	plans := map[int]*Plan{extra: pairPlan(fa, fb, pairs[:extra*perSlice]), 2 * extra: pairPlan(fa, fb, pairs)}
-	runN := func(n int) {
-		_, err := Run(context.Background(), plans[n], cfg, func(int, Job, []byte, []byte) (time.Duration, error) {
-			return 0, nil
-		})
-		if err != nil {
-			t.Fatal(err)
+	for _, be := range []struct {
+		name    string
+		backend aio.Backend
+	}{
+		{"uring", aio.NewUring(64)},
+		{"coalescing", aio.NewCoalescing(aio.NewUring(64), 16<<10)},
+		{"serial", serial{aio.NewUring(64)}},
+	} {
+		for _, depth := range []int{1, 2, 4} {
+			t.Run(fmt.Sprintf("%s/depth%d", be.name, depth), func(t *testing.T) {
+				cfg := Config{Arena: aio.NewArena(0), Backend: be.backend, Device: device.GPUModel(), SliceBytes: perSlice * chunk, Depth: depth}
+				runN := func(n int) {
+					_, err := Run(context.Background(), plans[n], cfg, func(int, Job, []byte, []byte) (time.Duration, error) {
+						return 0, nil
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				runN(2 * extra) // warm the page cache and the arena
+
+				short := testing.AllocsPerRun(5, func() { runN(extra) })
+				long := testing.AllocsPerRun(5, func() { runN(2 * extra) })
+				if perExtraSlice := (long - short) / extra; perExtraSlice > 0.5 {
+					t.Errorf("steady-state allocations = %.2f per slice, want 0 (short run %.1f, long run %.1f)",
+						perExtraSlice, short, long)
+				}
+			})
 		}
-	}
-	runN(2 * extra) // warm the page cache and the arena
-
-	short := testing.AllocsPerRun(5, func() { runN(extra) })
-	long := testing.AllocsPerRun(5, func() { runN(2 * extra) })
-	perExtraSlice := (long - short) / extra
-	if perExtraSlice > 0.5 {
-		t.Errorf("steady-state allocations = %.2f per slice, want 0 (short run %.1f, long run %.1f)",
-			perExtraSlice, short, long)
-	}
-}
-
-// TestSteadyStateSliceAllocsCoalescing covers the coalescing wrapper's
-// scratch arena the same way.
-func TestSteadyStateSliceAllocsCoalescing(t *testing.T) {
-	fa, fb, _, _ := twoFiles(t, 1<<20)
-	const chunk = 4096
-	const perSlice = 8
-	const extra = 8
-	pairs := pairsEvery(2*extra*perSlice, chunk, 8192)
-
-	u := aio.NewUring(64)
-	co := aio.NewCoalescing(u, 16<<10)
-	cfg := Config{Arena: aio.NewArena(0), Backend: co, Device: device.GPUModel(), SliceBytes: perSlice * chunk, Depth: 2}
-	// Plans are inputs: built once, outside the measured runs.
-	plans := map[int]*Plan{extra: pairPlan(fa, fb, pairs[:extra*perSlice]), 2 * extra: pairPlan(fa, fb, pairs)}
-	runN := func(n int) {
-		_, err := Run(context.Background(), plans[n], cfg, func(int, Job, []byte, []byte) (time.Duration, error) {
-			return 0, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	runN(2 * extra)
-
-	short := testing.AllocsPerRun(5, func() { runN(extra) })
-	long := testing.AllocsPerRun(5, func() { runN(2 * extra) })
-	perExtraSlice := (long - short) / extra
-	if perExtraSlice > 0.5 {
-		t.Errorf("steady-state allocations = %.2f per slice with coalescing, want 0 (short %.1f, long %.1f)",
-			perExtraSlice, short, long)
 	}
 }

@@ -105,8 +105,8 @@ func TestRunSameFileCoalescesAcrossSides(t *testing.T) {
 		}
 		return stats.ReadCost.Ops + stats.ReadCost.CachedOps
 	}
-	plain := run(aio.Legacy{})
-	merged := run(aio.NewCoalescing(aio.Legacy{}, 16<<10))
+	plain := run(serial{aio.NewUring(64)})
+	merged := run(aio.NewCoalescing(serial{aio.NewUring(64)}, 16<<10))
 	if merged >= plain {
 		t.Errorf("coalesced same-file read took %d ops, plain took %d — extents did not merge across sides", merged, plain)
 	}

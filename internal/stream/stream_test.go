@@ -14,6 +14,13 @@ import (
 	"repro/internal/pfs"
 )
 
+// serial prices a pair's two batches one after the other, each paying its
+// own final completion latency: embedding the Backend hides Uring's
+// PricePair.
+type serial struct{ aio.Backend }
+
+func (serial) Name() string { return "io_uring_fresh" }
+
 // twoFiles creates two files with deterministic distinct content.
 func twoFiles(t *testing.T, size int) (*pfs.File, *pfs.File, []byte, []byte) {
 	t.Helper()
