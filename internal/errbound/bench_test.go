@@ -84,6 +84,7 @@ var benchRegimes = []string{
 	"dense",     // every element beyond ε: tier 2 and an append each
 	"streaks",   // runs of 16 dense blocks between runs of 16 identical ones
 	"mixed",     // jitter, with 1/10 of the elements at random beyond ε
+	"scattered", // 1/64 of the elements at random moved by a log-uniform 1e-5…1e-2: pair_dense's traffic
 }
 
 // benchEps is within a few float32 ULPs of the jitter regime's largest
@@ -118,6 +119,10 @@ func benchPair(b testing.TB, dtype DType, regime string) (x, y []byte) {
 			ulps = uint64(1 + i%3)
 			if rng.Intn(10) == 0 {
 				delta = 1e-3
+			}
+		case "scattered":
+			if rng.Intn(64) == 0 {
+				delta = math.Copysign(math.Exp(math.Log(1e-5)+rng.Float64()*math.Log(1e3)), rng.Float64()-0.5)
 			}
 		}
 		if dtype == Float32 {

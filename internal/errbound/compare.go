@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // The element-wise ε kernels — CompareSlices (stage 2's verifier), AllClose
@@ -19,8 +20,8 @@ import (
 //     difference x rounded, rounding is monotone and T is a float32, so
 //     |x| ≥ T would give |a −₃₂ b| ≥ T; hence an accepted element has
 //     |x| < T, and then the float64 difference is at most T ≤ atol, which
-//     is tier 1's test. A whole block is accepted or handed on (acceptF32:
-//     SSE2 on amd64, the Go loop acceptF32Go elsewhere).
+//     is tier 1's test. Tier 0 lists the blocks it does not accept whole, and
+//     only their unaccepted lanes go on (flagF32: SSE2 on amd64, else flagF32Go).
 //  1. d = float64(a) − float64(b), and an element is accepted on the one
 //     test |d| ≤ atol. The test is false whenever either side is not
 //     finite (NaN − x and Inf − Inf are NaN, Inf − finite is ±Inf), so it
@@ -34,8 +35,8 @@ import (
 // The accepting tests are evaluated on bit patterns: for non-negative
 // floats bit order is value order, with +Inf and every NaN above all finite
 // values, so accept − bits(|d|) is negative exactly when the test fails and
-// the elements of a block share one OR and one branch. blockF32 and
-// blockF64 (tiers 1 and 2) are the only places an element is called
+// the elements of a block share one OR and one branch. blockF32, lanesF32
+// and blockF64 (tiers 1 and 2) are the only places an element is called
 // different.
 
 // tol is one comparison's tolerance in the forms the tiers read. It stays at
@@ -111,45 +112,42 @@ func f64At(p []byte) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(p))
 }
 
-// backoffCap bounds how many exact blocks in a row must report nothing
-// before a scan loop tries its accepting test again: after a divergent
-// stretch, at most this many blocks (512 bytes) more take the slow route.
-const backoffCap = 16
+const flagCap = 64 // tier 0's list: the most blocks one sweep lists
 
 // scanF32 runs the tiers over two equal-length buffers of float32. With
 // collect it appends the index of every different element to dst, in order;
 // without, it stops at the first one. It reports whether none was found.
-//
-// Blocks are routed, not classified. The scan starts in the exact tiers, so
-// a comparison that ends in its first block costs what it always did, and
-// blockF32 keeps taking blocks while they report elements: in a divergent
-// stretch the accepting test is wasted work and a mispredicted branch. After
-// need blocks in a row that reported nothing, acceptF32 runs ahead until a
-// block is not accepted whole, and that block is blockF32's again. need is
-// 1, and doubles (up to backoffCap) each time acceptF32 comes back
-// empty-handed, so data on which the guess keeps failing stops paying for
-// it. Either route gives a block the same answer.
+// The first block goes through blockF32, so a comparison that ends there
+// makes no tier-0 call. Then tier 0 sweeps until its list is full, the listed
+// lanes go through lanesF32 (past laneCut, the block through blockF32) in
+// order, and the sweep resumes. Without collect the list has one entry.
 func (t *tol) scanF32(dst []int64, a, b []byte, collect bool) ([]int64, bool) {
-	acc := t.accept32()
-	off, end, need := 0, len(a)&^31, 1
-	for off < end {
-		for quiet := 0; quiet < need && off < end; off += 32 {
-			n := len(dst)
-			var ok bool
-			if dst, ok = t.blockF32(dst, a[off:], b[off:], int64(off/4), 8, collect); !ok {
+	var ok bool
+	if len(a) >= 32 {
+		if dst, ok = t.blockF32(dst, a, b, 0, 8, collect); !ok {
+			return dst, false
+		}
+	}
+	acc, end := t.accept32(), len(a)&^31
+	var list [flagCap]uint64
+	flags := list[:]
+	if !collect {
+		flags = list[:1]
+	}
+	for off, n := min(32, end), 0; off < end; {
+		// Sliced here, a short b panics in Go: flagF32 trusts its lengths.
+		lim := min(end, off+acceptSpan)
+		n, off = flagF32(acc, a[:lim], b[:lim], off, flags)
+		for _, e := range flags[:n] {
+			o, lanes := int(e>>8)*32, uint8(e)
+			if bits.OnesCount8(lanes) <= laneCut {
+				dst, ok = t.lanesF32(dst, a[o:], b[o:], int64(o/4), lanes, collect)
+			} else {
+				dst, ok = t.blockF32(dst, a[o:], b[o:], int64(o/4), 8, collect)
+			}
+			if !ok {
 				return dst, false
 			}
-			quiet++
-			if len(dst) != n {
-				quiet = 0
-			}
-		}
-		// Sliced here, a short b panics in Go: acceptF32 trusts its lengths.
-		lim := min(end, off+acceptSpan)
-		if n := acceptF32(acc, a[:lim], b[:lim], off); n > off {
-			off, need = n, 1
-		} else if need < backoffCap {
-			need *= 2
 		}
 	}
 	if end == len(a) {
@@ -162,31 +160,30 @@ func (t *tol) scanF32(dst []int64, a, b []byte, collect bool) ([]int64, bool) {
 	return t.blockF32(dst, ta[:], tb[:], int64(end/4), n, collect)
 }
 
-// acceptSpan bounds the bytes one acceptF32 call scans. The assembly loop
-// cannot be preempted, so a whole-field sweep is cut into pieces short
-// enough not to hold off a stop-the-world; a piece accepted whole costs the
-// next one a block through blockF32, which gives it the same answer.
+// acceptSpan bounds one flagF32 sweep: assembly cannot be preempted.
 const acceptSpan = 1 << 20
 
-// acceptF32Go is tier 0 over whole blocks from off on: it returns the offset
-// of the first one it does not accept, or of the tail. A leaf of its own so
-// that the passing path is a straight line with acc and the cursors in
-// registers, which the compiler does not manage around blockF32's call. It
-// is acceptF32 where there is no assembly, and the reference the assembly is
-// held to.
-func acceptF32Go(acc int32, a, b []byte, off int) int {
+// flagF32Go is tier 0 from off (a multiple of 32) on: each block it does not
+// accept whole takes an entry of list, off/32<<8 | lanes, and it returns the
+// entries written and where to resume, past the block that filled the list.
+func flagF32Go(acc int32, a, b []byte, off int, list []uint64) (n, next int) {
 	b = b[:len(a)]
-	for ; off+32 <= len(a); off += 32 {
+	for ; n < len(list) && off+32 <= len(a); off += 32 {
 		p, q := a[off:off+32:off+32], b[off:off+32:off+32]
 		m := beyond32(acc, binary.LittleEndian.Uint64(p), binary.LittleEndian.Uint64(q)) |
 			beyond32(acc, binary.LittleEndian.Uint64(p[8:]), binary.LittleEndian.Uint64(q[8:])) |
 			beyond32(acc, binary.LittleEndian.Uint64(p[16:]), binary.LittleEndian.Uint64(q[16:])) |
 			beyond32(acc, binary.LittleEndian.Uint64(p[24:]), binary.LittleEndian.Uint64(q[24:]))
 		if m < 0 {
-			break
+			list[n] = uint64(off/32) << 8
+			for j := 0; j < 8; j++ {
+				d := math.Float32frombits(binary.LittleEndian.Uint32(p[4*j:])) - math.Float32frombits(binary.LittleEndian.Uint32(q[4*j:]))
+				list[n] |= uint64(uint32(acc-abs32(d))>>31) << j
+			}
+			n++
 		}
 	}
-	return off
+	return n, off
 }
 
 // beyond32 is tier 0 for the two float32 in one 8-byte word of each side:
@@ -198,8 +195,13 @@ func beyond32(acc int32, wa, wb uint64) int32 {
 	return (acc - abs32(lo)) | (acc - abs32(hi))
 }
 
-// scanF64 is scanF32 for float64. There is no tier 0 — tier 1 is already in
-// the data's own precision — so acceptF64 is blockF64's accepting test.
+// backoffCap caps scanF64's need: 16 blocks, 512 bytes.
+const backoffCap = 16
+
+// scanF64 is scanF32 for float64, with no tier 0 and no list: blockF64 takes
+// blocks while they report elements, and after need quiet blocks in a row
+// acceptF64 runs ahead to the first block it does not accept. need is 1 and
+// doubles, up to backoffCap, each time acceptF64 accepts nothing (DESIGN §9).
 func (t *tol) scanF64(dst []int64, a, b []byte, collect bool) ([]int64, bool) {
 	off, end, need := 0, len(a)&^31, 1
 	for off < end {
@@ -229,7 +231,7 @@ func (t *tol) scanF64(dst []int64, a, b []byte, collect bool) ([]int64, bool) {
 	return t.blockF64(dst, ta[:], tb[:], int64(end/8), n, collect)
 }
 
-// acceptF64 is acceptF32 for tier 1 over four float64 per block.
+// acceptF64 is tier 1 over whole float64 blocks from off on, to the first it rejects.
 func acceptF64(acc int64, a, b []byte, off int) int {
 	b = b[:len(a)]
 	for ; off+32 <= len(a); off += 32 {
@@ -241,6 +243,23 @@ func acceptF64(acc int64, a, b []byte, off int) int {
 		}
 	}
 	return off
+}
+
+const laneCut = 4 // the most listed lanes lanesF32 takes; a fuller block is blockF32's
+
+// lanesF32 is both tiers over the lanes of a float32 block whose first is i.
+func (t *tol) lanesF32(dst []int64, a, b []byte, i int64, lanes uint8, collect bool) ([]int64, bool) {
+	for ; lanes != 0; lanes &= lanes - 1 {
+		j := bits.TrailingZeros8(lanes)
+		x, y := f32At(a[4*j:]), f32At(b[4*j:])
+		if m := t.beyond(x - y); m < 0 && (uint64(t.accept-m) < t.settled || !EqualRel(x, y, t.atol, t.rtol)) {
+			if !collect {
+				return dst, false
+			}
+			dst = append(dst, i+int64(j))
+		}
+	}
+	return dst, true
 }
 
 // blockF32 is both tiers over one 32-byte block of float32 whose first

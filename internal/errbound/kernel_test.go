@@ -42,33 +42,65 @@ func checkKernels(t testing.TB, dtype DType, eps, rtol float64, a, b []byte) {
 	if wantOK := referenceAllCloseRel(a, b, dtype, eps, rtol); ok != wantOK {
 		t.Fatalf("%v atol=%g rtol=%g a=%x b=%x: AllCloseRel = %v, reference %v", dtype, eps, rtol, a, b, ok, wantOK)
 	}
-	// Tier 0 against the Go loop, from every block offset, at both bounds.
+	// Tier 0 against the Go loop at both bounds: with a one-entry list from
+	// every block offset, which lists each block's lanes, and with full
+	// lists along the sweep scanF32 makes.
 	abs, rel := newTol(eps, 0), newTol(eps, rtol)
 	for _, acc := range []int32{abs.accept32(), rel.accept32()} {
 		for off := 0; off <= len(a); off += 32 {
-			checkAccept(t, acc, a, b, off)
+			if _, msg := diffFlag(acc, a, b, off, 1); msg != "" {
+				t.Fatal(msg)
+			}
+		}
+		for off, msg := 0, ""; off < len(a)&^31; {
+			if off, msg = diffFlag(acc, a, b, off, flagCap); msg != "" {
+				t.Fatal(msg)
+			}
 		}
 	}
 }
 
-// checkAccept holds acceptF32 to acceptF32Go on one input. Where there is
-// no assembly the two are one loop and this checks nothing.
-func checkAccept(t testing.TB, acc int32, a, b []byte, off int) {
+// checkFlag is diffFlag as a test helper: it fails t on a difference and
+// returns the offset to resume at.
+func checkFlag(t testing.TB, acc int32, a, b []byte, off, size int) int {
 	t.Helper()
-	if got, want := acceptF32(acc, a, b, off), acceptF32Go(acc, a, b, off); got != want {
-		t.Fatalf("acc=%#x off=%d a=%x b=%x: acceptF32 = %d, acceptF32Go %d", acc, off, a, b, got, want)
+	next, msg := diffFlag(acc, a, b, off, size)
+	if msg != "" {
+		t.Fatal(msg)
 	}
+	return next
 }
 
-// TestAcceptF32MatchesGo holds tier 0's assembly to the Go loop: a
+// diffFlag holds flagF32 to flagF32Go on one input with a list of size
+// entries: the count, the offset to resume at and every entry written must
+// agree, and neither may write the entry past the list. It returns that
+// offset and "" or what differs; checkKernels calls it at every offset of
+// every oracle input, where a t.Helper call each added a third to the
+// package's test time.
+// Where there is no assembly the two are one loop and this checks nothing.
+func diffFlag(acc int32, a, b []byte, off, size int) (int, string) {
+	var got, want [flagCap + 1]uint64
+	n, next := flagF32(acc, a, b, off, got[:size])
+	wantN, wantNext := flagF32Go(acc, a, b, off, want[:size])
+	if n == wantN && next == wantNext && slices.Equal(got[:size+1], want[:size+1]) {
+		return next, ""
+	}
+	// Cloned, so that only a failing call moves the lists to the heap.
+	return next, fmt.Sprintf("acc=%#x off=%d size=%d a=%x b=%x:\nflagF32   = %d, %d, %x\nflagF32Go = %d, %d, %x",
+		acc, off, size, a, b, n, next, slices.Clone(got[:size+1]), wantN, wantNext, slices.Clone(want[:size+1]))
+}
+
+// TestFlagF32MatchesGo holds tier 0's assembly to the Go loop: a
 // not-accepted element in each of a block's eight lanes (both 16-byte
 // halves), before and after the cursor; every tail of 0–31 bytes behind
 // accepted blocks, with accepted bytes past the end that an overreading loop
 // would accept; both sides misaligned by 0–15 bytes; bounds from "accept
-// nothing" to the top of the float32 range; and element pairs of NaN
-// payloads (quiet and signalling), ±Inf, ±0, subnormals and differences that
-// round to T.
-func TestAcceptF32MatchesGo(t *testing.T) {
+// nothing" to the top of the float32 range; element pairs of NaN payloads
+// (quiet and signalling), ±Inf, ±0, subnormals and differences that round
+// to T; and lists of 0, 1, 2 and flagCap entries, including one that fills
+// exactly at the last block, one that fills a block before it, and a buffer
+// with one flagged block more than the list holds.
+func TestFlagF32MatchesGo(t *testing.T) {
 	accs := []int32{-1, 0, minNormal32 - 1}
 	for _, eps := range []float64{1e-7, 1e-5, 1e-4, 0x1p-126, math.MaxFloat32} {
 		tl := newTol(eps, 0)
@@ -100,13 +132,20 @@ func TestAcceptF32MatchesGo(t *testing.T) {
 		for _, p := range roundingPairs(float64(math.Float32frombits(uint32(acc + 1)))) {
 			pairs = append(pairs, [2]uint32{math.Float32bits(float32(p[0])), math.Float32bits(float32(p[1]))})
 		}
+		// The pair in one lane of block 1, and in every lane but that one of
+		// block 2, so that a lane mask has one bit and seven.
 		for _, p := range pairs {
 			for lane := 0; lane < 8; lane++ {
-				a, b := fill(0, 3*32+5), fill(0, 3*32+5)
-				binary.LittleEndian.PutUint32(a[32+4*lane:], p[0])
-				binary.LittleEndian.PutUint32(b[32+4*lane:], p[1])
-				for off := 0; off <= 96; off += 32 {
-					checkAccept(t, acc, a, b, off)
+				a, b := fill(0, 4*32+5), fill(0, 4*32+5)
+				for j := 0; j < 16; j++ {
+					if j == lane || j >= 8 && j != 8+lane {
+						binary.LittleEndian.PutUint32(a[32+4*j:], p[0])
+						binary.LittleEndian.PutUint32(b[32+4*j:], p[1])
+					}
+				}
+				for off := 0; off <= 128; off += 32 {
+					checkFlag(t, acc, a, b, off, 1)
+					checkFlag(t, acc, a, b, off, flagCap)
 				}
 			}
 		}
@@ -114,9 +153,32 @@ func TestAcceptF32MatchesGo(t *testing.T) {
 			for mis := 0; mis < 16; mis++ {
 				n := 3*32 + tail
 				a, b := fill(mis, n+32), fill(15-mis, n+32)
-				checkAccept(t, acc, a[:n], b[:n], 0)
+				checkFlag(t, acc, a[:n], b[:n], 0, flagCap)
 				binary.LittleEndian.PutUint32(a[64+4*(mis%8):], 0x7fc00000)
-				checkAccept(t, acc, a[:n], b[:n], 0)
+				checkFlag(t, acc, a[:n], b[:n], 0, flagCap)
+				checkFlag(t, acc, a[:n], b[:n], 0, 1)
+			}
+		}
+		// Lists that fill: k flagged blocks, each followed by gap accepted
+		// ones, swept from start to end by every list size, with and without
+		// a tail. k = flagCap with gap 0 fills the list exactly at the last
+		// block; gap 1 fills it one block before the end.
+		for _, k := range []int{1, flagCap - 1, flagCap, flagCap + 1, 2*flagCap + 3} {
+			for gap := 0; gap < 2; gap++ {
+				for _, tail := range []int{0, 12} {
+					n := k*(gap+1)*32 + tail
+					a, b := fill(0, n), fill(0, n)
+					for i := 0; i < k; i++ {
+						binary.LittleEndian.PutUint32(a[i*(gap+1)*32+4*(i%8):], 0x7fc00000)
+					}
+					for _, size := range []int{0, 1, 2, flagCap} {
+						for off := 0; off < n-tail; {
+							if off = checkFlag(t, acc, a, b, off, size); size == 0 {
+								break
+							}
+						}
+					}
+				}
 			}
 		}
 	}
@@ -307,6 +369,9 @@ func TestKernelOracleBlockSequences(t *testing.T) {
 		seqs = append(seqs, "f"+strings.Repeat("q", j)+"pf", "q"+strings.Repeat("f", j)+"qp")
 	}
 	seqs = append(seqs, strings.Repeat("q", 40), strings.Repeat("qf", 20), strings.Repeat("qpf", 14), strings.Repeat("f", 40)+"p")
+	// Longer than one of tier 0's lists: the sweep stops with blocks left
+	// and must resume at the next one.
+	seqs = append(seqs, strings.Repeat("f", flagCap+1)+"p", strings.Repeat("fp", flagCap+6), strings.Repeat("q", flagCap+1))
 	for _, dtype := range []DType{Float32, Float64} {
 		for _, seq := range seqs {
 			for tail := 0; tail < 32/dtype.Size(); tail++ {
@@ -447,7 +512,8 @@ func TestKernelAllocFree(t *testing.T) {
 // kernelCorpus is what the checked-in seeds of FuzzCompareSlices hold beside
 // the older hand-made ones: the rounding pairs of every bound tier 0 treats
 // differently, and one block sequence with a tail, per dtype, in the go test
-// fuzz v1 format, keyed by file name.
+// fuzz v1 format, keyed by file name; and one float32 sequence longer than
+// tier 0's list.
 func kernelCorpus() map[string]string {
 	entry := func(dtype DType, eps, rtol float64, pairs [][2]float64) string {
 		a, b := encodePairs(dtype, pairs)
@@ -464,6 +530,8 @@ func kernelCorpus() map[string]string {
 		}
 		files[fmt.Sprintf("%v_block_sequence", dtype)] = entry(dtype, eps32, 1e-3, blockSeqPairs(dtype, eps32, "pfpffpqfqqpqqqf", 3))
 	}
+	// Across a list boundary: one reporting block more than tier 0's list holds.
+	files["f32_list_boundary"] = entry(Float32, eps32, 0, blockSeqPairs(Float32, eps32, strings.Repeat("f", flagCap+1)+"p", 3))
 	return files
 }
 
