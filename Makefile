@@ -23,9 +23,10 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# portable runs the builds an amd64 host does not: the Go loop that stands
-# in for the ε-compare kernel's SSE2 assembly on every other GOARCH (an
-# amd64 host runs 386 test binaries natively) and vet of an arm64 build.
+# portable runs the builds an amd64 host does not: the Go loops that stand
+# in for the ε-compare kernel's SSE2 assembly and the leaf hash's SSE4.1
+# pair kernel on every other GOARCH (an amd64 host runs 386 test binaries
+# natively) and vet of an arm64 build.
 portable:
 	GOARCH=386 $(GO) test ./internal/errbound ./internal/compare
 	GOARCH=arm64 $(GO) vet ./internal/errbound
@@ -43,7 +44,7 @@ chaos-smoke:
 # checked-in corpus (testdata/fuzz/); part of `make check`. The two kernels
 # against their seed oracles come first — the ε-compare against its
 # per-element reference, the leaf hash against the scratch-buffer SumDigest
-# chaining; then stage 2's copy planner, whose ranges must land every
+# chaining (and HashChunks against it at a chunk size the input picks); then stage 2's copy planner, whose ranges must land every
 # extent a window priced once, in copies of adjacent extents, with the
 # bytes a ReadAt per extent reads; the rest are the decoders, which read
 # through framelog.Cursor:
@@ -118,7 +119,7 @@ examples:
 # LOC_CEILING, the total of the last PR that lowered it — a PR that removes
 # code lowers the ceiling to its own result, one that must add code raises
 # it in the same diff, where a reviewer sees it.
-LOC_CEILING = 23889
+LOC_CEILING = 24087
 LOC_FILES = \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go'
 loc:
 	@for d in $$(find . $(LOC_FILES) | xargs -n1 dirname | sort -u); do \

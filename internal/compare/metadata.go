@@ -94,7 +94,7 @@ func BuildFromReader(ctx context.Context, r *ckpt.Reader, opts Options) (*Metada
 // loop issues the reads a whole-field read-back would (a chunk over 1 MiB
 // is one block, read in 1 MiB pieces on that grid). A memory block costs
 // nothing to fetch and is kept small so one 1 MiB field still spreads over
-// the pool.
+// the pool, but holds at least two chunks, a pair for HashChunks.
 const (
 	readBlockBytes = 1 << 20
 	memBlockBytes  = 64 << 10
@@ -134,22 +134,22 @@ func build(done <-chan struct{}, fields []ckpt.FieldSpec, r *ckpt.Reader, data [
 // not underfill the pool and no field waits for another; each item fetches
 // its block — a sub-slice of data, or with r set a read into an arena
 // buffer that goes back once its chunks are hashed — and writes the block's
-// leaf digests. Memory held is Workers × one block, whatever the checkpoint
-// size, and a block is hashed while it is still in cache. In-memory buffers
-// are held to their specs first (a reader's header already was); the lowest
-// failing item's error is the one reported, as a serial scan would; items
-// above a failed one are skipped, as are all once done closes.
+// leaf digests with one HashChunks call. Memory held is Workers × one block,
+// whatever the checkpoint size, and a block is hashed while it is still in
+// cache. In-memory buffers are held to their specs first (a reader's header
+// already was); the lowest failing item's error is the one reported, as a
+// serial scan would; items above a failed one are skipped, as are all once
+// done closes.
 func hashLeaves(done <-chan struct{}, fields []ckpt.FieldSpec, r *ckpt.Reader, data [][]byte, opts Options) ([][]murmur3.Digest, pfs.Cost, error) {
 	// Check shapes, construct hashers and cut the blocks serially, so size
 	// and ε errors surface deterministically in field order.
-	unit := readBlockBytes
+	unit := max(readBlockBytes/opts.ChunkSize, 1) * opts.ChunkSize
 	if r == nil {
-		unit = memBlockBytes
+		unit = max(memBlockBytes/opts.ChunkSize, 2) * opts.ChunkSize
 		if err := ckpt.CheckFields(fields, data); err != nil {
 			return nil, pfs.Cost{}, err
 		}
 	}
-	unit = max(unit/opts.ChunkSize, 1) * opts.ChunkSize
 	hashers := make([]*errbound.Hasher, len(fields))
 	leaves := make([][]murmur3.Digest, len(fields))
 	var blocks []leafBlock
@@ -197,15 +197,8 @@ func hashLeaves(done <-chan struct{}, fields []ckpt.FieldSpec, r *ckpt.Reader, d
 				}
 			}
 		}
-		out := leaves[b.field][b.off/int64(opts.ChunkSize):]
-		for c := 0; len(block) > 0; c++ {
-			n := min(opts.ChunkSize, len(block))
-			d, err := hashers[b.field].HashChunk(block[:n])
-			if err != nil {
-				firstErr.store(i, err)
-				return
-			}
-			out[c], block = d, block[n:]
+		if err := hashers[b.field].HashChunks(leaves[b.field][b.off/int64(opts.ChunkSize):], block, opts.ChunkSize); err != nil {
+			firstErr.store(i, err)
 		}
 	})
 	if e := firstErr.p.Load(); e != nil {

@@ -1,8 +1,10 @@
 package errbound_test
 
 import (
+	"encoding/binary"
 	"flag"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"testing"
@@ -10,6 +12,8 @@ import (
 
 	"repro/internal/errbound"
 	"repro/internal/hacc"
+	"repro/internal/murmur3"
+	"repro/internal/synth"
 )
 
 // TestKernelAB measures the ε-compare kernel against the per-element
@@ -55,9 +59,63 @@ func TestKernelAB(t *testing.T) {
 	}
 }
 
+// TestLeafAB measures the leaf hash the capture path runs, HashChunks over a
+// whole field, against the HashChunk loop it replaced, alternating in one
+// process like TestKernelAB: float32 and float64, 4 KiB and 64 KiB chunks,
+// a synthetic field (1 MiB of float32) and an internal/hacc snapshot (all
+// seven fields); float64 rows widen the same values. The HashChunk loop is
+// the same code on every commit, so the ratio column carries from one
+// checkout to another. It is opt-in:
+//
+//	go test -run TestLeafAB -v ./internal/errbound
+func TestLeafAB(t *testing.T) {
+	if f := flag.Lookup("test.run"); f == nil || !strings.Contains(f.Value.String(), "TestLeafAB") {
+		t.Skip("opt-in: name it with -run")
+	}
+	x, _ := haccPair(t)
+	fields := []struct {
+		name string
+		f32  []byte
+	}{{"synth", synth.FieldF32(1<<18, 1)}, {"hacc", x}}
+	t.Logf("%-32s %19s %19s %6s", "row", "HashChunks med/best", "loop med/best MB/s", "ratio")
+	for _, dtype := range []errbound.DType{errbound.Float32, errbound.Float64} {
+		h, err := errbound.NewHasher(dtype, errbound.BenchEps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, chunk := range []int{4 << 10, 64 << 10} {
+			for _, f := range fields {
+				data := f.f32
+				if dtype == errbound.Float64 {
+					data = widen(f.f32)
+				}
+				dst := make([]murmur3.Digest, (len(data)+chunk-1)/chunk)
+				abRow(t, fmt.Sprintf("HashChunks/%v/%dKiB/%s", dtype, chunk>>10, f.name), len(data),
+					func() { sinkErr = h.HashChunks(dst, data, chunk) },
+					func() {
+						for off := 0; off < len(data); off += chunk {
+							dst[off/chunk], sinkErr = h.HashChunk(data[off:min(off+chunk, len(data))])
+						}
+					})
+			}
+		}
+	}
+}
+
+// widen returns float32 elements as float64 ones.
+func widen(f32 []byte) []byte {
+	out := make([]byte, 0, 2*len(f32))
+	for i := 0; i+4 <= len(f32); i += 4 {
+		v := float64(math.Float32frombits(binary.LittleEndian.Uint32(f32[i:])))
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
+	}
+	return out
+}
+
 var (
 	sinkIdx []int64
 	sinkOK  bool
+	sinkErr error
 )
 
 func abCompareSlices(t *testing.T, name string, h *errbound.Hasher, x, y []byte) {

@@ -1,7 +1,9 @@
 package errbound
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -43,6 +45,33 @@ func BenchmarkHashChunk(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkHashChunks measures the leaf hash as the capture path calls it:
+// one HashChunks call over 1 MiB of a dtype in 4 KiB and 64 KiB chunks, which
+// for float32 is the pair kernel where there is one. TestLeafAB sets it
+// beside the per-chunk loop in one process.
+func BenchmarkHashChunks(b *testing.B) {
+	for _, dtype := range []DType{Float32, Float64} {
+		for _, chunk := range []int{4 << 10, 64 << 10} {
+			b.Run(fmt.Sprintf("%v/%dKiB", dtype, chunk>>10), func(b *testing.B) {
+				c := benchChunk(b, dtype)
+				data := bytes.Repeat(c, 1<<20/len(c))
+				dst := make([]murmur3.Digest, len(data)/chunk)
+				h, err := NewHasher(dtype, 1e-6)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.SetBytes(int64(len(data)))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := h.HashChunks(dst, data, chunk); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

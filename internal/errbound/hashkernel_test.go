@@ -4,8 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"testing"
+
+	"repro/internal/murmur3"
 )
 
 // guardEpsilons span the guard's whole range: 2^61·ε below the smallest
@@ -124,6 +127,15 @@ func TestHashKernelAllocFree(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("%v: %v allocations per HashChunk", dtype, n)
 		}
+		// Four whole chunks, two pairs, and a short one.
+		dst := make([]murmur3.Digest, 5)
+		if n := testing.AllocsPerRun(100, func() {
+			if err := h.HashChunks(dst, chunk, 1024); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%v: %v allocations per HashChunks", dtype, n)
+		}
 	}
 }
 
@@ -151,6 +163,11 @@ func FuzzHashChunk(f *testing.F) {
 		if got, err := h.HashChunk(chunk); err != nil || got != want {
 			t.Fatalf("%v eps=%g % x: kernel %v (%v), oracle %v", dtype, h.eps, chunk, got, err, want)
 		}
+		// The same bytes through HashChunks, 1 to 64 elements a chunk as
+		// the first byte picks.
+		if len(chunk) > 0 {
+			checkChunks(t, h, chunk, dtype.Size()*(1+int(chunk[0])%64))
+		}
 	})
 }
 
@@ -177,4 +194,171 @@ func TestHashKernelCorpus(t *testing.T) {
 			}
 		}
 	}
+}
+
+// chunkPaths runs fn on each way HashChunks can hash: through the pair
+// kernel, where this build and CPU have one, and through the HashChunk loop,
+// forced by clearing pairF32.
+func chunkPaths(t *testing.T, fn func(t *testing.T)) {
+	saved := pairF32
+	defer func() { pairF32 = saved }()
+	for _, pair := range []bool{true, false} {
+		if pair && !saved {
+			t.Log("no pair kernel in this build or on this CPU: the HashChunk loop only")
+			continue
+		}
+		pairF32 = pair
+		t.Run(map[bool]string{true: "pair", false: "loop"}[pair], fn)
+	}
+}
+
+// checkChunks holds HashChunks over data to a HashChunk loop over its
+// chunk-sized pieces — which the tables above and FuzzHashChunk hold to the
+// seed oracle: the same digests, or the same error from the same piece with
+// the same digests below it, and nothing written past the last piece.
+func checkChunks(t *testing.T, h *Hasher, data []byte, chunk int) {
+	t.Helper()
+	n := (len(data) + chunk - 1) / chunk
+	got := make([]murmur3.Digest, n+1)
+	gotErr := h.HashChunks(got, data, chunk)
+	for i := 0; i < n; i++ {
+		want, err := h.HashChunk(data[i*chunk : min((i+1)*chunk, len(data))])
+		if err != nil {
+			if gotErr == nil || gotErr.Error() != err.Error() {
+				t.Fatalf("%v eps=%g chunk %d of %d bytes: piece %d fails with %v, HashChunks returned %v", h.dtype, h.eps, chunk, len(data), i, err, gotErr)
+			}
+			return
+		}
+		if got[i] != want {
+			t.Fatalf("%v eps=%g chunk %d of %d bytes: piece %d is %v, HashChunk %v", h.dtype, h.eps, chunk, len(data), i, got[i], want)
+		}
+	}
+	if gotErr != nil {
+		t.Fatalf("%v eps=%g chunk %d of %d bytes: %v, and no piece fails", h.dtype, h.eps, chunk, len(data), gotErr)
+	}
+	if got[n] != (murmur3.Digest{}) {
+		t.Fatalf("%v eps=%g chunk %d of %d bytes: digest written past piece %d", h.dtype, h.eps, chunk, len(data), n-1)
+	}
+}
+
+// fillCells fills data with elements of dtype at random cells: k·ε·2^-4 for
+// k up to ±2^30, so the guard passes wherever the dtype can hold the value.
+// With integral set they are k·ε, whose quotients are whole numbers (exact
+// for a power-of-two ε), where floor and truncation agree.
+func fillCells(rng *rand.Rand, dtype DType, eps float64, data []byte, integral bool) {
+	for i := 0; i < len(data)/dtype.Size(); i++ {
+		k := float64(rng.Int63n(1<<31) - 1<<30)
+		v := math.Ldexp(k*eps, -4)
+		if integral {
+			v = float64(rng.Intn(1<<21)-1<<20) * eps
+		}
+		putElem(dtype, data, i, elemBits(dtype, v))
+	}
+}
+
+// TestHashChunksMatchesHashChunk holds HashChunks, on the pair kernel and on
+// the forced HashChunk loop, to the per-piece loop and the seed oracle:
+// chunks of 4 B to 64 KiB, multiples of 16 or not, one to five of them, a
+// short last one and one that is not whole elements, ε across the guard's
+// range and ε with integral quotients; then a guard failure — NaN, ±Inf, a
+// cell near a clamp, one pattern above the guard — in chunk A only, B only
+// and both, at the first step, the last step, the tail and either side of a
+// call's span.
+func TestHashChunksMatchesHashChunk(t *testing.T) {
+	chunkPaths(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(1))
+		for _, dtype := range []DType{Float32, Float64} {
+			esz := dtype.Size()
+			for _, eps := range append(guardEpsilons, 0.25, 0x1p-10) {
+				h, err := NewHasher(dtype, eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, chunk := range []int{4, 6, 8, 12, 16, 20, 24, 28, 40, 44, 100, 4096, 4100, 64 << 10} {
+					if chunk%esz != 0 && chunk != 6 {
+						continue
+					}
+					// Large chunks at fewer counts: what a count tests is
+					// the same at every size.
+					most := 5
+					if chunk >= 4096 {
+						most = 3
+					}
+					for pieces := 1; pieces <= most; pieces++ {
+						for _, short := range []int{0, 2, esz, 3 * esz} {
+							if short >= chunk || chunk >= 4096 && short > esz {
+								continue
+							}
+							data := make([]byte, pieces*chunk+short)
+							fillCells(rng, dtype, eps, data, eps == 0.25 || eps == 0x1p-10)
+							checkChunks(t, h, data, chunk)
+						}
+					}
+				}
+			}
+		}
+
+		h, err := NewHasher(Float32, 1e-5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := []uint32{
+			math.Float32bits(float32(math.NaN())), math.Float32bits(float32(math.Inf(1))),
+			math.Float32bits(float32(math.Inf(-1))), math.Float32bits(float32(math.Ldexp(-1e-5, 62))),
+			h.safe32 + 1,
+		}
+		for _, chunk := range []int{16, 56, 4096, 2*hashSpan + 40} {
+			steps := chunk &^ 15
+			ats := []int{0, steps - 16, steps - 4, chunk - 4}
+			if chunk > hashSpan {
+				ats = append(ats, hashSpan-4, hashSpan, 2*hashSpan-4, 2*hashSpan)
+			}
+			for _, pieces := range []int{2, 3} {
+				if pieces == 3 && chunk > hashSpan {
+					continue
+				}
+				data := make([]byte, pieces*chunk)
+				fillCells(rng, Float32, h.eps, data, false)
+				for _, b := range bad {
+					for _, at := range ats {
+						for _, sides := range [][]int{{0}, {1}, {0, 1}} {
+							d := append([]byte(nil), data...)
+							for _, s := range sides {
+								binary.LittleEndian.PutUint32(d[s*chunk+at:], b)
+							}
+							checkChunks(t, h, d, chunk)
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestHashChunksGuardBoundaries is TestHashKernelGuardBoundaries' table
+// through HashChunks: each edge value in every lane and tail of chunks of 1
+// to 9 elements, in the first of two chunks and in the second.
+func TestHashChunksGuardBoundaries(t *testing.T) {
+	chunkPaths(t, func(t *testing.T) {
+		for _, dtype := range []DType{Float32, Float64} {
+			for _, eps := range guardEpsilons {
+				h, err := NewHasher(dtype, eps)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, edge := range guardEdges(h) {
+					for n := 1; n <= 9; n++ {
+						for at := 0; at < 2*n; at++ {
+							data := make([]byte, 2*n*dtype.Size())
+							for i := 0; i < 2*n; i++ {
+								putElem(dtype, data, i, elemBits(dtype, 1.5+float64(i%n)))
+							}
+							putElem(dtype, data, at, edge)
+							checkChunks(t, h, data, n*dtype.Size())
+						}
+					}
+				}
+			}
+		}
+	})
 }
