@@ -25,8 +25,8 @@ race:
 
 # portable runs the builds an amd64 host does not: the Go loops that stand
 # in for the ε-compare kernel's SSE2 assembly and the leaf hash's SSE4.1
-# pair kernel on every other GOARCH (an amd64 host runs 386 test binaries
-# natively) and vet of an arm64 build.
+# pair and AVX-512 wide kernels on every other GOARCH (an amd64 host runs
+# 386 test binaries natively) and vet of an arm64 build.
 portable:
 	GOARCH=386 $(GO) test ./internal/errbound ./internal/compare
 	GOARCH=arm64 $(GO) vet ./internal/errbound
@@ -119,7 +119,7 @@ examples:
 # LOC_CEILING, the total of the last PR that lowered it — a PR that removes
 # code lowers the ceiling to its own result, one that must add code raises
 # it in the same diff, where a reviewer sees it.
-LOC_CEILING = 24087
+LOC_CEILING = 24304
 LOC_FILES = \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go'
 loc:
 	@for d in $$(find . $(LOC_FILES) | xargs -n1 dirname | sort -u); do \

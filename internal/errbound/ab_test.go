@@ -33,7 +33,7 @@ func TestKernelAB(t *testing.T) {
 	if f := flag.Lookup("test.run"); f == nil || !strings.Contains(f.Value.String(), "TestKernelAB") {
 		t.Skip("opt-in: name it with -run")
 	}
-	t.Logf("%-32s %19s %19s %6s", "row", "kernel med/best MB/s", "ref med/best MB/s", "ratio")
+	t.Logf("%-52s %19s %19s %6s", "row", "kernel med/best MB/s", "ref med/best MB/s", "ratio")
 	for _, dtype := range []errbound.DType{errbound.Float32, errbound.Float64} {
 		h, err := errbound.NewHasher(dtype, errbound.BenchEps)
 		if err != nil {
@@ -60,12 +60,16 @@ func TestKernelAB(t *testing.T) {
 }
 
 // TestLeafAB measures the leaf hash the capture path runs, HashChunks over a
-// whole field, against the HashChunk loop it replaced, alternating in one
-// process like TestKernelAB: float32 and float64, 4 KiB and 64 KiB chunks,
-// a synthetic field (1 MiB of float32) and an internal/hacc snapshot (all
-// seven fields); float64 rows widen the same values. The HashChunk loop is
-// the same code on every commit, so the ratio column carries from one
-// checkout to another. It is opt-in:
+// whole field, alternating in one process like TestKernelAB: float32 and
+// float64, 4 KiB and 64 KiB chunks, a synthetic field (1 MiB of float32) and
+// an internal/hacc snapshot (all seven fields); float64 rows widen the same
+// values. The first rows set HashChunks, on the rungs this CPU has, beside
+// the HashChunk loop it replaced; the loop is the same code on every commit,
+// so their ratio column carries from one checkout to another. Then, float32
+// only, the pair kernel forced (wideF32 cleared) beside the loop, and the
+// wide kernel beside the forced pair kernel; a CPU without the wide kernel
+// logs those rows as skipped. Each row names the rungs its first side takes
+// (pieces per rung). It is opt-in:
 //
 //	go test -run TestLeafAB -v ./internal/errbound
 func TestLeafAB(t *testing.T) {
@@ -77,7 +81,7 @@ func TestLeafAB(t *testing.T) {
 		name string
 		f32  []byte
 	}{{"synth", synth.FieldF32(1<<18, 1)}, {"hacc", x}}
-	t.Logf("%-32s %19s %19s %6s", "row", "HashChunks med/best", "loop med/best MB/s", "ratio")
+	t.Logf("%-52s %19s %19s %6s", "row (rungs)", "first med/best MB/s", "second med/best", "ratio")
 	for _, dtype := range []errbound.DType{errbound.Float32, errbound.Float64} {
 		h, err := errbound.NewHasher(dtype, errbound.BenchEps)
 		if err != nil {
@@ -90,15 +94,42 @@ func TestLeafAB(t *testing.T) {
 					data = widen(f.f32)
 				}
 				dst := make([]murmur3.Digest, (len(data)+chunk-1)/chunk)
-				abRow(t, fmt.Sprintf("HashChunks/%v/%dKiB/%s", dtype, chunk>>10, f.name), len(data),
-					func() { sinkErr = h.HashChunks(dst, data, chunk) },
-					func() {
-						for off := 0; off < len(data); off += chunk {
-							dst[off/chunk], sinkErr = h.HashChunk(data[off:min(off+chunk, len(data))])
-						}
-					})
+				loop := func() {
+					for off := 0; off < len(data); off += chunk {
+						dst[off/chunk], sinkErr = h.HashChunk(data[off:min(off+chunk, len(data))])
+					}
+				}
+				row := func(first, second string, ref func()) {
+					name := fmt.Sprintf("%s/%v/%dKiB/%s", first, dtype, chunk>>10, f.name)
+					ok, restore := errbound.ForceLeafRung(first)
+					rungs := errbound.LeafRungs(dtype, len(data), chunk)
+					restore()
+					if !ok {
+						t.Logf("%-52s skipped: no %s kernel in this build or on this CPU", name, first)
+						return
+					}
+					if second != "" {
+						name += " vs " + second
+					}
+					abRow(t, fmt.Sprintf("%s (%s)", name, rungs), len(data), onRung(first, h, dst, data, chunk), ref)
+				}
+				row("HashChunks", "", loop)
+				if dtype == errbound.Float32 {
+					row("pair", "", loop)
+					row("wide", "pair", onRung("pair", h, dst, data, chunk))
+				}
 			}
 		}
+	}
+}
+
+// onRung returns HashChunks over data with the float32 ladder forced to
+// start at rung (see errbound.ForceLeafRung).
+func onRung(rung string, h *errbound.Hasher, dst []murmur3.Digest, data []byte, chunk int) func() {
+	return func() {
+		_, restore := errbound.ForceLeafRung(rung)
+		sinkErr = h.HashChunks(dst, data, chunk)
+		restore()
 	}
 }
 
@@ -148,7 +179,7 @@ func abRow(t *testing.T, name string, bytes int, kernel, ref func()) {
 	slices.Sort(k)
 	slices.Sort(r)
 	slices.Sort(ratio)
-	t.Logf("%-32s %9.0f / %7.0f %9.0f / %7.0f  ×%.2f", name, k[rounds/2], k[rounds-1], r[rounds/2], r[rounds-1], ratio[rounds/2])
+	t.Logf("%-52s %9.0f / %7.0f %9.0f / %7.0f  ×%.2f", name, k[rounds/2], k[rounds-1], r[rounds/2], r[rounds-1], ratio[rounds/2])
 }
 
 // haccPair runs the HACC proxy twice with nondeterministic force

@@ -49,28 +49,40 @@ func BenchmarkHashChunk(b *testing.B) {
 }
 
 // BenchmarkHashChunks measures the leaf hash as the capture path calls it:
-// one HashChunks call over 1 MiB of a dtype in 4 KiB and 64 KiB chunks, which
-// for float32 is the pair kernel where there is one. TestLeafAB sets it
+// one HashChunks call over 1 MiB of a dtype in 4 KiB and 64 KiB chunks, one
+// sub-benchmark per rung of the float32 ladder this build and CPU have
+// (float64 takes the loop). TestLeafAB sets the rungs beside each other and
 // beside the per-chunk loop in one process.
 func BenchmarkHashChunks(b *testing.B) {
 	for _, dtype := range []DType{Float32, Float64} {
+		rungs := []string{"wide", "pair", "loop"}
+		if dtype == Float64 {
+			rungs = []string{"loop"}
+		}
 		for _, chunk := range []int{4 << 10, 64 << 10} {
-			b.Run(fmt.Sprintf("%v/%dKiB", dtype, chunk>>10), func(b *testing.B) {
-				c := benchChunk(b, dtype)
-				data := bytes.Repeat(c, 1<<20/len(c))
-				dst := make([]murmur3.Digest, len(data)/chunk)
-				h, err := NewHasher(dtype, 1e-6)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.SetBytes(int64(len(data)))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := h.HashChunks(dst, data, chunk); err != nil {
+			for _, rung := range rungs {
+				b.Run(fmt.Sprintf("%v/%dKiB/%s", dtype, chunk>>10, rung), func(b *testing.B) {
+					ok, restore := forceLeafRung(rung)
+					defer restore()
+					if !ok {
+						b.Skipf("no %s kernel in this build or on this CPU", rung)
+					}
+					c := benchChunk(b, dtype)
+					data := bytes.Repeat(c, 1<<20/len(c))
+					dst := make([]murmur3.Digest, len(data)/chunk)
+					h, err := NewHasher(dtype, 1e-6)
+					if err != nil {
 						b.Fatal(err)
 					}
-				}
-			})
+					b.SetBytes(int64(len(data)))
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if err := h.HashChunks(dst, data, chunk); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
 		}
 	}
 }

@@ -209,21 +209,18 @@ func (h *Hasher) HashChunk(chunk []byte) (murmur3.Digest, error) {
 // HashChunks hashes data in consecutive chunk-sized pieces, the last of
 // which may be short, into dst[i] for piece i; dst must hold them all. Its
 // digests, and the error of its lowest failing piece, are those of a
-// HashChunk loop over the pieces. Float32 pieces of full length go through
-// the pair kernel two at a time where there is one (hash_amd64.go); the odd
-// piece, a short last one and float64 take HashChunk.
+// HashChunk loop over the pieces. Float32 pieces of full length climb a
+// ladder where the CPU has the rungs (hash_amd64.go): sixteen at a time
+// through the wide kernel, then two at a time through the pair kernel; the
+// odd piece, a short last one and float64 take HashChunk.
 func (h *Hasher) HashChunks(dst []murmur3.Digest, data []byte, chunk int) error {
 	if chunk <= 0 {
 		return fmt.Errorf("errbound: chunk size %d not positive", chunk)
 	}
 	dst = dst[:(len(data)+chunk-1)/chunk]
 	i := 0
-	if pairF32 && h.dtype == Float32 && chunk%4 == 0 {
-		for ; (i+2)*chunk <= len(data); i += 2 {
-			var c [2]murmur3.Chain
-			h.hashPair(&c, data[i*chunk:(i+1)*chunk], data[(i+1)*chunk:(i+2)*chunk])
-			dst[i], dst[i+1] = c[0].Sum(), c[1].Sum()
-		}
+	if h.dtype == Float32 && chunk%4 == 0 {
+		i = h.hashRunsF32(dst, data, chunk)
 	}
 	for ; i < len(dst); i++ {
 		d, err := h.HashChunk(data[i*chunk : min((i+1)*chunk, len(data))])
@@ -235,9 +232,14 @@ func (h *Hasher) HashChunks(dst []murmur3.Digest, data []byte, chunk int) error 
 	return nil
 }
 
-// hashSpan bounds one pair-kernel call per side, about a tenth of a
-// millisecond of hashing: assembly cannot be preempted.
-const hashSpan = 64 << 10
+// hashSpan and wideSpan bound one kernel call, because assembly cannot be
+// preempted: the pair kernel hashes at most hashSpan of each side, about a
+// tenth of a millisecond; the wide kernel at most wideSpan of each of its 16
+// chunks, 128 KiB in all, about 60 µs.
+const (
+	hashSpan = 64 << 10
+	wideSpan = 8 << 10
+)
 
 // HashChunkScratch is HashChunk; the scratch buffer is ignored. It is kept
 // only because bench/probes.go — which a PR claiming a gain may not edit —

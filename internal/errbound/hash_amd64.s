@@ -25,15 +25,15 @@
 #define CELLS(x, lo, hi) \
 	ROUNDPD	$9, x, x; CVTTSD2SQ x, lo; UNPCKHPD x, x; CVTTSD2SQ x, hi
 
-// func hashPairF32(eps float64, safe uint32, a, b []byte, off int, st *[2]murmur3.Chain) (next int)
+// func hashPairF32(eps float64, safe uint32, data []byte, chunk, off, lim int, st *[2]murmur3.Chain) (next int)
 //
 // hashChunkF32's loop on two chunks at once, 16 bytes of each per step: one
 // guard for all eight lanes (the magnitudes, PCMPGTL against safe), then
 // CVTPS2PD, DIVPD by ε (Go's DIVSD, two lanes at a time), ROUNDPD $9 (floor)
 // and CVTTSD2SQ per lane, and per chain two chained Murmur3F blocks on state
-// kept in R8–R11. It stops at the end of a or at the first step whose guard
-// fails, and returns that offset.
-TEXT ·hashPairF32(SB), NOSPLIT, $16-88
+// kept in R8–R11. It stops at the last whole step before lim or at the first
+// step whose guard fails, and returns that offset.
+TEXT ·hashPairF32(SB), NOSPLIT, $16-80
 	MOVQ	$0xff51afd7ed558ccd, AX
 	MOVQ	AX, fmix1-8(SP)
 	MOVQ	$0xc4ceb9fe1a85ec53, AX
@@ -48,11 +48,12 @@ TEXT ·hashPairF32(SB), NOSPLIT, $16-88
 	MOVL	$0x7fffffff, AX
 	MOVL	AX, X7
 	PSHUFL	$0, X7, X7              // clears the sign bit of every lane
-	MOVQ	a_base+16(FP), SI
-	MOVQ	a_len+24(FP), CX
-	MOVQ	b_base+40(FP), DI
-	MOVQ	off+64(FP), AX
-	MOVQ	st+72(FP), BX
+	MOVQ	data_base+16(FP), SI    // chunk a
+	MOVQ	chunk+40(FP), DI
+	ADDQ	SI, DI                  // chunk b
+	MOVQ	off+48(FP), AX
+	MOVQ	lim+56(FP), CX
+	MOVQ	st+64(FP), BX
 	MOVQ	0(BX), R8
 	MOVQ	8(BX), R9
 	MOVQ	16(BX), R10
@@ -98,18 +99,10 @@ test:
 	JLE	step
 
 done:
-	MOVQ	st+72(FP), BX
+	MOVQ	st+64(FP), BX
 	MOVQ	R8, 0(BX)
 	MOVQ	R9, 8(BX)
 	MOVQ	R10, 16(BX)
 	MOVQ	R11, 24(BX)
-	MOVQ	AX, next+80(FP)
-	RET
-
-// func cpuidECX1() uint32
-TEXT ·cpuidECX1(SB), NOSPLIT, $0-4
-	MOVL	$1, AX
-	XORL	CX, CX
-	CPUID
-	MOVL	CX, ret+0(FP)
+	MOVQ	AX, next+72(FP)
 	RET

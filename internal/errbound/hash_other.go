@@ -4,13 +4,10 @@ package errbound
 
 import "repro/internal/murmur3"
 
-// pairF32 is false: on every other architecture, and under -race, whose
-// detector does not see assembly reads, HashChunks hashes one chunk at a
-// time.
-var pairF32 = false
+// pairF32 and wideF32 are false: on every other architecture, and under
+// -race, whose detector does not see assembly reads, HashChunks hashes one
+// chunk at a time.
+var pairF32, wideF32 = false, false
 
-// hashPair is two hashChunkF32 calls; HashChunks does not call it here.
-func (h *Hasher) hashPair(c *[2]murmur3.Chain, a, b []byte) {
-	h.hashChunkF32(&c[0], a)
-	h.hashChunkF32(&c[1], b)
-}
+// hashRunsF32 hashes no chunk: there is no kernel to take a run.
+func (h *Hasher) hashRunsF32([]murmur3.Digest, []byte, int) int { return 0 }

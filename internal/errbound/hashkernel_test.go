@@ -1,6 +1,7 @@
 package errbound
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -127,14 +128,22 @@ func TestHashKernelAllocFree(t *testing.T) {
 		}); n != 0 {
 			t.Errorf("%v: %v allocations per HashChunk", dtype, n)
 		}
-		// Four whole chunks, two pairs, and a short one.
-		dst := make([]murmur3.Digest, 5)
-		if n := testing.AllocsPerRun(100, func() {
-			if err := h.HashChunks(dst, chunk, 1024); err != nil {
-				t.Fatal(err)
-			}
-		}); n != 0 {
-			t.Errorf("%v: %v allocations per HashChunks", dtype, n)
+		// Seventeen whole chunks, a run of sixteen and the odd one, and a
+		// short one; then four whole, two pairs, and the short one.
+		data := bytes.Repeat(chunk[:4096], 5)[:17*1024+dtype.Size()]
+		dst := make([]murmur3.Digest, 18)
+		for _, n := range []int{len(data), len(chunk)} {
+			t.Run(fmt.Sprintf("%v/%dB", dtype, n), func(t *testing.T) {
+				chunkPaths(t, func(t *testing.T) {
+					if a := testing.AllocsPerRun(100, func() {
+						if err := h.HashChunks(dst, data[:n], 1024); err != nil {
+							t.Fatal(err)
+						}
+					}); a != 0 {
+						t.Errorf("%v allocations per HashChunks", a)
+					}
+				})
+			})
 		}
 	}
 }
@@ -173,9 +182,28 @@ func FuzzHashChunk(f *testing.F) {
 
 // TestHashKernelCorpus: the checked-in fuzz corpus is one entry per dtype
 // and bound of the boundary table, each the guard's edge values for that
-// bound in the go test fuzz v1 format. A change to guardEdges rewrites the
-// files from the text this test prints.
+// bound in the go test fuzz v1 format, and one run for the wide kernel:
+// float32 under ε = 1e-5, 8 elements a piece (the first byte, 7, picks it),
+// 17 pieces and a short one, with an edge value in chunks 0, 7, 8 and 15. A
+// change to guardEdges rewrites the files from the text this test prints.
 func TestHashKernelCorpus(t *testing.T) {
+	h, err := NewHasher(Float32, 1e-5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := guardEdges(h)
+	run := make([]byte, (17*8+1)*4)
+	for i := 0; i < len(run)/4; i++ {
+		putElem(Float32, run, i, elemBits(Float32, 1.5+float64(i)/64))
+	}
+	run[0] = 7
+	for k, at := range []int{0*8 + 5, 7*8 + 7, 8*8 + 2, 15*8 + 6} {
+		putElem(Float32, run, at, edges[3*k])
+	}
+	want := fmt.Sprintf("go test fuzz v1\nbool(false)\nuint64(%d)\n[]byte(%q)\n", math.Float64bits(1e-5), run)
+	if got, err := os.ReadFile("testdata/fuzz/FuzzHashChunk/f32_wide_run"); err != nil || string(got) != want {
+		t.Errorf("testdata/fuzz/FuzzHashChunk/f32_wide_run is not the wide entry (read error %v); it should hold:\n%s", err, want)
+	}
 	for _, dtype := range []DType{Float32, Float64} {
 		for _, eps := range guardEpsilons {
 			h, err := NewHasher(dtype, eps)
@@ -196,19 +224,19 @@ func TestHashKernelCorpus(t *testing.T) {
 	}
 }
 
-// chunkPaths runs fn on each way HashChunks can hash: through the pair
-// kernel, where this build and CPU have one, and through the HashChunk loop,
-// forced by clearing pairF32.
+// chunkPaths runs fn on each way HashChunks can hash float32 runs: through
+// the wide kernel, through the pair kernel (wideF32 cleared) and through the
+// HashChunk loop (pairF32 cleared too), each where this build and CPU have
+// it.
 func chunkPaths(t *testing.T, fn func(t *testing.T)) {
-	saved := pairF32
-	defer func() { pairF32 = saved }()
-	for _, pair := range []bool{true, false} {
-		if pair && !saved {
-			t.Log("no pair kernel in this build or on this CPU: the HashChunk loop only")
-			continue
+	for _, rung := range []string{"wide", "pair", "loop"} {
+		ok, restore := forceLeafRung(rung)
+		if ok {
+			t.Run(rung, fn)
+		} else {
+			t.Logf("no %s kernel in this build or on this CPU", rung)
 		}
-		pairF32 = pair
-		t.Run(map[bool]string{true: "pair", false: "loop"}[pair], fn)
+		restore()
 	}
 }
 
@@ -256,13 +284,14 @@ func fillCells(rng *rand.Rand, dtype DType, eps float64, data []byte, integral b
 	}
 }
 
-// TestHashChunksMatchesHashChunk holds HashChunks, on the pair kernel and on
-// the forced HashChunk loop, to the per-piece loop and the seed oracle:
-// chunks of 4 B to 64 KiB, multiples of 16 or not, one to five of them, a
-// short last one and one that is not whole elements, ε across the guard's
-// range and ε with integral quotients; then a guard failure — NaN, ±Inf, a
-// cell near a clamp, one pattern above the guard — in chunk A only, B only
-// and both, at the first step, the last step, the tail and either side of a
+// TestHashChunksMatchesHashChunk holds HashChunks, on the wide kernel, the
+// forced pair kernel and the forced HashChunk loop, to the per-piece loop
+// and the seed oracle: chunks of 4 B to 64 KiB, multiples of 16 or not, one
+// to five of them and runs around 16 and 32, a short last one and one that
+// is not whole elements, ε across the guard's range and ε with integral
+// quotients; then a guard failure — NaN, ±Inf, a cell near a clamp, one
+// pattern above the guard — in one chunk of a pair or a run of 16 or both
+// ends, at the first step, the last step, the tail and either side of a
 // call's span.
 func TestHashChunksMatchesHashChunk(t *testing.T) {
 	chunkPaths(t, func(t *testing.T) {
@@ -280,11 +309,11 @@ func TestHashChunksMatchesHashChunk(t *testing.T) {
 					}
 					// Large chunks at fewer counts: what a count tests is
 					// the same at every size.
-					most := 5
+					counts := []int{1, 2, 3, 4, 5, 15, 16, 17, 32, 33}
 					if chunk >= 4096 {
-						most = 3
+						counts = []int{1, 2, 3, 16, 17}
 					}
-					for pieces := 1; pieces <= most; pieces++ {
+					for _, pieces := range counts {
 						for _, short := range []int{0, 2, esz, 3 * esz} {
 							if short >= chunk || chunk >= 4096 && short > esz {
 								continue
@@ -307,23 +336,30 @@ func TestHashChunksMatchesHashChunk(t *testing.T) {
 			math.Float32bits(float32(math.Inf(-1))), math.Float32bits(float32(math.Ldexp(-1e-5, 62))),
 			h.safe32 + 1,
 		}
-		for _, chunk := range []int{16, 56, 4096, 2*hashSpan + 40} {
+		for _, chunk := range []int{16, 56, 4096, 2*wideSpan + 40, 2*hashSpan + 40} {
 			steps := chunk &^ 15
 			ats := []int{0, steps - 16, steps - 4, chunk - 4}
-			if chunk > hashSpan {
-				ats = append(ats, hashSpan-4, hashSpan, 2*hashSpan-4, 2*hashSpan)
+			for _, span := range []int{wideSpan, hashSpan} {
+				if chunk > 2*span {
+					ats = append(ats, span-4, span, 2*span-4, 2*span)
+				}
 			}
-			for _, pieces := range []int{2, 3} {
-				if pieces == 3 && chunk > hashSpan {
+			for _, pieces := range []int{2, 3, 16, 17} {
+				if pieces > 2 && chunk > hashSpan {
 					continue
+				}
+				sides := [][]int{{0}, {1}, {0, 1}}
+				if pieces >= 16 {
+					sides = [][]int{{0}, {7}, {8}, {15}, {0, 15}}
 				}
 				data := make([]byte, pieces*chunk)
 				fillCells(rng, Float32, h.eps, data, false)
+				d := make([]byte, len(data))
 				for _, b := range bad {
 					for _, at := range ats {
-						for _, sides := range [][]int{{0}, {1}, {0, 1}} {
-							d := append([]byte(nil), data...)
-							for _, s := range sides {
+						for _, side := range sides {
+							copy(d, data)
+							for _, s := range side {
 								binary.LittleEndian.PutUint32(d[s*chunk+at:], b)
 							}
 							checkChunks(t, h, d, chunk)
@@ -337,7 +373,9 @@ func TestHashChunksMatchesHashChunk(t *testing.T) {
 
 // TestHashChunksGuardBoundaries is TestHashKernelGuardBoundaries' table
 // through HashChunks: each edge value in every lane and tail of chunks of 1
-// to 9 elements, in the first of two chunks and in the second.
+// to 9 elements, in the first and last chunk of each of a run of 16's two
+// groups of 8 (chunks 0, 7, 8 and 15; on the pair path the first and second
+// of a pair).
 func TestHashChunksGuardBoundaries(t *testing.T) {
 	chunkPaths(t, func(t *testing.T) {
 		for _, dtype := range []DType{Float32, Float64} {
@@ -348,13 +386,15 @@ func TestHashChunksGuardBoundaries(t *testing.T) {
 				}
 				for _, edge := range guardEdges(h) {
 					for n := 1; n <= 9; n++ {
-						for at := 0; at < 2*n; at++ {
-							data := make([]byte, 2*n*dtype.Size())
-							for i := 0; i < 2*n; i++ {
-								putElem(dtype, data, i, elemBits(dtype, 1.5+float64(i%n)))
+						data := make([]byte, 16*n*dtype.Size())
+						for _, piece := range []int{0, 7, 8, 15} {
+							for at := piece * n; at < (piece+1)*n; at++ {
+								for i := 0; i < 16*n; i++ {
+									putElem(dtype, data, i, elemBits(dtype, 1.5+float64(i)))
+								}
+								putElem(dtype, data, at, edge)
+								checkChunks(t, h, data, n*dtype.Size())
 							}
-							putElem(dtype, data, at, edge)
-							checkChunks(t, h, data, n*dtype.Size())
 						}
 					}
 				}
