@@ -26,10 +26,12 @@ race:
 # portable runs the builds an amd64 host does not: the Go loops that stand
 # in for the ε-compare kernel's SSE2 assembly and the leaf hash's SSE4.1
 # pair and AVX-512 wide kernels on every other GOARCH (an amd64 host runs
-# 386 test binaries natively) and vet of an arm64 build.
+# 386 test binaries natively, stage 2's views included), vet of an arm64
+# build, and vet of a GOOS without mmap, where pfs.File.Land copies.
 portable:
 	GOARCH=386 $(GO) test ./internal/errbound ./internal/compare
 	GOARCH=arm64 $(GO) vet ./internal/errbound
+	GOOS=windows GOARCH=amd64 $(GO) vet ./internal/pfs ./internal/stream ./internal/compare
 
 # chaos soaks the degradation ladder at full scale: seeded fault
 # schedules × topologies under the race detector (see internal/chaos).
@@ -119,7 +121,7 @@ examples:
 # LOC_CEILING, the total of the last PR that lowered it — a PR that removes
 # code lowers the ceiling to its own result, one that must add code raises
 # it in the same diff, where a reviewer sees it.
-LOC_CEILING = 24304
+LOC_CEILING = 24589
 LOC_FILES = \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go'
 loc:
 	@for d in $$(find . $(LOC_FILES) | xargs -n1 dirname | sort -u); do \

@@ -155,17 +155,19 @@ func (a *Arena) Get(n int) *BufSet {
 var poisonPut atomic.Bool
 
 // Put returns a set checked out with Get. The caller must not touch the
-// set (or any slice of its buffers) afterwards.
+// set (or any slice of its buffers) afterwards. Its requests are dropped:
+// one may hold a view of a file mapping (pfs.File.Land) that is gone by
+// the set's next use.
 func (a *Arena) Put(s *BufSet) {
 	if s == nil {
 		return
 	}
+	clear(s.Reqs[:cap(s.Reqs)])
 	if poisonPut.Load() {
 		buf := s.Buf[:cap(s.Buf)]
 		for i := range buf {
 			buf[i] = 0xDB
 		}
-		clear(s.Reqs[:cap(s.Reqs)])
 	}
 	n := s.bytes()
 	a.mu.Lock()

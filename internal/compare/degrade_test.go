@@ -1,6 +1,7 @@
 package compare
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -236,12 +237,14 @@ func TestDegradeRetriesTransientAtCompareLevel(t *testing.T) {
 	assertSameDiffs(t, groundTruth(t, env, 1e-5), diffsToMap(res.Diffs), "retried")
 }
 
-// shrinkOnPrice halves a container the first time a read of its data
-// region is priced: stage 2's window is priced, then its bytes are gone.
+// shrinkOnPrice shrinks a container to size to (half its size when to is
+// 0) the first time a read of its data region is priced: stage 2's window
+// is priced, then its bytes are gone.
 type shrinkOnPrice struct {
 	faults.Nop
 	path string
 	data int64 // where the container's first field starts
+	to   int64
 	once sync.Once
 	err  error
 }
@@ -251,7 +254,7 @@ func (h *shrinkOnPrice) BeforeRead(_ string, off int64, _ int) error {
 		h.once.Do(func() {
 			var st os.FileInfo
 			if st, h.err = os.Stat(h.path); h.err == nil {
-				h.err = os.Truncate(h.path, st.Size()/2)
+				h.err = os.Truncate(h.path, cmp.Or(h.to, st.Size()/2))
 			}
 		})
 	}

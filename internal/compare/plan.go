@@ -177,12 +177,12 @@ func (st *stage2) fieldHashers() error {
 // check is what turns a torn or rotted CAS chunk into Corrupt instead of a
 // silent dedup hit. The pipeline calls it once per extent and window, so
 // every job naming the extent sees the one verdict (and the recovered
-// bytes).
-func (st *stage2) checkExtent(ctx context.Context, r, src, ext int, data []byte) bool {
+// bytes, re-read into the extent's own buffer).
+func (st *stage2) checkExtent(ctx context.Context, r, src, ext int, data, own []byte) []byte {
 	leaf, from := &st.leaves[src][ext], &st.plan.Sources[src]
-	ok, cost := verifyLeaf(ctx, st.hashers[leaf.field], data, leaf.want, from.File, from.Extents[ext].Off)
+	got, cost := verifyLeaf(ctx, st.hashers[leaf.field], data, own, leaf.want, from.File, from.Extents[ext].Off)
 	st.kernel.ranges[r].rereadCost.Add(cost)
-	return ok
+	return got
 }
 
 // verifyJob is the stage-2 consumer callback: it hands one job's two sides
@@ -190,19 +190,13 @@ func (st *stage2) checkExtent(ctx context.Context, r, src, ext int, data []byte)
 // concurrently for distinct jobs of a window (stream.Compute), touching
 // only slot j.Index and range r.
 func (st *stage2) verifyJob(r int, j stream.Job, a, b []byte) (time.Duration, error) {
-	ms, ref := st.ms, &st.refs[j.Index]
+	ref := &st.refs[j.Index]
 	job := chunkJob{hasher: st.hashers[ref.field], a: a, b: b, base: ref.base}
-	if ms.cs != nil && ms.opts.Memo != nil {
-		pr := ms.Pairs[ref.pair]
-		job.memo = ms.opts.Memo
-		job.digestA = ms.mans[pr[0]].Fields[ref.field].Digests[ref.chunk]
-		job.digestB = ms.mans[pr[1]].Fields[ref.field].Digests[ref.chunk]
-	}
 	if err := st.kernel.verify(r, j.Index, &job); err != nil {
 		return 0, err
 	}
 	// An unverifiable chunk still costs its compare time.
-	return ms.opts.Device.CompareRateTime(int64(j.Len)), nil
+	return st.ms.opts.Device.CompareRateTime(int64(j.Len)), nil
 }
 
 // stepStreamVerify runs stage 2 as a plan step: the pipeline's overlapped
@@ -272,9 +266,15 @@ func (st *stage2) run(ctx context.Context) (stream.Stats, time.Duration, error) 
 // allocation of exactly its size, and a copy: the slots and the ranges'
 // scratch go back to the free list. A job the pipeline never delivered
 // named a dead source: stage 1 proved its chunk could diverge and nothing
-// verified it.
+// verified it. Verified chunks are memoized here, once the run has
+// succeeded, never from the kernel: the pipeline may withdraw a verdict
+// its range reached from bytes the file lost.
 func (st *stage2) drain() {
 	k, folds, fields := st.kernel, st.ms.folds, len(st.ms.fields)
+	memo := st.ms.opts.Memo
+	if st.ms.cs == nil {
+		memo = nil
+	}
 	need := k.counts(len(folds) * fields)
 	for i, s := range k.slots {
 		if s.verdict == chunkChanged {
@@ -292,11 +292,25 @@ func (st *stage2) drain() {
 		switch k.slots[i].verdict {
 		case chunkPending, chunkUnverified:
 			fold.Unverified++
+			continue
 		case chunkChanged:
 			fold.idx[ref.field] = append(fold.idx[ref.field], k.indices(i)...)
 			if ref.chunk >= 0 {
 				fold.Changed++
 			}
+		}
+		if memo != nil {
+			// Sound only in differential mode: both byte strings are CAS
+			// representatives, so one digest names exactly one stored byte
+			// string and the verdict is a pure function of the digest pair.
+			// The memo keeps chunk-relative indices; the fold has its copy.
+			rel := k.indices(i)
+			for n := range rel {
+				rel[n] -= ref.base
+			}
+			pr := st.ms.Pairs[ref.pair]
+			fA, fB := &st.ms.mans[pr[0]].Fields[ref.field], &st.ms.mans[pr[1]].Fields[ref.field]
+			memo.insert(fA.Digests[ref.chunk], fB.Digests[ref.chunk], st.hashers[ref.field].DType(), rel)
 		}
 	}
 }

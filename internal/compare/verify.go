@@ -16,8 +16,7 @@ import (
 // This file is the stage-2 verification kernel: the one place a chunk
 // pair is verified, reached by every planner — single-node or sharded —
 // through the stream pipeline's consumer (plan.go). What happens to one
-// chunk — the integrity rung on a side, the ε-compare and memo insert on a
-// pair — is here.
+// chunk — the integrity rung on a side, the ε-compare on a pair — is here.
 
 // chunkVerdict is the kernel's verdict on one chunk pair.
 type chunkVerdict uint8
@@ -39,20 +38,23 @@ const (
 // verifyLeaf is the integrity rung for one chunk side: the streamed bytes
 // must re-hash to the leaf their metadata was built from — corruption
 // beyond ε quantization (bit rot, a torn transfer) cannot masquerade as a
-// clean chunk. On mismatch the chunk is re-read once from f at off, in
-// place and under the comparison's context (an in-flight flip re-reads
-// clean; media corruption repeats). ok reports whether data now holds
-// verified bytes, cost what the re-read, if any, cost.
-func verifyLeaf(ctx context.Context, h *errbound.Hasher, data []byte, want murmur3.Digest, f *pfs.File, off int64) (ok bool, cost pfs.Cost) {
+// clean chunk. On mismatch the chunk is re-read once from f at off into
+// own, the side's buffer — never into data, which may be a read-only view
+// of the file — under the comparison's context (an in-flight flip re-reads
+// clean; media corruption repeats). It returns the verified bytes, data or
+// own, or nil, and what the re-read, if any, cost.
+func verifyLeaf(ctx context.Context, h *errbound.Hasher, data, own []byte, want murmur3.Digest, f *pfs.File, off int64) ([]byte, pfs.Cost) {
 	if got, err := h.HashChunk(data); err == nil && got == want {
-		return true, pfs.Cost{}
+		return data, pfs.Cost{}
 	}
-	n, cost, err := f.ReadAtCtx(ctx, data, off)
-	if err != nil || n != len(data) {
-		return false, cost
+	n, cost, err := f.ReadAtCtx(ctx, own, off)
+	if err != nil || n != len(own) {
+		return nil, cost
 	}
-	got, err := h.HashChunk(data)
-	return err == nil && got == want, cost
+	if got, err := h.HashChunk(own); err != nil || got != want {
+		return nil, cost
+	}
+	return own, cost
 }
 
 // chunkJob is one chunk pair handed to the kernel.
@@ -64,12 +66,6 @@ type chunkJob struct {
 	// base is the element index, within the field, of the chunk's first
 	// element: reported indices are field-absolute.
 	base int64
-	// memo, when set, records the verdict under the digest pair. Sound
-	// only in differential mode: both byte strings are CAS
-	// representatives, so one digest names exactly one stored byte string
-	// and the verdict is a pure function of the (full) digest pair.
-	memo             *CASMemo
-	digestA, digestB murmur3.Digest
 }
 
 // verify runs the kernel body on one chunk pair, appending the absolute
@@ -85,9 +81,6 @@ func (j *chunkJob) verify(dst []int64) ([]int64, chunkVerdict, error) {
 		return dst[:n0], chunkPending, err
 	}
 	found := dst[n0:]
-	if j.memo != nil {
-		j.memo.insert(j.digestA, j.digestB, j.hasher.DType(), found)
-	}
 	if len(found) == 0 {
 		return dst, chunkClean, nil
 	}

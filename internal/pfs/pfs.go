@@ -481,13 +481,16 @@ func (s *Store) ResidentPages(name string) int {
 	return 0
 }
 
-// Remove deletes a file and its cache entries.
+// Remove deletes a file and its cache entries, and retires its mapping.
 func (s *Store) Remove(name string) error {
 	p, err := s.path(name)
 	if err != nil {
 		return err
 	}
 	s.Evict(name)
+	if st, err := os.Stat(p); err == nil {
+		retire(keyOf(st), -1)
+	}
 	if err := os.Remove(p); err != nil {
 		return fmt.Errorf("pfs: remove %s: %w", name, err)
 	}
@@ -570,14 +573,16 @@ func (s *Store) markWritten(name string, off int64, n int) Cost {
 }
 
 // File is an open read handle. A read is two halves: Price charges it —
-// fault decisions, page cache, read counters — and Copy lands its bytes.
-// ReadAt is the two in sequence; stage 2 prices a window's reads at once
-// and lands them from the ranges that verify them.
+// fault decisions, page cache, read counters — and Copy or Land lands its
+// bytes. ReadAt is the two in sequence; stage 2 prices a window's reads at
+// once, then lands them as views before it verifies them.
 type File struct {
 	store *Store
 	name  string
 	f     *os.File
 	size  int64
+	key   mapKey                  // the mapping table's name for the file
+	m     atomic.Pointer[mapping] // its table entry, from the first Land to Close
 
 	// flips are the bit flips priced reads chose and Copy applies, by file
 	// offset; mu guards them, and pending counts them so a Copy with none
@@ -602,10 +607,12 @@ func (s *Store) Open(name string) (*File, error) {
 		_ = f.Close() // the stat error takes precedence
 		return nil, fmt.Errorf("pfs: stat %s: %w", name, err)
 	}
+	key := keyOf(st)
+	retire(key, st.Size())
 	s.mu.Lock()
 	s.openHandles++
 	s.mu.Unlock()
-	return &File{store: s, name: name, f: f, size: st.Size()}, nil
+	return &File{store: s, name: name, f: f, size: st.Size(), key: key}, nil
 }
 
 // Name returns the store-relative name.
@@ -738,6 +745,7 @@ func (f *File) Close() error {
 	if f.f == nil {
 		return nil
 	}
+	f.dropView()
 	err := f.f.Close()
 	f.f = nil
 	f.store.mu.Lock()
@@ -755,7 +763,8 @@ type Writer struct {
 	cost  Cost
 }
 
-// Create opens a file for writing, truncating any existing content.
+// Create opens a file for writing, truncating any existing content, and
+// retires the file's mapping.
 func (s *Store) Create(name string) (*Writer, error) {
 	p, err := s.path(name)
 	if err != nil {
@@ -768,6 +777,9 @@ func (s *Store) Create(name string) (*Writer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pfs: create %s: %w", name, err)
 	}
+	if st, err := f.Stat(); err == nil {
+		retire(keyOf(st), -1)
+	}
 	s.Evict(name)
 	return &Writer{store: s, name: name, f: f}, nil
 }
@@ -776,7 +788,8 @@ func (s *Store) Create(name string) (*Writer, error) {
 // continues at the current end of file, so append-only logs (the CAS pack
 // and its index) grow across sessions without rewriting earlier content.
 // Unlike Create, existing cached pages stay resident: appending adds data,
-// it does not invalidate what readers already fetched.
+// it does not invalidate what readers already fetched. The file's mapping,
+// sized to the old end, is retired.
 func (s *Store) Append(name string) (*Writer, error) {
 	p, err := s.path(name)
 	if err != nil {
@@ -794,6 +807,7 @@ func (s *Store) Append(name string) (*Writer, error) {
 		_ = f.Close() // the stat error takes precedence
 		return nil, fmt.Errorf("pfs: stat %s: %w", name, err)
 	}
+	retire(keyOf(st), -1)
 	return &Writer{store: s, name: name, f: f, off: st.Size()}, nil
 }
 

@@ -1,0 +1,31 @@
+//go:build !unix
+
+package pfs
+
+import "os"
+
+// Without mmap there is no mapping table: Land is Copy.
+
+type (
+	mapKey  struct{}
+	mapping struct{}
+)
+
+func keyOf(os.FileInfo) mapKey { return mapKey{} }
+func retire(mapKey, int64)     {}
+func (f *File) dropView()      {}
+
+// Land copies the len(buf) bytes at off into buf and returns buf.
+func (f *File) Land(buf []byte, off int64) ([]byte, error) { return buf, f.Copy(buf, off) }
+
+// SizeNow returns the file's size now, not at Open.
+func (f *File) SizeNow() (int64, error) {
+	if f.f == nil {
+		return 0, ErrClosed
+	}
+	st, err := f.f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	return st.Size(), nil
+}

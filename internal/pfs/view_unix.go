@@ -1,0 +1,175 @@
+//go:build unix
+
+package pfs
+
+import (
+	"os"
+	"sync"
+	"syscall"
+)
+
+// Land views a file through one read-only, shared mapping of the whole
+// file, kept in a table per process keyed by (device, inode): an inode
+// number cannot be reused while a mapping pins the inode, and MAP_SHARED
+// shows the file's current bytes, as pread does. A File takes a reference
+// on its first Land and drops it at Close. An entry nobody references stays
+// mapped, idle, for the next Open of its file; past maxIdleMappings idle
+// entries or maxIdleBytes idle bytes the least recently released goes.
+const (
+	maxIdleMappings = 64
+	maxIdleBytes    = 256 << 20
+)
+
+type mapKey struct{ dev, ino uint64 }
+
+// mapping is one entry. One no longer in the table is retired — its file
+// was rewritten, appended to or removed — and unmapped at its last release.
+type mapping struct {
+	key  mapKey
+	data []byte
+	refs int
+	used uint64 // when it last became idle
+}
+
+var table struct {
+	sync.Mutex
+	byKey            map[mapKey]*mapping
+	clock            uint64
+	idle             int // entries with no reference, and their bytes
+	idleBytes, mmaps int64
+}
+
+// noMapping is the entry of a File that cannot be mapped: it lands by Copy.
+var noMapping = &mapping{}
+
+func keyOf(fi os.FileInfo) mapKey {
+	if st, ok := fi.Sys().(*syscall.Stat_t); ok {
+		return mapKey{dev: uint64(st.Dev), ino: uint64(st.Ino)}
+	}
+	return mapKey{}
+}
+
+// retire retires key's entry unless it maps keep bytes: an Open found the
+// file at another size, or (keep -1) a writer is about to change the file
+// or remove it, and an idle mapping must not pin its old blocks.
+func retire(key mapKey, keep int64) {
+	table.Lock()
+	if m := table.byKey[key]; m != nil && int64(len(m.data)) != keep {
+		m.retire()
+	}
+	table.Unlock()
+}
+
+// retire takes the entry out of the table, unmapping it if it is idle.
+// Caller holds the table lock.
+func (m *mapping) retire() {
+	delete(table.byKey, m.key)
+	if m.refs == 0 {
+		table.idle--
+		table.idleBytes -= int64(len(m.data))
+		m.unmap()
+	}
+}
+
+func (m *mapping) unmap() {
+	_ = syscall.Munmap(m.data) // the range came from Mmap: nothing to do on failure
+	m.data = nil
+}
+
+// entry returns f's entry, taking a reference — mapping the file on a
+// miss — on f's first Land.
+func (f *File) entry() *mapping {
+	if m := f.m.Load(); m != nil {
+		return m
+	}
+	table.Lock()
+	defer table.Unlock()
+	if m := f.m.Load(); m != nil {
+		return m
+	}
+	m := table.byKey[f.key]
+	switch {
+	case m != nil && int64(len(m.data)) == f.size:
+		if m.refs == 0 {
+			table.idle--
+			table.idleBytes -= int64(len(m.data))
+		}
+		m.refs++
+	case f.key == (mapKey{}) || f.size <= 0 || f.size != int64(int(f.size)):
+		m = noMapping
+	default:
+		if m != nil {
+			m.retire()
+		}
+		table.mmaps++
+		data, err := syscall.Mmap(int(f.f.Fd()), 0, int(f.size), syscall.PROT_READ, syscall.MAP_SHARED)
+		if m = noMapping; err == nil {
+			m = &mapping{key: f.key, data: data, refs: 1}
+			if table.byKey == nil {
+				table.byKey = make(map[mapKey]*mapping)
+			}
+			table.byKey[f.key] = m
+		}
+	}
+	f.m.Store(m)
+	return m
+}
+
+// dropView releases f's reference at Close.
+func (f *File) dropView() {
+	m := f.m.Swap(nil)
+	if m == nil || m == noMapping {
+		return
+	}
+	table.Lock()
+	defer table.Unlock()
+	if m.refs--; m.refs > 0 {
+		return
+	}
+	if table.byKey[m.key] != m {
+		m.unmap()
+		return
+	}
+	table.clock++
+	m.used, table.idle, table.idleBytes = table.clock, table.idle+1, table.idleBytes+int64(len(m.data))
+	for table.idle > maxIdleMappings || table.idleBytes > maxIdleBytes {
+		var old *mapping
+		for _, e := range table.byKey {
+			if e.refs == 0 && (old == nil || e.used < old.used) {
+				old = e
+			}
+		}
+		old.retire()
+	}
+}
+
+// Land lands the len(buf) bytes at off — a read its Price charged — and
+// returns them as a read-only view of the file's mapping, valid until
+// Close, or, while flips are pending on the file or where it cannot be
+// mapped, copied into buf by Copy: a flip never reaches the page cache. A
+// view shows the file as it is when read: bytes the file lost since it was
+// opened fault when touched (SIGBUS), or read as zeros to the end of their
+// page; a caller reads views under debug.SetPanicOnFault and checks
+// SizeNow after.
+func (f *File) Land(buf []byte, off int64) ([]byte, error) {
+	if f.f == nil {
+		return nil, ErrClosed
+	}
+	end := off + int64(len(buf))
+	if len(buf) > 0 && off >= 0 && f.pending.Load() == 0 {
+		if m := f.entry(); end <= int64(len(m.data)) {
+			return m.data[off:end:end], nil
+		}
+	}
+	return buf, f.Copy(buf, off)
+}
+
+// SizeNow returns the file's size now, not at Open, without allocating.
+func (f *File) SizeNow() (int64, error) {
+	if f.f == nil {
+		return 0, ErrClosed
+	}
+	var st syscall.Stat_t
+	err := syscall.Fstat(int(f.f.Fd()), &st)
+	return st.Size, err
+}

@@ -236,13 +236,16 @@ func accountRow(t *testing.T, row string, in accountInput, exec device.Executor,
 		return in.bytes[src][e.Off : e.Off+int64(e.Len)]
 	}
 	if sc.check {
-		plan.Check = func(ctx context.Context, _, src, ext int, data []byte) bool {
+		plan.Check = func(ctx context.Context, _, src, ext int, data, own []byte) []byte {
 			want := extent(src, ext)
 			if bytes.Equal(data, want) {
-				return true
+				return data
 			}
-			n, _, err := plan.Sources[src].File.ReadAtCtx(ctx, data, plan.Sources[src].Extents[ext].Off)
-			return err == nil && n == len(data) && bytes.Equal(data, want)
+			n, _, err := plan.Sources[src].File.ReadAtCtx(ctx, own, plan.Sources[src].Extents[ext].Off)
+			if err == nil && n == len(own) && bytes.Equal(own, want) {
+				return own
+			}
+			return nil
 		}
 	}
 	cfg := Config{Backend: be.make(), Arena: aio.NewArena(0), Exec: exec, Device: device.GPUModel(), SliceBytes: in.slice, Depth: depth}

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -23,8 +24,8 @@ import (
 )
 
 // landLog prices through inner and records, in order, what a run priced
-// and what it copied. A window prices all its sources before any of its
-// bytes land, so a pricing after a copy opens the next window.
+// and what it landed. A window prices all its sources before any of its
+// bytes land, so a pricing after a landing opens the next window.
 type landLog struct {
 	inner   aio.Backend
 	mu      sync.Mutex
@@ -32,13 +33,14 @@ type landLog struct {
 	copying bool
 }
 
-// landWindow is what one window priced, by file, and the copies it issued.
+// landWindow is what one window priced, by file, and the landings it
+// issued.
 type landWindow struct {
 	priced map[*pfs.File][]Extent
 	copies []landed
 }
 
-// landed is one copy: a file, an offset and a length.
+// landed is one landing: a file, an offset and a length.
 type landed struct {
 	file *pfs.File
 	off  int64
@@ -61,18 +63,18 @@ func (l *landLog) Price(ctx context.Context, f *pfs.File, reqs []aio.ReadReq) (p
 	return l.inner.Price(ctx, f, reqs)
 }
 
-// record swaps the copy hook for one that logs every copy into the window
-// being landed, and restores it when the test ends.
+// record swaps the landing hook for one that logs every landing into the
+// window being landed, and restores it when the test ends.
 func (l *landLog) record(t testing.TB) {
-	copyAt = func(f *pfs.File, p []byte, off int64) error {
+	landAt = func(f *pfs.File, p []byte, off int64) ([]byte, error) {
 		l.mu.Lock()
 		l.copying = true
 		w := &l.windows[len(l.windows)-1]
 		w.copies = append(w.copies, landed{file: f, off: off, n: len(p)})
 		l.mu.Unlock()
-		return f.Copy(p, off)
+		return f.Land(p, off)
 	}
-	t.Cleanup(func() { copyAt = (*pfs.File).Copy })
+	t.Cleanup(func() { landAt = (*pfs.File).Land })
 }
 
 // checkLandings holds a run's copies to the landing contract, window by
@@ -214,14 +216,15 @@ func TestEachExtentLandsOncePerWindow(t *testing.T) {
 	}
 }
 
-// truncateOnPrice shrinks a file to half its size the first time a read of
-// it at or past from is priced: its bytes are gone by the time they land.
+// truncateOnPrice shrinks a file to size to (half its size when to is 0)
+// the first time a read of it at or past from is priced: its bytes are
+// gone by the time they land.
 type truncateOnPrice struct {
 	faults.Nop
-	store *pfs.Store
-	name  string
-	from  int64
-	once  sync.Once
+	store    *pfs.Store
+	name     string
+	from, to int64
+	once     sync.Once
 }
 
 func (h *truncateOnPrice) BeforeRead(name string, off int64, _ int) error {
@@ -231,7 +234,7 @@ func (h *truncateOnPrice) BeforeRead(name string, off int64, _ int) error {
 			path := filepath.Join(h.store.Root(), filepath.FromSlash(name))
 			var st os.FileInfo
 			if st, err = os.Stat(path); err == nil {
-				err = os.Truncate(path, st.Size()/2)
+				err = os.Truncate(path, cmp.Or(h.to, st.Size()/2))
 			}
 		})
 	}
@@ -320,14 +323,13 @@ func (w wideSerial) For(n int, fn func(int)) {
 
 func (w wideSerial) Workers() int { return int(w) }
 
-// FuzzRangeCopies drives the copy planner — which range lands which
-// extents, and in how many copies — over random plans: extent layouts (a
-// fixed length, gaps of zero, one or two lengths between them), job orders
-// that share and repeat extents across sources and within one, executor
-// widths that cut the jobs into ranges differently, and window sizes.
-// Every window's copies must be runs of whole extents adjacent in the file,
-// land each priced extent exactly once, and deliver exactly the bytes a
-// ReadAt per extent reads.
+// FuzzRangeCopies drives the landing — which extents a window lands, and
+// how often — over random plans: extent layouts (a fixed length, gaps of
+// zero, one or two lengths between them), job orders that share and repeat
+// extents across sources and within one, executor widths that cut the jobs
+// into ranges differently, and window sizes. Every window's landings must
+// be runs of whole extents adjacent in the file, land each priced extent
+// exactly once, and deliver exactly the bytes a ReadAt per extent reads.
 func FuzzRangeCopies(f *testing.F) {
 	store, err := pfs.NewStore(f.TempDir(), pfs.LustreModel())
 	if err != nil {

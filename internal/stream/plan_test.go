@@ -207,8 +207,8 @@ func TestRunDeadSourceSkipsItsJobs(t *testing.T) {
 
 // TestRunCheckSettlesEachExtentOnce: the integrity rung sees every extent
 // of a window exactly once, before any job, whatever the number of jobs and
-// ranges naming it; a repair in place reaches every job, a rejection reaches
-// them as a nil side.
+// ranges naming it; a repair into the extent's own buffer reaches every
+// job, a rejection reaches them as a nil side.
 func TestRunCheckSettlesEachExtentOnce(t *testing.T) {
 	const chunks, chunk = 48, 4096
 	files, data := nFiles(t, 4, chunks*chunk)
@@ -220,7 +220,7 @@ func TestRunCheckSettlesEachExtentOnce(t *testing.T) {
 
 	var mu sync.Mutex
 	checked := make(map[Ref]int)
-	plan.Check = func(_ context.Context, r, src, ext int, got []byte) bool {
+	plan.Check = func(_ context.Context, r, src, ext int, got, own []byte) []byte {
 		mu.Lock()
 		checked[Ref{src, ext}]++
 		mu.Unlock()
@@ -233,11 +233,13 @@ func TestRunCheckSettlesEachExtentOnce(t *testing.T) {
 		}
 		switch {
 		case src == 0 && ext%2 == 0:
-			got[0] ^= 0xff // "repaired": every job must see this
+			copy(own, got)
+			own[0] ^= 0xff // "repaired": every job must see this
+			return own
 		case src == 3 && ext%4 == 0:
-			return false
+			return nil
 		}
-		return true
+		return got
 	}
 	_, err := Run(context.Background(), plan, cfg, func(_ int, j Job, a, b []byte) (time.Duration, error) {
 		mu.Lock()

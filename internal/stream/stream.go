@@ -17,12 +17,11 @@
 // Run takes the windows one at a time on the calling goroutine. It prices a
 // window — every source's extents once, consecutive sources two at a time
 // up the read ladder (aio.ReadLadder), so a PairPricer backend overlaps
-// them — and verifies it in one dispatch over Config.Exec: the window's jobs
-// split into byte-balanced contiguous ranges, each of which lands the
-// extents its jobs name (pfs.File.Copy, one per run of them adjacent in the
-// file) and verifies them while they are in cache, so the reads overlap the
-// comparison kernel on every worker. An extent jobs of several ranges name
-// lands once, before the dispatch. A window's virtual compute is a sum of
+// them — lands its extents once each (pfs.File.Land: a view of the file's
+// mapping, so the kernels read the page cache where it lies) and verifies
+// it in one dispatch over Config.Exec: the window's jobs split into
+// byte-balanced contiguous ranges, which read their views under the fault
+// contract (verifier.guard). A window's virtual compute is a sum of
 // Durations (launch + transfer + Σ per-job terms), which no evaluation order
 // can change, so the virtual clock is the same at any worker count.
 //
@@ -45,8 +44,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"runtime/debug"
 	"slices"
 	"time"
+	"unsafe"
 
 	"repro/internal/aio"
 	"repro/internal/device"
@@ -94,11 +96,12 @@ type Plan struct {
 	// back to what it knew without the bytes.
 	Degrade bool
 	// Check, when set, is the ladder's integrity rung: it is called once
-	// per source extent of every window, after the extent lands and before
-	// any job sees it, and may repair data in place. An extent it rejects is delivered to
-	// its jobs as a nil side. r is the range the call runs in, as for
-	// Compute.
-	Check func(ctx context.Context, r, src, ext int, data []byte) bool
+	// per source extent of every window, after the extent lands (data: a
+	// read-only view, or own) and before any job sees it, and returns what
+	// the jobs see: data, own (the extent's buffer) after a repair into it,
+	// or nil, a rejection delivered as a nil side. r is the range the call
+	// runs in, as for Compute.
+	Check func(ctx context.Context, r, src, ext int, data, own []byte) []byte
 }
 
 // NewPlan returns an empty plan over the given files, one source each.
@@ -233,7 +236,9 @@ type Stats struct {
 // r may overlap, so state indexed by r (an index scratch, a reread tally)
 // needs no lock. All calls for a window return before the next window's
 // first. When several jobs of a window fail, Run reports the error of the
-// lowest job; later ranges may still have run.
+// lowest job; later ranges may still have run. Under Plan.Degrade a range
+// whose file shrank under its views after the check pass delivers each of
+// its jobs again with both sides nil, withdrawing what it reported.
 type Compute func(r int, j Job, a, b []byte) (time.Duration, error)
 
 // window is the stretch of the job list being priced and verified: its
@@ -450,29 +455,20 @@ func (r *reader) drop(w *window) {
 	}
 }
 
-// copyAt lands one run of adjacent extents: pfs.File.Copy, a variable so
-// tests can count the copies.
-var copyAt = (*pfs.File).Copy
+// landAt is pfs.File.Land, a variable so tests can count the landings.
+var landAt = (*pfs.File).Land
 
-// landReqs lands a source's requests — ascending, laid back to back in its
-// buffer set — with one copy per run of them adjacent in the file.
+// landReqs points each of a source's requests at the bytes Land returns.
 func landReqs(f *pfs.File, reqs []aio.ReadReq) error {
-	for k := 0; k < len(reqs); {
-		n, e := reqs[k].Len, k+1
-		for ; e < len(reqs) && reqs[e-1].Off+int64(reqs[e-1].Len) == reqs[e].Off; e++ {
-			n += reqs[e].Len
-		}
-		if err := copyAt(f, reqs[k].Buf[:n], reqs[k].Off); err != nil {
+	for k := range reqs {
+		q := &reqs[k]
+		b, err := landAt(f, q.Buf, q.Off)
+		if err != nil {
 			return err
 		}
-		k = e
+		q.Buf = b
 	}
 	return nil
-}
-
-// landRun is requests [lo, hi) of source src's set, landed by range owner.
-type landRun struct {
-	src, lo, hi, owner int
 }
 
 // rangeResult is one range's outcome, written by the range's worker and
@@ -480,12 +476,14 @@ type landRun struct {
 type rangeResult struct {
 	comp time.Duration
 	err  error
-	lost bool // err is a failure to land the range's bytes
+	lost bool // err is a failure to land or keep source src's bytes
+	src  int
+	died bool // the range withdrew its jobs under Degrade: src is dead
 	ran  bool
 }
 
-// verifier lands and verifies one window at a time, range-parallel over
-// the executor.
+// verifier verifies one window at a time, range-parallel over the
+// executor.
 type verifier struct {
 	plan      *Plan
 	cfg       Config
@@ -494,11 +492,8 @@ type verifier struct {
 	w         *window
 	bounds    []int         // range r is items [bounds[r], bounds[r+1])
 	results   []rangeResult // by range
-	// owner[s][k] is the range that lands request k of source s: -1 while
-	// no job names it, nr — the prelude — once jobs of two ranges do.
-	owner [][]int32
-	lands []landRun // the window's runs of requests, each with its owner
-	src   int       // the source the land-and-check pass is on
+	src       int           // the source a land-and-check pass is on, -1 in the verify pass
+	ends      []Extent      // [r*len(plan.Sources)+s]: what range r read of s that ends last
 	// verifyRange and checkRange are the two dispatches' work items.
 	verifyRange, checkRange func(r int)
 }
@@ -507,8 +502,12 @@ func newVerifier(ctx context.Context, plan *Plan, cfg Config, compute Compute) *
 	maxRanges := MaxRanges(cfg.Exec)
 	v := &verifier{plan: plan, cfg: cfg, compute: compute, maxRanges: maxRanges,
 		bounds: make([]int, 0, maxRanges+1), results: make([]rangeResult, maxRanges),
-		owner: make([][]int32, len(plan.Sources))}
-	v.verifyRange = v.verifyIn
+		ends: make([]Extent, maxRanges*len(plan.Sources))}
+	v.verifyRange = func(r int) {
+		if v.verifyIn(r); plan.Degrade && v.results[r].lost {
+			v.withdraw(r)
+		}
+	}
 	v.checkRange = func(r int) { v.checkIn(ctx, r) }
 	return v
 }
@@ -516,12 +515,12 @@ func newVerifier(ctx context.Context, plan *Plan, cfg Config, compute Compute) *
 // run lands and verifies a window and returns its virtual compute. Under
 // Plan.Degrade or with Plan.Check every extent lands, a source at a time,
 // and is judged before any job sees it; a source whose bytes fail to land
-// is dead under Degrade and fails the run otherwise. Then each range
-// verifies its jobs — landing their extents first when nothing has yet.
+// is dead under Degrade and fails the run otherwise. Else every extent
+// lands on the caller, once however many ranges name it. Then each range
+// verifies its jobs.
 func (v *verifier) run(ctx context.Context, rd *reader, w *window) (time.Duration, error) {
 	v.w = w
-	checked := v.plan.Degrade || v.plan.Check != nil
-	if checked {
+	if v.plan.Degrade || v.plan.Check != nil {
 		for _, s := range w.loaded {
 			reqs := w.sets[s].Reqs
 			v.bounds = Ranges(v.bounds, len(reqs), func(i int) int { return reqs[i].Len }, v.maxRanges)
@@ -534,6 +533,12 @@ func (v *verifier) run(ctx context.Context, rd *reader, w *window) (time.Duratio
 			}
 		}
 		rd.drop(w)
+	} else {
+		for _, s := range w.loaded {
+			if err := landReqs(v.plan.Sources[s].File, w.sets[s].Reqs); err != nil {
+				return 0, err
+			}
+		}
 	}
 	// One batched kernel per window: launch and transfer charged here, the
 	// callbacks contribute only their bandwidth terms. A window with
@@ -543,93 +548,38 @@ func (v *verifier) run(ctx context.Context, rd *reader, w *window) (time.Duratio
 		return 0, nil
 	}
 	v.bounds = Ranges(v.bounds, len(jobs), func(i int) int { return jobs[i].Len }, v.maxRanges)
-	v.lands = v.lands[:0]
-	if !checked {
-		nr := len(v.bounds) - 1
-		v.planLands(jobs, nr)
-		if err := v.landOwned(nr); err != nil {
-			return 0, err
-		}
-	}
+	v.src = -1
 	kernel, _, err := v.join(ctx, v.verifyRange)
 	if err != nil {
 		return 0, err
 	}
+	for _, res := range v.results[:len(v.bounds)-1] {
+		if res.died {
+			rd.dead[res.src] = true
+		}
+	}
 	return v.cfg.Device.KernelLaunch + v.cfg.Device.TransferTime(w.bytes) + kernel, nil
 }
 
-// planLands gives every request of the window to the range whose jobs name
-// it — to the prelude when jobs of several ranges do — and lists the runs
-// of consecutive requests one owner lands.
-func (v *verifier) planLands(jobs []Job, nr int) {
-	w := v.w
-	for _, s := range w.loaded {
-		own := slices.Grow(v.owner[s][:0], len(w.sets[s].Reqs))[:len(w.sets[s].Reqs)]
-		for k := range own {
-			own[k] = -1
-		}
-		v.owner[s] = own
-	}
-	for r := 0; r < nr; r++ {
-		for i := v.bounds[r]; i < v.bounds[r+1]; i++ {
-			at := w.at[i]
-			if at[0] < 0 {
-				continue
-			}
-			for side, src := range [2]int{jobs[i].A.Src, jobs[i].B.Src} {
-				switch o := &v.owner[src][at[side]]; *o {
-				case -1:
-					*o = int32(r)
-				case int32(r):
-				default:
-					*o = int32(nr)
-				}
-			}
-		}
-	}
-	for _, s := range w.loaded {
-		own := v.owner[s]
-		for k := 0; k < len(own); {
-			e := k + 1
-			for e < len(own) && own[e] == own[k] {
-				e++
-			}
-			if own[k] >= 0 {
-				v.lands = append(v.lands, landRun{src: s, lo: k, hi: e, owner: int(own[k])})
-			}
-			k = e
-		}
-	}
+// lose files range r's failure to land or keep source src's bytes.
+func (v *verifier) lose(r, src int, err error) {
+	v.results[r] = rangeResult{err: err, lost: true, src: src, ran: true}
 }
 
-// landOwned lands the runs owner lands, in order.
-func (v *verifier) landOwned(owner int) error {
-	for _, run := range v.lands {
-		if run.owner != owner {
-			continue
-		}
-		if err := landReqs(v.plan.Sources[run.src].File, v.w.sets[run.src].Reqs[run.lo:run.hi]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// verifyIn is range r of the verify dispatch: it lands the range's runs,
-// then runs its jobs in order.
+// verifyIn is range r of the verify dispatch: its jobs in order, under the
+// fault contract (guard), then the size check (holds).
 func (v *verifier) verifyIn(r int) {
-	if err := v.landOwned(r); err != nil {
-		v.results[r] = rangeResult{err: err, lost: true, ran: true}
-		return
-	}
+	defer v.guard(r, debug.SetPanicOnFault(true))
 	res := rangeResult{ran: true}
-	w := v.w
+	w, ends := v.w, v.rangeEnds(r)
 	for i := v.bounds[r]; i < v.bounds[r+1]; i++ {
 		at := w.at[i]
 		if at[0] < 0 {
 			continue
 		}
 		j := v.plan.Jobs[w.lo+i]
+		v.read(ends, j.A)
+		v.read(ends, j.B)
 		kv, err := v.compute(r, j, w.sets[j.A.Src].Reqs[at[0]].Buf, w.sets[j.B.Src].Reqs[at[1]].Buf)
 		if err != nil {
 			res.err = err
@@ -637,26 +587,132 @@ func (v *verifier) verifyIn(r int) {
 		}
 		res.comp += kv
 	}
-	v.results[r] = res
+	if v.results[r] = res; res.err == nil {
+		v.holds(r, ends)
+	}
 }
 
-// checkIn is range r of a source's land-and-check pass: the range's
-// extents land, then Plan.Check judges each; a rejected one is delivered
-// as a nil side.
-func (v *verifier) checkIn(ctx context.Context, r int) {
-	reqs := v.w.sets[v.src].Reqs[v.bounds[r]:v.bounds[r+1]]
-	if err := landReqs(v.plan.Sources[v.src].File, reqs); err != nil {
-		v.results[r] = rangeResult{err: err, lost: true, ran: true}
-		return
+// withdraw is a lost verify range under Plan.Degrade: each of its jobs is
+// delivered again with both sides nil, and its source dies when the window
+// ends.
+func (v *verifier) withdraw(r int) {
+	w, res := v.w, &v.results[r]
+	*res = rangeResult{src: res.src, died: true, ran: true}
+	for i := v.bounds[r]; i < v.bounds[r+1] && res.err == nil; i++ {
+		if w.at[i][0] >= 0 {
+			kv, err := v.compute(r, v.plan.Jobs[w.lo+i], nil, nil)
+			res.comp, res.err = res.comp+kv, err
+		}
 	}
-	if check := v.plan.Check; check != nil {
-		for k := range reqs {
-			if q := &reqs[k]; !check(ctx, r, v.src, q.Tag, q.Buf) {
-				q.Buf = nil
+}
+
+// checkIn is range r of a source's land-and-check pass: each extent lands
+// and Plan.Check judges it, under the fault contract (guard), then the
+// size check (holds).
+func (v *verifier) checkIn(ctx context.Context, r int) {
+	defer v.guard(r, debug.SetPanicOnFault(true))
+	f, check := v.plan.Sources[v.src].File, v.plan.Check
+	reqs, ends := v.w.sets[v.src].Reqs[v.bounds[r]:v.bounds[r+1]], v.rangeEnds(r)
+	for k := range reqs {
+		q := &reqs[k]
+		own := q.Buf
+		b, err := landAt(f, own, q.Off)
+		if err != nil {
+			v.lose(r, v.src, err)
+			return
+		}
+		if q.Buf = b; check != nil {
+			q.Buf = check(ctx, r, v.src, q.Tag, b, own)
+		}
+		v.read(ends, Ref{Src: v.src, Ext: q.Tag})
+	}
+	v.results[r] = rangeResult{ran: true}
+	v.holds(r, ends)
+}
+
+// rangeEnds returns range r's size-check marks, cleared.
+func (v *verifier) rangeEnds(r int) []Extent {
+	ends := v.ends[r*len(v.plan.Sources) : (r+1)*len(v.plan.Sources)]
+	clear(ends)
+	return ends
+}
+
+// read marks extent ref read.
+func (v *verifier) read(ends []Extent, ref Ref) {
+	if e := v.plan.Sources[ref.Src].Extents[ref.Ext]; e.Off+int64(e.Len) > ends[ref.Src].Off+int64(ends[ref.Src].Len) {
+		ends[ref.Src] = e
+	}
+}
+
+// holds is range r's size check, one fstat per source it read: a file
+// truncated within a page of where the range read it leaves zeros in its
+// views, not a fault.
+func (v *verifier) holds(r int, ends []Extent) {
+	for s, e := range ends {
+		if f := v.plan.Sources[s].File; e.Len > 0 {
+			if size, err := f.SizeNow(); err != nil {
+				v.lose(r, s, fmt.Errorf("stream: %s: %w", f.Name(), err))
+				return
+			} else if size < e.Off+int64(e.Len) {
+				v.lose(r, s, errGone(f, e, size))
+				return
 			}
 		}
 	}
-	v.results[r] = rangeResult{ran: true}
+}
+
+// guard is the fault contract of a range that reads views, deferred with
+// the goroutine's fault mode from before the range set
+// debug.SetPanicOnFault: a fault at an address in a view the range read,
+// whose file now ends before it, is the range's lost error; any other
+// panic — a write to a view, a nil dereference in Compute — is re-raised.
+func (v *verifier) guard(r int, was bool) {
+	debug.SetPanicOnFault(was)
+	p := recover()
+	if p == nil {
+		return
+	}
+	if fault, ok := p.(interface{ Addr() uintptr }); ok {
+		if src, err := v.gone(r, fault.Addr()); err != nil {
+			v.lose(r, src, err)
+			return
+		}
+	}
+	panic(p)
+}
+
+// gone returns the error of a fault at addr in a view range r read of
+// bytes its file no longer holds.
+func (v *verifier) gone(r int, addr uintptr) (src int, err error) {
+	in := func(ref Ref, b []byte) bool {
+		base := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+		if len(b) == 0 || addr < base || addr-base >= uintptr(len(b)) {
+			return false
+		}
+		f, e := v.plan.Sources[ref.Src].File, v.plan.Sources[ref.Src].Extents[ref.Ext]
+		if size, serr := f.SizeNow(); serr == nil && size <= e.Off+int64(addr-base) {
+			src, err = ref.Src, errGone(f, e, size)
+		}
+		return true
+	}
+	w := v.w
+	for i := v.bounds[r]; i < v.bounds[r+1]; i++ {
+		if v.src >= 0 {
+			if q := &w.sets[v.src].Reqs[i]; in(Ref{Src: v.src, Ext: q.Tag}, q.Buf) {
+				break
+			}
+		} else if at, j := w.at[i], &v.plan.Jobs[w.lo+i]; at[0] >= 0 && (in(j.A, w.sets[j.A.Src].Reqs[at[0]].Buf) || in(j.B, w.sets[j.B.Src].Reqs[at[1]].Buf)) {
+			break
+		}
+	}
+	return src, err
+}
+
+// errGone is the error of a range that read extent e of f after f shrank
+// to size: the same whether a fault or the size check found it, so a
+// truncation fails a run with one error however the range met it.
+func errGone(f *pfs.File, e Extent, size int64) error {
+	return fmt.Errorf("stream: %s@%d+%d: the file now ends at %d: %w", f.Name(), e.Off, e.Len, size, io.ErrUnexpectedEOF)
 }
 
 // join runs the ranges cut in bounds over the executor and sums their
