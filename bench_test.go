@@ -308,19 +308,21 @@ func BenchmarkAblationPipeline(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationCoalescing compares plain scattered reads against the
-// coalescing wrapper on a clustered candidate set.
+// BenchmarkAblationCoalescing compares plain scattered reads against
+// windows that merge nearby candidate chunks into runs on a clustered
+// candidate set.
 func BenchmarkAblationCoalescing(b *testing.B) {
 	for _, cfg := range []struct {
-		name    string
-		backend aio.Backend
+		name   string
+		maxGap int
 	}{
-		{"plain", aio.NewUring(256)},
-		{"coalesced", aio.NewCoalescing(aio.NewUring(256), 16<<10)},
+		{"plain", -1},
+		{"coalesced", 16 << 10},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			bp := newBenchPair(b, 1<<18, 1e-5, 4<<10)
-			bp.opts.Backend = cfg.backend
+			bp.opts.Backend = aio.NewUring(256)
+			bp.opts.CoalesceMaxGap = cfg.maxGap
 			benchCompare(b, bp, compare.MethodMerkle)
 		})
 	}

@@ -1,10 +1,14 @@
 package repro_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -14,7 +18,9 @@ import (
 // capitals (BENCHMARK.json); lower-case .json names in the docs are
 // arguments and outputs. It also fails when either of the two, or
 // DESIGN.md, names as code a Go or assembly file (`x.go`, `x_amd64.s`)
-// that no file in the tree is called.
+// that no file in the tree is called; and when README.md or the skill
+// names as code an exported `pkg.Ident` or `pkg.Type.Member` of a package
+// under internal/ or cmd/ that the package does not declare.
 func TestDocsNameWhatExists(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -25,6 +31,19 @@ func TestDocsNameWhatExists(t *testing.T) {
 		targets[string(m[1])] = true
 	}
 	code := regexp.MustCompile("(?s)```.*?```|`[^`\n]+`")
+	pkgs := map[string]map[string]bool{}
+	for _, root := range []string{"internal", "cmd"} {
+		dirs, err := os.ReadDir(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range dirs {
+			if d.IsDir() {
+				pkgs[d.Name()] = declared(t, filepath.Join(root, d.Name()))
+			}
+		}
+	}
+	identRef := regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
 	makeRef := regexp.MustCompile("(?:^|[\\s`])make ([a-z][\\w-]*)")
 	cmdRef := regexp.MustCompile(`\bcmd/([\w-]+)`)
 	jsonRef := regexp.MustCompile(`(?:^|[^\w/.$-])([A-Z]\w*\.json)\b`)
@@ -37,6 +56,19 @@ func TestDocsNameWhatExists(t *testing.T) {
 			for _, m := range makeRef.FindAllSubmatch(span, -1) {
 				if !targets[string(m[1])] {
 					t.Errorf("%s names `make %s`: the Makefile has no such target", doc, m[1])
+				}
+			}
+			for _, m := range identRef.FindAllSubmatch(span, -1) {
+				names, ok := pkgs[string(m[1])]
+				if !ok {
+					continue
+				}
+				name := string(m[2])
+				if len(m[3]) > 0 {
+					name += "." + string(m[3])
+				}
+				if !names[name] {
+					t.Errorf("%s names `%s.%s`: the package declares no such name", doc, m[1], name)
 				}
 			}
 		}
@@ -82,4 +114,69 @@ func TestDocsNameWhatExists(t *testing.T) {
 			}
 		}
 	}
+}
+
+// declared returns the names the package in dir declares at top level,
+// and Type.Member for each method, struct field and interface method, in
+// every file of the package, tests included (a test hook is named as one).
+func declared(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.HasSuffix(f.Name.Name, "_test") {
+			continue
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				name := d.Name.Name
+				if d.Recv != nil {
+					typ := d.Recv.List[0].Type
+					if star, ok := typ.(*ast.StarExpr); ok {
+						typ = star.X
+					}
+					if id, ok := typ.(*ast.Ident); ok {
+						name = id.Name + "." + name
+					}
+				}
+				names[name] = true
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							names[n.Name] = true
+						}
+					case *ast.TypeSpec:
+						names[s.Name.Name] = true
+						var members *ast.FieldList
+						switch typ := s.Type.(type) {
+						case *ast.StructType:
+							members = typ.Fields
+						case *ast.InterfaceType:
+							members = typ.Methods
+						}
+						if members == nil {
+							continue
+						}
+						for _, m := range members.List {
+							for _, n := range m.Names {
+								names[s.Name.Name+"."+n.Name] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
 }

@@ -17,8 +17,9 @@
 //     page triggers a synchronous page fault: faults serialize and each
 //     pays the full device latency. This is the slower baseline of Fig. 9.
 //
-// Coalescing wraps either and merges nearby requests into fewer, larger
-// priced reads.
+// Neither merges requests: what reads as one priced run is the caller's
+// to decide (stage 2 merges each window's nearby extents; stream.Config's
+// MaxGap).
 package aio
 
 import (
@@ -125,9 +126,9 @@ var (
 // Arena returns the ring's stage-2 buffer arena (created on first use
 // with DefaultArenaLimit; the owner may SetLimit it). Everything that
 // reads through this ring — the stream pipeline's window buffers, the
-// coalescer's plan scratch — recycles through it,
-// so buffers live as long as the ring rather than as long as one
-// comparison; the ring's owner Releases it.
+// members' metadata files — recycles through it, so buffers live as long
+// as the ring rather than as long as one comparison; the ring's owner
+// Releases it.
 func (u *Uring) Arena() *Arena {
 	u.arenaOnce.Do(func() { u.arena = NewArena(0) })
 	return u.arena

@@ -1,7 +1,6 @@
 package aio
 
 import (
-	"bytes"
 	"context"
 	"testing"
 
@@ -125,64 +124,4 @@ func distinctReqs(n int) []ReadReq {
 		reqs[i] = ReadReq{Off: int64(i) * 8192, Len: 4096, Buf: make([]byte, 4096), Tag: i}
 	}
 	return reqs
-}
-
-// TestCoalescingPairEquivalence checks the pair path of the coalescing
-// wrapper: identical bytes delivered, strictly fewer PFS ops than the
-// uncoalesced pair on a clustered request pattern.
-func TestCoalescingPairEquivalence(t *testing.T) {
-	store, fA, fB, dataA, dataB := newPairFiles(t, 1<<20)
-	clustered := func(data []byte) []ReadReq {
-		var reqs []ReadReq
-		for cluster := 0; cluster < 8; cluster++ {
-			base := int64(cluster) * 96 << 10
-			for j := 0; j < 4; j++ {
-				off := base + int64(j)*4096
-				reqs = append(reqs, ReadReq{Off: off, Len: 4096, Buf: make([]byte, 4096), Tag: len(reqs)})
-			}
-		}
-		return reqs
-	}
-
-	u := NewUring(64)
-	plainA, plainB := clustered(dataA), clustered(dataB)
-	plainCost, _, err := u.ReadBatchPair(context.Background(), fA, fB, plainA, plainB)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	store.EvictAll()
-	co := NewCoalescing(u, 16<<10)
-	coA, coB := clustered(dataA), clustered(dataB)
-	coCost, _, err := readBatchPair(context.Background(), co, fA, fB, coA, coB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range plainA {
-		if !bytes.Equal(plainA[i].Buf, coA[i].Buf) || !bytes.Equal(plainB[i].Buf, coB[i].Buf) {
-			t.Fatalf("request %d: coalesced pair bytes differ from plain", i)
-		}
-	}
-	verifyFilled(t, dataA, coA)
-	verifyFilled(t, dataB, coB)
-	if coCost.Ops >= plainCost.Ops {
-		t.Errorf("coalesced pair ops = %d, plain = %d", coCost.Ops, plainCost.Ops)
-	}
-	if coCost.Ops != 16 {
-		t.Errorf("coalesced pair ops = %d, want 16 (8 clusters per run)", coCost.Ops)
-	}
-}
-
-// TestCoalescingPairSerialInner drives the pair path over an inner backend
-// without pair support (Mmap) to cover the serial fallback.
-func TestCoalescingPairSerialInner(t *testing.T) {
-	_, fA, fB, dataA, dataB := newPairFiles(t, 1<<20)
-	co := NewCoalescing(Mmap{}, 16<<10)
-	reqsA := scatteredReqs(dataA, 24, 4096, 31)
-	reqsB := scatteredReqs(dataB, 24, 4096, 32)
-	if _, _, err := readBatchPair(context.Background(), co, fA, fB, reqsA, reqsB); err != nil {
-		t.Fatal(err)
-	}
-	verifyFilled(t, dataA, reqsA)
-	verifyFilled(t, dataB, reqsB)
 }

@@ -63,7 +63,7 @@ func newPoisonEnv(t *testing.T, sh dettest.Shape, ring *aio.Uring) *poisonEnv {
 	}
 	e := &poisonEnv{shape: sh, ring: ring, store: newStore(), dstore: newStore(), opts: compare.Options{
 		Epsilon: sh.Epsilon(), ChunkSize: sh.Chunk, SliceBytes: sh.SliceBytes, Fields: sh.Fields, Degrade: sh.Degrade,
-		StartLevel: 1, Backend: aio.NewCoalescing(ring, 0),
+		StartLevel: 1, Backend: ring,
 	}}
 	e.fields, e.data = dettest.Runs(sh)
 	var err error

@@ -153,7 +153,7 @@ func trial(t *testing.T, g group, topo compare.Topology, seed uint64, opts compa
 	if h := g.store.OpenHandles(); h != 0 {
 		t.Fatalf("seed %d: %d pfs handles leaked (err=%v)", seed, h, err)
 	}
-	if st := aio.ArenaOf(opts.Backend).Stats(); st.Outstanding != 0 {
+	if st := opts.Backend.(*aio.Uring).Arena().Stats(); st.Outstanding != 0 {
 		t.Fatalf("seed %d: %d arena buffer sets never returned (err=%v)", seed, st.Outstanding, err)
 	}
 	if st := inj.Stats(); st.ReadOps == 0 {
@@ -226,7 +226,7 @@ func TestChaosSoak(t *testing.T) {
 		Epsilon:   1e-5,
 		ChunkSize: sc.chunk,
 		Exec:      device.NewParallel(2),
-		Backend:   aio.NewCoalescing(ring, 0),
+		Backend:   ring,
 		Degrade:   true,
 	}
 	g := seedGroup(t, sc, opts)

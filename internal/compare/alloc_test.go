@@ -81,7 +81,7 @@ func TestWarmComparisonAllocatesItsAnswer(t *testing.T) {
 		t.Run(row.name+"/"+row.shape, func(t *testing.T) {
 			e := envs[row.shape]
 			opts := e.opts
-			opts.Exec, opts.Backend = pool, aio.NewCoalescing(ring, 0)
+			opts.Exec, opts.Backend = pool, ring
 			dettest.PinWarmAllocs(t, ring.Arena(), func() uint64 {
 				results, err := row.run(e, opts)
 				if err != nil {

@@ -42,15 +42,19 @@ func (b nameFailBackend) Price(ctx context.Context, f *pfs.File, reqs []aio.Read
 	return b.inner.Price(ctx, f, reqs)
 }
 
-// flipBackend is in-flight corruption: every extent priced through it from
+// flipBackend is in-flight corruption: every chunk priced through it from
 // a file whose name contains match lands with byte 3 — a float32's
-// sign/exponent byte — XORed with 0x40. The flips are fault-hook bit flips,
+// sign/exponent byte — XORed with 0x40. It is handed the runs a window
+// merged its chunks into, so it flips every chunk-th byte of a run from
+// its byte 3 on: byte 3 of each chunk the run holds, and bytes in a
+// bridged hole, which never land. The flips are fault-hook bit flips,
 // chosen by a hook the backend installs on the store only while it prices,
 // so integrity re-reads, which go straight to the file, see the disk's
 // bytes.
 type flipBackend struct {
 	inner aio.Backend
 	match string
+	chunk int
 }
 
 func (b flipBackend) Name() string { return "flip" }
@@ -61,7 +65,9 @@ func (b flipBackend) Price(ctx context.Context, f *pfs.File, reqs []aio.ReadReq)
 	}
 	h := &byteFlips{}
 	for _, q := range reqs {
-		h.at = append(h.at, q.Off+3)
+		for at := q.Off + 3; at < q.Off+int64(q.Len); at += int64(b.chunk) {
+			h.at = append(h.at, at)
+		}
 	}
 	f.Store().SetFaultHook(h)
 	defer f.Store().SetFaultHook(nil)
@@ -176,7 +182,7 @@ func TestDegradeInFlightCorruptionRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.store.EvictAll()
-	opts.Backend = flipBackend{inner: aio.Mmap{}, match: "runB"}
+	opts.Backend = flipBackend{inner: aio.Mmap{}, match: "runB", chunk: opts.ChunkSize}
 	res, err := CompareMerkle(context.Background(), env.store, env.nameA, env.nameB, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -375,9 +381,9 @@ func TestGroupDegradeSharedExtentCheckedOnce(t *testing.T) {
 		}
 		return rep
 	}
-	clean := run(aio.NewCoalescing(aio.Default(), 0))
+	clean := run(aio.Default())
 	// Every read of the baseline lands with a flipped bit.
-	flipped := run(flipBackend{inner: aio.NewCoalescing(aio.Default(), 0), match: "runA"})
+	flipped := run(flipBackend{inner: aio.Default(), match: "runA", chunk: sh.Chunk})
 	if flipped.Degraded || flipped.UnverifiedChunks != 0 {
 		t.Fatalf("in-flight corruption of the shared baseline degraded the group: %d unverified", flipped.UnverifiedChunks)
 	}

@@ -25,9 +25,9 @@ import (
 //     whose element-wise verdict was established by an earlier
 //     differential comparison replays from the memo — zero read ops.
 //   - stage 2 streams the surviving chunks from the pack — the plan's one
-//     source, both sides' extents in one offset-ordered batch — so the
-//     coalescer merges extents across sides and an extent two jobs name is
-//     read once.
+//     source, both sides' extents in one offset-ordered batch — so a
+//     window's runs merge extents across sides and an extent two jobs name
+//     is read once.
 //
 // Soundness hinges on full-digest keying: inside one CAS a digest names
 // exactly one stored byte string, so any function of the chunk contents —

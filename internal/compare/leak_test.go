@@ -302,7 +302,7 @@ func TestCancelDuringIntegrityRereadStopsReads(t *testing.T) {
 	for _, group := range []bool{false, true} {
 		ctx, cancel := context.WithCancel(context.Background())
 		hook := &cancelOnReread{cancel: cancel}
-		opts.Backend = armingBackend{flipBackend: flipBackend{inner: aio.Mmap{}}, hook: hook, batches: new(atomic.Int32)}
+		opts.Backend = armingBackend{flipBackend: flipBackend{inner: aio.Mmap{}, chunk: opts.ChunkSize}, hook: hook, batches: new(atomic.Int32)}
 		env.store.EvictAll()
 		env.store.SetFaultHook(hook)
 		var err error
@@ -341,7 +341,7 @@ func TestGroupStage2RecyclesWindowBuffers(t *testing.T) {
 	pert.MagLo, pert.MagHi, pert.UntouchedFrac = 1e-3, 1e-2, 0
 	env := newEnv(t, 2<<20, opts, pert)
 	ring := aio.NewUring(256)
-	opts.Backend = aio.NewCoalescing(ring, 0)
+	opts.Backend = ring
 	run := func() {
 		t.Helper()
 		rep, err := GroupCompare(context.Background(), env.store, env.nameA, []string{env.nameB}, TopologyStar, opts)

@@ -37,13 +37,12 @@ type Options struct {
 	Exec device.Executor
 	// Device prices kernels and transfers (default: GPU model).
 	Device device.Model
-	// Backend prices the scattered reads. A session on a plane built by
-	// service.New gets that plane's io_uring-style engine injected here
-	// (wrapped in aio.Coalescing — see CoalesceMaxGap); left nil it is
+	// Backend prices the scattered reads, in the runs CoalesceMaxGap
+	// merges them into. A session on a plane built by service.New gets
+	// that plane's io_uring-style engine injected here; left nil it is
 	// aio.Default(), the process-wide ring (queue depth 256, and the
 	// arena every default comparison's buffers come from) that
-	// service.Default() serves from too, identically wrapped. An
-	// explicitly set Backend is used as-is, never wrapped.
+	// service.Default() serves from too.
 	Backend aio.Backend
 	// SliceBytes is the stage-2 window size: the bytes of any one
 	// compared file a pipeline window holds (default 8 MiB; of either
@@ -57,10 +56,10 @@ type Options struct {
 	// holds no buffers: a comparison of N files holds at most
 	// N × (SliceBytes + one chunk) bytes of stage-2 buffers.
 	Depth int
-	// CoalesceMaxGap controls read coalescing on the default backend: the
-	// largest hole in bytes bridged between two candidate chunks (0
-	// selects the 16 KiB default; negative disables coalescing). Ignored
-	// when Backend is set explicitly.
+	// CoalesceMaxGap controls read coalescing, whatever the Backend: the
+	// largest hole in bytes bridged between two candidate chunks of one
+	// file in a stage-2 window, which then price as one read (0 selects
+	// the 16 KiB default; negative prices every chunk alone).
 	CoalesceMaxGap int
 	// StartLevel is the tree-diff BFS start level; negative selects the
 	// mid-tree heuristic (default).
@@ -114,14 +113,8 @@ func (o Options) withDefaults() Options {
 	if o.Backend == nil {
 		// Deep queue: Lustre-style PFS sustain high IOPS when many
 		// scattered reads are in flight, which is what io_uring enables.
-		// The persistent engine is reused across comparisons, and
-		// clustered candidate chunks are coalesced into fewer PFS ops
-		// unless the caller opts out with a negative CoalesceMaxGap.
-		if o.CoalesceMaxGap < 0 {
-			o.Backend = aio.Default()
-		} else {
-			o.Backend = aio.NewCoalescing(aio.Default(), o.CoalesceMaxGap)
-		}
+		// The persistent engine is reused across comparisons.
+		o.Backend = aio.Default()
 	}
 	if o.SliceBytes <= 0 {
 		o.SliceBytes = 8 << 20
@@ -139,14 +132,21 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// arena returns the stage-2 buffer arena the options' backend carries —
-// its plane's, through its ring — or the process-wide ring's for a
-// caller-supplied backend without one.
+// arena returns the stage-2 buffer arena of the options' ring — its
+// plane's — or the process-wide ring's for a backend that is not a ring.
 func (o Options) arena() *aio.Arena {
-	if a := aio.ArenaOf(o.Backend); a != nil {
-		return a
+	if u, ok := o.Backend.(*aio.Uring); ok {
+		return u.Arena()
 	}
 	return aio.Default().Arena()
+}
+
+// maxGap is CoalesceMaxGap as stream.Config.MaxGap takes it.
+func (o Options) maxGap() int {
+	if o.CoalesceMaxGap == 0 {
+		return 16 << 10
+	}
+	return max(o.CoalesceMaxGap, 0)
 }
 
 // retryPolicy resolves the Retry knob on its documented semantics — zero

@@ -113,8 +113,8 @@ func (st *stage2) stepPlanCandidates(ctx context.Context, x *engine.Exec) error 
 // planCandidates turns the candidate chunks of every pair and field
 // into one batched read plan, so scattered reads amortize the queue
 // latency once instead of once per field or pair, and a chunk several
-// pairs need from one member is one extent, read once (byte-level
-// coalescing then happens in the aio backend).
+// pairs need from one member is one extent, read once (each window then
+// merges nearby extents into priced runs: Options.CoalesceMaxGap).
 func (st *stage2) planCandidates() error {
 	var err error
 	if st.plan, st.refs, err = st.ms.planCandidates(); err != nil {
@@ -242,6 +242,7 @@ func (st *stage2) run(ctx context.Context) (stream.Stats, time.Duration, error) 
 		Exec:       exec,
 		Device:     opts.Device,
 		SliceBytes: opts.SliceBytes,
+		MaxGap:     opts.maxGap(),
 		Depth:      opts.Depth,
 		Retry:      opts.Retry,
 	}, st.verifyJob)

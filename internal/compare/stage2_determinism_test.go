@@ -202,7 +202,7 @@ func (e *detEnv) optsOn(exec device.Executor) Options {
 	opts.Fields = e.shape.Fields
 	if e.shape.Degrade {
 		opts.Degrade = true
-		opts.Backend = flipBackend{inner: aio.NewCoalescing(aio.Default(), 0), match: "runB"}
+		opts.Backend = flipBackend{inner: aio.Default(), match: "runB", chunk: e.shape.Chunk}
 	}
 	return opts
 }

@@ -5,8 +5,8 @@
 //
 //   - one persistent device.Pool running every comparison kernel,
 //   - one aio.Uring pricing every stage-2 scattered read, and with it the
-//     stage-2 buffer arena (window buffer sets, metadata buffers,
-//     coalescer plan scratch) every comparison recycles through,
+//     stage-2 buffer arena (window buffer sets, metadata buffers) every
+//     comparison recycles through,
 //   - the content-addressed chunk stores (one cas.Store handle per
 //     pfs.Store, opened once and shared),
 //   - the stage-2 verdict memos (one CASMemo per ε),
@@ -101,14 +101,11 @@ func (c Config) withDefaults() Config {
 // Plane owns the shared resources every session draws on. Open sessions
 // with Open; shut the plane down with Close.
 type Plane struct {
-	cfg  Config
-	exec *device.Pool
-	ring *aio.Uring
-	// coalesce is the default stage-2 backend: the ring behind one
-	// persistent coalescer planning in the ring's arena.
-	coalesce aio.Coalescing
-	owns     bool // Close joins exec and releases the arena (false only for Default())
-	sched    *sched
+	cfg   Config
+	exec  *device.Pool
+	ring  *aio.Uring
+	owns  bool // Close joins exec and releases the arena (false only for Default())
+	sched *sched
 
 	// jobs joins every detached job goroutine (Session.Submit) so Close
 	// returns only after the last one has published its verdict.
@@ -131,15 +128,14 @@ func New(cfg Config) *Plane {
 	ring := aio.NewUring(cfg.QueueDepth)
 	ring.Arena().SetLimit(arenaLimit(cfg))
 	return &Plane{
-		cfg:      cfg,
-		exec:     device.NewPool(cfg.Workers),
-		ring:     ring,
-		coalesce: aio.NewCoalescing(ring, 0),
-		owns:     true,
-		sched:    newSched(cfg),
-		tenants:  make(map[string]*tenant),
-		memos:    make(map[uint64]*compare.CASMemo),
-		stores:   make(map[*pfs.Store]*cas.Store),
+		cfg:     cfg,
+		exec:    device.NewPool(cfg.Workers),
+		ring:    ring,
+		owns:    true,
+		sched:   newSched(cfg),
+		tenants: make(map[string]*tenant),
+		memos:   make(map[uint64]*compare.CASMemo),
+		stores:  make(map[*pfs.Store]*cas.Store),
 	}
 }
 
@@ -171,14 +167,13 @@ func Default() *Plane {
 	defaultPlaneOnce.Do(func() {
 		cfg := Config{}.withDefaults()
 		defaultPlane = &Plane{
-			cfg:      cfg,
-			exec:     device.Default(),
-			ring:     aio.Default(),
-			coalesce: aio.NewCoalescing(aio.Default(), 0),
-			sched:    newSched(cfg),
-			tenants:  make(map[string]*tenant),
-			memos:    make(map[uint64]*compare.CASMemo),
-			stores:   make(map[*pfs.Store]*cas.Store),
+			cfg:     cfg,
+			exec:    device.Default(),
+			ring:    aio.Default(),
+			sched:   newSched(cfg),
+			tenants: make(map[string]*tenant),
+			memos:   make(map[uint64]*compare.CASMemo),
+			stores:  make(map[*pfs.Store]*cas.Store),
 		}
 	})
 	return defaultPlane
@@ -289,8 +284,7 @@ func (p *Plane) CAS(ctx context.Context, store *pfs.Store) (*cas.Store, error) {
 
 // NormalizeOptions is the one options-defaulting path every facade
 // variant routes through: the plane's executor and ring are injected
-// where the caller left Exec/Backend nil (replicating the coalescing
-// wrap the pre-plane defaults applied), then the compare layer's own
+// where the caller left Exec/Backend nil, then the compare layer's own
 // Normalize validates ε and fills the remaining defaults. The Retry
 // knob is passed through un-resolved so the planners' own idempotent
 // resolution sees the caller's sentinel (zero = default policy,
@@ -304,11 +298,7 @@ func (p *Plane) normalizeOptions(o compare.Options) (compare.Options, error) {
 		o.Exec = p.exec
 	}
 	if o.Backend == nil {
-		if o.CoalesceMaxGap < 0 {
-			o.Backend = p.ring
-		} else {
-			o.Backend = p.coalesce.WithMaxGap(o.CoalesceMaxGap)
-		}
+		o.Backend = p.ring
 	}
 	raw := o.Retry
 	n, err := o.Normalize()

@@ -26,7 +26,7 @@ func TestWarmShardedComparisonAllocatesItsAnswer(t *testing.T) {
 	}
 	ring := aio.NewUring(256)
 	opts := testOpts()
-	opts.Backend = aio.NewCoalescing(ring, 0)
+	opts.Backend = ring
 	e := newEnv(t, 1<<20, opts, func(_ int, data []byte) {
 		for i := 7; i < len(data)/4; i += 400_009 {
 			bumpF32(data, i)

@@ -25,7 +25,7 @@ import (
 func TestShardLeavesNothingBehind(t *testing.T) {
 	ring := aio.NewUring(256)
 	base := testOpts()
-	base.Backend = aio.NewCoalescing(ring, 0)
+	base.Backend = ring
 	e := newEnv(t, 64<<10, base, perturbUniform)
 	if err := e.store.SetStriping(pfs.Striping{Targets: 4, StripeBytes: 8 * testChunk}); err != nil {
 		t.Fatal(err)

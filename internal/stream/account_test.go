@@ -145,19 +145,21 @@ func accountInputs(t *testing.T) []accountInput {
 	return ins
 }
 
-// accountBackend is one read engine of the table.
+// accountBackend is one read engine of the table, and the hole its
+// windows bridge.
 type accountBackend struct {
-	name string
-	make func() aio.Backend
+	name   string
+	make   func() aio.Backend
+	maxGap int
 }
 
 // accountBackends are the table's four read engines, each new per row.
 func accountBackends() []accountBackend {
 	return []accountBackend{
-		{"uring+coalesce", func() aio.Backend { return aio.NewCoalescing(aio.NewUring(64), 0) }},
-		{"uring", func() aio.Backend { return aio.NewUring(64) }},
-		{"mmap", func() aio.Backend { return aio.Mmap{} }},
-		{"legacy", func() aio.Backend { return serial{aio.NewUring(64)} }},
+		{"uring+coalesce", func() aio.Backend { return aio.NewUring(64) }, 16 << 10},
+		{"uring", func() aio.Backend { return aio.NewUring(64) }, 0},
+		{"mmap", func() aio.Backend { return aio.Mmap{} }, 0},
+		{"legacy", func() aio.Backend { return serial{aio.NewUring(64)} }, 0},
 	}
 }
 
@@ -248,7 +250,7 @@ func accountRow(t *testing.T, row string, in accountInput, exec device.Executor,
 			return nil
 		}
 	}
-	cfg := Config{Backend: be.make(), Arena: aio.NewArena(0), Exec: exec, Device: device.GPUModel(), SliceBytes: in.slice, Depth: depth}
+	cfg := Config{Backend: be.make(), MaxGap: be.maxGap, Arena: aio.NewArena(0), Exec: exec, Device: device.GPUModel(), SliceBytes: in.slice, Depth: depth}
 	if sc.retry {
 		cfg.Retry = retry.Default()
 	}

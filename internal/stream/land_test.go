@@ -23,9 +23,10 @@ import (
 	"repro/internal/pfs"
 )
 
-// landLog prices through inner and records, in order, what a run priced
-// and what it landed. A window prices all its sources before any of its
-// bytes land, so a pricing after a landing opens the next window.
+// landLog prices through inner and records, in order, the runs a run
+// priced and the extents it landed. A window prices all its sources before
+// any of its bytes land, so a pricing after a landing opens the next
+// window.
 type landLog struct {
 	inner   aio.Backend
 	mu      sync.Mutex
@@ -56,6 +57,10 @@ func (l *landLog) Price(ctx context.Context, f *pfs.File, reqs []aio.ReadReq) (p
 		l.copying = false
 	}
 	w := &l.windows[len(l.windows)-1]
+	if _, twice := w.priced[f]; twice {
+		l.mu.Unlock()
+		return pfs.Cost{}, 0, fmt.Errorf("landLog: %s priced twice in one window: the log checks a file's runs, so each source must be its own file", f.Name())
+	}
 	for _, q := range reqs {
 		w.priced[f] = append(w.priced[f], Extent{Off: q.Off, Len: q.Len})
 	}
@@ -77,53 +82,62 @@ func (l *landLog) record(t testing.TB) {
 	t.Cleanup(func() { landAt = (*pfs.File).Land })
 }
 
-// checkLandings holds a run's copies to the landing contract, window by
-// window: each copy is a run of whole extents the window priced, adjacent
-// in the file, and every extent the window priced lands in exactly one
-// copy.
-func checkLandings(t testing.TB, l *landLog) {
+// referenceRuns is the window's merge written plainly: the extents sorted
+// by offset, a run growing while the next extent starts within maxGap
+// bytes of its end; maxGap <= 0 prices every distinct extent alone.
+func referenceRuns(exts []Extent, maxGap int) []Extent {
+	exts = slices.Clone(exts)
+	slices.SortFunc(exts, cmpExtent)
+	exts = slices.Compact(exts)
+	if maxGap <= 0 || len(exts) == 0 {
+		return exts
+	}
+	var runs []Extent
+	off, end := exts[0].Off, exts[0].Off+int64(exts[0].Len)
+	for _, e := range exts[1:] {
+		if e.Off <= end+int64(maxGap) {
+			end = max(end, e.Off+int64(e.Len))
+			continue
+		}
+		runs = append(runs, Extent{Off: off, Len: int(end - off)})
+		off, end = e.Off, e.Off+int64(e.Len)
+	}
+	return append(runs, Extent{Off: off, Len: int(end - off)})
+}
+
+// checkLandings holds a run's landings to the landing contract, window by
+// window: every extent a window lands, lands once — inside exactly one run
+// the window priced from its file, when runs merge — and the file's runs
+// are the reference merge of the extents that landed from it.
+func checkLandings(t testing.TB, l *landLog, maxGap int) {
 	t.Helper()
 	for wi, w := range l.windows {
-		for f, exts := range w.priced {
-			slices.SortFunc(exts, cmpExtent)
-			exts = slices.Compact(exts)
-			landedIn := make([]int, len(exts))
+		for f, runs := range w.priced {
+			var exts []Extent
 			for _, c := range w.copies {
 				if c.file != f {
 					continue
 				}
-				k, ok := slices.BinarySearchFunc(exts, c.off, func(e Extent, off int64) int { return cmpInt64(e.Off, off) })
-				if !ok {
-					t.Fatalf("window %d: a copy of %s starts at %d, no extent's start", wi, f.Name(), c.off)
+				e := Extent{Off: c.off, Len: c.n}
+				if slices.Contains(exts, e) {
+					t.Fatalf("window %d: extent %+v of %s landed twice", wi, e, f.Name())
 				}
-				for n := 0; n < c.n; k++ {
-					if k == len(exts) || exts[k].Off != c.off+int64(n) {
-						t.Fatalf("window %d: the copy of %s at %d+%d spans bytes no adjacent extent holds", wi, f.Name(), c.off, c.n)
+				exts = append(exts, e)
+				in := 0
+				for _, r := range runs {
+					if r.Off <= e.Off && e.Off+int64(e.Len) <= r.Off+int64(r.Len) {
+						in++
 					}
-					landedIn[k]++
-					n += exts[k].Len
-					if n > c.n {
-						t.Fatalf("window %d: the copy of %s at %d+%d ends inside an extent", wi, f.Name(), c.off, c.n)
-					}
+				}
+				if in != 1 && maxGap > 0 {
+					t.Fatalf("window %d: extent %+v of %s lies inside %d priced runs of %v", wi, e, f.Name(), in, runs)
 				}
 			}
-			for k, n := range landedIn {
-				if n != 1 {
-					t.Fatalf("window %d: extent %+v of %s landed %d times", wi, exts[k], f.Name(), n)
-				}
+			if want := referenceRuns(exts, maxGap); !slices.Equal(runs, want) {
+				t.Fatalf("window %d: %s priced runs %v, the reference merge of its extents %v", wi, f.Name(), runs, want)
 			}
 		}
 	}
-}
-
-func cmpInt64(a, b int64) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
 }
 
 // TestEachExtentLandsOncePerWindow: an extent jobs of several ranges name —
@@ -173,14 +187,14 @@ func TestEachExtentLandsOncePerWindow(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/pool-%d", tc.name, workers), func(t *testing.T) {
 				pool := device.NewPool(workers)
 				defer pool.Close()
-				log := &landLog{inner: aio.NewCoalescing(aio.NewUring(64), 0)}
+				log := &landLog{inner: aio.NewUring(64)}
 				log.record(t)
 				plan := tc.plan()
 				index := map[*pfs.File]int{}
 				for i, f := range files {
 					index[f] = i
 				}
-				cfg := Config{Arena: aio.NewArena(0), Backend: log, Exec: pool, Device: device.GPUModel(), SliceBytes: tc.slice}
+				cfg := Config{Arena: aio.NewArena(0), Backend: log, MaxGap: 16 << 10, Exec: pool, Device: device.GPUModel(), SliceBytes: tc.slice}
 				seen := make([]int, len(plan.Jobs))
 				var mu sync.Mutex
 				stats, err := Run(context.Background(), plan, cfg, func(_ int, j Job, a, b []byte) (time.Duration, error) {
@@ -210,7 +224,7 @@ func TestEachExtentLandsOncePerWindow(t *testing.T) {
 				if tc.slice < 1<<30 && stats.Slices < 3 {
 					t.Fatalf("%d windows, want several", stats.Slices)
 				}
-				checkLandings(t, log)
+				checkLandings(t, log, cfg.MaxGap)
 			})
 		}
 	}
@@ -257,7 +271,7 @@ func TestTruncatedBetweenPriceAndCopy(t *testing.T) {
 				fa, fb, _, _ := twoFiles(t, 64*chunk)
 				fb.Store().SetFaultHook(&truncateOnPrice{store: fb.Store(), name: fb.Name()})
 				plan := pairPlan(fa, fb, pairsEvery(60, chunk, chunk))
-				cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewCoalescing(aio.NewUring(64), 0), Exec: pool, Device: device.GPUModel()}
+				cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewUring(64), MaxGap: 16 << 10, Exec: pool, Device: device.GPUModel()}
 				_, err := Run(context.Background(), plan, cfg, func(int, Job, []byte, []byte) (time.Duration, error) { return 0, nil })
 				if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), fb.Name()) {
 					t.Fatalf("strict run over a file truncated after pricing: err = %v, want %s short", err, fb.Name())
@@ -273,7 +287,7 @@ func TestTruncatedBetweenPriceAndCopy(t *testing.T) {
 			fb.Store().SetFaultHook(&truncateOnPrice{store: fb.Store(), name: fb.Name()})
 			plan := pairPlan(fa, fb, pairsEvery(60, chunk, chunk))
 			plan.Degrade = true
-			cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewCoalescing(aio.NewUring(64), 0), Exec: pool, Device: device.GPUModel()}
+			cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewUring(64), MaxGap: 16 << 10, Exec: pool, Device: device.GPUModel()}
 			stats, err := Run(context.Background(), plan, cfg, func(_ int, j Job, _, _ []byte) (time.Duration, error) {
 				t.Errorf("job %d of the dead source was delivered", j.Index)
 				return 0, nil
@@ -294,7 +308,7 @@ func TestRunStartsNoGoroutine(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for _, exec := range []device.Executor{device.Serial{}, pool} {
 		for _, fail := range []bool{false, true} {
-			cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewCoalescing(aio.NewUring(64), 0), Exec: exec, Device: device.GPUModel(), SliceBytes: 64 << 10}
+			cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewUring(64), MaxGap: 16 << 10, Exec: exec, Device: device.GPUModel(), SliceBytes: 64 << 10}
 			_, err := Run(context.Background(), pairPlan(fa, fb, pairsEvery(64, 4096, 8192)), cfg, func(_ int, j Job, _, _ []byte) (time.Duration, error) {
 				if fail && j.Index == 40 {
 					return 0, errBoom
@@ -323,13 +337,15 @@ func (w wideSerial) For(n int, fn func(int)) {
 
 func (w wideSerial) Workers() int { return int(w) }
 
-// FuzzRangeCopies drives the landing — which extents a window lands, and
-// how often — over random plans: extent layouts (a fixed length, gaps of
-// zero, one or two lengths between them), job orders that share and repeat
-// extents across sources and within one, executor widths that cut the jobs
-// into ranges differently, and window sizes. Every window's landings must
-// be runs of whole extents adjacent in the file, land each priced extent
-// exactly once, and deliver exactly the bytes a ReadAt per extent reads.
+// FuzzRangeCopies drives the landing and the merge — which extents a
+// window lands, how often, and the runs it prices them as — over random
+// plans: extent layouts (a fixed length, overlapping by half a length or
+// with holes of zero, one or two lengths between them), job orders that
+// share and repeat extents across sources and within one, executor widths
+// that cut the jobs into ranges differently, window sizes, and hole limits
+// on both sides of the layout's holes. Every window must land each extent
+// once, price exactly the reference merge of what it landed, and deliver
+// exactly the bytes a ReadAt per extent reads.
 func FuzzRangeCopies(f *testing.F) {
 	store, err := pfs.NewStore(f.TempDir(), pfs.LustreModel())
 	if err != nil {
@@ -373,14 +389,15 @@ func FuzzRangeCopies(f *testing.F) {
 		sources := 1 + next()%3
 		width := 1 + next()%8
 		slice := []int{1 << 30, 3 * length, 64 << 10}[next()%3]
-		// Each source's extents: one length, gaps of 0, 1 or 2 lengths.
+		// Each source's extents: one length, each the next at half a
+		// length or at one to three lengths from the last.
 		var extents [][]int64
 		for s := 0; s < sources; s++ {
 			var offs []int64
 			off := int64(next()%3) * int64(length)
 			for k := 0; k < 48; k++ {
 				offs = append(offs, off)
-				off += int64(length) * int64(1+next()%3)
+				off += []int64{int64(length), 2 * int64(length), 3 * int64(length), int64(length / 2)}[next()%4]
 			}
 			extents = append(extents, offs)
 		}
@@ -389,9 +406,12 @@ func FuzzRangeCopies(f *testing.F) {
 			a, b := next()%sources, next()%sources
 			plan.Add(len(plan.Jobs), a, extents[a][next()%48], b, extents[b][next()%48], length)
 		}
-		log := &landLog{inner: aio.NewCoalescing(aio.NewUring(64), 0)}
+		// Holes of one length and of two: a limit just short of each, and
+		// one at each.
+		maxGap := []int{16 << 10, 0, length - 1, length, 2*length - 1, 2 * length}[next()%6]
+		log := &landLog{inner: aio.NewUring(64)}
 		log.record(t)
-		cfg := Config{Arena: aio.NewArena(0), Backend: log, Exec: wideSerial(width), Device: device.GPUModel(), SliceBytes: slice}
+		cfg := Config{Arena: aio.NewArena(0), Backend: log, MaxGap: maxGap, Exec: wideSerial(width), Device: device.GPUModel(), SliceBytes: slice}
 		_, err := Run(context.Background(), plan, cfg, func(_ int, j Job, a, b []byte) (time.Duration, error) {
 			for _, side := range []struct {
 				ref Ref
@@ -411,6 +431,6 @@ func FuzzRangeCopies(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkLandings(t, log)
+		checkLandings(t, log, maxGap)
 	})
 }

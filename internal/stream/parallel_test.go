@@ -88,7 +88,7 @@ func TestRunParallelDeliversEveryPairOnce(t *testing.T) {
 		fa.Store().EvictAll() // every run prices a cold cache
 		seen := make([]int32, len(pairs))
 		busy := make([]atomic.Int32, MaxRanges(exec))
-		cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewCoalescing(u, 0), Exec: exec, Device: dev, SliceBytes: 256 << 10}
+		cfg := Config{Arena: aio.NewArena(0), Backend: u, MaxGap: 16 << 10, Exec: exec, Device: dev, SliceBytes: 256 << 10}
 		stats, err := Run(context.Background(), pairPlan(fa, fb, pairs), cfg, func(r int, j Job, a, b []byte) (time.Duration, error) {
 			p := pairs[j.Index]
 			if busy[r].Add(1) != 1 {
@@ -133,7 +133,7 @@ func TestRunErrorAndCancelMidSlice(t *testing.T) {
 	defer pool.Close()
 	u := aio.NewUring(64)
 	arena := u.Arena()
-	warm := Config{Arena: arena, Backend: aio.NewCoalescing(u, 0), Exec: pool, Device: device.GPUModel(), SliceBytes: 256 << 10}
+	warm := Config{Arena: arena, Backend: u, MaxGap: 16 << 10, Exec: pool, Device: device.GPUModel(), SliceBytes: 256 << 10}
 	if _, err := Run(context.Background(), pairPlan(fa, fb, pairs), warm, func(int, Job, []byte, []byte) (time.Duration, error) {
 		return 0, nil
 	}); err != nil {
@@ -215,7 +215,7 @@ func TestSteadyStateComparisonAllocs(t *testing.T) {
 	pool := device.NewPool(4)
 	defer pool.Close()
 	u := aio.NewUring(64)
-	cfg := Config{Arena: u.Arena(), Backend: aio.NewCoalescing(u, 0), Exec: pool, Device: device.GPUModel(), SliceBytes: perSlice * chunk, Depth: 2}
+	cfg := Config{Arena: u.Arena(), Backend: u, MaxGap: 16 << 10, Exec: pool, Device: device.GPUModel(), SliceBytes: perSlice * chunk, Depth: 2}
 	dispatches := 0
 	// Plans are inputs: built once, outside the measured runs.
 	plans := map[int]*Plan{extra: pairPlan(fa, fb, pairs[:extra*perSlice]), 2 * extra: pairPlan(fa, fb, pairs)}

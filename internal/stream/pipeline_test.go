@@ -159,14 +159,15 @@ func TestSteadyStateSliceAllocs(t *testing.T) {
 	for _, be := range []struct {
 		name    string
 		backend aio.Backend
+		maxGap  int
 	}{
-		{"uring", aio.NewUring(64)},
-		{"coalescing", aio.NewCoalescing(aio.NewUring(64), 16<<10)},
-		{"serial", serial{aio.NewUring(64)}},
+		{"uring", aio.NewUring(64), 0},
+		{"coalescing", aio.NewUring(64), 16 << 10},
+		{"serial", serial{aio.NewUring(64)}, 0},
 	} {
 		for _, depth := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/depth%d", be.name, depth), func(t *testing.T) {
-				cfg := Config{Arena: aio.NewArena(0), Backend: be.backend, Device: device.GPUModel(), SliceBytes: perSlice * chunk, Depth: depth}
+				cfg := Config{Arena: aio.NewArena(0), Backend: be.backend, MaxGap: be.maxGap, Device: device.GPUModel(), SliceBytes: perSlice * chunk, Depth: depth}
 				runN := func(n int) {
 					_, err := Run(context.Background(), plans[n], cfg, func(int, Job, []byte, []byte) (time.Duration, error) {
 						return 0, nil

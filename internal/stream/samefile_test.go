@@ -90,13 +90,12 @@ func TestRunSameFileMergesBatches(t *testing.T) {
 
 func TestRunSameFileCoalescesAcrossSides(t *testing.T) {
 	// Adjacent A/B extents in the pack must merge into one PFS op when the
-	// batch is issued as a single coalescing read — the whole point of the
-	// merged path.
+	// window merges them into runs — the whole point of the merged path.
 	f, _ := oneFile(t, 1<<20)
 	const n, chunk = 16, 4096
 	pairs := samePackPairs(n, chunk)
-	run := func(backend aio.Backend) int {
-		cfg := Config{Arena: aio.NewArena(0), Backend: backend, Device: device.GPUModel(), SliceBytes: 1 << 20}
+	run := func(maxGap int) int {
+		cfg := Config{Arena: aio.NewArena(0), Backend: serial{aio.NewUring(64)}, MaxGap: maxGap, Device: device.GPUModel(), SliceBytes: 1 << 20}
 		stats, err := Run(context.Background(), pairPlan(f, f, pairs), cfg, func(int, Job, []byte, []byte) (time.Duration, error) {
 			return 0, nil
 		})
@@ -105,8 +104,8 @@ func TestRunSameFileCoalescesAcrossSides(t *testing.T) {
 		}
 		return stats.ReadCost.Ops + stats.ReadCost.CachedOps
 	}
-	plain := run(serial{aio.NewUring(64)})
-	merged := run(aio.NewCoalescing(serial{aio.NewUring(64)}, 16<<10))
+	plain := run(0)
+	merged := run(16 << 10)
 	if merged >= plain {
 		t.Errorf("coalesced same-file read took %d ops, plain took %d — extents did not merge across sides", merged, plain)
 	}

@@ -15,9 +15,10 @@
 // from the stage-2 arena, held from the first window to Run's return.
 //
 // Run takes the windows one at a time on the calling goroutine. It prices a
-// window — every source's extents once, consecutive sources two at a time
-// up the read ladder (aio.ReadLadder), so a PairPricer backend overlaps
-// them — lands its extents once each (pfs.File.Land: a view of the file's
+// window — every source's extents once, merged into runs of nearby extents
+// (Config.MaxGap), consecutive sources two at a time up the read ladder
+// (aio.ReadLadder), so a PairPricer backend overlaps them — lands its
+// extents once each (pfs.File.Land: a view of the file's
 // mapping, so the kernels read the page cache where it lies) and verifies
 // it in one dispatch over Config.Exec: the window's jobs split into
 // byte-balanced contiguous ranges, which read their views under the fault
@@ -184,6 +185,12 @@ type Config struct {
 	// SliceBytes is the target bytes per window per source, and per side
 	// of a source that holds both sides of a job (default 8 MiB).
 	SliceBytes int
+	// MaxGap, when positive, is the largest hole in bytes bridged between
+	// two of a source's extents in one window: a run of extents each
+	// starting within MaxGap of the run's end prices as one read over the
+	// whole run, gap bytes included (a flip decided in a gap never lands).
+	// 0 or negative prices every extent alone.
+	MaxGap int
 	// Depth is the depth of the pipeline virtual time is accounted for:
 	// how many windows may be in flight at once (default 2, classic double
 	// buffering; 1 serializes I/O against compute). Windows run one at a
@@ -309,9 +316,10 @@ func newReader(plan *Plan, cfg Config) (*reader, error) {
 
 // fill cuts the next window off the job list and prices it: the one place
 // stage 2 decides what is read together and climbs the read ladder. Each
-// source's extents are laid out in extent order in adjacent buffer windows,
-// so runs of adjacent extents coalesce, price as one read and land as one
-// copy. Consecutive sources are priced two at a time (aio.ReadLadder:
+// source's extents are laid out in extent order — by offset, since the plan
+// is sealed — and merged, as they are laid out, into the source's runs
+// (Config.MaxGap), which are what is priced; the extents land one by one.
+// Consecutive sources are priced two at a time (aio.ReadLadder:
 // retries under the policy with backoff charged to the window's I/O time; a
 // PairPricer overlaps the two). Under Plan.Degrade a failed duo climbs again
 // one source at a time — one bad source must not take down both — and a
@@ -323,7 +331,7 @@ func (r *reader) fill(ctx context.Context, w *window) error {
 	clear(r.used)
 	for _, set := range w.sets {
 		if set != nil {
-			set.Reqs = set.Reqs[:0]
+			set.Reqs, set.Runs = set.Reqs[:0], set.Runs[:0]
 		}
 	}
 	for full := false; r.next < len(jobs); r.next++ {
@@ -353,6 +361,7 @@ func (r *reader) fill(ctx context.Context, w *window) error {
 	w.hi = r.next
 
 	byExtent := func(a, b aio.ReadReq) int { return cmp.Compare(a.Tag, b.Tag) }
+	gap := int64(r.cfg.MaxGap)
 	for s, set := range w.sets {
 		if set == nil || len(set.Reqs) == 0 {
 			continue
@@ -366,6 +375,12 @@ func (r *reader) fill(ctx context.Context, w *window) error {
 			q.Buf = set.Buf[pos : pos+q.Len]
 			pos += q.Len
 			r.mark[s][q.Tag] = int32(k + 1)
+			if n := len(set.Runs) - 1; gap > 0 && n >= 0 && q.Off <= set.Runs[n].Off+int64(set.Runs[n].Len)+gap {
+				run := &set.Runs[n]
+				run.Len = int(max(run.Off+int64(run.Len), q.Off+int64(q.Len)) - run.Off)
+			} else {
+				set.Runs = append(set.Runs, aio.ReadReq{Off: q.Off, Len: q.Len, Tag: q.Tag})
+			}
 		}
 		w.loaded = append(w.loaded, s)
 		w.held += r.used[s]
@@ -417,7 +432,7 @@ func (r *reader) price(ctx context.Context, w *window, srcs []int) error {
 	var batches [2]aio.Batch
 	var n int64
 	for i, s := range srcs {
-		batches[i] = aio.Batch{File: r.plan.Sources[s].File, Reqs: w.sets[s].Reqs}
+		batches[i] = aio.Batch{File: r.plan.Sources[s].File, Reqs: w.sets[s].Runs}
 		n += r.used[s]
 	}
 	rd, err := aio.ReadLadder(ctx, r.cfg.Backend, r.cfg.Retry, batches[:len(srcs)]...)

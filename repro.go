@@ -326,7 +326,8 @@ func NewUringBackend(queueDepth int) *aio.Uring {
 
 // DefaultBackend returns the default plane's io_uring-style
 // engine, the backend the comparison layer builds on when Options.Backend
-// is nil (wrapped in read coalescing; see Options.CoalesceMaxGap).
+// is nil. Stage 2 coalesces the reads of any backend (see
+// Options.CoalesceMaxGap).
 func DefaultBackend() *aio.Uring { return service.Default().Backend() }
 
 // MmapBackend returns the synchronous page-fault read backend.

@@ -106,7 +106,7 @@ func TestFacadeOracleBitIdentical(t *testing.T) {
 	if norm.Exec != service.Default().Executor() {
 		t.Error("a direct call's default executor is not the default plane's pool")
 	}
-	if aio.ArenaOf(norm.Backend) != repro.DefaultBackend().Arena() {
+	if norm.Backend != aio.Backend(repro.DefaultBackend()) {
 		t.Error("a direct call's default backend does not read through the default plane's ring")
 	}
 	before := runtime.NumGoroutine()
