@@ -12,15 +12,16 @@ import (
 	"testing"
 )
 
-// TestDocsNameWhatExists fails when README.md or the verify skill names
-// something the tree no longer has: a make target (as code: `make X`), a
-// cmd/ directory, or a root-level JSON file. Root files are named in
-// capitals (BENCHMARK.json); lower-case .json names in the docs are
-// arguments and outputs. It also fails when either of the two, or
+// TestDocsNameWhatExists fails when README.md, ROADMAP.md or the verify
+// skill names something the tree does not have: a make target (as code:
+// `make X`), a cmd/ directory, or a root-level JSON file. Root files are
+// named in capitals (BENCHMARK.json); lower-case .json names in the docs
+// are arguments and outputs. It also fails when any of the three, or
 // DESIGN.md, names as code a Go or assembly file (`x.go`, `x_amd64.s`)
-// that no file in the tree is called; and when README.md or the skill
-// names as code an exported `pkg.Ident` or `pkg.Type.Member` of a package
-// under internal/ or cmd/ that the package does not declare.
+// that no file in the tree is called; and when one of the three names as
+// code an exported `pkg.Ident` or `pkg.Type.Member` of a package under
+// internal/ or cmd/ that the package does not declare. A plan in ROADMAP
+// names what does not exist yet in prose, not as code.
 func TestDocsNameWhatExists(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -47,7 +48,7 @@ func TestDocsNameWhatExists(t *testing.T) {
 	makeRef := regexp.MustCompile("(?:^|[\\s`])make ([a-z][\\w-]*)")
 	cmdRef := regexp.MustCompile(`\bcmd/([\w-]+)`)
 	jsonRef := regexp.MustCompile(`(?:^|[^\w/.$-])([A-Z]\w*\.json)\b`)
-	for _, doc := range []string{"README.md", ".claude/skills/verify/SKILL.md"} {
+	for _, doc := range []string{"README.md", "ROADMAP.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -101,7 +102,7 @@ func TestDocsNameWhatExists(t *testing.T) {
 	// A name, or a path ending in one; not a pattern such as *_test.go or a
 	// suffix such as _test.go.
 	fileRef := regexp.MustCompile(`(?:^|[^\w./*-])([A-Za-z0-9./][\w./-]*\.(?:go|s))\b`)
-	for _, doc := range []string{"README.md", ".claude/skills/verify/SKILL.md", "DESIGN.md"} {
+	for _, doc := range []string{"README.md", "ROADMAP.md", ".claude/skills/verify/SKILL.md", "DESIGN.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)

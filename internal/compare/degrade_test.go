@@ -245,18 +245,20 @@ func TestDegradeRetriesTransientAtCompareLevel(t *testing.T) {
 
 // shrinkOnPrice shrinks a container to size to (half its size when to is
 // 0) the first time a read of its data region is priced: stage 2's window
-// is priced, then its bytes are gone.
+// is priced, then its bytes are gone. With on set, only a read of the
+// store file of that name counts.
 type shrinkOnPrice struct {
 	faults.Nop
 	path string
+	on   string
 	data int64 // where the container's first field starts
 	to   int64
 	once sync.Once
 	err  error
 }
 
-func (h *shrinkOnPrice) BeforeRead(_ string, off int64, _ int) error {
-	if off >= h.data {
+func (h *shrinkOnPrice) BeforeRead(name string, off int64, _ int) error {
+	if off >= h.data && (h.on == "" || name == h.on) {
 		h.once.Do(func() {
 			var st os.FileInfo
 			if st, h.err = os.Stat(h.path); h.err == nil {

@@ -1,10 +1,15 @@
 package compare
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"runtime/debug"
+	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/cas"
 	"repro/internal/ckpt"
@@ -60,12 +65,15 @@ type MemberSet struct {
 	mans    []*cas.Manifest
 	pack    *pfs.File
 	// Metas holds each member's metadata, loaded once. Its trees are decoded
-	// in place over buffer sets checked out of the options' arena, which the
-	// plan's cleanup chain puts back: no *Metadata or *merkle.Tree a member
-	// set loaded may be used after Execute returns. What outlives the plan
-	// — roots, leaf digests, indices — is copied out by value before then
-	// (TestResultsOutliveRecycledBuffers poisons every returned set).
+	// in place over views of the members' .mrkl files, which the plan's
+	// cleanup chain closes — or, where a file cannot be viewed, over buffer
+	// sets of the options' arena, which it puts back: no *Metadata or
+	// *merkle.Tree a member set loaded may be used after Execute returns.
+	// What outlives the plan — roots, leaf digests, indices — is copied out
+	// by value before then (TestResultsOutliveRecycledBuffers poisons every
+	// returned set). Every read of the trees runs under mv's fault contract.
 	Metas []*Metadata
+	mv    *metaViews
 	// Cands[p][f] holds pair p's candidate chunks in field f, ascending:
 	// what the tree diff could not prune and the CAS could not prove.
 	Cands [][][]int
@@ -124,9 +132,10 @@ func NewGroupSet(store *pfs.Store, cs *cas.Store, baseline string, runs []string
 // load-metadata, tree-diff, and for a differential set cas-prune — and
 // returns the last step for stage 2 to depend on.
 func (ms *MemberSet) Stage1(p *engine.Plan, openLabel string) engine.StepID {
+	ms.mv = new(metaViews)
 	open := p.Add(engine.StepSetup, openLabel, ms.open)
-	load := p.Add(engine.StepLoadMetadata, "load-metadata", ms.load, open)
-	last := p.Add(engine.StepTreeDiff, "tree-diff", ms.diff, load)
+	load := p.Add(engine.StepLoadMetadata, "load-metadata", ms.mv.guarded(ms.load), open)
+	last := p.Add(engine.StepTreeDiff, "tree-diff", ms.mv.guarded(ms.diff), load)
 	if ms.cs != nil {
 		last = p.Add(engine.StepTreeDiff, "cas-prune", ms.prune, last)
 	}
@@ -275,14 +284,15 @@ func (ms *MemberSet) bindFields(fields []ckpt.FieldSpec) error {
 // over sequential pairwise comparison, which loads a shared member once
 // per pair — binds it to what it describes (checkMember), prices the reads
 // and the deserialization, and fills in the per-pair totals. Each member's
-// bytes land in a buffer set of the options' arena whose return is on the
-// cleanup chain from the moment it is checked out, so every way the plan
-// can end — an error mid-load, a re-run of this step, cancellation,
-// success — puts it back. A set is asked for at the size of the member
-// before it (members of one schema have metadata of one size; member 0
-// takes the smallest free set) and grows to fit when that was too small.
+// .mrkl, open on the cleanup chain, lands as a view (landMetadata) that its
+// trees are decoded over, then one size check catches a cut that left
+// zeros. A copy — a pending flip, a GOOS without mmap — lands in a buffer
+// set of the options' arena whose return is on the cleanup chain from its
+// checkout; a set is asked for at the size of the member before it (member
+// 0 takes the smallest free set) and grows to fit when that was too small.
 func (ms *MemberSet) load(ctx context.Context, x *engine.Exec) error {
 	sw := metrics.NewStopwatch()
+	ms.mv.files, ms.mv.views = make([]*pfs.File, len(ms.names)), make([][]byte, len(ms.names))
 	ms.Metas = make([]*Metadata, len(ms.names))
 	roots := make([]murmur3.Digest, len(ms.names))
 	var metaCost pfs.Cost
@@ -291,13 +301,24 @@ func (ms *MemberSet) load(ctx context.Context, x *engine.Exec) error {
 	for i, name := range ms.names {
 		set := arena.Get(size)
 		x.Defer(func() { arena.Put(set) })
-		m, cost, dwall, err := loadMetadata(ctx, ms.store, name, set)
+		f, err := ms.store.Open(MetadataName(name))
 		if err != nil {
 			return err
 		}
-		size = len(set.Buf)
+		x.CloseOnExit(f)
+		data, cost, err := landMetadata(ctx, f, set)
+		if err != nil {
+			return err
+		}
+		size = len(data)
 		metaCost.Add(cost)
-		deserWall += dwall
+		ms.mv.files[i], ms.mv.views[i] = f, data
+		dsw := metrics.NewStopwatch()
+		m, err := DecodeMetadata(data)
+		deserWall += dsw.Lap()
+		if err := cmp.Or(ms.mv.short(i), err); err != nil {
+			return err
+		}
 		ms.Metas[i] = m
 		if ms.dataless && i == 0 {
 			// Nothing was opened: the schema and the data size come from
@@ -347,6 +368,97 @@ func (ms *MemberSet) load(ctx context.Context, x *engine.Exec) error {
 	return nil
 }
 
+// metaViews are the members' open .mrkl files and the views their trees
+// were decoded over, which a file cut in place faults on past its end, or
+// reads as zeros to the end of its last page (a Create leaves a snapshot).
+type metaViews struct {
+	files   []*pfs.File
+	views   [][]byte
+	faulted atomic.Bool
+}
+
+// run runs fn, which reads the trees, under the fault contract (guard):
+// when guard recovered a fault, its error is that of the first member
+// whose file now ends before its view does.
+func (mv *metaViews) run(fn func() error) (err error) {
+	func() {
+		defer mv.guard(debug.SetPanicOnFault(true))
+		err = fn()
+	}()
+	if !mv.faulted.Load() {
+		return err
+	}
+	for i := range mv.files {
+		if err := mv.short(i); err != nil {
+			return err
+		}
+	}
+	return fmt.Errorf("compare: a metadata view faulted: %w", io.ErrUnexpectedEOF)
+}
+
+// guarded is step, run under the fault contract.
+func (mv *metaViews) guarded(step engine.StepFunc) engine.StepFunc {
+	return func(ctx context.Context, x *engine.Exec) error { return mv.run(func() error { return step(ctx, x) }) }
+}
+
+// guard, deferred with the fault mode from before debug.SetPanicOnFault,
+// records a fault in a view whose file now ends before the address for run
+// to report, and re-raises any other panic. It allocates only to recover.
+func (mv *metaViews) guard(was bool) {
+	debug.SetPanicOnFault(was)
+	p := recover()
+	if p == nil {
+		return
+	}
+	if fault, ok := p.(interface{ Addr() uintptr }); ok {
+		for i, v := range mv.views {
+			// An address below the view wraps past its length.
+			if off := fault.Addr() - uintptr(unsafe.Pointer(unsafe.SliceData(v))); off < uintptr(len(v)) {
+				if size, err := mv.files[i].SizeNow(); err == nil && size <= int64(off) {
+					mv.faulted.Store(true)
+					return
+				}
+				break
+			}
+		}
+	}
+	panic(p)
+}
+
+// short is member i's size check, one fstat: an error wrapping
+// io.ErrUnexpectedEOF once its file ends before its view does.
+func (mv *metaViews) short(i int) error {
+	f, n := mv.files[i], int64(len(mv.views[i]))
+	if f == nil {
+		return nil
+	}
+	if size, err := f.SizeNow(); err != nil {
+		return fmt.Errorf("compare: %s: %w", f.Name(), err)
+	} else if size < n {
+		return fmt.Errorf("compare: %s@0+%d: the file now ends at %d: %w", f.Name(), n, size, io.ErrUnexpectedEOF)
+	}
+	return nil
+}
+
+// guardedExec runs the tree diff's loops, on the pool's workers, under the
+// fault contract: a guard's defer and recover cost more than the one node
+// comparison of an iteration, so a guard covers a span of guardSpan.
+type guardedExec struct {
+	device.Executor
+	mv *metaViews
+}
+
+const guardSpan = 16
+
+func (e guardedExec) For(n int, fn func(i int)) {
+	e.Executor.For((n+guardSpan-1)/guardSpan, func(s int) {
+		defer e.mv.guard(debug.SetPanicOnFault(true))
+		for i := s * guardSpan; i < min(n, (s+1)*guardSpan); i++ {
+			fn(i)
+		}
+	})
+}
+
 // ErrMetadataMismatch marks a metadata file that does not describe what it
 // is being used against: the member's container or manifest, or the other
 // members' metadata.
@@ -387,13 +499,14 @@ func (ms *MemberSet) checkMember(i int) error {
 	return nil
 }
 
-// diff runs stage 1 proper for every pair from the in-memory trees — no
+// diff runs stage 1 proper for every pair from the loaded trees — no
 // additional I/O regardless of pair count: the pruned BFS tree diff per
 // selected field (CompareTree phase). The executor is wrapped so a
-// canceled context stops the diff kernels between poll intervals.
+// canceled context stops the diff kernels between poll intervals, and so
+// every task reads the trees under the fault contract.
 func (ms *MemberSet) diff(ctx context.Context, x *engine.Exec) error {
 	sw := metrics.NewStopwatch()
-	exec := device.Cancelable{Done: ctx.Done(), Inner: ms.opts.Exec}
+	exec := guardedExec{device.Cancelable{Done: ctx.Done(), Inner: ms.opts.Exec}, ms.mv}
 	ms.Cands = make([][][]int, len(ms.Pairs))
 	var treeVirtual time.Duration
 	for pi, pr := range ms.Pairs {

@@ -415,25 +415,38 @@ func SaveMetadata(store *pfs.Store, checkpointName string, m *Metadata) (pfs.Cos
 // the context block by block. The metadata owns the bytes it was decoded
 // from, so it lives as long as the caller keeps it.
 func LoadMetadata(ctx context.Context, store *pfs.Store, checkpointName string) (*Metadata, pfs.Cost, time.Duration, error) {
-	return loadMetadata(ctx, store, checkpointName, new(aio.BufSet))
-}
-
-// loadMetadata is LoadMetadata over a recycled buffer: the file is read
-// into the set's buffer when that holds it, and the set adopts what was
-// allocated in its place when it does not, so a set that was too small goes
-// back to its arena large enough. The trees are decoded in place
-// (DecodeMetadata): the metadata is valid until the set is put back — for
-// good when, as in LoadMetadata, the set is nobody's to put back.
-func loadMetadata(ctx context.Context, store *pfs.Store, checkpointName string, into *aio.BufSet) (*Metadata, pfs.Cost, time.Duration, error) {
-	data, cost, err := store.ReadFileFull(ctx, MetadataName(checkpointName), 4<<20, into.Buf)
+	data, cost, err := store.ReadFileFull(ctx, MetadataName(checkpointName), 4<<20, nil)
 	if err != nil {
 		return nil, cost, 0, err
 	}
-	into.Buf = data
 	sw := metrics.NewStopwatch()
 	m, err := DecodeMetadata(data)
 	if err != nil {
 		return nil, cost, sw.Lap(), err
 	}
 	return m, cost, sw.Lap(), nil
+}
+
+// landMetadata charges a metadata file as Store.ReadFileFull does — the
+// context checked, then one Price per block, in order — and lands it whole:
+// a view valid until the file closes, or, with a flip pending or no mmap, a
+// copy into the set's buffer, which grows to fit.
+func landMetadata(ctx context.Context, f *pfs.File, set *aio.BufSet) ([]byte, pfs.Cost, error) {
+	const block = 4 << 20 // the block LoadMetadata reads in
+	var total pfs.Cost
+	for off := int64(0); off < f.Size(); off += block {
+		if err := ctx.Err(); err != nil {
+			return nil, total, err
+		}
+		c, err := f.Price(off, int(min(block, f.Size()-off)))
+		total.Add(c)
+		if err != nil {
+			return nil, total, err
+		}
+	}
+	if int64(cap(set.Buf)) < f.Size() {
+		set.Buf = make([]byte, f.Size())
+	}
+	data, err := f.Land(set.Buf[:f.Size()], 0)
+	return data, total, err
 }

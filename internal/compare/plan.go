@@ -129,21 +129,23 @@ func (st *stage2) planCandidates() error {
 	// The ladder's lower rungs: dead sources are dropped, and the integrity
 	// rung checks extents, not jobs — an extent is held against the leaf
 	// of any job side that names it (sides sharing a pack extent share its
-	// bytes, hence its leaf).
+	// bytes, hence its leaf), read under the metadata's fault contract.
 	st.plan.Degrade, st.plan.Check = true, st.checkExtent
 	st.plan.Seal()
 	st.leaves = make([][]leafRef, len(st.plan.Sources))
 	for s, src := range st.plan.Sources {
 		st.leaves[s] = make([]leafRef, len(src.Extents))
 	}
-	for i, j := range st.plan.Jobs {
-		ref := st.refs[i]
-		for side, at := range [2]stream.Ref{j.A, j.B} {
-			m := st.ms.Pairs[ref.pair][side]
-			st.leaves[at.Src][at.Ext] = leafRef{want: st.ms.Metas[m].Fields[ref.field].Tree.Leaf(ref.chunk), field: ref.field}
+	return st.ms.mv.run(func() error {
+		for i, j := range st.plan.Jobs {
+			ref := st.refs[i]
+			for side, at := range [2]stream.Ref{j.A, j.B} {
+				m := st.ms.Pairs[ref.pair][side]
+				st.leaves[at.Src][at.Ext] = leafRef{want: st.ms.Metas[m].Fields[ref.field].Tree.Leaf(ref.chunk), field: ref.field}
+			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // fieldHashers builds the ε-hasher of every selected field, one per

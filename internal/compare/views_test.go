@@ -2,17 +2,21 @@ package compare
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
 	"repro/internal/device"
 	"repro/internal/errbound"
+	"repro/internal/faults"
 	"repro/internal/pfs"
 	"repro/internal/synth"
 )
@@ -78,6 +82,166 @@ func TestTruncationUnderViews(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestMetadataTruncationUnderViews: a member's .mrkl shrinks under the
+// view its trees are decoded over — run B's to half its size when its own
+// read is priced, so the decode's checksum faults on its gone pages; run
+// B's inside its last page, so the decode reads zeros and the size check
+// catches them; run A's to the first page boundary past half-way — in the
+// middle field's leaf level — when run B's .mrkl is priced, so A's trees
+// were decoded whole and the tree diff faults, on the pool's workers at
+// pool 4. Through the pair and the group door, on pools
+// 1 and 4, ten trials return no result and one error that names the .mrkl
+// and wraps io.ErrUnexpectedEOF.
+func TestMetadataTruncationUnderViews(t *testing.T) {
+	perturb := synth.PerturbConfig{Seed: 80, BlockElems: 1024, MagLo: 1e-3, MagHi: 1e-2, ChangedFrac: 0.9}
+	page := int64(os.Getpagesize())
+	arms := []struct {
+		name string
+		cut  func(env *testEnv, size int64) (victim, on string, to int64)
+	}{
+		{"decode", func(env *testEnv, size int64) (string, string, int64) { return env.nameB, env.nameB, size / 2 }},
+		{"last-page", func(env *testEnv, size int64) (string, string, int64) {
+			return env.nameB, env.nameB, ((size-1)/page*page + size) / 2
+		}},
+		{"tree-diff", func(env *testEnv, size int64) (string, string, int64) {
+			return env.nameA, env.nameB, (size/2/page + 1) * page
+		}},
+	}
+	doors := []struct {
+		name    string
+		compare func(env *testEnv, opts Options) (any, error)
+	}{
+		{"pair", func(env *testEnv, opts Options) (any, error) {
+			res, err := CompareMerkle(context.Background(), env.store, env.nameA, env.nameB, opts)
+			return res, err
+		}},
+		{"group", func(env *testEnv, opts Options) (any, error) {
+			rep, err := GroupCompare(context.Background(), env.store, env.nameA, []string{env.nameB}, TopologyStar, opts)
+			return rep, err
+		}},
+	}
+	for _, arm := range arms {
+		for _, door := range doors {
+			for _, workers := range []int{1, 4} {
+				t.Run(fmt.Sprintf("%s/%s/pool-%d", arm.name, door.name, workers), func(t *testing.T) {
+					pool := device.NewPool(workers)
+					defer pool.Close()
+					opts := baseOpts(1e-5, 1<<10)
+					opts.Exec = pool
+					env := newEnv(t, 256<<10, opts, perturb)
+					saved := map[string][]byte{}
+					for _, name := range []string{env.nameA, env.nameB} {
+						saved[name] = readStoreFile(t, env.store, MetadataName(name))
+					}
+					victim, on, to := arm.cut(env, int64(len(saved[env.nameB])))
+					if to <= 0 || to >= int64(len(saved[victim])) {
+						t.Fatalf("cut at %d of %d bytes", to, len(saved[victim]))
+					}
+					var first string
+					for trial := 0; trial < 10; trial++ {
+						for name, b := range saved {
+							writeStoreFile(t, env.store, MetadataName(name), b)
+						}
+						env.store.SetFaultHook(&shrinkOnPrice{
+							path: filepath.Join(env.store.Root(), filepath.FromSlash(MetadataName(victim))),
+							on:   MetadataName(on), to: to,
+						})
+						res, err := door.compare(env, opts)
+						env.store.SetFaultHook(nil)
+						if !reflect.ValueOf(res).IsNil() || !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), MetadataName(victim)) {
+							t.Fatalf("result %v, error %v; want no result and %s short", res, err, MetadataName(victim))
+						}
+						if first == "" {
+							first = err.Error()
+							t.Logf("%v", err)
+						} else if err.Error() != first {
+							t.Fatalf("trial %d: error %q, the first trial's %q", trial, err, first)
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestReplaceUnderHeldViews: run B's .mrkl and container are replaced by
+// run A's through Store.Create while a comparison holds both open — from
+// the fault hook, when B's .mrkl is priced, before either lands as a view
+// — and the comparison still answers for the bytes it opened: the
+// oracle's verdict on the old pair. The next comparison sees the new
+// files, two identical runs.
+func TestReplaceUnderHeldViews(t *testing.T) {
+	opts := baseOpts(1e-5, 4<<10)
+	env := newEnv(t, 64<<10, opts, synth.DefaultPerturb(81))
+	hook := &replaceOnPrice{store: env.store, on: MetadataName(env.nameB)}
+	for _, name := range []string{env.nameA, MetadataName(env.nameA)} {
+		hook.names = append(hook.names, strings.Replace(name, "runA", "runB", 1))
+		hook.bytes = append(hook.bytes, readStoreFile(t, env.store, name))
+	}
+	env.store.SetFaultHook(hook)
+	res, err := CompareMerkle(context.Background(), env.store, env.nameA, env.nameB, opts)
+	env.store.SetFaultHook(nil)
+	if err != nil || !hook.done {
+		t.Fatalf("comparison: %v, replaced %v", err, hook.done)
+	}
+	assertSameDiffs(t, groundTruth(t, env, 1e-5), diffsToMap(res.Diffs), "held")
+	if res, err = CompareMerkle(context.Background(), env.store, env.nameA, env.nameB, opts); err != nil || res.DiffCount != 0 {
+		t.Fatalf("after the replace: %v, %d diffs; want run A against itself", err, res.DiffCount)
+	}
+}
+
+// replaceOnPrice writes bytes[i] to names[i] through Store.Create the first
+// time the store file on is priced.
+type replaceOnPrice struct {
+	faults.Nop
+	store *pfs.Store
+	on    string
+	names []string
+	bytes [][]byte
+	done  bool
+}
+
+func (h *replaceOnPrice) BeforeRead(name string, _ int64, _ int) error {
+	if name != h.on || h.done {
+		return nil
+	}
+	h.done = true
+	for i, n := range h.names {
+		w, err := h.store.Create(n)
+		if err != nil {
+			return err
+		}
+		_, err = w.Write(h.bytes[i])
+		if err = cmp.Or(err, w.Close()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func readStoreFile(t *testing.T, s *pfs.Store, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(s.Root(), filepath.FromSlash(name)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func writeStoreFile(t *testing.T, s *pfs.Store, name string, b []byte) {
+	t.Helper()
+	w, err := s.Create(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -17,15 +17,19 @@
 package pfs
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"math/bits"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -498,14 +502,14 @@ func (s *Store) Remove(name string) error {
 }
 
 // List returns the names of files under the store root with the prefix,
-// sorted lexicographically.
+// sorted lexicographically; a Create's temporary is not one of them.
 func (s *Store) List(prefix string) ([]string, error) {
 	var names []string
 	err := filepath.WalkDir(s.root, func(p string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() {
+		if d.IsDir() || strings.HasPrefix(d.Name(), tmpPrefix) {
 			return nil
 		}
 		rel, err := filepath.Rel(s.root, p)
@@ -756,15 +760,22 @@ func (f *File) Close() error {
 
 // Writer is a streaming file writer that accumulates virtual cost.
 type Writer struct {
-	store *Store
-	name  string
-	f     *os.File
-	off   int64
-	cost  Cost
+	store     *Store
+	name      string
+	f         *os.File
+	off       int64
+	cost      Cost
+	tmp, path string // a Create's temporary and the path Close renames it to
 }
 
-// Create opens a file for writing, truncating any existing content, and
-// retires the file's mapping.
+// tmpPrefix starts the name of a Create's temporary, which List skips.
+const tmpPrefix = ".pfs-tmp."
+
+// Create opens a writer that replaces the file: its bytes go to a temporary
+// beside it that Close renames over the name, so open Files and their views
+// keep what they opened. A process killed before Close leaves the old file
+// and an orphan temporary, never swept (a sweeper would race another
+// process's writer); nothing is synced, so a lost machine may lose the replace.
 func (s *Store) Create(name string) (*Writer, error) {
 	p, err := s.path(name)
 	if err != nil {
@@ -773,15 +784,18 @@ func (s *Store) Create(name string) (*Writer, error) {
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return nil, fmt.Errorf("pfs: create dirs for %s: %w", name, err)
 	}
-	f, err := os.Create(p)
-	if err != nil {
-		return nil, fmt.Errorf("pfs: create %s: %w", name, err)
+	for {
+		tmp := filepath.Join(filepath.Dir(p), tmpPrefix+filepath.Base(p)+"."+strconv.FormatUint(rand.Uint64(), 36))
+		f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
+		if errors.Is(err, fs.ErrExist) {
+			continue
+		}
+		if err != nil {
+			return nil, fmt.Errorf("pfs: create %s: %w", name, err)
+		}
+		s.Evict(name)
+		return &Writer{store: s, name: name, f: f, tmp: tmp, path: p}, nil
 	}
-	if st, err := f.Stat(); err == nil {
-		retire(keyOf(st), -1)
-	}
-	s.Evict(name)
-	return &Writer{store: s, name: name, f: f}, nil
 }
 
 // Append opens a file for appending, creating it when absent. The writer
@@ -828,8 +842,8 @@ func (w *Writer) Write(p []byte) (int, error) {
 				keep = len(p)
 			}
 			// A torn write persists a prefix before failing, so the
-			// file genuinely holds partial content for readers to trip
-			// over.
+			// file — once Close publishes a Create's — genuinely holds
+			// partial content for readers to trip over.
 			if keep > 0 {
 				n, _ := w.f.Write(p[:keep])
 				w.cost.Add(w.store.markWritten(w.name, w.off, n))
@@ -850,8 +864,10 @@ func (w *Writer) Write(p []byte) (int, error) {
 // Cost returns the accumulated write cost so far.
 func (w *Writer) Cost() Cost { return w.cost }
 
-// Close flushes and closes the file. The file is closed even when the
-// fault hook fails the close; the hook's error then takes precedence.
+// Close closes the file and, for a Create, retires the old file's mapping
+// and renames the temporary over the name — on every path, a torn write or
+// a failed close included, so readers see what was written. The hook's
+// error takes precedence over the close's, that over the rename's.
 func (w *Writer) Close() error {
 	if w.f == nil {
 		return nil
@@ -862,10 +878,16 @@ func (w *Writer) Close() error {
 	}
 	err := w.f.Close()
 	w.f = nil
-	if ferr != nil {
-		err = ferr
+	if w.tmp != "" {
+		if st, serr := os.Stat(w.path); serr == nil {
+			retire(keyOf(st), -1)
+		}
+		if rerr := os.Rename(w.tmp, w.path); rerr != nil {
+			_ = os.Remove(w.tmp) // the rename error is reported
+			err = cmp.Or(err, rerr)
+		}
 	}
-	if err != nil {
+	if err = cmp.Or(ferr, err); err != nil {
 		return fmt.Errorf("pfs: close %s: %w", w.name, err)
 	}
 	return nil

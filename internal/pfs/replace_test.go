@@ -1,0 +1,175 @@
+//go:build unix
+
+package pfs
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"path/filepath"
+	"testing"
+)
+
+// tornAt keeps the first keep bytes of a write to name and fails it, and
+// fails name's Close when closeErr is set.
+type tornAt struct {
+	faultNop
+	name     string
+	keep     int
+	closeErr error
+}
+
+var errTorn = errors.New("injected")
+
+func (h tornAt) BeforeWrite(name string, _ int64, n int) (int, error) {
+	if name == h.name && h.keep < n {
+		return h.keep, errTorn
+	}
+	return 0, nil
+}
+
+func (h tornAt) BeforeClose(name string) error {
+	if name == h.name {
+		return h.closeErr
+	}
+	return nil
+}
+
+// contents returns the named file's bytes, failing the test when it cannot
+// be read.
+func contents(t *testing.T, s *Store, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(s.Root(), name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestCreateReplacesByRename: a Create writes a temporary that List never
+// returns and that Close renames over the name, so a writer never closed —
+// a process killed mid-write — leaves the old bytes readable, and of two
+// writers on one name the last Close wins whole.
+func TestCreateReplacesByRename(t *testing.T) {
+	s := newTestStore(t)
+	writeTestFile(t, s, "d/a", []byte("old bytes"))
+	w, err := s.Create("d/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write([]byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	for _, prefix := range []string{"", "d/", "d/a"} {
+		if names, err := s.List(prefix); err != nil || len(names) != 1 || names[0] != "d/a" {
+			t.Fatalf("List(%q) = %v, %v; want only d/a", prefix, names, err)
+		}
+	}
+	if got := contents(t, s, "d/a"); string(got) != "old bytes" {
+		t.Fatalf("mid-write the file holds %q; want the old bytes", got)
+	}
+	if dir, _ := os.ReadDir(filepath.Join(s.Root(), "d")); len(dir) != 2 {
+		t.Fatalf("%d entries mid-write; want the file and one temporary", len(dir))
+	}
+
+	other, err := s.Create("d/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.Write([]byte("the other writer")); err != nil {
+		t.Fatal(err)
+	}
+	if err := other.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := contents(t, s, "d/a"); string(got) != "new" {
+		t.Fatalf("after both Closes the file holds %q; want the last Close's bytes", got)
+	}
+	if dir, _ := os.ReadDir(filepath.Join(s.Root(), "d")); len(dir) != 1 {
+		t.Fatalf("%d entries after both Closes; want the file alone", len(dir))
+	}
+}
+
+// TestCloseAfterFailurePublishes: Close renames on every path — after a
+// torn write, and when the fault hook fails the close — so the file holds
+// exactly the bytes that landed.
+func TestCloseAfterFailurePublishes(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		keep     int
+		closeErr error
+		want     string
+	}{
+		{"torn-write", 3, nil, "pre"},
+		{"failed-close", 1 << 20, errTorn, "prefix+rest"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestStore(t)
+			writeTestFile(t, s, "f", []byte("old"))
+			s.SetFaultHook(tornAt{name: "f", keep: tc.keep, closeErr: tc.closeErr})
+			w, err := s.Create("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, werr := w.Write([]byte("prefix+rest"))
+			if cerr := w.Close(); !errors.Is(werr, errTorn) && !errors.Is(cerr, errTorn) {
+				t.Fatalf("write %v, close %v; want the injected failure", werr, cerr)
+			}
+			if got := contents(t, s, "f"); string(got) != tc.want {
+				t.Fatalf("the file holds %q; want %q", got, tc.want)
+			}
+			if names, _ := s.List(""); len(names) != 1 {
+				t.Fatalf("List = %v; want the file alone", names)
+			}
+		})
+	}
+}
+
+// TestReplaceRetiresTheOldMapping: a File holding a view keeps the old
+// bytes across a replace (the old inode lives on under it), and the old
+// inode's idle mapping is unmapped by the Close that replaces it.
+func TestReplaceRetiresTheOldMapping(t *testing.T) {
+	dropIdle(t)
+	s := newTestStore(t)
+	writeTestFile(t, s, "a", bytes.Repeat([]byte{1}, 8192))
+	held := openT(t, s, "a")
+	defer held.Close()
+	view := landView(t, held, 0, 8192)
+	f := openT(t, s, "a")
+	landView(t, f, 4096, 4096)
+	old := f.m.Load()
+
+	w, err := s.Create("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(bytes.Repeat([]byte{2}, 8192)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if view[0] != 1 || view[8191] != 1 {
+		t.Fatal("a held view shows the replacing bytes")
+	}
+	held.Close()
+	f.Close()
+	if old.data != nil {
+		t.Fatal("the replaced inode's mapping stayed mapped after its last Close")
+	}
+
+	g := openT(t, s, "a")
+	landView(t, g, 0, 8192)
+	idle := g.m.Load()
+	g.Close()
+	writeTestFile(t, s, "a", bytes.Repeat([]byte{3}, 8192))
+	if idle.data != nil {
+		t.Fatal("the Close that replaced the file left its idle mapping mapped")
+	}
+	if entries, _, _ := tableState(); entries != 0 {
+		t.Fatalf("%d entries after the replace; want none", entries)
+	}
+}
