@@ -12,16 +12,15 @@ import (
 	"testing"
 )
 
-// TestDocsNameWhatExists fails when README.md, ROADMAP.md or the verify
-// skill names something the tree does not have: a make target (as code:
-// `make X`), a cmd/ directory, or a root-level JSON file. Root files are
-// named in capitals (BENCHMARK.json); lower-case .json names in the docs
-// are arguments and outputs. It also fails when any of the three, or
-// DESIGN.md, names as code a Go or assembly file (`x.go`, `x_amd64.s`)
-// that no file in the tree is called; and when one of the three names as
-// code an exported `pkg.Ident` or `pkg.Type.Member` of a package under
-// internal/ or cmd/ that the package does not declare. A plan in ROADMAP
-// names what does not exist yet in prose, not as code.
+// TestDocsNameWhatExists fails when README.md, ROADMAP.md, DESIGN.md or
+// the verify skill names something the tree does not have: a make target
+// (as code: `make X`), a cmd/ directory, a root-level JSON file, a Go or
+// assembly file (as code: `x.go`, `x_amd64.s`) that no file in the tree is
+// called, or (as code) an exported `pkg.Ident` or `pkg.Type.Member` of a
+// package under internal/ or cmd/ that the package does not declare. Root
+// files are named in capitals (BENCHMARK.json); lower-case .json names in
+// the docs are arguments and outputs. A plan names what does not exist yet,
+// and a history what is gone, in prose, not as code.
 func TestDocsNameWhatExists(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -44,11 +43,28 @@ func TestDocsNameWhatExists(t *testing.T) {
 			}
 		}
 	}
+	files := map[string]bool{}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == ".git" {
+			return filepath.SkipDir
+		}
+		files[d.Name()] = true
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A name, or a path ending in one; not a pattern such as *_test.go or a
+	// suffix such as _test.go.
+	fileRef := regexp.MustCompile(`(?:^|[^\w./*-])([A-Za-z0-9./][\w./-]*\.(?:go|s))\b`)
 	identRef := regexp.MustCompile(`(?:^|[^\w./])([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?`)
 	makeRef := regexp.MustCompile("(?:^|[\\s`])make ([a-z][\\w-]*)")
 	cmdRef := regexp.MustCompile(`\bcmd/([\w-]+)`)
 	jsonRef := regexp.MustCompile(`(?:^|[^\w/.$-])([A-Z]\w*\.json)\b`)
-	for _, doc := range []string{"README.md", "ROADMAP.md", ".claude/skills/verify/SKILL.md"} {
+	for _, doc := range []string{"README.md", "ROADMAP.md", ".claude/skills/verify/SKILL.md", "DESIGN.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
 			t.Fatal(err)
@@ -72,6 +88,11 @@ func TestDocsNameWhatExists(t *testing.T) {
 					t.Errorf("%s names `%s.%s`: the package declares no such name", doc, m[1], name)
 				}
 			}
+			for _, m := range fileRef.FindAllSubmatch(span, -1) {
+				if !files[filepath.Base(string(m[1]))] {
+					t.Errorf("%s names `%s`: no file in the tree is called that", doc, m[1])
+				}
+			}
 		}
 		for _, m := range cmdRef.FindAllSubmatch(text, -1) {
 			if fi, err := os.Stat(filepath.Join("cmd", string(m[1]))); err != nil || !fi.IsDir() {
@@ -85,36 +106,6 @@ func TestDocsNameWhatExists(t *testing.T) {
 		}
 	}
 
-	names := map[string]bool{}
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && d.Name() == ".git" {
-			return filepath.SkipDir
-		}
-		names[d.Name()] = true
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A name, or a path ending in one; not a pattern such as *_test.go or a
-	// suffix such as _test.go.
-	fileRef := regexp.MustCompile(`(?:^|[^\w./*-])([A-Za-z0-9./][\w./-]*\.(?:go|s))\b`)
-	for _, doc := range []string{"README.md", "ROADMAP.md", ".claude/skills/verify/SKILL.md", "DESIGN.md"} {
-		text, err := os.ReadFile(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, span := range code.FindAll(text, -1) {
-			for _, m := range fileRef.FindAllSubmatch(span, -1) {
-				if !names[filepath.Base(string(m[1]))] {
-					t.Errorf("%s names `%s`: no file in the tree is called that", doc, m[1])
-				}
-			}
-		}
-	}
 }
 
 // declared returns the names the package in dir declares at top level,

@@ -31,7 +31,8 @@ import (
 	"repro/internal/pfs"
 )
 
-// ReadReq is one scattered read: fill Buf[:Len] from Off. Tag is an opaque
+// ReadReq is one scattered read of Len bytes at Off. Buf holds its bytes:
+// the buffer ReadBatch fills, or what stage 2 landed. Tag is an opaque
 // caller identifier (the comparator uses the chunk index).
 type ReadReq struct {
 	Off int64
@@ -125,10 +126,10 @@ var (
 
 // Arena returns the ring's stage-2 buffer arena (created on first use
 // with DefaultArenaLimit; the owner may SetLimit it). Everything that
-// reads through this ring — the stream pipeline's window buffers, the
-// members' metadata files — recycles through it, so buffers live as long
-// as the ring rather than as long as one comparison; the ring's owner
-// Releases it.
+// reads through this ring — the stream pipeline's window requests, a
+// capture's read-back blocks, the members' manifests — recycles through
+// it, so its sets live as long as the ring rather than as long as one
+// comparison; the ring's owner Releases it.
 func (u *Uring) Arena() *Arena {
 	u.arenaOnce.Do(func() { u.arena = NewArena(0) })
 	return u.arena

@@ -6,12 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// BufSet is one recyclable buffer set: the host buffer one source's extents
-// of one pipeline window are read into, the request batch that addresses
-// it and the runs those requests price as — or, with the batches unused,
-// the buffer one member's metadata file is read into and its trees decoded
-// over. A set belongs to whoever checked it out of an Arena until it is
-// put back; the arena never looks inside it.
+// BufSet is one recyclable set: the request batch of one source's extents
+// in one pipeline window and the runs those requests price as, with Buf
+// unused (the extents land as views) — or, with the batches unused, a
+// buffer its holder fills: a capture's read-back block, a comparison's
+// manifest bytes. A set belongs to whoever checked it out of an Arena
+// until it is put back; the arena never looks inside it.
 type BufSet struct {
 	Buf  []byte
 	Reqs []ReadReq
@@ -27,24 +27,25 @@ func (s *BufSet) bytes() int64 {
 	return int64(cap(s.Buf)) + readReqBytes*int64(cap(s.Reqs)+cap(s.Runs))
 }
 
-// MaxSetBytes is the largest buffer set an arena keeps: two sources' share
-// of a default 8 MiB pipeline window, each with the one job a window may
-// overshoot by (up to 1 MiB) and its request batches. Larger sets — a caller-raised SliceBytes — are allocated per use
-// and dropped on return.
+// MaxSetBytes is the largest set an arena keeps: a manifest buffer of
+// 18 MiB holds the 28-byte entries of some 670 000 chunks (a 2.6 GiB
+// checkpoint at 4 KiB chunks), and a capture's read-back block or a
+// window's request batches are far smaller. A larger set is allocated per
+// use and dropped on return.
 const MaxSetBytes = 2 * (9 << 20)
 
-// DefaultArenaLimit bounds an arena nobody sized: sixteen default pair
-// comparisons' worth (one window of two sources each) of window sets,
-// which the far smaller metadata sets of their members share.
+// DefaultArenaLimit bounds an arena nobody sized: sixteen of its largest
+// sets, room for the read-back blocks of a capture on every worker and the
+// manifests and request batches of the comparisons beside it.
 const DefaultArenaLimit = 8 * 2 * MaxSetBytes
 
-// Arena is the comparison buffer arena: a bounded free list of buffer sets
-// (stage 2's windows, stage 1's metadata files) that outlives the
-// comparisons drawing on it, so a steady stream of comparisons allocates
-// no buffers at all. It lives as long as the ring
-// that owns it (Uring.Arena) — a service plane's, or the process-wide
-// Default ring's — the way io_uring registered buffers live with their
-// ring.
+// Arena is the comparison buffer arena: a bounded free list of sets
+// (stage 2's window requests, capture read-back blocks, manifest buffers)
+// that outlives the comparisons drawing on it, so a steady stream of
+// comparisons allocates no request batches and no buffers at all. It
+// lives as long as the ring that owns it (Uring.Arena) — a service
+// plane's, or the process-wide Default ring's — the way io_uring
+// registered buffers live with their ring.
 //
 // Checkout never blocks: an empty free list allocates (counted as a miss).
 // Return is where the bound is enforced: a set larger than MaxSetBytes, or
@@ -102,9 +103,9 @@ func (a *Arena) Stats() ArenaStats {
 	return ArenaStats{Bytes: a.retained, Sets: len(a.sets), Outstanding: a.out, Misses: a.misses, Limit: a.limit}
 }
 
-// Get checks out a buffer set whose Buf has capacity for n bytes (its
-// length is the caller's to set; the request batch comes back empty with
-// its capacity kept). It picks the smallest free set that fits, so
+// Get checks out a set whose Buf has capacity for n bytes (Get(0) for a
+// set of request batches; Buf's length is the caller's to set, the request
+// batches come back empty with their capacity kept). It picks the smallest free set that fits, so
 // mixed-size comparisons do not trade buffers; when none fits it
 // allocates, recycling the request batches of the largest free set.
 func (a *Arena) Get(n int) *BufSet {

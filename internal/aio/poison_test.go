@@ -18,22 +18,21 @@ import (
 )
 
 // This file is the use-after-return proof for everything a comparison
-// checks out of the arena. A member set decodes its members' Merkle trees
-// in place over arena buffer sets, and a differential one reads its
-// manifests through one; with aio.PoisonOnPut every set is overwritten the
-// moment it goes back, so anything that still reads a returned buffer — a
-// tree used after its plan, a Result aliasing scratch — reads 0xDB and
-// disagrees with the element-wise oracle.
+// checks out of the arena. A window's request sets hold views of the
+// files, not bytes, but a differential member set reads its manifests
+// through one arena buffer that goes back when the members are open; with
+// aio.PoisonOnPut every set is overwritten the moment it goes back, so anything that still reads
+// a returned buffer — a manifest aliasing it, a Result aliasing scratch —
+// reads 0xDB and disagrees with the element-wise oracle.
 //
-// Seeded mutant, run by hand (CHANGES.md, PR 21): in compare.MemberSet.load
-// replace `x.Defer(func() { arena.Put(set) })` with `defer arena.Put(set)`,
-// so the sets go back when the load step returns, before tree-diff runs.
-// Without the poison only the Degrade rows of the existing tables notice
-// (nothing reuses the sets before stage 2, which reads tree geometry, not
-// nodes — except the integrity rung's leaf digests); with it every row of
-// TestParityUnderPoison that has a diff to find fails, 55 of 60 — both
-// members' trees are the same 0xDB bytes, stage 1 prunes everything, and no
-// door reports a single oracle diff.
+// Seeded mutant, run by hand: in cas's manifest decode, read a field's
+// name as unsafe.String over the manifest bytes instead of copying it with
+// string(...), so the names of every differential member alias the buffer
+// MemberSet.open puts back. Without the poison nothing notices (the
+// buffer is not reused before the names are read; go test ./internal/cas
+// ./internal/compare ./internal/shard stay green); with it every row of
+// TestParityUnderPoison fails, 75 of 75, at its first differential door:
+// the member's field is named "\xdb", not what its metadata says.
 
 // poisonEnv is the three runs of one shape behind every stage-2 door: as
 // containers with metadata, and differentially captured into a CAS.

@@ -10,6 +10,7 @@
 package ckpt
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -17,7 +18,7 @@ import (
 	"io"
 	"regexp"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -112,15 +113,18 @@ func History(store *pfs.Store, runID string) ([]string, error) {
 			out = append(out, n)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		_, ii, ri, _ := ParseName(out[i])
-		_, ij, rj, _ := ParseName(out[j])
-		if ii != ij {
-			return ii < ij
-		}
-		return ri < rj
-	})
+	SortHistory(out)
 	return out, nil
+}
+
+// SortHistory puts checkpoint names in history order: by iteration, then
+// by rank. Every name must parse (ParseName).
+func SortHistory(names []string) {
+	slices.SortFunc(names, func(a, b string) int {
+		_, ia, ra, _ := ParseName(a)
+		_, ib, rb, _ := ParseName(b)
+		return cmp.Or(cmp.Compare(ia, ib), cmp.Compare(ra, rb))
+	})
 }
 
 // CheckFields is the one shape check of the write side: what a container

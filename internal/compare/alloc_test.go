@@ -93,6 +93,37 @@ func TestWarmComparisonAllocatesItsAnswer(t *testing.T) {
 	}
 }
 
+// TestArenaRetainsRequestsOnly: a window's bytes land as views and a
+// member's metadata as a view of its file, so after warm pair and group
+// comparisons in both shapes the arena retains request batches only — no
+// window-sized buffer, no metadata buffer.
+func TestArenaRetainsRequestsOnly(t *testing.T) {
+	if testing.Short() {
+		t.Skip("writes six 6–12 MiB checkpoints")
+	}
+	const limit = 64 << 10
+	ctx := context.Background()
+	ring := aio.NewUring(256)
+	for name, sh := range allocShapes {
+		e := newDetEnv(t, sh)
+		opts := e.opts
+		opts.Backend = ring
+		for i := 0; i < 3; i++ {
+			if _, err := CompareMerkle(ctx, e.store, e.names[0], e.names[1], opts); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := GroupCompare(ctx, e.store, e.names[0], e.names[1:], TopologyStar, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st := ring.Arena().Stats()
+		t.Logf("after %s: %d bytes in %d sets", name, st.Bytes, st.Sets)
+		if st.Bytes > limit || st.Outstanding != 0 {
+			t.Errorf("after %s: the arena retains %d bytes in %d sets (%d out), want at most %d", name, st.Bytes, st.Sets, st.Outstanding, limit)
+		}
+	}
+}
+
 // TestKernelScratchFreeListIsBounded: the free list takes back at most
 // kernelFreeStores stores and none over kernelStoreMax bytes, and a store
 // comes back out with nothing of the batch before — no verdict in a slot,

@@ -163,14 +163,7 @@ func MetadataHistory(store *pfs.Store, runID string) ([]string, error) {
 			out = append(out, base)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		_, ii, ri, _ := ckpt.ParseName(out[i])
-		_, ij, rj, _ := ckpt.ParseName(out[j])
-		if ii != ij {
-			return ii < ij
-		}
-		return ri < rj
-	})
+	ckpt.SortHistory(out)
 	return out, nil
 }
 

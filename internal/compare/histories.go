@@ -3,7 +3,6 @@ package compare
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/ckpt"
 	"repro/internal/engine"
@@ -134,14 +133,7 @@ func unionHistory(store *pfs.Store, runID string) ([]string, error) {
 			out = append(out, n)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		_, ii, ri, _ := ckpt.ParseName(out[i])
-		_, ij, rj, _ := ckpt.ParseName(out[j])
-		if ii != ij {
-			return ii < ij
-		}
-		return ri < rj
-	})
+	ckpt.SortHistory(out)
 	return out, nil
 }
 

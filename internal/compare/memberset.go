@@ -66,12 +66,12 @@ type MemberSet struct {
 	pack    *pfs.File
 	// Metas holds each member's metadata, loaded once. Its trees are decoded
 	// in place over views of the members' .mrkl files, which the plan's
-	// cleanup chain closes — or, where a file cannot be viewed, over buffer
-	// sets of the options' arena, which it puts back: no *Metadata or
-	// *merkle.Tree a member set loaded may be used after Execute returns.
-	// What outlives the plan — roots, leaf digests, indices — is copied out
-	// by value before then (TestResultsOutliveRecycledBuffers poisons every
-	// returned set). Every read of the trees runs under mv's fault contract.
+	// cleanup chain closes (or, where a file cannot be viewed, over a copy):
+	// no *Metadata or *merkle.Tree a member set loaded may be used after
+	// Execute returns. What outlives the plan — roots, leaf digests,
+	// indices — is copied out by value before then
+	// (TestResultsOutliveRecycledBuffers). Every read of the trees runs
+	// under mv's fault contract.
 	Metas []*Metadata
 	mv    *metaViews
 	// Cands[p][f] holds pair p's candidate chunks in field f, ascending:
@@ -286,10 +286,7 @@ func (ms *MemberSet) bindFields(fields []ckpt.FieldSpec) error {
 // and the deserialization, and fills in the per-pair totals. Each member's
 // .mrkl, open on the cleanup chain, lands as a view (landMetadata) that its
 // trees are decoded over, then one size check catches a cut that left
-// zeros. A copy — a pending flip, a GOOS without mmap — lands in a buffer
-// set of the options' arena whose return is on the cleanup chain from its
-// checkout; a set is asked for at the size of the member before it (member
-// 0 takes the smallest free set) and grows to fit when that was too small.
+// zeros; a pending flip or a GOOS without mmap lands a copy instead.
 func (ms *MemberSet) load(ctx context.Context, x *engine.Exec) error {
 	sw := metrics.NewStopwatch()
 	ms.mv.files, ms.mv.views = make([]*pfs.File, len(ms.names)), make([][]byte, len(ms.names))
@@ -297,20 +294,16 @@ func (ms *MemberSet) load(ctx context.Context, x *engine.Exec) error {
 	roots := make([]murmur3.Digest, len(ms.names))
 	var metaCost pfs.Cost
 	var deserWall time.Duration
-	arena, size := ms.opts.arena(), 0
 	for i, name := range ms.names {
-		set := arena.Get(size)
-		x.Defer(func() { arena.Put(set) })
 		f, err := ms.store.Open(MetadataName(name))
 		if err != nil {
 			return err
 		}
 		x.CloseOnExit(f)
-		data, cost, err := landMetadata(ctx, f, set)
+		data, cost, err := landMetadata(ctx, f)
 		if err != nil {
 			return err
 		}
-		size = len(data)
 		metaCost.Add(cost)
 		ms.mv.files[i], ms.mv.views[i] = f, data
 		dsw := metrics.NewStopwatch()

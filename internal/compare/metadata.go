@@ -430,8 +430,8 @@ func LoadMetadata(ctx context.Context, store *pfs.Store, checkpointName string) 
 // landMetadata charges a metadata file as Store.ReadFileFull does — the
 // context checked, then one Price per block, in order — and lands it whole:
 // a view valid until the file closes, or, with a flip pending or no mmap, a
-// copy into the set's buffer, which grows to fit.
-func landMetadata(ctx context.Context, f *pfs.File, set *aio.BufSet) ([]byte, pfs.Cost, error) {
+// copy of its own.
+func landMetadata(ctx context.Context, f *pfs.File) ([]byte, pfs.Cost, error) {
 	const block = 4 << 20 // the block LoadMetadata reads in
 	var total pfs.Cost
 	for off := int64(0); off < f.Size(); off += block {
@@ -444,9 +444,6 @@ func landMetadata(ctx context.Context, f *pfs.File, set *aio.BufSet) ([]byte, pf
 			return nil, total, err
 		}
 	}
-	if int64(cap(set.Buf)) < f.Size() {
-		set.Buf = make([]byte, f.Size())
-	}
-	data, err := f.Land(set.Buf[:f.Size()], 0)
+	data, err := f.Land(0, int(f.Size()))
 	return data, total, err
 }

@@ -179,10 +179,10 @@ func (st *stage2) fieldHashers() error {
 // check is what turns a torn or rotted CAS chunk into Corrupt instead of a
 // silent dedup hit. The pipeline calls it once per extent and window, so
 // every job naming the extent sees the one verdict (and the recovered
-// bytes, re-read into the extent's own buffer).
-func (st *stage2) checkExtent(ctx context.Context, r, src, ext int, data, own []byte) []byte {
+// bytes, re-read into the rung's own buffer).
+func (st *stage2) checkExtent(ctx context.Context, r, src, ext int, data []byte) []byte {
 	leaf, from := &st.leaves[src][ext], &st.plan.Sources[src]
-	got, cost := verifyLeaf(ctx, st.hashers[leaf.field], data, own, leaf.want, from.File, from.Extents[ext].Off)
+	got, cost := verifyLeaf(ctx, st.hashers[leaf.field], data, leaf.want, from.File, from.Extents[ext].Off)
 	st.kernel.ranges[r].rereadCost.Add(cost)
 	return got
 }

@@ -38,15 +38,16 @@ const (
 // verifyLeaf is the integrity rung for one chunk side: the streamed bytes
 // must re-hash to the leaf their metadata was built from — corruption
 // beyond ε quantization (bit rot, a torn transfer) cannot masquerade as a
-// clean chunk. On mismatch the chunk is re-read once from f at off into
-// own, the side's buffer — never into data, which may be a read-only view
-// of the file — under the comparison's context (an in-flight flip re-reads
+// clean chunk. On mismatch the chunk is re-read once from f at off into a
+// buffer of its own — never into data, which may be a read-only view of
+// the file — under the comparison's context (an in-flight flip re-reads
 // clean; media corruption repeats). It returns the verified bytes, data or
-// own, or nil, and what the re-read, if any, cost.
-func verifyLeaf(ctx context.Context, h *errbound.Hasher, data, own []byte, want murmur3.Digest, f *pfs.File, off int64) ([]byte, pfs.Cost) {
+// the re-read, or nil, and what the re-read, if any, cost.
+func verifyLeaf(ctx context.Context, h *errbound.Hasher, data []byte, want murmur3.Digest, f *pfs.File, off int64) ([]byte, pfs.Cost) {
 	if got, err := h.HashChunk(data); err == nil && got == want {
 		return data, pfs.Cost{}
 	}
+	own := make([]byte, len(data))
 	n, cost, err := f.ReadAtCtx(ctx, own, off)
 	if err != nil || n != len(own) {
 		return nil, cost

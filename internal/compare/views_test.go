@@ -246,9 +246,9 @@ func writeStoreFile(t *testing.T, s *pfs.Store, name string, b []byte) {
 }
 
 // TestRungRereadsIntoItsOwnBuffer: a side that fails its leaf hash is
-// re-read into the side's own buffer, never into the bytes it was handed,
-// which may be a read-only view of the file: the view here shows another
-// chunk of the file, the re-read the right one.
+// re-read into a buffer of the rung's own, never into the bytes it was
+// handed, which may be a read-only view of the file: the view here shows
+// another chunk of the file, the re-read the right one.
 func TestRungRereadsIntoItsOwnBuffer(t *testing.T) {
 	store, err := pfs.NewStore(t.TempDir(), pfs.LustreModel())
 	if err != nil {
@@ -282,14 +282,13 @@ func TestRungRereadsIntoItsOwnBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, err := f.Land(make([]byte, chunk), 0)
+	view, err := f.Land(0, chunk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	own := make([]byte, chunk)
-	got, _ := verifyLeaf(context.Background(), h, view, own, want, f, chunk)
-	if got == nil || &got[0] != &own[0] || !bytes.Equal(got, content[chunk:]) {
-		t.Fatalf("the rung returned %d bytes, own buffer %v; want the re-read chunk in its own buffer", len(got), got != nil && &got[0] == &own[0])
+	got, _ := verifyLeaf(context.Background(), h, view, want, f, chunk)
+	if got == nil || &got[0] == &view[0] || !bytes.Equal(got, content[chunk:]) {
+		t.Fatalf("the rung returned %d bytes, aliasing the view %v; want the re-read chunk in its own buffer", len(got), got != nil && &got[0] == &view[0])
 	}
 	if !bytes.Equal(view, content[:chunk]) {
 		t.Fatal("the rung wrote to the bytes it was handed")

@@ -723,6 +723,13 @@ func (f *File) Copy(p []byte, off int64) error {
 	return nil
 }
 
+// copyOut is Land where it cannot view: a buffer of its own, filled by
+// Copy.
+func (f *File) copyOut(off int64, n int) ([]byte, error) {
+	buf := make([]byte, n)
+	return buf, f.Copy(buf, off)
+}
+
 // applyFlips applies the flips that fall in p, which holds the bytes at
 // off.
 func applyFlips(p []byte, off int64, flips []Flip) {

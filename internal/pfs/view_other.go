@@ -15,8 +15,8 @@ func keyOf(os.FileInfo) mapKey { return mapKey{} }
 func retire(mapKey, int64)     {}
 func (f *File) dropView()      {}
 
-// Land copies the len(buf) bytes at off into buf and returns buf.
-func (f *File) Land(buf []byte, off int64) ([]byte, error) { return buf, f.Copy(buf, off) }
+// Land returns a copy of the n bytes at off.
+func (f *File) Land(off int64, n int) ([]byte, error) { return f.copyOut(off, n) }
 
 // SizeNow returns the file's size now, not at Open.
 func (f *File) SizeNow() (int64, error) {

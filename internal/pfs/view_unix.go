@@ -143,25 +143,25 @@ func (f *File) dropView() {
 	}
 }
 
-// Land lands the len(buf) bytes at off — a read its Price charged — and
-// returns them as a read-only view of the file's mapping, valid until
-// Close, or, while flips are pending on the file or where it cannot be
-// mapped, copied into buf by Copy: a flip never reaches the page cache. A
+// Land lands the n bytes at off — a read its Price charged — and returns
+// them as a read-only view of the file's mapping, valid until Close, or,
+// while flips are pending on the file or where it cannot be mapped, as a
+// copy of its own made by Copy: a flip never reaches the page cache. A
 // view shows the file as it is when read: bytes the file lost since it was
 // opened fault when touched (SIGBUS), or read as zeros to the end of their
 // page; a caller reads views under debug.SetPanicOnFault and checks
 // SizeNow after.
-func (f *File) Land(buf []byte, off int64) ([]byte, error) {
+func (f *File) Land(off int64, n int) ([]byte, error) {
 	if f.f == nil {
 		return nil, ErrClosed
 	}
-	end := off + int64(len(buf))
-	if len(buf) > 0 && off >= 0 && f.pending.Load() == 0 {
+	end := off + int64(n)
+	if n > 0 && off >= 0 && f.pending.Load() == 0 {
 		if m := f.entry(); end <= int64(len(m.data)) {
 			return m.data[off:end:end], nil
 		}
 	}
-	return buf, f.Copy(buf, off)
+	return f.copyOut(off, n)
 }
 
 // SizeNow returns the file's size now, not at Open, without allocating.

@@ -5,7 +5,7 @@
 //
 //   - one persistent device.Pool running every comparison kernel,
 //   - one aio.Uring pricing every stage-2 scattered read, and with it the
-//     stage-2 buffer arena (window buffer sets, metadata buffers) every
+//     stage-2 buffer arena (window request sets, manifest buffers) every
 //     comparison recycles through,
 //   - the content-addressed chunk stores (one cas.Store handle per
 //     pfs.Store, opened once and shared),
@@ -139,14 +139,13 @@ func New(cfg Config) *Plane {
 	}
 }
 
-// arenaLimit is the stage-2 arena's bound for a plane: what MaxInFlight
-// admitted comparisons hold at once at the default pipeline shape — one
-// window's buffer sets each, both sides of an 8 MiB slice (aio.MaxSetBytes
-// with its overshoot and request batches), and one more set's worth for
-// the metadata of their members, which is read into the same arena (a pair
-// of 9 MiB metadata files: two 18 GiB checkpoints at the default 64 KiB
-// chunk). The arena never retains more, however many comparisons pass
-// through; sets larger than one default set are not retained at all.
+// arenaLimit is the stage-2 arena's bound for a plane: two of the
+// arena's largest sets (aio.MaxSetBytes) for each of MaxInFlight admitted
+// comparisons, room for a differential comparison's manifest buffer and a
+// capture's read-back blocks beside the request batches of their windows,
+// which are kilobytes. The arena never retains more, however many
+// comparisons pass through; a set larger than aio.MaxSetBytes is not
+// retained at all.
 func arenaLimit(cfg Config) int64 {
 	return int64(cfg.MaxInFlight) * (1 + 1) * aio.MaxSetBytes
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/compare"
 	"repro/internal/errbound"
 	"repro/internal/pfs"
+	"repro/internal/shard"
 	"repro/internal/synth"
 )
 
@@ -160,6 +161,45 @@ func TestSessionOracleBitIdentical(t *testing.T) {
 	st := s.Stats()
 	if st.Submitted != 2 || st.Completed != 2 || st.Divergent != 2 || st.Rejected != 0 || st.Failed != 0 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// TestSessionShardGroupCompare: a sharded group comparison through a
+// session reports what shard.GroupCompare reports on the default
+// resources, timing tables aside, and the session counts it once.
+func TestSessionShardGroupCompare(t *testing.T) {
+	e := newSvcEnv(t, 32<<10, 42)
+	ctx := context.Background()
+	cfg := shard.Config{Workers: 3, Stealing: true, SubtreeChunks: 4}
+	scrub := func(rep *compare.GroupReport) *compare.GroupReport {
+		c := *rep
+		c.Breakdown, c.Steps = metricsZero(c.Breakdown), nil
+		c.Pairs = append([]compare.GroupPairReport(nil), rep.Pairs...)
+		for i := range c.Pairs {
+			c.Pairs[i].Result = scrubResult(c.Pairs[i].Result)
+		}
+		return &c
+	}
+
+	e.store.EvictAll()
+	direct, _, err := shard.GroupCompare(ctx, e.store, e.nameA, []string{e.nameB}, compare.TopologyStar, cfg, svcOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if direct.Pairs[0].Result.DiffCount == 0 {
+		t.Fatal("fixture pair does not diverge; oracle is vacuous")
+	}
+	s := testPlane(t, Config{}).Open("acme")
+	e.store.EvictAll()
+	planed, _, err := s.ShardGroupCompare(ctx, e.store, e.nameA, []string{e.nameB}, compare.TopologyStar, cfg, svcOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(scrub(planed), scrub(direct)) {
+		t.Errorf("session ShardGroupCompare diverges from shard.GroupCompare:\n plane: %+v\ndirect: %+v", scrub(planed), scrub(direct))
+	}
+	if st := s.Stats(); st.Submitted != 1 || st.Completed != 1 || st.Rejected != 0 || st.Failed != 0 {
+		t.Errorf("stats: %+v", st)
 	}
 }
 

@@ -238,11 +238,12 @@ func accountRow(t *testing.T, row string, in accountInput, exec device.Executor,
 		return in.bytes[src][e.Off : e.Off+int64(e.Len)]
 	}
 	if sc.check {
-		plan.Check = func(ctx context.Context, _, src, ext int, data, own []byte) []byte {
+		plan.Check = func(ctx context.Context, _, src, ext int, data []byte) []byte {
 			want := extent(src, ext)
 			if bytes.Equal(data, want) {
 				return data
 			}
+			own := make([]byte, len(data))
 			n, _, err := plan.Sources[src].File.ReadAtCtx(ctx, own, plan.Sources[src].Extents[ext].Off)
 			if err == nil && n == len(own) && bytes.Equal(own, want) {
 				return own

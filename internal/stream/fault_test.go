@@ -91,7 +91,7 @@ func faultCases() []faultCase {
 	afterLanding := func(size int64) func(*Plan, *pfs.File, *errbound.Hasher) {
 		return func(plan *Plan, fa *pfs.File, _ *errbound.Hasher) {
 			var once sync.Once
-			plan.Check = func(_ context.Context, _, src, _ int, data, _ []byte) []byte {
+			plan.Check = func(_ context.Context, _, src, _ int, data []byte) []byte {
 				if src == 1 {
 					once.Do(func() {
 						if err := cut(fa, size); err != nil {
@@ -107,7 +107,7 @@ func faultCases() []faultCase {
 		{"fault in flagF32", whole / 2, afterLanding(whole / 2)},
 		{"fault in HashChunk", whole / 2, func(plan *Plan, fa *pfs.File, h *errbound.Hasher) {
 			fa.Store().SetFaultHook(&truncateOnPrice{store: fa.Store(), name: fa.Name(), to: whole / 2})
-			plan.Check = func(_ context.Context, _, _, _ int, data, _ []byte) []byte {
+			plan.Check = func(_ context.Context, _, _, _ int, data []byte) []byte {
 				if _, err := h.HashChunk(data); err != nil {
 					panic(err)
 				}

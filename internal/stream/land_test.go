@@ -71,13 +71,13 @@ func (l *landLog) Price(ctx context.Context, f *pfs.File, reqs []aio.ReadReq) (p
 // record swaps the landing hook for one that logs every landing into the
 // window being landed, and restores it when the test ends.
 func (l *landLog) record(t testing.TB) {
-	landAt = func(f *pfs.File, p []byte, off int64) ([]byte, error) {
+	landAt = func(f *pfs.File, off int64, n int) ([]byte, error) {
 		l.mu.Lock()
 		l.copying = true
 		w := &l.windows[len(l.windows)-1]
-		w.copies = append(w.copies, landed{file: f, off: off, n: len(p)})
+		w.copies = append(w.copies, landed{file: f, off: off, n: n})
 		l.mu.Unlock()
-		return f.Land(p, off)
+		return f.Land(off, n)
 	}
 	t.Cleanup(func() { landAt = (*pfs.File).Land })
 }

@@ -207,7 +207,7 @@ func TestRunDeadSourceSkipsItsJobs(t *testing.T) {
 
 // TestRunCheckSettlesEachExtentOnce: the integrity rung sees every extent
 // of a window exactly once, before any job, whatever the number of jobs and
-// ranges naming it; a repair into the extent's own buffer reaches every
+// ranges naming it; a repair in a buffer of the rung's own reaches every
 // job, a rejection reaches them as a nil side.
 func TestRunCheckSettlesEachExtentOnce(t *testing.T) {
 	const chunks, chunk = 48, 4096
@@ -220,7 +220,7 @@ func TestRunCheckSettlesEachExtentOnce(t *testing.T) {
 
 	var mu sync.Mutex
 	checked := make(map[Ref]int)
-	plan.Check = func(_ context.Context, r, src, ext int, got, own []byte) []byte {
+	plan.Check = func(_ context.Context, r, src, ext int, got []byte) []byte {
 		mu.Lock()
 		checked[Ref{src, ext}]++
 		mu.Unlock()
@@ -233,7 +233,7 @@ func TestRunCheckSettlesEachExtentOnce(t *testing.T) {
 		}
 		switch {
 		case src == 0 && ext%2 == 0:
-			copy(own, got)
+			own := bytes.Clone(got)
 			own[0] ^= 0xff // "repaired": every job must see this
 			return own
 		case src == 3 && ext%4 == 0:

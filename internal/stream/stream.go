@@ -10,9 +10,10 @@
 // takes any source's bytes in it to Config.SliceBytes — twice that for a
 // source holding both sides of a job, so SliceBytes bounds one side whether
 // a pair sits in two files or one pack — and the jobs right behind it that
-// share an extent with it and still fit. One window pins at most SliceBytes
-// plus one job's bytes per source and side, in one buffer set per source
-// from the stage-2 arena, held from the first window to Run's return.
+// share an extent with it and still fit. One window asks at most SliceBytes
+// plus one job's bytes of each source and side; its requests sit in one set
+// per source from the stage-2 arena, held from the first window to Run's
+// return. Its bytes land as views, copied only where Land cannot view.
 //
 // Run takes the windows one at a time on the calling goroutine. It prices a
 // window — every source's extents once, merged into runs of nearby extents
@@ -98,11 +99,11 @@ type Plan struct {
 	Degrade bool
 	// Check, when set, is the ladder's integrity rung: it is called once
 	// per source extent of every window, after the extent lands (data: a
-	// read-only view, or own) and before any job sees it, and returns what
-	// the jobs see: data, own (the extent's buffer) after a repair into it,
-	// or nil, a rejection delivered as a nil side. r is the range the call
+	// read-only view, or a copy) and before any job sees it, and returns
+	// what the jobs see: data, a repair in a buffer of the rung's own, or
+	// nil, a rejection delivered as a nil side. r is the range the call
 	// runs in, as for Compute.
-	Check func(ctx context.Context, r, src, ext int, data, own []byte) []byte
+	Check func(ctx context.Context, r, src, ext int, data []byte) []byte
 }
 
 // NewPlan returns an empty plan over the given files, one source each.
@@ -173,7 +174,7 @@ func (p *Plan) Seal() {
 type Config struct {
 	// Backend prices the scattered reads. Required.
 	Backend aio.Backend
-	// Arena supplies the window buffers. Required.
+	// Arena supplies the windows' request sets. Required.
 	Arena *aio.Arena
 	// Exec runs each window's ranges — landing their extents, verifying
 	// their jobs — one work item per range (nil runs them on the caller).
@@ -249,7 +250,7 @@ type Stats struct {
 type Compute func(r int, j Job, a, b []byte) (time.Duration, error)
 
 // window is the stretch of the job list being priced and verified: its
-// jobs, the buffer set each source's extents land in, and what pricing them
+// jobs, the request set of each source's extents, and what pricing them
 // cost.
 type window struct {
 	lo, hi int           // plan.Jobs[lo:hi]
@@ -270,7 +271,7 @@ type window struct {
 type reader struct {
 	plan  *Plan
 	cfg   Config
-	caps  []int     // by source: the most bytes one window can need
+	caps  []int     // by source: the most bytes one window can ask
 	limit []int64   // by source: the bytes that close a window
 	mark  [][]int32 // by source and extent: 1 + its request index in the window being cut
 	used  []int64   // by source: bytes in the window being cut
@@ -278,12 +279,11 @@ type reader struct {
 	next  int       // the first job not yet in a window
 }
 
-// newReader validates the plan and sizes the per-source window buffers.
+// newReader validates the plan and sizes the per-source windows.
 // SliceBytes bounds one side of a window: a source closes the window at
 // SliceBytes, and a source that holds both sides of a job (the CAS pack) at
 // twice that, so the one-source pair cuts where the two-source pair does.
-// No source outgrows its limit plus the most one job can add to it, and
-// every set is checked out at its final size.
+// No source outgrows its limit plus the most one job can add to it.
 func newReader(plan *Plan, cfg Config) (*reader, error) {
 	n := len(plan.Sources)
 	r := &reader{plan: plan, cfg: cfg, caps: make([]int, n), limit: make([]int64, n),
@@ -349,7 +349,7 @@ func (r *reader) fill(ctx context.Context, w *window) error {
 			r.mark[ref.Src][ref.Ext] = 1
 			set := w.sets[ref.Src]
 			if set == nil {
-				set = r.cfg.Arena.Get(r.caps[ref.Src])
+				set = r.cfg.Arena.Get(0)
 				w.sets[ref.Src] = set
 			}
 			e := r.plan.Sources[ref.Src].Extents[ref.Ext]
@@ -369,11 +369,8 @@ func (r *reader) fill(ctx context.Context, w *window) error {
 		if !slices.IsSortedFunc(set.Reqs, byExtent) {
 			slices.SortFunc(set.Reqs, byExtent)
 		}
-		pos := 0
 		for k := range set.Reqs {
 			q := &set.Reqs[k]
-			q.Buf = set.Buf[pos : pos+q.Len]
-			pos += q.Len
 			r.mark[s][q.Tag] = int32(k + 1)
 			if n := len(set.Runs) - 1; gap > 0 && n >= 0 && q.Off <= set.Runs[n].Off+int64(set.Runs[n].Len)+gap {
 				run := &set.Runs[n]
@@ -413,7 +410,7 @@ func (r *reader) fill(ctx context.Context, w *window) error {
 // rides reports whether a job may still join the window being cut after a
 // source filled up: it must re-use an extent the window already holds — so
 // an extent consecutive jobs share is not read again by the next window —
-// and what it adds must fit the buffers.
+// and what it adds must keep the source within caps.
 func (r *reader) rides(j *Job) bool {
 	fresh := 0
 	for _, ref := range [2]Ref{j.A, j.B} {
@@ -477,7 +474,7 @@ var landAt = (*pfs.File).Land
 func landReqs(f *pfs.File, reqs []aio.ReadReq) error {
 	for k := range reqs {
 		q := &reqs[k]
-		b, err := landAt(f, q.Buf, q.Off)
+		b, err := landAt(f, q.Off, q.Len)
 		if err != nil {
 			return err
 		}
@@ -630,14 +627,13 @@ func (v *verifier) checkIn(ctx context.Context, r int) {
 	reqs, ends := v.w.sets[v.src].Reqs[v.bounds[r]:v.bounds[r+1]], v.rangeEnds(r)
 	for k := range reqs {
 		q := &reqs[k]
-		own := q.Buf
-		b, err := landAt(f, own, q.Off)
+		b, err := landAt(f, q.Off, q.Len)
 		if err != nil {
 			v.lose(r, v.src, err)
 			return
 		}
 		if q.Buf = b; check != nil {
-			q.Buf = check(ctx, r, v.src, q.Tag, b, own)
+			q.Buf = check(ctx, r, v.src, q.Tag, b)
 		}
 		v.read(ends, Ref{Src: v.src, Ext: q.Tag})
 	}
@@ -756,7 +752,7 @@ func (v *verifier) join(ctx context.Context, run func(r int)) (comp time.Duratio
 
 // Run streams the plan through the pipeline, a window at a time on the
 // calling goroutine. Cancellation is observed between windows, by the
-// backend's pricing, and by an executor tied to ctx; every buffer set is
+// backend's pricing, and by an executor tied to ctx; every request set is
 // back in the arena when Run returns.
 func Run(ctx context.Context, plan *Plan, cfg Config, compute Compute) (stats Stats, err error) {
 	if len(plan.Jobs) == 0 {
