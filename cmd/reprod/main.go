@@ -66,8 +66,9 @@ GET /v1/metrics reports (JSON):
   tenants[]            per-tenant accepted / rejected / retryAfterMs
   peakInFlight         most comparisons ever executing at once
   stage2_arena_bytes   bytes the stage-2 arena retains for reuse: window
-                       request batches, manifest and capture read-back
-                       buffers (a window's bytes are views, never held)
+                       request batches and manifest buffers (a window's
+                       bytes and a capture's read-back are views, never
+                       held)
   stage2_arena_sets    sets in the arena's free list
   stage2_arena_misses  checkouts that found nothing to reuse and allocated
   journal              name, seq, sizeBytes, wedged (with -journal)

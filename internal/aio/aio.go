@@ -125,11 +125,12 @@ var (
 )
 
 // Arena returns the ring's stage-2 buffer arena (created on first use
-// with DefaultArenaLimit; the owner may SetLimit it). Everything that
-// reads through this ring — the stream pipeline's window requests, a
-// capture's read-back blocks, the members' manifests — recycles through
-// it, so its sets live as long as the ring rather than as long as one
-// comparison; the ring's owner Releases it.
+// with DefaultArenaLimit; the owner may SetLimit it). What reads through
+// this ring and keeps a buffer — the stream pipeline's window requests,
+// the members' manifests — recycles through it, so its sets live as long
+// as the ring rather than as long as one comparison; the ring's owner
+// Releases it. A capture's read-back and a window's bytes are views of
+// the files and keep nothing here.
 func (u *Uring) Arena() *Arena {
 	u.arenaOnce.Do(func() { u.arena = NewArena(0) })
 	return u.arena

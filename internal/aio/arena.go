@@ -9,9 +9,9 @@ import (
 // BufSet is one recyclable set: the request batch of one source's extents
 // in one pipeline window and the runs those requests price as, with Buf
 // unused (the extents land as views) — or, with the batches unused, a
-// buffer its holder fills: a capture's read-back block, a comparison's
-// manifest bytes. A set belongs to whoever checked it out of an Arena
-// until it is put back; the arena never looks inside it.
+// buffer its holder fills: a differential comparison's manifest bytes. A
+// set belongs to whoever checked it out of an Arena until it is put back;
+// the arena never looks inside it.
 type BufSet struct {
 	Buf  []byte
 	Reqs []ReadReq
@@ -29,18 +29,17 @@ func (s *BufSet) bytes() int64 {
 
 // MaxSetBytes is the largest set an arena keeps: a manifest buffer of
 // 18 MiB holds the 28-byte entries of some 670 000 chunks (a 2.6 GiB
-// checkpoint at 4 KiB chunks), and a capture's read-back block or a
-// window's request batches are far smaller. A larger set is allocated per
-// use and dropped on return.
+// checkpoint at 4 KiB chunks), and a window's request batches are far
+// smaller. A larger set is allocated per use and dropped on return.
 const MaxSetBytes = 2 * (9 << 20)
 
 // DefaultArenaLimit bounds an arena nobody sized: sixteen of its largest
-// sets, room for the read-back blocks of a capture on every worker and the
-// manifests and request batches of the comparisons beside it.
+// sets, room for the manifests and request batches of the comparisons
+// that share it.
 const DefaultArenaLimit = 8 * 2 * MaxSetBytes
 
 // Arena is the comparison buffer arena: a bounded free list of sets
-// (stage 2's window requests, capture read-back blocks, manifest buffers)
+// (stage 2's window requests, manifest buffers)
 // that outlives the comparisons drawing on it, so a steady stream of
 // comparisons allocates no request batches and no buffers at all. It
 // lives as long as the ring that owns it (Uring.Arena) — a service

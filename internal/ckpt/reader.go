@@ -5,13 +5,16 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"runtime/debug"
+	"unsafe"
 
 	"repro/internal/pfs"
 )
 
-// Reader reads a checkpoint file on a store, supporting both whole-field
-// reads and the scattered ReadFieldAt access pattern of the comparator's
-// verification stage.
+// Reader reads a checkpoint file on a store: whole fields (ReadField,
+// VerifyField), a field's extent where it lies (ViewFieldAt, the capture's
+// read-back), and the field offsets (FieldFileOffset) by which stage 2
+// prices and lands candidate chunks on File itself.
 type Reader struct {
 	f   *pfs.File
 	hdr header
@@ -125,14 +128,84 @@ func (r *Reader) ReadFieldAt(i int, p []byte, off int64) (int, pfs.Cost, error) 
 	return n, cost, nil
 }
 
+// ReadBlock is the piece a whole-field read moves at a time: ReadField
+// reads on this grid, ViewFieldAt prices on it, and the capture's leaf loop
+// cuts its blocks to it.
+const ReadBlock = 1 << 20
+
+// ViewFieldAt hands fn the n bytes of field i at off where they lie and
+// returns what reading them cost. The extent is priced in ReadBlock pieces
+// from off, as ReadFieldAt reads it, then lands with one pfs.File.Land: a
+// view of the file's mapping or, with a flip pending or no mapping, a copy
+// of its own. fn must not keep the bytes. A file cut under the view is a
+// torn capture, ErrCorrupt as in ReadFieldAt, and takes precedence over
+// fn's error: fn runs under debug.SetPanicOnFault, a fault in the view at
+// bytes the file no longer holds ends it (guard), and one size check after
+// fn catches a cut inside a page, which reads as zeros.
+func (r *Reader) ViewFieldAt(i int, off int64, n int, fn func([]byte) error) (pfs.Cost, error) {
+	fs := r.hdr.meta.Fields[i]
+	if off < 0 || n < 0 || off > fs.Bytes()-int64(n) {
+		return pfs.Cost{}, fmt.Errorf("ckpt: extent %d+%d outside field %q (%d bytes)", off, n, fs.Name, fs.Bytes())
+	}
+	at := r.FieldFileOffset(i) + off
+	var total pfs.Cost
+	for o := 0; o < n; o += ReadBlock {
+		cost, err := r.f.Price(at+int64(o), min(ReadBlock, n-o))
+		if total.Add(cost); err != nil {
+			return total, err
+		}
+	}
+	view, err := r.f.Land(at, n)
+	if err == nil {
+		func() {
+			defer r.guard(i, off, view, &err, debug.SetPanicOnFault(true))
+			err = fn(view)
+		}()
+	}
+	if size, serr := r.f.SizeNow(); serr != nil {
+		return total, fmt.Errorf("ckpt: %s: %w", r.f.Name(), serr)
+	} else if size < at+int64(n) {
+		return total, r.cut(i, off, n, size)
+	}
+	return total, err
+}
+
+// guard, deferred with the fault mode from before debug.SetPanicOnFault,
+// turns a fault in the view of field i at off, at bytes its file no longer
+// holds, into the cut's error, and re-raises any other panic (a write to
+// the view, a fault elsewhere).
+func (r *Reader) guard(i int, off int64, view []byte, err *error, was bool) {
+	debug.SetPanicOnFault(was)
+	p := recover()
+	if p == nil {
+		return
+	}
+	if fault, ok := p.(interface{ Addr() uintptr }); ok {
+		// An address below the view wraps past its length.
+		if d := fault.Addr() - uintptr(unsafe.Pointer(unsafe.SliceData(view))); d < uintptr(len(view)) {
+			if size, serr := r.f.SizeNow(); serr == nil && size <= r.FieldFileOffset(i)+off+int64(d) {
+				*err = r.cut(i, off, len(view), size)
+				return
+			}
+		}
+	}
+	panic(p)
+}
+
+// cut is the error of an extent read after its file shrank to size: the
+// same whether a fault or the size check found it.
+func (r *Reader) cut(i int, off int64, n int, size int64) error {
+	return fmt.Errorf("%w: %s truncated: field %q at %d+%d, the file now ends at %d",
+		ErrCorrupt, r.f.Name(), r.hdr.meta.Fields[i].Name, off, n, size)
+}
+
 // ReadField reads the entire field i in large sequential blocks.
 func (r *Reader) ReadField(i int) ([]byte, pfs.Cost, error) {
 	fb := r.hdr.meta.Fields[i].Bytes()
 	data := make([]byte, fb)
 	var total pfs.Cost
-	const block = 1 << 20
-	for off := int64(0); off < fb; off += block {
-		end := off + block
+	for off := int64(0); off < fb; off += ReadBlock {
+		end := off + ReadBlock
 		if end > fb {
 			end = fb
 		}

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/aio"
 	"repro/internal/ckpt"
 	"repro/internal/dettest"
 	"repro/internal/device"
@@ -411,13 +412,17 @@ func TestBuildCancelMidway(t *testing.T) {
 
 // TestBuildFromReaderAllocation pins the memory bound: a 14 MiB read-back
 // build allocates its leaves and trees, not the checkpoint (the parent
-// allocated all of it, 14.9 MB). The first build fills the arena.
+// allocated all of it, 14.9 MB), and checks nothing out of the arena: the
+// blocks are views of the file. The build runs on a ring of its own, whose
+// arena starts empty, so a checkout would count as a miss.
 func TestBuildFromReaderAllocation(t *testing.T) {
 	fields, data, opts := captureShapeData()
 	store, name := buildCase{fields: fields, data: data}.written(t)
 	pool := device.NewPool(2)
 	defer pool.Close()
 	opts.Exec = pool
+	opts.Backend = aio.NewUring(0)
+	arena := opts.arena()
 	var ms runtime.MemStats
 	var before uint64
 	for i := 0; i < 2; i++ {
@@ -430,6 +435,9 @@ func TestBuildFromReaderAllocation(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	if got := ms.TotalAlloc - before; got > 1<<20 {
 		t.Errorf("a 14 MiB build allocated %d bytes, want under 1 MiB", got)
+	}
+	if st := arena.Stats(); st != (aio.ArenaStats{Limit: aio.DefaultArenaLimit}) {
+		t.Errorf("after two builds the arena holds %+v, want nothing checked out, missed or kept", st)
 	}
 }
 

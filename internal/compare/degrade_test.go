@@ -258,14 +258,15 @@ type shrinkOnPrice struct {
 }
 
 func (h *shrinkOnPrice) BeforeRead(name string, off int64, _ int) error {
-	if off >= h.data && (h.on == "" || name == h.on) {
-		h.once.Do(func() {
-			var st os.FileInfo
-			if st, h.err = os.Stat(h.path); h.err == nil {
-				h.err = os.Truncate(h.path, cmp.Or(h.to, st.Size()/2))
-			}
-		})
+	if off < h.data || (h.on != "" && name != h.on) {
+		return nil // h.err is written under once: read it only after Do
 	}
+	h.once.Do(func() {
+		var st os.FileInfo
+		if st, h.err = os.Stat(h.path); h.err == nil {
+			h.err = os.Truncate(h.path, cmp.Or(h.to, st.Size()/2))
+		}
+	})
 	return h.err
 }
 

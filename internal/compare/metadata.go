@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/aio"
 	"repro/internal/ckpt"
 	"repro/internal/device"
 	"repro/internal/errbound"
@@ -88,17 +87,15 @@ func BuildFromReader(ctx context.Context, r *ckpt.Reader, opts Options) (*Metada
 	return m, stats, cost, err
 }
 
-// Block sizes of the leaf loop. A reader block is what one ReadFieldAt
-// fetches: the largest whole number of chunks within 1 MiB, which for every
-// power-of-two chunk size is the 1 MiB grid ckpt.ReadField reads on, so the
-// loop issues the reads a whole-field read-back would (a chunk over 1 MiB
-// is one block, read in 1 MiB pieces on that grid). A memory block costs
-// nothing to fetch and is kept small so one 1 MiB field still spreads over
-// the pool, but holds at least two chunks, a pair for HashChunks.
-const (
-	readBlockBytes = 1 << 20
-	memBlockBytes  = 64 << 10
-)
+// Block sizes of the leaf loop. A reader block is what one
+// ckpt.Reader.ViewFieldAt lands: the largest whole number of chunks within
+// ckpt.ReadBlock, which for every power-of-two chunk size is the 1 MiB
+// grid ckpt.ReadField reads on, so the loop prices the reads a whole-field
+// read would (a chunk over 1 MiB is one block, priced in 1 MiB pieces on
+// that grid). A memory block costs nothing to fetch and is kept small so
+// one 1 MiB field still spreads over the pool, but holds at least two
+// chunks, a pair for HashChunks.
+const memBlockBytes = 64 << 10
 
 // leafBlock is one work item of the leaf loop: n bytes of a field at off,
 // a whole number of chunks (the field's last block may end in a short one).
@@ -131,19 +128,19 @@ func build(done <-chan struct{}, fields []ckpt.FieldSpec, r *ckpt.Reader, data [
 
 // hashLeaves is the one leaf loop of every capture path. Work items are
 // (field, block) over all fields in one coarse dispatch, so small fields do
-// not underfill the pool and no field waits for another; each item fetches
-// its block — a sub-slice of data, or with r set a read into an arena
-// buffer that goes back once its chunks are hashed — and writes the block's
-// leaf digests with one HashChunks call. Memory held is Workers × one block,
-// whatever the checkpoint size, and a block is hashed while it is still in
-// cache. In-memory buffers are held to their specs first (a reader's header
-// already was); the lowest failing item's error is the one reported, as a
-// serial scan would; items above a failed one are skipped, as are all once
-// done closes.
+// not underfill the pool and no field waits for another; each item takes
+// its block where it lies — a sub-slice of data, or with r set the file's
+// bytes, priced and viewed by ckpt.Reader.ViewFieldAt — and writes the
+// block's leaf digests with one HashChunks call. Nothing is checked out,
+// and a block is copied only where ViewFieldAt cannot view it. In-memory
+// buffers are held to their specs first (a reader's header already was);
+// the lowest failing item's error is the one reported, as a serial scan
+// would; items above a failed one are skipped, as are all once done
+// closes.
 func hashLeaves(done <-chan struct{}, fields []ckpt.FieldSpec, r *ckpt.Reader, data [][]byte, opts Options) ([][]murmur3.Digest, pfs.Cost, error) {
 	// Check shapes, construct hashers and cut the blocks serially, so size
 	// and ε errors surface deterministically in field order.
-	unit := max(readBlockBytes/opts.ChunkSize, 1) * opts.ChunkSize
+	unit := max(ckpt.ReadBlock/opts.ChunkSize, 1) * opts.ChunkSize
 	if r == nil {
 		unit = max(memBlockBytes/opts.ChunkSize, 2) * opts.ChunkSize
 		if err := ckpt.CheckFields(fields, data); err != nil {
@@ -152,7 +149,11 @@ func hashLeaves(done <-chan struct{}, fields []ckpt.FieldSpec, r *ckpt.Reader, d
 	}
 	hashers := make([]*errbound.Hasher, len(fields))
 	leaves := make([][]murmur3.Digest, len(fields))
-	var blocks []leafBlock
+	var nblocks int64
+	for _, f := range fields {
+		nblocks += (f.Bytes() + int64(unit) - 1) / int64(unit)
+	}
+	blocks := make([]leafBlock, 0, nblocks)
 	for i, f := range fields {
 		h, err := opts.hasherFor(f.DType)
 		if err != nil {
@@ -167,37 +168,28 @@ func hashLeaves(done <-chan struct{}, fields []ckpt.FieldSpec, r *ckpt.Reader, d
 
 	var (
 		firstErr kernelError
-		arena    *aio.Arena
 		mu       sync.Mutex // guards total
 		total    pfs.Cost
 	)
-	if r != nil {
-		arena = opts.arena()
-	}
 	device.Cancelable{Done: done, Inner: opts.Exec}.ForCoarse(len(blocks), func(i int) {
 		if firstErr.below(i) {
 			return
 		}
 		b := blocks[i]
-		var block []byte
-		if r == nil {
-			block = data[b.field][b.off : b.off+int64(b.n)]
-		} else {
-			set := arena.Get(b.n)
-			defer arena.Put(set)
-			block = set.Buf[:b.n]
-			for o := 0; o < b.n; o += readBlockBytes {
-				_, cost, err := r.ReadFieldAt(b.field, block[o:min(o+readBlockBytes, b.n)], b.off+int64(o))
-				mu.Lock()
-				total.Add(cost)
-				mu.Unlock()
-				if err != nil {
-					firstErr.store(i, err)
-					return
-				}
-			}
+		hash := func(block []byte) error {
+			return hashers[b.field].HashChunks(leaves[b.field][b.off/int64(opts.ChunkSize):], block, opts.ChunkSize)
 		}
-		if err := hashers[b.field].HashChunks(leaves[b.field][b.off/int64(opts.ChunkSize):], block, opts.ChunkSize); err != nil {
+		var err error
+		if r == nil {
+			err = hash(data[b.field][b.off : b.off+int64(b.n)])
+		} else {
+			var cost pfs.Cost
+			cost, err = r.ViewFieldAt(b.field, b.off, b.n, hash)
+			mu.Lock()
+			total.Add(cost)
+			mu.Unlock()
+		}
+		if err != nil {
 			firstErr.store(i, err)
 		}
 	})

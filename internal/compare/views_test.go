@@ -167,6 +167,91 @@ func TestMetadataTruncationUnderViews(t *testing.T) {
 	}
 }
 
+// TestBuildTruncationUnderViews: the .ckpt a build reads back shrinks under
+// its views — when (field b, block 1) is priced, to a page boundary in the
+// middle of that block, so HashChunks faults on its gone pages; or when the
+// last block is priced, to 100 bytes short of the end, inside a page, so
+// the hash reads zeros and the size check must catch them. On pools 1 and
+// 4, ten trials of BuildAndSave return no metadata and one error wrapping
+// ckpt.ErrCorrupt that names the lowest cut block, and save nothing. A
+// write to a view is no cut: its fault leaves ViewFieldAt as a panic.
+func TestBuildTruncationUnderViews(t *testing.T) {
+	const elems = 700_000 // 2.8 MB: three read blocks a field
+	page := int64(os.Getpagesize())
+	c := buildCase{name: "cut", chunk: 4 << 10}
+	for _, n := range []string{"a", "b", "c"} {
+		c.fields = append(c.fields, ckpt.FieldSpec{Name: n, DType: errbound.Float32, Count: elems})
+		c.data = append(c.data, synth.FieldF32(elems, int64(len(c.fields))))
+	}
+	store, name := c.written(t)
+	saved := readStoreFile(t, store, name)
+	r, _, err := ckpt.OpenReader(store, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fieldB, fieldC := r.FieldFileOffset(1), r.FieldFileOffset(2)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	arms := []struct {
+		name     string
+		on, to   int64
+		wantText string
+	}{
+		{"hashed-block", fieldB + 1<<20, (fieldB + 3<<19) / page * page, `field "b" at 1048576+1048576`},
+		{"mid-page-end", fieldC + 2<<20, fieldC + 4*elems - 100, `field "c" at 2097152+`},
+	}
+	for _, arm := range arms {
+		if arm.name == "mid-page-end" && arm.to%page == 0 {
+			t.Fatalf("%s: the cut at %d is on a page boundary", arm.name, arm.to)
+		}
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/pool-%d", arm.name, workers), func(t *testing.T) {
+				pool := device.NewPool(workers)
+				defer pool.Close()
+				opts := Options{Epsilon: 1e-5, ChunkSize: c.chunk, Exec: pool}
+				var first string
+				for trial := 0; trial < 10; trial++ {
+					writeStoreFile(t, store, name, saved)
+					store.SetFaultHook(&shrinkOnPrice{path: filepath.Join(store.Root(), filepath.FromSlash(name)), data: arm.on, to: arm.to})
+					m, _, err := BuildAndSave(context.Background(), store, name, opts)
+					store.SetFaultHook(nil)
+					if m != nil || !errors.Is(err, ckpt.ErrCorrupt) || !strings.Contains(err.Error(), arm.wantText) {
+						t.Fatalf("metadata %v, error %v; want none and a cut at %s", m, err, arm.wantText)
+					}
+					if _, err := os.Stat(filepath.Join(store.Root(), MetadataName(name))); !errors.Is(err, os.ErrNotExist) {
+						t.Fatalf("metadata saved for a cut checkpoint (stat: %v)", err)
+					}
+					if first == "" {
+						first = err.Error()
+						t.Logf("%v", err)
+					} else if err.Error() != first {
+						t.Fatalf("trial %d: error %q, the first trial's %q", trial, err, first)
+					}
+				}
+			})
+		}
+	}
+
+	writeStoreFile(t, store, name, saved)
+	r, _, err = ckpt.OpenReader(store, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		_, err = r.ViewFieldAt(0, 0, 4<<10, func(b []byte) error {
+			b[0] ^= 1
+			return nil
+		})
+	}()
+	if _, ok := recovered.(interface{ Addr() uintptr }); !ok {
+		t.Fatalf("a write to a view returned %v and panicked with %v; want the fault re-raised", err, recovered)
+	}
+}
+
 // TestReplaceUnderHeldViews: run B's .mrkl and container are replaced by
 // run A's through Store.Create while a comparison holds both open — from
 // the fault hook, when B's .mrkl is priced, before either lands as a view

@@ -788,12 +788,11 @@ func (s *Store) Create(name string) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return nil, fmt.Errorf("pfs: create dirs for %s: %w", name, err)
-	}
 	for {
 		tmp := filepath.Join(filepath.Dir(p), tmpPrefix+filepath.Base(p)+"."+strconv.FormatUint(rand.Uint64(), 36))
-		f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
+		f, err := openMaking(name, p, func() (*os.File, error) {
+			return os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o666)
+		})
 		if errors.Is(err, fs.ErrExist) {
 			continue
 		}
@@ -816,10 +815,9 @@ func (s *Store) Append(name string) (*Writer, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return nil, fmt.Errorf("pfs: create dirs for %s: %w", name, err)
-	}
-	f, err := os.OpenFile(p, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	f, err := openMaking(name, p, func() (*os.File, error) {
+		return os.OpenFile(p, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("pfs: append %s: %w", name, err)
 	}
@@ -830,6 +828,20 @@ func (s *Store) Append(name string) (*Writer, error) {
 	}
 	retire(keyOf(st), -1)
 	return &Writer{store: s, name: name, f: f, off: st.Size()}, nil
+}
+
+// openMaking opens a writer's file with open and, only where that fails
+// because p's directory is missing, creates the directories and opens once
+// more: a directory is made once, not stat-walked before every open.
+func openMaking(name, p string, open func() (*os.File, error)) (*os.File, error) {
+	f, err := open()
+	if !errors.Is(err, fs.ErrNotExist) {
+		return f, err
+	}
+	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+		return nil, fmt.Errorf("pfs: create dirs for %s: %w", name, err)
+	}
+	return open()
 }
 
 var _ io.WriteCloser = (*Writer)(nil)

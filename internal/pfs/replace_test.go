@@ -173,3 +173,38 @@ func TestReplaceRetiresTheOldMapping(t *testing.T) {
 		t.Fatalf("%d entries after the replace; want none", entries)
 	}
 }
+
+// TestWritersMakeTheirDirectories: Create and Append make a name's missing
+// directories on their first open and reuse them after; a directory that
+// cannot be made, because a file holds its name, fails the open.
+func TestWritersMakeTheirDirectories(t *testing.T) {
+	s, err := NewStore(t.TempDir(), LustreModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a/b/created", "a/b/again", "c/d/log"} {
+		open := s.Create
+		if filepath.Base(name) == "log" {
+			open = s.Append
+		}
+		w, err := open(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := w.Write([]byte(name)); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if got := contents(t, s, name); string(got) != name {
+			t.Fatalf("%s holds %q", name, got)
+		}
+	}
+	for _, open := range []func(string) (*Writer, error){s.Create, s.Append} {
+		if w, err := open("a/b/created/under-a-file"); err == nil {
+			w.Close()
+			t.Fatal("a writer opened under a regular file")
+		}
+	}
+}

@@ -299,6 +299,45 @@ func TestRemoveUnmaps(t *testing.T) {
 	}
 }
 
+// TestRemovedBehindTheStoreIsSwept: idle entries whose files were removed
+// or replaced without the store are unmapped by the next new mapping, so
+// they keep no removed file allocated; an idle entry whose file is still
+// there stays.
+func TestRemovedBehindTheStoreIsSwept(t *testing.T) {
+	dropIdle(t)
+	s := newTestStore(t)
+	names := []string{"kept", "removed", "replaced", "next"}
+	for _, name := range names {
+		writeTestFile(t, s, name, bytes.Repeat([]byte(name[:1]), 4096))
+	}
+	idle := map[string]*mapping{}
+	for _, name := range names[:3] {
+		f := openT(t, s, name)
+		landView(t, f, 0, 4096)
+		idle[name] = f.m.Load()
+		f.Close()
+	}
+	if err := os.Remove(filepath.Join(s.Root(), "removed")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(s.Root(), "replaced")); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(s.Root(), "replaced"), []byte("new"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f := openT(t, s, "next")
+	landView(t, f, 0, 4096)
+	f.Close()
+	if idle["removed"].data != nil || idle["replaced"].data != nil {
+		t.Error("an idle mapping of a file removed behind the store outlived the next mapping")
+	}
+	if idle["kept"].data == nil || entryOf(t, s, "kept") != idle["kept"] {
+		t.Error("the sweep retired the idle entry of a file that is still there")
+	}
+	dropIdle(t)
+}
+
 // TestIdleMappingsBounded: idle entries are evicted least recently
 // released first past maxIdleMappings and past maxIdleBytes; an entry a
 // File still holds survives both.

@@ -14,7 +14,9 @@ import (
 // shows the file's current bytes, as pread does. A File takes a reference
 // on its first Land and drops it at Close. An entry nobody references stays
 // mapped, idle, for the next Open of its file; past maxIdleMappings idle
-// entries or maxIdleBytes idle bytes the least recently released goes.
+// entries or maxIdleBytes idle bytes the least recently released goes, and
+// each new mapping first retires the idle entries of files removed without
+// the store (sweep).
 const (
 	maxIdleMappings = 64
 	maxIdleBytes    = 256 << 20
@@ -26,6 +28,7 @@ type mapKey struct{ dev, ino uint64 }
 // was rewritten, appended to or removed — and unmapped at its last release.
 type mapping struct {
 	key  mapKey
+	path string // where the file was when it was mapped
 	data []byte
 	refs int
 	used uint64 // when it last became idle
@@ -101,10 +104,11 @@ func (f *File) entry() *mapping {
 		if m != nil {
 			m.retire()
 		}
+		sweep()
 		table.mmaps++
 		data, err := syscall.Mmap(int(f.f.Fd()), 0, int(f.size), syscall.PROT_READ, syscall.MAP_SHARED)
 		if m = noMapping; err == nil {
-			m = &mapping{key: f.key, data: data, refs: 1}
+			m = &mapping{key: f.key, path: f.f.Name(), data: data, refs: 1}
 			if table.byKey == nil {
 				table.byKey = make(map[mapKey]*mapping)
 			}
@@ -113,6 +117,21 @@ func (f *File) entry() *mapping {
 	}
 	f.m.Store(m)
 	return m
+}
+
+// sweep retires each idle entry whose path no longer names its file: a
+// file removed or replaced behind the store's back (os.RemoveAll of a
+// run's directory) would otherwise stay allocated for as long as its entry
+// idles, and the writes that follow run slower beside it. One stat per
+// idle entry. Caller holds the table lock.
+func sweep() {
+	for _, m := range table.byKey {
+		if m.refs == 0 {
+			if st, err := os.Stat(m.path); err != nil || keyOf(st) != m.key {
+				m.retire()
+			}
+		}
+	}
 }
 
 // dropView releases f's reference at Close.

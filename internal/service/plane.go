@@ -141,11 +141,11 @@ func New(cfg Config) *Plane {
 
 // arenaLimit is the stage-2 arena's bound for a plane: two of the
 // arena's largest sets (aio.MaxSetBytes) for each of MaxInFlight admitted
-// comparisons, room for a differential comparison's manifest buffer and a
-// capture's read-back blocks beside the request batches of their windows,
-// which are kilobytes. The arena never retains more, however many
-// comparisons pass through; a set larger than aio.MaxSetBytes is not
-// retained at all.
+// comparisons, room for a differential comparison's manifest buffer
+// beside the request batches of its windows, which are kilobytes (a
+// capture's read-back, like a window's bytes, is a view of the file and
+// holds no set). The arena never retains more, however many comparisons
+// pass through; a set larger than aio.MaxSetBytes is not retained at all.
 func arenaLimit(cfg Config) int64 {
 	return int64(cfg.MaxInFlight) * (1 + 1) * aio.MaxSetBytes
 }
