@@ -1,19 +1,23 @@
 GO ?= go
 
-.PHONY: all build vet test race portable check chaos chaos-smoke fuzz-smoke bench bench-smoke bench-check reprod-smoke wal-smoke experiments examples loc clean
+.PHONY: all build vet fmt test race portable check chaos chaos-smoke fuzz-smoke bench bench-smoke bench-check reprod-smoke wal-smoke experiments examples loc clean
 
 all: build vet test
 
 # check is the pre-PR gate: everything that must be green before merging.
 # There is no linter: each hazard a lint rule once guarded is held by a
 # test whose seeded bug fails it (DESIGN.md §8).
-check: build vet loc test race portable chaos-smoke fuzz-smoke bench-smoke reprod-smoke wal-smoke
+check: build vet fmt loc test race portable chaos-smoke fuzz-smoke bench-smoke reprod-smoke wal-smoke
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails, listing them, when any Go file is not as gofmt prints it.
+fmt:
+	test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 test:
 	$(GO) test ./...
@@ -122,7 +126,7 @@ examples:
 # LOC_CEILING, the total of the last PR that lowered it — a PR that removes
 # code lowers the ceiling to its own result, one that must add code raises
 # it in the same diff, where a reviewer sees it.
-LOC_CEILING = 24514
+LOC_CEILING = 24464
 LOC_FILES = \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go'
 loc:
 	@for d in $$(find . $(LOC_FILES) | xargs -n1 dirname | sort -u); do \

@@ -1,12 +1,11 @@
 package ckpt
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
-	"runtime/debug"
-	"unsafe"
 
 	"repro/internal/pfs"
 )
@@ -137,11 +136,10 @@ const ReadBlock = 1 << 20
 // returns what reading them cost. The extent is priced in ReadBlock pieces
 // from off, as ReadFieldAt reads it, then lands with one pfs.File.Land: a
 // view of the file's mapping or, with a flip pending or no mapping, a copy
-// of its own. fn must not keep the bytes. A file cut under the view is a
-// torn capture, ErrCorrupt as in ReadFieldAt, and takes precedence over
-// fn's error: fn runs under debug.SetPanicOnFault, a fault in the view at
-// bytes the file no longer holds ends it (guard), and one size check after
-// fn catches a cut inside a page, which reads as zeros.
+// of its own. fn must not keep the bytes. It runs under pfs.Guard, and a
+// file cut under the view — a fault fn met, or the size check after it
+// (pfs.File.Holds) — is a torn capture, ErrCorrupt as in ReadFieldAt, that
+// takes precedence over fn's error.
 func (r *Reader) ViewFieldAt(i int, off int64, n int, fn func([]byte) error) (pfs.Cost, error) {
 	fs := r.hdr.meta.Fields[i]
 	if off < 0 || n < 0 || off > fs.Bytes()-int64(n) {
@@ -156,47 +154,15 @@ func (r *Reader) ViewFieldAt(i int, off int64, n int, fn func([]byte) error) (pf
 		}
 	}
 	view, err := r.f.Land(at, n)
+	faulted := -1
 	if err == nil {
-		func() {
-			defer r.guard(i, off, view, &err, debug.SetPanicOnFault(true))
-			err = fn(view)
-		}()
+		faulted = pfs.Guard(func() { err = fn(view) }, r.f)
 	}
-	if size, serr := r.f.SizeNow(); serr != nil {
-		return total, fmt.Errorf("ckpt: %s: %w", r.f.Name(), serr)
-	} else if size < at+int64(n) {
-		return total, r.cut(i, off, n, size)
+	if cut := r.f.Holds(at, n); cut != nil || faulted >= 0 {
+		return total, fmt.Errorf("%w: %s truncated: field %q at %d+%d: %w",
+			ErrCorrupt, r.f.Name(), fs.Name, off, n, cmp.Or(cut, io.ErrUnexpectedEOF))
 	}
 	return total, err
-}
-
-// guard, deferred with the fault mode from before debug.SetPanicOnFault,
-// turns a fault in the view of field i at off, at bytes its file no longer
-// holds, into the cut's error, and re-raises any other panic (a write to
-// the view, a fault elsewhere).
-func (r *Reader) guard(i int, off int64, view []byte, err *error, was bool) {
-	debug.SetPanicOnFault(was)
-	p := recover()
-	if p == nil {
-		return
-	}
-	if fault, ok := p.(interface{ Addr() uintptr }); ok {
-		// An address below the view wraps past its length.
-		if d := fault.Addr() - uintptr(unsafe.Pointer(unsafe.SliceData(view))); d < uintptr(len(view)) {
-			if size, serr := r.f.SizeNow(); serr == nil && size <= r.FieldFileOffset(i)+off+int64(d) {
-				*err = r.cut(i, off, len(view), size)
-				return
-			}
-		}
-	}
-	panic(p)
-}
-
-// cut is the error of an extent read after its file shrank to size: the
-// same whether a fault or the size check found it.
-func (r *Reader) cut(i int, off int64, n int, size int64) error {
-	return fmt.Errorf("%w: %s truncated: field %q at %d+%d, the file now ends at %d",
-		ErrCorrupt, r.f.Name(), r.hdr.meta.Fields[i].Name, off, n, size)
 }
 
 // ReadField reads the entire field i in large sequential blocks.

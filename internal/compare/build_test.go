@@ -141,7 +141,8 @@ func TestBuildSourcesAgree(t *testing.T) {
 			t.Run(c.name+"/"+ex.Name, func(t *testing.T) {
 				exec, release := ex.Make()
 				defer release()
-				opts := Options{Epsilon: dettest.Eps, ChunkSize: c.chunk, Exec: exec}
+				// A ring of the test's own: its arena sees only this build.
+				opts := Options{Epsilon: dettest.Eps, ChunkSize: c.chunk, Exec: exec, Backend: aio.NewUring(0)}
 				mem, memStats, err := Build(c.fields, c.data, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -166,6 +167,7 @@ func TestBuildSourcesAgree(t *testing.T) {
 					oracle = mem
 				}
 				sameMetadata(t, mem, oracle)
+				arena := opts.arena().Stats()
 				rd, rdStats, cost, err := readBack(context.Background(), t, store, name, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -178,8 +180,8 @@ func TestBuildSourcesAgree(t *testing.T) {
 				if cost.TotalBytes() != memStats.Bytes {
 					t.Errorf("read-back moved %d bytes for a %d-byte checkpoint", cost.TotalBytes(), memStats.Bytes)
 				}
-				if st := opts.withDefaults().arena().Stats(); st.Outstanding != 0 {
-					t.Errorf("%d arena buffers still checked out", st.Outstanding)
+				if st := opts.arena().Stats(); st != arena {
+					t.Errorf("the build moved its ring's arena from %+v to %+v", arena, st)
 				}
 
 				if oracleNext == nil {
@@ -312,7 +314,7 @@ func (b *blockFaults) AfterRead(_ string, _ int64, n int) ([]pfs.Flip, pfs.Cost)
 // TestBuildReadFaultLowestBlockWins fails the reads of two blocks — (field
 // 1, block 1) and (field 2, block 0) — and wants the first one's error,
 // under every executor, with a cost that is exactly the reads that
-// completed and every arena buffer returned.
+// completed and its ring's arena as it found it.
 func TestBuildReadFaultLowestBlockWins(t *testing.T) {
 	const elems = 700_000 // 2.8 MB: three read blocks a field
 	c := buildCase{name: "faults", chunk: 4 << 10}
@@ -337,7 +339,8 @@ func TestBuildReadFaultLowestBlockWins(t *testing.T) {
 			}}
 			store.SetFaultHook(hook)
 			defer store.SetFaultHook(nil)
-			opts := Options{Epsilon: dettest.Eps, ChunkSize: c.chunk, Exec: exec}
+			opts := Options{Epsilon: dettest.Eps, ChunkSize: c.chunk, Exec: exec, Backend: aio.NewUring(0)}
+			arena := opts.arena().Stats()
 			m, _, cost, err := BuildFromReader(context.Background(), r, opts)
 			if m != nil || !errors.Is(err, errLow) {
 				t.Fatalf("metadata %v, error %v; want the lower block's fault", m, err)
@@ -348,8 +351,8 @@ func TestBuildReadFaultLowestBlockWins(t *testing.T) {
 			if got, want := cost.TotalBytes(), hook.completed.Load(); got != want || got < below || (exec.Workers() == 1 && got != below) {
 				t.Errorf("cost covers %d bytes, completed reads moved %d, the blocks below the fault hold %d", got, want, below)
 			}
-			if st := opts.withDefaults().arena().Stats(); st.Outstanding != 0 {
-				t.Errorf("%d arena buffers still checked out", st.Outstanding)
+			if st := opts.arena().Stats(); st != arena {
+				t.Errorf("the build moved its ring's arena from %+v to %+v", arena, st)
 			}
 		})
 	}
@@ -370,8 +373,8 @@ func (c *cancelOnRead) BeforeRead(string, int64, int) error {
 }
 
 // TestBuildCancelMidway cancels while blocks are in flight: the build
-// returns the context's error and no metadata, every arena buffer is back,
-// and no goroutine outlives the call.
+// returns the context's error and no metadata, its ring's arena is as it
+// found it, and no goroutine outlives the call.
 func TestBuildCancelMidway(t *testing.T) {
 	fields, data, opts := captureShapeData()
 	store, name := buildCase{fields: fields, data: data}.written(t)
@@ -387,7 +390,8 @@ func TestBuildCancelMidway(t *testing.T) {
 			exec, release := ex.Make()
 			defer release()
 			opts := opts
-			opts.Exec = exec
+			opts.Exec, opts.Backend = exec, aio.NewUring(0)
+			arena := opts.arena().Stats()
 			base := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -402,8 +406,8 @@ func TestBuildCancelMidway(t *testing.T) {
 			if total := (ckpt.Meta{Fields: fields}).TotalBytes(); cost.TotalBytes() >= total {
 				t.Errorf("a build canceled at its fifth read still read all %d bytes", total)
 			}
-			if st := opts.withDefaults().arena().Stats(); st.Outstanding != 0 {
-				t.Errorf("%d arena buffers still checked out", st.Outstanding)
+			if st := opts.arena().Stats(); st != arena {
+				t.Errorf("the build moved its ring's arena from %+v to %+v", arena, st)
 			}
 			waitGoroutines(t, base)
 		})

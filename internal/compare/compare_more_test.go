@@ -1,8 +1,8 @@
 package compare
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"math"

@@ -1,8 +1,8 @@
 package compare
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"math"
 	"testing"
 	"time"

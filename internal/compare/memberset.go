@@ -6,10 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime/debug"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"repro/internal/cas"
 	"repro/internal/ckpt"
@@ -132,7 +130,7 @@ func NewGroupSet(store *pfs.Store, cs *cas.Store, baseline string, runs []string
 // load-metadata, tree-diff, and for a differential set cas-prune — and
 // returns the last step for stage 2 to depend on.
 func (ms *MemberSet) Stage1(p *engine.Plan, openLabel string) engine.StepID {
-	ms.mv = new(metaViews)
+	ms.mv = &metaViews{files: make([]*pfs.File, len(ms.names))}
 	open := p.Add(engine.StepSetup, openLabel, ms.open)
 	load := p.Add(engine.StepLoadMetadata, "load-metadata", ms.mv.guarded(ms.load), open)
 	last := p.Add(engine.StepTreeDiff, "tree-diff", ms.mv.guarded(ms.diff), load)
@@ -289,7 +287,6 @@ func (ms *MemberSet) bindFields(fields []ckpt.FieldSpec) error {
 // zeros; a pending flip or a GOOS without mmap lands a copy instead.
 func (ms *MemberSet) load(ctx context.Context, x *engine.Exec) error {
 	sw := metrics.NewStopwatch()
-	ms.mv.files, ms.mv.views = make([]*pfs.File, len(ms.names)), make([][]byte, len(ms.names))
 	ms.Metas = make([]*Metadata, len(ms.names))
 	roots := make([]murmur3.Digest, len(ms.names))
 	var metaCost pfs.Cost
@@ -305,11 +302,11 @@ func (ms *MemberSet) load(ctx context.Context, x *engine.Exec) error {
 			return err
 		}
 		metaCost.Add(cost)
-		ms.mv.files[i], ms.mv.views[i] = f, data
+		ms.mv.files[i] = f
 		dsw := metrics.NewStopwatch()
 		m, err := DecodeMetadata(data)
 		deserWall += dsw.Lap()
-		if err := cmp.Or(ms.mv.short(i), err); err != nil {
+		if err := cmp.Or(f.Holds(0, len(data)), err); err != nil {
 			return err
 		}
 		ms.Metas[i] = m
@@ -361,76 +358,44 @@ func (ms *MemberSet) load(ctx context.Context, x *engine.Exec) error {
 	return nil
 }
 
-// metaViews are the members' open .mrkl files and the views their trees
-// were decoded over, which a file cut in place faults on past its end, or
-// reads as zeros to the end of its last page (a Create leaves a snapshot).
+// metaViews are the members' open .mrkl files, whose trees are decoded
+// over views that a file cut in place faults on past its end, or reads as
+// zeros to the end of its last page (a Create leaves a snapshot).
 type metaViews struct {
-	files   []*pfs.File
-	views   [][]byte
-	faulted atomic.Bool
+	files   []*pfs.File  // by member, each once load opened it
+	faulted atomic.Int32 // 1 + the member a guard recovered a fault in, 0 for none
 }
 
-// run runs fn, which reads the trees, under the fault contract (guard):
-// when guard recovered a fault, its error is that of the first member
-// whose file now ends before its view does.
+// guard runs fn, which reads the trees, under pfs.Guard, and records a
+// recovered fault for run to report.
+func (mv *metaViews) guard(fn func()) {
+	if i := pfs.Guard(fn, mv.files...); i >= 0 {
+		mv.faulted.Store(int32(i) + 1)
+	}
+}
+
+// run runs fn under guard: after a recovered fault, its error is that of
+// the first member whose file now ends before its view does.
 func (mv *metaViews) run(fn func() error) (err error) {
-	func() {
-		defer mv.guard(debug.SetPanicOnFault(true))
-		err = fn()
-	}()
-	if !mv.faulted.Load() {
+	mv.guard(func() { err = fn() })
+	faulted := mv.faulted.Load()
+	if faulted == 0 {
 		return err
 	}
-	for i := range mv.files {
-		if err := mv.short(i); err != nil {
+	for _, f := range mv.files {
+		if f == nil {
+			continue
+		}
+		if err := f.Holds(0, int(f.Size())); err != nil {
 			return err
 		}
 	}
-	return fmt.Errorf("compare: a metadata view faulted: %w", io.ErrUnexpectedEOF)
+	return fmt.Errorf("compare: %s: a metadata view faulted: %w", mv.files[faulted-1].Name(), io.ErrUnexpectedEOF)
 }
 
 // guarded is step, run under the fault contract.
 func (mv *metaViews) guarded(step engine.StepFunc) engine.StepFunc {
 	return func(ctx context.Context, x *engine.Exec) error { return mv.run(func() error { return step(ctx, x) }) }
-}
-
-// guard, deferred with the fault mode from before debug.SetPanicOnFault,
-// records a fault in a view whose file now ends before the address for run
-// to report, and re-raises any other panic. It allocates only to recover.
-func (mv *metaViews) guard(was bool) {
-	debug.SetPanicOnFault(was)
-	p := recover()
-	if p == nil {
-		return
-	}
-	if fault, ok := p.(interface{ Addr() uintptr }); ok {
-		for i, v := range mv.views {
-			// An address below the view wraps past its length.
-			if off := fault.Addr() - uintptr(unsafe.Pointer(unsafe.SliceData(v))); off < uintptr(len(v)) {
-				if size, err := mv.files[i].SizeNow(); err == nil && size <= int64(off) {
-					mv.faulted.Store(true)
-					return
-				}
-				break
-			}
-		}
-	}
-	panic(p)
-}
-
-// short is member i's size check, one fstat: an error wrapping
-// io.ErrUnexpectedEOF once its file ends before its view does.
-func (mv *metaViews) short(i int) error {
-	f, n := mv.files[i], int64(len(mv.views[i]))
-	if f == nil {
-		return nil
-	}
-	if size, err := f.SizeNow(); err != nil {
-		return fmt.Errorf("compare: %s: %w", f.Name(), err)
-	} else if size < n {
-		return fmt.Errorf("compare: %s@0+%d: the file now ends at %d: %w", f.Name(), n, size, io.ErrUnexpectedEOF)
-	}
-	return nil
 }
 
 // guardedExec runs the tree diff's loops, on the pool's workers, under the
@@ -445,10 +410,11 @@ const guardSpan = 16
 
 func (e guardedExec) For(n int, fn func(i int)) {
 	e.Executor.For((n+guardSpan-1)/guardSpan, func(s int) {
-		defer e.mv.guard(debug.SetPanicOnFault(true))
-		for i := s * guardSpan; i < min(n, (s+1)*guardSpan); i++ {
-			fn(i)
-		}
+		e.mv.guard(func() {
+			for i := s * guardSpan; i < min(n, (s+1)*guardSpan); i++ {
+				fn(i)
+			}
+		})
 	})
 }
 

@@ -402,12 +402,16 @@ func SaveMetadata(store *pfs.Store, checkpointName string, m *Metadata) (pfs.Cos
 	return cost, nil
 }
 
+// metadataBlock is the block a metadata file is read in: LoadMetadata's
+// reads, and the pieces landMetadata prices.
+const metadataBlock = 4 << 20
+
 // LoadMetadata reads the metadata for a checkpoint from a store, returning
 // the read cost and the wall time spent deserializing. The read observes
 // the context block by block. The metadata owns the bytes it was decoded
 // from, so it lives as long as the caller keeps it.
 func LoadMetadata(ctx context.Context, store *pfs.Store, checkpointName string) (*Metadata, pfs.Cost, time.Duration, error) {
-	data, cost, err := store.ReadFileFull(ctx, MetadataName(checkpointName), 4<<20, nil)
+	data, cost, err := store.ReadFileFull(ctx, MetadataName(checkpointName), metadataBlock, nil)
 	if err != nil {
 		return nil, cost, 0, err
 	}
@@ -419,18 +423,17 @@ func LoadMetadata(ctx context.Context, store *pfs.Store, checkpointName string) 
 	return m, cost, sw.Lap(), nil
 }
 
-// landMetadata charges a metadata file as Store.ReadFileFull does — the
-// context checked, then one Price per block, in order — and lands it whole:
-// a view valid until the file closes, or, with a flip pending or no mmap, a
-// copy of its own.
+// landMetadata charges a metadata file as LoadMetadata's Store.ReadFileFull
+// does — the context checked, then one Price per metadataBlock, in order —
+// and lands it whole: a view valid until the file closes, or, with a flip
+// pending or no mmap, a copy of its own.
 func landMetadata(ctx context.Context, f *pfs.File) ([]byte, pfs.Cost, error) {
-	const block = 4 << 20 // the block LoadMetadata reads in
 	var total pfs.Cost
-	for off := int64(0); off < f.Size(); off += block {
+	for off := int64(0); off < f.Size(); off += metadataBlock {
 		if err := ctx.Err(); err != nil {
 			return nil, total, err
 		}
-		c, err := f.Price(off, int(min(block, f.Size()-off)))
+		c, err := f.Price(off, int(min(metadataBlock, f.Size()-off)))
 		total.Add(c)
 		if err != nil {
 			return nil, total, err

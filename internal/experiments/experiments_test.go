@@ -1,8 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"strconv"

@@ -108,7 +108,7 @@ func TestUpdateAllDirtyCostsFullInterior(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		interior := tr.numNodes() - (tr.numNodes() + 1) / 2
+		interior := tr.numNodes() - (tr.numNodes()+1)/2
 		if n == 1 {
 			interior = 0
 		}

@@ -27,6 +27,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"strconv"
@@ -728,6 +729,50 @@ func (f *File) Copy(p []byte, off int64) error {
 func (f *File) copyOut(off int64, n int) ([]byte, error) {
 	buf := make([]byte, n)
 	return buf, f.Copy(buf, off)
+}
+
+// Guard runs fn, which reads views Land returned, with
+// debug.SetPanicOnFault on, and restores the goroutine's mode after. It
+// recovers a fault only at an address in the mapping of one of files
+// (nil entries are skipped) whose file now ends at or before the faulting
+// byte, and returns that file's index; any other panic — a write to a
+// view, a nil dereference — is re-raised. It returns -1 when fn ran
+// through, and allocates only to recover. A cut inside a page faults
+// nowhere (the view reads zeros): the caller checks what fn read with
+// Holds after, which also gives a recovered fault its error.
+func Guard(fn func(), files ...*File) (faulted int) {
+	defer func(was bool) {
+		debug.SetPanicOnFault(was)
+		p := recover()
+		if p == nil {
+			return
+		}
+		if fault, ok := p.(interface{ Addr() uintptr }); ok {
+			for i, f := range files {
+				if f != nil && f.cutAt(fault.Addr()) {
+					faulted = i
+					return
+				}
+			}
+		}
+		panic(p)
+	}(debug.SetPanicOnFault(true))
+	fn()
+	return -1
+}
+
+// Holds is the size check of a view, one allocation-free fstat: nil while
+// the file still holds the n bytes at off, else an error naming them that
+// wraps io.ErrUnexpectedEOF.
+func (f *File) Holds(off int64, n int) error {
+	size, err := f.SizeNow()
+	if err != nil {
+		return fmt.Errorf("pfs: %s: %w", f.name, err)
+	}
+	if size < off+int64(n) {
+		return fmt.Errorf("pfs: %s@%d+%d: the file now ends at %d: %w", f.name, off, n, size, io.ErrUnexpectedEOF)
+	}
+	return nil
 }
 
 // applyFlips applies the flips that fall in p, which holds the bytes at

@@ -1,8 +1,8 @@
 package pfs
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"errors"
 	"io"
 	"testing"

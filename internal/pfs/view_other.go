@@ -15,6 +15,9 @@ func keyOf(os.FileInfo) mapKey { return mapKey{} }
 func retire(mapKey, int64)     {}
 func (f *File) dropView()      {}
 
+// cutAt is false: no address lies in a mapping.
+func (f *File) cutAt(uintptr) bool { return false }
+
 // Land returns a copy of the n bytes at off.
 func (f *File) Land(off int64, n int) ([]byte, error) { return f.copyOut(off, n) }
 

@@ -4,10 +4,14 @@ package pfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -411,6 +415,68 @@ func TestSizeNowSeesTruncation(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(100, func() { f.SizeNow() }); a != 0 {
 		t.Errorf("SizeNow allocates %.1f times", a)
+	}
+}
+
+// TestGuardAndHolds is the fault contract of a view over a real file: a read
+// past a whole-page cut is recovered, and Holds names the file with an
+// error wrapping io.ErrUnexpectedEOF; a mid-page cut reads zeros that only
+// Holds catches; a panic that is no cut — a plain panic, a write to a view
+// of bytes the file holds — is re-raised; and the clean path allocates
+// nothing.
+func TestGuardAndHolds(t *testing.T) {
+	page := os.Getpagesize()
+	s := newTestStore(t)
+	writeTestFile(t, s, "a", bytes.Repeat([]byte{7}, 4*page))
+	f := openT(t, s, "a")
+	defer f.Close()
+	view := landView(t, f, 0, 4*page)
+	cut := func(size int) {
+		t.Helper()
+		if err := os.Truncate(filepath.Join(s.Root(), "a"), int64(size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	short := func(want string) {
+		t.Helper()
+		if err := f.Holds(0, len(view)); !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Holds after the cut: %v; want %s short", err, want)
+		}
+	}
+	var sum byte
+	read := func(i int) func() { return func() { sum += view[i] } }
+
+	if got := Guard(read(3*page), nil, f); got != -1 || sum != 7 || f.Holds(0, len(view)) != nil {
+		t.Fatalf("clean read: Guard %d, read %d, Holds %v; want -1, 7, nil", got, sum, f.Holds(0, len(view)))
+	}
+	if a := testing.AllocsPerRun(100, func() { Guard(func() { sum += view[page] }, f); f.Holds(0, len(view)) }); a != 0 {
+		t.Errorf("a clean Guard and Holds allocate %.1f times", a)
+	}
+
+	cut(3*page + 100)
+	if sum = 0; Guard(read(4*page-1), f) != -1 || sum != 0 {
+		t.Fatalf("past a mid-page cut: read %d; want zeros and no fault", sum)
+	}
+	short("a@0+" + strconv.Itoa(4*page) + ": the file now ends at " + strconv.Itoa(3*page+100))
+
+	cut(page)
+	if got := Guard(read(2*page), nil, f); got != 1 {
+		t.Fatalf("past a whole-page cut: Guard %d; want the fault recovered in file 1", got)
+	}
+	short("a@0+")
+
+	for name, fn := range map[string]func(){
+		"a plain panic":     func() { panic("boom") },
+		"a write to a view": func() { view[0] ^= 1 },
+	} {
+		var p any
+		func() {
+			defer func() { p = recover() }()
+			Guard(fn, f)
+		}()
+		if p == nil {
+			t.Errorf("%s in a named file came back from Guard; want it re-raised", name)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"os"
 	"sync"
 	"syscall"
+	"unsafe"
 )
 
 // Land views a file through one read-only, shared mapping of the whole
@@ -168,8 +169,7 @@ func (f *File) dropView() {
 // copy of its own made by Copy: a flip never reaches the page cache. A
 // view shows the file as it is when read: bytes the file lost since it was
 // opened fault when touched (SIGBUS), or read as zeros to the end of their
-// page; a caller reads views under debug.SetPanicOnFault and checks
-// SizeNow after.
+// page; a caller reads views under Guard and checks them with Holds after.
 func (f *File) Land(off int64, n int) ([]byte, error) {
 	if f.f == nil {
 		return nil, ErrClosed
@@ -181,6 +181,21 @@ func (f *File) Land(off int64, n int) ([]byte, error) {
 		}
 	}
 	return f.copyOut(off, n)
+}
+
+// cutAt reports whether addr lies in f's mapping at a byte the file no
+// longer holds.
+func (f *File) cutAt(addr uintptr) bool {
+	m := f.m.Load()
+	if m == nil {
+		return false
+	}
+	// An address below the mapping wraps past its length.
+	if off := addr - uintptr(unsafe.Pointer(unsafe.SliceData(m.data))); off < uintptr(len(m.data)) {
+		size, err := f.SizeNow()
+		return err == nil && size <= int64(off)
+	}
+	return false
 }
 
 // SizeNow returns the file's size now, not at Open, without allocating.

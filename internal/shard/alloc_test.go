@@ -67,7 +67,7 @@ func TestIdleWorkersCostNextToNothing(t *testing.T) {
 		}
 		return stats
 	}
-	run(4) // the default ring's workers, the arena, the page cache
+	run(4)                            // the default ring's workers, the arena, the page cache
 	goroutines := settledGoroutines() // earlier tests' executors may still be exiting
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

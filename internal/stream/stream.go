@@ -47,10 +47,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime/debug"
 	"slices"
 	"time"
-	"unsafe"
 
 	"repro/internal/aio"
 	"repro/internal/device"
@@ -504,8 +502,9 @@ type verifier struct {
 	w         *window
 	bounds    []int         // range r is items [bounds[r], bounds[r+1])
 	results   []rangeResult // by range
-	src       int           // the source a land-and-check pass is on, -1 in the verify pass
+	src       int           // the source a land-and-check pass is on
 	ends      []Extent      // [r*len(plan.Sources)+s]: what range r read of s that ends last
+	files     []*pfs.File   // by source
 	// verifyRange and checkRange are the two dispatches' work items.
 	verifyRange, checkRange func(r int)
 }
@@ -514,7 +513,10 @@ func newVerifier(ctx context.Context, plan *Plan, cfg Config, compute Compute) *
 	maxRanges := MaxRanges(cfg.Exec)
 	v := &verifier{plan: plan, cfg: cfg, compute: compute, maxRanges: maxRanges,
 		bounds: make([]int, 0, maxRanges+1), results: make([]rangeResult, maxRanges),
-		ends: make([]Extent, maxRanges*len(plan.Sources))}
+		ends: make([]Extent, maxRanges*len(plan.Sources)), files: make([]*pfs.File, len(plan.Sources))}
+	for s, src := range plan.Sources {
+		v.files[s] = src.File
+	}
 	v.verifyRange = func(r int) {
 		if v.verifyIn(r); plan.Degrade && v.results[r].lost {
 			v.withdraw(r)
@@ -560,7 +562,6 @@ func (v *verifier) run(ctx context.Context, rd *reader, w *window) (time.Duratio
 		return 0, nil
 	}
 	v.bounds = Ranges(v.bounds, len(jobs), func(i int) int { return jobs[i].Len }, v.maxRanges)
-	v.src = -1
 	kernel, _, err := v.join(ctx, v.verifyRange)
 	if err != nil {
 		return 0, err
@@ -578,29 +579,29 @@ func (v *verifier) lose(r, src int, err error) {
 	v.results[r] = rangeResult{err: err, lost: true, src: src, ran: true}
 }
 
-// verifyIn is range r of the verify dispatch: its jobs in order, under the
-// fault contract (guard), then the size check (holds).
+// verifyIn is range r of the verify dispatch: its jobs in order, under
+// pfs.Guard, then the size check (holds).
 func (v *verifier) verifyIn(r int) {
-	defer v.guard(r, debug.SetPanicOnFault(true))
-	res := rangeResult{ran: true}
-	w, ends := v.w, v.rangeEnds(r)
-	for i := v.bounds[r]; i < v.bounds[r+1]; i++ {
-		at := w.at[i]
-		if at[0] < 0 {
-			continue
+	res, w, ends := rangeResult{ran: true}, v.w, v.rangeEnds(r)
+	faulted := pfs.Guard(func() {
+		for i := v.bounds[r]; i < v.bounds[r+1]; i++ {
+			at := w.at[i]
+			if at[0] < 0 {
+				continue
+			}
+			j := v.plan.Jobs[w.lo+i]
+			v.read(ends, j.A)
+			v.read(ends, j.B)
+			kv, err := v.compute(r, j, w.sets[j.A.Src].Reqs[at[0]].Buf, w.sets[j.B.Src].Reqs[at[1]].Buf)
+			if err != nil {
+				res.err = err
+				return
+			}
+			res.comp += kv
 		}
-		j := v.plan.Jobs[w.lo+i]
-		v.read(ends, j.A)
-		v.read(ends, j.B)
-		kv, err := v.compute(r, j, w.sets[j.A.Src].Reqs[at[0]].Buf, w.sets[j.B.Src].Reqs[at[1]].Buf)
-		if err != nil {
-			res.err = err
-			break
-		}
-		res.comp += kv
-	}
+	}, v.files...)
 	if v.results[r] = res; res.err == nil {
-		v.holds(r, ends)
+		v.holds(r, ends, faulted)
 	}
 }
 
@@ -619,26 +620,30 @@ func (v *verifier) withdraw(r int) {
 }
 
 // checkIn is range r of a source's land-and-check pass: each extent lands
-// and Plan.Check judges it, under the fault contract (guard), then the
-// size check (holds).
+// and Plan.Check judges it, under pfs.Guard, then the size check (holds).
 func (v *verifier) checkIn(ctx context.Context, r int) {
-	defer v.guard(r, debug.SetPanicOnFault(true))
 	f, check := v.plan.Sources[v.src].File, v.plan.Check
 	reqs, ends := v.w.sets[v.src].Reqs[v.bounds[r]:v.bounds[r+1]], v.rangeEnds(r)
-	for k := range reqs {
-		q := &reqs[k]
-		b, err := landAt(f, q.Off, q.Len)
-		if err != nil {
-			v.lose(r, v.src, err)
-			return
+	var err error
+	faulted := pfs.Guard(func() {
+		for k := range reqs {
+			q := &reqs[k]
+			var b []byte
+			if b, err = landAt(f, q.Off, q.Len); err != nil {
+				return
+			}
+			v.read(ends, Ref{Src: v.src, Ext: q.Tag})
+			if q.Buf = b; check != nil {
+				q.Buf = check(ctx, r, v.src, q.Tag, b)
+			}
 		}
-		if q.Buf = b; check != nil {
-			q.Buf = check(ctx, r, v.src, q.Tag, b)
-		}
-		v.read(ends, Ref{Src: v.src, Ext: q.Tag})
+	}, v.files...)
+	if err != nil {
+		v.lose(r, v.src, err)
+		return
 	}
 	v.results[r] = rangeResult{ran: true}
-	v.holds(r, ends)
+	v.holds(r, ends, faulted)
 }
 
 // rangeEnds returns range r's size-check marks, cleared.
@@ -655,75 +660,22 @@ func (v *verifier) read(ends []Extent, ref Ref) {
 	}
 }
 
-// holds is range r's size check, one fstat per source it read: a file
-// truncated within a page of where the range read it leaves zeros in its
-// views, not a fault.
-func (v *verifier) holds(r int, ends []Extent) {
+// holds is range r's size check, one pfs.File.Holds per source it read:
+// a file cut within a page of where the range read it leaves zeros in its
+// views, not a fault. A range a fault in source faulted's view ended fails
+// even where the file has grown back since.
+func (v *verifier) holds(r int, ends []Extent, faulted int) {
 	for s, e := range ends {
-		if f := v.plan.Sources[s].File; e.Len > 0 {
-			if size, err := f.SizeNow(); err != nil {
-				v.lose(r, s, fmt.Errorf("stream: %s: %w", f.Name(), err))
-				return
-			} else if size < e.Off+int64(e.Len) {
-				v.lose(r, s, errGone(f, e, size))
+		if e.Len > 0 {
+			if err := v.files[s].Holds(e.Off, e.Len); err != nil {
+				v.lose(r, s, err)
 				return
 			}
 		}
 	}
-}
-
-// guard is the fault contract of a range that reads views, deferred with
-// the goroutine's fault mode from before the range set
-// debug.SetPanicOnFault: a fault at an address in a view the range read,
-// whose file now ends before it, is the range's lost error; any other
-// panic — a write to a view, a nil dereference in Compute — is re-raised.
-func (v *verifier) guard(r int, was bool) {
-	debug.SetPanicOnFault(was)
-	p := recover()
-	if p == nil {
-		return
+	if faulted >= 0 {
+		v.lose(r, faulted, fmt.Errorf("stream: %s: a view faulted: %w", v.files[faulted].Name(), io.ErrUnexpectedEOF))
 	}
-	if fault, ok := p.(interface{ Addr() uintptr }); ok {
-		if src, err := v.gone(r, fault.Addr()); err != nil {
-			v.lose(r, src, err)
-			return
-		}
-	}
-	panic(p)
-}
-
-// gone returns the error of a fault at addr in a view range r read of
-// bytes its file no longer holds.
-func (v *verifier) gone(r int, addr uintptr) (src int, err error) {
-	in := func(ref Ref, b []byte) bool {
-		base := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
-		if len(b) == 0 || addr < base || addr-base >= uintptr(len(b)) {
-			return false
-		}
-		f, e := v.plan.Sources[ref.Src].File, v.plan.Sources[ref.Src].Extents[ref.Ext]
-		if size, serr := f.SizeNow(); serr == nil && size <= e.Off+int64(addr-base) {
-			src, err = ref.Src, errGone(f, e, size)
-		}
-		return true
-	}
-	w := v.w
-	for i := v.bounds[r]; i < v.bounds[r+1]; i++ {
-		if v.src >= 0 {
-			if q := &w.sets[v.src].Reqs[i]; in(Ref{Src: v.src, Ext: q.Tag}, q.Buf) {
-				break
-			}
-		} else if at, j := w.at[i], &v.plan.Jobs[w.lo+i]; at[0] >= 0 && (in(j.A, w.sets[j.A.Src].Reqs[at[0]].Buf) || in(j.B, w.sets[j.B.Src].Reqs[at[1]].Buf)) {
-			break
-		}
-	}
-	return src, err
-}
-
-// errGone is the error of a range that read extent e of f after f shrank
-// to size: the same whether a fault or the size check found it, so a
-// truncation fails a run with one error however the range met it.
-func errGone(f *pfs.File, e Extent, size int64) error {
-	return fmt.Errorf("stream: %s@%d+%d: the file now ends at %d: %w", f.Name(), e.Off, e.Len, size, io.ErrUnexpectedEOF)
 }
 
 // join runs the ranges cut in bounds over the executor and sums their
