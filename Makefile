@@ -35,7 +35,7 @@ race:
 portable:
 	GOARCH=386 $(GO) test ./internal/errbound ./internal/compare
 	GOARCH=arm64 $(GO) vet ./internal/errbound
-	GOOS=windows GOARCH=amd64 $(GO) vet ./internal/pfs ./internal/stream ./internal/compare
+	GOOS=windows GOARCH=amd64 $(GO) vet ./internal/pfs ./internal/stream ./internal/compare ./internal/cas ./internal/ckpt
 
 # chaos soaks the degradation ladder at full scale: seeded fault
 # schedules × topologies under the race detector (see internal/chaos).
@@ -126,7 +126,7 @@ examples:
 # LOC_CEILING, the total of the last PR that lowered it — a PR that removes
 # code lowers the ceiling to its own result, one that must add code raises
 # it in the same diff, where a reviewer sees it.
-LOC_CEILING = 24464
+LOC_CEILING = 24283
 LOC_FILES = \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go'
 loc:
 	@for d in $$(find . $(LOC_FILES) | xargs -n1 dirname | sort -u); do \

@@ -24,9 +24,8 @@
 //
 //	GET  /healthz                     liveness
 //	GET  /v1/metrics                  per-tenant admission counters, peakInFlight,
-//	                                  stage-2 arena gauges (stage2_arena_bytes,
-//	                                  stage2_arena_sets, stage2_arena_misses)
-//	                                  + journal gauges
+//	                                  the resident set (rss_anon_bytes,
+//	                                  rss_file_bytes) + journal gauges
 //	POST /v1/runs?tenant=T            register a run binding (409 on conflict)
 //	GET  /v1/runs?tenant=T            list the tenant's bindings
 //	POST /v1/jobs?tenant=T            submit a job (202; 429 + Retry-After
@@ -65,12 +64,10 @@ const metricsHelp = `
 GET /v1/metrics reports (JSON):
   tenants[]            per-tenant accepted / rejected / retryAfterMs
   peakInFlight         most comparisons ever executing at once
-  stage2_arena_bytes   bytes the stage-2 arena retains for reuse: window
-                       request batches and manifest buffers (a window's
-                       bytes and a capture's read-back are views, never
-                       held)
-  stage2_arena_sets    sets in the arena's free list
-  stage2_arena_misses  checkouts that found nothing to reuse and allocated
+  rss_anon_bytes       the daemon's resident anonymous memory (heap,
+                       stacks); absent without /proc/self/status
+  rss_file_bytes       its resident pages of mapped files: its binary and
+                       the page cache the comparisons' views read
   journal              name, seq, sizeBytes, wedged (with -journal)
 `
 

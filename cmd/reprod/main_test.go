@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"syscall"
@@ -324,5 +325,33 @@ func TestServerBackpressure(t *testing.T) {
 	srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs", bytes.NewReader(body)))
 	if rec.Code != http.StatusAccepted {
 		t.Fatalf("retried submit: status %d, want 202 (body %s)", rec.Code, rec.Body.String())
+	}
+}
+
+// TestMetricsStateResidentSet: GET /v1/metrics reports the daemon's
+// resident set, split into anonymous and file-mapped bytes, both nonzero
+// on Linux.
+func TestMetricsStateResidentSet(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("the resident set is read from Linux's /proc/self/status")
+	}
+	store, err := repro.NewStore(t.TempDir(), repro.LustreModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	plane := repro.NewPlane(repro.PlaneConfig{})
+	defer func() {
+		if err := plane.Close(); err != nil {
+			t.Errorf("plane close: %v", err)
+		}
+	}()
+	rec := httptest.NewRecorder()
+	newServer(plane, store).ServeHTTP(rec, httptest.NewRequest("GET", "/v1/metrics", nil))
+	var mb metricsBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &mb); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("status %d, decode error %v: %s", rec.Code, err, rec.Body.String())
+	}
+	if mb.RSSAnonBytes <= 0 || mb.RSSFileBytes <= 0 {
+		t.Errorf("resident set: %d anonymous bytes, %d file-mapped, want both > 0 (body %s)", mb.RSSAnonBytes, mb.RSSFileBytes, rec.Body.String())
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -194,16 +195,16 @@ func (s *server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // metricsBody is the GET /v1/metrics document: per-tenant admission
-// counters plus plane-, arena- and journal-level gauges.
+// counters plus plane-, memory- and journal-level gauges.
 type metricsBody struct {
 	Tenants      []repro.TenantAdmission `json:"tenants"`
 	PeakInFlight int                     `json:"peakInFlight"`
-	// The stage-2 buffer arena: bytes and buffer sets retained for reuse,
-	// and checkouts that found nothing to reuse and allocated.
-	ArenaBytes  int64           `json:"stage2_arena_bytes"`
-	ArenaSets   int             `json:"stage2_arena_sets"`
-	ArenaMisses uint64          `json:"stage2_arena_misses"`
-	Journal     *journalMetrics `json:"journal,omitempty"`
+	// The daemon's resident set, split into anonymous memory and pages of
+	// mapped files (its binary, and the views comparisons and captures
+	// read); absent where /proc/self/status is.
+	RSSAnonBytes int64           `json:"rss_anon_bytes,omitempty"`
+	RSSFileBytes int64           `json:"rss_file_bytes,omitempty"`
+	Journal      *journalMetrics `json:"journal,omitempty"`
 }
 
 type journalMetrics struct {
@@ -214,14 +215,11 @@ type journalMetrics struct {
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	arena := s.plane.ArenaStats()
 	body := metricsBody{
 		Tenants:      s.plane.AdmissionMetrics(),
 		PeakInFlight: s.plane.PeakInFlight(),
-		ArenaBytes:   arena.Bytes,
-		ArenaSets:    arena.Sets,
-		ArenaMisses:  arena.Misses,
 	}
+	body.RSSAnonBytes, body.RSSFileBytes = residentSet()
 	if jn := s.plane.Journal(); jn != nil {
 		jm := &journalMetrics{Name: jn.Name(), Seq: jn.Seq(), SizeBytes: jn.Size()}
 		if err := jn.Wedged(); err != nil {
@@ -230,6 +228,28 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		body.Journal = jm
 	}
 	writeJSON(w, http.StatusOK, body)
+}
+
+// residentSet returns the process's resident anonymous and file-mapped
+// bytes (RssAnon and RssFile of /proc/self/status), or zeros where that
+// file is absent.
+func residentSet() (anon, file int64) {
+	status, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0, 0
+	}
+	for _, line := range strings.Split(string(status), "\n") {
+		key, val, _ := strings.Cut(line, ":")
+		kb, err := strconv.ParseInt(strings.TrimSuffix(strings.TrimSpace(val), " kB"), 10, 64)
+		switch {
+		case err != nil:
+		case key == "RssAnon":
+			anon = kb << 10
+		case key == "RssFile":
+			file = kb << 10
+		}
+	}
+	return anon, file
 }
 
 // maxBodyBytes bounds a POST body. A binding or a job names a handful of

@@ -1,10 +1,10 @@
 // Package aio prices the comparator's scattered reads (paper §2.5.2). A
 // Backend charges a batch of reads — the fault hook's decisions, the page
 // cache, the store's read counters, the virtual time the batch takes — and
-// moves no byte: the bytes land through pfs.File.Copy, which stage 2
-// (internal/stream) issues from the ranges that verify them, and ReadBatch
-// does both in sequence for every other caller. Two backends price the
-// same requests two ways:
+// moves no byte: stage 2 (internal/stream) lands what it priced with
+// pfs.File.Land. ReadBatch prices then copies, for a caller that wants the
+// bytes in buffers of its own (the benchmark's probes). Two backends price
+// the same requests two ways:
 //
 //   - Uring: io_uring's model — many reads in flight, their latencies
 //     overlapping up to the queue depth, one final completion latency. The
@@ -25,7 +25,6 @@ package aio
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/pfs"
@@ -108,33 +107,18 @@ func land(f *pfs.File, reqs []ReadReq) error {
 }
 
 // Uring is the io_uring-style backend. The zero value is usable (queue
-// depth 64); it holds nothing but its queue depth and its arena, so it is
-// safe for concurrent use and never needs closing.
+// depth 64); it holds nothing but its queue depth, so it is safe for
+// concurrent use and never needs closing.
 type Uring struct {
 	// QueueDepth is the maximum number of in-flight operations (ring size):
 	// the overlap priceOverlapped grants.
 	QueueDepth int
-
-	arenaOnce sync.Once
-	arena     *Arena
 }
 
 var (
 	_ Backend    = (*Uring)(nil)
 	_ PairPricer = (*Uring)(nil)
 )
-
-// Arena returns the ring's stage-2 buffer arena (created on first use
-// with DefaultArenaLimit; the owner may SetLimit it). What reads through
-// this ring and keeps a buffer — the stream pipeline's window requests,
-// the members' manifests — recycles through it, so its sets live as long
-// as the ring rather than as long as one comparison; the ring's owner
-// Releases it. A capture's read-back and a window's bytes are views of
-// the files and keep nothing here.
-func (u *Uring) Arena() *Arena {
-	u.arenaOnce.Do(func() { u.arena = NewArena(0) })
-	return u.arena
-}
 
 // NewUring returns a Uring backend (queue depth < 1 selects 64).
 func NewUring(queueDepth int) *Uring {
@@ -222,19 +206,13 @@ func readBatchPair(ctx context.Context, pp PairPricer, fA, fB *pfs.File, reqsA, 
 }
 
 // defaultUring is the process-wide shared engine behind Default.
-var (
-	defaultUring     *Uring
-	defaultUringOnce sync.Once
-)
+var defaultUring = NewUring(256)
 
 // Default returns the process-wide shared io_uring-style engine (queue
 // depth 256). It is the backend the compare layer selects when
 // Options.Backend is nil and the ring service.Default() serves from,
 // mirroring device.Default().
-func Default() *Uring {
-	defaultUringOnce.Do(func() { defaultUring = NewUring(256) })
-	return defaultUring
-}
+func Default() *Uring { return defaultUring }
 
 // priceEach prices every request of a queued batch in order and returns
 // their summed cost and the first request's error. Like a ring's

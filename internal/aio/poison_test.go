@@ -1,8 +1,12 @@
 package aio_test
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"testing"
@@ -17,22 +21,25 @@ import (
 	"repro/internal/shard"
 )
 
-// This file is the use-after-return proof for everything a comparison
-// checks out of the arena. A window's request sets hold views of the
-// files, not bytes, but a differential member set reads its manifests
-// through one arena buffer that goes back when the members are open; with
-// aio.PoisonOnPut every set is overwritten the moment it goes back, so anything that still reads
-// a returned buffer — a manifest aliasing it, a Result aliasing scratch —
-// reads 0xDB and disagrees with the element-wise oracle.
+// This file is the use-after-close proof for the bytes a comparison lands
+// as views of its files. A member's metadata and a differential member's
+// manifest land as views (pfs.File.Land) of files the comparison closes
+// before it returns; what it returns must hold copies. After every door
+// returns, each manifest and metadata file is overwritten in place with
+// 0xDB — the same inode at the same size, so a mapping that still shows it
+// shows the poison — while the result is checked, then restored: anything
+// that still reads a view — a field name aliasing a manifest, a Result
+// aliasing a tree — reads 0xDB and disagrees with the element-wise oracle.
 //
 // Seeded mutant, run by hand: in cas's manifest decode, read a field's
 // name as unsafe.String over the manifest bytes instead of copying it with
-// string(...), so the names of every differential member alias the buffer
-// MemberSet.open puts back. Without the poison nothing notices (the
-// buffer is not reused before the names are read; go test ./internal/cas
-// ./internal/compare ./internal/shard stay green); with it every row of
-// TestParityUnderPoison fails, 75 of 75, at its first differential door:
-// the member's field is named "\xdb", not what its metadata says.
+// string(...), so the names of every differential member alias the view
+// LoadManifest closes. Without the poison nothing notices (the file is not
+// rewritten before the names are read; go test ./internal/cas
+// ./internal/compare ./internal/shard stay green); with it 70 of the 75
+// rows of TestParityUnderPoison fail at their first differential door —
+// the member's field is named "\xdb", not what its metadata says — and
+// the five of sequence-clean, which report no field, pass.
 
 // poisonEnv is the three runs of one shape behind every stage-2 door: as
 // containers with metadata, and differentially captured into a CAS.
@@ -48,6 +55,8 @@ type poisonEnv struct {
 	dstore *pfs.Store
 	cs     *cas.Store
 	dnames []string
+	// saved is each manifest and metadata file, by path, as captured.
+	saved map[string][]byte
 }
 
 func newPoisonEnv(t *testing.T, sh dettest.Shape, ring *aio.Uring) *poisonEnv {
@@ -91,11 +100,50 @@ func newPoisonEnv(t *testing.T, sh dettest.Shape, ring *aio.Uring) *poisonEnv {
 		}
 		e.names, e.dnames = append(e.names, name), append(e.dnames, name)
 	}
+	e.saved = make(map[string][]byte)
+	for i := range e.names {
+		for _, path := range []string{
+			filepath.Join(e.store.Root(), filepath.FromSlash(compare.MetadataName(e.names[i]))),
+			filepath.Join(e.dstore.Root(), filepath.FromSlash(cas.ManifestName(e.dnames[i]))),
+		} {
+			if e.saved[path], err = os.ReadFile(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	return e
 }
 
-// checkResult holds one pair result against the oracle and the arena
-// against its books: every set the door checked out is back.
+// poisoned runs check with every manifest and metadata file overwritten
+// in place by 0xDB, and restores them after.
+func (e *poisonEnv) poisoned(t *testing.T, check func()) {
+	t.Helper()
+	for path, b := range e.saved {
+		overwrite(t, path, bytes.Repeat([]byte{0xDB}, len(b)))
+	}
+	defer func() {
+		for path, b := range e.saved {
+			overwrite(t, path, b)
+		}
+	}()
+	check()
+}
+
+// overwrite writes b over the start of the file at path, in place: the
+// file keeps its inode and, for b as long as the file, its size.
+func overwrite(t *testing.T, path string, b []byte) {
+	t.Helper()
+	f, err := os.OpenFile(path, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteAt(b, 0)
+	if err = cmp.Or(err, f.Close()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkResult holds one pair result against the oracle.
 func (e *poisonEnv) checkResult(t *testing.T, label string, r *compare.Result, a, b int) {
 	t.Helper()
 	if r.Degraded || r.UnverifiedChunks != 0 {
@@ -108,13 +156,10 @@ func (e *poisonEnv) checkResult(t *testing.T, label string, r *compare.Result, a
 	if want := dettest.Want(e.shape, e.fields, e.data, a, b); !reflect.DeepEqual(got, want) {
 		t.Errorf("%s: diffs differ from the element-wise oracle (%d fields reported, %d expected)", label, len(got), len(want))
 	}
-	if st := e.ring.Arena().Stats(); st.Outstanding != 0 {
-		t.Errorf("%s: %d arena sets still checked out", label, st.Outstanding)
-	}
 }
 
 // doors drives every stage-2 entry point once on exec, each from a cold
-// page cache, checking each as it returns.
+// page cache, checking each under poison as it returns.
 func (e *poisonEnv) doors(t *testing.T, exec device.Executor) {
 	t.Helper()
 	ctx := context.Background()
@@ -128,7 +173,7 @@ func (e *poisonEnv) doors(t *testing.T, exec device.Executor) {
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		e.checkResult(t, label, r, a, b)
+		e.poisoned(t, func() { e.checkResult(t, label, r, a, b) })
 	}
 	group := func(label string, run func() (*compare.GroupReport, error)) {
 		t.Helper()
@@ -138,9 +183,11 @@ func (e *poisonEnv) doors(t *testing.T, exec device.Executor) {
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		for _, p := range rep.Pairs {
-			e.checkResult(t, fmt.Sprintf("%s %d-%d", label, p.A, p.B), p.Result, p.A, p.B)
-		}
+		e.poisoned(t, func() {
+			for _, p := range rep.Pairs {
+				e.checkResult(t, fmt.Sprintf("%s %d-%d", label, p.A, p.B), p.Result, p.A, p.B)
+			}
+		})
 	}
 	pair("merkle", 0, 1, func() (*compare.Result, error) {
 		return compare.CompareMerkle(ctx, e.store, e.names[0], e.names[1], opts)
@@ -179,10 +226,8 @@ func (e *poisonEnv) doors(t *testing.T, exec device.Executor) {
 // TestParityUnderPoison runs the stage-2 parity table — every dettest
 // shape and the stale-scratch sequence, on every executor, through pair,
 // Direct, group star/all-pairs, CAS pair/group and shard pair/group — with
-// every returned buffer set overwritten.
+// every manifest and metadata file poisoned while each result is checked.
 func TestParityUnderPoison(t *testing.T) {
-	aio.PoisonOnPut(true)
-	defer aio.PoisonOnPut(false)
 	ring := aio.NewUring(256)
 	for _, sh := range slices.Concat(dettest.Shapes(), dettest.CopyShapes(), dettest.Sequence()) {
 		e := newPoisonEnv(t, sh, ring)
@@ -198,12 +243,10 @@ func TestParityUnderPoison(t *testing.T) {
 
 // TestResultsOutliveRecycledBuffers: a Result is the caller's to keep. Held
 // across three later comparisons on the same plane — each of which takes
-// over, and under poison first overwrites, every buffer the first one used
-// — its diffs still equal the oracle's and its roots and counts those of a
-// fresh comparison and of metadata loaded to be kept.
+// over every request batch and kernel scratch store the first one used —
+// its diffs still equal the oracle's under poison, and its roots and
+// counts those of a fresh comparison and of metadata loaded to be kept.
 func TestResultsOutliveRecycledBuffers(t *testing.T) {
-	aio.PoisonOnPut(true)
-	defer aio.PoisonOnPut(false)
 	ring := aio.NewUring(256)
 	var sh dettest.Shape
 	for _, s := range dettest.Shapes() {
@@ -230,7 +273,7 @@ func TestResultsOutliveRecycledBuffers(t *testing.T) {
 	if _, err := compare.CompareDirect(ctx, e.store, e.names[1], e.names[2], e.opts); err != nil {
 		t.Fatal(err)
 	}
-	e.checkResult(t, "held result", held, 0, 1)
+	e.poisoned(t, func() { e.checkResult(t, "held result", held, 0, 1) })
 	fresh := merkle(0, 1)
 	type counts struct {
 		total, candidate, changed int

@@ -426,7 +426,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	if _, err := SaveManifest(fsys, "run/iter0000.rank000.ckpt", m); err != nil {
 		t.Fatal(err)
 	}
-	got, _, _, err := LoadManifest(context.Background(), fsys, "run/iter0000.rank000.ckpt", nil)
+	got, _, err := LoadManifest(context.Background(), fsys, "run/iter0000.rank000.ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,7 +446,7 @@ func TestManifestRoundTrip(t *testing.T) {
 	inj := faults.New(4, faults.Rule{Kind: faults.BitFlip, Name: ".cman", Count: 1})
 	fsys.SetFaultHook(inj)
 	fsys.EvictAll()
-	_, _, _, err = LoadManifest(context.Background(), fsys, "run/iter0000.rank000.ckpt", nil)
+	_, _, err = LoadManifest(context.Background(), fsys, "run/iter0000.rank000.ckpt")
 	fsys.SetFaultHook(nil)
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupt manifest load: err=%v, want ErrCorrupt", err)

@@ -7,10 +7,12 @@
 package cas
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 
 	"repro/internal/errbound"
@@ -207,15 +209,25 @@ func SaveManifest(fsys *pfs.Store, checkpointName string, m *Manifest) (cost pfs
 }
 
 // LoadManifest reads and verifies the manifest for a checkpoint name. The
-// file is read into buf when buf holds it (pfs.Store.ReadFileFull) and the
-// buffer it was read into — buf, or the larger one allocated in its place —
-// comes back for the caller to reuse: decoding copies, so the manifest
-// does not alias it.
-func LoadManifest(ctx context.Context, fsys *pfs.Store, checkpointName string, buf []byte) (*Manifest, []byte, pfs.Cost, error) {
-	raw, cost, err := fsys.ReadFileFull(ctx, ManifestName(checkpointName), 4<<20, buf)
+// file is priced in 4 MiB blocks and lands whole as a view
+// (pfs.File.LandWhole) that is decoded under pfs.Guard and checked with
+// pfs.File.Holds before the file closes: decoding copies, so the manifest
+// does not alias it. A file cut under the view is an error wrapping
+// io.ErrUnexpectedEOF.
+func LoadManifest(ctx context.Context, fsys *pfs.Store, checkpointName string) (*Manifest, pfs.Cost, error) {
+	f, err := fsys.Open(ManifestName(checkpointName))
 	if err != nil {
-		return nil, buf, cost, err
+		return nil, pfs.Cost{}, err
 	}
-	m, err := decode(raw)
-	return m, raw, cost, err
+	defer f.Close()
+	raw, cost, err := f.LandWhole(ctx, 4<<20)
+	if err != nil {
+		return nil, cost, err
+	}
+	var m *Manifest
+	faulted := pfs.Guard(func() { m, err = decode(raw) }, f)
+	if cut := f.Holds(0, len(raw)); cut != nil || faulted >= 0 {
+		return nil, cost, cmp.Or(cut, fmt.Errorf("cas: %s: a view faulted: %w", f.Name(), io.ErrUnexpectedEOF))
+	}
+	return m, cost, err
 }

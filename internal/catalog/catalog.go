@@ -98,7 +98,7 @@ func Scan(ctx context.Context, store *pfs.Store, runID string, now func() time.T
 			e.Fields = r.NumFields()
 			e.DataBytes = r.Meta().TotalBytes()
 			r.Close()
-		} else if man, _, _, err := cas.LoadManifest(ctx, store, name, nil); err == nil {
+		} else if man, _, err := cas.LoadManifest(ctx, store, name); err == nil {
 			// No container, but a leaf manifest: a differential capture —
 			// fully recoverable from the shared pack, not compacted.
 			e.Differential = true
@@ -183,7 +183,7 @@ func Save(store *pfs.Store, m *Manifest) error {
 
 // Load reads a run's manifest from the store.
 func Load(ctx context.Context, store *pfs.Store, runID string) (*Manifest, error) {
-	data, _, err := store.ReadFileFull(ctx, ManifestName(runID), 0, nil)
+	data, _, err := store.ReadFileFull(ctx, ManifestName(runID), 0)
 	if err != nil {
 		return nil, err
 	}

@@ -39,11 +39,11 @@ func (h *shrinkHook) BeforeRead(name string, _ int64, _ int) error {
 	return os.Truncate(path, st.Size()/2)
 }
 
-// TestShortWholeFileReadIsAnError: a file that shrank after
-// pfs.Store.ReadFileFull sized its buffer comes back as an error wrapping
-// io.ErrUnexpectedEOF from every caller — never as content with a tail the
-// read did not fill, which in a recycled buffer is another file's bytes.
-// One row per caller; each first proves the file reads whole.
+// TestShortWholeFileReadIsAnError: a file that shrank after a whole-file
+// read opened it — pfs.Store.ReadFileFull, or cas.LoadManifest's view —
+// comes back as an error wrapping io.ErrUnexpectedEOF from every caller,
+// never as content with a tail the read did not fill. One row per caller;
+// each first proves the file reads whole.
 func TestShortWholeFileReadIsAnError(t *testing.T) {
 	ctx := context.Background()
 	fields := []ckpt.FieldSpec{{Name: "x", DType: errbound.Float32, Count: 8 << 10}}
@@ -58,7 +58,7 @@ func TestShortWholeFileReadIsAnError(t *testing.T) {
 		// the read through the caller under test.
 		prepare func(t *testing.T, store *pfs.Store) (file string, read func() error)
 	}{
-		{"ReadFileFull into a recycled buffer", func(t *testing.T, store *pfs.Store) (string, func() error) {
+		{"ReadFileFull", func(t *testing.T, store *pfs.Store) (string, func() error) {
 			w, err := store.Create("raw.dat")
 			if err != nil {
 				t.Fatal(err)
@@ -69,12 +69,8 @@ func TestShortWholeFileReadIsAnError(t *testing.T) {
 			if err := w.Close(); err != nil {
 				t.Fatal(err)
 			}
-			stale := make([]byte, len(data[0]))
-			for i := range stale {
-				stale[i] = 0xEE
-			}
 			return "raw.dat", func() error {
-				got, _, err := store.ReadFileFull(ctx, "raw.dat", 4<<10, stale)
+				got, _, err := store.ReadFileFull(ctx, "raw.dat", 4<<10)
 				if err == nil && len(got) != len(data[0]) {
 					t.Errorf("%d bytes returned for a %d-byte file", len(got), len(data[0]))
 				}
@@ -107,7 +103,7 @@ func TestShortWholeFileReadIsAnError(t *testing.T) {
 				t.Fatal(err)
 			}
 			return cas.ManifestName(name), func() error {
-				_, _, _, err := cas.LoadManifest(ctx, store, name, nil)
+				_, _, err := cas.LoadManifest(ctx, store, name)
 				return err
 			}
 		}},

@@ -73,7 +73,7 @@ func (c *Checkpointer) flusher() {
 // The background flusher has no caller-scoped lifetime to inherit — its
 // cancellation point is the jobs channel closing in Close, not a context.
 func (c *Checkpointer) flushOne(name string) error {
-	data, cost, err := c.local.ReadFileFull(context.Background(), name, 4<<20, nil)
+	data, cost, err := c.local.ReadFileFull(context.Background(), name, 4<<20)
 	if err != nil {
 		return fmt.Errorf("flush %s: read local: %w", name, err)
 	}

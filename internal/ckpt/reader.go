@@ -36,23 +36,33 @@ func OpenReader(store *pfs.Store, name string) (*Reader, pfs.Cost, error) {
 
 // NewReader parses a checkpoint header from an open file. The reader owns
 // the file and closes it on Close.
+//
+// Headers are small: a growing prefix is priced and lands (pfs.File.Land)
+// until it parses, each attempt parsed under pfs.Guard and checked with
+// pfs.File.Holds. Parsing copies what the header names, so the Reader
+// aliases no view. A file cut under the prefix is a torn capture,
+// ErrCorrupt wrapping io.ErrUnexpectedEOF.
 func NewReader(f *pfs.File) (*Reader, pfs.Cost, error) {
 	var total pfs.Cost
-	// Headers are small; read a growing prefix until parsing succeeds.
-	size := int64(4096)
-	for {
-		if size > f.Size() {
-			size = f.Size()
-		}
-		buf := make([]byte, size)
-		n, cost, err := f.ReadAt(buf, 0)
+	for size := int64(4096); ; size *= 4 {
+		size = min(size, f.Size())
+		cost, err := f.Price(0, int(size))
 		total.Add(cost)
-		if err != nil && !errors.Is(err, io.EOF) {
+		if err != nil {
 			return nil, total, err
 		}
-		h, _, needMore, perr := parseHeader(buf[:n])
-		if perr != nil {
-			return nil, total, fmt.Errorf("parse %s: %w", f.Name(), perr)
+		prefix, err := f.Land(0, int(size))
+		if err != nil {
+			return nil, total, err
+		}
+		var h header
+		var needMore bool
+		faulted := pfs.Guard(func() { h, _, needMore, err = parseHeader(prefix) }, f)
+		if cut := f.Holds(0, len(prefix)); cut != nil || faulted >= 0 {
+			return nil, total, fmt.Errorf("%w: %s truncated: %w", ErrCorrupt, f.Name(), cmp.Or(cut, io.ErrUnexpectedEOF))
+		}
+		if err != nil {
+			return nil, total, fmt.Errorf("parse %s: %w", f.Name(), err)
 		}
 		if !needMore {
 			// A header is a promise of data: a file that ends before a
@@ -69,7 +79,6 @@ func NewReader(f *pfs.File) (*Reader, pfs.Cost, error) {
 		if size == f.Size() {
 			return nil, total, fmt.Errorf("%w: truncated header in %s", ErrCorrupt, f.Name())
 		}
-		size *= 4
 	}
 }
 

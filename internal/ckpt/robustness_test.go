@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -180,6 +182,58 @@ func TestTruncatedContainerIsCorrupt(t *testing.T) {
 	}
 	if store.OpenHandles() != 1 {
 		t.Errorf("%d handles open, want the first reader's one", store.OpenHandles())
+	}
+}
+
+// TestHeaderCutUnderItsLanding: a .ckpt cut below its header between Open
+// and the header's landing — at a page boundary, so the view faults past
+// it, or inside a page, so the view reads zeros past it — is an error
+// wrapping io.ErrUnexpectedEOF or ErrCorrupt: never a Reader, never a
+// panic. The header spans three pages, so the growing prefix lands twice.
+func TestHeaderCutUnderItsLanding(t *testing.T) {
+	page := int64(os.Getpagesize())
+	meta := Meta{RunID: "cut"}
+	for i := 0; i < 40; i++ {
+		name := fmt.Sprintf("%03d%s", i, strings.Repeat("f", 200))
+		meta.Fields = append(meta.Fields, FieldSpec{Name: name, DType: errbound.Float32, Count: 16})
+	}
+	var enc bytes.Buffer
+	if _, err := Encode(&enc, meta, testData(meta, 9)); err != nil {
+		t.Fatal(err)
+	}
+	h, _, _, err := parseHeader(enc.Bytes())
+	if err != nil || h.dataStart <= 2*page {
+		t.Fatalf("header of %d bytes (err %v), want more than two pages", h.dataStart, err)
+	}
+	store := newStore(t)
+	name := Name(meta.RunID, 0, 0)
+	path := filepath.Join(store.Root(), name)
+	for _, cut := range []struct {
+		name string
+		at   int64
+	}{
+		{"whole-page/first", 0},
+		{"whole-page/second", page},
+		{"mid-page/first", 100},
+		{"mid-page/second", page + page/2},
+	} {
+		t.Run(cut.name, func(t *testing.T) {
+			if _, err := WriteCheckpoint(store, meta, testData(meta, 9)); err != nil {
+				t.Fatal(err)
+			}
+			f, err := store.Open(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if err := os.Truncate(path, cut.at); err != nil {
+				t.Fatal(err)
+			}
+			r, _, err := NewReader(f)
+			if r != nil || !(errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, ErrCorrupt)) {
+				t.Fatalf("reader %v, error %v; want no reader and io.ErrUnexpectedEOF or ErrCorrupt", r, err)
+			}
+		})
 	}
 }
 

@@ -194,7 +194,7 @@ func TestCaptureMatchesBaseline(t *testing.T) {
 		_, cold := newDiffEnv(t, opts).capture(t, "runA", 1, fields, firstA)
 
 		nameA, nameB := ckpt.Name("runA", iters, 0), ckpt.Name("runB", iters, 0)
-		man, _, _, err := cas.LoadManifest(ctx, env.store, nameA, nil)
+		man, _, err := cas.LoadManifest(ctx, env.store, nameA)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -30,9 +30,9 @@ func indexBytes(results ...*Result) uint64 {
 // TestWarmComparisonAllocatesItsAnswer carries TestSteadyStateComparisonAllocs
 // (internal/stream) up through the planners: on a warm plane a comparison
 // allocates the index lists it returns, once and at their exact size, plus
-// a fixed budget — whichever door it came in by. The metadata bytes and the
-// window buffers come out of the arena (no miss over the warm runs, nothing
-// outstanding after any), the kernel scratch out of its free list.
+// a fixed budget — whichever door it came in by. The metadata and the
+// window bytes are views of the files, the windows' request batches come
+// out of stream's free list, the kernel scratch out of compare's.
 // dettest.PinWarmAllocs is the measurement; internal/shard has its row.
 func TestWarmComparisonAllocatesItsAnswer(t *testing.T) {
 	if testing.Short() {
@@ -82,7 +82,7 @@ func TestWarmComparisonAllocatesItsAnswer(t *testing.T) {
 			e := envs[row.shape]
 			opts := e.opts
 			opts.Exec, opts.Backend = pool, ring
-			dettest.PinWarmAllocs(t, ring.Arena(), func() uint64 {
+			dettest.PinWarmAllocs(t, func() uint64 {
 				results, err := row.run(e, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -90,37 +90,6 @@ func TestWarmComparisonAllocatesItsAnswer(t *testing.T) {
 				return indexBytes(results...)
 			})
 		})
-	}
-}
-
-// TestArenaRetainsRequestsOnly: a window's bytes land as views and a
-// member's metadata as a view of its file, so after warm pair and group
-// comparisons in both shapes the arena retains request batches only — no
-// window-sized buffer, no metadata buffer.
-func TestArenaRetainsRequestsOnly(t *testing.T) {
-	if testing.Short() {
-		t.Skip("writes six 6–12 MiB checkpoints")
-	}
-	const limit = 64 << 10
-	ctx := context.Background()
-	ring := aio.NewUring(256)
-	for name, sh := range allocShapes {
-		e := newDetEnv(t, sh)
-		opts := e.opts
-		opts.Backend = ring
-		for i := 0; i < 3; i++ {
-			if _, err := CompareMerkle(ctx, e.store, e.names[0], e.names[1], opts); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := GroupCompare(ctx, e.store, e.names[0], e.names[1:], TopologyStar, opts); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st := ring.Arena().Stats()
-		t.Logf("after %s: %d bytes in %d sets", name, st.Bytes, st.Sets)
-		if st.Bytes > limit || st.Outstanding != 0 {
-			t.Errorf("after %s: the arena retains %d bytes in %d sets (%d out), want at most %d", name, st.Bytes, st.Sets, st.Outstanding, limit)
-		}
 	}
 }
 

@@ -141,7 +141,6 @@ func TestBuildSourcesAgree(t *testing.T) {
 			t.Run(c.name+"/"+ex.Name, func(t *testing.T) {
 				exec, release := ex.Make()
 				defer release()
-				// A ring of the test's own: its arena sees only this build.
 				opts := Options{Epsilon: dettest.Eps, ChunkSize: c.chunk, Exec: exec, Backend: aio.NewUring(0)}
 				mem, memStats, err := Build(c.fields, c.data, opts)
 				if err != nil {
@@ -167,7 +166,6 @@ func TestBuildSourcesAgree(t *testing.T) {
 					oracle = mem
 				}
 				sameMetadata(t, mem, oracle)
-				arena := opts.arena().Stats()
 				rd, rdStats, cost, err := readBack(context.Background(), t, store, name, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -180,10 +178,6 @@ func TestBuildSourcesAgree(t *testing.T) {
 				if cost.TotalBytes() != memStats.Bytes {
 					t.Errorf("read-back moved %d bytes for a %d-byte checkpoint", cost.TotalBytes(), memStats.Bytes)
 				}
-				if st := opts.arena().Stats(); st != arena {
-					t.Errorf("the build moved its ring's arena from %+v to %+v", arena, st)
-				}
-
 				if oracleNext == nil {
 					if oracleNext, _, err = Build(c.fields, next, opts); err != nil {
 						t.Fatal(err)
@@ -314,7 +308,7 @@ func (b *blockFaults) AfterRead(_ string, _ int64, n int) ([]pfs.Flip, pfs.Cost)
 // TestBuildReadFaultLowestBlockWins fails the reads of two blocks — (field
 // 1, block 1) and (field 2, block 0) — and wants the first one's error,
 // under every executor, with a cost that is exactly the reads that
-// completed and its ring's arena as it found it.
+// completed.
 func TestBuildReadFaultLowestBlockWins(t *testing.T) {
 	const elems = 700_000 // 2.8 MB: three read blocks a field
 	c := buildCase{name: "faults", chunk: 4 << 10}
@@ -340,7 +334,6 @@ func TestBuildReadFaultLowestBlockWins(t *testing.T) {
 			store.SetFaultHook(hook)
 			defer store.SetFaultHook(nil)
 			opts := Options{Epsilon: dettest.Eps, ChunkSize: c.chunk, Exec: exec, Backend: aio.NewUring(0)}
-			arena := opts.arena().Stats()
 			m, _, cost, err := BuildFromReader(context.Background(), r, opts)
 			if m != nil || !errors.Is(err, errLow) {
 				t.Fatalf("metadata %v, error %v; want the lower block's fault", m, err)
@@ -350,9 +343,6 @@ func TestBuildReadFaultLowestBlockWins(t *testing.T) {
 			const below = 4*elems + 1<<20
 			if got, want := cost.TotalBytes(), hook.completed.Load(); got != want || got < below || (exec.Workers() == 1 && got != below) {
 				t.Errorf("cost covers %d bytes, completed reads moved %d, the blocks below the fault hold %d", got, want, below)
-			}
-			if st := opts.arena().Stats(); st != arena {
-				t.Errorf("the build moved its ring's arena from %+v to %+v", arena, st)
 			}
 		})
 	}
@@ -373,8 +363,8 @@ func (c *cancelOnRead) BeforeRead(string, int64, int) error {
 }
 
 // TestBuildCancelMidway cancels while blocks are in flight: the build
-// returns the context's error and no metadata, its ring's arena is as it
-// found it, and no goroutine outlives the call.
+// returns the context's error and no metadata, and no goroutine outlives
+// the call.
 func TestBuildCancelMidway(t *testing.T) {
 	fields, data, opts := captureShapeData()
 	store, name := buildCase{fields: fields, data: data}.written(t)
@@ -391,7 +381,6 @@ func TestBuildCancelMidway(t *testing.T) {
 			defer release()
 			opts := opts
 			opts.Exec, opts.Backend = exec, aio.NewUring(0)
-			arena := opts.arena().Stats()
 			base := runtime.NumGoroutine()
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -406,9 +395,6 @@ func TestBuildCancelMidway(t *testing.T) {
 			if total := (ckpt.Meta{Fields: fields}).TotalBytes(); cost.TotalBytes() >= total {
 				t.Errorf("a build canceled at its fifth read still read all %d bytes", total)
 			}
-			if st := opts.arena().Stats(); st != arena {
-				t.Errorf("the build moved its ring's arena from %+v to %+v", arena, st)
-			}
 			waitGoroutines(t, base)
 		})
 	}
@@ -416,9 +402,7 @@ func TestBuildCancelMidway(t *testing.T) {
 
 // TestBuildFromReaderAllocation pins the memory bound: a 14 MiB read-back
 // build allocates its leaves and trees, not the checkpoint (the parent
-// allocated all of it, 14.9 MB), and checks nothing out of the arena: the
-// blocks are views of the file. The build runs on a ring of its own, whose
-// arena starts empty, so a checkout would count as a miss.
+// allocated all of it, 14.9 MB): the blocks are views of the file.
 func TestBuildFromReaderAllocation(t *testing.T) {
 	fields, data, opts := captureShapeData()
 	store, name := buildCase{fields: fields, data: data}.written(t)
@@ -426,7 +410,6 @@ func TestBuildFromReaderAllocation(t *testing.T) {
 	defer pool.Close()
 	opts.Exec = pool
 	opts.Backend = aio.NewUring(0)
-	arena := opts.arena()
 	var ms runtime.MemStats
 	var before uint64
 	for i := 0; i < 2; i++ {
@@ -439,9 +422,6 @@ func TestBuildFromReaderAllocation(t *testing.T) {
 	runtime.ReadMemStats(&ms)
 	if got := ms.TotalAlloc - before; got > 1<<20 {
 		t.Errorf("a 14 MiB build allocated %d bytes, want under 1 MiB", got)
-	}
-	if st := arena.Stats(); st != (aio.ArenaStats{Limit: aio.DefaultArenaLimit}) {
-		t.Errorf("after two builds the arena holds %+v, want nothing checked out, missed or kept", st)
 	}
 }
 

@@ -39,7 +39,7 @@ func diffMeta(iter int) ckpt.Meta {
 func savedCaptureAgrees(t *testing.T, store *pfs.Store, meta ckpt.Meta, want *Metadata) {
 	t.Helper()
 	name := ckpt.Name(meta.RunID, meta.Iteration, meta.Rank)
-	man, _, _, err := cas.LoadManifest(context.Background(), store, name, nil)
+	man, _, err := cas.LoadManifest(context.Background(), store, name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestDiffCaptureColdThenWarm(t *testing.T) {
 	}
 
 	// The manifest round-trips and its extents reproduce the data.
-	m, _, _, err := cas.LoadManifest(context.Background(), store, ckpt.Name("run", 1, 0), nil)
+	m, _, err := cas.LoadManifest(context.Background(), store, ckpt.Name("run", 1, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

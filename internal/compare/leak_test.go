@@ -3,7 +3,6 @@ package compare
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -76,20 +75,11 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
-// assertArenaIdle fails when the arena the options draw on has a buffer set
-// checked out: whatever way the comparison before it ended, its metadata
-// and window sets are back.
-func assertArenaIdle(t *testing.T, opts Options, when string) {
-	t.Helper()
-	if n := opts.withDefaults().arena().Stats().Outstanding; n != 0 {
-		t.Fatalf("%s: %d arena buffer sets still checked out", when, n)
-	}
-}
-
-// TestArenaSetsReturnOnEveryExit: a member's metadata set is on the cleanup
-// chain from the moment it is checked out, so every way a plan can end puts
-// it back — and the window sets with it.
-func TestArenaSetsReturnOnEveryExit(t *testing.T) {
+// TestMembersCloseOnEveryExit: a member's .mrkl is on the cleanup chain
+// from the moment it opens, so every way a plan can end — success, a load
+// that fails half-way, a retried load, a degraded stage 2 — closes every
+// file it opened.
+func TestMembersCloseOnEveryExit(t *testing.T) {
 	env, base := leakEnv(t)
 	metaB := MetadataName(env.nameB)
 	blip := faults.New(1, faults.Rule{Kind: faults.TransientRead, Name: metaB})
@@ -105,14 +95,14 @@ func TestArenaSetsReturnOnEveryExit(t *testing.T) {
 				t.Fatalf("err = %v, result %+v", err, res)
 			}
 		}},
-		{name: "error mid-load", // member A's set is out when member B's read fails
+		{name: "error mid-load", // member A's file is open when member B's read fails
 			hook: faults.New(1, faults.Rule{Kind: faults.PermanentRead, Name: metaB, Count: -1}),
 			want: func(t *testing.T, _ *Result, err error) {
 				if err == nil {
 					t.Fatal("a metadata file that cannot be read compared clean")
 				}
 			}},
-		{name: "retried step", // load runs twice: two sets for A, one for B
+		{name: "retried step", // load runs twice: A opens twice, B once
 			hook: blip,
 			want: func(t *testing.T, res *Result, err error) {
 				if err != nil || res.DiffCount == 0 || blip.Stats().ReadErrs != 1 {
@@ -144,7 +134,6 @@ func TestArenaSetsReturnOnEveryExit(t *testing.T) {
 			}
 			res, err := CompareMerkle(context.Background(), env.store, env.nameA, env.nameB, opts)
 			row.want(t, res, err)
-			assertArenaIdle(t, opts, row.name)
 			if n := env.store.OpenHandles(); n != 0 {
 				t.Fatalf("%d reader handles leaked", n)
 			}
@@ -180,7 +169,6 @@ func TestStage2FailureClosesReaders(t *testing.T) {
 	if n := env.store.OpenHandles(); n != 0 {
 		t.Fatalf("%d reader handles leaked after stage-2 failure", n)
 	}
-	assertArenaIdle(t, opts, "stage-2 failure")
 }
 
 // TestDirectFailureClosesReaders exercises the same invariant on the
@@ -195,7 +183,6 @@ func TestDirectFailureClosesReaders(t *testing.T) {
 	if n := env.store.OpenHandles(); n != 0 {
 		t.Fatalf("%d reader handles leaked after direct failure", n)
 	}
-	assertArenaIdle(t, opts, "direct failure")
 }
 
 // TestCancelMidComparisonNoLeaks cancels a comparison partway through its
@@ -224,7 +211,6 @@ func TestCancelMidComparisonNoLeaks(t *testing.T) {
 		if n := env.store.OpenHandles(); n != 0 {
 			t.Fatalf("budget %d: %d reader handles leaked", budget, n)
 		}
-		assertArenaIdle(t, opts, fmt.Sprintf("canceled at budget %d", budget))
 	}
 	waitGoroutines(t, base)
 }
@@ -252,7 +238,6 @@ func TestGroupCancelNoLeaks(t *testing.T) {
 		if n := env.store.OpenHandles(); n != 0 {
 			t.Fatalf("budget %d: %d reader handles leaked", budget, n)
 		}
-		assertArenaIdle(t, opts, fmt.Sprintf("canceled at budget %d", budget))
 	}
 	waitGoroutines(t, base)
 }
@@ -324,14 +309,14 @@ func TestCancelDuringIntegrityRereadStopsReads(t *testing.T) {
 		if n := env.store.OpenHandles(); n != 0 {
 			t.Fatalf("group=%v: %d reader handles leaked", group, n)
 		}
-		assertArenaIdle(t, opts, fmt.Sprintf("group=%v canceled mid-re-read", group))
 	}
 }
 
 // TestGroupStage2RecyclesWindowBuffers: a group whose per-member candidate
-// union is larger than any buffer set the arena keeps still recycles —
-// stage 2 holds windows, not unions — so a warm, repeated group comparison
-// allocates no buffers and returns every set.
+// union is three windows still streams — stage 2 holds windows, not
+// unions, lands their bytes as views and recycles their request batches —
+// so a warm, repeated group comparison allocates its answer and its plan,
+// never a window's bytes, let alone the union's.
 func TestGroupStage2RecyclesWindowBuffers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("writes two 24 MiB checkpoints")
@@ -340,27 +325,29 @@ func TestGroupStage2RecyclesWindowBuffers(t *testing.T) {
 	pert := synth.DefaultPerturb(11)
 	pert.MagLo, pert.MagHi, pert.UntouchedFrac = 1e-3, 1e-2, 0
 	env := newEnv(t, 2<<20, opts, pert)
-	ring := aio.NewUring(256)
-	opts.Backend = ring
-	run := func() {
+	opts.Backend = aio.NewUring(256)
+	window := uint64(opts.withDefaults().SliceBytes)
+	run := func() (answer uint64) {
 		t.Helper()
 		rep, err := GroupCompare(context.Background(), env.store, env.nameA, []string{env.nameB}, TopologyStar, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if union := int64(rep.Pairs[0].Result.CandidateChunks) * int64(opts.ChunkSize); union <= aio.MaxSetBytes {
-			t.Fatalf("member union is %d bytes, want more than the arena's largest set (%d)", union, int64(aio.MaxSetBytes))
+		res := rep.Pairs[0].Result
+		if union := uint64(res.CandidateChunks) * uint64(opts.ChunkSize); union <= 2*window {
+			t.Fatalf("member union is %d bytes, want more than two windows (%d)", union, 2*window)
 		}
+		return indexBytes(res)
 	}
-	run() // warm the arena
-	warm := ring.Arena().Stats()
-	run()
-	run()
-	after := ring.Arena().Stats()
-	if after.Misses != warm.Misses {
-		t.Errorf("%d arena misses over two warm group comparisons, want none", after.Misses-warm.Misses)
-	}
-	if after.Outstanding != 0 {
-		t.Errorf("%d buffer sets never returned to the arena", after.Outstanding)
+	run() // warm the page cache and the free lists
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	answer := run() + run()
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("two warm group comparisons allocated %d bytes for an answer of %d", got, answer)
+	if got > answer+window/8 {
+		t.Errorf("two warm group comparisons allocated %d bytes for an answer of %d, want at most %d besides: a window is %d",
+			got, answer, window/8, window)
 	}
 }

@@ -183,14 +183,8 @@ func (ms *MemberSet) open(ctx context.Context, x *engine.Exec) error {
 			return err
 		}
 		ms.mans = make([]*cas.Manifest, len(ms.names))
-		// One recycled buffer serves every member in turn: decoding a
-		// manifest copies, so the set goes back when open returns.
-		arena := ms.opts.arena()
-		raw := arena.Get(0)
-		defer arena.Put(raw)
 		for i, name := range ms.names {
-			m, buf, cost, err := cas.LoadManifest(ctx, ms.store, name, raw.Buf)
-			raw.Buf = buf
+			m, cost, err := cas.LoadManifest(ctx, ms.store, name)
 			if err != nil {
 				return err
 			}
@@ -282,9 +276,9 @@ func (ms *MemberSet) bindFields(fields []ckpt.FieldSpec) error {
 // over sequential pairwise comparison, which loads a shared member once
 // per pair — binds it to what it describes (checkMember), prices the reads
 // and the deserialization, and fills in the per-pair totals. Each member's
-// .mrkl, open on the cleanup chain, lands as a view (landMetadata) that its
-// trees are decoded over, then one size check catches a cut that left
-// zeros; a pending flip or a GOOS without mmap lands a copy instead.
+// .mrkl, open on the cleanup chain, lands as a view (pfs.File.LandWhole)
+// that its trees are decoded over, then one size check catches a cut that
+// left zeros; a pending flip or a GOOS without mmap lands a copy instead.
 func (ms *MemberSet) load(ctx context.Context, x *engine.Exec) error {
 	sw := metrics.NewStopwatch()
 	ms.Metas = make([]*Metadata, len(ms.names))
@@ -297,7 +291,7 @@ func (ms *MemberSet) load(ctx context.Context, x *engine.Exec) error {
 			return err
 		}
 		x.CloseOnExit(f)
-		data, cost, err := landMetadata(ctx, f)
+		data, cost, err := f.LandWhole(ctx, metadataBlock)
 		if err != nil {
 			return err
 		}

@@ -403,7 +403,7 @@ func SaveMetadata(store *pfs.Store, checkpointName string, m *Metadata) (pfs.Cos
 }
 
 // metadataBlock is the block a metadata file is read in: LoadMetadata's
-// reads, and the pieces landMetadata prices.
+// reads, and the pieces MemberSet.load prices (pfs.File.LandWhole).
 const metadataBlock = 4 << 20
 
 // LoadMetadata reads the metadata for a checkpoint from a store, returning
@@ -411,7 +411,7 @@ const metadataBlock = 4 << 20
 // the context block by block. The metadata owns the bytes it was decoded
 // from, so it lives as long as the caller keeps it.
 func LoadMetadata(ctx context.Context, store *pfs.Store, checkpointName string) (*Metadata, pfs.Cost, time.Duration, error) {
-	data, cost, err := store.ReadFileFull(ctx, MetadataName(checkpointName), metadataBlock, nil)
+	data, cost, err := store.ReadFileFull(ctx, MetadataName(checkpointName), metadataBlock)
 	if err != nil {
 		return nil, cost, 0, err
 	}
@@ -421,24 +421,4 @@ func LoadMetadata(ctx context.Context, store *pfs.Store, checkpointName string) 
 		return nil, cost, sw.Lap(), err
 	}
 	return m, cost, sw.Lap(), nil
-}
-
-// landMetadata charges a metadata file as LoadMetadata's Store.ReadFileFull
-// does — the context checked, then one Price per metadataBlock, in order —
-// and lands it whole: a view valid until the file closes, or, with a flip
-// pending or no mmap, a copy of its own.
-func landMetadata(ctx context.Context, f *pfs.File) ([]byte, pfs.Cost, error) {
-	var total pfs.Cost
-	for off := int64(0); off < f.Size(); off += metadataBlock {
-		if err := ctx.Err(); err != nil {
-			return nil, total, err
-		}
-		c, err := f.Price(off, int(min(metadataBlock, f.Size()-off)))
-		total.Add(c)
-		if err != nil {
-			return nil, total, err
-		}
-	}
-	data, err := f.Land(0, int(f.Size()))
-	return data, total, err
 }

@@ -40,8 +40,7 @@ type Options struct {
 	// Backend prices the scattered reads, in the runs CoalesceMaxGap
 	// merges them into. A session on a plane built by service.New gets
 	// that plane's io_uring-style engine injected here; left nil it is
-	// aio.Default(), the process-wide ring (queue depth 256, and the
-	// arena every default comparison's buffers come from) that
+	// aio.Default(), the process-wide ring (queue depth 256) that
 	// service.Default() serves from too.
 	Backend aio.Backend
 	// SliceBytes is the stage-2 window size: the bytes of any one
@@ -130,15 +129,6 @@ func (o Options) withDefaults() Options {
 	}
 	o.Retry = o.retryPolicy()
 	return o
-}
-
-// arena returns the stage-2 buffer arena of the options' ring — its
-// plane's — or the process-wide ring's for a backend that is not a ring.
-func (o Options) arena() *aio.Arena {
-	if u, ok := o.Backend.(*aio.Uring); ok {
-		return u.Arena()
-	}
-	return aio.Default().Arena()
 }
 
 // maxGap is CoalesceMaxGap as stream.Config.MaxGap takes it.

@@ -240,7 +240,6 @@ func (st *stage2) run(ctx context.Context) (stream.Stats, time.Duration, error) 
 	}()
 	stats, err := stream.Run(ctx, st.plan, stream.Config{
 		Backend:    opts.Backend,
-		Arena:      opts.arena(),
 		Exec:       exec,
 		Device:     opts.Device,
 		SliceBytes: opts.SliceBytes,

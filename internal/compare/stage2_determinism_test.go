@@ -75,8 +75,8 @@ func TestStage2DeterministicAcrossExecutors(t *testing.T) {
 		})
 	}
 	// The stale-scratch sequence: every door, dense then clean then one
-	// chunk, back to back on the one arena and kernel free list the direct
-	// callers of this package share.
+	// chunk, back to back on the free lists (request batches, kernel
+	// scratch) every comparison in the process shares.
 	t.Run("sequence", func(t *testing.T) {
 		var envs []*detEnv
 		for _, sh := range dettest.Sequence() {

@@ -135,9 +135,8 @@ const (
 )
 
 // kernelFree recycles verdict stores across comparisons and across the
-// work units of a sharded one. It lives for the process, like the
-// default ring's arena, and takes back only what its bound allows, like an
-// arena's Put.
+// work units of a sharded one. It lives for the process, like stream's
+// request-batch free list, and takes back only what its bound allows.
 var kernelFree struct {
 	sync.Mutex
 	stores []*verdicts

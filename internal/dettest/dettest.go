@@ -17,7 +17,6 @@ import (
 	"slices"
 	"testing"
 
-	"repro/internal/aio"
 	"repro/internal/ckpt"
 	"repro/internal/device"
 	"repro/internal/errbound"
@@ -346,12 +345,11 @@ func Want(sh Shape, fields []ckpt.FieldSpec, data [][][]byte, a, b int) map[stri
 const AllocBudget = 96 << 10
 
 // PinWarmAllocs holds one door to "a comparison allocates its answer and
-// nothing else". run is one comparison on a plane whose buffers come from
-// arena, returning the bytes of the index lists it reported. After eight
-// warm-up runs (page cache, ring, arena, kernel-scratch free list), twenty
-// more may allocate answer + AllocBudget bytes each and miss the arena
-// never; after every run nothing may be checked out of it.
-func PinWarmAllocs(t *testing.T, arena *aio.Arena, run func() (answer uint64)) {
+// nothing else". run is one comparison, returning the bytes of the index
+// lists it reported. After eight warm-up runs (page cache, mappings, the
+// request batches' and kernel scratch's free lists), twenty more may
+// allocate answer + AllocBudget bytes each.
+func PinWarmAllocs(t *testing.T, run func() (answer uint64)) {
 	t.Helper()
 	var answer uint64
 	checked := func() {
@@ -359,14 +357,10 @@ func PinWarmAllocs(t *testing.T, arena *aio.Arena, run func() (answer uint64)) {
 		if answer = run(); answer == 0 {
 			t.Fatal("the comparison found nothing: there is no answer to allocate")
 		}
-		if st := arena.Stats(); st.Outstanding != 0 {
-			t.Fatalf("%d arena sets still checked out", st.Outstanding)
-		}
 	}
 	for i := 0; i < 8; i++ {
 		checked()
 	}
-	misses := arena.Stats().Misses
 	var before, after runtime.MemStats
 	const runs = 20
 	runtime.ReadMemStats(&before)
@@ -379,9 +373,6 @@ func PinWarmAllocs(t *testing.T, arena *aio.Arena, run func() (answer uint64)) {
 	if perRun > answer+AllocBudget {
 		t.Errorf("a warm comparison allocates %d bytes for an answer of %d: %d besides, budget %d",
 			perRun, answer, perRun-answer, AllocBudget)
-	}
-	if got := arena.Stats().Misses; got != misses {
-		t.Errorf("%d arena misses over %d warm comparisons", got-misses, runs)
 	}
 }
 

@@ -178,7 +178,7 @@ func TestTornWritePersistsPrefix(t *testing.T) {
 	if st := in.Stats(); st.TornWrites != 1 || st.FailedCloses != 1 || st.WriteErrs != 0 {
 		t.Fatalf("stats %+v, want one torn write and one failed close", st)
 	}
-	data, _, err := s.ReadFileFull(context.Background(), "torn.dat", 0, nil)
+	data, _, err := s.ReadFileFull(context.Background(), "torn.dat", 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -957,15 +957,37 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// ReadFileFull reads an entire file sequentially in large blocks and
-// returns its content with the aggregate cost — the access pattern of the
-// AllClose baseline. The content lands in dst when dst's capacity holds
-// the file, so a caller that recycles its buffer allocates nothing; a nil
-// or too-small dst allocates. Each block read is a cancellation point. A
-// block that comes back short — the file shrank after it was opened — is
-// an error wrapping io.ErrUnexpectedEOF: the tail of a recycled dst holds
-// whatever was read into it last, not zeros.
-func (s *Store) ReadFileFull(ctx context.Context, name string, blockSize int, dst []byte) ([]byte, Cost, error) {
+// LandWhole charges the whole file as ReadFileFull reads it — the context
+// checked, then one Price per blockSize bytes (<= 0 selects 1 MiB), in
+// order — and lands it with one Land: a view valid until Close, or, with a
+// flip pending or no mapping, a copy of its own. A caller reads the view
+// under Guard and checks it with Holds after.
+func (f *File) LandWhole(ctx context.Context, blockSize int) ([]byte, Cost, error) {
+	if blockSize <= 0 {
+		blockSize = 1 << 20
+	}
+	var total Cost
+	for off := int64(0); off < f.size; off += int64(blockSize) {
+		if err := ctx.Err(); err != nil {
+			return nil, total, err
+		}
+		c, err := f.Price(off, int(min(int64(blockSize), f.size-off)))
+		total.Add(c)
+		if err != nil {
+			return nil, total, err
+		}
+	}
+	data, err := f.Land(0, int(f.size))
+	return data, total, err
+}
+
+// ReadFileFull reads an entire file sequentially in large blocks into a
+// buffer of its own and returns it with the aggregate cost — the access
+// pattern of the AllClose baseline. Each block read is a cancellation
+// point. A block that comes back short — the file shrank after it was
+// opened — is an error wrapping io.ErrUnexpectedEOF, never content with a
+// tail the read did not fill.
+func (s *Store) ReadFileFull(ctx context.Context, name string, blockSize int) ([]byte, Cost, error) {
 	if blockSize <= 0 {
 		blockSize = 1 << 20
 	}
@@ -974,12 +996,7 @@ func (s *Store) ReadFileFull(ctx context.Context, name string, blockSize int, ds
 		return nil, Cost{}, err
 	}
 	defer f.Close()
-	var data []byte
-	if int64(cap(dst)) >= f.Size() {
-		data = dst[:f.Size()]
-	} else {
-		data = make([]byte, f.Size())
-	}
+	data := make([]byte, f.Size())
 	var total Cost
 	for off := int64(0); off < f.Size(); off += int64(blockSize) {
 		end := min(off+int64(blockSize), f.Size())

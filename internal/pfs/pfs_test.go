@@ -290,7 +290,7 @@ func TestReadFileFull(t *testing.T) {
 	}
 	writeTestFile(t, s, "g.dat", data)
 	s.Evict("g.dat")
-	got, cost, err := s.ReadFileFull(context.Background(), "g.dat", 32<<10, nil)
+	got, cost, err := s.ReadFileFull(context.Background(), "g.dat", 32<<10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +304,7 @@ func TestReadFileFull(t *testing.T) {
 		t.Errorf("ops = %d, want 4", cost.Ops)
 	}
 	// Default block size path and missing file path.
-	if _, _, err := s.ReadFileFull(context.Background(), "missing.dat", 0, nil); err == nil {
+	if _, _, err := s.ReadFileFull(context.Background(), "missing.dat", 0); err == nil {
 		t.Error("missing file accepted")
 	}
 }

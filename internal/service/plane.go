@@ -4,9 +4,7 @@
 // with a Plane that explicitly owns the shared resources:
 //
 //   - one persistent device.Pool running every comparison kernel,
-//   - one aio.Uring pricing every stage-2 scattered read, and with it the
-//     stage-2 buffer arena (window request sets, manifest buffers) every
-//     comparison recycles through,
+//   - one aio.Uring pricing every stage-2 scattered read,
 //   - the content-addressed chunk stores (one cas.Store handle per
 //     pfs.Store, opened once and shared),
 //   - the stage-2 verdict memos (one CASMemo per ε),
@@ -23,11 +21,10 @@
 // neither goroutines nor handles.
 //
 // The process has one set of default resources — device.Default() and
-// aio.Default(), ring, arena and all: the Default plane wraps them, and a
-// direct internal/compare call that leaves Options.Exec/Backend nil lands
-// on the same two, so a facade call and a planner call share one pool and
-// one ring. Planes built by New own private ones; Close joins the pool and
-// releases the ring's arena.
+// aio.Default(): the Default plane wraps them, and a direct
+// internal/compare call that leaves Options.Exec/Backend nil lands on the
+// same two, so a facade call and a planner call share one pool and one
+// ring. Planes built by New own private ones; Close joins the pool.
 package service
 
 import (
@@ -104,7 +101,7 @@ type Plane struct {
 	cfg   Config
 	exec  *device.Pool
 	ring  *aio.Uring
-	owns  bool // Close joins exec and releases the arena (false only for Default())
+	owns  bool // Close joins exec (false only for Default())
 	sched *sched
 
 	// jobs joins every detached job goroutine (Session.Submit) so Close
@@ -125,29 +122,16 @@ type Plane struct {
 // Nothing starts until the first comparison; Close joins the pool.
 func New(cfg Config) *Plane {
 	cfg = cfg.withDefaults()
-	ring := aio.NewUring(cfg.QueueDepth)
-	ring.Arena().SetLimit(arenaLimit(cfg))
 	return &Plane{
 		cfg:     cfg,
 		exec:    device.NewPool(cfg.Workers),
-		ring:    ring,
+		ring:    aio.NewUring(cfg.QueueDepth),
 		owns:    true,
 		sched:   newSched(cfg),
 		tenants: make(map[string]*tenant),
 		memos:   make(map[uint64]*compare.CASMemo),
 		stores:  make(map[*pfs.Store]*cas.Store),
 	}
-}
-
-// arenaLimit is the stage-2 arena's bound for a plane: two of the
-// arena's largest sets (aio.MaxSetBytes) for each of MaxInFlight admitted
-// comparisons, room for a differential comparison's manifest buffer
-// beside the request batches of its windows, which are kilobytes (a
-// capture's read-back, like a window's bytes, is a view of the file and
-// holds no set). The arena never retains more, however many comparisons
-// pass through; a set larger than aio.MaxSetBytes is not retained at all.
-func arenaLimit(cfg Config) int64 {
-	return int64(cfg.MaxInFlight) * (1 + 1) * aio.MaxSetBytes
 }
 
 // defaultPlane is the process-wide plane behind Default.
@@ -160,7 +144,7 @@ var (
 // one-shot entry points. It wraps the never-closed process singletons
 // (device.Default(), aio.Default()) — the same two a direct
 // internal/compare call defaults to — so facade calls and planner calls
-// share one pool, one ring and one arena. Its Close drains admissions but
+// share one pool and one ring. Its Close drains admissions but
 // leaves the singletons running.
 func Default() *Plane {
 	defaultPlaneOnce.Do(func() {
@@ -183,10 +167,6 @@ func (p *Plane) Executor() device.Executor { return p.exec }
 
 // Backend returns the plane's ring engine.
 func (p *Plane) Backend() *aio.Uring { return p.ring }
-
-// ArenaStats snapshots the stage-2 buffer arena: bytes and sets retained
-// for reuse, sets checked out, and checkouts that had to allocate.
-func (p *Plane) ArenaStats() aio.ArenaStats { return p.ring.Arena().Stats() }
 
 // PeakInFlight reports the highest concurrent-execution count the
 // scheduler has reached — the saturation bound MaxInFlight enforces.
@@ -311,8 +291,7 @@ func (p *Plane) normalizeOptions(o compare.Options) (compare.Options, error) {
 // Close shuts the plane down deterministically: new admissions fail with
 // ErrPlaneClosed, queued submissions are rejected, in-flight comparisons
 // drain to completion, detached jobs publish their verdicts, and the
-// plane's own pool is joined and the stage-2 arena is released.
-// Idempotent. The Default plane
+// plane's own pool is joined. Idempotent. The Default plane
 // drains but leaves the process-wide singletons running (it does not own
 // them); planes built by New verify their leak accounting and report a
 // shutdown that left work behind as an error.
@@ -328,18 +307,11 @@ func (p *Plane) Close() error {
 	p.sched.close() // reject the queue, wait out in-flight work
 	p.jobs.Wait()   // detached jobs finish publishing after release
 
-	var arenaErr error
 	if p.owns {
 		p.exec.Close()
-		// Every comparison has drained, so every buffer set is back:
-		// release the arena's memory, and report a set that is not.
-		arenaErr = p.ring.Arena().Release()
 	}
 	if n := p.sched.inFlight(); n != 0 {
 		return fmt.Errorf("service: plane closed with %d comparisons still accounted in flight", n)
-	}
-	if arenaErr != nil {
-		return fmt.Errorf("service: %w", arenaErr)
 	}
 	return nil
 }

@@ -14,8 +14,8 @@ import (
 // compare's TestWarmComparisonAllocatesItsAnswer, on its sparse shape (a
 // few divergent elements in 12 MiB at 4 KiB chunks, 98 KB of metadata a
 // member): a warm sharded comparison allocates its answer plus the same
-// fixed budget — its members' metadata comes out of the arena once for all
-// its work units, and the units' kernel scratch out of the free list. The
+// fixed budget — its members' metadata lands as views once for all its
+// work units, and the units' kernel scratch comes out of the free list. The
 // row is the default four workers and nine work units: besides those, a
 // sharded comparison allocates a stage-2 view for each worker that runs a
 // unit and a pipeline's control state per unit, which grow with its shape
@@ -33,7 +33,7 @@ func TestWarmShardedComparisonAllocatesItsAnswer(t *testing.T) {
 		}
 	})
 	cfg := Config{Stealing: true}
-	dettest.PinWarmAllocs(t, ring.Arena(), func() uint64 {
+	dettest.PinWarmAllocs(t, func() uint64 {
 		res, _, err := Compare(context.Background(), e.store, e.nameA, e.nameB, cfg, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -67,7 +67,7 @@ func TestIdleWorkersCostNextToNothing(t *testing.T) {
 		}
 		return stats
 	}
-	run(4)                            // the default ring's workers, the arena, the page cache
+	run(4)                            // the default ring's workers, the free lists, the page cache
 	goroutines := settledGoroutines() // earlier tests' executors may still be exiting
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

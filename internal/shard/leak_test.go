@@ -19,9 +19,9 @@ import (
 
 // TestShardLeavesNothingBehind is the single-node leak table
 // (internal/compare/leak_test.go) for the sharded path, which now draws on
-// the same arena and ring: whatever way a sharded comparison ends, every
-// buffer set is back in the arena, every container is closed, the
-// contention table is off the store and the goroutines are gone.
+// the same ring: whatever way a sharded comparison ends, every container
+// is closed, the contention table is off the store and the goroutines are
+// gone.
 func TestShardLeavesNothingBehind(t *testing.T) {
 	ring := aio.NewUring(256)
 	base := testOpts()
@@ -35,7 +35,7 @@ func TestShardLeavesNothingBehind(t *testing.T) {
 		return Compare(ctx, e.store, e.nameA, e.nameB, cfg, opts)
 	}
 	steal := Config{Workers: 4, Stealing: true, Budget: 4 * testChunk}
-	if _, _, err := run(context.Background(), steal, base); err != nil { // warm the pool and the arena
+	if _, _, err := run(context.Background(), steal, base); err != nil { // warm the pool and the free lists
 		t.Fatal(err)
 	}
 	metaB := compare.MetadataName(e.nameB)
@@ -100,9 +100,6 @@ func TestShardLeavesNothingBehind(t *testing.T) {
 			// are gone.
 			goroutines := settledGoroutines()
 			row(t)
-			if st := ring.Arena().Stats(); st.Outstanding != 0 {
-				t.Errorf("%d arena buffer sets never returned", st.Outstanding)
-			}
 			if n := e.store.OpenHandles(); n != 0 {
 				t.Errorf("%d reader handles leaked", n)
 			}

@@ -166,7 +166,7 @@ func TestShardParityAcrossExecutors(t *testing.T) {
 		})
 	}
 	// The stale-scratch sequence through the sharded doors: dense, then
-	// clean, then one chunk, back to back on one arena and free list.
+	// clean, then one chunk, back to back on the same free lists.
 	t.Run("sequence", func(t *testing.T) {
 		var envs []*parityEnv
 		for _, sh := range dettest.Sequence() {

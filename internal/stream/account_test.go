@@ -251,7 +251,7 @@ func accountRow(t *testing.T, row string, in accountInput, exec device.Executor,
 			return nil
 		}
 	}
-	cfg := Config{Backend: be.make(), MaxGap: be.maxGap, Arena: aio.NewArena(0), Exec: exec, Device: device.GPUModel(), SliceBytes: in.slice, Depth: depth}
+	cfg := Config{Backend: be.make(), MaxGap: be.maxGap, Exec: exec, Device: device.GPUModel(), SliceBytes: in.slice, Depth: depth}
 	if sc.retry {
 		cfg.Retry = retry.Default()
 	}

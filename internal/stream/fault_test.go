@@ -138,7 +138,7 @@ func runFaultCase(t *testing.T, fc faultCase, exec device.Executor, degrade bool
 	fc.arm(plan, fa, h)
 	defer fa.Store().SetFaultHook(nil)
 	kept := make([]bool, len(plan.Jobs))
-	cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewUring(64), Exec: exec, Device: device.GPUModel()}
+	cfg := Config{Backend: aio.NewUring(64), Exec: exec, Device: device.GPUModel()}
 	_, err = Run(context.Background(), plan, cfg, func(_ int, j Job, a, b []byte) (time.Duration, error) {
 		kept[j.Index] = a != nil && b != nil
 		if kept[j.Index] {
@@ -198,7 +198,7 @@ func TestWriteToViewCrashes(t *testing.T) {
 		fa, fb := floatRuns(t)
 		pool := device.NewPool(2)
 		defer pool.Close()
-		cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewUring(64), Exec: pool, Device: device.GPUModel()}
+		cfg := Config{Backend: aio.NewUring(64), Exec: pool, Device: device.GPUModel()}
 		_, err := Run(context.Background(), pairPlan(fa, fb, pairsEvery(4, faultChunk, faultChunk)), cfg,
 			func(_ int, _ Job, a, _ []byte) (time.Duration, error) {
 				a[0] ^= 1

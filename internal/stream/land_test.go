@@ -194,7 +194,7 @@ func TestEachExtentLandsOncePerWindow(t *testing.T) {
 				for i, f := range files {
 					index[f] = i
 				}
-				cfg := Config{Arena: aio.NewArena(0), Backend: log, MaxGap: 16 << 10, Exec: pool, Device: device.GPUModel(), SliceBytes: tc.slice}
+				cfg := Config{Backend: log, MaxGap: 16 << 10, Exec: pool, Device: device.GPUModel(), SliceBytes: tc.slice}
 				seen := make([]int, len(plan.Jobs))
 				var mu sync.Mutex
 				stats, err := Run(context.Background(), plan, cfg, func(_ int, j Job, a, b []byte) (time.Duration, error) {
@@ -271,7 +271,7 @@ func TestTruncatedBetweenPriceAndCopy(t *testing.T) {
 				fa, fb, _, _ := twoFiles(t, 64*chunk)
 				fb.Store().SetFaultHook(&truncateOnPrice{store: fb.Store(), name: fb.Name()})
 				plan := pairPlan(fa, fb, pairsEvery(60, chunk, chunk))
-				cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewUring(64), MaxGap: 16 << 10, Exec: pool, Device: device.GPUModel()}
+				cfg := Config{Backend: aio.NewUring(64), MaxGap: 16 << 10, Exec: pool, Device: device.GPUModel()}
 				_, err := Run(context.Background(), plan, cfg, func(int, Job, []byte, []byte) (time.Duration, error) { return 0, nil })
 				if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), fb.Name()) {
 					t.Fatalf("strict run over a file truncated after pricing: err = %v, want %s short", err, fb.Name())
@@ -287,7 +287,7 @@ func TestTruncatedBetweenPriceAndCopy(t *testing.T) {
 			fb.Store().SetFaultHook(&truncateOnPrice{store: fb.Store(), name: fb.Name()})
 			plan := pairPlan(fa, fb, pairsEvery(60, chunk, chunk))
 			plan.Degrade = true
-			cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewUring(64), MaxGap: 16 << 10, Exec: pool, Device: device.GPUModel()}
+			cfg := Config{Backend: aio.NewUring(64), MaxGap: 16 << 10, Exec: pool, Device: device.GPUModel()}
 			stats, err := Run(context.Background(), plan, cfg, func(_ int, j Job, _, _ []byte) (time.Duration, error) {
 				t.Errorf("job %d of the dead source was delivered", j.Index)
 				return 0, nil
@@ -308,7 +308,7 @@ func TestRunStartsNoGoroutine(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for _, exec := range []device.Executor{device.Serial{}, pool} {
 		for _, fail := range []bool{false, true} {
-			cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewUring(64), MaxGap: 16 << 10, Exec: exec, Device: device.GPUModel(), SliceBytes: 64 << 10}
+			cfg := Config{Backend: aio.NewUring(64), MaxGap: 16 << 10, Exec: exec, Device: device.GPUModel(), SliceBytes: 64 << 10}
 			_, err := Run(context.Background(), pairPlan(fa, fb, pairsEvery(64, 4096, 8192)), cfg, func(_ int, j Job, _, _ []byte) (time.Duration, error) {
 				if fail && j.Index == 40 {
 					return 0, errBoom
@@ -411,7 +411,7 @@ func FuzzRangeCopies(f *testing.F) {
 		maxGap := []int{16 << 10, 0, length - 1, length, 2*length - 1, 2 * length}[next()%6]
 		log := &landLog{inner: aio.NewUring(64)}
 		log.record(t)
-		cfg := Config{Arena: aio.NewArena(0), Backend: log, MaxGap: maxGap, Exec: wideSerial(width), Device: device.GPUModel(), SliceBytes: slice}
+		cfg := Config{Backend: log, MaxGap: maxGap, Exec: wideSerial(width), Device: device.GPUModel(), SliceBytes: slice}
 		_, err := Run(context.Background(), plan, cfg, func(_ int, j Job, a, b []byte) (time.Duration, error) {
 			for _, side := range []struct {
 				ref Ref

@@ -88,7 +88,7 @@ func TestRunParallelDeliversEveryPairOnce(t *testing.T) {
 		fa.Store().EvictAll() // every run prices a cold cache
 		seen := make([]int32, len(pairs))
 		busy := make([]atomic.Int32, MaxRanges(exec))
-		cfg := Config{Arena: aio.NewArena(0), Backend: u, MaxGap: 16 << 10, Exec: exec, Device: dev, SliceBytes: 256 << 10}
+		cfg := Config{Backend: u, MaxGap: 16 << 10, Exec: exec, Device: dev, SliceBytes: 256 << 10}
 		stats, err := Run(context.Background(), pairPlan(fa, fb, pairs), cfg, func(r int, j Job, a, b []byte) (time.Duration, error) {
 			p := pairs[j.Index]
 			if busy[r].Add(1) != 1 {
@@ -125,22 +125,22 @@ func TestRunParallelDeliversEveryPairOnce(t *testing.T) {
 
 // TestRunErrorAndCancelMidSlice: a compute error or a cancellation in the
 // middle of a slice comes back as the error of the lowest failing pair,
-// leaves no goroutine behind, and returns every buffer set to the arena.
+// leaves no goroutine behind, and returns every request batch to the free
+// list.
 func TestRunErrorAndCancelMidSlice(t *testing.T) {
 	fa, fb, _, _ := twoFiles(t, 4<<20)
 	pairs := pairsEvery(384, 8192, 10240) // 12 slices of 32 pairs
 	pool := device.NewPool(4)
 	defer pool.Close()
 	u := aio.NewUring(64)
-	arena := u.Arena()
-	warm := Config{Arena: arena, Backend: u, MaxGap: 16 << 10, Exec: pool, Device: device.GPUModel(), SliceBytes: 256 << 10}
+	warm := Config{Backend: u, MaxGap: 16 << 10, Exec: pool, Device: device.GPUModel(), SliceBytes: 256 << 10}
 	if _, err := Run(context.Background(), pairPlan(fa, fb, pairs), warm, func(int, Job, []byte, []byte) (time.Duration, error) {
 		return 0, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	base := runtime.NumGoroutine()
-	idle := arena.Stats()
+	idle := freeBatchCount()
 
 	t.Run("compute error", func(t *testing.T) {
 		// Every pair from 70 on fails (slice 2, several ranges): the
@@ -179,13 +179,16 @@ func TestRunErrorAndCancelMidSlice(t *testing.T) {
 	})
 
 	waitGoroutines(t, base)
-	after := arena.Stats()
-	if after.Outstanding != 0 {
-		t.Errorf("%d buffer sets never returned to the arena", after.Outstanding)
+	if after := freeBatchCount(); after != idle {
+		t.Errorf("%d request batches free after the failures, %d before: a failed run must recycle like a clean one", after, idle)
 	}
-	if after.Sets != idle.Sets || after.Bytes != idle.Bytes || after.Misses != idle.Misses {
-		t.Errorf("arena after failures %+v, idle before %+v: a failed run must recycle like a clean one", after, idle)
-	}
+}
+
+// freeBatchCount is the length of the request batches' free list.
+func freeBatchCount() int {
+	batchFree.Lock()
+	defer batchFree.Unlock()
+	return len(batchFree.batches)
 }
 
 var errBoom = errors.New("boom")
@@ -203,8 +206,8 @@ func waitGoroutines(t *testing.T, base int) {
 }
 
 // TestSteadyStateComparisonAllocs pins the marginal cost of one more
-// comparison, not only of one more slice: with the arena warm a whole Run
-// allocates no buffers — its bytes are the fixed control state (channels,
+// comparison, not only of one more slice: with the free list warm a whole
+// Run allocates no request batches — its bytes are the fixed control state (channels,
 // the slice table, the dispatch closure), a fraction of a percent of the
 // 1 MiB of slice buffers it cycles through — and each extra slice costs at
 // most the pool's two allocations per dispatch (task + completion channel).
@@ -215,7 +218,7 @@ func TestSteadyStateComparisonAllocs(t *testing.T) {
 	pool := device.NewPool(4)
 	defer pool.Close()
 	u := aio.NewUring(64)
-	cfg := Config{Arena: u.Arena(), Backend: u, MaxGap: 16 << 10, Exec: pool, Device: device.GPUModel(), SliceBytes: perSlice * chunk, Depth: 2}
+	cfg := Config{Backend: u, MaxGap: 16 << 10, Exec: pool, Device: device.GPUModel(), SliceBytes: perSlice * chunk, Depth: 2}
 	dispatches := 0
 	// Plans are inputs: built once, outside the measured runs.
 	plans := map[int]*Plan{extra: pairPlan(fa, fb, pairs[:extra*perSlice]), 2 * extra: pairPlan(fa, fb, pairs)}
@@ -230,12 +233,11 @@ func TestSteadyStateComparisonAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	runN(2 * extra) // warm the page cache and the arena
+	runN(2 * extra) // warm the page cache and the batch free list
 	if dispatches == 0 {
 		t.Fatal("slices were not split into ranges: the dispatch cost is not being measured")
 	}
 
-	misses := u.Arena().Stats().Misses
 	var before, after runtime.MemStats
 	const runs = 20
 	runtime.ReadMemStats(&before)
@@ -245,10 +247,7 @@ func TestSteadyStateComparisonAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perRun := (after.TotalAlloc - before.TotalAlloc) / runs
 	if perRun > 8<<10 {
-		t.Errorf("a warm comparison allocates %d bytes; its buffers are %d — they must come from the arena", perRun, 2*2*perSlice*chunk)
-	}
-	if got := u.Arena().Stats().Misses; got != misses {
-		t.Errorf("%d arena misses over %d warm comparisons", got-misses, runs)
+		t.Errorf("a warm comparison allocates %d bytes; its slices are %d bytes — they must land as views", perRun, 2*2*perSlice*chunk)
 	}
 
 	short := testing.AllocsPerRun(5, func() { runN(extra) })

@@ -88,7 +88,7 @@ func TestVirtualPipelineClosedForms(t *testing.T) {
 // stats fix: Stats.Wall used to be set only on success.
 func TestRunErrorPathsSetWall(t *testing.T) {
 	fa, fb, _, _ := twoFiles(t, 1<<20)
-	cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewUring(16), Device: device.GPUModel(), SliceBytes: 32 << 10}
+	cfg := Config{Backend: aio.NewUring(16), Device: device.GPUModel(), SliceBytes: 32 << 10}
 
 	boom := errors.New("boom")
 	stats, err := Run(context.Background(), pairPlan(fa, fb, pairsEvery(32, 4096, 8192)), cfg, func(int, Job, []byte, []byte) (time.Duration, error) {
@@ -120,7 +120,7 @@ func TestRunDepths(t *testing.T) {
 	var prev time.Duration
 	for _, depth := range []int{1, 2, 4} {
 		u := aio.NewUring(16)
-		cfg := Config{Arena: aio.NewArena(0), Backend: u, Device: device.GPUModel(), SliceBytes: 32 << 10, Depth: depth}
+		cfg := Config{Backend: u, Device: device.GPUModel(), SliceBytes: 32 << 10, Depth: depth}
 		stats, err := Run(context.Background(), pairPlan(fa, fb, pairs), cfg, func(_ int, j Job, a, b []byte) (time.Duration, error) {
 			p := pairs[j.Index]
 			if int64(len(a)) != int64(p.Len) || a[0] != da[p.OffA] {
@@ -141,13 +141,12 @@ func TestRunDepths(t *testing.T) {
 	}
 }
 
-// TestSteadyStateSliceAllocs verifies the recycling buffer pool: once the
-// page cache and the pool are warm, each additional slice through the
-// pipeline performs no heap allocations, through every read engine of the
-// clustered table (the ring, the ring with coalescing and its scratch
-// arena, the serial pair) at every depth. Per-Run fixed costs (the reader,
-// the verifier, the pool itself) are cancelled by differencing an N-slice
-// run against a 2N-slice run.
+// TestSteadyStateSliceAllocs: once the page cache and the request batches'
+// free list are warm, each additional slice through the pipeline performs
+// no heap allocations, through every read engine of the clustered table
+// (the ring, the ring with coalescing, the serial pair) at every depth.
+// Per-Run fixed costs (the reader, the verifier) are cancelled by
+// differencing an N-slice run against a 2N-slice run.
 func TestSteadyStateSliceAllocs(t *testing.T) {
 	fa, fb, _, _ := twoFiles(t, 1<<20)
 	const chunk = 4096
@@ -167,7 +166,7 @@ func TestSteadyStateSliceAllocs(t *testing.T) {
 	} {
 		for _, depth := range []int{1, 2, 4} {
 			t.Run(fmt.Sprintf("%s/depth%d", be.name, depth), func(t *testing.T) {
-				cfg := Config{Arena: aio.NewArena(0), Backend: be.backend, MaxGap: be.maxGap, Device: device.GPUModel(), SliceBytes: perSlice * chunk, Depth: depth}
+				cfg := Config{Backend: be.backend, MaxGap: be.maxGap, Device: device.GPUModel(), SliceBytes: perSlice * chunk, Depth: depth}
 				runN := func(n int) {
 					_, err := Run(context.Background(), plans[n], cfg, func(int, Job, []byte, []byte) (time.Duration, error) {
 						return 0, nil
@@ -176,7 +175,7 @@ func TestSteadyStateSliceAllocs(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				runN(2 * extra) // warm the page cache and the arena
+				runN(2 * extra) // warm the page cache and the batch free list
 
 				short := testing.AllocsPerRun(5, func() { runN(extra) })
 				long := testing.AllocsPerRun(5, func() { runN(2 * extra) })

@@ -114,7 +114,7 @@ func TestRunSharedExtentReadOnce(t *testing.T) {
 	for _, sliceBytes := range []int{1 << 20, 16 * chunk} { // one window, then three
 		cb := &countingBackend{inner: aio.Mmap{}}
 		pool := device.NewPool(4)
-		cfg := Config{Arena: aio.NewArena(0), Backend: cb, Exec: pool, Device: device.GPUModel(), SliceBytes: sliceBytes}
+		cfg := Config{Backend: cb, Exec: pool, Device: device.GPUModel(), SliceBytes: sliceBytes}
 		plan := starPlan(files, chunks, chunk)
 		seen := make([]atomic.Int32, len(plan.Jobs))
 		stats, err := Run(context.Background(), plan, cfg, func(_ int, j Job, a, b []byte) (time.Duration, error) {
@@ -170,7 +170,7 @@ func (b failNamed) Price(ctx context.Context, f *pfs.File, reqs []aio.ReadReq) (
 func TestRunDeadSourceSkipsItsJobs(t *testing.T) {
 	const chunks, chunk = 32, 4096
 	files, data := nFiles(t, 4, chunks*chunk)
-	cfg := Config{Arena: aio.NewArena(0), Backend: failNamed{inner: aio.Mmap{}, match: "run2"}, Device: device.GPUModel(), SliceBytes: 8 * chunk}
+	cfg := Config{Backend: failNamed{inner: aio.Mmap{}, match: "run2"}, Device: device.GPUModel(), SliceBytes: 8 * chunk}
 	plan := starPlan(files, chunks, chunk)
 	if _, err := Run(context.Background(), plan, cfg, func(int, Job, []byte, []byte) (time.Duration, error) {
 		return 0, nil
@@ -214,7 +214,7 @@ func TestRunCheckSettlesEachExtentOnce(t *testing.T) {
 	files, data := nFiles(t, 4, chunks*chunk)
 	pool := device.NewPool(4)
 	defer pool.Close()
-	cfg := Config{Arena: aio.NewArena(0), Backend: aio.Mmap{}, Exec: pool, Device: device.GPUModel(), SliceBytes: 16 * chunk}
+	cfg := Config{Backend: aio.Mmap{}, Exec: pool, Device: device.GPUModel(), SliceBytes: 16 * chunk}
 	plan := starPlan(files, chunks, chunk)
 	plan.Degrade = true
 

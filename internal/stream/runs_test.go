@@ -19,9 +19,6 @@ import (
 // data[source].
 func deliver(t *testing.T, plan *Plan, cfg Config, data ...[]byte) Stats {
 	t.Helper()
-	if cfg.Arena == nil {
-		cfg.Arena = aio.NewArena(0)
-	}
 	cfg.Device = device.GPUModel()
 	stats, err := Run(context.Background(), plan, cfg, func(_ int, j Job, a, b []byte) (time.Duration, error) {
 		for _, side := range [2]struct {
@@ -231,7 +228,7 @@ func TestRunsRejectNegativeOffsets(t *testing.T) {
 	fa, fb, _, _ := twoFiles(t, 4096)
 	for _, gap := range []int{16 << 10, 0} {
 		plan := pairPlan(fa, fb, []chunkPair{{0, 0, 0, 16}, {1, -5, 0, 16}})
-		cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewUring(8), MaxGap: gap, Device: device.GPUModel()}
+		cfg := Config{Backend: aio.NewUring(8), MaxGap: gap, Device: device.GPUModel()}
 		if _, err := Run(context.Background(), plan, cfg, func(int, Job, []byte, []byte) (time.Duration, error) { return 0, nil }); err == nil {
 			t.Errorf("MaxGap %d: an extent at -5 accepted", gap)
 		}

@@ -51,7 +51,7 @@ func TestRunSameFileMergesBatches(t *testing.T) {
 	const n, chunk = 32, 4096
 	pairs := samePackPairs(n, chunk)
 	cb := &countingBackend{inner: aio.Mmap{}}
-	cfg := Config{Arena: aio.NewArena(0), Backend: cb, Device: device.GPUModel(), SliceBytes: 32 << 10}
+	cfg := Config{Backend: cb, Device: device.GPUModel(), SliceBytes: 32 << 10}
 	var visited int32
 	stats, err := Run(context.Background(), pairPlan(f, f, pairs), cfg, func(_ int, j Job, a, b []byte) (time.Duration, error) {
 		p := pairs[j.Index]
@@ -95,7 +95,7 @@ func TestRunSameFileCoalescesAcrossSides(t *testing.T) {
 	const n, chunk = 16, 4096
 	pairs := samePackPairs(n, chunk)
 	run := func(maxGap int) int {
-		cfg := Config{Arena: aio.NewArena(0), Backend: serial{aio.NewUring(64)}, MaxGap: maxGap, Device: device.GPUModel(), SliceBytes: 1 << 20}
+		cfg := Config{Backend: serial{aio.NewUring(64)}, MaxGap: maxGap, Device: device.GPUModel(), SliceBytes: 1 << 20}
 		stats, err := Run(context.Background(), pairPlan(f, f, pairs), cfg, func(int, Job, []byte, []byte) (time.Duration, error) {
 			return 0, nil
 		})

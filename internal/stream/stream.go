@@ -11,9 +11,10 @@
 // source holding both sides of a job, so SliceBytes bounds one side whether
 // a pair sits in two files or one pack — and the jobs right behind it that
 // share an extent with it and still fit. One window asks at most SliceBytes
-// plus one job's bytes of each source and side; its requests sit in one set
-// per source from the stage-2 arena, held from the first window to Run's
-// return. Its bytes land as views, copied only where Land cannot view.
+// plus one job's bytes of each source and side; its requests sit in one
+// batch per source, reused by every window of the run and recycled across
+// runs through a bounded free list. Its bytes land as views, copied only
+// where Land cannot view.
 //
 // Run takes the windows one at a time on the calling goroutine. It prices a
 // window — every source's extents once, merged into runs of nearby extents
@@ -22,10 +23,11 @@
 // extents once each (pfs.File.Land: a view of the file's
 // mapping, so the kernels read the page cache where it lies) and verifies
 // it in one dispatch over Config.Exec: the window's jobs split into
-// byte-balanced contiguous ranges, which read their views under the fault
-// contract (verifier.guard). A window's virtual compute is a sum of
-// Durations (launch + transfer + Σ per-job terms), which no evaluation order
-// can change, so the virtual clock is the same at any worker count.
+// byte-balanced contiguous ranges, which read their views under pfs's
+// fault contract (pfs.Guard, then pfs.File.Holds). A window's virtual
+// compute is a sum of Durations (launch + transfer + Σ per-job terms),
+// which no evaluation order can change, so the virtual clock is the same
+// at any worker count.
 //
 // Virtual time is a depth-N two-stage pipeline's (Config.Depth, default 2 —
 // classic double buffering), accounted with the recurrence
@@ -47,7 +49,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/aio"
@@ -172,8 +176,6 @@ func (p *Plan) Seal() {
 type Config struct {
 	// Backend prices the scattered reads. Required.
 	Backend aio.Backend
-	// Arena supplies the windows' request sets. Required.
-	Arena *aio.Arena
 	// Exec runs each window's ranges — landing their extents, verifying
 	// their jobs — one work item per range (nil runs them on the caller).
 	// An executor that skips items on cancellation (device.Cancelable) must
@@ -248,13 +250,13 @@ type Stats struct {
 type Compute func(r int, j Job, a, b []byte) (time.Duration, error)
 
 // window is the stretch of the job list being priced and verified: its
-// jobs, the request set of each source's extents, and what pricing them
+// jobs, the request batch of each source's extents, and what pricing them
 // cost.
 type window struct {
-	lo, hi int           // plan.Jobs[lo:hi]
-	sets   []*aio.BufSet // by source; nil until the source is first needed
+	lo, hi  int      // plan.Jobs[lo:hi]
+	batches []*batch // by source
 	// at[i] is where job lo+i's sides land: the index of each side's
-	// request in its source's set, or -1 for a job whose source is dead.
+	// request in its source's batch, or -1 for a job whose source is dead.
 	at      [][2]int32
 	loaded  []int // the live sources priced this window, ascending
 	held    int64 // bytes asked of the sources, priced or not
@@ -263,6 +265,62 @@ type window struct {
 	io      time.Duration
 	cost    pfs.Cost
 	retries int // pricings re-issued under the retry policy
+}
+
+// batch is one source's requests in a window: its extents in extent
+// order, each pointed at its landed bytes, and the runs they price as.
+type batch struct {
+	reqs, runs []aio.ReadReq
+}
+
+// reqBytes is the in-memory size of one aio.ReadReq, for the free list's
+// byte bound: the offset, and the length, the buffer's slice header and
+// the tag a word each.
+const reqBytes = 8 + 5*bits.UintSize/8
+
+// The batch free list keeps at most freeBatches batches, none larger than
+// batchMax bytes (a window of more than some 20 000 extents of one source;
+// a larger batch is dropped for the collector and regrown by the next run
+// that needs it): at most 64 MiB for the process, in practice a few tens of
+// KiB for each source of the comparisons in flight at once.
+const (
+	freeBatches = 64
+	batchMax    = 1 << 20
+)
+
+// batchFree recycles request batches across runs, so a steady stream of
+// comparisons cuts its windows into batches it does not allocate. It lives
+// for the process and takes back only what its bound allows.
+var batchFree struct {
+	sync.Mutex
+	batches []*batch
+}
+
+// getBatch checks a batch out of the free list (a new one when it is
+// empty).
+func getBatch() *batch {
+	batchFree.Lock()
+	defer batchFree.Unlock()
+	if last := len(batchFree.batches) - 1; last >= 0 {
+		b := batchFree.batches[last]
+		batchFree.batches[last] = nil
+		batchFree.batches = batchFree.batches[:last]
+		return b
+	}
+	return &batch{}
+}
+
+// putBatch returns a batch to the free list, or drops it when the list is
+// full or the batch is over the size the list keeps. Its requests drop
+// their bytes first: a copy Land made is garbage once the run returns.
+func putBatch(b *batch) {
+	clear(b.reqs[:cap(b.reqs)])
+	b.reqs, b.runs = b.reqs[:0], b.runs[:0]
+	batchFree.Lock()
+	if reqBytes*(cap(b.reqs)+cap(b.runs)) <= batchMax && len(batchFree.batches) < freeBatches {
+		batchFree.batches = append(batchFree.batches, b)
+	}
+	batchFree.Unlock()
 }
 
 // reader cuts the job list into windows and prices them.
@@ -325,12 +383,10 @@ func newReader(plan *Plan, cfg Config) (*reader, error) {
 // later window, are skipped.
 func (r *reader) fill(ctx context.Context, w *window) error {
 	jobs := r.plan.Jobs
-	*w = window{sets: w.sets, at: w.at[:0], loaded: w.loaded[:0], lo: r.next}
+	*w = window{batches: w.batches, at: w.at[:0], loaded: w.loaded[:0], lo: r.next}
 	clear(r.used)
-	for _, set := range w.sets {
-		if set != nil {
-			set.Reqs, set.Runs = set.Reqs[:0], set.Runs[:0]
-		}
+	for _, b := range w.batches {
+		b.reqs, b.runs = b.reqs[:0], b.runs[:0]
 	}
 	for full := false; r.next < len(jobs); r.next++ {
 		j := &jobs[r.next]
@@ -345,13 +401,9 @@ func (r *reader) fill(ctx context.Context, w *window) error {
 				continue
 			}
 			r.mark[ref.Src][ref.Ext] = 1
-			set := w.sets[ref.Src]
-			if set == nil {
-				set = r.cfg.Arena.Get(0)
-				w.sets[ref.Src] = set
-			}
+			b := w.batches[ref.Src]
 			e := r.plan.Sources[ref.Src].Extents[ref.Ext]
-			set.Reqs = append(set.Reqs, aio.ReadReq{Off: e.Off, Len: e.Len, Tag: ref.Ext})
+			b.reqs = append(b.reqs, aio.ReadReq{Off: e.Off, Len: e.Len, Tag: ref.Ext})
 			r.used[ref.Src] += int64(e.Len)
 			full = full || r.used[ref.Src] >= r.limit[ref.Src]
 		}
@@ -360,21 +412,21 @@ func (r *reader) fill(ctx context.Context, w *window) error {
 
 	byExtent := func(a, b aio.ReadReq) int { return cmp.Compare(a.Tag, b.Tag) }
 	gap := int64(r.cfg.MaxGap)
-	for s, set := range w.sets {
-		if set == nil || len(set.Reqs) == 0 {
+	for s, b := range w.batches {
+		if len(b.reqs) == 0 {
 			continue
 		}
-		if !slices.IsSortedFunc(set.Reqs, byExtent) {
-			slices.SortFunc(set.Reqs, byExtent)
+		if !slices.IsSortedFunc(b.reqs, byExtent) {
+			slices.SortFunc(b.reqs, byExtent)
 		}
-		for k := range set.Reqs {
-			q := &set.Reqs[k]
+		for k := range b.reqs {
+			q := &b.reqs[k]
 			r.mark[s][q.Tag] = int32(k + 1)
-			if n := len(set.Runs) - 1; gap > 0 && n >= 0 && q.Off <= set.Runs[n].Off+int64(set.Runs[n].Len)+gap {
-				run := &set.Runs[n]
+			if n := len(b.runs) - 1; gap > 0 && n >= 0 && q.Off <= b.runs[n].Off+int64(b.runs[n].Len)+gap {
+				run := &b.runs[n]
 				run.Len = int(max(run.Off+int64(run.Len), q.Off+int64(q.Len)) - run.Off)
 			} else {
-				set.Runs = append(set.Runs, aio.ReadReq{Off: q.Off, Len: q.Len, Tag: q.Tag})
+				b.runs = append(b.runs, aio.ReadReq{Off: q.Off, Len: q.Len, Tag: q.Tag})
 			}
 		}
 		w.loaded = append(w.loaded, s)
@@ -395,11 +447,9 @@ func (r *reader) fill(ctx context.Context, w *window) error {
 		}
 		w.at = append(w.at, [2]int32{r.mark[j.A.Src][j.A.Ext] - 1, r.mark[j.B.Src][j.B.Ext] - 1})
 	}
-	for s, set := range w.sets {
-		if set != nil {
-			for _, q := range set.Reqs {
-				r.mark[s][q.Tag] = 0
-			}
+	for s, b := range w.batches {
+		for _, q := range b.reqs {
+			r.mark[s][q.Tag] = 0
 		}
 	}
 	return nil
@@ -427,7 +477,7 @@ func (r *reader) price(ctx context.Context, w *window, srcs []int) error {
 	var batches [2]aio.Batch
 	var n int64
 	for i, s := range srcs {
-		batches[i] = aio.Batch{File: r.plan.Sources[s].File, Reqs: w.sets[s].Runs}
+		batches[i] = aio.Batch{File: r.plan.Sources[s].File, Reqs: w.batches[s].runs}
 		n += r.used[s]
 	}
 	rd, err := aio.ReadLadder(ctx, r.cfg.Backend, r.cfg.Retry, batches[:len(srcs)]...)
@@ -536,7 +586,7 @@ func (v *verifier) run(ctx context.Context, rd *reader, w *window) (time.Duratio
 	v.w = w
 	if v.plan.Degrade || v.plan.Check != nil {
 		for _, s := range w.loaded {
-			reqs := w.sets[s].Reqs
+			reqs := w.batches[s].reqs
 			v.bounds = Ranges(v.bounds, len(reqs), func(i int) int { return reqs[i].Len }, v.maxRanges)
 			v.src = s
 			if _, lost, err := v.join(ctx, v.checkRange); err != nil {
@@ -549,7 +599,7 @@ func (v *verifier) run(ctx context.Context, rd *reader, w *window) (time.Duratio
 		rd.drop(w)
 	} else {
 		for _, s := range w.loaded {
-			if err := landReqs(v.plan.Sources[s].File, w.sets[s].Reqs); err != nil {
+			if err := landReqs(v.plan.Sources[s].File, w.batches[s].reqs); err != nil {
 				return 0, err
 			}
 		}
@@ -592,7 +642,7 @@ func (v *verifier) verifyIn(r int) {
 			j := v.plan.Jobs[w.lo+i]
 			v.read(ends, j.A)
 			v.read(ends, j.B)
-			kv, err := v.compute(r, j, w.sets[j.A.Src].Reqs[at[0]].Buf, w.sets[j.B.Src].Reqs[at[1]].Buf)
+			kv, err := v.compute(r, j, w.batches[j.A.Src].reqs[at[0]].Buf, w.batches[j.B.Src].reqs[at[1]].Buf)
 			if err != nil {
 				res.err = err
 				return
@@ -623,7 +673,7 @@ func (v *verifier) withdraw(r int) {
 // and Plan.Check judges it, under pfs.Guard, then the size check (holds).
 func (v *verifier) checkIn(ctx context.Context, r int) {
 	f, check := v.plan.Sources[v.src].File, v.plan.Check
-	reqs, ends := v.w.sets[v.src].Reqs[v.bounds[r]:v.bounds[r+1]], v.rangeEnds(r)
+	reqs, ends := v.w.batches[v.src].reqs[v.bounds[r]:v.bounds[r+1]], v.rangeEnds(r)
 	var err error
 	faulted := pfs.Guard(func() {
 		for k := range reqs {
@@ -704,8 +754,8 @@ func (v *verifier) join(ctx context.Context, run func(r int)) (comp time.Duratio
 
 // Run streams the plan through the pipeline, a window at a time on the
 // calling goroutine. Cancellation is observed between windows, by the
-// backend's pricing, and by an executor tied to ctx; every request set is
-// back in the arena when Run returns.
+// backend's pricing, and by an executor tied to ctx; every request batch is
+// back on the free list when Run returns.
 func Run(ctx context.Context, plan *Plan, cfg Config, compute Compute) (stats Stats, err error) {
 	if len(plan.Jobs) == 0 {
 		return stats, nil
@@ -713,8 +763,8 @@ func Run(ctx context.Context, plan *Plan, cfg Config, compute Compute) (stats St
 	if err := ctx.Err(); err != nil {
 		return stats, err
 	}
-	if cfg.Backend == nil || cfg.Arena == nil {
-		return stats, errors.New("stream: no backend or no arena")
+	if cfg.Backend == nil {
+		return stats, errors.New("stream: no backend")
 	}
 	if cfg.SliceBytes <= 0 {
 		cfg.SliceBytes = 8 << 20
@@ -730,10 +780,13 @@ func Run(ctx context.Context, plan *Plan, cfg Config, compute Compute) (stats St
 	sw := metrics.NewStopwatch()
 	defer func() { stats.Wall = sw.Lap() }()
 
-	w := &window{sets: make([]*aio.BufSet, len(plan.Sources))}
+	w := &window{batches: make([]*batch, len(plan.Sources))}
+	for s := range w.batches {
+		w.batches[s] = getBatch()
+	}
 	defer func() {
-		for _, set := range w.sets {
-			cfg.Arena.Put(set)
+		for _, b := range w.batches {
+			putBatch(b)
 		}
 	}()
 	v := newVerifier(ctx, plan, cfg, compute)

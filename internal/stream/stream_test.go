@@ -89,7 +89,7 @@ func TestRunDeliversCorrectBuffers(t *testing.T) {
 	fa, fb, da, db := twoFiles(t, 1<<20)
 	pairs := pairsEvery(64, 4096, 8192)
 	var visited int32
-	cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewUring(16), Device: device.GPUModel(), SliceBytes: 64 << 10}
+	cfg := Config{Backend: aio.NewUring(16), Device: device.GPUModel(), SliceBytes: 64 << 10}
 	stats, err := Run(context.Background(), pairPlan(fa, fb, pairs), cfg, func(_ int, j Job, a, b []byte) (time.Duration, error) {
 		p := pairs[j.Index]
 		atomic.AddInt32(&visited, 1)
@@ -122,7 +122,7 @@ func TestPipelineOverlapBound(t *testing.T) {
 	// The overlapped total must be between max(io, compute) and io+compute.
 	fa, fb, _, _ := twoFiles(t, 1<<20)
 	pairs := pairsEvery(128, 4096, 8192)
-	cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewUring(32), Device: device.GPUModel(), SliceBytes: 128 << 10}
+	cfg := Config{Backend: aio.NewUring(32), Device: device.GPUModel(), SliceBytes: 128 << 10}
 	kernel := 500 * time.Microsecond
 	stats, err := Run(context.Background(), pairPlan(fa, fb, pairs), cfg, func(int, Job, []byte, []byte) (time.Duration, error) {
 		return kernel, nil
@@ -145,7 +145,7 @@ func TestPipelineOverlapBound(t *testing.T) {
 
 func TestRunEmptyPairs(t *testing.T) {
 	fa, fb, _, _ := twoFiles(t, 4096)
-	stats, err := Run(context.Background(), pairPlan(fa, fb, nil), Config{Arena: aio.NewArena(0), Backend: aio.Mmap{}, Device: device.GPUModel()}, func(int, Job, []byte, []byte) (time.Duration, error) {
+	stats, err := Run(context.Background(), pairPlan(fa, fb, nil), Config{Backend: aio.Mmap{}, Device: device.GPUModel()}, func(int, Job, []byte, []byte) (time.Duration, error) {
 		t.Error("compute called for empty pairs")
 		return 0, nil
 	})
@@ -157,7 +157,7 @@ func TestRunEmptyPairs(t *testing.T) {
 func TestRunBadPair(t *testing.T) {
 	fa, fb, _, _ := twoFiles(t, 4096)
 	pairs := []chunkPair{{Index: 0, OffA: 0, OffB: 0, Len: 0}}
-	if _, err := Run(context.Background(), pairPlan(fa, fb, pairs), Config{Arena: aio.NewArena(0), Backend: aio.Mmap{}, Device: device.GPUModel()}, nil); err == nil {
+	if _, err := Run(context.Background(), pairPlan(fa, fb, pairs), Config{Backend: aio.Mmap{}, Device: device.GPUModel()}, nil); err == nil {
 		t.Error("zero-length chunk accepted")
 	}
 }
@@ -166,7 +166,7 @@ func TestRunComputeErrorStopsPipeline(t *testing.T) {
 	fa, fb, _, _ := twoFiles(t, 1<<20)
 	pairs := pairsEvery(64, 4096, 8192)
 	wantErr := errors.New("kernel failed")
-	cfg := Config{Arena: aio.NewArena(0), Backend: aio.NewUring(8), Device: device.GPUModel(), SliceBytes: 32 << 10}
+	cfg := Config{Backend: aio.NewUring(8), Device: device.GPUModel(), SliceBytes: 32 << 10}
 	calls := 0
 	_, err := Run(context.Background(), pairPlan(fa, fb, pairs), cfg, func(int, Job, []byte, []byte) (time.Duration, error) {
 		calls++
@@ -186,7 +186,7 @@ func TestRunReadErrorPropagates(t *testing.T) {
 	// backend tolerates but yields a backend error in uring only when the
 	// request itself is invalid; use a negative offset to force an error.
 	pairs := []chunkPair{{Index: 0, OffA: -4, OffB: 0, Len: 16}}
-	if _, err := Run(context.Background(), pairPlan(fa, fb, pairs), Config{Arena: aio.NewArena(0), Backend: aio.NewUring(4), Device: device.GPUModel()}, func(int, Job, []byte, []byte) (time.Duration, error) {
+	if _, err := Run(context.Background(), pairPlan(fa, fb, pairs), Config{Backend: aio.NewUring(4), Device: device.GPUModel()}, func(int, Job, []byte, []byte) (time.Duration, error) {
 		return 0, nil
 	}); err == nil {
 		t.Error("negative offset read accepted")
@@ -196,7 +196,7 @@ func TestRunReadErrorPropagates(t *testing.T) {
 func TestRunWithMmapBackend(t *testing.T) {
 	fa, fb, da, _ := twoFiles(t, 256<<10)
 	pairs := pairsEvery(16, 4096, 16384)
-	cfg := Config{Arena: aio.NewArena(0), Backend: aio.Mmap{}, Device: device.CPUModel(), SliceBytes: 32 << 10}
+	cfg := Config{Backend: aio.Mmap{}, Device: device.CPUModel(), SliceBytes: 32 << 10}
 	ok := true
 	_, err := Run(context.Background(), pairPlan(fa, fb, pairs), cfg, func(_ int, j Job, a, b []byte) (time.Duration, error) {
 		p := pairs[j.Index]
@@ -217,7 +217,7 @@ func TestDefaultsApplied(t *testing.T) {
 	fa, fb, _, _ := twoFiles(t, 64<<10)
 	pairs := pairsEvery(4, 4096, 8192)
 	// Zero SliceBytes and Depth must be defaulted.
-	stats, err := Run(context.Background(), pairPlan(fa, fb, pairs), Config{Arena: aio.NewArena(0), Backend: aio.Mmap{}, Device: device.GPUModel()}, func(int, Job, []byte, []byte) (time.Duration, error) {
+	stats, err := Run(context.Background(), pairPlan(fa, fb, pairs), Config{Backend: aio.Mmap{}, Device: device.GPUModel()}, func(int, Job, []byte, []byte) (time.Duration, error) {
 		return 0, nil
 	})
 	if err != nil {
