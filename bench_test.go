@@ -44,7 +44,9 @@ func newBenchPair(b *testing.B, elems int, eps float64, chunk int) *benchPair {
 	for i, n := range []string{"x", "vx", "phi"} {
 		fields[i] = ckpt.FieldSpec{Name: n, DType: errbound.Float32, Count: int64(elems)}
 	}
-	opts := compare.Options{Epsilon: eps, ChunkSize: chunk, Exec: device.NewParallel(2)}
+	pool := device.NewPool(2)
+	b.Cleanup(pool.Close)
+	opts := compare.Options{Epsilon: eps, ChunkSize: chunk, Exec: pool}
 	bp := &benchPair{
 		store: store, fields: fields, dataA: dataA, dataB: dataB, opts: opts,
 		nameA: ckpt.Name("bA", 0, 0), nameB: ckpt.Name("bB", 0, 0),
@@ -191,12 +193,14 @@ func BenchmarkFig8TreeBuild(b *testing.B) {
 	const elems = 1 << 19
 	fields := []ckpt.FieldSpec{{Name: "x", DType: errbound.Float32, Count: elems}}
 	data := [][]byte{synth.FieldF32(elems, 3)}
+	gpu := device.NewPool(0)
+	defer gpu.Close()
 	for _, cfg := range []struct {
 		name string
 		opts compare.Options
 	}{
 		{"CPU", compare.Options{Epsilon: 1e-7, ChunkSize: 4 << 10, Exec: device.Serial{}, Device: device.CPUModel()}},
-		{"GPU", compare.Options{Epsilon: 1e-7, ChunkSize: 4 << 10, Exec: device.NewParallel(0), Device: device.GPUModel()}},
+		{"GPU", compare.Options{Epsilon: 1e-7, ChunkSize: 4 << 10, Exec: gpu, Device: device.GPUModel()}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			b.SetBytes(4 * elems)
@@ -274,7 +278,8 @@ func BenchmarkAblationBFSStart(b *testing.B) {
 		return tr
 	}
 	ta, tb := mk(false), mk(true)
-	exec := device.NewParallel(2)
+	exec := device.NewPool(2)
+	defer exec.Close()
 	for _, cfg := range []struct {
 		name  string
 		level int
@@ -326,36 +331,6 @@ func BenchmarkAblationCoalescing(b *testing.B) {
 			benchCompare(b, bp, compare.MethodMerkle)
 		})
 	}
-}
-
-// BenchmarkAblationRounding compares the conservative ε-grid quantization
-// against naive mantissa truncation.
-func BenchmarkAblationRounding(b *testing.B) {
-	chunk := synth.FieldF32(16<<10/4, 7)
-	grid, err := errbound.NewHasher(errbound.Float32, 1e-6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	trunc, err := errbound.NewTruncationHasher(errbound.Float32, 12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("grid", func(b *testing.B) {
-		b.SetBytes(int64(len(chunk)))
-		for i := 0; i < b.N; i++ {
-			if _, err := grid.HashChunk(chunk); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("truncation", func(b *testing.B) {
-		b.SetBytes(int64(len(chunk)))
-		for i := 0; i < b.N; i++ {
-			if _, err := trunc.HashChunk(chunk); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkHistoryCompare measures the public-API whole-history flow.

@@ -218,10 +218,12 @@ func TestChaosSoak(t *testing.T) {
 	sc := soakScale()
 	// The soak's own ring, shared by every trial.
 	ring := aio.NewUring(256)
+	pool := device.NewPool(2)
+	defer pool.Close()
 	opts := compare.Options{
 		Epsilon:   1e-5,
 		ChunkSize: sc.chunk,
-		Exec:      device.NewParallel(2),
+		Exec:      pool,
 		Backend:   ring,
 		Degrade:   true,
 	}
@@ -269,10 +271,12 @@ func TestChaosSoak(t *testing.T) {
 // error, never as a degraded-looking report.
 func TestChaosStrictAborts(t *testing.T) {
 	sc := soakScale()
+	pool := device.NewPool(2)
+	defer pool.Close()
 	opts := compare.Options{
 		Epsilon:   1e-5,
 		ChunkSize: sc.chunk,
-		Exec:      device.NewParallel(2),
+		Exec:      pool,
 	}
 	g := seedGroup(t, sc, opts)
 	for seed := uint64(1); seed < uint64(sc.seeds); seed += 2 { // permanent-fault seeds

@@ -65,10 +65,12 @@ const casIndexMagic = 0x58444943
 
 func TestChaosDiffCapture(t *testing.T) {
 	sc := soakScale()
+	pool := device.NewPool(2)
+	defer pool.Close()
 	opts := compare.Options{
 		Epsilon:   1e-5,
 		ChunkSize: sc.chunk,
-		Exec:      device.NewParallel(2),
+		Exec:      pool,
 		Degrade:   true,
 	}
 	hasher, err := errbound.NewHasher(errbound.Float32, opts.Epsilon)

@@ -34,7 +34,7 @@ func TestGroupMatchesBaseline(t *testing.T) {
 	ctx := context.Background()
 	const elems, nFields, chunk, eps = 1 << 20, 3, 64 << 10, 1e-7
 	opts := baseOpts(eps, chunk)
-	opts.Exec = device.NewParallel(1)
+	opts.Exec = device.Serial{}
 	store, err := pfs.NewStore(t.TempDir(), pfs.LustreModel())
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestCaptureMatchesBaseline(t *testing.T) {
 	ctx := context.Background()
 	const elems, nFields, chunk, iters, eps = 1 << 19, 3, 64 << 10, 6, 1e-5
 	opts := baseOpts(eps, chunk)
-	opts.Exec = device.NewParallel(1)
+	opts.Exec = device.Serial{}
 	fields := f32Fields([]string{"f0", "f1", "f2"}, elems)
 	// perturb moves a region far beyond ε: every chunk it covers changes
 	// its digest.

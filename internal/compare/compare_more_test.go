@@ -50,7 +50,7 @@ func TestMixedDTypeCheckpoint(t *testing.T) {
 	}
 	dataB := [][]byte{append([]byte(nil), dataA[0]...), e}
 
-	opts := Options{Epsilon: 1e-5, ChunkSize: 4 << 10, Exec: device.NewParallel(2)}
+	opts := Options{Epsilon: 1e-5, ChunkSize: 4 << 10, Exec: testPool}
 	for run, data := range map[string][][]byte{"mA": dataA, "mB": dataB} {
 		meta := ckpt.Meta{RunID: run, Iteration: 0, Rank: 0, Fields: fields}
 		if _, err := ckpt.WriteCheckpoint(store, meta, data); err != nil {

@@ -70,11 +70,15 @@ func newEnv(t *testing.T, elems int, opts Options, perturb synth.PerturbConfig) 
 	return env
 }
 
+// testPool is the two-worker executor of baseOpts, shared by the
+// package's tests and never closed, like device.Default.
+var testPool = device.NewPool(2)
+
 func baseOpts(eps float64, chunk int) Options {
 	return Options{
 		Epsilon:   eps,
 		ChunkSize: chunk,
-		Exec:      device.NewParallel(2),
+		Exec:      testPool,
 	}
 }
 
@@ -442,7 +446,7 @@ func TestFig8ShapeTreeBuildCPUvsGPU(t *testing.T) {
 	data := [][]byte{synth.FieldF32(1<<22, 3)}
 	var prevGPU time.Duration
 	for _, chunk := range []int{4 << 10, 32 << 10} {
-		gpuOpts := Options{Epsilon: 1e-7, ChunkSize: chunk, Device: device.GPUModel(), Exec: device.NewParallel(2)}
+		gpuOpts := Options{Epsilon: 1e-7, ChunkSize: chunk, Device: device.GPUModel(), Exec: testPool}
 		cpuOpts := Options{Epsilon: 1e-7, ChunkSize: chunk, Device: device.CPUModel(), Exec: device.Serial{}}
 		_, gs, err := Build(fields, data, gpuOpts)
 		if err != nil {

@@ -82,7 +82,9 @@ func changedLeaves(a, b *Metadata) int {
 // stores every chunk; the next one updates exactly the leaves that moved,
 // stores exactly those chunks, and its manifest's extents reproduce the data.
 func TestDiffCaptureColdThenWarm(t *testing.T) {
-	opts := Options{Epsilon: 1e-5, ChunkSize: 4 << 10, Exec: device.NewParallel(4)}
+	pool := device.NewPool(4)
+	defer pool.Close()
+	opts := Options{Epsilon: 1e-5, ChunkSize: 4 << 10, Exec: pool}
 	store, cs, capt := diffFixture(t, opts)
 
 	data0 := [][]byte{synth.FieldF32(16384, 1), synth.FieldF32(16384, 2)}

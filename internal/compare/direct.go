@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/engine"
-	"repro/internal/errbound"
 	"repro/internal/metrics"
 	"repro/internal/pfs"
 	"repro/internal/stream"
@@ -139,12 +138,7 @@ func (st *pairState) allCloseFields(ctx context.Context, x *engine.Exec) (bool, 
 
 		// Vectorized full-array comparison on the host (numpy computes
 		// the whole boolean array; there is no early exit).
-		var ok bool
-		if st.ms.opts.RelEpsilon > 0 {
-			ok, err = errbound.AllCloseRel(da, db, f.DType, st.ms.opts.Epsilon, st.ms.opts.RelEpsilon)
-		} else {
-			ok, err = hasher.AllClose(da, db)
-		}
+		ok, err := hasher.AllClose(da, db)
 		if err != nil {
 			return false, err
 		}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/aio"
+	"repro/internal/dettest"
 	"repro/internal/device"
 	"repro/internal/faults"
 	"repro/internal/pfs"
@@ -315,8 +316,9 @@ func TestCancelDuringIntegrityRereadStopsReads(t *testing.T) {
 // TestGroupStage2RecyclesWindowBuffers: a group whose per-member candidate
 // union is three windows still streams — stage 2 holds windows, not
 // unions, lands their bytes as views and recycles their request batches —
-// so a warm, repeated group comparison allocates its answer and its plan,
-// never a window's bytes, let alone the union's.
+// so two warm group comparisons allocate their answers and their plans
+// within two comparisons' dettest.AllocBudget, never a window's bytes, let
+// alone the union's.
 func TestGroupStage2RecyclesWindowBuffers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("writes two 24 MiB checkpoints")
@@ -346,8 +348,8 @@ func TestGroupStage2RecyclesWindowBuffers(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc
 	t.Logf("two warm group comparisons allocated %d bytes for an answer of %d", got, answer)
-	if got > answer+window/8 {
+	if budget := uint64(2 * dettest.AllocBudget); got > answer+budget {
 		t.Errorf("two warm group comparisons allocated %d bytes for an answer of %d, want at most %d besides: a window is %d",
-			got, answer, window/8, window)
+			got, answer, budget, window)
 	}
 }

@@ -553,6 +553,8 @@ func (ms *MemberSet) prune(ctx context.Context, x *engine.Exec) error {
 // and one job per candidate, ordered (field, chunk, pair) so the pairs that
 // need a chunk from a shared member sit in one window and the chunk is one
 // extent, read once. refs maps each job back to its pair, field and chunk.
+// The jobs, refs and each source's extents are counted first and each
+// list is allocated once.
 func (ms *MemberSet) planCandidates() (*stream.Plan, []jobRef, error) {
 	files := []*pfs.File{ms.pack}
 	if ms.cs == nil {
@@ -568,7 +570,21 @@ func (ms *MemberSet) planCandidates() (*stream.Plan, []jobRef, error) {
 		}
 		return m
 	}
-	var refs []jobRef
+	jobs, extents := 0, make([]int, len(files))
+	for pi, pr := range ms.Pairs {
+		n := 0
+		for _, c := range ms.Cands[pi] {
+			n += len(c)
+		}
+		jobs += n
+		extents[source(pr[0])] += n
+		extents[source(pr[1])] += n
+	}
+	plan.Jobs = make([]stream.Job, 0, jobs)
+	for s, n := range extents {
+		plan.Sources[s].Extents = make([]stream.Extent, 0, n)
+	}
+	refs := make([]jobRef, 0, jobs)
 	heads := make([]int, len(ms.Pairs))
 	for fi, fm := range ms.Metas[0].Fields {
 		chunkElems := int64(fm.Tree.ChunkSize() / fm.DType.Size())

@@ -31,17 +31,15 @@ type Options struct {
 	// device.Default(), the process-wide pool (GOMAXPROCS workers, started
 	// once, reused across every tree level and compare batch) that
 	// service.Default() serves from too. Pass device.Serial{} for the
-	// single-threaded "CPU" backend, or a private executor
-	// (device.NewParallel, or a pool of your own) to bound parallelism
-	// per comparison.
+	// single-threaded "CPU" backend, or a device.NewPool of your own to
+	// bound parallelism per comparison.
 	Exec device.Executor
 	// Device prices kernels and transfers (default: GPU model).
 	Device device.Model
 	// Backend prices the scattered reads, in the runs CoalesceMaxGap
-	// merges them into. A session on a plane built by service.New gets
-	// that plane's io_uring-style engine injected here; left nil it is
-	// aio.Default(), the process-wide ring (queue depth 256) that
-	// service.Default() serves from too.
+	// merges them into. Left nil it is aio.Default(), the process-wide
+	// io_uring-style engine (queue depth 256), on a direct call and on
+	// every service plane alike.
 	Backend aio.Backend
 	// SliceBytes is the stage-2 window size: the bytes of any one
 	// compared file a pipeline window holds (default 8 MiB; of either
@@ -69,11 +67,6 @@ type Options struct {
 	// Fields optionally restricts the comparison to the named checkpoint
 	// fields (nil compares everything). Unknown names are an error.
 	Fields []string
-	// RelEpsilon is the relative tolerance term of the AllClose baseline
-	// (numpy's rtol: close when |a-b| <= ε + RelEpsilon·|b|). The paper
-	// evaluates with rtol=0 and the Merkle/Direct methods ignore it —
-	// relative bounds cannot be grid-quantized globally.
-	RelEpsilon float64
 	// Retry is the storage retry policy: engine steps and stage-2 batch
 	// reads re-issue on Transient-classified errors with capped
 	// exponential backoff (deterministic jitter, priced on the virtual

@@ -1,17 +1,13 @@
 package device
 
-import (
-	"context"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Cancelable wraps an Executor so loops dispatched through it observe a
 // cancellation signal: once Done closes, remaining iterations are skipped
-// (each claimed iteration still counts toward completion, so every join —
-// the Pool's fin channel, Parallel's WaitGroup — closes normally and no
-// goroutine leaks). The signal is a bare channel rather than a
-// context.Context so no context ends up stored in a struct; it is
-// typically a context's Done() channel.
+// (each claimed iteration still counts toward completion, so the Pool's
+// fin channel closes normally and no goroutine leaks). The signal is a
+// bare channel rather than a context.Context so no context ends up stored
+// in a struct; it is typically a context's Done() channel.
 //
 // Cancellation is best-effort and cheap: the wrapper polls Done once every
 // cancelPollMask+1 iterations, so a canceled loop stops within a bounded
@@ -99,27 +95,4 @@ func (c Cancelable) ForCoarse(n int, fn func(i int)) {
 		}
 		fn(i)
 	})
-}
-
-// ForCtx invokes fn(0..n-1) across the pool like For, but stops claiming
-// work once the context is canceled and returns ctx.Err(). Skipped
-// iterations still count as complete internally, so the task's completion
-// channel always closes and no worker or submitter blocks forever.
-func (p *Pool) ForCtx(ctx context.Context, n int, fn func(i int)) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	Cancelable{Done: ctx.Done(), Inner: p}.For(n, fn)
-	return ctx.Err()
-}
-
-// ForCtx dispatches a cancelable loop through any executor: iterations
-// stop once the context is canceled and the context's error is returned.
-// The degenerate pre-canceled case runs nothing.
-func ForCtx(ctx context.Context, exec Executor, n int, fn func(i int)) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	Cancelable{Done: ctx.Done(), Inner: exec}.For(n, fn)
-	return ctx.Err()
 }

@@ -9,8 +9,6 @@ package device
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 )
 
@@ -34,8 +32,8 @@ type Coarse interface {
 
 // ForCoarse runs fn(0..n-1) as heavy work items over exec: through its
 // Coarse dispatch when it has one, through For otherwise (Serial runs
-// them in order, Parallel already spawns one goroutine per block). A
-// single item — or a nil exec — runs on the caller with no dispatch.
+// them in order). A single item — or a nil exec — runs on the caller with
+// no dispatch.
 func ForCoarse(exec Executor, n int, fn func(i int)) {
 	if n <= 1 || exec == nil {
 		for i := 0; i < n; i++ {
@@ -64,63 +62,6 @@ func (Serial) For(n int, fn func(i int)) {
 
 // Workers returns 1.
 func (Serial) Workers() int { return 1 }
-
-// Parallel is a worker-pool Executor, the "GPU" backend: all iterations of
-// a level run concurrently, with synchronization only between levels —
-// matching the paper's level-synchronous tree kernels.
-type Parallel struct {
-	workers int
-}
-
-var _ Executor = (*Parallel)(nil)
-
-// NewParallel returns a Parallel executor with the given worker count;
-// workers <= 0 selects GOMAXPROCS.
-func NewParallel(workers int) *Parallel {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &Parallel{workers: workers}
-}
-
-// For invokes fn(0..n-1) across the worker pool, returning when all
-// iterations complete.
-func (p *Parallel) For(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	w := p.workers
-	if w > n {
-		w = n
-	}
-	if w == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	// Static block partitioning: contiguous ranges keep memory access
-	// patterns coalesced, mirroring the flattened-tree layout rationale.
-	var wg sync.WaitGroup
-	chunk := (n + w - 1) / w
-	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(start, end)
-	}
-	wg.Wait()
-}
-
-// Workers returns the pool size.
-func (p *Parallel) Workers() int { return p.workers }
 
 // Model prices kernels and transfers on the virtual clock. Rates are
 // bytes/second of input processed; KernelLaunch is the fixed per-kernel

@@ -6,13 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// Pool is a persistent worker-pool Executor: workers are started once at
-// construction and reused across every For call, so tree levels and
-// compare batches stop paying a goroutine-spawn per kernel (the Parallel
-// executor's cost). Iterations are handed out in contiguous chunks
-// through an atomic cursor (chunked dynamic scheduling), which keeps
-// memory access coalesced like Parallel's static blocks while letting
-// fast workers steal the tail of slow ones.
+// Pool is a persistent worker-pool Executor, the "GPU" backend: workers
+// are started once at construction and reused across every For call, so
+// tree levels and compare batches pay no goroutine spawn per kernel.
+// Iterations are handed out in contiguous chunks through an atomic cursor
+// (chunked dynamic scheduling), which keeps memory access coalesced while
+// letting fast workers steal the tail of slow ones.
 //
 // The submitting goroutine always participates in the loop, so For makes
 // progress even when every pooled worker is busy with other tasks — which

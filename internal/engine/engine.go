@@ -44,8 +44,6 @@ const (
 	StepStreamVerify StepKind = "stream-verify"
 	// StepReadFull reads whole fields for blocking host-side comparison.
 	StepReadFull StepKind = "read-full"
-	// StepHostCompare compares buffers on the host (ε checks, allclose).
-	StepHostCompare StepKind = "host-compare"
 	// StepCompact rewrites a checkpoint into its compacted form.
 	StepCompact StepKind = "compact"
 	// StepPartition groups stage-1 candidate chunks into self-describing
@@ -69,7 +67,6 @@ type step struct {
 	kind  StepKind
 	label string
 	run   StepFunc
-	deps  []StepID
 }
 
 // Plan is an ordered DAG of typed steps. The zero value is an empty plan.
@@ -86,9 +83,8 @@ type Plan struct {
 }
 
 // Add appends a step and returns its ID. Dependencies must reference
-// previously added steps — the plan is acyclic by construction — and are
-// recorded for introspection (Describe); execution order is insertion
-// order, which the dependency rule guarantees is topological.
+// previously added steps — the plan is acyclic by construction — so
+// execution in insertion order is topological.
 func (p *Plan) Add(kind StepKind, label string, run StepFunc, deps ...StepID) StepID {
 	id := StepID(len(p.steps))
 	for _, d := range deps {
@@ -96,27 +92,8 @@ func (p *Plan) Add(kind StepKind, label string, run StepFunc, deps ...StepID) St
 			panic(fmt.Sprintf("engine: step %q depends on %d, not yet in plan (have %d steps)", label, d, id))
 		}
 	}
-	p.steps = append(p.steps, step{kind: kind, label: label, run: run, deps: deps})
+	p.steps = append(p.steps, step{kind: kind, label: label, run: run})
 	return id
-}
-
-// Len returns the number of steps in the plan.
-func (p *Plan) Len() int { return len(p.steps) }
-
-// Describe renders the plan's shape — "kind:label(deps)" per step — for
-// tests and debugging.
-func (p *Plan) Describe() string {
-	s := ""
-	for i, st := range p.steps {
-		if i > 0 {
-			s += " -> "
-		}
-		s += fmt.Sprintf("%s:%s", st.kind, st.label)
-		if len(st.deps) > 0 {
-			s += fmt.Sprintf("%v", st.deps)
-		}
-	}
-	return s
 }
 
 // Exec is the per-run executor state handed to every step: the LIFO

@@ -163,16 +163,3 @@ func TestAddRejectsForwardDeps(t *testing.T) {
 	var p Plan
 	p.Add(StepSetup, "s", func(ctx context.Context, x *Exec) error { return nil }, StepID(0))
 }
-
-func TestDescribe(t *testing.T) {
-	var p Plan
-	a := p.Add(StepSetup, "open", func(ctx context.Context, x *Exec) error { return nil })
-	p.Add(StepTreeDiff, "diff", func(ctx context.Context, x *Exec) error { return nil }, a)
-	d := p.Describe()
-	if !strings.Contains(d, "setup:open") || !strings.Contains(d, "tree-diff:diff[0]") {
-		t.Fatalf("Describe = %q", d)
-	}
-	if p.Len() != 2 {
-		t.Fatalf("Len = %d", p.Len())
-	}
-}

@@ -370,58 +370,3 @@ func EqualRel(a, b, atol, rtol float64) bool {
 	}
 	return math.Abs(a-b) <= atol+rtol*math.Abs(b)
 }
-
-// TruncationHasher is the ablation alternative to the ε-grid scheme: it
-// rounds by zeroing low mantissa bits (bit truncation) instead of grid
-// quantization. Truncation is cheaper but NOT conservative — values that
-// differ by more than ε can share a truncated representation near large
-// magnitudes, and values within ε can differ — so it is used only by the
-// ablation benchmark in DESIGN.md §6.
-type TruncationHasher struct {
-	dtype    DType
-	keepBits uint
-}
-
-// NewTruncationHasher returns a TruncationHasher that keeps the given
-// number of mantissa bits (1..52 for f64, 1..23 for f32 effective).
-func NewTruncationHasher(dtype DType, keepBits uint) (*TruncationHasher, error) {
-	if dtype.Size() == 0 {
-		return nil, fmt.Errorf("errbound: unsupported dtype %v", dtype)
-	}
-	if keepBits < 1 || keepBits > 52 {
-		return nil, fmt.Errorf("errbound: keepBits %d out of range [1,52]", keepBits)
-	}
-	return &TruncationHasher{dtype: dtype, keepBits: keepBits}, nil
-}
-
-// HashChunk hashes one chunk of raw bytes under bit truncation.
-func (t *TruncationHasher) HashChunk(chunk []byte) (murmur3.Digest, error) {
-	esz := t.dtype.Size()
-	if len(chunk)%esz != 0 {
-		return murmur3.Digest{}, fmt.Errorf("errbound: chunk length %d not a multiple of element size %d", len(chunk), esz)
-	}
-	n := len(chunk) / esz
-	trunc := func(i int) uint64 {
-		if t.dtype == Float32 {
-			b32 := binary.LittleEndian.Uint32(chunk[i*4:])
-			keep := t.keepBits
-			if keep > 23 {
-				keep = 23
-			}
-			mask := uint32(math.MaxUint32) << (23 - keep)
-			return uint64(b32 & mask)
-		}
-		b64 := binary.LittleEndian.Uint64(chunk[i*8:])
-		mask := uint64(math.MaxUint64) << (52 - t.keepBits)
-		return b64 & mask
-	}
-	var c murmur3.Chain
-	i := 0
-	for ; i+1 < n; i += 2 {
-		c.Block(trunc(i), trunc(i+1))
-	}
-	if i < n {
-		c.BlockTail(trunc(i))
-	}
-	return c.Sum(), nil
-}

@@ -296,34 +296,6 @@ func TestQuickHashIsFunctionOfCells(t *testing.T) {
 	}
 }
 
-func TestTruncationHasher(t *testing.T) {
-	th, err := NewTruncationHasher(Float32, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := f32bytes(1.0, 2.0, 3.0)
-	b := f32bytes(1.0, 2.0, 3.0)
-	da, _ := th.HashChunk(a)
-	db, _ := th.HashChunk(b)
-	if da != db {
-		t.Error("identical data hashed differently")
-	}
-	c := f32bytes(1.0, 2.0, 4.0)
-	dc, _ := th.HashChunk(c)
-	if da == dc {
-		t.Error("large difference not detected by truncation hash")
-	}
-	if _, err := NewTruncationHasher(Float32, 0); err == nil {
-		t.Error("keepBits=0 accepted")
-	}
-	if _, err := NewTruncationHasher(DType(0), 10); err == nil {
-		t.Error("bad dtype accepted")
-	}
-	if _, err := th.HashChunk(make([]byte, 5)); err == nil {
-		t.Error("misaligned chunk accepted")
-	}
-}
-
 func BenchmarkHashChunk4KBF32(b *testing.B) {
 	h, _ := NewHasher(Float32, 1e-5)
 	chunk := make([]byte, 4096)

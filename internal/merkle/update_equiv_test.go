@@ -34,7 +34,9 @@ func nodesEqual(a, b *Tree) (int, bool) {
 func TestUpdateEquivalenceProperty(t *testing.T) {
 	sizes := []int{1, 2, 3, 4, 5, 7, 8, 9, 63, 64, 65, 1000, 1024, 1025}
 	fracs := []float64{0, 0.01, 0.1, 0.5, 0.9, 1}
-	execs := map[string]device.Executor{"serial": nil, "parallel": device.NewParallel(4)}
+	pool := device.NewPool(4)
+	defer pool.Close()
+	execs := map[string]device.Executor{"serial": nil, "parallel": pool}
 
 	for seed := int64(0); seed < 4; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))

@@ -28,7 +28,9 @@ func TestUpdateMatchesFullRebuild(t *testing.T) {
 		{Chunk: 50, Digest: digestOf(2)},
 		{Chunk: 99, Digest: digestOf(3)},
 	}
-	rehashed, err := tr.Update(updates, device.NewParallel(2))
+	pool := device.NewPool(2)
+	defer pool.Close()
+	rehashed, err := tr.Update(updates, pool)
 	if err != nil {
 		t.Fatal(err)
 	}

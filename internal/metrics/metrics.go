@@ -67,8 +67,7 @@ func Phases() []Phase {
 }
 
 // Breakdown accumulates per-phase spans for one comparison. The zero value
-// is ready to use. Breakdown is not safe for concurrent use; merge
-// per-goroutine breakdowns with Merge.
+// is ready to use. Breakdown is not safe for concurrent use.
 type Breakdown struct {
 	spans [numPhases]Span
 }
@@ -109,13 +108,6 @@ func (b *Breakdown) Total() Span {
 		t.Add(b.spans[p])
 	}
 	return t
-}
-
-// Merge accumulates another breakdown into b.
-func (b *Breakdown) Merge(o *Breakdown) {
-	for _, p := range Phases() {
-		b.spans[p].Add(o.spans[p])
-	}
 }
 
 // String renders the virtual-time breakdown compactly.

@@ -64,20 +64,6 @@ func TestBreakdownAccumulateAndTotal(t *testing.T) {
 	}
 }
 
-func TestBreakdownMerge(t *testing.T) {
-	var a, b Breakdown
-	a.AddVirtual(PhaseRead, time.Second)
-	b.AddVirtual(PhaseRead, 2*time.Second)
-	b.AddVirtual(PhaseSetup, time.Second)
-	a.Merge(&b)
-	if a.Get(PhaseRead).Virtual != 3*time.Second {
-		t.Errorf("merged read = %v", a.Get(PhaseRead).Virtual)
-	}
-	if a.Get(PhaseSetup).Virtual != time.Second {
-		t.Errorf("merged setup = %v", a.Get(PhaseSetup).Virtual)
-	}
-}
-
 func TestBreakdownString(t *testing.T) {
 	var b Breakdown
 	b.AddVirtual(PhaseRead, 1500*time.Microsecond)

@@ -982,11 +982,12 @@ func (f *File) LandWhole(ctx context.Context, blockSize int) ([]byte, Cost, erro
 }
 
 // ReadFileFull reads an entire file sequentially in large blocks into a
-// buffer of its own and returns it with the aggregate cost — the access
-// pattern of the AllClose baseline. Each block read is a cancellation
-// point. A block that comes back short — the file shrank after it was
-// opened — is an error wrapping io.ErrUnexpectedEOF, never content with a
-// tail the read did not fill.
+// buffer of its own and returns it with the aggregate cost: the reader of
+// whole files whose bytes outlive the file (compare.LoadMetadata, the
+// checkpointer's flush, journal replay, the run catalog). Each block read
+// is a cancellation point. A block that comes back short — the file shrank
+// after it was opened — is an error wrapping io.ErrUnexpectedEOF, never
+// content with a tail the read did not fill.
 func (s *Store) ReadFileFull(ctx context.Context, name string, blockSize int) ([]byte, Cost, error) {
 	if blockSize <= 0 {
 		blockSize = 1 << 20

@@ -93,9 +93,6 @@ func Classify(err error) Class {
 // IsTransient reports whether err classifies as Transient.
 func IsTransient(err error) bool { return Classify(err) == Transient }
 
-// IsCorrupt reports whether err classifies as Corrupt.
-func IsCorrupt(err error) bool { return Classify(err) == Corrupt }
-
 // exhausted demotes a Transient error to Permanent once its retry budget is
 // spent, so an outer policy (e.g. the engine's per-step retry) does not
 // multiply attempts against an inner one.

@@ -137,7 +137,7 @@ func TestDoRetriesOnlyTransient(t *testing.T) {
 
 	calls = 0
 	_, err = p.Do(context.Background(), func(int) error { calls++; return Mark(errors.New("bad bytes"), Corrupt) })
-	if calls != 1 || !IsCorrupt(err) {
+	if calls != 1 || Classify(err) != Corrupt {
 		t.Fatalf("corrupt error must not be retried by Do: calls=%d err=%v", calls, err)
 	}
 }

@@ -1,10 +1,9 @@
 // Package service is the lifecycle-managed plane behind every comparison
 // the system serves. It replaces accidental singleton acquisition — each
-// one-shot entry point lazily grabbing the process-wide pool and ring —
-// with a Plane that explicitly owns the shared resources:
+// one-shot entry point lazily grabbing the process-wide pool — with a
+// Plane that explicitly owns the shared resources:
 //
 //   - one persistent device.Pool running every comparison kernel,
-//   - one aio.Uring pricing every stage-2 scattered read,
 //   - the content-addressed chunk stores (one cas.Store handle per
 //     pfs.Store, opened once and shared),
 //   - the stage-2 verdict memos (one CASMemo per ε),
@@ -20,11 +19,12 @@
 // admissions, and joins every resource it owns, so a closed plane leaks
 // neither goroutines nor handles.
 //
-// The process has one set of default resources — device.Default() and
-// aio.Default(): the Default plane wraps them, and a direct
-// internal/compare call that leaves Options.Exec/Backend nil lands on the
-// same two, so a facade call and a planner call share one pool and one
-// ring. Planes built by New own private ones; Close joins the pool.
+// The process has one default pool, device.Default(): the Default plane
+// wraps it, and a direct internal/compare call that leaves Options.Exec
+// nil lands on it too, so a facade call and a planner call share one
+// pool. Planes built by New own a private one; Close joins it. Stage-2
+// reads are priced by the caller's Options.Backend, left nil
+// aio.Default(), on every plane alike.
 package service
 
 import (
@@ -44,15 +44,12 @@ import (
 )
 
 // Config parameterizes a Plane. The zero value selects production
-// defaults sized like the pre-plane process-wide singletons, so results
-// and virtual prices are bit-identical to the one-shot era.
+// defaults sized like the process-wide pool, so results and virtual
+// prices are those of a direct compare call.
 type Config struct {
 	// Workers is the device pool's worker count (<= 0 selects
 	// GOMAXPROCS, matching device.Default()).
 	Workers int
-	// QueueDepth is the ring's queue depth (default 256, matching
-	// aio.Default(); the overlap pricing model depends on it).
-	QueueDepth int
 	// MaxInFlight bounds the comparisons executing concurrently across
 	// all tenants (default 64). Admitted work beyond it queues.
 	MaxInFlight int
@@ -74,9 +71,6 @@ type Config struct {
 
 // withDefaults fills unset knobs with the production defaults.
 func (c Config) withDefaults() Config {
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
-	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 64
 	}
@@ -100,7 +94,6 @@ func (c Config) withDefaults() Config {
 type Plane struct {
 	cfg   Config
 	exec  *device.Pool
-	ring  *aio.Uring
 	owns  bool // Close joins exec (false only for Default())
 	sched *sched
 
@@ -118,14 +111,13 @@ type Plane struct {
 	journal *wal.Journal
 }
 
-// New creates a plane that owns a fresh pool and ring sized by cfg.
+// New creates a plane that owns a fresh pool sized by cfg.
 // Nothing starts until the first comparison; Close joins the pool.
 func New(cfg Config) *Plane {
 	cfg = cfg.withDefaults()
 	return &Plane{
 		cfg:     cfg,
 		exec:    device.NewPool(cfg.Workers),
-		ring:    aio.NewUring(cfg.QueueDepth),
 		owns:    true,
 		sched:   newSched(cfg),
 		tenants: make(map[string]*tenant),
@@ -141,18 +133,16 @@ var (
 )
 
 // Default returns the process-wide plane used by the repro facade's
-// one-shot entry points. It wraps the never-closed process singletons
-// (device.Default(), aio.Default()) — the same two a direct
-// internal/compare call defaults to — so facade calls and planner calls
-// share one pool and one ring. Its Close drains admissions but
-// leaves the singletons running.
+// one-shot entry points. It wraps the never-closed process pool,
+// device.Default() — the one a direct internal/compare call defaults to —
+// so facade calls and planner calls share one pool. Its Close drains
+// admissions but leaves the pool running.
 func Default() *Plane {
 	defaultPlaneOnce.Do(func() {
 		cfg := Config{}.withDefaults()
 		defaultPlane = &Plane{
 			cfg:     cfg,
 			exec:    device.Default(),
-			ring:    aio.Default(),
 			sched:   newSched(cfg),
 			tenants: make(map[string]*tenant),
 			memos:   make(map[uint64]*compare.CASMemo),
@@ -165,8 +155,9 @@ func Default() *Plane {
 // Executor returns the plane's persistent kernel executor.
 func (p *Plane) Executor() device.Executor { return p.exec }
 
-// Backend returns the plane's ring engine.
-func (p *Plane) Backend() *aio.Uring { return p.ring }
+// Backend returns the ring engine the plane's comparisons read through
+// when their options leave Backend nil: aio.Default(), on every plane.
+func (p *Plane) Backend() *aio.Uring { return aio.Default() }
 
 // PeakInFlight reports the highest concurrent-execution count the
 // scheduler has reached — the saturation bound MaxInFlight enforces.
@@ -262,9 +253,9 @@ func (p *Plane) CAS(ctx context.Context, store *pfs.Store) (*cas.Store, error) {
 }
 
 // NormalizeOptions is the one options-defaulting path every facade
-// variant routes through: the plane's executor and ring are injected
-// where the caller left Exec/Backend nil, then the compare layer's own
-// Normalize validates ε and fills the remaining defaults. The Retry
+// variant routes through: the plane's executor is injected where the
+// caller left Exec nil, then the compare layer's own Normalize validates
+// ε and fills the remaining defaults (a nil Backend is aio.Default()). The Retry
 // knob is passed through un-resolved so the planners' own idempotent
 // resolution sees the caller's sentinel (zero = default policy,
 // negative MaxAttempts = disabled) exactly as a direct call would.
@@ -275,9 +266,6 @@ func (p *Plane) NormalizeOptions(o compare.Options) (compare.Options, error) {
 func (p *Plane) normalizeOptions(o compare.Options) (compare.Options, error) {
 	if o.Exec == nil {
 		o.Exec = p.exec
-	}
-	if o.Backend == nil {
-		o.Backend = p.ring
 	}
 	raw := o.Retry
 	n, err := o.Normalize()

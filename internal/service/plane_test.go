@@ -32,8 +32,8 @@ func TestNormalizeOptions(t *testing.T) {
 				if n.Exec != device.Executor(p.exec) {
 					t.Errorf("Exec = %T, want the plane pool", n.Exec)
 				}
-				if n.Backend != aio.Backend(p.ring) {
-					t.Errorf("Backend = %T, want the plane ring", n.Backend)
+				if n.Backend != aio.Backend(p.Backend()) || p.Backend() != aio.Default() {
+					t.Errorf("Backend = %T, want the plane ring, aio.Default()", n.Backend)
 				}
 			},
 		},
@@ -41,7 +41,7 @@ func TestNormalizeOptions(t *testing.T) {
 			name: "negative CoalesceMaxGap selects the bare plane ring",
 			in:   compare.Options{Epsilon: 1e-6, CoalesceMaxGap: -1},
 			check: func(t *testing.T, n compare.Options) {
-				if n.Backend != aio.Backend(p.ring) || n.CoalesceMaxGap != -1 {
+				if n.Backend != aio.Backend(p.Backend()) || n.CoalesceMaxGap != -1 {
 					t.Errorf("Backend = %T, CoalesceMaxGap = %d; want the bare plane ring, -1 kept for stage 2", n.Backend, n.CoalesceMaxGap)
 				}
 			},

@@ -14,7 +14,7 @@ import (
 // entry point the repro facade exposes exists here as a method; each
 // submission normalizes its options against the plane's resources,
 // validates the named runs against the tenant's immutable bindings,
-// passes admission control, and executes on the shared pool and ring.
+// passes admission control, and executes on the plane's pool.
 // Sessions are safe for concurrent use; per-session statistics are
 // accounted atomically per submission, so concurrent sessions never
 // interleave each other's counters.

@@ -57,7 +57,7 @@ func TestScaleOutMatchesBaseline(t *testing.T) {
 		{"uniform", 64 << 10, bump(64<<10, 3, 1), pfs.Striping{Targets: 4, StripeBytes: subtree * 64 << 10}, uniform},
 	} {
 		opts := testOpts()
-		opts.ChunkSize, opts.Exec = sec.chunk, device.NewParallel(1)
+		opts.ChunkSize, opts.Exec = sec.chunk, device.Serial{}
 		e := newEnv(t, elems, opts, sec.mutate)
 		oracle, err := compare.CompareMerkle(ctx, e.store, e.nameA, e.nameB, opts)
 		if err != nil {

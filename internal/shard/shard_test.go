@@ -25,11 +25,15 @@ const (
 	testChunk = 4096 // 1024 float32 elements per chunk
 )
 
+// testPool is the two-worker executor of testOpts, shared by the
+// package's tests and never closed, like device.Default.
+var testPool = device.NewPool(2)
+
 func testOpts() compare.Options {
 	return compare.Options{
 		Epsilon:   testEps,
 		ChunkSize: testChunk,
-		Exec:      device.NewParallel(2),
+		Exec:      testPool,
 	}
 }
 

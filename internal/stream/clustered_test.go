@@ -75,7 +75,7 @@ func TestClusteredPipelineMatchesBaseline(t *testing.T) {
 		{"ring_pair_coalesce_depth4", 4, aio.NewUring(64), 16 << 10},
 	} {
 		store.EvictAll()
-		cfg := Config{Backend: v.backend, MaxGap: v.maxGap, Exec: device.NewParallel(1), Device: dev, SliceBytes: slice, Depth: v.depth}
+		cfg := Config{Backend: v.backend, MaxGap: v.maxGap, Exec: device.Serial{}, Device: dev, SliceBytes: slice, Depth: v.depth}
 		st, err := Run(context.Background(), plan, cfg, func(_ int, _ Job, a, _ []byte) (time.Duration, error) {
 			return dev.CompareRateTime(int64(len(a))), nil
 		})

@@ -106,11 +106,11 @@ type (
 // CLI path and the reprod daemon path execute identical plans.
 type (
 	// Plane owns the shared comparison resources — one persistent
-	// kernel pool, one persistent ring engine, per-store CAS handles,
-	// per-ε verdict memos, and the per-tenant run catalog — with
-	// deterministic startup/shutdown and a leak-checked Close.
+	// kernel pool, per-store CAS handles, per-ε verdict memos, and the
+	// per-tenant run catalog — with deterministic startup/shutdown and a
+	// leak-checked Close.
 	Plane = service.Plane
-	// PlaneConfig sizes a plane: pool/ring shape, global in-flight
+	// PlaneConfig sizes a plane: pool workers, global in-flight
 	// bound, admission-queue bound, per-tenant quota, and the
 	// backpressure price range.
 	PlaneConfig = service.Config
@@ -218,8 +218,8 @@ func VerifyJournal(ctx context.Context, store *Store, name string) (*JournalVeri
 	return wal.Verify(ctx, store, name)
 }
 
-// NewPlane creates a plane owning a fresh pool and ring sized by cfg;
-// Close it to join them. The zero Config selects production defaults.
+// NewPlane creates a plane owning a fresh pool sized by cfg; Close it
+// to join the pool. The zero Config selects production defaults.
 func NewPlane(cfg PlaneConfig) *Plane { return service.New(cfg) }
 
 // localSession lazily opens the default plane's "local" tenant session,
@@ -308,11 +308,6 @@ func GPUModel() DeviceModel { return device.GPUModel() }
 
 // CPUModel approximates a single CPU core.
 func CPUModel() DeviceModel { return device.CPUModel() }
-
-// NewParallelExecutor returns a spawn-per-loop executor (workers <= 0
-// selects GOMAXPROCS). Leaving Options.Exec nil selects the process-wide
-// pool, which reuses persistent workers across kernels.
-func NewParallelExecutor(workers int) Executor { return device.NewParallel(workers) }
 
 // SerialExecutor returns the single-threaded executor.
 func SerialExecutor() Executor { return device.Serial{} }

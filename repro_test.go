@@ -146,9 +146,6 @@ func TestFacadeConstructors(t *testing.T) {
 	if repro.GPUModel().Name != "GPU" || repro.CPUModel().Name != "CPU" {
 		t.Error("device model names wrong")
 	}
-	if repro.NewParallelExecutor(3).Workers() != 3 {
-		t.Error("parallel executor workers wrong")
-	}
 	if repro.SerialExecutor().Workers() != 1 {
 		t.Error("serial executor workers wrong")
 	}
