@@ -31,11 +31,13 @@ race:
 # in for the ε-compare kernel's SSE2 assembly and the leaf hash's SSE4.1
 # pair and AVX-512 wide kernels on every other GOARCH (an amd64 host runs
 # 386 test binaries natively, stage 2's views included), vet of an arm64
-# build, and vet of a GOOS without mmap, where pfs.File.Land copies.
+# build, and vet of a GOOS without mmap, where pfs.File.Land copies and
+# Open never finds a mapping to read through (and of the packages that
+# hold a framelog writer across appends).
 portable:
 	GOARCH=386 $(GO) test ./internal/errbound ./internal/compare
 	GOARCH=arm64 $(GO) vet ./internal/errbound
-	GOOS=windows GOARCH=amd64 $(GO) vet ./internal/pfs ./internal/stream ./internal/compare ./internal/cas ./internal/ckpt
+	GOOS=windows GOARCH=amd64 $(GO) vet ./internal/pfs ./internal/stream ./internal/compare ./internal/cas ./internal/ckpt ./internal/framelog ./internal/wal ./internal/service
 
 # chaos soaks the degradation ladder at full scale: seeded fault
 # schedules × topologies under the race detector (see internal/chaos).
@@ -57,9 +59,10 @@ chaos-smoke:
 # which read through framelog.Cursor:
 # the framed log's scanner (the journal and the CAS index replay through
 # it), the journal's record payload behind that scanner, the CAS manifest,
-# the checkpoint header, the metadata container (and through it
-# merkle.Decode); last, the mpi f64 vector codec, a length check and a
-# loop held to the same contract. FuzzCompareSlices caps the minimizer: its
+# the checkpoint header and the checkpoint name (held to the pattern it
+# once was), the metadata container (and through it merkle.Decode); last,
+# the mpi f64 vector codec, a length check and a loop held to the same
+# contract. FuzzCompareSlices caps the minimizer: its
 # corpus holds kilobyte seeds, and left alone the fuzzer spends the five
 # seconds (up to a minute per input) shrinking the first mutant that finds
 # new coverage instead of executing — ~1 000 executions against ~140 000.
@@ -72,6 +75,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePayload$$' -fuzztime 5s ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime 5s ./internal/cas
 	$(GO) test -run '^$$' -fuzz '^FuzzParseHeader$$' -fuzztime 5s ./internal/ckpt
+	$(GO) test -run '^$$' -fuzz '^FuzzParseName$$' -fuzztime 5s ./internal/ckpt
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMetadata$$' -fuzztime 5s ./internal/compare
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeF64$$' -fuzztime 5s ./internal/mpi
 
@@ -126,7 +130,7 @@ examples:
 # LOC_CEILING, the total of the last PR that lowered it — a PR that removes
 # code lowers the ceiling to its own result, one that must add code raises
 # it in the same diff, where a reviewer sees it.
-LOC_CEILING = 24020
+LOC_CEILING = 24146
 LOC_FILES = \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go'
 loc:
 	@for d in $$(find . $(LOC_FILES) | xargs -n1 dirname | sort -u); do \

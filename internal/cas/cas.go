@@ -341,6 +341,9 @@ func (s *Store) PutChunks(data []byte, chunkSize int, digests []murmur3.Digest) 
 		}
 		recs = recs[n:]
 	}
+	if err := s.idx.Close(); werr == nil {
+		werr = err
+	}
 	return locs, stats, cost, werr
 }
 

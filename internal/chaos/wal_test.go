@@ -7,7 +7,7 @@ package chaos
 // the prefix before the fault is durable, nothing after it reaches the
 // store in that life. The trials sweep the kill across every journal
 // write point and three failure shapes (clean cut, torn frame, and a
-// close that fails after the whole frame was written) and assert the
+// write that fails after the whole frame landed) and assert the
 // recovery invariants: no accepted job is lost, no verdict is emitted
 // twice, and the replayed chain verifies.
 
@@ -57,7 +57,11 @@ func TestChaosWALKillRestart(t *testing.T) {
 	}{
 		{"clean-cut", faults.PermanentWrite, 0},
 		{"torn-frame", faults.TornWrite, 7},
-		{"failed-close", faults.FailClose, 0},
+		// The journal holds its writer and no longer closes per append,
+		// so this row lands the whole frame and fails its write: the
+		// state a failed per-append close left (landed-then-failed). It
+		// keeps the name it had when it failed that close.
+		{"failed-close", faults.TornWrite, landedKeep},
 	}
 	for _, shape := range shapes {
 		// killAt == walWritesPerLife is the fault-free control life.
@@ -69,6 +73,11 @@ func TestChaosWALKillRestart(t *testing.T) {
 		}
 	}
 }
+
+// landedKeep is a TornWrite prefix longer than any journal frame: pfs
+// clamps it to the frame, so the whole frame lands and the write still
+// fails — a durable record the client saw fail.
+const landedKeep = 1 << 20
 
 func runWALKillTrial(t *testing.T, kind faults.Kind, keep, killAt int) {
 	ctx := context.Background()
@@ -87,14 +96,15 @@ func runWALKillTrial(t *testing.T, kind faults.Kind, keep, killAt int) {
 	}))
 	sess := p1.Open("victim")
 	accepted := map[uint64]int{} // job ID -> index into specs/wantExit
-	// A submission whose accepted record failed its close saw an error, but
-	// the whole frame is on disk: the next life may re-admit that one job.
+	// A submission whose accepted record landed whole before its write
+	// failed saw an error, but the frame is on disk: the next life may
+	// re-admit that one job.
 	inDoubt := 0
 	for i, spec := range specs {
 		job, err := sess.Submit(env.store, spec)
 		if err != nil {
 			// Rejected before durability: the client saw the error.
-			if kind == faults.FailClose && !errors.Is(err, wal.ErrWedged) {
+			if keep == landedKeep && !errors.Is(err, wal.ErrWedged) {
 				inDoubt++
 			}
 			continue
@@ -172,6 +182,54 @@ func runWALKillTrial(t *testing.T, kind faults.Kind, keep, killAt int) {
 		if v.Exit != wantExit[i] {
 			t.Errorf("job %d: exit %d, want %d", id, v.Exit, wantExit[i])
 		}
+	}
+}
+
+// TestChaosWALFailedCloseAtPlaneClose: the journal's held writer closes
+// once, at Plane.Close, and a FailClose on the journal fails that close
+// with the hook's error. Every record was written before it, so the next
+// life replays all nine with no job pending.
+func TestChaosWALFailedCloseAtPlaneClose(t *testing.T) {
+	ctx := context.Background()
+	opts := compare.Options{Epsilon: 1e-5, ChunkSize: 4 << 10}
+	env := seedPair(t, 4<<10, 31, opts)
+	specs, wantExit := walTrialSpecs(env, opts)
+	p1 := service.New(service.Config{MaxInFlight: 1})
+	if _, err := p1.Recover(ctx, env.store, ""); err != nil {
+		t.Fatal(err)
+	}
+	errClose := errors.New("injected journal close failure")
+	env.store.SetFaultHook(faults.New(1, faults.Rule{Kind: faults.FailClose, Name: "journal", Err: errClose}))
+	sess := p1.Open("closer")
+	for i, spec := range specs {
+		job, err := sess.Submit(env.store, spec)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		<-job.Done()
+		if st := job.Status(); st.ExitCode != wantExit[i] {
+			t.Fatalf("job %d: exit %d, want %d", i, st.ExitCode, wantExit[i])
+		}
+	}
+	if err := p1.Close(); !errors.Is(err, errClose) {
+		t.Fatalf("plane close with a failing journal close: %v; want the hook's error", err)
+	}
+	env.store.SetFaultHook(nil)
+
+	p2 := service.New(service.Config{MaxInFlight: 1})
+	rec, err := p2.Recover(ctx, env.store, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(rec.Replay.Records); n != walWritesPerLife || len(rec.Resumed) != 0 || len(rec.Ledger) != len(specs) {
+		t.Errorf("next life: %d records, %d resumed, %d verdicts; want %d, 0, %d",
+			n, len(rec.Resumed), len(rec.Ledger), walWritesPerLife, len(specs))
+	}
+	if err := p2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if vrep, err := wal.Verify(ctx, env.store, ""); err != nil || len(vrep.PendingJobs) != 0 {
+		t.Errorf("verify: %v, pending %v", err, vrep.PendingJobs)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"regexp"
+	"strconv"
 	"testing"
 
 	"repro/internal/errbound"
@@ -352,4 +354,71 @@ func TestSameSchema(t *testing.T) {
 	if SameSchema(a, d) {
 		t.Error("different field counts reported same")
 	}
+}
+
+// nameOracle is the pattern of a checkpoint name, the oracle of
+// ParseName, which parses the fixed suffix by hand.
+var nameOracle = regexp.MustCompile(`^(.+)/iter(\d{4})\.rank(\d{3})\.ckpt$`)
+
+// oracleParseName is ParseName by the pattern.
+func oracleParseName(name string) (runID string, iteration, rank int, ok bool) {
+	m := nameOracle.FindStringSubmatch(name)
+	if m == nil {
+		return "", 0, 0, false
+	}
+	it, err1 := strconv.Atoi(m[2])
+	rk, err2 := strconv.Atoi(m[3])
+	if err1 != nil || err2 != nil {
+		return "", 0, 0, false
+	}
+	return m[1], it, rk, true
+}
+
+// parseNameCases are the edges of the pattern, each held to the oracle.
+var parseNameCases = []string{
+	"run1/iter0030.rank007.ckpt",
+	"a/b/c/iter9999.rank999.ckpt",    // nested directories
+	"/iter0001.rank001.ckpt",         // an empty run ID
+	"//iter0001.rank001.ckpt",        // a run ID of one slash
+	"run\n/iter0001.rank001.ckpt",    // '.' does not match a newline
+	"ru\rn/iter0001.rank001.ckpt",    // but a carriage return
+	"run/iter00001.rank001.ckpt",     // a 5-digit iteration
+	"run/iter001.rank0001.ckpt",      // digits moved between the fields
+	"run/iter０001.rank001.ckpt",      // non-ASCII digits
+	"run/iter٠٠٠١.rank001.ckpt",      // non-ASCII digits
+	"run/iter0001.rank00x.ckpt",      // a letter in the rank
+	"run/iter0001xrank001.ckpt",      // the dot is literal
+	"run/iter0001.rank001.ckpt\n",    // $ is the end of the text
+	"run/iter0001.rank001.ckpt.ckpt", // a suffix after the suffix
+	"x/iter0001.rank001.ckpt/iter0002.rank002.ckpt",
+	"\xff\xfe/iter0001.rank001.ckpt", // invalid UTF-8 in the run ID
+	"run/iter0001.rank001.CKPT",
+	"x.ckpt",
+	"",
+}
+
+// TestParseNameMatchesOracle: the hand parser agrees with the pattern on
+// every edge of the table.
+func TestParseNameMatchesOracle(t *testing.T) {
+	for _, name := range parseNameCases {
+		run, it, rk, ok := ParseName(name)
+		wrun, wit, wrk, wok := oracleParseName(name)
+		if run != wrun || it != wit || rk != wrk || ok != wok {
+			t.Errorf("ParseName(%q) = %q %d %d %v, the pattern says %q %d %d %v", name, run, it, rk, ok, wrun, wit, wrk, wok)
+		}
+	}
+}
+
+// FuzzParseName holds ParseName to the pattern on any name.
+func FuzzParseName(f *testing.F) {
+	for _, name := range parseNameCases {
+		f.Add(name)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		run, it, rk, ok := ParseName(name)
+		wrun, wit, wrk, wok := oracleParseName(name)
+		if run != wrun || it != wit || rk != wrk || ok != wok {
+			t.Fatalf("ParseName(%q) = %q %d %d %v, the pattern says %q %d %d %v", name, run, it, rk, ok, wrun, wit, wrk, wok)
+		}
+	})
 }

@@ -16,10 +16,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"regexp"
 	"runtime"
 	"slices"
-	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -84,20 +83,37 @@ func Name(runID string, iteration, rank int) string {
 	return fmt.Sprintf("%s/iter%04d.rank%03d.ckpt", runID, iteration, rank)
 }
 
-var nameRe = regexp.MustCompile(`^(.+)/iter(\d{4})\.rank(\d{3})\.ckpt$`)
+// nameSuffix is the length of what Name writes after the run ID:
+// "/iterDDDD.rankDDD.ckpt".
+const nameSuffix = len("/iter0000.rank000.ckpt")
 
-// ParseName inverts Name. ok is false for non-checkpoint paths.
+// ParseName inverts Name. ok is false for non-checkpoint paths: the fixed
+// suffix with ASCII digits, after a run ID of at least one byte and no
+// newline.
 func ParseName(name string) (runID string, iteration, rank int, ok bool) {
-	m := nameRe.FindStringSubmatch(name)
-	if m == nil {
+	i := len(name) - nameSuffix
+	if i < 1 || strings.IndexByte(name[:i], '\n') >= 0 {
 		return "", 0, 0, false
 	}
-	it, err1 := strconv.Atoi(m[2])
-	rk, err2 := strconv.Atoi(m[3])
-	if err1 != nil || err2 != nil {
+	s := name[i:]
+	it, okIt := decimal(s[5:9])
+	rk, okRk := decimal(s[14:17])
+	if s[:5] != "/iter" || s[9:14] != ".rank" || s[17:] != ".ckpt" || !okIt || !okRk {
 		return "", 0, 0, false
 	}
-	return m[1], it, rk, true
+	return name[:i], it, rk, true
+}
+
+// decimal parses s, ASCII digits only.
+func decimal(s string) (int, bool) {
+	n := 0
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return 0, false
+		}
+		n = 10*n + int(s[i]-'0')
+	}
+	return n, true
 }
 
 // History lists a run's checkpoint file names on a store, sorted by

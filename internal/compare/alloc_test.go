@@ -3,11 +3,14 @@ package compare
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/aio"
 	"repro/internal/dettest"
 	"repro/internal/device"
+	"repro/internal/merkle"
+	"repro/internal/synth"
 )
 
 // allocShapes are the two regimes of the pin: sparse at 4 KiB chunks, where
@@ -139,5 +142,61 @@ func TestKernelScratchFreeListIsBounded(t *testing.T) {
 	}
 	if cap(v.ranges[1].idx) < 3 {
 		t.Error("a recycled store lost its index scratch")
+	}
+}
+
+// TestTreeDiffAllocatesItsAnswer: on the group star of
+// TestGroupStage2RecyclesWindowBuffers (384 candidate chunks, 64 KiB
+// chunks) merkle.Diff allocates its chunk list once at its exact size,
+// plus its two frontier buffers and its kernels: at most 12 allocations
+// and 2 KiB a field besides the answer on one worker.
+func TestTreeDiffAllocatesItsAnswer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("writes two 24 MiB checkpoints")
+	}
+	opts := baseOpts(1e-7, 64<<10)
+	pert := synth.DefaultPerturb(11)
+	pert.MagLo, pert.MagHi, pert.UntouchedFrac = 1e-3, 1e-2, 0
+	env := newEnv(t, 2<<20, opts, pert)
+	ma, _, _, err := LoadMetadata(context.Background(), env.store, env.nameA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mb, _, _, err := LoadMetadata(context.Background(), env.store, env.nameB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const extraAllocs, extraBytes = 12, 2 << 10
+	exec := device.Serial{}
+	candidates := 0
+	for fi := range ma.Fields {
+		ta, tb := ma.Fields[fi].Tree, mb.Fields[fi].Tree
+		start := ta.DefaultStartLevel(1)
+		chunks, _, err := merkle.Diff(ta, tb, start, exec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(chunks) != len(chunks) {
+			t.Errorf("field %d: a list of %d chunks has capacity %d", fi, len(chunks), cap(chunks))
+		}
+		candidates += len(chunks)
+		answer := 0.0
+		if len(chunks) > 0 {
+			answer = 1
+		}
+		allocs := testing.AllocsPerRun(20, func() { merkle.Diff(ta, tb, start, exec) }) - answer
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		merkle.Diff(ta, tb, start, exec)
+		runtime.ReadMemStats(&after)
+		besides := after.TotalAlloc - before.TotalAlloc - 8*uint64(len(chunks))
+		t.Logf("field %d: %d chunks; %.0f allocations and %d bytes besides them", fi, len(chunks), allocs, besides)
+		if allocs > extraAllocs || besides > extraBytes {
+			t.Errorf("field %d: the diff allocates %.0f times and %d bytes besides its answer, want at most %d and %d",
+				fi, allocs, besides, extraAllocs, extraBytes)
+		}
+	}
+	if candidates != 384 {
+		t.Fatalf("%d candidate chunks, want the 384 of the group star", candidates)
 	}
 }

@@ -17,6 +17,12 @@
 //
 // The writer and the scanner share one bound: Append refuses, before it
 // writes, any payload Replay would refuse to read.
+//
+// A Log holds its append writer from its first Append until Close, so an
+// append is one write(2): once it returns, the frame survives a kill -9 of
+// the process as it would after a close. Nothing is synced. The owner
+// decides when to close — the journal at its plane's Close, the CAS index
+// at the end of each put.
 package framelog
 
 import (
@@ -44,7 +50,8 @@ const (
 var ErrTooLarge = errors.New("framelog: payload over the replay bound")
 
 // Log is the append side of one framed log on a store. Not safe for
-// concurrent use: the owning journal or store serializes appends.
+// concurrent use: the owning journal or store serializes appends and
+// closes it.
 type Log struct {
 	Store *pfs.Store
 	Name  string
@@ -54,7 +61,8 @@ type Log struct {
 	// included, because it stays in the file.
 	Size int64
 
-	buf []byte // grow-only frame buffer, reused across appends
+	buf []byte      // grow-only frame buffer, reused across appends
+	w   *pfs.Writer // the held append writer, nil until an Append opens it
 }
 
 // Read returns the log's bytes for Replay (an absent log is empty) and
@@ -68,10 +76,12 @@ func (l *Log) Read(ctx context.Context) ([]byte, pfs.Cost, error) {
 	return raw, cost, nil
 }
 
-// Append frames payload at the end of the log in one open/write/close and
-// returns the write's cost. A failed or short write still advances Size by
-// the bytes that reached the file, so the next frame's stored offset is
-// where it really lands and replay sees the torn bytes as one hole.
+// Append frames payload at the end of the log in one write through the
+// held writer, opening it when none is held, and returns that write's
+// cost. A failed or short write still advances Size by the bytes that
+// reached the file, so the next frame's stored offset is where it really
+// lands and replay sees the torn bytes as one hole; it closes the writer,
+// and the next Append reopens it.
 func (l *Log) Append(payload []byte) (pfs.Cost, error) {
 	if len(payload) > MaxPayload {
 		return pfs.Cost{}, fmt.Errorf("%w: %d bytes, max %d", ErrTooLarge, len(payload), MaxPayload)
@@ -83,23 +93,39 @@ func (l *Log) Append(payload []byte) (pfs.Cost, error) {
 	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b[4:]))
 	l.buf = b[:0]
 
-	w, err := l.Store.Append(l.Name)
-	if err != nil {
-		return pfs.Cost{}, err
+	if l.w == nil {
+		w, err := l.Store.Append(l.Name)
+		if err != nil {
+			return pfs.Cost{}, err
+		}
+		l.w = w
 	}
-	n, werr := w.Write(b)
-	cost := w.Cost()
-	cerr := w.Close()
+	before := l.w.Cost()
+	n, err := l.w.Write(b)
+	cost := l.w.Cost()
+	cost.Ops -= before.Ops
+	cost.CachedOps -= before.CachedOps
+	cost.Bytes -= before.Bytes
+	cost.CachedBytes -= before.CachedBytes
 	l.Size += int64(n)
-	switch {
-	case werr != nil:
-		return cost, werr
-	case cerr != nil:
-		return cost, cerr
-	case n != len(b):
-		return cost, fmt.Errorf("framelog: short append to %s: %d of %d bytes", l.Name, n, len(b))
+	if err == nil && n != len(b) {
+		err = fmt.Errorf("framelog: short append to %s: %d of %d bytes", l.Name, n, len(b))
 	}
-	return cost, nil
+	if err != nil {
+		_ = l.Close() // the write's error is the one reported
+	}
+	return cost, err
+}
+
+// Close closes the held append writer, if an Append opened one, and
+// returns its error: the close a fault hook's BeforeClose sees.
+func (l *Log) Close() error {
+	w := l.w
+	if w == nil {
+		return nil
+	}
+	l.w = nil
+	return w.Close()
 }
 
 // Damage is what Replay skipped.

@@ -229,63 +229,80 @@ func Diff(a, b *Tree, startLevel int, exec device.Executor) (chunks []int, nodes
 	// Number of real leaves under each start-level node: the subtree of
 	// node j at startLevel spans leaves [j*span, (j+1)*span).
 	span := 1 << (a.depth - startLevel)
-	frontier := make([]int32, 0, width)
+	// Two buffers serve every level: cur holds a level's frontier and next
+	// what its kernel writes — the children of each mismatching node, -1
+	// for a pruned one, or at the leaf level a mark per node — compacted
+	// in place into the next frontier before the two swap. next is cleared
+	// first, so a kernel a cancellation cut short lists nothing stale.
+	cur := make([]int32, 0, 2*width)
 	for j := 0; j < width; j++ {
 		if j*span < a.numLeaves {
-			frontier = append(frontier, int32(levelBase+j))
+			cur = append(cur, int32(levelBase+j))
+		}
+	}
+	var next []int32
+	interior := func(i int) {
+		if n := cur[i]; *a.node(int(n)) != *b.node(int(n)) {
+			next[2*i], next[2*i+1] = 2*n+1, 2*n+2
+		} else {
+			next[2*i], next[2*i+1] = -1, -1
+		}
+	}
+	leaf := func(i int) {
+		if n := cur[i]; *a.node(int(n)) != *b.node(int(n)) {
+			next[i] = n - int32(a.leafBase) + 1 // +1: 0 means match
 		}
 	}
 
-	level := startLevel
-	for len(frontier) > 0 {
-		nodesCompared += int64(len(frontier))
+	for level := startLevel; len(cur) > 0; level++ {
+		nodesCompared += int64(len(cur))
 		if level == a.depth {
-			// Leaf level: collect mismatching chunk indices.
-			marks := make([]int32, len(frontier))
-			exec.For(len(frontier), func(i int) {
-				n := frontier[i]
-				if *a.node(int(n)) != *b.node(int(n)) {
-					marks[i] = n - int32(a.leafBase) + 1 // +1: 0 means match
-				}
-			})
-			for _, m := range marks {
+			// Leaf level: the mismatching chunk indices, counted first so
+			// the answer is allocated once at its size.
+			next = resize(next, len(cur))
+			exec.For(len(cur), leaf)
+			marked := 0
+			for _, m := range next {
 				if m > 0 {
-					chunks = append(chunks, int(m-1))
+					marked++
+				}
+			}
+			if marked > 0 {
+				chunks = make([]int, 0, marked)
+				for _, m := range next {
+					if m > 0 {
+						chunks = append(chunks, int(m-1))
+					}
 				}
 			}
 			break
 		}
-		// Interior level: mismatching nodes contribute their children to
-		// the next frontier (0 marks a pruned, matching node).
-		next := make([]int32, 2*len(frontier))
-		exec.For(len(frontier), func(i int) {
-			n := frontier[i]
-			if *a.node(int(n)) != *b.node(int(n)) {
-				next[2*i] = 2*n + 1
-				next[2*i+1] = 2*n + 2
-			} else {
-				next[2*i] = -1
-				next[2*i+1] = -1
-			}
-		})
-		frontier = frontier[:0]
-		childLevel := level + 1
-		childSpan := 1 << (a.depth - childLevel)
-		childBase := (1 << childLevel) - 1
+		next = resize(next, 2*len(cur))
+		exec.For(len(cur), interior)
+		childSpan := 1 << (a.depth - level - 1)
+		childBase := (1 << (level + 1)) - 1
+		k := 0
 		for _, n := range next {
-			if n < 0 {
-				continue
+			// Skip pruned nodes and padding-only subtrees.
+			if n >= 0 && (int(n)-childBase)*childSpan < a.numLeaves {
+				next[k] = n
+				k++
 			}
-			// Skip padding-only subtrees.
-			j := int(n) - childBase
-			if j*childSpan >= a.numLeaves {
-				continue
-			}
-			frontier = append(frontier, n)
 		}
-		level = childLevel
+		cur, next = next[:k], cur
 	}
 	return chunks, nodesCompared, nil
+}
+
+// resize returns buf cleared at length n, reallocated only when its
+// capacity is short.
+func resize(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n, max(n, 2*cap(buf)))
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // Serialization format (little-endian):

@@ -494,7 +494,7 @@ func (s *Store) Remove(name string) error {
 	}
 	s.Evict(name)
 	if st, err := os.Stat(p); err == nil {
-		retire(keyOf(st), -1)
+		retire(keyOf(st))
 	}
 	if err := os.Remove(p); err != nil {
 		return fmt.Errorf("pfs: remove %s: %w", name, err)
@@ -584,7 +584,7 @@ func (s *Store) markWritten(name string, off int64, n int) Cost {
 type File struct {
 	store *Store
 	name  string
-	f     *os.File
+	f     *os.File // its own, or its table entry's
 	size  int64
 	key   mapKey                  // the mapping table's name for the file
 	m     atomic.Pointer[mapping] // its table entry, from the first Land to Close
@@ -597,27 +597,35 @@ type File struct {
 	pending atomic.Int32
 }
 
-// Open opens a file for reading.
+// Open opens a file for reading. It stats the path first: a file the
+// mapping table holds at that size is read through the descriptor its
+// entry holds, and nothing is opened. An entry pins its inode, so a stat
+// that finds the entry's (device, inode) names the held file; a file
+// replaced after the stat reads as if it had been opened just before.
 func (s *Store) Open(name string) (*File, error) {
 	p, err := s.path(name)
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.Open(p)
+	st, err := os.Stat(p)
 	if err != nil {
 		return nil, fmt.Errorf("pfs: open %s: %w", name, err)
 	}
-	st, err := f.Stat()
-	if err != nil {
-		_ = f.Close() // the stat error takes precedence
-		return nil, fmt.Errorf("pfs: stat %s: %w", name, err)
+	f := &File{store: s, name: name, size: st.Size(), key: keyOf(st)}
+	if !f.adopt() {
+		if f.f, err = os.Open(p); err != nil {
+			return nil, fmt.Errorf("pfs: open %s: %w", name, err)
+		}
+		if st, err = f.f.Stat(); err != nil {
+			_ = f.f.Close() // the stat error takes precedence
+			return nil, fmt.Errorf("pfs: stat %s: %w", name, err)
+		}
+		f.size, f.key = st.Size(), keyOf(st)
 	}
-	key := keyOf(st)
-	retire(key, st.Size())
 	s.mu.Lock()
 	s.openHandles++
 	s.mu.Unlock()
-	return &File{store: s, name: name, f: f, size: st.Size(), key: key}, nil
+	return f, nil
 }
 
 // Name returns the store-relative name.
@@ -796,13 +804,16 @@ func (f *File) ReadAtCtx(ctx context.Context, p []byte, off int64) (int, Cost, e
 	return f.ReadAt(p, off)
 }
 
-// Close releases the handle.
+// Close releases the handle: its reference on the mapping table's entry,
+// and its descriptor unless the entry holds it.
 func (f *File) Close() error {
 	if f.f == nil {
 		return nil
 	}
-	f.dropView()
-	err := f.f.Close()
+	var err error
+	if !f.dropView() {
+		err = f.f.Close()
+	}
 	f.f = nil
 	f.store.mu.Lock()
 	f.store.openHandles--
@@ -871,7 +882,7 @@ func (s *Store) Append(name string) (*Writer, error) {
 		_ = f.Close() // the stat error takes precedence
 		return nil, fmt.Errorf("pfs: stat %s: %w", name, err)
 	}
-	retire(keyOf(st), -1)
+	retire(keyOf(st))
 	return &Writer{store: s, name: name, f: f, off: st.Size()}, nil
 }
 
@@ -944,7 +955,7 @@ func (w *Writer) Close() error {
 	w.f = nil
 	if w.tmp != "" {
 		if st, serr := os.Stat(w.path); serr == nil {
-			retire(keyOf(st), -1)
+			retire(keyOf(st))
 		}
 		if rerr := os.Rename(w.tmp, w.path); rerr != nil {
 			_ = os.Remove(w.tmp) // the rename error is reported

@@ -12,8 +12,9 @@ type (
 )
 
 func keyOf(os.FileInfo) mapKey { return mapKey{} }
-func retire(mapKey, int64)     {}
-func (f *File) dropView()      {}
+func retire(mapKey)            {}
+func (f *File) dropView() bool { return false }
+func (f *File) adopt() bool    { return false }
 
 // cutAt is false: no address lies in a mapping.
 func (f *File) cutAt(uintptr) bool { return false }

@@ -13,11 +13,15 @@ import (
 // file, kept in a table per process keyed by (device, inode): an inode
 // number cannot be reused while a mapping pins the inode, and MAP_SHARED
 // shows the file's current bytes, as pread does. A File takes a reference
-// on its first Land and drops it at Close. An entry nobody references stays
-// mapped, idle, for the next Open of its file; past maxIdleMappings idle
-// entries or maxIdleBytes idle bytes the least recently released goes, and
-// each new mapping first retires the idle entries of files removed without
-// the store (sweep).
+// on its first Land and drops it at Close. An entry owns the descriptor it
+// was mapped through — the first Land's File hands its own over — and
+// closes it when it unmaps; an Open that finds its file's entry at the
+// file's size takes a reference at once and reads through that descriptor
+// (adopt). An entry nobody references stays mapped and open, idle, for the
+// next Open of its file; past maxIdleMappings idle entries or maxIdleBytes
+// idle bytes the least recently released goes, and each new mapping first
+// retires the idle entries of files removed without the store (sweep). So
+// the idle bound is also the bound on descriptors the table keeps open.
 const (
 	maxIdleMappings = 64
 	maxIdleBytes    = 256 << 20
@@ -29,7 +33,7 @@ type mapKey struct{ dev, ino uint64 }
 // was rewritten, appended to or removed — and unmapped at its last release.
 type mapping struct {
 	key  mapKey
-	path string // where the file was when it was mapped
+	f    *os.File // the descriptor it was mapped through, named where the file was
 	data []byte
 	refs int
 	used uint64 // when it last became idle
@@ -53,12 +57,11 @@ func keyOf(fi os.FileInfo) mapKey {
 	return mapKey{}
 }
 
-// retire retires key's entry unless it maps keep bytes: an Open found the
-// file at another size, or (keep -1) a writer is about to change the file
-// or remove it, and an idle mapping must not pin its old blocks.
-func retire(key mapKey, keep int64) {
+// retire retires key's entry: a writer is about to change the file or
+// remove it, and an idle mapping must not pin its old blocks.
+func retire(key mapKey) {
 	table.Lock()
-	if m := table.byKey[key]; m != nil && int64(len(m.data)) != keep {
+	if m := table.byKey[key]; m != nil {
 		m.retire()
 	}
 	table.Unlock()
@@ -77,7 +80,38 @@ func (m *mapping) retire() {
 
 func (m *mapping) unmap() {
 	_ = syscall.Munmap(m.data) // the range came from Mmap: nothing to do on failure
-	m.data = nil
+	_ = m.f.Close()            // read-only: nothing is lost on failure
+	m.data, m.f = nil, nil
+}
+
+// ref takes a reference on the entry. Caller holds the table lock.
+func (m *mapping) ref() {
+	if m.refs == 0 {
+		table.idle--
+		table.idleBytes -= int64(len(m.data))
+	}
+	m.refs++
+}
+
+// adopt is Open's hit: when the table holds an entry for f's key at f's
+// size, f takes a reference on it and reads through its descriptor. An
+// entry at another size is retired: the file was appended to or cut in
+// place, and an idle mapping must not pin its old blocks.
+func (f *File) adopt() bool {
+	table.Lock()
+	defer table.Unlock()
+	m := table.byKey[f.key]
+	if m == nil {
+		return false
+	}
+	if int64(len(m.data)) != f.size {
+		m.retire()
+		return false
+	}
+	m.ref()
+	f.f = m.f
+	f.m.Store(m)
+	return true
 }
 
 // entry returns f's entry, taking a reference — mapping the file on a
@@ -94,11 +128,7 @@ func (f *File) entry() *mapping {
 	m := table.byKey[f.key]
 	switch {
 	case m != nil && int64(len(m.data)) == f.size:
-		if m.refs == 0 {
-			table.idle--
-			table.idleBytes -= int64(len(m.data))
-		}
-		m.refs++
+		m.ref()
 	case f.key == (mapKey{}) || f.size <= 0 || f.size != int64(int(f.size)):
 		m = noMapping
 	default:
@@ -109,7 +139,7 @@ func (f *File) entry() *mapping {
 		table.mmaps++
 		data, err := syscall.Mmap(int(f.f.Fd()), 0, int(f.size), syscall.PROT_READ, syscall.MAP_SHARED)
 		if m = noMapping; err == nil {
-			m = &mapping{key: f.key, path: f.f.Name(), data: data, refs: 1}
+			m = &mapping{key: f.key, f: f.f, data: data, refs: 1}
 			if table.byKey == nil {
 				table.byKey = make(map[mapKey]*mapping)
 			}
@@ -128,27 +158,29 @@ func (f *File) entry() *mapping {
 func sweep() {
 	for _, m := range table.byKey {
 		if m.refs == 0 {
-			if st, err := os.Stat(m.path); err != nil || keyOf(st) != m.key {
+			if st, err := os.Stat(m.f.Name()); err != nil || keyOf(st) != m.key {
 				m.retire()
 			}
 		}
 	}
 }
 
-// dropView releases f's reference at Close.
-func (f *File) dropView() {
+// dropView releases f's reference at Close and reports whether the entry
+// holds f's descriptor, which f must then leave open.
+func (f *File) dropView() (held bool) {
 	m := f.m.Swap(nil)
 	if m == nil || m == noMapping {
-		return
+		return false
 	}
 	table.Lock()
 	defer table.Unlock()
+	held = m.f == f.f
 	if m.refs--; m.refs > 0 {
-		return
+		return held
 	}
 	if table.byKey[m.key] != m {
 		m.unmap()
-		return
+		return held
 	}
 	table.clock++
 	m.used, table.idle, table.idleBytes = table.clock, table.idle+1, table.idleBytes+int64(len(m.data))
@@ -161,6 +193,7 @@ func (f *File) dropView() {
 		}
 		old.retire()
 	}
+	return held
 }
 
 // Land lands the n bytes at off — a read its Price charged — and returns

@@ -28,6 +28,7 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
@@ -278,8 +279,9 @@ func (p *Plane) normalizeOptions(o compare.Options) (compare.Options, error) {
 
 // Close shuts the plane down deterministically: new admissions fail with
 // ErrPlaneClosed, queued submissions are rejected, in-flight comparisons
-// drain to completion, detached jobs publish their verdicts, and the
-// plane's own pool is joined. Idempotent. The Default plane
+// drain to completion, detached jobs publish their verdicts, the plane's
+// own pool is joined and the attached journal is closed, its error
+// returned. Idempotent. The Default plane
 // drains but leaves the process-wide singletons running (it does not own
 // them); planes built by New verify their leak accounting and report a
 // shutdown that left work behind as an error.
@@ -298,8 +300,12 @@ func (p *Plane) Close() error {
 	if p.owns {
 		p.exec.Close()
 	}
+	var err error
 	if n := p.sched.inFlight(); n != 0 {
-		return fmt.Errorf("service: plane closed with %d comparisons still accounted in flight", n)
+		err = fmt.Errorf("service: plane closed with %d comparisons still accounted in flight", n)
 	}
-	return nil
+	if j := p.journalHandle(); j != nil {
+		err = cmp.Or(err, j.Close())
+	}
+	return err
 }

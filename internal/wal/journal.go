@@ -37,9 +37,11 @@ type Replay struct {
 }
 
 // Journal is the chaining writer over one store-backed log. All appends
-// go through the store's Append writer, so journal writes are priced on
-// the virtual clock and visible to fault injection like every other
-// storage operation. Safe for concurrent use.
+// go through one store Append writer, held from the first Append until
+// Close, so journal writes are priced on the virtual clock and visible to
+// fault injection like every other storage operation. A record is durable
+// against kill -9 once its write returns; nothing is synced. Safe for
+// concurrent use.
 type Journal struct {
 	mu     sync.Mutex
 	log    framelog.Log
@@ -138,6 +140,15 @@ func (j *Journal) Append(rec Record) (Record, error) {
 	j.seq = rec.Seq
 	j.head = rec.Digest
 	return rec, nil
+}
+
+// Close closes the held append writer and returns its error; a later
+// Append reopens it. The owner closes the journal when it stops appending
+// (a plane at its Close).
+func (j *Journal) Close() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.log.Close()
 }
 
 // Name returns the store-relative journal path.

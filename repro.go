@@ -166,6 +166,7 @@ const (
 // with -journal, surfaced for the reprocmp attest/verify-log tooling.
 type (
 	// Journal is the chaining writer over one store-backed journal file.
+	// It holds its append handle from its first Append until Close.
 	Journal = wal.Journal
 	// WALRecord is one journal entry: chain coordinates plus the job
 	// lifecycle event (accepted / started / verdict) it records.
@@ -205,8 +206,9 @@ const (
 )
 
 // OpenJournal replays (creating if absent) the named journal on a store
-// and returns the chaining writer positioned at the chain head. name ""
-// selects DefaultJournalName. A tampered journal refuses to open.
+// and returns the chaining writer positioned at the chain head; Close it
+// when done appending. name "" selects DefaultJournalName. A tampered
+// journal refuses to open.
 func OpenJournal(ctx context.Context, store *Store, name string) (*Journal, *JournalReplay, error) {
 	return wal.Open(ctx, store, name)
 }
