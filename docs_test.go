@@ -8,8 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 // TestDocsNameWhatExists fails when README.md, ROADMAP.md, DESIGN.md or
@@ -106,6 +108,27 @@ func TestDocsNameWhatExists(t *testing.T) {
 		}
 	}
 
+}
+
+// TestChangesEntriesStayShort holds each CHANGES.md entry numbered 44 or
+// later (a line `- PR N: ...`; the older ones predate the rule) to the
+// 1 500 characters ROADMAP allows a prose item: an entry says what changed
+// and what to check, and the detail lives in the code and DESIGN.md.
+func TestChangesEntriesStayShort(t *testing.T) {
+	text, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := regexp.MustCompile(`^- PR (\d+):`)
+	for _, line := range strings.Split(string(text), "\n") {
+		m := entry.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		if n, _ := strconv.Atoi(m[1]); n >= 44 && utf8.RuneCountInString(line) > 1500 {
+			t.Errorf("CHANGES.md: the PR %d entry is %d characters, over 1 500", n, utf8.RuneCountInString(line))
+		}
+	}
 }
 
 // declared returns the names the package in dir declares at top level,

@@ -86,9 +86,10 @@ func CompactCheckpoint(ctx context.Context, store *pfs.Store, name string, opts 
 
 // CompactHistory compacts every checkpoint of a run except the
 // keepLatest most recent iterations (per rank). Metadata is built where
-// missing so no comparability is lost. The planner lists the history up
-// front and emits one compact step per checkpoint, so cancellation lands
-// on a checkpoint boundary and the partial report stays truthful.
+// missing so no comparability is lost. The history is listed up front, and
+// each checkpoint is compacted under the options' retry policy with the
+// context checked before it, so cancellation lands on a checkpoint
+// boundary and the partial report stays truthful.
 func CompactHistory(ctx context.Context, store *pfs.Store, runID string, keepLatest int, opts Options) (*CompactReport, error) {
 	if keepLatest < 0 {
 		keepLatest = 0
@@ -118,29 +119,25 @@ func CompactHistory(ctx context.Context, store *pfs.Store, runID string, keepLat
 	}
 
 	report := &CompactReport{}
-	var p engine.Plan
-	p.Retry = opts.retryPolicy()
-	for _, n := range names {
-		_, it, _, _ := ckpt.ParseName(n)
+	for _, name := range names {
+		_, it, _, _ := ckpt.ParseName(name)
 		if keep[it] {
 			continue
 		}
-		name := n
-		p.Add(engine.StepCompact, "compact:"+name, func(ctx context.Context, x *engine.Exec) error {
-			built, freed, err := CompactCheckpoint(ctx, store, name, opts)
-			if err != nil {
-				return err
-			}
-			if built {
-				report.MetadataBuilt = append(report.MetadataBuilt, name)
-			}
-			report.Removed = append(report.Removed, name)
-			report.BytesFreed += freed
-			return nil
+		var built bool
+		var freed int64
+		_, err := opts.retryPolicy().Do(ctx, func(int) (err error) {
+			built, freed, err = CompactCheckpoint(ctx, store, name, opts)
+			return err
 		})
-	}
-	if _, err := engine.Execute(ctx, &p); err != nil {
-		return report, err
+		if err != nil {
+			return report, err
+		}
+		if built {
+			report.MetadataBuilt = append(report.MetadataBuilt, name)
+		}
+		report.Removed = append(report.Removed, name)
+		report.BytesFreed += freed
 	}
 	return report, nil
 }
@@ -180,12 +177,12 @@ func CompareTreesOnly(ctx context.Context, store *pfs.Store, nameA, nameB string
 	}
 	st.ms.dataless = true
 	var p engine.Plan
-	diff := st.ms.Stage1(&p, "setup")
+	st.ms.Stage1(&p, "setup")
 	p.Add(engine.StepReport, "report", func(ctx context.Context, x *engine.Exec) error {
 		if st.res.CandidateChunks > 0 {
 			st.res.DiffCount = -1
 		}
 		return nil
-	}, diff)
+	})
 	return st.runPlan(ctx, &p)
 }

@@ -115,6 +115,7 @@ func CompareDiff(ctx context.Context, store *pfs.Store, cs *cas.Store, nameA, na
 		return nil, err
 	}
 	var p engine.Plan
-	st.appendTo(&p, "plan-candidates", st.stepPlanCandidates, st.ms.Stage1(&p, "open-manifests"))
+	st.ms.Stage1(&p, "open-manifests")
+	st.appendTo(&p, "plan-candidates", st.stepPlanCandidates)
 	return st.runPlan(ctx, &p)
 }

@@ -38,7 +38,8 @@ func CompareDirect(ctx context.Context, store *pfs.Store, nameA, nameB string, o
 	// it is never degraded.
 	st.wrap, st.degrade = "direct", false
 	var p engine.Plan
-	st.appendTo(&p, "plan-sweep", st.stepPlanSweep, p.Add(engine.StepSetup, "open-checkpoints", st.ms.open))
+	p.Add(engine.StepSetup, "open-checkpoints", st.ms.open)
+	st.appendTo(&p, "plan-sweep", st.stepPlanSweep)
 	return st.runPlan(ctx, &p)
 }
 
@@ -81,7 +82,7 @@ func CompareAllClose(ctx context.Context, store *pfs.Store, nameA, nameB string,
 	}
 	allWithin := true
 	var p engine.Plan
-	open := p.Add(engine.StepSetup, "open-checkpoints", st.ms.open)
+	p.Add(engine.StepSetup, "open-checkpoints", st.ms.open)
 	p.Add(engine.StepReadFull, "read-compare", func(ctx context.Context, x *engine.Exec) error {
 		ok, err := st.allCloseFields(ctx, x)
 		if err != nil {
@@ -89,7 +90,7 @@ func CompareAllClose(ctx context.Context, store *pfs.Store, nameA, nameB string,
 		}
 		allWithin = ok
 		return nil
-	}, open)
+	})
 	res, err := st.runPlan(ctx, &p)
 	if err != nil {
 		return false, nil, err
@@ -100,7 +101,6 @@ func CompareAllClose(ctx context.Context, store *pfs.Store, nameA, nameB string,
 // allCloseFields runs the blocking per-field read + host compare loop of
 // the AllClose baseline.
 func (st *pairState) allCloseFields(ctx context.Context, x *engine.Exec) (bool, error) {
-	sw := metrics.NewStopwatch()
 	ra, rb := st.ms.Readers[0], st.ms.Readers[1]
 	model := st.ms.store.Model()
 	sharers := st.ms.store.Sharers()
@@ -132,9 +132,7 @@ func (st *pairState) allCloseFields(ctx context.Context, x *engine.Exec) (bool, 
 		cost.Add(costA)
 		cost.Add(costB)
 		st.res.BytesRead += cost.TotalBytes()
-		readV := model.SerialReadTime(cost, sharers)
-		st.res.Breakdown.AddVirtual(metrics.PhaseRead, readV)
-		st.res.Breakdown.AddWall(metrics.PhaseRead, sw.Lap())
+		x.Charge(metrics.PhaseRead, model.SerialReadTime(cost, sharers))
 
 		// Vectorized full-array comparison on the host (numpy computes
 		// the whole boolean array; there is no early exit).
@@ -146,10 +144,7 @@ func (st *pairState) allCloseFields(ctx context.Context, x *engine.Exec) (bool, 
 			allWithin = false
 		}
 		st.res.TotalElements += f.Count
-		compV := hostModel.CompareTime(f.Bytes())
-		st.res.Breakdown.AddVirtual(metrics.PhaseCompareDirect, compV)
-		st.res.Breakdown.AddWall(metrics.PhaseCompareDirect, sw.Lap())
-		x.AddVirtual(readV + compV)
+		x.Charge(metrics.PhaseCompareDirect, hostModel.CompareTime(f.Bytes()))
 	}
 	if !allWithin {
 		st.res.DiffCount = -1 // unknown count: allclose only answers the boolean

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"repro/internal/ckpt"
-	"repro/internal/engine"
 	"repro/internal/pfs"
 )
 
@@ -46,9 +45,9 @@ type EvolutionReport struct {
 
 // Evolution builds the report from saved metadata only (it works on
 // compacted history). Every checkpoint of the run must have metadata at
-// the options' ε and chunk size. The planner lists the history up front
-// and emits one tree-diff step per consecutive pair, so cancellation
-// lands on a pair boundary.
+// the options' ε and chunk size. The history is listed up front, and each
+// consecutive pair is tree-diffed under the options' retry policy with the
+// context checked before it, so cancellation lands on a pair boundary.
 func Evolution(ctx context.Context, store *pfs.Store, runID string, opts Options) (*EvolutionReport, error) {
 	names, err := MetadataHistory(store, runID)
 	if err != nil {
@@ -70,33 +69,30 @@ func Evolution(ctx context.Context, store *pfs.Store, runID string, opts Options
 	}
 	slices.Sort(ranks)
 	report := &EvolutionReport{RunID: runID}
-	var p engine.Plan
-	p.Retry = opts.retryPolicy()
 	for _, rank := range ranks {
 		seq := byRank[rank]
 		for i := 1; i < len(seq); i++ {
 			from, to := seq[i-1], seq[i]
-			p.Add(engine.StepTreeDiff, fmt.Sprintf("pair:%s->%s", from, to),
-				func(ctx context.Context, x *engine.Exec) error {
-					res, err := CompareTreesOnly(ctx, store, from, to, opts)
-					if err != nil {
-						return fmt.Errorf("compare: evolution %s -> %s: %w", from, to, err)
-					}
-					_, fromIter, _, _ := ckpt.ParseName(from)
-					_, toIter, _, _ := ckpt.ParseName(to)
-					report.Points = append(report.Points, EvolutionPoint{
-						FromIter:        fromIter,
-						ToIter:          toIter,
-						Rank:            rank,
-						CandidateChunks: res.CandidateChunks,
-						TotalChunks:     res.TotalChunks,
-					})
-					return nil
-				})
+			var res *Result
+			_, err := opts.retryPolicy().Do(ctx, func(int) (err error) {
+				if res, err = CompareTreesOnly(ctx, store, from, to, opts); err != nil {
+					return fmt.Errorf("compare: evolution %s -> %s: %w", from, to, err)
+				}
+				return nil
+			})
+			if err != nil {
+				return nil, err
+			}
+			_, fromIter, _, _ := ckpt.ParseName(from)
+			_, toIter, _, _ := ckpt.ParseName(to)
+			report.Points = append(report.Points, EvolutionPoint{
+				FromIter:        fromIter,
+				ToIter:          toIter,
+				Rank:            rank,
+				CandidateChunks: res.CandidateChunks,
+				TotalChunks:     res.TotalChunks,
+			})
 		}
-	}
-	if _, err := engine.Execute(ctx, &p); err != nil {
-		return nil, err
 	}
 	return report, nil
 }

@@ -174,7 +174,8 @@ func groupCompare(ctx context.Context, store *pfs.Store, cs *cas.Store, baseline
 	}
 	st := &stage2{ms: ms, wrap: "group verification", degrade: opts.Degrade}
 	var p engine.Plan
-	st.appendTo(&p, "plan-candidates", st.stepPlanCandidates, ms.Stage1(&p, open))
+	ms.Stage1(&p, open)
+	st.appendTo(&p, "plan-candidates", st.stepPlanCandidates)
 	if err := ms.Execute(ctx, &p); err != nil {
 		return nil, err
 	}

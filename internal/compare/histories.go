@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/ckpt"
-	"repro/internal/engine"
 	"repro/internal/pfs"
 )
 
@@ -142,9 +141,11 @@ func unionHistory(store *pfs.Store, runID string) ([]string, error) {
 // Histories align on the union of data checkpoints and metadata-only
 // survivors, so a pair with a compacted side degrades to the metadata-only
 // tree diff instead of failing; both histories must still contain the same
-// set of (iteration, rank) captures. The planner emits one step per pair,
-// so cancellation lands on a pair boundary; on error or cancellation the
-// returned report holds the pairs completed so far alongside the error.
+// set of (iteration, rank) captures, which is checked for every pair
+// before the first is compared. Each pair is compared under the options'
+// retry policy, with the context checked before it, so cancellation lands
+// on a pair boundary; on error or cancellation the returned report holds
+// the pairs completed so far alongside the error.
 func CompareHistories(ctx context.Context, store *pfs.Store, runA, runB string, method Method, opts Options) (*HistoryReport, error) {
 	histA, err := unionHistory(store, runA)
 	if err != nil {
@@ -160,47 +161,46 @@ func CompareHistories(ctx context.Context, store *pfs.Store, runA, runB string, 
 	if len(histA) != len(histB) {
 		return nil, fmt.Errorf("compare: histories have %d vs %d checkpoints", len(histA), len(histB))
 	}
-	report := &HistoryReport{RunA: runA, RunB: runB, Pairs: make([]PairReport, 0, len(histA))}
-	var p engine.Plan
-	p.Retry = opts.retryPolicy()
 	for i := range histA {
-		nameA, nameB := histA[i], histB[i]
-		_, itA, rkA, _ := ckpt.ParseName(nameA)
-		_, itB, rkB, _ := ckpt.ParseName(nameB)
+		_, itA, rkA, _ := ckpt.ParseName(histA[i])
+		_, itB, rkB, _ := ckpt.ParseName(histB[i])
 		if itA != itB || rkA != rkB {
-			return nil, fmt.Errorf("compare: history misalignment at %s vs %s", nameA, nameB)
+			return nil, fmt.Errorf("compare: history misalignment at %s vs %s", histA[i], histB[i])
 		}
-		it, rk := itA, rkA
-		p.Add(engine.StepStreamVerify, fmt.Sprintf("pair:iter=%d:rank=%d", it, rk),
-			func(ctx context.Context, x *engine.Exec) error {
-				metaOnly, err := IsCompacted(store, nameA)
-				if err == nil && !metaOnly {
-					metaOnly, err = IsCompacted(store, nameB)
-				}
-				if err != nil {
-					return fmt.Errorf("compare: pair iter=%d rank=%d: %w", it, rk, err)
-				}
-				var res *Result
+	}
+	report := &HistoryReport{RunA: runA, RunB: runB, Pairs: make([]PairReport, 0, len(histA))}
+	for i, nameA := range histA {
+		nameB := histB[i]
+		_, it, rk, _ := ckpt.ParseName(nameA)
+		var res *Result
+		var metaOnly bool
+		_, err := opts.retryPolicy().Do(ctx, func(int) (err error) {
+			metaOnly, err = IsCompacted(store, nameA)
+			if err == nil && !metaOnly {
+				metaOnly, err = IsCompacted(store, nameB)
+			}
+			if err == nil {
 				if metaOnly {
 					res, err = CompareTreesOnly(ctx, store, nameA, nameB, opts)
 				} else {
 					res, err = method.Run(ctx, store, nameA, nameB, opts)
 				}
-				if err != nil {
-					return fmt.Errorf("compare: pair iter=%d rank=%d: %w", it, rk, err)
-				}
-				report.Pairs = append(report.Pairs, PairReport{
-					Iteration: it, Rank: rk, NameA: nameA, NameB: nameB,
-					MetadataOnly: metaOnly, Result: res,
-				})
-				if res.DiffCount != 0 && report.FirstDivergence == nil {
-					report.FirstDivergence = &report.Pairs[len(report.Pairs)-1]
-				}
-				return nil
-			})
-	}
-	if _, err := engine.Execute(ctx, &p); err != nil {
-		return report, err
+			}
+			if err != nil {
+				return fmt.Errorf("compare: pair iter=%d rank=%d: %w", it, rk, err)
+			}
+			return nil
+		})
+		if err != nil {
+			return report, err
+		}
+		report.Pairs = append(report.Pairs, PairReport{
+			Iteration: it, Rank: rk, NameA: nameA, NameB: nameB,
+			MetadataOnly: metaOnly, Result: res,
+		})
+		if res.DiffCount != 0 && report.FirstDivergence == nil {
+			report.FirstDivergence = &report.Pairs[len(report.Pairs)-1]
+		}
 	}
 	return report, nil
 }

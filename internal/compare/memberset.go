@@ -126,27 +126,25 @@ func NewGroupSet(store *pfs.Store, cs *cas.Store, baseline string, runs []string
 	return ms, nil
 }
 
-// Stage1 appends stage 1 to a plan — open (under the planner's label),
-// load-metadata, tree-diff, and for a differential set cas-prune — and
-// returns the last step for stage 2 to depend on.
-func (ms *MemberSet) Stage1(p *engine.Plan, openLabel string) engine.StepID {
+// Stage1 appends stage 1 to a plan: open (under the planner's label),
+// load-metadata, tree-diff, and for a differential set cas-prune.
+func (ms *MemberSet) Stage1(p *engine.Plan, openLabel string) {
 	ms.mv = &metaViews{files: make([]*pfs.File, len(ms.names))}
-	open := p.Add(engine.StepSetup, openLabel, ms.open)
-	load := p.Add(engine.StepLoadMetadata, "load-metadata", ms.mv.guarded(ms.load), open)
-	last := p.Add(engine.StepTreeDiff, "tree-diff", ms.mv.guarded(ms.diff), load)
+	p.Add(engine.StepSetup, openLabel, ms.open)
+	p.Add(engine.StepLoadMetadata, "load-metadata", ms.mv.guarded(ms.load))
+	p.Add(engine.StepTreeDiff, "tree-diff", ms.mv.guarded(ms.diff))
 	if ms.cs != nil {
-		last = p.Add(engine.StepTreeDiff, "cas-prune", ms.prune, last)
+		p.Add(engine.StepTreeDiff, "cas-prune", ms.prune)
 	}
-	return last
 }
 
-// Execute runs the plan under the options' retry policy and attaches the
-// per-step timing table to what the set charges. Step errors come back
-// unwrapped (the engine report recorded which step failed).
+// Execute runs the plan under the options' retry policy and gives what
+// the set charges the plan's per-step timing table and its Fig. 6
+// breakdown. Step errors come back as the step returned them.
 func (ms *MemberSet) Execute(ctx context.Context, p *engine.Plan) error {
 	p.Retry = ms.opts.Retry
 	rep, err := engine.Execute(ctx, p)
-	ms.acct.Steps = rep.Steps
+	ms.acct.Steps, ms.acct.Breakdown = rep.Steps, rep.Breakdown
 	return err
 }
 
@@ -172,7 +170,6 @@ func (ms *MemberSet) chunkOff(m, fi, ci int) int64 {
 // against member 0, resolves the field filter, and charges the fixed setup
 // cost. A metadata-only set opens nothing and charges setup alone.
 func (ms *MemberSet) open(ctx context.Context, x *engine.Exec) error {
-	sw := metrics.NewStopwatch()
 	ms.startOps, ms.startBytes = ms.store.ReadStats()
 	var manCost pfs.Cost
 	var fields []ckpt.FieldSpec
@@ -231,14 +228,9 @@ func (ms *MemberSet) open(ctx context.Context, x *engine.Exec) error {
 		}
 	}
 	ms.acct.BytesRead += manCost.TotalBytes()
-	readV := ms.store.Model().SerialReadTime(manCost, ms.store.Sharers())
-	deserV := simclock.BandwidthTime(manCost.TotalBytes(), deserializeBytesPerSec)
-	b := &ms.acct.Breakdown
-	b.AddVirtual(metrics.PhaseRead, readV)
-	b.AddVirtual(metrics.PhaseDeserialize, deserV)
-	b.AddVirtual(metrics.PhaseSetup, ms.opts.SetupVirtual)
-	b.AddWall(metrics.PhaseSetup, sw.Lap())
-	x.AddVirtual(ms.opts.SetupVirtual + readV + deserV)
+	x.Charge(metrics.PhaseSetup, ms.opts.SetupVirtual)
+	x.Charge(metrics.PhaseRead, ms.store.Model().SerialReadTime(manCost, ms.store.Sharers()))
+	x.Charge(metrics.PhaseDeserialize, simclock.BandwidthTime(manCost.TotalBytes(), deserializeBytesPerSec))
 	return nil
 }
 
@@ -280,11 +272,9 @@ func (ms *MemberSet) bindFields(fields []ckpt.FieldSpec) error {
 // that its trees are decoded over, then one size check catches a cut that
 // left zeros; a pending flip or a GOOS without mmap lands a copy instead.
 func (ms *MemberSet) load(ctx context.Context, x *engine.Exec) error {
-	sw := metrics.NewStopwatch()
 	ms.Metas = make([]*Metadata, len(ms.names))
 	roots := make([]murmur3.Digest, len(ms.names))
 	var metaCost pfs.Cost
-	var deserWall time.Duration
 	for i, name := range ms.names {
 		f, err := ms.store.Open(MetadataName(name))
 		if err != nil {
@@ -297,9 +287,7 @@ func (ms *MemberSet) load(ctx context.Context, x *engine.Exec) error {
 		}
 		metaCost.Add(cost)
 		ms.mv.files[i] = f
-		dsw := metrics.NewStopwatch()
 		m, err := DecodeMetadata(data)
-		deserWall += dsw.Lap()
 		if err := cmp.Or(f.Holds(0, len(data)), err); err != nil {
 			return err
 		}
@@ -330,14 +318,8 @@ func (ms *MemberSet) load(ctx context.Context, x *engine.Exec) error {
 	}
 	ms.acct.MetadataBytes = ms.Metas[0].Bytes()
 	ms.acct.BytesRead += metaCost.TotalBytes()
-	readV := ms.store.Model().SerialReadTime(metaCost, ms.store.Sharers())
-	deserV := simclock.BandwidthTime(metaCost.TotalBytes(), deserializeBytesPerSec)
-	b := &ms.acct.Breakdown
-	b.AddVirtual(metrics.PhaseRead, readV)
-	b.AddWall(metrics.PhaseRead, sw.Lap())
-	b.AddVirtual(metrics.PhaseDeserialize, deserV)
-	b.AddWall(metrics.PhaseDeserialize, deserWall)
-	x.AddVirtual(readV + deserV)
+	x.Charge(metrics.PhaseRead, ms.store.Model().SerialReadTime(metaCost, ms.store.Sharers()))
+	x.Charge(metrics.PhaseDeserialize, simclock.BandwidthTime(metaCost.TotalBytes(), deserializeBytesPerSec))
 
 	var totalElements int64
 	for fi, f := range ms.fields {
@@ -458,7 +440,6 @@ func (ms *MemberSet) checkMember(i int) error {
 // canceled context stops the diff kernels between poll intervals, and so
 // every task reads the trees under the fault contract.
 func (ms *MemberSet) diff(ctx context.Context, x *engine.Exec) error {
-	sw := metrics.NewStopwatch()
 	exec := guardedExec{device.Cancelable{Done: ctx.Done(), Inner: ms.opts.Exec}, ms.mv}
 	ms.Cands = make([][][]int, len(ms.Pairs))
 	var treeVirtual time.Duration
@@ -499,9 +480,7 @@ func (ms *MemberSet) diff(ctx context.Context, x *engine.Exec) error {
 				simclock.BandwidthTime(nodes*16, float64(ms.opts.Device.NodeHashesPerSec)*16)
 		}
 	}
-	ms.acct.Breakdown.AddVirtual(metrics.PhaseCompareTree, treeVirtual)
-	ms.acct.Breakdown.AddWall(metrics.PhaseCompareTree, sw.Lap())
-	x.AddVirtual(treeVirtual)
+	x.Charge(metrics.PhaseCompareTree, treeVirtual)
 	return nil
 }
 

@@ -28,7 +28,8 @@ func CompareMerkle(ctx context.Context, store *pfs.Store, nameA, nameB string, o
 		return nil, err
 	}
 	var p engine.Plan
-	st.appendTo(&p, "plan-candidates", st.stepPlanCandidates, st.ms.Stage1(&p, "open-checkpoints"))
+	st.ms.Stage1(&p, "open-checkpoints")
+	st.appendTo(&p, "plan-candidates", st.stepPlanCandidates)
 	return st.runPlan(ctx, &p)
 }
 

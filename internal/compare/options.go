@@ -71,7 +71,8 @@ type Options struct {
 	// reads re-issue on Transient-classified errors with capped
 	// exponential backoff (deterministic jitter, priced on the virtual
 	// clock — never slept). The zero value selects retry.Default()
-	// (3 attempts); a negative MaxAttempts disables retries.
+	// (3 attempts); a negative MaxAttempts disables retries, which
+	// normalizes to a one-attempt policy.
 	Retry retry.Policy
 	// Memo, when set, carries stage-2 verdicts across differential (CAS)
 	// comparisons: a chunk-pair verdict proven once for a digest pair is
@@ -134,14 +135,15 @@ func (o Options) maxGap() int {
 
 // retryPolicy resolves the Retry knob on its documented semantics — zero
 // value selects retry.Default(), negative MaxAttempts disables retries —
-// without defaulting the rest of the options (planners that delegate
-// per-pair defaulting still need the policy for their own engine plan).
+// without defaulting the rest of the options (the history planners that
+// delegate per-pair defaulting still retry each pair under it). What it
+// returns resolves to itself, so normalizing twice is normalizing once.
 func (o Options) retryPolicy() retry.Policy {
 	switch {
 	case o.Retry.MaxAttempts == 0:
 		return retry.Default()
 	case o.Retry.MaxAttempts < 0:
-		return retry.Policy{}
+		return retry.Policy{MaxAttempts: 1}
 	}
 	return o.Retry
 }

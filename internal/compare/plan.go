@@ -22,10 +22,11 @@ import (
 // (internal/stream) and verified by the kernel (verify.go). Every entry
 // point (CompareMerkle, CompareDiff, GroupCompare, GroupCompareDiff,
 // CompareDirect, and through them the history/evolution/compaction
-// planners) is a thin planner: it assembles an engine.Plan from the member
-// set's steps and the steps below and hands it to engine.Execute, which
-// supplies the context checkpoints, the per-step timing table, and the
-// LIFO cleanup chain that keeps early-return errors leak-free. What a
+// loops) is a thin planner: it lists an engine.Plan of the member set's
+// steps and the steps below and hands it to engine.Execute, which
+// supplies the context checkpoints, the step retries, the per-step timing
+// table and the Fig. 6 breakdown its steps' charges build, and the LIFO
+// cleanup chain that keeps early-return errors leak-free. What a
 // planner keeps to itself is which sources it names and in what order its
 // jobs run. The sharded planner (internal/shard) schedules the same stage 2
 // itself, a work unit at a time, through Stage2 at the end of this file.
@@ -96,13 +97,13 @@ func (st *pairState) runPlan(ctx context.Context, p *engine.Plan) (*Result, erro
 	return st.res, nil
 }
 
-// appendTo appends stage 2 — plan → stream-verify → report — behind the
-// step that settles what it reads; plan is stepPlanCandidates for the
+// appendTo appends stage 2 — plan → stream-verify → report — after the
+// steps that settle what it reads; plan is stepPlanCandidates for the
 // Merkle planners, the sweep for the direct one.
-func (st *stage2) appendTo(p *engine.Plan, label string, plan engine.StepFunc, after engine.StepID) {
-	planned := p.Add(engine.StepCoalesce, label, plan, after)
-	verify := p.Add(engine.StepStreamVerify, "stream-verify", st.stepStreamVerify, planned)
-	p.Add(engine.StepReport, "report", st.ms.Report, verify)
+func (st *stage2) appendTo(p *engine.Plan, label string, plan engine.StepFunc) {
+	p.Add(engine.StepCoalesce, label, plan)
+	p.Add(engine.StepStreamVerify, "stream-verify", st.stepStreamVerify)
+	p.Add(engine.StepReport, "report", st.ms.Report)
 }
 
 // stepPlanCandidates is planCandidates as a plan step.
@@ -203,8 +204,12 @@ func (st *stage2) verifyJob(r int, j stream.Job, a, b []byte) (time.Duration, er
 
 // stepStreamVerify runs stage 2 as a plan step: the pipeline's overlapped
 // time and the integrity re-reads beside it go on the step's clock.
+// Following the paper's timer structure (Fig. 6: "for small error bounds,
+// we need to load more data which is why the verification time is
+// dominant"), the verification phase owns its overlapped data loading:
+// the whole pipeline time is charged to CompareDirect, while PhaseRead
+// holds only the metadata reads and the re-reads.
 func (st *stage2) stepStreamVerify(ctx context.Context, x *engine.Exec) error {
-	sw := metrics.NewStopwatch()
 	stats, rereads, err := st.run(ctx)
 	if err != nil {
 		return err
@@ -212,15 +217,16 @@ func (st *stage2) stepStreamVerify(ctx context.Context, x *engine.Exec) error {
 	if st.ms.Rep != nil {
 		st.ms.Rep.PipelineVirtual = stats.PipelineVirtual
 	}
-	x.AddVirtual(stats.PipelineVirtual + rereads)
-	st.ms.acct.Breakdown.AddWall(metrics.PhaseCompareDirect, sw.Lap())
+	x.Charge(metrics.PhaseCompareDirect, stats.PipelineVirtual)
+	x.Charge(metrics.PhaseRead, rereads)
 	return nil
 }
 
 // run is stage 2: the overlapped read+compare pipeline over the plan's
-// windows, the verdicts landed in the pairs' folds, the cost charged to the
-// set's account. It returns the pipeline's stats and the virtual time of the
-// integrity re-reads, which sit outside the pipeline's clock. Under degrade
+// windows, the verdicts landed in the pairs' folds, the bytes read counted
+// in the set's account. It returns the pipeline's stats and the virtual
+// time of the integrity re-reads, which sit outside the pipeline's clock,
+// for the caller to charge. Under degrade
 // the pipeline absorbs what the ladder allows — a source no read rung can
 // serve drops the jobs naming it to the metadata-only verdict, a chunk
 // failing its leaf hash twice is excluded from diffing — and the result is
@@ -253,12 +259,6 @@ func (st *stage2) run(ctx context.Context) (stream.Stats, time.Duration, error) 
 	st.drain()
 	ms.acct.BytesRead += stats.BytesRead
 	ms.acct.ReadRetries += stats.ReadRetries
-	// Following the paper's timer structure (Fig. 6: "for small error
-	// bounds, we need to load more data which is why the verification
-	// time is dominant"), the verification phase owns its overlapped
-	// data loading: the whole pipeline time is charged to CompareDirect,
-	// while PhaseRead holds only the metadata reads.
-	ms.acct.Breakdown.AddVirtual(metrics.PhaseCompareDirect, stats.PipelineVirtual)
 	return stats, st.kernel.chargeRereads(ms.store, ms.acct), nil
 }
 

@@ -68,7 +68,8 @@ type Account struct {
 	// reporting stream.ring_fallbacks.
 	RingFallbacks int `json:"-"`
 
-	// Breakdown is the per-phase cost split of Fig. 6.
+	// Breakdown is the per-phase cost split of Fig. 6, in virtual time:
+	// what the plan's steps charged (engine.Report.Breakdown).
 	Breakdown metrics.Breakdown `json:"-"`
 	// Steps is the engine's per-step timing table for this comparison's
 	// plan, in execution order.
@@ -138,9 +139,9 @@ func (r *Result) VirtualElapsed() time.Duration {
 	return r.Breakdown.Total().Virtual
 }
 
-// WallElapsed returns the measured wall runtime.
+// WallElapsed returns the measured wall runtime: every step of the plan.
 func (r *Result) WallElapsed() time.Duration {
-	return r.Breakdown.Total().Wall
+	return r.Steps.Total().Wall
 }
 
 // ThroughputGBps is the paper's throughput metric: the amount of

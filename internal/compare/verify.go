@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/errbound"
-	"repro/internal/metrics"
 	"repro/internal/murmur3"
 	"repro/internal/pfs"
 )
@@ -212,8 +211,9 @@ func (v *verdicts) indices(i int) []int64 {
 	return v.ranges[s.r].idx[s.lo:s.hi]
 }
 
-// chargeRereads drains the ranges' integrity re-read tallies, prices them
-// into the plan's account, and returns their virtual time for the plan clock.
+// chargeRereads drains the ranges' integrity re-read tallies, counts their
+// bytes in the plan's account, and returns their virtual time for the plan
+// step to charge.
 func (v *verdicts) chargeRereads(store *pfs.Store, to *Account) time.Duration {
 	var cost pfs.Cost
 	for r := range v.ranges {
@@ -224,9 +224,7 @@ func (v *verdicts) chargeRereads(store *pfs.Store, to *Account) time.Duration {
 		return 0
 	}
 	to.BytesRead += cost.TotalBytes()
-	d := store.Model().SerialReadTime(cost, store.Sharers())
-	to.Breakdown.AddVirtual(metrics.PhaseRead, d)
-	return d
+	return store.Model().SerialReadTime(cost, store.Sharers())
 }
 
 // sortIndices restores ascending order. Verified chunks arrive in chunk

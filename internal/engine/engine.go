@@ -1,24 +1,22 @@
 // Package engine provides the plan/execute split behind every comparison
-// entry point. A planner builds an explicit Plan — a small DAG of typed
-// steps (load-metadata, tree-diff, coalesce, stream-verify, report, ...)
-// — and Execute runs it with context cancellation checked before every
-// step and a LIFO cleanup chain that runs on every exit path, so
-// early-return errors can no longer leak checkpoint readers or pooled
-// buffers.
+// entry point. A planner builds a Plan — a list of typed steps
+// (load-metadata, tree-diff, coalesce, stream-verify, report, ...) — and
+// Execute runs it in order, with context cancellation checked before
+// every step, each step retried under the plan's policy, and a LIFO
+// cleanup chain that runs on every exit path, so early-return errors
+// can no longer leak checkpoint readers or pooled buffers.
 //
-// Plans are acyclic by construction: Add only accepts dependencies on
-// steps that already exist, so insertion order is always a valid
-// topological order and Execute simply runs steps in the order they were
-// added. The value of the explicit DAG is not scheduling cleverness but
-// uniformity: every entry point declares the same step vocabulary, gets
-// the same per-step wall/virtual timing table (Report.Steps), the same
+// A step prices its time with one call, Exec.Charge, which lands on the
+// step's span (Report.Steps) and on a Fig. 6 phase (Report.Breakdown) at
+// once, so the two tables cannot disagree. The value of the plan is not
+// scheduling cleverness but uniformity: every entry point declares the
+// same step vocabulary and gets the same timing tables, the same
 // cancellation points, and the same cleanup discipline, instead of
 // hand-rolling its own open→load→diff→verify orchestration.
 package engine
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"time"
 
@@ -44,8 +42,6 @@ const (
 	StepStreamVerify StepKind = "stream-verify"
 	// StepReadFull reads whole fields for blocking host-side comparison.
 	StepReadFull StepKind = "read-full"
-	// StepCompact rewrites a checkpoint into its compacted form.
-	StepCompact StepKind = "compact"
 	// StepPartition groups stage-1 candidate chunks into self-describing
 	// shard work units and assigns them to workers (internal/shard).
 	StepPartition StepKind = "partition"
@@ -56,11 +52,8 @@ const (
 	StepReport StepKind = "report"
 )
 
-// StepID identifies a step within its plan (its insertion index).
-type StepID int
-
 // StepFunc is the body of one step. It receives the plan context and the
-// executor, through which it registers cleanups and prices virtual time.
+// executor, through which it registers cleanups and charges virtual time.
 type StepFunc func(ctx context.Context, x *Exec) error
 
 type step struct {
@@ -69,38 +62,31 @@ type step struct {
 	run   StepFunc
 }
 
-// Plan is an ordered DAG of typed steps. The zero value is an empty plan.
+// Plan is an ordered list of typed steps. The zero value is an empty plan.
 type Plan struct {
 	steps []step
 
 	// Retry is the per-step retry policy. A step whose error classifies
 	// retry.Transient is re-run after a deterministic virtual backoff,
-	// charged to the step's virtual time. The zero policy disables
-	// retries. Inner layers that retry themselves (stream reads, group
-	// unions) wrap their exhausted errors as Permanent, so step-level and
+	// added to the step's span (and to no phase). The zero policy disables
+	// retries. The stream reader, which retries its window pricings
+	// itself, wraps its exhausted errors as Permanent, so step-level and
 	// read-level budgets never multiply.
 	Retry retry.Policy
 }
 
-// Add appends a step and returns its ID. Dependencies must reference
-// previously added steps — the plan is acyclic by construction — so
-// execution in insertion order is topological.
-func (p *Plan) Add(kind StepKind, label string, run StepFunc, deps ...StepID) StepID {
-	id := StepID(len(p.steps))
-	for _, d := range deps {
-		if d < 0 || d >= id {
-			panic(fmt.Sprintf("engine: step %q depends on %d, not yet in plan (have %d steps)", label, d, id))
-		}
-	}
+// Add appends a step; Execute runs the steps in the order they were added.
+func (p *Plan) Add(kind StepKind, label string, run StepFunc) {
 	p.steps = append(p.steps, step{kind: kind, label: label, run: run})
-	return id
 }
 
 // Exec is the per-run executor state handed to every step: the LIFO
-// cleanup chain and the current step's virtual-time accumulator.
+// cleanup chain, the running step's virtual time, and the report the
+// steps' charges build.
 type Exec struct {
 	cleanups []func()
 	virtual  time.Duration
+	rep      Report
 }
 
 // Defer registers fn on the executor's cleanup chain. Cleanups run in
@@ -120,8 +106,12 @@ func (x *Exec) CloseOnExit(c io.Closer) {
 	x.Defer(func() { _ = c.Close() })
 }
 
-// AddVirtual prices virtual time onto the currently running step.
-func (x *Exec) AddVirtual(d time.Duration) { x.virtual += d }
+// Charge prices d of virtual time onto the running step's span and onto
+// phase p of the plan's breakdown: the one way a step accounts its time.
+func (x *Exec) Charge(p metrics.Phase, d time.Duration) {
+	x.virtual += d
+	x.rep.Breakdown.AddVirtual(p, d)
+}
 
 // runCleanups fires the chain LIFO and clears it.
 func (x *Exec) runCleanups() {
@@ -136,57 +126,38 @@ type Report struct {
 	// Steps is the per-step timing table, in execution order. On failure
 	// it covers the steps that ran, including the failed one.
 	Steps metrics.StepSpans
-	// Failed is the label of the step that returned an error or was
-	// preempted by cancellation ("" on success).
-	Failed string
-	// Retries counts step re-runs taken under the plan's retry policy.
-	Retries int
+	// Breakdown is the Fig. 6 split of the virtual time the steps
+	// charged. A step's retry backoff is in its span and in no phase, so
+	// the steps' virtual total exceeds the breakdown's by the backoff the
+	// plan's retries took.
+	Breakdown metrics.Breakdown
 }
-
-// Total returns the summed wall/virtual span of all executed steps.
-func (r *Report) Total() metrics.Span { return r.Steps.Total() }
 
 // Execute runs the plan's steps in order. The context is checked before
 // every step, so a canceled plan stops at the next step boundary (steps
 // also observe ctx internally through the layers below); the returned
-// error is then ctx.Err(). Step errors are returned unwrapped — the
-// Report records which step failed. Cleanups registered by any step run
-// before Execute returns, on every path.
+// error is then ctx.Err(). A step whose error classifies Transient is
+// re-run under Plan.Retry; errors are returned as the step (or the
+// policy, once its budget is spent) returned them. Cleanups registered by
+// any step run before Execute returns, on every path.
 func Execute(ctx context.Context, p *Plan) (Report, error) {
-	var rep Report
-	x := &Exec{}
+	x := &Exec{rep: Report{Steps: make(metrics.StepSpans, 0, len(p.steps))}}
 	defer x.runCleanups()
+	// One closure for the whole plan: run names the step it re-runs.
+	var run StepFunc
+	attempt := func(int) error { return run(ctx, x) }
 	for _, st := range p.steps {
 		if err := ctx.Err(); err != nil {
-			rep.Failed = st.label
-			return rep, err
+			return x.rep, err
 		}
 		sw := metrics.NewStopwatch()
-		x.virtual = 0
-		var err error
-		for attempt := 0; ; attempt++ {
-			err = st.run(ctx, x)
-			if err == nil || !retry.IsTransient(err) {
-				break
-			}
-			d, ok := p.Retry.Next(attempt + 1)
-			if !ok {
-				err = retry.Exhausted(err, attempt+1)
-				break
-			}
-			// Backoff is virtual: priced onto the step, never slept.
-			x.AddVirtual(d)
-			rep.Retries++
-			if cerr := ctx.Err(); cerr != nil {
-				err = cerr
-				break
-			}
-		}
-		rep.Steps.Add(string(st.kind), st.label, metrics.Span{Wall: sw.Lap(), Virtual: x.virtual})
+		x.virtual, run = 0, st.run
+		// Backoff is virtual: priced onto the step, never slept.
+		backoff, err := p.Retry.Do(ctx, attempt)
+		x.rep.Steps.Add(string(st.kind), st.label, metrics.Span{Wall: sw.Lap(), Virtual: x.virtual + backoff})
 		if err != nil {
-			rep.Failed = st.label
-			return rep, err
+			return x.rep, err
 		}
 	}
-	return rep, nil
+	return x.rep, nil
 }

@@ -6,24 +6,26 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 func TestExecuteRunsStepsInOrder(t *testing.T) {
 	var p Plan
 	var got []string
-	setup := p.Add(StepSetup, "open", func(ctx context.Context, x *Exec) error {
+	p.Add(StepSetup, "open", func(ctx context.Context, x *Exec) error {
 		got = append(got, "open")
 		return nil
 	})
-	diff := p.Add(StepTreeDiff, "diff", func(ctx context.Context, x *Exec) error {
+	p.Add(StepTreeDiff, "diff", func(ctx context.Context, x *Exec) error {
 		got = append(got, "diff")
-		x.AddVirtual(3 * time.Millisecond)
+		x.Charge(metrics.PhaseCompareTree, 3*time.Millisecond)
 		return nil
-	}, setup)
+	})
 	p.Add(StepReport, "report", func(ctx context.Context, x *Exec) error {
 		got = append(got, "report")
 		return nil
-	}, diff)
+	})
 
 	rep, err := Execute(context.Background(), &p)
 	if err != nil {
@@ -32,9 +34,6 @@ func TestExecuteRunsStepsInOrder(t *testing.T) {
 	if strings.Join(got, ",") != "open,diff,report" {
 		t.Fatalf("order = %v", got)
 	}
-	if rep.Failed != "" {
-		t.Fatalf("Failed = %q, want empty", rep.Failed)
-	}
 	if len(rep.Steps) != 3 {
 		t.Fatalf("Steps = %d, want 3", len(rep.Steps))
 	}
@@ -42,8 +41,12 @@ func TestExecuteRunsStepsInOrder(t *testing.T) {
 	if !ok || sp.Virtual != 3*time.Millisecond {
 		t.Fatalf("diff span = %v ok=%v, want virtual 3ms", sp, ok)
 	}
-	if rep.Total().Virtual != 3*time.Millisecond {
-		t.Fatalf("Total virtual = %v", rep.Total().Virtual)
+	if rep.Steps.Total().Virtual != 3*time.Millisecond {
+		t.Fatalf("Total virtual = %v", rep.Steps.Total().Virtual)
+	}
+	// The one charge also lands on its phase.
+	if got := rep.Breakdown.Get(metrics.PhaseCompareTree).Virtual; got != 3*time.Millisecond || rep.Breakdown.Total().Virtual != got {
+		t.Fatalf("breakdown = %v, want 3ms of compare-tree alone", &rep.Breakdown)
 	}
 }
 
@@ -59,15 +62,12 @@ func TestExecuteStepErrorUnwrappedAndRecorded(t *testing.T) {
 	if err != sentinel {
 		t.Fatalf("err = %v, want the unwrapped sentinel", err)
 	}
-	if rep.Failed != "b" {
-		t.Fatalf("Failed = %q, want b", rep.Failed)
-	}
 	if ran {
 		t.Fatal("step after failure ran")
 	}
-	// The failed step's timing is still recorded.
-	if len(rep.Steps) != 2 {
-		t.Fatalf("Steps = %d, want 2", len(rep.Steps))
+	// The failed step's timing is still recorded, last.
+	if len(rep.Steps) != 2 || rep.Steps[1].Label != "b" {
+		t.Fatalf("Steps = %v, want a then the failed b", rep.Steps)
 	}
 }
 
@@ -126,8 +126,9 @@ func TestExecuteCanceledBeforeStep(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if rep.Failed != "s2" {
-		t.Fatalf("Failed = %q, want s2 (the preempted step)", rep.Failed)
+	// The preempted step never ran, so it has no span.
+	if len(rep.Steps) != 1 || rep.Steps[0].Label != "s1" {
+		t.Fatalf("Steps = %v, want s1 alone", rep.Steps)
 	}
 	if !cleaned {
 		t.Fatal("cleanup did not run on the cancellation path")
@@ -153,13 +154,3 @@ func TestCloseOnExit(t *testing.T) {
 type countCloser struct{ n int }
 
 func (c *countCloser) Close() error { c.n++; return nil }
-
-func TestAddRejectsForwardDeps(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Add accepted a forward dependency")
-		}
-	}()
-	var p Plan
-	p.Add(StepSetup, "s", func(ctx context.Context, x *Exec) error { return nil }, StepID(0))
-}

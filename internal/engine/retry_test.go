@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/retry"
 )
 
@@ -22,23 +23,29 @@ func TestExecuteRetriesTransientStep(t *testing.T) {
 		if runs < 3 {
 			return retry.Mark(errors.New("blip"), retry.Transient)
 		}
-		x.AddVirtual(time.Millisecond)
+		x.Charge(metrics.PhaseRead, time.Millisecond)
 		return nil
 	})
 	rep, err := Execute(context.Background(), &p)
 	if err != nil {
 		t.Fatalf("transient step should succeed after retries: %v", err)
 	}
-	if runs != 3 || rep.Retries != 2 {
-		t.Fatalf("runs=%d Retries=%d, want 3 runs / 2 retries", runs, rep.Retries)
+	if runs != 3 {
+		t.Fatalf("runs=%d, want 3", runs)
 	}
 	sp, ok := rep.Steps.Get("load")
 	if !ok {
 		t.Fatal("missing step span")
 	}
-	// The span carries the successful attempt's work plus both backoffs.
-	if sp.Virtual <= time.Millisecond {
-		t.Fatalf("step virtual %v should include backoff beyond the 1ms of work", sp.Virtual)
+	// The span carries the successful attempt's work plus both backoffs;
+	// the phase carries the work alone.
+	b1, _ := p.Retry.Next(1)
+	b2, _ := p.Retry.Next(2)
+	if want := time.Millisecond + b1 + b2; sp.Virtual != want {
+		t.Fatalf("step virtual %v, want the 1ms of work plus backoffs %v and %v", sp.Virtual, b1, b2)
+	}
+	if got := rep.Breakdown.Total().Virtual; got != time.Millisecond || rep.Breakdown.Get(metrics.PhaseRead).Virtual != got {
+		t.Fatalf("breakdown = %v, want the 1ms of read work and no backoff", &rep.Breakdown)
 	}
 }
 
@@ -52,8 +59,8 @@ func TestExecuteDoesNotRetryPermanent(t *testing.T) {
 	if !errors.Is(err, sentinel) || runs != 1 {
 		t.Fatalf("permanent error retried: runs=%d err=%v", runs, err)
 	}
-	if rep.Retries != 0 || rep.Failed != "open" {
-		t.Fatalf("report = %+v", rep)
+	if len(rep.Steps) != 1 || rep.Steps[0].Span.Virtual != 0 {
+		t.Fatalf("steps = %v, want the one failed attempt without backoff", rep.Steps)
 	}
 }
 

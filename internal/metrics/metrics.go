@@ -1,9 +1,10 @@
-// Package metrics provides the comparison-cost breakdown timers of the
-// paper's Fig. 6 (setup, read, deserialization, compare-tree,
-// compare-direct) and throughput accounting. Every timer records both
-// wall-clock time (what actually elapsed in this process) and virtual time
-// (what the simclock cost model says the operation would cost on the
-// paper's hardware); reports always state which one they show.
+// Package metrics provides the comparison-cost breakdown of the paper's
+// Fig. 6 (setup, read, deserialization, compare-tree, compare-direct), the
+// per-step timing table of an engine plan, and throughput accounting. A
+// step's span records both wall-clock time (what actually elapsed in this
+// process) and virtual time (what the simclock cost model says the
+// operation would cost on the paper's hardware); the breakdown holds
+// virtual time; reports always state which one they show.
 package metrics
 
 import (
@@ -23,9 +24,6 @@ func (s *Span) Add(o Span) {
 	s.Wall += o.Wall
 	s.Virtual += o.Virtual
 }
-
-// AddWall accumulates wall time only.
-func (s *Span) AddWall(d time.Duration) { s.Wall += d }
 
 // AddVirtual accumulates virtual time only.
 func (s *Span) AddVirtual(d time.Duration) { s.Virtual += d }
@@ -66,24 +64,11 @@ func Phases() []Phase {
 	return []Phase{PhaseSetup, PhaseRead, PhaseDeserialize, PhaseCompareTree, PhaseCompareDirect}
 }
 
-// Breakdown accumulates per-phase spans for one comparison. The zero value
-// is ready to use. Breakdown is not safe for concurrent use.
+// Breakdown accumulates per-phase virtual time for one comparison (its
+// spans' wall time stays 0: a comparison's wall time is its steps'). The
+// zero value is ready to use. Breakdown is not safe for concurrent use.
 type Breakdown struct {
 	spans [numPhases]Span
-}
-
-// Add accumulates a span into a phase.
-func (b *Breakdown) Add(p Phase, s Span) {
-	if p > 0 && p < numPhases {
-		b.spans[p].Add(s)
-	}
-}
-
-// AddWall accumulates wall time into a phase.
-func (b *Breakdown) AddWall(p Phase, d time.Duration) {
-	if p > 0 && p < numPhases {
-		b.spans[p].AddWall(d)
-	}
 }
 
 // AddVirtual accumulates virtual time into a phase.

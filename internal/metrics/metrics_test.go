@@ -9,9 +9,8 @@ import (
 func TestSpanAdd(t *testing.T) {
 	var s Span
 	s.Add(Span{Wall: time.Second, Virtual: 2 * time.Second})
-	s.AddWall(time.Second)
 	s.AddVirtual(time.Second)
-	if s.Wall != 2*time.Second || s.Virtual != 3*time.Second {
+	if s.Wall != time.Second || s.Virtual != 3*time.Second {
 		t.Errorf("span = %+v", s)
 	}
 }
@@ -39,13 +38,9 @@ func TestPhaseStrings(t *testing.T) {
 
 func TestBreakdownAccumulateAndTotal(t *testing.T) {
 	var b Breakdown
-	b.Add(PhaseRead, Span{Wall: time.Second, Virtual: 3 * time.Second})
-	b.AddWall(PhaseSetup, time.Second)
+	b.AddVirtual(PhaseRead, 3*time.Second)
 	b.AddVirtual(PhaseCompareDirect, 2*time.Second)
 	tot := b.Total()
-	if tot.Wall != 2*time.Second {
-		t.Errorf("total wall = %v", tot.Wall)
-	}
 	if tot.Virtual != 5*time.Second {
 		t.Errorf("total virtual = %v", tot.Virtual)
 	}
@@ -53,10 +48,10 @@ func TestBreakdownAccumulateAndTotal(t *testing.T) {
 		t.Errorf("read virtual = %v", got)
 	}
 	// Out-of-range phases are ignored, not panics.
-	b.Add(Phase(0), Span{Wall: time.Hour})
-	b.AddWall(Phase(42), time.Hour)
+	b.AddVirtual(Phase(0), time.Hour)
+	b.AddVirtual(Phase(42), time.Hour)
 	b.AddVirtual(Phase(-1), time.Hour)
-	if b.Total().Wall != 2*time.Second {
+	if b.Total().Virtual != 5*time.Second {
 		t.Error("out-of-range phase mutated the breakdown")
 	}
 	if (b.Get(Phase(0)) != Span{}) {

@@ -215,31 +215,7 @@ func (s *Session) Submit(store *pfs.Store, spec JobSpec) (*Job, error) {
 		s.reject()
 		return nil, err
 	}
-	opts, err := s.prepare(spec.Options, spec.names()...)
-	if err != nil {
-		return nil, err
-	}
-	spec.Options = opts
-	t, err := s.plane.sched.reserve(s.tenant)
-	if err != nil {
-		s.reject()
-		return nil, err
-	}
-	j := &Job{
-		id:     jobIDs.Add(1),
-		kind:   spec.Kind,
-		tenant: s.tenant.id,
-		done:   make(chan struct{}),
-	}
-	if err := s.journalAppend(acceptedRecord(j.id, j.tenant, spec)); err != nil {
-		s.plane.sched.abort(t)
-		s.reject()
-		return nil, fmt.Errorf("service: journal accepted record: %w", err)
-	}
-	s.plane.jobs.Add(1)
-	// Joined by Plane.Close via plane.jobs.Wait.
-	go s.runJob(j, t, store, spec)
-	return j, nil
+	return s.start(store, spec, nil)
 }
 
 // resume re-admits one accepted-but-unfinished journal record under its
@@ -252,6 +228,14 @@ func (s *Session) resume(store *pfs.Store, rec wal.Record) (*Job, error) {
 		return nil, err
 	}
 	s.submitted()
+	return s.start(store, spec, &rec)
+}
+
+// start is the one start path of a detached job: its options prepared, a
+// slot reserved, its goroutine started. A fresh submission (rec nil)
+// draws a new job ID and makes its accepted record durable first; a
+// resumed one keeps the ID of the accepted record it re-runs.
+func (s *Session) start(store *pfs.Store, spec JobSpec, rec *wal.Record) (*Job, error) {
 	opts, err := s.prepare(spec.Options, spec.names()...)
 	if err != nil {
 		return nil, err
@@ -262,11 +246,16 @@ func (s *Session) resume(store *pfs.Store, rec wal.Record) (*Job, error) {
 		s.reject()
 		return nil, err
 	}
-	j := &Job{
-		id:     rec.Job,
-		kind:   spec.Kind,
-		tenant: s.tenant.id,
-		done:   make(chan struct{}),
+	j := &Job{kind: spec.Kind, tenant: s.tenant.id, done: make(chan struct{})}
+	if rec != nil {
+		j.id = rec.Job
+	} else {
+		j.id = jobIDs.Add(1)
+		if err := s.journalAppend(acceptedRecord(j.id, j.tenant, spec)); err != nil {
+			s.plane.sched.abort(t)
+			s.reject()
+			return nil, fmt.Errorf("service: journal accepted record: %w", err)
+		}
 	}
 	s.plane.jobs.Add(1)
 	// Joined by Plane.Close via plane.jobs.Wait.

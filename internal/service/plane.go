@@ -256,25 +256,14 @@ func (p *Plane) CAS(ctx context.Context, store *pfs.Store) (*cas.Store, error) {
 // NormalizeOptions is the one options-defaulting path every facade
 // variant routes through: the plane's executor is injected where the
 // caller left Exec nil, then the compare layer's own Normalize validates
-// ε and fills the remaining defaults (a nil Backend is aio.Default()). The Retry
-// knob is passed through un-resolved so the planners' own idempotent
-// resolution sees the caller's sentinel (zero = default policy,
-// negative MaxAttempts = disabled) exactly as a direct call would.
+// ε and fills the remaining defaults (a nil Backend is aio.Default(), a
+// zero Retry the default policy, a disabled one a single attempt). The
+// planners normalize again, which changes nothing.
 func (p *Plane) NormalizeOptions(o compare.Options) (compare.Options, error) {
-	return p.normalizeOptions(o)
-}
-
-func (p *Plane) normalizeOptions(o compare.Options) (compare.Options, error) {
 	if o.Exec == nil {
 		o.Exec = p.exec
 	}
-	raw := o.Retry
-	n, err := o.Normalize()
-	if err != nil {
-		return compare.Options{}, err
-	}
-	n.Retry = raw
-	return n, nil
+	return o.Normalize()
 }
 
 // Close shuts the plane down deterministically: new admissions fail with

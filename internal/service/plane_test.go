@@ -3,12 +3,16 @@ package service
 import (
 	"context"
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/aio"
+	"repro/internal/ckpt"
 	"repro/internal/compare"
 	"repro/internal/device"
+	"repro/internal/faults"
 	"repro/internal/pfs"
 	"repro/internal/retry"
 )
@@ -69,20 +73,26 @@ func TestNormalizeOptions(t *testing.T) {
 			},
 		},
 		{
-			name: "zero Retry sentinel survives normalization",
+			// The planners normalize what the plane normalized: a policy
+			// that resolved to something else the second time (a disabled
+			// one to the default) would turn retries back on.
+			name: "Retry normalizes once",
 			in:   compare.Options{Epsilon: 1e-6},
 			check: func(t *testing.T, n compare.Options) {
-				if n.Retry != (retry.Policy{}) {
-					t.Errorf("zero Retry resolved eagerly to %+v; the planners' own resolution must see the sentinel", n.Retry)
-				}
-			},
-		},
-		{
-			name: "disabled Retry sentinel survives normalization",
-			in:   compare.Options{Epsilon: 1e-6, Retry: retry.Policy{MaxAttempts: -1}},
-			check: func(t *testing.T, n compare.Options) {
-				if n.Retry.MaxAttempts != -1 {
-					t.Errorf("disabled Retry became %+v", n.Retry)
+				for _, pol := range []retry.Policy{{}, {MaxAttempts: -1}, {MaxAttempts: 5, BaseDelay: time.Millisecond, Multiplier: 3, Seed: 7}} {
+					in := n
+					in.Retry = pol
+					once, err := p.NormalizeOptions(in)
+					if err != nil {
+						t.Fatal(err)
+					}
+					twice, err := p.NormalizeOptions(once)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(once, twice) {
+						t.Errorf("Retry %+v normalizes to %+v, then to %+v", pol, once.Retry, twice.Retry)
+					}
 				}
 			},
 		},
@@ -221,5 +231,61 @@ func TestBindingGatesSubmission(t *testing.T) {
 	st := s.Stats()
 	if st.Submitted != 3 || st.Rejected != 2 || st.Failed != 1 || st.Completed != 0 {
 		t.Fatalf("stats: %+v", st)
+	}
+}
+
+// blip fails the first read of one checkpoint's data region transiently
+// and lets every later read through.
+type blip struct {
+	faults.Nop
+	name string
+	data int64
+	mu   sync.Mutex
+	seen int
+}
+
+var errBlip = errors.New("injected: one transient read failure")
+
+func (h *blip) BeforeRead(name string, off int64, _ int) error {
+	if name != h.name || off < h.data {
+		return nil
+	}
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.seen++; h.seen == 1 {
+		return retry.Mark(errBlip, retry.Transient)
+	}
+	return nil
+}
+
+// TestDisabledRetryMakesOneAttempt runs a comparison through a session,
+// which normalizes its options before the planner normalizes them again:
+// a disabled policy stays disabled through both, so one transient read
+// failure fails the comparison, where the default policy retries it away.
+func TestDisabledRetryMakesOneAttempt(t *testing.T) {
+	e := newSvcEnv(t, 16<<10, 3)
+	r, _, err := ckpt.OpenReader(e.store, e.nameB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := r.FieldFileOffset(0)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s := testPlane(t, Config{}).Open("acme")
+	for _, tc := range []struct {
+		retry retry.Policy
+		fails bool
+	}{{retry.Policy{MaxAttempts: -1}, true}, {retry.Policy{}, false}} {
+		e.store.EvictAll()
+		h := &blip{name: e.nameB, data: data}
+		e.store.SetFaultHook(h)
+		opts := svcOpts()
+		opts.Retry = tc.retry
+		_, err := s.Compare(context.Background(), e.store, e.nameA, e.nameB, opts)
+		e.store.SetFaultHook(nil)
+		if tc.fails != errors.Is(err, errBlip) || (!tc.fails && err != nil) || h.seen == 0 {
+			t.Errorf("Retry %+v: err = %v after %d data reads, want failing %v on the one blip", tc.retry, err, h.seen, tc.fails)
+		}
 	}
 }

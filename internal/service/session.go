@@ -68,7 +68,7 @@ func (s *Session) Bindings() []Binding { return s.tenant.list() }
 // run against the tenant's bindings. Both failure modes are submission
 // errors: nothing was admitted or executed.
 func (s *Session) prepare(opts compare.Options, names ...string) (compare.Options, error) {
-	n, err := s.plane.normalizeOptions(opts)
+	n, err := s.plane.NormalizeOptions(opts)
 	if err != nil {
 		s.reject()
 		return compare.Options{}, err
@@ -284,7 +284,7 @@ func (s *Session) CompactHistory(ctx context.Context, store *pfs.Store, runID st
 // session stats (it is the checkpointing path, not a served comparison),
 // but bound runs must still be captured at their bound coordinates.
 func (s *Session) BuildAndSave(ctx context.Context, store *pfs.Store, name string, opts compare.Options) (*compare.Metadata, compare.BuildStats, error) {
-	n, err := s.plane.normalizeOptions(opts)
+	n, err := s.plane.NormalizeOptions(opts)
 	if err != nil {
 		return nil, compare.BuildStats{}, err
 	}

@@ -42,10 +42,10 @@ func groupCompare(ctx context.Context, store *pfs.Store, baseline string, runs [
 	}
 	r := &run{store: store, cfg: cfg, ms: ms}
 	var p engine.Plan
-	stage1 := ms.Stage1(&p, openLabel)
-	part := p.Add(engine.StepPartition, "partition", r.stepPartition, stage1)
-	exec := p.Add(engine.StepShardExecute, "shard-execute", r.stepExecute, part)
-	p.Add(engine.StepReport, "report", ms.Report, exec)
+	ms.Stage1(&p, openLabel)
+	p.Add(engine.StepPartition, "partition", r.stepPartition)
+	p.Add(engine.StepShardExecute, "shard-execute", r.stepExecute)
+	p.Add(engine.StepReport, "report", ms.Report)
 	if err := ms.Execute(ctx, &p); err != nil {
 		return nil, nil, err
 	}
@@ -89,7 +89,6 @@ func (r *run) stepPartition(ctx context.Context, x *engine.Exec) error {
 // resulting makespan as the overlapped stage-2 time — the sharded analogue
 // of the single-node pipeline time.
 func (r *run) stepExecute(ctx context.Context, x *engine.Exec) error {
-	sw := metrics.NewStopwatch()
 	if err := r.execute(ctx); err != nil {
 		return err
 	}
@@ -100,8 +99,6 @@ func (r *run) stepExecute(ctx context.Context, x *engine.Exec) error {
 		rep.ReadRetries += read.ReadRetries
 	}
 	rep.PipelineVirtual = r.stats.MakespanVirtual
-	rep.Breakdown.AddVirtual(metrics.PhaseCompareDirect, r.stats.MakespanVirtual)
-	rep.Breakdown.AddWall(metrics.PhaseCompareDirect, sw.Lap())
-	x.AddVirtual(r.stats.MakespanVirtual)
+	x.Charge(metrics.PhaseCompareDirect, r.stats.MakespanVirtual)
 	return nil
 }

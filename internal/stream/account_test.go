@@ -273,7 +273,12 @@ func accountRow(t *testing.T, row string, in accountInput, exec device.Executor,
 	}
 	ops1, bytes1 := in.store.ReadStats()
 	stats.Wall = 0
-	js, err := json.Marshal(stats)
+	// The golden's last Stats column is a ring-fallback count that was
+	// always 0 and is no longer kept: it is rendered as that constant.
+	js, err := json.Marshal(struct {
+		Stats
+		RingFallbacks int
+	}{Stats: stats})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -229,9 +229,6 @@ type Stats struct {
 	Wall time.Duration
 	// ReadRetries counts window pricings re-issued under Config.Retry.
 	ReadRetries int
-	// RingFallbacks is always 0: no read falls back to a fresh ring. It
-	// stays for the results and journal records that carry it.
-	RingFallbacks int
 }
 
 // Compute is the consumer callback: it receives one job with both extents'
