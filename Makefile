@@ -31,9 +31,10 @@ race:
 # in for the ε-compare kernel's SSE2 assembly and the leaf hash's SSE4.1
 # pair and AVX-512 wide kernels on every other GOARCH (an amd64 host runs
 # 386 test binaries natively, stage 2's views included), vet of an arm64
-# build, and vet of a GOOS without mmap, where pfs.File.Land copies and
-# Open never finds a mapping to read through (and of the packages that
-# hold a framelog writer across appends).
+# build, and vet of a GOOS without mmap, where pfs.File.Land copies, Open
+# never finds a mapping to read through and pfs.Writer.Reserve is the stub
+# that reserves nothing (and of the packages that hold a framelog writer
+# across appends).
 portable:
 	GOARCH=386 $(GO) test ./internal/errbound ./internal/compare
 	GOARCH=arm64 $(GO) vet ./internal/errbound
@@ -60,7 +61,8 @@ chaos-smoke:
 # the framed log's scanner (the journal and the CAS index replay through
 # it), the journal's record payload behind that scanner, the CAS manifest,
 # the checkpoint header and the checkpoint name (held to the pattern it
-# once was), the metadata container (and through it merkle.Decode); last,
+# once was), the checkpoint encoder (held to the header-first encoder it
+# replaced, byte for byte), the metadata container (and through it merkle.Decode); last,
 # the mpi f64 vector codec, a length check and a loop held to the same
 # contract. FuzzCompareSlices caps the minimizer: its
 # corpus holds kilobyte seeds, and left alone the fuzzer spends the five
@@ -76,6 +78,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeManifest$$' -fuzztime 5s ./internal/cas
 	$(GO) test -run '^$$' -fuzz '^FuzzParseHeader$$' -fuzztime 5s ./internal/ckpt
 	$(GO) test -run '^$$' -fuzz '^FuzzParseName$$' -fuzztime 5s ./internal/ckpt
+	$(GO) test -run '^$$' -fuzz '^FuzzEncodeMatchesOracle$$' -fuzztime 5s ./internal/ckpt
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeMetadata$$' -fuzztime 5s ./internal/compare
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeF64$$' -fuzztime 5s ./internal/mpi
 
@@ -130,7 +133,7 @@ examples:
 # LOC_CEILING, the total of the last PR that lowered it — a PR that removes
 # code lowers the ceiling to its own result, one that must add code raises
 # it in the same diff, where a reviewer sees it.
-LOC_CEILING = 24045
+LOC_CEILING = 24114
 LOC_FILES = \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go'
 loc:
 	@for d in $$(find . $(LOC_FILES) | xargs -n1 dirname | sort -u); do \

@@ -163,19 +163,25 @@ func (c *Checkpointer) Close() error {
 }
 
 // WriteCheckpoint is the synchronous single-tier convenience used by tools
-// and tests: encode directly onto one store. On error the returned cost
-// covers the writes that did complete before the failure (a torn write's
-// persisted prefix included) — partial but truthful, the same discipline
-// as stream.Stats.Wall — so bench deltas stay honest under fault
-// injection.
+// and tests: encode directly onto one store, into a temporary reserved at
+// the file's size (pfs.Writer.Reserve) that Close publishes. A checkpoint
+// Encode would refuse is refused before anything is created. On error the
+// returned cost covers the writes that did complete before the failure (a
+// torn write's persisted prefix included) — partial but truthful, the same
+// discipline as stream.Stats.Wall — so bench deltas stay honest under
+// fault injection.
 func WriteCheckpoint(store *pfs.Store, meta Meta, data [][]byte) (cost pfs.Cost, err error) {
-	name := Name(meta.RunID, meta.Iteration, meta.Rank)
-	w, err := store.Create(name)
+	e, err := newEncoding(meta, data)
+	if err != nil {
+		return pfs.Cost{}, err
+	}
+	w, err := store.Create(Name(meta.RunID, meta.Iteration, meta.Rank))
 	if err != nil {
 		return pfs.Cost{}, err
 	}
 	defer func() { cost = w.Cost() }()
-	if _, err := Encode(w, meta, data); err != nil {
+	w.Reserve(e.size())
+	if _, err := e.writeTo(w); err != nil {
 		_ = w.Close() // the encode error takes precedence
 		return cost, err
 	}

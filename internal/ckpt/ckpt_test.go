@@ -169,7 +169,7 @@ func TestReadFieldAtScattered(t *testing.T) {
 }
 
 func TestEncodeValidation(t *testing.T) {
-	var buf bytes.Buffer
+	var buf memFile
 	good := testMeta("r", 0, 0, 4)
 	data := testData(good, 4)
 
@@ -205,11 +205,7 @@ func TestCorruptionDetected(t *testing.T) {
 	s := newStore(t)
 	meta := testMeta("runD", 0, 0, 64)
 	data := testData(meta, 6)
-	var buf bytes.Buffer
-	if _, err := Encode(&buf, meta, data); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := encodeBytes(t, meta, data)
 
 	write := func(name string, b []byte) {
 		w, err := s.Create(name)

@@ -2,6 +2,9 @@ package ckpt
 
 import (
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/errbound"
@@ -117,8 +120,9 @@ func TestWriteCheckpointPartialCostOnError(t *testing.T) {
 		rule faults.Rule
 		torn int64
 	}{
-		// After: 1 skips the header write and tears the first field write,
-		// so the cost covers the header plus the 512-byte torn prefix.
+		// After: 1 skips the first field's write and tears the second's,
+		// so the cost covers the first field plus the 512-byte torn
+		// prefix; the header, written last, never lands.
 		{"torn-write", faults.Rule{Kind: faults.TornWrite, Name: ".ckpt", After: 1, Count: 1, Keep: 512}, 512},
 		{"failed-close", closeFault, 0},
 	} {
@@ -133,7 +137,7 @@ func TestWriteCheckpointPartialCostOnError(t *testing.T) {
 			}
 			least := landed(t, store, twoFieldMeta(), row.torn)
 			if row.torn > 0 {
-				least++ // the header landed before the torn write
+				least++ // the first field landed before the torn write
 			}
 			if cost.Bytes < least {
 				t.Fatalf("partial cost %d bytes, want at least %d", cost.Bytes, least)
@@ -143,6 +147,90 @@ func TestWriteCheckpointPartialCostOnError(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTornCheckpointWrite tears each of a checkpoint's writes in turn —
+// every field's, then the header's, which goes last — at no bytes, a few,
+// half and all but one: the file Close publishes anyway is refused as
+// ErrCorrupt, it is as long as what landed (the reservation keeps the
+// size), and the cost is exactly what landed. A close that fails after
+// every write landed publishes the whole container, which opens and
+// verifies, at the whole cost.
+func TestTornCheckpointWrite(t *testing.T) {
+	meta, data := twoFieldMeta(), twoFieldData()
+	e, err := newEncoding(meta, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdrLen, size := int64(len(e.hdr)), e.size()
+	name := Name(meta.RunID, meta.Iteration, meta.Rank)
+	// The writes in their order: the fields', then the header's.
+	writes := []string{"field-x", "field-phi", "header"}
+	lens := []int64{meta.Fields[0].Bytes(), meta.Fields[1].Bytes(), hdrLen}
+	for op, n := range lens {
+		for _, keep := range []int64{0, 3, n / 2, n - 1} {
+			t.Run(fmt.Sprintf("%s/keep-%d", writes[op], keep), func(t *testing.T) {
+				store := newStore(t)
+				store.SetFaultHook(faults.New(1, faults.Rule{Kind: faults.TornWrite, Name: ".ckpt", After: op, Keep: int(keep)}))
+				cost, err := WriteCheckpoint(store, meta, data)
+				store.SetFaultHook(nil)
+				if !errors.Is(err, faults.ErrInjectedWrite) {
+					t.Fatalf("WriteCheckpoint returned %v, want the injected fault", err)
+				}
+				want := pfs.Cost{Ops: op, Bytes: keep}
+				for _, l := range lens[:op] {
+					want.Bytes += l
+				}
+				if keep > 0 {
+					want.Ops++
+				}
+				if cost != want {
+					t.Fatalf("cost %+v, want what landed, %+v", cost, want)
+				}
+				wantSize := hdrLen + want.Bytes
+				if op == len(lens)-1 {
+					wantSize = size
+				} else if want.Bytes == 0 {
+					wantSize = 0
+				}
+				st, err := os.Stat(filepath.Join(store.Root(), name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Size() != wantSize {
+					t.Fatalf("published file of %d bytes, want %d", st.Size(), wantSize)
+				}
+				if r, _, err := OpenReader(store, name); !errors.Is(err, ErrCorrupt) {
+					if r != nil {
+						r.Close()
+					}
+					t.Fatalf("OpenReader returned %v, want ErrCorrupt", err)
+				}
+			})
+		}
+	}
+	t.Run("failed-close", func(t *testing.T) {
+		store := newStore(t)
+		store.SetFaultHook(faults.New(1, closeFault))
+		cost, err := WriteCheckpoint(store, meta, data)
+		store.SetFaultHook(nil)
+		if !errors.Is(err, faults.ErrInjectedWrite) {
+			t.Fatalf("WriteCheckpoint returned %v, want the injected fault", err)
+		}
+		if want := (pfs.Cost{Ops: len(lens), Bytes: size}); cost != want {
+			t.Fatalf("cost %+v, want %+v", cost, want)
+		}
+		r, _, err := OpenReader(store, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		for i := range meta.Fields {
+			if _, err := r.VerifyField(i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestCapturePartialCostOnError pins the same discipline on the two-tier
@@ -169,7 +257,7 @@ func TestCapturePartialCostOnError(t *testing.T) {
 			lc, _ := c.Costs()
 			least := landed(t, local, twoFieldMeta(), row.torn)
 			if row.torn > 0 {
-				least++ // the header landed before the torn write
+				least++ // the first field landed before the torn write
 			}
 			if lc.Bytes < least {
 				t.Fatalf("local cost %d bytes on error, want at least %d", lc.Bytes, least)

@@ -16,11 +16,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"runtime"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/errbound"
 	"repro/internal/framelog"
@@ -172,8 +169,9 @@ func CheckFields(fields []FieldSpec, data [][]byte) error {
 	return nil
 }
 
-// Encode serializes a checkpoint to w. data[i] must hold exactly
-// meta.Fields[i].Bytes() raw little-endian bytes.
+// Encode serializes a checkpoint to w and returns the bytes it wrote.
+// data[i] must hold exactly meta.Fields[i].Bytes() raw little-endian
+// bytes.
 //
 // Layout (little-endian):
 //
@@ -188,15 +186,38 @@ func CheckFields(fields []FieldSpec, data [][]byte) error {
 //	                count u64, offset u64, crc32 u32 }
 //	headerCRC u32 (over everything above)
 //	data      concatenated field bytes
-func Encode(w io.Writer, meta Meta, data [][]byte) (int64, error) {
-	if err := CheckFields(meta.Fields, data); err != nil {
+//
+// The header's size does not depend on the CRCs it carries, so every field
+// is written first, one write each at its final offset, while one
+// goroutine checksums the fields; the header goes last, at offset 0. A
+// write that fails leaves the header unwritten: the file a writer
+// publishes anyway starts with zeros, which no reader takes for a
+// checkpoint.
+func Encode(w io.WriterAt, meta Meta, data [][]byte) (int64, error) {
+	e, err := newEncoding(meta, data)
+	if err != nil {
 		return 0, err
 	}
-	if len(meta.RunID) == 0 || len(meta.RunID) > maxNameLen {
-		return 0, fmt.Errorf("ckpt: run ID length %d out of range", len(meta.RunID))
-	}
-	crcs := fieldCRCs(data)
+	return e.writeTo(w)
+}
 
+// encoding is a checkpoint checked as Encode takes it, with its header
+// laid out: every CRC in hdr is zero until writeTo fills it in at crcAt,
+// one offset per field, then the header's own in its last four bytes.
+type encoding struct {
+	meta  Meta
+	data  [][]byte
+	hdr   []byte
+	crcAt []int
+}
+
+func newEncoding(meta Meta, data [][]byte) (encoding, error) {
+	if err := CheckFields(meta.Fields, data); err != nil {
+		return encoding{}, err
+	}
+	if len(meta.RunID) == 0 || len(meta.RunID) > maxNameLen {
+		return encoding{}, fmt.Errorf("ckpt: run ID length %d out of range", len(meta.RunID))
+	}
 	var hdr []byte
 	hdr = append(hdr, formatMagic...)
 	hdr = binary.LittleEndian.AppendUint16(hdr, formatVer)
@@ -206,7 +227,7 @@ func Encode(w io.Writer, meta Meta, data [][]byte) (int64, error) {
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(meta.Iteration))
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(meta.Rank))
 	hdr = binary.LittleEndian.AppendUint32(hdr, uint32(len(meta.Fields)))
-
+	crcAt := make([]int, len(meta.Fields))
 	var off int64
 	for i, f := range meta.Fields {
 		hdr = binary.LittleEndian.AppendUint16(hdr, uint16(len(f.Name)))
@@ -214,50 +235,47 @@ func Encode(w io.Writer, meta Meta, data [][]byte) (int64, error) {
 		hdr = append(hdr, byte(f.DType), 0)
 		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(f.Count))
 		hdr = binary.LittleEndian.AppendUint64(hdr, uint64(off))
-		hdr = binary.LittleEndian.AppendUint32(hdr, crcs[i])
+		crcAt[i] = len(hdr)
+		hdr = binary.LittleEndian.AppendUint32(hdr, 0)
 		off += f.Bytes()
 	}
-	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.ChecksumIEEE(hdr))
+	hdr = binary.LittleEndian.AppendUint32(hdr, 0)
+	return encoding{meta: meta, data: data, hdr: hdr, crcAt: crcAt}, nil
+}
 
+// size is the file's size, header and fields.
+func (e encoding) size() int64 { return int64(len(e.hdr)) + e.meta.TotalBytes() }
+
+// writeTo writes every field at its offset past the header while one
+// goroutine checksums them, then the header, CRCs filled in, at offset 0.
+func (e encoding) writeTo(w io.WriterAt) (int64, error) {
+	summed := make(chan struct{})
+	go func() {
+		defer close(summed)
+		for i, d := range e.data {
+			binary.LittleEndian.PutUint32(e.hdr[e.crcAt[i]:], crc32.ChecksumIEEE(d))
+		}
+	}()
 	var written int64
-	n, err := w.Write(hdr)
+	off := int64(len(e.hdr))
+	for i, d := range e.data {
+		n, err := w.WriteAt(d, off)
+		written += int64(n)
+		if err != nil {
+			<-summed
+			return written, fmt.Errorf("ckpt: write field %q: %w", e.meta.Fields[i].Name, err)
+		}
+		off += int64(n)
+	}
+	<-summed
+	body := len(e.hdr) - 4
+	binary.LittleEndian.PutUint32(e.hdr[body:], crc32.ChecksumIEEE(e.hdr[:body]))
+	n, err := w.WriteAt(e.hdr, 0)
 	written += int64(n)
 	if err != nil {
 		return written, fmt.Errorf("ckpt: write header: %w", err)
 	}
-	for i := range data {
-		n, err := w.Write(data[i])
-		written += int64(n)
-		if err != nil {
-			return written, fmt.Errorf("ckpt: write field %q: %w", meta.Fields[i].Name, err)
-		}
-	}
 	return written, nil
-}
-
-// fieldCRCs checksums every field. The header carries the CRCs and is
-// written first, so nothing reaches storage until the last one is known:
-// the fields are independent, and min(fields, GOMAXPROCS) goroutines (the
-// caller is one of them) pull indices from a counter until none is left.
-func fieldCRCs(data [][]byte) []uint32 {
-	crcs := make([]uint32, len(data))
-	var next atomic.Int64
-	work := func() {
-		for i := next.Add(1) - 1; i < int64(len(data)); i = next.Add(1) - 1 {
-			crcs[i] = crc32.ChecksumIEEE(data[i])
-		}
-	}
-	var wg sync.WaitGroup
-	for g := min(len(data), runtime.GOMAXPROCS(0)); g > 1; g-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-	return crcs
 }
 
 // header is the parsed prefix of a checkpoint file.

@@ -41,11 +41,7 @@ func TestQuickParserNeverPanics(t *testing.T) {
 // the header CRC must catch every corruption in the header region.
 func TestQuickBitFlippedHeadersRejected(t *testing.T) {
 	meta := testMeta("rq", 3, 1, 32)
-	var buf bytes.Buffer
-	if _, err := Encode(&buf, meta, testData(meta, 9)); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
+	good := encodeBytes(t, meta, testData(meta, 9))
 	// Find the header length: parse once.
 	_, hdrLen, _, err := parseHeader(good)
 	if err != nil {
@@ -73,14 +69,7 @@ func TestQuickBitFlippedHeadersRejected(t *testing.T) {
 func TestEncodeDeterministic(t *testing.T) {
 	meta := testMeta("det", 1, 0, 64)
 	data := testData(meta, 3)
-	var a, b bytes.Buffer
-	if _, err := Encode(&a, meta, data); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Encode(&b, meta, data); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(encodeBytes(t, meta, data), encodeBytes(t, meta, data)) {
 		t.Error("encoding is not deterministic")
 	}
 }
@@ -126,11 +115,7 @@ func TestParentCheckpointOpensAndReencodes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var again bytes.Buffer
-	if _, err := Encode(&again, r.Meta(), data); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again.Bytes(), raw) {
+	if !bytes.Equal(encodeBytes(t, r.Meta(), data), raw) {
 		t.Fatal("re-encoded checkpoint differs from the parent's bytes")
 	}
 }
@@ -197,11 +182,7 @@ func TestHeaderCutUnderItsLanding(t *testing.T) {
 		name := fmt.Sprintf("%03d%s", i, strings.Repeat("f", 200))
 		meta.Fields = append(meta.Fields, FieldSpec{Name: name, DType: errbound.Float32, Count: 16})
 	}
-	var enc bytes.Buffer
-	if _, err := Encode(&enc, meta, testData(meta, 9)); err != nil {
-		t.Fatal(err)
-	}
-	h, _, _, err := parseHeader(enc.Bytes())
+	h, _, _, err := parseHeader(encodeBytes(t, meta, testData(meta, 9)))
 	if err != nil || h.dataStart <= 2*page {
 		t.Fatalf("header of %d bytes (err %v), want more than two pages", h.dataStart, err)
 	}
@@ -244,16 +225,13 @@ func TestHeaderCutUnderItsLanding(t *testing.T) {
 // with a fresh CRC, so mutations reach the parser behind the CRC.
 func FuzzParseHeader(f *testing.F) {
 	meta := testMeta("fz", 3, 1, 8)
-	var buf bytes.Buffer
-	if _, err := Encode(&buf, meta, testData(meta, 1)); err != nil {
-		f.Fatal(err)
-	}
-	_, hdrLen, _, err := parseHeader(buf.Bytes())
+	enc := encodeBytes(f, meta, testData(meta, 1))
+	_, hdrLen, _, err := parseHeader(enc)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes()[:hdrLen])
-	f.Add(buf.Bytes()[:hdrLen-4])
+	f.Add(enc[:hdrLen])
+	f.Add(enc[:hdrLen-4])
 	f.Add([]byte(formatMagic))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		sealed := binary.LittleEndian.AppendUint32(bytes.Clone(raw), crc32.ChecksumIEEE(raw))

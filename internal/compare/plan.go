@@ -67,6 +67,13 @@ type stage2 struct {
 	kernel *verdicts
 }
 
+// ReadTally is what stage 2 read: the bytes delivered, integrity re-reads
+// included, and the window pricings retried.
+type ReadTally struct {
+	BytesRead   int64
+	ReadRetries int
+}
+
 // pairState is a pair plan: the member set [A, B], the result it charges,
 // and its stage 2.
 type pairState struct {
@@ -210,10 +217,13 @@ func (st *stage2) verifyJob(r int, j stream.Job, a, b []byte) (time.Duration, er
 // the whole pipeline time is charged to CompareDirect, while PhaseRead
 // holds only the metadata reads and the re-reads.
 func (st *stage2) stepStreamVerify(ctx context.Context, x *engine.Exec) error {
-	stats, rereads, err := st.run(ctx)
+	var read ReadTally
+	stats, rereads, err := st.run(ctx, &read)
 	if err != nil {
 		return err
 	}
+	st.ms.acct.BytesRead += read.BytesRead
+	st.ms.acct.ReadRetries += read.ReadRetries
 	if st.ms.Rep != nil {
 		st.ms.Rep.PipelineVirtual = stats.PipelineVirtual
 	}
@@ -223,17 +233,17 @@ func (st *stage2) stepStreamVerify(ctx context.Context, x *engine.Exec) error {
 }
 
 // run is stage 2: the overlapped read+compare pipeline over the plan's
-// windows, the verdicts landed in the pairs' folds, the bytes read counted
-// in the set's account. It returns the pipeline's stats and the virtual
-// time of the integrity re-reads, which sit outside the pipeline's clock,
-// for the caller to charge. Under degrade
+// windows, the verdicts landed in the pairs' folds, what it read added to
+// read. It returns the pipeline's stats and the virtual time of the
+// integrity re-reads, which sit outside the pipeline's clock, for the
+// caller to charge. Under degrade
 // the pipeline absorbs what the ladder allows — a source no read rung can
 // serve drops the jobs naming it to the metadata-only verdict, a chunk
 // failing its leaf hash twice is excluded from diffing — and the result is
 // marked Degraded rather than failing the plan; compute errors and
 // cancellation are never degraded away, and CAS-pruned chunks keep their
 // proven verdict.
-func (st *stage2) run(ctx context.Context) (stream.Stats, time.Duration, error) {
+func (st *stage2) run(ctx context.Context, read *ReadTally) (stream.Stats, time.Duration, error) {
 	ms, opts := st.ms, st.ms.opts
 	if len(st.plan.Jobs) == 0 {
 		return stream.Stats{}, 0, nil
@@ -257,9 +267,9 @@ func (st *stage2) run(ctx context.Context) (stream.Stats, time.Duration, error) 
 		return stats, 0, fmt.Errorf("compare: %s: %w", st.wrap, err)
 	}
 	st.drain()
-	ms.acct.BytesRead += stats.BytesRead
-	ms.acct.ReadRetries += stats.ReadRetries
-	return stats, st.kernel.chargeRereads(ms.store, ms.acct), nil
+	read.BytesRead += stats.BytesRead
+	read.ReadRetries += stats.ReadRetries
+	return stats, st.kernel.chargeRereads(ms.store, read), nil
 }
 
 // drain lands the kernel's slots in the pairs' folds, in job order — the
@@ -323,16 +333,15 @@ func (st *stage2) drain() {
 // one field and runs them through the same pipeline, ladder and kernel as
 // every other planner, in windows of the size and depth the caller fixed.
 // It works on a view of the set — the same members, metadata and open
-// files; its own candidates, folds and account — so the Stage2s of one
+// files; its own candidates, folds and read tally — so the Stage2s of one
 // set share nothing they write.
 type Stage2 struct {
 	stage2
-	cost Account // what the view charges: every Verify call's reads
+	read ReadTally // every Verify call's reads
 }
 
-// Cost is what the Verify calls so far read: the bytes delivered,
-// integrity re-reads included, and the window pricings retried.
-func (s *Stage2) Cost() *Account { return &s.cost }
+// Read is what the Verify calls so far read.
+func (s *Stage2) Read() ReadTally { return s.read }
 
 // NewStage2 returns a piecewise stage 2 over the set, whose stage 1 must
 // have run, streaming windows of sliceBytes per source, depth in flight.
@@ -340,7 +349,7 @@ func (ms *MemberSet) NewStage2(sliceBytes, depth int) *Stage2 {
 	s := &Stage2{}
 	view := *ms
 	view.opts.SliceBytes, view.opts.Depth = sliceBytes, depth
-	view.Rep, view.acct = nil, &s.cost
+	view.Rep, view.acct = nil, nil // Verify runs no step that charges an account
 	view.Cands = make([][][]int, len(ms.Pairs))
 	for pi := range view.Cands {
 		view.Cands[pi] = make([][]int, len(ms.fields))
@@ -374,7 +383,7 @@ func (s *Stage2) Verify(ctx context.Context, pair, field int, chunks []int) (Uni
 	if err != nil {
 		return UnitVerdict{}, err
 	}
-	stats, rereads, err := s.run(ctx)
+	stats, rereads, err := s.run(ctx, &s.read)
 	if err != nil {
 		return UnitVerdict{}, err
 	}

@@ -28,12 +28,12 @@ import (
 // package cannot import its own importer).
 
 func normResult(r *Result) *Result {
-	dettest.VirtualOnly(&r.Breakdown, r.Steps)
+	dettest.VirtualOnly(r.Steps)
 	return r
 }
 
 func normGroup(g *GroupReport) *GroupReport {
-	dettest.VirtualOnly(&g.Breakdown, g.Steps)
+	dettest.VirtualOnly(g.Steps)
 	for i := range g.Pairs {
 		normResult(g.Pairs[i].Result)
 	}

@@ -212,9 +212,8 @@ func (v *verdicts) indices(i int) []int64 {
 }
 
 // chargeRereads drains the ranges' integrity re-read tallies, counts their
-// bytes in the plan's account, and returns their virtual time for the plan
-// step to charge.
-func (v *verdicts) chargeRereads(store *pfs.Store, to *Account) time.Duration {
+// bytes in to, and returns their virtual time for the plan step to charge.
+func (v *verdicts) chargeRereads(store *pfs.Store, to *ReadTally) time.Duration {
 	var cost pfs.Cost
 	for r := range v.ranges {
 		cost.Add(v.ranges[r].rereadCost)

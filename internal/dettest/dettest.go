@@ -376,14 +376,10 @@ func PinWarmAllocs(t *testing.T, run func() (answer uint64)) {
 	}
 }
 
-// VirtualOnly strips the wall-clock half of a result's timing tables, so
-// what is left is deterministic.
-func VirtualOnly(b *metrics.Breakdown, steps metrics.StepSpans) {
-	var out metrics.Breakdown
-	for _, p := range metrics.Phases() {
-		out.AddVirtual(p, b.Get(p).Virtual)
-	}
-	*b = out
+// VirtualOnly strips the wall-clock half of a result's step table, so what
+// is left is deterministic. A breakdown needs no stripping: its phases
+// carry virtual time alone.
+func VirtualOnly(steps metrics.StepSpans) {
 	for i := range steps {
 		steps[i].Span.Wall = 0
 	}

@@ -836,9 +836,14 @@ const tmpPrefix = ".pfs-tmp."
 
 // Create opens a writer that replaces the file: its bytes go to a temporary
 // beside it that Close renames over the name, so open Files and their views
-// keep what they opened. A process killed before Close leaves the old file
-// and an orphan temporary, never swept (a sweeper would race another
-// process's writer); nothing is synced, so a lost machine may lose the replace.
+// keep what they opened. A write that fails does not stop the publish:
+// Close renames what landed, no longer than that, so a file whose writes
+// were torn — for a checkpoint, whose header is written last, one that
+// starts with zeros — is what readers meet. A process killed before Close
+// leaves the old file and an orphan temporary, never swept (a sweeper
+// would race another process's writer), which may hold blocks Reserve
+// reserved past its end; nothing is synced, so a lost machine may lose the
+// replace.
 func (s *Store) Create(name string) (*Writer, error) {
 	p, err := s.path(name)
 	if err != nil {
@@ -900,37 +905,49 @@ func openMaking(name, p string, open func() (*os.File, error)) (*os.File, error)
 	return open()
 }
 
-var _ io.WriteCloser = (*Writer)(nil)
+var (
+	_ io.WriteCloser = (*Writer)(nil)
+	_ io.WriterAt    = (*Writer)(nil)
+)
 
 // Write appends bytes, tracking cost per operation.
 func (w *Writer) Write(p []byte) (int, error) {
+	n, err := w.write(p, w.off, false)
+	w.off += int64(n)
+	return n, err
+}
+
+// WriteAt writes bytes at off, leaving Write's position where it is, under
+// the same fault hook and cost per operation as Write.
+func (w *Writer) WriteAt(p []byte, off int64) (int, error) { return w.write(p, off, true) }
+
+// write is one write of p at off: asked of the fault hook, which may tear
+// it, then charged for what landed.
+func (w *Writer) write(p []byte, off int64, at bool) (int, error) {
 	if w.f == nil {
 		return 0, ErrClosed
 	}
+	n := len(p)
+	var ferr error
 	if h := w.store.hook(); h != nil {
-		keep, ferr := h.BeforeWrite(w.name, w.off, len(p))
-		if ferr != nil {
-			if keep < 0 {
-				keep = 0
-			}
-			if keep > len(p) {
-				keep = len(p)
-			}
-			// A torn write persists a prefix before failing, so the
-			// file — once Close publishes a Create's — genuinely holds
-			// partial content for readers to trip over.
-			if keep > 0 {
-				n, _ := w.f.Write(p[:keep])
-				w.cost.Add(w.store.markWritten(w.name, w.off, n))
-				w.off += int64(n)
-			}
-			return keep, fmt.Errorf("pfs: write %s: %w", w.name, ferr)
+		var keep int
+		// A torn write persists a prefix before failing, so the file —
+		// once Close publishes a Create's — genuinely holds partial
+		// content for readers to trip over.
+		if keep, ferr = h.BeforeWrite(w.name, off, n); ferr != nil {
+			n = min(max(keep, 0), n)
 		}
 	}
-	n, err := w.f.Write(p)
-	w.cost.Add(w.store.markWritten(w.name, w.off, n))
-	w.off += int64(n)
-	if err != nil {
+	var err error
+	if n > 0 {
+		if at {
+			n, err = w.f.WriteAt(p[:n], off)
+		} else {
+			n, err = w.f.Write(p[:n])
+		}
+	}
+	w.cost.Add(w.store.markWritten(w.name, off, n))
+	if err = cmp.Or(ferr, err); err != nil {
 		return n, fmt.Errorf("pfs: write %s: %w", w.name, err)
 	}
 	return n, nil

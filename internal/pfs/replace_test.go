@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 )
 
@@ -206,5 +207,76 @@ func TestWritersMakeTheirDirectories(t *testing.T) {
 			w.Close()
 			t.Fatal("a writer opened under a regular file")
 		}
+	}
+}
+
+// writeLog records each write the hook is asked about and tears the one at
+// tearOff, keeping keep bytes.
+type writeLog struct {
+	faultNop
+	asked   *[][2]int64 // off, n
+	tearOff int64
+	keep    int
+}
+
+func (h writeLog) BeforeWrite(_ string, off int64, n int) (int, error) {
+	*h.asked = append(*h.asked, [2]int64{off, int64(n)})
+	if off == h.tearOff {
+		return h.keep, errTorn
+	}
+	return 0, nil
+}
+
+// TestWriteAtThroughTheHook: WriteAt asks the fault hook at the offset it
+// writes, is torn like Write, costs one operation per call for what
+// landed, and leaves Write's position alone.
+func TestWriteAtThroughTheHook(t *testing.T) {
+	s := newTestStore(t)
+	var asked [][2]int64
+	s.SetFaultHook(writeLog{asked: &asked, tearOff: 0, keep: 3})
+	w, err := s.Create("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := w.WriteAt([]byte("world"), 5); n != 5 || err != nil {
+		t.Fatalf("WriteAt at 5: %d, %v", n, err)
+	}
+	if n, err := w.WriteAt([]byte("hello"), 0); n != 3 || !errors.Is(err, errTorn) {
+		t.Fatalf("torn WriteAt at 0: %d, %v; want 3 and the hook's error", n, err)
+	}
+	if want := (Cost{Ops: 2, Bytes: 8}); w.Cost() != want {
+		t.Fatalf("cost %+v, want %+v", w.Cost(), want)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := [][2]int64{{5, 5}, {0, 5}}; !slices.Equal(asked, want) {
+		t.Fatalf("the hook was asked %v, want %v", asked, want)
+	}
+	if got := contents(t, s, "f"); !bytes.Equal(got, []byte("hel\x00\x00world")) {
+		t.Fatalf("file holds %q", got)
+	}
+
+	// A Write after a WriteAt starts where Write left off: at 0.
+	asked = nil
+	s.SetFaultHook(writeLog{asked: &asked, tearOff: -1})
+	w, err = s.Create("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.WriteAt([]byte("tail"), 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write([]byte("head")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := [][2]int64{{4, 4}, {0, 4}}; !slices.Equal(asked, want) {
+		t.Fatalf("the hook was asked %v, want %v", asked, want)
+	}
+	if got := contents(t, s, "g"); string(got) != "headtail" {
+		t.Fatalf("file holds %q", got)
 	}
 }

@@ -101,9 +101,9 @@ func (e *parityEnv) run(t *testing.T, exec device.Executor) *shardOutputs {
 	if out.Merkle, err = compare.CompareMerkle(ctx, e.store, e.names[0], e.names[1], opts); err != nil {
 		t.Fatal(err)
 	}
-	dettest.VirtualOnly(&out.Pair.Breakdown, out.Pair.Steps)
-	dettest.VirtualOnly(&out.Star.Breakdown, out.Star.Steps)
-	dettest.VirtualOnly(&out.Merkle.Breakdown, out.Merkle.Steps)
+	dettest.VirtualOnly(out.Pair.Steps)
+	dettest.VirtualOnly(out.Star.Steps)
+	dettest.VirtualOnly(out.Merkle.Steps)
 	return out
 }
 
@@ -207,8 +207,8 @@ func TestShardPairIsShardGroupOfTwo(t *testing.T) {
 			if !reflect.DeepEqual(pairStats, groupStats) {
 				t.Errorf("Stats differ:\n  pair  %+v\n  group %+v", *pairStats, *groupStats)
 			}
-			dettest.VirtualOnly(&pair.Breakdown, pair.Steps)
-			dettest.VirtualOnly(&group.Breakdown, group.Steps)
+			dettest.VirtualOnly(pair.Steps)
+			dettest.VirtualOnly(group.Steps)
 			if len(pair.Steps) != len(group.Steps) {
 				t.Fatalf("pair plan has %d steps, group of two %d", len(pair.Steps), len(group.Steps))
 			}

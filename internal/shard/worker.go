@@ -29,11 +29,11 @@ func (ws *workerState) clock() time.Duration { return ws.ioVirtual + ws.compVirt
 
 // read is what the worker's units read (nothing, for a worker that ran
 // none).
-func (ws *workerState) read() compare.Account {
+func (ws *workerState) read() compare.ReadTally {
 	if ws.stage2 == nil {
-		return compare.Account{}
+		return compare.ReadTally{}
 	}
-	return *ws.stage2.Cost()
+	return ws.stage2.Read()
 }
 
 // executeUnit runs stage 2 for one work unit — one call into the
