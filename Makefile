@@ -133,7 +133,7 @@ examples:
 # LOC_CEILING, the total of the last PR that lowered it — a PR that removes
 # code lowers the ceiling to its own result, one that must add code raises
 # it in the same diff, where a reviewer sees it.
-LOC_CEILING = 24114
+LOC_CEILING = 24051
 LOC_FILES = \( -name '*.go' -o -name '*.s' \) ! -name '*_test.go'
 loc:
 	@for d in $$(find . $(LOC_FILES) | xargs -n1 dirname | sort -u); do \

@@ -85,6 +85,12 @@ func TestErrorResponseContract(t *testing.T) {
 	srv.mu.Lock()
 	srv.jobs[done.ID()] = done
 	srv.mu.Unlock()
+	// And a verdict recovered from a ledger, which must refuse a bad
+	// timeoutMs as the live done job does.
+	const ledgerID = 1 << 40
+	srv.adopt(&repro.PlaneRecovery{Ledger: map[uint64]repro.WALRecord{
+		ledgerID: {Type: repro.WALVerdict, Job: ledgerID, Tenant: "default", Kind: "compare"},
+	}})
 
 	jobBody := func(jr jobRequest) string {
 		b, err := json.Marshal(jr)
@@ -108,6 +114,7 @@ func TestErrorResponseContract(t *testing.T) {
 		{"malformed job id on wait", "GET", "/v1/jobs/xyz/wait", "", http.StatusBadRequest},
 		{"unknown job on wait", "GET", "/v1/jobs/999999999/wait", "", http.StatusNotFound},
 		{"bad wait timeout", "GET", fmt.Sprintf("/v1/jobs/%d/wait?timeoutMs=soon", done.ID()), "", http.StatusBadRequest},
+		{"bad wait timeout on a ledger job", "GET", fmt.Sprintf("/v1/jobs/%d/wait?timeoutMs=soon", ledgerID), "", http.StatusBadRequest},
 		{"wait timeout over the cap", "GET", fmt.Sprintf("/v1/jobs/%d/wait?timeoutMs=%d", done.ID(), maxWait.Milliseconds()+1), "", http.StatusBadRequest},
 		{"wait timeout of 24 days", "GET", fmt.Sprintf("/v1/jobs/%d/wait?timeoutMs=2147483647", done.ID()), "", http.StatusBadRequest},
 		{"bad binding JSON", "POST", "/v1/runs", "{", http.StatusBadRequest},
@@ -152,6 +159,93 @@ func TestErrorResponseContract(t *testing.T) {
 		release()
 		<-held.Done()
 	})
+}
+
+// TestRecoveredJobAnswersAsLive: after a restart, a job served from the
+// ledger answers GET /v1/jobs/{id} and /wait with the bytes its live job
+// answered, its account cut to the counts the verdict record keeps — for
+// a job that failed, which has no account, byte for byte.
+func TestRecoveredJobAnswersAsLive(t *testing.T) {
+	dir := seedStore(t)
+	store, err := repro.NewStore(dir, repro.LustreModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	get := func(srv *server, path string) (int, []byte) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		return rec.Code, rec.Body.Bytes()
+	}
+
+	plane := repro.NewPlane(repro.PlaneConfig{})
+	if _, err := plane.Recover(ctx, store, repro.DefaultJournalName); err != nil {
+		t.Fatal(err)
+	}
+	srv := newServer(plane, store)
+	live := map[uint64][]byte{}
+	for _, jr := range []jobRequest{
+		{Kind: "compare", A: ckptName("run1"), B: ckptName("run2")},
+		{Kind: "compare", A: ckptName("run1"), B: ckptName("run3")},
+		{Kind: "group", Baseline: ckptName("run1"), Runs: []string{ckptName("run2"), ckptName("run3")}},
+		{Kind: "shard", A: ckptName("run1"), B: ckptName("run3"), ShardWorkers: 2},
+		{Kind: "compare", A: ckptName("run1"), B: ckptName("run9")}, // no such checkpoint: fails
+	} {
+		jr.Epsilon, jr.ChunkSize = testEps, testChunk
+		body, _ := json.Marshal(jr)
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/jobs?tenant=acme", bytes.NewReader(body)))
+		var accepted jobStatusBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &accepted); rec.Code != http.StatusAccepted || err != nil {
+			t.Fatalf("submit %s: status %d, %v (body %s)", jr.Kind, rec.Code, err, rec.Body.String())
+		}
+		code, waited := get(srv, fmt.Sprintf("/v1/jobs/%d/wait?timeoutMs=30000", accepted.ID))
+		if _, status := get(srv, fmt.Sprintf("/v1/jobs/%d", accepted.ID)); code != http.StatusOK || !bytes.Equal(status, waited) {
+			t.Fatalf("live job %d: wait %d %s, status %s", accepted.ID, code, waited, status)
+		}
+		live[accepted.ID] = waited
+	}
+	if err := plane.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	plane = repro.NewPlane(repro.PlaneConfig{})
+	defer func() {
+		if err := plane.Close(); err != nil {
+			t.Errorf("plane close: %v", err)
+		}
+	}()
+	rec, err := plane.Recover(ctx, store, repro.DefaultJournalName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv = newServer(plane, store)
+	srv.adopt(rec)
+	failed := 0
+	for id, body := range live {
+		var st repro.JobStatus
+		if err := json.Unmarshal(body, &st); err != nil {
+			t.Fatal(err)
+		}
+		if a := st.Account; a != nil {
+			st.Account = &repro.Account{DiffCount: a.DiffCount, Degraded: a.Inconclusive(),
+				UnverifiedChunks: a.UnverifiedChunks, ReadRetries: a.ReadRetries, CASPrunedChunks: a.CASPrunedChunks}
+		} else {
+			failed++
+		}
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(st); err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []string{fmt.Sprintf("/v1/jobs/%d", id), fmt.Sprintf("/v1/jobs/%d/wait", id)} {
+			if code, got := get(srv, path); code != http.StatusOK || !bytes.Equal(got, want.Bytes()) {
+				t.Errorf("GET %s after the restart: %d %s\nlive job answered %s", path, code, got, want.Bytes())
+			}
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("%d of the live jobs had no account, want the one that failed", failed)
+	}
 }
 
 // TestHTTPServerBoundsConnections: the daemon's server bounds every phase

@@ -15,11 +15,11 @@ import (
 	"repro/internal/compare"
 )
 
-// server is the HTTP surface over one plane and one store. Sessions are
-// opened per tenant on first use and shared across requests; jobs are
-// indexed by their plane-unique ID for polling. When the daemon runs
-// with -journal, verdicts recovered from the ledger are served from the
-// ledger map — a completed job survives kill -9 without recomputation.
+// server is the HTTP surface over one plane and one store. Each request
+// opens its tenant's session on the plane; jobs are indexed by their
+// plane-unique ID for polling. When the daemon runs with -journal, the
+// verdicts recovered from the ledger sit in the same map as done jobs — a
+// completed job survives kill -9 without recomputation.
 type server struct {
 	plane *repro.Plane
 	store *repro.Store
@@ -31,23 +31,17 @@ type server struct {
 	drain     chan struct{}
 	drainOnce sync.Once
 
-	mu       sync.Mutex
-	sessions map[string]*repro.Session
-	jobs     map[uint64]*repro.Job
-	// ledger maps completed jobs recovered from the journal to their
-	// durable verdict records (served, never recomputed).
-	ledger map[uint64]repro.WALRecord
+	mu   sync.Mutex
+	jobs map[uint64]*repro.Job
 }
 
 func newServer(plane *repro.Plane, store *repro.Store) *server {
 	s := &server{
-		plane:    plane,
-		store:    store,
-		mux:      http.NewServeMux(),
-		drain:    make(chan struct{}),
-		sessions: make(map[string]*repro.Session),
-		jobs:     make(map[uint64]*repro.Job),
-		ledger:   make(map[uint64]repro.WALRecord),
+		plane: plane,
+		store: store,
+		mux:   http.NewServeMux(),
+		drain: make(chan struct{}),
+		jobs:  make(map[uint64]*repro.Job),
 	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealth)
 	s.mux.HandleFunc("GET /v1/metrics", s.handleMetrics)
@@ -59,9 +53,9 @@ func newServer(plane *repro.Plane, store *repro.Store) *server {
 	return s
 }
 
-// adopt installs a journal recovery into the serving maps: ledger
-// verdicts become servable and re-admitted jobs become pollable under
-// their original IDs.
+// adopt installs a journal recovery into the job map: ledger verdicts as
+// done jobs (served, never recomputed) and re-admitted jobs, each under
+// its original ID.
 func (s *server) adopt(rec *repro.PlaneRecovery) {
 	if rec == nil {
 		return
@@ -69,7 +63,7 @@ func (s *server) adopt(rec *repro.PlaneRecovery) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for id, r := range rec.Ledger {
-		s.ledger[id] = r
+		s.jobs[id] = repro.LedgerJob(r)
 	}
 	for _, job := range rec.Resumed {
 		s.jobs[job.ID()] = job
@@ -122,21 +116,15 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(&jsonErrorWriter{ResponseWriter: w}, r)
 }
 
-// session returns (opening on first use) the tenant's session. An empty
-// tenant parameter maps to the "default" tenant.
+// session opens a session for the request's tenant; an empty tenant
+// parameter maps to the "default" tenant. Bindings and quotas live with
+// the tenant on the plane, so a session per request loses nothing.
 func (s *server) session(r *http.Request) *repro.Session {
 	tenant := r.URL.Query().Get("tenant")
 	if tenant == "" {
 		tenant = "default"
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sess, ok := s.sessions[tenant]
-	if !ok {
-		sess = s.plane.Open(tenant)
-		s.sessions[tenant] = sess
-	}
-	return sess
+	return s.plane.Open(tenant)
 }
 
 // writeJSON emits one compact JSON document with the given status: a done
@@ -359,42 +347,27 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, job.Status())
 }
 
-// jobID parses the {id} path value.
-func (s *server) jobID(w http.ResponseWriter, r *http.Request) (uint64, bool) {
+// lookupJob parses the {id} path value and resolves it to a job, live or
+// recovered from the ledger. It answers the request itself when it
+// cannot: 400 for a malformed ID, 404 for an unknown one.
+func (s *server) lookupJob(w http.ResponseWriter, r *http.Request) *repro.Job {
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "bad job id"})
-		return 0, false
+		return nil
 	}
-	return id, true
-}
-
-// lookupJob resolves an ID to a live job or a ledger verdict.
-func (s *server) lookupJob(id uint64) (job *repro.Job, rec repro.WALRecord, fromLedger bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if j, ok := s.jobs[id]; ok {
-		return j, repro.WALRecord{}, false
+	job := s.jobs[id]
+	s.mu.Unlock()
+	if job == nil {
+		writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("no job %d", id)})
 	}
-	if r, ok := s.ledger[id]; ok {
-		return nil, r, true
-	}
-	return nil, repro.WALRecord{}, false
+	return job
 }
 
 func (s *server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
-	id, ok := s.jobID(w, r)
-	if !ok {
-		return
-	}
-	job, rec, fromLedger := s.lookupJob(id)
-	switch {
-	case job != nil:
+	if job := s.lookupJob(w, r); job != nil {
 		writeJSON(w, http.StatusOK, job.Status())
-	case fromLedger:
-		writeJSON(w, http.StatusOK, repro.LedgerStatus(rec))
-	default:
-		writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("no job %d", id)})
 	}
 }
 
@@ -405,21 +378,12 @@ const maxWait = 60 * time.Second
 // handleJobWait long-polls the verdict: it responds as soon as the job
 // publishes, or after timeoutMs (default 30s, at most maxWait) with the
 // current snapshot and status 200 either way — the "state" field says
-// which. A ledger-recovered verdict answers immediately. When graceful
+// which. A done job, live or recovered, answers at once. When graceful
 // shutdown begins mid-wait, the wait wakes up: the final verdict if the
 // job already published, a clean 503 otherwise — never a hung connection.
 func (s *server) handleJobWait(w http.ResponseWriter, r *http.Request) {
-	id, ok := s.jobID(w, r)
-	if !ok {
-		return
-	}
-	job, rec, fromLedger := s.lookupJob(id)
-	if fromLedger {
-		writeJSON(w, http.StatusOK, repro.LedgerStatus(rec))
-		return
-	}
+	job := s.lookupJob(w, r)
 	if job == nil {
-		writeJSON(w, http.StatusNotFound, errorBody{Error: fmt.Sprintf("no job %d", id)})
 		return
 	}
 	timeout := 30 * time.Second

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -106,6 +107,7 @@ type Job struct {
 	state   JobState
 	verdict Verdict
 	err     error
+	account *compare.Account
 	result  *compare.Result
 	group   *compare.GroupReport
 	shardst *shard.Stats
@@ -174,30 +176,27 @@ func (j *Job) Status() JobStatus {
 		if j.err != nil {
 			st.Error = j.err.Error()
 		}
-		st.Account = accountOf(j.result, j.group)
+		st.Account = j.account
 	}
 	return st
 }
 
-// LedgerStatus is the status of the job whose durable verdict record rec
-// is: what Job.Status said when the verdict was published, on every key
-// the record keeps. The account's other counts are not journaled and read
-// 0.
-func LedgerStatus(rec wal.Record) JobStatus {
-	st := JobStatus{
-		ID:       rec.Job,
-		Kind:     rec.Kind,
-		Tenant:   rec.Tenant,
-		State:    JobDone.String(),
-		Verdict:  Verdict(rec.Exit).String(),
-		ExitCode: rec.Exit,
-		Error:    rec.ErrMsg,
+// LedgerJob is the done job whose durable verdict record rec is: its
+// Status says what the live job's said when the verdict was published, on
+// every key the record keeps. The account's other counts are not
+// journaled and read 0; it has no Result, Group or ShardStats.
+func LedgerJob(rec wal.Record) *Job {
+	j := &Job{id: rec.Job, kind: JobKind(rec.Kind), tenant: rec.Tenant, done: make(chan struct{}),
+		state: JobDone, verdict: Verdict(rec.Exit)}
+	close(j.done)
+	if rec.ErrMsg != "" {
+		j.err = errors.New(rec.ErrMsg)
 	}
-	if Verdict(rec.Exit) != VerdictError {
-		st.Account = &compare.Account{DiffCount: rec.DiffCount, Degraded: rec.Degraded,
+	if j.verdict != VerdictError {
+		j.account = &compare.Account{DiffCount: rec.DiffCount, Degraded: rec.Degraded,
 			UnverifiedChunks: rec.UnverifiedChunks, ReadRetries: rec.ReadRetries, CASPrunedChunks: rec.CASPruned}
 	}
-	return st
+	return j
 }
 
 // Submit runs a job asynchronously: options normalization and binding
@@ -267,7 +266,7 @@ func (s *Session) start(store *pfs.Store, spec JobSpec, rec *wal.Record) (*Job, 
 // journal attached; a plane without one runs non-durably and the append
 // is a no-op.
 func (s *Session) journalAppend(rec wal.Record) error {
-	jn := s.plane.journalHandle()
+	jn := s.plane.Journal()
 	if jn == nil {
 		return nil
 	}
@@ -341,6 +340,7 @@ func (j *Job) publish(o outcome, res *compare.Result, rep *compare.GroupReport, 
 	j.state = JobDone
 	j.err = o.err
 	j.verdict = o.verdict()
+	j.account = accountOf(res, rep)
 	j.result = res
 	j.group = rep
 	j.shardst = stats

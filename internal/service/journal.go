@@ -58,7 +58,7 @@ func startedRecord(id uint64, tenantID string, spec JobSpec) wal.Record {
 }
 
 // verdictRecord journals a job's outcome: the exit code, the verdict and
-// degradation-ladder counts of its account (LedgerStatus is the inverse),
+// degradation-ladder counts of its account (LedgerJob is the inverse),
 // and the compared snapshots' combined Merkle roots — everything
 // verify-log needs to recompute the verdict's inputs. The record's
 // RingFallbacks slot stays 0.
@@ -138,8 +138,8 @@ func raiseJobIDFloor(n uint64) {
 
 // Recovery is what Plane.Recover reconstructed from the journal.
 type Recovery struct {
-	// Ledger maps completed jobs to their durable verdict records. A
-	// recovered verdict is served from here, never recomputed.
+	// Ledger maps completed jobs to their durable verdict records, each
+	// served as its LedgerJob, never recomputed.
 	Ledger map[uint64]wal.Record
 	// Resumed lists the re-admitted jobs — accepted in a previous life
 	// but never given a verdict — now queued or running again under
@@ -183,13 +183,10 @@ func (p *Plane) Recover(ctx context.Context, store *pfs.Store, name string) (*Re
 	return out, nil
 }
 
-// journalHandle returns the attached journal, or nil when the plane runs
-// without durability.
-func (p *Plane) journalHandle() *wal.Journal {
+// Journal returns the journal attached by Recover, or nil when the plane
+// runs without durability.
+func (p *Plane) Journal() *wal.Journal {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.journal
 }
-
-// Journal returns the journal attached by Recover, or nil.
-func (p *Plane) Journal() *wal.Journal { return p.journalHandle() }

@@ -4,13 +4,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/ckpt"
 	"repro/internal/compare"
+	"repro/internal/dettest"
 	"repro/internal/faults"
+	"repro/internal/pfs"
 	"repro/internal/retry"
 	"repro/internal/wal"
 )
@@ -121,7 +125,7 @@ func TestLedgerStatusIsTheLiveStatus(t *testing.T) {
 		}
 		return m
 	}
-	live, ledger := asMap(job.Status()), asMap(LedgerStatus(rec.Ledger[job.ID()]))
+	live, ledger := asMap(job.Status()), asMap(LedgerJob(rec.Ledger[job.ID()]).Status())
 	if ledger["unverifiedChunks"] == nil || ledger["readRetries"] == nil {
 		t.Fatalf("ledger status lost the ladder's counts: %v", ledger)
 	}
@@ -129,6 +133,94 @@ func TestLedgerStatusIsTheLiveStatus(t *testing.T) {
 		"diffCount", "degraded", "unverifiedChunks", "readRetries", "casPrunedChunks"} {
 		if !reflect.DeepEqual(ledger[k], live[k]) {
 			t.Errorf("%s: ledger %v, live %v", k, ledger[k], live[k])
+		}
+	}
+}
+
+// TestLedgerReplayMatchesOracle makes ledger replay one of the doors the
+// stage-2 parity table holds to the element-wise oracle: one pair job per
+// row of dettest.Shapes() (but the degrade row, whose corruption is in
+// flight) and of dettest.Sequence() (every row of Shapes diverges; its
+// clean row does not), journaled, then served after a restart. Each
+// recovered job's status carries the exit code and diffCount the oracle
+// gives, the count summed over the fields the row compares.
+func TestLedgerReplayMatchesOracle(t *testing.T) {
+	ctx := context.Background()
+	store, err := pfs.NewStore(t.TempDir(), pfs.LustreModel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := New(Config{})
+	if _, err := p.Recover(ctx, store, ""); err != nil {
+		t.Fatal(err)
+	}
+	type want struct {
+		shape string
+		exit  int
+		diffs int64
+	}
+	wants := map[uint64]want{}
+	for si, sh := range slices.Concat(dettest.Shapes(), dettest.Sequence()) {
+		if sh.Degrade {
+			continue
+		}
+		fields, data := dettest.Runs(sh)
+		opts := compare.Options{Epsilon: sh.Epsilon(), ChunkSize: sh.Chunk}
+		var names []string
+		for ri, run := range []string{"A", "B"} {
+			runID := fmt.Sprintf("shape%d%s", si, run)
+			if _, err := ckpt.WriteCheckpoint(store, ckpt.Meta{RunID: runID, Iteration: 10, Fields: fields}, data[ri]); err != nil {
+				t.Fatal(err)
+			}
+			m, _, err := compare.Build(fields, data[ri], opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := ckpt.Name(runID, 10, 0)
+			if _, err := compare.SaveMetadata(store, name, m); err != nil {
+				t.Fatal(err)
+			}
+			names = append(names, name)
+		}
+		opts.SliceBytes, opts.Fields = sh.SliceBytes, sh.Fields
+		job, err := p.Open("oracle").Submit(store, JobSpec{Kind: JobCompare, A: names[0], B: names[1], Options: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := want{shape: sh.Name, exit: VerdictClean.ExitCode()}
+		for _, idx := range dettest.Want(sh, fields, data, 0, 1) {
+			w.diffs += int64(len(idx))
+		}
+		if w.diffs > 0 {
+			w.exit = VerdictDivergent.ExitCode()
+		}
+		wants[job.ID()] = w
+		<-job.Done()
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p = New(Config{})
+	rec, err := p.Recover(ctx, store, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Ledger) != len(wants) || len(rec.Resumed) != 0 {
+		t.Fatalf("recovered %d verdicts and %d pending jobs, want %d and 0", len(rec.Ledger), len(rec.Resumed), len(wants))
+	}
+	for id, w := range wants {
+		st := LedgerJob(rec.Ledger[id]).Status()
+		if st.Account == nil {
+			t.Errorf("%s: ledger serves exit %d and no account (error %q)", w.shape, st.ExitCode, st.Error)
+			continue
+		}
+		if st.ExitCode != w.exit || st.DiffCount != w.diffs {
+			t.Errorf("%s: ledger serves exit %d, diffCount %d; the oracle gives exit %d, %d diffs",
+				w.shape, st.ExitCode, st.DiffCount, w.exit, w.diffs)
 		}
 	}
 }

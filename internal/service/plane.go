@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/aio"
 	"repro/internal/cas"
@@ -62,12 +61,6 @@ type Config struct {
 	// (default MaxInFlight). A tenant at its quota is rejected
 	// immediately regardless of global capacity.
 	TenantPending int
-	// RetryAfterBase and RetryAfterMax bound the backpressure price: the
-	// RetryAfter attached to a rejection grows exponentially with the
-	// pressure that caused it, from Base up to Max (defaults 5ms and
-	// 1s), with deterministic jitter — virtual durations, never slept.
-	RetryAfterBase time.Duration
-	RetryAfterMax  time.Duration
 }
 
 // withDefaults fills unset knobs with the production defaults.
@@ -80,12 +73,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TenantPending <= 0 {
 		c.TenantPending = c.MaxInFlight
-	}
-	if c.RetryAfterBase <= 0 {
-		c.RetryAfterBase = 5 * time.Millisecond
-	}
-	if c.RetryAfterMax <= 0 {
-		c.RetryAfterMax = time.Second
 	}
 	return c
 }
@@ -293,7 +280,7 @@ func (p *Plane) Close() error {
 	if n := p.sched.inFlight(); n != 0 {
 		err = fmt.Errorf("service: plane closed with %d comparisons still accounted in flight", n)
 	}
-	if j := p.journalHandle(); j != nil {
+	if j := p.Journal(); j != nil {
 		err = cmp.Or(err, j.Close())
 	}
 	return err

@@ -63,9 +63,16 @@ type sched struct {
 	queue    []*ticket
 }
 
-// pressureCap bounds the exponent of the backpressure price so extreme
-// queue lengths saturate at RetryAfterMax instead of overflowing.
-const pressureCap = 16
+// The backpressure price: the RetryAfter attached to a rejection grows
+// exponentially with the pressure that caused it, from retryAfterBase up
+// to retryAfterMax, with deterministic jitter — virtual durations, never
+// slept. pressureCap bounds the exponent so extreme queue lengths
+// saturate at retryAfterMax instead of overflowing.
+const (
+	retryAfterBase = 5 * time.Millisecond
+	retryAfterMax  = time.Second
+	pressureCap    = 16
+)
 
 func newSched(cfg Config) *sched {
 	s := &sched{
@@ -74,8 +81,8 @@ func newSched(cfg Config) *sched {
 		tenantPending: cfg.TenantPending,
 		price: retry.Policy{
 			MaxAttempts: pressureCap + 1,
-			BaseDelay:   cfg.RetryAfterBase,
-			MaxDelay:    cfg.RetryAfterMax,
+			BaseDelay:   retryAfterBase,
+			MaxDelay:    retryAfterMax,
 			Multiplier:  2,
 		},
 	}
@@ -173,33 +180,14 @@ func (s *sched) wait(ctx context.Context, t *ticket) error {
 		return t.err
 	case <-ctx.Done():
 	}
-	// Canceled: the grant may have raced the cancellation.
-	s.mu.Lock()
-	grantedMeanwhile := false
-	select {
-	case <-t.ready:
-		grantedMeanwhile = t.err == nil
-	default:
-		// Still queued: withdraw.
-		for i, q := range s.queue {
-			if q == t {
-				s.queue = append(s.queue[:i], s.queue[i+1:]...)
-				break
-			}
-		}
-		t.tn.pending--
-	}
-	s.mu.Unlock()
-	if grantedMeanwhile {
-		s.release(t) // hand the unused slot to the next waiter
-	}
+	s.abort(t)
 	return ctx.Err()
 }
 
-// abort undoes a reservation whose job never ran (the journal refused
-// the accepted record, so the admission must be rolled back as if the
-// submission had been rejected). A granted ticket releases its slot; a
-// still-queued ticket withdraws, exactly like wait's cancellation path.
+// abort undoes a reservation whose job never ran: a canceled wait, or a
+// submission whose accepted record the journal refused. A ticket granted
+// meanwhile hands its unused slot to the next waiter; a still-queued one
+// withdraws.
 func (s *sched) abort(t *ticket) {
 	s.mu.Lock()
 	select {

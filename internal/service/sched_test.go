@@ -24,12 +24,11 @@ func testPlane(t *testing.T, cfg Config) *Plane {
 
 // wantPrice recomputes the deterministic backpressure price the plane's
 // scheduler must attach to a rejection at the given pressure.
-func wantPrice(cfg Config, pressure int) time.Duration {
-	cfg = cfg.withDefaults()
+func wantPrice(pressure int) time.Duration {
 	price := retry.Policy{
 		MaxAttempts: pressureCap + 1,
-		BaseDelay:   cfg.RetryAfterBase,
-		MaxDelay:    cfg.RetryAfterMax,
+		BaseDelay:   retryAfterBase,
+		MaxDelay:    retryAfterMax,
 		Multiplier:  2,
 	}
 	if pressure > pressureCap {
@@ -66,7 +65,7 @@ func TestAdmissionTenantQuotaDeterministic(t *testing.T) {
 	if prices[0] != prices[1] {
 		t.Fatalf("rejection price not deterministic: %v vs %v", prices[0], prices[1])
 	}
-	if want := wantPrice(cfg, 1); prices[0] != want || want <= 0 {
+	if want := wantPrice(1); prices[0] != want || want <= 0 {
 		t.Fatalf("rejection price %v, want %v (> 0)", prices[0], want)
 	}
 
@@ -113,13 +112,13 @@ func TestAdmissionQueueFullPricedByDepth(t *testing.T) {
 	if adm.Pressure != 3 {
 		t.Fatalf("queue-full pressure %d, want 3", adm.Pressure)
 	}
-	if want := wantPrice(cfg, 3); adm.RetryAfter != want {
+	if want := wantPrice(3); adm.RetryAfter != want {
 		t.Fatalf("queue-full price %v, want %v", adm.RetryAfter, want)
 	}
 	// Deeper pressure prices strictly higher (within the cap), so
 	// backpressure actually escalates.
-	if !(wantPrice(cfg, 3) > wantPrice(cfg, 1)) {
-		t.Fatalf("price does not escalate: p3=%v p1=%v", wantPrice(cfg, 3), wantPrice(cfg, 1))
+	if !(wantPrice(3) > wantPrice(1)) {
+		t.Fatalf("price does not escalate: p3=%v p1=%v", wantPrice(3), wantPrice(1))
 	}
 
 	// FIFO handoff: releasing the running ticket grants the head of the

@@ -136,8 +136,8 @@ type (
 	// Job is an asynchronous submission; wait on Done, snapshot with
 	// Status.
 	Job = service.Job
-	// JobStatus is a wire-friendly snapshot of one job (Job.Status);
-	// the reprod daemon also synthesizes it from ledger verdicts.
+	// JobStatus is a wire-friendly snapshot of one job (Job.Status), live
+	// or recovered from the ledger (LedgerJob).
 	JobStatus = service.JobStatus
 	// JobVerdict is a comparison outcome on the reprocmp exit-code
 	// contract (0 clean / 1 error / 2 divergent / 3 degraded).
@@ -147,9 +147,10 @@ type (
 // ErrPlaneClosed is returned by every submission path of a closed plane.
 var ErrPlaneClosed = service.ErrPlaneClosed
 
-// LedgerStatus is the status of a job served from the journal's ledger,
-// rebuilt from its durable verdict record.
-func LedgerStatus(rec WALRecord) JobStatus { return service.LedgerStatus(rec) }
+// LedgerJob is the done job a durable verdict record of the journal's
+// ledger stands for: its Status is the live job's on every key the record
+// keeps.
+func LedgerJob(rec WALRecord) *Job { return service.LedgerJob(rec) }
 
 // Asynchronous job kinds (JobSpec.Kind).
 const (
